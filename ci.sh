@@ -15,9 +15,15 @@ test $((t1 - t0)) -le 900 || {
     exit 1
 }
 cargo clippy --workspace --all-targets -- -D warnings
+# Simulator crates never read the environment: `fa_sim::env` is the one
+# door, so every knob is documented, parsed loudly and visible to drivers.
+# (`set -e` ignores a failing `!` pipeline, hence the explicit exit.)
+! grep -rn 'std::env::var' crates/core/src crates/mem/src crates/trace/src crates/isa/src || exit 1
+# One campaign engine, one row form: the deleted duplicates stay deleted.
+! grep -rnE 'fn (run_grid|measure|measure_parallel|try_run_workload|run_workload|run_once|run_cells_supervised|json_full)\b|SweepReport::new' crates src || exit 1
 # Differential litmus fuzzing under fault injection (seeded — replayable).
 FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 cargo run -q -p fa-bench --bin fuzz
-# Timed mini-sweep on the parallel engine: 2 kernels x 2 policies, writing
+# Timed mini-sweep on the campaign engine: 2 kernels x 2 policies, writing
 # the BENCH_sweep.json throughput report, then sanity-check its shape.
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
     FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
@@ -33,7 +39,7 @@ grep -c '"cpi":{"core_cycles":' target/BENCH_sweep.json | grep -qx 4
 # accounting, writing its own artifact with the cpi blocks.
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=TATP,PC \
     FA_BENCH_JSON=target/BENCH_cpistack.json \
-    cargo run -q --release -p fa-bench --bin cpistack > target/cpistack.txt
+    cargo run -q --release -p fa-bench --bin fig -- cpistack > target/cpistack.txt
 grep -q '"cpi":{"core_cycles":' target/BENCH_cpistack.json
 grep -q 'atomic-lifetime attribution' target/cpistack.txt
 # Differential bottleneck report smoke 1 — passivity: a report diffed
@@ -108,7 +114,7 @@ grep -q 'violations: 0, other failures: 0' target/conformance_weak.txt
 # Weak-baseline figure smoke: TSO + weak grids, residual-speedup table.
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=TATP,PC \
     FA_BENCH_JSON=target/BENCH_weak_baseline.json \
-    cargo run -q --release -p fa-bench --bin fig_weak_baseline \
+    cargo run -q --release -p fa-bench --bin fig -- fig_weak_baseline \
     > target/weak_baseline.txt
 grep -q 'residual' target/weak_baseline.txt
 grep -q ',"model":"weak"' target/BENCH_weak_baseline.json
@@ -116,7 +122,7 @@ grep -q ',"model":"weak"' target/BENCH_weak_baseline.json
 # Contended rows must carry the per-link `net` stats block.
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=PC \
     FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_fig16.json \
-    cargo run -q --release -p fa-bench --bin fig16_network_sensitivity
+    cargo run -q --release -p fa-bench --bin fig -- fig16_network_sensitivity
 grep -q '"schema": "fa-sweep-v1"' target/BENCH_fig16.json
 grep -q '"net":{"policy":"contended"' target/BENCH_fig16.json
 grep -q '"queue_hist":\[' target/BENCH_fig16.json

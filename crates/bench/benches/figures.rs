@@ -2,10 +2,6 @@
 //! the paper's evaluation section (sized via FA_CORES / FA_SCALE /
 //! FA_RUNS / FA_THREADS; see fa-bench's crate docs).
 
-use fa_sim::error::SimError;
-
-type Step = fn(&fa_bench::BenchOpts) -> Result<(), Box<SimError>>;
-
 fn main() {
     // `cargo bench` passes --bench (and possibly filter args); ignore them.
     let opts = fa_bench::BenchOpts::from_env();
@@ -14,17 +10,8 @@ fn main() {
         "(cores={}, scale={}, runs={}, drop={}, threads={})",
         opts.cores, opts.scale, opts.runs, opts.drop_slowest, opts.threads
     );
-    fa_bench::figures::table1_config();
-    let steps: Vec<(&str, Step)> = vec![
-        ("fig01_atomic_cost", fa_bench::figures::fig01_atomic_cost),
-        ("fig12_apki", fa_bench::figures::fig12_apki),
-        ("table2_characterization", fa_bench::figures::table2_characterization),
-        ("fig13_locality", fa_bench::figures::fig13_locality),
-        ("fig14_exec_time", fa_bench::figures::fig14_exec_time),
-        ("fig15_energy", fa_bench::figures::fig15_energy),
-    ];
-    for (name, step) in steps {
-        if let Err(e) = step(&opts) {
+    for (name, figure) in fa_bench::figures::FIGURES {
+        if let Err(e) = figure(&opts) {
             eprintln!("{name} failed: {e}");
             std::process::exit(1);
         }

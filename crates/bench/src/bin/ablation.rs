@@ -78,13 +78,8 @@ fn sweep(
 }
 
 fn main() {
-    let mut opts = BenchOpts::from_env();
-    if fa_sim::env::var("FA_SCALE").is_none() {
-        opts.scale = 0.15;
-    }
-    if fa_sim::env::var("FA_CORES").is_none() {
-        opts.cores = 4;
-    }
+    let opts =
+        BenchOpts::from_env_or(BenchOpts { scale: 0.15, cores: 4, ..BenchOpts::default() });
     println!("(cycles normalized to the leftmost configuration; lower is better)");
     let mut ok = true;
     ok &= sweep("Atomic Queue entries (paper: 4)", &opts, &[1, 2, 4, 8], |c, v| {

@@ -33,13 +33,8 @@ use fa_sim::presets::icelake_like;
 use fa_sim::{env, supervise, CheckMode, Machine};
 
 fn main() {
-    let mut opts = BenchOpts::from_env();
-    if env::var("FA_SCALE").is_none() {
-        opts.scale = 0.1;
-    }
-    if env::var("FA_CORES").is_none() {
-        opts.cores = 4;
-    }
+    let mut opts =
+        BenchOpts::from_env_or(BenchOpts { scale: 0.1, cores: 4, ..BenchOpts::default() });
     opts.check = env::check_setting_or(CheckMode::Tso);
     let sup = SupervisorOpts::from_env();
     let max_cycles = sup.budget.max_cycles.unwrap_or(400_000_000);

@@ -8,13 +8,8 @@ use fa_core::AtomicPolicy;
 use fa_sim::presets::icelake_like;
 
 fn main() {
-    let mut opts = BenchOpts::from_env();
-    if fa_sim::env::var("FA_SCALE").is_none() {
-        opts.scale = 0.1;
-    }
-    if fa_sim::env::var("FA_CORES").is_none() {
-        opts.cores = 4;
-    }
+    let opts =
+        BenchOpts::from_env_or(BenchOpts { scale: 0.1, cores: 4, ..BenchOpts::default() });
     let mut failed = false;
     for spec in opts.workloads() {
         for policy in AtomicPolicy::ALL {

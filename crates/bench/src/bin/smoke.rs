@@ -10,13 +10,8 @@ use fa_core::AtomicPolicy;
 use fa_sim::presets::icelake_like;
 
 fn main() {
-    let mut opts = BenchOpts::from_env();
-    if fa_sim::env::var("FA_SCALE").is_none() {
-        opts.scale = 0.1;
-    }
-    if fa_sim::env::var("FA_CORES").is_none() {
-        opts.cores = 4;
-    }
+    let opts =
+        BenchOpts::from_env_or(BenchOpts { scale: 0.1, cores: 4, ..BenchOpts::default() });
     let base = icelake_like();
     println!(
         "{}",
@@ -25,7 +20,13 @@ fn main() {
     for spec in opts.workloads() {
         for policy in [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd] {
             let t0 = std::time::Instant::now();
-            let r = fa_bench::run_once(&spec, policy, &base, &opts);
+            let r = match fa_bench::run_once_checked(&spec, policy, &base, &opts) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("{} under {}: {e}", spec.name, policy.label());
+                    std::process::exit(1);
+                }
+            };
             println!(
                 "{}  ({:.2}s wall)",
                 row(&[

@@ -1,5 +1,5 @@
 //! Supervised sweep driver: measures a `(kernel, policy, preset)` grid on
-//! the parallel sweep engine under per-cell isolation, prints a status line
+//! the sweep engine under per-cell isolation, prints a status line
 //! per cell, and writes the `BENCH_sweep.json` throughput report (wall
 //! clock, simulated cycles/sec, simulated MIPS, any quarantined cells).
 //!
@@ -77,7 +77,8 @@ fn main() {
     if !report.quarantine.is_empty() {
         eprintln!("sweep: {} cell(s) quarantined:", report.quarantine.len());
         for q in &report.quarantine {
-            let first = q.failure.lines().next().unwrap_or("(no detail)");
+            let failure = q.failure.to_string();
+            let first = failure.lines().next().unwrap_or("(no detail)");
             eprintln!("  {} after {} attempt(s): {first}", q.cell, q.attempts);
         }
         std::process::exit(2);

@@ -38,14 +38,10 @@ fn main() {
 /// Runs the first selected workload in full-trace mode and writes the
 /// Perfetto timeline.
 fn export_timeline() {
-    let mut opts = BenchOpts::from_env();
-    if fa_sim::env::var("FA_SCALE").is_none() {
-        opts.scale = 0.05;
-    }
-    if fa_sim::env::var("FA_CORES").is_none() {
-        opts.cores = 2;
-    }
-    opts.trace = TraceMode::Full;
+    let opts = BenchOpts {
+        trace: TraceMode::Full,
+        ..BenchOpts::from_env_or(BenchOpts { scale: 0.05, cores: 2, ..BenchOpts::default() })
+    };
     let path = fa_sim::env::trace_setting()
         .1
         .unwrap_or_else(|| "fa_trace.json".to_string());

@@ -4,7 +4,7 @@
 //! A killed campaign must resume exactly where it stopped, and the merged
 //! output must be byte-identical to an uninterrupted run. The journal
 //! therefore stores each completed cell's emitted row **verbatim** — the
-//! exact `json_full` line the report would print — so resumption re-emits
+//! exact `SweepRow::json` line the report would print — so resumption re-emits
 //! bytes instead of re-deriving them (the vendored `serde` is
 //! derive-markers only; nothing here needs a JSON parser).
 //!
@@ -72,7 +72,7 @@ pub struct CellRecord {
     /// (rescues summed, high-water marks maxed) — journaled so a resumed
     /// campaign's health summary matches an uninterrupted one.
     pub health: ProgressStats,
-    /// The row exactly as the report emits it (`SweepRow::json_full`).
+    /// The row exactly as the report emits it (`SweepRow::json`).
     pub row: String,
 }
 

@@ -2,14 +2,17 @@
 //! section. Each function prints the same rows/series the paper reports;
 //! EXPERIMENTS.md records the measured-vs-paper comparison.
 //!
-//! Every simulating function returns `Result` — a failed measure (timeout,
-//! invariant-audit violation, invalid methodology) propagates so the bins
-//! can exit nonzero instead of printing a clean-looking partial table. The
-//! policy-comparison figures (14, 15) and the characterization table run on
-//! the parallel sweep engine and the figure-14/15 drivers emit the
-//! `BENCH_sweep.json` throughput report.
+//! Every function returns `Result` — a failed measure (timeout,
+//! invariant-audit violation, invalid methodology) propagates so the `fig`
+//! bin can exit nonzero instead of printing a clean-looking partial table.
+//! The grid figures (14, 15, 16, weak baseline, CPI stacks) are table
+//! formatters over one [`run_grid_supervised`] campaign each and emit the
+//! `BENCH_sweep.json` throughput report; [`FIGURES`] names them all.
 
-use crate::sweep::{grid, presets_from_env, run_grid, CellResult, Preset, RowCpi, SweepReport};
+use crate::sweep::{
+    grid, presets_from_env, run_grid_supervised, CellResult, Preset, RowCpi, SupervisorOpts,
+    SweepCell, SweepReport,
+};
 use crate::{fmt, mean, row, run_once_checked, BenchOpts};
 use fa_core::AtomicPolicy;
 use fa_mem::NocConfig;
@@ -17,26 +20,58 @@ use fa_sim::energy::EnergyModel;
 use fa_sim::error::SimError;
 use fa_sim::machine::RunResult;
 use fa_sim::presets::{icelake_like, skylake_like};
-use fa_sim::sweep::SweepTiming;
 use fa_sim::{CpiLeaf, MemModel};
+
+/// One regenerated table or figure.
+pub type Figure = fn(&BenchOpts) -> Result<(), Box<SimError>>;
+
+/// Every table and figure by name, in the paper's order — what `fig <name>`
+/// selects from and the `figures` bench target runs end to end.
+pub const FIGURES: &[(&str, Figure)] = &[
+    ("table1_config", table1_config),
+    ("fig01_atomic_cost", fig01_atomic_cost),
+    ("fig12_apki", fig12_apki),
+    ("table2_characterization", table2_characterization),
+    ("fig13_locality", fig13_locality),
+    ("fig14_exec_time", fig14_exec_time),
+    ("fig15_energy", fig15_energy),
+    ("fig16_network_sensitivity", fig16_network_sensitivity),
+    ("fig_weak_baseline", fig_weak_baseline),
+    ("cpistack", cpi_stacks),
+];
 
 fn agg(r: &RunResult) -> fa_core::CoreStats {
     r.aggregate()
 }
 
-/// Measures the `(workload × every policy)` grid on the Icelake-like
-/// preset and returns per-workload groups of four [`CellResult`]s (policy
-/// order as [`AtomicPolicy::ALL`]) plus the emitted sweep report.
-fn policy_grid(bin: &str, opts: &BenchOpts) -> Result<(Vec<Vec<CellResult>>, SweepReport), Box<SimError>> {
-    let workloads = opts.workloads();
-    let cells = grid(&workloads, &AtomicPolicy::ALL, &[Preset::Icelake]);
-    let (results, timing) = run_grid(opts, &cells)?;
-    let report = SweepReport::new(bin, opts, &results, timing);
-    let groups = results
-        .chunks(AtomicPolicy::ALL.len())
-        .map(<[CellResult]>::to_vec)
-        .collect();
-    Ok((groups, report))
+/// Measures `cells` as one campaign and returns every cell's result (in
+/// grid order) plus the emitted sweep report.
+///
+/// # Errors
+///
+/// An invalid methodology, or [`SimError::CellFailed`] naming the first
+/// cell without a result — a figure is never a partial table.
+fn measured_grid(
+    bin: &str,
+    opts: &BenchOpts,
+    sup: &SupervisorOpts,
+    cells: &[SweepCell],
+) -> Result<(Vec<CellResult>, SweepReport), Box<SimError>> {
+    let (mut outcome, timing) = run_grid_supervised(opts, sup, cells)?;
+    let results = outcome.take_results(cells)?;
+    Ok((results, SweepReport::from_outcome(bin, opts, outcome, timing)))
+}
+
+/// [`measured_grid`] over the `(workload × every policy)` grid on the
+/// Icelake-like preset: each `AtomicPolicy::ALL.len()` chunk of the
+/// results is one workload, in policy order.
+fn policy_grid(
+    bin: &str,
+    opts: &BenchOpts,
+    sup: &SupervisorOpts,
+) -> Result<(Vec<CellResult>, SweepReport), Box<SimError>> {
+    let cells = grid(&opts.workloads(), &AtomicPolicy::ALL, &[Preset::Icelake]);
+    measured_grid(bin, opts, sup, &cells)
 }
 
 fn emit_report(report: &SweepReport) {
@@ -90,7 +125,11 @@ pub fn fig01_atomic_cost(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 }
 
 /// **Table 1** — the simulated system configuration.
-pub fn table1_config() {
+///
+/// # Errors
+///
+/// None; the signature is [`Figure`]'s.
+pub fn table1_config(_: &BenchOpts) -> Result<(), Box<SimError>> {
     let m = icelake_like();
     println!("\n## Table 1 — system configuration (Icelake-like preset)\n");
     println!("Processor:");
@@ -118,6 +157,7 @@ pub fn table1_config() {
     );
     let s = skylake_like();
     println!("Skylake-like variant: ROB {}, LQ {}, SQ {}, L1D {} KB 8-way", s.core.rob_size, s.core.lq_size, s.core.sq_size, s.mem.l1_sets * s.mem.l1_ways * 64 / 1024);
+    Ok(())
 }
 
 /// **Figure 12** — committed atomics per kilo-instruction.
@@ -256,7 +296,7 @@ pub fn fig13_locality(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 ///
 /// # Errors
 ///
-/// The first failed `(cell, run)` job.
+/// The first failed cell.
 pub fn fig14_exec_time(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 14 — normalized execution time (lower is better)\n");
     println!(
@@ -270,10 +310,10 @@ pub fn fig14_exec_time(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             "sleep frac (fwd)".into(),
         ])
     );
-    let (groups, report) = policy_grid("fig14_exec_time", opts)?;
+    let (results, report) = policy_grid("fig14_exec_time", opts, &SupervisorOpts::none())?;
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut norm_ai: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for runs in &groups {
+    for runs in results.chunks(AtomicPolicy::ALL.len()) {
         let spec = runs[0].cell.workload;
         let base = runs[0].summary.mean_cycles;
         let mut cells = vec![spec.name.to_string()];
@@ -324,24 +364,21 @@ pub fn fig14_exec_time(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 ///
 /// # Errors
 ///
-/// The first failed `(cell, run)` job.
+/// The first failed cell.
 pub fn cpi_stacks(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## CPI stacks — top-down cycle accounting (% of core cycles)\n");
     let mut header = vec!["workload".to_string(), "policy".to_string()];
     header.extend(CpiLeaf::ALL.iter().map(|l| l.name().to_string()));
     println!("{}", row(&header));
-    let (groups, report) = policy_grid("cpistack", opts)?;
-    for runs in &groups {
-        for r in runs {
-            let cpi = RowCpi::from_run(r.summary.representative());
-            let total = cpi.core_cycles.max(1) as f64;
-            let mut cells =
-                vec![r.cell.workload.name.to_string(), r.cell.policy.label().to_string()];
-            cells.extend(
-                CpiLeaf::ALL.iter().map(|&l| fmt(cpi.stack.get(l) as f64 * 100.0 / total, 1)),
-            );
-            println!("{}", row(&cells));
-        }
+    let (results, report) = policy_grid("cpistack", opts, &SupervisorOpts::none())?;
+    for r in &results {
+        let cpi = RowCpi::from_run(r.summary.representative());
+        let total = cpi.core_cycles.max(1) as f64;
+        let mut cells = vec![r.cell.workload.name.to_string(), r.cell.policy.label().to_string()];
+        cells.extend(
+            CpiLeaf::ALL.iter().map(|&l| fmt(cpi.stack.get(l) as f64 * 100.0 / total, 1)),
+        );
+        println!("{}", row(&cells));
     }
     println!("\natomic-lifetime attribution (cycles per committed atomic, representative runs):\n");
     println!(
@@ -356,26 +393,24 @@ pub fn cpi_stacks(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             "exec total".into(),
         ])
     );
-    for runs in &groups {
-        for r in runs {
-            let rep = r.summary.representative();
-            let cpi = RowCpi::from_run(rep);
-            let atomics: u64 = rep.per_core.iter().map(|c| c.atomics).sum();
-            let per = |v: u64| if atomics == 0 { 0.0 } else { v as f64 / atomics as f64 };
-            let exec: u64 = rep.per_core.iter().map(|c| c.atomic_exec_cycles).sum();
-            println!(
-                "{}",
-                row(&[
-                    r.cell.workload.name.into(),
-                    r.cell.policy.label().into(),
-                    fmt(per(cpi.atomic_acquire), 1),
-                    fmt(per(cpi.atomic_xfer.iter().sum()), 1),
-                    fmt(per(cpi.atomic_dir_park), 1),
-                    fmt(per(cpi.atomic_local), 1),
-                    fmt(per(exec), 1),
-                ])
-            );
-        }
+    for r in &results {
+        let rep = r.summary.representative();
+        let cpi = RowCpi::from_run(rep);
+        let atomics: u64 = rep.per_core.iter().map(|c| c.atomics).sum();
+        let per = |v: u64| if atomics == 0 { 0.0 } else { v as f64 / atomics as f64 };
+        let exec: u64 = rep.per_core.iter().map(|c| c.atomic_exec_cycles).sum();
+        println!(
+            "{}",
+            row(&[
+                r.cell.workload.name.into(),
+                r.cell.policy.label().into(),
+                fmt(per(cpi.atomic_acquire), 1),
+                fmt(per(cpi.atomic_xfer.iter().sum()), 1),
+                fmt(per(cpi.atomic_dir_park), 1),
+                fmt(per(cpi.atomic_local), 1),
+                fmt(per(exec), 1),
+            ])
+        );
     }
     emit_report(&report);
     Ok(())
@@ -394,7 +429,7 @@ pub fn cpi_stacks(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 ///
 /// # Errors
 ///
-/// The first failed `(cell, run)` job of any grid point.
+/// The first failed cell of any grid point.
 pub fn fig16_network_sensitivity(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 16 — network sensitivity (speedup of FreeAtomics+Fwd)\n");
     let points: [(&str, NocConfig); 4] = [
@@ -421,23 +456,13 @@ pub fn fig16_network_sensitivity(opts: &BenchOpts) -> Result<(), Box<SimError>> 
             "grant lat".into(),
         ])
     );
-    let mut all = Vec::new();
+    let mut reports = Vec::new();
     let mut detail = Vec::new();
-    let mut total = SweepTiming {
-        cells: 0,
-        threads: 0,
-        wall: std::time::Duration::ZERO,
-        sim_cycles: 0,
-        sim_instructions: 0,
-    };
     for (label, noc) in points {
         let p_opts = BenchOpts { noc, ..*opts };
-        let (results, t) = run_grid(&p_opts, &cells)?;
-        total.cells += t.cells;
-        total.threads = t.threads;
-        total.wall += t.wall;
-        total.sim_cycles += t.sim_cycles;
-        total.sim_instructions += t.sim_instructions;
+        let (results, part) =
+            measured_grid("fig16_network_sensitivity", &p_opts, &SupervisorOpts::none(), &cells)?;
+        reports.push(part);
         // Grid order is (workload, policy, preset) row-major: within one
         // workload chunk, cell `policy * presets + preset`.
         for wchunk in results.chunks(policies.len() * presets.len()) {
@@ -469,13 +494,12 @@ pub fn fig16_network_sensitivity(opts: &BenchOpts) -> Result<(), Box<SimError>> 
                 }
             }
         }
-        all.extend(results);
     }
     println!("\nnetwork detail (representative FreeAtomics+Fwd runs):");
     for line in &detail {
         println!("  {line}");
     }
-    let report = SweepReport::new("fig16_network_sensitivity", opts, &all, total);
+    let report = reports.into_iter().reduce(SweepReport::merge).expect("four grid points");
     emit_report(&report);
     Ok(())
 }
@@ -486,7 +510,7 @@ pub fn fig16_network_sensitivity(opts: &BenchOpts) -> Result<(), Box<SimError>> 
 ///
 /// # Errors
 ///
-/// The first failed `(cell, run)` job.
+/// The first failed cell.
 pub fn fig15_energy(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 15 — normalized energy (lower is better)\n");
     println!(
@@ -501,10 +525,10 @@ pub fn fig15_energy(opts: &BenchOpts) -> Result<(), Box<SimError>> {
         ])
     );
     let model = EnergyModel::default();
-    let (groups, report) = policy_grid("fig15_energy", opts)?;
+    let (results, report) = policy_grid("fig15_energy", opts, &SupervisorOpts::none())?;
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut norm_ai: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for runs in &groups {
+    for runs in results.chunks(AtomicPolicy::ALL.len()) {
         let spec = runs[0].cell.workload;
         let energies: Vec<_> =
             runs.iter().map(|r| model.evaluate(r.summary.representative())).collect();
@@ -554,7 +578,7 @@ pub fn fig15_energy(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 ///
 /// # Errors
 ///
-/// The first failed `(cell, run)` job of either grid.
+/// The first failed cell of either grid.
 pub fn fig_weak_baseline(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## Weak baseline — FreeFwd residual speedup on acquire/release-native hardware\n");
     let workloads = opts.workloads();
@@ -562,9 +586,9 @@ pub fn fig_weak_baseline(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     let cells = grid(&workloads, &policies, &[Preset::Icelake]);
     let tso_opts = BenchOpts { model: MemModel::Tso, ..*opts };
     let weak_opts = BenchOpts { model: MemModel::Weak, ..*opts };
-    let (tso, tso_timing) = run_grid(&tso_opts, &cells)?;
-    let (weak, weak_timing) = run_grid(&weak_opts, &cells)?;
-    let weak_totals = weak_timing.clone();
+    let sup = SupervisorOpts::none();
+    let (tso, tso_report) = measured_grid("fig_weak_baseline", &tso_opts, &sup, &cells)?;
+    let (weak, weak_report) = measured_grid("fig_weak_baseline", &weak_opts, &sup, &cells)?;
     println!(
         "{}",
         row(&[
@@ -599,13 +623,32 @@ pub fn fig_weak_baseline(opts: &BenchOpts) -> Result<(), Box<SimError>> {
         mean(&sp_tso),
         mean(&sp_weak)
     );
-    let mut report = SweepReport::new("fig_weak_baseline", &tso_opts, &tso, tso_timing);
-    let weak_report = SweepReport::new("fig_weak_baseline", &weak_opts, &weak, weak_timing);
-    report.row_lines.extend(weak_report.row_lines);
-    report.timing.cells += weak_totals.cells;
-    report.timing.wall += weak_totals.wall;
-    report.timing.sim_cycles += weak_totals.sim_cycles;
-    report.timing.sim_instructions += weak_totals.sim_instructions;
-    emit_report(&report);
+    emit_report(&tso_report.merge(weak_report));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fa_sim::env::CellBudget;
+
+    #[test]
+    fn a_failed_cell_fails_the_figure_naming_the_cell() {
+        // 200 cycles is too few for any cell: the grid behind figures 14/15
+        // and the CPI stacks must come back as an error naming
+        // kernel/policy/preset, never as a partial result set.
+        let opts = BenchOpts { cores: 2, scale: 0.05, runs: 1, drop_slowest: 0, ..BenchOpts::default() };
+        let sup = SupervisorOpts {
+            budget: CellBudget { max_cycles: Some(200), wall: None },
+            ..SupervisorOpts::none()
+        };
+        let err = policy_grid("test", &opts, &sup).expect_err("every cell times out");
+        let first = opts.workloads()[0].name;
+        assert!(
+            matches!(&*err, SimError::CellFailed { cell, attempts: 1, .. }
+                if *cell == format!("{first}/baseline/icelake")),
+            "{err}"
+        );
+        assert!(err.to_string().contains("did not quiesce within 200 cycles"), "{err}");
+    }
 }

@@ -1,9 +1,10 @@
 //! Shared harness for the figure/table regeneration benches.
 //!
-//! Every experiment of the paper's evaluation section (§5) has a binary in
-//! `src/bin/` and is also driven by the `figures` bench target; this module
-//! holds the common machinery: environment-controlled sizing, the
-//! measurement loop, and table formatting.
+//! Every experiment of the paper's evaluation section (§5) is a named
+//! entry of [`figures::FIGURES`], run by the `fig <name>` bin and by the
+//! `figures` bench target; this module holds the common machinery:
+//! environment-controlled sizing, the single-run helper, and table
+//! formatting. Grid campaigns live in [`sweep`].
 //!
 //! # Environment
 //!
@@ -43,7 +44,7 @@ use fa_mem::{NocConfig, ProgressConfig};
 use fa_sim::env;
 use fa_sim::error::SimError;
 use fa_sim::machine::{MachineConfig, RunResult};
-use fa_sim::methodology::{measure_parallel, Methodology, MultiRun};
+use fa_sim::methodology::Methodology;
 use fa_sim::{CheckMode, MemModel, TraceMode};
 use fa_workloads::{suite, WorkloadParams, WorkloadSpec};
 
@@ -109,15 +110,21 @@ impl Default for BenchOpts {
 }
 
 impl BenchOpts {
-    /// Reads sizing from the environment (see module docs) via the unified
-    /// [`fa_sim::env`] helpers.
+    /// Reads the options from the environment (see module docs) via the
+    /// unified [`fa_sim::env`] helpers.
     ///
     /// # Panics
     ///
     /// Panics on any set-but-malformed `FA_*` variable, naming the
     /// variable and the expected grammar.
     pub fn from_env() -> BenchOpts {
-        let d = BenchOpts::default();
+        BenchOpts::from_env_or(BenchOpts::default())
+    }
+
+    /// [`BenchOpts::from_env`] for a driver with its own sizing: `d`
+    /// supplies the value of every unset sizing variable (`FA_CORES`,
+    /// `FA_SCALE`, `FA_RUNS`, `FA_DROP`, `FA_THREADS`) and the seed.
+    pub fn from_env_or(d: BenchOpts) -> BenchOpts {
         BenchOpts {
             cores: env::usize_or("FA_CORES", d.cores),
             scale: env::f64_or("FA_SCALE", d.scale),
@@ -178,59 +185,10 @@ impl BenchOpts {
     }
 }
 
-/// Runs `spec` under `policy` with the multi-run methodology, the
-/// independent runs fanned across `opts.threads` sweep workers.
-///
-/// # Errors
-///
-/// Any [`SimError`] raised by a run (timeout or invariant-audit failure),
-/// or an invalid methodology.
-pub fn try_run_workload(
-    spec: &WorkloadSpec,
-    policy: AtomicPolicy,
-    base: &MachineConfig,
-    opts: &BenchOpts,
-) -> Result<MultiRun, Box<SimError>> {
-    let cfg = opts.config_for(base, policy);
-    let params = opts.params();
-    measure_parallel(&cfg, &opts.methodology(), opts.threads, || {
-        let w = spec.build(&params);
-        (w.programs, w.mem)
-    })
-    .map_err(Box::new)
-}
-
-/// [`try_run_workload`], panicking on failure — for callers (tests,
-/// micro-benches) where a failed run is a straight bug.
-///
-/// # Panics
-///
-/// Panics if any run fails to quiesce — a forward-progress bug.
-pub fn run_workload(
-    spec: &WorkloadSpec,
-    policy: AtomicPolicy,
-    base: &MachineConfig,
-    opts: &BenchOpts,
-) -> MultiRun {
-    try_run_workload(spec, policy, base, opts)
-        .unwrap_or_else(|e| panic!("{} under {policy:?}: {e}", spec.name))
-}
-
 /// Runs `spec` once (single run, no offsets) — for characterization tables
-/// where per-counter detail matters more than timing noise.
-pub fn run_once(
-    spec: &WorkloadSpec,
-    policy: AtomicPolicy,
-    base: &MachineConfig,
-    opts: &BenchOpts,
-) -> RunResult {
-    run_once_checked(spec, policy, base, opts)
-        .unwrap_or_else(|e| panic!("{} under {policy:?}: {e}", spec.name))
-}
-
-/// Like [`run_once`] but hands the failure — timeout or invariant-audit
-/// violation, each carrying a full machine snapshot — back to the caller.
-/// The `diag` binary uses this to print the snapshot instead of unwinding.
+/// where per-counter detail matters more than timing noise — handing any
+/// failure (timeout or invariant-audit violation, each carrying a full
+/// machine snapshot) back to the caller.
 ///
 /// # Errors
 ///

@@ -60,8 +60,7 @@ fn u64_field(s: &str, name: &str) -> Option<u64> {
 }
 
 /// Extracts every row carrying a `cpi` block from the text of a
-/// `BENCH_sweep.json` report (or any stream of `SweepRow::json_full`
-/// lines). Rows without the block — reports written before the
+/// `BENCH_sweep.json` report (or any stream of `SweepRow::json` lines). Rows without the block — reports written before the
 /// cycle-accounting layer — are skipped, so the caller can distinguish
 /// "no such file shape" (empty result) from a parse error.
 pub fn parse_rows(text: &str) -> Vec<CpiRow> {
@@ -344,7 +343,7 @@ mod tests {
         // conservation invariant survives serialization; a self-diff of
         // real rows is clean and its rendered rows are bit-identical
         // across renders (passivity).
-        use crate::sweep::{grid, run_grid, Preset, SweepReport};
+        use crate::sweep::{grid, run_grid_supervised, Preset, SupervisorOpts, SweepReport};
         use fa_core::AtomicPolicy;
         let opts = crate::BenchOpts {
             cores: 2,
@@ -357,8 +356,9 @@ mod tests {
         };
         let ws = fa_workloads::suite::select(&["TATP"]).expect("suite names");
         let cells = grid(&ws, &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd], &[Preset::Tiny]);
-        let (results, timing) = run_grid(&opts, &cells).expect("grid");
-        let json = SweepReport::new("report-test", &opts, &results, timing).json();
+        let (outcome, timing) =
+            run_grid_supervised(&opts, &SupervisorOpts::none(), &cells).expect("grid");
+        let json = SweepReport::from_outcome("report-test", &opts, outcome, timing).json();
         let rows = parse_rows(&json);
         assert_eq!(rows.len(), cells.len(), "every emitted row parses back");
         for r in &rows {

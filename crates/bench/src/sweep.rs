@@ -1,14 +1,15 @@
-//! Grid sweeps over `(kernel, policy, preset)` cells on the parallel
-//! sweep engine, with wall-clock / simulated-MIPS accounting emitted as
+//! Grid campaigns over `(kernel, policy, preset)` cells — the one engine
+//! ([`run_grid_supervised`]) every figure, table and sweep driver rides —
+//! with wall-clock / simulated-MIPS accounting emitted as
 //! `BENCH_sweep.json`.
 //!
-//! Work fans out at `(cell, run)` granularity — every methodology run of
-//! every cell is an independent job on [`fa_sim::sweep::run_cells_timed`] —
-//! then per-cell runs are regrouped in run order and summarized with
-//! [`Methodology::summarize`]. Because each run derives its perturbations
-//! from its own `seed + run` stream, the per-cell summaries (and therefore
-//! the emitted rows) are bit-identical at any worker-thread count; only the
-//! timing block differs. The JSON is hand-rolled — the vendored `serde` is
+//! The cell is the unit of parallelism, retry, budget and journaling: one
+//! job on [`fa_sim::sweep::run_cells_timed`] runs every methodology run of
+//! its cell serially and summarizes them with [`Methodology::summarize`].
+//! Each run derives its perturbations from its own `seed + run` stream, so
+//! the per-cell summaries (and therefore the emitted rows) are
+//! bit-identical at any worker-thread count; only the timing block
+//! differs. The JSON is hand-rolled — the vendored `serde` is
 //! derive-markers only — and keeps the scheduling-dependent wall-clock
 //! fields out of `rows` so serial and parallel sweeps agree byte-for-byte
 //! there.
@@ -18,7 +19,7 @@ use crate::BenchOpts;
 use fa_core::AtomicPolicy;
 use fa_mem::{HotLock, NocStats, ProgressStats, XbarPolicy};
 use fa_sim::env;
-use fa_sim::error::SimError;
+use fa_sim::error::{CellFailure, SimError};
 use fa_sim::machine::{MachineConfig, RunResult};
 use fa_sim::methodology::{Methodology, MultiRun};
 use fa_sim::sweep::{run_cells_timed, supervise, SweepTiming};
@@ -111,7 +112,7 @@ pub fn presets_from_env() -> Vec<Preset> {
 }
 
 /// One independent sweep cell: a kernel under a policy on a preset. The
-/// run-seed axis is added by the driver (one job per methodology run).
+/// run-seed axis lives inside the cell (its methodology runs).
 #[derive(Clone, Copy, Debug)]
 pub struct SweepCell {
     /// The workload (kernel) to run.
@@ -158,47 +159,6 @@ pub struct CellResult {
     pub summary: MultiRun,
 }
 
-/// Runs every `(cell, run)` job of the grid across `opts.threads` workers
-/// and returns per-cell summaries in cell order plus the sweep timing.
-///
-/// # Errors
-///
-/// [`SimError::InvalidMethodology`] for a configuration retaining no runs;
-/// otherwise the first failing `(cell, run)` job's error, in job order
-/// (every job is still attempted).
-pub fn run_grid(
-    opts: &BenchOpts,
-    cells: &[SweepCell],
-) -> Result<(Vec<CellResult>, SweepTiming), Box<SimError>> {
-    let meth = opts.methodology();
-    meth.validate().map_err(Box::new)?;
-    let params = opts.params();
-    let jobs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..meth.runs).map(move |r| (c, r)))
-        .collect();
-    let (results, timing) = run_cells_timed(
-        &jobs,
-        opts.threads,
-        // Cold failure path; the error's diagnostic snapshot dominates.
-        #[allow(clippy::result_large_err)]
-        |_, &(ci, run)| {
-            let cell = &cells[ci];
-            let cfg = opts.config_for(&cell.preset.config(), cell.policy);
-            let w = cell.workload.build(&params);
-            meth.run_single(&cfg, run, w.programs, w.mem)
-        },
-        |r| r.as_ref().map(|rr| (rr.cycles, rr.instructions())).unwrap_or((0, 0)),
-    );
-    let mut out = Vec::with_capacity(cells.len());
-    let mut it = results.into_iter();
-    for &cell in cells {
-        let runs: Result<Vec<_>, SimError> = it.by_ref().take(meth.runs).collect();
-        let summary = meth.summarize(runs.map_err(Box::new)?).map_err(Box::new)?;
-        out.push(CellResult { cell, summary });
-    }
-    Ok((out, timing))
-}
-
 /// Supervision settings for a sweep campaign: per-cell retries, the
 /// simulated-cycle / wall-clock cell budget, and the optional checkpoint
 /// journal for kill/resume.
@@ -230,7 +190,9 @@ impl SupervisorOpts {
     }
 
     /// No retries, no budget override, no checkpointing — supervision is
-    /// pure isolation (panics still quarantine instead of unwinding).
+    /// pure isolation (panics still quarantine instead of unwinding). What
+    /// the figure drivers pass: with [`SweepOutcome::take_results`] a
+    /// failed cell becomes the driver's error.
     pub fn none() -> SupervisorOpts {
         SupervisorOpts::default()
     }
@@ -244,20 +206,24 @@ pub struct QuarantinedCell {
     pub cell: String,
     /// Attempts made (1 + retries).
     pub attempts: u32,
-    /// The last attempt's failure, rendered — for simulation errors this
-    /// includes the machine snapshot with the flight-recorder tail.
-    pub failure: String,
+    /// The last attempt's failure — for simulation errors this carries
+    /// the machine snapshot with the flight-recorder tail.
+    pub failure: Box<CellFailure>,
 }
 
-/// The outcome of a supervised campaign: rows for every completed cell (in
-/// grid order), quarantine entries for the rest, and the resume count.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The outcome of a campaign: rows for every completed cell (in grid
+/// order), the measured results behind the freshly run ones, quarantine
+/// entries for the rest, and the resume count.
+#[derive(Clone, Debug)]
 pub struct SweepOutcome {
-    /// `SweepRow::json_full` lines of completed cells, in grid order.
+    /// [`SweepRow::json`] lines of completed cells, in grid order.
     /// Journal-resumed cells contribute their stored line verbatim, so a
     /// killed-and-resumed campaign is byte-identical to an uninterrupted
     /// one.
     pub row_lines: Vec<String>,
+    /// One entry per grid cell: the measured result of a cell run in this
+    /// process, `None` for a journal-resumed or quarantined one.
+    pub results: Vec<Option<CellResult>>,
     /// Cells that failed every attempt, in grid order.
     pub quarantine: Vec<QuarantinedCell>,
     /// Cells replayed from the checkpoint journal instead of re-run.
@@ -267,6 +233,29 @@ pub struct SweepOutcome {
     /// cells contribute their stored health, so a resumed campaign's
     /// summary matches an uninterrupted one.
     pub health: ProgressStats,
+}
+
+impl SweepOutcome {
+    /// Moves the measured results out, one per cell of `cells` (the grid
+    /// the campaign ran), for drivers that format tables from run
+    /// statistics rather than from rows.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CellFailed`] naming the first cell (in grid order)
+    /// without a result — quarantined, with its last failure, or replayed
+    /// from the checkpoint journal — so no driver renders a partial table.
+    pub fn take_results(&mut self, cells: &[SweepCell]) -> Result<Vec<CellResult>, Box<SimError>> {
+        if let Some(i) = self.results.iter().position(Option::is_none) {
+            let cell = cells[i].name();
+            let (attempts, cause) = match self.quarantine.iter().find(|q| q.cell == cell) {
+                Some(q) => (q.attempts, q.failure.clone()),
+                None => (0, Box::new(CellFailure::Resumed)),
+            };
+            return Err(Box::new(SimError::CellFailed { cell, attempts, cause }));
+        }
+        Ok(std::mem::take(&mut self.results).into_iter().flatten().collect())
+    }
 }
 
 /// Folds one forward-progress sample into an aggregate: event counts
@@ -300,10 +289,9 @@ pub fn campaign_fingerprint(opts: &BenchOpts, budget_cycles: Option<u64>, cells:
 }
 
 /// Runs one whole cell — every methodology run, serially — and returns its
-/// journal record: simulated totals over **all** runs (dropped ones
-/// included, matching the unsupervised engine's accounting) plus the
-/// emitted row line. Each run derives its perturbations from `seed + run`,
-/// so this is bit-identical to the `(cell, run)`-granular fan-out.
+/// journal record (simulated totals and health over **all** runs, dropped
+/// ones included, plus the emitted row line) with the measured result the
+/// row was built from.
 // Cold failure path; the error's diagnostic snapshot dominates.
 #[allow(clippy::result_large_err)]
 fn run_one_cell(
@@ -311,7 +299,7 @@ fn run_one_cell(
     meth: &Methodology,
     params: &WorkloadParams,
     cell: &SweepCell,
-) -> Result<CellRecord, SimError> {
+) -> Result<(CellRecord, CellResult), SimError> {
     let cfg = opts.config_for(&cell.preset.config(), cell.policy);
     let mut runs = Vec::with_capacity(meth.runs);
     let (mut cycles, mut instructions) = (0u64, 0u64);
@@ -324,22 +312,20 @@ fn run_one_cell(
         merge_health(&mut health, &rr.mem.progress);
         runs.push(rr);
     }
-    let summary = meth.summarize(runs)?;
-    let mut row = SweepRow::from_result(meth.runs, &CellResult { cell: *cell, summary });
-    row.checked = opts.check.on();
-    row.model = opts.model;
-    Ok(CellRecord { cycles, instructions, health, row: row.json_full() })
+    let result = CellResult { cell: *cell, summary: meth.summarize(runs)? };
+    let row = SweepRow::from_result(opts, &result).json();
+    Ok((CellRecord { cycles, instructions, health, row }, result))
 }
 
-/// [`run_grid`] under full supervision: each cell is one isolated job —
-/// panics caught, the `FA_CELL_BUDGET` watchdogs armed, failures retried
+/// Runs the grid across `opts.threads` workers, each cell one isolated job
+/// — panics caught, the `FA_CELL_BUDGET` watchdogs armed, failures retried
 /// `sup.retries` times, survivors quarantined into the outcome instead of
 /// aborting the campaign — and, when `sup.checkpoint` is set, every
 /// completed cell is journaled as it finishes so a killed campaign resumes
 /// exactly where it stopped.
 ///
-/// Completed rows are byte-identical to [`run_grid`]'s at any worker-thread
-/// count, with or without an intervening kill/resume.
+/// Completed rows are byte-identical at any worker-thread count, with or
+/// without an intervening kill/resume.
 ///
 /// # Errors
 ///
@@ -379,7 +365,7 @@ pub fn run_grid_supervised(
             let r = supervise(sup.retries, sup.budget.wall, || {
                 run_one_cell(opts, &meth, &params, &cells[ci])
             });
-            if let (Ok(rec), Some(j)) = (&r, &journal) {
+            if let (Ok((rec, _)), Some(j)) = (&r, &journal) {
                 // Journal the success before the worker moves on: a kill
                 // after this point cannot lose the cell.
                 j.record(ci, rec)
@@ -387,10 +373,11 @@ pub fn run_grid_supervised(
             }
             r
         },
-        |r| r.as_ref().map(|rec| (rec.cycles, rec.instructions)).unwrap_or((0, 0)),
+        |r| r.as_ref().map(|(rec, _)| (rec.cycles, rec.instructions)).unwrap_or((0, 0)),
     );
     timing.cells = cells.len();
     let mut row_lines = Vec::with_capacity(cells.len());
+    let mut measured = Vec::with_capacity(cells.len());
     let mut quarantine = Vec::new();
     let mut health = ProgressStats::default();
     let mut fresh = results.into_iter();
@@ -400,21 +387,26 @@ pub fn run_grid_supervised(
             timing.sim_cycles += rec.cycles;
             timing.sim_instructions += rec.instructions;
             merge_health(&mut health, &rec.health);
+            measured.push(None);
             continue;
         }
         match fresh.next().expect("one supervised result per pending cell") {
-            Ok(rec) => {
+            Ok((rec, result)) => {
                 merge_health(&mut health, &rec.health);
                 row_lines.push(rec.row);
+                measured.push(Some(result));
             }
-            Err(q) => quarantine.push(QuarantinedCell {
-                cell: cell.name(),
-                attempts: q.attempts,
-                failure: q.failure.to_string(),
-            }),
+            Err(q) => {
+                quarantine.push(QuarantinedCell {
+                    cell: cell.name(),
+                    attempts: q.attempts,
+                    failure: q.failure,
+                });
+                measured.push(None);
+            }
         }
     }
-    Ok((SweepOutcome { row_lines, quarantine, resumed, health }, timing))
+    Ok((SweepOutcome { row_lines, results: measured, quarantine, resumed, health }, timing))
 }
 
 /// The latency-histogram block of one sweep row: log₂-bucketed
@@ -565,51 +557,48 @@ pub struct SweepRow {
     /// the contended crossbar so historical (ideal-crossbar) rows stay
     /// byte-identical to the pre-interconnect goldens.
     pub net: Option<NocStats>,
-    /// Latency histograms of the representative run, emitted by
-    /// [`SweepRow::json_full`] (and therefore by `BENCH_sweep.json`).
+    /// Latency histograms of the representative run.
     pub hists: RowHists,
     /// Cycle-accounting block of the representative run (CPI stack,
-    /// atomic-lifetime split, fill attribution), emitted by
-    /// [`SweepRow::json_full`] — the `cpistack` and `report` bins read it
-    /// back out of `BENCH_sweep.json`.
+    /// atomic-lifetime split, fill attribution) — the `report` bin reads
+    /// it back out of `BENCH_sweep.json`.
     pub cpi: RowCpi,
     /// True when every run behind this row passed the axiomatic
-    /// conformance checker (`FA_CHECK=tso`); set by [`SweepReport::new`].
-    /// Flagged in `BENCH_sweep.json` but kept out of the golden-stable
-    /// [`SweepRow::json`] form.
+    /// conformance checker (`FA_CHECK=tso`) — the cell would have failed
+    /// otherwise. Emitted as a trailing `"checked":true` only when set.
     pub checked: bool,
     /// The hardware memory model the row was measured under
-    /// (`FA_MODEL`). Tagged in `BENCH_sweep.json` only when weak — TSO
-    /// rows stay byte-identical to the pre-weak-frontend goldens, which
-    /// the ci transparency gate pins.
+    /// (`FA_MODEL`). Tagged only when weak — TSO rows stay byte-identical
+    /// to the pre-weak-frontend rows, which the ci transparency gate pins.
     pub model: fa_sim::MemModel,
 }
 
 impl SweepRow {
-    /// Builds the row for one measured cell.
-    pub fn from_result(runs: usize, r: &CellResult) -> SweepRow {
+    /// Builds the row for one cell measured under `opts`.
+    pub fn from_result(opts: &BenchOpts, r: &CellResult) -> SweepRow {
         let rep = r.summary.representative();
         let noc = &rep.mem.noc;
         SweepRow {
             kernel: r.cell.workload.name.to_string(),
             policy: r.cell.policy.label().to_string(),
             preset: r.cell.preset.name().to_string(),
-            runs,
+            runs: opts.runs,
             mean_cycles: r.summary.mean_cycles,
             rep_cycles: rep.cycles,
             instructions: rep.instructions(),
             net: (noc.policy == XbarPolicy::Contended).then(|| noc.clone()),
             hists: RowHists::from_run(rep),
             cpi: RowCpi::from_run(rep),
-            checked: false,
-            model: fa_sim::MemModel::Tso,
+            checked: opts.check.on(),
+            model: opts.model,
         }
     }
 
-    /// The row as a single-line JSON object (stable field order; a `net`
-    /// block is appended only for contended-crossbar rows). Kept
-    /// byte-identical to the pre-trace-layer rows — the goldens pin it;
-    /// [`SweepRow::json_full`] adds the histogram block.
+    /// The row as a single-line JSON object, stable field order: the
+    /// identity and cycle fields the pre-interconnect goldens pin as the
+    /// row's prefix, a `net` block only for contended-crossbar rows, the
+    /// `hists` and `cpi` blocks always, then `"checked":true` for checked
+    /// rows and `"model":"weak"` for weak-model rows.
     pub fn json(&self) -> String {
         let mut s = format!(
             "{{\"kernel\":\"{}\",\"policy\":\"{}\",\"preset\":\"{}\",\"runs\":{},\
@@ -620,18 +609,6 @@ impl SweepRow {
         if let Some(net) = &self.net {
             let _ = write!(s, ",\"net\":{}", net.json());
         }
-        s.push('}');
-        s
-    }
-
-    /// [`SweepRow::json`] plus the latency-histogram and cycle-accounting
-    /// blocks — the form `BENCH_sweep.json` emits. Checked rows (runs
-    /// validated by the axiomatic checker) additionally carry
-    /// `"checked":true`, and weak-model rows carry `"model":"weak"`;
-    /// unchecked TSO rows stay byte-identical to the pre-checker goldens.
-    pub fn json_full(&self) -> String {
-        let mut s = self.json();
-        s.pop();
         let _ = write!(s, ",\"hists\":{}", self.hists.json());
         let _ = write!(s, ",\"cpi\":{}", self.cpi.json());
         if self.checked {
@@ -704,55 +681,25 @@ pub struct SweepReport {
     pub bin: String,
     /// Runs per cell (for the human summary line).
     pub runs: usize,
-    /// Emitted rows (`SweepRow::json_full` lines), in grid (cell) order.
+    /// Emitted rows ([`SweepRow::json`] lines), in grid (cell) order.
     /// Kept as verbatim lines so journal-resumed campaigns re-emit bytes.
     pub row_lines: Vec<String>,
-    /// Cells quarantined by the supervisor; empty for unsupervised grids,
-    /// and the `quarantine` block is omitted from the JSON when empty so
-    /// healthy reports stay byte-identical to the historical shape.
+    /// Cells quarantined by the supervisor; the `quarantine` block is
+    /// omitted from the JSON when empty so healthy reports stay
+    /// byte-identical to the historical shape.
     pub quarantine: Vec<QuarantinedCell>,
-    /// Forward-progress counters aggregated across the campaign
-    /// (directory rescues summed; dir-alloc / fill / LSQ attempt and NoC
-    /// backlog high-water marks maxed) — surfaced on the human summary
-    /// line. Supervised campaigns aggregate over every run; unsupervised
-    /// grids over the retained runs of each cell.
+    /// Forward-progress counters aggregated over every run of the
+    /// campaign (directory rescues summed; dir-alloc / fill / LSQ attempt
+    /// and NoC backlog high-water marks maxed) — surfaced on the human
+    /// summary line.
     pub health: ProgressStats,
     /// Wall-clock / simulated-throughput accounting.
     pub timing: SweepTiming,
 }
 
 impl SweepReport {
-    /// Summarizes a finished grid under `bin`'s name. Rows of a checked
-    /// sweep (`FA_CHECK=tso`) are flagged: every run behind them passed
-    /// the axiomatic conformance checker, or the grid would have errored.
-    pub fn new(bin: &str, opts: &BenchOpts, results: &[CellResult], timing: SweepTiming) -> SweepReport {
-        let row_lines = results
-            .iter()
-            .map(|r| {
-                let mut row = SweepRow::from_result(opts.runs, r);
-                row.checked = opts.check.on();
-                row.model = opts.model;
-                row.json_full()
-            })
-            .collect();
-        let mut health = ProgressStats::default();
-        for r in results {
-            for run in &r.summary.runs {
-                merge_health(&mut health, &run.mem.progress);
-            }
-        }
-        SweepReport {
-            bin: bin.to_string(),
-            runs: opts.runs,
-            row_lines,
-            quarantine: Vec::new(),
-            health,
-            timing,
-        }
-    }
-
-    /// Summarizes a supervised campaign, carrying its quarantine block
-    /// and aggregated forward-progress health.
+    /// Summarizes a campaign under `bin`'s name, carrying its quarantine
+    /// block and aggregated forward-progress health.
     pub fn from_outcome(bin: &str, opts: &BenchOpts, outcome: SweepOutcome, timing: SweepTiming) -> SweepReport {
         SweepReport {
             bin: bin.to_string(),
@@ -762,6 +709,22 @@ impl SweepReport {
             health: outcome.health,
             timing,
         }
+    }
+
+    /// Appends `other`'s campaign to this report — rows and quarantine in
+    /// order, health and simulated totals folded, wall clocks summed — for
+    /// figures whose table spans several grids (one per NoC point or
+    /// memory model).
+    pub fn merge(mut self, other: SweepReport) -> SweepReport {
+        self.row_lines.extend(other.row_lines);
+        self.quarantine.extend(other.quarantine);
+        merge_health(&mut self.health, &other.health);
+        self.timing.cells += other.timing.cells;
+        self.timing.threads = self.timing.threads.max(other.timing.threads);
+        self.timing.wall += other.timing.wall;
+        self.timing.sim_cycles += other.timing.sim_cycles;
+        self.timing.sim_instructions += other.timing.sim_instructions;
+        self
     }
 
     /// The whole report as pretty-stable JSON: a `fa-sweep-v1` header, the
@@ -800,7 +763,7 @@ impl SweepReport {
                     "    {{\"cell\":\"{}\",\"attempts\":{},\"failure\":\"{}\"}}{sep}",
                     json_escape(&q.cell),
                     q.attempts,
-                    json_escape(&q.failure)
+                    json_escape(&q.failure.to_string())
                 );
             }
             s.push_str("  ]\n}\n");
@@ -890,6 +853,15 @@ mod tests {
         )
     }
 
+    /// The grid on the one engine the way the figure drivers call it:
+    /// unsupervised, every cell measured.
+    fn run(opts: &BenchOpts, cells: &[SweepCell]) -> (Vec<CellResult>, SweepOutcome, SweepTiming) {
+        let (mut out, timing) =
+            run_grid_supervised(opts, &SupervisorOpts::none(), cells).expect("grid");
+        let results = out.take_results(cells).expect("every cell measured");
+        (results, out, timing)
+    }
+
     #[test]
     fn preset_names_round_trip() {
         for p in [Preset::Icelake, Preset::Skylake, Preset::Tiny] {
@@ -909,42 +881,49 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rows_are_byte_identical_to_serial() {
+    fn rows_are_byte_identical_at_any_thread_count() {
         let cells = small_grid();
-        let (serial, _) = run_grid(&small_opts(1), &cells).expect("serial grid");
-        let (parallel, _) = run_grid(&small_opts(4), &cells).expect("parallel grid");
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            let (rs, rp) =
-                (SweepRow::from_result(3, s).json(), SweepRow::from_result(3, p).json());
-            assert_eq!(rs, rp, "rows must be byte-identical at any thread count");
-        }
-        // The full reports differ only in the timing block.
         let o = small_opts(1);
-        let a = SweepReport::new("test", &o, &serial, sweep_timing_stub());
-        let b = SweepReport::new("test", &o, &parallel, sweep_timing_stub());
-        assert_eq!(a.row_lines, b.row_lines);
-        assert_eq!(a.json(), b.json());
+        let (results, serial, _) = run(&o, &cells);
+        // Every fresh cell's row line is exactly the row of its result.
+        assert_eq!(results.len(), serial.row_lines.len());
+        for (r, line) in results.iter().zip(&serial.row_lines) {
+            assert_eq!(&SweepRow::from_result(&o, r).json(), line);
+        }
+        let base = SweepReport::from_outcome("test", &o, serial.clone(), sweep_timing_stub());
+        for threads in [4, 8] {
+            let (_, out, t) = run(&small_opts(threads), &cells);
+            assert!(out.quarantine.is_empty());
+            assert_eq!(out.resumed, 0);
+            assert_eq!(out.row_lines, serial.row_lines, "threads={threads}");
+            assert_eq!(out.health, serial.health, "threads={threads}");
+            assert_eq!(t.cells, cells.len());
+            assert!(t.sim_cycles > 0 && t.sim_instructions > 0);
+            // The full reports differ only in the timing block.
+            let rep = SweepReport::from_outcome("test", &o, out, sweep_timing_stub());
+            assert_eq!(rep.json(), base.json());
+        }
     }
 
     #[test]
     fn contended_rows_carry_net_block_ideal_rows_do_not() {
         let cells = small_grid()[..1].to_vec();
         let opts = small_opts(1);
-        let (ideal, _) = run_grid(&opts, &cells).expect("ideal grid");
-        let r = SweepRow::from_result(3, &ideal[0]);
+        let (ideal, _, _) = run(&opts, &cells);
+        let r = SweepRow::from_result(&opts, &ideal[0]);
         assert!(r.net.is_none());
         assert!(!r.json().contains("\"net\":"), "ideal rows must match the goldens");
 
         let copts = BenchOpts { noc: fa_mem::NocConfig::contended(2), ..opts };
-        let (contended, _) = run_grid(&copts, &cells).expect("contended grid");
-        let r = SweepRow::from_result(3, &contended[0]);
+        let (contended, _, _) = run(&copts, &cells);
+        let r = SweepRow::from_result(&copts, &contended[0]);
         let net = r.net.as_ref().expect("contended rows surface network stats");
         assert_eq!(net.policy, XbarPolicy::Contended);
         assert!(net.net_messages > 0);
         let j = r.json();
-        assert!(j.contains("\"net\":{\"policy\":\"contended\""), "{j}");
-        assert!(j.ends_with("}}"), "net block must close the row: {j}");
+        let at = j.find(",\"net\":{\"policy\":\"contended\"").expect("net block");
+        assert!(j[..at].ends_with(&format!("\"instructions\":{}", r.instructions)), "{j}");
+        assert!(j[at..].contains("},\"hists\":{"), "net sits between the prefix and hists: {j}");
     }
 
     fn sweep_timing_stub() -> SweepTiming {
@@ -967,8 +946,8 @@ mod tests {
         let cells = small_grid();
         let report_with = |threads: usize, trace: TraceMode| {
             let opts = BenchOpts { trace, ..small_opts(threads) };
-            let (results, _) = run_grid(&opts, &cells).expect("grid");
-            let rep = SweepReport::new("det", &opts, &results, sweep_timing_stub());
+            let (results, out, _) = run(&opts, &cells);
+            let rep = SweepReport::from_outcome("det", &opts, out, sweep_timing_stub());
             (rep.json(), hot_locks(&results))
         };
         let (base_json, base_hot) = report_with(1, TraceMode::Off);
@@ -989,23 +968,15 @@ mod tests {
 
     #[test]
     fn checked_sweep_flags_rows_without_perturbing_stats() {
-        // FA_CHECK=tso must leave every simulated quantity bit-identical
-        // — the golden json() form byte-for-byte — and differ in
-        // json_full() only by the appended `"checked":true` flag.
+        // FA_CHECK=tso must leave every simulated quantity bit-identical:
+        // checked rows differ only by the appended `"checked":true` flag.
         use fa_sim::CheckMode;
         let cells = small_grid()[..2].to_vec();
         let off_opts = small_opts(1);
         let tso_opts = BenchOpts { check: CheckMode::Tso, ..off_opts };
-        let (off, ot) = run_grid(&off_opts, &cells).expect("unchecked grid");
-        let (tso, tt) = run_grid(&tso_opts, &cells).expect("checked grid");
-        for (a, b) in off.iter().zip(&tso) {
-            let ra = SweepRow::from_result(3, a);
-            let rb = SweepRow::from_result(3, b);
-            assert_eq!(ra.json(), rb.json(), "checking must not perturb golden rows");
-        }
-        let off_rep = SweepReport::new("chk", &off_opts, &off, ot);
-        let tso_rep = SweepReport::new("chk", &tso_opts, &tso, tt);
-        for (a, b) in off_rep.row_lines.iter().zip(&tso_rep.row_lines) {
+        let (_, off, _) = run(&off_opts, &cells);
+        let (_, tso, _) = run(&tso_opts, &cells);
+        for (a, b) in off.row_lines.iter().zip(&tso.row_lines) {
             assert!(!a.contains("\"checked\""));
             assert!(b.ends_with(",\"checked\":true}"), "{b}");
             assert_eq!(*a, b.replace(",\"checked\":true", ""));
@@ -1014,18 +985,16 @@ mod tests {
 
     #[test]
     fn weak_sweep_tags_rows_and_tso_rows_stay_untagged() {
-        // FA_MODEL=weak rows carry `"model":"weak"` in the full JSON form
-        // only; TSO rows (the default) never grow a model field, so the
-        // goldens and the ci transparency gate keep working unchanged.
+        // FA_MODEL=weak rows carry `"model":"weak"`; TSO rows (the
+        // default) never grow a model field, so the goldens and the ci
+        // transparency gate keep working unchanged.
         use fa_sim::MemModel;
         let cells = small_grid()[..2].to_vec();
         let tso_opts = small_opts(1);
         let weak_opts = BenchOpts { model: MemModel::Weak, ..tso_opts };
-        let (tso, tt) = run_grid(&tso_opts, &cells).expect("tso grid");
-        let (weak, wt) = run_grid(&weak_opts, &cells).expect("weak grid");
-        let tso_rep = SweepReport::new("mdl", &tso_opts, &tso, tt);
-        let weak_rep = SweepReport::new("mdl", &weak_opts, &weak, wt);
-        for (a, b) in tso_rep.row_lines.iter().zip(&weak_rep.row_lines) {
+        let (_, tso, _) = run(&tso_opts, &cells);
+        let (weak, weak_out, _) = run(&weak_opts, &cells);
+        for (a, b) in tso.row_lines.iter().zip(&weak_out.row_lines) {
             assert!(!a.contains("\"model\""), "TSO rows must stay untagged: {a}");
             assert!(b.ends_with(",\"model\":\"weak\"}"), "{b}");
         }
@@ -1037,7 +1006,7 @@ mod tests {
         );
         // Both models conserve every core cycle in the CPI stack.
         for r in &weak {
-            let row = SweepRow::from_result(3, r);
+            let row = SweepRow::from_result(&weak_opts, r);
             assert_eq!(
                 row.cpi.stack.total(),
                 row.cpi.core_cycles,
@@ -1049,31 +1018,30 @@ mod tests {
     }
 
     #[test]
-    fn row_hists_populate_and_json_full_extends_json() {
+    fn row_hists_populate() {
         let cells = small_grid();
-        let (results, _) = run_grid(&small_opts(1), &cells).expect("grid");
-        let r = SweepRow::from_result(3, &results[0]);
+        let opts = small_opts(1);
+        let (results, _, _) = run(&opts, &cells);
+        let r = SweepRow::from_result(&opts, &results[0]);
         // Every kernel in the grid performs atomics, so the exec histogram
         // must have samples; the baseline policy also pays SB drains.
         assert!(r.hists.atomic_exec.count > 0);
         assert!(r.hists.lock_hold.count > 0, "atomics hold cache locks");
         assert_eq!(r.policy, "baseline");
         assert!(r.hists.atomic_drain.count > 0, "baseline pays drains");
-        // json() stays golden-stable; json_full() appends the block.
-        let (j, jf) = (r.json(), r.json_full());
-        assert!(!j.contains("\"hists\":"));
-        assert!(jf.starts_with(&j[..j.len() - 1]));
-        assert!(jf.ends_with("}}"));
-        assert!(jf.contains(",\"hists\":{\"atomic_exec\":"));
+        let j = r.json();
+        assert!(j.contains(",\"hists\":{\"atomic_exec\":"), "{j}");
+        assert!(j.ends_with("}}"));
     }
 
     #[test]
-    fn cpi_block_conserves_cycles_and_stays_out_of_golden_rows() {
+    fn cpi_block_conserves_cycles() {
         use fa_sim::CpiLeaf;
         let cells = small_grid();
-        let (results, _) = run_grid(&small_opts(1), &cells).expect("grid");
+        let opts = small_opts(1);
+        let (results, _, _) = run(&opts, &cells);
         for r in &results {
-            let row = SweepRow::from_result(3, r);
+            let row = SweepRow::from_result(&opts, r);
             // Conservation: the merged stack accounts every core cycle of
             // the representative run, exactly.
             assert_eq!(
@@ -1093,16 +1061,14 @@ mod tests {
             let exec: u64 =
                 r.summary.representative().per_core.iter().map(|c| c.atomic_exec_cycles).sum();
             assert_eq!(split, exec, "{}/{}: atomic split must be exact", row.kernel, row.policy);
-            // The block lives in json_full only; json() stays golden.
-            let (j, jf) = (row.json(), row.json_full());
-            assert!(!j.contains("\"cpi\""), "golden rows must not grow a cpi block");
-            assert!(jf.contains(",\"cpi\":{\"core_cycles\":"), "{jf}");
-            assert!(jf.contains("\"stack\":{\"commit\":"), "{jf}");
-            assert!(jf.contains("\"atomic\":{\"acquire\":"), "{jf}");
+            let j = row.json();
+            assert!(j.contains(",\"cpi\":{\"core_cycles\":"), "{j}");
+            assert!(j.contains("\"stack\":{\"commit\":"), "{j}");
+            assert!(j.contains("\"atomic\":{\"acquire\":"), "{j}");
         }
         // Baseline pays fence drains the free policies do not.
-        let base = SweepRow::from_result(3, &results[0]);
-        let free = SweepRow::from_result(3, &results[1]);
+        let base = SweepRow::from_result(&opts, &results[0]);
+        let free = SweepRow::from_result(&opts, &results[1]);
         assert_eq!(base.policy, "baseline");
         assert_eq!(free.policy, "FreeAtomics+Fwd");
         assert!(
@@ -1126,7 +1092,7 @@ mod tests {
             grid(&ws, &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd], &[Preset::Tiny]);
         let mut opts = small_opts(2);
         opts.cores = 4;
-        let (results, _) = run_grid(&opts, &cells).expect("grid");
+        let (results, _, _) = run(&opts, &cells);
         for r in &results {
             for run in &r.summary.runs {
                 for (i, c) in run.per_core.iter().enumerate() {
@@ -1156,8 +1122,8 @@ mod tests {
     fn timing_line_surfaces_progress_health() {
         let cells = small_grid()[..1].to_vec();
         let opts = small_opts(1);
-        let (results, timing) = run_grid(&opts, &cells).expect("grid");
-        let rep = SweepReport::new("health", &opts, &results, timing);
+        let (_, out, timing) = run(&opts, &cells);
+        let rep = SweepReport::from_outcome("health", &opts, out, timing);
         let line = rep.timing_line();
         assert!(line.contains(", progress: 0 dir rescue(s)"), "healthy runs never rescue: {line}");
         assert!(line.contains("worst attempts dir="), "{line}");
@@ -1199,7 +1165,7 @@ mod tests {
     #[test]
     fn hot_locks_merge_and_render() {
         let cells = small_grid();
-        let (results, _) = run_grid(&small_opts(1), &cells).expect("grid");
+        let (results, _, _) = run(&small_opts(1), &cells);
         let hot = hot_locks(&results);
         assert!(!hot.is_empty(), "atomic kernels must produce locked lines");
         assert!(hot.len() <= fa_mem::MemStats::HOT_LOCKS);
@@ -1220,16 +1186,17 @@ mod tests {
     fn invalid_methodology_is_rejected_before_any_run() {
         let cells = small_grid();
         let opts = BenchOpts { runs: 2, drop_slowest: 2, ..small_opts(1) };
-        let err = run_grid(&opts, &cells).expect_err("must reject");
+        let err = run_grid_supervised(&opts, &SupervisorOpts::none(), &cells)
+            .expect_err("must reject");
         assert_eq!(*err, SimError::InvalidMethodology { runs: 2, drop_slowest: 2 });
     }
 
     #[test]
-    fn report_json_shape() {
+    fn report_json_shape_and_merge() {
         let opts = small_opts(1);
         let cells = small_grid()[..1].to_vec();
-        let (results, timing) = run_grid(&opts, &cells).expect("grid");
-        let rep = SweepReport::new("unit", &opts, &results, timing);
+        let (_, out, timing) = run(&opts, &cells);
+        let rep = SweepReport::from_outcome("unit", &opts, out, timing);
         let j = rep.json();
         assert!(j.starts_with("{\n  \"schema\": \"fa-sweep-v1\""));
         assert!(j.contains("\"bin\": \"unit\""));
@@ -1238,34 +1205,13 @@ mod tests {
         assert!(j.ends_with("  ]\n}\n"));
         assert!(!j.contains("\"quarantine\""), "healthy reports omit the quarantine block");
         assert!(!rep.timing_line().is_empty());
-    }
-
-    fn row_lines_of(opts: &BenchOpts, results: &[CellResult]) -> Vec<String> {
-        results
-            .iter()
-            .map(|r| {
-                let mut row = SweepRow::from_result(opts.runs, r);
-                row.checked = opts.check.on();
-                row.model = opts.model;
-                row.json_full()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn supervised_rows_match_unsupervised_at_any_thread_count() {
-        let cells = small_grid();
-        let (results, _) = run_grid(&small_opts(1), &cells).expect("grid");
-        let base = row_lines_of(&small_opts(1), &results);
-        for threads in [1, 4, 8] {
-            let (out, t) = run_grid_supervised(&small_opts(threads), &SupervisorOpts::none(), &cells)
-                .expect("supervised grid");
-            assert!(out.quarantine.is_empty());
-            assert_eq!(out.resumed, 0);
-            assert_eq!(out.row_lines, base, "threads={threads}");
-            assert_eq!(t.cells, cells.len());
-            assert!(t.sim_cycles > 0 && t.sim_instructions > 0);
-        }
+        // Merging appends rows in order and sums the accounting.
+        let (row, cycles, wall) = (rep.row_lines[0].clone(), rep.timing.sim_cycles, rep.timing.wall);
+        let both = rep.clone().merge(rep);
+        assert_eq!(both.row_lines, [row.clone(), row]);
+        assert_eq!(both.timing.cells, 2);
+        assert_eq!(both.timing.sim_cycles, 2 * cycles);
+        assert_eq!(both.timing.wall, 2 * wall);
     }
 
     fn tmp_journal(name: &str) -> PathBuf {
@@ -1277,8 +1223,7 @@ mod tests {
     #[test]
     fn killed_and_resumed_campaign_is_byte_identical() {
         let cells = small_grid();
-        let (reference, _) = run_grid_supervised(&small_opts(1), &SupervisorOpts::none(), &cells)
-            .expect("reference run");
+        let (_, reference, _) = run(&small_opts(1), &cells);
         // One full checkpointed campaign produces the journal to truncate.
         let jpath = tmp_journal("resume");
         let _ = std::fs::remove_file(&jpath);
@@ -1309,12 +1254,15 @@ mod tests {
             for &cut in &cuts {
                 std::fs::write(&jpath, &journal[..cut]).expect("truncate journal");
                 let (o, s) = sup(threads);
-                let (resumed, t) = run_grid_supervised(&o, &s, &cells).expect("resumed run");
+                let (mut resumed, t) = run_grid_supervised(&o, &s, &cells).expect("resumed run");
                 assert_eq!(
                     resumed.row_lines, reference.row_lines,
                     "rows must be byte-identical after kill at byte {cut}, threads={threads}"
                 );
                 assert!(resumed.quarantine.is_empty());
+                // Journaled cells carry no measured result; fresh ones do.
+                let fresh = resumed.results.iter().filter(|r| r.is_some()).count();
+                assert_eq!(fresh + resumed.resumed, cells.len(), "cut {cut}");
                 // Health is identical however the work splits between
                 // journal replay and fresh runs.
                 assert_eq!(resumed.health, reference.health, "cut {cut}");
@@ -1325,6 +1273,17 @@ mod tests {
                     "resumed timing must account journaled cells too (cut {cut})"
                 );
                 assert_eq!(t.sim_instructions, full_timing.sim_instructions);
+                // A table driver must refuse a campaign with replayed
+                // cells, naming the first one.
+                if resumed.resumed > 0 {
+                    let err = resumed.take_results(&cells).expect_err("replayed cells");
+                    let want = cells[resumed.results.iter().position(Option::is_none).expect("one")];
+                    assert!(
+                        matches!(&*err, SimError::CellFailed { cell, attempts: 0, cause }
+                            if *cell == want.name() && **cause == CellFailure::Resumed),
+                        "{err}"
+                    );
+                }
             }
         }
         // After a complete campaign, every cell resumes from the journal.
@@ -1332,6 +1291,7 @@ mod tests {
         let (o, s) = sup(1);
         let (all_resumed, _) = run_grid_supervised(&o, &s, &cells).expect("full resume");
         assert_eq!(all_resumed.resumed, cells.len());
+        assert!(all_resumed.results.iter().all(Option::is_none));
         assert_eq!(all_resumed.row_lines, reference.row_lines);
         std::fs::remove_file(&jpath).expect("cleanup");
     }
@@ -1367,13 +1327,24 @@ mod tests {
             budget: env::CellBudget { max_cycles: Some(200), wall: None },
             checkpoint: None,
         };
-        let (out, _) = run_grid_supervised(&small_opts(1), &sup, &cells).expect("campaign");
+        let (mut out, _) = run_grid_supervised(&small_opts(1), &sup, &cells).expect("campaign");
         assert!(out.row_lines.is_empty());
+        assert!(out.results.iter().all(Option::is_none));
         assert_eq!(out.quarantine.len(), cells.len());
         let q = &out.quarantine[0];
         assert_eq!(q.cell, "TATP/baseline/tiny");
         assert_eq!(q.attempts, 2, "one initial attempt + FA_RETRIES=1 retry");
-        assert!(q.failure.contains("did not quiesce within 200 cycles"), "{}", q.failure);
+        assert!(q.failure.to_string().contains("did not quiesce within 200 cycles"), "{}", q.failure);
+
+        // A table driver gets an error naming the first lost cell and its
+        // failure — never a partial result set.
+        let err = out.take_results(&cells).expect_err("no cell has a result");
+        assert!(
+            matches!(&*err, SimError::CellFailed { cell, attempts: 2, .. }
+                if cell == "TATP/baseline/tiny"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("did not quiesce within 200 cycles"), "{err}");
 
         // The report renders the quarantine block, flags the summary line,
         // and the JSON stays well-shaped.

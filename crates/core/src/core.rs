@@ -71,14 +71,6 @@ impl fmt::Display for CoreDiag {
     }
 }
 
-/// Debug switch (`FA_WD_DEBUG=1`): log watchdog flushes with pipeline
-/// context.
-fn wd_debug() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("FA_WD_DEBUG").is_ok())
-}
-
 /// Why the front-end stopped fetching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FetchBarrier {
@@ -322,18 +314,6 @@ impl Core {
                 self.fetch_stall_until = now + 1;
             }
             return;
-        }
-
-        if wd_debug() && now.is_multiple_of(5000) && self.aq.any_locked() {
-            eprintln!(
-                "[state {:?} @{now}] rob_head={:?} rob_len={} sb_len={} wd={} aq={:?}",
-                self.id,
-                self.rob.front().map(|e| (e.seq, e.uop.kind, e.uop.pc, e.done, e.issued)),
-                self.rob.len(),
-                self.sb.len(),
-                self.wd_counter,
-                self.aq
-            );
         }
 
         // 1. Invalidation-driven squash of speculatively performed loads
@@ -1405,36 +1385,12 @@ impl Core {
             .locked()
             .map(|a| a.ll_seq)
             .find(|&ll| self.rob.get(ll).is_some());
-        let Some(oldest) = victim else {
-            if wd_debug() && self.wd_counter == self.cfg.watchdog_threshold + 1 {
-                eprintln!(
-                    "[wd {:?} @{now}] threshold with NO squashable victim; rob_head={:?} \
-                     sb_len={} sb_head={:?} aq={:?}",
-                    self.id,
-                    self.rob.front().map(|e| (e.seq, e.uop.kind, e.uop.pc, e.done, e.issued)),
-                    self.sb.len(),
-                    self.sb.front(),
-                    self.aq
-                );
-            }
-            return;
-        };
+        let Some(oldest) = victim else { return };
         self.wd_counter = 0;
         let (first, pc) = {
             let e = self.rob.get(oldest).expect("just found");
             (e.seq - e.uop.slot as u64, e.uop.pc)
         };
-        if wd_debug() {
-            let head = self.rob.front().map(|e| (e.seq, e.uop.kind, e.uop.pc, e.done, e.issued));
-            eprintln!(
-                "[wd {:?} @{now}] flush atomic pc={pc} seq={oldest}; rob_head={head:?} \
-                 rob_len={} sb_len={} aq={:?}",
-                self.id,
-                self.rob.len(),
-                self.sb.len(),
-                self.aq
-            );
-        }
         self.squash_from(first, pc, SquashCause::Watchdog, now, mem);
     }
 

@@ -88,22 +88,3 @@ pub type Line = u64;
 
 /// Simulation time in core cycles.
 pub type Cycle = u64;
-
-/// Debug tracing for one cache line, enabled by setting `FA_TRACE_LINE`
-/// (hex) in the environment. Used by the protocol debugging tests; zero
-/// cost when unset.
-pub(crate) fn trace_line() -> Option<Line> {
-    use std::sync::OnceLock;
-    static LINE: OnceLock<Option<Line>> = OnceLock::new();
-    *LINE.get_or_init(|| {
-        std::env::var("FA_TRACE_LINE")
-            .ok()
-            .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-    })
-}
-
-pub(crate) fn trace(line: Line, msg: impl FnOnce() -> String) {
-    if trace_line() == Some(line) {
-        eprintln!("          {}", msg());
-    }
-}

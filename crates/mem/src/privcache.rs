@@ -444,7 +444,6 @@ impl PrivCache {
         match msg {
             L1Msg::Inv { line } => {
                 if self.is_locked(line) || self.fill_pending(line) {
-                    crate::trace(line, || format!("{:?} Inv PARKED (locked)", self.id));
                     self.stat_parked += 1;
                     self.trace.record(self.now, TraceEvent::LockPark { line });
                     self.parked_ext.entry(line).or_default().push_back(msg);
@@ -452,7 +451,6 @@ impl PrivCache {
                 }
                 let was = self.l2.remove(line);
                 let had = was.is_some();
-                crate::trace(line, || format!("{:?} Inv applied, had_line={had}", self.id));
                 if had {
                     self.trace.record(
                         self.now,
@@ -497,7 +495,6 @@ impl PrivCache {
     }
 
     fn on_grant(&mut self, line: Line, excl: bool, class: LatClass, park: u64, out: &mut Vec<Action>) {
-        crate::trace(line, || format!("{:?} Grant excl={excl}", self.id));
         if !self.try_fill(line, excl, class, park, out) {
             self.stat_fill_stalled += 1;
             self.stalled_fills.push_back(StalledFill {

@@ -99,7 +99,6 @@ pub struct MemorySystem {
     /// First cycle each `(core, line)` lock was observed held, maintained by
     /// the audit sweep (empty while auditing is off).
     lock_ages: HashMap<(CoreId, Line), Cycle>,
-    trace_line: Option<Line>,
     /// Structured trace ring for interconnect send/deliver events (the
     /// per-cache and directory controllers own their own rings).
     noc_trace: TraceBuf,
@@ -146,15 +145,6 @@ impl MemorySystem {
             lsq_guard: ProgressGuard::new(ProgressPolicy::counting(), 0),
             backlog_max: 0,
             cfg,
-            trace_line: std::env::var("FA_TRACE_LINE")
-                .ok()
-                .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok()),
-        }
-    }
-
-    fn trace(&self, line: Line, msg: impl FnOnce() -> String) {
-        if self.trace_line == Some(line) {
-            eprintln!("[{:>8}] {}", self.now, msg());
         }
     }
 
@@ -253,9 +243,6 @@ impl MemorySystem {
                 }
                 c.fill_cycles_by_class[class.index()] += xfer;
                 let value = self.backing.load(addr);
-                self.trace(fa_isa::line_of(addr), || {
-                    format!("{core:?} ReadDone seq={seq} addr={addr:#x} val={value} locked={locked}")
-                });
                 // Value and rf writer are sampled at the same instant —
                 // the read's perform point — so they always agree.
                 let writer = if self.check {
@@ -430,9 +417,6 @@ impl MemorySystem {
                     under_lock: info.under_lock,
                 });
             }
-            self.trace(fa_isa::line_of(addr), || {
-                format!("{core:?} StorePerform addr={addr:#x} val={value} lock={lock} unlock={unlock}")
-            });
         }
         self.apply_cache_actions(core.index(), acts);
         info.is_some()
@@ -448,7 +432,6 @@ impl MemorySystem {
     /// Adds a lock count on `line` (load_lock performed on an
     /// already-present writable line, or a lock transfer during forwarding).
     pub fn lock_line(&mut self, core: CoreId, line: Line) {
-        self.trace(line, || format!("{core:?} LockLine"));
         self.caches[core.index()].lock(line);
     }
 
@@ -459,7 +442,6 @@ impl MemorySystem {
     ///
     /// Panics if the line is not locked by `core` — an AQ desync bug.
     pub fn unlock_line(&mut self, core: CoreId, line: Line) {
-        self.trace(line, || format!("{core:?} UnlockLine (count {})", self.lock_count(core, line)));
         let mut acts = Vec::new();
         self.caches[core.index()].unlock(line, &mut acts);
         self.apply_cache_actions(core.index(), acts);

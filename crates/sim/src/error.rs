@@ -38,9 +38,9 @@ pub enum SimError {
     },
     /// A measurement methodology that cannot produce a mean: zero runs, or
     /// `drop_slowest` discarding every run. Returned by
-    /// [`measure`](crate::methodology::measure) before any simulation
-    /// starts, so misconfigured sweeps fail loudly instead of averaging a
-    /// surprising subset.
+    /// [`Methodology::validate`](crate::methodology::Methodology::validate)
+    /// before any simulation starts, so misconfigured sweeps fail loudly
+    /// instead of averaging a surprising subset.
     InvalidMethodology {
         /// Configured total runs.
         runs: usize,
@@ -73,15 +73,18 @@ pub enum SimError {
         /// Machine state when the deadline was observed.
         snapshot: MachineSnapshot,
     },
-    /// A supervised sweep cell failed every attempt and was quarantined.
-    /// Carries the last attempt's underlying failure (including the
-    /// flight-recorder snapshot for simulation errors).
+    /// A sweep cell has no measured result: it failed every attempt and
+    /// was quarantined (the cause is the last attempt's failure, including
+    /// the flight-recorder snapshot for simulation errors), or it was
+    /// replayed from a checkpoint journal. Raised by
+    /// `fa_bench::sweep::SweepOutcome::take_results`, so a driver that needs
+    /// every cell's statistics never renders a partial table.
     CellFailed {
-        /// Identity of the failed cell, e.g. `TATP/FreeFwd/Tiny`.
+        /// Identity of the cell, `kernel/policy/preset`.
         cell: String,
-        /// Attempts made (1 + retries).
+        /// Attempts made (1 + retries; 0 for a journal-resumed cell).
         attempts: u32,
-        /// The last attempt's failure.
+        /// Why the cell has no result.
         cause: Box<CellFailure>,
     },
 }
@@ -94,6 +97,9 @@ pub enum CellFailure {
     Sim(SimError),
     /// The cell panicked; the payload is the panic message.
     Panic(String),
+    /// The cell never ran in this process: its row was replayed from the
+    /// checkpoint journal, which stores emitted rows, not run statistics.
+    Resumed,
 }
 
 impl fmt::Display for CellFailure {
@@ -101,6 +107,9 @@ impl fmt::Display for CellFailure {
         match self {
             CellFailure::Sim(e) => e.fmt(f),
             CellFailure::Panic(msg) => write!(f, "panic: {msg}"),
+            CellFailure::Resumed => {
+                f.write_str("row replayed from the checkpoint journal; no measured result")
+            }
         }
     }
 }
@@ -111,7 +120,7 @@ impl CellFailure {
     pub fn snapshot(&self) -> Option<&MachineSnapshot> {
         match self {
             CellFailure::Sim(e) => e.snapshot(),
-            CellFailure::Panic(_) => None,
+            CellFailure::Panic(_) | CellFailure::Resumed => None,
         }
     }
 }

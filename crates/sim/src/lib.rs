@@ -38,11 +38,9 @@ pub use litmus::{LOp, LitmusTest};
 pub use machine::{
     set_wall_deadline, Machine, MachineConfig, MachineSnapshot, RunResult, RunTimeout,
 };
-pub use methodology::{measure, measure_parallel, Methodology, MultiRun};
+pub use methodology::{Methodology, MultiRun};
 pub use presets::{icelake_like, skylake_like, tiny_machine};
-pub use sweep::{
-    run_cells, run_cells_supervised, run_cells_timed, supervise, CellQuarantine, SweepTiming,
-};
+pub use sweep::{run_cells, run_cells_timed, supervise, CellQuarantine, SweepTiming};
 
 // The trace layer's user-facing types, re-exported so binaries configure
 // tracing without a direct fa-trace dependency.

@@ -471,39 +471,24 @@ impl Machine {
             }
             self.tick();
             iters += 1;
-            if audit_on {
-                if self.now.is_multiple_of(sweep_every) {
-                    if let Err(violation) = self.mem.audit() {
-                        return Err(SimError::Audit {
-                            cycle: self.now,
-                            violation,
-                            snapshot: self.snapshot(),
-                        });
-                    }
+            if audit_on && self.now.is_multiple_of(sweep_every) {
+                if let Err(violation) = self.mem.audit() {
+                    return Err(SimError::Audit {
+                        cycle: self.now,
+                        violation,
+                        snapshot: self.snapshot(),
+                    });
                 }
-                for (i, c) in self.cores.iter().enumerate() {
-                    if c.halted() || c.sleeping() || c.stats.instructions != progress[i].0 {
-                        progress[i] = (c.stats.instructions, self.now);
-                    } else if self.now > self.start_offsets[i]
-                        && self.now - progress[i].1 > max_stall
-                    {
-                        return Err(SimError::Audit {
-                            cycle: self.now,
-                            violation: AuditViolation::NoProgress {
-                                core: CoreId(i as u16),
-                                stalled_for: self.now - progress[i].1,
-                                committed: c.stats.instructions,
-                            },
-                            snapshot: self.snapshot(),
-                        });
-                    }
-                }
-            } else if prog.enabled {
-                // Site `core-commit`: the audit bookkeeping, with the
-                // escalation threshold from the (always-on) progress
-                // config. A fast-forwarded span proves every core was
-                // quiescent across it, so it resets the stall baselines —
-                // wedged cores spin awake and are never skipped.
+            }
+            // Site `core-commit`: one per-core "no commit for N cycles"
+            // scan. An audited run reports it as an audit violation at the
+            // auditor's bound; otherwise the (always-on) progress config
+            // supplies the escalation threshold.
+            if audit_on || prog.enabled {
+                let threshold = if audit_on { max_stall } else { prog.stall_cycles };
+                // A fast-forwarded span proves every core was quiescent
+                // across it, so it resets the stall baselines — wedged
+                // cores spin awake and are never skipped.
                 if self.now > before + 1 {
                     for p in progress.iter_mut() {
                         p.1 = self.now;
@@ -512,16 +497,30 @@ impl Machine {
                 for (i, c) in self.cores.iter().enumerate() {
                     if c.halted() || c.sleeping() || c.stats.instructions != progress[i].0 {
                         progress[i] = (c.stats.instructions, self.now);
-                    } else if self.now > self.start_offsets[i]
-                        && self.now - progress[i].1 > prog.stall_cycles
-                    {
-                        return Err(SimError::NoProgress {
-                            site: "core-commit",
-                            observed: self.now - progress[i].1,
-                            threshold: prog.stall_cycles,
-                            snapshot: self.snapshot(),
-                        });
+                        continue;
                     }
+                    let stalled_for = self.now - progress[i].1;
+                    if self.now <= self.start_offsets[i] || stalled_for <= threshold {
+                        continue;
+                    }
+                    return Err(if audit_on {
+                        SimError::Audit {
+                            cycle: self.now,
+                            violation: AuditViolation::NoProgress {
+                                core: CoreId(i as u16),
+                                stalled_for,
+                                committed: c.stats.instructions,
+                            },
+                            snapshot: self.snapshot(),
+                        }
+                    } else {
+                        SimError::NoProgress {
+                            site: "core-commit",
+                            observed: stalled_for,
+                            threshold,
+                            snapshot: self.snapshot(),
+                        }
+                    });
                 }
             }
             // Memory-side progress sites and the wall-clock watchdog are

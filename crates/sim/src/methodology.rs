@@ -5,12 +5,13 @@
 //! Each run derives its perturbation stream independently from the base
 //! seed (run `i` uses a SplitMix64 stream seeded with `seed + i`, the same
 //! generator as [`fa_mem::chaos`]), so runs are replayable in isolation and
-//! can execute in any order — including concurrently on the
-//! [`crate::sweep`] engine — with bit-identical results.
+//! a cell's result does not depend on which [`crate::sweep`] worker ran it.
+//! The grid engine (`fa_bench::sweep::run_grid_supervised`) composes the
+//! three pieces here: [`Methodology::validate`], one
+//! [`Methodology::run_single`] per run, then [`Methodology::summarize`].
 
 use crate::error::SimError;
 use crate::machine::{Machine, MachineConfig, RunResult};
-use crate::sweep;
 use fa_isa::interp::GuestMem;
 use fa_isa::Program;
 use fa_mem::SplitMix64;
@@ -66,8 +67,7 @@ impl Methodology {
     }
 
     /// Executes run `run` of this methodology in isolation: fresh machine,
-    /// run `run`'s start offsets, run to quiescence. The unit of work the
-    /// sweep engine fans out.
+    /// run `run`'s start offsets, run to quiescence.
     ///
     /// # Errors
     ///
@@ -129,63 +129,6 @@ impl MultiRun {
     }
 }
 
-/// Runs `build` (a factory producing identical fresh workloads) under the
-/// methodology and averages the retained runs.
-///
-/// `build` must return `(programs, initialized guest memory)` anew for each
-/// run — memory is consumed by the machine.
-///
-/// # Errors
-///
-/// [`SimError::InvalidMethodology`] for a configuration retaining no runs;
-/// otherwise the first [`SimError`] encountered (timeout or invariant-audit
-/// failure).
-// Cold failure path; the error's diagnostic snapshot dominates its size.
-#[allow(clippy::result_large_err)]
-pub fn measure(
-    cfg: &MachineConfig,
-    meth: &Methodology,
-    mut build: impl FnMut() -> (Vec<Program>, GuestMem),
-) -> Result<MultiRun, SimError> {
-    meth.validate()?;
-    let mut results: Vec<RunResult> = Vec::with_capacity(meth.runs);
-    for run in 0..meth.runs {
-        let (programs, mem) = build();
-        results.push(meth.run_single(cfg, run, programs, mem)?);
-    }
-    meth.summarize(results)
-}
-
-/// [`measure`], with the independent runs fanned across `threads` worker
-/// threads on the [`crate::sweep`] engine. Because every run derives its
-/// perturbations from its own `seed + i` stream and each [`Machine`] is
-/// single-threaded and deterministic, the retained runs and the mean are
-/// bit-identical to [`measure`]'s regardless of scheduling. `threads == 0`
-/// selects the host's available parallelism; `threads == 1` degenerates to
-/// the serial path.
-///
-/// # Errors
-///
-/// As [`measure`]; when several runs fail, the error of the
-/// lowest-numbered failing run is returned (every run is attempted).
-// Cold failure path; the error's diagnostic snapshot dominates its size.
-#[allow(clippy::result_large_err)]
-pub fn measure_parallel(
-    cfg: &MachineConfig,
-    meth: &Methodology,
-    threads: usize,
-    build: impl Fn() -> (Vec<Program>, GuestMem) + Sync,
-) -> Result<MultiRun, SimError> {
-    meth.validate()?;
-    let runs: Vec<usize> = (0..meth.runs).collect();
-    let results = sweep::run_cells(&runs, threads, |_, &run| {
-        let (programs, mem) = build();
-        meth.run_single(cfg, run, programs, mem)
-    });
-    let results: Result<Vec<RunResult>, SimError> = results.into_iter().collect();
-    meth.summarize(results?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,12 +147,23 @@ mod tests {
         k.finish().unwrap()
     }
 
+    /// Every run of `meth`, in run order, through the public pieces the
+    /// grid engine composes: `run_single` per run, then `summarize`.
+    fn run_all(cfg: &MachineConfig, meth: &Methodology, prog: Program, cores: usize) -> MultiRun {
+        let runs = (0..meth.runs)
+            .map(|run| {
+                meth.run_single(cfg, run, vec![prog.clone(); cores], GuestMem::new(1 << 16))
+                    .expect("completes")
+            })
+            .collect();
+        meth.summarize(runs).expect("valid methodology")
+    }
+
     #[test]
-    fn measure_drops_slowest_and_averages() {
+    fn summarize_drops_slowest_and_averages() {
         let cfg = crate::presets::icelake_like();
         let meth = Methodology { runs: 4, drop_slowest: 1, max_offset: 300, ..Default::default() };
-        let mr = measure(&cfg, &meth, || (vec![counter(30); 2], GuestMem::new(1 << 16)))
-            .expect("completes");
+        let mr = run_all(&cfg, &meth, counter(30), 2);
         assert_eq!(mr.runs.len(), 3);
         assert!(mr.mean_cycles > 0.0);
         // Sorted fastest-first.
@@ -219,18 +173,21 @@ mod tests {
 
     #[test]
     fn zero_runs_and_drop_all_are_structured_errors() {
-        let cfg = crate::presets::tiny_machine();
         for (runs, drop_slowest) in [(0, 0), (3, 3), (2, 5)] {
             let meth = Methodology { runs, drop_slowest, ..Default::default() };
-            let err = measure(&cfg, &meth, || (vec![counter(5)], GuestMem::new(1 << 12)))
-                .expect_err("must reject");
-            assert_eq!(err, SimError::InvalidMethodology { runs, drop_slowest });
-            let err = measure_parallel(&cfg, &meth, 2, || {
-                (vec![counter(5)], GuestMem::new(1 << 12))
-            })
-            .expect_err("parallel path must reject identically");
-            assert_eq!(err, SimError::InvalidMethodology { runs, drop_slowest });
+            let want = SimError::InvalidMethodology { runs, drop_slowest };
+            assert_eq!(meth.validate().expect_err("must reject"), want);
+            assert_eq!(
+                meth.summarize(Vec::new()).expect_err("summarize validates first"),
+                want
+            );
         }
+        // A valid methodology still refuses a result set of the wrong size.
+        let meth = Methodology { runs: 3, drop_slowest: 1, ..Default::default() };
+        assert_eq!(
+            meth.summarize(Vec::new()).expect_err("no runs collected"),
+            SimError::InvalidMethodology { runs: 0, drop_slowest: 1 }
+        );
     }
 
     #[test]
@@ -253,27 +210,5 @@ mod tests {
         assert_eq!(even.run_offsets(3, 8), shifted.run_offsets(0, 8));
         // Offsets respect the configured bound.
         assert!(even.run_offsets(0, 64).iter().all(|&o| o <= even.max_offset));
-    }
-
-    #[test]
-    fn parallel_measure_matches_serial_bitwise() {
-        let cfg = crate::presets::tiny_machine();
-        let meth = Methodology {
-            runs: 4,
-            drop_slowest: 1,
-            max_offset: 200,
-            max_cycles: 5_000_000,
-            ..Default::default()
-        };
-        let build = || (vec![counter(20); 2], GuestMem::new(1 << 16));
-        let serial = measure(&cfg, &meth, build).expect("serial completes");
-        let parallel = measure_parallel(&cfg, &meth, 4, build).expect("parallel completes");
-        assert_eq!(serial.mean_cycles, parallel.mean_cycles);
-        assert_eq!(serial.runs.len(), parallel.runs.len());
-        for (s, p) in serial.runs.iter().zip(&parallel.runs) {
-            assert_eq!(s.cycles, p.cycles);
-            assert_eq!(s.per_core, p.per_core);
-            assert_eq!(s.mem, p.mem);
-        }
     }
 }

@@ -11,8 +11,8 @@
 //! one.
 //!
 //! The engine is deliberately generic (`jobs: &[J]`, `f: Fn(usize, &J) ->
-//! R`) so the figure bins, the methodology's multi-run loop and the fuzz
-//! campaign all ride the same worker pool. Workers pull the next cell from
+//! R`) so the grid campaigns (`fa_bench::sweep`), the single-run tables
+//! and the fuzz campaign all ride the same worker pool. Workers pull the next cell from
 //! a shared atomic cursor (work stealing by index), so long cells do not
 //! convoy short ones.
 //!
@@ -128,28 +128,6 @@ pub fn supervise<R>(
             return Err(CellQuarantine { attempts, failure: Box::new(failure) });
         }
     }
-}
-
-/// [`run_cells`] with per-cell supervision: each cell runs under
-/// [`supervise`] (panic isolation + wall watchdog + retries), so one
-/// wedged or panicking cell is quarantined instead of killing the
-/// campaign. Results keep job order; deterministic cells still merge
-/// bit-identical to a serial run at any thread count.
-// The inner closure's Err carries a full machine snapshot by design; it
-// is built once on the cold failure path, never per cycle.
-#[allow(clippy::result_large_err)]
-pub fn run_cells_supervised<J, R>(
-    jobs: &[J],
-    threads: usize,
-    retries: u32,
-    wall: Option<Duration>,
-    f: impl Fn(usize, &J) -> Result<R, SimError> + Sync,
-) -> Vec<Result<R, CellQuarantine>>
-where
-    J: Sync,
-    R: Send,
-{
-    run_cells(jobs, threads, |i, j| supervise(retries, wall, || f(i, j)))
 }
 
 /// Wall-clock and simulated-throughput accounting for one sweep, the basis
@@ -295,7 +273,7 @@ mod tests {
             Ok(j * 10)
         };
         for threads in [1, 4] {
-            let rs = run_cells_supervised(&jobs, threads, 1, None, f);
+            let rs = run_cells(&jobs, threads, |i, j| supervise(1, None, || f(i, j)));
             assert_eq!(rs.len(), 20);
             for (i, r) in rs.iter().enumerate() {
                 if i == 13 {

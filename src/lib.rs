@@ -67,7 +67,7 @@ pub mod prelude {
     pub use fa_sim::litmus::{LOp, LitmusTest};
     pub use fa_sim::{CheckMode, MemModel};
     pub use fa_sim::machine::{Machine, MachineConfig, RunResult};
-    pub use fa_sim::methodology::{measure, Methodology};
+    pub use fa_sim::methodology::Methodology;
     pub use fa_sim::presets::{icelake_like, skylake_like, tiny_machine};
     pub use fa_workloads::{suite, Workload, WorkloadParams, WorkloadSpec};
 }
