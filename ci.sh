@@ -15,6 +15,12 @@ test $((t1 - t0)) -le 900 || {
     exit 1
 }
 cargo clippy --workspace --all-targets -- -D warnings
+# The repo benchmark is a workspace of its own, so nothing above builds it:
+# its tests pin the simulator's rows (`pinned_rows_match_the_simulator`),
+# the split loop's equality with `Machine::run`, and the public `Core`/`Rob`
+# surface it compiles against — a kernel change that bends a row fails here,
+# not in the post-merge benchmark run.
+cargo test --offline --release --manifest-path benchmark/Cargo.toml
 # Simulator crates never read the environment: `fa_sim::env` is the one
 # door, so every knob is documented, parsed loudly and visible to drivers.
 # (`set -e` ignores a failing `!` pipeline, hence the explicit exit.)

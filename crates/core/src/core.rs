@@ -1,18 +1,23 @@
 //! The out-of-order core pipeline.
 //!
-//! A unified-ROB model: fetch/decode/rename dispatch micro-ops into the ROB;
-//! a scan-based scheduler wakes and issues them; loads and stores go through
-//! LSQ disambiguation with StoreSet prediction and store-to-load forwarding;
-//! commit retires in order, moving stores into the store buffer, which drains
-//! to the memory system under TSO. Atomic RMWs follow one of the four
-//! [`AtomicPolicy`] flavours; the Atomic Queue tracks their cache-line locks
-//! and forwarding responsibilities, and the watchdog breaks the deadlocks
-//! that fence-free execution can create (§3.2.5 of the paper).
+//! A unified-ROB model: the program is decoded once into a micro-op table;
+//! fetch/rename dispatch micro-ops from it into the ROB; an event-driven
+//! scheduler (the `sched` module) wakes exactly the consumers of each
+//! completing producer and issues from an age-ordered ready list, so no
+//! stage walks the window; loads and stores go through LSQ disambiguation
+//! (load-queue, store-queue and fence lists) with StoreSet prediction and
+//! store-to-load forwarding; commit retires in order, moving stores into
+//! the store buffer, which drains to the memory system under TSO. Atomic
+//! RMWs follow one of the four [`AtomicPolicy`] flavours; the Atomic Queue
+//! tracks their cache-line locks and forwarding responsibilities, and the
+//! watchdog breaks the deadlocks that fence-free execution can create
+//! (§3.2.5 of the paper).
 
 use crate::aq::{AqState, AtomicQueue};
 use crate::config::{AtomicPolicy, CoreConfig};
 use crate::predictor::{BranchPredictor, StoreSets};
-use crate::rob::{Entry, FwdSource, MemPhase, Rob, Seq, SrcVal};
+use crate::rob::{Entry, FwdSource, MemPhase, Rob, Seq, Slot, SrcVal};
+use crate::sched::Sched;
 use crate::stats::{CoreStats, SquashCause};
 use fa_isa::reg::NUM_REGS;
 use fa_isa::{line_of, Addr, FenceKind, Instr, Program, Reg, Uop, UopKind, Word};
@@ -71,6 +76,11 @@ impl fmt::Display for CoreDiag {
     }
 }
 
+/// True for the micro-ops that occupy a load-queue entry.
+fn occupies_lq(u: &Uop) -> bool {
+    u.is_load_class() || matches!(u.kind, UopKind::MonitorWait { .. })
+}
+
 /// Why the front-end stopped fetching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FetchBarrier {
@@ -95,7 +105,6 @@ enum CoreState {
 #[derive(Clone, Copy, Debug)]
 struct SbEntry {
     seq: Seq,
-    pc: u32,
     addr: Addr,
     value: Word,
     /// This is a store_unlock draining (releases its atomic's lock unless
@@ -110,6 +119,20 @@ struct SbEntry {
     sc: bool,
 }
 
+/// One instruction of the decoded program: its micro-ops' place in the
+/// table and the queue entries they need.
+#[derive(Clone, Copy, Debug)]
+struct DecodedInstr {
+    /// Index of the first micro-op in [`Core::uops`].
+    first: u32,
+    /// Number of micro-ops.
+    len: u8,
+    /// Load-queue entries needed (load-class micro-ops and MonitorWait).
+    loads: u8,
+    /// Store-queue entries needed.
+    stores: u8,
+}
+
 /// One simulated out-of-order core.
 ///
 /// Drive it by calling [`Core::tick`] once per cycle with the shared
@@ -120,6 +143,10 @@ pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
     prog: Program,
+    /// `prog` decoded once: per instruction, then the micro-ops back to
+    /// back.
+    decoded: Vec<DecodedInstr>,
+    uops: Vec<Uop>,
     mem_bytes: u64,
 
     // Front end.
@@ -129,15 +156,14 @@ pub struct Core {
     next_seq: Seq,
 
     // Rename + architectural state.
-    rename: [Option<Seq>; NUM_REGS],
+    rename: [Option<Slot>; NUM_REGS],
     arch_regs: [Word; NUM_REGS],
 
     // Back end.
     rob: Rob,
+    sched: Sched,
     aq: AtomicQueue,
     sb: VecDeque<SbEntry>,
-    lq_count: usize,
-    sq_count: usize,
     bp: BranchPredictor,
     ss: StoreSets,
 
@@ -149,6 +175,14 @@ pub struct Core {
     fetch_blocked_rob: bool,
     /// Fetch stopped on an LQ/SQ/AQ structural limit.
     fetch_blocked_lsq: bool,
+
+    /// Buffers reused every tick, so the steady state allocates nothing:
+    /// this cycle's memory notices and responses (swapped with the memory
+    /// system's outboxes), and the scheduler's per-stage work lists.
+    notices: Vec<CoreNotice>,
+    responses: Vec<CoreResp>,
+    work: Vec<Slot>,
+    resolved_stores: Vec<Slot>,
 
     /// Statistics, live during the run.
     pub stats: CoreStats,
@@ -169,10 +203,28 @@ impl Core {
         let ss = StoreSets::new(10);
         let aq = AtomicQueue::new(cfg.aq_size);
         let trace = TraceBuf::new(&cfg.trace);
+        let mut decoded = Vec::with_capacity(prog.len());
+        let mut uops = Vec::with_capacity(prog.len());
+        for (pc, instr) in prog.iter().enumerate() {
+            let first = uops.len();
+            fa_isa::decode_into(*instr, pc as u32, &mut uops);
+            let of = &uops[first..];
+            let count = |pred: fn(&Uop) -> bool| of.iter().filter(|u| pred(u)).count() as u8;
+            decoded.push(DecodedInstr {
+                first: first as u32,
+                len: of.len() as u8,
+                loads: count(occupies_lq),
+                stores: count(Uop::is_store_class),
+            });
+        }
         Core {
             id,
+            rob: Rob::with_capacity(cfg.rob_size),
+            sched: Sched::new(cfg.rob_size),
             cfg,
             prog,
+            decoded,
+            uops,
             mem_bytes,
             fetch_pc: 0,
             fetch_stall_until: 0,
@@ -180,17 +232,18 @@ impl Core {
             next_seq: 1,
             rename: [None; NUM_REGS],
             arch_regs: [0; NUM_REGS],
-            rob: Rob::new(),
             aq,
             sb: VecDeque::new(),
-            lq_count: 0,
-            sq_count: 0,
             bp,
             ss,
             state: CoreState::Running,
             wd_counter: 0,
             fetch_blocked_rob: false,
             fetch_blocked_lsq: false,
+            notices: Vec::new(),
+            responses: Vec::new(),
+            work: Vec::new(),
+            resolved_stores: Vec::new(),
             stats: CoreStats::default(),
             trace,
             dlog: Vec::new(),
@@ -283,11 +336,29 @@ impl Core {
 
     /// Advances the core one cycle.
     pub fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
+        let mut notices = std::mem::take(&mut self.notices);
+        let mut responses = std::mem::take(&mut self.responses);
+        mem.drain_notices(self.id, &mut notices);
+        mem.drain_responses(self.id, &mut responses);
+        self.step(now, mem, &notices, &responses);
+        self.notices = notices;
+        self.responses = responses;
+        #[cfg(debug_assertions)]
+        self.sched.check_scheduler_indices(&self.rob, self.cfg.policy.fenced());
+    }
+
+    /// One cycle, given the notices and responses the memory system
+    /// delivered for it.
+    fn step(
+        &mut self,
+        now: u64,
+        mem: &mut MemorySystem,
+        notices: &[CoreNotice],
+        responses: &[CoreResp],
+    ) {
         if self.state == CoreState::Halted {
             // The pipeline is dead but committed stores must still drain.
-            let responses = mem.drain_responses(self.id);
-            let _ = mem.drain_notices(self.id);
-            self.handle_idle_responses(&responses, mem);
+            self.handle_idle_responses(responses, mem);
             self.drain_store_buffer(now, mem);
             return;
         }
@@ -295,14 +366,11 @@ impl Core {
         self.fetch_blocked_rob = false;
         self.fetch_blocked_lsq = false;
 
-        let notices = mem.drain_notices(self.id);
-        let responses = mem.drain_responses(self.id);
-
         // Sleeping: drain the SB and watch for the wake condition.
         if let CoreState::Sleeping { line, wake_at, resume_pc } = self.state {
             self.stats.sleep_cycles += 1;
             self.stats.cpi.record(CpiLeaf::Idle);
-            self.handle_idle_responses(&responses, mem);
+            self.handle_idle_responses(responses, mem);
             self.drain_store_buffer(now, mem);
             let line_written = notices
                 .iter()
@@ -318,13 +386,13 @@ impl Core {
 
         // 1. Invalidation-driven squash of speculatively performed loads
         //    (the TSO load→load repair).
-        for n in &notices {
+        for n in notices {
             let CoreNotice::LineLost { line, .. } = n;
             self.squash_performed_loads_on(*line, now, mem);
         }
 
         // 2. Memory responses.
-        self.handle_responses(&responses, now, mem);
+        self.handle_responses(responses, now, mem);
 
         // 3. Finish executions whose latency expired (branches may squash).
         self.finalize_executions(now, mem);
@@ -340,7 +408,7 @@ impl Core {
         self.drain_store_buffer(now, mem);
 
         // 7. Wakeup + issue.
-        self.wakeup(now);
+        self.sched.wake(&mut self.rob);
         self.issue(now, mem);
 
         // 8. Fetch/decode/rename/dispatch.
@@ -386,7 +454,7 @@ impl Core {
             } else if is_ll
                 && !head.issued
                 && head.addr.is_some()
-                && !self.load_lock_may_issue(head.seq)
+                && !self.load_lock_may_issue(self.rob.front_slot().expect("nonempty"))
             {
                 // Fenced-policy issue gate: the head atomic may not issue
                 // until the store buffer drains.
@@ -415,20 +483,14 @@ impl Core {
         while fetched < self.cfg.fetch_width {
             let pc = self.fetch_pc;
             let instr = *self.prog.get(pc as usize).expect("fetch past program end");
-            let uops = fa_isa::decode(instr, pc);
+            let d = self.decoded[pc as usize];
             // Structural resources for the whole instruction.
-            if self.rob.len() + uops.len() > self.cfg.rob_size {
+            if self.rob.len() + d.len as usize > self.cfg.rob_size {
                 self.fetch_blocked_rob = true;
                 break;
             }
-            let loads = uops.iter().filter(|u| u.is_load_class()).count()
-                + uops
-                    .iter()
-                    .filter(|u| matches!(u.kind, UopKind::MonitorWait { .. }))
-                    .count();
-            let stores = uops.iter().filter(|u| u.is_store_class()).count();
-            if self.lq_count + loads > self.cfg.lq_size
-                || self.sq_count + stores > self.cfg.sq_size
+            if self.sched.lq.len() + d.loads as usize > self.cfg.lq_size
+                || self.sched.sq.len() + self.sb.len() + d.stores as usize > self.cfg.sq_size
             {
                 self.fetch_blocked_lsq = true;
                 break;
@@ -438,8 +500,8 @@ impl Core {
                 self.fetch_blocked_lsq = true;
                 break;
             }
-            for u in &uops {
-                self.dispatch_uop(*u, now);
+            for i in d.first..d.first + u32::from(d.len) {
+                self.dispatch_uop(self.uops[i as usize], now);
             }
             fetched += 1;
             match instr {
@@ -466,34 +528,23 @@ impl Core {
         self.next_seq += 1;
         let mut e = Entry::new(seq, uop);
 
-        // Capture sources through the rename table.
+        // Capture sources through the rename table. A producer that is
+        // already done is read directly, whether or not its completion has
+        // been handed out yet; one still executing will wake the operand.
+        let mut waits = [None; 3];
         for r in uop.srcs().iter() {
             let i = e.nsrcs as usize;
+            let producer = self.rename[r.index()];
             e.src_regs[i] = r;
-            e.srcs[i] = match self.rename[r.index()] {
-                Some(pseq) => match self.rob.get(pseq) {
-                    Some(p) if p.done => SrcVal::Ready(p.result),
-                    Some(_) => SrcVal::Wait { seq: pseq, reg: r },
-                    None => SrcVal::Ready(self.arch_regs[r.index()]),
-                },
+            e.srcs[i] = match producer.and_then(|p| self.rob.at(p)) {
+                Some(p) if p.done => SrcVal::Ready(p.result),
+                Some(p) => {
+                    waits[i] = producer;
+                    SrcVal::Wait { seq: p.seq }
+                }
                 None => SrcVal::Ready(self.arch_regs[r.index()]),
             };
             e.nsrcs += 1;
-        }
-        // Rename the destination.
-        if let Some(d) = uop.dst() {
-            if !d.is_zero() {
-                e.prev_map = Some((d, self.rename[d.index()]));
-                self.rename[d.index()] = Some(seq);
-            }
-        }
-        // Class bookkeeping.
-        if uop.is_load_class() || matches!(uop.kind, UopKind::MonitorWait { .. }) {
-            self.lq_count += 1;
-        }
-        if uop.is_store_class() {
-            self.sq_count += 1;
-            self.ss.store_dispatched(uop.pc, seq);
         }
         match uop.kind {
             UopKind::LoadLock { .. } => self.aq.alloc(seq),
@@ -515,40 +566,42 @@ impl Core {
             }
             _ => {}
         }
-        self.rob.push(e);
+        // Rename the destination.
+        let dst = uop.dst().filter(|d| !d.is_zero());
+        if let Some(d) = dst {
+            e.prev_map = Some((d, self.rename[d.index()]));
+        }
+        let slot = self.rob.push(e);
+        if let Some(d) = dst {
+            self.rename[d.index()] = Some(slot);
+        }
+        // Scheduler and LSQ bookkeeping.
+        self.sched.open(slot);
+        for (i, producer) in waits.into_iter().enumerate() {
+            if let Some(p) = producer {
+                self.sched.watch(p, slot, i);
+            }
+        }
+        if occupies_lq(&uop) {
+            self.sched.lq.push_back(slot);
+        }
+        if uop.is_store_class() {
+            self.sched.sq.push_back(slot);
+            self.ss.store_dispatched(uop.pc, seq);
+        }
+        match uop.kind {
+            UopKind::Fence(kind) => {
+                let orders_loads = match kind {
+                    FenceKind::Standalone => true,
+                    FenceKind::AtomicPost => self.cfg.policy.fenced(),
+                    FenceKind::AtomicPre => false,
+                };
+                self.sched.push_fence(seq, orders_loads);
+            }
+            UopKind::Pause => self.sched.insert_inflight(slot, now + self.cfg.pause_lat),
+            _ => self.sched.operands_changed(slot, self.rob.at(slot).expect("just pushed")),
+        }
         self.trace.record(now, TraceEvent::UopDispatch { seq, pc: uop.pc as u64 });
-    }
-
-    // -------------------------------------------------------------- wakeup
-
-    /// Resolves `Wait` operands against completed producers.
-    fn wakeup(&mut self, _now: u64) {
-        let Some(head) = self.rob.head_seq() else { return };
-        // Collect resolutions read-only, then apply.
-        let mut updates: Vec<(Seq, usize, Word)> = Vec::new();
-        for e in self.rob.iter() {
-            if e.done {
-                continue;
-            }
-            for i in 0..e.nsrcs as usize {
-                if let SrcVal::Wait { seq, reg } = e.srcs[i] {
-                    if seq < head {
-                        updates.push((e.seq, i, self.arch_regs[reg.index()]));
-                    } else if let Some(p) = self.rob.get(seq) {
-                        if p.done {
-                            updates.push((e.seq, i, p.result));
-                        }
-                    } else {
-                        updates.push((e.seq, i, self.arch_regs[reg.index()]));
-                    }
-                }
-            }
-        }
-        for (seq, i, v) in updates {
-            if let Some(e) = self.rob.get_mut(seq) {
-                e.srcs[i] = SrcVal::Ready(v);
-            }
-        }
     }
 
     // --------------------------------------------------------------- issue
@@ -558,48 +611,59 @@ impl Core {
         // squashes), then issue.
         self.compute_addresses(now, mem);
 
+        // Oldest first; budget is spent only on success, and what does not
+        // issue keeps its place (a blocked load is retried every cycle).
         let mut budget = self.cfg.issue_width;
-        let seqs: Vec<Seq> = self
-            .rob
-            .iter()
-            .filter(|e| !e.issued && !e.done)
-            .map(|e| e.seq)
-            .collect();
-        for seq in seqs {
-            if budget == 0 {
-                break;
-            }
-            // The entry may have been squashed by an earlier issue this
-            // cycle (an MDV raised by a store issuing, say).
-            let Some(e) = self.rob.get(seq) else { continue };
-            if e.issued || e.done {
-                continue;
-            }
+        let (mut visited, mut kept) = (0, 0);
+        while visited < self.sched.ready.len() && budget > 0 {
+            let slot = self.sched.ready[visited];
+            visited += 1;
+            let e = self.rob.at(slot).expect("the ready list holds live micro-ops");
             let pc = e.uop.pc;
             let issued = match e.uop.kind {
-                UopKind::Alu { .. } | UopKind::RmwAlu { .. } => self.issue_alu(seq, now),
-                UopKind::Branch { .. } => self.issue_branch(seq, now),
-                UopKind::Load { .. } | UopKind::LoadLock { .. } => {
-                    self.issue_load(seq, now, mem)
+                // Operands (and, for stores, the address) are what filed
+                // these as ready: they always issue.
+                UopKind::Alu { .. } | UopKind::RmwAlu { .. } => {
+                    self.issue_alu(slot, now);
+                    true
+                }
+                UopKind::Branch { .. } => {
+                    self.issue_branch(slot, now);
+                    true
                 }
                 UopKind::Store { .. } | UopKind::StoreUnlock { .. } => {
-                    self.issue_store(seq, now)
+                    self.issue_store(slot);
+                    true
                 }
-                UopKind::MonitorWait { .. } => self.issue_monitor(seq, now, mem),
-                _ => false,
+                UopKind::Load { .. } | UopKind::LoadLock { .. } => {
+                    self.issue_load(slot, now, mem)
+                }
+                UopKind::MonitorWait { .. } => self.issue_monitor(slot, mem),
+                _ => unreachable!("only issuable micro-ops are filed as ready"),
             };
             if issued {
                 budget -= 1;
-                self.trace.record(now, TraceEvent::UopIssue { seq, pc: pc as u64 });
+                self.trace.record(now, TraceEvent::UopIssue { seq: slot.seq, pc: pc as u64 });
+            } else {
+                self.sched.ready[kept] = slot;
+                kept += 1;
             }
         }
+        self.sched.ready.drain(kept..visited);
     }
 
-    fn issue_alu(&mut self, seq: Seq, now: u64) -> bool {
-        let e = self.rob.get(seq).expect("entry exists");
-        if !e.srcs_ready() {
-            return false;
-        }
+    /// Starts the execution of the ready ALU-class micro-op at `slot`,
+    /// which produces `result` after `lat` cycles.
+    fn start_execution(&mut self, slot: Slot, result: Word, lat: u64, now: u64) {
+        let e = self.rob.at_mut(slot).expect("entry exists");
+        e.result = result;
+        e.issued = true;
+        e.done_at = Some(now + lat);
+        self.sched.insert_inflight(slot, now + lat);
+    }
+
+    fn issue_alu(&mut self, slot: Slot, now: u64) {
+        let e = self.rob.at(slot).expect("entry exists");
         let (result, lat) = match e.uop.kind {
             UopKind::Alu { op, a, b, .. } => {
                 let av = e.value_of(a).expect("ready");
@@ -622,19 +686,11 @@ impl Core {
             }
             _ => unreachable!(),
         };
-        let e = self.rob.get_mut(seq).unwrap();
-        e.result = result;
-        e.issued = true;
-        e.issued_at = Some(now);
-        e.done_at = Some(now + lat);
-        true
+        self.start_execution(slot, result, lat, now);
     }
 
-    fn issue_branch(&mut self, seq: Seq, now: u64) -> bool {
-        let e = self.rob.get(seq).expect("entry exists");
-        if !e.srcs_ready() {
-            return false;
-        }
+    fn issue_branch(&mut self, slot: Slot, now: u64) {
+        let e = self.rob.at(slot).expect("entry exists");
         let UopKind::Branch { cond, a, b, .. } = e.uop.kind else { unreachable!() };
         let av = e.value_of(a).expect("ready");
         let bv = match b {
@@ -642,42 +698,29 @@ impl Core {
             fa_isa::Operand::Imm(v) => v as u64,
         };
         let taken = cond.eval(av, bv);
-        let e = self.rob.get_mut(seq).unwrap();
-        e.result = u64::from(taken);
-        e.issued = true;
-        e.issued_at = Some(now);
-        e.done_at = Some(now + self.cfg.alu_lat);
-        true
+        self.start_execution(slot, u64::from(taken), self.cfg.alu_lat, now);
     }
 
-    fn issue_store(&mut self, seq: Seq, now: u64) -> bool {
-        // Stores "issue" once address and data are both known; the actual
-        // write happens at SB drain. Data readiness is all srcs ready.
-        let e = self.rob.get(seq).expect("entry exists");
-        if e.addr.is_none() || !e.srcs_ready() {
-            return false;
-        }
-        let e = self.rob.get_mut(seq).unwrap();
+    fn issue_store(&mut self, slot: Slot) {
+        // Stores "issue" once address and data are both known — which is
+        // what files them as ready; the actual write happens at SB drain.
+        let e = self.rob.at_mut(slot).expect("entry exists");
+        debug_assert!(e.addr.is_some() && e.srcs_ready());
         e.issued = true;
-        e.issued_at = Some(now);
         e.done = true;
-        true
     }
 
-    fn issue_monitor(&mut self, seq: Seq, now: u64, mem: &mut MemorySystem) -> bool {
-        let e = self.rob.get(seq).expect("entry exists");
-        let Some(addr) = e.addr else { return false };
+    fn issue_monitor(&mut self, slot: Slot, mem: &mut MemorySystem) -> bool {
+        let e = self.rob.at_mut(slot).expect("entry exists");
+        let addr = e.addr.expect("a ready monitor has its address");
         if e.poisoned {
-            let e = self.rob.get_mut(seq).unwrap();
             e.done = true;
             e.mem = MemPhase::Performed;
             return true;
         }
-        match mem.read(self.id, seq, addr, false, false) {
+        match mem.read(self.id, slot.seq, addr, false, false) {
             fa_mem::privcache::ReqOutcome::Accepted => {
-                let e = self.rob.get_mut(seq).unwrap();
                 e.issued = true;
-                e.issued_at = Some(now);
                 e.mem = MemPhase::WaitCache;
                 true
             }
@@ -685,34 +728,23 @@ impl Core {
         }
     }
 
-    /// Computes effective addresses for memory micro-ops whose base operand
-    /// resolved; newly resolved store addresses run the memory-dependence
-    /// violation check.
+    /// Computes effective addresses for the memory micro-ops whose base
+    /// operand resolved since the last address stage; newly resolved store
+    /// addresses run the memory-dependence violation check.
     fn compute_addresses(&mut self, now: u64, mem: &mut MemorySystem) {
-        let mut resolved_stores: Vec<Seq> = Vec::new();
-        let mut updates: Vec<(Seq, Addr, bool)> = Vec::new();
-        for e in self.rob.iter() {
-            if e.addr.is_some() {
-                continue;
-            }
-            let (base, offset) = match e.uop.kind {
-                UopKind::Load { base, offset, .. }
-                | UopKind::LoadLock { base, offset, .. }
-                | UopKind::Store { base, offset, .. }
-                | UopKind::StoreUnlock { base, offset, .. }
-                | UopKind::MonitorWait { base, offset } => (base, offset),
-                _ => continue,
-            };
-            let Some(bv) = e.value_of(base) else { continue };
+        let mut pending = std::mem::take(&mut self.work);
+        let mut resolved_stores = std::mem::take(&mut self.resolved_stores);
+        self.sched.take_agen(&mut pending);
+        resolved_stores.clear();
+        // Every address first, so each violation check below sees all of
+        // this cycle's addresses.
+        for &slot in &pending {
+            let e = self.rob.at_mut(slot).expect("squash drops pending address generation");
+            let (base, offset) =
+                e.uop.address_operands().expect("only memory micro-ops await an address");
+            let bv = e.value_of(base).expect("base operand ready");
             let addr = bv.wrapping_add(offset as u64);
-            let poisoned = addr % 8 != 0 || addr >= self.mem_bytes;
-            updates.push((e.seq, addr, poisoned));
-            if e.uop.is_store_class() && !poisoned {
-                resolved_stores.push(e.seq);
-            }
-        }
-        for (seq, addr, poisoned) in updates {
-            let e = self.rob.get_mut(seq).unwrap();
+            let poisoned = !addr.is_multiple_of(8) || addr >= self.mem_bytes;
             e.addr = Some(addr);
             e.poisoned = poisoned;
             if e.ready_since.is_none() {
@@ -721,38 +753,52 @@ impl Core {
             if poisoned && e.uop.is_load_class() {
                 // Wrong-path wild load: never touches memory, pretends to
                 // perform. It can never commit (an older mispredicted branch
-                // must flush it).
+                // must flush it). Its consumers wake next cycle.
                 e.done = true;
                 e.mem = MemPhase::Performed;
+                self.sched.complete(slot, e.result);
+            } else if !e.uop.is_store_class() || e.srcs_ready() {
+                self.sched.insert_ready(slot);
+            }
+            if e.uop.is_store_class() && !poisoned {
+                resolved_stores.push(slot);
             }
         }
-        for sseq in resolved_stores {
-            let Some(s) = self.rob.get(sseq) else { continue };
-            self.ss.store_resolved(s.uop.pc, sseq);
-            self.check_mem_order_violation(sseq, now, mem);
+        for &store in &resolved_stores {
+            // An older store's check may have squashed this one.
+            let Some(s) = self.rob.at(store) else { continue };
+            self.ss.store_resolved(s.uop.pc, store.seq);
+            self.check_mem_order_violation(store, now, mem);
         }
+        self.work = pending;
+        self.resolved_stores = resolved_stores;
+    }
+
+    /// True for a load that has bound (or is about to bind) a value from
+    /// memory: performed, or with its cache response still in flight.
+    fn speculatively_bound(e: &Entry) -> bool {
+        e.uop.is_load_class() && !e.poisoned && (e.mem != MemPhase::Idle || e.done)
     }
 
     /// A store just resolved its address: any younger load that already
     /// performed against the same address without forwarding from it (or
     /// from a younger store) violated program order.
-    fn check_mem_order_violation(&mut self, store_seq: Seq, now: u64, mem: &mut MemorySystem) {
-        let store = self.rob.get(store_seq).expect("store exists");
-        let saddr = store.addr.expect("resolved");
-        let spc = store.uop.pc;
+    fn check_mem_order_violation(&mut self, store: Slot, now: u64, mem: &mut MemorySystem) {
+        let s = self.rob.at(store).expect("store exists");
+        let saddr = s.addr.expect("resolved");
+        let spc = s.uop.pc;
         let victim = self
-            .rob
-            .iter()
-            .filter(|e| e.seq > store_seq && e.uop.is_load_class() && !e.poisoned)
-            .filter(|e| e.addr == Some(saddr))
+            .sched
+            .loads_younger_than(store.seq)
+            .map(|l| self.rob.at(l).expect("the load queue holds live micro-ops"))
             // In-flight loads (WaitCache) are victims too: their response
             // samples memory at delivery, which may land before this store
             // performs — the load would then commit a pre-store value with
             // nothing left to repair it (a CoWR violation).
-            .filter(|e| e.mem != MemPhase::Idle || e.done)
+            .filter(|e| Self::speculatively_bound(e) && e.addr == Some(saddr))
             .find(|e| match e.fwd_from {
                 None => true,
-                Some(f) => f < store_seq,
+                Some(f) => f < store.seq,
             })
             .map(|e| (e.seq, e.uop.pc, e.uop.slot));
         if let Some((lseq, lpc, lslot)) = victim {
@@ -762,18 +808,17 @@ impl Core {
         }
     }
 
-    fn issue_load(&mut self, seq: Seq, now: u64, mem: &mut MemorySystem) -> bool {
-        let e = self.rob.get(seq).expect("entry exists");
-        if e.addr.is_none() || e.mem != MemPhase::Idle || e.poisoned {
-            return false;
-        }
-        let addr = e.addr.expect("checked");
+    fn issue_load(&mut self, slot: Slot, now: u64, mem: &mut MemorySystem) -> bool {
+        let seq = slot.seq;
+        let e = self.rob.at(slot).expect("entry exists");
+        debug_assert!(e.mem == MemPhase::Idle && !e.poisoned);
+        let addr = e.addr.expect("a ready load has its address");
         let is_ll = matches!(e.uop.kind, UopKind::LoadLock { .. });
         let pc = e.uop.pc;
 
         // Fence ordering: younger loads wait on standalone fences always,
         // and on atomic-post fences under the fenced policies.
-        if self.blocked_by_fence(seq) {
+        if self.sched.blocked_by_fence(seq) {
             return false;
         }
         // Weak model: an SC store orders younger loads after its perform
@@ -783,7 +828,7 @@ impl Core {
             return false;
         }
         // Policy-specific load_lock issue conditions.
-        if is_ll && !self.load_lock_may_issue(seq) {
+        if is_ll && !self.load_lock_may_issue(slot) {
             return false;
         }
         // Memory-dependence prediction: wait on trained store sets.
@@ -794,7 +839,7 @@ impl Core {
             }
         }
 
-        // Search older stores, youngest first: ROB then SB.
+        // Search older stores, youngest first: store queue then SB.
         enum Hit {
             /// Forward `value` from store `seq` (`unlock` = store_unlock).
             Fwd { sseq: Seq, value: Word, unlock: bool },
@@ -804,32 +849,23 @@ impl Core {
             None,
         }
         let mut hit = Hit::None;
-        for s in self.rob.iter().rev() {
-            if s.seq >= seq || !s.uop.is_store_class() {
+        for s in self.sched.stores_older_than(seq).rev() {
+            let s = self.rob.at(s).expect("the store queue holds live micro-ops");
+            // An unknown older store address is speculated past (the
+            // StoreSet check above already held back risky loads).
+            if s.addr != Some(addr) {
                 continue;
             }
-            match s.addr {
-                None => {
-                    // Unknown older store address: speculate past it (the
-                    // StoreSet check above already held back risky loads).
-                    continue;
-                }
-                Some(sa) if sa == addr => {
-                    let unlock = matches!(s.uop.kind, UopKind::StoreUnlock { .. });
-                    let data = match s.uop.kind {
-                        UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. } => {
-                            s.value_of(src)
-                        }
-                        _ => None,
-                    };
-                    hit = match data {
-                        Some(v) => Hit::Fwd { sseq: s.seq, value: v, unlock },
-                        None => Hit::Wait,
-                    };
-                    break;
-                }
-                Some(_) => continue,
-            }
+            let (UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. }) = s.uop.kind
+            else {
+                unreachable!("the store queue holds store-class micro-ops")
+            };
+            let unlock = matches!(s.uop.kind, UopKind::StoreUnlock { .. });
+            hit = match s.value_of(src) {
+                Some(v) => Hit::Fwd { sseq: s.seq, value: v, unlock },
+                None => Hit::Wait,
+            };
+            break;
         }
         if matches!(hit, Hit::None) {
             // SB: committed but unperformed stores, youngest first.
@@ -845,18 +881,9 @@ impl Core {
             Hit::Wait => false,
             Hit::Fwd { sseq, value, unlock } => {
                 if is_ll {
-                    self.forward_to_load_lock(seq, sseq, value, unlock, now)
+                    self.forward_to_load_lock(slot, sseq, value, unlock, now)
                 } else {
-                    let writer = write_id(self.id.0, sseq);
-                    let e = self.rob.get_mut(seq).unwrap();
-                    e.result = value;
-                    e.fwd_from = Some(sseq);
-                    e.writer = writer;
-                    e.mem = MemPhase::Performed;
-                    e.issued = true;
-                    e.issued_at = Some(now);
-                    e.done_at = Some(now + self.cfg.fwd_lat);
-                    self.stats.load_forwards += 1;
+                    self.bind_forwarded(slot, sseq, value, now);
                     true
                 }
             }
@@ -864,9 +891,8 @@ impl Core {
                 match mem.read(self.id, seq, addr, is_ll, is_ll) {
                     fa_mem::privcache::ReqOutcome::Accepted => {
                         let drain = {
-                            let e = self.rob.get_mut(seq).unwrap();
+                            let e = self.rob.at_mut(slot).expect("entry exists");
                             e.issued = true;
-                            e.issued_at = Some(now);
                             e.mem = MemPhase::WaitCache;
                             now.saturating_sub(e.ready_since.unwrap_or(now))
                         };
@@ -889,12 +915,28 @@ impl Core {
         }
     }
 
+    /// Binds the load at `slot` to `value` forwarded from the older store
+    /// `sseq`; returns the entry for the caller's own bookkeeping.
+    fn bind_forwarded(&mut self, slot: Slot, sseq: Seq, value: Word, now: u64) -> &mut Entry {
+        let done_at = now + self.cfg.fwd_lat;
+        self.sched.insert_inflight(slot, done_at);
+        self.stats.load_forwards += 1;
+        let e = self.rob.at_mut(slot).expect("entry exists");
+        e.result = value;
+        e.fwd_from = Some(sseq);
+        e.writer = write_id(self.id.0, sseq);
+        e.mem = MemPhase::Performed;
+        e.issued = true;
+        e.done_at = Some(done_at);
+        e
+    }
+
     /// Applies store-to-load forwarding to a load_lock (§3.3), or refuses
     /// when the policy forbids it / the chain limit is hit (the load_lock
     /// then waits for the store to drain — "re-scheduling").
     fn forward_to_load_lock(
         &mut self,
-        seq: Seq,
+        slot: Slot,
         sseq: Seq,
         value: Word,
         from_unlock: bool,
@@ -913,16 +955,7 @@ impl Core {
         if chain > self.cfg.fwd_chain_max {
             return false;
         }
-        // Record the responsibility on the providing store if still in the
-        // ROB (informational; lock transfer is driven by the AQ itself).
-        if let Some(s) = self.rob.get_mut(sseq) {
-            s.fwd_count += 1;
-            if from_unlock {
-                s.do_not_unlock = true;
-            } else {
-                s.lock_on_access = true;
-            }
-        }
+        let seq = slot.seq;
         let aqe = self.aq.get_mut(seq).expect("load_lock has an AQ entry");
         aqe.state = AqState::Fwd { store_seq: sseq, from_atomic: from_unlock };
         aqe.chain = chain;
@@ -930,20 +963,11 @@ impl Core {
         // Forwarded load_locks perform immediately: the whole lifetime is
         // local execute (acquire/transfer/park contribute nothing).
         aqe.acquired_at = now;
-        let writer = write_id(self.id.0, sseq);
         let (drain, addr) = {
-            let e = self.rob.get_mut(seq).unwrap();
-            e.result = value;
-            e.fwd_from = Some(sseq);
-            e.writer = writer;
+            let e = self.bind_forwarded(slot, sseq, value, now);
             e.fwd_kind = Some(if from_unlock { FwdSource::Atomic } else { FwdSource::Store });
-            e.mem = MemPhase::Performed;
-            e.issued = true;
-            e.issued_at = Some(now);
-            e.done_at = Some(now + self.cfg.fwd_lat);
             (now.saturating_sub(e.ready_since.unwrap_or(now)), e.addr.unwrap_or(0))
         };
-        self.stats.load_forwards += 1;
         self.stats.atomic_drain_cycles += drain;
         self.stats.atomic_drain_hist.record(drain);
         self.trace.record(now, TraceEvent::AtomicLoadLock { seq, addr, drain, fwd: true });
@@ -952,60 +976,36 @@ impl Core {
         true
     }
 
-    /// True when `seq` (a load-class micro-op) must wait behind a fence.
-    fn blocked_by_fence(&self, seq: Seq) -> bool {
-        for e in self.rob.iter() {
-            if e.seq >= seq {
-                break;
-            }
-            if let UopKind::Fence(kind) = e.uop.kind {
-                match kind {
-                    FenceKind::Standalone => return true,
-                    FenceKind::AtomicPost if self.cfg.policy.fenced() => return true,
-                    _ => {}
-                }
-            }
-        }
-        false
-    }
-
     /// True when an older plain `SeqCst` store is still in the ROB or the
     /// store buffer (weak model only; store_unlocks are governed by the
     /// atomic policy's fences instead).
     fn blocked_by_sc_store(&self, seq: Seq) -> bool {
-        if self.sb.iter().any(|s| s.sc) {
-            return true;
-        }
-        for e in self.rob.iter() {
-            if e.seq >= seq {
-                break;
-            }
-            if matches!(e.uop.kind, UopKind::Store { .. }) && !e.poisoned && e.uop.ord.is_sc() {
-                return true;
-            }
-        }
-        false
+        self.sb.iter().any(|s| s.sc)
+            || self.sched.stores_older_than(seq).any(|s| {
+                let e = self.rob.at(s).expect("the store queue holds live micro-ops");
+                matches!(e.uop.kind, UopKind::Store { .. }) && !e.poisoned && e.uop.ord.is_sc()
+            })
     }
 
-    /// Policy gate for issuing a load_lock.
-    fn load_lock_may_issue(&self, seq: Seq) -> bool {
+    /// Policy gate for issuing the load_lock at `slot`.
+    fn load_lock_may_issue(&self, slot: Slot) -> bool {
         match self.cfg.policy {
             AtomicPolicy::FencedBaseline => {
                 // Only at the ROB head-of-instruction (everything older
                 // committed — the AtomicPre fence commits as a nop ahead of
-                // us) and with the SB drained.
-                let oldest = self
-                    .rob
-                    .iter()
-                    .find(|e| !matches!(e.uop.kind, UopKind::Fence(_)))
-                    .map(|e| e.seq);
-                oldest == Some(seq) && self.sb.is_empty()
+                // us, so every older entry must be a fence) and with the SB
+                // drained.
+                self.sb.is_empty()
+                    && self.rob.rank(slot) == self.sched.fences_older_than(slot.seq)
             }
             AtomicPolicy::FencedSpec => {
                 // All older memory operations must have committed and the SB
                 // drained — only *control* speculation is allowed (§3.1).
                 self.sb.is_empty()
-                    && !self.rob.iter().any(|e| e.seq < seq && e.uop.is_mem())
+                    && self.sched.stores_older_than(slot.seq).next().is_none()
+                    && !self.sched.loads_older_than(slot.seq).any(|l| {
+                        self.rob.at(l).expect("the load queue holds live micro-ops").uop.is_mem()
+                    })
             }
             AtomicPolicy::Free | AtomicPolicy::FreeFwd => true,
         }
@@ -1027,27 +1027,26 @@ impl Core {
                     xfer,
                     park,
                 } => {
-                    let live = self
-                        .rob
-                        .get(seq)
-                        .map(|e| e.mem == MemPhase::WaitCache)
-                        .unwrap_or(false);
-                    if !live {
+                    // The one lookup by sequence number: the memory system
+                    // knows the requester by nothing else.
+                    let requester = self.rob.find(seq).and_then(|slot| {
+                        let e = self.rob.at_mut(slot)?;
+                        (e.mem == MemPhase::WaitCache).then_some((slot, e))
+                    });
+                    let Some((slot, e)) = requester else {
                         // Orphaned response (the requester was squashed).
                         if locked {
                             mem.unlock_line(self.id, line_of(addr));
                         }
                         continue;
-                    }
-                    let is_ll = {
-                        let e = self.rob.get_mut(seq).unwrap();
-                        e.result = value;
-                        e.writer = writer;
-                        e.mem = MemPhase::Performed;
-                        e.done = true;
-                        e.local_wp = had_write_perm;
-                        matches!(e.uop.kind, UopKind::LoadLock { .. })
                     };
+                    e.result = value;
+                    e.writer = writer;
+                    e.mem = MemPhase::Performed;
+                    e.done = true;
+                    e.local_wp = had_write_perm;
+                    let is_ll = matches!(e.uop.kind, UopKind::LoadLock { .. });
+                    self.sched.complete(slot, value);
                     if is_ll {
                         debug_assert!(locked, "load_lock response must lock");
                         let aqe = self.aq.get_mut(seq).expect("AQ entry");
@@ -1110,19 +1109,17 @@ impl Core {
 
     // ------------------------------------------------------------ finalize
 
-    /// Completes executions whose latency expired; resolves branches.
+    /// Completes executions whose latency expired, in ROB order; resolves
+    /// branches.
     fn finalize_executions(&mut self, now: u64, mem: &mut MemorySystem) {
-        loop {
-            let next = self
-                .rob
-                .iter()
-                .find(|e| !e.done && e.done_at.map(|t| t <= now).unwrap_or(false))
-                .map(|e| e.seq);
-            let Some(seq) = next else { break };
-            let e = self.rob.get_mut(seq).unwrap();
+        let mut expired = std::mem::take(&mut self.work);
+        self.sched.take_expired(now, &mut expired);
+        for &slot in &expired {
+            // An older branch resolving this cycle may have squashed it.
+            let Some(e) = self.rob.at_mut(slot) else { continue };
             e.done = true;
-            let kind = e.uop.kind;
-            if let UopKind::Branch { target, .. } = kind {
+            self.sched.complete(slot, e.result);
+            if let UopKind::Branch { target, .. } = e.uop.kind {
                 let taken = e.result != 0;
                 let predicted = e.pred_taken;
                 let snapshot = e.bp_snapshot;
@@ -1130,10 +1127,11 @@ impl Core {
                 self.bp.resolve(pc, snapshot, predicted, taken);
                 if taken != predicted {
                     let redirect = if taken { target } else { pc + 1 };
-                    self.squash_from(seq + 1, redirect, SquashCause::Branch, now, mem);
+                    self.squash_from(slot.seq + 1, redirect, SquashCause::Branch, now, mem);
                 }
             }
         }
+        self.work = expired;
     }
 
     // -------------------------------------------------------------- commit
@@ -1179,14 +1177,14 @@ impl Core {
             if let Some(d) = head.uop.dst() {
                 if !d.is_zero() {
                     self.arch_regs[d.index()] = head.result;
-                    if self.rename[d.index()] == Some(seq) {
+                    if self.rename[d.index()].map(|p| p.seq) == Some(seq) {
                         self.rename[d.index()] = None;
                     }
                 }
             }
             match head.uop.kind {
                 UopKind::Load { .. } => {
-                    self.lq_count -= 1;
+                    self.retire_load(seq);
                     if self.cfg.check.on() {
                         self.dlog.push(DataEvent::Load {
                             seq,
@@ -1198,7 +1196,7 @@ impl Core {
                     }
                 }
                 UopKind::LoadLock { .. } => {
-                    self.lq_count -= 1;
+                    self.retire_load(seq);
                     if self.cfg.check.on() {
                         self.dlog.push(DataEvent::LoadLock {
                             seq,
@@ -1217,7 +1215,7 @@ impl Core {
                     }
                 }
                 UopKind::MonitorWait { .. } => {
-                    self.lq_count -= 1;
+                    self.retire_load(seq);
                     let line = line_of(head.addr.expect("performed"));
                     self.state = CoreState::Sleeping {
                         line,
@@ -1229,6 +1227,10 @@ impl Core {
                     return; // sleep starts immediately
                 }
                 UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. } => {
+                    // The store moves from the ROB half of the store queue
+                    // to the store buffer.
+                    let left = self.sched.sq.pop_front();
+                    debug_assert_eq!(left.map(|s| s.seq), Some(seq));
                     let is_unlock = matches!(head.uop.kind, UopKind::StoreUnlock { .. });
                     let value = head.value_of(src).expect("store data ready at commit");
                     let addr = head.addr.expect("store address ready at commit");
@@ -1241,7 +1243,6 @@ impl Core {
                     }
                     let entry = SbEntry {
                         seq,
-                        pc: head.uop.pc,
                         addr,
                         value,
                         is_unlock,
@@ -1259,6 +1260,7 @@ impl Core {
                     }
                 }
                 UopKind::Fence(kind) => {
+                    self.sched.pop_fence(seq);
                     if kind.is_atomic_fence() && !self.cfg.policy.fenced() {
                         // Omitted fences carry no ordering: not logged —
                         // the RMW events themselves encode the obligation.
@@ -1302,6 +1304,12 @@ impl Core {
         }
     }
 
+    /// The oldest load-queue entry committed.
+    fn retire_load(&mut self, seq: Seq) {
+        let left = self.sched.lq.pop_front();
+        debug_assert_eq!(left.map(|l| l.seq), Some(seq));
+    }
+
     // ------------------------------------------------------------ SB drain
 
     fn drain_store_buffer(&mut self, now: u64, mem: &mut MemorySystem) {
@@ -1311,7 +1319,6 @@ impl Core {
             let ok = mem.try_store_perform(self.id, head.seq, head.addr, head.value, false, false);
             assert!(ok, "writable line must accept the store");
             self.sb.pop_front();
-            self.sq_count -= 1;
             // Lock transfer: forwarded load_locks capture the line now
             // (§4.2: the SQ broadcasts its SQid on perform).
             let captured = self.aq.capture_from_store(head.seq, line);
@@ -1355,7 +1362,6 @@ impl Core {
                 self.sb.front_mut().unwrap().acquire_pending = true;
             }
         }
-        let _ = head.pc;
     }
 
     // ------------------------------------------------------------ watchdog
@@ -1407,22 +1413,19 @@ impl Core {
         now: u64,
         mem: &mut MemorySystem,
     ) {
-        let drained = self.rob.drain_from(from);
-        self.stats.record_squash(cause, drained.len() as u64);
-        self.trace.record(now, TraceEvent::Squash { from_seq: from, uops: drained.len() as u64 });
-        for e in &drained {
+        let (rename, ss) = (&mut self.rename, &mut self.ss);
+        let dropped = self.rob.squash_from(from, |e| {
             // Youngest-first restoration of the rename map.
             if let Some((reg, prev)) = e.prev_map {
-                self.rename[reg.index()] = prev;
-            }
-            if e.uop.is_load_class() || matches!(e.uop.kind, UopKind::MonitorWait { .. }) {
-                self.lq_count -= 1;
+                rename[reg.index()] = prev;
             }
             if e.uop.is_store_class() {
-                self.sq_count -= 1;
-                self.ss.store_resolved(e.uop.pc, e.seq);
+                ss.store_resolved(e.uop.pc, e.seq);
             }
-        }
+        }) as u64;
+        self.sched.squash(from);
+        self.stats.record_squash(cause, dropped);
+        self.trace.record(now, TraceEvent::Squash { from_seq: from, uops: dropped });
         for aqe in self.aq.squash_from(from) {
             if let AqState::Locked(line) = aqe.state {
                 // unlock_on_squash: lift the lock the squashed load_lock
@@ -1449,10 +1452,11 @@ impl Core {
     fn squash_performed_loads_on(&mut self, line: Line, now: u64, mem: &mut MemorySystem) {
         let weak = self.cfg.model == MemModel::Weak;
         let victim = self
-            .rob
+            .sched
+            .lq
             .iter()
-            .filter(|e| e.uop.is_load_class() && !e.poisoned && e.fwd_from.is_none())
-            .filter(|e| e.mem != MemPhase::Idle || e.done)
+            .map(|&l| self.rob.at(l).expect("the load queue holds live micro-ops"))
+            .filter(|e| Self::speculatively_bound(e) && e.fwd_from.is_none())
             .filter(|e| e.addr.map(|a| line_of(a) == line).unwrap_or(false))
             .find(|e| !weak || self.weak_squash_required(e))
             .map(|e| (e.seq, e.uop.pc, e.uop.slot));
@@ -1476,10 +1480,8 @@ impl Core {
             return true;
         }
         let vline = victim.addr.map(line_of);
-        for e in self.rob.iter() {
-            if e.seq >= victim.seq {
-                break;
-            }
+        for l in self.sched.loads_older_than(victim.seq) {
+            let e = self.rob.at(l).expect("the load queue holds live micro-ops");
             if !e.uop.is_load_class() || e.poisoned {
                 continue;
             }
@@ -1512,6 +1514,12 @@ impl Core {
     /// Atomic-queue occupancy (tests).
     pub fn aq_len(&self) -> usize {
         self.aq.len()
+    }
+
+    /// Entries across the scheduler's index lists (tests): zero whenever
+    /// the ROB is empty.
+    pub fn scheduler_len(&self) -> usize {
+        self.sched.len()
     }
 
     /// Snapshot of the hang-relevant pipeline state for timeout reports.

@@ -43,6 +43,7 @@ pub mod config;
 pub mod core;
 pub mod predictor;
 pub mod rob;
+mod sched;
 pub mod stats;
 
 pub use crate::core::{Core, CoreDiag};

@@ -1,4 +1,6 @@
-//! Reorder buffer: in-flight micro-op entries with sequence-number access.
+//! Reorder buffer: in-flight micro-op entries, addressed in O(1) by
+//! [`Slot`] handle and — for callers that only hold a sequence number, such
+//! as memory responses — by [`Rob::get`].
 
 use fa_isa::{Addr, Reg, Uop, Word};
 use std::collections::VecDeque;
@@ -11,9 +13,34 @@ pub type Seq = u64;
 pub enum SrcVal {
     /// Value available.
     Ready(Word),
-    /// Waiting for the producer micro-op `seq`; `reg` lets the value be
-    /// recovered from the architectural file if the producer has committed.
-    Wait { seq: Seq, reg: Reg },
+    /// Waiting for the producer micro-op `seq`, which wakes this operand
+    /// when it completes (the scheduler keeps the producer's dependents).
+    Wait { seq: Seq },
+}
+
+/// O(1) handle to a ROB entry: its ring position plus the sequence number
+/// that tags it.
+///
+/// A position is stable for as long as its entry lives, but a squash hands
+/// the positions of the dropped suffix to whatever dispatches next, and
+/// sequence numbers are never recycled — so the tag, not the position,
+/// says whether a handle still names the micro-op it was taken for.
+/// [`Rob::at`] resolves a stale handle to `None`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot {
+    /// Sequence number of the entry the handle was taken for.
+    pub seq: Seq,
+    /// Entries retired from the head before this one was pushed, plus its
+    /// distance from the head at that time.
+    pos: u64,
+}
+
+impl Slot {
+    /// The ring position (see [`Slot`]); side tables indexed by ROB entry
+    /// use it modulo their capacity.
+    pub fn pos(self) -> u64 {
+        self.pos
+    }
 }
 
 /// Progress of a memory micro-op through the LSU.
@@ -50,7 +77,7 @@ pub struct Entry {
     /// Number of live sources.
     pub nsrcs: u8,
     /// Rename undo record: (dst, previous mapping).
-    pub prev_map: Option<(Reg, Option<Seq>)>,
+    pub prev_map: Option<(Reg, Option<Slot>)>,
     /// Issued to a functional unit / the LSU.
     pub issued: bool,
     /// Result available; for memory ops, performed.
@@ -79,14 +106,6 @@ pub struct Entry {
     pub bp_snapshot: u64,
     /// First cycle the micro-op's operands were ready (drain accounting).
     pub ready_since: Option<u64>,
-    /// Cycle the micro-op issued.
-    pub issued_at: Option<u64>,
-    /// Store responsibilities (§3.3): forward-count of load_locks served.
-    pub fwd_count: u32,
-    /// Ordinary store must lock its line when performing (§3.3.2).
-    pub lock_on_access: bool,
-    /// store_unlock must leave the line locked when performing (§3.3.1).
-    pub do_not_unlock: bool,
     /// For a performed load: write-id of the store that produced the
     /// value (0 = initial memory). Only populated under `CheckMode::Tso`.
     pub writer: u64,
@@ -115,10 +134,6 @@ impl Entry {
             pred_taken: false,
             bp_snapshot: 0,
             ready_since: None,
-            issued_at: None,
-            fwd_count: 0,
-            lock_on_access: false,
-            do_not_unlock: false,
             writer: 0,
         }
     }
@@ -148,16 +163,24 @@ impl Entry {
     }
 }
 
-/// The reorder buffer: a deque of entries addressable by sequence number.
+/// The reorder buffer: a ring of entries in program order.
 #[derive(Debug, Default)]
 pub struct Rob {
     entries: VecDeque<Entry>,
+    /// Entries retired from the head so far: the ring position of the
+    /// current head.
+    retired: u64,
 }
 
 impl Rob {
     /// Creates an empty ROB.
     pub fn new() -> Rob {
         Rob::default()
+    }
+
+    /// Creates an empty ROB with room for `cap` micro-ops.
+    pub fn with_capacity(cap: usize) -> Rob {
+        Rob { entries: VecDeque::with_capacity(cap), retired: 0 }
     }
 
     /// Number of in-flight micro-ops.
@@ -175,33 +198,68 @@ impl Rob {
         self.entries.front().map(|e| e.seq)
     }
 
-    /// Appends an entry. Sequence numbers must increase monotonically but
-    /// may have gaps (squashes never recycle sequence numbers — unique seqs
-    /// are what make orphaned memory responses detectable).
-    pub fn push(&mut self, e: Entry) {
+    fn slot_at(&self, index: usize, seq: Seq) -> Slot {
+        Slot { seq, pos: self.retired + index as u64 }
+    }
+
+    /// Appends an entry and returns its handle. Sequence numbers must
+    /// increase monotonically but may have gaps (squashes never recycle
+    /// sequence numbers — unique seqs are what make orphaned memory
+    /// responses and stale handles detectable).
+    pub fn push(&mut self, e: Entry) -> Slot {
         debug_assert!(self.entries.back().map(|b| b.seq < e.seq).unwrap_or(true));
+        let slot = self.slot_at(self.entries.len(), e.seq);
         self.entries.push_back(e);
+        slot
     }
 
     /// Pops the oldest entry (commit).
     pub fn pop_front(&mut self) -> Option<Entry> {
-        self.entries.pop_front()
+        let e = self.entries.pop_front()?;
+        self.retired += 1;
+        Some(e)
     }
 
-    fn index_of(&self, seq: Seq) -> Option<usize> {
-        let i = self.entries.partition_point(|e| e.seq < seq);
-        (i < self.entries.len() && self.entries[i].seq == seq).then_some(i)
+    /// Entry by handle; `None` once it committed or was squashed.
+    pub fn at(&self, slot: Slot) -> Option<&Entry> {
+        let i = usize::try_from(slot.pos.checked_sub(self.retired)?).ok()?;
+        self.entries.get(i).filter(|e| e.seq == slot.seq)
+    }
+
+    /// Mutable entry by handle; `None` once it committed or was squashed.
+    pub fn at_mut(&mut self, slot: Slot) -> Option<&mut Entry> {
+        let i = usize::try_from(slot.pos.checked_sub(self.retired)?).ok()?;
+        self.entries.get_mut(i).filter(|e| e.seq == slot.seq)
+    }
+
+    /// Number of entries older than the live entry `slot`.
+    pub fn rank(&self, slot: Slot) -> usize {
+        debug_assert!(self.at(slot).is_some());
+        (slot.pos - self.retired) as usize
+    }
+
+    /// Handle of the entry with sequence number `seq`. Sequence numbers
+    /// are contiguous until a squash leaves a gap, so the distance from the
+    /// head's is tried first; behind a gap the entry can only sit closer to
+    /// the head, and a binary search finds it.
+    pub fn find(&self, seq: Seq) -> Option<Slot> {
+        let guess = usize::try_from(seq.checked_sub(self.head_seq()?)?).ok()?;
+        let i = match self.entries.get(guess) {
+            Some(e) if e.seq == seq => guess,
+            _ => {
+                let i = self.entries.partition_point(|e| e.seq < seq);
+                if self.entries.get(i)?.seq != seq {
+                    return None;
+                }
+                i
+            }
+        };
+        Some(self.slot_at(i, seq))
     }
 
     /// Entry by sequence number.
     pub fn get(&self, seq: Seq) -> Option<&Entry> {
-        self.index_of(seq).map(|i| &self.entries[i])
-    }
-
-    /// Mutable entry by sequence number.
-    pub fn get_mut(&mut self, seq: Seq) -> Option<&mut Entry> {
-        let i = self.index_of(seq)?;
-        Some(&mut self.entries[i])
+        self.at(self.find(seq)?)
     }
 
     /// Oldest entry.
@@ -209,33 +267,24 @@ impl Rob {
         self.entries.front()
     }
 
-    /// Mutable oldest entry.
-    pub fn front_mut(&mut self) -> Option<&mut Entry> {
-        self.entries.front_mut()
+    /// Handle of the oldest entry.
+    pub fn front_slot(&self) -> Option<Slot> {
+        self.entries.front().map(|e| self.slot_at(0, e.seq))
     }
 
-    /// Iterates oldest → youngest.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Entry> + '_ {
-        self.entries.iter()
+    /// Iterates oldest → youngest with each entry's handle.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Slot, &Entry)> + '_ {
+        self.entries.iter().enumerate().map(|(i, e)| (self.slot_at(i, e.seq), e))
     }
 
-    /// Mutable iteration oldest → youngest.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Entry> + '_ {
-        self.entries.iter_mut()
-    }
-
-    /// Removes and returns every entry with `seq >= from`, youngest first
-    /// (squash order).
-    pub fn drain_from(&mut self, from: Seq) -> Vec<Entry> {
-        let mut out = Vec::new();
-        while let Some(back) = self.entries.back() {
-            if back.seq >= from {
-                out.push(self.entries.pop_back().unwrap());
-            } else {
-                break;
-            }
-        }
-        out
+    /// Drops every entry with `seq >= from`, showing each to `visit`
+    /// youngest first (squash order), and returns how many were dropped.
+    pub fn squash_from(&mut self, from: Seq, mut visit: impl FnMut(&Entry)) -> usize {
+        let keep = self.entries.partition_point(|e| e.seq < from);
+        let dropped = self.entries.len() - keep;
+        self.entries.range(keep..).rev().for_each(&mut visit);
+        self.entries.truncate(keep);
+        dropped
     }
 
     /// Counts in-flight micro-ops satisfying `pred`.
@@ -269,15 +318,43 @@ mod tests {
     }
 
     #[test]
-    fn drain_from_removes_suffix_youngest_first() {
+    fn squash_from_drops_suffix_youngest_first() {
         let mut r = Rob::new();
         for s in 0..6 {
             r.push(entry(s));
         }
-        let drained = r.drain_from(3);
-        assert_eq!(drained.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![5, 4, 3]);
+        let mut seen = Vec::new();
+        assert_eq!(r.squash_from(3, |e| seen.push(e.seq)), 3);
+        assert_eq!(seen, vec![5, 4, 3]);
         assert_eq!(r.len(), 3);
         assert!(r.get(3).is_none());
+    }
+
+    #[test]
+    fn handles_are_tag_checked_across_squash_and_commit() {
+        let mut r = Rob::new();
+        let slots: Vec<Slot> = (10..14).map(|s| r.push(entry(s))).collect();
+        assert_eq!(r.at(slots[2]).map(|e| e.seq), Some(12));
+        assert_eq!(r.rank(slots[2]), 2);
+        // A squash hands positions 2 and 3 to the next pushes: the old
+        // handles must not resolve to the newcomers.
+        r.squash_from(12, |_| {});
+        let reused = r.push(entry(20));
+        assert_eq!(reused.pos(), slots[2].pos());
+        assert!(r.at(slots[2]).is_none());
+        assert_eq!(r.at(reused).map(|e| e.seq), Some(20));
+        // Commit moves the head; surviving handles keep resolving, the
+        // popped one does not.
+        r.pop_front();
+        assert!(r.at(slots[0]).is_none());
+        assert_eq!(r.at(slots[1]).map(|e| e.seq), Some(11));
+        assert_eq!(r.rank(reused), 1);
+        assert_eq!(r.front_slot(), Some(slots[1]));
+        // Behind the seq gap the head-distance guess misses and the search
+        // takes over.
+        assert_eq!(r.find(20), Some(reused));
+        assert_eq!(r.find(12), None);
+        assert_eq!(r.find(21), None);
     }
 
     #[test]
@@ -289,7 +366,7 @@ mod tests {
         assert_eq!(e.value_of(Reg::R0), Some(0));
         assert_eq!(e.value_of(Reg::R3), Some(42));
         assert_eq!(e.value_of(Reg::R4), None);
-        e.srcs[0] = SrcVal::Wait { seq: 9, reg: Reg::R3 };
+        e.srcs[0] = SrcVal::Wait { seq: 9 };
         assert_eq!(e.value_of(Reg::R3), None);
         assert!(!e.srcs_ready());
     }

@@ -4,8 +4,9 @@
 
 use fa_core::{AtomicPolicy, Core, CoreConfig};
 use fa_isa::interp::{GuestMem, Interp};
-use fa_isa::{Kasm, Program, Reg};
+use fa_isa::{AluOp, Kasm, Operand, Program, Reg};
 use fa_mem::{CoreId, MemConfig, MemorySystem};
+use fa_trace::{TraceConfig, TraceEvent, TraceMode};
 
 const MEM_BYTES: u64 = 1 << 16;
 
@@ -16,8 +17,17 @@ fn run(
     mem_cfg: MemConfig,
     max_cycles: u64,
 ) -> (MemorySystem, Vec<Core>) {
+    run_cfg(progs, CoreConfig::default().with_policy(policy), mem_cfg, max_cycles)
+}
+
+/// [`run`] with every core parameter under the caller's control.
+fn run_cfg(
+    progs: Vec<Program>,
+    cfg: CoreConfig,
+    mem_cfg: MemConfig,
+    max_cycles: u64,
+) -> (MemorySystem, Vec<Core>) {
     let mut mem = MemorySystem::new(mem_cfg, progs.len(), GuestMem::new(MEM_BYTES));
-    let cfg = CoreConfig::default().with_policy(policy);
     let mut cores: Vec<Core> = progs
         .into_iter()
         .enumerate()
@@ -569,4 +579,225 @@ fn store_load_violation_recovers() {
         let (mem, _) = run1(prog.clone(), policy);
         assert_eq!(mem.backing().load(0x400), 1, "{policy:?}: load bypassed store");
     }
+}
+
+/// A core config that records every pipeline event.
+fn traced(policy: AtomicPolicy) -> CoreConfig {
+    let mut cfg = CoreConfig::default().with_policy(policy);
+    cfg.trace = TraceConfig::with_mode(TraceMode::Full);
+    cfg
+}
+
+/// `(cycle, seq)` of every trace event of `core` that `pick` maps to a seq.
+fn events(core: &Core, pick: impl Fn(TraceEvent) -> Option<u64>) -> Vec<(u64, u64)> {
+    core.trace_records()
+        .into_iter()
+        .filter_map(|r| pick(r.ev).map(|seq| (r.cycle, seq)))
+        .collect()
+}
+
+/// Squashes under a stuck ROB head: a load that misses to a very slow
+/// memory holds the head while unpredictable branches — and, where atomics
+/// speculate, the watchdog — keep squashing and refetching behind it, so
+/// the live sequence-number range grows to many times the ROB length.
+/// Anything that mapped sequence numbers onto ROB slots without a tag
+/// would alias here.
+#[test]
+fn squash_storm_under_a_stuck_head_matches_golden_model() {
+    const RESULT: i64 = 0x800;
+    const COUNTER: i64 = 0x900;
+    let mut k = Kasm::new();
+    let (p, stuck, x, t, i, acc) = (Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6);
+    // Warm the atomic's line, then miss on a line whose address waits for
+    // that (so the two misses do not overlap).
+    k.li(p, COUNTER);
+    k.ld(t, p, 0);
+    k.addi(p, t, 0x4000);
+    k.ld(stuck, p, 0);
+    let stuck_pc = (k.here() - 1) as u64;
+    // An atomic right behind it: where atomics speculate, it takes its
+    // lock but cannot commit, so the watchdog keeps flushing the window too.
+    k.li(p, COUNTER);
+    k.li(acc, 1);
+    k.fetch_add(t, p, 0, acc);
+    k.li(x, 88_172_645_463_325_252);
+    k.li(i, 0);
+    k.li(acc, 0);
+    let top = k.here_label();
+    let skip = k.new_label();
+    // One LCG step; the branch tests a high bit of it, late (the multiply
+    // chain) so each mispredict refetches a long wrong path.
+    k.alu(AluOp::Mul, x, x, Operand::Imm(6_364_136_223_846_793_005));
+    k.addi(x, x, 1_442_695_040_888_963_407);
+    k.shr(t, x, 40);
+    for _ in 0..4 {
+        k.alu(AluOp::Mul, t, t, Operand::Imm(1));
+    }
+    k.and(t, t, 1);
+    k.bne_imm(t, 0, skip);
+    k.addi(acc, acc, 3);
+    k.bind(skip);
+    k.add(acc, acc, x);
+    k.addi(i, i, 1);
+    k.blt_imm(i, 300, top);
+    k.add(acc, acc, stuck);
+    k.li(p, RESULT);
+    k.st(acc, p, 0);
+    k.halt();
+    let prog = k.finish().unwrap();
+
+    let mut golden = Interp::new(prog.clone(), MEM_BYTES);
+    golden.run(1_000_000).unwrap();
+    let mem_cfg = MemConfig { mem_lat: 20_000, ..MemConfig::default() };
+    for policy in AtomicPolicy::ALL {
+        let mut cfg = traced(policy);
+        cfg.watchdog_threshold = 200;
+        let rob_size = cfg.rob_size as u64;
+        let (mem, cores) = run_cfg(vec![prog.clone()], cfg, mem_cfg.clone(), 2_000_000);
+        let core = &cores[0];
+        for addr in [RESULT, COUNTER] {
+            assert_eq!(
+                mem.backing().load(addr as u64),
+                golden.mem().load(addr as u64),
+                "{policy:?}: [{addr:#x}] diverged from the golden model"
+            );
+        }
+        assert_eq!(core.stats.instructions, golden.executed, "{policy:?}");
+        assert_eq!(core.rob_len(), 0, "{policy:?}");
+        assert_eq!(core.scheduler_len(), 0, "{policy:?}: scheduler lists must drain with the ROB");
+
+        // The storm happened under the stuck head: by the time the load
+        // committed, dispatch had run many ROB lengths ahead of it.
+        let commits = events(core, |ev| match ev {
+            TraceEvent::UopCommit { seq, pc } if pc == stuck_pc => Some(seq),
+            _ => None,
+        });
+        let &[(stuck_commit, stuck_seq)] = commits.as_slice() else {
+            panic!("{policy:?}: the stuck load commits exactly once, got {commits:?}");
+        };
+        let youngest = events(core, |ev| match ev {
+            TraceEvent::UopDispatch { seq, .. } => Some(seq),
+            _ => None,
+        })
+        .into_iter()
+        .filter(|&(cycle, _)| cycle < stuck_commit)
+        .map(|(_, seq)| seq)
+        .max()
+        .expect("something dispatched behind the load");
+        // Mispredicts alone stop once the window holds only resolved
+        // branches; the watchdog (speculative atomics only) never stops.
+        let lengths = if policy.fenced() { 4 } else { 100 };
+        assert!(
+            youngest - stuck_seq > lengths * rob_size,
+            "{policy:?}: live seq range {} is not {lengths} ROB lengths ({rob_size})",
+            youngest - stuck_seq
+        );
+    }
+}
+
+/// A wrong-path load to a wild address never touches memory: it is
+/// poisoned at address generation and pretends to perform, and the consumer
+/// of its (garbage) result still wakes and issues before the mispredicted
+/// branch resolves and flushes both.
+#[test]
+fn poisoned_wrong_path_load_wakes_its_consumer() {
+    const TABLE: i64 = 0x100;
+    const RESULT: i64 = 0x800;
+    let mut k = Kasm::new();
+    let (base, i, v, slow, ptr, t, acc) =
+        (Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6, Reg::R7);
+    k.li(base, TABLE);
+    k.li(t, 5);
+    k.st(t, base, 0);
+    k.li(i, 0);
+    k.li(acc, 0);
+    let top = k.here_label();
+    let skip = k.new_label();
+    k.and(v, i, 7);
+    // ptr = TABLE when v == 3, else unaligned and far out of range.
+    k.alu(AluOp::Sub, ptr, v, Operand::Imm(3));
+    k.alu(AluOp::Mul, ptr, ptr, Operand::Imm(0x1000_0001));
+    k.add(ptr, ptr, base);
+    // The guard resolves late, so a mispredicted fall-through runs ahead.
+    k.mov(slow, v);
+    for _ in 0..8 {
+        k.alu(AluOp::Mul, slow, slow, Operand::Imm(1));
+    }
+    k.bne_imm(slow, 3, skip);
+    k.ld(t, ptr, 0);
+    k.add(acc, acc, t);
+    let consumer_pc = (k.here() - 1) as u64;
+    k.bind(skip);
+    k.addi(i, i, 1);
+    k.blt_imm(i, 200, top);
+    k.li(ptr, RESULT);
+    k.st(acc, ptr, 0);
+    k.halt();
+    let prog = k.finish().unwrap();
+
+    let mut golden = Interp::new(prog.clone(), MEM_BYTES);
+    golden.run(1_000_000).unwrap();
+    assert_eq!(golden.mem().load(RESULT as u64), 5 * 25);
+    for policy in AtomicPolicy::ALL {
+        let (mem, cores) =
+            run_cfg(vec![prog.clone()], traced(policy), MemConfig::default(), 2_000_000);
+        let core = &cores[0];
+        assert_eq!(mem.backing().load(RESULT as u64), 5 * 25, "{policy:?}");
+        assert_eq!(core.stats.instructions, golden.executed, "{policy:?}");
+        assert_eq!(core.scheduler_len(), 0, "{policy:?}");
+        // Off the correct path (v != 3) the load's address is always wild,
+        // so a consumer that issued without ever committing was fed by a
+        // poisoned load.
+        let issued = events(core, |ev| match ev {
+            TraceEvent::UopIssue { seq, pc } if pc == consumer_pc => Some(seq),
+            _ => None,
+        });
+        let committed = events(core, |ev| match ev {
+            TraceEvent::UopCommit { seq, pc } if pc == consumer_pc => Some(seq),
+            _ => None,
+        });
+        assert_eq!(committed.len(), 25, "{policy:?}");
+        assert!(
+            issued.len() > committed.len(),
+            "{policy:?}: no wrong-path consumer issued ({} issues)",
+            issued.len()
+        );
+    }
+}
+
+/// Issue is oldest-first and stops at `issue_width`: twelve consumers of
+/// one missing load all become ready in the same cycle, and leave four per
+/// cycle in program order.
+#[test]
+fn issue_is_oldest_first_and_bounded_by_issue_width() {
+    let consumers: Vec<Reg> = (8..20).map(Reg::new).collect();
+    let mut k = Kasm::new();
+    let (p, x) = (Reg::R1, Reg::R2);
+    k.li(p, 0x4000);
+    k.ld(x, p, 0);
+    let first_consumer_pc = k.here() as u64;
+    for (n, &r) in consumers.iter().enumerate() {
+        k.addi(r, x, n as i64);
+    }
+    k.halt();
+    let prog = k.finish().unwrap();
+
+    let mut cfg = traced(AtomicPolicy::FreeFwd);
+    cfg.issue_width = 4;
+    let (_, cores) = run_cfg(vec![prog], cfg, MemConfig::default(), 100_000);
+    let last_consumer_pc = first_consumer_pc + consumers.len() as u64 - 1;
+    let issues = events(&cores[0], |ev| match ev {
+        TraceEvent::UopIssue { seq, pc } if (first_consumer_pc..=last_consumer_pc).contains(&pc) => {
+            Some(seq)
+        }
+        _ => None,
+    });
+    // The trace ring is in issue order: seqs ascend, four to a cycle, on
+    // three consecutive cycles.
+    let seqs: Vec<u64> = issues.iter().map(|&(_, seq)| seq).collect();
+    assert_eq!(seqs.len(), consumers.len());
+    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "not oldest-first: {issues:?}");
+    let first_cycle = issues[0].0;
+    let cycles: Vec<u64> = issues.iter().map(|&(cycle, _)| cycle - first_cycle).collect();
+    assert_eq!(cycles, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2], "{issues:?}");
 }

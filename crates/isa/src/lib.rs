@@ -59,7 +59,7 @@ pub use instr::{AluOp, Cond, Instr, Operand, RmwOp};
 pub use order::MemOrder;
 pub use program::{InstrClass, Program};
 pub use reg::Reg;
-pub use uop::{decode, FenceKind, Uop, UopKind};
+pub use uop::{decode, decode_into, FenceKind, Uop, UopKind};
 
 /// Machine word: every architectural value is a 64-bit integer.
 pub type Word = u64;

@@ -171,6 +171,19 @@ impl Uop {
         s
     }
 
+    /// Base register and offset of the micro-ops that generate an effective
+    /// address (the memory micro-ops and `MonitorWait`).
+    pub fn address_operands(&self) -> Option<(Reg, i64)> {
+        match self.kind {
+            UopKind::Load { base, offset, .. }
+            | UopKind::LoadLock { base, offset, .. }
+            | UopKind::Store { base, offset, .. }
+            | UopKind::StoreUnlock { base, offset, .. }
+            | UopKind::MonitorWait { base, offset } => Some((base, offset)),
+            _ => None,
+        }
+    }
+
     /// True for micro-ops that access the data cache.
     pub fn is_mem(&self) -> bool {
         matches!(
@@ -211,6 +224,14 @@ impl Uop {
 /// five-micro-op sequence; the `op` micro-op writes decoder temporary
 /// [`Reg::T0`], which the `store_unlock` reads.
 pub fn decode(instr: Instr, pc: u32) -> Vec<Uop> {
+    let mut uops = Vec::new();
+    decode_into(instr, pc, &mut uops);
+    uops
+}
+
+/// [`decode`], appending to `out` (a whole program decodes into one table
+/// without an allocation per instruction).
+pub fn decode_into(instr: Instr, pc: u32, out: &mut Vec<Uop>) {
     let ord = match instr {
         Instr::Load { ord, .. }
         | Instr::Store { ord, .. }
@@ -219,33 +240,29 @@ pub fn decode(instr: Instr, pc: u32) -> Vec<Uop> {
         _ => MemOrder::Relaxed,
     };
     let mk = |kind, slot, last| Uop { kind, pc, slot, last, ord };
-    match instr {
-        Instr::Alu { op, dst, a, b } => vec![mk(UopKind::Alu { op, dst, a, b }, 0, true)],
-        Instr::Load { dst, base, offset, .. } => {
-            vec![mk(UopKind::Load { dst, base, offset }, 0, true)]
+    let one = match instr {
+        Instr::Rmw { op, dst, base, offset, src, cmp, .. } => {
+            out.extend([
+                mk(UopKind::Fence(FenceKind::AtomicPre), 0, false),
+                mk(UopKind::LoadLock { dst, base, offset }, 1, false),
+                mk(UopKind::RmwAlu { op, dst: Reg::T0, old: dst, src, cmp }, 2, false),
+                mk(UopKind::StoreUnlock { src: Reg::T0, base, offset }, 3, false),
+                mk(UopKind::Fence(FenceKind::AtomicPost), 4, true),
+            ]);
+            return;
         }
-        Instr::Store { src, base, offset, .. } => {
-            vec![mk(UopKind::Store { src, base, offset }, 0, true)]
-        }
-        Instr::Rmw { op, dst, base, offset, src, cmp, .. } => vec![
-            mk(UopKind::Fence(FenceKind::AtomicPre), 0, false),
-            mk(UopKind::LoadLock { dst, base, offset }, 1, false),
-            mk(UopKind::RmwAlu { op, dst: Reg::T0, old: dst, src, cmp }, 2, false),
-            mk(UopKind::StoreUnlock { src: Reg::T0, base, offset }, 3, false),
-            mk(UopKind::Fence(FenceKind::AtomicPost), 4, true),
-        ],
-        Instr::Branch { cond, a, b, target } => {
-            vec![mk(UopKind::Branch { cond, a, b, target }, 0, true)]
-        }
-        Instr::Jump { target } => vec![mk(UopKind::Jump { target }, 0, true)],
-        Instr::Fence { .. } => vec![mk(UopKind::Fence(FenceKind::Standalone), 0, true)],
-        Instr::Pause => vec![mk(UopKind::Pause, 0, true)],
-        Instr::MonitorWait { base, offset } => {
-            vec![mk(UopKind::MonitorWait { base, offset }, 0, true)]
-        }
-        Instr::Halt => vec![mk(UopKind::Halt, 0, true)],
-        Instr::Nop => vec![mk(UopKind::Nop, 0, true)],
-    }
+        Instr::Alu { op, dst, a, b } => UopKind::Alu { op, dst, a, b },
+        Instr::Load { dst, base, offset, .. } => UopKind::Load { dst, base, offset },
+        Instr::Store { src, base, offset, .. } => UopKind::Store { src, base, offset },
+        Instr::Branch { cond, a, b, target } => UopKind::Branch { cond, a, b, target },
+        Instr::Jump { target } => UopKind::Jump { target },
+        Instr::Fence { .. } => UopKind::Fence(FenceKind::Standalone),
+        Instr::Pause => UopKind::Pause,
+        Instr::MonitorWait { base, offset } => UopKind::MonitorWait { base, offset },
+        Instr::Halt => UopKind::Halt,
+        Instr::Nop => UopKind::Nop,
+    };
+    out.push(mk(one, 0, true));
 }
 
 #[cfg(test)]

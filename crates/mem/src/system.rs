@@ -447,14 +447,19 @@ impl MemorySystem {
         self.apply_cache_actions(core.index(), acts);
     }
 
-    /// Takes this cycle's responses for `core`.
-    pub fn drain_responses(&mut self, core: CoreId) -> Vec<CoreResp> {
-        std::mem::take(&mut self.outbox[core.index()])
+    /// Moves this cycle's responses for `core` into `into`, replacing
+    /// what it held. The two buffers trade places, so a caller that passes
+    /// the same one every cycle never makes either reallocate.
+    pub fn drain_responses(&mut self, core: CoreId, into: &mut Vec<CoreResp>) {
+        into.clear();
+        std::mem::swap(into, &mut self.outbox[core.index()]);
     }
 
-    /// Takes this cycle's notices for `core`.
-    pub fn drain_notices(&mut self, core: CoreId) -> Vec<CoreNotice> {
-        std::mem::take(&mut self.notices[core.index()])
+    /// Moves this cycle's notices for `core` into `into`, as
+    /// [`MemorySystem::drain_responses`] does.
+    pub fn drain_notices(&mut self, core: CoreId, into: &mut Vec<CoreNotice>) {
+        into.clear();
+        std::mem::swap(into, &mut self.notices[core.index()]);
     }
 
     /// True if `core`'s private cache currently holds write permission.
@@ -776,11 +781,23 @@ mod tests {
         MemorySystem::new(MemConfig::tiny(), n, GuestMem::new(1 << 16))
     }
 
+    fn responses(m: &mut MemorySystem, core: CoreId) -> Vec<CoreResp> {
+        let mut r = Vec::new();
+        m.drain_responses(core, &mut r);
+        r
+    }
+
+    fn notices(m: &mut MemorySystem, core: CoreId) -> Vec<CoreNotice> {
+        let mut n = Vec::new();
+        m.drain_notices(core, &mut n);
+        n
+    }
+
     /// Ticks until `core` receives a response, with a safety bound.
     fn run_until_resp(m: &mut MemorySystem, core: CoreId, bound: u64) -> Vec<CoreResp> {
         for _ in 0..bound {
             m.tick();
-            let r = m.drain_responses(core);
+            let r = responses(m, core);
             if !r.is_empty() {
                 return r;
             }
@@ -835,7 +852,7 @@ mod tests {
         m.store_acquire(C1, 2, 0x100);
         run_until_resp(&mut m, C1, 2000);
         assert!(m.try_store_perform(C1, 1, 0x100, 5, false, false));
-        let notices = m.drain_notices(C0);
+        let notices = notices(&mut m, C0);
         assert!(
             notices.contains(&CoreNotice::LineLost { line: 0x100, remote_write: true }),
             "got {notices:?}"
@@ -860,7 +877,7 @@ mod tests {
             m.tick();
         }
         assert!(
-            m.drain_responses(C1).is_empty(),
+            responses(&mut m, C1).is_empty(),
             "store must not become ready while the line is locked"
         );
         // Unlock: parked Inv replays, core 1 gets permission.
@@ -868,7 +885,7 @@ mod tests {
         let r = run_until_resp(&mut m, C1, 1000);
         assert!(matches!(r[0], CoreResp::StoreReady { seq: 2, .. }));
         // Core 0 lost the line.
-        let notices = m.drain_notices(C0);
+        let notices = notices(&mut m, C0);
         assert!(notices
             .iter()
             .any(|n| matches!(n, CoreNotice::LineLost { line: 0x100, remote_write: true })));
@@ -943,8 +960,8 @@ mod tests {
         for _ in 0..2000 {
             m.tick();
         }
-        assert!(m.drain_responses(C0).is_empty());
-        assert!(m.drain_responses(C1).is_empty());
+        assert!(responses(&mut m, C0).is_empty());
+        assert!(responses(&mut m, C1).is_empty());
         // Core 0 squashes its atomic (watchdog): unlock line 0x100.
         m.unlock_line(C0, 0x100);
         let r = run_until_resp(&mut m, C1, 2000);
