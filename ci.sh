@@ -21,20 +21,38 @@ cargo clippy --workspace --all-targets -- -D warnings
 # surface it compiles against — a kernel change that bends a row fails here,
 # not in the post-merge benchmark run.
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
-# Simulator crates never read the environment: `fa_sim::env` is the one
-# door, so every knob is documented, parsed loudly and visible to drivers.
+# Nothing but `fa_sim::env` reads the environment: it is the one door, so
+# every knob is in its table, parsed loudly and visible to drivers.
 # (`set -e` ignores a failing `!` pipeline, hence the explicit exit.)
-! grep -rn 'std::env::var' crates/core/src crates/mem/src crates/trace/src crates/isa/src || exit 1
+! grep -rn 'std::env::var' crates/core/src crates/mem/src crates/trace/src crates/isa/src \
+    crates/workloads/src crates/bench/src || exit 1
+! grep -rn 'std::env::var' crates/sim/src --exclude=env.rs || exit 1
 # One campaign engine, one row form: the deleted duplicates stay deleted.
 ! grep -rnE 'fn (run_grid|measure|measure_parallel|try_run_workload|run_workload|run_once|run_cells_supervised|json_full)\b|SweepReport::new' crates src || exit 1
+# One driver binary, built once here (`cargo build --release` above builds
+# only the root package) and reached directly by every smoke below.
+! ls crates/bench/src/bin | grep -vx 'fa.rs' || exit 1
+cargo build --release -p fa-bench
+FA=./target/release/fa
+# One knob table: every "FA_*" literal under crates/ is a row of it, the
+# README quotes `fa knobs` verbatim, and the knob the `report` positional
+# argument made redundant stays deleted (CHANGES.md and the issue text
+# are history, not documentation).
+$FA knobs > target/knobs.txt
+sed -n '/^| variable | default /,/^$/p' README.md | sed '/^$/d' | diff - target/knobs.txt
+grep -oE 'FA_[A-Z_]+' target/knobs.txt | sort -u > target/knob_names.txt
+! grep -rhoE '"FA_[A-Z_]+"' crates --include='*.rs' | tr -d '"' | sort -u \
+    | grep -vxFf target/knob_names.txt || exit 1
+! grep -rn 'FA_REPORT_BASELIN[E]' . --exclude-dir=.git --exclude-dir=target \
+    --exclude-dir=.bench_build --exclude=CHANGES.md --exclude=ISSUE.md || exit 1
 # Differential litmus fuzzing under fault injection (seeded — replayable).
-FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 cargo run -q -p fa-bench --bin fuzz
+FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 $FA fuzz
 # Timed mini-sweep on the campaign engine: 2 kernels x 2 policies, writing
 # the BENCH_sweep.json throughput report, then sanity-check its shape.
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
     FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
     FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_sweep.json \
-    cargo run -q --release -p fa-bench --bin sweep
+    $FA sweep
 grep -q '"schema": "fa-sweep-v1"' target/BENCH_sweep.json
 grep -c '"kernel":' target/BENCH_sweep.json | grep -qx 4
 # Every row must carry the latency-histogram block.
@@ -45,13 +63,12 @@ grep -c '"cpi":{"core_cycles":' target/BENCH_sweep.json | grep -qx 4
 # accounting, writing its own artifact with the cpi blocks.
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=TATP,PC \
     FA_BENCH_JSON=target/BENCH_cpistack.json \
-    cargo run -q --release -p fa-bench --bin fig -- cpistack > target/cpistack.txt
+    $FA fig cpistack > target/cpistack.txt
 grep -q '"cpi":{"core_cycles":' target/BENCH_cpistack.json
 grep -q 'atomic-lifetime attribution' target/cpistack.txt
 # Differential bottleneck report smoke 1 — passivity: a report diffed
 # against itself is clean and exits 0.
-FA_REPORT_BASELINE=target/BENCH_sweep.json \
-    ./target/release/report target/BENCH_sweep.json > target/report_self.txt
+$FA report target/BENCH_sweep.json target/BENCH_sweep.json > target/report_self.txt
 grep -q 'verdict: OK' target/report_self.txt
 # Report smoke 2 — deliberate regression: inflate one taxonomy leaf of one
 # row by 10% of its total cycles; the diff must name the leaf and exit 2.
@@ -71,8 +88,7 @@ assert done, "no cpi row found to inflate"
 open("target/BENCH_sweep_regressed.json", "w").writelines(out)
 EOF
 rc=0
-FA_REPORT_BASELINE=target/BENCH_sweep.json \
-    ./target/release/report target/BENCH_sweep_regressed.json \
+$FA report target/BENCH_sweep.json target/BENCH_sweep_regressed.json \
     > target/report_regressed.txt || rc=$?
 test "$rc" -eq 2
 grep -q 'leaf rob_full:' target/report_regressed.txt
@@ -82,7 +98,7 @@ grep -q 'verdict: REGRESSED' target/report_regressed.txt
 # every run. The bin exits nonzero on any violation; the grep keeps the
 # gate loud even if its exit-code plumbing ever regresses.
 FA_CORES=2 FA_SCALE=0.05 FA_WORKLOADS=TATP,PC \
-    cargo run -q --release -p fa-bench --bin conformance > target/conformance.txt
+    $FA conformance > target/conformance.txt
 grep -q 'violations: 0, other failures: 0' target/conformance.txt
 # Checker-transparency gate: the same mini-sweep with FA_CHECK=tso must
 # reproduce the FA_CHECK=off golden rows bit-for-bit, modulo the appended
@@ -90,7 +106,7 @@ grep -q 'violations: 0, other failures: 0' target/conformance.txt
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
     FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
     FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_sweep_checked.json FA_CHECK=tso \
-    cargo run -q --release -p fa-bench --bin sweep
+    $FA sweep
 grep -c ',"checked":true' target/BENCH_sweep_checked.json | grep -qx 4
 grep '"kernel":' target/BENCH_sweep_checked.json | sed 's/,"checked":true//' \
     > target/sweep_rows_checked.txt
@@ -102,25 +118,25 @@ diff target/sweep_rows_checked.txt target/sweep_rows_off.txt
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
     FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
     FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_sweep_tso.json FA_MODEL=tso \
-    ./target/release/sweep
+    $FA sweep
 grep '"kernel":' target/BENCH_sweep_tso.json > target/sweep_rows_tso.txt
 diff target/sweep_rows_tso.txt target/sweep_rows_off.txt
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
     FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
     FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_sweep_weak.json FA_MODEL=weak \
-    ./target/release/sweep
+    $FA sweep
 grep -c ',"model":"weak"' target/BENCH_sweep_weak.json | grep -qx 4
 # Weak-model conformance smoke: the same full-execution grid on the
 # acquire/release-native machine, validated against the parameterized
 # weak axioms (and the memlog litmus suite already ran under
 # `cargo test` above).
 FA_CORES=2 FA_SCALE=0.05 FA_WORKLOADS=TATP,PC FA_MODEL=weak \
-    cargo run -q --release -p fa-bench --bin conformance > target/conformance_weak.txt
+    $FA conformance > target/conformance_weak.txt
 grep -q 'violations: 0, other failures: 0' target/conformance_weak.txt
 # Weak-baseline figure smoke: TSO + weak grids, residual-speedup table.
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=TATP,PC \
     FA_BENCH_JSON=target/BENCH_weak_baseline.json \
-    cargo run -q --release -p fa-bench --bin fig -- fig_weak_baseline \
+    $FA fig fig_weak_baseline \
     > target/weak_baseline.txt
 grep -q 'residual' target/weak_baseline.txt
 grep -q ',"model":"weak"' target/BENCH_weak_baseline.json
@@ -128,11 +144,15 @@ grep -q ',"model":"weak"' target/BENCH_weak_baseline.json
 # Contended rows must carry the per-link `net` stats block.
 FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=PC \
     FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_fig16.json \
-    cargo run -q --release -p fa-bench --bin fig -- fig16_network_sensitivity
+    $FA fig fig16_network_sensitivity
 grep -q '"schema": "fa-sweep-v1"' target/BENCH_fig16.json
 grep -q '"net":{"policy":"contended"' target/BENCH_fig16.json
 grep -q '"queue_hist":\[' target/BENCH_fig16.json
 grep -q '"req_util":\[' target/BENCH_fig16.json
+# The merged report keys its four NoC points apart: a self-diff compares
+# each of the 8 rows with itself.
+$FA report target/BENCH_fig16.json target/BENCH_fig16.json > target/report_fig16.txt
+grep -q 'verdict: OK — 8 cell(s) compared' target/report_fig16.txt
 # Supervision smoke 1 — wedged cell: an impossible 200-cycle budget must
 # quarantine every cell (structured failure in the report's quarantine
 # block) while the campaign itself completes and exits 2, not 1, not 0.
@@ -141,7 +161,7 @@ FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
     FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
     FA_PRESETS=tiny FA_CELL_BUDGET=200 FA_RETRIES=0 \
     FA_BENCH_JSON=target/BENCH_sweep_wedged.json \
-    ./target/release/sweep || rc=$?
+    $FA sweep || rc=$?
 test "$rc" -eq 2
 grep -q '"quarantine"' target/BENCH_sweep_wedged.json
 grep -q 'did not quiesce within 200 cycles' target/BENCH_sweep_wedged.json
@@ -153,7 +173,7 @@ FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
     FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
     FA_PRESETS=tiny FA_CHECKPOINT=target/sweep.ckpt \
     FA_BENCH_JSON=target/BENCH_sweep_killed.json \
-    ./target/release/sweep & spid=$!
+    $FA sweep & spid=$!
 sleep 0.05
 kill -9 "$spid" 2>/dev/null || true
 wait "$spid" || true
@@ -161,18 +181,18 @@ FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
     FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
     FA_PRESETS=tiny FA_CHECKPOINT=target/sweep.ckpt \
     FA_BENCH_JSON=target/BENCH_sweep_resumed.json \
-    ./target/release/sweep
+    $FA sweep
 grep '"kernel":' target/BENCH_sweep_resumed.json > target/sweep_rows_resumed.txt
 diff target/sweep_rows_resumed.txt target/sweep_rows_off.txt
 # Trace-layer smoke: a full-mode run must export non-empty, loadable
 # Chrome-trace/Perfetto JSON (the bin self-validates structure; the
 # python check proves it is real JSON to an external parser too).
 FA_TRACE=full:target/fa_trace.json \
-    cargo run -q --release -p fa-bench --bin trace
+    $FA trace
 grep -q '"traceEvents"' target/fa_trace.json
 python3 -c 'import json,sys; d=json.load(open("target/fa_trace.json")); sys.exit(0 if len(d["traceEvents"]) > 2 else 1)'
 # Flight-recorder smoke: a deliberately injected audit violation must
 # surface the structured event tail on the error path.
-cargo run -q --release -p fa-bench --bin trace -- --flight-demo > target/flight_demo.txt
+$FA trace --flight-demo > target/flight_demo.txt
 grep -q 'flight recorder tail' target/flight_demo.txt
 grep -q '"name":"uop.dispatch"' target/flight_demo.txt

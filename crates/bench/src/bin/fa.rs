@@ -1,0 +1,714 @@
+//! `fa` — the one driver binary: `fa <command> [args]`, with the commands
+//! listed in [`COMMANDS`] (run `fa` alone to print them) and every `FA_*`
+//! variable in `fa knobs`.
+//!
+//! Exit status, decided in one place ([`status`]): 0 for a clean run; 1 for
+//! a configuration, I/O or simulation failure and for a fuzz or conformance
+//! finding; 2 when the campaign completed but a cell was quarantined or
+//! `report` found a regression (the report is still written).
+
+// Non-test code must justify every panic site.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
+use fa_bench::figures::FIGURES;
+use fa_bench::report::{diff, parse_rows, CpiRow};
+use fa_bench::sweep::{
+    grid, policies_from_env, presets_from_env, run_grid_supervised, SupervisorOpts, SweepReport,
+};
+use fa_bench::{fmt, row, run_once_checked, workloads_from_env, BenchOpts};
+use fa_core::AtomicPolicy;
+use fa_isa::interp::GuestMem;
+use fa_isa::{Kasm, Reg};
+use fa_mem::{ChaosConfig, NocConfig};
+use fa_sim::error::CellFailure;
+use fa_sim::fuzz::{fuzz_litmus, FuzzConfig};
+use fa_sim::machine::MachineConfig;
+use fa_sim::presets::{icelake_like, tiny_machine};
+use fa_sim::{env, flight_json, supervise, validate_chrome_trace, CheckMode, Machine, TraceMode};
+use fa_workloads::{suite, WorkloadSpec};
+use std::fmt::Write as _;
+use std::process::ExitCode;
+
+/// Why a command did not end clean. The text goes to stderr.
+#[derive(Debug)]
+enum Failure {
+    /// A configuration, I/O or simulation failure, or a fuzz/conformance
+    /// finding.
+    Failed(String),
+    /// The campaign ran to its end, but under supervision a cell (or the
+    /// whole fuzz campaign) was quarantined.
+    Quarantined(String),
+    /// `report` compared the files and a cell regressed; the verdict is on
+    /// stdout.
+    Regressed,
+}
+use Failure::{Failed, Quarantined, Regressed};
+
+type Outcome = Result<(), Failure>;
+
+/// The exit contract.
+fn status(outcome: &Outcome) -> u8 {
+    match outcome {
+        Ok(()) => 0,
+        Err(Failed(_)) => 1,
+        Err(Quarantined(_) | Regressed) => 2,
+    }
+}
+
+/// One subcommand: what `fa` prints about it, what its unset sizing knobs
+/// read as, and the function that runs it on the arguments after its name.
+struct Command {
+    name: &'static str,
+    help: &'static str,
+    /// `FA_CORES` when unset.
+    cores: usize,
+    /// `FA_SCALE` when unset.
+    scale: f64,
+    /// `FA_CHECK` when unset.
+    check: CheckMode,
+    run: fn(&Command, &[String]) -> Outcome,
+}
+
+impl Command {
+    /// The environment's options over this command's defaults.
+    fn opts(&self) -> BenchOpts {
+        BenchOpts::from_env_or(BenchOpts {
+            cores: self.cores,
+            scale: self.scale,
+            check: self.check,
+            ..BenchOpts::default()
+        })
+    }
+}
+
+const fn command(
+    name: &'static str,
+    (cores, scale, check): (usize, f64, CheckMode),
+    run: fn(&Command, &[String]) -> Outcome,
+    help: &'static str,
+) -> Command {
+    Command { name, help, cores, scale, check, run }
+}
+
+/// The paper's sizing scaled to a workstation, and the small sizing of the
+/// single-run tables.
+const FULL: (usize, f64, CheckMode) = (8, 0.25, CheckMode::Off);
+const SMALL: (usize, f64, CheckMode) = (4, 0.1, CheckMode::Off);
+
+const COMMANDS: &[Command] = &[
+    command("sweep", FULL, sweep, "measure the FA_WORKLOADS x FA_POLICIES x FA_PRESETS grid under supervision and write the FA_BENCH_JSON report"),
+    command("fig", FULL, fig, "fig <name|all>: regenerate one table or figure of the paper's evaluation (`fa fig` lists the names)"),
+    command("report", FULL, report, "report <baseline.json> [current.json]: diff the cycle accounting of two sweep reports (current defaults to FA_BENCH_JSON)"),
+    command("conformance", (4, 0.1, CheckMode::Tso), conformance, "run every workload x {baseline, FreeAtomics+Fwd} x {ideal, contended} x {chaos off, on} with the axiomatic checker armed"),
+    command("fuzz", (8, 0.25, CheckMode::Tso), fuzz, "differential litmus fuzzing under fault injection against the x86-TSO enumerator (FA_FUZZ_*)"),
+    command("ablation", (4, 0.15, CheckMode::Off), ablation, "sweep AQ size, watchdog threshold and forwarding-chain limit under FreeAtomics+Fwd"),
+    command("smoke", SMALL, smoke, "every workload once under baseline and FreeAtomics+Fwd: cycles, instructions, APKI"),
+    command("diag", SMALL, diag, "per-policy counter dump for every workload"),
+    command("trace", (2, 0.05, CheckMode::Off), trace, "trace [--flight-demo]: export the first workload's Perfetto timeline (FA_TRACE=full:<path>), or demo the crash flight recorder"),
+    command("knobs", FULL, knobs, "print every FA_* variable: default, grammar, meaning"),
+];
+
+/// Every command with its help line, and its sizing where that is not
+/// the `fa knobs` default.
+fn usage() -> String {
+    let mut s = String::from("usage: fa <command> [args]\n");
+    for c in COMMANDS {
+        let _ = write!(s, "  {:<12} {}", c.name, c.help);
+        if (c.cores, c.scale, c.check) != FULL {
+            let (cores, scale, check) = (c.cores, c.scale, c.check.name());
+            let _ = write!(s, " [FA_CORES={cores} FA_SCALE={scale} FA_CHECK={check}]");
+        }
+        s.push('\n');
+    }
+    s
+}
+
+/// Runs the command `args` names.
+fn dispatch(args: &[String]) -> Outcome {
+    let cmd = args.first().and_then(|name| COMMANDS.iter().find(|c| c.name == name));
+    match cmd {
+        Some(cmd) => (cmd.run)(cmd, &args[1..]),
+        None => Err(Failed(usage())),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = dispatch(&args);
+    if let Err(Failed(text) | Quarantined(text)) = &outcome {
+        eprintln!("{}", text.trim_end());
+    }
+    ExitCode::from(status(&outcome))
+}
+
+/// The knob table as markdown; README quotes it and ci.sh diffs the two.
+fn knobs(_: &Command, _: &[String]) -> Outcome {
+    println!("| variable | default | grammar | meaning |\n|---|---|---|---|");
+    for k in env::KNOBS {
+        println!("| `{}` | {} | {} | {} |", k.name, k.default, k.grammar, k.meaning);
+    }
+    Ok(())
+}
+
+/// Rows are a pure function of the simulated cells, so re-running with a
+/// different `FA_THREADS` — or killing the campaign and resuming it from the
+/// `FA_CHECKPOINT` journal — reproduces them byte-for-byte; only the timing
+/// block changes.
+fn sweep(cmd: &Command, _: &[String]) -> Outcome {
+    let opts = cmd.opts();
+    let sup = SupervisorOpts::from_env();
+    let cells = grid(&opts.workloads(), &policies_from_env(), &presets_from_env());
+    println!(
+        "# sweep: {} cells (cores={}, scale={}, runs={}, drop={}, threads={}, noc={}, \
+         retries={}, budget={:?}, checkpoint={:?})",
+        cells.len(),
+        opts.cores,
+        opts.scale,
+        opts.runs,
+        opts.drop_slowest,
+        opts.threads,
+        opts.noc.policy.name(),
+        sup.retries,
+        sup.budget,
+        sup.checkpoint,
+    );
+    let (outcome, timing) = run_grid_supervised(&opts, &sup, &cells)
+        .map_err(|e| Failed(format!("sweep failed: {e}")))?;
+    if outcome.resumed > 0 {
+        println!("resumed {} completed cell(s) from the checkpoint journal", outcome.resumed);
+    }
+    for cell in &cells {
+        let name = cell.name();
+        let quarantined = outcome.quarantine.iter().any(|q| q.cell == name);
+        println!("{name}: {}", if quarantined { "QUARANTINED" } else { "ok" });
+    }
+    let report = SweepReport::from_outcome("sweep", &opts, outcome, timing);
+    println!("\n{}", report.timing_line());
+    let path =
+        report.write().map_err(|e| Failed(format!("sweep: could not write report: {e}")))?;
+    println!("wrote {}", path.display());
+    if report.quarantine.is_empty() {
+        return Ok(());
+    }
+    let mut text = format!("sweep: {} cell(s) quarantined:", report.quarantine.len());
+    for q in &report.quarantine {
+        let failure = q.failure.to_string();
+        let first = failure.lines().next().unwrap_or("(no detail)");
+        let _ = write!(text, "\n  {} after {} attempt(s): {first}", q.cell, q.attempts);
+    }
+    Err(Quarantined(text))
+}
+
+/// The grid figures run on the sweep engine and write the `FA_BENCH_JSON`
+/// report; a failed cell is an error naming it, never a partial table.
+fn fig(cmd: &Command, args: &[String]) -> Outcome {
+    let wanted = args.first().map(String::as_str);
+    let selected: Vec<_> =
+        FIGURES.iter().filter(|(name, _)| wanted == Some("all") || wanted == Some(name)).collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        return Err(Failed(format!("usage: fa fig <name|all>\nvalid names: {}", names.join(", "))));
+    }
+    let opts = cmd.opts();
+    for (name, figure) in selected {
+        figure(&opts).map_err(|e| Failed(format!("{name} failed: {e}")))?;
+    }
+    Ok(())
+}
+
+fn read_rows(path: &str) -> Result<Vec<CpiRow>, Failure> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| Failed(format!("report: {path}: {e}")))?;
+    let rows = parse_rows(&text);
+    if rows.is_empty() {
+        return Err(Failed(format!(
+            "report: {path}: no rows with a cpi block (not a sweep report written with cycle \
+             accounting?)"
+        )));
+    }
+    Ok(rows)
+}
+
+/// Total core cycles past the row threshold, or any taxonomy leaf past the
+/// leaf threshold (see `fa_bench::report`), is a regression.
+fn report(_: &Command, args: &[String]) -> Outcome {
+    let (baseline, current) = match args {
+        [b] => (b.clone(), SweepReport::default_path().display().to_string()),
+        [b, c] => (b.clone(), c.clone()),
+        _ => return Err(Failed("usage: fa report <baseline.json> [current.json]".into())),
+    };
+    println!("# report: {baseline} (baseline) vs {current} (current)\n");
+    let d = diff(&read_rows(&baseline)?, &read_rows(&current)?)
+        .map_err(|e| Failed(format!("report: {e}")))?;
+    print!("{}", d.render());
+    if d.regressed() {
+        return Err(Regressed);
+    }
+    Ok(())
+}
+
+/// Every completed execution's data events and write-serialization log are
+/// validated against the full axioms of `FA_MODEL`, not just its outputs.
+/// `FA_CHECK=off` reduces this to a plain smoke run, which is only useful
+/// for measuring checker overhead. Each cell runs under [`supervise`] with
+/// the `FA_RETRIES` / `FA_CELL_BUDGET` watchdogs, so a panicking or wedged
+/// cell is counted as a failure instead of killing or hanging the grid.
+fn conformance(cmd: &Command, _: &[String]) -> Outcome {
+    let opts = cmd.opts();
+    let sup = SupervisorOpts::from_env();
+    let max_cycles = sup.budget.max_cycles.unwrap_or(400_000_000);
+    let base = icelake_like();
+    let params = opts.params();
+    let policies = [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd];
+    let nocs = [("ideal", NocConfig::default()), ("contended", NocConfig::contended(2))];
+    let chaos = [("chaos=off", None), ("chaos=on", Some(opts.seed))];
+    let header = ["workload", "policy", "noc", "chaos", "cycles", "check"];
+    println!("{}", row(&header.map(String::from)));
+    let mut runs = 0u64;
+    let mut violations = 0u64;
+    let mut failures = 0u64;
+    for spec in opts.workloads() {
+        for policy in policies {
+            for (noc_name, noc) in &nocs {
+                for (chaos_name, chaos_seed) in &chaos {
+                    let mut cfg = base.clone().with_check(opts.check);
+                    cfg.core.policy = policy;
+                    cfg.core.model = opts.model;
+                    cfg.mem.noc = *noc;
+                    cfg.mem.progress = opts.progress;
+                    if let Some(seed) = chaos_seed {
+                        cfg.mem.chaos = ChaosConfig::stress(*seed);
+                    }
+                    runs += 1;
+                    // The closure's Err carries a machine snapshot; this
+                    // cold-path size is fine.
+                    #[allow(clippy::result_large_err)]
+                    let outcome = supervise(sup.retries, sup.budget.wall, || {
+                        let w = spec.build(&params);
+                        Machine::new(cfg.clone(), w.programs, w.mem).run(max_cycles)
+                    });
+                    let line = |cycles: String| {
+                        row(&[
+                            spec.name.into(),
+                            policy.label().into(),
+                            (*noc_name).into(),
+                            (*chaos_name).into(),
+                            cycles,
+                            opts.check.name().into(),
+                        ])
+                    };
+                    match outcome {
+                        Ok(r) => println!("{}", line(r.cycles.to_string())),
+                        Err(q) => {
+                            let status = match *q.failure {
+                                CellFailure::Sim(e @ fa_sim::SimError::Tso { .. }) => {
+                                    violations += 1;
+                                    format!("VIOLATION: {e}")
+                                }
+                                f => {
+                                    failures += 1;
+                                    format!("FAILED (after {} attempt(s)): {f}", q.attempts)
+                                }
+                            };
+                            println!("{} {status}", line("-".into()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let summary =
+        format!("conformance: {runs} runs, violations: {violations}, other failures: {failures}");
+    println!("{summary}");
+    if violations > 0 || failures > 0 {
+        return Err(Failed(summary));
+    }
+    Ok(())
+}
+
+fn fuzz_config(opts: &BenchOpts) -> FuzzConfig {
+    let base = FuzzConfig::default();
+    FuzzConfig {
+        cases: env::get("FA_FUZZ_CASES", str::parse).unwrap_or(100),
+        seed: env::get("FA_FUZZ_SEED", str::parse).unwrap_or(base.seed),
+        max_threads: env::get("FA_FUZZ_MAX_THREADS", str::parse).unwrap_or(base.max_threads),
+        max_ops: env::get("FA_FUZZ_MAX_OPS", str::parse).unwrap_or(base.max_ops),
+        threads: opts.threads,
+        check: opts.check,
+        ..base
+    }
+}
+
+/// Case generation is serial and seeded, so the report is bit-identical at
+/// any `FA_THREADS`; each failure prints with its replay identity (seed,
+/// case index, policy). The whole campaign runs under [`supervise`]: a panic
+/// anywhere in the fuzzer (or an expired `FA_CELL_BUDGET` wall-clock
+/// watchdog) is caught and reported instead of unwinding or hanging CI.
+fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
+    let fcfg = fuzz_config(&cmd.opts());
+    let sup = SupervisorOpts::from_env();
+    // The supervised closure's Err type carries a machine snapshot; this
+    // cold-path size is fine.
+    #[allow(clippy::result_large_err)]
+    let report = supervise(sup.retries, sup.budget.wall, || Ok(fuzz_litmus(&tiny_machine(), &fcfg)))
+        .map_err(|q| {
+            Quarantined(format!(
+                "fuzz campaign quarantined after {} attempt(s): {}",
+                q.attempts, q.failure
+            ))
+        })?;
+    print!("{report}");
+    if !report.ok() {
+        return Err(Failed(format!("fuzz: {} finding(s)", report.failures.len())));
+    }
+    Ok(())
+}
+
+/// One ablation axis: every `(workload, value)` cell on the sweep workers,
+/// rows normalized to the leftmost value. Returns the number of failed
+/// cells.
+fn ablation_axis(
+    title: &str,
+    opts: &BenchOpts,
+    specs: &[WorkloadSpec],
+    values: &[u64],
+    apply: impl Fn(&mut MachineConfig, u64) + Sync,
+) -> usize {
+    println!("\n## Ablation — {title}\n");
+    let mut header = vec!["workload".to_string()];
+    header.extend(values.iter().map(|v| v.to_string()));
+    println!("{}", row(&header));
+    let jobs: Vec<(WorkloadSpec, u64)> =
+        specs.iter().flat_map(|&s| values.iter().map(move |&v| (s, v))).collect();
+    let results = fa_sim::run_cells(&jobs, opts.threads, |_, &(spec, v)| {
+        let mut cfg = icelake_like();
+        apply(&mut cfg, v);
+        run_once_checked(&spec, AtomicPolicy::FreeFwd, &cfg, opts)
+    });
+    let mut failed = 0;
+    for (spec, chunk) in specs.iter().zip(results.chunks(values.len())) {
+        let mut cells = vec![spec.name.to_string()];
+        let mut base = None;
+        for (r, &v) in chunk.iter().zip(values) {
+            match r {
+                Ok(r) => {
+                    let b = *base.get_or_insert(r.cycles as f64);
+                    cells.push(fmt(r.cycles as f64 / b, 3));
+                }
+                Err(e) => {
+                    failed += 1;
+                    eprintln!("{} at {title}={v}: {e}", spec.name);
+                    cells.push("FAIL".to_string());
+                }
+            }
+        }
+        println!("{}", row(&cells));
+    }
+    failed
+}
+
+/// The design parameters DESIGN.md calls out: AQ size (the paper's §4.3
+/// concludes 4 entries suffice), watchdog threshold (§3.2.5 picks 10 000
+/// cycles to avoid unnecessary squashes) and forwarding-chain limit (§3.3.4
+/// caps chains at 32 against livelock), on a representative
+/// atomic-intensive subset unless `FA_WORKLOADS` names another.
+fn ablation(cmd: &Command, _: &[String]) -> Outcome {
+    let opts = cmd.opts();
+    let specs = workloads_from_env().unwrap_or_else(|| {
+        suite::select(&["TATP", "AS", "barnes", "canneal"]).expect("suite names")
+    });
+    println!("(cycles normalized to the leftmost configuration; lower is better)");
+    let failed =
+        ablation_axis("Atomic Queue entries (paper: 4)", &opts, &specs, &[1, 2, 4, 8], |c, v| {
+            c.core.aq_size = v as usize;
+        }) + ablation_axis(
+            "watchdog threshold in cycles (paper: 10000)",
+            &opts,
+            &specs,
+            &[300, 1_000, 10_000, 100_000],
+            |c, v| c.core.watchdog_threshold = v,
+        ) + ablation_axis(
+            "forwarding chain limit (paper: 32; 0 disables forwarding)",
+            &opts,
+            &specs,
+            &[0, 1, 4, 32],
+            |c, v| c.core.fwd_chain_max = v as u32,
+        );
+    if failed > 0 {
+        return Err(Failed(format!("ablation: {failed} cell(s) failed")));
+    }
+    Ok(())
+}
+
+fn smoke(cmd: &Command, _: &[String]) -> Outcome {
+    let opts = cmd.opts();
+    let base = icelake_like();
+    let header = ["workload", "policy", "cycles", "instrs", "APKI"];
+    println!("{}", row(&header.map(String::from)));
+    for spec in opts.workloads() {
+        for policy in [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd] {
+            let t0 = std::time::Instant::now();
+            let r = run_once_checked(&spec, policy, &base, &opts)
+                .map_err(|e| Failed(format!("{} under {}: {e}", spec.name, policy.label())))?;
+            println!(
+                "{}  ({:.2}s wall)",
+                row(&[
+                    spec.name.into(),
+                    policy.label().into(),
+                    r.cycles.to_string(),
+                    r.instructions().to_string(),
+                    fmt(r.apki(), 2),
+                ]),
+                t0.elapsed().as_secs_f64()
+            );
+        }
+    }
+    Ok(())
+}
+
+fn diag(cmd: &Command, _: &[String]) -> Outcome {
+    let opts = cmd.opts();
+    let mut failed = 0;
+    for spec in opts.workloads() {
+        for policy in AtomicPolicy::ALL {
+            // A failed run prints its diagnostic snapshot (per-core ROB
+            // heads, locked lines, busy directory entries) and moves on, so
+            // one wedged configuration doesn't hide the rest of the table.
+            let r = match run_once_checked(&spec, policy, &icelake_like(), &opts) {
+                Ok(r) => r,
+                Err(e) => {
+                    failed += 1;
+                    eprintln!("{:<14} {:<16} FAILED: {e}", spec.name, policy.label());
+                    continue;
+                }
+            };
+            let a = r.aggregate();
+            println!(
+                "{:<14} {:<16} cycles={:<8} atomics={:<6} wd={:<4} sq_br={:<5} sq_mdv={:<5} \
+                 sq_inv={:<6} squop={:<8} fba={:<5} fbs={:<5} sleep={:<8} parked={}",
+                spec.name,
+                policy.label(),
+                r.cycles,
+                a.atomics,
+                a.watchdog_fires,
+                a.squashes_branch,
+                a.squashes_memorder,
+                a.squashes_inval,
+                a.squashed_uops,
+                a.atomics_fwd_from_atomic,
+                a.atomics_fwd_from_store,
+                a.sleep_cycles,
+                r.mem.cores.iter().map(|c| c.parked_on_lock).sum::<u64>(),
+            );
+        }
+    }
+    if failed > 0 {
+        return Err(Failed(format!("diag: {failed} run(s) failed")));
+    }
+    Ok(())
+}
+
+fn trace(cmd: &Command, args: &[String]) -> Outcome {
+    if args.iter().any(|a| a == "--flight-demo") {
+        return flight_demo();
+    }
+    // The recording mode here is always `full` — this *is* the exporter.
+    let opts = BenchOpts { trace: TraceMode::Full, ..cmd.opts() };
+    let path = env::get("FA_TRACE", env::parse_trace_setting)
+        .and_then(|(_, path)| path)
+        .unwrap_or_else(|| "fa_trace.json".to_string());
+    let spec = *opts.workloads().first().expect("workload suite is never empty");
+    let cfg = opts.config_for(&icelake_like(), AtomicPolicy::FreeFwd);
+    let w = spec.build(&opts.params());
+    let mut m = Machine::new(cfg, w.programs, w.mem);
+    let r = m.run(400_000_000).map_err(|e| Failed(format!("trace: {} failed: {e}", spec.name)))?;
+    // Self-validated structurally before it is written, so a malformed
+    // file fails the run instead of failing in the viewer.
+    let json = m.perfetto_trace();
+    let events = validate_chrome_trace(&json)
+        .map_err(|e| Failed(format!("trace: export failed self-validation: {e}")))?;
+    std::fs::write(&path, &json)
+        .map_err(|e| Failed(format!("trace: could not write {path}: {e}")))?;
+    println!(
+        "trace: {} on {} cores, {} cycles, {} instrs -> {} trace events in {path} \
+         (open in ui.perfetto.dev)",
+        spec.name,
+        opts.cores,
+        r.cycles,
+        r.instructions(),
+        events
+    );
+    Ok(())
+}
+
+/// Forces a deterministic invariant-audit failure and shows the flight
+/// recorder that rides on the resulting error: the last structured events
+/// per component, as text and as JSON.
+fn flight_demo() -> Outcome {
+    // A spin loop performing legal loads; an absurdly tight
+    // forward-progress bound turns its first memory round-trip into an
+    // audit violation — deliberately, to exercise the crash path.
+    let mut k = Kasm::new();
+    k.li(Reg::R1, 0x200);
+    let top = k.here_label();
+    k.ld(Reg::R2, Reg::R1, 0);
+    k.beq_imm(Reg::R2, 0, top);
+    k.halt();
+    let spin = k.finish().expect("spin kernel assembles");
+    let mut cfg = tiny_machine().with_trace(TraceMode::Flight);
+    cfg.mem.audit =
+        fa_mem::AuditConfig { enabled: true, max_core_stall: 2, ..fa_mem::AuditConfig::on() };
+    let mut m = Machine::new(cfg, vec![spin], GuestMem::new(1 << 12));
+    let Err(e) = m.run(100_000) else {
+        return Err(Failed(
+            "flight-demo: expected an audit violation, but the run quiesced".into(),
+        ));
+    };
+    println!("flight-demo: injected violation produced the expected error:\n");
+    println!("{e}");
+    let tail = e.snapshot().map(|s| s.trace_tail.clone()).unwrap_or_default();
+    println!("\nflight recorder as JSON:\n{}", flight_json(&tail));
+    if tail.is_empty() {
+        return Err(Failed("flight-demo: flight recorder was empty".into()));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn commands_are_unique_and_described() {
+        for (i, c) in COMMANDS.iter().enumerate() {
+            assert!(COMMANDS[..i].iter().all(|o| o.name != c.name), "{} listed twice", c.name);
+            assert!(!c.help.is_empty(), "{} has no help text", c.name);
+            assert!(c.cores > 0 && c.scale > 0.0, "{} has no sizing", c.name);
+        }
+    }
+
+    #[test]
+    fn unknown_or_missing_command_lists_the_commands_and_exits_1() {
+        for bad in [args(&[]), args(&["fig14_exec_time"]), args(&["--help"])] {
+            let outcome = dispatch(&bad);
+            assert_eq!(status(&outcome), 1);
+            let Err(Failed(text)) = outcome else { panic!("{outcome:?}") };
+            for c in COMMANDS {
+                assert!(text.contains(c.name), "{} missing from:\n{text}", c.name);
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_or_missing_figure_lists_the_figures_and_exits_1() {
+        for bad in [args(&["fig"]), args(&["fig", "fig99"])] {
+            let outcome = dispatch(&bad);
+            assert_eq!(status(&outcome), 1);
+            let Err(Failed(text)) = outcome else { panic!("{outcome:?}") };
+            for (name, _) in FIGURES {
+                assert!(text.contains(name), "{name} missing from:\n{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn exit_contract() {
+        assert_eq!(status(&Ok(())), 0);
+        assert_eq!(status(&Err(Failed("config, I/O, simulation, finding".into()))), 1);
+        assert_eq!(status(&Err(Quarantined("a cell".into()))), 2);
+        assert_eq!(status(&Err(Regressed)), 2);
+    }
+
+    /// A file in the system's temp directory, removed on drop.
+    struct Scratch(std::path::PathBuf);
+    impl Scratch {
+        fn new(name: &str, text: &str) -> Scratch {
+            let path = std::env::temp_dir().join(format!("fa-{}-{name}", std::process::id()));
+            std::fs::write(&path, text).expect("scratch file");
+            Scratch(path)
+        }
+        fn path(&self) -> String {
+            self.0.display().to_string()
+        }
+    }
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    fn report_row(kernel: &str, rob_full: u64) -> String {
+        let stack: Vec<(&str, String)> = fa_sim::CpiLeaf::ALL
+            .iter()
+            .map(|l| (l.name(), if l.name() == "rob_full" { rob_full } else { 1000 }.to_string()))
+            .collect();
+        let total = 11_000 + rob_full;
+        format!(
+            "{{\"kernel\":\"{kernel}\",\"policy\":\"baseline\",\"preset\":\"tiny\",\
+             \"cpi\":{{\"core_cycles\":{total},\"stack\":{}}}}}\n",
+            fa_sim::json_object(&stack)
+        )
+    }
+
+    #[test]
+    fn report_outcomes_follow_the_contract() {
+        let base = Scratch::new("base.json", &report_row("TATP", 1000));
+        let slow = Scratch::new("slow.json", &report_row("TATP", 5000));
+        let twice = Scratch::new("twice.json", &(report_row("PC", 1000) + &report_row("PC", 1000)));
+        let empty = Scratch::new("empty.json", "{}\n");
+        let run = |words: &[&str]| dispatch(&args(words));
+        assert_eq!(status(&run(&["report", &base.path(), &base.path()])), 0);
+        assert!(matches!(run(&["report", &base.path(), &slow.path()]), Err(Regressed)));
+        for bad in [
+            vec!["report"],
+            vec!["report", "a", "b", "c"],
+            vec!["report", "/nonexistent/fa.json", &base.path()],
+            vec!["report", &empty.path(), &base.path()],
+            vec!["report", &twice.path(), &twice.path()],
+        ] {
+            let outcome = run(&bad);
+            assert!(matches!(outcome, Err(Failed(_))), "{bad:?}: {outcome:?}");
+            assert_eq!(status(&outcome), 1);
+        }
+    }
+
+    #[test]
+    fn knob_table_defaults_are_the_typed_defaults() {
+        let o = BenchOpts::default();
+        let f = FuzzConfig::default();
+        let noc = env::parse_noc;
+        // What the drivers read while the variable is unset, as it is under
+        // `cargo test` and ci.sh; a set variable is not the default's business.
+        let unset = |name| env::get(name, |_| Ok::<_, String>(())).is_none();
+        for k in env::KNOBS {
+            let d = k.default;
+            let agrees = match k.name {
+                "FA_CORES" => d == FULL.0.to_string() && FULL.0 == o.cores,
+                "FA_SCALE" => d == FULL.1.to_string() && FULL.1 == o.scale,
+                "FA_RUNS" => d == o.runs.to_string(),
+                "FA_DROP" => d == o.drop_slowest.to_string(),
+                "FA_THREADS" => d == o.threads.to_string() && f.threads == o.threads,
+                "FA_NOC" => noc(d) == Some(o.noc),
+                "FA_TRACE" => env::parse_trace_setting(d) == Ok((o.trace, None)),
+                "FA_CHECK" => env::parse_check_setting(d) == Ok(o.check) && o.check == FULL.2,
+                "FA_MODEL" => env::parse_model_setting(d) == Ok(o.model) && o.model == f.model,
+                "FA_PROGRESS" => env::parse_progress(d) == Some(o.progress),
+                "FA_RETRIES" => !unset(k.name) || d == SupervisorOpts::from_env().retries.to_string(),
+                "FA_FUZZ_CASES" => !unset(k.name) || d == fuzz_config(&o).cases.to_string(),
+                "FA_BENCH_JSON" => !unset(k.name) || SweepReport::default_path().as_os_str() == d,
+                "FA_FUZZ_SEED" => d == f.seed.to_string(),
+                "FA_FUZZ_MAX_THREADS" => d == f.max_threads.to_string(),
+                "FA_FUZZ_MAX_OPS" => d == f.max_ops.to_string(),
+                "FA_WORKLOADS" | "FA_POLICIES" => d == "all",
+                "FA_PRESETS" => d == fa_bench::sweep::Preset::Icelake.name(),
+                "FA_CELL_BUDGET" | "FA_CHECKPOINT" => d == "unset",
+                other => panic!("{other}: no default to check the table against"),
+            };
+            assert!(agrees, "{}: the table says {d:?}", k.name);
+        }
+    }
+}

@@ -1,34 +1,14 @@
-//! Shared harness for the figure/table regeneration benches.
+//! Shared harness for the figure/table regeneration drivers.
 //!
 //! Every experiment of the paper's evaluation section (§5) is a named
-//! entry of [`figures::FIGURES`], run by the `fig <name>` bin and by the
-//! `figures` bench target; this module holds the common machinery:
-//! environment-controlled sizing, the single-run helper, and table
-//! formatting. Grid campaigns live in [`sweep`].
+//! entry of [`figures::FIGURES`], run by `fa fig <name>`; this module holds
+//! the common machinery: environment-controlled sizing, the single-run
+//! helper, and table formatting. Grid campaigns live in [`sweep`].
 //!
-//! # Environment
-//!
-//! | variable | default | meaning |
-//! |---|---|---|
-//! | `FA_CORES` | 8 | simulated cores (the paper uses 32) |
-//! | `FA_SCALE` | 0.25 | workload size multiplier |
-//! | `FA_RUNS` | 3 | runs per configuration (paper: 10, drop 3) |
-//! | `FA_DROP` | 1 | slowest runs dropped |
-//! | `FA_THREADS` | 0 | sweep worker threads (0 = host parallelism) |
-//! | `FA_WORKLOADS` | all | comma-separated subset of workload names |
-//! | `FA_NOC` | `ideal` | interconnect: `ideal`, `contended`, or `contended:<bw>` |
-//! | `FA_TRACE` | `off` | event tracing: `off`, `flight`, or `full[:path]` |
-//! | `FA_CHECK` | `off` | axiomatic conformance checking: `off` or `tso` |
-//! | `FA_MODEL` | `tso` | hardware memory model: `tso` or `weak` |
-//! | `FA_BENCH_JSON` | `BENCH_sweep.json` | sweep-report destination |
-//! | `FA_PROGRESS` | `on` | forward-progress escalation: `off`, `on`, or `on:<stall_cycles>` |
-//! | `FA_RETRIES` | 1 | supervised-cell retries before quarantine |
-//! | `FA_CELL_BUDGET` | unset | per-cell budget: `<cycles>` or `<cycles>:<wall_secs>` |
-//! | `FA_CHECKPOINT` | unset | append-only sweep journal for kill/resume |
-//! | `FA_REPORT_BASELINE` | unset | baseline `BENCH_sweep.json` for the `report` bin's diff |
-//!
-//! All parsing goes through [`fa_sim::env`], so a malformed value fails
-//! loudly with the variable name and the expected grammar.
+//! The `FA_*` variables are documented in one place, [`fa_sim::env::KNOBS`]
+//! — run `fa knobs` to print it. All parsing goes through
+//! [`fa_sim::env::get`], so a malformed value fails loudly with the
+//! variable name and the expected grammar.
 
 // Non-test code must justify every panic site; see the `expect` messages
 // documenting each invariant. Tests keep plain unwrap for brevity.
@@ -110,8 +90,7 @@ impl Default for BenchOpts {
 }
 
 impl BenchOpts {
-    /// Reads the options from the environment (see module docs) via the
-    /// unified [`fa_sim::env`] helpers.
+    /// Reads the options from the environment ([`fa_sim::env::KNOBS`]).
     ///
     /// # Panics
     ///
@@ -121,22 +100,23 @@ impl BenchOpts {
         BenchOpts::from_env_or(BenchOpts::default())
     }
 
-    /// [`BenchOpts::from_env`] for a driver with its own sizing: `d`
-    /// supplies the value of every unset sizing variable (`FA_CORES`,
-    /// `FA_SCALE`, `FA_RUNS`, `FA_DROP`, `FA_THREADS`) and the seed.
+    /// [`BenchOpts::from_env`] for a driver with its own defaults: `d`
+    /// supplies the value of every unset variable, and the seed.
     pub fn from_env_or(d: BenchOpts) -> BenchOpts {
         BenchOpts {
-            cores: env::usize_or("FA_CORES", d.cores),
-            scale: env::f64_or("FA_SCALE", d.scale),
-            runs: env::usize_or("FA_RUNS", d.runs),
-            drop_slowest: env::usize_or("FA_DROP", d.drop_slowest),
+            cores: env::get("FA_CORES", str::parse).unwrap_or(d.cores),
+            scale: env::get("FA_SCALE", str::parse).unwrap_or(d.scale),
+            runs: env::get("FA_RUNS", str::parse).unwrap_or(d.runs),
+            drop_slowest: env::get("FA_DROP", str::parse).unwrap_or(d.drop_slowest),
             seed: d.seed,
-            threads: env::usize_or("FA_THREADS", d.threads),
-            noc: env::noc_config(),
-            trace: env::trace_setting().0,
-            check: env::check_setting(),
-            model: env::model_setting(),
-            progress: env::progress_setting(),
+            threads: env::get("FA_THREADS", str::parse).unwrap_or(d.threads),
+            noc: env::get("FA_NOC", |v| env::parse_noc(v).ok_or("no such interconnect"))
+                .unwrap_or(d.noc),
+            trace: env::get("FA_TRACE", env::parse_trace_setting).map_or(d.trace, |(mode, _)| mode),
+            check: env::get("FA_CHECK", env::parse_check_setting).unwrap_or(d.check),
+            model: env::get("FA_MODEL", env::parse_model_setting).unwrap_or(d.model),
+            progress: env::get("FA_PROGRESS", |v| env::parse_progress(v).ok_or("no such setting"))
+                .unwrap_or(d.progress),
         }
     }
 
@@ -160,16 +140,9 @@ impl BenchOpts {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown name in `FA_WORKLOADS` — a typo used to be
-    /// silently dropped, turning the sweep into a no-op.
+    /// As [`workloads_from_env`].
     pub fn workloads(&self) -> Vec<WorkloadSpec> {
-        match env::list("FA_WORKLOADS") {
-            Some(names) => {
-                let names: Vec<&str> = names.iter().map(String::as_str).collect();
-                suite::select(&names).unwrap_or_else(|e| panic!("FA_WORKLOADS: {e}"))
-            }
-            None => suite::all(),
-        }
+        workloads_from_env().unwrap_or_else(suite::all)
     }
 
     /// `base` specialized for one run under these options: policy, NoC
@@ -183,6 +156,17 @@ impl BenchOpts {
         cfg.mem.progress = self.progress;
         cfg
     }
+}
+
+/// The workloads `FA_WORKLOADS` names, in the order given; `None` when
+/// unset.
+///
+/// # Panics
+///
+/// Panics on an unknown name — a typo used to be silently dropped, turning
+/// the sweep into a no-op.
+pub fn workloads_from_env() -> Option<Vec<WorkloadSpec>> {
+    env::get("FA_WORKLOADS", |v| suite::select(&env::items(v).collect::<Vec<_>>()))
 }
 
 /// Runs `spec` once (single run, no offsets) — for characterization tables

@@ -2,9 +2,13 @@
 //! row-by-row on their cycle-accounting (`cpi`) blocks and renders
 //! per-leaf deltas with a loud regression verdict.
 //!
-//! The comparison is keyed on cell identity (`kernel/policy/preset`), so
-//! the two reports may come from different bins or row orders; cells
-//! present in only one file are listed, not diffed. A **row regression**
+//! The comparison is keyed on cell identity — `kernel/policy/preset`, plus
+//! the contended-crossbar point and the weak-model tag where the row
+//! carries them, so the merged reports of `fig16_network_sensitivity` and
+//! `fig_weak_baseline` key every row apart — and the two reports may come
+//! from different drivers or row orders; cells present in only one file are
+//! listed, not diffed, and a key that occurs twice in one file is an error.
+//! A **row regression**
 //! is total core cycles growing by more than [`CYCLES_REL`] of the
 //! baseline (and at least [`ABS_FLOOR`] cycles — sub-noise growth on tiny
 //! cells is not a verdict). A **leaf regression** is any taxonomy leaf
@@ -36,7 +40,8 @@ pub const ABS_FLOOR: u64 = 100;
 /// identity plus its cycle-accounting block.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CpiRow {
-    /// Cell identity, `kernel/policy/preset`.
+    /// Cell identity: `kernel/policy/preset`, then ` net=<policy>:<bw>`
+    /// for a contended-crossbar row and ` model=<name>` for a tagged one.
     pub key: String,
     /// Total core cycles of the representative run (`cpi.core_cycles`).
     pub core_cycles: u64,
@@ -98,7 +103,17 @@ pub fn parse_rows(text: &str) -> Vec<CpiRow> {
         if !complete {
             continue;
         }
-        out.push(CpiRow { key: format!("{kernel}/{policy}/{preset}"), core_cycles, leaves });
+        let mut key = format!("{kernel}/{policy}/{preset}");
+        if let Some(net) = line.find("\"net\":{").map(|at| &line[at..]) {
+            let (Some(xbar), Some(bw)) = (str_field(net, "policy"), u64_field(net, "bw")) else {
+                continue;
+            };
+            let _ = write!(key, " net={xbar}:{bw}");
+        }
+        if let Some(model) = str_field(line, "model") {
+            let _ = write!(key, " model={model}");
+        }
+        out.push(CpiRow { key, core_cycles, leaves });
     }
     out
 }
@@ -191,7 +206,19 @@ impl DiffReport {
 }
 
 /// Compares `current` against `baseline`, cell by cell.
-pub fn diff(baseline: &[CpiRow], current: &[CpiRow]) -> DiffReport {
+///
+/// # Errors
+///
+/// A key that occurs twice in one report: the rows cannot be told apart,
+/// so there is no right one to diff against.
+pub fn diff(baseline: &[CpiRow], current: &[CpiRow]) -> Result<DiffReport, String> {
+    for (side, rows) in [("baseline", baseline), ("current", current)] {
+        for (i, r) in rows.iter().enumerate() {
+            if rows[..i].iter().any(|o| o.key == r.key) {
+                return Err(format!("{side} report has two rows keyed {:?}", r.key));
+            }
+        }
+    }
     let mut rows = Vec::new();
     let mut missing = Vec::new();
     for b in baseline {
@@ -222,12 +249,16 @@ pub fn diff(baseline: &[CpiRow], current: &[CpiRow]) -> DiffReport {
         .filter(|c| !baseline.iter().any(|b| b.key == c.key))
         .map(|c| c.key.clone())
         .collect();
-    DiffReport { rows, missing, added }
+    Ok(DiffReport { rows, missing, added })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn diff(baseline: &[CpiRow], current: &[CpiRow]) -> DiffReport {
+        super::diff(baseline, current).expect("keys are unique within each report")
+    }
 
     fn synthetic_report(rows: &[(&str, u64, u64, u64)]) -> String {
         // (key fields are kernel/policy/preset = k/p/r) with commit,
@@ -337,30 +368,25 @@ mod tests {
         assert!(r.contains("in current only"), "{r}");
     }
 
+    fn small_opts() -> crate::BenchOpts {
+        crate::BenchOpts {
+            cores: 2,
+            scale: 0.05,
+            runs: 2,
+            drop_slowest: 0,
+            threads: 1,
+            ..crate::BenchOpts::default()
+        }
+    }
+
     #[test]
     fn real_sweep_reports_round_trip_and_conserve() {
         // End to end: emit a real report, read it back, and check the
         // conservation invariant survives serialization; a self-diff of
         // real rows is clean and its rendered rows are bit-identical
         // across renders (passivity).
-        use crate::sweep::{grid, run_grid_supervised, Preset, SupervisorOpts, SweepReport};
-        use fa_core::AtomicPolicy;
-        let opts = crate::BenchOpts {
-            cores: 2,
-            scale: 0.05,
-            runs: 2,
-            drop_slowest: 0,
-            seed: 0xF00D,
-            threads: 1,
-            ..crate::BenchOpts::default()
-        };
-        let ws = fa_workloads::suite::select(&["TATP"]).expect("suite names");
-        let cells = grid(&ws, &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd], &[Preset::Tiny]);
-        let (outcome, timing) =
-            run_grid_supervised(&opts, &SupervisorOpts::none(), &cells).expect("grid");
-        let json = SweepReport::from_outcome("report-test", &opts, outcome, timing).json();
-        let rows = parse_rows(&json);
-        assert_eq!(rows.len(), cells.len(), "every emitted row parses back");
+        let rows = parse_rows(&merged_report("TATP", &[small_opts()]));
+        assert_eq!(rows.len(), 2, "every emitted row parses back");
         for r in &rows {
             assert_eq!(
                 r.leaves.iter().sum::<u64>(),
@@ -372,5 +398,67 @@ mod tests {
         let d = diff(&rows, &rows);
         assert!(!d.regressed());
         assert_eq!(d.render(), diff(&rows, &rows).render(), "rendering is pure");
+    }
+
+    /// `kernel` x {baseline, FreeAtomics+Fwd} on the tiny preset under each
+    /// of `variants`, merged into one report the way the multi-grid figures
+    /// merge theirs.
+    fn merged_report(kernel: &str, variants: &[crate::BenchOpts]) -> String {
+        use crate::sweep::{grid, run_grid_supervised, Preset, SupervisorOpts, SweepReport};
+        use fa_core::AtomicPolicy;
+        let ws = fa_workloads::suite::select(&[kernel]).expect("suite names");
+        let cells = grid(&ws, &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd], &[Preset::Tiny]);
+        variants
+            .iter()
+            .map(|opts| {
+                let (outcome, timing) =
+                    run_grid_supervised(opts, &SupervisorOpts::none(), &cells).expect("grid");
+                SweepReport::from_outcome("report-test", opts, outcome, timing)
+            })
+            .reduce(SweepReport::merge)
+            .expect("at least one variant")
+            .json()
+    }
+
+    #[test]
+    fn merged_reports_key_every_row_apart_and_self_diff_clean() {
+        use fa_mem::NocConfig;
+        let opts = small_opts();
+        // fig16_network_sensitivity's four NoC points; fig_weak_baseline's
+        // two memory models.
+        let fig16 = [NocConfig::default(), NocConfig::contended(1), NocConfig::contended(2), NocConfig::contended(4)]
+            .map(|noc| crate::BenchOpts { noc, ..opts });
+        let weak = [fa_sim::MemModel::Tso, fa_sim::MemModel::Weak]
+            .map(|model| crate::BenchOpts { model, ..opts });
+        for variants in [&fig16[..], &weak[..]] {
+            let rows = parse_rows(&merged_report("PC", variants));
+            assert_eq!(rows.len(), 2 * variants.len());
+            let d = super::diff(&rows, &rows).expect("every row has its own key");
+            assert_eq!(d.rows.len(), rows.len());
+            assert!(d.rows.iter().all(|r| r.base == r.cur), "each row met itself");
+            assert!(!d.regressed(), "{}", d.render());
+        }
+        let keys: Vec<String> =
+            parse_rows(&merged_report("PC", &fig16[..2])).into_iter().map(|r| r.key).collect();
+        assert_eq!(
+            keys,
+            [
+                "PC/baseline/tiny",
+                "PC/FreeAtomics+Fwd/tiny",
+                "PC/baseline/tiny net=contended:1",
+                "PC/FreeAtomics+Fwd/tiny net=contended:1",
+            ]
+        );
+        assert!(parse_rows(&merged_report("PC", &weak[1..]))[0].key.ends_with("/tiny model=weak"));
+    }
+
+    #[test]
+    fn a_key_duplicated_within_one_report_is_an_error() {
+        let once = parse_rows(&synthetic_report(&[("TATP", 5000, 3000, 2000)]));
+        let twice = [once.clone(), once.clone()].concat();
+        let e = super::diff(&twice, &once).expect_err("ambiguous baseline");
+        assert!(e.contains("baseline") && e.contains("TATP/baseline/tiny"), "{e}");
+        let e = super::diff(&once, &twice).expect_err("ambiguous current");
+        assert!(e.contains("current"), "{e}");
     }
 }

@@ -17,7 +17,7 @@
 use crate::checkpoint::{fnv1a64, CellRecord, Journal};
 use crate::BenchOpts;
 use fa_core::AtomicPolicy;
-use fa_mem::{HotLock, NocStats, ProgressStats, XbarPolicy};
+use fa_mem::{NocStats, ProgressStats, XbarPolicy};
 use fa_sim::env;
 use fa_sim::error::{CellFailure, SimError};
 use fa_sim::machine::{MachineConfig, RunResult};
@@ -25,7 +25,6 @@ use fa_sim::methodology::{Methodology, MultiRun};
 use fa_sim::sweep::{run_cells_timed, supervise, SweepTiming};
 use fa_sim::{json_object, json_u64_array, CpiStack, Hist};
 use fa_workloads::{WorkloadParams, WorkloadSpec};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -75,21 +74,14 @@ impl Preset {
 ///
 /// Panics on an unknown policy label, listing the known ones.
 pub fn policies_from_env() -> Vec<AtomicPolicy> {
-    match env::list("FA_POLICIES") {
-        Some(names) => names
-            .iter()
-            .map(|name| {
-                AtomicPolicy::ALL
-                    .into_iter()
-                    .find(|p| p.label() == name)
-                    .unwrap_or_else(|| {
-                        let known: Vec<_> = AtomicPolicy::ALL.iter().map(|p| p.label()).collect();
-                        panic!("FA_POLICIES: unknown policy {name:?} (known: {known:?})")
-                    })
-            })
-            .collect(),
-        None => AtomicPolicy::ALL.to_vec(),
-    }
+    let by_label = |name: &str| {
+        AtomicPolicy::ALL
+            .into_iter()
+            .find(|p| p.label() == name)
+            .ok_or_else(|| format!("unknown policy {name:?}"))
+    };
+    env::get("FA_POLICIES", |v| env::items(v).map(by_label).collect())
+        .unwrap_or_else(|| AtomicPolicy::ALL.to_vec())
 }
 
 /// The preset axis selected via `FA_PRESETS` (comma-separated
@@ -99,16 +91,10 @@ pub fn policies_from_env() -> Vec<AtomicPolicy> {
 ///
 /// Panics on an unknown preset name.
 pub fn presets_from_env() -> Vec<Preset> {
-    match env::list("FA_PRESETS") {
-        Some(names) => names
-            .iter()
-            .map(|name| {
-                Preset::by_name(name)
-                    .unwrap_or_else(|| panic!("FA_PRESETS: unknown preset {name:?}"))
-            })
-            .collect(),
-        None => vec![Preset::Icelake],
-    }
+    let by_name =
+        |name: &str| Preset::by_name(name).ok_or_else(|| format!("unknown preset {name:?}"));
+    env::get("FA_PRESETS", |v| env::items(v).map(by_name).collect())
+        .unwrap_or_else(|| vec![Preset::Icelake])
 }
 
 /// One independent sweep cell: a kernel under a policy on a preset. The
@@ -183,9 +169,10 @@ impl SupervisorOpts {
     /// Panics on any set-but-malformed variable, naming the grammar.
     pub fn from_env() -> SupervisorOpts {
         SupervisorOpts {
-            retries: env::retries(),
-            budget: env::cell_budget(),
-            checkpoint: env::checkpoint().map(PathBuf::from),
+            retries: env::get("FA_RETRIES", str::parse).unwrap_or(1),
+            budget: env::get("FA_CELL_BUDGET", |v| env::parse_cell_budget(v).ok_or("no such budget"))
+                .unwrap_or_default(),
+            checkpoint: env::path("FA_CHECKPOINT"),
         }
     }
 
@@ -622,37 +609,6 @@ impl SweepRow {
     }
 }
 
-/// Merges the hottest locked lines across the representative runs of
-/// `results` (summing per line), ordered by total hold cycles descending
-/// with the line address as the deterministic tiebreak, truncated to
-/// [`fa_mem::MemStats::HOT_LOCKS`] entries.
-pub fn hot_locks(results: &[CellResult]) -> Vec<HotLock> {
-    let mut by_line: BTreeMap<u64, HotLock> = BTreeMap::new();
-    for r in results {
-        for h in &r.summary.representative().mem.hot_locks {
-            let e = by_line.entry(h.line).or_insert(HotLock { line: h.line, ..HotLock::default() });
-            e.acquisitions += h.acquisitions;
-            e.hold_cycles += h.hold_cycles;
-        }
-    }
-    let mut hot: Vec<HotLock> = by_line.into_values().collect();
-    hot.sort_unstable_by(|a, b| b.hold_cycles.cmp(&a.hold_cycles).then(a.line.cmp(&b.line)));
-    hot.truncate(fa_mem::MemStats::HOT_LOCKS);
-    hot
-}
-
-/// One-line report of the hottest locked lines, for the bench summary.
-pub fn hot_locks_line(locks: &[HotLock]) -> String {
-    if locks.is_empty() {
-        return "hot locks: none".to_string();
-    }
-    let items: Vec<String> = locks
-        .iter()
-        .map(|h| format!("{:#x} ({} acq, {} cyc held)", h.line, h.acquisitions, h.hold_cycles))
-        .collect();
-    format!("hot locks: {}", items.join(", "))
-}
-
 /// Escapes `s` for embedding in a JSON string literal (the quarantine
 /// block carries rendered failure reports, which are multi-line).
 fn json_escape(s: &str) -> String {
@@ -774,9 +730,7 @@ impl SweepReport {
     /// The destination honoring `FA_BENCH_JSON` (default
     /// `BENCH_sweep.json` in the working directory).
     pub fn default_path() -> PathBuf {
-        env::var("FA_BENCH_JSON")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"))
+        env::path("FA_BENCH_JSON").unwrap_or_else(|| PathBuf::from("BENCH_sweep.json"))
     }
 
     /// Writes the report to [`SweepReport::default_path`] and returns the
@@ -948,7 +902,9 @@ mod tests {
             let opts = BenchOpts { trace, ..small_opts(threads) };
             let (results, out, _) = run(&opts, &cells);
             let rep = SweepReport::from_outcome("det", &opts, out, sweep_timing_stub());
-            (rep.json(), hot_locks(&results))
+            let hot: Vec<_> =
+                results.iter().map(|r| r.summary.representative().mem.hot_locks.clone()).collect();
+            (rep.json(), hot)
         };
         let (base_json, base_hot) = report_with(1, TraceMode::Off);
         for threads in [1usize, 4] {
@@ -1160,26 +1116,6 @@ mod tests {
                 noc_backlog_max: 10,
             }
         );
-    }
-
-    #[test]
-    fn hot_locks_merge_and_render() {
-        let cells = small_grid();
-        let (results, _, _) = run(&small_opts(1), &cells);
-        let hot = hot_locks(&results);
-        assert!(!hot.is_empty(), "atomic kernels must produce locked lines");
-        assert!(hot.len() <= fa_mem::MemStats::HOT_LOCKS);
-        for w in hot.windows(2) {
-            assert!(
-                w[0].hold_cycles > w[1].hold_cycles
-                    || (w[0].hold_cycles == w[1].hold_cycles && w[0].line < w[1].line),
-                "hot locks must be ordered by hold cycles then line"
-            );
-        }
-        let line = hot_locks_line(&hot);
-        assert!(line.starts_with("hot locks: 0x"), "{line}");
-        assert!(line.contains("acq"), "{line}");
-        assert_eq!(hot_locks_line(&[]), "hot locks: none");
     }
 
     #[test]

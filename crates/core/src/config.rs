@@ -155,12 +155,6 @@ impl CoreConfig {
         self.policy = policy;
         self
     }
-
-    /// Returns a copy with the given memory model.
-    pub fn with_model(mut self, model: MemModel) -> CoreConfig {
-        self.model = model;
-        self
-    }
 }
 
 #[cfg(test)]

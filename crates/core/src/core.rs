@@ -20,7 +20,7 @@ use crate::rob::{Entry, FwdSource, MemPhase, Rob, Seq, Slot, SrcVal};
 use crate::sched::Sched;
 use crate::stats::{CoreStats, SquashCause};
 use fa_isa::reg::NUM_REGS;
-use fa_isa::{line_of, Addr, FenceKind, Instr, Program, Reg, Uop, UopKind, Word};
+use fa_isa::{line_of, Addr, FenceKind, Instr, Program, Uop, UopKind, Word};
 use fa_mem::{CoreId, CoreNotice, CoreResp, Line, MemorySystem};
 use fa_trace::{write_id, CpiLeaf, DataEvent, MemModel, MemOrder, TraceBuf, TraceEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
@@ -315,16 +315,6 @@ impl Core {
     /// The core's id.
     pub fn id(&self) -> CoreId {
         self.id
-    }
-
-    /// Architectural register value (valid at halt; speculative state is
-    /// not included).
-    pub fn arch_reg(&self, r: Reg) -> Word {
-        if r.is_zero() {
-            0
-        } else {
-            self.arch_regs[r.index()]
-        }
     }
 
     /// Finalizes predictor statistics into [`Core::stats`]. Call once at the
@@ -1509,11 +1499,6 @@ impl Core {
     /// In-flight micro-ops (tests).
     pub fn rob_len(&self) -> usize {
         self.rob.len()
-    }
-
-    /// Atomic-queue occupancy (tests).
-    pub fn aq_len(&self) -> usize {
-        self.aq.len()
     }
 
     /// Entries across the scheduler's index lists (tests): zero whenever

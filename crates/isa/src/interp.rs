@@ -198,11 +198,6 @@ impl Interp {
         Interp { prog, ctx: ThreadCtx::default(), mem: GuestMem::new(mem_bytes), executed: 0 }
     }
 
-    /// Creates an interpreter with pre-initialized memory.
-    pub fn with_mem(prog: Program, mem: GuestMem) -> Interp {
-        Interp { prog, ctx: ThreadCtx::default(), mem, executed: 0 }
-    }
-
     /// Runs until `Halt` or until `max_steps` instructions have executed.
     ///
     /// # Errors
@@ -281,11 +276,6 @@ impl McInterp {
         x ^= x >> 27;
         self.rng = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Sets the scheduling quantum (instructions per turn).
-    pub fn set_quantum(&mut self, q: u32) {
-        self.quantum = q.max(1);
     }
 
     /// Mutable memory (for pre-run initialization).

@@ -112,13 +112,6 @@ impl ChaosConfig {
             storm_burst: 4,
         }
     }
-
-    /// Jitter-only preset: bounded latency noise with no structural
-    /// pressure. Useful to separate timing sensitivity from capacity
-    /// effects.
-    pub fn jitter_only(seed: u64, max: u64) -> ChaosConfig {
-        ChaosConfig { enabled: true, seed, msg_jitter: max, ..ChaosConfig::default() }
-    }
 }
 
 /// Counters for the injected faults, surfaced through

@@ -577,11 +577,6 @@ impl Directory {
         self.entries.peek(line).map(|e| e.busy.is_some()).unwrap_or(false)
     }
 
-    /// Number of resident directory entries.
-    pub fn resident_entries(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True if the directory tracks `line` at all.
     pub fn has_entry(&self, line: Line) -> bool {
         self.entries.peek(line).is_some()

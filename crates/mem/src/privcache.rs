@@ -237,11 +237,6 @@ impl PrivCache {
         self.locks.get(&line).copied().unwrap_or(0)
     }
 
-    /// Number of distinct locked lines.
-    pub fn locked_lines(&self) -> usize {
-        self.locks.len()
-    }
-
     /// Handles a demand read from the core's LSU.
     ///
     /// `exclusive` requests write permission (load_lock); `lock_intent`
@@ -659,11 +654,6 @@ impl PrivCache {
                 // locks stay precise).
             }
         }
-    }
-
-    /// Number of outstanding MSHRs (used by tests).
-    pub fn outstanding_misses(&self) -> usize {
-        self.mshrs.len()
     }
 
     /// True if an external request is parked on `line`.

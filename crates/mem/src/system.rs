@@ -153,11 +153,6 @@ impl MemorySystem {
         self.now
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.caches.len()
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &MemConfig {
         &self.cfg

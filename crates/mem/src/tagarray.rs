@@ -47,11 +47,6 @@ impl<S> TagArray<S> {
         self.set_of(line)
     }
 
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
-    }
-
     /// Associativity.
     pub fn num_ways(&self) -> usize {
         self.ways

@@ -1,104 +1,100 @@
-//! Unified `FA_*` environment-variable parsing.
+//! The `FA_*` knob registry.
 //!
-//! Every knob the benchmark and tool binaries read from the environment
-//! (`FA_THREADS`, `FA_NOC`, `FA_POLICIES`, `FA_PRESETS`, `FA_WORKLOADS`,
-//! `FA_BENCH_JSON`, `FA_TRACE`, `FA_CHECK`, the `FA_FUZZ_*` family, ...)
-//! goes through
-//! these helpers so a malformed value fails **loudly** with the variable
-//! name and the expected shape, instead of each binary hand-rolling a
-//! slightly different `std::env::var` dance with silently divergent error
-//! behavior.
+//! [`KNOBS`] lists every environment variable the drivers read — name,
+//! default, grammar, meaning — and [`get`] is the only reader: it takes
+//! its panic text from the table and refuses a name the table does not
+//! list, so a knob cannot exist without its documentation. `fa knobs`
+//! prints the table.
 //!
-//! Policy: an *unset* variable falls back to the caller's default; a *set
-//! but malformed* variable panics. A set-but-empty (or all-whitespace)
-//! value is treated as unset, so `FA_TRACE= cargo run ...` behaves like
-//! omitting the variable.
+//! Policy: an *unset* variable reads as `None` (the caller applies the
+//! default the table documents); a *set but malformed* variable panics,
+//! naming the variable and its grammar. A set-but-empty (or
+//! all-whitespace) value is treated as unset, so `FA_TRACE= fa sweep`
+//! behaves like omitting the variable.
 
-use fa_trace::{parse_check_setting, parse_model_setting, parse_trace_setting, CheckMode, MemModel, TraceMode};
+use std::fmt::Display;
 use std::time::Duration;
 
-/// The value of `name`, trimmed; `None` when unset or blank.
-pub fn var(name: &str) -> Option<String> {
-    match std::env::var(name) {
-        Ok(v) => {
-            let v = v.trim();
-            if v.is_empty() {
-                None
-            } else {
-                Some(v.to_string())
-            }
-        }
-        Err(_) => None,
-    }
+pub use fa_trace::{parse_check_setting, parse_model_setting, parse_trace_setting};
+
+/// One row of the knob table.
+#[derive(Clone, Copy, Debug)]
+pub struct Knob {
+    /// The environment variable.
+    pub name: &'static str,
+    /// What an unset variable reads as (`unset` = no value).
+    pub default: &'static str,
+    /// The legal values, as the malformed-value panic words them.
+    pub grammar: &'static str,
+    /// What the knob controls.
+    pub meaning: &'static str,
 }
 
-/// `name` parsed as a `u64`, or `default` when unset.
+const fn knob(
+    name: &'static str,
+    default: &'static str,
+    grammar: &'static str,
+    meaning: &'static str,
+) -> Knob {
+    Knob { name, default, grammar, meaning }
+}
+
+/// Every `FA_*` variable the drivers read. The per-command defaults of
+/// `FA_CORES`, `FA_SCALE` and `FA_CHECK` live in the `fa` binary's command
+/// table; `fa` without arguments prints them.
+pub const KNOBS: &[Knob] = &[
+    knob("FA_CORES", "8", "an integer", "simulated cores (the paper uses 32); `fa` lists each command's own default"),
+    knob("FA_SCALE", "0.25", "a number", "workload size multiplier; per-command default as for `FA_CORES`"),
+    knob("FA_RUNS", "3", "an integer", "runs per configuration (paper: 10, drop 3)"),
+    knob("FA_DROP", "1", "an integer", "slowest runs dropped"),
+    knob("FA_THREADS", "0", "an integer", "campaign worker threads (0 = host parallelism); results are bit-identical at any value"),
+    knob("FA_WORKLOADS", "all", "comma-separated workload names", "kernels to run (`ablation` defaults to TATP, AS, barnes, canneal)"),
+    knob("FA_POLICIES", "all", "comma-separated policy labels: `baseline`, `baseline+Spec`, `FreeAtomics`, `FreeAtomics+Fwd`", "policy axis of `sweep`"),
+    knob("FA_PRESETS", "icelake", "comma-separated preset names: `icelake`, `skylake`, `tiny`", "machine-preset axis of `sweep` and `fig16_network_sensitivity`"),
+    knob("FA_NOC", "ideal", "`ideal`, `contended` or `contended:<bw>`", "interconnect model"),
+    knob("FA_TRACE", "off", "`off`, `flight`, `full` or `full:<path>`", "event tracing; the path is where `trace` writes its timeline (default `fa_trace.json`)"),
+    knob("FA_CHECK", "off", "`off` or `tso`", "axiomatic conformance checking of every run (`fuzz`, `conformance`: `tso`)"),
+    knob("FA_MODEL", "tso", "`tso` or `weak`", "hardware memory model"),
+    knob("FA_PROGRESS", "on", "`off`, `on` or `on:<stall_cycles>` with a positive integer", "forward-progress escalation"),
+    knob("FA_RETRIES", "1", "a non-negative integer", "supervised-cell retries before quarantine"),
+    knob("FA_CELL_BUDGET", "unset", "`<cycles>` or `<cycles>:<wall_secs>`, both positive integers", "per-cell simulated-cycle cap and wall-clock watchdog"),
+    knob("FA_CHECKPOINT", "unset", "a path", "append-only sweep journal for kill/resume"),
+    knob("FA_BENCH_JSON", "BENCH_sweep.json", "a path", "sweep-report destination, and `report`'s default current file"),
+    knob("FA_FUZZ_CASES", "100", "an integer", "generated programs per fuzz campaign"),
+    knob("FA_FUZZ_SEED", "265703616094242", "a decimal integer", "master campaign seed"),
+    knob("FA_FUZZ_MAX_THREADS", "3", "an integer", "max threads per generated program"),
+    knob("FA_FUZZ_MAX_OPS", "3", "an integer", "max ops per thread"),
+];
+
+/// Knob `name` parsed by `parse`; `None` when unset or blank.
 ///
 /// # Panics
 ///
-/// Panics when the variable is set but not a non-negative integer.
-pub fn u64_or(name: &str, default: u64) -> u64 {
-    match var(name) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("{name}: invalid value {v:?}: {e} (expected an integer)")),
+/// Panics when `name` is not in [`KNOBS`], and when the variable is set
+/// but `parse` rejects it — naming the variable and the table's grammar.
+pub fn get<T, E: Display>(name: &str, parse: impl FnOnce(&str) -> Result<T, E>) -> Option<T> {
+    let knob = KNOBS
+        .iter()
+        .find(|k| k.name == name)
+        .unwrap_or_else(|| panic!("{name}: not a knob — add it to fa_sim::env::KNOBS"));
+    let v = std::env::var(name).ok()?;
+    let v = v.trim();
+    if v.is_empty() {
+        return None;
     }
+    Some(parse(v).unwrap_or_else(|e| {
+        panic!("{name}: invalid value {v:?}: {e} (expected {})", knob.grammar)
+    }))
 }
 
-/// `name` parsed as a `usize`, or `default` when unset.
-///
-/// # Panics
-///
-/// Panics when the variable is set but not a non-negative integer.
-pub fn usize_or(name: &str, default: usize) -> usize {
-    match var(name) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("{name}: invalid value {v:?}: {e} (expected an integer)")),
-    }
+/// The trimmed, non-empty items of a comma-separated knob value.
+pub fn items(v: &str) -> impl Iterator<Item = &str> {
+    v.split(',').map(str::trim).filter(|s| !s.is_empty())
 }
 
-/// `name` parsed as an `f64`, or `default` when unset.
-///
-/// # Panics
-///
-/// Panics when the variable is set but not a number.
-pub fn f64_or(name: &str, default: f64) -> f64 {
-    match var(name) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("{name}: invalid value {v:?}: {e} (expected a number)")),
-    }
-}
-
-/// `name` split on commas into trimmed, non-empty items; `None` when unset
-/// or blank. The caller validates the item names (so its error can list the
-/// legal ones).
-pub fn list(name: &str) -> Option<Vec<String>> {
-    var(name).map(|v| {
-        v.split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect()
-    })
-}
-
-/// The interconnect selection from `FA_NOC`: `ideal` (default),
-/// `contended`, or `contended:<bw>`.
-///
-/// # Panics
-///
-/// Panics on any other value.
-pub fn noc_config() -> fa_mem::NocConfig {
-    match var("FA_NOC") {
-        None => fa_mem::NocConfig::default(),
-        Some(v) => parse_noc(&v)
-            .unwrap_or_else(|| panic!("FA_NOC: invalid value {v:?} (expected `ideal`, `contended`, or `contended:<bw>`)")),
-    }
+/// A path knob's value: any non-blank string.
+pub fn path(name: &str) -> Option<std::path::PathBuf> {
+    get(name, |v| Ok::<_, std::convert::Infallible>(v.into()))
 }
 
 /// Parses one interconnect spec (the `FA_NOC` grammar).
@@ -110,71 +106,6 @@ pub fn parse_noc(v: &str) -> Option<fa_mem::NocConfig> {
             let bw = other.strip_prefix("contended:")?;
             Some(fa_mem::NocConfig::contended(bw.parse().ok()?))
         }
-    }
-}
-
-/// The trace setting from `FA_TRACE`: `off` (default), `flight`, `full`,
-/// or `full:<path>` — mode plus the optional export path.
-///
-/// # Panics
-///
-/// Panics on a malformed value, naming the legal grammar.
-pub fn trace_setting() -> (TraceMode, Option<String>) {
-    match var("FA_TRACE") {
-        None => (TraceMode::Off, None),
-        Some(v) => {
-            parse_trace_setting(&v).unwrap_or_else(|e| panic!("FA_TRACE: {e}"))
-        }
-    }
-}
-
-/// The conformance-check setting from `FA_CHECK`: `off` (default) or
-/// `tso`.
-///
-/// # Panics
-///
-/// Panics on a malformed value, naming the legal grammar.
-pub fn check_setting() -> CheckMode {
-    check_setting_or(CheckMode::Off)
-}
-
-/// [`check_setting`] with a caller-chosen default for when `FA_CHECK` is
-/// unset (the fuzzer and conformance bins default to `tso`).
-///
-/// # Panics
-///
-/// Panics on a malformed value, naming the legal grammar.
-pub fn check_setting_or(default: CheckMode) -> CheckMode {
-    match var("FA_CHECK") {
-        None => default,
-        Some(v) => parse_check_setting(&v).unwrap_or_else(|e| panic!("FA_CHECK: {e}")),
-    }
-}
-
-/// The memory-model selection from `FA_MODEL`: `tso` (default) or `weak`.
-///
-/// # Panics
-///
-/// Panics on a malformed value, naming the legal grammar.
-pub fn model_setting() -> MemModel {
-    match var("FA_MODEL") {
-        None => MemModel::default(),
-        Some(v) => parse_model_setting(&v).unwrap_or_else(|e| panic!("FA_MODEL: {e}")),
-    }
-}
-
-/// Supervised-cell retry count from `FA_RETRIES` (default 1: one initial
-/// attempt plus one retry before quarantine).
-///
-/// # Panics
-///
-/// Panics when the variable is set but not a non-negative integer.
-pub fn retries() -> u32 {
-    match var("FA_RETRIES") {
-        None => 1,
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            panic!("FA_RETRIES: invalid value {v:?}: {e} (expected a non-negative integer)")
-        }),
     }
 }
 
@@ -214,41 +145,6 @@ pub fn parse_cell_budget(v: &str) -> Option<CellBudget> {
     Some(CellBudget { max_cycles: Some(max_cycles), wall })
 }
 
-/// The per-cell budget from `FA_CELL_BUDGET`: `<cycles>` or
-/// `<cycles>:<wall_secs>`. Unset = no override (the methodology's
-/// `max_cycles` stands, no wall watchdog).
-///
-/// # Panics
-///
-/// Panics on a malformed value, naming the legal grammar.
-pub fn cell_budget() -> CellBudget {
-    match var("FA_CELL_BUDGET") {
-        None => CellBudget::default(),
-        Some(v) => parse_cell_budget(&v).unwrap_or_else(|| {
-            panic!(
-                "FA_CELL_BUDGET: invalid value {v:?} (expected `<cycles>` or \
-                 `<cycles>:<wall_secs>`, both positive integers)"
-            )
-        }),
-    }
-}
-
-/// The checkpoint journal path from `FA_CHECKPOINT` (`None` = no
-/// checkpointing). Any non-blank string is a valid path.
-pub fn checkpoint() -> Option<String> {
-    var("FA_CHECKPOINT")
-}
-
-/// The baseline sweep report for the differential bottleneck report
-/// (`FA_REPORT_BASELINE`): the path of a previously written
-/// `BENCH_sweep.json` to diff the current one against. Any non-blank
-/// string is a valid path; `None` means no baseline was named, which the
-/// `report` bin treats as a configuration error (it has nothing to diff
-/// without one, unless a positional baseline argument is given).
-pub fn report_baseline() -> Option<String> {
-    var("FA_REPORT_BASELINE")
-}
-
 /// Parses one `FA_PROGRESS` spec: `off`, `on` (default thresholds), or
 /// `on:<n>` — escalation on with both the core-commit stall threshold and
 /// the per-site retry threshold tightened to `n` cycles/attempts (the NoC
@@ -272,62 +168,50 @@ pub fn parse_progress(v: &str) -> Option<fa_mem::ProgressConfig> {
     }
 }
 
-/// The forward-progress escalation setting from `FA_PROGRESS`: `off`,
-/// `on` (the default), or `on:<stall_cycles>`.
-///
-/// # Panics
-///
-/// Panics on a malformed value, naming the legal grammar.
-pub fn progress_setting() -> fa_mem::ProgressConfig {
-    match var("FA_PROGRESS") {
-        None => fa_mem::ProgressConfig::default(),
-        Some(v) => parse_progress(&v).unwrap_or_else(|| {
-            panic!(
-                "FA_PROGRESS: invalid value {v:?} (expected `off`, `on`, or \
-                 `on:<stall_cycles>` with a positive integer)"
-            )
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_trace::{CheckMode, MemModel, TraceMode};
 
-    // Each test uses a variable name nothing else reads, so parallel test
-    // execution cannot race on the process environment.
-
-    #[test]
-    fn unset_and_blank_fall_back() {
-        assert_eq!(u64_or("FA_TEST_ENV_UNSET", 7), 7);
-        std::env::set_var("FA_TEST_ENV_BLANK", "   ");
-        assert_eq!(usize_or("FA_TEST_ENV_BLANK", 3), 3);
-        assert!(var("FA_TEST_ENV_BLANK").is_none());
+    fn panic_text(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("must panic");
+        payload.downcast_ref::<String>().expect("formatted panic").clone()
     }
 
+    /// The one test that touches the process environment (no other test in
+    /// this crate reads it, so parallel test threads cannot race).
     #[test]
-    fn set_values_parse_with_trimming() {
-        std::env::set_var("FA_TEST_ENV_U64", " 42 ");
-        assert_eq!(u64_or("FA_TEST_ENV_U64", 0), 42);
-        std::env::set_var("FA_TEST_ENV_F64", "1.5");
-        assert!((f64_or("FA_TEST_ENV_F64", 0.0) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "FA_TEST_ENV_BAD")]
-    fn malformed_values_panic_loudly() {
-        std::env::set_var("FA_TEST_ENV_BAD", "not-a-number");
-        u64_or("FA_TEST_ENV_BAD", 0);
+    fn every_knob_reads_by_the_table() {
+        let echo = |v: &str| Ok::<_, String>(v.to_string());
+        let reject = |_: &str| Err::<(), _>("rejected");
+        for (i, k) in KNOBS.iter().enumerate() {
+            assert!(KNOBS[..i].iter().all(|o| o.name != k.name), "{} listed twice", k.name);
+            assert!(k.name.starts_with("FA_"), "{}", k.name);
+            assert!(
+                !k.default.is_empty() && !k.grammar.is_empty() && !k.meaning.is_empty(),
+                "{}: every column is filled in",
+                k.name
+            );
+            std::env::remove_var(k.name);
+            assert_eq!(get(k.name, echo), None, "{}: unset reads as the default", k.name);
+            std::env::set_var(k.name, "   ");
+            assert_eq!(get(k.name, echo), None, "{}: blank reads as the default", k.name);
+            std::env::set_var(k.name, "  some value ");
+            assert_eq!(get(k.name, echo).as_deref(), Some("some value"), "{}: trimmed", k.name);
+            let text = panic_text(|| {
+                get(k.name, reject);
+            });
+            assert!(text.starts_with(k.name), "{text}");
+            assert!(text.contains("\"some value\"") && text.contains(k.grammar), "{text}");
+            std::env::remove_var(k.name);
+        }
+        assert!(panic_text(|| drop(get("FA_cores", echo))).contains("not a knob"));
     }
 
     #[test]
     fn lists_split_and_trim() {
-        std::env::set_var("FA_TEST_ENV_LIST", "a, b ,,c");
-        assert_eq!(
-            list("FA_TEST_ENV_LIST").unwrap(),
-            vec!["a".to_string(), "b".to_string(), "c".to_string()]
-        );
-        assert!(list("FA_TEST_ENV_LIST_UNSET").is_none());
+        assert_eq!(items("a, b ,,c").collect::<Vec<_>>(), ["a", "b", "c"]);
+        assert_eq!(items(" , ").count(), 0);
     }
 
     #[test]
@@ -340,19 +224,10 @@ mod tests {
     }
 
     #[test]
-    fn check_grammar_via_env() {
-        std::env::set_var("FA_TEST_ENV_CHECK", " tso ");
-        let v = var("FA_TEST_ENV_CHECK").unwrap();
-        assert_eq!(parse_check_setting(&v), Ok(CheckMode::Tso));
+    fn check_and_model_grammar() {
+        assert_eq!(parse_check_setting("tso"), Ok(CheckMode::Tso));
         assert!(parse_check_setting("strong").is_err());
-    }
-
-    #[test]
-    fn model_grammar_via_env() {
-        assert_eq!(model_setting(), MemModel::Tso, "unset FA_MODEL defaults to tso");
-        std::env::set_var("FA_TEST_ENV_MODEL", " weak ");
-        let v = var("FA_TEST_ENV_MODEL").unwrap();
-        assert_eq!(parse_model_setting(&v), Ok(MemModel::Weak));
+        assert_eq!(parse_model_setting("weak"), Ok(MemModel::Weak));
         assert_eq!(parse_model_setting("tso"), Ok(MemModel::Tso));
         assert!(parse_model_setting("sc").is_err());
     }
@@ -391,29 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn retries_and_checkpoint_via_env() {
-        assert_eq!(retries(), 1, "default is one retry");
-        std::env::set_var("FA_TEST_ENV_CKPT", "  /tmp/journal  ");
-        assert_eq!(var("FA_TEST_ENV_CKPT").as_deref(), Some("/tmp/journal"));
-    }
-
-    #[test]
-    fn report_baseline_reads_fa_report_baseline() {
-        // No other test touches this variable, so the sequence is safe
-        // under parallel test execution.
-        assert_eq!(report_baseline(), None);
-        std::env::set_var("FA_REPORT_BASELINE", "  base.json  ");
-        assert_eq!(report_baseline().as_deref(), Some("base.json"));
-        std::env::remove_var("FA_REPORT_BASELINE");
-    }
-
-    #[test]
-    fn trace_grammar_via_env() {
-        std::env::set_var("FA_TEST_ENV_TRACE", "full:/tmp/t.json");
-        let v = var("FA_TEST_ENV_TRACE").unwrap();
+    fn trace_grammar() {
         assert_eq!(
-            parse_trace_setting(&v).unwrap(),
-            (TraceMode::Full, Some("/tmp/t.json".to_string()))
+            parse_trace_setting("full:/tmp/t.json"),
+            Ok((TraceMode::Full, Some("/tmp/t.json".to_string())))
         );
+        assert!(parse_trace_setting("flight:/tmp/t.json").is_err(), "a path needs `full`");
+        assert!(parse_trace_setting("loud").is_err());
     }
 }

@@ -70,13 +70,6 @@ impl MachineConfig {
         self.mem.check = mode;
         self
     }
-
-    /// Returns a copy with the given memory model on every core. The
-    /// axiomatic checker (when enabled) follows the same model.
-    pub fn with_model(mut self, model: MemModel) -> MachineConfig {
-        self.core.model = model;
-        self
-    }
 }
 
 
@@ -238,19 +231,9 @@ impl Machine {
         self.start_offsets = offsets;
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Guest memory (to inspect results).
     pub fn guest_mem(&self) -> &GuestMem {
         self.mem.backing()
-    }
-
-    /// Guest memory for pre-run initialization.
-    pub fn guest_mem_mut(&mut self) -> &mut GuestMem {
-        self.mem.backing_mut()
     }
 
     /// Current cycle.
