@@ -29,6 +29,8 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 ! grep -rn 'std::env::var' crates/sim/src --exclude=env.rs || exit 1
 # One campaign engine, one row form: the deleted duplicates stay deleted.
 ! grep -rnE 'fn (run_grid|measure|measure_parallel|try_run_workload|run_workload|run_once|run_cells_supervised|json_full)\b|SweepReport::new' crates src || exit 1
+# One crossbar, every counter declared once, one trace walk per layer.
+! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
 # One driver binary, built once here (`cargo build --release` above builds
 # only the root package) and reached directly by every smoke below.
 ! ls crates/bench/src/bin | grep -vx 'fa.rs' || exit 1
@@ -36,15 +38,16 @@ cargo build --release -p fa-bench
 FA=./target/release/fa
 # One knob table: every "FA_*" literal under crates/ is a row of it, the
 # README quotes `fa knobs` verbatim, and the knob the `report` positional
-# argument made redundant stays deleted (CHANGES.md and the issue text
-# are history, not documentation).
+# argument made redundant stays deleted (CHANGES.md, ROADMAP.md's
+# "Recent" log and the issue text are history, not documentation).
 $FA knobs > target/knobs.txt
 sed -n '/^| variable | default /,/^$/p' README.md | sed '/^$/d' | diff - target/knobs.txt
 grep -oE 'FA_[A-Z_]+' target/knobs.txt | sort -u > target/knob_names.txt
 ! grep -rhoE '"FA_[A-Z_]+"' crates --include='*.rs' | tr -d '"' | sort -u \
     | grep -vxFf target/knob_names.txt || exit 1
 ! grep -rn 'FA_REPORT_BASELIN[E]' . --exclude-dir=.git --exclude-dir=target \
-    --exclude-dir=.bench_build --exclude=CHANGES.md --exclude=ISSUE.md || exit 1
+    --exclude-dir=.bench_build --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
+    || exit 1
 # Differential litmus fuzzing under fault injection (seeded — replayable).
 FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 $FA fuzz
 # Timed mini-sweep on the campaign engine: 2 kernels x 2 policies, writing

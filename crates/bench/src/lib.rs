@@ -223,21 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn noc_env_values_parse() {
-        // The shared grammar now lives in fa_sim::env; pin that the
-        // historical `FA_NOC` meanings survived the move.
-        use fa_mem::XbarPolicy;
-        use fa_sim::env::parse_noc;
-        assert_eq!(parse_noc("ideal"), Some(NocConfig::default()));
-        let c = parse_noc("contended").expect("bare contended");
-        assert_eq!(c.policy, XbarPolicy::Contended);
-        assert_eq!(c.link_bw, NocConfig::default().link_bw);
-        assert_eq!(parse_noc("contended:4"), Some(NocConfig::contended(4)));
-        assert_eq!(parse_noc("contended:x"), None);
-        assert_eq!(parse_noc("mesh"), None);
-    }
-
-    #[test]
     fn config_for_applies_policy_noc_trace_and_check() {
         let opts = BenchOpts {
             noc: NocConfig::contended(4),

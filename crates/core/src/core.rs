@@ -250,18 +250,14 @@ impl Core {
         }
     }
 
-    /// This core's trace ring (empty unless `cfg.trace` enables recording).
-    pub fn trace_records(&self) -> Vec<TraceRecord> {
-        self.trace.records()
-    }
-
     /// Committed data accesses in program order (empty unless
     /// `cfg.check` is on).
     pub fn data_events(&self) -> &[DataEvent] {
         &self.dlog
     }
 
-    /// The last `n` trace records (flight-recorder tail).
+    /// The last `n` records of this core's trace ring, `usize::MAX` for
+    /// all of them (empty unless `cfg.trace` enables recording).
     pub fn trace_tail(&self, n: usize) -> Vec<TraceRecord> {
         self.trace.tail(n)
     }

@@ -590,7 +590,7 @@ fn traced(policy: AtomicPolicy) -> CoreConfig {
 
 /// `(cycle, seq)` of every trace event of `core` that `pick` maps to a seq.
 fn events(core: &Core, pick: impl Fn(TraceEvent) -> Option<u64>) -> Vec<(u64, u64)> {
-    core.trace_records()
+    core.trace_tail(usize::MAX)
         .into_iter()
         .filter_map(|r| pick(r.ev).map(|seq| (r.cycle, seq)))
         .collect()

@@ -12,6 +12,7 @@
 
 use crate::msgs::{DirMsg, DirReq, DirReqKind, L1Msg, LatClass};
 use crate::progress::{ProgressGuard, ProgressPolicy};
+use crate::stats::DirStats;
 use crate::tagarray::TagArray;
 use crate::{CoreId, Cycle, Line, MemConfig};
 use fa_trace::{TraceBuf, TraceEvent};
@@ -111,13 +112,8 @@ pub struct Directory {
     dir_lat: Cycle,
     llc_lat: Cycle,
     mem_lat: Cycle,
-    pub(crate) stat_requests: u64,
-    pub(crate) stat_parked_busy: u64,
-    pub(crate) stat_invals_sent: u64,
-    pub(crate) stat_downgrades_sent: u64,
-    pub(crate) stat_entry_evictions: u64,
-    pub(crate) stat_alloc_waits: u64,
-    pub(crate) stat_alloc_rescues: u64,
+    /// The directory's counters, as `MemStats` publishes them.
+    pub(crate) stats: DirStats,
     /// Forward-progress guard for allocation polling (site `dir-alloc`):
     /// counts consecutive failed polls per starving request and decides
     /// when the rescue valve fires. Keyed lookups only, so the guard never
@@ -152,14 +148,8 @@ impl Directory {
             dir_lat: cfg.dir_lat,
             llc_lat: cfg.llc_lat,
             mem_lat: cfg.mem_lat,
-            stat_requests: 0,
-            stat_parked_busy: 0,
-            stat_invals_sent: 0,
-            stat_downgrades_sent: 0,
-            stat_entry_evictions: 0,
-            stat_alloc_waits: 0,
-            stat_alloc_rescues: 0,
-            alloc_guard: ProgressGuard::new(ALLOC_POLICY, 0),
+            stats: DirStats::default(),
+            alloc_guard: ProgressGuard::new(ALLOC_POLICY),
             alloc_rescue: None,
             rescue_absent: 0,
             now: 0,
@@ -192,7 +182,7 @@ impl Directory {
     pub(crate) fn handle(&mut self, msg: DirMsg, out: &mut Vec<DirAction>) {
         match msg {
             DirMsg::Req(req) => {
-                self.stat_requests += 1;
+                self.stats.requests += 1;
                 self.process_req(req, out);
             }
             DirMsg::InvAck { from, line } => {
@@ -268,7 +258,7 @@ impl Directory {
         let now = self.now;
         let e = self.entries.peek_mut(req.line).expect("peeked non-absent above");
         if e.busy.is_some() {
-            self.stat_parked_busy += 1;
+            self.stats.parked_busy += 1;
             e.parked.push_back((req, now));
             self.trace.record(self.now, TraceEvent::DirPark { line: req.line });
             return;
@@ -294,7 +284,7 @@ impl Directory {
                             Some((req, LatClass::Remote, park)),
                             false,
                         ));
-                        self.stat_downgrades_sent += 1;
+                        self.stats.downgrades_sent += 1;
                         out.push(DirAction::ToL1 {
                             core: owner,
                             msg: L1Msg::Downgrade { line: req.line },
@@ -344,7 +334,7 @@ impl Directory {
                     let class = if e.excl.is_some() { LatClass::Remote } else { LatClass::Llc };
                     e.busy = Some(Txn::acks(others, Some((req, class, park)), false));
                     for c in cores_in(others) {
-                        self.stat_invals_sent += 1;
+                        self.stats.invals_sent += 1;
                         out.push(DirAction::ToL1 {
                             core: c,
                             msg: L1Msg::Inv { line: req.line },
@@ -375,7 +365,7 @@ impl Directory {
                 } else {
                     // A starved request holds a reservation on this set's
                     // next freed way — don't compete for it.
-                    self.stat_alloc_waits += 1;
+                    self.stats.alloc_waits += 1;
                     out.push(DirAction::Redispatch(req));
                     return None;
                 }
@@ -421,13 +411,13 @@ impl Directory {
             // If every entry is mid-transaction, simply wait for one to
             // finish — the poll below retries.
         }
-        self.stat_alloc_waits += 1;
+        self.stats.alloc_waits += 1;
         let polls = self.alloc_guard.note_attempt(key);
         if self.alloc_guard.needs_rescue(polls) && self.alloc_rescue.is_none() {
             self.alloc_rescue = Some(key);
             self.rescue_absent = 0;
             self.alloc_guard.note_rescue();
-            self.stat_alloc_rescues += 1;
+            self.stats.alloc_rescues += 1;
             self.trace.record(self.now, TraceEvent::DirRescue { line: req.line });
         }
         out.push(DirAction::Redispatch(req));
@@ -447,14 +437,14 @@ impl Directory {
     /// Starts an inclusion eviction of `vline`: back-invalidate every
     /// (superset) sharer and free the entry once the acks collect.
     fn begin_back_inval(&mut self, vline: Line, out: &mut Vec<DirAction>) {
-        self.stat_entry_evictions += 1;
+        self.stats.entry_evictions += 1;
         self.trace.record(self.now, TraceEvent::DirEvict { line: vline });
         let dir_lat = self.dir_lat;
         let e = self.entries.peek_mut(vline).expect("eviction victim resident");
         let targets = e.sharers;
         e.busy = Some(Txn::acks(targets, None, true));
         for c in cores_in(targets) {
-            self.stat_invals_sent += 1;
+            self.stats.invals_sent += 1;
             out.push(DirAction::ToL1 {
                 core: c,
                 msg: L1Msg::Inv { line: vline },
@@ -832,7 +822,7 @@ mod tests {
             out.clear();
             d.handle(getx(1, 0x040), &mut out);
         }
-        assert_eq!(d.stat_alloc_rescues, 1, "starvation threshold promotes a rescue");
+        assert_eq!(d.stats.alloc_rescues, 1, "starvation threshold promotes a rescue");
         (d, out)
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Models the paper's Table-1 memory system: per-core private caches (L1D
 //! backed by a private L2), a shared LLC, an **inclusive directory** with
-//! finite capacity, and a pluggable crossbar interconnect ([`noc`]: ideal
-//! or bandwidth-contended) — all driven by a deterministic event wheel the
-//! interconnect owns.
+//! finite capacity, and one crossbar interconnect ([`noc`]: fixed-latency,
+//! or bandwidth-contended when its links are configured) — all driven by a
+//! deterministic event wheel the interconnect owns.
 //!
 //! # Modeling approach: dataless coherence
 //!

@@ -1,53 +1,54 @@
 //! The interconnect (NoC) layer: typed message delivery between the
 //! private-cache controllers, the directory/LLC and the cores.
 //!
-//! Historically `system.rs` delivered every protocol message by scheduling
-//! directly onto the event wheel with one fixed hop latency, splicing chaos
-//! jitter in at each call site. This module makes the network a first-class
-//! subsystem behind the [`Interconnect`] trait: the system hands each
-//! outbound message to its crossbar **port** ([`Interconnect::send`]) and
-//! drains deliveries with [`Interconnect::pop_due`]; the crossbar owns the
-//! event wheel, the fault-injection engine, and all latency/bandwidth
+//! The network is one crossbar, [`Xbar`]: the system hands each outbound
+//! message to its **port** ([`Xbar::send`]) and drains deliveries with
+//! [`Xbar::pop_due`]; the crossbar owns the event wheel, the
+//! fault-injection engine, the `noc` trace ring and all latency/bandwidth
 //! modeling.
 //!
-//! Two implementations ship:
+//! [`NocConfig::policy`] selects whether the ports have finite bandwidth:
 //!
-//! - [`IdealXbar`] — infinite bandwidth, one fixed hop latency
-//!   (`net_lat`). Reproduces the pre-refactor delivery schedule exactly:
-//!   under the default configuration the whole simulator is bit-identical
-//!   to the ad-hoc path (pinned by the golden-stats test in
-//!   `crates/bench/tests/noc_golden.rs`).
-//! - [`ContendedXbar`] — finite per-link bandwidth in flits/cycle, with
+//! - [`XbarPolicy::Ideal`] — no links: every network message takes one
+//!   fixed hop latency (`net_lat`) plus chaos jitter. This is the paper's
+//!   baseline network assumption and the schedule the golden-stats test in
+//!   `crates/bench/tests/noc_golden.rs` pins.
+//! - [`XbarPolicy::Contended`] — per-link bandwidth in flits/cycle, with
 //!   per-port ingress/egress serialization and occupancy accounting, in the
 //!   spirit of the GARNET crossbar the paper's gem5 setup uses. Control
 //!   messages are one flit; grants carry a data payload
 //!   ([`NocConfig::data_flits`]).
 //!
+//! Both run the same `send` body: without links a port's serialization is
+//! the identity on its ready time (see [`Xbar`]).
+//!
 //! # Arbitration determinism
 //!
-//! The contended crossbar arbitrates by **arrival order**: each link keeps a
-//! busy-until horizon and serves messages in the order `send` observes them.
-//! Because `send` is only ever invoked while draining the event wheel — a
-//! min-heap keyed by `(cycle, insertion seq)` — that order is a pure
-//! function of the simulation, which makes the arbitration a deterministic
-//! round-robin keyed by `(cycle, seq)`: same configuration, same schedule,
+//! Links arbitrate by **arrival order**: each keeps a busy-until horizon
+//! and serves messages in the order `send` observes them. Because `send` is
+//! only ever invoked while draining the event wheel — a min-heap keyed by
+//! `(cycle, insertion seq)` — that order is a pure function of the
+//! simulation, which makes the arbitration a deterministic round-robin
+//! keyed by `(cycle, seq)`: same configuration, same schedule,
 //! bit-identical results at any host thread count.
 //!
 //! # Chaos relocation
 //!
 //! The [`ChaosEngine`](crate::chaos::ChaosEngine) lives *inside* the
-//! interconnect: message jitter and directory-stall injection perturb the
+//! crossbar: message jitter and directory-stall injection perturb the
 //! injection time of each message before bandwidth arbitration, so fault
 //! injection composes with contention (a jittered message also queues). The
-//! jitter stream is drawn in send order, which the ideal crossbar preserves
-//! exactly — chaos runs replay bit-for-bit across the refactor.
+//! jitter stream is drawn in send order by the one `send`, so it is the
+//! same stream under either policy.
 
 use crate::chaos::ChaosEngine;
 use crate::msgs::{DirMsg, L1Msg, LatClass};
 use crate::wheel::Wheel;
 use crate::{CoreId, Cycle, Line, MemConfig};
 use fa_isa::Addr;
-use fa_trace::Hist;
+use fa_trace::{
+    Hist, TraceBuf, TraceEvent, NOC_READ_DONE, NOC_STORE_READY, NOC_TO_DIR, NOC_TO_L1,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -93,7 +94,8 @@ impl Default for NocConfig {
 }
 
 impl NocConfig {
-    /// A contended crossbar with `link_bw` flits/cycle per link.
+    /// A contended crossbar with `link_bw` flits/cycle per link (at least
+    /// one: the only clamp — the crossbar divides by this value as given).
     pub fn contended(link_bw: u64) -> NocConfig {
         NocConfig { policy: XbarPolicy::Contended, link_bw: link_bw.max(1), ..NocConfig::default() }
     }
@@ -320,165 +322,17 @@ fn grant_class(msg: &L1Msg) -> Option<LatClass> {
     }
 }
 
-/// A pluggable crossbar. The memory system pushes every outbound event
-/// through [`send`](Interconnect::send) and drains due deliveries with
-/// [`pop_due`](Interconnect::pop_due); the implementation decides latency,
-/// bandwidth, queuing and fault injection.
-pub(crate) trait Interconnect: fmt::Debug + Send {
-    /// Routes `ev`. `extra` is the sender-side delay already accrued before
-    /// injection: directory/LLC/memory access time for directory responses,
-    /// cache pipeline latency for local completions, zero for requests.
-    /// Network messages additionally pay hop latency, chaos jitter and (in
-    /// the contended crossbar) link serialization and queuing.
-    fn send(&mut self, now: Cycle, extra: Cycle, ev: NocEv);
+/// Synthetic node id for the directory in NoC trace events (cores use
+/// their `CoreId`).
+const DIR_NODE: u16 = u16::MAX;
 
-    /// Schedules `ev` for delivery at exactly `at` — no latency, jitter or
-    /// contention. Used for the directory's allocation-poll redispatch,
-    /// which is a local retry rather than a network message (it is neither
-    /// jittered nor counted).
-    fn send_raw(&mut self, at: Cycle, ev: NocEv);
-
-    /// Next delivery due at or before `now`, in `(cycle, seq)` order,
-    /// paired with its injection cycle (send time plus sender-side `extra`)
-    /// so the consumer can attribute delivered latency without re-deriving
-    /// the crossbar's schedule.
-    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, NocEv)>;
-
-    /// Cycle of the earliest pending delivery.
-    fn next_at(&self) -> Option<Cycle>;
-
-    /// Deliveries still in flight.
-    fn pending(&self) -> usize;
-
-    /// The fault-injection engine (owned by the interconnect so jitter
-    /// composes with contention).
-    fn chaos(&self) -> &ChaosEngine;
-
-    /// Mutable access for the storm scheduler.
-    fn chaos_mut(&mut self) -> &mut ChaosEngine;
-
-    /// True when idle cycles can be skipped: delivery times are computed at
-    /// send time (busy-until horizons, not per-cycle arbitration), so both
-    /// crossbars are skippable unless fault injection needs per-cycle
-    /// storm checks.
-    fn fast_forwardable(&self) -> bool;
-
-    /// True while either of `core`'s links (request egress or response
-    /// ingress) has a transmission horizon past `now` — i.e. the core's
-    /// traffic is queued behind link serialization. Pure read used by the
-    /// cycle-accounting layer; the ideal crossbar never backpressures.
-    fn core_backpressured(&self, _core: usize, _now: Cycle) -> bool {
-        false
-    }
-
-    /// Statistics snapshot at cycle `now`.
-    fn stats(&self, now: Cycle) -> NocStats;
-}
-
-/// Builds the crossbar `cfg` selects, seeding it with `chaos`.
-pub(crate) fn build(cfg: &MemConfig, n_cores: usize, chaos: ChaosEngine) -> Box<dyn Interconnect> {
-    match cfg.noc.policy {
-        XbarPolicy::Ideal => Box::new(IdealXbar::new(cfg.net_lat, chaos)),
-        XbarPolicy::Contended => Box::new(ContendedXbar::new(cfg, n_cores, chaos)),
-    }
-}
-
-/// Fixed-latency, infinite-bandwidth crossbar: every network message takes
-/// exactly `net_lat` (plus chaos jitter), local deliveries take their
-/// sender-side delay. Bit-identical to the pre-NoC delivery schedule.
-#[derive(Debug)]
-pub(crate) struct IdealXbar {
-    net_lat: Cycle,
-    wheel: Wheel<(Cycle, NocEv)>,
-    chaos: ChaosEngine,
-    net_messages: u64,
-    local_deliveries: u64,
-    class_msgs: [u64; LatClass::ALL.len()],
-    class_cycles: [u64; LatClass::ALL.len()],
-    delivered_hist: Hist,
-}
-
-impl IdealXbar {
-    pub(crate) fn new(net_lat: Cycle, chaos: ChaosEngine) -> IdealXbar {
-        IdealXbar {
-            net_lat,
-            wheel: Wheel::new(),
-            chaos,
-            net_messages: 0,
-            local_deliveries: 0,
-            class_msgs: [0; LatClass::ALL.len()],
-            class_cycles: [0; LatClass::ALL.len()],
-            delivered_hist: Hist::new(),
-        }
-    }
-}
-
-impl Interconnect for IdealXbar {
-    fn send(&mut self, now: Cycle, extra: Cycle, ev: NocEv) {
-        match ev {
-            NocEv::ToDir(_) => {
-                self.net_messages += 1;
-                let jitter = self.chaos.event_jitter();
-                self.wheel.schedule(now + extra + self.net_lat + jitter, (now + extra, ev));
-            }
-            NocEv::ToL1(_, msg) => {
-                self.net_messages += 1;
-                let jitter = self.chaos.dir_response_jitter();
-                if let Some(class) = grant_class(&msg) {
-                    self.class_msgs[class.index()] += 1;
-                    self.class_cycles[class.index()] += self.net_lat + jitter;
-                    self.delivered_hist.record(self.net_lat + jitter);
-                }
-                self.wheel.schedule(now + extra + self.net_lat + jitter, (now + extra, ev));
-            }
-            NocEv::ReadDone { .. } | NocEv::StoreReady { .. } => {
-                self.local_deliveries += 1;
-                let jitter = self.chaos.event_jitter();
-                self.wheel.schedule(now + extra + jitter, (now + extra, ev));
-            }
-        }
-    }
-
-    fn send_raw(&mut self, at: Cycle, ev: NocEv) {
-        self.wheel.schedule(at, (at, ev));
-    }
-
-    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, NocEv)> {
-        self.wheel.pop_due(now)
-    }
-
-    fn next_at(&self) -> Option<Cycle> {
-        self.wheel.next_at()
-    }
-
-    fn pending(&self) -> usize {
-        self.wheel.len()
-    }
-
-    fn chaos(&self) -> &ChaosEngine {
-        &self.chaos
-    }
-
-    fn chaos_mut(&mut self) -> &mut ChaosEngine {
-        &mut self.chaos
-    }
-
-    fn fast_forwardable(&self) -> bool {
-        !self.chaos.enabled()
-    }
-
-    fn stats(&self, now: Cycle) -> NocStats {
-        NocStats {
-            policy: XbarPolicy::Ideal,
-            link_bw: 0,
-            elapsed: now,
-            net_messages: self.net_messages,
-            local_deliveries: self.local_deliveries,
-            class_msgs: self.class_msgs,
-            class_cycles: self.class_cycles,
-            delivered_hist: self.delivered_hist,
-            ..NocStats::default()
-        }
+/// The `(kind, src, dst)` of `ev` as NoC trace events name it.
+fn route(ev: &NocEv) -> (u8, u16, u16) {
+    match *ev {
+        NocEv::ToDir(ref m) => (NOC_TO_DIR, dir_msg_src(m).0, DIR_NODE),
+        NocEv::ToL1(core, _) => (NOC_TO_L1, DIR_NODE, core.0),
+        NocEv::ReadDone { core, .. } => (NOC_READ_DONE, core.0, core.0),
+        NocEv::StoreReady { core, .. } => (NOC_STORE_READY, core.0, core.0),
     }
 }
 
@@ -505,7 +359,7 @@ impl Link {
         self.stats.queue_hist[(depth as usize).min(QUEUE_BUCKETS - 1)] += 1;
         self.stats.max_queue = self.stats.max_queue.max(depth);
         let start = self.busy_until.max(ready);
-        let ser = flits.div_ceil(bw.max(1)).max(1);
+        let ser = flits.div_ceil(bw).max(1);
         self.busy_until = start + ser;
         self.inflight.push_back(self.busy_until);
         self.stats.messages += 1;
@@ -518,139 +372,182 @@ impl Link {
 /// Flits in a control message (requests, acks, invalidations, downgrades).
 const CTRL_FLITS: u64 = 1;
 
-/// Finite-bandwidth crossbar. Each core owns a request egress link toward
+/// The finite-bandwidth ports: each core owns a request egress link toward
 /// the directory and a response ingress link from it; the directory owns a
-/// shared ingress port and a shared egress port. A message serializes
-/// through its source link, crosses the hop (`net_lat`), then serializes
-/// through its destination port — so both endpoint bandwidth and the
-/// directory's shared ports are contention points, as in a GARNET-style
-/// crossbar. Chaos jitter perturbs the injection time before arbitration.
+/// shared ingress port and a shared egress port, as in a GARNET-style
+/// crossbar.
 #[derive(Debug)]
-pub(crate) struct ContendedXbar {
-    net_lat: Cycle,
+struct Links {
     bw: u64,
     data_flits: u64,
-    wheel: Wheel<(Cycle, NocEv)>,
-    chaos: ChaosEngine,
-    net_messages: u64,
-    local_deliveries: u64,
-    class_msgs: [u64; LatClass::ALL.len()],
-    class_cycles: [u64; LatClass::ALL.len()],
-    delivered_hist: Hist,
-    req_links: Vec<Link>,
-    resp_links: Vec<Link>,
+    req: Vec<Link>,
+    resp: Vec<Link>,
     dir_in: Link,
     dir_out: Link,
 }
 
-impl ContendedXbar {
-    pub(crate) fn new(cfg: &MemConfig, n_cores: usize, chaos: ChaosEngine) -> ContendedXbar {
-        ContendedXbar {
-            net_lat: cfg.net_lat,
-            bw: cfg.noc.link_bw.max(1),
-            data_flits: cfg.noc.data_flits.max(1),
-            wheel: Wheel::new(),
-            chaos,
-            net_messages: 0,
-            local_deliveries: 0,
-            class_msgs: [0; LatClass::ALL.len()],
-            class_cycles: [0; LatClass::ALL.len()],
-            delivered_hist: Hist::new(),
-            req_links: (0..n_cores).map(|_| Link::default()).collect(),
-            resp_links: (0..n_cores).map(|_| Link::default()).collect(),
-            dir_in: Link::default(),
-            dir_out: Link::default(),
-        }
-    }
+/// The crossbar. The memory system pushes every outbound event through
+/// [`send`](Xbar::send) and drains due deliveries with
+/// [`pop_due`](Xbar::pop_due); the crossbar owns the event wheel, the
+/// fault-injection engine (so jitter composes with contention), the
+/// latency/bandwidth model and the `noc` trace ring.
+///
+/// A network message is injected at `now + extra + jitter`, serializes
+/// through its source link, crosses the hop (`net_lat`), then serializes
+/// through its destination port. The links exist exactly when the
+/// configured policy is [`XbarPolicy::Contended`]; without them the two
+/// serializations are the identity on their ready time, so the message
+/// delivers at `now + extra + jitter + net_lat` — the fixed-latency
+/// crossbar is the contended one in its uncontended limit, not a second
+/// implementation.
+#[derive(Debug)]
+pub(crate) struct Xbar {
+    net_lat: Cycle,
+    wheel: Wheel<(Cycle, NocEv)>,
+    pub(crate) chaos: ChaosEngine,
+    links: Option<Links>,
+    /// Message and grant-latency tallies (`policy` and `link_bw` are set
+    /// once here; the link vectors and `elapsed` are filled per snapshot).
+    tally: NocStats,
+    /// Structured trace ring for send/deliver events.
+    pub(crate) trace: TraceBuf,
 }
 
-impl Interconnect for ContendedXbar {
-    fn send(&mut self, now: Cycle, extra: Cycle, ev: NocEv) {
-        match ev {
-            NocEv::ToDir(ref m) => {
-                self.net_messages += 1;
-                // Same rng call as the ideal path keeps the chaos stream
-                // aligned across crossbar models.
-                let jitter = self.chaos.event_jitter();
-                let src = dir_msg_src(m).index();
-                let inject = now + extra + jitter;
-                let sent = self.req_links[src].transmit(inject, CTRL_FLITS, self.bw);
-                let at = self.dir_in.transmit(sent + self.net_lat, CTRL_FLITS, self.bw);
-                self.wheel.schedule(at, (now + extra, ev));
-            }
-            NocEv::ToL1(core, msg) => {
-                self.net_messages += 1;
-                let jitter = self.chaos.dir_response_jitter();
-                let flits =
-                    if grant_class(&msg).is_some() { self.data_flits } else { CTRL_FLITS };
-                let inject = now + extra + jitter;
-                let sent = self.dir_out.transmit(inject, flits, self.bw);
-                let at = self.resp_links[core.index()].transmit(sent + self.net_lat, flits, self.bw);
-                if let Some(class) = grant_class(&msg) {
-                    self.class_msgs[class.index()] += 1;
-                    self.class_cycles[class.index()] += at - (now + extra);
-                    self.delivered_hist.record(at - (now + extra));
-                }
-                self.wheel.schedule(at, (now + extra, ev));
-            }
-            NocEv::ReadDone { .. } | NocEv::StoreReady { .. } => {
-                self.local_deliveries += 1;
-                let jitter = self.chaos.event_jitter();
-                self.wheel.schedule(now + extra + jitter, (now + extra, ev));
-            }
+impl Xbar {
+    /// Builds the crossbar `cfg` selects for `n_cores` cores, seeding it
+    /// with `chaos`.
+    pub(crate) fn new(cfg: &MemConfig, n_cores: usize, chaos: ChaosEngine) -> Xbar {
+        let mk = || (0..n_cores).map(|_| Link::default()).collect();
+        let links = (cfg.noc.policy == XbarPolicy::Contended).then(|| Links {
+            bw: cfg.noc.link_bw,
+            data_flits: cfg.noc.data_flits.max(1),
+            req: mk(),
+            resp: mk(),
+            dir_in: Link::default(),
+            dir_out: Link::default(),
+        });
+        Xbar {
+            net_lat: cfg.net_lat,
+            wheel: Wheel::new(),
+            chaos,
+            tally: NocStats {
+                policy: cfg.noc.policy,
+                link_bw: links.as_ref().map_or(0, |l| l.bw),
+                ..NocStats::default()
+            },
+            links,
+            trace: TraceBuf::new(&cfg.trace),
         }
     }
 
-    fn send_raw(&mut self, at: Cycle, ev: NocEv) {
+    /// Routes `ev`. `extra` is the sender-side delay already accrued before
+    /// injection: directory/LLC/memory access time for directory responses,
+    /// cache pipeline latency for local completions, zero for requests.
+    /// Network messages additionally pay chaos jitter, hop latency and (with
+    /// links) serialization and queuing; local completions pay jitter only.
+    pub(crate) fn send(&mut self, now: Cycle, extra: Cycle, ev: NocEv) {
+        if self.trace.on() {
+            let (kind, src, dst) = route(&ev);
+            self.trace.record(now, TraceEvent::NocSend { kind, src, dst });
+        }
+        let inject = now + extra;
+        let at = match ev {
+            NocEv::ToDir(ref m) => {
+                self.tally.net_messages += 1;
+                let ready = inject + self.chaos.event_jitter();
+                match &mut self.links {
+                    Some(l) => {
+                        let sent = l.req[dir_msg_src(m).index()].transmit(ready, CTRL_FLITS, l.bw);
+                        l.dir_in.transmit(sent + self.net_lat, CTRL_FLITS, l.bw)
+                    }
+                    None => ready + self.net_lat,
+                }
+            }
+            NocEv::ToL1(core, ref msg) => {
+                self.tally.net_messages += 1;
+                let ready = inject + self.chaos.dir_response_jitter();
+                let class = grant_class(msg);
+                let at = match &mut self.links {
+                    Some(l) => {
+                        let flits = if class.is_some() { l.data_flits } else { CTRL_FLITS };
+                        let sent = l.dir_out.transmit(ready, flits, l.bw);
+                        l.resp[core.index()].transmit(sent + self.net_lat, flits, l.bw)
+                    }
+                    None => ready + self.net_lat,
+                };
+                if let Some(class) = class {
+                    self.tally.class_msgs[class.index()] += 1;
+                    self.tally.class_cycles[class.index()] += at - inject;
+                    self.tally.delivered_hist.record(at - inject);
+                }
+                at
+            }
+            NocEv::ReadDone { .. } | NocEv::StoreReady { .. } => {
+                self.tally.local_deliveries += 1;
+                inject + self.chaos.event_jitter()
+            }
+        };
+        self.wheel.schedule(at, (inject, ev));
+    }
+
+    /// Schedules `ev` for delivery at exactly `at` — no latency, jitter or
+    /// contention. Used for the directory's allocation-poll redispatch,
+    /// which is a local retry rather than a network message (it is neither
+    /// jittered, counted nor traced as a send).
+    pub(crate) fn send_raw(&mut self, at: Cycle, ev: NocEv) {
         self.wheel.schedule(at, (at, ev));
     }
 
-    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, NocEv)> {
-        self.wheel.pop_due(now)
+    /// Next delivery due at or before `now`, in `(cycle, seq)` order,
+    /// paired with its injection cycle (send time plus sender-side `extra`)
+    /// so the consumer can attribute delivered latency without re-deriving
+    /// the crossbar's schedule.
+    pub(crate) fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, NocEv)> {
+        let (sent, ev) = self.wheel.pop_due(now)?;
+        if self.trace.on() {
+            let (kind, _, dst) = route(&ev);
+            let lat = now.saturating_sub(sent);
+            self.trace.record(now, TraceEvent::NocDeliver { kind, dst, lat });
+        }
+        Some((sent, ev))
     }
 
-    fn next_at(&self) -> Option<Cycle> {
+    /// Cycle of the earliest pending delivery.
+    pub(crate) fn next_at(&self) -> Option<Cycle> {
         self.wheel.next_at()
     }
 
-    fn pending(&self) -> usize {
+    /// Deliveries still in flight.
+    pub(crate) fn pending(&self) -> usize {
         self.wheel.len()
     }
 
-    fn chaos(&self) -> &ChaosEngine {
-        &self.chaos
-    }
-
-    fn chaos_mut(&mut self) -> &mut ChaosEngine {
-        &mut self.chaos
-    }
-
-    fn fast_forwardable(&self) -> bool {
-        // Busy-until horizons are event-driven; only per-cycle storm
-        // scheduling forbids skipping idle spans.
+    /// True when idle cycles can be skipped: delivery times are computed at
+    /// send time (busy-until horizons, not per-cycle arbitration), so only
+    /// fault injection's per-cycle storm checks forbid it.
+    pub(crate) fn fast_forwardable(&self) -> bool {
         !self.chaos.enabled()
     }
 
-    fn core_backpressured(&self, core: usize, now: Cycle) -> bool {
-        self.req_links.get(core).is_some_and(|l| l.busy_until > now)
-            || self.resp_links.get(core).is_some_and(|l| l.busy_until > now)
+    /// True while either of `core`'s links (request egress or response
+    /// ingress) has a transmission horizon past `now` — i.e. the core's
+    /// traffic is queued behind link serialization. Pure read used by the
+    /// cycle-accounting layer; without links nothing backpressures.
+    pub(crate) fn core_backpressured(&self, core: usize, now: Cycle) -> bool {
+        let busy = |l: &[Link]| l.get(core).is_some_and(|l| l.busy_until > now);
+        self.links.as_ref().is_some_and(|l| busy(&l.req) || busy(&l.resp))
     }
 
-    fn stats(&self, now: Cycle) -> NocStats {
-        NocStats {
-            policy: XbarPolicy::Contended,
-            link_bw: self.bw,
-            elapsed: now,
-            net_messages: self.net_messages,
-            local_deliveries: self.local_deliveries,
-            class_msgs: self.class_msgs,
-            class_cycles: self.class_cycles,
-            delivered_hist: self.delivered_hist,
-            req_links: self.req_links.iter().map(|l| l.stats.clone()).collect(),
-            resp_links: self.resp_links.iter().map(|l| l.stats.clone()).collect(),
-            dir_ingress: self.dir_in.stats.clone(),
-            dir_egress: self.dir_out.stats.clone(),
+    /// Statistics snapshot at cycle `now`.
+    pub(crate) fn stats(&self, now: Cycle) -> NocStats {
+        let mut s = NocStats { elapsed: now, ..self.tally.clone() };
+        if let Some(l) = &self.links {
+            s.req_links = l.req.iter().map(|l| l.stats.clone()).collect();
+            s.resp_links = l.resp.iter().map(|l| l.stats.clone()).collect();
+            s.dir_ingress = l.dir_in.stats.clone();
+            s.dir_egress = l.dir_out.stats.clone();
         }
+        s
     }
 }
 
@@ -659,9 +556,15 @@ mod tests {
     use super::*;
     use crate::chaos::ChaosConfig;
     use crate::msgs::{DirReq, DirReqKind};
+    use fa_trace::{TraceConfig, TraceMode};
 
-    fn quiet_chaos() -> ChaosEngine {
-        ChaosEngine::new(ChaosConfig::default())
+    fn xbar(noc: NocConfig, n_cores: usize) -> Xbar {
+        let cfg = MemConfig { noc, ..MemConfig::default() };
+        Xbar::new(&cfg, n_cores, ChaosEngine::new(ChaosConfig::default()))
+    }
+
+    fn ideal() -> Xbar {
+        xbar(NocConfig::default(), 2)
     }
 
     fn req(from: u16) -> NocEv {
@@ -672,7 +575,7 @@ mod tests {
         NocEv::ToL1(CoreId(core), L1Msg::GrantS { line: 0x100, class, park: 0 })
     }
 
-    fn drain_times(x: &mut dyn Interconnect, horizon: Cycle) -> Vec<Cycle> {
+    fn drain_times(x: &mut Xbar, horizon: Cycle) -> Vec<Cycle> {
         let mut out = Vec::new();
         for t in 0..=horizon {
             while x.pop_due(t).is_some() {
@@ -684,7 +587,7 @@ mod tests {
 
     #[test]
     fn ideal_xbar_delivers_at_fixed_latency() {
-        let mut x = IdealXbar::new(8, quiet_chaos());
+        let mut x = ideal();
         x.send(10, 0, req(0));
         x.send(10, 5, grant(0, LatClass::Mem));
         assert_eq!(x.next_at(), Some(18));
@@ -699,8 +602,7 @@ mod tests {
 
     #[test]
     fn contended_xbar_serializes_on_shared_dir_port() {
-        let cfg = MemConfig { noc: NocConfig::contended(1), ..MemConfig::default() };
-        let mut x = ContendedXbar::new(&cfg, 4, quiet_chaos());
+        let mut x = xbar(NocConfig::contended(1), 4);
         // Four requests from different cores in the same cycle: egress
         // links are disjoint, but the directory ingress port serializes.
         for c in 0..4 {
@@ -718,8 +620,7 @@ mod tests {
 
     #[test]
     fn contended_grants_pay_data_serialization() {
-        let cfg = MemConfig { noc: NocConfig::contended(1), ..MemConfig::default() };
-        let mut x = ContendedXbar::new(&cfg, 2, quiet_chaos());
+        let mut x = xbar(NocConfig::contended(1), 2);
         x.send(0, 0, grant(0, LatClass::Llc));
         // One 5-flit grant at 1 flit/cycle: 5 (egress) + 8 (hop) + 5
         // (ingress) = cycle 18.
@@ -733,28 +634,38 @@ mod tests {
 
     #[test]
     fn wider_links_deliver_sooner() {
-        let narrow = MemConfig { noc: NocConfig::contended(1), ..MemConfig::default() };
-        let wide = MemConfig { noc: NocConfig::contended(4), ..MemConfig::default() };
-        let mut xn = ContendedXbar::new(&narrow, 2, quiet_chaos());
-        let mut xw = ContendedXbar::new(&wide, 2, quiet_chaos());
-        for x in [&mut xn as &mut dyn Interconnect, &mut xw] {
+        let last = |bw| {
+            let mut x = xbar(NocConfig::contended(bw), 2);
             x.send(0, 0, grant(0, LatClass::Mem));
             x.send(0, 0, grant(1, LatClass::Mem));
+            *drain_times(&mut x, 300).last().expect("grants deliver")
+        };
+        assert!(last(4) < last(1), "bw=4 must finish before bw=1");
+    }
+
+    /// Twenty rounds of request + grant at staggered cycles and delays,
+    /// then a local completion: every message class, every jitter call.
+    fn mixed_sends(x: &mut Xbar, mut after_each: impl FnMut(&Xbar)) {
+        for i in 0..20u16 {
+            x.send(i as u64, (i % 3) as u64, req(i % 2));
+            after_each(x);
+            x.send(i as u64, 2, grant(i % 2, LatClass::Remote));
+            after_each(x);
         }
-        let (tn, tw) = (drain_times(&mut xn, 300), drain_times(&mut xw, 300));
-        assert!(tw.last() < tn.last(), "bw=4 must finish before bw=1: {tw:?} vs {tn:?}");
+        x.send(20, 4, NocEv::StoreReady { core: CoreId(1), seq: 7, line: 0x100 });
+        after_each(x);
+    }
+
+    fn stressed(noc: NocConfig) -> Xbar {
+        let cfg = MemConfig { noc, ..MemConfig::default() };
+        Xbar::new(&cfg, 2, ChaosEngine::new(ChaosConfig::stress(77)))
     }
 
     #[test]
     fn same_sends_same_schedule_and_stats() {
-        let cfg = MemConfig { noc: NocConfig::contended(2), ..MemConfig::default() };
         let mk = || {
-            let mut x =
-                ContendedXbar::new(&cfg, 2, ChaosEngine::new(ChaosConfig::stress(77)));
-            for i in 0..20u16 {
-                x.send(i as u64, (i % 3) as u64, req(i % 2));
-                x.send(i as u64, 2, grant(i % 2, LatClass::Remote));
-            }
+            let mut x = stressed(NocConfig::contended(2));
+            mixed_sends(&mut x, |_| ());
             (drain_times(&mut x, 2000), x.stats(2000))
         };
         let (ta, sa) = mk();
@@ -765,11 +676,69 @@ mod tests {
     }
 
     #[test]
+    fn jitter_stream_is_the_same_under_either_policy() {
+        // The jitter each send drew, read off the engine's running total.
+        let draws = |noc| {
+            let mut x = stressed(noc);
+            let (mut seen, mut out) = (0, Vec::new());
+            mixed_sends(&mut x, |x| {
+                out.push(x.chaos.stats.jitter_cycles - seen);
+                seen = x.chaos.stats.jitter_cycles;
+            });
+            // ... and the stream position it left the generator at.
+            out.push(x.chaos.event_jitter());
+            (out, x.chaos.stats.clone())
+        };
+        let (ideal, ideal_stats) = draws(NocConfig::default());
+        assert!(ideal.iter().any(|&j| j > 0), "stress preset must jitter");
+        for bw in [1, 4] {
+            let (contended, stats) = draws(NocConfig::contended(bw));
+            assert_eq!(contended, ideal, "bw={bw} drew a different jitter sequence");
+            assert_eq!(stats, ideal_stats);
+        }
+    }
+
+    #[test]
+    fn every_send_and_delivery_is_traced_once() {
+        for noc in [NocConfig::default(), NocConfig::contended(1)] {
+            let cfg = MemConfig {
+                noc,
+                trace: TraceConfig::with_mode(TraceMode::Full),
+                ..MemConfig::default()
+            };
+            let mut x = Xbar::new(&cfg, 2, ChaosEngine::new(ChaosConfig::default()));
+            let mut sends = Vec::new();
+            mixed_sends(&mut x, |x| {
+                let ring = x.trace.tail(usize::MAX);
+                sends.push(ring.last().expect("send traced").ev);
+                assert_eq!(ring.len(), sends.len(), "one record per send");
+            });
+            x.send_raw(30, req(1));
+            assert_eq!(x.trace.len(), sends.len(), "redispatch is not traced as a send");
+            assert_eq!(sends[0], TraceEvent::NocSend { kind: NOC_TO_DIR, src: 0, dst: DIR_NODE });
+            assert_eq!(sends[1], TraceEvent::NocSend { kind: NOC_TO_L1, src: DIR_NODE, dst: 0 });
+            assert_eq!(
+                sends[40],
+                TraceEvent::NocSend { kind: NOC_STORE_READY, src: 1, dst: 1 }
+            );
+            let mut delivered = 0;
+            for t in 0..=2000 {
+                while let Some((sent, ev)) = x.pop_due(t) {
+                    delivered += 1;
+                    let (kind, _, dst) = route(&ev);
+                    let last = x.trace.tail(1)[0];
+                    assert_eq!(last.cycle, t);
+                    assert_eq!(last.ev, TraceEvent::NocDeliver { kind, dst, lat: t - sent });
+                    assert_eq!(x.trace.len(), sends.len() + delivered, "one record per delivery");
+                }
+            }
+            assert_eq!(delivered, sends.len() + 1, "every send and the redispatch deliver");
+        }
+    }
+
+    #[test]
     fn redispatch_bypasses_latency_and_counters() {
-        for x in [
-            &mut IdealXbar::new(8, quiet_chaos()) as &mut dyn Interconnect,
-            &mut ContendedXbar::new(&MemConfig::default(), 1, quiet_chaos()),
-        ] {
+        for mut x in [ideal(), xbar(NocConfig::contended(2), 1)] {
             x.send_raw(7, req(0));
             assert_eq!(x.next_at(), Some(7));
             assert_eq!(x.stats(10).net_messages, 0, "redispatch is not a network message");
@@ -778,12 +747,11 @@ mod tests {
 
     #[test]
     fn backpressure_probe_tracks_link_horizons() {
-        let mut ideal = IdealXbar::new(8, quiet_chaos());
-        ideal.send(0, 0, req(0));
-        assert!(!ideal.core_backpressured(0, 0), "ideal xbar never backpressures");
+        let mut x = ideal();
+        x.send(0, 0, req(0));
+        assert!(!x.core_backpressured(0, 0), "without links nothing backpressures");
 
-        let cfg = MemConfig { noc: NocConfig::contended(1), ..MemConfig::default() };
-        let mut x = ContendedXbar::new(&cfg, 2, quiet_chaos());
+        let mut x = xbar(NocConfig::contended(1), 2);
         x.send(0, 0, grant(0, LatClass::Mem));
         assert!(x.core_backpressured(0, 0), "resp link busy while the grant serializes");
         assert!(!x.core_backpressured(1, 0), "other cores' links are idle");
@@ -793,8 +761,7 @@ mod tests {
 
     #[test]
     fn stats_json_and_display_shape() {
-        let cfg = MemConfig { noc: NocConfig::contended(2), ..MemConfig::default() };
-        let mut x = ContendedXbar::new(&cfg, 2, quiet_chaos());
+        let mut x = xbar(NocConfig::contended(2), 2);
         x.send(0, 0, req(0));
         x.send(0, 0, grant(1, LatClass::Mem));
         let s = x.stats(50);
@@ -804,8 +771,8 @@ mod tests {
             assert!(j.contains(key), "missing {key} in {j}");
         }
         assert!(s.to_string().starts_with("noc[contended bw=2]:"));
-        let ideal = IdealXbar::new(8, quiet_chaos()).stats(10);
-        assert!(ideal.to_string().starts_with("noc[ideal]:"));
-        assert!(ideal.json().starts_with("{\"policy\":\"ideal\","));
+        let s = ideal().stats(10);
+        assert!(s.to_string().starts_with("noc[ideal]:"));
+        assert!(s.json().starts_with("{\"policy\":\"ideal\","));
     }
 }

@@ -8,10 +8,11 @@
 use crate::msgs::{DirMsg, DirReq, DirReqKind, L1Msg, LatClass};
 use crate::prefetch::StridePrefetcher;
 use crate::progress::{ProgressGuard, ProgressPolicy};
+use crate::stats::CoreMemStats;
 use crate::tagarray::TagArray;
 use crate::{CoreId, Cycle, Line, MemConfig};
 use fa_isa::{line_of, Addr};
-use fa_trace::{Hist, TraceBuf, TraceEvent, MESI_NONE};
+use fa_trace::{TraceBuf, TraceEvent, MESI_NONE};
 use std::collections::{HashMap, VecDeque};
 
 /// Stalled-fill retry policy (site `cache-fill`): bounded exponential
@@ -154,23 +155,15 @@ pub struct PrivCache {
     /// Per-line `(acquisitions, total hold cycles)` since reset, feeding
     /// the hottest-locked-line report.
     pub(crate) lock_acct: HashMap<Line, (u64, u64)>,
-    /// Lock-hold duration distribution (outermost lock → unlock).
-    pub(crate) hist_lock_hold: Hist,
-    /// All-ways-locked fill-stall duration distribution.
-    pub(crate) hist_fill_stall: Hist,
     /// Structured event ring for this controller.
     pub(crate) trace: TraceBuf,
-    // Counters surfaced through MemStats by the system.
-    pub(crate) stat_l1_hits: u64,
-    pub(crate) stat_l2_hits: u64,
-    pub(crate) stat_parked: u64,
-    pub(crate) stat_evictions: u64,
-    pub(crate) stat_fill_stalled: u64,
-    pub(crate) stat_fill_retries: u64,
-    pub(crate) stat_fill_stall_max: Cycle,
-    pub(crate) stat_prefetches: u64,
-    pub(crate) stat_invals: u64,
-    pub(crate) stat_stores: u64,
+    /// This core's counters and histograms, as `MemStats` publishes them
+    /// (the system adds the read-class and store-perform tallies, which
+    /// are counted at delivery).
+    pub(crate) stats: CoreMemStats,
+    /// Failed stalled-fill retries (the starvation test's bound; not
+    /// published).
+    stat_fill_retries: u64,
 }
 
 impl PrivCache {
@@ -184,7 +177,7 @@ impl PrivCache {
             mshrs: HashMap::new(),
             parked_ext: HashMap::new(),
             stalled_fills: VecDeque::new(),
-            fill_guard: ProgressGuard::new(FILL_POLICY, id.0 as u64),
+            fill_guard: ProgressGuard::new(FILL_POLICY),
             prefetcher: StridePrefetcher::new(cfg.prefetch_degree),
             prefetch_enabled: cfg.stride_prefetch,
             mshr_cap: cfg.mshrs,
@@ -193,19 +186,9 @@ impl PrivCache {
             now: 0,
             lock_since: HashMap::new(),
             lock_acct: HashMap::new(),
-            hist_lock_hold: Hist::new(),
-            hist_fill_stall: Hist::new(),
             trace: TraceBuf::new(&cfg.trace),
-            stat_l1_hits: 0,
-            stat_l2_hits: 0,
-            stat_parked: 0,
-            stat_evictions: 0,
-            stat_fill_stalled: 0,
+            stats: CoreMemStats::default(),
             stat_fill_retries: 0,
-            stat_fill_stall_max: 0,
-            stat_prefetches: 0,
-            stat_invals: 0,
-            stat_stores: 0,
         }
     }
 
@@ -260,10 +243,8 @@ impl PrivCache {
                 self.lock(line);
             }
             let (delay, class) = if self.l1.touch(line).is_some() {
-                self.stat_l1_hits += 1;
                 (self.l1_lat, LatClass::L1)
             } else {
-                self.stat_l2_hits += 1;
                 self.fill_l1(line);
                 (self.l2_lat, LatClass::L2)
             };
@@ -339,7 +320,7 @@ impl PrivCache {
                 break;
             }
             self.mshrs.insert(target, Mshr { pending: vec![Pending::Prefetch] });
-            self.stat_prefetches += 1;
+            self.stats.prefetches += 1;
             out.push(Action::ToDir(DirMsg::Req(DirReq {
                 from: self.id,
                 line: target,
@@ -371,7 +352,6 @@ impl PrivCache {
                         TraceEvent::Mesi { line, from: was.code(), to: Mesi::M.code() },
                     );
                 }
-                self.stat_stores += 1;
                 if lock {
                     self.lock(line);
                 }
@@ -417,7 +397,7 @@ impl PrivCache {
                 .lock_since
                 .remove(&line)
                 .map_or(0, |since| self.now.saturating_sub(since));
-            self.hist_lock_hold.record(held);
+            self.stats.lock_hold_hist.record(held);
             self.lock_acct.entry(line).or_insert((0, 0)).1 += held;
             self.trace.record(self.now, TraceEvent::LockRelease { line, held });
             // A freed lock may unblock a stalled fill in this set: cancel any
@@ -439,7 +419,7 @@ impl PrivCache {
         match msg {
             L1Msg::Inv { line } => {
                 if self.is_locked(line) || self.fill_pending(line) {
-                    self.stat_parked += 1;
+                    self.stats.parked_on_lock += 1;
                     self.trace.record(self.now, TraceEvent::LockPark { line });
                     self.parked_ext.entry(line).or_default().push_back(msg);
                     return;
@@ -452,14 +432,14 @@ impl PrivCache {
                         TraceEvent::Mesi { line, from: mesi_code(was), to: fa_trace::MESI_I },
                     );
                     self.l1.remove(line);
-                    self.stat_invals += 1;
+                    self.stats.invals_received += 1;
                     out.push(Action::LineLost { line, remote_write: true });
                 }
                 out.push(Action::ToDir(DirMsg::InvAck { from: self.id, line }));
             }
             L1Msg::Downgrade { line } => {
                 if self.is_locked(line) || self.fill_pending(line) {
-                    self.stat_parked += 1;
+                    self.stats.parked_on_lock += 1;
                     self.trace.record(self.now, TraceEvent::LockPark { line });
                     self.parked_ext.entry(line).or_default().push_back(msg);
                     return;
@@ -491,7 +471,7 @@ impl PrivCache {
 
     fn on_grant(&mut self, line: Line, excl: bool, class: LatClass, park: u64, out: &mut Vec<Action>) {
         if !self.try_fill(line, excl, class, park, out) {
-            self.stat_fill_stalled += 1;
+            self.stats.fill_stalled_all_locked += 1;
             self.stalled_fills.push_back(StalledFill {
                 line,
                 excl,
@@ -510,7 +490,7 @@ impl PrivCache {
     /// oldest-first, failed attempts back off exponentially (capped at 64
     /// cycles) so a long-locked set is not hammered every cycle, and any
     /// unlock resets the backoff so a freed way is claimed on the next tick.
-    /// The longest observed stall is tracked in `stat_fill_stall_max`.
+    /// The longest observed stall is tracked in `stats.max_fill_stall`.
     pub(crate) fn retry_stalled_fills(&mut self, now: Cycle, out: &mut Vec<Action>) {
         self.now = now;
         if self.stalled_fills.is_empty() {
@@ -518,7 +498,7 @@ impl PrivCache {
         }
         let mut still_stalled = VecDeque::new();
         while let Some(mut f) = self.stalled_fills.pop_front() {
-            self.stat_fill_stall_max = self.stat_fill_stall_max.max(now.saturating_sub(f.since));
+            self.stats.max_fill_stall = self.stats.max_fill_stall.max(now.saturating_sub(f.since));
             if now < f.next_retry {
                 still_stalled.push_back(f);
                 continue;
@@ -526,7 +506,7 @@ impl PrivCache {
             if self.try_fill(f.line, f.excl, f.class, f.park, out) {
                 self.fill_guard.note_success(f.line);
                 let waited = now.saturating_sub(f.since);
-                self.hist_fill_stall.record(waited);
+                self.stats.fill_stall_hist.record(waited);
                 self.trace.record(now, TraceEvent::FillStall { line: f.line, waited });
                 if let Some(queue) = self.parked_ext.remove(&f.line) {
                     // External requests parked behind the pending fill replay
@@ -563,7 +543,7 @@ impl PrivCache {
             match self.l2.insert(line, filled, |l| locks.contains_key(&l)) {
                 Ok(Some((victim, state))) => {
                     self.l1.remove(victim);
-                    self.stat_evictions += 1;
+                    self.stats.evictions += 1;
                     self.trace.record(
                         self.now,
                         TraceEvent::Mesi {
@@ -734,7 +714,6 @@ mod tests {
             a,
             Action::ReadDone { seq: 2, class: LatClass::L1, .. }
         )));
-        assert_eq!(c.stat_l1_hits, 1);
     }
 
     #[test]
@@ -911,7 +890,7 @@ mod tests {
             !out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })),
             "fill should have stalled"
         );
-        assert!(c.stat_fill_stalled > 0);
+        assert!(c.stats.fill_stalled_all_locked > 0);
         // Unlock one way; the retry succeeds.
         c.unlock(0, &mut out);
         out.clear();
@@ -937,7 +916,7 @@ mod tests {
         out.clear();
         c.read(9, 2 * stride, false, false, &mut out);
         grant(&mut c, 2 * stride, false, &mut out);
-        assert_eq!(c.stat_fill_stalled, 1);
+        assert_eq!(c.stats.fill_stalled_all_locked, 1);
         // 1000 cycles with the set still fully locked: exponential backoff
         // (capped at 64 cycles) bounds the wasted retry attempts, where the
         // old every-cycle rotation would have burned 1000.
@@ -949,7 +928,7 @@ mod tests {
             "backoff should bound retries, got {}",
             c.stat_fill_retries
         );
-        assert!(c.stat_fill_stall_max >= 900, "stall age must be tracked");
+        assert!(c.stats.max_fill_stall >= 900, "stall age must be tracked");
         // Unlock resets the backoff: the fill completes on the very next
         // tick, not after sleeping out its backoff window.
         c.unlock(0, &mut out);
@@ -959,7 +938,7 @@ mod tests {
             out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })),
             "freed way must be claimed immediately after unlock"
         );
-        assert!(c.stat_fill_stall_max >= 1000);
+        assert!(c.stats.max_fill_stall >= 1000);
     }
 
     #[test]

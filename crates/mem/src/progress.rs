@@ -11,8 +11,7 @@
 //! 1. **count** — every failed attempt per stuck resource is counted
 //!    (`note_attempt`), cleared on success (`note_success`);
 //! 2. **back off** — sites that re-poll a contended resource space their
-//!    retries exponentially (`backoff_delay`), optionally with
-//!    deterministic seeded jitter so symmetric requesters desynchronize;
+//!    retries exponentially (`backoff_delay`);
 //! 3. **rescue** — sites with a site-specific recovery action (the
 //!    directory's reserved-way valve) trigger it at
 //!    [`ProgressPolicy::rescue_after`] attempts;
@@ -26,7 +25,6 @@
 //! bit-identical with the framework enabled (pinned by the differential
 //! tests in `tests/progress_regressions.rs`).
 
-use crate::chaos::SplitMix64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -44,10 +42,6 @@ pub struct ProgressPolicy {
     /// Exponent cap for [`ProgressGuard::backoff_delay`]: the delay is
     /// `1 << min(attempts, backoff_cap)` cycles.
     pub backoff_cap: u32,
-    /// Maximum deterministic jitter (cycles) added to each backoff window
-    /// from the guard's seeded stream; 0 = no jitter (exact legacy
-    /// schedules).
-    pub jitter: u64,
 }
 
 impl ProgressPolicy {
@@ -55,29 +49,28 @@ impl ProgressPolicy {
     /// attempts, abandon a stale rescue after `abandon_after` competitor
     /// attempts. The directory allocation valve.
     pub const fn polling(rescue_after: u64, abandon_after: u64) -> ProgressPolicy {
-        ProgressPolicy { rescue_after, abandon_after, backoff_cap: 0, jitter: 0 }
+        ProgressPolicy { rescue_after, abandon_after, backoff_cap: 0 }
     }
 
     /// A bounded-exponential-backoff site with no rescue action. The
     /// stalled-fill retry loop.
     pub const fn backoff(cap: u32) -> ProgressPolicy {
-        ProgressPolicy { rescue_after: 0, abandon_after: 0, backoff_cap: cap, jitter: 0 }
+        ProgressPolicy { rescue_after: 0, abandon_after: 0, backoff_cap: cap }
     }
 
     /// A counting-only site (no backoff, no rescue). The LSQ retry path.
     pub const fn counting() -> ProgressPolicy {
-        ProgressPolicy { rescue_after: 0, abandon_after: 0, backoff_cap: 0, jitter: 0 }
+        ProgressPolicy { rescue_after: 0, abandon_after: 0, backoff_cap: 0 }
     }
 }
 
 /// Per-site stall bookkeeping: consecutive failed attempts per stuck
 /// resource (keyed by whatever identifies the resource at that site),
-/// historical maxima for stats, and the backoff/jitter calculator.
+/// historical maxima for stats, and the backoff calculator.
 #[derive(Clone, Debug)]
 pub struct ProgressGuard<K: Eq + Hash + Copy> {
     policy: ProgressPolicy,
     attempts: HashMap<K, u64>,
-    rng: SplitMix64,
     /// Largest attempt count ever reached by one resource (historical;
     /// survives `note_success`).
     pub attempts_max: u64,
@@ -86,16 +79,9 @@ pub struct ProgressGuard<K: Eq + Hash + Copy> {
 }
 
 impl<K: Eq + Hash + Copy> ProgressGuard<K> {
-    /// Creates a guard with the given policy; `seed` feeds the jitter
-    /// stream (unused while `policy.jitter == 0`).
-    pub fn new(policy: ProgressPolicy, seed: u64) -> ProgressGuard<K> {
-        ProgressGuard {
-            policy,
-            attempts: HashMap::new(),
-            rng: SplitMix64::new(seed),
-            attempts_max: 0,
-            rescues: 0,
-        }
+    /// Creates a guard with the given policy.
+    pub fn new(policy: ProgressPolicy) -> ProgressGuard<K> {
+        ProgressGuard { policy, attempts: HashMap::new(), attempts_max: 0, rescues: 0 }
     }
 
     /// The guard's policy.
@@ -133,15 +119,9 @@ impl<K: Eq + Hash + Copy> ProgressGuard<K> {
     }
 
     /// Backoff window after `attempts` consecutive failures:
-    /// `1 << min(attempts, backoff_cap)` cycles, plus up to
-    /// `policy.jitter` cycles of deterministic seeded jitter.
-    pub fn backoff_delay(&mut self, attempts: u64) -> u64 {
-        let base = 1u64 << attempts.min(self.policy.backoff_cap as u64);
-        if self.policy.jitter == 0 {
-            base
-        } else {
-            base + self.rng.below(self.policy.jitter + 1)
-        }
+    /// `1 << min(attempts, backoff_cap)` cycles.
+    pub fn backoff_delay(&self, attempts: u64) -> u64 {
+        1u64 << attempts.min(self.policy.backoff_cap as u64)
     }
 
     /// The worst consecutive attempt count currently outstanding (the
@@ -246,7 +226,7 @@ mod tests {
 
     #[test]
     fn attempts_count_clear_and_track_maxima() {
-        let mut g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::counting(), 7);
+        let mut g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::counting());
         assert_eq!(g.note_attempt(1), 1);
         assert_eq!(g.note_attempt(1), 2);
         assert_eq!(g.note_attempt(2), 1);
@@ -260,34 +240,20 @@ mod tests {
 
     #[test]
     fn rescue_threshold_matches_policy() {
-        let g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::polling(10, 4), 0);
+        let g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::polling(10, 4));
         assert!(!g.needs_rescue(9));
         assert!(g.needs_rescue(10));
-        let none: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::counting(), 0);
+        let none: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::counting());
         assert!(!none.needs_rescue(u64::MAX), "rescue_after == 0 means no rescue");
     }
 
     #[test]
     fn backoff_is_exponential_capped_and_jitter_free_by_default() {
-        let mut g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::backoff(6), 0);
+        let g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::backoff(6));
         assert_eq!(g.backoff_delay(1), 2);
         assert_eq!(g.backoff_delay(3), 8);
         assert_eq!(g.backoff_delay(6), 64);
         assert_eq!(g.backoff_delay(40), 64, "cap bounds the window");
-    }
-
-    #[test]
-    fn jittered_backoff_is_bounded_and_seed_deterministic() {
-        let policy = ProgressPolicy { jitter: 5, ..ProgressPolicy::backoff(6) };
-        let draws = |seed: u64| {
-            let mut g: ProgressGuard<u64> = ProgressGuard::new(policy, seed);
-            (0..32).map(|_| g.backoff_delay(2)).collect::<Vec<u64>>()
-        };
-        let a = draws(42);
-        let b = draws(42);
-        assert_eq!(a, b, "same seed must draw the same jitter");
-        assert!(a.iter().all(|&d| (4..=9).contains(&d)), "jitter bounded by policy");
-        assert_ne!(a, draws(43), "different seeds must desynchronize");
     }
 
     #[test]

@@ -13,28 +13,21 @@
 //! This file is pure protocol glue: controllers emit actions, the system
 //! translates them onto the crossbar ports.
 
-use crate::audit::AuditViolation;
+use crate::audit::{AuditStats, AuditViolation};
 use crate::chaos::ChaosEngine;
 use crate::dir::{DirAction, Directory};
 use crate::msgs::{CoreNotice, CoreResp, DirMsg, LatClass};
-use crate::noc::{Interconnect, NocEv};
+use crate::noc::{NocEv, Xbar};
 use crate::privcache::{Action, PrivCache, ReqOutcome};
 use crate::progress::{ProgressGuard, ProgressPolicy, ProgressReport, ProgressStats};
 use crate::stats::{HotLock, MemStats};
 use crate::{CoreId, Cycle, Line, MemConfig};
 use fa_isa::interp::GuestMem;
 use fa_isa::{Addr, Word};
-use fa_trace::{
-    write_id, SerEvent, TraceBuf, TraceEvent, TraceRecord, NOC_READ_DONE, NOC_STORE_READY,
-    NOC_TO_DIR, NOC_TO_L1,
-};
+use fa_trace::{write_id, SerEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-
-/// Synthetic node id for the directory in NoC trace events (cores use
-/// their `CoreId`).
-const DIR_NODE: u16 = u16::MAX;
 
 /// A point-in-time snapshot of memory-system state, attached to timeout
 /// reports so a hang names the locked lines and in-flight transactions
@@ -88,20 +81,20 @@ impl fmt::Display for MemDiag {
 pub struct MemorySystem {
     cfg: MemConfig,
     now: Cycle,
-    /// The interconnect: owns the event wheel and the chaos engine.
-    noc: Box<dyn Interconnect>,
+    /// The interconnect: owns the event wheel, the chaos engine and the
+    /// `noc` trace ring.
+    noc: Xbar,
     caches: Vec<PrivCache>,
     dir: Directory,
     backing: GuestMem,
     outbox: Vec<Vec<CoreResp>>,
     notices: Vec<Vec<CoreNotice>>,
-    stats: MemStats,
+    /// Audit-sweep counters (the other `MemStats` blocks live with the
+    /// controller that counts them).
+    audit_stats: AuditStats,
     /// First cycle each `(core, line)` lock was observed held, maintained by
     /// the audit sweep (empty while auditing is off).
     lock_ages: HashMap<(CoreId, Line), Cycle>,
-    /// Structured trace ring for interconnect send/deliver events (the
-    /// per-cache and directory controllers own their own rings).
-    noc_trace: TraceBuf,
     /// Conformance-check collection enabled (`cfg.check`).
     check: bool,
     /// Last write-id per word address, sampled by read performs for the
@@ -134,15 +127,14 @@ impl MemorySystem {
             backing,
             outbox: vec![Vec::new(); n_cores],
             notices: vec![Vec::new(); n_cores],
-            stats: MemStats::new(n_cores),
+            audit_stats: AuditStats::default(),
             now: 0,
-            noc: crate::noc::build(&cfg, n_cores, chaos),
+            noc: Xbar::new(&cfg, n_cores, chaos),
             lock_ages: HashMap::new(),
-            noc_trace: TraceBuf::new(&cfg.trace),
             check: cfg.check.on(),
             last_writer: HashMap::new(),
             ser: Vec::new(),
-            lsq_guard: ProgressGuard::new(ProgressPolicy::counting(), 0),
+            lsq_guard: ProgressGuard::new(ProgressPolicy::counting()),
             backlog_max: 0,
             cfg,
         }
@@ -180,12 +172,12 @@ impl MemorySystem {
         // event-driven and never reads the clock.
         self.dir.set_now(self.now);
         // Fault injection: periodic back-invalidation storms.
-        if self.noc.chaos().enabled() {
-            let burst = self.noc.chaos_mut().storm_due(self.now);
+        if self.noc.chaos.enabled() {
+            let burst = self.noc.chaos.storm_due(self.now);
             if burst > 0 {
                 let mut dout = Vec::new();
                 let evicted = self.dir.storm_evict(burst, &mut dout);
-                self.noc.chaos_mut().stats.storm_evictions += evicted;
+                self.noc.chaos.stats.storm_evictions += evicted;
                 self.apply_dir_actions(dout);
             }
         }
@@ -201,16 +193,6 @@ impl MemorySystem {
     }
 
     fn process(&mut self, sent: Cycle, ev: NocEv) {
-        if self.noc_trace.on() {
-            let lat = self.now.saturating_sub(sent);
-            let (kind, dst) = match ev {
-                NocEv::ToDir(_) => (NOC_TO_DIR, DIR_NODE),
-                NocEv::ToL1(core, _) => (NOC_TO_L1, core.0),
-                NocEv::ReadDone { core, .. } => (NOC_READ_DONE, core.0),
-                NocEv::StoreReady { core, .. } => (NOC_STORE_READY, core.0),
-            };
-            self.noc_trace.record(self.now, TraceEvent::NocDeliver { kind, dst, lat });
-        }
         match ev {
             NocEv::ToDir(msg) => {
                 let mut dout = Vec::new();
@@ -228,7 +210,7 @@ impl MemorySystem {
                 // quiet network (the stamp excludes the sender-side cache
                 // pipeline delay).
                 let xfer = self.now.saturating_sub(sent);
-                let c = &mut self.stats.cores[core.index()];
+                let c = &mut self.caches[core.index()].stats;
                 match class {
                     LatClass::L1 => c.l1_hits += 1,
                     LatClass::L2 => c.l2_hits += 1,
@@ -274,10 +256,6 @@ impl MemorySystem {
         for a in actions {
             match a {
                 DirAction::ToL1 { core, msg, extra } => {
-                    self.noc_trace.record(
-                        self.now,
-                        TraceEvent::NocSend { kind: NOC_TO_L1, src: DIR_NODE, dst: core.0 },
-                    );
                     self.noc.send(self.now, extra, NocEv::ToL1(core, msg));
                 }
                 DirAction::Redispatch(req) => {
@@ -293,21 +271,6 @@ impl MemorySystem {
     /// directory requests onto the core's request egress port.
     fn apply_cache_actions(&mut self, core: usize, actions: Vec<Action>) {
         for a in actions {
-            if self.noc_trace.on() {
-                let send = match a {
-                    Action::ReadDone { .. } => {
-                        Some((NOC_READ_DONE, core as u16, core as u16))
-                    }
-                    Action::StoreReady { .. } => {
-                        Some((NOC_STORE_READY, core as u16, core as u16))
-                    }
-                    Action::ToDir(_) => Some((NOC_TO_DIR, core as u16, DIR_NODE)),
-                    Action::LineLost { .. } => None,
-                };
-                if let Some((kind, src, dst)) = send {
-                    self.noc_trace.record(self.now, TraceEvent::NocSend { kind, src, dst });
-                }
-            }
             match a {
                 Action::ReadDone { delay, seq, addr, class, had_write_perm, locked, park } => {
                     self.noc.send(
@@ -400,7 +363,7 @@ impl MemorySystem {
         let info = self.caches[core.index()].try_store_perform(addr, lock, unlock, &mut acts);
         if let Some(info) = &info {
             self.backing.store(addr, value);
-            self.stats.cores[core.index()].stores_performed += 1;
+            self.caches[core.index()].stats.stores_performed += 1;
             if self.check {
                 let w = write_id(core.0, seq);
                 self.last_writer.insert(addr, w);
@@ -491,8 +454,8 @@ impl MemorySystem {
 
     /// True when ticking this memory system over a span of idle cycles is a
     /// pure clock advance: the interconnect has no per-cycle work (fault
-    /// injection's storm scheduling is per-cycle; both crossbars otherwise
-    /// compute delivery times at send time) and no fills are stalled on
+    /// injection's storm scheduling is per-cycle; the crossbar otherwise
+    /// computes delivery times at send time) and no fills are stalled on
     /// all-ways-locked sets (their retry poll is per-cycle). The machine
     /// driver uses this to fast-forward `now` to the next event while every
     /// core is quiescent-waiting.
@@ -588,7 +551,7 @@ impl MemorySystem {
         if !self.cfg.audit.enabled {
             return Ok(());
         }
-        self.stats.audit.sweeps += 1;
+        self.audit_stats.sweeps += 1;
         // SWMR and inclusion, from the caches' resident lines.
         let mut holders: HashMap<Line, (Vec<CoreId>, Vec<CoreId>)> = HashMap::new();
         for (i, c) in self.caches.iter().enumerate() {
@@ -636,8 +599,8 @@ impl MemorySystem {
         for &(core, line, count) in &live {
             let since = *self.lock_ages.entry((core, line)).or_insert(self.now);
             let held_for = self.now - since;
-            self.stats.audit.max_lock_hold_seen =
-                self.stats.audit.max_lock_hold_seen.max(held_for);
+            self.audit_stats.max_lock_hold_seen =
+                self.audit_stats.max_lock_hold_seen.max(held_for);
             if held_for > self.cfg.audit.max_lock_hold {
                 return Err(AuditViolation::LockLeak { line, core, held_for, count });
             }
@@ -668,20 +631,9 @@ impl MemorySystem {
         }
     }
 
-    /// Snapshot of the statistics, merging controller counters.
+    /// Snapshot of the statistics: each controller owns its block, this
+    /// assembles them.
     pub fn stats(&self) -> MemStats {
-        let mut s = self.stats.clone();
-        for (i, c) in self.caches.iter().enumerate() {
-            let cs = &mut s.cores[i];
-            cs.parked_on_lock = c.stat_parked;
-            cs.evictions = c.stat_evictions;
-            cs.fill_stalled_all_locked = c.stat_fill_stalled;
-            cs.max_fill_stall = c.stat_fill_stall_max;
-            cs.prefetches = c.stat_prefetches;
-            cs.invals_received = c.stat_invals;
-            cs.fill_stall_hist = c.hist_fill_stall;
-            cs.lock_hold_hist = c.hist_lock_hold;
-        }
         // Hottest locked lines: merge per-cache lock accounting by line,
         // rank by total hold cycles (line address as the deterministic
         // tiebreak), keep the top entries.
@@ -693,75 +645,49 @@ impl MemorySystem {
                 e.1 += held;
             }
         }
-        let mut hot: Vec<HotLock> = by_line
+        let mut hot_locks: Vec<HotLock> = by_line
             .into_iter()
             .map(|(line, (acquisitions, hold_cycles))| HotLock { line, acquisitions, hold_cycles })
             .collect();
-        hot.sort_unstable_by(|a, b| {
+        hot_locks.sort_unstable_by(|a, b| {
             b.hold_cycles.cmp(&a.hold_cycles).then(a.line.cmp(&b.line))
         });
-        hot.truncate(MemStats::HOT_LOCKS);
-        s.hot_locks = hot;
-        s.dir.requests = self.dir.stat_requests;
-        s.dir.parked_busy = self.dir.stat_parked_busy;
-        s.dir.invals_sent = self.dir.stat_invals_sent;
-        s.dir.downgrades_sent = self.dir.stat_downgrades_sent;
-        s.dir.entry_evictions = self.dir.stat_entry_evictions;
-        s.dir.alloc_waits = self.dir.stat_alloc_waits;
-        s.dir.alloc_rescues = self.dir.stat_alloc_rescues;
-        s.chaos = self.noc.chaos().stats.clone();
-        s.noc = self.noc.stats(self.now);
-        s.messages = s.noc.net_messages;
-        s.progress = ProgressStats {
-            dir_alloc_attempts_max: self.dir.alloc_guard.attempts_max,
-            dir_rescues: self.dir.alloc_guard.rescues,
-            fill_attempts_max: self
-                .caches
-                .iter()
-                .map(|c| c.fill_guard.attempts_max)
-                .max()
-                .unwrap_or(0),
-            lsq_attempts_max: self.lsq_guard.attempts_max,
-            noc_backlog_max: self.backlog_max,
-        };
-        s
+        hot_locks.truncate(MemStats::HOT_LOCKS);
+        let noc = self.noc.stats(self.now);
+        MemStats {
+            cores: self.caches.iter().map(|c| c.stats.clone()).collect(),
+            dir: self.dir.stats.clone(),
+            messages: noc.net_messages,
+            noc,
+            chaos: self.noc.chaos.stats.clone(),
+            audit: self.audit_stats.clone(),
+            progress: ProgressStats {
+                dir_alloc_attempts_max: self.dir.alloc_guard.attempts_max,
+                dir_rescues: self.dir.alloc_guard.rescues,
+                fill_attempts_max: self
+                    .caches
+                    .iter()
+                    .map(|c| c.fill_guard.attempts_max)
+                    .max()
+                    .unwrap_or(0),
+                lsq_attempts_max: self.lsq_guard.attempts_max,
+                noc_backlog_max: self.backlog_max,
+            },
+            hot_locks,
+        }
     }
 
-    /// Every non-empty trace ring in a stable order: per-core cache
-    /// controllers (`l1c{i}`), the directory (`dir`), then the interconnect
-    /// (`noc`). Empty when tracing is off.
-    pub fn trace_events(&self) -> Vec<(String, Vec<TraceRecord>)> {
-        let mut out = Vec::new();
-        for (i, c) in self.caches.iter().enumerate() {
-            if !c.trace.is_empty() {
-                out.push((format!("l1c{i}"), c.trace.records()));
-            }
-        }
-        if !self.dir.trace.is_empty() {
-            out.push(("dir".to_string(), self.dir.trace.records()));
-        }
-        if !self.noc_trace.is_empty() {
-            out.push(("noc".to_string(), self.noc_trace.records()));
-        }
-        out
-    }
-
-    /// The last `n` trace records per component (flight-recorder tails),
-    /// same component order and naming as [`trace_events`](Self::trace_events).
-    pub fn trace_tails(&self, n: usize) -> Vec<(String, Vec<TraceRecord>)> {
-        let mut out = Vec::new();
-        for (i, c) in self.caches.iter().enumerate() {
-            if !c.trace.is_empty() {
-                out.push((format!("l1c{i}"), c.trace.tail(n)));
-            }
-        }
-        if !self.dir.trace.is_empty() {
-            out.push(("dir".to_string(), self.dir.trace.tail(n)));
-        }
-        if !self.noc_trace.is_empty() {
-            out.push(("noc".to_string(), self.noc_trace.tail(n)));
-        }
-        out
+    /// The last `n` trace records of every non-empty ring (`usize::MAX`
+    /// for all of them) in a stable order: per-core cache controllers
+    /// (`l1c{i}`), the directory (`dir`), then the interconnect (`noc`).
+    /// Empty when tracing is off.
+    pub fn trace_events(&self, n: usize) -> Vec<(String, Vec<TraceRecord>)> {
+        let caches = self.caches.iter().enumerate().map(|(i, c)| (format!("l1c{i}"), &c.trace));
+        caches
+            .chain([("dir".to_string(), &self.dir.trace), ("noc".to_string(), &self.noc.trace)])
+            .filter(|(_, t)| !t.is_empty())
+            .map(|(name, t)| (name, t.tail(n)))
+            .collect()
     }
 }
 

@@ -51,7 +51,7 @@ pub const KNOBS: &[Knob] = &[
     knob("FA_WORKLOADS", "all", "comma-separated workload names", "kernels to run (`ablation` defaults to TATP, AS, barnes, canneal)"),
     knob("FA_POLICIES", "all", "comma-separated policy labels: `baseline`, `baseline+Spec`, `FreeAtomics`, `FreeAtomics+Fwd`", "policy axis of `sweep`"),
     knob("FA_PRESETS", "icelake", "comma-separated preset names: `icelake`, `skylake`, `tiny`", "machine-preset axis of `sweep` and `fig16_network_sensitivity`"),
-    knob("FA_NOC", "ideal", "`ideal`, `contended` or `contended:<bw>`", "interconnect model"),
+    knob("FA_NOC", "ideal", "`ideal`, `contended` or `contended:<bw>` with a positive integer", "interconnect model"),
     knob("FA_TRACE", "off", "`off`, `flight`, `full` or `full:<path>`", "event tracing; the path is where `trace` writes its timeline (default `fa_trace.json`)"),
     knob("FA_CHECK", "off", "`off` or `tso`", "axiomatic conformance checking of every run (`fuzz`, `conformance`: `tso`)"),
     knob("FA_MODEL", "tso", "`tso` or `weak`", "hardware memory model"),
@@ -103,8 +103,8 @@ pub fn parse_noc(v: &str) -> Option<fa_mem::NocConfig> {
         "ideal" => Some(fa_mem::NocConfig::default()),
         "contended" => Some(fa_mem::NocConfig::contended(2)),
         other => {
-            let bw = other.strip_prefix("contended:")?;
-            Some(fa_mem::NocConfig::contended(bw.parse().ok()?))
+            let bw: u64 = other.strip_prefix("contended:")?.parse().ok()?;
+            (bw > 0).then(|| fa_mem::NocConfig::contended(bw))
         }
     }
 }
@@ -218,9 +218,11 @@ mod tests {
     fn noc_grammar() {
         assert_eq!(parse_noc("ideal"), Some(fa_mem::NocConfig::default()));
         assert_eq!(parse_noc("contended"), Some(fa_mem::NocConfig::contended(2)));
+        assert_eq!(fa_mem::NocConfig::contended(2).link_bw, fa_mem::NocConfig::default().link_bw);
         assert_eq!(parse_noc("contended:4"), Some(fa_mem::NocConfig::contended(4)));
         assert_eq!(parse_noc("mesh"), None);
         assert_eq!(parse_noc("contended:x"), None);
+        assert_eq!(parse_noc("contended:0"), None, "a zero-bandwidth link is malformed");
     }
 
     #[test]

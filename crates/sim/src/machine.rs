@@ -283,7 +283,7 @@ impl Machine {
     /// with nothing pending, or not yet past its start offset) and the
     /// memory system is a pure clock between events (the interconnect
     /// reports [`fast_forwardable`](fa_mem::MemorySystem::fast_forwardable)
-    /// — both crossbars price contention at send time, so in-flight
+    /// — the crossbar prices contention at send time, so in-flight
     /// messages need no per-cycle work), jumps `now` to one cycle before
     /// the earliest thing that can happen — the next interconnect
     /// delivery, the earliest monitor timeout, the next core start, or
@@ -355,7 +355,7 @@ impl Machine {
     /// Snapshot of the whole machine for diagnostics.
     pub fn snapshot(&self) -> MachineSnapshot {
         let mut tail: Vec<FlightEntry> = Vec::new();
-        for (comp, records) in self.trace_events_tail(FLIGHT_TAIL) {
+        for (comp, records) in self.trace_tail(FLIGHT_TAIL) {
             tail.extend(records.into_iter().map(|r| FlightEntry {
                 comp: comp.clone(),
                 cycle: r.cycle,
@@ -380,29 +380,18 @@ impl Machine {
     /// (`core{i}`), then the memory system's components (`l1c{i}`, `dir`,
     /// `noc`). Empty when tracing is off.
     pub fn trace_events(&self) -> Vec<(String, Vec<TraceRecord>)> {
-        let mut out = Vec::new();
-        for (i, c) in self.cores.iter().enumerate() {
-            let records = c.trace_records();
-            if !records.is_empty() {
-                out.push((format!("core{i}"), records));
-            }
-        }
-        out.extend(self.mem.trace_events());
-        out
+        self.trace_tail(usize::MAX)
     }
 
-    /// Like [`trace_events`](Self::trace_events) but keeping only the last
-    /// `n` records per component.
-    fn trace_events_tail(&self, n: usize) -> Vec<(String, Vec<TraceRecord>)> {
-        let mut out = Vec::new();
-        for (i, c) in self.cores.iter().enumerate() {
-            let records = c.trace_tail(n);
-            if !records.is_empty() {
-                out.push((format!("core{i}"), records));
-            }
-        }
-        out.extend(self.mem.trace_tails(n));
-        out
+    /// [`trace_events`](Self::trace_events) keeping only the last `n`
+    /// records per component.
+    fn trace_tail(&self, n: usize) -> Vec<(String, Vec<TraceRecord>)> {
+        let cores = self.cores.iter().enumerate();
+        cores
+            .map(|(i, c)| (format!("core{i}"), c.trace_tail(n)))
+            .filter(|(_, records)| !records.is_empty())
+            .chain(self.mem.trace_events(n))
+            .collect()
     }
 
     /// The recorded trace as Chrome-trace/Perfetto JSON (load it at
@@ -711,7 +700,7 @@ mod tests {
     #[test]
     fn cpi_stack_conserves_cycles_across_policies_and_nocs() {
         // The one-leaf-per-cycle invariant: for every policy, on both
-        // crossbars, every core's leaf sum equals its cycle count exactly.
+        // crossbar policies, every core's leaf sum equals its cycle count exactly.
         use fa_trace::CpiLeaf;
         for policy in [
             AtomicPolicy::FencedBaseline,

@@ -976,16 +976,11 @@ impl TraceBuf {
         self.buf.push_back(TraceRecord { cycle, seq, ev });
     }
 
-    /// The last `n` records, oldest first (non-destructive — crash
-    /// snapshots take `&self`).
+    /// The last `n` retained records, oldest first; `usize::MAX` for all
+    /// of them (non-destructive — crash snapshots take `&self`).
     pub fn tail(&self, n: usize) -> Vec<TraceRecord> {
         let skip = self.buf.len().saturating_sub(n);
         self.buf.iter().skip(skip).copied().collect()
-    }
-
-    /// All retained records, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.buf.iter().copied().collect()
     }
 
     /// Retained record count.
