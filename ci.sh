@@ -31,6 +31,12 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 ! grep -rnE 'fn (run_grid|measure|measure_parallel|try_run_workload|run_workload|run_once|run_cells_supervised|json_full)\b|SweepReport::new' crates src || exit 1
 # One crossbar, every counter declared once, one trace walk per layer.
 ! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
+# Host memory follows what a cell touches: no per-call action vectors, no
+# heap block per cache set or per ROB position, no per-sweep hash map (the
+# tag array's reference model spells its type through an alias).
+! grep -nE 'let mut (acts|dout) = Vec::new\(\)' crates/mem/src/system.rs || exit 1
+! grep -nE 'Vec<Vec<' crates/mem/src/tagarray.rs crates/core/src/sched.rs || exit 1
+! grep -rn 'HashMap<Line, (Vec' crates/mem/src || exit 1
 # One driver binary, built once here (`cargo build --release` above builds
 # only the root package) and reached directly by every smoke below.
 ! ls crates/bench/src/bin | grep -vx 'fa.rs' || exit 1

@@ -133,18 +133,12 @@ impl AtomicQueue {
         self.entries.remove(pos).expect("position valid")
     }
 
-    /// Removes all entries with `ll_seq >= from` (squash), returning them
-    /// youngest-first.
-    pub fn squash_from(&mut self, from: Seq) -> Vec<AqEntry> {
-        let mut out = Vec::new();
-        while let Some(back) = self.entries.back() {
-            if back.ll_seq >= from {
-                out.push(self.entries.pop_back().unwrap());
-            } else {
-                break;
-            }
+    /// Removes all entries with `ll_seq >= from` (squash), handing each to
+    /// `visit` youngest first.
+    pub fn squash_from(&mut self, from: Seq, mut visit: impl FnMut(AqEntry)) {
+        while self.entries.back().is_some_and(|e| e.ll_seq >= from) {
+            self.entries.pop_back().map(&mut visit);
         }
-        out
     }
 
     /// Converts every `Fwd` entry referencing `store_seq` into a `Locked`
@@ -212,7 +206,8 @@ mod tests {
             aq.alloc(s);
         }
         aq.get_mut(5).unwrap().state = AqState::Locked(0x40);
-        let removed = aq.squash_from(5);
+        let mut removed = Vec::new();
+        aq.squash_from(5, |e| removed.push(e));
         assert_eq!(removed.len(), 2);
         assert_eq!(removed[0].ll_seq, 9);
         assert!(matches!(removed[1].state, AqState::Locked(0x40)));

@@ -20,7 +20,8 @@ use crate::rob::{Entry, FwdSource, MemPhase, Rob, Seq, Slot, SrcVal};
 use crate::sched::Sched;
 use crate::stats::{CoreStats, SquashCause};
 use fa_isa::reg::NUM_REGS;
-use fa_isa::{line_of, Addr, FenceKind, Instr, Program, Uop, UopKind, Word};
+use fa_isa::uop::SrcRegs;
+use fa_isa::{line_of, Addr, FenceKind, Instr, Program, Reg, Uop, UopKind, Word};
 use fa_mem::{CoreId, CoreNotice, CoreResp, Line, MemorySystem};
 use fa_trace::{write_id, CpiLeaf, DataEvent, MemModel, MemOrder, TraceBuf, TraceEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
@@ -133,6 +134,15 @@ struct DecodedInstr {
     stores: u8,
 }
 
+/// One micro-op of the decoded program, its operands read off once.
+#[derive(Clone, Copy, Debug)]
+struct DecodedUop {
+    uop: Uop,
+    srcs: SrcRegs,
+    /// The destination rename tracks: `None` for the zero register too.
+    dst: Option<Reg>,
+}
+
 /// One simulated out-of-order core.
 ///
 /// Drive it by calling [`Core::tick`] once per cycle with the shared
@@ -146,7 +156,7 @@ pub struct Core {
     /// `prog` decoded once: per instruction, then the micro-ops back to
     /// back.
     decoded: Vec<DecodedInstr>,
-    uops: Vec<Uop>,
+    uops: Vec<DecodedUop>,
     mem_bytes: u64,
 
     // Front end.
@@ -205,22 +215,28 @@ impl Core {
         let trace = TraceBuf::new(&cfg.trace);
         let mut decoded = Vec::with_capacity(prog.len());
         let mut uops = Vec::with_capacity(prog.len());
+        let mut of = Vec::new();
         for (pc, instr) in prog.iter().enumerate() {
-            let first = uops.len();
-            fa_isa::decode_into(*instr, pc as u32, &mut uops);
-            let of = &uops[first..];
+            of.clear();
+            fa_isa::decode_into(*instr, pc as u32, &mut of);
             let count = |pred: fn(&Uop) -> bool| of.iter().filter(|u| pred(u)).count() as u8;
             decoded.push(DecodedInstr {
-                first: first as u32,
+                first: uops.len() as u32,
                 len: of.len() as u8,
                 loads: count(occupies_lq),
                 stores: count(Uop::is_store_class),
             });
+            uops.extend(of.iter().map(|&uop| DecodedUop {
+                uop,
+                srcs: uop.srcs(),
+                dst: uop.dst().filter(|d| !d.is_zero()),
+            }));
         }
         Core {
             id,
             rob: Rob::with_capacity(cfg.rob_size),
-            sched: Sched::new(cfg.rob_size),
+            sched: Sched::new(&cfg),
+            sb: VecDeque::with_capacity(cfg.sq_size),
             cfg,
             prog,
             decoded,
@@ -233,7 +249,6 @@ impl Core {
             rename: [None; NUM_REGS],
             arch_regs: [0; NUM_REGS],
             aq,
-            sb: VecDeque::new(),
             bp,
             ss,
             state: CoreState::Running,
@@ -509,7 +524,7 @@ impl Core {
         }
     }
 
-    fn dispatch_uop(&mut self, uop: Uop, now: u64) {
+    fn dispatch_uop(&mut self, DecodedUop { uop, srcs, dst }: DecodedUop, now: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let mut e = Entry::new(seq, uop);
@@ -518,7 +533,7 @@ impl Core {
         // already done is read directly, whether or not its completion has
         // been handed out yet; one still executing will wake the operand.
         let mut waits = [None; 3];
-        for r in uop.srcs().iter() {
+        for r in srcs.iter() {
             let i = e.nsrcs as usize;
             let producer = self.rename[r.index()];
             e.src_regs[i] = r;
@@ -553,7 +568,6 @@ impl Core {
             _ => {}
         }
         // Rename the destination.
-        let dst = uop.dst().filter(|d| !d.is_zero());
         if let Some(d) = dst {
             e.prev_map = Some((d, self.rename[d.index()]));
         }
@@ -1412,15 +1426,16 @@ impl Core {
         self.sched.squash(from);
         self.stats.record_squash(cause, dropped);
         self.trace.record(now, TraceEvent::Squash { from_seq: from, uops: dropped });
-        for aqe in self.aq.squash_from(from) {
+        let id = self.id;
+        self.aq.squash_from(from, |aqe| {
             if let AqState::Locked(line) = aqe.state {
                 // unlock_on_squash: lift the lock the squashed load_lock
                 // held (Figure 3).
-                mem.unlock_line(self.id, line);
+                mem.unlock_line(id, line);
             }
             // Fwd entries carry no lock count; the forwarding store's
             // "responsibility" evaporates with the AQ entry (§3.3.3).
-        }
+        });
         self.fetch_pc = redirect_pc;
         self.fetch_stall_until = now + self.cfg.redirect_penalty;
         self.fetch_barrier = None;

@@ -6,10 +6,11 @@
 //! pops list fronts, squash truncates every list at the first dropped
 //! sequence number.
 //!
-//! * **dependents** — per ROB position, the `(consumer, operand)` pairs
-//!   waiting on the producer there. A producer that becomes `done` posts
-//!   one [`Completion`]; [`Sched::wake`] hands its value to exactly those
-//!   operands.
+//! * **dependents** — per ROB position, the chain of `(consumer, operand)`
+//!   pairs waiting on the producer there, linked through one node pool per
+//!   core. A producer that becomes `done` posts one [`Completion`];
+//!   [`Sched::wake`] hands its value to exactly those operands (in no
+//!   particular order: the lists they are filed on are kept by age).
 //! * **ready** — in age order, exactly the unissued micro-ops whose issue
 //!   function can do anything: ALU/branch with operands ready, stores with
 //!   address and operands, loads/load_locks/monitors with an address.
@@ -55,15 +56,21 @@
 //!
 //! [`Core::tick`]: crate::Core::tick
 
+use crate::config::CoreConfig;
 use crate::rob::{Entry, Rob, Seq, Slot, SrcVal};
 use fa_isa::{UopKind, Word};
 use std::collections::VecDeque;
 
-/// One operand of `consumer` waiting on a producer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// End of a dependents chain, and of the free chain.
+const NIL: u32 = u32::MAX;
+
+/// One operand of `consumer` waiting on a producer: a node of that
+/// producer's chain, or of the free chain.
+#[derive(Clone, Copy, Debug)]
 struct Dep {
     consumer: Slot,
     src: u8,
+    next: u32,
 }
 
 /// A producer became `done`; its dependents take `value` at the next wake.
@@ -114,44 +121,79 @@ pub(crate) struct Sched {
     agen: Vec<Slot>,
     inflight: Vec<InFlight>,
     completed: Vec<Completion>,
-    /// Dependents per ROB position, modulo the (power-of-two) length.
-    deps: Vec<Vec<Dep>>,
+    /// First dependent per ROB position, modulo the (power-of-two) length.
+    heads: Vec<u32>,
+    /// The nodes of every chain. Sized for the ROB; a squash storm under a
+    /// stuck producer (whose chain keeps the squashed consumers until it
+    /// wakes) grows it.
+    deps: Vec<Dep>,
+    /// First unused node.
+    free: u32,
     pub lq: VecDeque<Slot>,
     pub sq: VecDeque<Slot>,
     fences: VecDeque<FenceRef>,
 }
 
 impl Sched {
-    /// Empty indices for a ROB of at most `rob_size` entries.
-    pub fn new(rob_size: usize) -> Sched {
+    /// Empty indices with room for the queue sizes of `cfg`, so that the
+    /// lists never grow (a squash storm aside, see `deps`).
+    pub fn new(cfg: &CoreConfig) -> Sched {
+        let rob = cfg.rob_size;
         Sched {
-            ready: Vec::new(),
-            agen: Vec::new(),
-            inflight: Vec::new(),
-            completed: Vec::new(),
-            deps: vec![Vec::new(); rob_size.next_power_of_two()],
-            lq: VecDeque::new(),
-            sq: VecDeque::new(),
+            ready: Vec::with_capacity(rob),
+            agen: Vec::with_capacity(rob),
+            inflight: Vec::with_capacity(rob),
+            completed: Vec::with_capacity(rob),
+            heads: vec![NIL; rob.next_power_of_two()],
+            deps: Vec::with_capacity(rob),
+            free: NIL,
+            lq: VecDeque::with_capacity(cfg.lq_size),
+            sq: VecDeque::with_capacity(cfg.sq_size),
             fences: VecDeque::new(),
         }
     }
 
     fn deps_index(&self, producer: Slot) -> usize {
-        producer.pos() as usize & (self.deps.len() - 1)
+        producer.pos() as usize & (self.heads.len() - 1)
+    }
+
+    /// Detaches the chain at `heads[i]` and returns its first node.
+    fn take_chain(&mut self, i: usize) -> u32 {
+        std::mem::replace(&mut self.heads[i], NIL)
+    }
+
+    /// Returns node `n` to the free chain and steps to its successor.
+    fn release(&mut self, n: u32) -> u32 {
+        let next = std::mem::replace(&mut self.deps[n as usize].next, self.free);
+        self.free = n;
+        next
     }
 
     // ------------------------------------------------------------ dispatch
 
     /// A micro-op was pushed at `slot`: it starts with no dependents.
     pub fn open(&mut self, slot: Slot) {
-        let i = self.deps_index(slot);
-        self.deps[i].clear();
+        // What a squashed producer left here never woke.
+        let mut n = self.take_chain(self.deps_index(slot));
+        while n != NIL {
+            n = self.release(n);
+        }
     }
 
     /// Operand `src` of `consumer` waits for `producer` to complete.
     pub fn watch(&mut self, producer: Slot, consumer: Slot, src: usize) {
         let i = self.deps_index(producer);
-        self.deps[i].push(Dep { consumer, src: src as u8 });
+        let dep = Dep { consumer, src: src as u8, next: self.heads[i] };
+        self.heads[i] = match self.free {
+            NIL => {
+                self.deps.push(dep);
+                (self.deps.len() - 1) as u32
+            }
+            n => {
+                self.free = std::mem::replace(&mut self.deps[n as usize], dep).next;
+                n
+            }
+        };
     }
 
     /// The fence `seq` entered the ROB.
@@ -201,15 +243,15 @@ impl Sched {
     pub fn wake(&mut self, rob: &mut Rob) {
         for k in 0..self.completed.len() {
             let Completion { producer, value } = self.completed[k];
-            let i = self.deps_index(producer);
-            let mut deps = std::mem::take(&mut self.deps[i]);
-            for d in deps.drain(..) {
+            let mut n = self.take_chain(self.deps_index(producer));
+            while n != NIL {
+                let d = self.deps[n as usize];
+                n = self.release(n);
                 let Some(c) = rob.at_mut(d.consumer) else { continue };
                 debug_assert_eq!(c.srcs[d.src as usize], SrcVal::Wait { seq: producer.seq });
                 c.srcs[d.src as usize] = SrcVal::Ready(value);
                 self.operands_changed(d.consumer, c);
             }
-            self.deps[i] = deps;
         }
         self.completed.clear();
     }
@@ -315,16 +357,21 @@ impl Sched {
 
     // -------------------------------------------------------------- oracle
 
-    /// Recomputes every list from a full ROB scan with the definitions the
-    /// scan-based scheduler used, and asserts the indices match.
-    /// `fenced` is the atomic policy's `fenced()`.
+    /// Re-derives every list from a full ROB scan with the definitions the
+    /// scan-based scheduler used, and asserts the indices match: the scan
+    /// must meet the entries of each age-ordered list in order and use
+    /// them up. `fenced` is the atomic policy's `fenced()`.
     #[cfg(debug_assertions)]
     pub fn check_scheduler_indices(&self, rob: &Rob, fenced: bool) {
         use fa_isa::FenceKind;
-        let (mut ready, mut agen, mut inflight) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut lq, mut sq, mut fences) = (Vec::new(), Vec::new(), Vec::new());
-        for (slot, e) in rob.iter() {
+        let (mut ready, mut inflight) = (self.ready.iter(), self.inflight.iter());
+        let (mut lq, mut sq, mut fences) = (self.lq.iter(), self.sq.iter(), self.fences.iter());
+        // Address generation: what the address scan would pick up.
+        let awaits_agen = |e: &Entry| {
             let base = e.uop.address_operands().map(|(base, _)| base);
+            e.addr.is_none() && base.is_some_and(|b| e.value_of(b).is_some())
+        };
+        for (slot, e) in rob.iter() {
             // Issue candidates: what the issue scan could act on.
             let issuable = match e.uop.kind {
                 UopKind::Alu { .. } | UopKind::RmwAlu { .. } | UopKind::Branch { .. } => {
@@ -339,22 +386,22 @@ impl Sched {
                 _ => false,
             };
             if !e.issued && !e.done && issuable {
-                ready.push(slot);
+                assert_eq!(ready.next(), Some(&slot), "ready list");
             }
-            // Address generation: what the address scan would pick up.
-            if e.addr.is_none() && base.is_some_and(|b| e.value_of(b).is_some()) {
-                agen.push(slot);
+            if awaits_agen(e) {
+                assert!(self.agen.contains(&slot), "address-generation list lacks #{}", e.seq);
             }
             // Executions the finalize scan would poll.
             if let (Some(done_at), false) = (e.done_at, e.done) {
-                inflight.push(InFlight { slot, done_at });
+                let polled = InFlight { slot, done_at };
+                assert_eq!(inflight.next(), Some(&polled), "in-flight executions");
             }
             // Class membership.
             if e.uop.is_load_class() || matches!(e.uop.kind, UopKind::MonitorWait { .. }) {
-                lq.push(slot);
+                assert_eq!(lq.next(), Some(&slot), "load queue");
             }
             if e.uop.is_store_class() {
-                sq.push(slot);
+                assert_eq!(sq.next(), Some(&slot), "store queue");
             }
             if let UopKind::Fence(kind) = e.uop.kind {
                 let orders_loads = match kind {
@@ -362,7 +409,7 @@ impl Sched {
                     FenceKind::AtomicPost => fenced,
                     FenceKind::AtomicPre => false,
                 };
-                fences.push(FenceRef { seq: e.seq, orders_loads });
+                assert_eq!(fences.next(), Some(&FenceRef { seq: e.seq, orders_loads }), "fences");
             }
             // Every waiting operand is registered with a live producer that
             // has yet to wake it.
@@ -375,23 +422,28 @@ impl Sched {
                     "µop #{} waits on #{seq}, which completed without a pending wake",
                     e.seq
                 );
+                let mut n = self.heads[self.deps_index(producer)];
+                let mut chain = std::iter::from_fn(|| {
+                    let d = self.deps.get(n as usize)?;
+                    n = d.next;
+                    Some(d)
+                });
                 assert!(
-                    self.deps[self.deps_index(producer)]
-                        .contains(&Dep { consumer: slot, src: i as u8 }),
+                    chain.any(|d| d.consumer == slot && d.src == i as u8),
                     "µop #{} operand {i} is not registered with its producer #{seq}",
                     e.seq
                 );
             }
         }
-        let mut pending = self.agen.clone();
-        pending.sort_unstable_by_key(|s| s.seq);
-        pending.dedup();
-        assert_eq!(self.ready, ready, "ready list");
-        assert_eq!(pending, agen, "address-generation list");
-        assert_eq!(self.inflight, inflight, "in-flight executions");
-        assert!(self.lq.iter().eq(&lq), "load queue: {:?} vs scan {lq:?}", self.lq);
-        assert!(self.sq.iter().eq(&sq), "store queue: {:?} vs scan {sq:?}", self.sq);
-        assert!(self.fences.iter().eq(&fences), "fences: {:?} vs scan {fences:?}", self.fences);
+        assert_eq!(ready.next(), None, "ready list");
+        assert_eq!(inflight.next(), None, "in-flight executions");
+        assert_eq!(lq.next(), None, "load queue");
+        assert_eq!(sq.next(), None, "store queue");
+        assert_eq!(fences.next(), None, "fences");
+        for s in &self.agen {
+            let live = rob.at(*s).is_some_and(awaits_agen);
+            assert!(live, "address-generation list holds #{}, which awaits no address", s.seq);
+        }
         for c in &self.completed {
             assert!(
                 rob.at(c.producer).is_some_and(|p| p.done),

@@ -31,11 +31,11 @@ impl StridePrefetcher {
     }
 
     /// Observes a demand miss for `line`; returns lines to prefetch.
-    pub fn on_miss(&mut self, line: Line) -> Vec<Line> {
+    pub fn on_miss(&mut self, line: Line) -> impl Iterator<Item = Line> {
         let region = line >> (6 + fa_isa::LINE_SHIFT); // 64-line regions
         let slot = (region as usize) % TABLE_SIZE;
         let s = &mut self.table[slot];
-        let mut out = Vec::new();
+        let mut ahead = 0;
         if s.valid && s.region == region {
             let delta = line as i64 - s.last as i64;
             if delta == s.stride && delta != 0 {
@@ -46,17 +46,13 @@ impl StridePrefetcher {
             }
             s.last = line;
             if s.confidence >= 1 && s.stride != 0 {
-                for k in 1..=self.degree as i64 {
-                    let target = line as i64 + s.stride * k;
-                    if target >= 0 {
-                        out.push(target as Line);
-                    }
-                }
+                ahead = self.degree as i64;
             }
         } else {
             *s = Stream { valid: true, region, last: line, stride: 0, confidence: 0 };
         }
-        out
+        let stride = s.stride;
+        (1..=ahead).map(move |k| line as i64 + stride * k).filter(|t| *t >= 0).map(|t| t as Line)
     }
 }
 
@@ -72,28 +68,28 @@ mod tests {
     #[test]
     fn detects_unit_stride_after_training() {
         let mut p = StridePrefetcher::new(2);
-        assert!(p.on_miss(0).is_empty()); // allocate
-        assert!(p.on_miss(64).is_empty()); // learn stride
-        let out = p.on_miss(128); // confirm
+        assert_eq!(p.on_miss(0).count(), 0); // allocate
+        assert_eq!(p.on_miss(64).count(), 0); // learn stride
+        let out: Vec<Line> = p.on_miss(128).collect(); // confirm
         assert_eq!(out, vec![192, 256]);
     }
 
     #[test]
     fn detects_negative_stride() {
         let mut p = StridePrefetcher::new(1);
-        p.on_miss(640);
-        p.on_miss(576);
-        let out = p.on_miss(512);
+        let _ = p.on_miss(640);
+        let _ = p.on_miss(576);
+        let out: Vec<Line> = p.on_miss(512).collect();
         assert_eq!(out, vec![448]);
     }
 
     #[test]
     fn random_pattern_stays_quiet() {
         let mut p = StridePrefetcher::new(2);
-        p.on_miss(0);
-        p.on_miss(64);
-        p.on_miss(320);
-        assert!(p.on_miss(128).is_empty()); // stride broken, retraining
+        let _ = p.on_miss(0);
+        let _ = p.on_miss(64);
+        let _ = p.on_miss(320);
+        assert_eq!(p.on_miss(128).count(), 0); // stride broken, retraining
     }
 
     #[test]

@@ -135,8 +135,14 @@ pub struct PrivCache {
     l2: TagArray<Mesi>,
     locks: HashMap<Line, u32>,
     mshrs: HashMap<Line, Mshr>,
+    /// Emptied `Mshr::pending` vectors, handed to the next MSHR.
+    mshr_pool: Vec<Vec<Pending>>,
     parked_ext: HashMap<Line, VecDeque<L1Msg>>,
     stalled_fills: VecDeque<StalledFill>,
+    /// The (empty) queue [`PrivCache::retry_stalled_fills`] collects the
+    /// still-stalled fills into before it trades places with
+    /// `stalled_fills`.
+    still_stalled: VecDeque<StalledFill>,
     /// Forward-progress guard for stalled fills (site `cache-fill`): counts
     /// consecutive failed retries per line and computes the bounded
     /// exponential backoff windows.
@@ -174,9 +180,11 @@ impl PrivCache {
             l1: TagArray::new(cfg.l1_sets, cfg.l1_ways),
             l2: TagArray::new(cfg.l2_sets, cfg.l2_ways),
             locks: HashMap::new(),
-            mshrs: HashMap::new(),
+            mshrs: HashMap::with_capacity(cfg.mshrs),
+            mshr_pool: Vec::new(),
             parked_ext: HashMap::new(),
             stalled_fills: VecDeque::new(),
+            still_stalled: VecDeque::new(),
             fill_guard: ProgressGuard::new(FILL_POLICY),
             prefetcher: StridePrefetcher::new(cfg.prefetch_degree),
             prefetch_enabled: cfg.stride_prefetch,
@@ -299,11 +307,18 @@ impl PrivCache {
             return ReqOutcome::Retry;
         }
         let kind = if exclusive { DirReqKind::GetX } else { DirReqKind::GetS };
-        self.mshrs.insert(line, Mshr { pending: vec![pending] });
+        self.open_mshr(line, pending);
         out.push(Action::ToDir(DirMsg::Req(DirReq { from: self.id, line, kind })));
         // Train the prefetcher on demand misses only.
         self.maybe_prefetch(line, out);
         ReqOutcome::Accepted
+    }
+
+    /// Opens the MSHR for `line` with `first` waiting on it.
+    fn open_mshr(&mut self, line: Line, first: Pending) {
+        let mut pending = self.mshr_pool.pop().unwrap_or_default();
+        pending.push(first);
+        self.mshrs.insert(line, Mshr { pending });
     }
 
     /// Issues stride prefetches for a demand miss on `line`.
@@ -319,7 +334,7 @@ impl PrivCache {
             if self.mshrs.len() + 2 >= self.mshr_cap {
                 break;
             }
-            self.mshrs.insert(target, Mshr { pending: vec![Pending::Prefetch] });
+            self.open_mshr(target, Pending::Prefetch);
             self.stats.prefetches += 1;
             out.push(Action::ToDir(DirMsg::Req(DirReq {
                 from: self.id,
@@ -496,7 +511,7 @@ impl PrivCache {
         if self.stalled_fills.is_empty() {
             return;
         }
-        let mut still_stalled = VecDeque::new();
+        let mut still_stalled = std::mem::take(&mut self.still_stalled);
         while let Some(mut f) = self.stalled_fills.pop_front() {
             self.stats.max_fill_stall = self.stats.max_fill_stall.max(now.saturating_sub(f.since));
             if now < f.next_retry {
@@ -526,7 +541,8 @@ impl PrivCache {
                 still_stalled.push_back(f);
             }
         }
-        self.stalled_fills = still_stalled;
+        debug_assert!(self.stalled_fills.is_empty(), "a retry never stalls a new fill");
+        self.still_stalled = std::mem::replace(&mut self.stalled_fills, still_stalled);
     }
 
     fn try_fill(
@@ -574,12 +590,12 @@ impl PrivCache {
         // Fill complete: release the directory's serialization on the line.
         out.push(Action::ToDir(DirMsg::Unblock { from: self.id, line }));
         // Complete the MSHR.
-        let Some(mshr) = self.mshrs.remove(&line) else {
+        let Some(mut mshr) = self.mshrs.remove(&line) else {
             // Grant with no MSHR cannot happen: MSHRs are only removed here.
             unreachable!("grant for line {line:#x} with no MSHR");
         };
-        let mut leftovers = Vec::new();
-        for p in mshr.pending {
+        let mut leftovers = self.mshr_pool.pop().unwrap_or_default();
+        for p in mshr.pending.drain(..) {
             match p {
                 Pending::Read { seq, addr, exclusive, lock_intent } => {
                     if exclusive && !excl {
@@ -609,7 +625,10 @@ impl PrivCache {
                 Pending::Prefetch => {}
             }
         }
-        if !leftovers.is_empty() {
+        self.mshr_pool.push(mshr.pending);
+        if leftovers.is_empty() {
+            self.mshr_pool.push(leftovers);
+        } else {
             // The grant was S but someone needs X: re-request.
             self.mshrs.insert(line, Mshr { pending: leftovers });
             out.push(Action::ToDir(DirMsg::Req(DirReq {

@@ -76,6 +76,16 @@ impl fmt::Display for MemDiag {
     }
 }
 
+/// A held line lock as the audit sweep tracks it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct LiveLock {
+    core: CoreId,
+    line: Line,
+    count: u32,
+    /// First cycle a sweep saw the lock held.
+    since: Cycle,
+}
+
 /// The full memory hierarchy for `n` cores plus the global backing store.
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -92,9 +102,18 @@ pub struct MemorySystem {
     /// Audit-sweep counters (the other `MemStats` blocks live with the
     /// controller that counts them).
     audit_stats: AuditStats,
-    /// First cycle each `(core, line)` lock was observed held, maintained by
-    /// the audit sweep (empty while auditing is off).
-    lock_ages: HashMap<(CoreId, Line), Cycle>,
+    /// The locks live at the last audit sweep, sorted by `(core, line)`,
+    /// each with the first cycle a sweep saw it held (empty while auditing
+    /// is off).
+    lock_ages: Vec<LiveLock>,
+    /// Buffers every call reuses, so no access, cycle or sweep allocates:
+    /// the actions a controller call emits (drained onto the interconnect
+    /// before the call returns), the audit's `(line, core, writable)`
+    /// gather and the lock-age list it builds next.
+    acts: Vec<Action>,
+    dout: Vec<DirAction>,
+    audit_copies: Vec<(Line, CoreId, bool)>,
+    audit_locks: Vec<LiveLock>,
     /// Conformance-check collection enabled (`cfg.check`).
     check: bool,
     /// Last write-id per word address, sampled by read performs for the
@@ -130,7 +149,11 @@ impl MemorySystem {
             audit_stats: AuditStats::default(),
             now: 0,
             noc: Xbar::new(&cfg, n_cores, chaos),
-            lock_ages: HashMap::new(),
+            lock_ages: Vec::new(),
+            acts: Vec::new(),
+            dout: Vec::new(),
+            audit_copies: Vec::new(),
+            audit_locks: Vec::new(),
             check: cfg.check.on(),
             last_writer: HashMap::new(),
             ser: Vec::new(),
@@ -175,18 +198,17 @@ impl MemorySystem {
         if self.noc.chaos.enabled() {
             let burst = self.noc.chaos.storm_due(self.now);
             if burst > 0 {
-                let mut dout = Vec::new();
-                let evicted = self.dir.storm_evict(burst, &mut dout);
+                let evicted = self.with_dir(|dir, out| dir.storm_evict(burst, out));
                 self.noc.chaos.stats.storm_evictions += evicted;
-                self.apply_dir_actions(dout);
             }
         }
         // Retry fills stalled on all-ways-locked sets.
+        let mut acts = std::mem::take(&mut self.acts);
         for i in 0..self.caches.len() {
-            let mut acts = Vec::new();
             self.caches[i].retry_stalled_fills(self.now, &mut acts);
-            self.apply_cache_actions(i, acts);
+            self.apply_cache_actions(i, &mut acts);
         }
+        self.acts = acts;
         while let Some((sent, ev)) = self.noc.pop_due(self.now) {
             self.process(sent, ev);
         }
@@ -194,15 +216,9 @@ impl MemorySystem {
 
     fn process(&mut self, sent: Cycle, ev: NocEv) {
         match ev {
-            NocEv::ToDir(msg) => {
-                let mut dout = Vec::new();
-                self.dir.handle(msg, &mut dout);
-                self.apply_dir_actions(dout);
-            }
+            NocEv::ToDir(msg) => self.with_dir(|dir, out| dir.handle(msg, out)),
             NocEv::ToL1(core, msg) => {
-                let mut acts = Vec::new();
-                self.caches[core.index()].handle_ext(msg, &mut acts);
-                self.apply_cache_actions(core.index(), acts);
+                self.with_cache(core.index(), |c, out| c.handle_ext(msg, out));
             }
             NocEv::ReadDone { core, seq, addr, class, had_write_perm, locked, park } => {
                 // Interconnect transfer cycles of the final fill leg:
@@ -252,8 +268,8 @@ impl MemorySystem {
     /// `Unblock` protocol, so network delay (jitter or contention) reorders
     /// only independent messages (requests arriving "early" park) — TSO
     /// outcomes stay legal under any interconnect configuration.
-    fn apply_dir_actions(&mut self, actions: Vec<DirAction>) {
-        for a in actions {
+    fn apply_dir_actions(&mut self, actions: &mut Vec<DirAction>) {
+        for a in actions.drain(..) {
             match a {
                 DirAction::ToL1 { core, msg, extra } => {
                     self.noc.send(self.now, extra, NocEv::ToL1(core, msg));
@@ -269,8 +285,8 @@ impl MemorySystem {
 
     /// Routes private-cache output: completions onto the core-local port,
     /// directory requests onto the core's request egress port.
-    fn apply_cache_actions(&mut self, core: usize, actions: Vec<Action>) {
-        for a in actions {
+    fn apply_cache_actions(&mut self, core: usize, actions: &mut Vec<Action>) {
+        for a in actions.drain(..) {
             match a {
                 Action::ReadDone { delay, seq, addr, class, had_write_perm, locked, park } => {
                     self.noc.send(
@@ -304,6 +320,30 @@ impl MemorySystem {
         }
     }
 
+    /// Calls `f` on the directory with the (empty) action buffer and routes
+    /// what it emitted.
+    fn with_dir<R>(&mut self, f: impl FnOnce(&mut Directory, &mut Vec<DirAction>) -> R) -> R {
+        let mut out = std::mem::take(&mut self.dout);
+        let r = f(&mut self.dir, &mut out);
+        self.apply_dir_actions(&mut out);
+        self.dout = out;
+        r
+    }
+
+    /// Calls `f` on `core`'s cache controller with the (empty) action
+    /// buffer and routes what it emitted.
+    fn with_cache<R>(
+        &mut self,
+        core: usize,
+        f: impl FnOnce(&mut PrivCache, &mut Vec<Action>) -> R,
+    ) -> R {
+        let mut out = std::mem::take(&mut self.acts);
+        let r = f(&mut self.caches[core], &mut out);
+        self.apply_cache_actions(core, &mut out);
+        self.acts = out;
+        r
+    }
+
     // ---- Core-facing port (called during the core's tick) ----
 
     /// Issues a demand read. `exclusive` requests write permission
@@ -316,18 +356,15 @@ impl MemorySystem {
         exclusive: bool,
         lock_intent: bool,
     ) -> ReqOutcome {
-        let mut acts = Vec::new();
-        let r = self.caches[core.index()].read(seq, addr, exclusive, lock_intent, &mut acts);
-        self.apply_cache_actions(core.index(), acts);
+        let r =
+            self.with_cache(core.index(), |c, out| c.read(seq, addr, exclusive, lock_intent, out));
         self.note_lsq_outcome(core, r);
         r
     }
 
     /// Requests write permission for the store tagged `seq`.
     pub fn store_acquire(&mut self, core: CoreId, seq: u64, addr: Addr) -> ReqOutcome {
-        let mut acts = Vec::new();
-        let r = self.caches[core.index()].store_acquire(seq, addr, &mut acts);
-        self.apply_cache_actions(core.index(), acts);
+        let r = self.with_cache(core.index(), |c, out| c.store_acquire(seq, addr, out));
         self.note_lsq_outcome(core, r);
         r
     }
@@ -359,8 +396,8 @@ impl MemorySystem {
         lock: bool,
         unlock: bool,
     ) -> bool {
-        let mut acts = Vec::new();
-        let info = self.caches[core.index()].try_store_perform(addr, lock, unlock, &mut acts);
+        let info =
+            self.with_cache(core.index(), |c, out| c.try_store_perform(addr, lock, unlock, out));
         if let Some(info) = &info {
             self.backing.store(addr, value);
             self.caches[core.index()].stats.stores_performed += 1;
@@ -376,7 +413,6 @@ impl MemorySystem {
                 });
             }
         }
-        self.apply_cache_actions(core.index(), acts);
         info.is_some()
     }
 
@@ -400,9 +436,7 @@ impl MemorySystem {
     ///
     /// Panics if the line is not locked by `core` — an AQ desync bug.
     pub fn unlock_line(&mut self, core: CoreId, line: Line) {
-        let mut acts = Vec::new();
-        self.caches[core.index()].unlock(line, &mut acts);
-        self.apply_cache_actions(core.index(), acts);
+        self.with_cache(core.index(), |c, out| c.unlock(line, out));
     }
 
     /// Moves this cycle's responses for `core` into `into`, replacing
@@ -552,57 +586,64 @@ impl MemorySystem {
             return Ok(());
         }
         self.audit_stats.sweeps += 1;
-        // SWMR and inclusion, from the caches' resident lines.
-        let mut holders: HashMap<Line, (Vec<CoreId>, Vec<CoreId>)> = HashMap::new();
+        // Inclusion, while gathering every private copy in cache-then-set
+        // order: each must be covered by a directory sharer bit (the
+        // directory is a superset due to silent evictions, never a subset).
+        self.audit_copies.clear();
         for (i, c) in self.caches.iter().enumerate() {
-            let id = CoreId(i as u16);
+            let core = CoreId(i as u16);
             for (line, st) in c.resident_lines() {
-                // Inclusion: every private copy must be covered by a
-                // directory sharer bit (the directory is a superset due to
-                // silent evictions, never a subset).
                 if self.dir.sharers(line) & (1u64 << i) == 0 {
                     return Err(AuditViolation::InclusionHole {
                         line,
-                        core: id,
+                        core,
                         entry_missing: !self.dir.has_entry(line),
                     });
                 }
-                let h = holders.entry(line).or_default();
-                h.1.push(id);
-                if st.writable() {
-                    h.0.push(id);
-                }
+                self.audit_copies.push((line, core, st.writable()));
             }
         }
-        let mut lines: Vec<Line> = holders.keys().copied().collect();
-        lines.sort_unstable();
-        for line in lines {
-            let (writers, all) = &holders[&line];
-            if !writers.is_empty() && all.len() > 1 {
+        // SWMR, lowest line first: sorted, the copies of one line are a run.
+        self.audit_copies.sort_unstable();
+        for copies in self.audit_copies.chunk_by(|a, b| a.0 == b.0) {
+            if copies.len() > 1 && copies.iter().any(|c| c.2) {
                 return Err(AuditViolation::MultipleWriters {
-                    line,
-                    writers: writers.clone(),
-                    holders: all.clone(),
+                    line: copies[0].0,
+                    writers: copies.iter().filter(|c| c.2).map(|c| c.1).collect(),
+                    holders: copies.iter().map(|c| c.1).collect(),
                 });
             }
         }
-        // Lock-pairing bound: age every live lock; drop ages for released
-        // locks; flag any lock held continuously past the bound.
-        let mut live: Vec<(CoreId, Line, u32)> = Vec::new();
+        // Lock-pairing bound: a lock the last sweep saw keeps its age, a new
+        // one starts at zero, a released one drops out; flag any lock held
+        // continuously past the bound.
+        let now = self.now;
+        let mut live = std::mem::take(&mut self.audit_locks);
+        live.clear();
         for (i, c) in self.caches.iter().enumerate() {
-            for (line, count) in c.locks_iter() {
-                live.push((CoreId(i as u16), line, count));
+            let core = CoreId(i as u16);
+            let held = c.locks_iter();
+            live.extend(held.map(|(line, count)| LiveLock { core, line, count, since: now }));
+        }
+        live.sort_unstable();
+        for l in &mut live {
+            let seen = self.lock_ages.binary_search_by_key(&(l.core, l.line), |s| (s.core, s.line));
+            if let Ok(i) = seen {
+                l.since = self.lock_ages[i].since;
             }
         }
-        live.sort_unstable_by_key(|&(c, l, _)| (c, l));
-        self.lock_ages.retain(|&(c, l), _| live.iter().any(|&(lc, ll, _)| (lc, ll) == (c, l)));
-        for &(core, line, count) in &live {
-            let since = *self.lock_ages.entry((core, line)).or_insert(self.now);
-            let held_for = self.now - since;
+        self.audit_locks = std::mem::replace(&mut self.lock_ages, live);
+        for l in &self.lock_ages {
+            let held_for = now - l.since;
             self.audit_stats.max_lock_hold_seen =
                 self.audit_stats.max_lock_hold_seen.max(held_for);
             if held_for > self.cfg.audit.max_lock_hold {
-                return Err(AuditViolation::LockLeak { line, core, held_for, count });
+                return Err(AuditViolation::LockLeak {
+                    line: l.line,
+                    core: l.core,
+                    held_for,
+                    count: l.count,
+                });
             }
         }
         Ok(())

@@ -8,9 +8,10 @@ use fa_isa::LINE_SHIFT;
 #[derive(Clone, Debug)]
 struct Way<S> {
     line: Line,
-    state: S,
     /// Higher = more recently used.
     lru: u64,
+    /// `None` in a way not in use.
+    state: Option<S>,
 }
 
 /// A set-associative tag array mapping lines to per-line state `S`.
@@ -18,28 +19,75 @@ struct Way<S> {
 /// Victim selection skips lines for which the caller's `pinned` predicate
 /// holds — the mechanism behind the paper's "a locked cacheline is never
 /// selected as the victim" rule (§3.2.4).
+///
+/// Host memory follows the sets a run touches, not the configured
+/// geometry: the ways of every touched set live in one slab, as blocks of
+/// `ways` slots appended on a set's first insert, and one zero-initialised
+/// `SetRef` per set says which block is the set's. Within a block the
+/// ways in use come first, in the order "insert appends, remove moves the
+/// last way into the gap"; `set_lines` and `iter` (sets in index order)
+/// show that order, and callers depend on it.
 #[derive(Clone, Debug)]
 pub struct TagArray<S> {
-    sets: Vec<Vec<Way<S>>>,
+    sets: Vec<SetRef>,
+    /// One bit per set, on once the set has its block: the sets `iter`
+    /// visits.
+    touched: Vec<u64>,
+    slab: Vec<Way<S>>,
     ways: usize,
+    len: usize,
     tick: u64,
 }
+
+/// Per set: the first slab slot of its block and its ways in use, both 0
+/// until its first insert. A plain array, so that `vec![[0; 2]; sets]` is
+/// one zeroed allocation whatever the geometry.
+type SetRef = [u32; 2];
 
 impl<S> TagArray<S> {
     /// Creates an array with `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics unless `sets` is a nonzero power of two and `ways > 0`.
+    /// Panics unless `sets` is a nonzero power of two, `ways > 0` and
+    /// `sets * ways` fits 32 bits.
     pub fn new(sets: usize, ways: usize) -> TagArray<S> {
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
         assert!(ways > 0, "ways must be nonzero");
-        TagArray { sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(), ways, tick: 0 }
+        let fits = sets.checked_mul(ways).is_some_and(|slots| u32::try_from(slots).is_ok());
+        assert!(fits, "sets * ways must fit a SetRef");
+        TagArray {
+            sets: vec![[0; 2]; sets],
+            touched: vec![0; sets.div_ceil(64)],
+            slab: Vec::new(),
+            ways,
+            len: 0,
+            tick: 0,
+        }
     }
 
     #[inline]
     fn set_of(&self, line: Line) -> usize {
         ((line >> LINE_SHIFT) as usize) & (self.sets.len() - 1)
+    }
+
+    /// The slab slots of the ways in use in set `set`.
+    #[inline]
+    fn slots(&self, set: usize) -> std::ops::Range<usize> {
+        let [first, used] = self.sets[set];
+        first as usize..first as usize + used as usize
+    }
+
+    /// The ways in use in the set `line` maps to.
+    #[inline]
+    fn ways_of(&self, line: Line) -> &[Way<S>] {
+        &self.slab[self.slots(self.set_of(line))]
+    }
+
+    #[inline]
+    fn ways_of_mut(&mut self, line: Line) -> &mut [Way<S>] {
+        let slots = self.slots(self.set_of(line));
+        &mut self.slab[slots]
     }
 
     /// The set index `line` maps to.
@@ -56,28 +104,27 @@ impl<S> TagArray<S> {
     pub fn touch(&mut self, line: Line) -> Option<&mut S> {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(line);
-        self.sets[set].iter_mut().find(|w| w.line == line).map(|w| {
-            w.lru = tick;
-            &mut w.state
-        })
+        let ways = self.ways_of_mut(line);
+        let w = &mut ways[ways.iter().position(|w| w.line == line)?];
+        w.lru = tick;
+        w.state.as_mut()
     }
 
     /// Looks up `line` without updating recency.
     pub fn peek(&self, line: Line) -> Option<&S> {
-        let set = self.set_of(line);
-        self.sets[set].iter().find(|w| w.line == line).map(|w| &w.state)
+        let ways = self.ways_of(line);
+        ways[ways.iter().position(|w| w.line == line)?].state.as_ref()
     }
 
     /// Mutable lookup without updating recency.
     pub fn peek_mut(&mut self, line: Line) -> Option<&mut S> {
-        let set = self.set_of(line);
-        self.sets[set].iter_mut().find(|w| w.line == line).map(|w| &mut w.state)
+        let ways = self.ways_of_mut(line);
+        ways[ways.iter().position(|w| w.line == line)?].state.as_mut()
     }
 
     /// True if `line` is present.
     pub fn contains(&self, line: Line) -> bool {
-        self.peek(line).is_some()
+        self.ways_of(line).iter().any(|w| w.line == line)
     }
 
     /// Inserts `line` with `state`, evicting the LRU way whose line does not
@@ -100,53 +147,73 @@ impl<S> TagArray<S> {
     ) -> Result<Option<(Line, S)>, InsertFullError> {
         assert!(!self.contains(line), "inserting already-present line {line:#x}");
         self.tick += 1;
-        let tick = self.tick;
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if set.len() < self.ways {
-            set.push(Way { line, state, lru: tick });
-            return Ok(None);
-        }
-        let victim = set
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !pinned(w.line))
-            .min_by_key(|(_, w)| w.lru)
-            .map(|(i, _)| i);
-        match victim {
-            Some(i) => {
-                let old = std::mem::replace(&mut set[i], Way { line, state, lru: tick });
-                Ok(Some((old.line, old.state)))
+        let set = self.set_of(line);
+        let slots = self.slots(set);
+        let slot = if slots.len() < self.ways {
+            if slots.is_empty() && self.touched[set / 64] >> (set % 64) & 1 == 0 {
+                // First insert into this set: append its block.
+                self.touched[set / 64] |= 1 << (set % 64);
+                self.sets[set][0] = self.slab.len() as u32;
+                let grown = self.slab.len() + self.ways;
+                self.slab.resize_with(grown, || Way { line: 0, lru: 0, state: None });
             }
-            None => Err(InsertFullError),
-        }
+            self.sets[set][1] += 1;
+            self.len += 1;
+            self.slots(set).end - 1
+        } else {
+            let full = self.slab[slots.clone()].iter().enumerate();
+            let unpinned = full.filter(|(_, w)| !pinned(w.line));
+            let (victim, _) = unpinned.min_by_key(|(_, w)| w.lru).ok_or(InsertFullError)?;
+            slots.start + victim
+        };
+        let new = Way { line, lru: self.tick, state: Some(state) };
+        let old = std::mem::replace(&mut self.slab[slot], new);
+        Ok(old.state.map(|s| (old.line, s)))
     }
 
     /// Removes `line`, returning its state.
     pub fn remove(&mut self, line: Line) -> Option<S> {
         let set = self.set_of(line);
-        let pos = self.sets[set].iter().position(|w| w.line == line)?;
-        Some(self.sets[set].swap_remove(pos).state)
+        let slots = self.slots(set);
+        let way = self.slab[slots.clone()].iter().position(|w| w.line == line)?;
+        // The last way in use moves into the gap.
+        let last = slots.end - 1;
+        self.slab.swap(slots.start + way, last);
+        self.sets[set][1] -= 1;
+        self.len -= 1;
+        self.slab[last].state.take()
+    }
+
+    fn lines_in(&self, slots: std::ops::Range<usize>) -> impl Iterator<Item = (Line, &S)> + '_ {
+        self.slab[slots].iter().filter_map(|w| Some((w.line, w.state.as_ref()?)))
     }
 
     /// Iterates over (line, state) pairs in the set `line` maps to.
     pub fn set_lines(&self, line: Line) -> impl Iterator<Item = (Line, &S)> + '_ {
-        self.sets[self.set_of(line)].iter().map(|w| (w.line, &w.state))
+        self.lines_in(self.slots(self.set_of(line)))
     }
 
     /// Total number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len
     }
 
     /// True when no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Iterates over all resident (line, state) pairs.
+    /// Iterates over all resident (line, state) pairs, sets in index order.
     pub fn iter(&self) -> impl Iterator<Item = (Line, &S)> + '_ {
-        self.sets.iter().flatten().map(|w| (w.line, &w.state))
+        let sets = self.touched.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut left = bits;
+            std::iter::from_fn(move || {
+                let bit = (left != 0).then(|| left.trailing_zeros() as usize)?;
+                left &= left - 1;
+                Some(word * 64 + bit)
+            })
+        });
+        sets.flat_map(|set| self.lines_in(self.slots(set)))
     }
 }
 
@@ -244,6 +311,106 @@ mod tests {
         let mut expect = vec![a, b];
         expect.sort_unstable();
         assert_eq!(lines, expect);
+    }
+
+    /// The layout this array had before the slab: one vector of
+    /// `(line, state, lru)` ways per set. Kept as the reference semantics.
+    type ModelSet = Vec<(Line, u32, u64)>;
+
+    struct Model {
+        sets: Vec<ModelSet>,
+        ways: usize,
+        tick: u64,
+    }
+
+    impl Model {
+        fn set(&mut self, line: Line) -> &mut ModelSet {
+            let i = ((line >> LINE_SHIFT) as usize) & (self.sets.len() - 1);
+            &mut self.sets[i]
+        }
+
+        fn lookup(&mut self, line: Line, touch: bool) -> Option<&mut u32> {
+            self.tick += u64::from(touch);
+            let tick = self.tick;
+            let w = self.set(line).iter_mut().find(|w| w.0 == line)?;
+            if touch {
+                w.2 = tick;
+            }
+            Some(&mut w.1)
+        }
+
+        fn insert(
+            &mut self,
+            line: Line,
+            state: u32,
+            pinned: impl Fn(Line) -> bool,
+        ) -> Result<Option<(Line, u32)>, InsertFullError> {
+            self.tick += 1;
+            let (tick, ways) = (self.tick, self.ways);
+            let set = self.set(line);
+            if set.len() < ways {
+                set.push((line, state, tick));
+                return Ok(None);
+            }
+            let free = set.iter_mut().filter(|w| !pinned(w.0));
+            let victim = free.min_by_key(|w| w.2).ok_or(InsertFullError)?;
+            let old = std::mem::replace(victim, (line, state, tick));
+            Ok(Some((old.0, old.1)))
+        }
+
+        fn remove(&mut self, line: Line) -> Option<u32> {
+            let set = self.set(line);
+            let pos = set.iter().position(|w| w.0 == line)?;
+            Some(set.swap_remove(pos).1)
+        }
+    }
+
+    #[test]
+    fn slab_matches_the_per_set_vector_model() {
+        for (sets, ways, seed) in [(4usize, 2usize, 1u64), (8, 4, 2), (64, 12, 3)] {
+            let mut rng = crate::SplitMix64::new(seed);
+            let mut t: TagArray<u32> = TagArray::new(sets, ways);
+            let mut m = Model { sets: vec![Vec::new(); sets], ways, tick: 0 };
+            // Three times as many lines as slots, so sets fill and evict.
+            let lines = (sets * ways * 3) as u64;
+            let (mut evictions, mut refusals) = (0, 0);
+            for step in 0..20_000u32 {
+                let line = rng.below(lines) << LINE_SHIFT;
+                match rng.below(8) {
+                    0..=2 => assert_eq!(t.touch(line), m.lookup(line, true), "touch"),
+                    3 => {
+                        let (a, b) = (t.peek_mut(line), m.lookup(line, false));
+                        assert_eq!(a, b, "peek_mut");
+                        if let (Some(a), Some(b)) = (a, b) {
+                            *a += 1;
+                            *b += 1;
+                        }
+                    }
+                    4 => assert_eq!(t.remove(line), m.remove(line), "remove"),
+                    _ if t.contains(line) => {
+                        assert_eq!(t.peek(line), m.lookup(line, false).as_deref(), "peek");
+                    }
+                    _ => {
+                        // Pin nothing, a random half, or every line.
+                        let mask = [0, rng.next_u64(), u64::MAX][rng.below(3) as usize];
+                        let pinned = |l: Line| mask >> ((l >> LINE_SHIFT) % 64) & 1 == 1;
+                        let got = t.insert(line, step, pinned);
+                        assert_eq!(got, m.insert(line, step, pinned), "insert");
+                        evictions += u32::from(matches!(got, Ok(Some(_))));
+                        refusals += u32::from(got.is_err());
+                    }
+                }
+                let way = |w: &(Line, u32, u64)| (w.0, w.1);
+                let in_set: Vec<_> = t.set_lines(line).map(|(l, s)| (l, *s)).collect();
+                assert_eq!(in_set, m.set(line).iter().map(way).collect::<Vec<_>>(), "set order");
+                let all: Vec<_> = t.iter().map(|(l, s)| (l, *s)).collect();
+                let model: Vec<_> = m.sets.iter().flatten().map(way).collect();
+                assert_eq!(all, model, "iter order");
+                assert_eq!(t.len(), all.len());
+                assert_eq!(t.is_empty(), all.is_empty());
+            }
+            assert!(evictions.min(refusals) > 100, "{evictions} evictions, {refusals} refusals");
+        }
     }
 
     #[test]

@@ -1,0 +1,124 @@
+//! Host-allocation budgets: building a machine costs O(cores) allocations,
+//! and the cycle loop and the audit sweep allocate only while their pools
+//! and slabs are still growing.
+//!
+//! Counts are per thread, so the tests of this file run in parallel without
+//! seeing each other.
+
+use free_atomics::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// `(allocations, bytes requested)` by this thread so far.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Forwards to the system allocator, counting each request. `realloc` and
+/// `alloc_zeroed` keep their default bodies, which call `alloc`: growing a
+/// `Vec` counts as an allocation.
+struct Counting;
+
+// SAFETY: every request is passed unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a `const`-initialised thread-local
+// `Cell` with no destructor, so touching it here neither allocates nor
+// outlives its thread.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = COUNTS.try_with(|c| {
+            let (n, bytes) = c.get();
+            c.set((n + 1, bytes + layout.size() as u64));
+        });
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, bytes)` made by this thread while `f` ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (n0, b0) = COUNTS.with(Cell::get);
+    let out = f();
+    let (n1, b1) = COUNTS.with(Cell::get);
+    (out, n1 - n0, b1 - b0)
+}
+
+/// A 4-core cell of the benchmark's `compute_grid` (its scale and policy
+/// pair; `seed` is the `--seed` the driver documents).
+fn compute_cell(kernel: &str) -> (MachineConfig, Vec<Program>, GuestMem) {
+    let spec = suite::by_name(kernel).expect("a suite kernel");
+    let w = spec.build(&WorkloadParams { cores: 4, scale: 0.135, seed: 7 });
+    let mut cfg = icelake_like();
+    cfg.core.policy = AtomicPolicy::FreeFwd;
+    (cfg, w.programs, w.mem)
+}
+
+#[test]
+fn machine_new_allocates_per_core_not_per_set() {
+    let (cfg, programs, guest) = compute_cell("fft");
+    let (m, allocs, bytes) = counted(|| Machine::new(cfg, programs, guest));
+    eprintln!("Machine::new: {allocs} allocations, {bytes} bytes");
+    drop(m);
+    // The guest image is moved in, not copied. Here: 113 allocations
+    // requesting 1.1 MB. Parent: 51 515 requesting 65.2 MB, one `Vec` per
+    // configured cache set.
+    assert!(allocs <= 256, "Machine::new made {allocs} allocations");
+    assert!(bytes <= 4 << 20, "Machine::new requested {bytes} bytes");
+}
+
+#[test]
+fn the_cycle_loop_stops_allocating_once_warm() {
+    // Allocations over cycles 2001..=6000, counted in release builds (a
+    // debug build of the parent adds ~90 000 from the scheduler oracle's
+    // per-tick lists; here both profiles count the same):
+    //
+    //   kernel   parent   here   bound (twice the measured value)
+    //   fft      11 483     70   140
+    //   radix    10 812     31    62
+    //
+    // What is left is growth by doubling: directory park queues on lines
+    // contended for the first time, lock tables, merged-miss lists.
+    for (kernel, parent, bound) in [("fft", 11_483, 140), ("radix", 10_812, 62)] {
+        assert!(bound * 20 <= parent, "the bound must stay under 5 % of the parent's count");
+        let (cfg, programs, guest) = compute_cell(kernel);
+        let mut m = Machine::new(cfg, programs, guest);
+        for _ in 0..2_000 {
+            m.tick();
+        }
+        let ((), allocs, _) = counted(|| {
+            for _ in 0..4_000 {
+                m.tick();
+            }
+        });
+        eprintln!("{kernel}: {allocs} allocations over cycles 2001..=6000");
+        assert!(!m.quiesced(), "{kernel} must still be running at cycle 6000");
+        assert!(allocs <= bound, "{kernel}: {allocs} allocations in 4 000 warm cycles");
+    }
+}
+
+#[test]
+fn the_audit_sweep_reuses_its_buffers() {
+    let run = |audit: bool| {
+        let mut cfg = tiny_machine();
+        cfg.core.policy = AtomicPolicy::FreeFwd;
+        if audit {
+            cfg.mem.audit = free_atomics::mem::AuditConfig::on();
+        }
+        let test = LitmusTest::iriw();
+        let (out, allocs, _) = counted(|| test.run_checked(&cfg, &[0, 30, 60, 90], 5_000_000));
+        (out.expect("iriw quiesces"), allocs)
+    };
+    let (plain_out, plain) = run(false);
+    let (audited_out, audited) = run(true);
+    eprintln!("litmus run: {plain} allocations unaudited, {audited} audited");
+    assert_eq!(plain_out, audited_out, "the audit is passive");
+    // The sweep's three vectors grow by doubling to the resident-line and
+    // live-lock counts: 3 allocations here. Parent: 1 722, several per
+    // resident line per audited cycle.
+    assert!(audited <= plain + 16, "audit added {} allocations", audited - plain);
+}
