@@ -31,6 +31,15 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 ! grep -rnE 'fn (run_grid|measure|measure_parallel|try_run_workload|run_workload|run_once|run_cells_supervised|json_full)\b|SweepReport::new' crates src || exit 1
 # One crossbar, every counter declared once, one trace walk per layer.
 ! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
+# The suite is one table and the litmus op one enum: the macro and the
+# copying shim stay deleted, and no workload name is written a second time
+# beside its `SUITE` row (the one-word string literals of the non-test part
+# of suite.rs are exactly the 26 names).
+! grep -rn 'suite_entry!\|fn to_tso_threads' crates || exit 1
+sed '/#\[cfg(test)\]/,$d' crates/workloads/src/suite.rs | grep -oE '"[A-Za-z_]+"' | sort \
+    > target/suite_names.txt
+test "$(wc -l < target/suite_names.txt)" -eq 26
+test -z "$(uniq -d target/suite_names.txt)"
 # Host memory follows what a cell touches: no per-call action vectors, no
 # heap block per cache set or per ROB position, no per-sweep hash map (the
 # tag array's reference model spells its type through an alias).
@@ -56,12 +65,21 @@ grep -oE 'FA_[A-Z_]+' target/knobs.txt | sort -u > target/knob_names.txt
     || exit 1
 # Differential litmus fuzzing under fault injection (seeded — replayable).
 FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 $FA fuzz
+# The knobs reach the fuzzer: the same campaign on the weak machine runs
+# clean against the weak enumerator and says so in its header.
+FA_MODEL=weak FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 $FA fuzz > target/fuzz_weak.txt
+grep -q '^# fuzz: .*model=weak' target/fuzz_weak.txt
+# The mini-sweep sizing every smoke below shares. `env` lets a step append
+# or override variables (`mini FA_MODEL=weak $FA sweep`); a command ignores
+# the axes it does not read (`conformance`: runs, drop, policies, presets;
+# the cpistack and weak-baseline figures: policies, presets).
+mini() {
+    env FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=TATP,PC \
+        FA_POLICIES=baseline,FreeAtomics+Fwd FA_PRESETS=tiny "$@"
+}
 # Timed mini-sweep on the campaign engine: 2 kernels x 2 policies, writing
 # the BENCH_sweep.json throughput report, then sanity-check its shape.
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
-    FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
-    FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_sweep.json \
-    $FA sweep
+mini FA_BENCH_JSON=target/BENCH_sweep.json $FA sweep
 grep -q '"schema": "fa-sweep-v1"' target/BENCH_sweep.json
 grep -c '"kernel":' target/BENCH_sweep.json | grep -qx 4
 # Every row must carry the latency-histogram block.
@@ -70,9 +88,7 @@ grep -c '"hists":{"atomic_exec":' target/BENCH_sweep.json | grep -qx 4
 grep -c '"cpi":{"core_cycles":' target/BENCH_sweep.json | grep -qx 4
 # CPI-stack driver smoke: the fig-14 grid rendered as top-down cycle
 # accounting, writing its own artifact with the cpi blocks.
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=TATP,PC \
-    FA_BENCH_JSON=target/BENCH_cpistack.json \
-    $FA fig cpistack > target/cpistack.txt
+mini FA_BENCH_JSON=target/BENCH_cpistack.json $FA fig cpistack > target/cpistack.txt
 grep -q '"cpi":{"core_cycles":' target/BENCH_cpistack.json
 grep -q 'atomic-lifetime attribution' target/cpistack.txt
 # Differential bottleneck report smoke 1 — passivity: a report diffed
@@ -106,16 +122,12 @@ grep -q 'verdict: REGRESSED' target/report_regressed.txt
 # {ideal, contended} x {chaos off, on}, full-execution checker armed on
 # every run. The bin exits nonzero on any violation; the grep keeps the
 # gate loud even if its exit-code plumbing ever regresses.
-FA_CORES=2 FA_SCALE=0.05 FA_WORKLOADS=TATP,PC \
-    $FA conformance > target/conformance.txt
+mini $FA conformance > target/conformance.txt
 grep -q 'violations: 0, other failures: 0' target/conformance.txt
 # Checker-transparency gate: the same mini-sweep with FA_CHECK=tso must
 # reproduce the FA_CHECK=off golden rows bit-for-bit, modulo the appended
 # "checked" marker — which must be present on every row.
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
-    FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
-    FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_sweep_checked.json FA_CHECK=tso \
-    $FA sweep
+mini FA_BENCH_JSON=target/BENCH_sweep_checked.json FA_CHECK=tso $FA sweep
 grep -c ',"checked":true' target/BENCH_sweep_checked.json | grep -qx 4
 grep '"kernel":' target/BENCH_sweep_checked.json | sed 's/,"checked":true//' \
     > target/sweep_rows_checked.txt
@@ -124,36 +136,25 @@ diff target/sweep_rows_checked.txt target/sweep_rows_off.txt
 # Model-transparency gate: FA_MODEL=tso must reproduce the default rows
 # bit-for-bit (no tag, no drift) — the weak-memory frontend is passive on
 # TSO — while FA_MODEL=weak must tag every row with the model marker.
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
-    FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
-    FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_sweep_tso.json FA_MODEL=tso \
-    $FA sweep
+mini FA_BENCH_JSON=target/BENCH_sweep_tso.json FA_MODEL=tso $FA sweep
 grep '"kernel":' target/BENCH_sweep_tso.json > target/sweep_rows_tso.txt
 diff target/sweep_rows_tso.txt target/sweep_rows_off.txt
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
-    FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
-    FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_sweep_weak.json FA_MODEL=weak \
-    $FA sweep
+mini FA_BENCH_JSON=target/BENCH_sweep_weak.json FA_MODEL=weak $FA sweep
 grep -c ',"model":"weak"' target/BENCH_sweep_weak.json | grep -qx 4
 # Weak-model conformance smoke: the same full-execution grid on the
 # acquire/release-native machine, validated against the parameterized
 # weak axioms (and the memlog litmus suite already ran under
 # `cargo test` above).
-FA_CORES=2 FA_SCALE=0.05 FA_WORKLOADS=TATP,PC FA_MODEL=weak \
-    $FA conformance > target/conformance_weak.txt
+mini FA_MODEL=weak $FA conformance > target/conformance_weak.txt
 grep -q 'violations: 0, other failures: 0' target/conformance_weak.txt
 # Weak-baseline figure smoke: TSO + weak grids, residual-speedup table.
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=TATP,PC \
-    FA_BENCH_JSON=target/BENCH_weak_baseline.json \
-    $FA fig fig_weak_baseline \
+mini FA_BENCH_JSON=target/BENCH_weak_baseline.json $FA fig fig_weak_baseline \
     > target/weak_baseline.txt
 grep -q 'residual' target/weak_baseline.txt
 grep -q ',"model":"weak"' target/BENCH_weak_baseline.json
 # Network-sensitivity smoke: ideal vs contended crossbar on one kernel.
 # Contended rows must carry the per-link `net` stats block.
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 FA_WORKLOADS=PC \
-    FA_PRESETS=tiny FA_BENCH_JSON=target/BENCH_fig16.json \
-    $FA fig fig16_network_sensitivity
+mini FA_WORKLOADS=PC FA_BENCH_JSON=target/BENCH_fig16.json $FA fig fig16_network_sensitivity
 grep -q '"schema": "fa-sweep-v1"' target/BENCH_fig16.json
 grep -q '"net":{"policy":"contended"' target/BENCH_fig16.json
 grep -q '"queue_hist":\[' target/BENCH_fig16.json
@@ -166,10 +167,7 @@ grep -q 'verdict: OK — 8 cell(s) compared' target/report_fig16.txt
 # quarantine every cell (structured failure in the report's quarantine
 # block) while the campaign itself completes and exits 2, not 1, not 0.
 rc=0
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
-    FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
-    FA_PRESETS=tiny FA_CELL_BUDGET=200 FA_RETRIES=0 \
-    FA_BENCH_JSON=target/BENCH_sweep_wedged.json \
+mini FA_CELL_BUDGET=200 FA_RETRIES=0 FA_BENCH_JSON=target/BENCH_sweep_wedged.json \
     $FA sweep || rc=$?
 test "$rc" -eq 2
 grep -q '"quarantine"' target/BENCH_sweep_wedged.json
@@ -178,19 +176,9 @@ grep -q 'did not quiesce within 200 cycles' target/BENCH_sweep_wedged.json
 # resume it from the journal, and require the resumed report's rows to be
 # byte-identical to the uninterrupted golden (wherever the kill landed).
 rm -f target/sweep.ckpt
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
-    FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
-    FA_PRESETS=tiny FA_CHECKPOINT=target/sweep.ckpt \
-    FA_BENCH_JSON=target/BENCH_sweep_killed.json \
-    $FA sweep & spid=$!
-sleep 0.05
-kill -9 "$spid" 2>/dev/null || true
-wait "$spid" || true
-FA_CORES=2 FA_SCALE=0.05 FA_RUNS=2 FA_DROP=0 \
-    FA_WORKLOADS=TATP,PC FA_POLICIES=baseline,FreeAtomics+Fwd \
-    FA_PRESETS=tiny FA_CHECKPOINT=target/sweep.ckpt \
-    FA_BENCH_JSON=target/BENCH_sweep_resumed.json \
-    $FA sweep
+mini FA_CHECKPOINT=target/sweep.ckpt FA_BENCH_JSON=target/BENCH_sweep_killed.json \
+    timeout -s KILL 0.05 $FA sweep || true
+mini FA_CHECKPOINT=target/sweep.ckpt FA_BENCH_JSON=target/BENCH_sweep_resumed.json $FA sweep
 grep '"kernel":' target/BENCH_sweep_resumed.json > target/sweep_rows_resumed.txt
 diff target/sweep_rows_resumed.txt target/sweep_rows_off.txt
 # Trace-layer smoke: a full-mode run must export non-empty, loadable

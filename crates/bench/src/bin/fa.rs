@@ -15,7 +15,7 @@ use fa_bench::report::{diff, parse_rows, CpiRow};
 use fa_bench::sweep::{
     grid, policies_from_env, presets_from_env, run_grid_supervised, SupervisorOpts, SweepReport,
 };
-use fa_bench::{fmt, row, run_once_checked, workloads_from_env, BenchOpts};
+use fa_bench::{fmt, row, run_once_checked, workloads_from_env, BenchOpts, MAX_CYCLES};
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, Reg};
@@ -253,11 +253,12 @@ fn report(_: &Command, args: &[String]) -> Outcome {
 /// for measuring checker overhead. Each cell runs under [`supervise`] with
 /// the `FA_RETRIES` / `FA_CELL_BUDGET` watchdogs, so a panicking or wedged
 /// cell is counted as a failure instead of killing or hanging the grid.
+/// The grid sweeps its own interconnect and chaos points over the options'
+/// run configuration ([`conformance_config`]).
 fn conformance(cmd: &Command, _: &[String]) -> Outcome {
     let opts = cmd.opts();
     let sup = SupervisorOpts::from_env();
-    let max_cycles = sup.budget.max_cycles.unwrap_or(400_000_000);
-    let base = icelake_like();
+    let max_cycles = sup.budget.max_cycles.unwrap_or(MAX_CYCLES);
     let params = opts.params();
     let policies = [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd];
     let nocs = [("ideal", NocConfig::default()), ("contended", NocConfig::contended(2))];
@@ -271,14 +272,7 @@ fn conformance(cmd: &Command, _: &[String]) -> Outcome {
         for policy in policies {
             for (noc_name, noc) in &nocs {
                 for (chaos_name, chaos_seed) in &chaos {
-                    let mut cfg = base.clone().with_check(opts.check);
-                    cfg.core.policy = policy;
-                    cfg.core.model = opts.model;
-                    cfg.mem.noc = *noc;
-                    cfg.mem.progress = opts.progress;
-                    if let Some(seed) = chaos_seed {
-                        cfg.mem.chaos = ChaosConfig::stress(*seed);
-                    }
+                    let cfg = conformance_config(&opts, policy, *noc, *chaos_seed);
                     runs += 1;
                     // The closure's Err carries a machine snapshot; this
                     // cold-path size is fine.
@@ -326,6 +320,22 @@ fn conformance(cmd: &Command, _: &[String]) -> Outcome {
     Ok(())
 }
 
+/// One conformance run's machine: the options' run configuration at this
+/// grid point's interconnect, with fault injection when the point has a seed.
+fn conformance_config(
+    opts: &BenchOpts,
+    policy: AtomicPolicy,
+    noc: NocConfig,
+    chaos_seed: Option<u64>,
+) -> MachineConfig {
+    let mut cfg = opts.config_for(&icelake_like(), policy);
+    cfg.mem.noc = noc;
+    if let Some(seed) = chaos_seed {
+        cfg.mem.chaos = ChaosConfig::stress(seed);
+    }
+    cfg
+}
+
 fn fuzz_config(opts: &BenchOpts) -> FuzzConfig {
     let base = FuzzConfig::default();
     FuzzConfig {
@@ -335,8 +345,16 @@ fn fuzz_config(opts: &BenchOpts) -> FuzzConfig {
         max_ops: env::get("FA_FUZZ_MAX_OPS", str::parse).unwrap_or(base.max_ops),
         threads: opts.threads,
         check: opts.check,
+        model: opts.model,
         ..base
     }
+}
+
+/// The machine every fuzz case starts from. The campaign sets policy,
+/// interconnect, fault injection and audit per case, so what the options
+/// contribute is the trace mode and the forward-progress thresholds.
+fn fuzz_base(opts: &BenchOpts) -> MachineConfig {
+    opts.config_for(&tiny_machine(), AtomicPolicy::FencedBaseline)
 }
 
 /// Case generation is serial and seeded, so the report is bit-identical at
@@ -345,12 +363,24 @@ fn fuzz_config(opts: &BenchOpts) -> FuzzConfig {
 /// anywhere in the fuzzer (or an expired `FA_CELL_BUDGET` wall-clock
 /// watchdog) is caught and reported instead of unwinding or hanging CI.
 fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
-    let fcfg = fuzz_config(&cmd.opts());
+    let opts = cmd.opts();
+    let fcfg = fuzz_config(&opts);
+    let base = fuzz_base(&opts);
     let sup = SupervisorOpts::from_env();
+    println!(
+        "# fuzz: {} cases (seed={}, shape={}x{}, model={}, check={}, trace={})",
+        fcfg.cases,
+        fcfg.seed,
+        fcfg.max_threads,
+        fcfg.max_ops,
+        fcfg.model.name(),
+        fcfg.check.name(),
+        opts.trace.name(),
+    );
     // The supervised closure's Err type carries a machine snapshot; this
     // cold-path size is fine.
     #[allow(clippy::result_large_err)]
-    let report = supervise(sup.retries, sup.budget.wall, || Ok(fuzz_litmus(&tiny_machine(), &fcfg)))
+    let report = supervise(sup.retries, sup.budget.wall, || Ok(fuzz_litmus(&base, &fcfg)))
         .map_err(|q| {
             Quarantined(format!(
                 "fuzz campaign quarantined after {} attempt(s): {}",
@@ -521,7 +551,7 @@ fn trace(cmd: &Command, args: &[String]) -> Outcome {
     let cfg = opts.config_for(&icelake_like(), AtomicPolicy::FreeFwd);
     let w = spec.build(&opts.params());
     let mut m = Machine::new(cfg, w.programs, w.mem);
-    let r = m.run(400_000_000).map_err(|e| Failed(format!("trace: {} failed: {e}", spec.name)))?;
+    let r = m.run(MAX_CYCLES).map_err(|e| Failed(format!("trace: {} failed: {e}", spec.name)))?;
     // Self-validated structurally before it is written, so a malformed
     // file fails the run instead of failing in the viewer.
     let json = m.perfetto_trace();
@@ -577,6 +607,7 @@ fn flight_demo() -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_sim::MemModel;
 
     fn args(words: &[&str]) -> Vec<String> {
         words.iter().map(|w| w.to_string()).collect()
@@ -673,6 +704,27 @@ mod tests {
             let outcome = run(&bad);
             assert!(matches!(outcome, Err(Failed(_))), "{bad:?}: {outcome:?}");
             assert_eq!(status(&outcome), 1);
+        }
+    }
+
+    #[test]
+    fn model_trace_and_progress_reach_the_fuzz_and_conformance_configs() {
+        let progress = env::parse_progress("on:777").expect("the FA_PROGRESS grammar");
+        let opts = BenchOpts {
+            model: MemModel::Weak,
+            trace: TraceMode::Flight,
+            progress,
+            ..BenchOpts::default()
+        };
+        assert_eq!(fuzz_config(&opts).model, MemModel::Weak);
+        let point = conformance_config(&opts, AtomicPolicy::FreeFwd, NocConfig::contended(2), Some(1));
+        assert_eq!(point.mem.noc, NocConfig::contended(2), "the grid point's interconnect wins");
+        assert_eq!(point.mem.chaos, ChaosConfig::stress(1));
+        for cfg in [fuzz_base(&opts), point] {
+            assert_eq!(cfg.core.model, MemModel::Weak);
+            assert_eq!(cfg.core.trace.mode, TraceMode::Flight);
+            assert_eq!(cfg.mem.trace.mode, TraceMode::Flight);
+            assert_eq!(cfg.mem.progress, progress);
         }
     }
 

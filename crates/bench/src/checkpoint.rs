@@ -20,8 +20,7 @@
 //! The `health=` token carries the cell's forward-progress counters
 //! (directory rescues, then the worst dir-alloc / fill / LSQ attempt
 //! counts and the NoC backlog high-water mark) so a resumed campaign's
-//! summary line accounts journaled cells too. The token is optional on
-//! replay — records written by older journals parse with zeroed health.
+//! summary line accounts journaled cells too.
 //!
 //! The header fingerprint is an FNV-1a 64 hash of the canonical campaign
 //! configuration (everything that affects simulated results — seed, sizing,
@@ -206,15 +205,7 @@ fn parse_record(line: &str, cells: usize) -> Option<(usize, CellRecord)> {
     }
     let (cycles, rest) = rest.strip_prefix("cycles=")?.split_once(' ')?;
     let (instr, rest) = rest.strip_prefix("instr=")?.split_once(' ')?;
-    // The health token is optional: records from journals written before
-    // the cycle-accounting layer carry none and replay with zeroed health.
-    let (health, row) = match rest.strip_prefix("health=") {
-        Some(r) => {
-            let (h, row) = r.split_once(" row=")?;
-            (parse_health(h)?, row)
-        }
-        None => (ProgressStats::default(), rest.strip_prefix("row=")?),
-    };
+    let (health, row) = rest.strip_prefix("health=")?.split_once(" row=")?;
     // A torn write cannot end in a newline, so any complete `row=` payload
     // is the full verbatim row; still insist it looks like one JSON object.
     if !(row.starts_with('{') && row.ends_with('}')) {
@@ -225,7 +216,7 @@ fn parse_record(line: &str, cells: usize) -> Option<(usize, CellRecord)> {
         CellRecord {
             cycles: cycles.parse().ok()?,
             instructions: instr.parse().ok()?,
-            health,
+            health: parse_health(health)?,
             row: row.to_string(),
         },
     ))
@@ -299,33 +290,26 @@ mod tests {
     }
 
     #[test]
-    fn records_without_health_token_replay_with_zeroed_health() {
-        // Journals written before the cycle-accounting layer carry no
-        // `health=` token; their records must still replay.
-        let line = "cell 1 cycles=10 instr=5 row={\"a\":1}";
-        let (idx, rec) = parse_record(line, 4).unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(rec.cycles, 10);
-        assert_eq!(rec.health, ProgressStats::default());
-        assert_eq!(rec.row, "{\"a\":1}");
-        // A malformed health token drops the record (the cell re-runs).
-        assert!(parse_record("cell 1 cycles=10 instr=5 health=1:2 row={\"a\":1}", 4).is_none());
-        assert!(parse_record("cell 1 cycles=10 instr=5 health=x:0:0:0:0 row={\"a\":1}", 4).is_none());
-    }
-
-    #[test]
     fn torn_tail_and_malformed_lines_are_skipped_last_wins() {
         let text = format!(
             "{SCHEMA} fingerprint={:016x} cells=4\n\
-             cell 1 cycles=10 instr=5 row={{\"a\":1}}\n\
-             cell 9 cycles=1 instr=1 row={{\"oob\":1}}\n\
+             cell 1 cycles=10 instr=5 health=0:0:0:0:0 row={{\"a\":1}}\n\
+             cell 9 cycles=1 instr=1 health=0:0:0:0:0 row={{\"oob\":1}}\n\
              not a record\n\
-             cell 1 cycles=20 instr=9 row={{\"a\":2}}\n\
-             cell 3 cycles=3 instr=2 row={{\"torn\"",
+             cell 2 cycles=10 instr=5 row={{\"no health token\":1}}\n\
+             cell 2 cycles=10 instr=5 health=1:2 row={{\"short health\":1}}\n\
+             cell 2 cycles=10 instr=5 health=x:0:0:0:0 row={{\"bad health\":1}}\n\
+             cell 1 cycles=20 instr=9 health=0:0:0:0:0 row={{\"a\":2}}\n\
+             cell 3 cycles=3 instr=2 health=0:0:0:0:0 row={{\"torn\"",
             0xFEEDu64
         );
         let got = parse(&text, Path::new("j"), 0xFEED, 4).unwrap();
-        assert_eq!(got.len(), 1, "oob index, garbage and the torn tail are all dropped");
+        assert_eq!(
+            got.len(),
+            1,
+            "oob index, garbage, a missing or malformed health token and the torn tail are all \
+             dropped (those cells re-run)"
+        );
         assert_eq!(got[&1].row, "{\"a\":2}", "duplicate records are last-wins");
         assert_eq!(got[&1].cycles, 20);
     }

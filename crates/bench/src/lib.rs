@@ -28,6 +28,9 @@ use fa_sim::methodology::Methodology;
 use fa_sim::{CheckMode, MemModel, TraceMode};
 use fa_workloads::{suite, WorkloadParams, WorkloadSpec};
 
+/// Simulated-cycle budget of one run, unless `FA_CELL_BUDGET` caps it lower.
+pub const MAX_CYCLES: u64 = 400_000_000;
+
 /// Experiment sizing, read from the environment.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchOpts {
@@ -132,7 +135,7 @@ impl BenchOpts {
             drop_slowest: self.drop_slowest,
             max_offset: 1500,
             seed: self.seed ^ 0xDEAD_BEEF,
-            max_cycles: 400_000_000,
+            max_cycles: MAX_CYCLES,
         }
     }
 
@@ -187,7 +190,7 @@ pub fn run_once_checked(
     let params = opts.params();
     let w = spec.build(&params);
     let mut m = fa_sim::Machine::new(cfg, w.programs, w.mem);
-    m.run(400_000_000).map_err(Box::new)
+    m.run(MAX_CYCLES).map_err(Box::new)
 }
 
 /// Geometric-mean helper (the paper reports averages over normalized

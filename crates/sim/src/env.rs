@@ -51,7 +51,7 @@ pub const KNOBS: &[Knob] = &[
     knob("FA_WORKLOADS", "all", "comma-separated workload names", "kernels to run (`ablation` defaults to TATP, AS, barnes, canneal)"),
     knob("FA_POLICIES", "all", "comma-separated policy labels: `baseline`, `baseline+Spec`, `FreeAtomics`, `FreeAtomics+Fwd`", "policy axis of `sweep`"),
     knob("FA_PRESETS", "icelake", "comma-separated preset names: `icelake`, `skylake`, `tiny`", "machine-preset axis of `sweep` and `fig16_network_sensitivity`"),
-    knob("FA_NOC", "ideal", "`ideal`, `contended` or `contended:<bw>` with a positive integer", "interconnect model"),
+    knob("FA_NOC", "ideal", "`ideal`, `contended` or `contended:<bw>` with a positive integer", "interconnect model (`fuzz` and `conformance` sweep their own interconnect points)"),
     knob("FA_TRACE", "off", "`off`, `flight`, `full` or `full:<path>`", "event tracing; the path is where `trace` writes its timeline (default `fa_trace.json`)"),
     knob("FA_CHECK", "off", "`off` or `tso`", "axiomatic conformance checking of every run (`fuzz`, `conformance`: `tso`)"),
     knob("FA_MODEL", "tso", "`tso` or `weak`", "hardware memory model"),

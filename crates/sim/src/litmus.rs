@@ -5,62 +5,14 @@
 
 use crate::error::SimError;
 use crate::machine::{Machine, MachineConfig};
-use crate::tsoref::{enumerate_tso_outcomes, enumerate_weak_outcomes, TsoOp};
+use crate::tsoref::{enumerate_tso_outcomes, enumerate_weak_outcomes};
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, MemOrder, Program, Reg, RmwOp, Word};
 use fa_trace::MemModel;
 use std::collections::HashSet;
 
-/// One litmus operation. Mirrors [`TsoOp`] but is the public authoring
-/// type for tests. Prefer the constructor helpers ([`LOp::st`],
-/// [`LOp::ld`], [`LOp::fadd`], [`LOp::fence`] and their `_ord` variants)
-/// over struct literals.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LOp {
-    /// `mem[addr] = val`
-    St { addr: u8, val: Word, ord: MemOrder },
-    /// Observe `mem[addr]` into observation slot `out`.
-    Ld { addr: u8, out: u8, ord: MemOrder },
-    /// Observe `fetch_add(mem[addr], val)`'s old value into slot `out`.
-    /// The annotation is recorded but inert — RMWs execute at SeqCst
-    /// strength under both memory models.
-    FetchAdd { addr: u8, val: Word, out: u8, ord: MemOrder },
-    /// Standalone fence (SeqCst drains the store buffer under both
-    /// models; weaker fences only pin program order under weak).
-    Fence { ord: MemOrder },
-}
-
-impl LOp {
-    /// Relaxed store.
-    pub fn st(addr: u8, val: Word) -> LOp {
-        LOp::St { addr, val, ord: MemOrder::Relaxed }
-    }
-    /// Annotated store.
-    pub fn st_ord(addr: u8, val: Word, ord: MemOrder) -> LOp {
-        LOp::St { addr, val, ord }
-    }
-    /// Relaxed load.
-    pub fn ld(addr: u8, out: u8) -> LOp {
-        LOp::Ld { addr, out, ord: MemOrder::Relaxed }
-    }
-    /// Annotated load.
-    pub fn ld_ord(addr: u8, out: u8, ord: MemOrder) -> LOp {
-        LOp::Ld { addr, out, ord }
-    }
-    /// Fetch-add (SeqCst, as all RMWs effectively are).
-    pub fn fadd(addr: u8, val: Word, out: u8) -> LOp {
-        LOp::FetchAdd { addr, val, out, ord: MemOrder::SeqCst }
-    }
-    /// SeqCst fence (MFENCE).
-    pub fn fence() -> LOp {
-        LOp::Fence { ord: MemOrder::SeqCst }
-    }
-    /// Annotated fence.
-    pub fn fence_ord(ord: MemOrder) -> LOp {
-        LOp::Fence { ord }
-    }
-}
+pub use crate::tsoref::LOp;
 
 /// A named litmus test: one op list per thread.
 #[derive(Clone, Debug)]
@@ -135,24 +87,6 @@ impl LitmusTest {
             .collect()
     }
 
-    fn to_tso_threads(&self) -> Vec<Vec<TsoOp>> {
-        self.threads
-            .iter()
-            .map(|ops| {
-                ops.iter()
-                    .map(|op| match *op {
-                        LOp::St { addr, val, ord } => TsoOp::St { addr, val, ord },
-                        LOp::Ld { addr, out, ord } => TsoOp::Ld { addr, out_slot: out, ord },
-                        LOp::FetchAdd { addr, val, out, ord } => {
-                            TsoOp::FetchAdd { addr, val, out_slot: out, ord }
-                        }
-                        LOp::Fence { ord } => TsoOp::Fence { ord },
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// All outcomes the x86-TSO reference model allows.
     pub fn allowed_outcomes(&self) -> HashSet<Vec<Word>> {
         self.allowed_outcomes_under(MemModel::Tso)
@@ -160,10 +94,9 @@ impl LitmusTest {
 
     /// All outcomes the given memory model's reference enumerator allows.
     pub fn allowed_outcomes_under(&self, model: MemModel) -> HashSet<Vec<Word>> {
-        let threads = self.to_tso_threads();
         match model {
-            MemModel::Tso => enumerate_tso_outcomes(&threads, self.num_outs()),
-            MemModel::Weak => enumerate_weak_outcomes(&threads, self.num_outs()),
+            MemModel::Tso => enumerate_tso_outcomes(&self.threads, self.num_outs()),
+            MemModel::Weak => enumerate_weak_outcomes(&self.threads, self.num_outs()),
         }
     }
 

@@ -25,21 +25,56 @@
 use fa_isa::{MemOrder, Word};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-/// One abstract litmus operation (addresses and values are small integers;
-/// `out` slots index the observation vector).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TsoOp {
+/// One litmus operation: what the enumerators step and the litmus harness
+/// compiles to guest code. Addresses and values are small integers; `out`
+/// slots index the observation vector. Prefer the constructor helpers
+/// ([`LOp::st`], [`LOp::ld`], [`LOp::fadd`], [`LOp::fence`] and their
+/// `_ord` variants) over struct literals.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LOp {
     /// `mem[addr] = val`
     St { addr: u8, val: Word, ord: MemOrder },
-    /// `out[out_slot] = mem[addr]`
-    Ld { addr: u8, out_slot: u8, ord: MemOrder },
-    /// `out[out_slot] = fetch_add(mem[addr], val)`. The annotation is
-    /// inert: RMWs execute at SeqCst strength under both models.
-    FetchAdd { addr: u8, val: Word, out_slot: u8, ord: MemOrder },
+    /// Observe `mem[addr]` into observation slot `out`.
+    Ld { addr: u8, out: u8, ord: MemOrder },
+    /// Observe `fetch_add(mem[addr], val)`'s old value into slot `out`.
+    /// The annotation is recorded but inert — RMWs execute at SeqCst
+    /// strength under both memory models.
+    FetchAdd { addr: u8, val: Word, out: u8, ord: MemOrder },
     /// Standalone fence. Under TSO every fence drains the store buffer;
     /// under weak only `sc` fences do (weaker fences still pin the
     /// program order of everything around them).
     Fence { ord: MemOrder },
+}
+
+impl LOp {
+    /// Relaxed store.
+    pub fn st(addr: u8, val: Word) -> LOp {
+        LOp::St { addr, val, ord: MemOrder::Relaxed }
+    }
+    /// Annotated store.
+    pub fn st_ord(addr: u8, val: Word, ord: MemOrder) -> LOp {
+        LOp::St { addr, val, ord }
+    }
+    /// Relaxed load.
+    pub fn ld(addr: u8, out: u8) -> LOp {
+        LOp::Ld { addr, out, ord: MemOrder::Relaxed }
+    }
+    /// Annotated load.
+    pub fn ld_ord(addr: u8, out: u8, ord: MemOrder) -> LOp {
+        LOp::Ld { addr, out, ord }
+    }
+    /// Fetch-add (SeqCst, as all RMWs effectively are).
+    pub fn fadd(addr: u8, val: Word, out: u8) -> LOp {
+        LOp::FetchAdd { addr, val, out, ord: MemOrder::SeqCst }
+    }
+    /// SeqCst fence (MFENCE).
+    pub fn fence() -> LOp {
+        LOp::Fence { ord: MemOrder::SeqCst }
+    }
+    /// Annotated fence.
+    pub fn fence_ord(ord: MemOrder) -> LOp {
+        LOp::Fence { ord }
+    }
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,7 +88,7 @@ struct State {
 /// Enumerates the set of reachable observation vectors for `threads`
 /// under x86-TSO.
 ///
-/// Each thread is a straight-line list of [`TsoOp`]s (no branches — litmus
+/// Each thread is a straight-line list of [`LOp`]s (no branches — litmus
 /// tests are loop-free). `num_outs` sizes the observation vector; unwritten
 /// slots read as 0 in the result.
 ///
@@ -61,7 +96,7 @@ struct State {
 ///
 /// Panics if the state space exceeds an internal safety bound (1e6 states) —
 /// keep litmus tests small.
-pub fn enumerate_tso_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashSet<Vec<Word>> {
+pub fn enumerate_tso_outcomes(threads: &[Vec<LOp>], num_outs: usize) -> HashSet<Vec<Word>> {
     let n = threads.len();
     let init = State {
         mem: BTreeMap::new(),
@@ -92,14 +127,14 @@ pub fn enumerate_tso_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashSe
             let pc = st.pcs[t] as usize;
             let Some(&op) = threads[t].get(pc) else { continue };
             match op {
-                TsoOp::St { addr, val, .. } => {
+                LOp::St { addr, val, .. } => {
                     terminal = false;
                     let mut next = st.clone();
                     next.sbs[t].push_back((addr, val));
                     next.pcs[t] += 1;
                     work.push(next);
                 }
-                TsoOp::Ld { addr, out_slot, .. } => {
+                LOp::Ld { addr, out, .. } => {
                     terminal = false;
                     let mut next = st.clone();
                     // Forward from the youngest matching SB entry, else read
@@ -110,11 +145,11 @@ pub fn enumerate_tso_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashSe
                         .find(|&&(a, _)| a == addr)
                         .map(|&(_, v)| v)
                         .unwrap_or_else(|| st.mem.get(&addr).copied().unwrap_or(0));
-                    next.outs[out_slot as usize] = Some(v);
+                    next.outs[out as usize] = Some(v);
                     next.pcs[t] += 1;
                     work.push(next);
                 }
-                TsoOp::FetchAdd { addr, val, out_slot, .. } => {
+                LOp::FetchAdd { addr, val, out, .. } => {
                     // Atomic RMW: only with an empty local store buffer;
                     // read-modify-write is one atomic step (cache locking).
                     if st.sbs[t].is_empty() {
@@ -122,14 +157,14 @@ pub fn enumerate_tso_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashSe
                         let mut next = st.clone();
                         let old = st.mem.get(&addr).copied().unwrap_or(0);
                         next.mem.insert(addr, old.wrapping_add(val));
-                        next.outs[out_slot as usize] = Some(old);
+                        next.outs[out as usize] = Some(old);
                         next.pcs[t] += 1;
                         work.push(next);
                     } else {
                         terminal = false; // draining is always possible
                     }
                 }
-                TsoOp::Fence { .. } => {
+                LOp::Fence { .. } => {
                     if st.sbs[t].is_empty() {
                         terminal = false;
                         let mut next = st.clone();
@@ -164,14 +199,14 @@ struct WeakState {
 /// unexecuted predecessor is a non-acquire load to a different address
 /// (the weak model's R→R relaxation; the same-address guard preserves
 /// per-location coherence).
-fn weak_ready(ops: &[TsoOp], done: u32, i: usize) -> bool {
+fn weak_ready(ops: &[LOp], done: u32, i: usize) -> bool {
     let undone = |j: usize| done & (1 << j) == 0;
     if (0..i).all(|j| !undone(j)) {
         return true;
     }
-    let TsoOp::Ld { addr, .. } = ops[i] else { return false };
+    let LOp::Ld { addr, .. } = ops[i] else { return false };
     (0..i).filter(|&j| undone(j)).all(|j| match ops[j] {
-        TsoOp::Ld { addr: a, ord, .. } => !ord.is_acquire() && a != addr,
+        LOp::Ld { addr: a, ord, .. } => !ord.is_acquire() && a != addr,
         _ => false,
     })
 }
@@ -184,7 +219,7 @@ fn weak_ready(ops: &[TsoOp], done: u32, i: usize) -> bool {
 ///
 /// Panics if any thread exceeds 32 ops or the state space exceeds an
 /// internal safety bound (1e6 states) — keep litmus tests small.
-pub fn enumerate_weak_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashSet<Vec<Word>> {
+pub fn enumerate_weak_outcomes(threads: &[Vec<LOp>], num_outs: usize) -> HashSet<Vec<Word>> {
     let n = threads.len();
     assert!(
         threads.iter().all(|t| t.len() <= 32),
@@ -222,14 +257,14 @@ pub fn enumerate_weak_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashS
                     continue;
                 }
                 match op {
-                    TsoOp::St { addr, val, ord } => {
+                    LOp::St { addr, val, ord } => {
                         terminal = false;
                         let mut next = st.clone();
                         next.sbs[t].push_back((addr, val, ord.is_sc()));
                         next.done[t] |= 1 << i;
                         work.push(next);
                     }
-                    TsoOp::Ld { addr, out_slot, .. } => {
+                    LOp::Ld { addr, out, .. } => {
                         // An SC store waiting in the local buffer blocks
                         // every younger load (the store-load half of its
                         // SC fence); acquire annotations on the load
@@ -247,11 +282,11 @@ pub fn enumerate_weak_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashS
                             .find(|&&(a, _, _)| a == addr)
                             .map(|&(_, v, _)| v)
                             .unwrap_or_else(|| st.mem.get(&addr).copied().unwrap_or(0));
-                        next.outs[out_slot as usize] = Some(v);
+                        next.outs[out as usize] = Some(v);
                         next.done[t] |= 1 << i;
                         work.push(next);
                     }
-                    TsoOp::FetchAdd { addr, val, out_slot, .. } => {
+                    LOp::FetchAdd { addr, val, out, .. } => {
                         // SeqCst strength in both models: empty buffer,
                         // atomic step.
                         if st.sbs[t].is_empty() {
@@ -259,14 +294,14 @@ pub fn enumerate_weak_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashS
                             let mut next = st.clone();
                             let old = st.mem.get(&addr).copied().unwrap_or(0);
                             next.mem.insert(addr, old.wrapping_add(val));
-                            next.outs[out_slot as usize] = Some(old);
+                            next.outs[out as usize] = Some(old);
                             next.done[t] |= 1 << i;
                             work.push(next);
                         } else {
                             terminal = false;
                         }
                     }
-                    TsoOp::Fence { ord } => {
+                    LOp::Fence { ord } => {
                         // Every fence pins program order around itself
                         // (weak_ready already enforces that); only an SC
                         // fence additionally drains the store buffer.
@@ -293,32 +328,10 @@ pub fn enumerate_weak_outcomes(threads: &[Vec<TsoOp>], num_outs: usize) -> HashS
 mod tests {
     use super::*;
 
-    fn st(addr: u8, val: Word) -> TsoOp {
-        TsoOp::St { addr, val, ord: MemOrder::Relaxed }
-    }
-    fn st_ord(addr: u8, val: Word, ord: MemOrder) -> TsoOp {
-        TsoOp::St { addr, val, ord }
-    }
-    fn ld(addr: u8, out_slot: u8) -> TsoOp {
-        TsoOp::Ld { addr, out_slot, ord: MemOrder::Relaxed }
-    }
-    fn ld_ord(addr: u8, out_slot: u8, ord: MemOrder) -> TsoOp {
-        TsoOp::Ld { addr, out_slot, ord }
-    }
-    fn fadd(addr: u8, val: Word, out_slot: u8) -> TsoOp {
-        TsoOp::FetchAdd { addr, val, out_slot, ord: MemOrder::SeqCst }
-    }
-    fn fence() -> TsoOp {
-        TsoOp::Fence { ord: MemOrder::SeqCst }
-    }
-    fn fence_ord(ord: MemOrder) -> TsoOp {
-        TsoOp::Fence { ord }
-    }
-
     #[test]
     fn sb_litmus_allows_both_zero() {
         // The classic store-buffering shape: both loads may read 0.
-        let threads = vec![vec![st(0, 1), ld(1, 0)], vec![st(1, 1), ld(0, 1)]];
+        let threads = vec![vec![LOp::st(0, 1), LOp::ld(1, 0)], vec![LOp::st(1, 1), LOp::ld(0, 1)]];
         let outs = enumerate_tso_outcomes(&threads, 2);
         assert!(outs.contains(&vec![0, 0]), "TSO must allow 0,0 for SB");
         assert!(outs.contains(&vec![1, 1]));
@@ -329,8 +342,8 @@ mod tests {
     #[test]
     fn sb_with_fences_forbids_both_zero() {
         let threads = vec![
-            vec![st(0, 1), fence(), ld(1, 0)],
-            vec![st(1, 1), fence(), ld(0, 1)],
+            vec![LOp::st(0, 1), LOp::fence(), LOp::ld(1, 0)],
+            vec![LOp::st(1, 1), LOp::fence(), LOp::ld(0, 1)],
         ];
         let outs = enumerate_tso_outcomes(&threads, 2);
         assert!(!outs.contains(&vec![0, 0]), "MFENCE forbids 0,0");
@@ -342,8 +355,8 @@ mod tests {
         // Paper Figure 10: an atomic RMW between the store and the load acts
         // as a fence (type-1 atomicity).
         let threads = vec![
-            vec![st(0, 1), fadd(2, 1, 2), ld(1, 0)],
-            vec![st(1, 1), fadd(3, 1, 3), ld(0, 1)],
+            vec![LOp::st(0, 1), LOp::fadd(2, 1, 2), LOp::ld(1, 0)],
+            vec![LOp::st(1, 1), LOp::fadd(3, 1, 3), LOp::ld(0, 1)],
         ];
         let outs = enumerate_tso_outcomes(&threads, 4);
         assert!(
@@ -354,7 +367,7 @@ mod tests {
 
     #[test]
     fn message_passing_is_ordered() {
-        let threads = vec![vec![st(0, 42), st(1, 1)], vec![ld(1, 0), ld(0, 1)]];
+        let threads = vec![vec![LOp::st(0, 42), LOp::st(1, 1)], vec![LOp::ld(1, 0), LOp::ld(0, 1)]];
         let outs = enumerate_tso_outcomes(&threads, 2);
         // flag=1 but data=0 is forbidden under TSO.
         assert!(!outs.contains(&vec![1, 0]));
@@ -364,14 +377,14 @@ mod tests {
 
     #[test]
     fn load_forwards_from_own_buffer() {
-        let threads = vec![vec![st(0, 9), ld(0, 0)]];
+        let threads = vec![vec![LOp::st(0, 9), LOp::ld(0, 0)]];
         let outs = enumerate_tso_outcomes(&threads, 1);
         assert_eq!(outs, HashSet::from([vec![9]]));
     }
 
     #[test]
     fn rmw_pair_on_same_address_serializes() {
-        let threads = vec![vec![fadd(0, 1, 0)], vec![fadd(0, 1, 1)]];
+        let threads = vec![vec![LOp::fadd(0, 1, 0)], vec![LOp::fadd(0, 1, 1)]];
         let outs = enumerate_tso_outcomes(&threads, 2);
         // One sees 0, the other 1 — never both 0.
         assert_eq!(outs, HashSet::from([vec![0, 1], vec![1, 0]]));
@@ -380,11 +393,11 @@ mod tests {
     #[test]
     fn tso_enumerator_ignores_annotations() {
         // MP with a fully relaxed reader: still ordered under TSO.
-        let threads = vec![vec![st(0, 42), st(1, 1)], vec![ld(1, 0), ld(0, 1)]];
+        let threads = vec![vec![LOp::st(0, 42), LOp::st(1, 1)], vec![LOp::ld(1, 0), LOp::ld(0, 1)]];
         let relaxed = enumerate_tso_outcomes(&threads, 2);
         let annotated = vec![
-            vec![st_ord(0, 42, MemOrder::Release), st_ord(1, 1, MemOrder::SeqCst)],
-            vec![ld_ord(1, 0, MemOrder::Acquire), ld_ord(0, 1, MemOrder::SeqCst)],
+            vec![LOp::st_ord(0, 42, MemOrder::Release), LOp::st_ord(1, 1, MemOrder::SeqCst)],
+            vec![LOp::ld_ord(1, 0, MemOrder::Acquire), LOp::ld_ord(0, 1, MemOrder::SeqCst)],
         ];
         assert_eq!(relaxed, enumerate_tso_outcomes(&annotated, 2));
     }
@@ -393,7 +406,7 @@ mod tests {
 
     #[test]
     fn weak_mp_relaxed_allows_stale_data() {
-        let threads = vec![vec![st(0, 42), st(1, 1)], vec![ld(1, 0), ld(0, 1)]];
+        let threads = vec![vec![LOp::st(0, 42), LOp::st(1, 1)], vec![LOp::ld(1, 0), LOp::ld(0, 1)]];
         let outs = enumerate_weak_outcomes(&threads, 2);
         assert!(outs.contains(&vec![1, 0]), "weak allows flag-without-data");
         assert!(outs.contains(&vec![1, 42]));
@@ -405,8 +418,8 @@ mod tests {
         // Reader's first load acquire: the stale-data outcome vanishes.
         // The writer needs no release annotation (FIFO store buffer).
         let threads = vec![
-            vec![st(0, 42), st(1, 1)],
-            vec![ld_ord(1, 0, MemOrder::Acquire), ld(0, 1)],
+            vec![LOp::st(0, 42), LOp::st(1, 1)],
+            vec![LOp::ld_ord(1, 0, MemOrder::Acquire), LOp::ld(0, 1)],
         ];
         let outs = enumerate_weak_outcomes(&threads, 2);
         assert!(!outs.contains(&vec![1, 0]));
@@ -416,8 +429,8 @@ mod tests {
     #[test]
     fn weak_mp_acquire_fence_restores_order() {
         let threads = vec![
-            vec![st(0, 42), st(1, 1)],
-            vec![ld(1, 0), fence_ord(MemOrder::Acquire), ld(0, 1)],
+            vec![LOp::st(0, 42), LOp::st(1, 1)],
+            vec![LOp::ld(1, 0), LOp::fence_ord(MemOrder::Acquire), LOp::ld(0, 1)],
         ];
         let outs = enumerate_weak_outcomes(&threads, 2);
         assert!(!outs.contains(&vec![1, 0]), "any fence pins R->R");
@@ -425,17 +438,17 @@ mod tests {
 
     #[test]
     fn weak_sb_relaxed_allows_both_zero_and_sc_fence_forbids() {
-        let relaxed = vec![vec![st(0, 1), ld(1, 0)], vec![st(1, 1), ld(0, 1)]];
+        let relaxed = vec![vec![LOp::st(0, 1), LOp::ld(1, 0)], vec![LOp::st(1, 1), LOp::ld(0, 1)]];
         assert!(enumerate_weak_outcomes(&relaxed, 2).contains(&vec![0, 0]));
         let fenced = vec![
-            vec![st(0, 1), fence(), ld(1, 0)],
-            vec![st(1, 1), fence(), ld(0, 1)],
+            vec![LOp::st(0, 1), LOp::fence(), LOp::ld(1, 0)],
+            vec![LOp::st(1, 1), LOp::fence(), LOp::ld(0, 1)],
         ];
         assert!(!enumerate_weak_outcomes(&fenced, 2).contains(&vec![0, 0]));
         // An acquire fence does NOT drain the store buffer: 0,0 survives.
         let acq = vec![
-            vec![st(0, 1), fence_ord(MemOrder::Acquire), ld(1, 0)],
-            vec![st(1, 1), fence_ord(MemOrder::Acquire), ld(0, 1)],
+            vec![LOp::st(0, 1), LOp::fence_ord(MemOrder::Acquire), LOp::ld(1, 0)],
+            vec![LOp::st(1, 1), LOp::fence_ord(MemOrder::Acquire), LOp::ld(0, 1)],
         ];
         assert!(enumerate_weak_outcomes(&acq, 2).contains(&vec![0, 0]));
     }
@@ -445,8 +458,8 @@ mod tests {
         // No fences at all: the SC annotation on the stores alone blocks
         // the younger loads until the buffer drains.
         let threads = vec![
-            vec![st_ord(0, 1, MemOrder::SeqCst), ld(1, 0)],
-            vec![st_ord(1, 1, MemOrder::SeqCst), ld(0, 1)],
+            vec![LOp::st_ord(0, 1, MemOrder::SeqCst), LOp::ld(1, 0)],
+            vec![LOp::st_ord(1, 1, MemOrder::SeqCst), LOp::ld(0, 1)],
         ];
         assert!(!enumerate_weak_outcomes(&threads, 2).contains(&vec![0, 0]));
     }
@@ -454,8 +467,8 @@ mod tests {
     #[test]
     fn weak_rmws_keep_sc_strength() {
         let threads = vec![
-            vec![st(0, 1), fadd(2, 1, 2), ld(1, 0)],
-            vec![st(1, 1), fadd(3, 1, 3), ld(0, 1)],
+            vec![LOp::st(0, 1), LOp::fadd(2, 1, 2), LOp::ld(1, 0)],
+            vec![LOp::st(1, 1), LOp::fadd(3, 1, 3), LOp::ld(0, 1)],
         ];
         let outs = enumerate_weak_outcomes(&threads, 4);
         assert!(!outs.iter().any(|o| o[0] == 0 && o[1] == 0));
@@ -465,7 +478,7 @@ mod tests {
     fn weak_same_address_loads_stay_coherent() {
         // CoRR: the R->R relaxation must not let two same-address loads
         // observe coherence out of order.
-        let threads = vec![vec![st(0, 1)], vec![ld(0, 0), ld(0, 1)]];
+        let threads = vec![vec![LOp::st(0, 1)], vec![LOp::ld(0, 0), LOp::ld(0, 1)]];
         let outs = enumerate_weak_outcomes(&threads, 2);
         assert!(!outs.contains(&vec![1, 0]), "CoRR forbidden under weak too");
     }
@@ -473,11 +486,11 @@ mod tests {
     #[test]
     fn weak_outcomes_superset_of_tso() {
         // On every shape above, the weak outcome set contains the TSO set.
-        let shapes: Vec<Vec<Vec<TsoOp>>> = vec![
-            vec![vec![st(0, 42), st(1, 1)], vec![ld(1, 0), ld(0, 1)]],
-            vec![vec![st(0, 1), ld(1, 0)], vec![st(1, 1), ld(0, 1)]],
-            vec![vec![st(0, 1), fadd(2, 1, 2), ld(1, 0)], vec![st(1, 1), ld(0, 1)]],
-            vec![vec![ld(0, 0), st(1, 1)], vec![ld(1, 1), st(0, 1)]],
+        let shapes: Vec<Vec<Vec<LOp>>> = vec![
+            vec![vec![LOp::st(0, 42), LOp::st(1, 1)], vec![LOp::ld(1, 0), LOp::ld(0, 1)]],
+            vec![vec![LOp::st(0, 1), LOp::ld(1, 0)], vec![LOp::st(1, 1), LOp::ld(0, 1)]],
+            vec![vec![LOp::st(0, 1), LOp::fadd(2, 1, 2), LOp::ld(1, 0)], vec![LOp::st(1, 1), LOp::ld(0, 1)]],
+            vec![vec![LOp::ld(0, 0), LOp::st(1, 1)], vec![LOp::ld(1, 1), LOp::st(0, 1)]],
         ];
         for threads in shapes {
             let n = 4;
@@ -491,7 +504,7 @@ mod tests {
     fn weak_load_buffering_still_forbidden() {
         // LB: loads may not hoist past *stores* (R->W preserved), so 1,1
         // stays forbidden even under weak.
-        let threads = vec![vec![ld(0, 0), st(1, 1)], vec![ld(1, 1), st(0, 1)]];
+        let threads = vec![vec![LOp::ld(0, 0), LOp::st(1, 1)], vec![LOp::ld(1, 1), LOp::st(0, 1)]];
         assert!(!enumerate_weak_outcomes(&threads, 2).contains(&vec![1, 1]));
     }
 }

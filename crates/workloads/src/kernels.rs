@@ -119,17 +119,11 @@ pub struct AppSpec {
     pub wait: WaitKind,
 }
 
-impl AppSpec {
-    /// A pure-compute spec (no locks, end barrier only).
-    pub fn compute_only(outer_iters: i64, inner: ComputeInner) -> AppSpec {
-        AppSpec {
-            outer_iters,
-            compute: Some(inner),
-            locks: None,
-            barrier_every: None,
-            wait: WaitKind::Mwait,
-        }
-    }
+/// Emits `dst = table + off`: the slot `off` bytes into the table at
+/// guest address `table`.
+fn emit_slot_addr(k: &mut Kasm, dst: Reg, table: i64, off: Reg) {
+    k.li(dst, table);
+    k.add(dst, dst, off);
 }
 
 /// Emits an [`AppSpec`] loop for `nthreads` threads.
@@ -207,10 +201,8 @@ pub fn emit_app_loop(k: &mut Kasm, nthreads: usize, spec: &AppSpec) {
             }
         }
         k.shl(TMP, X2, 6);
-        k.li(LOCKA, LOCK_BASE);
-        k.add(LOCKA, LOCKA, TMP);
-        k.li(DATAA, DATA_BASE);
-        k.add(DATAA, DATAA, TMP);
+        emit_slot_addr(k, LOCKA, LOCK_BASE, TMP);
+        emit_slot_addr(k, DATAA, DATA_BASE, TMP);
         for _ in 0..l.burst.max(1) {
             match l.kind {
                 LockKind::Tas => emit_tas_acquire(k, LOCKA, spec.wait),
@@ -270,11 +262,9 @@ pub fn emit_tpcc_loop(k: &mut Kasm, iters: i64, locks_pow2: i64, think: i64, wai
     let acq = k.here_label();
     k.add(TMP, VAL, J);
     k.shl(TMP, TMP, 6);
-    k.li(LOCKA, LOCK_BASE);
-    k.add(LOCKA, LOCKA, TMP);
+    emit_slot_addr(k, LOCKA, LOCK_BASE, TMP);
     emit_tas_acquire(k, LOCKA, wait);
-    k.li(DATAA, DATA_BASE);
-    k.add(DATAA, DATAA, TMP);
+    emit_slot_addr(k, DATAA, DATA_BASE, TMP);
     k.ld(RT3, DATAA, 0);
     k.addi(RT3, RT3, 1);
     k.st(RT3, DATAA, 0);
@@ -285,8 +275,7 @@ pub fn emit_tpcc_loop(k: &mut Kasm, iters: i64, locks_pow2: i64, think: i64, wai
     k.addi(J, J, -1);
     k.add(TMP, VAL, J);
     k.shl(TMP, TMP, 6);
-    k.li(LOCKA, LOCK_BASE);
-    k.add(LOCKA, LOCKA, TMP);
+    emit_slot_addr(k, LOCKA, LOCK_BASE, TMP);
     emit_release(k, LOCKA);
     k.bne_imm(J, 0, rel);
     k.addi(I, I, 1);
@@ -310,15 +299,11 @@ pub fn emit_swap_loop(k: &mut Kasm, iters: i64, locks_pow2: i64, think: i64, wai
     k.xor(VAL, VAL, X2);
     k.bind(ordered);
     k.shl(TMP, VAL, 6);
-    k.li(LOCKA, LOCK_BASE);
-    k.add(LOCKA, LOCKA, TMP);
-    k.li(DATAA, DATA_BASE);
-    k.add(DATAA, DATAA, TMP);
+    emit_slot_addr(k, LOCKA, LOCK_BASE, TMP);
+    emit_slot_addr(k, DATAA, DATA_BASE, TMP);
     k.shl(TMP, X2, 6);
-    k.li(LOCKB, LOCK_BASE);
-    k.add(LOCKB, LOCKB, TMP);
-    k.li(DATAB, DATA_BASE);
-    k.add(DATAB, DATAB, TMP);
+    emit_slot_addr(k, LOCKB, LOCK_BASE, TMP);
+    emit_slot_addr(k, DATAB, DATA_BASE, TMP);
     emit_tas_acquire(k, LOCKA, wait);
     emit_tas_acquire(k, LOCKB, wait);
     k.ld(TMP, DATAA, 0);
@@ -331,10 +316,8 @@ pub fn emit_swap_loop(k: &mut Kasm, iters: i64, locks_pow2: i64, think: i64, wai
     k.jump(next);
     k.bind(same);
     k.shl(TMP, VAL, 6);
-    k.li(LOCKA, LOCK_BASE);
-    k.add(LOCKA, LOCKA, TMP);
-    k.li(DATAA, DATA_BASE);
-    k.add(DATAA, DATAA, TMP);
+    emit_slot_addr(k, LOCKA, LOCK_BASE, TMP);
+    emit_slot_addr(k, DATAA, DATA_BASE, TMP);
     emit_tas_acquire(k, LOCKA, wait);
     k.ld(TMP, DATAA, 0);
     k.addi(TMP, TMP, 1);
@@ -366,8 +349,7 @@ pub fn emit_queue_loop(k: &mut Kasm, iters: i64, slots_pow2: i64, think: i64) {
     k.ld(VAL, LOCKA, 8); // tail index
     k.and(TMP, VAL, slots_pow2 - 1);
     k.shl(TMP, TMP, 6);
-    k.li(DATAA, DATA_BASE);
-    k.add(DATAA, DATAA, TMP);
+    emit_slot_addr(k, DATAA, DATA_BASE, TMP);
     // Wait (inside the CS, as the two-lock queue does) until the slot is
     // free, then deposit payload + ready flag and bump the tail.
     let wait_empty = k.here_label();
@@ -390,8 +372,7 @@ pub fn emit_queue_loop(k: &mut Kasm, iters: i64, slots_pow2: i64, think: i64) {
     k.ld(VAL, LOCKB, 8); // head index
     k.and(TMP, VAL, slots_pow2 - 1);
     k.shl(TMP, TMP, 6);
-    k.li(DATAB, DATA_BASE);
-    k.add(DATAB, DATAB, TMP);
+    emit_slot_addr(k, DATAB, DATA_BASE, TMP);
     let wait_full = k.here_label();
     k.ld(TMP, DATAB, 0);
     let full = k.new_label();
@@ -421,10 +402,8 @@ pub fn emit_atomic_swap_loop(k: &mut Kasm, iters: i64, elems_pow2: i64, think: i
     emit_rand_pow2(k, X2, elems_pow2);
     k.shl(VAL, VAL, 3);
     k.shl(X2, X2, 3);
-    k.li(DATAA, DATA_BASE);
-    k.add(DATAA, DATAA, VAL);
-    k.li(DATAB, DATA_BASE);
-    k.add(DATAB, DATAB, X2);
+    emit_slot_addr(k, DATAA, DATA_BASE, VAL);
+    emit_slot_addr(k, DATAB, DATA_BASE, X2);
     k.swap(TMP, DATAA, 0, I);
     k.swap(J, DATAB, 0, TMP);
     k.swap(TMP, DATAA, 0, J);
@@ -451,8 +430,7 @@ pub fn emit_tree_update_loop(k: &mut Kasm, iters: i64, depth: usize, think: i64,
         k.add(VAL, VAL, TMP);
         k.and(J, VAL, (1 << depth) - 1);
         k.shl(J, J, 3);
-        k.li(DATAA, DATA_BASE);
-        k.add(DATAA, DATAA, J);
+        emit_slot_addr(k, DATAA, DATA_BASE, J);
         k.ld(TMP, DATAA, 0);
         k.addi(TMP, TMP, 1);
         k.st(TMP, DATAA, 0);
@@ -490,10 +468,13 @@ mod tests {
 
     #[test]
     fn app_loop_compute_only_runs() {
-        let spec = AppSpec::compute_only(
-            20,
-            ComputeInner { iters: 10, loads: 2, stores: 1, alu: 2, stride: 64, region_pow2: 0x4000, shared: false },
-        );
+        let spec = AppSpec {
+            outer_iters: 20,
+            compute: Some(ComputeInner { iters: 10, loads: 2, stores: 1, alu: 2, stride: 64, region_pow2: 0x4000, shared: false }),
+            locks: None,
+            barrier_every: None,
+            wait: WaitKind::Mwait,
+        };
         run(build(3, |k, _| emit_app_loop(k, 3, &spec)), 2_000_000);
     }
 

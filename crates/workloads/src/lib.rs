@@ -49,49 +49,15 @@ impl Default for WorkloadParams {
 /// A built workload: one program per core plus initialized guest memory.
 #[derive(Clone, Debug)]
 pub struct Workload {
-    /// Workload name (matches the paper's application name).
-    pub name: &'static str,
-    /// Whether the paper classifies it atomic-intensive (≥ 0.75 APKI).
-    pub atomic_intensive: bool,
     /// One program per core.
     pub programs: Vec<Program>,
     /// Initialized guest memory.
     pub mem: GuestMem,
 }
 
-/// A named workload builder.
-#[derive(Clone, Copy)]
-pub struct WorkloadSpec {
-    /// Application name as in the paper.
-    pub name: &'static str,
-    /// Paper classification (§5.2): ≥ 0.75 atomics per kilo-instruction.
-    pub atomic_intensive: bool,
-    builder: fn(&WorkloadParams) -> Workload,
-}
-
-impl std::fmt::Debug for WorkloadSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkloadSpec")
-            .field("name", &self.name)
-            .field("atomic_intensive", &self.atomic_intensive)
-            .finish()
-    }
-}
-
-impl WorkloadSpec {
-    pub(crate) const fn new(
-        name: &'static str,
-        atomic_intensive: bool,
-        builder: fn(&WorkloadParams) -> Workload,
-    ) -> WorkloadSpec {
-        WorkloadSpec { name, atomic_intensive, builder }
-    }
-
-    /// Builds the workload for the given parameters.
-    pub fn build(&self, params: &WorkloadParams) -> Workload {
-        (self.builder)(params)
-    }
-}
+/// A workload of the suite: a reference to its row of [`suite::SUITE`],
+/// which carries the public `name` and `atomic_intensive` and builds it.
+pub type WorkloadSpec = &'static suite::Entry;
 
 /// Guest memory size every workload uses (4 MiB).
 pub const WORKLOAD_MEM_BYTES: u64 = 4 << 20;

@@ -122,3 +122,73 @@ fn runs_are_bit_deterministic() {
     };
     assert_eq!(run(), run(), "identical runs must be bit-identical");
 }
+
+/// FNV-1a 64 of one built workload: the `Debug` rendering of every
+/// instruction of every thread, then every non-zero `(address, word)` of
+/// the memory image.
+fn program_hash(w: &Workload) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |text: String| {
+        for b in text.bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (tid, program) in w.programs.iter().enumerate() {
+        feed(format!("thread {tid}\n"));
+        for instr in program.iter() {
+            feed(format!("{instr:?}\n"));
+        }
+    }
+    feed(format!("mem {}\n", w.mem.size()));
+    for addr in (0..w.mem.size()).step_by(8) {
+        let word = w.mem.load(addr);
+        if word != 0 {
+            feed(format!("{addr:#x}={word:#x}\n"));
+        }
+    }
+    h
+}
+
+/// `(name, hash at cores 2 / scale 0.05 / seed 0xF00D, hash at cores 4 /
+/// scale 0.1 / seed 7)`. A calibration change moves exactly the rows it
+/// means to; the failure message prints the rows the code builds now.
+const PINNED_PROGRAMS: [(&str, u64, u64); 26] = [
+    ("watersp", 0x272efeb025a610cd, 0x8b890360c6a1b169),
+    ("blackscholes", 0x103a7e9dfbc3ab49, 0x9948e6aa3b81d1cd),
+    ("waternsq", 0x2da935c9258c8421, 0xa5859772f28e03a5),
+    ("freqmine", 0xe129b77452c37ba5, 0xee9544fb86f890f5),
+    ("facesim", 0x69cb5d82a57333e3, 0xdd5c332f123684af),
+    ("fft", 0xe9d510fba3b8dd03, 0x3d79afbd24bb4145),
+    ("raytrace", 0xc25002041c275159, 0x5714be6b27d8b1b9),
+    ("lu_ncb", 0xe34f5280847d6009, 0x699be0d0d99f9c59),
+    ("lu_cb", 0xaf4cc14aec6cba5d, 0xbe6249c44d57a6a1),
+    ("radix", 0x6e3d0d5c5fd5f9d1, 0xd69b6364573c0a35),
+    ("swaptions", 0xe48413f1502edffb, 0x317499cd8e6c18ab),
+    ("ocean_ncp", 0x7ee964f86c3441c3, 0x13d378f8870e9d33),
+    ("ocean_cp", 0xe4fda97af241ee13, 0x37347591829290ef),
+    ("fmm", 0xd0638dd184956e6b, 0xf944d0cfb3c9a171),
+    ("cholesky", 0x2b8a052e05d18403, 0x27fce13f367bd2ef),
+    ("TATP", 0x9d7cd1b13abd3b83, 0xedb79c20840ab83f),
+    ("PC", 0x2b6aeecbd53b56c7, 0x667ca6e267c68e1b),
+    ("TPCC", 0x2504802ada011a43, 0xfd84be9e44348c61),
+    ("AS", 0xc72dfe9ec025ecb0, 0x105a8fd9c8f6dda2),
+    ("CQ", 0xe0717a2d7980071b, 0xdd8d40e3c1adc02f),
+    ("barnes", 0xdb492cb02af42e9b, 0x4fea61ab94369fdf),
+    ("volrend", 0x389973f50ddd795d, 0x47406d608b5622fb),
+    ("radiosity", 0xf8956accfb9c56c5, 0xa049a269ea4474ef),
+    ("fluidanimate", 0xecaa4c8547ad9cb3, 0x8c65fabfd1a9f24d),
+    ("RBT", 0x410ad74894e8c767, 0x1bfe3bfb71445faf),
+    ("canneal", 0x966de9e8805523f0, 0x5cdc07238b86ee03),
+];
+
+#[test]
+fn every_program_and_memory_image_is_pinned() {
+    let small = WorkloadParams { cores: 2, scale: 0.05, seed: 0xF00D };
+    let large = WorkloadParams { cores: 4, scale: 0.1, seed: 7 };
+    let built: Vec<(&str, u64, u64)> = suite::all()
+        .iter()
+        .map(|s| (s.name, program_hash(&s.build(&small)), program_hash(&s.build(&large))))
+        .collect();
+    let row = |(n, a, b): &(&str, u64, u64)| format!("    ({n:?}, {a:#018x}, {b:#018x}),\n");
+    assert!(built == PINNED_PROGRAMS, "the suite now builds:\n{}", built.iter().map(row).collect::<String>());
+}
