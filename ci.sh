@@ -46,6 +46,14 @@ test -z "$(uniq -d target/suite_names.txt)"
 ! grep -nE 'let mut (acts|dout) = Vec::new\(\)' crates/mem/src/system.rs || exit 1
 ! grep -nE 'Vec<Vec<' crates/mem/src/tagarray.rs crates/core/src/sched.rs || exit 1
 ! grep -rn 'HashMap<Line, (Vec' crates/mem/src || exit 1
+# Nothing polls: rule (a) was rewritten, not appended to; the blocking
+# rules are written once (`load_blocker`, which the issue path and the
+# debug oracle both go through); the stall path accounts its cycle through
+# `account_cycle`, not a copy of it.
+! grep -n 're-attempted \*every' DESIGN.md || exit 1
+grep -q 'fn load_blocker' crates/core/src/core.rs
+test "$(grep -c 'blocked_by_fence(' crates/core/src/core.rs)" -eq 1
+! grep -n 'fn stall_cycle' -A 12 crates/core/src/core.rs | grep -n 'cpi\.\(add\|record\)' || exit 1
 # One driver binary, built once here (`cargo build --release` above builds
 # only the root package) and reached directly by every smoke below.
 ! ls crates/bench/src/bin | grep -vx 'fa.rs' || exit 1

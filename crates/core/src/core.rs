@@ -17,7 +17,7 @@ use crate::aq::{AqState, AtomicQueue};
 use crate::config::{AtomicPolicy, CoreConfig};
 use crate::predictor::{BranchPredictor, StoreSets};
 use crate::rob::{Entry, FwdSource, MemPhase, Rob, Seq, Slot, SrcVal};
-use crate::sched::Sched;
+use crate::sched::{Blocker, Sched, Unblock};
 use crate::stats::{CoreStats, SquashCause};
 use fa_isa::reg::NUM_REGS;
 use fa_isa::uop::SrcRegs;
@@ -46,6 +46,13 @@ pub struct CoreDiag {
     pub wd_counter: u64,
     /// `(seq, pc, kind, issued, done)` of the ROB-head micro-op, if any.
     pub rob_head: Option<(u64, u32, String, bool, bool)>,
+    /// What keeps the ROB head, an unissued load with its address, from
+    /// issuing: the core-local blocker, else the store a `load_lock` may
+    /// not forward from, else `cache retry`.
+    pub head_blocked: Option<String>,
+    /// The core is stalled — every tick before this cycle repeats the last
+    /// one unless memory traffic arrives (`u64::MAX`: only traffic ends it).
+    pub stalled_until: Option<u64>,
     /// Cache lines locked on behalf of this core's Atomic Queue.
     pub aq_locked: Vec<Line>,
 }
@@ -66,6 +73,14 @@ impl fmt::Display for CoreDiag {
         )?;
         if let Some((seq, pc, kind, issued, done)) = &self.rob_head {
             write!(f, ", head µop #{seq} {kind} @pc {pc} (issued={issued} done={done})")?;
+        }
+        if let Some(why) = &self.head_blocked {
+            write!(f, ", blocked by {why}")?;
+        }
+        match self.stalled_until {
+            Some(u64::MAX) => write!(f, ", stalled until traffic")?,
+            Some(cycle) => write!(f, ", stalled until {cycle}")?,
+            None => {}
         }
         if !self.aq_locked.is_empty() {
             write!(f, ", locked:")?;
@@ -89,6 +104,26 @@ enum FetchBarrier {
     Halt,
     /// A `MonitorWait` was fetched; fetch resumes at wake.
     Monitor,
+}
+
+/// The structural limit fetch stopped on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FetchLimit {
+    /// The ROB has no room for the next instruction.
+    Rob,
+    /// The load or store queue has no room for it.
+    Lsq,
+    /// It is an RMW and the Atomic Queue is full.
+    Aq,
+}
+
+/// Where the value of an issuing load comes from.
+#[derive(Clone, Copy, Debug)]
+enum LoadSource {
+    /// Forwarded from the older store `sseq` (`unlock`: a store_unlock).
+    Forward { sseq: Seq, value: Word, unlock: bool },
+    /// No older store to the address is in flight: the cache.
+    Cache,
 }
 
 /// Execution state of the core.
@@ -132,6 +167,8 @@ struct DecodedInstr {
     loads: u8,
     /// Store-queue entries needed.
     stores: u8,
+    /// An RMW: needs an Atomic Queue entry.
+    rmw: bool,
 }
 
 /// One micro-op of the decoded program, its operands read off once.
@@ -180,11 +217,15 @@ pub struct Core {
     state: CoreState,
     wd_counter: u64,
 
-    /// Per-cycle cycle-accounting flags, reset at the top of every tick:
-    /// fetch stopped because the ROB had no room for the next instruction.
-    fetch_blocked_rob: bool,
-    /// Fetch stopped on an LQ/SQ/AQ structural limit.
-    fetch_blocked_lsq: bool,
+    /// The structural limit fetch stopped on in the last full step, for
+    /// cycle accounting.
+    fetch_blocked: Option<FetchLimit>,
+    /// While `now` is below this and no memory traffic arrives, a step
+    /// would repeat the last one exactly ([`Core::stall_cycle`]); zero when
+    /// the core can act.
+    stalled_until: u64,
+    /// Issue attempts and issues so far (tests; not a statistic).
+    issue_attempts: (u64, u64),
 
     /// Buffers reused every tick, so the steady state allocates nothing:
     /// this cycle's memory notices and responses (swapped with the memory
@@ -225,6 +266,7 @@ impl Core {
                 len: of.len() as u8,
                 loads: count(occupies_lq),
                 stores: count(Uop::is_store_class),
+                rmw: instr.is_rmw(),
             });
             uops.extend(of.iter().map(|&uop| DecodedUop {
                 uop,
@@ -253,8 +295,9 @@ impl Core {
             ss,
             state: CoreState::Running,
             wd_counter: 0,
-            fetch_blocked_rob: false,
-            fetch_blocked_lsq: false,
+            fetch_blocked: None,
+            stalled_until: 0,
+            issue_attempts: (0, 0),
             notices: Vec::new(),
             responses: Vec::new(),
             work: Vec::new(),
@@ -345,7 +388,73 @@ impl Core {
         self.notices = notices;
         self.responses = responses;
         #[cfg(debug_assertions)]
-        self.sched.check_scheduler_indices(&self.rob, self.cfg.policy.fenced());
+        {
+            self.sched.check_scheduler_indices(&self.rob, self.cfg.policy.fenced());
+            // Every event ran before the issue walk, so a load still on the
+            // blocked list would fail a fresh attempt for the same reason.
+            for &(slot, why) in &self.sched.blocked {
+                let now = self.load_blocker(slot).err();
+                assert_eq!(now, Some(why), "blocked load #{}", slot.seq);
+            }
+        }
+    }
+
+    /// True when [`Core::stall_cycle`] may stand in for [`Core::tick`] at
+    /// cycle `now`, provided the memory system holds no response or notice
+    /// for this core.
+    pub fn stalled(&self, now: u64) -> bool {
+        now < self.stalled_until
+    }
+
+    /// One cycle of a stalled core (see [`Core::stalled`]): what a step
+    /// does when no list holds work, the ROB head cannot commit and fetch
+    /// cannot dispatch. The CPI leaf is taken per cycle because its probes
+    /// read memory-side state, which moves while the core stands still.
+    pub fn stall_cycle(&mut self, mem: &MemorySystem) {
+        self.stats.cycles += 1;
+        if self.fetch_blocked == Some(FetchLimit::Aq) {
+            self.stats.aq_full_stalls += 1;
+        }
+        let due = self.watchdog_counts();
+        debug_assert!(!due, "the stall horizon stops short of the watchdog");
+        self.account_cycle(self.stats.uops, mem);
+    }
+
+    /// Re-derives, from a ROB scan and the queue occupancies, that a step
+    /// at `now` would find nothing to do (the debug check of a driver about
+    /// to call [`Core::stall_cycle`] instead).
+    #[cfg(debug_assertions)]
+    pub fn step_would_stall(&self, now: u64, mem: &MemorySystem) -> bool {
+        let nothing_to_do = self.rob.iter().all(|(slot, e)| {
+            let awaits_agen = crate::sched::awaits_agen(e);
+            let expires = !e.done && e.done_at.is_some_and(|at| at <= now);
+            // A load waiting for an event is no work; any other would reach
+            // the cache or poll its blocker.
+            let waits_for_event = |slot| {
+                matches!(e.uop.kind, UopKind::Load { .. } | UopKind::LoadLock { .. })
+                    && self.load_blocker(slot).err().and_then(Blocker::ended_by).is_some()
+            };
+            let issuable = crate::sched::issuable(e) && !waits_for_event(slot);
+            // A done producer's consumers wake at the next step.
+            let wakes = e.srcs[..e.nsrcs as usize].iter().any(|s| match *s {
+                SrcVal::Wait { seq } => self.rob.get(seq).is_some_and(|p| p.done),
+                SrcVal::Ready(_) => false,
+            });
+            !(awaits_agen || expires || issuable || wakes)
+        });
+        let fetch_stopped = self.fetch_barrier.is_some()
+            || now < self.fetch_stall_until
+            || self.fetch_limit(self.fetch_pc).is_some();
+        let watchdog_due = self.cfg.policy != AtomicPolicy::FencedBaseline
+            && self.aq.any_locked()
+            && self.wd_counter >= self.cfg.watchdog_threshold;
+        self.state == CoreState::Running
+            && !mem.has_core_traffic(self.id)
+            && nothing_to_do
+            && self.sb.is_empty()
+            && !self.rob.front().is_some_and(|head| head.done)
+            && fetch_stopped
+            && !watchdog_due
     }
 
     /// One cycle, given the notices and responses the memory system
@@ -364,8 +473,8 @@ impl Core {
             return;
         }
         self.stats.cycles += 1;
-        self.fetch_blocked_rob = false;
-        self.fetch_blocked_lsq = false;
+        self.fetch_blocked = None;
+        self.stalled_until = 0;
 
         // Sleeping: drain the SB and watch for the wake condition.
         if let CoreState::Sleeping { line, wake_at, resume_pc } = self.state {
@@ -417,6 +526,38 @@ impl Core {
 
         // 9. Cycle accounting: attribute this cycle to exactly one leaf.
         self.account_cycle(uops_before, mem);
+
+        self.stalled_until = self.stall_horizon(now);
+    }
+
+    /// After the step at `now`: the first cycle at which a step could
+    /// differ from this one with no memory traffic in between, when this
+    /// one left nothing to do — no list holds work (blocked loads wait for
+    /// an event, which only such a step raises), the store buffer is empty,
+    /// the ROB head cannot commit and fetch cannot dispatch. Zero otherwise.
+    fn stall_horizon(&self, now: u64) -> u64 {
+        let fetch_resumes = if self.fetch_barrier.is_some() || self.fetch_blocked.is_some() {
+            u64::MAX
+        } else if now + 1 < self.fetch_stall_until {
+            self.fetch_stall_until
+        } else {
+            return 0;
+        };
+        if self.state != CoreState::Running
+            || !self.sched.idle()
+            || !self.sb.is_empty()
+            || self.rob.front().is_some_and(|head| head.done)
+        {
+            return 0;
+        }
+        let watchdog_fires =
+            if self.cfg.policy != AtomicPolicy::FencedBaseline && self.aq.any_locked() {
+                let left = self.cfg.watchdog_threshold.saturating_sub(self.wd_counter);
+                now.saturating_add(left).saturating_add(1)
+            } else {
+                u64::MAX
+            };
+        fetch_resumes.min(self.sched.next_expiry()).min(watchdog_fires)
     }
 
     /// Attributes the cycle just simulated to one [`CpiLeaf`], top-down:
@@ -460,12 +601,12 @@ impl Core {
                 // Fenced-policy issue gate: the head atomic may not issue
                 // until the store buffer drains.
                 CpiLeaf::SbDrain
-            } else if self.fetch_blocked_rob {
-                CpiLeaf::RobFull
-            } else if self.fetch_blocked_lsq {
-                CpiLeaf::LsqFull
             } else {
-                CpiLeaf::Issue
+                match self.fetch_blocked {
+                    Some(FetchLimit::Rob) => CpiLeaf::RobFull,
+                    Some(FetchLimit::Lsq | FetchLimit::Aq) => CpiLeaf::LsqFull,
+                    None => CpiLeaf::Issue,
+                }
             }
         };
         self.stats.cpi.record(leaf);
@@ -483,24 +624,15 @@ impl Core {
         let mut fetched = 0;
         while fetched < self.cfg.fetch_width {
             let pc = self.fetch_pc;
+            self.fetch_blocked = self.fetch_limit(pc);
+            if let Some(limit) = self.fetch_blocked {
+                if limit == FetchLimit::Aq {
+                    self.stats.aq_full_stalls += 1;
+                }
+                break;
+            }
             let instr = *self.prog.get(pc as usize).expect("fetch past program end");
             let d = self.decoded[pc as usize];
-            // Structural resources for the whole instruction.
-            if self.rob.len() + d.len as usize > self.cfg.rob_size {
-                self.fetch_blocked_rob = true;
-                break;
-            }
-            if self.sched.lq.len() + d.loads as usize > self.cfg.lq_size
-                || self.sched.sq.len() + self.sb.len() + d.stores as usize > self.cfg.sq_size
-            {
-                self.fetch_blocked_lsq = true;
-                break;
-            }
-            if instr.is_rmw() && self.aq.is_full() {
-                self.stats.aq_full_stalls += 1;
-                self.fetch_blocked_lsq = true;
-                break;
-            }
             for i in d.first..d.first + u32::from(d.len) {
                 self.dispatch_uop(self.uops[i as usize], now);
             }
@@ -524,29 +656,52 @@ impl Core {
         }
     }
 
+    /// The structural resource the whole instruction at `pc` lacks, if any.
+    fn fetch_limit(&self, pc: u32) -> Option<FetchLimit> {
+        let d = self.decoded.get(pc as usize).expect("fetch past program end");
+        if self.rob.len() + d.len as usize > self.cfg.rob_size {
+            Some(FetchLimit::Rob)
+        } else if self.sched.lq.len() + d.loads as usize > self.cfg.lq_size
+            || self.sched.sq.len() + self.sb.len() + d.stores as usize > self.cfg.sq_size
+        {
+            Some(FetchLimit::Lsq)
+        } else if d.rmw && self.aq.is_full() {
+            Some(FetchLimit::Aq)
+        } else {
+            None
+        }
+    }
+
     fn dispatch_uop(&mut self, DecodedUop { uop, srcs, dst }: DecodedUop, now: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut e = Entry::new(seq, uop);
 
         // Capture sources through the rename table. A producer that is
         // already done is read directly, whether or not its completion has
         // been handed out yet; one still executing will wake the operand.
+        let mut src_regs = [Reg::R0; 3];
+        let mut vals = [SrcVal::Ready(0); 3];
         let mut waits = [None; 3];
+        let mut nsrcs = 0;
         for r in srcs.iter() {
-            let i = e.nsrcs as usize;
             let producer = self.rename[r.index()];
-            e.src_regs[i] = r;
-            e.srcs[i] = match producer.and_then(|p| self.rob.at(p)) {
+            src_regs[nsrcs] = r;
+            vals[nsrcs] = match producer.and_then(|p| self.rob.at(p)) {
                 Some(p) if p.done => SrcVal::Ready(p.result),
                 Some(p) => {
-                    waits[i] = producer;
+                    waits[nsrcs] = producer;
                     SrcVal::Wait { seq: p.seq }
                 }
                 None => SrcVal::Ready(self.arch_regs[r.index()]),
             };
-            e.nsrcs += 1;
+            nsrcs += 1;
         }
+        // The entry is built where it lives: a fresh one in the ring,
+        // filled through the reference.
+        let (slot, e) = self.rob.push_new(seq, uop);
+        e.src_regs = src_regs;
+        e.srcs = vals;
+        e.nsrcs = nsrcs as u8;
         match uop.kind {
             UopKind::LoadLock { .. } => self.aq.alloc(seq),
             UopKind::Branch { target, .. } => {
@@ -570,9 +725,6 @@ impl Core {
         // Rename the destination.
         if let Some(d) = dst {
             e.prev_map = Some((d, self.rename[d.index()]));
-        }
-        let slot = self.rob.push(e);
-        if let Some(d) = dst {
             self.rename[d.index()] = Some(slot);
         }
         // Scheduler and LSQ bookkeeping.
@@ -599,7 +751,7 @@ impl Core {
                 self.sched.push_fence(seq, orders_loads);
             }
             UopKind::Pause => self.sched.insert_inflight(slot, now + self.cfg.pause_lat),
-            _ => self.sched.operands_changed(slot, self.rob.at(slot).expect("just pushed")),
+            _ => self.sched.operands_changed(slot, e),
         }
         self.trace.record(now, TraceEvent::UopDispatch { seq, pc: uop.pc as u64 });
     }
@@ -611,8 +763,13 @@ impl Core {
         // squashes), then issue.
         self.compute_addresses(now, mem);
 
-        // Oldest first; budget is spent only on success, and what does not
-        // issue keeps its place (a blocked load is retried every cycle).
+        // Every event that can end a block is in by now.
+        self.sched.refile_unblocked();
+
+        // Oldest first; budget is spent only on success. A load that a
+        // core-local blocker stops waits on the blocked list for the event
+        // that can end the block; anything else that does not issue keeps
+        // its place and is attempted again next cycle.
         let mut budget = self.cfg.issue_width;
         let (mut visited, mut kept) = (0, 0);
         while visited < self.sched.ready.len() && budget > 0 {
@@ -620,6 +777,8 @@ impl Core {
             visited += 1;
             let e = self.rob.at(slot).expect("the ready list holds live micro-ops");
             let pc = e.uop.pc;
+            let mut blocked = None;
+            self.issue_attempts.0 += 1;
             let issued = match e.uop.kind {
                 // Operands (and, for stores, the address) are what filed
                 // these as ready: they always issue.
@@ -635,15 +794,22 @@ impl Core {
                     self.issue_store(slot);
                     true
                 }
-                UopKind::Load { .. } | UopKind::LoadLock { .. } => {
-                    self.issue_load(slot, now, mem)
-                }
+                UopKind::Load { .. } | UopKind::LoadLock { .. } => match self.load_blocker(slot) {
+                    Ok(source) => self.issue_load(slot, source, now, mem),
+                    Err(why) => {
+                        blocked = Some(why).filter(|why| why.ended_by().is_some());
+                        false
+                    }
+                },
                 UopKind::MonitorWait { .. } => self.issue_monitor(slot, mem),
                 _ => unreachable!("only issuable micro-ops are filed as ready"),
             };
             if issued {
                 budget -= 1;
+                self.issue_attempts.1 += 1;
                 self.trace.record(now, TraceEvent::UopIssue { seq: slot.seq, pc: pc as u64 });
+            } else if let Some(why) = blocked {
+                self.sched.block(slot, why);
             } else {
                 self.sched.ready[kept] = slot;
                 kept += 1;
@@ -762,6 +928,8 @@ impl Core {
             }
             if e.uop.is_store_class() && !poisoned {
                 resolved_stores.push(slot);
+                // A younger load to this address forwards from here now.
+                self.sched.unblock(Unblock::StoreResolved);
             }
         }
         for &store in &resolved_stores {
@@ -808,51 +976,40 @@ impl Core {
         }
     }
 
-    fn issue_load(&mut self, slot: Slot, now: u64, mem: &mut MemorySystem) -> bool {
+    /// The core-local half of issuing the load at `slot`, which has its
+    /// address: what stops it short of the cache, or else where its value
+    /// comes from. Read-only, so an attempt that ends here changed nothing.
+    /// The blockers that wait for an event come before the StoreSet hold,
+    /// so that no later training hides them while a load sits on the
+    /// blocked list.
+    fn load_blocker(&self, slot: Slot) -> Result<LoadSource, Blocker> {
         let seq = slot.seq;
         let e = self.rob.at(slot).expect("entry exists");
         debug_assert!(e.mem == MemPhase::Idle && !e.poisoned);
         let addr = e.addr.expect("a ready load has its address");
-        let is_ll = matches!(e.uop.kind, UopKind::LoadLock { .. });
-        let pc = e.uop.pc;
 
         // Fence ordering: younger loads wait on standalone fences always,
         // and on atomic-post fences under the fenced policies.
-        if self.sched.blocked_by_fence(seq) {
-            return false;
+        if let Some(fence) = self.sched.blocked_by_fence(seq) {
+            return Err(Blocker::Fence(fence));
         }
         // Weak model: an SC store orders younger loads after its perform
         // (the W→R restoration that makes SC stores Dekker-safe); loads
         // wait while an older SC store is in flight or buffered.
         if self.cfg.model == MemModel::Weak && self.blocked_by_sc_store(seq) {
-            return false;
+            return Err(Blocker::ScStore);
         }
         // Policy-specific load_lock issue conditions.
-        if is_ll && !self.load_lock_may_issue(slot) {
-            return false;
-        }
-        // Memory-dependence prediction: wait on trained store sets.
-        if let Some(wait_seq) = self.ss.load_should_wait(pc) {
-            if wait_seq < seq && self.rob.get(wait_seq).map(|s| s.addr.is_none()).unwrap_or(false)
-            {
-                return false;
-            }
+        if matches!(e.uop.kind, UopKind::LoadLock { .. }) && !self.load_lock_may_issue(slot) {
+            return Err(Blocker::LoadLockGate);
         }
 
-        // Search older stores, youngest first: store queue then SB.
-        enum Hit {
-            /// Forward `value` from store `seq` (`unlock` = store_unlock).
-            Fwd { sseq: Seq, value: Word, unlock: bool },
-            /// Conflict that cannot forward yet: wait.
-            Wait,
-            /// No conflict: go to cache.
-            None,
-        }
-        let mut hit = Hit::None;
+        // Search older stores, youngest first: store queue then SB. An
+        // unknown older store address is speculated past (the StoreSet
+        // check below holds back risky loads).
+        let mut source = LoadSource::Cache;
         for s in self.sched.stores_older_than(seq).rev() {
             let s = self.rob.at(s).expect("the store queue holds live micro-ops");
-            // An unknown older store address is speculated past (the
-            // StoreSet check above already held back risky loads).
             if s.addr != Some(addr) {
                 continue;
             }
@@ -861,25 +1018,44 @@ impl Core {
                 unreachable!("the store queue holds store-class micro-ops")
             };
             let unlock = matches!(s.uop.kind, UopKind::StoreUnlock { .. });
-            hit = match s.value_of(src) {
-                Some(v) => Hit::Fwd { sseq: s.seq, value: v, unlock },
-                None => Hit::Wait,
-            };
+            match s.value_of(src) {
+                Some(value) => source = LoadSource::Forward { sseq: s.seq, value, unlock },
+                // Conflict that cannot forward yet.
+                None => return Err(Blocker::StoreData(s.seq)),
+            }
             break;
         }
-        if matches!(hit, Hit::None) {
-            // SB: committed but unperformed stores, youngest first.
-            for s in self.sb.iter().rev() {
-                if s.addr == addr {
-                    hit = Hit::Fwd { sseq: s.seq, value: s.value, unlock: s.is_unlock };
-                    break;
-                }
+        // Memory-dependence prediction: wait on trained store sets.
+        if let Some(wait_seq) = self.ss.load_should_wait(e.uop.pc) {
+            if wait_seq < seq && self.rob.get(wait_seq).is_some_and(|s| s.addr.is_none()) {
+                return Err(Blocker::StoreSet(wait_seq));
             }
         }
+        if matches!(source, LoadSource::Cache) {
+            // SB: committed but unperformed stores, youngest first.
+            if let Some(s) = self.sb.iter().rev().find(|s| s.addr == addr) {
+                source =
+                    LoadSource::Forward { sseq: s.seq, value: s.value, unlock: s.is_unlock };
+            }
+        }
+        Ok(source)
+    }
 
-        match hit {
-            Hit::Wait => false,
-            Hit::Fwd { sseq, value, unlock } => {
+    /// Issues the load at `slot` from `source`; false when the cache asks
+    /// for a retry or forwarding to a `load_lock` is refused.
+    fn issue_load(
+        &mut self,
+        slot: Slot,
+        source: LoadSource,
+        now: u64,
+        mem: &mut MemorySystem,
+    ) -> bool {
+        let seq = slot.seq;
+        let e = self.rob.at(slot).expect("entry exists");
+        let addr = e.addr.expect("a ready load has its address");
+        let is_ll = matches!(e.uop.kind, UopKind::LoadLock { .. });
+        match source {
+            LoadSource::Forward { sseq, value, unlock } => {
                 if is_ll {
                     self.forward_to_load_lock(slot, sseq, value, unlock, now)
                 } else {
@@ -887,7 +1063,7 @@ impl Core {
                     true
                 }
             }
-            Hit::None => {
+            LoadSource::Cache => {
                 match mem.read(self.id, seq, addr, is_ll, is_ll) {
                     fa_mem::privcache::ReqOutcome::Accepted => {
                         let drain = {
@@ -1169,29 +1345,39 @@ impl Core {
                     }
                 _ => {}
             }
-            let head = self.rob.pop_front().expect("checked");
+            // Retire by reference: take what retirement reads and drop the
+            // head where it lies.
+            let (result, addr, writer) = (head.result, head.addr, head.writer);
+            let (local_wp, fwd_kind) = (head.local_wp, head.fwd_kind);
+            let store_data = match uop.kind {
+                UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. } => head.value_of(src),
+                _ => None,
+            };
+            self.rob.retire_front();
+            // The load_lock gate reads the ROB rank and the queue fronts.
+            self.sched.unblock(Unblock::CommitOrDrain);
             budget -= 1;
             self.stats.uops += 1;
-            self.trace.record(now, TraceEvent::UopCommit { seq, pc: head.uop.pc as u64 });
+            self.trace.record(now, TraceEvent::UopCommit { seq, pc: uop.pc as u64 });
             // Free the rename mapping and update architectural state.
-            if let Some(d) = head.uop.dst() {
+            if let Some(d) = uop.dst() {
                 if !d.is_zero() {
-                    self.arch_regs[d.index()] = head.result;
+                    self.arch_regs[d.index()] = result;
                     if self.rename[d.index()].map(|p| p.seq) == Some(seq) {
                         self.rename[d.index()] = None;
                     }
                 }
             }
-            match head.uop.kind {
+            match uop.kind {
                 UopKind::Load { .. } => {
                     self.retire_load(seq);
                     if self.cfg.check.on() {
                         self.dlog.push(DataEvent::Load {
                             seq,
-                            addr: head.addr.expect("performed load has an address"),
-                            value: head.result,
-                            writer: head.writer,
-                            ord: head.uop.ord,
+                            addr: addr.expect("performed load has an address"),
+                            value: result,
+                            writer,
+                            ord: uop.ord,
                         });
                     }
                 }
@@ -1200,15 +1386,15 @@ impl Core {
                     if self.cfg.check.on() {
                         self.dlog.push(DataEvent::LoadLock {
                             seq,
-                            addr: head.addr.expect("performed load_lock has an address"),
-                            value: head.result,
-                            writer: head.writer,
+                            addr: addr.expect("performed load_lock has an address"),
+                            value: result,
+                            writer,
                         });
                     }
-                    if head.local_wp {
+                    if local_wp {
                         self.stats.atomics_local_wp += 1;
                     }
-                    match head.fwd_kind {
+                    match fwd_kind {
                         Some(FwdSource::Atomic) => self.stats.atomics_fwd_from_atomic += 1,
                         Some(FwdSource::Store) => self.stats.atomics_fwd_from_store += 1,
                         None => {}
@@ -1216,29 +1402,29 @@ impl Core {
                 }
                 UopKind::MonitorWait { .. } => {
                     self.retire_load(seq);
-                    let line = line_of(head.addr.expect("performed"));
+                    let line = line_of(addr.expect("performed"));
                     self.state = CoreState::Sleeping {
                         line,
                         wake_at: now + self.cfg.monitor_timeout,
-                        resume_pc: head.uop.pc + 1,
+                        resume_pc: uop.pc + 1,
                     };
                     self.stats.monitor_sleeps += 1;
                     self.stats.instructions += 1;
                     return; // sleep starts immediately
                 }
-                UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. } => {
+                UopKind::Store { .. } | UopKind::StoreUnlock { .. } => {
                     // The store moves from the ROB half of the store queue
                     // to the store buffer.
                     let left = self.sched.sq.pop_front();
                     debug_assert_eq!(left.map(|s| s.seq), Some(seq));
-                    let is_unlock = matches!(head.uop.kind, UopKind::StoreUnlock { .. });
-                    let value = head.value_of(src).expect("store data ready at commit");
-                    let addr = head.addr.expect("store address ready at commit");
+                    let is_unlock = matches!(uop.kind, UopKind::StoreUnlock { .. });
+                    let value = store_data.expect("store data ready at commit");
+                    let addr = addr.expect("store address ready at commit");
                     if self.cfg.check.on() {
                         self.dlog.push(if is_unlock {
                             DataEvent::StoreUnlock { seq, addr, value }
                         } else {
-                            DataEvent::Store { seq, addr, value, ord: head.uop.ord }
+                            DataEvent::Store { seq, addr, value, ord: uop.ord }
                         });
                     }
                     let entry = SbEntry {
@@ -1248,7 +1434,7 @@ impl Core {
                         is_unlock,
                         ll_seq: if is_unlock { Some(seq - 2) } else { None },
                         acquire_pending: false,
-                        sc: !is_unlock && head.uop.ord.is_sc(),
+                        sc: !is_unlock && uop.ord.is_sc(),
                     };
                     self.sb.push_back(entry);
                     if self.cfg.store_prefetch_at_commit {
@@ -1274,7 +1460,7 @@ impl Core {
                             let ord = if kind.is_atomic_fence() {
                                 MemOrder::SeqCst
                             } else {
-                                head.uop.ord
+                                uop.ord
                             };
                             self.dlog.push(DataEvent::Fence { seq, ord });
                         }
@@ -1288,11 +1474,11 @@ impl Core {
                 }
                 _ => {}
             }
-            if head.uop.last {
+            if uop.last {
                 self.stats.instructions += 1;
                 if self
                     .prog
-                    .get(head.uop.pc as usize)
+                    .get(uop.pc as usize)
                     .map(Instr::is_rmw)
                     .unwrap_or(false)
                 {
@@ -1319,6 +1505,7 @@ impl Core {
             let ok = mem.try_store_perform(self.id, head.seq, head.addr, head.value, false, false);
             assert!(ok, "writable line must accept the store");
             self.sb.pop_front();
+            self.sched.unblock(Unblock::CommitOrDrain);
             // Lock transfer: forwarded load_locks capture the line now
             // (§4.2: the SQ broadcasts its SQid on perform).
             let captured = self.aq.capture_from_store(head.seq, line);
@@ -1371,15 +1558,7 @@ impl Core {
     /// atomic. Disabled under the non-speculative baseline, which cannot
     /// deadlock (and whose atomics must never be squashed).
     fn watchdog(&mut self, now: u64, mem: &mut MemorySystem) {
-        if self.cfg.policy == AtomicPolicy::FencedBaseline {
-            return;
-        }
-        if !self.aq.any_locked() {
-            self.wd_counter = 0;
-            return;
-        }
-        self.wd_counter += 1;
-        if self.wd_counter <= self.cfg.watchdog_threshold {
+        if !self.watchdog_counts() {
             return;
         }
         // Flush from the oldest lock-holding atomic that is still squashable
@@ -1398,6 +1577,20 @@ impl Core {
             (e.seq - e.uop.slot as u64, e.uop.pc)
         };
         self.squash_from(first, pc, SquashCause::Watchdog, now, mem);
+    }
+
+    /// One cycle of the watchdog counter; true when it passed the
+    /// threshold.
+    fn watchdog_counts(&mut self) -> bool {
+        if self.cfg.policy == AtomicPolicy::FencedBaseline {
+            return false;
+        }
+        if !self.aq.any_locked() {
+            self.wd_counter = 0;
+            return false;
+        }
+        self.wd_counter += 1;
+        self.wd_counter > self.cfg.watchdog_threshold
     }
 
     // -------------------------------------------------------------- squash
@@ -1518,6 +1711,12 @@ impl Core {
         self.sched.len()
     }
 
+    /// `(attempts, issues)` of the issue walk so far (tests): an attempt is
+    /// a micro-op the walk asked to issue, an issue one that did.
+    pub fn issue_attempts(&self) -> (u64, u64) {
+        self.issue_attempts
+    }
+
     /// Snapshot of the hang-relevant pipeline state for timeout reports.
     pub fn diag(&self) -> CoreDiag {
         let mut aq_locked: Vec<Line> = self
@@ -1539,6 +1738,20 @@ impl Core {
             rob_head: self.rob.front().map(|e| {
                 (e.seq, e.uop.pc, format!("{:?}", e.uop.kind), e.issued, e.done)
             }),
+            head_blocked: self.rob.front_slot().and_then(|head| {
+                let e = self.rob.at(head)?;
+                let waits = matches!(e.uop.kind, UopKind::Load { .. } | UopKind::LoadLock { .. })
+                    && !e.issued
+                    && !e.done
+                    && e.addr.is_some();
+                waits.then(|| match self.load_blocker(head) {
+                    Err(why) => why.to_string(),
+                    // Only a load_lock refused forwarding waits on one.
+                    Ok(LoadSource::Forward { sseq, .. }) => format!("store #{sseq} to drain"),
+                    Ok(LoadSource::Cache) => "cache retry".to_string(),
+                })
+            }),
+            stalled_until: Some(self.stalled_until).filter(|&until| until > 0),
             aq_locked,
         }
     }

@@ -202,22 +202,39 @@ impl Rob {
         Slot { seq, pos: self.retired + index as u64 }
     }
 
-    /// Appends an entry and returns its handle. Sequence numbers must
-    /// increase monotonically but may have gaps (squashes never recycle
-    /// sequence numbers — unique seqs are what make orphaned memory
-    /// responses and stale handles detectable).
-    pub fn push(&mut self, e: Entry) -> Slot {
+    /// Appends `e` and returns its handle with the entry where it now
+    /// lives. Sequence numbers must increase monotonically but may have
+    /// gaps (squashes never recycle sequence numbers — unique seqs are what
+    /// make orphaned memory responses and stale handles detectable).
+    fn place(&mut self, e: Entry) -> (Slot, &mut Entry) {
         debug_assert!(self.entries.back().map(|b| b.seq < e.seq).unwrap_or(true));
         let slot = self.slot_at(self.entries.len(), e.seq);
         self.entries.push_back(e);
-        slot
+        (slot, self.entries.back_mut().expect("just pushed"))
     }
 
-    /// Pops the oldest entry (commit).
+    /// Appends a fresh entry for `uop`, built in the ring, for the caller
+    /// to fill through the reference.
+    pub fn push_new(&mut self, seq: Seq, uop: Uop) -> (Slot, &mut Entry) {
+        self.place(Entry::new(seq, uop))
+    }
+
+    /// Appends the entry `e` and returns its handle.
+    pub fn push(&mut self, e: Entry) -> Slot {
+        self.place(e).0
+    }
+
+    /// Pops the oldest entry.
     pub fn pop_front(&mut self) -> Option<Entry> {
         let e = self.entries.pop_front()?;
         self.retired += 1;
         Some(e)
+    }
+
+    /// Drops the oldest entry without moving it out (commit, which read
+    /// what it needs through [`Rob::front`]); a no-op on an empty ROB.
+    pub fn retire_front(&mut self) {
+        let _ = self.pop_front();
     }
 
     /// Entry by handle; `None` once it committed or was squashed.

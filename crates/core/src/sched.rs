@@ -11,13 +11,16 @@
 //!   core. A producer that becomes `done` posts one [`Completion`];
 //!   [`Sched::wake`] hands its value to exactly those operands (in no
 //!   particular order: the lists they are filed on are kept by age).
-//! * **ready** — in age order, exactly the unissued micro-ops whose issue
-//!   function can do anything: ALU/branch with operands ready, stores with
-//!   address and operands, loads/load_locks/monitors with an address.
+//! * **ready** — in age order, the unissued micro-ops whose issue function
+//!   can do anything: ALU/branch with operands ready, stores with address
+//!   and operands, loads/load_locks/monitors with an address.
+//! * **blocked** — in age order, the loads among those that a core-local
+//!   [`Blocker`] stopped, each with that blocker; an [`Unblock`] event
+//!   files them on `ready` again.
 //! * **agen** — memory micro-ops whose base operand became ready and whose
 //!   address is generated at the next address stage.
 //! * **inflight** — in age order, issued micro-ops whose latency has not
-//!   expired, with their completion cycle.
+//!   expired, with their completion cycle; `next_expiry` is the earliest.
 //! * **lq / sq / fences** — the load queue, store queue and fence list in
 //!   age order: the LSQ views behind fence blocking, store-to-load
 //!   forwarding, memory-order-violation checks and invalidation squashes.
@@ -29,10 +32,15 @@
 //! keep every simulated statistic byte-identical to those scans:
 //!
 //! * **(a)** Issue walks `ready` oldest first and spends budget only on
-//!   success. A blocked load (fence, StoreSet wait, unresolved forwarding
-//!   data, cache `Retry`) stays on the list and is re-attempted every
-//!   cycle: the memory system counts each `Retry` in its `lsq-retry`
-//!   progress guard, so skipping an attempt would move a statistic.
+//!   success, and a failed attempt changes nothing, so a load may leave
+//!   `ready` for exactly the cycles in which an attempt must fail: while
+//!   the state its [`Blocker`] read is untouched. Every event that touches
+//!   it ([`Unblock`]) precedes the issue walk in the tick and re-files the
+//!   load at its age position before that walk. What can change with no
+//!   such event stays on `ready` and is attempted every cycle: a cache
+//!   `Retry` (which the memory system counts in its `lsq-retry` guard), a
+//!   StoreSet hold, the weak model's SC-store block, a refused `load_lock`
+//!   forwarding.
 //! * **(b)** A producer marked `done` by a memory response or a latency
 //!   expiry (tick stages 2–3) wakes its consumers in stage 7 of the same
 //!   tick; one marked `done` inside the address stage (a poisoned
@@ -52,7 +60,8 @@
 //!
 //! In debug builds [`Sched::check_scheduler_indices`] recomputes every list
 //! from a full ROB scan, using the scan-era definitions, at the end of every
-//! tick.
+//! tick (`ready` and `blocked` merged by age are the scan's issuable set;
+//! the core re-derives each blocker beside it).
 //!
 //! [`Core::tick`]: crate::Core::tick
 
@@ -96,6 +105,83 @@ struct FenceRef {
     orders_loads: bool,
 }
 
+/// Why an unissued load that has its address cannot issue, as far as the
+/// core's own state says (`Core::load_blocker` reads it off).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Blocker {
+    /// The youngest older fence that orders loads has not committed.
+    Fence(Seq),
+    /// Weak model: an older SC store is in the ROB or the store buffer.
+    ScStore,
+    /// The fenced policies' `load_lock` issue gate is shut.
+    LoadLockGate,
+    /// The youngest older store to the same address has no data yet.
+    StoreData(Seq),
+    /// The load's StoreSet names an older store without an address.
+    StoreSet(Seq),
+}
+
+impl Blocker {
+    /// The event without which the block cannot end, for the blockers that
+    /// have one; a load stopped by another is attempted every cycle.
+    pub fn ended_by(self) -> Option<Unblock> {
+        match self {
+            Blocker::Fence(_) => Some(Unblock::FenceCommit),
+            Blocker::LoadLockGate => Some(Unblock::CommitOrDrain),
+            Blocker::StoreData(_) => Some(Unblock::StoreResolved),
+            // A younger store's dispatch overwrites the StoreSet's entry;
+            // the SC-store block (weak model only) is simply left polled.
+            Blocker::ScStore | Blocker::StoreSet(_) => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Blocker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Blocker::Fence(seq) => write!(f, "fence #{seq}"),
+            Blocker::ScStore => write!(f, "SC store"),
+            Blocker::LoadLockGate => write!(f, "load_lock gate"),
+            Blocker::StoreData(seq) => write!(f, "store data #{seq}"),
+            Blocker::StoreSet(seq) => write!(f, "store set #{seq}"),
+        }
+    }
+}
+
+/// What happened in the core since the last issue walk that can end a
+/// [`Blocker`]; a bit of `Sched::events` each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Unblock {
+    /// A fence that orders loads committed.
+    FenceCommit = 1,
+    /// A micro-op committed or a store left the store buffer.
+    CommitOrDrain = 2,
+    /// A store-class micro-op took an operand or its address.
+    StoreResolved = 4,
+}
+
+/// Scan-era issue candidate: an unissued micro-op the issue scan could act
+/// on.
+#[cfg(debug_assertions)]
+pub(crate) fn issuable(e: &Entry) -> bool {
+    let ready = match e.uop.kind {
+        UopKind::Alu { .. } | UopKind::RmwAlu { .. } | UopKind::Branch { .. } => e.srcs_ready(),
+        UopKind::Store { .. } | UopKind::StoreUnlock { .. } => e.addr.is_some() && e.srcs_ready(),
+        UopKind::Load { .. } | UopKind::LoadLock { .. } | UopKind::MonitorWait { .. } => {
+            e.addr.is_some()
+        }
+        _ => false,
+    };
+    !e.issued && !e.done && ready
+}
+
+/// Scan-era address generation: what the address scan would pick up.
+#[cfg(debug_assertions)]
+pub(crate) fn awaits_agen(e: &Entry) -> bool {
+    let base = e.uop.address_operands().map(|(base, _)| base);
+    e.addr.is_none() && base.is_some_and(|b| e.value_of(b).is_some())
+}
+
 /// Index of the first element of an age-ordered list with `seq >= from`.
 fn cut<T>(list: &[T], seq_of: impl Fn(&T) -> Seq, from: Seq) -> usize {
     list.partition_point(|x| seq_of(x) < from)
@@ -118,8 +204,15 @@ fn insert_by_age<T>(list: &mut Vec<T>, item: T, seq_of: impl Fn(&T) -> Seq) {
 pub(crate) struct Sched {
     /// Issue walks this oldest first and removes what it issues.
     pub ready: Vec<Slot>,
+    /// Loads off `ready` until an event of their blocker's kind.
+    pub blocked: Vec<(Slot, Blocker)>,
+    /// [`Unblock`] events since the last [`Sched::refile_unblocked`].
+    events: u8,
     agen: Vec<Slot>,
     inflight: Vec<InFlight>,
+    /// The earliest `done_at` on `inflight`, `u64::MAX` when it is empty. A
+    /// squash may leave it early, never late.
+    next_expiry: u64,
     completed: Vec<Completion>,
     /// First dependent per ROB position, modulo the (power-of-two) length.
     heads: Vec<u32>,
@@ -141,8 +234,11 @@ impl Sched {
         let rob = cfg.rob_size;
         Sched {
             ready: Vec::with_capacity(rob),
+            blocked: Vec::with_capacity(cfg.lq_size),
+            events: 0,
             agen: Vec::with_capacity(rob),
             inflight: Vec::with_capacity(rob),
+            next_expiry: u64::MAX,
             completed: Vec::with_capacity(rob),
             heads: vec![NIL; rob.next_power_of_two()],
             deps: Vec::with_capacity(rob),
@@ -203,8 +299,11 @@ impl Sched {
 
     /// The oldest fence committed.
     pub fn pop_fence(&mut self, seq: Seq) {
-        let f = self.fences.pop_front();
-        debug_assert_eq!(f.map(|f| f.seq), Some(seq));
+        let f = self.fences.pop_front().expect("a committing fence is on the fence list");
+        debug_assert_eq!(f.seq, seq);
+        if f.orders_loads {
+            self.unblock(Unblock::FenceCommit);
+        }
     }
 
     /// Files `e` (at `slot`) on the list its operand state puts it on.
@@ -250,6 +349,9 @@ impl Sched {
                 let Some(c) = rob.at_mut(d.consumer) else { continue };
                 debug_assert_eq!(c.srcs[d.src as usize], SrcVal::Wait { seq: producer.seq });
                 c.srcs[d.src as usize] = SrcVal::Ready(value);
+                if c.uop.is_store_class() {
+                    self.unblock(Unblock::StoreResolved);
+                }
                 self.operands_changed(d.consumer, c);
             }
         }
@@ -275,22 +377,87 @@ impl Sched {
         insert_by_age(&mut self.ready, slot, |s| s.seq);
     }
 
+    /// The load at `slot` failed to issue on `why` and leaves `ready`
+    /// (the caller drops it there) until an event of `why`'s kind.
+    pub fn block(&mut self, slot: Slot, why: Blocker) {
+        debug_assert!(why.ended_by().is_some(), "{why} has no event to wait for");
+        insert_by_age(&mut self.blocked, (slot, why), |b| b.0.seq);
+    }
+
+    /// `event` happened: the loads it can free are attempted again at the
+    /// next issue walk. (With nothing blocked there is nothing to free: a
+    /// load blocked later has seen the state the event left.)
+    pub fn unblock(&mut self, event: Unblock) {
+        if !self.blocked.is_empty() {
+            self.events |= event as u8;
+        }
+    }
+
+    /// Files the blocked loads an event since the last call can have freed
+    /// on `ready` again, at their age positions. Runs before every issue
+    /// walk, after the last stage that raises an event.
+    pub fn refile_unblocked(&mut self) {
+        let events = std::mem::take(&mut self.events);
+        if events == 0 {
+            return;
+        }
+        let mut kept = 0;
+        for i in 0..self.blocked.len() {
+            let (slot, why) = self.blocked[i];
+            let came = why.ended_by().is_some_and(|e| e as u8 & events != 0);
+            let freed = match why {
+                // Fences commit in order: the load's own is gone once the
+                // oldest left is younger.
+                Blocker::Fence(seq) => self.fences.front().is_none_or(|f| f.seq > seq),
+                _ => true,
+            };
+            if came && freed {
+                self.insert_ready(slot);
+            } else {
+                self.blocked[kept] = (slot, why);
+                kept += 1;
+            }
+        }
+        self.blocked.truncate(kept);
+    }
+
+    /// True when no list holds anything a tick could act on before the
+    /// next expiry: nothing to issue, to generate an address for or to
+    /// wake. (Blocked loads wait for an event, which only a tick raises.)
+    pub fn idle(&self) -> bool {
+        self.ready.is_empty() && self.agen.is_empty() && self.completed.is_empty()
+    }
+
     /// `slot` issued and completes at `done_at`.
     pub fn insert_inflight(&mut self, slot: Slot, done_at: u64) {
+        self.next_expiry = self.next_expiry.min(done_at);
         insert_by_age(&mut self.inflight, InFlight { slot, done_at }, |x| x.slot.seq);
+    }
+
+    /// The earliest cycle at which [`Sched::take_expired`] may find
+    /// anything; `u64::MAX` when nothing is in flight.
+    pub fn next_expiry(&self) -> u64 {
+        self.next_expiry
     }
 
     /// Moves the executions whose latency expired by `now` into `out`, in
     /// ROB order.
     pub fn take_expired(&mut self, now: u64, out: &mut Vec<Slot>) {
         out.clear();
+        if now < self.next_expiry {
+            return;
+        }
+        let mut next = u64::MAX;
         self.inflight.retain(|x| {
             let expired = x.done_at <= now;
             if expired {
                 out.push(x.slot);
+            } else {
+                next = next.min(x.done_at);
             }
             !expired
         });
+        self.next_expiry = next;
     }
 
     // ----------------------------------------------------------- LSQ views
@@ -300,10 +467,11 @@ impl Sched {
         self.fences.iter().take_while(|f| f.seq < seq).count()
     }
 
-    /// True when a load with sequence `seq` must wait behind an older
-    /// fence.
-    pub fn blocked_by_fence(&self, seq: Seq) -> bool {
-        self.fences.iter().take_while(|f| f.seq < seq).any(|f| f.orders_loads)
+    /// The youngest older fence a load with sequence `seq` must wait
+    /// behind, if any.
+    pub fn blocked_by_fence(&self, seq: Seq) -> Option<Seq> {
+        let older = self.fences.partition_point(|f| f.seq < seq);
+        self.fences.range(..older).rev().find(|f| f.orders_loads).map(|f| f.seq)
     }
 
     /// The store-queue entries older than `seq`, oldest first.
@@ -328,6 +496,7 @@ impl Sched {
     /// Drops every reference to a micro-op with `seq >= from`.
     pub fn squash(&mut self, from: Seq) {
         self.ready.truncate(cut(&self.ready, |s| s.seq, from));
+        self.blocked.truncate(cut(&self.blocked, |b| b.0.seq, from));
         self.inflight.truncate(cut(&self.inflight, |x| x.slot.seq, from));
         self.agen.retain(|s| s.seq < from);
         // A dropped producer's position goes to the next dispatch: its
@@ -347,6 +516,7 @@ impl Sched {
     /// drained.
     pub fn len(&self) -> usize {
         self.ready.len()
+            + self.blocked.len()
             + self.agen.len()
             + self.inflight.len()
             + self.completed.len()
@@ -364,29 +534,19 @@ impl Sched {
     #[cfg(debug_assertions)]
     pub fn check_scheduler_indices(&self, rob: &Rob, fenced: bool) {
         use fa_isa::FenceKind;
-        let (mut ready, mut inflight) = (self.ready.iter(), self.inflight.iter());
+        let mut inflight = self.inflight.iter();
         let (mut lq, mut sq, mut fences) = (self.lq.iter(), self.sq.iter(), self.fences.iter());
-        // Address generation: what the address scan would pick up.
-        let awaits_agen = |e: &Entry| {
-            let base = e.uop.address_operands().map(|(base, _)| base);
-            e.addr.is_none() && base.is_some_and(|b| e.value_of(b).is_some())
+        // The issue candidates are `ready` and `blocked` merged by age.
+        let mut ready = self.ready.iter().peekable();
+        let mut blocked = self.blocked.iter().map(|(slot, _)| slot).peekable();
+        let mut next_candidate = || match (ready.peek(), blocked.peek()) {
+            (Some(r), Some(b)) if b.seq < r.seq => blocked.next(),
+            (None, _) => blocked.next(),
+            _ => ready.next(),
         };
         for (slot, e) in rob.iter() {
-            // Issue candidates: what the issue scan could act on.
-            let issuable = match e.uop.kind {
-                UopKind::Alu { .. } | UopKind::RmwAlu { .. } | UopKind::Branch { .. } => {
-                    e.srcs_ready()
-                }
-                UopKind::Store { .. } | UopKind::StoreUnlock { .. } => {
-                    e.addr.is_some() && e.srcs_ready()
-                }
-                UopKind::Load { .. } | UopKind::LoadLock { .. } | UopKind::MonitorWait { .. } => {
-                    e.addr.is_some()
-                }
-                _ => false,
-            };
-            if !e.issued && !e.done && issuable {
-                assert_eq!(ready.next(), Some(&slot), "ready list");
+            if issuable(e) {
+                assert_eq!(next_candidate(), Some(&slot), "ready and blocked lists");
             }
             if awaits_agen(e) {
                 assert!(self.agen.contains(&slot), "address-generation list lacks #{}", e.seq);
@@ -435,8 +595,11 @@ impl Sched {
                 );
             }
         }
-        assert_eq!(ready.next(), None, "ready list");
+        assert_eq!(next_candidate(), None, "ready and blocked lists");
         assert_eq!(inflight.next(), None, "in-flight executions");
+        let soonest = self.inflight.iter().map(|x| x.done_at).min().unwrap_or(u64::MAX);
+        assert!(self.next_expiry <= soonest, "next expiry is later than #{soonest}'s");
+        assert_eq!(self.events, 0, "an unblock event outlived the issue walk");
         assert_eq!(lq.next(), None, "load queue");
         assert_eq!(sq.next(), None, "store queue");
         assert_eq!(fences.next(), None, "fences");
@@ -451,5 +614,103 @@ impl Sched {
                 c.producer.seq
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fa_isa::{decode, Instr};
+
+    /// Indices over a ROB of five nops, #10..#14, with #11, #12 and #13
+    /// filed as ready.
+    fn three_ready() -> (Sched, Vec<Slot>) {
+        let mut rob = Rob::new();
+        let slots: Vec<Slot> =
+            (10..15).map(|seq| rob.push(Entry::new(seq, decode(Instr::Nop, 0)[0]))).collect();
+        let mut s = Sched::new(&CoreConfig::default());
+        for &slot in &slots[1..4] {
+            s.insert_ready(slot);
+        }
+        (s, slots)
+    }
+
+    /// What the issue walk does with a load it could not issue on `why`.
+    fn block(s: &mut Sched, slot: Slot, why: Blocker) {
+        s.ready.retain(|r| *r != slot);
+        s.block(slot, why);
+    }
+
+    #[test]
+    fn a_blocked_load_waits_off_ready_for_an_event_of_its_kind() {
+        let (mut s, slots) = three_ready();
+        block(&mut s, slots[2], Blocker::StoreData(10));
+        assert_eq!(s.ready, [slots[1], slots[3]]);
+        assert_eq!(s.blocked, [(slots[2], Blocker::StoreData(10))]);
+        assert_eq!(s.len(), 3, "len() counts the blocked list");
+        // Another blocker's event leaves it where it is.
+        s.unblock(Unblock::CommitOrDrain);
+        s.unblock(Unblock::FenceCommit);
+        s.refile_unblocked();
+        assert_eq!(s.ready, [slots[1], slots[3]]);
+        assert_eq!(s.blocked.len(), 1);
+        // Its own files it between the older and the younger ready µop,
+        // and is used up.
+        s.unblock(Unblock::StoreResolved);
+        s.refile_unblocked();
+        assert_eq!(s.ready, slots[1..4]);
+        assert!(s.blocked.is_empty());
+        block(&mut s, slots[2], Blocker::StoreData(10));
+        s.refile_unblocked();
+        assert_eq!(s.blocked.len(), 1, "an event frees only what was blocked when it came");
+    }
+
+    #[test]
+    fn a_load_behind_a_fence_waits_for_that_fence() {
+        let (mut s, slots) = three_ready();
+        s.push_fence(5, true);
+        s.push_fence(7, false);
+        s.push_fence(9, true);
+        assert_eq!(s.blocked_by_fence(8), Some(5));
+        assert_eq!(s.blocked_by_fence(12), Some(9));
+        block(&mut s, slots[1], Blocker::Fence(9));
+        // The older fences commit: the load's own is still there.
+        s.pop_fence(5);
+        s.pop_fence(7);
+        s.refile_unblocked();
+        assert_eq!(s.blocked, [(slots[1], Blocker::Fence(9))]);
+        s.pop_fence(9);
+        s.refile_unblocked();
+        assert_eq!(s.ready, slots[1..4]);
+        assert_eq!(s.blocked_by_fence(12), None);
+    }
+
+    #[test]
+    fn squash_drops_blocked_loads_with_the_other_lists() {
+        let (mut s, slots) = three_ready();
+        block(&mut s, slots[1], Blocker::LoadLockGate);
+        block(&mut s, slots[3], Blocker::LoadLockGate);
+        s.squash(12);
+        assert_eq!(s.blocked, [(slots[1], Blocker::LoadLockGate)]);
+        assert!(s.ready.is_empty());
+        s.squash(0);
+        assert_eq!(s.len(), 0);
+    }
+
+    #[test]
+    fn nothing_is_taken_before_the_next_expiry() {
+        let (mut s, slots) = three_ready();
+        let mut out = vec![slots[0]];
+        assert_eq!(s.next_expiry(), u64::MAX);
+        s.insert_inflight(slots[1], 30);
+        s.insert_inflight(slots[0], 20);
+        assert_eq!(s.next_expiry(), 20);
+        s.take_expired(19, &mut out);
+        assert!(out.is_empty());
+        s.take_expired(20, &mut out);
+        assert_eq!(out, [slots[0]]);
+        assert_eq!(s.next_expiry(), 30);
+        s.take_expired(40, &mut out);
+        assert_eq!((out.as_slice(), s.next_expiry()), (&slots[1..2], u64::MAX));
     }
 }

@@ -801,3 +801,92 @@ fn issue_is_oldest_first_and_bounded_by_issue_width() {
     let cycles: Vec<u64> = issues.iter().map(|&(cycle, _)| cycle - first_cycle).collect();
     assert_eq!(cycles, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2], "{issues:?}");
 }
+
+/// The cycle at which the first micro-op of the instruction at `pc` issued.
+fn first_issue(core: &Core, pc: u64) -> u64 {
+    let issues = events(core, |ev| match ev {
+        TraceEvent::UopIssue { seq, pc: at } if at == pc => Some(seq),
+        _ => None,
+    });
+    issues.first().expect("the instruction issued").0
+}
+
+/// A load that cannot issue waits for the event that frees it instead of
+/// being asked every cycle; the cycle it issues at must not move. One
+/// directed program per blocker that waits on an event, under every
+/// policy, against the cycle the every-cycle retry issued it at (recorded
+/// from the parent commit).
+#[test]
+fn blocked_loads_issue_at_the_cycle_polling_found() {
+    let (p, q, v, x) = (Reg::R1, Reg::R2, Reg::R3, Reg::R4);
+    let mut programs = Vec::new();
+
+    // Behind a standalone fence, which commits once the store ahead of it
+    // has drained — a cold miss.
+    let mut k = Kasm::new();
+    k.li(p, 0x4000).li(q, 0x5000).li(v, 7);
+    k.st(v, p, 0);
+    k.fence();
+    let load_pc = k.here() as u64;
+    k.ld(x, q, 0);
+    k.halt();
+    programs.push(("fence", k.finish().unwrap(), load_pc, [186; 4]));
+
+    // Behind a store to the same address whose data hangs on a chain of
+    // multiplies: the load forwards the cycle the data arrives.
+    let mut k = Kasm::new();
+    k.li(p, 0x4000).li(v, 3);
+    for _ in 0..8 {
+        k.alu(AluOp::Mul, v, v, Operand::Imm(1));
+    }
+    k.st(v, p, 0);
+    let load_pc = k.here() as u64;
+    k.ld(x, p, 0);
+    k.halt();
+    programs.push(("store data", k.finish().unwrap(), load_pc, [27; 4]));
+
+    // A load_lock behind a draining store buffer: the fenced policies
+    // hold it at the issue gate until the store has performed.
+    let mut k = Kasm::new();
+    k.li(p, 0x4000).li(q, 0x5000).li(v, 1);
+    k.st(v, p, 0);
+    let rmw_pc = k.here() as u64;
+    k.fetch_add(x, q, 0, v);
+    k.halt();
+    programs.push(("load_lock gate", k.finish().unwrap(), rmw_pc, [185, 185, 3, 3]));
+
+    for (what, prog, pc, want) in programs {
+        for (policy, want) in AtomicPolicy::ALL.into_iter().zip(want) {
+            let (_, cores) =
+                run_cfg(vec![prog.clone()], traced(policy), MemConfig::default(), 100_000);
+            assert_eq!(first_issue(&cores[0], pc), want, "{what} under {policy:?}");
+            assert_eq!(cores[0].scheduler_len(), 0, "{what} under {policy:?}");
+            // It waited some 25 to 180 cycles and was asked once or twice.
+            let (attempts, issues) = cores[0].issue_attempts();
+            assert!(attempts - issues <= 2, "{what} under {policy:?}: {attempts} attempts");
+        }
+    }
+}
+
+/// A timeout snapshot says what the ROB head waits for: here the fenced
+/// baseline's load_lock, held at its issue gate while the store ahead of
+/// it misses.
+#[test]
+fn the_diagnostic_names_the_head_loads_blocker() {
+    let (p, q, v, x) = (Reg::R1, Reg::R2, Reg::R3, Reg::R4);
+    let mut k = Kasm::new();
+    k.li(p, 0x4000).li(q, 0x5000).li(v, 1);
+    k.st(v, p, 0);
+    k.fetch_add(x, q, 0, v);
+    k.halt();
+    let cfg = CoreConfig::default().with_policy(AtomicPolicy::FencedBaseline);
+    let mut mem = MemorySystem::new(MemConfig::default(), 1, GuestMem::new(MEM_BYTES));
+    let mut core = Core::new(CoreId(0), cfg, k.finish().unwrap(), MEM_BYTES);
+    for now in 1..=60 {
+        mem.tick();
+        core.tick(now, &mut mem);
+    }
+    let diag = core.diag();
+    assert_eq!(diag.head_blocked.as_deref(), Some("load_lock gate"), "{diag}");
+    assert!(diag.to_string().contains(", blocked by load_lock gate"), "{diag}");
+}

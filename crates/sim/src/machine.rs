@@ -178,9 +178,12 @@ pub struct Machine {
     now: u64,
     /// Memory model the cores run under — the axiomatic checker follows it.
     model: MemModel,
-    /// Idle-skip / fast-forward optimizations (on by default; switched off
-    /// only by differential tests proving they preserve results).
+    /// Idle-skip / stall-skip / fast-forward optimizations (on by default;
+    /// switched off only by differential tests proving they preserve
+    /// results).
     fast_paths: bool,
+    /// Core ticks replaced by [`Core::stall_cycle`] (tests; not a statistic).
+    skipped_core_ticks: u64,
 }
 
 impl fmt::Debug for Machine {
@@ -212,11 +215,20 @@ impl Machine {
             .map(|(i, p)| Core::new(CoreId(i as u16), cfg.core.clone(), p, mem_bytes))
             .collect();
         let model = cfg.core.model;
-        Machine { mem, cores, start_offsets: vec![0; n], now: 0, model, fast_paths: true }
+        Machine {
+            mem,
+            cores,
+            start_offsets: vec![0; n],
+            now: 0,
+            model,
+            fast_paths: true,
+            skipped_core_ticks: 0,
+        }
     }
 
     /// Disables (or re-enables) the cycle-loop fast paths — skipping
-    /// halted/sleeping cores and fast-forwarding over all-quiescent spans.
+    /// halted/sleeping cores, not stepping stalled ones and fast-forwarding
+    /// over all-quiescent spans.
     /// The fast paths are semantics-preserving (bit-identical results and
     /// statistics); this switch exists so differential tests can prove it.
     pub fn set_fast_paths(&mut self, on: bool) {
@@ -241,6 +253,12 @@ impl Machine {
         self.now
     }
 
+    /// Ticks of running cores that were not stepped because the core was
+    /// stalled (tests): zero with the fast paths off.
+    pub fn skipped_core_ticks(&self) -> u64 {
+        self.skipped_core_ticks
+    }
+
     /// True once every core has halted and every buffered store has
     /// performed.
     pub fn quiesced(&self) -> bool {
@@ -258,9 +276,10 @@ impl Machine {
     }
 
     /// Advances one cycle. With the fast paths on, cores whose tick would
-    /// be a no-op (halted, or asleep with nothing pending) are skipped;
-    /// skipped sleep cycles are credited so statistics stay bit-identical
-    /// to the always-tick loop.
+    /// be a no-op (halted, or asleep with nothing pending) are skipped and
+    /// a running core whose whole tick would be a stall is not stepped;
+    /// skipped cycles are accounted so statistics stay bit-identical to
+    /// the always-tick loop.
     pub fn tick(&mut self) {
         self.now += 1;
         self.mem.tick();
@@ -269,11 +288,20 @@ impl Machine {
             if self.now <= self.start_offsets[idx] {
                 continue;
             }
-            if self.fast_paths && Self::core_skippable(c, &self.mem, self.now) {
-                if c.sleeping() {
-                    c.credit_idle_cycles(1);
+            if self.fast_paths {
+                if Self::core_skippable(c, &self.mem, self.now) {
+                    if c.sleeping() {
+                        c.credit_idle_cycles(1);
+                    }
+                    continue;
                 }
-                continue;
+                if c.stalled(self.now) && !self.mem.has_core_traffic(c.id()) {
+                    #[cfg(debug_assertions)]
+                    assert!(c.step_would_stall(self.now, &self.mem), "core {idx} skipped");
+                    c.stall_cycle(&self.mem);
+                    self.skipped_core_ticks += 1;
+                    continue;
+                }
             }
             c.tick(self.now, &mut self.mem);
         }

@@ -1,0 +1,202 @@
+//! A stalled core is not stepped, and a load that cannot issue is not
+//! asked again until something changed: both must be invisible. Every run
+//! here is made twice, fast paths on (stalled ticks are replaced by
+//! `Core::stall_cycle`) and off (every core steps every cycle), and must
+//! agree on the cycle count, every per-core and memory statistic and the
+//! final guest memory. Debug builds also re-derive each skipped tick from
+//! a ROB scan (`Core::step_would_stall`) and each blocked load's blocker.
+
+use fa_mem::{AuditConfig, ChaosConfig, NocConfig};
+use free_atomics::prelude::*;
+
+/// Runs the machine to quiescence; returns the result, the final guest
+/// memory and the number of core ticks skipped as stalled.
+fn run(
+    cfg: &MachineConfig,
+    programs: &[Program],
+    mem: &GuestMem,
+    fast_paths: bool,
+) -> (RunResult, GuestMem, u64) {
+    let mut m = Machine::new(cfg.clone(), programs.to_vec(), mem.clone());
+    m.set_fast_paths(fast_paths);
+    let r = m.run(300_000_000).unwrap_or_else(|e| panic!("fast_paths={fast_paths}: {e}"));
+    (r, m.guest_mem().clone(), m.skipped_core_ticks())
+}
+
+/// Both loops on one machine; returns the fast run's result and its
+/// skipped-tick count.
+fn assert_invisible(
+    what: &str,
+    cfg: &MachineConfig,
+    programs: &[Program],
+    mem: &GuestMem,
+) -> (RunResult, u64) {
+    let (fast, fast_mem, skipped) = run(cfg, programs, mem, true);
+    let (slow, slow_mem, never) = run(cfg, programs, mem, false);
+    assert_eq!(never, 0, "{what}: the always-tick loop skipped a tick");
+    assert_eq!(fast.cycles, slow.cycles, "{what}");
+    assert_eq!(fast.per_core, slow.per_core, "{what}");
+    assert_eq!(fast.mem, slow.mem, "{what}");
+    assert!(fast_mem == slow_mem, "{what}: final guest memory differs");
+    (fast, skipped)
+}
+
+#[test]
+fn stalled_ticks_are_invisible_on_the_suite() {
+    for name in ["TATP", "CQ", "AS", "RBT", "fft"] {
+        let spec = suite::by_name(name).expect("a suite workload");
+        let w = spec.build(&WorkloadParams { cores: 4, scale: 0.03, seed: 0xABCD });
+        for policy in AtomicPolicy::ALL {
+            for contended in [false, true] {
+                let mut cfg = icelake_like();
+                cfg.core.policy = policy;
+                if contended {
+                    cfg.mem.noc = NocConfig::contended(1);
+                }
+                let what = format!("{name} {policy:?} contended={contended}");
+                let (_, skipped) = assert_invisible(&what, &cfg, &w.programs, &w.mem);
+                assert!(skipped > 0, "{what}: no tick was skipped as stalled");
+            }
+        }
+    }
+}
+
+#[test]
+fn stalled_ticks_are_invisible_under_chaos_with_the_auditor_on() {
+    let programs = LitmusTest::iriw().to_programs();
+    for policy in AtomicPolicy::ALL {
+        let mut cfg = tiny_machine();
+        cfg.core.policy = policy;
+        cfg.mem.chaos = ChaosConfig::stress(0x57A1_1ED0);
+        cfg.mem.audit = AuditConfig::on();
+        let what = format!("iriw {policy:?}");
+        let (r, skipped) = assert_invisible(&what, &cfg, &programs, &GuestMem::new(1 << 16));
+        assert!(r.mem.audit.sweeps > 0, "{what}: the auditor never swept");
+        assert!(skipped > 0, "{what}: no tick was skipped as stalled");
+    }
+}
+
+const A: i64 = 0x1000;
+const B: i64 = 0x2000;
+
+/// The crossed pair of `tests/deadlock_gallery.rs`: two fetch-adds a turn,
+/// on A then B.
+fn rmw_pair(first: i64, second: i64, iters: i64) -> Program {
+    let mut k = Kasm::new();
+    k.li(Reg::R1, first);
+    k.li(Reg::R2, second);
+    k.li(Reg::R3, 1);
+    k.li(Reg::R4, 0);
+    let top = k.here_label();
+    k.fetch_add(Reg::R5, Reg::R1, 0, Reg::R3);
+    k.fetch_add(Reg::R5, Reg::R2, 0, Reg::R3);
+    k.addi(Reg::R4, Reg::R4, 1);
+    k.blt_imm(Reg::R4, iters, top);
+    k.halt();
+    k.finish().unwrap()
+}
+
+/// Three loads: two onto the crossed pair's lines, then a miss elsewhere.
+fn three_loads() -> Program {
+    let mut k = Kasm::new();
+    k.li(Reg::R1, A);
+    k.li(Reg::R2, B);
+    k.li(Reg::R3, 0x5000);
+    k.ld(Reg::R4, Reg::R1, 0);
+    k.ld(Reg::R5, Reg::R2, 0);
+    k.ld(Reg::R6, Reg::R3, 0);
+    k.halt();
+    k.finish().unwrap()
+}
+
+/// The injected wedge of `tests/progress_regressions.rs`: on the tiny
+/// machine, chaos-clamped MSHRs and a third core's loads tip the crossed
+/// pair into a deadlock only the watchdog breaks. (On its own the pair
+/// never forms one at this timing: its watchdog count is 0.)
+fn wedge(threshold: u64) -> (MachineConfig, Vec<Program>) {
+    let mut cfg = tiny_machine();
+    cfg.core.policy = AtomicPolicy::FreeFwd;
+    cfg.core.watchdog_threshold = threshold;
+    cfg.mem.chaos = ChaosConfig { enabled: true, mshr_clamp: 2, ..ChaosConfig::default() };
+    (cfg, vec![rmw_pair(A, B, 50), rmw_pair(B, A, 50), three_loads()])
+}
+
+/// The watchdog counts inside a stall span and flushes at the cycle the
+/// always-tick loop flushes: the stall horizon ends where it would fire.
+#[test]
+fn the_watchdog_fires_at_the_same_cycle_from_inside_a_stall() {
+    let mem = GuestMem::new(1 << 20);
+    let (cfg, programs) = wedge(400);
+    let (r, skipped) = assert_invisible("wedge", &cfg, &programs, &mem);
+    assert!(r.aggregate().watchdog_fires > 100, "the wedge must keep deadlocking");
+    assert!(skipped > r.cycles, "deadlocked cores must stall");
+    // The gallery's plain pair, whatever its watchdog does.
+    let mut cfg = icelake_like();
+    cfg.core.policy = AtomicPolicy::FreeFwd;
+    cfg.core.watchdog_threshold = 400;
+    assert_invisible("crossed pair", &cfg, &programs[..2], &mem);
+}
+
+/// `progress_regressions.rs` welds the watchdog shut with `u64::MAX`: the
+/// cycle it would fire at saturates instead of overflowing, the wedged
+/// cores stall until traffic that never comes, and the timeout says so.
+#[test]
+fn a_welded_watchdog_does_not_overflow_the_stall_horizon() {
+    let (mut cfg, programs) = wedge(u64::MAX);
+    cfg.mem.progress.enabled = false;
+    let timeout = |fast_paths: bool| {
+        let mut m = Machine::new(cfg.clone(), programs.clone(), GuestMem::new(1 << 20));
+        m.set_fast_paths(fast_paths);
+        match m.run(30_000) {
+            Err(free_atomics::sim::SimError::Timeout(t)) => (t.snapshot, m.skipped_core_ticks()),
+            other => panic!("fast_paths={fast_paths}: expected a timeout, got {other:?}"),
+        }
+    };
+    let (fast, skipped) = timeout(true);
+    let (slow, _) = timeout(false);
+    assert!(skipped > 30_000, "two wedged cores must stall, skipped {skipped}");
+    assert_eq!(fast.mem, slow.mem);
+    assert_eq!(fast.cores, slow.cores);
+    assert!(fast.cores[0].wd_counter > 20_000, "the watchdog counts through the stall");
+    let text = fast.cores[0].to_string();
+    assert!(text.contains("stalled until traffic"), "got: {text}");
+}
+
+/// A count that repeats exactly, so it can gate. Asking every blocked load
+/// again each cycle, the parent commit made 117 697 issue attempts for this
+/// cell's 15 646 issues (counted on a scratch build): 102 051 failures, 6.5
+/// an issue. A load is now asked again only after an event that can have
+/// freed it, which leaves 1 117 — cache and monitor retries, refused
+/// `load_lock` forwarding, and loads an event moved from one blocker to the
+/// next. The bound is one failure an issue.
+#[test]
+fn failed_issue_attempts_stay_below_issues() {
+    let spec = suite::by_name("TATP").expect("a suite workload");
+    let w = spec.build(&WorkloadParams { cores: 4, scale: 0.03, seed: 0xABCD });
+    let mut cfg = icelake_like();
+    cfg.core.policy = AtomicPolicy::FencedBaseline;
+    let mut mem = MemorySystem::new(cfg.mem.clone(), w.programs.len(), w.mem.clone());
+    let mut cores: Vec<Core> = w
+        .programs
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Core::new(CoreId(i as u16), cfg.core.clone(), p.clone(), w.mem.size()))
+        .collect();
+    let mut now = 0;
+    while !cores.iter().all(|c| c.halted() && c.sb_len() == 0) {
+        now += 1;
+        assert!(now < 50_000_000, "TATP did not quiesce");
+        mem.tick();
+        for c in cores.iter_mut() {
+            c.tick(now, &mut mem);
+        }
+    }
+    let (attempts, issues) =
+        cores.iter().map(Core::issue_attempts).fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1));
+    assert!(issues > 10_000, "TATP issued only {issues} micro-ops");
+    assert!(
+        attempts - issues <= issues,
+        "{} failed attempts for {issues} issues",
+        attempts - issues
+    );
+}
