@@ -40,6 +40,12 @@ sed '/#\[cfg(test)\]/,$d' crates/workloads/src/suite.rs | grep -oE '"[A-Za-z_]+"
     > target/suite_names.txt
 test "$(wc -l < target/suite_names.txt)" -eq 26
 test -z "$(uniq -d target/suite_names.txt)"
+# One reference machine, no dependency that does nothing: the serde stubs,
+# the twin enumerators and `conformance`'s private grid loop stay deleted.
+test ! -e vendor/serde && test ! -e vendor/serde_derive
+! grep -rn 'serde' Cargo.toml crates src vendor --include='*.rs' --include='Cargo.toml' || exit 1
+! grep -rnE 'enumerate_(tso|weak)_outcomes|struct WeakState|fn conformance_config' crates tests \
+    || exit 1
 # Host memory follows what a cell touches: no per-call action vectors, no
 # heap block per cache set or per ROB position, no per-sweep hash map (the
 # tag array's reference model spells its type through an alias).
@@ -126,11 +132,12 @@ $FA report target/BENCH_sweep.json target/BENCH_sweep_regressed.json \
 test "$rc" -eq 2
 grep -q 'leaf rob_full:' target/report_regressed.txt
 grep -q 'verdict: REGRESSED' target/report_regressed.txt
-# Axiomatic TSO conformance smoke: 2 kernels x {baseline, free-atomics} x
-# {ideal, contended} x {chaos off, on}, full-execution checker armed on
-# every run. The bin exits nonzero on any violation; the grep keeps the
-# gate loud even if its exit-code plumbing ever regresses.
+# Axiomatic TSO conformance smoke: 2 kernels x 4 policies x {ideal,
+# contended} x {chaos off, on}, full-execution checker armed on every run.
+# The bin exits nonzero on any violation; the grep keeps the gate loud even
+# if its exit-code plumbing ever regresses.
 mini $FA conformance > target/conformance.txt
+grep -q 'conformance: 32 runs' target/conformance.txt
 grep -q 'violations: 0, other failures: 0' target/conformance.txt
 # Checker-transparency gate: the same mini-sweep with FA_CHECK=tso must
 # reproduce the FA_CHECK=off golden rows bit-for-bit, modulo the appended
@@ -154,6 +161,7 @@ grep -c ',"model":"weak"' target/BENCH_sweep_weak.json | grep -qx 4
 # weak axioms (and the memlog litmus suite already ran under
 # `cargo test` above).
 mini FA_MODEL=weak $FA conformance > target/conformance_weak.txt
+grep -q 'conformance: 32 runs' target/conformance_weak.txt
 grep -q 'violations: 0, other failures: 0' target/conformance_weak.txt
 # Weak-baseline figure smoke: TSO + weak grids, residual-speedup table.
 mini FA_BENCH_JSON=target/BENCH_weak_baseline.json $FA fig fig_weak_baseline \

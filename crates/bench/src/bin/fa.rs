@@ -13,13 +13,14 @@
 use fa_bench::figures::FIGURES;
 use fa_bench::report::{diff, parse_rows, CpiRow};
 use fa_bench::sweep::{
-    grid, policies_from_env, presets_from_env, run_grid_supervised, SupervisorOpts, SweepReport,
+    grid, policies_from_env, presets_from_env, run_grid_supervised, Preset, SupervisorOpts,
+    SweepReport,
 };
 use fa_bench::{fmt, row, run_once_checked, workloads_from_env, BenchOpts, MAX_CYCLES};
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, Reg};
-use fa_mem::{ChaosConfig, NocConfig};
+use fa_mem::NocConfig;
 use fa_sim::error::CellFailure;
 use fa_sim::fuzz::{fuzz_litmus, FuzzConfig};
 use fa_sim::machine::MachineConfig;
@@ -99,7 +100,7 @@ const COMMANDS: &[Command] = &[
     command("sweep", FULL, sweep, "measure the FA_WORKLOADS x FA_POLICIES x FA_PRESETS grid under supervision and write the FA_BENCH_JSON report"),
     command("fig", FULL, fig, "fig <name|all>: regenerate one table or figure of the paper's evaluation (`fa fig` lists the names)"),
     command("report", FULL, report, "report <baseline.json> [current.json]: diff the cycle accounting of two sweep reports (current defaults to FA_BENCH_JSON)"),
-    command("conformance", (4, 0.1, CheckMode::Tso), conformance, "run every workload x {baseline, FreeAtomics+Fwd} x {ideal, contended} x {chaos off, on} with the axiomatic checker armed"),
+    command("conformance", (4, 0.1, CheckMode::Tso), conformance, "run every workload x all four policies x {ideal, contended} x {chaos off, on} with the axiomatic checker armed"),
     command("fuzz", (8, 0.25, CheckMode::Tso), fuzz, "differential litmus fuzzing under fault injection against the x86-TSO enumerator (FA_FUZZ_*)"),
     command("ablation", (4, 0.15, CheckMode::Off), ablation, "sweep AQ size, watchdog threshold and forwarding-chain limit under FreeAtomics+Fwd"),
     command("smoke", SMALL, smoke, "every workload once under baseline and FreeAtomics+Fwd: cycles, instructions, APKI"),
@@ -250,64 +251,54 @@ fn report(_: &Command, args: &[String]) -> Outcome {
 /// Every completed execution's data events and write-serialization log are
 /// validated against the full axioms of `FA_MODEL`, not just its outputs.
 /// `FA_CHECK=off` reduces this to a plain smoke run, which is only useful
-/// for measuring checker overhead. Each cell runs under [`supervise`] with
-/// the `FA_RETRIES` / `FA_CELL_BUDGET` watchdogs, so a panicking or wedged
-/// cell is counted as a failure instead of killing or hanging the grid.
-/// The grid sweeps its own interconnect and chaos points over the options'
-/// run configuration ([`conformance_config`]).
+/// for measuring checker overhead. Four campaigns on the grid engine — its
+/// own interconnect and chaos points, whatever `FA_NOC` says — of one run a
+/// cell, so a panicking or wedged cell is quarantined by the engine and
+/// counted here instead of killing or hanging the grid. The points share no
+/// checkpoint journal: each is a campaign of its own.
 fn conformance(cmd: &Command, _: &[String]) -> Outcome {
-    let opts = cmd.opts();
-    let sup = SupervisorOpts::from_env();
-    let max_cycles = sup.budget.max_cycles.unwrap_or(MAX_CYCLES);
-    let params = opts.params();
-    let policies = [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd];
+    let opts = BenchOpts { runs: 1, drop_slowest: 0, ..cmd.opts() };
+    let sup = SupervisorOpts { checkpoint: None, ..SupervisorOpts::from_env() };
+    let cells = grid(&opts.workloads(), &AtomicPolicy::ALL, &[Preset::Icelake]);
     let nocs = [("ideal", NocConfig::default()), ("contended", NocConfig::contended(2))];
     let chaos = [("chaos=off", None), ("chaos=on", Some(opts.seed))];
     let header = ["workload", "policy", "noc", "chaos", "cycles", "check"];
     println!("{}", row(&header.map(String::from)));
-    let mut runs = 0u64;
-    let mut violations = 0u64;
-    let mut failures = 0u64;
-    for spec in opts.workloads() {
-        for policy in policies {
-            for (noc_name, noc) in &nocs {
-                for (chaos_name, chaos_seed) in &chaos {
-                    let cfg = conformance_config(&opts, policy, *noc, *chaos_seed);
-                    runs += 1;
-                    // The closure's Err carries a machine snapshot; this
-                    // cold-path size is fine.
-                    #[allow(clippy::result_large_err)]
-                    let outcome = supervise(sup.retries, sup.budget.wall, || {
-                        let w = spec.build(&params);
-                        Machine::new(cfg.clone(), w.programs, w.mem).run(max_cycles)
-                    });
-                    let line = |cycles: String| {
-                        row(&[
-                            spec.name.into(),
-                            policy.label().into(),
-                            (*noc_name).into(),
-                            (*chaos_name).into(),
-                            cycles,
-                            opts.check.name().into(),
-                        ])
-                    };
-                    match outcome {
-                        Ok(r) => println!("{}", line(r.cycles.to_string())),
-                        Err(q) => {
-                            let status = match *q.failure {
-                                CellFailure::Sim(e @ fa_sim::SimError::Tso { .. }) => {
-                                    violations += 1;
-                                    format!("VIOLATION: {e}")
-                                }
-                                f => {
-                                    failures += 1;
-                                    format!("FAILED (after {} attempt(s)): {f}", q.attempts)
-                                }
-                            };
-                            println!("{} {status}", line("-".into()));
-                        }
-                    }
+    let (mut runs, mut violations, mut failures) = (0u64, 0u64, 0u64);
+    for (noc_name, noc) in nocs {
+        for (chaos_name, chaos) in chaos {
+            let point = BenchOpts { noc, chaos, ..opts };
+            let (outcome, _) = run_grid_supervised(&point, &sup, &cells)
+                .map_err(|e| Failed(format!("conformance failed: {e}")))?;
+            let mut quarantined = outcome.quarantine.iter();
+            for (cell, result) in cells.iter().zip(&outcome.results) {
+                runs += 1;
+                let line = |cycles: String| {
+                    row(&[
+                        cell.workload.name.into(),
+                        cell.policy.label().into(),
+                        noc_name.into(),
+                        chaos_name.into(),
+                        cycles,
+                        opts.check.name().into(),
+                    ])
+                };
+                if let Some(r) = result {
+                    println!("{}", line(r.summary.representative().cycles.to_string()));
+                    continue;
                 }
+                let q = quarantined.next().expect("without a journal, no result means quarantined");
+                let status = match &*q.failure {
+                    CellFailure::Sim(e @ fa_sim::SimError::Tso { .. }) => {
+                        violations += 1;
+                        format!("VIOLATION: {e}")
+                    }
+                    f => {
+                        failures += 1;
+                        format!("FAILED (after {} attempt(s)): {f}", q.attempts)
+                    }
+                };
+                println!("{} {status}", line("-".into()));
             }
         }
     }
@@ -318,22 +309,6 @@ fn conformance(cmd: &Command, _: &[String]) -> Outcome {
         return Err(Failed(summary));
     }
     Ok(())
-}
-
-/// One conformance run's machine: the options' run configuration at this
-/// grid point's interconnect, with fault injection when the point has a seed.
-fn conformance_config(
-    opts: &BenchOpts,
-    policy: AtomicPolicy,
-    noc: NocConfig,
-    chaos_seed: Option<u64>,
-) -> MachineConfig {
-    let mut cfg = opts.config_for(&icelake_like(), policy);
-    cfg.mem.noc = noc;
-    if let Some(seed) = chaos_seed {
-        cfg.mem.chaos = ChaosConfig::stress(seed);
-    }
-    cfg
 }
 
 fn fuzz_config(opts: &BenchOpts) -> FuzzConfig {
@@ -607,6 +582,7 @@ fn flight_demo() -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_mem::ChaosConfig;
     use fa_sim::MemModel;
 
     fn args(words: &[&str]) -> Vec<String> {
@@ -717,8 +693,10 @@ mod tests {
             ..BenchOpts::default()
         };
         assert_eq!(fuzz_config(&opts).model, MemModel::Weak);
-        let point = conformance_config(&opts, AtomicPolicy::FreeFwd, NocConfig::contended(2), Some(1));
-        assert_eq!(point.mem.noc, NocConfig::contended(2), "the grid point's interconnect wins");
+        // A conformance grid point: the options at its interconnect and seed.
+        let point = BenchOpts { noc: NocConfig::contended(2), chaos: Some(1), ..opts }
+            .config_for(&icelake_like(), AtomicPolicy::FreeFwd);
+        assert_eq!(point.mem.noc, NocConfig::contended(2));
         assert_eq!(point.mem.chaos, ChaosConfig::stress(1));
         for cfg in [fuzz_base(&opts), point] {
             assert_eq!(cfg.core.model, MemModel::Weak);

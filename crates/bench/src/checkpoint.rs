@@ -5,8 +5,7 @@
 //! output must be byte-identical to an uninterrupted run. The journal
 //! therefore stores each completed cell's emitted row **verbatim** — the
 //! exact `SweepRow::json` line the report would print — so resumption re-emits
-//! bytes instead of re-deriving them (the vendored `serde` is
-//! derive-markers only; nothing here needs a JSON parser).
+//! bytes instead of re-deriving them (nothing here needs a JSON parser).
 //!
 //! # Format
 //!

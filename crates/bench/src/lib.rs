@@ -20,7 +20,7 @@ pub mod report;
 pub mod sweep;
 
 use fa_core::AtomicPolicy;
-use fa_mem::{NocConfig, ProgressConfig};
+use fa_mem::{ChaosConfig, NocConfig, ProgressConfig};
 use fa_sim::env;
 use fa_sim::error::SimError;
 use fa_sim::machine::{MachineConfig, RunResult};
@@ -72,6 +72,11 @@ pub struct BenchOpts {
     /// fires on healthy runs, so golden results are bit-identical with the
     /// framework on or off.
     pub progress: ProgressConfig,
+    /// Fault-injection seed: `Some(seed)` runs every cell under
+    /// [`ChaosConfig::stress`]. Not an environment knob — `fa conformance`
+    /// sets it in code for the chaos half of its grid; `None` (everything
+    /// else) leaves the preset's chaos configuration alone.
+    pub chaos: Option<u64>,
 }
 
 impl Default for BenchOpts {
@@ -88,6 +93,7 @@ impl Default for BenchOpts {
             check: CheckMode::Off,
             model: MemModel::Tso,
             progress: ProgressConfig::default(),
+            chaos: None,
         }
     }
 }
@@ -120,6 +126,7 @@ impl BenchOpts {
             model: env::get("FA_MODEL", env::parse_model_setting).unwrap_or(d.model),
             progress: env::get("FA_PROGRESS", |v| env::parse_progress(v).ok_or("no such setting"))
                 .unwrap_or(d.progress),
+            chaos: d.chaos,
         }
     }
 
@@ -149,14 +156,17 @@ impl BenchOpts {
     }
 
     /// `base` specialized for one run under these options: policy, NoC
-    /// model, trace mode, conformance-check mode, memory model, and
-    /// forward-progress escalation applied.
+    /// model, trace mode, conformance-check mode, memory model,
+    /// forward-progress escalation and fault injection applied.
     pub fn config_for(&self, base: &MachineConfig, policy: AtomicPolicy) -> MachineConfig {
         let mut cfg = base.clone().with_trace(self.trace).with_check(self.check);
         cfg.core.policy = policy;
         cfg.core.model = self.model;
         cfg.mem.noc = self.noc;
         cfg.mem.progress = self.progress;
+        if let Some(seed) = self.chaos {
+            cfg.mem.chaos = ChaosConfig::stress(seed);
+        }
         cfg
     }
 }
@@ -232,9 +242,11 @@ mod tests {
             trace: TraceMode::Flight,
             check: CheckMode::Tso,
             model: MemModel::Weak,
+            chaos: Some(7),
             ..BenchOpts::default()
         };
         let cfg = opts.config_for(&MachineConfig::default(), AtomicPolicy::FreeFwd);
+        assert_eq!(cfg.mem.chaos, ChaosConfig::stress(7));
         assert_eq!(cfg.core.policy, AtomicPolicy::FreeFwd);
         assert_eq!(cfg.core.model, MemModel::Weak);
         assert_eq!(cfg.mem.noc, NocConfig::contended(4));
@@ -248,6 +260,11 @@ mod tests {
         let off = BenchOpts::default().config_for(&MachineConfig::default(), AtomicPolicy::Free);
         assert_eq!(off.core.check, CheckMode::Off);
         assert_eq!(off.core.model, MemModel::Tso);
+        // `chaos: None` leaves the base's fault injection as it found it.
+        let mut base = MachineConfig::default();
+        assert_eq!(BenchOpts::default().config_for(&base, AtomicPolicy::Free).mem.chaos, base.mem.chaos);
+        base.mem.chaos = ChaosConfig::stress(3);
+        assert_eq!(BenchOpts::default().config_for(&base, AtomicPolicy::Free).mem.chaos, base.mem.chaos);
     }
 
     #[test]

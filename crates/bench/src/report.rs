@@ -16,10 +16,9 @@
 //! (same absolute floor) — this catches a bottleneck shifting between
 //! leaves even when the total barely moves.
 //!
-//! The vendored `serde` is derive-markers only, so rows are recovered the
-//! way the checkpoint journal replays them: line-oriented scanning of the
-//! hand-rolled report format. Only the fields this report needs are
-//! extracted (cell identity, the `cpi` block).
+//! Rows are recovered the way the checkpoint journal replays them:
+//! line-oriented scanning of the report format `sweep` writes. Only the
+//! fields this report needs are extracted (cell identity, the `cpi` block).
 
 use fa_sim::{CpiLeaf, CPI_LEAVES};
 use std::fmt::Write as _;
@@ -65,9 +64,10 @@ fn u64_field(s: &str, name: &str) -> Option<u64> {
 }
 
 /// Extracts every row carrying a `cpi` block from the text of a
-/// `BENCH_sweep.json` report (or any stream of `SweepRow::json` lines). Rows without the block — reports written before the
-/// cycle-accounting layer — are skipped, so the caller can distinguish
-/// "no such file shape" (empty result) from a parse error.
+/// `BENCH_sweep.json` report (or any stream of `SweepRow::json` lines).
+/// Rows without the block — reports written before the cycle-accounting
+/// layer — are skipped, so the caller can distinguish "no such file shape"
+/// (empty result) from a parse error.
 pub fn parse_rows(text: &str) -> Vec<CpiRow> {
     let mut out = Vec::new();
     for line in text.lines() {

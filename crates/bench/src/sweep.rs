@@ -9,10 +9,8 @@
 //! Each run derives its perturbations from its own `seed + run` stream, so
 //! the per-cell summaries (and therefore the emitted rows) are
 //! bit-identical at any worker-thread count; only the timing block
-//! differs. The JSON is hand-rolled — the vendored `serde` is
-//! derive-markers only — and keeps the scheduling-dependent wall-clock
-//! fields out of `rows` so serial and parallel sweeps agree byte-for-byte
-//! there.
+//! differs. The JSON keeps the scheduling-dependent wall-clock fields out
+//! of `rows` so serial and parallel sweeps agree byte-for-byte there.
 
 use crate::checkpoint::{fnv1a64, CellRecord, Journal};
 use crate::BenchOpts;
@@ -258,15 +256,15 @@ pub fn merge_health(into: &mut ProgressStats, h: &ProgressStats) {
 
 /// The campaign fingerprint for the checkpoint journal: an FNV-1a 64 hash
 /// over everything that affects simulated rows — sizing, methodology,
-/// seed, NoC, check mode, memory model, progress thresholds, the cycle
-/// budget, and the cell identities — and nothing that does not
-/// (worker-thread count, trace mode, wall-clock budget).
+/// seed, NoC, check mode, memory model, progress thresholds, the chaos
+/// seed, the cycle budget, and the cell identities — and nothing that does
+/// not (worker-thread count, trace mode, wall-clock budget).
 pub fn campaign_fingerprint(opts: &BenchOpts, budget_cycles: Option<u64>, cells: &[SweepCell]) -> u64 {
     let mut s = format!(
         "cores={} scale={:?} runs={} drop={} seed={} noc={:?} check={:?} model={:?} \
-         progress={:?} budget_cycles={budget_cycles:?};cells:",
+         progress={:?} chaos={:?} budget_cycles={budget_cycles:?};cells:",
         opts.cores, opts.scale, opts.runs, opts.drop_slowest, opts.seed, opts.noc, opts.check,
-        opts.model, opts.progress
+        opts.model, opts.progress, opts.chaos
     );
     for c in cells {
         s.push_str(&c.name());
@@ -794,6 +792,7 @@ mod tests {
             check: fa_sim::CheckMode::Off,
             model: fa_sim::MemModel::Tso,
             progress: fa_mem::ProgressConfig::default(),
+            chaos: None,
         }
     }
 
@@ -1315,6 +1314,7 @@ mod tests {
             "trace mode never perturbs rows, so it is not part of the campaign identity"
         );
         assert_ne!(fp, campaign_fingerprint(&BenchOpts { seed: 1, ..opts }, None, &cells));
+        assert_ne!(fp, campaign_fingerprint(&BenchOpts { chaos: Some(1), ..opts }, None, &cells));
         assert_ne!(fp, campaign_fingerprint(&opts, Some(1000), &cells));
         assert_ne!(fp, campaign_fingerprint(&opts, None, &cells[..3]));
     }

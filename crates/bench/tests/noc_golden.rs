@@ -34,6 +34,7 @@ fn golden_opts(threads: usize, noc: NocConfig) -> BenchOpts {
         // Escalation armed even for the goldens: stall counters are passive
         // and thresholds are wedge-sized, so rows must not move.
         progress: fa_mem::ProgressConfig::default(),
+        chaos: None,
     }
 }
 

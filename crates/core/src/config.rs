@@ -1,11 +1,10 @@
 //! Core configuration and the atomic RMW execution policies.
 
 use fa_trace::{CheckMode, MemModel, TraceConfig};
-use serde::{Deserialize, Serialize};
 
 /// How atomic RMW instructions execute — the paper's iteratively built
 /// flavours (§3, evaluated in Figure 14).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AtomicPolicy {
     /// The x86-documented baseline: the store buffer drains before the
     /// `load_lock` issues, the `load_lock` issues only at the ROB head
@@ -62,7 +61,7 @@ impl AtomicPolicy {
 }
 
 /// Out-of-order core parameters. Defaults follow Table 1 (Icelake-like).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Instructions fetched/decoded per cycle (Table 1: 5).
     pub fetch_width: usize,

@@ -24,13 +24,12 @@ use fa_isa::uop::SrcRegs;
 use fa_isa::{line_of, Addr, FenceKind, Instr, Program, Reg, Uop, UopKind, Word};
 use fa_mem::{CoreId, CoreNotice, CoreResp, Line, MemorySystem};
 use fa_trace::{write_id, CpiLeaf, DataEvent, MemModel, MemOrder, TraceBuf, TraceEvent, TraceRecord};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// A point-in-time snapshot of a core's hang-relevant pipeline state,
 /// attached to timeout diagnostics by the machine driver.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoreDiag {
     /// Terminal halt reached.
     pub halted: bool,

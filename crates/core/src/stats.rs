@@ -1,16 +1,14 @@
 //! Per-core statistics feeding every figure and table of the paper.
 
 use fa_trace::{CpiStack, Hist};
-use serde::{Deserialize, Serialize};
 
 /// Number of `fa_mem::LatClass` latency classes mirrored in the
 /// per-class atomic transfer counters (indexed by `LatClass::index()`
-/// at the recording site; kept as a plain const so the stats struct
-/// stays serde-derivable with a fixed-size array).
+/// at the recording site).
 pub const LAT_CLASSES: usize = 5;
 
 /// Cause of a pipeline squash.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SquashCause {
     /// Branch misprediction.
     Branch,
@@ -25,7 +23,7 @@ pub enum SquashCause {
 }
 
 /// Counters collected by one core.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CoreStats {
     /// Cycles the core was powered (running or sleeping).
     pub cycles: u64,

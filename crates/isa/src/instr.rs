@@ -3,11 +3,10 @@
 use crate::order::MemOrder;
 use crate::reg::Reg;
 use crate::Word;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Second ALU operand: a register or a sign-extended immediate.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Read the operand from a register.
     Reg(Reg),
@@ -37,7 +36,7 @@ impl fmt::Debug for Operand {
 }
 
 /// Integer ALU operations. All operate on 64-bit words; wrapping semantics.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AluOp {
     /// `a + b`
     Add,
@@ -83,7 +82,7 @@ impl AluOp {
 }
 
 /// Branch conditions comparing two operands.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Cond {
     /// `a == b`
     Eq,
@@ -117,7 +116,7 @@ impl Cond {
 ///
 /// All read the old 8-byte value at the target address into the destination
 /// register, compute a new value, and write it back atomically.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RmwOp {
     /// `new = old + src` (x86 `lock xadd`)
     FetchAdd,
@@ -163,7 +162,7 @@ impl RmwOp {
 /// A guest instruction. Program counters are indices into the instruction
 /// vector; there is no encoding layer (the simulator is trace-driven by
 /// construction, like gem5's `AtomicSimpleCPU`-generated micro-op streams).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Instr {
     /// `dst = op(a, b)`
     Alu { op: AluOp, dst: Reg, a: Reg, b: Operand },

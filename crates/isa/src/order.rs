@@ -7,7 +7,6 @@
 //! may perform. See `DESIGN.md` § "Weak-memory frontend" for the exact
 //! mapping from each ordering to the LSQ/SB rules.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A memory-ordering annotation (C++11 lattice, minus `Consume`).
@@ -16,7 +15,7 @@ use std::fmt;
 /// ARM-like ISA where unadorned accesses are unordered), standalone fences
 /// and RMWs are [`MemOrder::SeqCst`] (matching the pre-existing `MFENCE` /
 /// `LOCK`-prefix semantics, which keeps the TSO model's behaviour unchanged).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum MemOrder {
     /// No ordering beyond per-location coherence.
     #[default]

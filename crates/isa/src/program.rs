@@ -1,11 +1,10 @@
 //! Validated guest programs.
 
 use crate::instr::Instr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coarse instruction classes used by statistics and the energy model.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum InstrClass {
     /// Integer ALU.
     Alu,
@@ -83,7 +82,7 @@ impl std::error::Error for ValidateProgramError {}
 ///
 /// Construct through [`Program::new`] (which validates) or the [`crate::Kasm`]
 /// assembler (which validates on `finish`).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Program {
     instrs: Vec<Instr>,
 }

@@ -1,6 +1,5 @@
 //! Architectural registers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of general-purpose architectural registers.
@@ -19,7 +18,7 @@ pub const NUM_REGS: usize = NUM_ARCH_REGS + NUM_TEMP_REGS;
 /// `R0` is hard-wired to zero: reads return 0, writes are discarded — the
 /// RISC convention, which keeps the assembler DSL compact. `T0..T3` are
 /// decoder-internal temporaries and never appear in guest programs.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 macro_rules! named_regs {

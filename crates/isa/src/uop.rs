@@ -10,10 +10,9 @@
 use crate::instr::{AluOp, Cond, Instr, Operand, RmwOp};
 use crate::order::MemOrder;
 use crate::reg::Reg;
-use serde::{Deserialize, Serialize};
 
 /// Which role a fence micro-op plays.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FenceKind {
     /// `Mem_Fence1` of an atomic RMW: drains the store buffer and blocks the
     /// `load_lock` until it is the oldest memory operation.
@@ -34,7 +33,7 @@ impl FenceKind {
 }
 
 /// The operation a micro-op performs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum UopKind {
     /// Integer ALU operation.
     Alu { op: AluOp, dst: Reg, a: Reg, b: Operand },
@@ -69,7 +68,7 @@ pub enum UopKind {
 }
 
 /// A decoded micro-op, tagged with its provenance.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Uop {
     /// Operation.
     pub kind: UopKind,

@@ -28,12 +28,11 @@
 //!   report naming the stuck core.
 
 use crate::{CoreId, Cycle, Line};
-use serde::{Deserialize, Serialize};
 
 /// Auditor configuration. Default: disabled, with bounds sized for the
 /// stress configurations used in tests (generous enough that legal
 /// contention never trips them).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AuditConfig {
     /// Master switch. When false auditing costs nothing per cycle.
     pub enabled: bool,
@@ -71,7 +70,7 @@ impl AuditConfig {
 }
 
 /// A violated invariant, with enough context to debug it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AuditViolation {
     /// Two caches hold write permission, or a writer coexists with readers.
     MultipleWriters {
@@ -142,7 +141,7 @@ impl std::fmt::Display for AuditViolation {
 impl std::error::Error for AuditViolation {}
 
 /// Auditor counters surfaced through [`MemStats`](crate::stats::MemStats).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditStats {
     /// Audit sweeps performed.
     pub sweeps: u64,

@@ -38,7 +38,6 @@
 //! stream is drawn in send order — which the ideal crossbar preserves
 //! exactly, keeping pre-relocation chaos runs bit-identical.
 
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64 — the deterministic pseudo-random stream behind every chaos
 /// decision (and the `sim` crate's litmus fuzzer). Tiny, fast and stable
@@ -76,7 +75,7 @@ impl SplitMix64 {
 /// Fault-injection configuration. `ChaosConfig::default()` is fully off and
 /// adds zero per-event cost; [`ChaosConfig::stress`] is the aggressive
 /// preset the fuzzer and the chaos tests use.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Master switch. When false every other field is ignored.
     pub enabled: bool,
@@ -116,7 +115,7 @@ impl ChaosConfig {
 
 /// Counters for the injected faults, surfaced through
 /// [`MemStats`](crate::stats::MemStats).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosStats {
     /// Total extra cycles injected into event schedules.
     pub jitter_cycles: u64,

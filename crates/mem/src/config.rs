@@ -5,7 +5,6 @@ use crate::chaos::ChaosConfig;
 use crate::noc::NocConfig;
 use crate::progress::ProgressConfig;
 use fa_trace::{CheckMode, TraceConfig};
-use serde::{Deserialize, Serialize};
 
 /// Geometry and latency parameters for the memory system.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = fa_mem::MemConfig { l1_ways: 2, l1_sets: 4, ..Default::default() };
 /// assert_eq!(cfg.l1_ways, 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemConfig {
     /// L1D sets (default 64: 48 KB / 64 B / 12 ways).
     pub l1_sets: usize,

@@ -56,11 +56,10 @@ pub use progress::{ProgressConfig, ProgressGuard, ProgressPolicy, ProgressReport
 pub use stats::{HotLock, MemStats};
 pub use system::{MemDiag, MemorySystem};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A core (hardware thread) identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u16);
 
 impl CoreId {

@@ -3,11 +3,10 @@
 
 use crate::{CoreId, Line};
 use fa_isa::{Addr, Word};
-use serde::{Deserialize, Serialize};
 
 /// Where a read was satisfied — used for latency-class statistics and the
 /// paper's Figure-13 locality metric.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LatClass {
     /// Hit in the L1D.
     L1,

@@ -49,12 +49,11 @@ use fa_isa::Addr;
 use fa_trace::{
     Hist, TraceBuf, TraceEvent, NOC_READ_DONE, NOC_STORE_READY, NOC_TO_DIR, NOC_TO_L1,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Which crossbar model routes protocol messages.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum XbarPolicy {
     /// Fixed-latency, infinite-bandwidth crossbar (the paper's baseline
     /// network assumption and this repo's historical behavior).
@@ -76,7 +75,7 @@ impl XbarPolicy {
 
 /// Interconnect configuration. The default is the ideal crossbar, which is
 /// bit-identical to the pre-NoC message path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NocConfig {
     /// Crossbar model.
     pub policy: XbarPolicy,
@@ -106,7 +105,7 @@ impl NocConfig {
 pub const QUEUE_BUCKETS: usize = 8;
 
 /// Per-link counters (one physical port direction of the crossbar).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Messages serialized through this link.
     pub messages: u64,
@@ -132,7 +131,7 @@ impl LinkStats {
 /// Network-layer statistics, surfaced through
 /// [`MemStats`](crate::stats::MemStats). All counters are zero under the
 /// ideal crossbar except the message/latency tallies.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NocStats {
     /// Crossbar model that produced these counters.
     pub policy: XbarPolicy,
@@ -215,8 +214,7 @@ impl NocStats {
         self.class_cycles[i] as f64 / self.class_msgs[i] as f64
     }
 
-    /// The stats as a single-line JSON object (stable field order). Hand-
-    /// rolled because the vendored `serde` is derive-markers only.
+    /// The stats as a single-line JSON object (stable field order).
     pub fn json(&self) -> String {
         let fmt_utils = |links: &[LinkStats]| {
             let parts: Vec<String> =

@@ -25,7 +25,6 @@
 //! bit-identical with the framework enabled (pinned by the differential
 //! tests in `tests/progress_regressions.rs`).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -144,7 +143,7 @@ impl<K: Eq + Hash + Copy> ProgressGuard<K> {
 /// `enabled` gates only the escalation checks, so switching it off cannot
 /// perturb results. Defaults sit far beyond anything a forward-progressing
 /// run produces — golden runs never escalate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProgressConfig {
     /// Escalate to a structured `NoProgress` error when any site trips
     /// its threshold (default on; thresholds are wedge-sized).
@@ -206,7 +205,7 @@ impl fmt::Display for ProgressReport {
 /// Per-site progress counters surfaced through
 /// [`MemStats`](crate::MemStats). Always-on and strictly observational:
 /// identical across trace modes, audit settings and thread counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProgressStats {
     /// Worst consecutive directory-allocation poll count ever reached.
     pub dir_alloc_attempts_max: u64,

@@ -6,10 +6,9 @@ use crate::noc::NocStats;
 use crate::progress::ProgressStats;
 use crate::{Cycle, Line};
 use fa_trace::Hist;
-use serde::{Deserialize, Serialize};
 
 /// Per-core memory counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoreMemStats {
     /// Demand reads served by the L1D.
     pub l1_hits: u64,
@@ -49,7 +48,7 @@ pub struct CoreMemStats {
 }
 
 /// Directory / shared-level counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DirStats {
     /// Requests processed.
     pub requests: u64,
@@ -69,7 +68,7 @@ pub struct DirStats {
 }
 
 /// Aggregated memory-system statistics.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Per-core counters, indexed by core id.
     pub cores: Vec<CoreMemStats>,
@@ -96,7 +95,7 @@ pub struct MemStats {
 }
 
 /// Contention summary for one cache line that was lock-held.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HotLock {
     /// Line address.
     pub line: Line,

@@ -25,14 +25,13 @@ use crate::{CoreId, Cycle, Line, MemConfig};
 use fa_isa::interp::GuestMem;
 use fa_isa::{Addr, Word};
 use fa_trace::{write_id, SerEvent, TraceRecord};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A point-in-time snapshot of memory-system state, attached to timeout
 /// reports so a hang names the locked lines and in-flight transactions
 /// instead of dying silently.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemDiag {
     /// `(core, line, lock count)` for every locked line, sorted.
     pub locked: Vec<(u16, Line, u32)>,

@@ -10,10 +10,9 @@
 //! meaningful; absolute joules are not calibrated.
 
 use crate::machine::RunResult;
-use serde::{Deserialize, Serialize};
 
 /// Per-event energies in nanojoules and static power per core.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EnergyModel {
     /// Energy per committed micro-op (rename+issue+execute+commit).
     pub nj_per_uop: f64,
@@ -55,7 +54,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy totals for one run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Dynamic energy in nanojoules.
     pub dynamic_nj: f64,

@@ -394,6 +394,66 @@ mod tests {
         }
     }
 
+    /// FNV-1a over each program's sorted outcome vectors, chained in
+    /// program order — independent of `HashSet` iteration order.
+    fn outcome_digest(tests: &[LitmusTest], model: MemModel) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |w: u64| {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in tests {
+            let mut outs: Vec<Vec<Word>> = t.allowed_outcomes_under(model).into_iter().collect();
+            outs.sort();
+            eat(outs.len() as u64);
+            for o in outs {
+                eat(o.len() as u64);
+                o.into_iter().for_each(&mut eat);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn reference_outcome_sets_are_pinned() {
+        // Computed with the two separate TSO / weak enumerators this
+        // crate had before `tsoref::enumerate` replaced them: the merged
+        // machine is held to their answers on the 35 hand-written tests
+        // and on 4 400 generated programs (3×3 at two seeds, 4×4 at one).
+        let mut gallery = LitmusTest::all();
+        gallery.extend(LitmusTest::weak_gallery());
+        for stripped in [false, true] {
+            gallery.extend([
+                LitmusTest::memlog_fence_atomic_acq_op(stripped),
+                LitmusTest::memlog_atomic_fence_acq_fence(stripped),
+                LitmusTest::memlog_fence_atomic_chain(stripped),
+                LitmusTest::memlog_sb_sc_fence(stripped),
+                LitmusTest::memlog_sb_sc_store(stripped),
+                LitmusTest::memlog_mp_release_store(stripped),
+            ]);
+        }
+        assert_eq!(gallery.len(), 35);
+        let mut generated = Vec::new();
+        for (seed, cases, shape) in [(1, 2000, 3), (103, 2000, 3), (7, 400, 4)] {
+            let fcfg = FuzzConfig {
+                cases,
+                seed,
+                max_threads: shape,
+                max_ops: shape,
+                ..FuzzConfig::default()
+            };
+            generated.extend(gen_cases(&fcfg).into_iter().map(|fc| fc.test));
+        }
+        let got = [&gallery, &generated]
+            .map(|tests| [MemModel::Tso, MemModel::Weak].map(|m| outcome_digest(tests, m)));
+        let pinned: [[u64; 2]; 2] = [
+            [0x6de7_5efe_97b2_b16f, 0x3135_89a8_3655_523f],
+            [0x728a_3b69_ec8a_51c2, 0x9307_83f2_a779_14b0],
+        ];
+        assert_eq!(got, pinned, "[gallery, generated] x [tso, weak]: {got:#x?}");
+    }
+
     #[test]
     fn small_campaign_is_clean_and_deterministic() {
         let base = crate::presets::tiny_machine();

@@ -5,7 +5,6 @@
 
 use crate::error::SimError;
 use crate::machine::{Machine, MachineConfig};
-use crate::tsoref::{enumerate_tso_outcomes, enumerate_weak_outcomes};
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, MemOrder, Program, Reg, RmwOp, Word};
@@ -94,10 +93,7 @@ impl LitmusTest {
 
     /// All outcomes the given memory model's reference enumerator allows.
     pub fn allowed_outcomes_under(&self, model: MemModel) -> HashSet<Vec<Word>> {
-        match model {
-            MemModel::Tso => enumerate_tso_outcomes(&self.threads, self.num_outs()),
-            MemModel::Weak => enumerate_weak_outcomes(&self.threads, self.num_outs()),
-        }
+        crate::tsoref::enumerate(&self.threads, self.num_outs(), model)
     }
 
     /// Runs the test once on the detailed simulator and returns the

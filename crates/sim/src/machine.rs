@@ -7,7 +7,6 @@ use fa_isa::interp::GuestMem;
 use fa_isa::Program;
 use fa_mem::{AuditViolation, CoreId, MemConfig, MemDiag, MemStats, MemorySystem};
 use fa_trace::{chrome_trace, CheckMode, FlightEntry, MemModel, TraceMode, TraceRecord};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -43,7 +42,7 @@ fn wall_deadline_expired() -> Option<u64> {
 
 /// Machine-level configuration: one core config (homogeneous) + the memory
 /// hierarchy.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[derive(Default)]
 pub struct MachineConfig {
     /// Core parameters (shared by every core).
@@ -75,7 +74,7 @@ impl MachineConfig {
 
 /// A point-in-time snapshot of the whole machine, attached to errors so a
 /// hang names the stuck micro-ops and locked lines instead of dying silent.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MachineSnapshot {
     /// Cycle the snapshot was taken.
     pub cycle: u64,
@@ -132,7 +131,7 @@ impl fmt::Display for RunTimeout {
 impl std::error::Error for RunTimeout {}
 
 /// Results of a completed run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunResult {
     /// Cycle at which the machine quiesced (execution time).
     pub cycles: u64,

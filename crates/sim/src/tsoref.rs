@@ -1,32 +1,35 @@
-//! Bounded operational reference models: x86-TSO and an ARM-like weak
-//! baseline.
+//! The bounded operational reference machine: x86-TSO and an ARM-like
+//! weak baseline from one transition system.
 //!
-//! [`enumerate_tso_outcomes`] enumerates *every* outcome a small concurrent
-//! program can produce under the operational TSO model of Sewell et al.
-//! ("x86-TSO: A Rigorous and Usable Programmer's Model"): per-thread FIFO
-//! store buffers, loads that forward from the local buffer, atomic RMWs
-//! that execute only with an empty local buffer and read-modify-write
-//! memory in one step, and MFENCE draining the buffer. Ordering
-//! annotations are ignored — under TSO they are inert.
+//! [`enumerate`] returns *every* outcome a small concurrent program can
+//! produce on the operational machine of Sewell et al. ("x86-TSO: A
+//! Rigorous and Usable Programmer's Model"): one shared memory, per-thread
+//! FIFO store buffers, loads that forward from the local buffer, atomic
+//! RMWs that execute only with an empty local buffer and read-modify-write
+//! memory in one step, stores and fences that wait for every
+//! program-order predecessor. The [`MemModel`] switches three rules and
+//! nothing else:
 //!
-//! [`enumerate_weak_outcomes`] runs the same machine with one relaxation:
-//! a load may *hoist* past program-order-earlier unexecuted loads when
-//! none of them is acquire-class and none targets the same address (R→R
-//! is not preserved for relaxed loads). Everything else keeps its TSO
-//! strength — the store buffer stays FIFO (W→W preserved; release stores
-//! are architecturally free), stores and fences wait for all predecessors
-//! (R→W preserved), only *SC* fences drain the buffer, SC stores block
-//! younger loads while buffered, and RMWs are pinned to SeqCst strength.
+//! | rule | `Tso` | `Weak` |
+//! |---|---|---|
+//! | a load may execute past undone older loads | never | when none of them is acquire-class or to the same address |
+//! | a store's `sc` annotation is recorded in its buffer entry, and a buffered `sc` store blocks the thread's loads | no — annotations are inert | yes |
+//! | a fence waits for an empty store buffer | every fence | only an `sc` fence |
+//!
+//! Everything else keeps its TSO strength under both models: the buffer
+//! is FIFO (W→W preserved; release stores are architecturally free), R→W
+//! is preserved, and RMWs are pinned to SeqCst strength.
 //!
 //! The litmus harness uses the resulting outcome sets as ground truth:
-//! any outcome observed on the detailed simulator that the matching
-//! enumerator cannot produce is a consistency bug.
+//! any outcome observed on the detailed simulator that the machine cannot
+//! produce under the run's model is a consistency bug.
 
 use fa_isa::{MemOrder, Word};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use fa_trace::MemModel;
+use std::collections::HashSet;
 
-/// One litmus operation: what the enumerators step and the litmus harness
-/// compiles to guest code. Addresses and values are small integers; `out`
+/// One litmus operation: what the reference machine steps and the litmus
+/// harness compiles to guest code. Addresses and values are small integers; `out`
 /// slots index the observation vector. Prefer the constructor helpers
 /// ([`LOp::st`], [`LOp::ld`], [`LOp::fadd`], [`LOp::fence`] and their
 /// `_ord` variants) over struct literals.
@@ -77,16 +80,48 @@ impl LOp {
     }
 }
 
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct State {
-    mem: BTreeMap<u8, Word>,
-    pcs: Vec<u8>,
-    sbs: Vec<VecDeque<(u8, Word)>>,
-    outs: Vec<Option<Word>>,
+/// A store as its thread's buffer holds it. Stores execute in program
+/// order and the buffer is FIFO, so a thread's buffer is always a
+/// contiguous run of its `St` ops: the state keeps only how many have
+/// drained, and the entries themselves are compiled once per program.
+struct Buffered {
+    /// Index of the `St` in its thread.
+    at: usize,
+    /// Compact index of the address's memory cell.
+    cell: usize,
+    val: Word,
+    /// The `sc` annotation, recorded only under [`MemModel::Weak`].
+    sc: bool,
+}
+
+/// The search over packed machine states. A state is one `[Word]` of
+/// fixed length: a memory cell per distinct address, then the observation
+/// slots, then one word per thread (low half: done-mask over its ops;
+/// high half: how many of its stores have drained). A successor is one
+/// copy of that slice and `seen` hashes it whole.
+struct Search {
+    seen: HashSet<Box<[Word]>>,
+    /// Stack of discovered, unexpanded states, `next.len()` words each.
+    work: Vec<Word>,
+    next: Box<[Word]>,
+}
+
+impl Search {
+    /// Files `edit` applied to `from` for expansion unless already seen.
+    fn push(&mut self, from: &[Word], edit: impl FnOnce(&mut [Word])) {
+        self.next.copy_from_slice(from);
+        edit(&mut self.next);
+        if !self.seen.contains(&self.next) {
+            self.seen.insert(self.next.clone());
+            assert!(self.seen.len() <= 1_000_000, "litmus state space too large");
+            self.work.extend_from_slice(&self.next);
+        }
+    }
 }
 
 /// Enumerates the set of reachable observation vectors for `threads`
-/// under x86-TSO.
+/// under `model` (see the module docs for the machine and the three rules
+/// the model switches).
 ///
 /// Each thread is a straight-line list of [`LOp`]s (no branches — litmus
 /// tests are loop-free). `num_outs` sizes the observation vector; unwritten
@@ -94,231 +129,121 @@ struct State {
 ///
 /// # Panics
 ///
-/// Panics if the state space exceeds an internal safety bound (1e6 states) —
-/// keep litmus tests small.
-pub fn enumerate_tso_outcomes(threads: &[Vec<LOp>], num_outs: usize) -> HashSet<Vec<Word>> {
-    let n = threads.len();
-    let init = State {
-        mem: BTreeMap::new(),
-        pcs: vec![0; n],
-        sbs: vec![VecDeque::new(); n],
-        outs: vec![None; num_outs],
-    };
-    let mut seen: HashSet<State> = HashSet::new();
-    let mut work = vec![init];
-    let mut outcomes = HashSet::new();
-    while let Some(st) = work.pop() {
-        if !seen.insert(st.clone()) {
-            continue;
-        }
-        assert!(seen.len() <= 1_000_000, "litmus state space too large");
-        let mut terminal = true;
-        #[allow(clippy::needless_range_loop)] // t indexes parallel vectors
-        for t in 0..n {
-            // Transition 1: drain the oldest store-buffer entry.
-            if let Some(&(a, v)) = st.sbs[t].front() {
-                terminal = false;
-                let mut next = st.clone();
-                next.sbs[t].pop_front();
-                next.mem.insert(a, v);
-                work.push(next);
-            }
-            // Transition 2: execute the next instruction.
-            let pc = st.pcs[t] as usize;
-            let Some(&op) = threads[t].get(pc) else { continue };
-            match op {
-                LOp::St { addr, val, .. } => {
-                    terminal = false;
-                    let mut next = st.clone();
-                    next.sbs[t].push_back((addr, val));
-                    next.pcs[t] += 1;
-                    work.push(next);
-                }
-                LOp::Ld { addr, out, .. } => {
-                    terminal = false;
-                    let mut next = st.clone();
-                    // Forward from the youngest matching SB entry, else read
-                    // memory.
-                    let v = st.sbs[t]
-                        .iter()
-                        .rev()
-                        .find(|&&(a, _)| a == addr)
-                        .map(|&(_, v)| v)
-                        .unwrap_or_else(|| st.mem.get(&addr).copied().unwrap_or(0));
-                    next.outs[out as usize] = Some(v);
-                    next.pcs[t] += 1;
-                    work.push(next);
-                }
-                LOp::FetchAdd { addr, val, out, .. } => {
-                    // Atomic RMW: only with an empty local store buffer;
-                    // read-modify-write is one atomic step (cache locking).
-                    if st.sbs[t].is_empty() {
-                        terminal = false;
-                        let mut next = st.clone();
-                        let old = st.mem.get(&addr).copied().unwrap_or(0);
-                        next.mem.insert(addr, old.wrapping_add(val));
-                        next.outs[out as usize] = Some(old);
-                        next.pcs[t] += 1;
-                        work.push(next);
-                    } else {
-                        terminal = false; // draining is always possible
-                    }
-                }
-                LOp::Fence { .. } => {
-                    if st.sbs[t].is_empty() {
-                        terminal = false;
-                        let mut next = st.clone();
-                        next.pcs[t] += 1;
-                        work.push(next);
-                    } else {
-                        terminal = false;
-                    }
-                }
-            }
-        }
-        if terminal {
-            outcomes.insert(st.outs.iter().map(|o| o.unwrap_or(0)).collect());
-        }
-    }
-    outcomes
-}
-
-/// Per-thread state for the weak enumerator: loads may complete out of
-/// program order, so a done-bitmask replaces the program counter, and
-/// store-buffer entries remember whether their store was `sc`-annotated.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct WeakState {
-    mem: BTreeMap<u8, Word>,
-    done: Vec<u32>,
-    sbs: Vec<VecDeque<(u8, Word, bool)>>,
-    outs: Vec<Option<Word>>,
-}
-
-/// True when op `i` of `ops` may execute given the thread's done-mask:
-/// either every predecessor is done, or the op is a load and every
-/// unexecuted predecessor is a non-acquire load to a different address
-/// (the weak model's R→R relaxation; the same-address guard preserves
-/// per-location coherence).
-fn weak_ready(ops: &[LOp], done: u32, i: usize) -> bool {
-    let undone = |j: usize| done & (1 << j) == 0;
-    if (0..i).all(|j| !undone(j)) {
-        return true;
-    }
-    let LOp::Ld { addr, .. } = ops[i] else { return false };
-    (0..i).filter(|&j| undone(j)).all(|j| match ops[j] {
-        LOp::Ld { addr: a, ord, .. } => !ord.is_acquire() && a != addr,
-        _ => false,
-    })
-}
-
-/// Enumerates the set of reachable observation vectors for `threads`
-/// under the ARM-like weak baseline model (see the module docs for the
-/// exact relaxations relative to TSO).
-///
-/// # Panics
-///
 /// Panics if any thread exceeds 32 ops or the state space exceeds an
 /// internal safety bound (1e6 states) — keep litmus tests small.
-pub fn enumerate_weak_outcomes(threads: &[Vec<LOp>], num_outs: usize) -> HashSet<Vec<Word>> {
-    let n = threads.len();
+pub fn enumerate(threads: &[Vec<LOp>], num_outs: usize, model: MemModel) -> HashSet<Vec<Word>> {
     assert!(
         threads.iter().all(|t| t.len() <= 32),
-        "weak enumerator supports at most 32 ops per thread"
+        "the reference machine supports at most 32 ops per thread"
     );
-    let init = WeakState {
-        mem: BTreeMap::new(),
-        done: vec![0; n],
-        sbs: vec![VecDeque::new(); n],
-        outs: vec![None; num_outs],
-    };
-    let mut seen: HashSet<WeakState> = HashSet::new();
-    let mut work = vec![init];
-    let mut outcomes = HashSet::new();
-    while let Some(st) = work.pop() {
-        if !seen.insert(st.clone()) {
-            continue;
-        }
-        assert!(seen.len() <= 1_000_000, "litmus state space too large");
-        let mut terminal = true;
-        #[allow(clippy::needless_range_loop)] // t indexes parallel vectors
-        for t in 0..n {
-            // Transition 1: drain the oldest store-buffer entry (FIFO —
-            // W→W is preserved even for relaxed stores).
-            if let Some(&(a, v, _)) = st.sbs[t].front() {
-                terminal = false;
-                let mut next = st.clone();
-                next.sbs[t].pop_front();
-                next.mem.insert(a, v);
-                work.push(next);
+    let weak = model == MemModel::Weak;
+    let mut cell = [usize::MAX; 256];
+    let mut cells = 0;
+    for op in threads.iter().flatten() {
+        if let LOp::St { addr, .. } | LOp::Ld { addr, .. } | LOp::FetchAdd { addr, .. } = *op {
+            if cell[addr as usize] == usize::MAX {
+                cell[addr as usize] = cells;
+                cells += 1;
             }
-            // Transition 2: execute any ready op.
-            for (i, &op) in threads[t].iter().enumerate() {
-                if st.done[t] & (1 << i) != 0 || !weak_ready(&threads[t], st.done[t], i) {
+        }
+    }
+    let stores: Vec<Vec<Buffered>> = threads
+        .iter()
+        .map(|ops| {
+            let compiled = ops.iter().enumerate().filter_map(|(at, op)| match *op {
+                LOp::St { addr, val, ord } => {
+                    Some(Buffered { at, cell: cell[addr as usize], val, sc: weak && ord.is_sc() })
+                }
+                _ => None,
+            });
+            compiled.collect()
+        })
+        .collect();
+    let (outs_at, threads_at) = (cells, cells + num_outs);
+    let len = threads_at + threads.len();
+
+    let init = vec![0; len].into_boxed_slice();
+    let mut search = Search { seen: HashSet::from([init.clone()]), work: init.to_vec(), next: init };
+    let mut cur = vec![0; len];
+    let mut outcomes = HashSet::new();
+    while let Some(top) = search.work.len().checked_sub(len) {
+        cur.copy_from_slice(&search.work[top..]);
+        search.work.truncate(top);
+        let mut terminal = true;
+        for (t, ops) in threads.iter().enumerate() {
+            let me = threads_at + t;
+            let (done, drained) = (cur[me] as u32, (cur[me] >> 32) as usize);
+            let is_done = |i: usize| done >> i & 1 == 1;
+            let executed = stores[t].iter().take_while(|b| is_done(b.at)).count();
+            let buffer = &stores[t][drained..executed];
+            // Drain the oldest buffered store (FIFO — W→W is preserved
+            // even for relaxed stores).
+            if let Some(b) = buffer.first() {
+                search.push(&cur, |s| {
+                    s[b.cell] = b.val;
+                    s[me] += 1 << 32;
+                });
+            }
+            // Execute any ready op. An op that is ready but gated on the
+            // buffer (below) needs no transition of its own: draining is
+            // always possible.
+            let first = done.trailing_ones() as usize;
+            terminal &= first == ops.len() && buffer.is_empty();
+            for (i, &op) in ops.iter().enumerate().skip(first) {
+                // Ready: every predecessor is done, or — weak only, the R→R
+                // relaxation — the op is a load and every undone
+                // predecessor is a non-acquire load to a different address
+                // (the same-address guard preserves per-location coherence).
+                let hoists = |addr: u8| {
+                    weak && (first..i).filter(|&j| !is_done(j)).all(|j| match ops[j] {
+                        LOp::Ld { addr: a, ord, .. } => !ord.is_acquire() && a != addr,
+                        _ => false,
+                    })
+                };
+                let ready = !is_done(i)
+                    && (i == first || matches!(op, LOp::Ld { addr, .. } if hoists(addr)));
+                if !ready {
                     continue;
                 }
+                let retire = |s: &mut [Word]| s[me] |= 1 << i;
                 match op {
-                    LOp::St { addr, val, ord } => {
-                        terminal = false;
-                        let mut next = st.clone();
-                        next.sbs[t].push_back((addr, val, ord.is_sc()));
-                        next.done[t] |= 1 << i;
-                        work.push(next);
+                    LOp::St { .. } => search.push(&cur, retire),
+                    // A buffered `sc` store blocks every younger load (the
+                    // store-load half of its SC fence); acquire annotations
+                    // on the load itself need no gate — they only restrict
+                    // what *later* ops may hoist past it. Otherwise forward
+                    // from the youngest matching entry, else read memory.
+                    LOp::Ld { addr, out, .. } if !buffer.iter().any(|b| b.sc) => {
+                        let c = cell[addr as usize];
+                        let v = buffer.iter().rev().find(|b| b.cell == c).map_or(cur[c], |b| b.val);
+                        search.push(&cur, |s| {
+                            s[outs_at..threads_at][out as usize] = v;
+                            retire(s);
+                        });
                     }
-                    LOp::Ld { addr, out, .. } => {
-                        // An SC store waiting in the local buffer blocks
-                        // every younger load (the store-load half of its
-                        // SC fence); acquire annotations on the load
-                        // itself need no gate — they only restrict what
-                        // *later* ops may hoist past it.
-                        if st.sbs[t].iter().any(|&(_, _, sc)| sc) {
-                            terminal = false; // draining is always possible
-                            continue;
-                        }
-                        terminal = false;
-                        let mut next = st.clone();
-                        let v = st.sbs[t]
-                            .iter()
-                            .rev()
-                            .find(|&&(a, _, _)| a == addr)
-                            .map(|&(_, v, _)| v)
-                            .unwrap_or_else(|| st.mem.get(&addr).copied().unwrap_or(0));
-                        next.outs[out as usize] = Some(v);
-                        next.done[t] |= 1 << i;
-                        work.push(next);
+                    // Atomic RMW, SeqCst strength in both models: only with
+                    // an empty local buffer; read-modify-write is one
+                    // atomic step (cache locking).
+                    LOp::FetchAdd { addr, val, out, .. } if buffer.is_empty() => {
+                        let c = cell[addr as usize];
+                        search.push(&cur, |s| {
+                            s[outs_at..threads_at][out as usize] = s[c];
+                            s[c] = s[c].wrapping_add(val);
+                            retire(s);
+                        });
                     }
-                    LOp::FetchAdd { addr, val, out, .. } => {
-                        // SeqCst strength in both models: empty buffer,
-                        // atomic step.
-                        if st.sbs[t].is_empty() {
-                            terminal = false;
-                            let mut next = st.clone();
-                            let old = st.mem.get(&addr).copied().unwrap_or(0);
-                            next.mem.insert(addr, old.wrapping_add(val));
-                            next.outs[out as usize] = Some(old);
-                            next.done[t] |= 1 << i;
-                            work.push(next);
-                        } else {
-                            terminal = false;
-                        }
+                    // Every fence pins program order around itself (the
+                    // readiness rule enforces that); whether it also drains
+                    // the buffer is the model's call.
+                    LOp::Fence { ord } if buffer.is_empty() || (weak && !ord.is_sc()) => {
+                        search.push(&cur, retire);
                     }
-                    LOp::Fence { ord } => {
-                        // Every fence pins program order around itself
-                        // (weak_ready already enforces that); only an SC
-                        // fence additionally drains the store buffer.
-                        if !ord.is_sc() || st.sbs[t].is_empty() {
-                            terminal = false;
-                            let mut next = st.clone();
-                            next.done[t] |= 1 << i;
-                            work.push(next);
-                        } else {
-                            terminal = false;
-                        }
-                    }
+                    LOp::Ld { .. } | LOp::FetchAdd { .. } | LOp::Fence { .. } => {}
                 }
             }
         }
         if terminal {
-            outcomes.insert(st.outs.iter().map(|o| o.unwrap_or(0)).collect());
+            outcomes.insert(cur[outs_at..threads_at].to_vec());
         }
     }
     outcomes
@@ -328,11 +253,19 @@ pub fn enumerate_weak_outcomes(threads: &[Vec<LOp>], num_outs: usize) -> HashSet
 mod tests {
     use super::*;
 
+    fn tso(threads: &[Vec<LOp>], num_outs: usize) -> HashSet<Vec<Word>> {
+        enumerate(threads, num_outs, MemModel::Tso)
+    }
+
+    fn weak(threads: &[Vec<LOp>], num_outs: usize) -> HashSet<Vec<Word>> {
+        enumerate(threads, num_outs, MemModel::Weak)
+    }
+
     #[test]
     fn sb_litmus_allows_both_zero() {
         // The classic store-buffering shape: both loads may read 0.
         let threads = vec![vec![LOp::st(0, 1), LOp::ld(1, 0)], vec![LOp::st(1, 1), LOp::ld(0, 1)]];
-        let outs = enumerate_tso_outcomes(&threads, 2);
+        let outs = tso(&threads, 2);
         assert!(outs.contains(&vec![0, 0]), "TSO must allow 0,0 for SB");
         assert!(outs.contains(&vec![1, 1]));
         assert!(outs.contains(&vec![0, 1]));
@@ -345,7 +278,7 @@ mod tests {
             vec![LOp::st(0, 1), LOp::fence(), LOp::ld(1, 0)],
             vec![LOp::st(1, 1), LOp::fence(), LOp::ld(0, 1)],
         ];
-        let outs = enumerate_tso_outcomes(&threads, 2);
+        let outs = tso(&threads, 2);
         assert!(!outs.contains(&vec![0, 0]), "MFENCE forbids 0,0");
         assert_eq!(outs.len(), 3);
     }
@@ -358,7 +291,7 @@ mod tests {
             vec![LOp::st(0, 1), LOp::fadd(2, 1, 2), LOp::ld(1, 0)],
             vec![LOp::st(1, 1), LOp::fadd(3, 1, 3), LOp::ld(0, 1)],
         ];
-        let outs = enumerate_tso_outcomes(&threads, 4);
+        let outs = tso(&threads, 4);
         assert!(
             !outs.iter().any(|o| o[0] == 0 && o[1] == 0),
             "type-1 RMWs forbid 0,0 (Dekker, paper §3.4)"
@@ -368,7 +301,7 @@ mod tests {
     #[test]
     fn message_passing_is_ordered() {
         let threads = vec![vec![LOp::st(0, 42), LOp::st(1, 1)], vec![LOp::ld(1, 0), LOp::ld(0, 1)]];
-        let outs = enumerate_tso_outcomes(&threads, 2);
+        let outs = tso(&threads, 2);
         // flag=1 but data=0 is forbidden under TSO.
         assert!(!outs.contains(&vec![1, 0]));
         assert!(outs.contains(&vec![1, 42]));
@@ -378,14 +311,14 @@ mod tests {
     #[test]
     fn load_forwards_from_own_buffer() {
         let threads = vec![vec![LOp::st(0, 9), LOp::ld(0, 0)]];
-        let outs = enumerate_tso_outcomes(&threads, 1);
+        let outs = tso(&threads, 1);
         assert_eq!(outs, HashSet::from([vec![9]]));
     }
 
     #[test]
     fn rmw_pair_on_same_address_serializes() {
         let threads = vec![vec![LOp::fadd(0, 1, 0)], vec![LOp::fadd(0, 1, 1)]];
-        let outs = enumerate_tso_outcomes(&threads, 2);
+        let outs = tso(&threads, 2);
         // One sees 0, the other 1 — never both 0.
         assert_eq!(outs, HashSet::from([vec![0, 1], vec![1, 0]]));
     }
@@ -394,20 +327,20 @@ mod tests {
     fn tso_enumerator_ignores_annotations() {
         // MP with a fully relaxed reader: still ordered under TSO.
         let threads = vec![vec![LOp::st(0, 42), LOp::st(1, 1)], vec![LOp::ld(1, 0), LOp::ld(0, 1)]];
-        let relaxed = enumerate_tso_outcomes(&threads, 2);
+        let relaxed = tso(&threads, 2);
         let annotated = vec![
             vec![LOp::st_ord(0, 42, MemOrder::Release), LOp::st_ord(1, 1, MemOrder::SeqCst)],
             vec![LOp::ld_ord(1, 0, MemOrder::Acquire), LOp::ld_ord(0, 1, MemOrder::SeqCst)],
         ];
-        assert_eq!(relaxed, enumerate_tso_outcomes(&annotated, 2));
+        assert_eq!(relaxed, tso(&annotated, 2));
     }
 
-    // ---- weak enumerator ----
+    // ---- weak model ----
 
     #[test]
     fn weak_mp_relaxed_allows_stale_data() {
         let threads = vec![vec![LOp::st(0, 42), LOp::st(1, 1)], vec![LOp::ld(1, 0), LOp::ld(0, 1)]];
-        let outs = enumerate_weak_outcomes(&threads, 2);
+        let outs = weak(&threads, 2);
         assert!(outs.contains(&vec![1, 0]), "weak allows flag-without-data");
         assert!(outs.contains(&vec![1, 42]));
         assert!(outs.contains(&vec![0, 0]));
@@ -421,7 +354,7 @@ mod tests {
             vec![LOp::st(0, 42), LOp::st(1, 1)],
             vec![LOp::ld_ord(1, 0, MemOrder::Acquire), LOp::ld(0, 1)],
         ];
-        let outs = enumerate_weak_outcomes(&threads, 2);
+        let outs = weak(&threads, 2);
         assert!(!outs.contains(&vec![1, 0]));
         assert!(outs.contains(&vec![1, 42]));
     }
@@ -432,25 +365,25 @@ mod tests {
             vec![LOp::st(0, 42), LOp::st(1, 1)],
             vec![LOp::ld(1, 0), LOp::fence_ord(MemOrder::Acquire), LOp::ld(0, 1)],
         ];
-        let outs = enumerate_weak_outcomes(&threads, 2);
+        let outs = weak(&threads, 2);
         assert!(!outs.contains(&vec![1, 0]), "any fence pins R->R");
     }
 
     #[test]
     fn weak_sb_relaxed_allows_both_zero_and_sc_fence_forbids() {
         let relaxed = vec![vec![LOp::st(0, 1), LOp::ld(1, 0)], vec![LOp::st(1, 1), LOp::ld(0, 1)]];
-        assert!(enumerate_weak_outcomes(&relaxed, 2).contains(&vec![0, 0]));
+        assert!(weak(&relaxed, 2).contains(&vec![0, 0]));
         let fenced = vec![
             vec![LOp::st(0, 1), LOp::fence(), LOp::ld(1, 0)],
             vec![LOp::st(1, 1), LOp::fence(), LOp::ld(0, 1)],
         ];
-        assert!(!enumerate_weak_outcomes(&fenced, 2).contains(&vec![0, 0]));
+        assert!(!weak(&fenced, 2).contains(&vec![0, 0]));
         // An acquire fence does NOT drain the store buffer: 0,0 survives.
         let acq = vec![
             vec![LOp::st(0, 1), LOp::fence_ord(MemOrder::Acquire), LOp::ld(1, 0)],
             vec![LOp::st(1, 1), LOp::fence_ord(MemOrder::Acquire), LOp::ld(0, 1)],
         ];
-        assert!(enumerate_weak_outcomes(&acq, 2).contains(&vec![0, 0]));
+        assert!(weak(&acq, 2).contains(&vec![0, 0]));
     }
 
     #[test]
@@ -461,7 +394,7 @@ mod tests {
             vec![LOp::st_ord(0, 1, MemOrder::SeqCst), LOp::ld(1, 0)],
             vec![LOp::st_ord(1, 1, MemOrder::SeqCst), LOp::ld(0, 1)],
         ];
-        assert!(!enumerate_weak_outcomes(&threads, 2).contains(&vec![0, 0]));
+        assert!(!weak(&threads, 2).contains(&vec![0, 0]));
     }
 
     #[test]
@@ -470,7 +403,7 @@ mod tests {
             vec![LOp::st(0, 1), LOp::fadd(2, 1, 2), LOp::ld(1, 0)],
             vec![LOp::st(1, 1), LOp::fadd(3, 1, 3), LOp::ld(0, 1)],
         ];
-        let outs = enumerate_weak_outcomes(&threads, 4);
+        let outs = weak(&threads, 4);
         assert!(!outs.iter().any(|o| o[0] == 0 && o[1] == 0));
     }
 
@@ -479,7 +412,7 @@ mod tests {
         // CoRR: the R->R relaxation must not let two same-address loads
         // observe coherence out of order.
         let threads = vec![vec![LOp::st(0, 1)], vec![LOp::ld(0, 0), LOp::ld(0, 1)]];
-        let outs = enumerate_weak_outcomes(&threads, 2);
+        let outs = weak(&threads, 2);
         assert!(!outs.contains(&vec![1, 0]), "CoRR forbidden under weak too");
     }
 
@@ -494,10 +427,14 @@ mod tests {
         ];
         for threads in shapes {
             let n = 4;
-            let tso = enumerate_tso_outcomes(&threads, n);
-            let weak = enumerate_weak_outcomes(&threads, n);
-            assert!(tso.is_subset(&weak), "tso ⊄ weak for {threads:?}");
+            assert!(tso(&threads, n).is_subset(&weak(&threads, n)), "tso ⊄ weak for {threads:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 ops per thread")]
+    fn the_op_bound_guards_both_models() {
+        tso(&[vec![LOp::fence(); 33]], 0);
     }
 
     #[test]
@@ -505,6 +442,6 @@ mod tests {
         // LB: loads may not hoist past *stores* (R->W preserved), so 1,1
         // stays forbidden even under weak.
         let threads = vec![vec![LOp::ld(0, 0), LOp::st(1, 1)], vec![LOp::ld(1, 1), LOp::st(0, 1)]];
-        assert!(!enumerate_weak_outcomes(&threads, 2).contains(&vec![1, 1]));
+        assert!(!weak(&threads, 2).contains(&vec![1, 1]));
     }
 }

@@ -24,7 +24,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub use fa_isa::MemOrder;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -33,7 +32,7 @@ use std::fmt;
 /// Latency histograms are *not* governed by this switch: they are plain
 /// passive counters, always collected, and therefore identical whatever
 /// the mode — the determinism tests pin that.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceMode {
     /// No events recorded (default). `TraceBuf::record` returns after one
     /// enum compare.
@@ -93,7 +92,7 @@ pub fn parse_trace_setting(v: &str) -> Result<(TraceMode, Option<String>), Strin
 /// Per-component trace sizing. Lives inside `MemConfig`/`CoreConfig` so
 /// the mode is plumbed by configuration, never read from the environment
 /// inside the simulator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Recording mode.
     pub mode: TraceMode,
@@ -123,7 +122,7 @@ impl TraceConfig {
 /// cores and the memory system append data events to side logs that the
 /// axiomatic checker consumes after quiescence; no simulated state ever
 /// reads them, so results are bit-identical in every mode.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CheckMode {
     /// No data events collected, no end-of-run validation (default).
     #[default]
@@ -177,7 +176,7 @@ pub fn parse_check_setting(v: &str) -> Result<CheckMode, String> {
 /// store buffer, and SC stores block younger loads until they drain. The
 /// axiomatic checker and the litmus enumerator are parameterized by the
 /// same value.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MemModel {
     /// x86-TSO: total store order, annotations inert.
     #[default]
@@ -244,7 +243,7 @@ pub fn write_id_parts(id: u64) -> Option<(u16, u64)> {
 /// order when [`CheckMode`] is on. The axiomatic checker reconstructs
 /// `po` from the per-core event order, `rf` from the `writer` fields, and
 /// `fr` from `rf` composed with the serialization order ([`SerEvent`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DataEvent {
     /// A committed plain load.
     Load {
@@ -358,7 +357,7 @@ impl DataEvent {
 /// *perform* — the single serialization point every coherence transfer
 /// funnels through). The per-address subsequence of these events is the
 /// coherence order `co`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SerEvent {
     /// Byte address written.
     pub addr: u64,
@@ -385,7 +384,7 @@ pub const HIST_BUCKETS: usize = 32;
 /// edges are fixed at compile time, merging is element-wise addition and
 /// therefore associative and commutative — sweep workers can merge in
 /// any order and produce bit-identical results.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Hist {
     /// Samples recorded.
     pub count: u64,
@@ -477,7 +476,7 @@ pub const CPI_LEAVES: usize = 12;
 /// classifier (see `fa-core`), so the per-core leaf sums are conserved —
 /// `sum(leaves) == CoreStats::cycles` exactly, fast-forwarded spans
 /// included.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CpiLeaf {
     /// At least one µop retired this cycle.
     Commit,
@@ -555,7 +554,7 @@ impl CpiLeaf {
 /// discipline as [`Hist`] — element-wise addition, associative and
 /// commutative, so sweep workers can merge in any order and produce
 /// bit-identical totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CpiStack {
     /// Cycles per leaf, indexed by [`CpiLeaf::index`].
     pub leaves: [u64; CPI_LEAVES],
@@ -651,7 +650,7 @@ pub fn noc_kind_name(k: u8) -> &'static str {
 
 /// One structured simulator event. Compact (`Copy`, integers only);
 /// the component and time live in the enclosing [`TraceRecord`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// µop entered the ROB.
     UopDispatch {
@@ -913,7 +912,7 @@ impl fmt::Display for TraceEvent {
 /// One recorded event with its deterministic `(cycle, seq)` position.
 /// `seq` is per-component and strictly increasing, so records sort
 /// totally and reproducibly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Simulated cycle of the event.
     pub cycle: u64,
@@ -1001,7 +1000,7 @@ impl TraceBuf {
 
 /// A flight-recorder entry: one [`TraceRecord`] tagged with the
 /// component it came from (`core3`, `l1c0`, `dir`, `noc`, ...).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightEntry {
     /// Component label.
     pub comp: String,

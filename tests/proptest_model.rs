@@ -18,7 +18,7 @@
 //! 5. **Oracle vs oracle, weak** — the same agreement property under the
 //!    ARM-like weak baseline: a schedule-driven weak operational machine
 //!    (load hoisting, FIFO store buffers, SC-store load gates) against
-//!    `enumerate_weak_outcomes` and `axiom::check_model(.., Weak)`, plus
+//!    `tsoref::enumerate(.., Weak)` and `axiom::check_model(.., Weak)`, plus
 //!    the corrupted-rf rejection case under the weak model.
 
 use free_atomics::prelude::*;
@@ -478,7 +478,7 @@ fn corrupt_history(x: &free_atomics::sim::Execution) -> free_atomics::sim::Execu
 // ---------------------------------------------------------------- family 5
 
 /// A schedule-driven operational machine for the ARM-like weak baseline,
-/// mirroring `enumerate_weak_outcomes`' transition system exactly: loads
+/// mirroring `tsoref::enumerate`'s weak transition system exactly: loads
 /// may hoist over undone non-acquire loads to other addresses, stores
 /// drain FIFO, an SC store in the local buffer blocks younger loads, SC
 /// fences and RMWs require an empty buffer while weaker fences only pin
@@ -497,9 +497,9 @@ fn run_operational_weak(
         sb: VecDeque<(u64, u64, u64, bool)>, // (seq, addr, value, sc)
         events: Vec<Vec<DataEvent>>,         // per program position
     }
-    // Mirror of `tsoref::weak_ready`: op `i` may execute when all its
-    // predecessors are done, or when it is a load and every undone
-    // predecessor is a non-acquire load to a different address.
+    // Mirror of `tsoref::enumerate`'s readiness rule: op `i` may execute
+    // when all its predecessors are done, or when it is a load and every
+    // undone predecessor is a non-acquire load to a different address.
     fn ready(ops: &[LOp], done: u32, i: usize) -> bool {
         let undone = |j: usize| done & (1 << j) == 0;
         if (0..i).all(|j| !undone(j)) {
