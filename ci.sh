@@ -54,12 +54,18 @@ test ! -e vendor/serde && test ! -e vendor/serde_derive
 ! grep -rn 'HashMap<Line, (Vec' crates/mem/src || exit 1
 # Nothing polls: rule (a) was rewritten, not appended to; the blocking
 # rules are written once (`load_blocker`, which the issue path and the
-# debug oracle both go through); the stall path accounts its cycle through
-# `account_cycle`, not a copy of it.
+# debug oracle both go through).
 ! grep -n 're-attempted \*every' DESIGN.md || exit 1
 grep -q 'fn load_blocker' crates/core/src/core.rs
 test "$(grep -c 'blocked_by_fence(' crates/core/src/core.rs)" -eq 1
-! grep -n 'fn stall_cycle' -A 12 crates/core/src/core.rs | grep -n 'cpi\.\(add\|record\)' || exit 1
+# One clock: the idle skip, the stall skip and fast-forward stay folded into
+# `Core::due`, `Core::skip` and the one jump, and `skip` credits the leaf
+# `account_cycle` takes (`cycle_leaf`), never one it builds itself.
+! grep -rnE 'fn (core_skippable|try_fast_forward|idle_skippable|credit_idle_cycles|stall_cycle)\b' crates || exit 1
+sed -n '/pub fn skip(/,/^    }$/p' crates/core/src/core.rs > target/skip_fn.txt
+grep -q 'self\.cycle_leaf(' target/skip_fn.txt
+! grep -n 'CpiLeaf::' target/skip_fn.txt || exit 1
+sed -n '/fn account_cycle(/,/^    }$/p' crates/core/src/core.rs | grep -q 'self\.cycle_leaf('
 # One driver binary, built once here (`cargo build --release` above builds
 # only the root package) and reached directly by every smoke below.
 ! ls crates/bench/src/bin | grep -vx 'fa.rs' || exit 1

@@ -527,13 +527,13 @@ impl Xbar {
         !self.chaos.enabled()
     }
 
-    /// True while either of `core`'s links (request egress or response
-    /// ingress) has a transmission horizon past `now` — i.e. the core's
-    /// traffic is queued behind link serialization. Pure read used by the
-    /// cycle-accounting layer; without links nothing backpressures.
-    pub(crate) fn core_backpressured(&self, core: usize, now: Cycle) -> bool {
-        let busy = |l: &[Link]| l.get(core).is_some_and(|l| l.busy_until > now);
-        self.links.as_ref().is_some_and(|l| busy(&l.req) || busy(&l.resp))
+    /// The later of `core`'s two links' (request egress, response ingress)
+    /// transmission horizons: before it the core's traffic is queued
+    /// behind link serialization. Only a send moves it; without links it
+    /// is 0 and nothing backpressures.
+    pub(crate) fn backpressure_ends(&self, core: usize) -> Cycle {
+        let ends = |l: &[Link]| l.get(core).map_or(0, |l| l.busy_until);
+        self.links.as_ref().map_or(0, |l| ends(&l.req).max(ends(&l.resp)))
     }
 
     /// Statistics snapshot at cycle `now`.
@@ -747,14 +747,14 @@ mod tests {
     fn backpressure_probe_tracks_link_horizons() {
         let mut x = ideal();
         x.send(0, 0, req(0));
-        assert!(!x.core_backpressured(0, 0), "without links nothing backpressures");
+        assert_eq!(x.backpressure_ends(0), 0, "without links nothing backpressures");
 
         let mut x = xbar(NocConfig::contended(1), 2);
         x.send(0, 0, grant(0, LatClass::Mem));
-        assert!(x.core_backpressured(0, 0), "resp link busy while the grant serializes");
-        assert!(!x.core_backpressured(1, 0), "other cores' links are idle");
+        assert!(x.backpressure_ends(0) > 0, "resp link busy while the grant serializes");
+        assert_eq!(x.backpressure_ends(1), 0, "other cores' links are idle");
         let last = *drain_times(&mut x, 300).last().expect("grant delivers");
-        assert!(!x.core_backpressured(0, last), "horizon passed, probe clears");
+        assert!(x.backpressure_ends(0) <= last, "horizon passed, probe clears");
     }
 
     #[test]

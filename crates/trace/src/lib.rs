@@ -474,8 +474,7 @@ pub const CPI_LEAVES: usize = 12;
 /// One leaf of the top-down cycle-accounting taxonomy: every core-cycle
 /// is attributed to *exactly one* of these by the core's per-cycle
 /// classifier (see `fa-core`), so the per-core leaf sums are conserved —
-/// `sum(leaves) == CoreStats::cycles` exactly, fast-forwarded spans
-/// included.
+/// `sum(leaves) == CoreStats::cycles` exactly, jumped spans included.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CpiLeaf {
     /// At least one µop retired this cycle.
@@ -504,8 +503,7 @@ pub enum CpiLeaf {
     /// The oldest memory µop is waiting while this core's interconnect
     /// links are backpressured.
     NocBackpressure,
-    /// Asleep (MonitorWait) or quiescent — including fast-forwarded
-    /// spans, credited to keep the accounting exact.
+    /// Asleep (MonitorWait), stepped or credited in a jumped span.
     Idle,
 }
 
@@ -571,7 +569,7 @@ impl CpiStack {
         self.leaves[leaf.index()] += 1;
     }
 
-    /// Attributes `n` cycles to `leaf` (fast-forward crediting).
+    /// Attributes `n` cycles to `leaf` (a span credited in bulk).
     pub fn add(&mut self, leaf: CpiLeaf, n: u64) {
         self.leaves[leaf.index()] += n;
     }
