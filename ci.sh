@@ -66,6 +66,13 @@ sed -n '/pub fn skip(/,/^    }$/p' crates/core/src/core.rs > target/skip_fn.txt
 grep -q 'self\.cycle_leaf(' target/skip_fn.txt
 ! grep -n 'CpiLeaf::' target/skip_fn.txt || exit 1
 sed -n '/fn account_cycle(/,/^    }$/p' crates/core/src/core.rs | grep -q 'self\.cycle_leaf('
+# Each coherence rule written once: stalled fills wake on the unlock that
+# frees their way (no backoff), one no-commit watchdog (`core-commit`), one
+# audit cadence, one core response handler, and one directory grant (the
+# non-test part of dir.rs builds `L1Msg::GrantX` in exactly one place).
+! grep -rnE 'backoff_delay|backoff_cap|next_retry|max_core_stall|sweep_every|handle_idle_responses|AuditViolation::NoProgress' \
+    crates src tests || exit 1
+test "$(sed '/#\[cfg(test)\]/,$d' crates/mem/src/dir.rs | grep -c 'L1Msg::GrantX')" -eq 1
 # One driver binary, built once here (`cargo build --release` above builds
 # only the root package) and reached directly by every smoke below.
 ! ls crates/bench/src/bin | grep -vx 'fa.rs' || exit 1

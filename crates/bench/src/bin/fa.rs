@@ -546,13 +546,13 @@ fn trace(cmd: &Command, args: &[String]) -> Outcome {
     Ok(())
 }
 
-/// Forces a deterministic invariant-audit failure and shows the flight
-/// recorder that rides on the resulting error: the last structured events
-/// per component, as text and as JSON.
+/// Forces a deterministic failure on an audited machine and shows the
+/// flight recorder that rides on the resulting error: the last structured
+/// events per component, as text and as JSON.
 fn flight_demo() -> Outcome {
-    // A spin loop performing legal loads; an absurdly tight
-    // forward-progress bound turns its first memory round-trip into an
-    // audit violation — deliberately, to exercise the crash path.
+    // A spin loop performing legal loads; an absurdly tight no-commit
+    // bound turns its first memory round-trip into a `core-commit`
+    // progress failure — deliberately, to exercise the crash path.
     let mut k = Kasm::new();
     k.li(Reg::R1, 0x200);
     let top = k.here_label();
@@ -561,15 +561,15 @@ fn flight_demo() -> Outcome {
     k.halt();
     let spin = k.finish().expect("spin kernel assembles");
     let mut cfg = tiny_machine().with_trace(TraceMode::Flight);
-    cfg.mem.audit =
-        fa_mem::AuditConfig { enabled: true, max_core_stall: 2, ..fa_mem::AuditConfig::on() };
+    cfg.mem.audit = fa_mem::AuditConfig::on();
+    cfg.mem.progress.stall_cycles = 2;
     let mut m = Machine::new(cfg, vec![spin], GuestMem::new(1 << 12));
     let Err(e) = m.run(100_000) else {
         return Err(Failed(
-            "flight-demo: expected an audit violation, but the run quiesced".into(),
+            "flight-demo: expected a progress failure, but the run quiesced".into(),
         ));
     };
-    println!("flight-demo: injected violation produced the expected error:\n");
+    println!("flight-demo: injected failure produced the expected error:\n");
     println!("{e}");
     let tail = e.snapshot().map(|s| s.trace_tail.clone()).unwrap_or_default();
     println!("\nflight recorder as JSON:\n{}", flight_json(&tail));

@@ -451,8 +451,10 @@ impl Core {
         responses: &[CoreResp],
     ) {
         if self.state == CoreState::Halted {
-            // The pipeline is dead but committed stores must still drain.
-            self.handle_idle_responses(responses, mem);
+            // The pipeline is dead but committed stores must still drain;
+            // with the ROB empty every read response is an orphan.
+            debug_assert!(self.rob.is_empty());
+            self.handle_responses(responses, now, mem);
             self.drain_store_buffer(now, mem);
             return;
         }
@@ -463,7 +465,8 @@ impl Core {
         // wake condition.
         if let CoreState::Sleeping { line, wake_at, resume_pc } = self.state {
             self.skip(1, mem);
-            self.handle_idle_responses(responses, mem);
+            debug_assert!(self.rob.is_empty());
+            self.handle_responses(responses, now, mem);
             self.drain_store_buffer(now, mem);
             let line_written = notices
                 .iter()
@@ -1246,25 +1249,6 @@ impl Core {
                         self.wd_counter = 0;
                     }
                 }
-                CoreResp::StoreReady { seq, .. } => {
-                    if let Some(s) = self.sb.iter_mut().find(|s| s.seq == seq) {
-                        s.acquire_pending = false;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Response handling while the pipeline is idle (sleeping or halted):
-    /// the ROB is empty, so every read response is an orphan (release any
-    /// lock it carries), and StoreReady responses still feed the SB.
-    fn handle_idle_responses(&mut self, responses: &[CoreResp], mem: &mut MemorySystem) {
-        for r in responses {
-            match *r {
-                CoreResp::ReadResp { addr, locked: true, .. } => {
-                    mem.unlock_line(self.id, line_of(addr));
-                }
-                CoreResp::ReadResp { .. } => {}
                 CoreResp::StoreReady { seq, .. } => {
                     if let Some(s) = self.sb.iter_mut().find(|s| s.seq == seq) {
                         s.acquire_pending = false;

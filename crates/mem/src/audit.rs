@@ -22,43 +22,28 @@
 //!   locked longer than [`AuditConfig::max_lock_hold`] cycles. The core
 //!   watchdog breaks genuine deadlocks orders of magnitude sooner, so a
 //!   trip here means a lock leak (an AQ/controller desync).
-//! - **Forward progress** (machine level, checked by the `sim` crate): no
-//!   core may go [`AuditConfig::max_core_stall`] cycles without committing
-//!   an instruction while unhalted — converting silent livelock into a
-//!   report naming the stuck core.
+//!
+//! A core that stops committing is not the auditor's to catch: the progress
+//! layer's `core-commit` site does that for audited and unaudited runs
+//! alike ([`ProgressConfig::stall_cycles`](crate::ProgressConfig)).
 
 use crate::{CoreId, Cycle, Line};
 
-/// Auditor configuration. Default: disabled, with bounds sized for the
+/// Auditor configuration. Default: disabled, with a bound sized for the
 /// stress configurations used in tests (generous enough that legal
-/// contention never trips them).
+/// contention never trips it).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AuditConfig {
-    /// Master switch. When false auditing costs nothing per cycle.
+    /// Master switch. When false auditing costs nothing per cycle; when
+    /// true the machine sweeps every cycle.
     pub enabled: bool,
     /// Maximum cycles a line may stay continuously locked by one core.
     pub max_lock_hold: Cycle,
-    /// Maximum cycles an unhalted core may go without committing an
-    /// instruction (enforced by the machine driver, which sees commits).
-    pub max_core_stall: Cycle,
-    /// Run the full state sweep only every `sweep_every` cycles (0 is
-    /// treated as 1). The per-core forward-progress bound is still enforced
-    /// every cycle; only the O(resident lines) coherence/lock sweep is
-    /// amortized. Detection latency for a violation grows by at most
-    /// `sweep_every - 1` cycles; whether a violation is caught does not
-    /// change, because sweeps inspect accumulated state, not per-cycle
-    /// deltas.
-    pub sweep_every: Cycle,
 }
 
 impl Default for AuditConfig {
     fn default() -> AuditConfig {
-        AuditConfig {
-            enabled: false,
-            max_lock_hold: 100_000,
-            max_core_stall: 1_000_000,
-            sweep_every: 1,
-        }
+        AuditConfig { enabled: false, max_lock_hold: 100_000 }
     }
 }
 
@@ -101,15 +86,6 @@ pub enum AuditViolation {
         /// Current lock count.
         count: u32,
     },
-    /// An unhalted core went too long without committing an instruction.
-    NoProgress {
-        /// The stuck core.
-        core: CoreId,
-        /// Cycles since its last commit.
-        stalled_for: Cycle,
-        /// Instructions it had committed by then.
-        committed: u64,
-    },
 }
 
 impl std::fmt::Display for AuditViolation {
@@ -128,11 +104,6 @@ impl std::fmt::Display for AuditViolation {
                 f,
                 "lock leak on line {line:#x}: {core} has held it for {held_for} cycles \
                  (count {count}) without store_unlock or squash-release"
-            ),
-            AuditViolation::NoProgress { core, stalled_for, committed } => write!(
-                f,
-                "no forward progress on {core}: {stalled_for} cycles without a commit \
-                 ({committed} instructions committed so far)"
             ),
         }
     }
@@ -172,8 +143,6 @@ mod tests {
         assert!(s.contains("0x1c0") && s.contains("SWMR"));
         let v = AuditViolation::LockLeak { line: 0x40, core: CoreId(1), held_for: 9, count: 2 };
         assert!(v.to_string().contains("lock leak"));
-        let v = AuditViolation::NoProgress { core: CoreId(3), stalled_for: 7, committed: 55 };
-        assert!(v.to_string().contains("c3"));
         let v = AuditViolation::InclusionHole { line: 0x80, core: CoreId(0), entry_missing: true };
         assert!(v.to_string().contains("no entry"));
     }

@@ -239,20 +239,10 @@ impl Directory {
 
     fn process_req(&mut self, req: DirReq, out: &mut Vec<DirAction>) {
         if self.entries.peek(req.line).is_none() {
-            let Some(class) = self.try_allocate(req, out) else {
-                return; // waiting for a way; req was queued
-            };
-            // Fresh entry: requester is the sole holder.
-            let e = self.entries.peek_mut(req.line).expect("entry just allocated");
-            e.excl = Some(req.from);
-            e.sharers = bit(req.from);
-            e.busy = Some(Txn::unblock_of(req.from));
-            self.bump_write_epoch(req.line);
-            out.push(DirAction::ToL1 {
-                core: req.from,
-                msg: L1Msg::GrantX { line: req.line, class, park: 0 },
-                extra: self.dir_lat + self.class_extra(class),
-            });
+            // A fresh entry has no sharers: the grant is exclusive.
+            if let Some(class) = self.try_allocate(req, out) {
+                self.grant(req, class, 0, out);
+            }
             return;
         }
         let now = self.now;
@@ -271,79 +261,61 @@ impl Directory {
     /// directly); it rides along on the eventual grant for attribution.
     fn process_on_idle_entry(&mut self, req: DirReq, park: Cycle, out: &mut Vec<DirAction>) {
         let dir_lat = self.dir_lat;
-        let llc_extra = self.class_extra(LatClass::Llc);
         // Callers guarantee the entry exists and is idle.
         let e = self.entries.peek_mut(req.line).expect("idle entry exists");
         debug_assert!(e.busy.is_none());
-        match req.kind {
-            DirReqKind::GetS => {
-                match e.excl {
-                    Some(owner) if owner != req.from => {
-                        e.busy = Some(Txn::acks(
-                            bit(owner),
-                            Some((req, LatClass::Remote, park)),
-                            false,
-                        ));
-                        self.stats.downgrades_sent += 1;
-                        out.push(DirAction::ToL1 {
-                            core: owner,
-                            msg: L1Msg::Downgrade { line: req.line },
-                            extra: dir_lat,
-                        });
-                    }
-                    _ => {
-                        // No conflicting owner (or the requester itself after
-                        // a silent eviction): grant immediately.
-                        let others = e.sharers & !bit(req.from);
-                        if others == 0 {
-                            e.excl = Some(req.from);
-                            e.sharers = bit(req.from);
-                            e.busy = Some(Txn::unblock_of(req.from));
-                            self.bump_write_epoch(req.line);
-                            out.push(DirAction::ToL1 {
-                                core: req.from,
-                                msg: L1Msg::GrantX { line: req.line, class: LatClass::Llc, park },
-                                extra: dir_lat + llc_extra,
-                            });
-                        } else {
-                            e.excl = None;
-                            e.sharers |= bit(req.from);
-                            e.busy = Some(Txn::unblock_of(req.from));
-                            out.push(DirAction::ToL1 {
-                                core: req.from,
-                                msg: L1Msg::GrantS { line: req.line, class: LatClass::Llc, park },
-                                extra: dir_lat + llc_extra,
-                            });
-                        }
-                    }
-                }
+        let others = e.sharers & !bit(req.from);
+        match (req.kind, e.excl) {
+            // Another core owns the line: downgrade it first.
+            (DirReqKind::GetS, Some(owner)) if owner != req.from => {
+                e.busy = Some(Txn::acks(bit(owner), Some((req, LatClass::Remote, park)), false));
+                self.stats.downgrades_sent += 1;
+                out.push(DirAction::ToL1 {
+                    core: owner,
+                    msg: L1Msg::Downgrade { line: req.line },
+                    extra: dir_lat,
+                });
             }
-            DirReqKind::GetX => {
-                let others = e.sharers & !bit(req.from);
-                if others == 0 {
-                    e.excl = Some(req.from);
-                    e.sharers = bit(req.from);
-                    e.busy = Some(Txn::unblock_of(req.from));
-                    self.bump_write_epoch(req.line);
+            // Other copies must go before the write: invalidate them first.
+            (DirReqKind::GetX, excl) if others != 0 => {
+                let class = if excl.is_some() { LatClass::Remote } else { LatClass::Llc };
+                e.busy = Some(Txn::acks(others, Some((req, class, park)), false));
+                for c in cores_in(others) {
+                    self.stats.invals_sent += 1;
                     out.push(DirAction::ToL1 {
-                        core: req.from,
-                        msg: L1Msg::GrantX { line: req.line, class: LatClass::Llc, park },
-                        extra: dir_lat + llc_extra,
+                        core: c,
+                        msg: L1Msg::Inv { line: req.line },
+                        extra: dir_lat,
                     });
-                } else {
-                    let class = if e.excl.is_some() { LatClass::Remote } else { LatClass::Llc };
-                    e.busy = Some(Txn::acks(others, Some((req, class, park)), false));
-                    for c in cores_in(others) {
-                        self.stats.invals_sent += 1;
-                        out.push(DirAction::ToL1 {
-                            core: c,
-                            msg: L1Msg::Inv { line: req.line },
-                            extra: dir_lat,
-                        });
-                    }
                 }
             }
+            // No conflicting copy (or only the requester's own, after a
+            // silent eviction): grant now.
+            _ => self.grant(req, LatClass::Llc, park, out),
         }
+    }
+
+    /// Grants `req` on its resident entry and holds the entry until the
+    /// grantee's `Unblock`: exclusive when no other core shares the line,
+    /// otherwise shared. `class` and `park` ride along on the grant.
+    fn grant(&mut self, req: DirReq, class: LatClass, park: Cycle, out: &mut Vec<DirAction>) {
+        let extra = self.dir_lat + self.class_extra(class);
+        let e = self.entries.peek_mut(req.line).expect("granted entry resident");
+        let exclusive = e.sharers & !bit(req.from) == 0;
+        debug_assert!(exclusive || req.kind == DirReqKind::GetS, "GetX granted over sharers");
+        e.busy = Some(Txn::unblock_of(req.from));
+        let line = req.line;
+        let msg = if exclusive {
+            e.excl = Some(req.from);
+            e.sharers = bit(req.from);
+            self.bump_write_epoch(line);
+            L1Msg::GrantX { line, class, park }
+        } else {
+            e.excl = None;
+            e.sharers |= bit(req.from);
+            L1Msg::GrantS { line, class, park }
+        };
+        out.push(DirAction::ToL1 { core: req.from, msg, extra });
     }
 
     /// Allocates an entry (and an LLC tag) for `req.line`. Returns the
@@ -493,7 +465,6 @@ impl Directory {
     }
 
     fn complete_txn(&mut self, line: Line, out: &mut Vec<DirAction>) {
-        let dir_lat = self.dir_lat;
         let e = self.entries.peek_mut(line).expect("txn on absent entry");
         let txn = e.busy.take().expect("complete without txn");
         debug_assert_eq!(txn.awaiting, 0);
@@ -509,42 +480,8 @@ impl Directory {
             return;
         }
         if let Some((req, class, park)) = txn.grant {
-            match req.kind {
-                DirReqKind::GetX => {
-                    e.excl = Some(req.from);
-                    e.sharers = bit(req.from);
-                    e.busy = Some(Txn::unblock_of(req.from));
-                    self.bump_write_epoch(line);
-                    out.push(DirAction::ToL1 {
-                        core: req.from,
-                        msg: L1Msg::GrantX { line, class, park },
-                        extra: dir_lat + self.class_extra(class),
-                    });
-                }
-                DirReqKind::GetS => {
-                    let others = e.sharers & !bit(req.from);
-                    if others == 0 {
-                        e.excl = Some(req.from);
-                        e.sharers = bit(req.from);
-                        e.busy = Some(Txn::unblock_of(req.from));
-                        self.bump_write_epoch(line);
-                        out.push(DirAction::ToL1 {
-                            core: req.from,
-                            msg: L1Msg::GrantX { line, class, park },
-                            extra: dir_lat + self.class_extra(class),
-                        });
-                    } else {
-                        e.excl = None;
-                        e.sharers |= bit(req.from);
-                        e.busy = Some(Txn::unblock_of(req.from));
-                        out.push(DirAction::ToL1 {
-                            core: req.from,
-                            msg: L1Msg::GrantS { line, class, park },
-                            extra: dir_lat + self.class_extra(class),
-                        });
-                    }
-                }
-            }
+            // The acks removed every other copy a GetX waited on.
+            self.grant(req, class, park, out);
         } else {
             // Pure ack-collection transactions (none today outside
             // evictions) fall through to pumping.

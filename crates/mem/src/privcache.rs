@@ -15,9 +15,9 @@ use fa_isa::{line_of, Addr};
 use fa_trace::{TraceBuf, TraceEvent, MESI_NONE};
 use std::collections::{HashMap, VecDeque};
 
-/// Stalled-fill retry policy (site `cache-fill`): bounded exponential
-/// backoff, capped at `1 << 6` = 64 cycles between attempts.
-const FILL_POLICY: ProgressPolicy = ProgressPolicy::backoff(6);
+/// Stalled-fill retry policy (site `cache-fill`): count the retries an
+/// unlock wakes that still find every way locked.
+const FILL_POLICY: ProgressPolicy = ProgressPolicy::counting();
 
 /// MESI state of a privately cached line (`I` = not present).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,9 +94,6 @@ pub(crate) struct StalledFill {
     pub park: u64,
     /// Cycle the fill first stalled (starvation accounting).
     pub since: Cycle,
-    /// Earliest cycle the next retry may run (exponential backoff, computed
-    /// by the cache's `fill_guard`).
-    pub next_retry: Cycle,
 }
 
 /// Actions the controller asks the system to carry out (scheduling events,
@@ -133,7 +130,9 @@ pub struct PrivCache {
     id: CoreId,
     l1: TagArray<()>,
     l2: TagArray<Mesi>,
-    locks: HashMap<Line, u32>,
+    /// Each locked line's lock count and the cycle its outermost
+    /// acquisition opened (hold-duration accounting).
+    locks: HashMap<Line, (u32, Cycle)>,
     mshrs: HashMap<Line, Mshr>,
     /// Emptied `Mshr::pending` vectors, handed to the next MSHR.
     mshr_pool: Vec<Vec<Pending>>,
@@ -143,9 +142,11 @@ pub struct PrivCache {
     /// still-stalled fills into before it trades places with
     /// `stalled_fills`.
     still_stalled: VecDeque<StalledFill>,
+    /// An unlock since the last retry may have freed a way for a stalled
+    /// fill: only an unlock can, so the fills retry only then.
+    retry_due: bool,
     /// Forward-progress guard for stalled fills (site `cache-fill`): counts
-    /// consecutive failed retries per line and computes the bounded
-    /// exponential backoff windows.
+    /// consecutive failed retries per line.
     pub(crate) fill_guard: ProgressGuard<Line>,
     prefetcher: StridePrefetcher,
     prefetch_enabled: bool,
@@ -153,11 +154,8 @@ pub struct PrivCache {
     l1_lat: Cycle,
     l2_lat: Cycle,
     /// Current cycle, refreshed by [`PrivCache::retry_stalled_fills`] at the
-    /// top of every system tick (used for stall aging and backoff).
+    /// top of every system tick (used for stall aging and hold windows).
     now: Cycle,
-    /// Cycle each currently-locked line was first locked (outermost
-    /// acquisition), for hold-duration accounting.
-    lock_since: HashMap<Line, Cycle>,
     /// Per-line `(acquisitions, total hold cycles)` since reset, feeding
     /// the hottest-locked-line report.
     pub(crate) lock_acct: HashMap<Line, (u64, u64)>,
@@ -167,9 +165,6 @@ pub struct PrivCache {
     /// (the system adds the read-class and store-perform tallies, which
     /// are counted at delivery).
     pub(crate) stats: CoreMemStats,
-    /// Failed stalled-fill retries (the starvation test's bound; not
-    /// published).
-    stat_fill_retries: u64,
 }
 
 impl PrivCache {
@@ -185,6 +180,7 @@ impl PrivCache {
             parked_ext: HashMap::new(),
             stalled_fills: VecDeque::new(),
             still_stalled: VecDeque::new(),
+            retry_due: false,
             fill_guard: ProgressGuard::new(FILL_POLICY),
             prefetcher: StridePrefetcher::new(cfg.prefetch_degree),
             prefetch_enabled: cfg.stride_prefetch,
@@ -192,11 +188,9 @@ impl PrivCache {
             l1_lat: cfg.l1_lat,
             l2_lat: cfg.l2_lat,
             now: 0,
-            lock_since: HashMap::new(),
             lock_acct: HashMap::new(),
             trace: TraceBuf::new(&cfg.trace),
             stats: CoreMemStats::default(),
-            stat_fill_retries: 0,
         }
     }
 
@@ -225,7 +219,7 @@ impl PrivCache {
 
     /// Lock count for `line`.
     pub fn lock_count(&self, line: Line) -> u32 {
-        self.locks.get(&line).copied().unwrap_or(0)
+        self.locks.get(&line).map_or(0, |l| l.0)
     }
 
     /// Handles a demand read from the core's LSU.
@@ -387,40 +381,33 @@ impl PrivCache {
     /// already-writable line, or lock transfer during forwarding). The
     /// outermost acquisition opens the hold-duration window.
     pub(crate) fn lock(&mut self, line: Line) {
-        let cnt = self.locks.entry(line).or_insert(0);
+        let (cnt, _) = self.locks.entry(line).or_insert((0, self.now));
         *cnt += 1;
         let cnt = *cnt;
         if cnt == 1 {
-            self.lock_since.insert(line, self.now);
             self.lock_acct.entry(line).or_insert((0, 0)).0 += 1;
         }
         self.trace.record(self.now, TraceEvent::LockAcquire { line, count: cnt });
     }
 
-    /// Decrements the lock count on `line`; at zero the line unpins and all
-    /// parked external requests replay in arrival order.
+    /// Decrements the lock count on `line`; at zero the line unpins, any
+    /// stalled fill retries on the next tick, and all parked external
+    /// requests replay in arrival order.
     ///
     /// # Panics
     ///
     /// Panics if the line is not locked — an AQ/controller desync bug.
     pub(crate) fn unlock(&mut self, line: Line, out: &mut Vec<Action>) {
-        let cnt = self.locks.get_mut(&line).expect("unlock of unlocked line");
+        let (cnt, since) = self.locks.get_mut(&line).expect("unlock of unlocked line");
         *cnt -= 1;
         if *cnt == 0 {
+            let held = self.now.saturating_sub(*since);
             self.locks.remove(&line);
-            let held = self
-                .lock_since
-                .remove(&line)
-                .map_or(0, |since| self.now.saturating_sub(since));
             self.stats.lock_hold_hist.record(held);
             self.lock_acct.entry(line).or_insert((0, 0)).1 += held;
             self.trace.record(self.now, TraceEvent::LockRelease { line, held });
-            // A freed lock may unblock a stalled fill in this set: cancel any
-            // backoff so the oldest waiter retries on the very next tick
-            // instead of sleeping out its backoff window.
-            for f in self.stalled_fills.iter_mut() {
-                f.next_retry = self.now;
-            }
+            // The freed way may be the one a stalled fill waits for.
+            self.retry_due |= !self.stalled_fills.is_empty();
             if let Some(queue) = self.parked_ext.remove(&line) {
                 for msg in queue {
                     self.handle_ext(msg, out);
@@ -432,13 +419,16 @@ impl PrivCache {
     /// Handles an external (directory-initiated) message.
     pub(crate) fn handle_ext(&mut self, msg: L1Msg, out: &mut Vec<Action>) {
         match msg {
+            // A locked line, or one whose fill is stalled, defers the
+            // request until the unlock or the fill.
+            L1Msg::Inv { line } | L1Msg::Downgrade { line }
+                if self.is_locked(line) || self.fill_pending(line) =>
+            {
+                self.stats.parked_on_lock += 1;
+                self.trace.record(self.now, TraceEvent::LockPark { line });
+                self.parked_ext.entry(line).or_default().push_back(msg);
+            }
             L1Msg::Inv { line } => {
-                if self.is_locked(line) || self.fill_pending(line) {
-                    self.stats.parked_on_lock += 1;
-                    self.trace.record(self.now, TraceEvent::LockPark { line });
-                    self.parked_ext.entry(line).or_default().push_back(msg);
-                    return;
-                }
                 let was = self.l2.remove(line);
                 let had = was.is_some();
                 if had {
@@ -453,12 +443,6 @@ impl PrivCache {
                 out.push(Action::ToDir(DirMsg::InvAck { from: self.id, line }));
             }
             L1Msg::Downgrade { line } => {
-                if self.is_locked(line) || self.fill_pending(line) {
-                    self.stats.parked_on_lock += 1;
-                    self.trace.record(self.now, TraceEvent::LockPark { line });
-                    self.parked_ext.entry(line).or_default().push_back(msg);
-                    return;
-                }
                 let had = match self.l2.peek_mut(line) {
                     Some(s) => {
                         let was = s.code();
@@ -493,31 +477,26 @@ impl PrivCache {
                 class,
                 park,
                 since: self.now,
-                next_retry: self.now,
             });
         }
     }
 
-    /// Retries fills stalled on all-ways-locked sets. Called once per cycle
-    /// by the system with the current time.
+    /// Sets the clock, then retries the fills stalled on all-ways-locked
+    /// sets if an unlock since the last call may have freed a way. Called
+    /// once per cycle by the system with the current time.
     ///
-    /// Fairness and starvation bounds: the queue is serviced strictly
-    /// oldest-first, failed attempts back off exponentially (capped at 64
-    /// cycles) so a long-locked set is not hammered every cycle, and any
-    /// unlock resets the backoff so a freed way is claimed on the next tick.
-    /// The longest observed stall is tracked in `stats.max_fill_stall`.
+    /// A way in an all-locked set frees only on an unlock, so a retry at
+    /// any other time would fail. The queue is serviced strictly
+    /// oldest-first; the longest observed stall is tracked in
+    /// `stats.max_fill_stall`.
     pub(crate) fn retry_stalled_fills(&mut self, now: Cycle, out: &mut Vec<Action>) {
         self.now = now;
-        if self.stalled_fills.is_empty() {
+        if !std::mem::take(&mut self.retry_due) {
             return;
         }
         let mut still_stalled = std::mem::take(&mut self.still_stalled);
-        while let Some(mut f) = self.stalled_fills.pop_front() {
+        while let Some(f) = self.stalled_fills.pop_front() {
             self.stats.max_fill_stall = self.stats.max_fill_stall.max(now.saturating_sub(f.since));
-            if now < f.next_retry {
-                still_stalled.push_back(f);
-                continue;
-            }
             if self.try_fill(f.line, f.excl, f.class, f.park, out) {
                 self.fill_guard.note_success(f.line);
                 let waited = now.saturating_sub(f.since);
@@ -535,9 +514,7 @@ impl PrivCache {
                     }
                 }
             } else {
-                self.stat_fill_retries += 1;
-                let attempts = self.fill_guard.note_attempt(f.line);
-                f.next_retry = now + self.fill_guard.backoff_delay(attempts);
+                self.fill_guard.note_attempt(f.line);
                 still_stalled.push_back(f);
             }
         }
@@ -669,7 +646,7 @@ impl PrivCache {
     /// All currently locked lines with their counts (auditing/diagnostics;
     /// order is unspecified — callers sort).
     pub(crate) fn locks_iter(&self) -> impl Iterator<Item = (Line, u32)> + '_ {
-        self.locks.iter().map(|(l, c)| (*l, *c))
+        self.locks.iter().map(|(l, c)| (*l, c.0))
     }
 
     /// Lines whose fills are stalled on all-ways-locked sets (diagnostics).
@@ -677,10 +654,10 @@ impl PrivCache {
         self.stalled_fills.iter().map(|f| f.line)
     }
 
-    /// True while any fill is stalled (its retry poll runs every cycle, so
-    /// the clock cannot be fast-forwarded past it).
-    pub(crate) fn has_stalled_fills(&self) -> bool {
-        !self.stalled_fills.is_empty()
+    /// True while an unlock has made a stalled-fill retry due at the next
+    /// tick (so the clock cannot be fast-forwarded past it).
+    pub(crate) fn retry_due(&self) -> bool {
+        self.retry_due
     }
 
     /// Test-only: forcibly sets a line's MESI state, bypassing the protocol.
@@ -918,7 +895,7 @@ mod tests {
     }
 
     #[test]
-    fn stalled_fill_backs_off_then_retries_promptly_after_unlock() {
+    fn stalled_fill_waits_for_an_unlock_then_fills_on_the_next_tick() {
         let mut cfg = MemConfig::tiny();
         cfg.l2_ways = 2;
         cfg.l2_sets = 2;
@@ -936,28 +913,24 @@ mod tests {
         c.read(9, 2 * stride, false, false, &mut out);
         grant(&mut c, 2 * stride, false, &mut out);
         assert_eq!(c.stats.fill_stalled_all_locked, 1);
-        // 1000 cycles with the set still fully locked: exponential backoff
-        // (capped at 64 cycles) bounds the wasted retry attempts, where the
-        // old every-cycle rotation would have burned 1000.
+        // 1000 cycles with the set still fully locked: nothing can free a
+        // way, so nothing retries.
         for now in 1..=1000u64 {
             c.retry_stalled_fills(now, &mut out);
         }
-        assert!(
-            c.stat_fill_retries < 30,
-            "backoff should bound retries, got {}",
-            c.stat_fill_retries
-        );
-        assert!(c.stats.max_fill_stall >= 900, "stall age must be tracked");
-        // Unlock resets the backoff: the fill completes on the very next
-        // tick, not after sleeping out its backoff window.
+        assert_eq!(c.fill_guard.attempts_max, 0, "no retry while the set stays locked");
+        assert!(!c.retry_due());
+        // The unlock makes the retry due; the fill lands on the next tick.
         c.unlock(0, &mut out);
+        assert!(c.retry_due());
         out.clear();
         c.retry_stalled_fills(1001, &mut out);
         assert!(
             out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })),
-            "freed way must be claimed immediately after unlock"
+            "freed way must be claimed on the tick after the unlock"
         );
-        assert!(c.stats.max_fill_stall >= 1000);
+        assert_eq!(c.fill_guard.attempts_max, 0, "the woken retry succeeded");
+        assert_eq!(c.stats.max_fill_stall, 1001);
     }
 
     #[test]

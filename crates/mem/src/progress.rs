@@ -2,20 +2,15 @@
 //!
 //! Every retry loop in the memory system — directory allocation polling,
 //! all-ways-locked fill retries, LSQ request retries — is a place where a
-//! protocol bug (or injected fault) can turn into a silent hang. Before
-//! this module each site grew its own ad-hoc defense: the directory's
-//! starvation rescue valve, the private cache's exponential fill backoff,
-//! the core watchdog. [`ProgressGuard`] factors the shared mechanics into
-//! one abstraction with a common escalation ladder:
+//! protocol bug (or injected fault) can turn into a silent hang.
+//! [`ProgressGuard`] gives every site one escalation ladder:
 //!
 //! 1. **count** — every failed attempt per stuck resource is counted
 //!    (`note_attempt`), cleared on success (`note_success`);
-//! 2. **back off** — sites that re-poll a contended resource space their
-//!    retries exponentially (`backoff_delay`);
-//! 3. **rescue** — sites with a site-specific recovery action (the
+//! 2. **rescue** — sites with a site-specific recovery action (the
 //!    directory's reserved-way valve) trigger it at
 //!    [`ProgressPolicy::rescue_after`] attempts;
-//! 4. **escalate** — when a counter passes the machine-wide
+//! 3. **escalate** — when a counter passes the machine-wide
 //!    [`ProgressConfig`] threshold the run is aborted with a structured
 //!    `NoProgress` error naming the site, instead of burning the rest of
 //!    its cycle budget on a wedged resource.
@@ -29,7 +24,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-/// Per-site progress policy: when to rescue, how to back off.
+/// Per-site progress policy: when to rescue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProgressPolicy {
     /// Attempts after which the site's rescue action fires (0 = the site
@@ -38,34 +33,26 @@ pub struct ProgressPolicy {
     /// Attempts by *competitors* tolerated while a rescue's owner is
     /// absent before the rescue is abandoned (0 = never abandoned).
     pub abandon_after: u64,
-    /// Exponent cap for [`ProgressGuard::backoff_delay`]: the delay is
-    /// `1 << min(attempts, backoff_cap)` cycles.
-    pub backoff_cap: u32,
 }
 
 impl ProgressPolicy {
-    /// A pure polling site (no backoff): rescue at `rescue_after`
-    /// attempts, abandon a stale rescue after `abandon_after` competitor
-    /// attempts. The directory allocation valve.
+    /// A polling site with a rescue: rescue at `rescue_after` attempts,
+    /// abandon a stale rescue after `abandon_after` competitor attempts.
+    /// The directory allocation valve.
     pub const fn polling(rescue_after: u64, abandon_after: u64) -> ProgressPolicy {
-        ProgressPolicy { rescue_after, abandon_after, backoff_cap: 0 }
+        ProgressPolicy { rescue_after, abandon_after }
     }
 
-    /// A bounded-exponential-backoff site with no rescue action. The
-    /// stalled-fill retry loop.
-    pub const fn backoff(cap: u32) -> ProgressPolicy {
-        ProgressPolicy { rescue_after: 0, abandon_after: 0, backoff_cap: cap }
-    }
-
-    /// A counting-only site (no backoff, no rescue). The LSQ retry path.
+    /// A counting-only site (no rescue). The stalled-fill retries and the
+    /// LSQ retry path.
     pub const fn counting() -> ProgressPolicy {
-        ProgressPolicy { rescue_after: 0, abandon_after: 0, backoff_cap: 0 }
+        ProgressPolicy { rescue_after: 0, abandon_after: 0 }
     }
 }
 
 /// Per-site stall bookkeeping: consecutive failed attempts per stuck
-/// resource (keyed by whatever identifies the resource at that site),
-/// historical maxima for stats, and the backoff calculator.
+/// resource (keyed by whatever identifies the resource at that site) and
+/// historical maxima for stats.
 #[derive(Clone, Debug)]
 pub struct ProgressGuard<K: Eq + Hash + Copy> {
     policy: ProgressPolicy,
@@ -115,12 +102,6 @@ impl<K: Eq + Hash + Copy> ProgressGuard<K> {
     /// Records that the site's rescue action fired.
     pub fn note_rescue(&mut self) {
         self.rescues += 1;
-    }
-
-    /// Backoff window after `attempts` consecutive failures:
-    /// `1 << min(attempts, backoff_cap)` cycles.
-    pub fn backoff_delay(&self, attempts: u64) -> u64 {
-        1u64 << attempts.min(self.policy.backoff_cap as u64)
     }
 
     /// The worst consecutive attempt count currently outstanding (the
@@ -244,15 +225,6 @@ mod tests {
         assert!(g.needs_rescue(10));
         let none: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::counting());
         assert!(!none.needs_rescue(u64::MAX), "rescue_after == 0 means no rescue");
-    }
-
-    #[test]
-    fn backoff_is_exponential_capped_and_jitter_free_by_default() {
-        let g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::backoff(6));
-        assert_eq!(g.backoff_delay(1), 2);
-        assert_eq!(g.backoff_delay(3), 8);
-        assert_eq!(g.backoff_delay(6), 64);
-        assert_eq!(g.backoff_delay(40), 64, "cap bounds the window");
     }
 
     #[test]

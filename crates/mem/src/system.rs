@@ -487,11 +487,11 @@ impl MemorySystem {
     /// True when ticking this memory system over a span of idle cycles is a
     /// pure clock advance: the interconnect has no per-cycle work (fault
     /// injection's storm scheduling is per-cycle; the crossbar otherwise
-    /// computes delivery times at send time) and no fills are stalled on
-    /// all-ways-locked sets (their retry poll is per-cycle). The machine
-    /// driver jumps `now` only while this holds.
+    /// computes delivery times at send time) and no unlock has made a
+    /// stalled-fill retry due at the next tick. The machine driver jumps
+    /// `now` only while this holds.
     pub fn fast_forwardable(&self) -> bool {
-        self.noc.fast_forwardable() && self.caches.iter().all(|c| !c.has_stalled_fills())
+        self.noc.fast_forwardable() && !self.caches.iter().any(PrivCache::retry_due)
     }
 
     /// Jumps the clock to `cycle` without processing the intervening
@@ -980,7 +980,7 @@ mod tests {
     fn auditor_catches_lock_leak() {
         let mut cfg = MemConfig::tiny();
         cfg.audit =
-            crate::AuditConfig { enabled: true, max_lock_hold: 10, ..crate::AuditConfig::on() };
+            crate::AuditConfig { max_lock_hold: 10, ..crate::AuditConfig::on() };
         let mut m = MemorySystem::new(cfg, 1, GuestMem::new(1 << 16));
         // A load_lock whose store_unlock never drains: the lock leaks.
         m.read(C0, 1, 0x100, true, true);

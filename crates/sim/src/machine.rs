@@ -5,7 +5,7 @@ use crate::error::SimError;
 use fa_core::{Core, CoreConfig, CoreDiag, CoreStats};
 use fa_isa::interp::GuestMem;
 use fa_isa::Program;
-use fa_mem::{AuditViolation, CoreId, MemConfig, MemDiag, MemStats, MemorySystem};
+use fa_mem::{CoreId, MemConfig, MemDiag, MemStats, MemorySystem};
 use fa_trace::{chrome_trace, CheckMode, FlightEntry, MemModel, TraceMode, TraceRecord};
 use std::cell::Cell;
 use std::fmt;
@@ -411,11 +411,8 @@ impl Machine {
     /// Runs until quiescence.
     ///
     /// When `MemConfig::audit` is enabled, the invariant auditor sweeps the
-    /// machine every `audit.sweep_every` cycles (default: every cycle) and
-    /// every core is held to the forward-progress bound (`max_core_stall`
-    /// cycles without a commit while unhalted and awake, checked every
-    /// cycle), converting silent livelock into [`SimError::Audit`].
-    /// Audited runs never jump, so the sweep cadence is exact.
+    /// machine every cycle; audited runs never jump, so no cycle goes
+    /// unswept.
     ///
     /// # Errors
     ///
@@ -434,10 +431,8 @@ impl Machine {
     #[allow(clippy::result_large_err)]
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
         let audit_on = self.mem.config().audit.enabled;
-        let max_stall = self.mem.config().audit.max_core_stall;
-        let sweep_every = self.mem.config().audit.sweep_every.max(1);
         let prog = self.mem.config().progress;
-        let threshold = if audit_on { max_stall } else { prog.stall_cycles };
+        let threshold = prog.stall_cycles;
         // (instructions, cycle) at each core's last observed commit, or
         // its first cycle.
         let mut progress: Vec<(u64, u64)> = self
@@ -458,7 +453,7 @@ impl Machine {
                 self.tick();
             }
             iters += 1;
-            if audit_on && self.now.is_multiple_of(sweep_every) {
+            if audit_on {
                 if let Err(violation) = self.mem.audit() {
                     return Err(SimError::Audit {
                         cycle: self.now,
@@ -468,11 +463,9 @@ impl Machine {
                 }
             }
             // Site `core-commit`: one per-core "no commit for N cycles"
-            // scan. An audited run reports it as an audit violation at the
-            // auditor's bound; otherwise the (always-on) progress config
-            // supplies the escalation threshold.
+            // scan, audited or not.
             deadline = u64::MAX;
-            if audit_on || prog.enabled {
+            if prog.enabled {
                 for (i, c) in self.cores.iter().enumerate() {
                     if c.halted() || c.sleeping() {
                         progress[i] = (c.stats.instructions, self.now);
@@ -487,23 +480,11 @@ impl Machine {
                         deadline = deadline.min(trips);
                         continue;
                     }
-                    return Err(if audit_on {
-                        SimError::Audit {
-                            cycle: self.now,
-                            violation: AuditViolation::NoProgress {
-                                core: CoreId(i as u16),
-                                stalled_for,
-                                committed: c.stats.instructions,
-                            },
-                            snapshot: self.snapshot(),
-                        }
-                    } else {
-                        SimError::NoProgress {
-                            site: "core-commit",
-                            observed: stalled_for,
-                            threshold,
-                            snapshot: self.snapshot(),
-                        }
+                    return Err(SimError::NoProgress {
+                        site: "core-commit",
+                        observed: stalled_for,
+                        threshold,
+                        snapshot: self.snapshot(),
                     });
                 }
             }
@@ -614,17 +595,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn timeout_reports_progress_and_snapshot() {
-        // A spin that never ends: thread 0 waits on a flag nobody sets.
+    /// A spin that never ends: the thread waits on a flag nobody sets.
+    fn spin_prog() -> Program {
         let mut k = Kasm::new();
         k.li(Reg::R1, 0x200);
         let top = k.here_label();
         k.ld(Reg::R2, Reg::R1, 0);
         k.beq_imm(Reg::R2, 0, top);
         k.halt();
-        let spin = k.finish().unwrap();
-        let mut m = Machine::new(MachineConfig::default(), vec![spin], GuestMem::new(1 << 12));
+        k.finish().unwrap()
+    }
+
+    #[test]
+    fn timeout_reports_progress_and_snapshot() {
+        let mut m =
+            Machine::new(MachineConfig::default(), vec![spin_prog()], GuestMem::new(1 << 12));
         let err = m.run(10_000).unwrap_err();
         let SimError::Timeout(t) = err else { panic!("expected timeout, got {err:?}") };
         assert_eq!(t.halted, 0);
@@ -640,30 +625,19 @@ mod tests {
 
     #[test]
     fn progress_audit_flags_commitless_livelock() {
-        // The same endless spin, but with the forward-progress bound tight
-        // enough to trip on the *load round-trips* never advancing past the
-        // branch: commits do happen here, so instead use a deadlock shape —
-        // one core's atomic spins on a line the test never unlocks. Simplest
-        // reliable shape: a tiny max_core_stall that even a legal memory
-        // round-trip exceeds, proving the bound converts a stall into a
-        // structured report naming the core.
-        let mut k = Kasm::new();
-        k.li(Reg::R1, 0x200);
-        let top = k.here_label();
-        k.ld(Reg::R2, Reg::R1, 0);
-        k.beq_imm(Reg::R2, 0, top);
-        k.halt();
-        let spin = k.finish().unwrap();
+        // An endless spin on an audited machine whose no-commit bound is
+        // tight enough that a legal memory round-trip exceeds it: the
+        // `core-commit` site, not the auditor, converts the stall into a
+        // structured report.
         let mut cfg = MachineConfig::default();
-        cfg.mem.audit =
-            fa_mem::AuditConfig { enabled: true, max_core_stall: 2, ..fa_mem::AuditConfig::on() };
-        let mut m = Machine::new(cfg, vec![spin], GuestMem::new(1 << 12));
+        cfg.mem.audit = fa_mem::AuditConfig::on();
+        cfg.mem.progress.stall_cycles = 2;
+        let mut m = Machine::new(cfg, vec![spin_prog()], GuestMem::new(1 << 12));
         let err = m.run(100_000).unwrap_err();
         match err {
-            SimError::Audit {
-                violation: AuditViolation::NoProgress { core: CoreId(0), stalled_for, .. },
-                ..
-            } => assert!(stalled_for > 2),
+            SimError::NoProgress { site: "core-commit", observed, threshold: 2, .. } => {
+                assert!(observed > 2)
+            }
             other => panic!("expected NoProgress, got {other:?}"),
         }
     }
@@ -808,25 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn amortized_audit_sweeps_match_per_cycle_results() {
-        let mut every = MachineConfig::default();
-        every.mem.audit = fa_mem::AuditConfig::on();
-        let mut m1 =
-            Machine::new(every, vec![counter_prog(40); 2], GuestMem::new(1 << 16));
-        let r1 = m1.run(2_000_000).expect("clean run");
-        let mut amortized = MachineConfig::default();
-        amortized.mem.audit =
-            fa_mem::AuditConfig { sweep_every: 64, ..fa_mem::AuditConfig::on() };
-        let mut m2 =
-            Machine::new(amortized, vec![counter_prog(40); 2], GuestMem::new(1 << 16));
-        let r2 = m2.run(2_000_000).expect("clean run");
-        assert_eq!(r1.cycles, r2.cycles, "sweep cadence must not perturb execution");
-        assert_eq!(r1.per_core, r2.per_core);
-        assert!(r2.mem.audit.sweeps > 0);
-        assert!(r2.mem.audit.sweeps < r1.mem.audit.sweeps);
-    }
-
-    #[test]
     fn tracing_does_not_perturb_results() {
         // The tentpole invariant: FA_TRACE=off|flight|full must produce
         // bit-identical cycles, stats and guest memory — histograms are
@@ -925,22 +880,16 @@ mod tests {
 
     #[test]
     fn audit_violation_carries_flight_recorder_tail() {
-        // An injected audit failure (forward-progress bound tight enough
-        // that a legal memory round-trip trips it) must surface the last
-        // trace events per component inside the error's snapshot.
-        let mut k = Kasm::new();
-        k.li(Reg::R1, 0x200);
-        let top = k.here_label();
-        k.ld(Reg::R2, Reg::R1, 0);
-        k.beq_imm(Reg::R2, 0, top);
-        k.halt();
-        let spin = k.finish().unwrap();
+        // An injected failure on an audited machine (a no-commit bound
+        // tight enough that a legal memory round-trip trips it) must
+        // surface the last trace events per component inside the error's
+        // snapshot.
         let mut cfg = MachineConfig::default().with_trace(fa_trace::TraceMode::Flight);
-        cfg.mem.audit =
-            fa_mem::AuditConfig { enabled: true, max_core_stall: 2, ..fa_mem::AuditConfig::on() };
-        let mut m = Machine::new(cfg, vec![spin], GuestMem::new(1 << 12));
+        cfg.mem.audit = fa_mem::AuditConfig::on();
+        cfg.mem.progress.stall_cycles = 2;
+        let mut m = Machine::new(cfg, vec![spin_prog()], GuestMem::new(1 << 12));
         let err = m.run(100_000).unwrap_err();
-        let snapshot = err.snapshot().expect("audit errors carry a snapshot");
+        let snapshot = err.snapshot().expect("progress errors carry a snapshot");
         assert!(
             !snapshot.trace_tail.is_empty(),
             "flight recorder must capture events leading up to the violation"

@@ -184,6 +184,28 @@ fn jumps_end_where_link_backpressure_does() {
     }
 }
 
+/// Private caches of two sets by two ways: a fill can find every way of its
+/// set locked (AS's swaps do here) and wait for the unlock that frees one.
+/// The machine jumps across those waits; the fill must still land on the
+/// tick after the unlock, as in the always-tick loop.
+#[test]
+fn fills_stalled_on_locked_sets_wake_at_the_same_tick() {
+    let mut stalled = 0;
+    for name in ["TATP", "CQ", "AS"] {
+        let spec = suite::by_name(name).expect("a suite workload");
+        let w = spec.build(&WorkloadParams { cores: 4, scale: 0.03, seed: 0xABCD });
+        for policy in [AtomicPolicy::Free, AtomicPolicy::FreeFwd] {
+            let mut cfg = tiny_machine();
+            cfg.core.policy = policy;
+            (cfg.mem.l1_sets, cfg.mem.l1_ways, cfg.mem.l2_sets, cfg.mem.l2_ways) = (2, 2, 2, 2);
+            let what = format!("{name} {policy:?}");
+            let (r, _) = assert_invisible(&what, &cfg, &w.programs, &w.mem);
+            stalled += r.mem.cores.iter().map(|c| c.fill_stalled_all_locked).sum::<u64>();
+        }
+    }
+    assert!(stalled > 0, "no fill stalled on a locked set");
+}
+
 /// One load 50 000 cycles from memory: the core stalls with nothing due,
 /// so the jump's only bound is the `core-commit` deadline, and the report
 /// must come from the cycle, and the machine, the always-tick loop has —
