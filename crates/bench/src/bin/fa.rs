@@ -649,15 +649,14 @@ mod tests {
     }
 
     fn report_row(kernel: &str, rob_full: u64) -> String {
-        let stack: Vec<(&str, String)> = fa_sim::CpiLeaf::ALL
-            .iter()
-            .map(|l| (l.name(), if l.name() == "rob_full" { rob_full } else { 1000 }.to_string()))
-            .collect();
+        let stack = fa_sim::Json::obj(
+            fa_sim::CpiLeaf::ALL
+                .map(|l| (l.name(), if l.name() == "rob_full" { rob_full } else { 1000 }.into())),
+        );
         let total = 11_000 + rob_full;
         format!(
             "{{\"kernel\":\"{kernel}\",\"policy\":\"baseline\",\"preset\":\"tiny\",\
-             \"cpi\":{{\"core_cycles\":{total},\"stack\":{}}}}}\n",
-            fa_sim::json_object(&stack)
+             \"cpi\":{{\"core_cycles\":{total},\"stack\":{stack}}}}}\n"
         )
     }
 

@@ -3,30 +3,30 @@
 //!
 //! A killed campaign must resume exactly where it stopped, and the merged
 //! output must be byte-identical to an uninterrupted run. The journal
-//! therefore stores each completed cell's emitted row **verbatim** — the
-//! exact `SweepRow::json` line the report would print — so resumption re-emits
-//! bytes instead of re-deriving them (nothing here needs a JSON parser).
+//! therefore stores each completed cell's emitted row as the [`Json`] value
+//! the report prints; a replayed row is that value rendered again, and as
+//! `Json` keeps number literals and key order, the bytes are the same.
 //!
 //! # Format
 //!
-//! One header line, then one record line per completed cell:
+//! One JSON object per line: a header, then one record per completed cell.
 //!
 //! ```text
-//! fa-checkpoint-v1 fingerprint=<hex16> cells=<n>
-//! cell <idx> cycles=<c> instr=<i> health=<r>:<da>:<fa>:<la>:<nb> row=<row json>
+//! {"schema":"fa-checkpoint-v2","fingerprint":"<hex16>","cells":<n>}
+//! {"cell":<idx>,"cycles":<c>,"instr":<i>,"health":{"dir_rescues":<r>,…},"row":{…}}
 //! ```
 //!
-//! The `health=` token carries the cell's forward-progress counters
-//! (directory rescues, then the worst dir-alloc / fill / LSQ attempt
-//! counts and the NoC backlog high-water mark) so a resumed campaign's
-//! summary line accounts journaled cells too.
+//! `health` carries the cell's forward-progress counters (the
+//! `ProgressStats` fields, by name) so a resumed campaign's summary line
+//! accounts journaled cells too.
 //!
 //! The header fingerprint is an FNV-1a 64 hash of the canonical campaign
 //! configuration (everything that affects simulated results — seed, sizing,
 //! methodology, NoC, check mode, cell identities — and nothing that does
 //! not, such as worker-thread count or trace mode). Resuming against a
-//! journal whose fingerprint differs panics loudly: replaying rows from a
-//! different campaign would silently corrupt the sweep.
+//! journal whose header differs — another fingerprint, cell count or schema
+//! — panics loudly: replaying rows from a different campaign would silently
+//! corrupt the sweep.
 //!
 //! # Crash tolerance
 //!
@@ -38,14 +38,15 @@
 //! rewriting.
 
 use fa_mem::ProgressStats;
+use fa_sim::Json;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// The journal schema tag, first token of the header line.
-pub const SCHEMA: &str = "fa-checkpoint-v1";
+/// The journal schema tag, the header's `schema` field.
+pub const SCHEMA: &str = "fa-checkpoint-v2";
 
 /// FNV-1a 64-bit hash — the campaign fingerprint function. Stable across
 /// platforms and dependency-free.
@@ -59,8 +60,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// One journaled cell: the simulated totals (summed over every methodology
-/// run, for resumed timing accounting) and the emitted row line, verbatim.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// run, for resumed timing accounting) and the emitted row.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellRecord {
     /// Simulated cycles across all runs of the cell (including dropped).
     pub cycles: u64,
@@ -70,8 +71,8 @@ pub struct CellRecord {
     /// (rescues summed, high-water marks maxed) — journaled so a resumed
     /// campaign's health summary matches an uninterrupted one.
     pub health: ProgressStats,
-    /// The row exactly as the report emits it (`SweepRow::json`).
-    pub row: String,
+    /// The row exactly as the report emits it (`sweep_row`).
+    pub row: Json,
 }
 
 /// An open campaign journal: previously completed cells plus an append
@@ -82,7 +83,7 @@ pub struct Journal {
     file: Mutex<File>,
     /// Cells already completed by a previous (possibly killed) campaign,
     /// keyed by cell index. These are skipped on resume and their rows
-    /// re-emitted verbatim.
+    /// re-emitted.
     pub completed: BTreeMap<usize, CellRecord>,
 }
 
@@ -98,27 +99,22 @@ impl Journal {
     /// # Panics
     ///
     /// Panics when the journal belongs to a *different* campaign
-    /// (fingerprint or cell-count mismatch) — resuming it would corrupt
-    /// the sweep.
+    /// ([`replay`]'s error) — resuming it would corrupt the sweep.
     pub fn open(path: &Path, fingerprint: u64, cells: usize) -> std::io::Result<Journal> {
         let completed = match std::fs::read(path) {
-            Ok(bytes) => parse(&String::from_utf8_lossy(&bytes), path, fingerprint, cells),
+            Ok(bytes) => replay(&String::from_utf8_lossy(&bytes), fingerprint, cells)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display())),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e),
         };
         let (file, completed) = match completed {
-            Some(completed) => {
-                let file = OpenOptions::new().append(true).open(path)?;
-                (file, completed)
-            }
+            Some(completed) => (OpenOptions::new().append(true).open(path)?, completed),
             None => {
                 // Fresh campaign (or a tail-torn header from a kill before
                 // the first record): truncate and write a new header.
                 let mut file =
                     OpenOptions::new().create(true).write(true).truncate(true).open(path)?;
-                file.write_all(
-                    format!("{SCHEMA} fingerprint={fingerprint:016x} cells={cells}\n").as_bytes(),
-                )?;
+                file.write_all(format!("{}\n", header(fingerprint, cells)).as_bytes())?;
                 (file, BTreeMap::new())
             }
         };
@@ -137,106 +133,80 @@ impl Journal {
     ///
     /// Any I/O error from the append.
     pub fn record(&self, idx: usize, r: &CellRecord) -> std::io::Result<()> {
-        debug_assert!(!r.row.contains('\n'), "rows are single-line JSON");
         let h = &r.health;
-        let line = format!(
-            "cell {idx} cycles={} instr={} health={}:{}:{}:{}:{} row={}\n",
-            r.cycles,
-            r.instructions,
-            h.dir_rescues,
-            h.dir_alloc_attempts_max,
-            h.fill_attempts_max,
-            h.lsq_attempts_max,
-            h.noc_backlog_max,
-            r.row
-        );
+        let health = Json::obj([
+            ("dir_rescues", h.dir_rescues.into()),
+            ("dir_alloc_attempts_max", h.dir_alloc_attempts_max.into()),
+            ("fill_attempts_max", h.fill_attempts_max.into()),
+            ("lsq_attempts_max", h.lsq_attempts_max.into()),
+            ("noc_backlog_max", h.noc_backlog_max.into()),
+        ]);
+        let line = Json::obj([
+            ("cell", idx.into()),
+            ("cycles", r.cycles.into()),
+            ("instr", r.instructions.into()),
+            ("health", health),
+            ("row", r.row.clone()),
+        ]);
         let mut f = self.file.lock().expect("a sweep worker panicked holding the journal");
-        f.write_all(line.as_bytes())
+        f.write_all(format!("{line}\n").as_bytes())
     }
 }
 
-/// Replays journal text: `Some(records)` when the header matches this
-/// campaign, `None` when the file holds no complete header line (treated
-/// as a fresh start).
+/// This campaign's header line.
+fn header(fingerprint: u64, cells: usize) -> String {
+    let fp = format!("{fingerprint:016x}");
+    Json::obj([("schema", SCHEMA.into()), ("fingerprint", fp.into()), ("cells", cells.into())]).to_string()
+}
+
+/// Replays journal text: `Some(records)` when the header is this
+/// campaign's, `None` when the text holds no complete header line (a fresh
+/// start).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a well-formed header naming a different campaign.
-fn parse(
+/// A complete header naming a different campaign: another fingerprint, cell
+/// count or schema.
+pub fn replay(
     text: &str,
-    path: &Path,
     fingerprint: u64,
     cells: usize,
-) -> Option<BTreeMap<usize, CellRecord>> {
+) -> Result<Option<BTreeMap<usize, CellRecord>>, String> {
     // Only newline-terminated lines count: a kill mid-append leaves the
-    // final line torn, and `split('\n')` puts that fragment (or an empty
-    // string) after the last terminator — dropped here.
-    let mut lines: Vec<&str> = text.split('\n').collect();
-    lines.pop();
-    let mut it = lines.into_iter();
-    let header = it.next()?;
-    let expected = format!("{SCHEMA} fingerprint={fingerprint:016x} cells={cells}");
-    assert_eq!(
-        header,
-        expected,
-        "{}: checkpoint journal belongs to a different campaign \
-         (its header is {header:?}, this campaign is {expected:?}); \
-         delete the journal or restore the matching FA_* configuration",
-        path.display()
-    );
-    let mut completed = BTreeMap::new();
-    for line in it {
-        if let Some((idx, rec)) = parse_record(line, cells) {
-            completed.insert(idx, rec); // last-wins
-        }
+    // final line torn, without its terminator.
+    let mut it = text.split_inclusive('\n').filter_map(|line| line.strip_suffix('\n'));
+    let Some(found) = it.next() else { return Ok(None) };
+    let expected = header(fingerprint, cells);
+    if found != expected {
+        return Err(format!(
+            "checkpoint journal belongs to a different campaign (its header is {found:?}, this \
+             campaign is {expected:?}); delete the journal or restore the matching FA_* \
+             configuration"
+        ));
     }
-    Some(completed)
+    let mut completed = BTreeMap::new();
+    for (idx, rec) in it.filter_map(|line| parse_record(line, cells)) {
+        completed.insert(idx, rec); // last-wins
+    }
+    Ok(Some(completed))
 }
 
 /// Parses one record line; `None` for anything malformed (skipped — the
 /// cell just re-runs).
 fn parse_record(line: &str, cells: usize) -> Option<(usize, CellRecord)> {
-    let rest = line.strip_prefix("cell ")?;
-    let (idx, rest) = rest.split_once(' ')?;
-    let idx: usize = idx.parse().ok()?;
-    if idx >= cells {
-        return None;
-    }
-    let (cycles, rest) = rest.strip_prefix("cycles=")?.split_once(' ')?;
-    let (instr, rest) = rest.strip_prefix("instr=")?.split_once(' ')?;
-    let (health, row) = rest.strip_prefix("health=")?.split_once(" row=")?;
-    // A torn write cannot end in a newline, so any complete `row=` payload
-    // is the full verbatim row; still insist it looks like one JSON object.
-    if !(row.starts_with('{') && row.ends_with('}')) {
-        return None;
-    }
-    Some((
-        idx,
-        CellRecord {
-            cycles: cycles.parse().ok()?,
-            instructions: instr.parse().ok()?,
-            health: parse_health(health)?,
-            row: row.to_string(),
-        },
-    ))
-}
-
-/// Parses the 5-field colon-separated health token (see the module docs
-/// for field order); `None` for any other shape.
-fn parse_health(h: &str) -> Option<ProgressStats> {
-    let mut it = h.split(':').map(str::parse::<u64>);
-    let mut next = || it.next()?.ok();
-    let s = ProgressStats {
-        dir_rescues: next()?,
-        dir_alloc_attempts_max: next()?,
-        fill_attempts_max: next()?,
-        lsq_attempts_max: next()?,
-        noc_backlog_max: next()?,
+    let v = Json::parse(line).ok()?;
+    let int = |obj: &Json, k| obj.get(k).and_then(Json::as_u64);
+    let idx = usize::try_from(int(&v, "cell")?).ok().filter(|&i| i < cells)?;
+    let h = v.get("health")?;
+    let health = ProgressStats {
+        dir_rescues: int(h, "dir_rescues")?,
+        dir_alloc_attempts_max: int(h, "dir_alloc_attempts_max")?,
+        fill_attempts_max: int(h, "fill_attempts_max")?,
+        lsq_attempts_max: int(h, "lsq_attempts_max")?,
+        noc_backlog_max: int(h, "noc_backlog_max")?,
     };
-    if it.next().is_some() {
-        return None;
-    }
-    Some(s)
+    let row = v.get("row").filter(|r| matches!(r, Json::Obj(_)))?.clone();
+    Some((idx, CellRecord { cycles: int(&v, "cycles")?, instructions: int(&v, "instr")?, health, row }))
 }
 
 #[cfg(test)]
@@ -247,6 +217,10 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("fa-ckpt-test-{name}-{}", std::process::id()));
         p
+    }
+
+    fn row(k: u64) -> Json {
+        Json::obj([("k", k.into()), ("mean", Json::fixed(1.5, 6))])
     }
 
     #[test]
@@ -271,17 +245,19 @@ mod tests {
         {
             let j = Journal::open(&p, 0xABCD, 4).unwrap();
             assert!(j.completed.is_empty());
-            j.record(
-                2,
-                &CellRecord { cycles: 100, instructions: 50, health, row: "{\"k\":1}".into() },
-            )
-            .unwrap();
-            j.record(0, &CellRecord { cycles: 7, instructions: 3, row: "{\"k\":0}".into(), ..CellRecord::default() })
+            j.record(2, &CellRecord { cycles: 100, instructions: 50, health, row: row(1) }).unwrap();
+            let quiet = ProgressStats::default();
+            j.record(0, &CellRecord { cycles: 7, instructions: 3, health: quiet, row: row(0) })
                 .unwrap();
         }
+        let text = std::fs::read_to_string(&p).unwrap();
+        assert!(text.starts_with(&format!(
+            "{{\"schema\":\"{SCHEMA}\",\"fingerprint\":\"000000000000abcd\",\"cells\":4}}\n\
+             {{\"cell\":2,\"cycles\":100,\"instr\":50,\"health\":{{\"dir_rescues\":2,"
+        )));
         let j = Journal::open(&p, 0xABCD, 4).unwrap();
         assert_eq!(j.completed.len(), 2);
-        assert_eq!(j.completed[&2].row, "{\"k\":1}");
+        assert_eq!(j.completed[&2].row.to_string(), "{\"k\":1,\"mean\":1.500000}");
         assert_eq!(j.completed[&2].health, health, "health survives the round trip");
         assert_eq!(j.completed[&0].cycles, 7);
         assert_eq!(j.completed[&0].health, ProgressStats::default());
@@ -290,46 +266,65 @@ mod tests {
 
     #[test]
     fn torn_tail_and_malformed_lines_are_skipped_last_wins() {
-        let text = format!(
-            "{SCHEMA} fingerprint={:016x} cells=4\n\
-             cell 1 cycles=10 instr=5 health=0:0:0:0:0 row={{\"a\":1}}\n\
-             cell 9 cycles=1 instr=1 health=0:0:0:0:0 row={{\"oob\":1}}\n\
-             not a record\n\
-             cell 2 cycles=10 instr=5 row={{\"no health token\":1}}\n\
-             cell 2 cycles=10 instr=5 health=1:2 row={{\"short health\":1}}\n\
-             cell 2 cycles=10 instr=5 health=x:0:0:0:0 row={{\"bad health\":1}}\n\
-             cell 1 cycles=20 instr=9 health=0:0:0:0:0 row={{\"a\":2}}\n\
-             cell 3 cycles=3 instr=2 health=0:0:0:0:0 row={{\"torn\"",
-            0xFEEDu64
-        );
-        let got = parse(&text, Path::new("j"), 0xFEED, 4).unwrap();
+        let rec = |cell: u64, cycles: u64, health: &str, row: &str| {
+            format!("{{\"cell\":{cell},\"cycles\":{cycles},\"instr\":5,\"health\":{health},\"row\":{row}}}\n")
+        };
+        let ok = "{\"dir_rescues\":0,\"dir_alloc_attempts_max\":0,\"fill_attempts_max\":0,\
+                  \"lsq_attempts_max\":0,\"noc_backlog_max\":0}";
+        let text = [
+            format!("{}\n", header(0xFEED, 4)),
+            rec(1, 10, ok, "{\"a\":1}"),
+            rec(9, 1, ok, "{\"oob\":1}"),
+            "not a record\n".to_string(),
+            "{\"cell\":2,\"cycles\":10,\"instr\":5,\"row\":{}}\n".to_string(),
+            rec(2, 10, "{\"dir_rescues\":1}", "{}"),
+            rec(2, 10, &ok.replace(":0,\"fill", ":\"x\",\"fill"), "{}"),
+            rec(2, 10, ok, "[1]"),
+            rec(1, 20, ok, "{\"a\":2}"),
+            rec(3, 3, ok, "{\"torn\":1}").trim_end_matches("}\n").to_string(),
+        ]
+        .concat();
+        let got = replay(&text, 0xFEED, 4).unwrap().unwrap();
         assert_eq!(
             got.len(),
             1,
-            "oob index, garbage, a missing or malformed health token and the torn tail are all \
-             dropped (those cells re-run)"
+            "oob index, garbage, a missing or malformed health block, a non-object row and the \
+             torn tail are all dropped (those cells re-run)"
         );
-        assert_eq!(got[&1].row, "{\"a\":2}", "duplicate records are last-wins");
+        assert_eq!(got[&1].row.to_string(), "{\"a\":2}", "duplicate records are last-wins");
         assert_eq!(got[&1].cycles, 20);
     }
 
     #[test]
     fn torn_header_means_fresh_start() {
-        assert!(parse("fa-checkpoint-v1 finger", Path::new("j"), 0xFEED, 4).is_none());
-        assert!(parse("", Path::new("j"), 0xFEED, 4).is_none());
+        let h = header(0xFEED, 4);
+        assert_eq!(replay(&h[..20], 0xFEED, 4), Ok(None));
+        assert_eq!(replay(&h, 0xFEED, 4), Ok(None));
+        assert_eq!(replay("", 0xFEED, 4), Ok(None));
+    }
+
+    #[test]
+    fn a_different_campaign_or_schema_is_refused() {
+        let text = format!("{}\n", header(0x1111, 4));
+        for (fingerprint, cells) in [(0x2222, 4), (0x1111, 5)] {
+            let e = replay(&text, fingerprint, cells).unwrap_err();
+            assert!(e.contains("different campaign"), "{e}");
+        }
+        // The line-oriented header of the previous schema names itself.
+        let old = format!("{} fingerprint={:016x} cells=4\n", SCHEMA.replace("v2", "v1"), 0x1111);
+        let e = replay(&old, 0x1111, 4).unwrap_err();
+        assert!(e.contains("different campaign") && e.contains("-v1 fingerprint"), "{e}");
     }
 
     #[test]
     #[should_panic(expected = "different campaign")]
-    fn fingerprint_mismatch_panics_loudly() {
-        let text = format!("{SCHEMA} fingerprint={:016x} cells=4\n", 0x1111u64);
-        parse(&text, Path::new("j"), 0x2222, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "different campaign")]
-    fn cell_count_mismatch_panics_loudly() {
-        let text = format!("{SCHEMA} fingerprint={:016x} cells=4\n", 0x1111u64);
-        parse(&text, Path::new("j"), 0x1111, 5);
+    fn opening_another_campaigns_journal_panics_loudly() {
+        let p = tmp("mismatch");
+        std::fs::write(&p, format!("{}\n", header(0x1111, 4))).unwrap();
+        let r = std::panic::catch_unwind(|| Journal::open(&p, 0x2222, 4));
+        std::fs::remove_file(&p).unwrap();
+        if let Err(e) = r {
+            std::panic::resume_unwind(e);
+        }
     }
 }

@@ -16,11 +16,11 @@
 //! (same absolute floor) — this catches a bottleneck shifting between
 //! leaves even when the total barely moves.
 //!
-//! Rows are recovered the way the checkpoint journal replays them:
-//! line-oriented scanning of the report format `sweep` writes. Only the
-//! fields this report needs are extracted (cell identity, the `cpi` block).
+//! Each line of the report `sweep` writes goes through [`Json::parse`], as
+//! the checkpoint journal's do, and only the fields this report needs are
+//! read, by path: the cell identity and the `cpi` block.
 
-use fa_sim::{CpiLeaf, CPI_LEAVES};
+use fa_sim::{CpiLeaf, Json, CPI_LEAVES};
 use std::fmt::Write as _;
 
 /// Row-regression threshold: total core cycles growing by more than this
@@ -48,74 +48,34 @@ pub struct CpiRow {
     pub leaves: [u64; CPI_LEAVES],
 }
 
-/// The first JSON string field named `name` in `s`.
-fn str_field(s: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\":\"");
-    let rest = &s[s.find(&pat)? + pat.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// The first JSON integer field named `name` in `s`.
-fn u64_field(s: &str, name: &str) -> Option<u64> {
-    let pat = format!("\"{name}\":");
-    let rest = &s[s.find(&pat)? + pat.len()..];
-    let digits: &str = &rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())];
-    digits.parse().ok()
-}
-
 /// Extracts every row carrying a `cpi` block from the text of a
-/// `BENCH_sweep.json` report (or any stream of `SweepRow::json` lines).
-/// Rows without the block — reports written before the cycle-accounting
-/// layer — are skipped, so the caller can distinguish "no such file shape"
-/// (empty result) from a parse error.
+/// `BENCH_sweep.json` report (or any stream of `sweep_row` lines).
+/// Lines that are not a row with the block — the report's frame, rows
+/// written before the cycle-accounting layer, anything malformed — are
+/// skipped, so the caller can tell "no such file shape" (empty result).
 pub fn parse_rows(text: &str) -> Vec<CpiRow> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with("{\"kernel\":") {
-            continue;
-        }
-        let Some(cpi_at) = line.find("\"cpi\":{") else { continue };
-        let cpi = &line[cpi_at..];
-        let (Some(kernel), Some(policy), Some(preset)) = (
-            str_field(line, "kernel"),
-            str_field(line, "policy"),
-            str_field(line, "preset"),
-        ) else {
-            continue;
-        };
-        let Some(core_cycles) = u64_field(cpi, "core_cycles") else { continue };
-        // Leaf names are unique within the stack block; scope the scan to
-        // it so e.g. a future top-level "commit" field cannot collide.
-        let Some(stack_at) = cpi.find("\"stack\":{") else { continue };
-        let stack = &cpi[stack_at..];
-        let Some(stack) = stack.get(..stack.find('}').map_or(stack.len(), |i| i + 1)) else {
-            continue;
-        };
-        let mut leaves = [0u64; CPI_LEAVES];
-        let mut complete = true;
-        for l in CpiLeaf::ALL {
-            match u64_field(stack, l.name()) {
-                Some(v) => leaves[l.index()] = v,
-                None => complete = false,
-            }
-        }
-        if !complete {
-            continue;
-        }
-        let mut key = format!("{kernel}/{policy}/{preset}");
-        if let Some(net) = line.find("\"net\":{").map(|at| &line[at..]) {
-            let (Some(xbar), Some(bw)) = (str_field(net, "policy"), u64_field(net, "bw")) else {
-                continue;
-            };
-            let _ = write!(key, " net={xbar}:{bw}");
-        }
-        if let Some(model) = str_field(line, "model") {
-            let _ = write!(key, " model={model}");
-        }
-        out.push(CpiRow { key, core_cycles, leaves });
+    let row = |line: &str| cpi_row(&Json::parse(line.trim().trim_end_matches(',')).ok()?);
+    text.lines().filter_map(row).collect()
+}
+
+/// The cell identity and `cpi` block of one parsed row, read by path.
+fn cpi_row(row: &Json) -> Option<CpiRow> {
+    let cpi = row.get("cpi")?;
+    let stack = cpi.get("stack")?;
+    let mut leaves = [0u64; CPI_LEAVES];
+    for l in CpiLeaf::ALL {
+        leaves[l.index()] = stack.get(l.name())?.as_u64()?;
     }
-    out
+    let name = |k| row.get(k).and_then(Json::as_str);
+    let mut key = format!("{}/{}/{}", name("kernel")?, name("policy")?, name("preset")?);
+    if let Some(net) = row.get("net") {
+        let (xbar, bw) = (net.get("policy")?.as_str()?, net.get("bw")?.as_u64()?);
+        let _ = write!(key, " net={xbar}:{bw}");
+    }
+    if let Some(model) = row.get("model") {
+        let _ = write!(key, " model={}", model.as_str()?);
+    }
+    Some(CpiRow { key, core_cycles: cpi.get("core_cycles")?.as_u64()?, leaves })
 }
 
 /// One compared cell: baseline and current cycle accounting plus the
@@ -266,25 +226,23 @@ mod tests {
         let mut s = String::from("{\n  \"schema\": \"fa-sweep-v1\",\n  \"rows\": [\n");
         for (i, (kernel, commit, sb, idle)) in rows.iter().enumerate() {
             let total = commit + sb + idle;
-            let mut stack: Vec<(&str, String)> = Vec::new();
-            for l in CpiLeaf::ALL {
+            let stack = Json::obj(CpiLeaf::ALL.map(|l| {
                 let v = match l {
                     CpiLeaf::Commit => *commit,
                     CpiLeaf::SbDrain => *sb,
                     CpiLeaf::Idle => *idle,
                     _ => 0,
                 };
-                stack.push((l.name(), v.to_string()));
-            }
+                (l.name(), v.into())
+            }));
             let sep = if i + 1 == rows.len() { "" } else { "," };
             let _ = writeln!(
                 s,
                 "    {{\"kernel\":\"{kernel}\",\"policy\":\"baseline\",\"preset\":\"tiny\",\
                  \"runs\":3,\"mean_cycles\":1.000000,\"rep_cycles\":{total},\
                  \"instructions\":10,\"hists\":{{}},\"cpi\":{{\"core_cycles\":{total},\
-                 \"stack\":{},\"atomic\":{{\"acquire\":0,\"xfer\":[0,0,0,0,0],\
-                 \"dir_park\":0,\"local\":0}},\"fill\":[0,0,0,0,0]}}}}{sep}",
-                fa_sim::json_object(&stack)
+                 \"stack\":{stack},\"atomic\":{{\"acquire\":0,\"xfer\":[0,0,0,0,0],\
+                 \"dir_park\":0,\"local\":0}},\"fill\":[0,0,0,0,0]}}}}{sep}"
             );
         }
         s.push_str("  ]\n}\n");

@@ -15,13 +15,13 @@
 use crate::checkpoint::{fnv1a64, CellRecord, Journal};
 use crate::BenchOpts;
 use fa_core::AtomicPolicy;
-use fa_mem::{NocStats, ProgressStats, XbarPolicy};
+use fa_mem::{ProgressStats, XbarPolicy};
 use fa_sim::env;
 use fa_sim::error::{CellFailure, SimError};
 use fa_sim::machine::{MachineConfig, RunResult};
 use fa_sim::methodology::{Methodology, MultiRun};
 use fa_sim::sweep::{run_cells_timed, supervise, SweepTiming};
-use fa_sim::{json_object, json_u64_array, CpiStack, Hist};
+use fa_sim::{CpiStack, Hist, Json};
 use fa_workloads::{WorkloadParams, WorkloadSpec};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -201,10 +201,10 @@ pub struct QuarantinedCell {
 /// entries for the rest, and the resume count.
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
-    /// [`SweepRow::json`] lines of completed cells, in grid order.
-    /// Journal-resumed cells contribute their stored line verbatim, so a
-    /// killed-and-resumed campaign is byte-identical to an uninterrupted
-    /// one.
+    /// Rendered `sweep_row` lines of completed cells, in grid order.
+    /// Journal-resumed cells render their stored row, which reads back to
+    /// the same bytes, so a killed-and-resumed campaign is byte-identical
+    /// to an uninterrupted one.
     pub row_lines: Vec<String>,
     /// One entry per grid cell: the measured result of a cell run in this
     /// process, `None` for a journal-resumed or quarantined one.
@@ -298,7 +298,7 @@ fn run_one_cell(
         runs.push(rr);
     }
     let result = CellResult { cell: *cell, summary: meth.summarize(runs)? };
-    let row = SweepRow::from_result(opts, &result).json();
+    let row = sweep_row(opts, &result);
     Ok((CellRecord { cycles, instructions, health, row }, result))
 }
 
@@ -368,7 +368,7 @@ pub fn run_grid_supervised(
     let mut fresh = results.into_iter();
     for (ci, cell) in cells.iter().enumerate() {
         if let Some(rec) = journal.as_ref().and_then(|j| j.completed.get(&ci)) {
-            row_lines.push(rec.row.clone());
+            row_lines.push(rec.row.to_string());
             timing.sim_cycles += rec.cycles;
             timing.sim_instructions += rec.instructions;
             merge_health(&mut health, &rec.health);
@@ -378,7 +378,7 @@ pub fn run_grid_supervised(
         match fresh.next().expect("one supervised result per pending cell") {
             Ok((rec, result)) => {
                 merge_health(&mut health, &rec.health);
-                row_lines.push(rec.row);
+                row_lines.push(rec.row.to_string());
                 measured.push(Some(result));
             }
             Err(q) => {
@@ -394,56 +394,26 @@ pub fn run_grid_supervised(
     Ok((SweepOutcome { row_lines, results: measured, quarantine, resumed, health }, timing))
 }
 
-/// The latency-histogram block of one sweep row: log₂-bucketed
-/// distributions from the representative run. Histograms are always-on
-/// passive counters with fixed bucket edges, so these merge element-wise
-/// and are bit-identical at any `FA_THREADS` value and any `FA_TRACE`
-/// mode.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RowHists {
-    /// Atomic execution latency (`load_lock` issue → `store_unlock`
-    /// perform), summed across cores.
-    pub atomic_exec: Hist,
-    /// Store-buffer drain cycles paid before a `load_lock` could issue
-    /// (the fence cost free atomics remove; all-zero under free policies).
-    pub atomic_drain: Hist,
-    /// Cycles fills stalled on an all-ways-locked set, across cores.
-    pub fill_stall: Hist,
-    /// Cache-lock hold windows (outermost lock → unlock), across cores.
-    pub lock_hold: Hist,
-    /// Interconnect delivered latency (contended crossbar; empty under
-    /// the ideal crossbar, which does not model delivery queues).
-    pub noc_delivered: Hist,
-}
-
-impl RowHists {
-    /// Collects the histogram block from one run's statistics.
-    pub fn from_run(r: &RunResult) -> RowHists {
-        let agg = r.aggregate();
-        let mut h = RowHists {
-            atomic_exec: agg.atomic_exec_hist,
-            atomic_drain: agg.atomic_drain_hist,
-            noc_delivered: r.mem.noc.delivered_hist,
-            ..RowHists::default()
-        };
-        for c in &r.mem.cores {
-            h.fill_stall.merge(&c.fill_stall_hist);
-            h.lock_hold.merge(&c.lock_hold_hist);
-        }
-        h
+/// The latency-histogram block of one sweep row, from the representative
+/// run, across cores: atomic exec latency, the SB drain a `load_lock` paid
+/// (zero under the free policies), fills stalled on all-locked sets,
+/// cache-lock hold windows, and NoC delivered latency (empty when ideal).
+/// Always-on counters with fixed bucket edges: the block is bit-identical
+/// at any `FA_THREADS` value and any `FA_TRACE` mode.
+fn hists_json(r: &RunResult) -> Json {
+    let agg = r.aggregate();
+    let (mut fill_stall, mut lock_hold) = (Hist::new(), Hist::new());
+    for c in &r.mem.cores {
+        fill_stall.merge(&c.fill_stall_hist);
+        lock_hold.merge(&c.lock_hold_hist);
     }
-
-    /// The block as a single-line JSON object (stable field order), via
-    /// the same hand-rolled serializer helper every emitted block shares.
-    pub fn json(&self) -> String {
-        json_object(&[
-            ("atomic_exec", self.atomic_exec.json()),
-            ("atomic_drain", self.atomic_drain.json()),
-            ("fill_stall", self.fill_stall.json()),
-            ("lock_hold", self.lock_hold.json()),
-            ("noc_delivered", self.noc_delivered.json()),
-        ])
-    }
+    Json::obj([
+        ("atomic_exec", agg.atomic_exec_hist.json()),
+        ("atomic_drain", agg.atomic_drain_hist.json()),
+        ("fill_stall", fill_stall.json()),
+        ("lock_hold", lock_hold.json()),
+        ("noc_delivered", r.mem.noc.delivered_hist.json()),
+    ])
 }
 
 /// The cycle-accounting block of one sweep row, from the representative
@@ -500,131 +470,56 @@ impl RowCpi {
         cpi
     }
 
-    /// The block as a single-line JSON object (stable field order).
-    pub fn json(&self) -> String {
-        json_object(&[
-            ("core_cycles", self.core_cycles.to_string()),
+    /// The block as a JSON object (stable field order).
+    pub fn json(&self) -> Json {
+        let atomic = Json::obj([
+            ("acquire", self.atomic_acquire.into()),
+            ("xfer", Json::arr(self.atomic_xfer)),
+            ("dir_park", self.atomic_dir_park.into()),
+            ("local", self.atomic_local.into()),
+        ]);
+        Json::obj([
+            ("core_cycles", self.core_cycles.into()),
             ("stack", self.stack.json()),
-            (
-                "atomic",
-                json_object(&[
-                    ("acquire", self.atomic_acquire.to_string()),
-                    ("xfer", json_u64_array(&self.atomic_xfer)),
-                    ("dir_park", self.atomic_dir_park.to_string()),
-                    ("local", self.atomic_local.to_string()),
-                ]),
-            ),
-            ("fill", json_u64_array(&self.fill)),
+            ("atomic", atomic),
+            ("fill", Json::arr(self.fill)),
         ])
     }
 }
 
-/// One emitted row of `BENCH_sweep.json`. Deliberately excludes every
-/// wall-clock quantity: rows depend only on the deterministic simulation,
-/// so serial and parallel sweeps emit byte-identical row arrays.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepRow {
-    /// Workload name.
-    pub kernel: String,
-    /// Policy label (as [`AtomicPolicy::label`]).
-    pub policy: String,
-    /// Preset name.
-    pub preset: String,
-    /// Runs executed for this cell.
-    pub runs: usize,
-    /// Mean cycles over the retained runs.
-    pub mean_cycles: f64,
-    /// Cycles of the representative (fastest retained) run.
-    pub rep_cycles: u64,
-    /// Committed instructions of the representative run.
-    pub instructions: u64,
-    /// Interconnect stats of the representative run — only populated for
-    /// the contended crossbar so historical (ideal-crossbar) rows stay
-    /// byte-identical to the pre-interconnect goldens.
-    pub net: Option<NocStats>,
-    /// Latency histograms of the representative run.
-    pub hists: RowHists,
-    /// Cycle-accounting block of the representative run (CPI stack,
-    /// atomic-lifetime split, fill attribution) — the `report` bin reads
-    /// it back out of `BENCH_sweep.json`.
-    pub cpi: RowCpi,
-    /// True when every run behind this row passed the axiomatic
-    /// conformance checker (`FA_CHECK=tso`) — the cell would have failed
-    /// otherwise. Emitted as a trailing `"checked":true` only when set.
-    pub checked: bool,
-    /// The hardware memory model the row was measured under
-    /// (`FA_MODEL`). Tagged only when weak — TSO rows stay byte-identical
-    /// to the pre-weak-frontend rows, which the ci transparency gate pins.
-    pub model: fa_sim::MemModel,
-}
-
-impl SweepRow {
-    /// Builds the row for one cell measured under `opts`.
-    pub fn from_result(opts: &BenchOpts, r: &CellResult) -> SweepRow {
-        let rep = r.summary.representative();
-        let noc = &rep.mem.noc;
-        SweepRow {
-            kernel: r.cell.workload.name.to_string(),
-            policy: r.cell.policy.label().to_string(),
-            preset: r.cell.preset.name().to_string(),
-            runs: opts.runs,
-            mean_cycles: r.summary.mean_cycles,
-            rep_cycles: rep.cycles,
-            instructions: rep.instructions(),
-            net: (noc.policy == XbarPolicy::Contended).then(|| noc.clone()),
-            hists: RowHists::from_run(rep),
-            cpi: RowCpi::from_run(rep),
-            checked: opts.check.on(),
-            model: opts.model,
-        }
+/// The emitted `BENCH_sweep.json` row of a cell measured under `opts`, in
+/// a stable field order: the identity and cycle fields the
+/// pre-interconnect goldens pin as the row's prefix (`mean_cycles` over the
+/// retained runs, the rest from the representative, fastest retained, run);
+/// a `net` block only for contended-crossbar rows, so ideal rows keep the
+/// goldens' bytes; the `hists` and `cpi` blocks (`report` reads the latter
+/// back); then `"checked":true` when every run passed the axiomatic checker
+/// (`FA_CHECK=tso`) and `"model":"weak"` for weak-model rows, so TSO rows
+/// stay untagged. No wall-clock quantity: serial and parallel sweeps emit
+/// byte-identical rows.
+pub(crate) fn sweep_row(opts: &BenchOpts, r: &CellResult) -> Json {
+    let rep = r.summary.representative();
+    let mut row: Vec<(&str, Json)> = vec![
+        ("kernel", r.cell.workload.name.into()),
+        ("policy", r.cell.policy.label().into()),
+        ("preset", r.cell.preset.name().into()),
+        ("runs", opts.runs.into()),
+        ("mean_cycles", Json::fixed(r.summary.mean_cycles, 6)),
+        ("rep_cycles", rep.cycles.into()),
+        ("instructions", rep.instructions().into()),
+    ];
+    if rep.mem.noc.policy == XbarPolicy::Contended {
+        row.push(("net", rep.mem.noc.json()));
     }
-
-    /// The row as a single-line JSON object, stable field order: the
-    /// identity and cycle fields the pre-interconnect goldens pin as the
-    /// row's prefix, a `net` block only for contended-crossbar rows, the
-    /// `hists` and `cpi` blocks always, then `"checked":true` for checked
-    /// rows and `"model":"weak"` for weak-model rows.
-    pub fn json(&self) -> String {
-        let mut s = format!(
-            "{{\"kernel\":\"{}\",\"policy\":\"{}\",\"preset\":\"{}\",\"runs\":{},\
-             \"mean_cycles\":{:.6},\"rep_cycles\":{},\"instructions\":{}",
-            self.kernel, self.policy, self.preset, self.runs, self.mean_cycles,
-            self.rep_cycles, self.instructions
-        );
-        if let Some(net) = &self.net {
-            let _ = write!(s, ",\"net\":{}", net.json());
-        }
-        let _ = write!(s, ",\"hists\":{}", self.hists.json());
-        let _ = write!(s, ",\"cpi\":{}", self.cpi.json());
-        if self.checked {
-            s.push_str(",\"checked\":true");
-        }
-        if self.model != fa_sim::MemModel::Tso {
-            let _ = write!(s, ",\"model\":\"{}\"", self.model.name());
-        }
-        s.push('}');
-        s
+    row.push(("hists", hists_json(rep)));
+    row.push(("cpi", RowCpi::from_run(rep).json()));
+    if opts.check.on() {
+        row.push(("checked", true.into()));
     }
-}
-
-/// Escapes `s` for embedding in a JSON string literal (the quarantine
-/// block carries rendered failure reports, which are multi-line).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    if opts.model != fa_sim::MemModel::Tso {
+        row.push(("model", opts.model.name().into()));
     }
-    out
+    Json::obj(row)
 }
 
 /// A complete sweep report: row lines, any quarantined cells, and the
@@ -635,8 +530,8 @@ pub struct SweepReport {
     pub bin: String,
     /// Runs per cell (for the human summary line).
     pub runs: usize,
-    /// Emitted rows ([`SweepRow::json`] lines), in grid (cell) order.
-    /// Kept as verbatim lines so journal-resumed campaigns re-emit bytes.
+    /// Emitted rows (rendered `sweep_row` lines), in grid (cell)
+    /// order.
     pub row_lines: Vec<String>,
     /// Cells quarantined by the supervisor; the `quarantine` block is
     /// omitted from the JSON when empty so healthy reports stay
@@ -702,26 +597,23 @@ impl SweepReport {
             t.cycles_per_sec(),
             t.mips()
         );
-        for (i, row) in self.row_lines.iter().enumerate() {
-            let sep = if i + 1 == self.row_lines.len() { "" } else { "," };
-            let _ = writeln!(s, "    {row}{sep}");
-        }
-        if self.quarantine.is_empty() {
-            s.push_str("  ]\n}\n");
-        } else {
-            s.push_str("  ],\n  \"quarantine\": [\n");
-            for (i, q) in self.quarantine.iter().enumerate() {
-                let sep = if i + 1 == self.quarantine.len() { "" } else { "," };
-                let _ = writeln!(
-                    s,
-                    "    {{\"cell\":\"{}\",\"attempts\":{},\"failure\":\"{}\"}}{sep}",
-                    json_escape(&q.cell),
-                    q.attempts,
-                    json_escape(&q.failure.to_string())
-                );
+        // One item a line, comma-separated.
+        let list = |s: &mut String, items: &[String]| {
+            for (i, item) in items.iter().enumerate() {
+                let _ = writeln!(s, "    {item}{}", if i + 1 == items.len() { "" } else { "," });
             }
-            s.push_str("  ]\n}\n");
+        };
+        list(&mut s, &self.row_lines);
+        if !self.quarantine.is_empty() {
+            s.push_str("  ],\n  \"quarantine\": [\n");
+            let entry = |q: &QuarantinedCell| {
+                let failure = Json::Str(q.failure.to_string());
+                Json::obj([("cell", q.cell.as_str().into()), ("attempts", q.attempts.into()), ("failure", failure)])
+                    .to_string()
+            };
+            list(&mut s, &self.quarantine.iter().map(entry).collect::<Vec<_>>());
         }
+        s.push_str("  ]\n}\n");
         s
     }
 
@@ -841,7 +733,7 @@ mod tests {
         // Every fresh cell's row line is exactly the row of its result.
         assert_eq!(results.len(), serial.row_lines.len());
         for (r, line) in results.iter().zip(&serial.row_lines) {
-            assert_eq!(&SweepRow::from_result(&o, r).json(), line);
+            assert_eq!(&sweep_row(&o, r).to_string(), line);
         }
         let base = SweepReport::from_outcome("test", &o, serial.clone(), sweep_timing_stub());
         for threads in [4, 8] {
@@ -863,19 +755,18 @@ mod tests {
         let cells = small_grid()[..1].to_vec();
         let opts = small_opts(1);
         let (ideal, _, _) = run(&opts, &cells);
-        let r = SweepRow::from_result(&opts, &ideal[0]);
-        assert!(r.net.is_none());
-        assert!(!r.json().contains("\"net\":"), "ideal rows must match the goldens");
+        let r = sweep_row(&opts, &ideal[0]);
+        assert_eq!(r.get("net"), None, "ideal rows must match the goldens");
 
         let copts = BenchOpts { noc: fa_mem::NocConfig::contended(2), ..opts };
         let (contended, _, _) = run(&copts, &cells);
-        let r = SweepRow::from_result(&copts, &contended[0]);
-        let net = r.net.as_ref().expect("contended rows surface network stats");
-        assert_eq!(net.policy, XbarPolicy::Contended);
-        assert!(net.net_messages > 0);
-        let j = r.json();
+        let r = sweep_row(&copts, &contended[0]);
+        let net = r.get("net").expect("contended rows surface network stats");
+        assert!(net.get("net_messages").and_then(Json::as_u64) > Some(0));
+        let j = r.to_string();
         let at = j.find(",\"net\":{\"policy\":\"contended\"").expect("net block");
-        assert!(j[..at].ends_with(&format!("\"instructions\":{}", r.instructions)), "{j}");
+        let instructions = contended[0].summary.representative().instructions();
+        assert!(j[..at].ends_with(&format!("\"instructions\":{instructions}")), "{j}");
         assert!(j[at..].contains("},\"hists\":{"), "net sits between the prefix and hists: {j}");
     }
 
@@ -961,14 +852,8 @@ mod tests {
         );
         // Both models conserve every core cycle in the CPI stack.
         for r in &weak {
-            let row = SweepRow::from_result(&weak_opts, r);
-            assert_eq!(
-                row.cpi.stack.total(),
-                row.cpi.core_cycles,
-                "{}/{}: weak runs must conserve cycles",
-                row.kernel,
-                row.policy
-            );
+            let cpi = RowCpi::from_run(r.summary.representative());
+            assert_eq!(cpi.stack.total(), cpi.core_cycles, "{}: weak runs must conserve cycles", r.cell.name());
         }
     }
 
@@ -977,14 +862,15 @@ mod tests {
         let cells = small_grid();
         let opts = small_opts(1);
         let (results, _, _) = run(&opts, &cells);
-        let r = SweepRow::from_result(&opts, &results[0]);
+        let r = sweep_row(&opts, &results[0]);
+        let count = |h| r.get("hists").and_then(|hs| hs.get(h)?.get("count")?.as_u64());
         // Every kernel in the grid performs atomics, so the exec histogram
         // must have samples; the baseline policy also pays SB drains.
-        assert!(r.hists.atomic_exec.count > 0);
-        assert!(r.hists.lock_hold.count > 0, "atomics hold cache locks");
-        assert_eq!(r.policy, "baseline");
-        assert!(r.hists.atomic_drain.count > 0, "baseline pays drains");
-        let j = r.json();
+        assert!(count("atomic_exec") > Some(0));
+        assert!(count("lock_hold") > Some(0), "atomics hold cache locks");
+        assert_eq!(r.get("policy").and_then(Json::as_str), Some("baseline"));
+        assert!(count("atomic_drain") > Some(0), "baseline pays drains");
+        let j = r.to_string();
         assert!(j.contains(",\"hists\":{\"atomic_exec\":"), "{j}");
         assert!(j.ends_with("}}"));
     }
@@ -996,42 +882,33 @@ mod tests {
         let opts = small_opts(1);
         let (results, _, _) = run(&opts, &cells);
         for r in &results {
-            let row = SweepRow::from_result(&opts, r);
+            let cpi = RowCpi::from_run(r.summary.representative());
             // Conservation: the merged stack accounts every core cycle of
             // the representative run, exactly.
-            assert_eq!(
-                row.cpi.stack.total(),
-                row.cpi.core_cycles,
-                "{}/{}: CPI stack must conserve cycles",
-                row.kernel,
-                row.policy
-            );
-            assert!(row.cpi.stack.get(CpiLeaf::Commit) > 0, "work commits in every cell");
+            assert_eq!(cpi.stack.total(), cpi.core_cycles, "{}: CPI stack must conserve cycles", r.cell.name());
+            assert!(cpi.stack.get(CpiLeaf::Commit) > 0, "work commits in every cell");
             // The atomic-lifetime split sums exactly to the committed
             // atomics' exec latency.
-            let split = row.cpi.atomic_acquire
-                + row.cpi.atomic_xfer.iter().sum::<u64>()
-                + row.cpi.atomic_dir_park
-                + row.cpi.atomic_local;
+            let split =
+                cpi.atomic_acquire + cpi.atomic_xfer.iter().sum::<u64>() + cpi.atomic_dir_park + cpi.atomic_local;
             let exec: u64 =
                 r.summary.representative().per_core.iter().map(|c| c.atomic_exec_cycles).sum();
-            assert_eq!(split, exec, "{}/{}: atomic split must be exact", row.kernel, row.policy);
-            let j = row.json();
+            assert_eq!(split, exec, "{}: atomic split must be exact", r.cell.name());
+            let j = sweep_row(&opts, r).to_string();
             assert!(j.contains(",\"cpi\":{\"core_cycles\":"), "{j}");
             assert!(j.contains("\"stack\":{\"commit\":"), "{j}");
             assert!(j.contains("\"atomic\":{\"acquire\":"), "{j}");
         }
         // Baseline pays fence drains the free policies do not.
-        let base = SweepRow::from_result(&opts, &results[0]);
-        let free = SweepRow::from_result(&opts, &results[1]);
-        assert_eq!(base.policy, "baseline");
-        assert_eq!(free.policy, "FreeAtomics+Fwd");
+        let [base, free] = [&results[0], &results[1]].map(|r| RowCpi::from_run(r.summary.representative()));
+        assert_eq!(results[0].cell.policy, AtomicPolicy::FencedBaseline);
+        assert_eq!(results[1].cell.policy, AtomicPolicy::FreeFwd);
         assert!(
-            base.cpi.stack.get(CpiLeaf::SbDrain) > free.cpi.stack.get(CpiLeaf::SbDrain),
+            base.stack.get(CpiLeaf::SbDrain) > free.stack.get(CpiLeaf::SbDrain),
             "the baseline's store-buffer drain leaf must dominate FreeFwd's \
              (base {} vs free {})",
-            base.cpi.stack.get(CpiLeaf::SbDrain),
-            free.cpi.stack.get(CpiLeaf::SbDrain)
+            base.stack.get(CpiLeaf::SbDrain),
+            free.stack.get(CpiLeaf::SbDrain)
         );
     }
 
@@ -1292,14 +1169,6 @@ mod tests {
         assert!(!j.contains("\nsnapshot"), "newlines in failures must be escaped");
         assert!(j.ends_with("  ]\n}\n"));
         assert!(rep.timing_line().ends_with("4 cell(s) QUARANTINED"), "{}", rep.timing_line());
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_newlines_and_controls() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("l1\nl2\tt"), "l1\\nl2\\tt");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

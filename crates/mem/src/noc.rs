@@ -47,7 +47,7 @@ use crate::wheel::Wheel;
 use crate::{CoreId, Cycle, Line, MemConfig};
 use fa_isa::Addr;
 use fa_trace::{
-    Hist, TraceBuf, TraceEvent, NOC_READ_DONE, NOC_STORE_READY, NOC_TO_DIR, NOC_TO_L1,
+    Hist, Json, TraceBuf, TraceEvent, NOC_READ_DONE, NOC_STORE_READY, NOC_TO_DIR, NOC_TO_L1,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -214,38 +214,26 @@ impl NocStats {
         self.class_cycles[i] as f64 / self.class_msgs[i] as f64
     }
 
-    /// The stats as a single-line JSON object (stable field order).
-    pub fn json(&self) -> String {
-        let fmt_utils = |links: &[LinkStats]| {
-            let parts: Vec<String> =
-                links.iter().map(|l| format!("{:.4}", l.utilization(self.elapsed))).collect();
-            parts.join(",")
-        };
-        let hist = self.queue_hist();
-        let hist: Vec<String> = hist.iter().map(u64::to_string).collect();
-        let class_lat: Vec<String> =
-            LatClass::ALL.iter().map(|&c| format!("{:.3}", self.class_latency(c))).collect();
-        format!(
-            "{{\"policy\":\"{}\",\"bw\":{},\"net_messages\":{},\"local_deliveries\":{},\
-             \"avg_grant_lat\":{:.3},\"class_lat\":[{}],\"max_link_util\":{:.4},\
-             \"req_util\":[{}],\"resp_util\":[{}],\"dir_in_util\":{:.4},\
-             \"dir_out_util\":{:.4},\"max_queue\":{},\"queue_hist\":[{}],\
-             \"delivered_hist\":{}}}",
-            self.policy.name(),
-            self.link_bw,
-            self.net_messages,
-            self.local_deliveries,
-            self.avg_grant_latency(),
-            class_lat.join(","),
-            self.max_link_utilization(),
-            fmt_utils(&self.req_links),
-            fmt_utils(&self.resp_links),
-            self.dir_ingress.utilization(self.elapsed),
-            self.dir_egress.utilization(self.elapsed),
-            self.max_queue(),
-            hist.join(","),
-            self.delivered_hist.json(),
-        )
+    /// The stats as a JSON object (stable field order; utilizations to 4
+    /// decimals, latencies to 3).
+    pub fn json(&self) -> Json {
+        let util = |l: &LinkStats| Json::fixed(l.utilization(self.elapsed), 4);
+        Json::obj([
+            ("policy", self.policy.name().into()),
+            ("bw", self.link_bw.into()),
+            ("net_messages", self.net_messages.into()),
+            ("local_deliveries", self.local_deliveries.into()),
+            ("avg_grant_lat", Json::fixed(self.avg_grant_latency(), 3)),
+            ("class_lat", Json::arr(LatClass::ALL.map(|c| Json::fixed(self.class_latency(c), 3)))),
+            ("max_link_util", Json::fixed(self.max_link_utilization(), 4)),
+            ("req_util", Json::arr(self.req_links.iter().map(util))),
+            ("resp_util", Json::arr(self.resp_links.iter().map(util))),
+            ("dir_in_util", util(&self.dir_ingress)),
+            ("dir_out_util", util(&self.dir_egress)),
+            ("max_queue", self.max_queue().into()),
+            ("queue_hist", Json::arr(self.queue_hist())),
+            ("delivered_hist", self.delivered_hist.json()),
+        ])
     }
 }
 
@@ -763,7 +751,7 @@ mod tests {
         x.send(0, 0, req(0));
         x.send(0, 0, grant(1, LatClass::Mem));
         let s = x.stats(50);
-        let j = s.json();
+        let j = s.json().to_string();
         assert!(j.starts_with("{\"policy\":\"contended\",\"bw\":2,"), "got {j}");
         for key in ["\"req_util\":[", "\"resp_util\":[", "\"queue_hist\":[", "\"max_queue\":"] {
             assert!(j.contains(key), "missing {key} in {j}");
@@ -771,6 +759,6 @@ mod tests {
         assert!(s.to_string().starts_with("noc[contended bw=2]:"));
         let s = ideal().stats(10);
         assert!(s.to_string().starts_with("noc[ideal]:"));
-        assert!(s.json().starts_with("{\"policy\":\"ideal\","));
+        assert!(s.json().to_string().starts_with("{\"policy\":\"ideal\","));
     }
 }

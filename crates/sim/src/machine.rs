@@ -923,6 +923,13 @@ mod tests {
     }
 
     #[test]
+    fn untraced_export_validates_to_zero_events() {
+        let mut m = Machine::new(MachineConfig::default(), vec![counter_prog(10); 2], GuestMem::new(1 << 16));
+        m.run(2_000_000).expect("quiesce");
+        assert_eq!(fa_trace::validate_chrome_trace(&m.perfetto_trace()), Ok(0));
+    }
+
+    #[test]
     fn audited_run_matches_unaudited_run() {
         // Auditing must observe, never perturb: identical results with the
         // auditor on and off.

@@ -15,6 +15,8 @@
 //! * [`chrome_trace`] — a Chrome-trace/Perfetto JSON exporter so a full
 //!   run can be opened in `ui.perfetto.dev`, plus [`flight_json`] for
 //!   dumping a crash flight-recorder tail.
+//! * [`Json`] — the one JSON value, writer and reader every row, report,
+//!   journal and trace of the simulator goes through.
 //!
 //! The crate sits just above `fa-isa` (for the [`MemOrder`] annotations on
 //! data events) and below everything else: no simulator types, only plain
@@ -23,7 +25,10 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+mod json;
+
 pub use fa_isa::MemOrder;
+pub use json::Json;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -419,10 +424,11 @@ impl Hist {
         self.buckets[bucket_of(v)] += 1;
     }
 
-    /// Element-wise merge; deterministic under any merge order.
+    /// Element-wise merge; deterministic under any merge order. `sum`
+    /// saturates, as in [`Hist::record`].
     pub fn merge(&mut self, other: &Hist) {
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += *o;
@@ -438,34 +444,18 @@ impl Hist {
         }
     }
 
-    /// Hand-rolled JSON: `{"count":..,"sum":..,"max":..,"buckets":[..]}`
-    /// with trailing zero buckets trimmed (bucket edges are fixed, so the
-    /// index alone identifies the range).
-    pub fn json(&self) -> String {
+    /// `{"count":..,"sum":..,"max":..,"buckets":[..]}` with trailing zero
+    /// buckets trimmed (bucket edges are fixed, so the index alone
+    /// identifies the range).
+    pub fn json(&self) -> Json {
         let last = self.buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-        json_object(&[
-            ("count", self.count.to_string()),
-            ("sum", self.sum.to_string()),
-            ("max", self.max.to_string()),
-            ("buckets", json_u64_array(&self.buckets[..last])),
+        Json::obj([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("max", self.max.into()),
+            ("buckets", Json::arr(self.buckets[..last].iter().copied())),
         ])
     }
-}
-
-/// Hand-rolls a JSON object from `(key, rendered-value)` pairs — the one
-/// serializer shared by every stats emitter ([`Hist::json`],
-/// [`CpiStack::json`], the bench sweep's per-row blocks) so the emission
-/// discipline lives in one place. Values are spliced verbatim: callers
-/// pass already-rendered JSON (numbers, arrays, nested objects).
-pub fn json_object(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-    format!("{{{}}}", body.join(","))
-}
-
-/// Hand-rolls a JSON array of integers (helper for [`json_object`] values).
-pub fn json_u64_array(vals: &[u64]) -> String {
-    let body: Vec<String> = vals.iter().map(u64::to_string).collect();
-    format!("[{}]", body.join(","))
 }
 
 /// Number of leaves in the cycle-accounting taxonomy.
@@ -592,14 +582,10 @@ impl CpiStack {
         self.leaves.iter().sum()
     }
 
-    /// Hand-rolled JSON object keyed by leaf name, every leaf present
-    /// (zero leaves included so rows from different runs diff cleanly).
-    pub fn json(&self) -> String {
-        let fields: Vec<(&str, String)> = CpiLeaf::ALL
-            .iter()
-            .map(|l| (l.name(), self.leaves[l.index()].to_string()))
-            .collect();
-        json_object(&fields)
+    /// An object keyed by leaf name, every leaf present (zero leaves
+    /// included so rows from different runs diff cleanly).
+    pub fn json(&self) -> Json {
+        Json::obj(CpiLeaf::ALL.iter().map(|l| (l.name(), self.get(*l).into())))
     }
 }
 
@@ -813,97 +799,54 @@ impl TraceEvent {
         }
     }
 
-    /// Hand-rolled JSON object with this event's fields (Perfetto `args`).
-    pub fn args_json(&self) -> String {
+    /// The event's fields in order: its Perfetto `args` members, and what
+    /// `Display` prints after the kind.
+    fn fields(&self) -> Vec<(&'static str, Json)> {
         match *self {
             TraceEvent::UopDispatch { seq, pc }
             | TraceEvent::UopIssue { seq, pc }
-            | TraceEvent::UopCommit { seq, pc } => {
-                format!("{{\"useq\":{seq},\"pc\":{pc}}}")
+            | TraceEvent::UopCommit { seq, pc } => vec![("useq", seq.into()), ("pc", pc.into())],
+            TraceEvent::Squash { from_seq, uops } => vec![("from_seq", from_seq.into()), ("uops", uops.into())],
+            TraceEvent::AtomicLoadLock { seq, addr, drain, fwd } => {
+                vec![("useq", seq.into()), ("addr", addr.into()), ("drain", drain.into()), ("fwd", fwd.into())]
             }
-            TraceEvent::Squash { from_seq, uops } => {
-                format!("{{\"from_seq\":{from_seq},\"uops\":{uops}}}")
-            }
-            TraceEvent::AtomicLoadLock { seq, addr, drain, fwd } => format!(
-                "{{\"useq\":{seq},\"addr\":{addr},\"drain\":{drain},\"fwd\":{fwd}}}"
-            ),
             TraceEvent::AtomicStoreUnlock { seq, addr, exec } => {
-                format!("{{\"useq\":{seq},\"addr\":{addr},\"exec\":{exec}}}")
+                vec![("useq", seq.into()), ("addr", addr.into()), ("exec", exec.into())]
             }
-            TraceEvent::LockAcquire { line, count } => {
-                format!("{{\"line\":{line},\"count\":{count}}}")
-            }
-            TraceEvent::LockRelease { line, held } => {
-                format!("{{\"line\":{line},\"held\":{held}}}")
-            }
+            TraceEvent::LockAcquire { line, count } => vec![("line", line.into()), ("count", count.into())],
+            TraceEvent::LockRelease { line, held } => vec![("line", line.into()), ("held", held.into())],
             TraceEvent::LockPark { line }
             | TraceEvent::DirAlloc { line }
             | TraceEvent::DirPark { line }
             | TraceEvent::DirRescue { line }
-            | TraceEvent::DirEvict { line } => format!("{{\"line\":{line}}}"),
-            TraceEvent::Mesi { line, from, to } => format!(
-                "{{\"line\":{line},\"from\":\"{}\",\"to\":\"{}\"}}",
-                mesi_name(from),
-                mesi_name(to)
-            ),
-            TraceEvent::FillStall { line, waited } => {
-                format!("{{\"line\":{line},\"waited\":{waited}}}")
+            | TraceEvent::DirEvict { line } => vec![("line", line.into())],
+            TraceEvent::Mesi { line, from, to } => {
+                vec![("line", line.into()), ("from", mesi_name(from).into()), ("to", mesi_name(to).into())]
             }
-            TraceEvent::NocSend { kind, src, dst } => format!(
-                "{{\"kind\":\"{}\",\"src\":{src},\"dst\":{dst}}}",
-                noc_kind_name(kind)
-            ),
-            TraceEvent::NocDeliver { kind, dst, lat } => format!(
-                "{{\"kind\":\"{}\",\"dst\":{dst},\"lat\":{lat}}}",
-                noc_kind_name(kind)
-            ),
+            TraceEvent::FillStall { line, waited } => vec![("line", line.into()), ("waited", waited.into())],
+            TraceEvent::NocSend { kind, src, dst } => {
+                vec![("kind", noc_kind_name(kind).into()), ("src", src.into()), ("dst", dst.into())]
+            }
+            TraceEvent::NocDeliver { kind, dst, lat } => {
+                vec![("kind", noc_kind_name(kind).into()), ("dst", dst.into()), ("lat", lat.into())]
+            }
         }
     }
 }
 
+/// `kind k=v …`: lines, addresses and pcs in hex, a flag only when set.
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TraceEvent::UopDispatch { seq, pc }
-            | TraceEvent::UopIssue { seq, pc }
-            | TraceEvent::UopCommit { seq, pc } => {
-                write!(f, "{} useq={seq} pc={pc:#x}", self.kind())
-            }
-            TraceEvent::Squash { from_seq, uops } => {
-                write!(f, "squash from useq={from_seq} ({uops} uops)")
-            }
-            TraceEvent::AtomicLoadLock { seq, addr, drain, fwd } => write!(
-                f,
-                "atomic.load_lock useq={seq} addr={addr:#x} drain={drain}{}",
-                if fwd { " fwd" } else { "" }
-            ),
-            TraceEvent::AtomicStoreUnlock { seq, addr, exec } => {
-                write!(f, "atomic.store_unlock useq={seq} addr={addr:#x} exec={exec}")
-            }
-            TraceEvent::LockAcquire { line, count } => {
-                write!(f, "lock.acquire line={line:#x} count={count}")
-            }
-            TraceEvent::LockRelease { line, held } => {
-                write!(f, "lock.release line={line:#x} held={held}")
-            }
-            TraceEvent::LockPark { line } => write!(f, "lock.park line={line:#x}"),
-            TraceEvent::Mesi { line, from, to } => {
-                write!(f, "mesi line={line:#x} {}->{}", mesi_name(from), mesi_name(to))
-            }
-            TraceEvent::FillStall { line, waited } => {
-                write!(f, "fill.stall line={line:#x} waited={waited}")
-            }
-            TraceEvent::DirAlloc { line } => write!(f, "dir.alloc line={line:#x}"),
-            TraceEvent::DirPark { line } => write!(f, "dir.park line={line:#x}"),
-            TraceEvent::DirRescue { line } => write!(f, "dir.rescue line={line:#x}"),
-            TraceEvent::DirEvict { line } => write!(f, "dir.evict line={line:#x}"),
-            TraceEvent::NocSend { kind, src, dst } => {
-                write!(f, "noc.send {} {src}->{dst}", noc_kind_name(kind))
-            }
-            TraceEvent::NocDeliver { kind, dst, lat } => {
-                write!(f, "noc.deliver {} ->{dst} lat={lat}", noc_kind_name(kind))
+        f.write_str(self.kind())?;
+        for (k, v) in self.fields() {
+            match (&v, v.as_u64()) {
+                (_, Some(n)) if matches!(k, "line" | "addr" | "pc") => write!(f, " {k}={n:#x}")?,
+                (Json::Str(s), _) => write!(f, " {k}={s}")?,
+                (Json::Bool(false), _) => {}
+                _ => write!(f, " {k}={v}")?,
             }
         }
+        Ok(())
     }
 }
 
@@ -1016,117 +959,66 @@ impl fmt::Display for FlightEntry {
     }
 }
 
-/// Hand-rolled JSON array for a flight-recorder tail.
+/// A flight-recorder tail as a JSON array.
 pub fn flight_json(entries: &[FlightEntry]) -> String {
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"comp\":\"{}\",\"cycle\":{},\"seq\":{},\"name\":\"{}\",\"args\":{}}}",
-                e.comp,
-                e.cycle,
-                e.seq,
-                e.ev.kind(),
-                e.ev.args_json()
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
+    let entry = |e: &FlightEntry| {
+        Json::obj([
+            ("comp", e.comp.as_str().into()),
+            ("cycle", e.cycle.into()),
+            ("seq", e.seq.into()),
+            ("name", e.ev.kind().into()),
+            ("args", Json::obj(e.ev.fields())),
+        ])
+    };
+    Json::arr(entries.iter().map(entry)).to_string()
 }
 
 /// Renders per-component record lists as Chrome-trace/Perfetto JSON
 /// (one synthetic thread per component; duration events for closed time
-/// windows, instants for everything else; `ts` is the simulated cycle).
+/// windows, instants for everything else; `ts` is the simulated cycle), one
+/// event per line.
 pub fn chrome_trace(groups: &[(String, Vec<TraceRecord>)]) -> String {
-    let mut evs: Vec<String> = Vec::new();
-    evs.push("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"fa-sim\"}}".to_string());
-    for (tid, (comp, _)) in groups.iter().enumerate() {
-        evs.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{comp}\"}}}}"
-        ));
-    }
+    // Every record is `{"name":…,<phase fields>,"pid":0,"tid":…,"args":{…}}`.
+    let event = |name: &str, phase: Vec<(&'static str, Json)>, tid: usize, args: Json| {
+        let tail = [("pid", 0u64.into()), ("tid", tid.into()), ("args", args)];
+        Json::obj([("name", name.into())].into_iter().chain(phase).chain(tail)).to_string()
+    };
+    let meta = |name: &str, tid: usize, label: &str| {
+        event(name, vec![("ph", "M".into())], tid, Json::obj([("name", label.into())]))
+    };
+    let mut evs = vec![meta("process_name", 0, "fa-sim")];
+    evs.extend(groups.iter().enumerate().map(|(tid, (comp, _))| meta("thread_name", tid, comp)));
     for (tid, (_, recs)) in groups.iter().enumerate() {
         for r in recs {
-            let args = r.ev.args_json();
-            // Splice the record seq into the args object for ordering.
-            let args = format!("{{\"seq\":{},{}", r.seq, &args[1..]);
-            match r.ev.duration() {
-                Some(dur) => evs.push(format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{}}}",
-                    r.ev.kind(),
-                    r.cycle.saturating_sub(dur),
-                    dur.max(1),
-                    tid,
-                    args
-                )),
-                None => evs.push(format!(
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{}}}",
-                    r.ev.kind(),
-                    r.cycle,
-                    tid,
-                    args
-                )),
-            }
+            let phase = match r.ev.duration() {
+                Some(dur) => {
+                    vec![("ph", "X".into()), ("ts", r.cycle.saturating_sub(dur).into()), ("dur", dur.max(1).into())]
+                }
+                None => vec![("ph", "i".into()), ("s", "t".into()), ("ts", r.cycle.into())],
+            };
+            // The record seq leads the args, for ordering.
+            let args = Json::obj([("seq", r.seq.into())].into_iter().chain(r.ev.fields()));
+            evs.push(event(r.ev.kind(), phase, tid, args));
         }
     }
     format!("{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ns\"}}\n", evs.join(",\n"))
 }
 
-/// Structurally validates Chrome-trace JSON without an external parser:
-/// checks string-aware brace/bracket balance, the `traceEvents` header,
-/// and returns the number of event objects.
+/// Validates Chrome-trace JSON by parsing it and walking `traceEvents`,
+/// whose every record must carry a string `ph`. Returns the number of
+/// simulator events: the `"M"` process/thread-name records are metadata.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first structural problem.
+/// The parse error, or what is missing from the document.
 pub fn validate_chrome_trace(s: &str) -> Result<usize, String> {
-    let trimmed = s.trim_start();
-    if !trimmed.starts_with("{\"traceEvents\":[") {
-        return Err("missing {\"traceEvents\":[ header".to_string());
-    }
-    let mut stack: Vec<u8> = Vec::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut events = 0usize;
-    for c in s.chars() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => {
-                // An object opening directly inside the top-level array is
-                // one trace event.
-                if stack == [b'{', b'['] {
-                    events += 1;
-                }
-                stack.push(b'{');
-            }
-            '[' => stack.push(b'['),
-            '}' if stack.pop() != Some(b'{') => {
-                return Err("unbalanced '}'".to_string());
-            }
-            ']' if stack.pop() != Some(b'[') => {
-                return Err("unbalanced ']'".to_string());
-            }
-            _ => {}
-        }
-    }
-    if in_str {
-        return Err("unterminated string".to_string());
-    }
-    if !stack.is_empty() {
-        return Err(format!("{} unclosed scopes", stack.len()));
-    }
-    // Metadata events (process/thread names) are not simulator events.
-    Ok(events)
+    let doc = Json::parse(s)?;
+    let evs = doc.get("traceEvents").and_then(Json::as_arr).ok_or("no traceEvents array")?;
+    evs.iter().try_fold(0, |n, e| match e.get("ph").and_then(Json::as_str) {
+        Some("M") => Ok(n),
+        Some(_) => Ok(n + 1),
+        None => Err("a trace event without a ph".to_string()),
+    })
 }
 
 #[cfg(test)]
@@ -1168,11 +1060,20 @@ mod tests {
     }
 
     #[test]
+    fn hist_merge_saturates_like_record() {
+        let mut a = Hist::new();
+        a.record(u64::MAX);
+        let b = a;
+        a.merge(&b);
+        assert_eq!((a.count, a.sum, a.max), (2, u64::MAX, u64::MAX));
+    }
+
+    #[test]
     fn hist_json_trims_trailing_zero_buckets() {
         let mut h = Hist::new();
         h.record(1);
-        assert_eq!(h.json(), "{\"count\":1,\"sum\":1,\"max\":1,\"buckets\":[0,1]}");
-        assert_eq!(Hist::new().json(), "{\"count\":0,\"sum\":0,\"max\":0,\"buckets\":[]}");
+        assert_eq!(h.json().to_string(), "{\"count\":1,\"sum\":1,\"max\":1,\"buckets\":[0,1]}");
+        assert_eq!(Hist::new().json().to_string(), "{\"count\":0,\"sum\":0,\"max\":0,\"buckets\":[]}");
     }
 
     #[test]
@@ -1196,7 +1097,7 @@ mod tests {
     fn cpi_stack_json_names_every_leaf() {
         let mut s = CpiStack::new();
         s.add(CpiLeaf::SbDrain, 7);
-        let j = s.json();
+        let j = s.json().to_string();
         for leaf in CpiLeaf::ALL {
             assert!(j.contains(&format!("\"{}\":", leaf.name())), "missing {}", leaf.name());
         }
@@ -1209,17 +1110,6 @@ mod tests {
         for (i, leaf) in CpiLeaf::ALL.iter().enumerate() {
             assert_eq!(leaf.index(), i);
         }
-    }
-
-    #[test]
-    fn json_object_splices_fields_verbatim() {
-        assert_eq!(json_object(&[]), "{}");
-        assert_eq!(
-            json_object(&[("a", "1".to_string()), ("b", "[2,3]".to_string())]),
-            "{\"a\":1,\"b\":[2,3]}"
-        );
-        assert_eq!(json_u64_array(&[]), "[]");
-        assert_eq!(json_u64_array(&[1, 2]), "[1,2]");
     }
 
     #[test]
@@ -1301,11 +1191,37 @@ mod tests {
         ];
         let json = chrome_trace(&[("l1c0".to_string(), recs)]);
         let n = validate_chrome_trace(&json).expect("valid trace json");
-        assert_eq!(n, 2 + 2); // 2 metadata + 2 events
-        assert!(json.contains("\"name\":\"lock.acquire\""));
+        assert_eq!(n, 2, "the two metadata records are not events");
+        assert!(json.contains(
+            "{\"name\":\"lock.acquire\",\"ph\":\"i\",\"s\":\"t\",\"ts\":5,\"pid\":0,\"tid\":0,\
+             \"args\":{\"seq\":0,\"line\":64,\"count\":1}},\n"
+        ));
         assert!(json.contains("\"ph\":\"X\"")); // release renders as a slice
+        assert_eq!(validate_chrome_trace(&chrome_trace(&[])), Ok(0));
         assert!(validate_chrome_trace("{\"traceEvents\":[}").is_err());
         assert!(validate_chrome_trace("[]").is_err());
+        assert!(validate_chrome_trace("{\"traceEvents\":[{\"name\":\"x\"}]}").is_err());
+    }
+
+    #[test]
+    fn events_print_as_kind_and_fields() {
+        let shown = |ev: TraceEvent| ev.to_string();
+        assert_eq!(shown(TraceEvent::UopCommit { seq: 4, pc: 16 }), "uop.commit useq=4 pc=0x10");
+        assert_eq!(shown(TraceEvent::Squash { from_seq: 9, uops: 3 }), "squash from_seq=9 uops=3");
+        assert_eq!(
+            shown(TraceEvent::AtomicLoadLock { seq: 1, addr: 64, drain: 0, fwd: false }),
+            "atomic.load_lock useq=1 addr=0x40 drain=0"
+        );
+        assert!(shown(TraceEvent::AtomicLoadLock { seq: 1, addr: 64, drain: 0, fwd: true })
+            .ends_with(" drain=0 fwd=true"));
+        assert_eq!(
+            shown(TraceEvent::Mesi { line: 64, from: MESI_NONE, to: MESI_M }),
+            "mesi line=0x40 from=- to=M"
+        );
+        assert_eq!(
+            shown(TraceEvent::NocSend { kind: NOC_TO_DIR, src: 1, dst: u16::MAX }),
+            "noc.send kind=to_dir src=1 dst=65535"
+        );
     }
 
     #[test]
