@@ -66,6 +66,13 @@ sed -n '/pub fn skip(/,/^    }$/p' crates/core/src/core.rs > target/skip_fn.txt
 grep -q 'self\.cycle_leaf(' target/skip_fn.txt
 ! grep -n 'CpiLeaf::' target/skip_fn.txt || exit 1
 sed -n '/fn account_cycle(/,/^    }$/p' crates/core/src/core.rs | grep -q 'self\.cycle_leaf('
+# Audited chaos runs jump too: storms and the lock-hold bound are clock
+# events, so the crossbar keeps no fast-forward test of its own and the jump
+# never asks whether the auditor is armed.
+! grep -n 'fn fast_forwardable' crates/mem/src/noc.rs || exit 1
+sed -n '/    fn jump(/,/^    }$/p' crates/sim/src/machine.rs > target/jump_fn.txt
+grep -q 'fn jump(' target/jump_fn.txt
+! grep -n 'audit' target/jump_fn.txt || exit 1
 # Each coherence rule written once: stalled fills wake on the unlock that
 # frees their way (no backoff), one no-commit watchdog (`core-commit`), one
 # audit cadence, one core response handler, and one directory grant (the
@@ -97,11 +104,16 @@ grep -oE 'FA_[A-Z_]+' target/knobs.txt | sort -u > target/knob_names.txt
     --exclude-dir=.bench_build --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
     || exit 1
 # Differential litmus fuzzing under fault injection (seeded — replayable).
-FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 $FA fuzz
+# The summary line is pinned whole: these runs are audited under chaos and
+# the clock jumps through them, so a jump that moved any outcome shows up
+# as a different count of distinct outcomes.
+FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 $FA fuzz > target/fuzz_tso.txt
+grep -qx 'fuzz: 100 cases, 400 runs, 57 distinct legal outcomes, 0 failures' target/fuzz_tso.txt
 # The knobs reach the fuzzer: the same campaign on the weak machine runs
 # clean against the weak enumerator and says so in its header.
 FA_MODEL=weak FA_FUZZ_CASES=100 FA_FUZZ_SEED=193459 $FA fuzz > target/fuzz_weak.txt
 grep -q '^# fuzz: .*model=weak' target/fuzz_weak.txt
+grep -qx 'fuzz: 100 cases, 400 runs, 58 distinct legal outcomes, 0 failures' target/fuzz_weak.txt
 # The mini-sweep sizing every smoke below shares. `env` lets a step append
 # or override variables (`mini FA_MODEL=weak $FA sweep`); a command ignores
 # the axes it does not read (`conformance`: runs, drop, policies, presets;

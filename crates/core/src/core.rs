@@ -331,12 +331,14 @@ impl Core {
     }
 
     /// The first cycle at which [`Core::tick`] must run if no memory
-    /// traffic for the core arrives first: never for a halted core, the
-    /// monitor timeout for a sleeper — each once its store buffer is empty
-    /// — and for a running core the end of its stall (0 when it can act).
-    pub fn due(&self) -> u64 {
+    /// traffic for the core arrives first: 0 while its store buffer can
+    /// drain, else never for a halted core, the monitor timeout for a
+    /// sleeper and the end of its stall for a running core (0 when it can
+    /// act). A parked head's line turns writable with no traffic for the
+    /// core, so the drain test comes first and reads the cache.
+    pub fn due(&self, mem: &MemorySystem) -> u64 {
         match self.state {
-            _ if !self.sb.is_empty() => 0,
+            _ if !self.sb_waits_for_cache(mem) => 0,
             CoreState::Halted => u64::MAX,
             CoreState::Sleeping { wake_at, .. } => wake_at,
             CoreState::Running => self.stalled_until,
@@ -435,7 +437,7 @@ impl Core {
         self.state == CoreState::Running
             && !mem.has_core_traffic(self.id)
             && nothing_to_do
-            && self.sb.is_empty()
+            && self.sb_waits_for_cache(mem)
             && !self.rob.front().is_some_and(|head| head.done)
             && fetch_stopped
             && !watchdog_due
@@ -514,15 +516,16 @@ impl Core {
         // 9. Cycle accounting: attribute this cycle to exactly one leaf.
         self.account_cycle(uops_before, mem);
 
-        self.stalled_until = self.stall_horizon(now);
+        self.stalled_until = self.stall_horizon(now, mem);
     }
 
     /// After the step at `now`: the first cycle at which a step could
     /// differ from this one with no memory traffic in between, when this
     /// one left nothing to do — no list holds work (blocked loads wait for
-    /// an event, which only such a step raises), the store buffer is empty,
-    /// the ROB head cannot commit and fetch cannot dispatch. Zero otherwise.
-    fn stall_horizon(&self, now: u64) -> u64 {
+    /// an event, which only such a step raises), the store buffer waits for
+    /// its cache, the ROB head cannot commit and fetch cannot dispatch.
+    /// Zero otherwise.
+    fn stall_horizon(&self, now: u64, mem: &MemorySystem) -> u64 {
         let fetch_resumes = if self.fetch_barrier.is_some() || self.fetch_blocked.is_some() {
             u64::MAX
         } else if now + 1 < self.fetch_stall_until {
@@ -532,7 +535,7 @@ impl Core {
         };
         if self.state != CoreState::Running
             || !self.sched.idle()
-            || !self.sb.is_empty()
+            || !self.sb_waits_for_cache(mem)
             || self.rob.front().is_some_and(|head| head.done)
         {
             return 0;
@@ -1472,6 +1475,15 @@ impl Core {
     }
 
     // ------------------------------------------------------------ SB drain
+
+    /// True when a drain would do nothing: the store buffer is empty, or
+    /// its head is parked — its write-permission request is out and its
+    /// line is not writable yet. Only the memory system ticking can make
+    /// the line writable, so [`Core::due`] reads this afresh each cycle and
+    /// the drain performs the store on the tick the line turns writable.
+    fn sb_waits_for_cache(&self, mem: &MemorySystem) -> bool {
+        self.sb.front().is_none_or(|h| h.acquire_pending && !mem.writable(self.id, line_of(h.addr)))
+    }
 
     fn drain_store_buffer(&mut self, now: u64, mem: &mut MemorySystem) {
         let Some(&head) = self.sb.front() else { return };

@@ -1,9 +1,14 @@
 //! Cycle-level invariant auditor for the coherence/locking substrate.
 //!
 //! Opt-in (zero cost when [`AuditConfig::enabled`] is false): the machine
-//! driver calls [`MemorySystem::audit`](crate::MemorySystem::audit) once per
-//! cycle and turns any [`AuditViolation`] into a structured error instead of
-//! a silent wrong result or an unexplained timeout.
+//! driver calls [`MemorySystem::audit`](crate::MemorySystem::audit) after
+//! every tick and every jump and turns any [`AuditViolation`] into a
+//! structured error instead of a silent wrong result or an unexplained
+//! timeout. Every cycle is audited: across a jumped span no event is
+//! delivered and no core steps, so only lock ages move, and
+//! [`MemorySystem::next_event_at`](crate::MemorySystem::next_event_at)
+//! ends the span before the cycle the oldest lock would trip its bound.
+//! The sweep at the landing cycle is the verdict of the whole span.
 //!
 //! Audited invariants:
 //!
@@ -35,7 +40,7 @@ use crate::{CoreId, Cycle, Line};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AuditConfig {
     /// Master switch. When false auditing costs nothing per cycle; when
-    /// true the machine sweeps every cycle.
+    /// true every cycle is audited.
     pub enabled: bool,
     /// Maximum cycles a line may stay continuously locked by one core.
     pub max_lock_hold: Cycle,
@@ -114,8 +119,6 @@ impl std::error::Error for AuditViolation {}
 /// Auditor counters surfaced through [`MemStats`](crate::stats::MemStats).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditStats {
-    /// Audit sweeps performed.
-    pub sweeps: u64,
     /// Longest continuous lock hold observed (cycles).
     pub max_lock_hold_seen: Cycle,
 }

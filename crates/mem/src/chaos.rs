@@ -186,14 +186,19 @@ impl ChaosEngine {
         }
     }
 
+    /// The first storm cycle after `now`, the next multiple of
+    /// `storm_interval` (`None` while storms are off): a scheduled event,
+    /// so the clock may jump to it. Its burst is drawn on that tick, by
+    /// [`ChaosEngine::storm_due`].
+    pub(crate) fn next_storm_after(&self, now: u64) -> Option<u64> {
+        let c = &self.cfg;
+        (c.enabled && c.storm_interval > 0 && c.storm_burst > 0)
+            .then(|| (now / c.storm_interval + 1).saturating_mul(c.storm_interval))
+    }
+
     /// Number of directory entries to storm-evict this cycle (usually 0).
     pub(crate) fn storm_due(&mut self, now: u64) -> u32 {
-        if !self.cfg.enabled
-            || self.cfg.storm_interval == 0
-            || self.cfg.storm_burst == 0
-            || now == 0
-            || !now.is_multiple_of(self.cfg.storm_interval)
-        {
+        if now == 0 || self.next_storm_after(now - 1) != Some(now) {
             return 0;
         }
         self.stats.storms += 1;
@@ -261,6 +266,19 @@ mod tests {
         let n = e.storm_due(interval);
         assert!(n >= 1 && n <= burst);
         assert_eq!(e.stats.storms, 1);
+    }
+
+    #[test]
+    fn the_next_storm_is_the_next_cycle_one_fires_on() {
+        let mut e = ChaosEngine::new(ChaosConfig::stress(3));
+        let fires: Vec<u64> = (1..1000).filter(|&now| e.storm_due(now) > 0).collect();
+        for now in 0..900 {
+            let next = fires.iter().copied().find(|&at| at > now);
+            assert_eq!(e.next_storm_after(now), next, "after cycle {now}");
+        }
+        let off = ChaosEngine::new(ChaosConfig { storm_burst: 0, ..ChaosConfig::stress(3) });
+        assert_eq!(off.next_storm_after(5), None);
+        assert_eq!(ChaosEngine::new(ChaosConfig::default()).next_storm_after(5), None);
     }
 
     #[test]

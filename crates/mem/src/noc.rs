@@ -508,13 +508,6 @@ impl Xbar {
         self.wheel.len()
     }
 
-    /// True when idle cycles can be skipped: delivery times are computed at
-    /// send time (busy-until horizons, not per-cycle arbitration), so only
-    /// fault injection's per-cycle storm checks forbid it.
-    pub(crate) fn fast_forwardable(&self) -> bool {
-        !self.chaos.enabled()
-    }
-
     /// The later of `core`'s two links' (request egress, response ingress)
     /// transmission horizons: before it the core's traffic is queued
     /// behind link serialization. Only a send moves it; without links it

@@ -479,30 +479,39 @@ impl MemorySystem {
         !self.outbox[core.index()].is_empty() || !self.notices[core.index()].is_empty()
     }
 
-    /// Cycle of the earliest in-flight protocol event, if any.
+    /// The earliest cycle at which the memory system acts on its own: an
+    /// in-flight protocol event, the next back-invalidation storm, or the
+    /// cycle at which the oldest lock the last audit sweep saw would trip
+    /// the lock-hold bound. Between ticks nothing else changes what a tick
+    /// or a sweep would do.
     pub fn next_event_at(&self) -> Option<Cycle> {
-        self.noc.next_at()
+        let trips_after = self.cfg.audit.max_lock_hold.saturating_add(1);
+        let leak = self.lock_ages.iter().map(|l| l.since.saturating_add(trips_after)).min();
+        [self.noc.next_at(), self.noc.chaos.next_storm_after(self.now), leak]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
-    /// True when ticking this memory system over a span of idle cycles is a
-    /// pure clock advance: the interconnect has no per-cycle work (fault
-    /// injection's storm scheduling is per-cycle; the crossbar otherwise
-    /// computes delivery times at send time) and no unlock has made a
-    /// stalled-fill retry due at the next tick. The machine driver jumps
-    /// `now` only while this holds.
+    /// True when ticking this memory system over a span of cycles before
+    /// [`next_event_at`](Self::next_event_at) is a pure clock advance: no
+    /// unlock has made a stalled-fill retry due at the next tick. The
+    /// machine driver jumps `now` only while this holds.
     pub fn fast_forwardable(&self) -> bool {
-        self.noc.fast_forwardable() && !self.caches.iter().any(PrivCache::retry_due)
+        !self.caches.iter().any(PrivCache::retry_due)
     }
 
     /// Jumps the clock to `cycle` without processing the intervening
     /// (empty) cycles. Callers must have established that the skip is a
-    /// no-op: `cycle` precedes the next scheduled event, the system is
-    /// [`fast_forwardable`](Self::fast_forwardable), and no core issues a
-    /// request in the skipped span.
+    /// no-op: `cycle` precedes [`next_event_at`](Self::next_event_at), the
+    /// system is [`fast_forwardable`](Self::fast_forwardable), and no core
+    /// issues a request in the skipped span. With the auditor on, a sweep
+    /// of a skipped cycle would find what the last one found, with younger
+    /// locks, so the caller's sweep at `cycle` stands for them.
     pub fn skip_to(&mut self, cycle: Cycle) {
-        debug_assert!(cycle >= self.now, "skip_to cannot rewind the clock");
+        debug_assert!(cycle > self.now, "skip_to must move the clock forward");
         debug_assert!(
-            self.noc.next_at().map(|at| at > cycle).unwrap_or(true),
+            self.next_event_at().is_none_or(|at| at > cycle),
             "skip_to must not jump over a scheduled event"
         );
         debug_assert!(self.fast_forwardable(), "skip_to requires a pure clock advance");
@@ -585,7 +594,6 @@ impl MemorySystem {
         if !self.cfg.audit.enabled {
             return Ok(());
         }
-        self.audit_stats.sweeps += 1;
         // Inclusion, while gathering every private copy in cache-then-set
         // order: each must be covered by a directory sharer bit (the
         // directory is a superset due to silent evictions, never a subset).
@@ -1000,7 +1008,7 @@ mod tests {
             }
             other => panic!("expected LockLeak, got {other:?}"),
         }
-        assert!(m.stats().audit.sweeps > 0);
+        assert!(m.stats().audit.max_lock_hold_seen > 10);
     }
 
     #[test]

@@ -36,6 +36,19 @@ fn fuzz_campaign_500_cases_two_policies_clean() {
     assert!(report.distinct_outcomes >= 20, "{report}");
 }
 
+/// ROADMAP item 1 in one case: `FA_FUZZ_SEED=4054257868 FA_FUZZ_CASES=1
+/// fa fuzz` fails at case 0 under FreeAtomics and FreeAtomics+Fwd with the
+/// `rfe` cycle `Store@x [po-ww] → StoreUnlock@y [rfe] → Load@y [po] →
+/// Load@x [co/fr]` — a load exempt from the invalidation squash because it
+/// forwarded from its own core's store. Un-ignore with the fix.
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn item_1_rfe_shape_is_clean_in_one_case() {
+    let fcfg = FuzzConfig { cases: 1, seed: 0xF1A7_10CC, ..FuzzConfig::default() };
+    let report = fuzz_litmus(&tiny_machine(), &fcfg);
+    assert!(report.ok(), "{report}");
+}
+
 fn counter(iters: i64) -> Program {
     let mut k = Kasm::new();
     k.li(Reg::R1, 0x100);

@@ -64,18 +64,49 @@ fn stalled_ticks_are_invisible_on_the_suite() {
     }
 }
 
+/// The litmus galleries, classic and weak.
+fn gallery() -> Vec<LitmusTest> {
+    LitmusTest::all().into_iter().chain(LitmusTest::weak_gallery()).collect()
+}
+
+/// The tiny machine under stress chaos with the auditor armed: storms,
+/// jittered grants and the lock-hold bound are all clock events here.
+fn audited_chaos(policy: AtomicPolicy, noc: NocConfig, model: MemModel) -> MachineConfig {
+    let mut cfg = tiny_machine();
+    cfg.core.policy = policy;
+    cfg.core.model = model;
+    cfg.mem.noc = noc;
+    cfg.mem.chaos = ChaosConfig::stress(0x57A1_1ED0);
+    cfg.mem.audit = AuditConfig::on();
+    cfg
+}
+
+/// Audited chaos runs jump like any other: storms are scheduled, a store
+/// waiting for write permission wakes on its cache, and the landing sweep
+/// audits a jumped span. Each policy must skip ticks, or its comparison
+/// says nothing.
 #[test]
 fn stalled_ticks_are_invisible_under_chaos_with_the_auditor_on() {
-    let programs = LitmusTest::iriw().to_programs();
-    for policy in AtomicPolicy::ALL {
-        let mut cfg = tiny_machine();
-        cfg.core.policy = policy;
-        cfg.mem.chaos = ChaosConfig::stress(0x57A1_1ED0);
-        cfg.mem.audit = AuditConfig::on();
-        let what = format!("iriw {policy:?}");
-        let (r, skipped) = assert_invisible(&what, &cfg, &programs, &GuestMem::new(1 << 16));
-        assert!(r.mem.audit.sweeps > 0, "{what}: the auditor never swept");
-        assert!(skipped > 0, "{what}: no tick was skipped as stalled");
+    let mem = GuestMem::new(1 << 16);
+    let mut storms = 0;
+    let mut skipped = [0; AtomicPolicy::ALL.len()];
+    for t in gallery() {
+        let programs = t.to_programs();
+        for (p, policy) in AtomicPolicy::ALL.into_iter().enumerate() {
+            for noc in [NocConfig::default(), NocConfig::contended(2)] {
+                for model in [MemModel::Tso, MemModel::Weak] {
+                    let cfg = audited_chaos(policy, noc, model);
+                    let what = format!("{} {policy:?} {noc:?} {model:?}", t.name);
+                    let (r, s) = assert_invisible(&what, &cfg, &programs, &mem);
+                    storms += r.mem.chaos.storms;
+                    skipped[p] += s;
+                }
+            }
+        }
+    }
+    assert!(storms > 0, "no storm fired");
+    for (policy, skipped) in AtomicPolicy::ALL.into_iter().zip(skipped) {
+        assert!(skipped > 0, "{policy:?}: no tick was skipped as stalled");
     }
 }
 
@@ -253,6 +284,43 @@ fn core_commit_trips_at_the_same_cycle_from_inside_a_jump() {
         assert_eq!(fast.cores, slow.cores, "{what}");
         assert_eq!(fast.mem, slow.mem, "{what}");
     }
+}
+
+/// A lock held across a jumped span ages without a sweep seeing each cycle:
+/// the jump must end before the cycle it trips the auditor's hold bound,
+/// so the violation comes from the cycle, and with the `held_for`, the
+/// always-tick loop reports. Bounds short enough that legal atomics under
+/// stress chaos trip them.
+#[test]
+fn lock_leak_trips_at_the_same_cycle_from_inside_a_jump() {
+    let mut trips = 0;
+    for t in gallery() {
+        let programs = t.to_programs();
+        for policy in AtomicPolicy::ALL {
+            for bound in [5, 10, 20, 40] {
+                let mut cfg = audited_chaos(policy, NocConfig::default(), MemModel::Tso);
+                cfg.mem.audit.max_lock_hold = bound;
+                let what = format!("{} {policy:?} max_lock_hold={bound}", t.name);
+                let run = |fast_paths: bool| {
+                    let mut m = Machine::new(cfg.clone(), programs.clone(), GuestMem::new(1 << 16));
+                    m.set_fast_paths(fast_paths);
+                    match m.run(1_000_000) {
+                        Ok(r) => Ok((r.cycles, r.per_core, r.mem)),
+                        Err(e @ SimError::Audit { .. }) => Err(Box::new(e)),
+                        Err(e) => panic!("{what}, fast_paths={fast_paths}: {e}"),
+                    }
+                };
+                let fast = run(true);
+                let slow = run(false);
+                if let (Err(f), Err(s)) = (&fast, &slow) {
+                    assert_eq!(f.to_string(), s.to_string(), "{what}");
+                    trips += 1;
+                }
+                assert_eq!(fast, slow, "{what}");
+            }
+        }
+    }
+    assert!(trips > 0, "no run tripped the lock-hold bound");
 }
 
 /// A count that repeats exactly, so it can gate. Asking every blocked load
