@@ -86,6 +86,15 @@ test "$(sed '/#\[cfg(test)\]/,$d' crates/mem/src/dir.rs | grep -c 'L1Msg::GrantX
 ! grep -rnE 'fn (json_object|json_u64_array|json_escape|str_field|u64_field|parse_health|args_json)\b' \
     crates src tests || exit 1
 ! grep -rn 'fa-checkpoint-v1' crates || exit 1
+# One stats registry (`fa_trace::counters!`): a counter block's merge and
+# JSON derive from its declaration, so the hand-written merges, roll-ups and
+# health codec stay deleted and no merge line sits beside a declaration.
+! grep -rnE 'merge_health|struct RowCpi|fn note_rescue|fn agg\(|total_demand_reads' crates src tests \
+    || exit 1
+! grep -n 'fn apki' crates/sim/src/machine.rs || exit 1
+for f in crates/core/src/stats.rs crates/mem/src/stats.rs; do
+    ! sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\+= o\.|\.max\(o\.' || exit 1
+done
 # One driver binary, built once here (`cargo build --release` above builds
 # only the root package) and reached directly by every smoke below.
 ! ls crates/bench/src/bin | grep -vx 'fa.rs' || exit 1

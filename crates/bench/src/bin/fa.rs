@@ -20,12 +20,14 @@ use fa_bench::{fmt, row, run_once_checked, workloads_from_env, BenchOpts, MAX_CY
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, Reg};
-use fa_mem::NocConfig;
+use fa_mem::{CoreMemStats, NocConfig};
 use fa_sim::error::CellFailure;
 use fa_sim::fuzz::{fuzz_litmus, FuzzConfig};
 use fa_sim::machine::MachineConfig;
 use fa_sim::presets::{icelake_like, tiny_machine};
-use fa_sim::{env, flight_json, supervise, validate_chrome_trace, CheckMode, Machine, TraceMode};
+use fa_sim::{
+    env, flight_json, supervise, validate_chrome_trace, CheckMode, Counter, Machine, TraceMode,
+};
 use fa_workloads::{suite, WorkloadSpec};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -462,7 +464,7 @@ fn smoke(cmd: &Command, _: &[String]) -> Outcome {
                     policy.label().into(),
                     r.cycles.to_string(),
                     r.instructions().to_string(),
-                    fmt(r.apki(), 2),
+                    fmt(r.aggregate().apki(), 2),
                 ]),
                 t0.elapsed().as_secs_f64()
             );
@@ -503,7 +505,7 @@ fn diag(cmd: &Command, _: &[String]) -> Outcome {
                 a.atomics_fwd_from_atomic,
                 a.atomics_fwd_from_store,
                 a.sleep_cycles,
-                r.mem.cores.iter().map(|c| c.parked_on_lock).sum::<u64>(),
+                CoreMemStats::merged(&r.mem.cores).parked_on_lock,
             );
         }
     }

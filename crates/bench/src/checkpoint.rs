@@ -16,9 +16,9 @@
 //! {"cell":<idx>,"cycles":<c>,"instr":<i>,"health":{"dir_rescues":<r>,…},"row":{…}}
 //! ```
 //!
-//! `health` carries the cell's forward-progress counters (the
-//! `ProgressStats` fields, by name) so a resumed campaign's summary line
-//! accounts journaled cells too.
+//! `health` carries the cell's forward-progress counters (`ProgressStats`
+//! as the stats registry writes it: its fields by name) so a resumed
+//! campaign's summary line accounts journaled cells too.
 //!
 //! The header fingerprint is an FNV-1a 64 hash of the canonical campaign
 //! configuration (everything that affects simulated results — seed, sizing,
@@ -38,7 +38,7 @@
 //! rewriting.
 
 use fa_mem::ProgressStats;
-use fa_sim::Json;
+use fa_sim::{Counter, Json};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -133,19 +133,11 @@ impl Journal {
     ///
     /// Any I/O error from the append.
     pub fn record(&self, idx: usize, r: &CellRecord) -> std::io::Result<()> {
-        let h = &r.health;
-        let health = Json::obj([
-            ("dir_rescues", h.dir_rescues.into()),
-            ("dir_alloc_attempts_max", h.dir_alloc_attempts_max.into()),
-            ("fill_attempts_max", h.fill_attempts_max.into()),
-            ("lsq_attempts_max", h.lsq_attempts_max.into()),
-            ("noc_backlog_max", h.noc_backlog_max.into()),
-        ]);
         let line = Json::obj([
             ("cell", idx.into()),
             ("cycles", r.cycles.into()),
             ("instr", r.instructions.into()),
-            ("health", health),
+            ("health", r.health.to_json()),
             ("row", r.row.clone()),
         ]);
         let mut f = self.file.lock().expect("a sweep worker panicked holding the journal");
@@ -195,18 +187,11 @@ pub fn replay(
 /// cell just re-runs).
 fn parse_record(line: &str, cells: usize) -> Option<(usize, CellRecord)> {
     let v = Json::parse(line).ok()?;
-    let int = |obj: &Json, k| obj.get(k).and_then(Json::as_u64);
-    let idx = usize::try_from(int(&v, "cell")?).ok().filter(|&i| i < cells)?;
-    let h = v.get("health")?;
-    let health = ProgressStats {
-        dir_rescues: int(h, "dir_rescues")?,
-        dir_alloc_attempts_max: int(h, "dir_alloc_attempts_max")?,
-        fill_attempts_max: int(h, "fill_attempts_max")?,
-        lsq_attempts_max: int(h, "lsq_attempts_max")?,
-        noc_backlog_max: int(h, "noc_backlog_max")?,
-    };
+    let int = |k| v.get(k).and_then(Json::as_u64);
+    let idx = usize::try_from(int("cell")?).ok().filter(|&i| i < cells)?;
+    let health = ProgressStats::from_json(v.get("health")?)?;
     let row = v.get("row").filter(|r| matches!(r, Json::Obj(_)))?.clone();
-    Some((idx, CellRecord { cycles: int(&v, "cycles")?, instructions: int(&v, "instr")?, health, row }))
+    Some((idx, CellRecord { cycles: int("cycles")?, instructions: int("instr")?, health, row }))
 }
 
 #[cfg(test)]

@@ -10,15 +10,14 @@
 //! `BENCH_sweep.json` throughput report; [`FIGURES`] names them all.
 
 use crate::sweep::{
-    grid, presets_from_env, run_grid_supervised, CellResult, Preset, RowCpi, SupervisorOpts,
-    SweepCell, SweepReport,
+    grid, presets_from_env, run_grid_supervised, CellResult, Preset, SupervisorOpts, SweepCell,
+    SweepReport,
 };
 use crate::{fmt, mean, row, run_once_checked, BenchOpts};
 use fa_core::AtomicPolicy;
 use fa_mem::NocConfig;
 use fa_sim::energy::EnergyModel;
 use fa_sim::error::SimError;
-use fa_sim::machine::RunResult;
 use fa_sim::presets::{icelake_like, skylake_like};
 use fa_sim::{CpiLeaf, MemModel};
 
@@ -39,10 +38,6 @@ pub const FIGURES: &[(&str, Figure)] = &[
     ("fig_weak_baseline", fig_weak_baseline),
     ("cpistack", cpi_stacks),
 ];
-
-fn agg(r: &RunResult) -> fa_core::CoreStats {
-    r.aggregate()
-}
 
 /// Measures `cells` as one campaign and returns every cell's result (in
 /// grid order) plus the emitted sweep report.
@@ -106,8 +101,8 @@ pub fn fig01_atomic_cost(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     for spec in opts.workloads() {
         let sky = run_once_checked(&spec, AtomicPolicy::FencedBaseline, &skylake_like(), opts)?;
         let ice = run_once_checked(&spec, AtomicPolicy::FencedBaseline, &icelake_like(), opts)?;
-        let (sd, sa) = agg(&sky).atomic_cost();
-        let (id, ia) = agg(&ice).atomic_cost();
+        let (sd, sa) = sky.aggregate().atomic_cost();
+        let (id, ia) = ice.aggregate().atomic_cost();
         sky_tot.push(sd + sa);
         ice_tot.push(id + ia);
         println!(
@@ -171,7 +166,7 @@ pub fn fig12_apki(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     for spec in opts.workloads() {
         let r = run_once_checked(&spec, AtomicPolicy::FencedBaseline, &icelake_like(), opts)?;
         let cls = if spec.atomic_intensive { "atomic-intensive" } else { "non-atomic-intensive" };
-        println!("{}", row(&[spec.name.into(), fmt(r.apki(), 2), cls.into()]));
+        println!("{}", row(&[spec.name.into(), fmt(r.aggregate().apki(), 2), cls.into()]));
     }
     println!("\n(the paper draws the atomic-intensive threshold at 0.75 APKI)");
     Ok(())
@@ -205,7 +200,7 @@ pub fn table2_characterization(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     let (mut of, mut to, mut mdv, mut fba, mut fbs) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for (spec, r) in specs.iter().zip(runs) {
-        let a = agg(&r?);
+        let a = r?.aggregate();
         let omitted = a.omitted_fence_ratio() * 100.0;
         let timeouts = a.watchdog_fires;
         let mdv_pct = if a.total_squashes() == 0 {
@@ -274,8 +269,8 @@ pub fn fig13_locality(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     for spec in opts.workloads() {
         let b = run_once_checked(&spec, AtomicPolicy::FencedBaseline, &icelake_like(), opts)?;
         let f = run_once_checked(&spec, AtomicPolicy::FreeFwd, &icelake_like(), opts)?;
-        let (b_tot, _) = agg(&b).atomic_locality();
-        let (f_tot, f_fwd) = agg(&f).atomic_locality();
+        let (b_tot, _) = b.aggregate().atomic_locality();
+        let (f_tot, f_fwd) = f.aggregate().atomic_locality();
         println!(
             "{}",
             row(&[
@@ -372,12 +367,10 @@ pub fn cpi_stacks(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("{}", row(&header));
     let (results, report) = policy_grid("cpistack", opts, &SupervisorOpts::none())?;
     for r in &results {
-        let cpi = RowCpi::from_run(r.summary.representative());
-        let total = cpi.core_cycles.max(1) as f64;
+        let cpi = r.summary.representative().aggregate().cpi;
+        let total = cpi.total().max(1) as f64;
         let mut cells = vec![r.cell.workload.name.to_string(), r.cell.policy.label().to_string()];
-        cells.extend(
-            CpiLeaf::ALL.iter().map(|&l| fmt(cpi.stack.get(l) as f64 * 100.0 / total, 1)),
-        );
+        cells.extend(CpiLeaf::ALL.iter().map(|&l| fmt(cpi.get(l) as f64 * 100.0 / total, 1)));
         println!("{}", row(&cells));
     }
     println!("\natomic-lifetime attribution (cycles per committed atomic, representative runs):\n");
@@ -394,21 +387,18 @@ pub fn cpi_stacks(opts: &BenchOpts) -> Result<(), Box<SimError>> {
         ])
     );
     for r in &results {
-        let rep = r.summary.representative();
-        let cpi = RowCpi::from_run(rep);
-        let atomics: u64 = rep.per_core.iter().map(|c| c.atomics).sum();
-        let per = |v: u64| if atomics == 0 { 0.0 } else { v as f64 / atomics as f64 };
-        let exec: u64 = rep.per_core.iter().map(|c| c.atomic_exec_cycles).sum();
+        let a = r.summary.representative().aggregate();
+        let per = |v: u64| if a.atomics == 0 { 0.0 } else { v as f64 / a.atomics as f64 };
         println!(
             "{}",
             row(&[
                 r.cell.workload.name.into(),
                 r.cell.policy.label().into(),
-                fmt(per(cpi.atomic_acquire), 1),
-                fmt(per(cpi.atomic_xfer.iter().sum()), 1),
-                fmt(per(cpi.atomic_dir_park), 1),
-                fmt(per(cpi.atomic_local), 1),
-                fmt(per(exec), 1),
+                fmt(per(a.atomic_lock_acquire_cycles), 1),
+                fmt(per(a.atomic_xfer_cycles.iter().sum()), 1),
+                fmt(per(a.atomic_dir_park_cycles), 1),
+                fmt(per(a.atomic_local_cycles), 1),
+                fmt(per(a.atomic_exec_cycles), 1),
             ])
         );
     }

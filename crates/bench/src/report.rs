@@ -20,7 +20,7 @@
 //! the checkpoint journal's do, and only the fields this report needs are
 //! read, by path: the cell identity and the `cpi` block.
 
-use fa_sim::{CpiLeaf, Json, CPI_LEAVES};
+use fa_sim::{Counter, CpiLeaf, CpiStack, Json, CPI_LEAVES};
 use std::fmt::Write as _;
 
 /// Row-regression threshold: total core cycles growing by more than this
@@ -61,11 +61,7 @@ pub fn parse_rows(text: &str) -> Vec<CpiRow> {
 /// The cell identity and `cpi` block of one parsed row, read by path.
 fn cpi_row(row: &Json) -> Option<CpiRow> {
     let cpi = row.get("cpi")?;
-    let stack = cpi.get("stack")?;
-    let mut leaves = [0u64; CPI_LEAVES];
-    for l in CpiLeaf::ALL {
-        leaves[l.index()] = stack.get(l.name())?.as_u64()?;
-    }
+    let leaves = CpiStack::from_json(cpi.get("stack")?)?.leaves;
     let name = |k| row.get(k).and_then(Json::as_str);
     let mut key = format!("{}/{}/{}", name("kernel")?, name("policy")?, name("preset")?);
     if let Some(net) = row.get("net") {
@@ -261,6 +257,9 @@ mod tests {
         assert_eq!(rows[0].leaves[CpiLeaf::Idle.index()], 200);
         assert_eq!(rows[0].leaves.iter().sum::<u64>(), rows[0].core_cycles);
         assert_eq!(rows[1].key, "PC/baseline/tiny");
+        // A row whose stack misses a leaf is skipped.
+        let short = parse_rows(&text.replacen(",\"idle\":200", "", 1));
+        assert_eq!(short.iter().map(|r| r.key.as_str()).collect::<Vec<_>>(), ["PC/baseline/tiny"]);
         // Rows without a cpi block (pre-accounting reports) are skipped.
         assert!(parse_rows("{\"kernel\":\"X\",\"policy\":\"p\",\"preset\":\"t\"}").is_empty());
         assert!(parse_rows("not json at all").is_empty());

@@ -15,13 +15,13 @@
 use crate::checkpoint::{fnv1a64, CellRecord, Journal};
 use crate::BenchOpts;
 use fa_core::AtomicPolicy;
-use fa_mem::{ProgressStats, XbarPolicy};
+use fa_mem::{CoreMemStats, ProgressStats, XbarPolicy};
 use fa_sim::env;
 use fa_sim::error::{CellFailure, SimError};
 use fa_sim::machine::{MachineConfig, RunResult};
 use fa_sim::methodology::{Methodology, MultiRun};
 use fa_sim::sweep::{run_cells_timed, supervise, SweepTiming};
-use fa_sim::{CpiStack, Hist, Json};
+use fa_sim::{Counter, Json};
 use fa_workloads::{WorkloadParams, WorkloadSpec};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -243,17 +243,6 @@ impl SweepOutcome {
     }
 }
 
-/// Folds one forward-progress sample into an aggregate: event counts
-/// (rescues) sum, high-water marks max — the same shape at every level of
-/// aggregation (runs into a cell, cells into a campaign).
-pub fn merge_health(into: &mut ProgressStats, h: &ProgressStats) {
-    into.dir_rescues += h.dir_rescues;
-    into.dir_alloc_attempts_max = into.dir_alloc_attempts_max.max(h.dir_alloc_attempts_max);
-    into.fill_attempts_max = into.fill_attempts_max.max(h.fill_attempts_max);
-    into.lsq_attempts_max = into.lsq_attempts_max.max(h.lsq_attempts_max);
-    into.noc_backlog_max = into.noc_backlog_max.max(h.noc_backlog_max);
-}
-
 /// The campaign fingerprint for the checkpoint journal: an FNV-1a 64 hash
 /// over everything that affects simulated rows — sizing, methodology,
 /// seed, NoC, check mode, memory model, progress thresholds, the chaos
@@ -294,7 +283,7 @@ fn run_one_cell(
         let rr = meth.run_single(&cfg, run, w.programs, w.mem)?;
         cycles += rr.cycles;
         instructions += rr.instructions();
-        merge_health(&mut health, &rr.mem.progress);
+        health.merge(&rr.mem.progress);
         runs.push(rr);
     }
     let result = CellResult { cell: *cell, summary: meth.summarize(runs)? };
@@ -371,13 +360,13 @@ pub fn run_grid_supervised(
             row_lines.push(rec.row.to_string());
             timing.sim_cycles += rec.cycles;
             timing.sim_instructions += rec.instructions;
-            merge_health(&mut health, &rec.health);
+            health.merge(&rec.health);
             measured.push(None);
             continue;
         }
         match fresh.next().expect("one supervised result per pending cell") {
             Ok((rec, result)) => {
-                merge_health(&mut health, &rec.health);
+                health.merge(&rec.health);
                 row_lines.push(rec.row.to_string());
                 measured.push(Some(result));
             }
@@ -394,97 +383,40 @@ pub fn run_grid_supervised(
     Ok((SweepOutcome { row_lines, results: measured, quarantine, resumed, health }, timing))
 }
 
-/// The latency-histogram block of one sweep row, from the representative
-/// run, across cores: atomic exec latency, the SB drain a `load_lock` paid
-/// (zero under the free policies), fills stalled on all-locked sets,
-/// cache-lock hold windows, and NoC delivered latency (empty when ideal).
-/// Always-on counters with fixed bucket edges: the block is bit-identical
-/// at any `FA_THREADS` value and any `FA_TRACE` mode.
-fn hists_json(r: &RunResult) -> Json {
-    let agg = r.aggregate();
-    let (mut fill_stall, mut lock_hold) = (Hist::new(), Hist::new());
-    for c in &r.mem.cores {
-        fill_stall.merge(&c.fill_stall_hist);
-        lock_hold.merge(&c.lock_hold_hist);
-    }
-    Json::obj([
-        ("atomic_exec", agg.atomic_exec_hist.json()),
-        ("atomic_drain", agg.atomic_drain_hist.json()),
-        ("fill_stall", fill_stall.json()),
-        ("lock_hold", lock_hold.json()),
-        ("noc_delivered", r.mem.noc.delivered_hist.json()),
-    ])
-}
-
-/// The cycle-accounting block of one sweep row, from the representative
-/// run: every core's CPI stack merged element-wise (so the block's
-/// `stack` total equals `core_cycles` exactly — the same conservation
-/// invariant the per-core stacks obey), the atomic-lifetime split
-/// (acquire / per-[`LatClass`](fa_mem::LatClass) transfer / directory
-/// park / local execute, summing exactly to the committed atomics' exec
-/// latency), and the memory side's fill-latency attribution by class.
-/// All counters are always-on passive statistics, so the block is
-/// bit-identical at any `FA_THREADS` value and any `FA_TRACE` mode.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RowCpi {
-    /// Core cycles summed over every core of the representative run —
-    /// exactly `stack`'s total.
-    pub core_cycles: u64,
-    /// Element-wise sum of the per-core CPI stacks.
-    pub stack: CpiStack,
-    /// Σ cache-lock acquire cycles of committed atomics across cores.
-    pub atomic_acquire: u64,
-    /// Σ remote-line transfer cycles of committed atomics' fills, indexed
-    /// by [`LatClass::index`](fa_mem::LatClass::index).
-    pub atomic_xfer: [u64; 5],
-    /// Σ cycles committed atomics' fills sat parked behind a busy
-    /// directory entry.
-    pub atomic_dir_park: u64,
-    /// Σ local-execute cycles (lock acquired → store_unlock performed).
-    pub atomic_local: u64,
-    /// Σ fill latency by [`LatClass::index`](fa_mem::LatClass::index)
-    /// across cores, from the memory side (demand fills, not just
-    /// atomics).
-    pub fill: [u64; 5],
-}
-
-impl RowCpi {
-    /// Collects the cycle-accounting block from one run's statistics.
-    pub fn from_run(r: &RunResult) -> RowCpi {
-        let mut cpi = RowCpi::default();
-        for c in &r.per_core {
-            cpi.core_cycles += c.cycles;
-            cpi.stack.merge(&c.cpi);
-            cpi.atomic_acquire += c.atomic_lock_acquire_cycles;
-            for (t, v) in cpi.atomic_xfer.iter_mut().zip(c.atomic_xfer_cycles) {
-                *t += v;
-            }
-            cpi.atomic_dir_park += c.atomic_dir_park_cycles;
-            cpi.atomic_local += c.atomic_local_cycles;
-        }
-        for m in &r.mem.cores {
-            for (t, v) in cpi.fill.iter_mut().zip(m.fill_cycles_by_class) {
-                *t += v;
-            }
-        }
-        cpi
-    }
-
-    /// The block as a JSON object (stable field order).
-    pub fn json(&self) -> Json {
-        let atomic = Json::obj([
-            ("acquire", self.atomic_acquire.into()),
-            ("xfer", Json::arr(self.atomic_xfer)),
-            ("dir_park", self.atomic_dir_park.into()),
-            ("local", self.atomic_local.into()),
-        ]);
-        Json::obj([
-            ("core_cycles", self.core_cycles.into()),
-            ("stack", self.stack.json()),
-            ("atomic", atomic),
-            ("fill", Json::arr(self.fill)),
-        ])
-    }
+/// The `hists` and `cpi` blocks of one sweep row, from the representative
+/// run's per-core counters merged by the stats registry. `hists`: atomic
+/// exec latency, the SB drain a `load_lock` paid (zero under the free
+/// policies), fills stalled on all-locked sets, cache-lock hold windows,
+/// and NoC delivered latency (empty when ideal). `cpi`: the merged CPI
+/// stack, whose total `core_cycles` is the per-core cycle sum by the
+/// conservation invariant; the atomic-lifetime split (acquire /
+/// per-[`LatClass`](fa_mem::LatClass) transfer / directory park / local
+/// execute, summing exactly to the committed atomics' exec latency); and
+/// the memory side's fill latency by class. All are always-on passive
+/// counters, so both blocks are bit-identical at any `FA_THREADS` value and
+/// any `FA_TRACE` mode.
+fn stat_blocks(r: &RunResult) -> [(&'static str, Json); 2] {
+    let (c, m) = (r.aggregate(), CoreMemStats::merged(&r.mem.cores));
+    let hists = Json::obj([
+        ("atomic_exec", c.atomic_exec_hist.to_json()),
+        ("atomic_drain", c.atomic_drain_hist.to_json()),
+        ("fill_stall", m.fill_stall_hist.to_json()),
+        ("lock_hold", m.lock_hold_hist.to_json()),
+        ("noc_delivered", r.mem.noc.delivered_hist.to_json()),
+    ]);
+    let atomic = Json::obj([
+        ("acquire", c.atomic_lock_acquire_cycles.into()),
+        ("xfer", Json::arr(c.atomic_xfer_cycles)),
+        ("dir_park", c.atomic_dir_park_cycles.into()),
+        ("local", c.atomic_local_cycles.into()),
+    ]);
+    let cpi = Json::obj([
+        ("core_cycles", c.cpi.total().into()),
+        ("stack", c.cpi.to_json()),
+        ("atomic", atomic),
+        ("fill", Json::arr(m.fill_cycles_by_class)),
+    ]);
+    [("hists", hists), ("cpi", cpi)]
 }
 
 /// The emitted `BENCH_sweep.json` row of a cell measured under `opts`, in
@@ -511,8 +443,7 @@ pub(crate) fn sweep_row(opts: &BenchOpts, r: &CellResult) -> Json {
     if rep.mem.noc.policy == XbarPolicy::Contended {
         row.push(("net", rep.mem.noc.json()));
     }
-    row.push(("hists", hists_json(rep)));
-    row.push(("cpi", RowCpi::from_run(rep).json()));
+    row.extend(stat_blocks(rep));
     if opts.check.on() {
         row.push(("checked", true.into()));
     }
@@ -567,7 +498,7 @@ impl SweepReport {
     pub fn merge(mut self, other: SweepReport) -> SweepReport {
         self.row_lines.extend(other.row_lines);
         self.quarantine.extend(other.quarantine);
-        merge_health(&mut self.health, &other.health);
+        self.health.merge(&other.health);
         self.timing.cells += other.timing.cells;
         self.timing.threads = self.timing.threads.max(other.timing.threads);
         self.timing.wall += other.timing.wall;
@@ -669,6 +600,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_sim::CpiStack;
     use fa_workloads::suite;
 
     fn small_opts(threads: usize) -> BenchOpts {
@@ -852,9 +784,21 @@ mod tests {
         );
         // Both models conserve every core cycle in the CPI stack.
         for r in &weak {
-            let cpi = RowCpi::from_run(r.summary.representative());
-            assert_eq!(cpi.stack.total(), cpi.core_cycles, "{}: weak runs must conserve cycles", r.cell.name());
+            conserved_stack(&weak_opts, r);
         }
+    }
+
+    /// The CPI stack of `r`'s row, read back from its `cpi` block once
+    /// `core_cycles`, the stack's total and the representative run's
+    /// per-core cycle sum are seen to agree.
+    fn conserved_stack(opts: &BenchOpts, r: &CellResult) -> CpiStack {
+        let row = sweep_row(opts, r);
+        let cpi = row.get("cpi").expect("every row has a cpi block");
+        let stack = cpi.get("stack").and_then(CpiStack::from_json).expect("every leaf");
+        let cycles: u64 = r.summary.representative().per_core.iter().map(|c| c.cycles).sum();
+        assert_eq!(cpi.get("core_cycles").and_then(Json::as_u64), Some(cycles), "{}", r.cell.name());
+        assert_eq!(stack.total(), cycles, "{}: the CPI stack must conserve cycles", r.cell.name());
+        stack
     }
 
     #[test]
@@ -882,33 +826,32 @@ mod tests {
         let opts = small_opts(1);
         let (results, _, _) = run(&opts, &cells);
         for r in &results {
-            let cpi = RowCpi::from_run(r.summary.representative());
             // Conservation: the merged stack accounts every core cycle of
             // the representative run, exactly.
-            assert_eq!(cpi.stack.total(), cpi.core_cycles, "{}: CPI stack must conserve cycles", r.cell.name());
-            assert!(cpi.stack.get(CpiLeaf::Commit) > 0, "work commits in every cell");
+            assert!(conserved_stack(&opts, r).get(CpiLeaf::Commit) > 0, "work commits in every cell");
             // The atomic-lifetime split sums exactly to the committed
             // atomics' exec latency.
-            let split =
-                cpi.atomic_acquire + cpi.atomic_xfer.iter().sum::<u64>() + cpi.atomic_dir_park + cpi.atomic_local;
-            let exec: u64 =
-                r.summary.representative().per_core.iter().map(|c| c.atomic_exec_cycles).sum();
-            assert_eq!(split, exec, "{}: atomic split must be exact", r.cell.name());
+            let a = r.summary.representative().aggregate();
+            let split = a.atomic_lock_acquire_cycles
+                + a.atomic_xfer_cycles.iter().sum::<u64>()
+                + a.atomic_dir_park_cycles
+                + a.atomic_local_cycles;
+            assert_eq!(split, a.atomic_exec_cycles, "{}: atomic split must be exact", r.cell.name());
             let j = sweep_row(&opts, r).to_string();
             assert!(j.contains(",\"cpi\":{\"core_cycles\":"), "{j}");
             assert!(j.contains("\"stack\":{\"commit\":"), "{j}");
             assert!(j.contains("\"atomic\":{\"acquire\":"), "{j}");
         }
         // Baseline pays fence drains the free policies do not.
-        let [base, free] = [&results[0], &results[1]].map(|r| RowCpi::from_run(r.summary.representative()));
+        let [base, free] = [&results[0], &results[1]].map(|r| conserved_stack(&opts, r));
         assert_eq!(results[0].cell.policy, AtomicPolicy::FencedBaseline);
         assert_eq!(results[1].cell.policy, AtomicPolicy::FreeFwd);
         assert!(
-            base.stack.get(CpiLeaf::SbDrain) > free.stack.get(CpiLeaf::SbDrain),
+            base.get(CpiLeaf::SbDrain) > free.get(CpiLeaf::SbDrain),
             "the baseline's store-buffer drain leaf must dominate FreeFwd's \
              (base {} vs free {})",
-            base.stack.get(CpiLeaf::SbDrain),
-            free.stack.get(CpiLeaf::SbDrain)
+            base.get(CpiLeaf::SbDrain),
+            free.get(CpiLeaf::SbDrain)
         );
     }
 
@@ -960,30 +903,23 @@ mod tests {
         assert!(line.contains(", progress: 0 dir rescue(s)"), "healthy runs never rescue: {line}");
         assert!(line.contains("worst attempts dir="), "{line}");
         assert!(line.contains("noc backlog"), "{line}");
-        // merge_health: counts sum, high-water marks max.
-        let mut agg = ProgressStats::default();
-        merge_health(
-            &mut agg,
-            &ProgressStats {
-                dir_rescues: 2,
-                dir_alloc_attempts_max: 5,
-                fill_attempts_max: 1,
-                lsq_attempts_max: 0,
-                noc_backlog_max: 10,
-            },
-        );
-        merge_health(
-            &mut agg,
-            &ProgressStats {
-                dir_rescues: 1,
-                dir_alloc_attempts_max: 3,
-                fill_attempts_max: 4,
-                lsq_attempts_max: 2,
-                noc_backlog_max: 7,
-            },
-        );
+        // Forward-progress counts sum, high-water marks max.
+        let a = ProgressStats {
+            dir_rescues: 2,
+            dir_alloc_attempts_max: 5,
+            fill_attempts_max: 1,
+            lsq_attempts_max: 0,
+            noc_backlog_max: 10,
+        };
+        let b = ProgressStats {
+            dir_rescues: 1,
+            dir_alloc_attempts_max: 3,
+            fill_attempts_max: 4,
+            lsq_attempts_max: 2,
+            noc_backlog_max: 7,
+        };
         assert_eq!(
-            agg,
+            ProgressStats::merged([&a, &b]),
             ProgressStats {
                 dir_rescues: 3,
                 dir_alloc_attempts_max: 5,

@@ -1,8 +1,10 @@
-//! Every reader of the files the simulator writes errs or skips on damaged
-//! input, never panics: byte-level truncations, bit flips and insertions of
-//! a real sweep report, a real checkpoint journal and a real Chrome trace,
-//! each fed to `Json::parse`, `report::parse_rows`, `checkpoint::replay`
-//! and `validate_chrome_trace`. Seeded, so a failure replays exactly.
+//! Every reader of the files the simulator writes, and every parser of a
+//! knob grammar, errs or skips on damaged input, never panics: byte-level
+//! truncations, bit flips and insertions of a real sweep report, a real
+//! checkpoint journal and a real Chrome trace, each fed to `Json::parse`,
+//! `report::parse_rows`, `checkpoint::replay` and `validate_chrome_trace`,
+//! and of a legal value of every `KNOBS` grammar, fed to every knob parser.
+//! Seeded, so a failure replays exactly.
 
 use fa_bench::checkpoint::replay;
 use fa_bench::report::parse_rows;
@@ -68,15 +70,17 @@ fn real_trace() -> String {
     m.perfetto_trace()
 }
 
-/// One truncation, bit flip or insertion (of a byte JSON cares about).
-fn mutate(rng: &mut SplitMix64, src: &[u8]) -> Vec<u8> {
-    const BYTES: &[u8] = b"{}[]\",:\\-0e.nt\n\x01\xff";
+/// Bytes JSON cares about.
+const JSON_BYTES: &[u8] = b"{}[]\",:\\-0e.nt\n\x01\xff";
+
+/// One truncation, bit flip or insertion of a byte of `alphabet`.
+fn mutate(rng: &mut SplitMix64, src: &[u8], alphabet: &[u8]) -> Vec<u8> {
     let mut b = src.to_vec();
     let at = rng.below(b.len() as u64 + 1) as usize;
     match rng.below(3) {
         0 => b.truncate(at),
         1 if at < b.len() => b[at] ^= 1 << rng.below(8),
-        _ => b.insert(at, BYTES[rng.below(BYTES.len() as u64) as usize]),
+        _ => b.insert(at, alphabet[rng.below(alphabet.len() as u64) as usize]),
     }
     b
 }
@@ -111,11 +115,55 @@ fn damaged_reports_journals_and_traces_error_and_never_panic() {
     let mut rng = SplitMix64::new(0x15EED);
     for src in [&report, &journal, &trace] {
         for _ in 0..1000 {
-            let bytes = mutate(&mut rng, src.as_bytes());
+            let bytes = mutate(&mut rng, src.as_bytes(), JSON_BYTES);
             read_all(&String::from_utf8_lossy(&bytes), fingerprint);
         }
     }
     let deep = "[".repeat(100_000);
     read_all(&deep, fingerprint);
     assert!(Json::parse(&deep).is_err() && validate_chrome_trace(&deep).is_err());
+}
+
+/// Which of the knob parsers accept `v`: `FA_NOC`, `FA_CELL_BUDGET`,
+/// `FA_PROGRESS`, `FA_TRACE`, `FA_CHECK`, `FA_MODEL`, `FA_WORKLOADS` and
+/// `FA_PRESETS`, in that order.
+fn knob_parsers(v: &str) -> [bool; 8] {
+    let items: Vec<&str> = env::items(v).collect();
+    [
+        env::parse_noc(v).is_some(),
+        env::parse_cell_budget(v).is_some(),
+        env::parse_progress(v).is_some(),
+        env::parse_trace_setting(v).is_ok(),
+        env::parse_check_setting(v).is_ok(),
+        env::parse_model_setting(v).is_ok(),
+        fa_workloads::suite::select(&items).is_ok(),
+        items.iter().all(|p| Preset::by_name(p).is_some()),
+    ]
+}
+
+#[test]
+fn damaged_knob_values_are_refused_and_never_panic() {
+    // A legal value of every grammar, each with the parser that takes it.
+    let legal = [
+        ("ideal", 0),
+        ("contended:4", 0),
+        ("1000:30", 1),
+        ("on:50000", 2),
+        ("full:fa_trace.json", 3),
+        ("flight", 3),
+        ("tso", 4),
+        ("weak", 5),
+        ("TATP,PC,barnes", 6),
+        ("icelake,skylake,tiny", 7),
+    ];
+    let mut refused = 0;
+    let mut rng = SplitMix64::new(0x4B0B5);
+    for (v, parser) in legal {
+        assert!(knob_parsers(v)[parser], "{v} is legal");
+        for _ in 0..300 {
+            let bytes = mutate(&mut rng, v.as_bytes(), b":,.-+ 0123456789abcnoux\t\xff");
+            refused += usize::from(!knob_parsers(&String::from_utf8_lossy(&bytes))[parser]);
+        }
+    }
+    assert!(refused > legal.len() * 100, "most damage is refused: {refused}");
 }

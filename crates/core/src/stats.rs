@@ -22,85 +22,87 @@ pub enum SquashCause {
     Watchdog,
 }
 
-/// Counters collected by one core.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CoreStats {
-    /// Cycles the core was powered (running or sleeping).
-    pub cycles: u64,
-    /// Cycles spent asleep in MonitorWait (the light portion of Figure 14's
-    /// bars).
-    pub sleep_cycles: u64,
-    /// Committed instructions.
-    pub instructions: u64,
-    /// Committed micro-ops.
-    pub uops: u64,
-    /// Committed atomic RMW instructions.
-    pub atomics: u64,
-    /// Squashed (fetched-then-discarded) micro-ops.
-    pub squashed_uops: u64,
-    /// Squash events by cause.
-    pub squashes_branch: u64,
-    /// Squashes caused by memory-dependence violations (Table 2 "MDV").
-    pub squashes_memorder: u64,
-    /// Squashes caused by invalidations of performed loads.
-    pub squashes_inval: u64,
-    /// Watchdog flushes (Table 2 "Timeouts").
-    pub watchdog_fires: u64,
-    /// Fence micro-ops that retired with their ordering enforced.
-    pub fences_enforced: u64,
-    /// Fence micro-ops retired as no-ops by a Free policy (Table 2 "Omitted
-    /// Fences").
-    pub fences_omitted: u64,
-    /// Σ cycles load_locks waited for the SB to drain / ordering before
-    /// issue (Figure 1 "Drain_SB").
-    pub atomic_drain_cycles: u64,
-    /// Σ cycles from load_lock issue to store_unlock perform (Figure 1
-    /// "Atomic").
-    pub atomic_exec_cycles: u64,
-    /// load_locks whose data came via store-to-load forwarding from a
-    /// store_unlock (Table 2 "FbA").
-    pub atomics_fwd_from_atomic: u64,
-    /// load_locks forwarded from an ordinary store (Table 2 "FbS").
-    pub atomics_fwd_from_store: u64,
-    /// load_locks that found their line in the private cache with write
-    /// permission (Figure 13 locality, L1/L2 component).
-    pub atomics_local_wp: u64,
-    /// Loads that forwarded from the store queue (any kind).
-    pub load_forwards: u64,
-    /// Branch lookups/mispredicts (copied from the predictor at the end).
-    pub branch_lookups: u64,
-    /// Mispredicted branches.
-    pub branch_mispredicts: u64,
-    /// Pause instructions committed (spin-energy accounting).
-    pub pauses: u64,
-    /// MonitorWait sleeps entered.
-    pub monitor_sleeps: u64,
-    /// Cycles the dispatch stage stalled because the Atomic Queue was full.
-    pub aq_full_stalls: u64,
-    /// Distribution of per-atomic SB-drain waits (the population whose sum
-    /// is `atomic_drain_cycles`; log₂ buckets, deterministic merge).
-    pub atomic_drain_hist: Hist,
-    /// Distribution of per-atomic load_lock-issue → store_unlock-perform
-    /// windows (the population whose sum is `atomic_exec_cycles`).
-    pub atomic_exec_hist: Hist,
-    /// Top-down cycle accounting: every powered cycle attributed to
-    /// exactly one taxonomy leaf. Invariant: `cpi.total() == cycles`.
-    pub cpi: CpiStack,
-    /// Σ cycles atomics spent acquiring the cache-line lock after the
-    /// fill arrived at the directory side (exec minus transfer, park and
-    /// local execute). Part of the atomic-lifetime split:
-    /// `atomic_exec_cycles == acquire + Σ xfer + park + local` for
-    /// cache-served atomics (forwarded atomics contribute only `local`).
-    pub atomic_lock_acquire_cycles: u64,
-    /// Σ remote-line transfer cycles per `LatClass` (NoC injection stamp →
-    /// delivery, from the fill response), indexed by `LatClass::index()`.
-    pub atomic_xfer_cycles: [u64; LAT_CLASSES],
-    /// Σ cycles atomics' fill requests sat parked behind a busy directory
-    /// entry before being granted.
-    pub atomic_dir_park_cycles: u64,
-    /// Σ cycles from lock acquisition to `store_unlock` perform (the local
-    /// execute portion of the atomic window).
-    pub atomic_local_cycles: u64,
+fa_trace::counters! {
+    /// Counters collected by one core.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct CoreStats {
+        /// Cycles the core was powered (running or sleeping).
+        max cycles: u64,
+        /// Cycles spent asleep in MonitorWait (the light portion of Figure 14's
+        /// bars).
+        sum sleep_cycles: u64,
+        /// Committed instructions.
+        sum instructions: u64,
+        /// Committed micro-ops.
+        sum uops: u64,
+        /// Committed atomic RMW instructions.
+        sum atomics: u64,
+        /// Squashed (fetched-then-discarded) micro-ops.
+        sum squashed_uops: u64,
+        /// Squash events by cause.
+        sum squashes_branch: u64,
+        /// Squashes caused by memory-dependence violations (Table 2 "MDV").
+        sum squashes_memorder: u64,
+        /// Squashes caused by invalidations of performed loads.
+        sum squashes_inval: u64,
+        /// Watchdog flushes (Table 2 "Timeouts").
+        sum watchdog_fires: u64,
+        /// Fence micro-ops that retired with their ordering enforced.
+        sum fences_enforced: u64,
+        /// Fence micro-ops retired as no-ops by a Free policy (Table 2 "Omitted
+        /// Fences").
+        sum fences_omitted: u64,
+        /// Σ cycles load_locks waited for the SB to drain / ordering before
+        /// issue (Figure 1 "Drain_SB").
+        sum atomic_drain_cycles: u64,
+        /// Σ cycles from load_lock issue to store_unlock perform (Figure 1
+        /// "Atomic").
+        sum atomic_exec_cycles: u64,
+        /// load_locks whose data came via store-to-load forwarding from a
+        /// store_unlock (Table 2 "FbA").
+        sum atomics_fwd_from_atomic: u64,
+        /// load_locks forwarded from an ordinary store (Table 2 "FbS").
+        sum atomics_fwd_from_store: u64,
+        /// load_locks that found their line in the private cache with write
+        /// permission (Figure 13 locality, L1/L2 component).
+        sum atomics_local_wp: u64,
+        /// Loads that forwarded from the store queue (any kind).
+        sum load_forwards: u64,
+        /// Branch lookups/mispredicts (copied from the predictor at the end).
+        sum branch_lookups: u64,
+        /// Mispredicted branches.
+        sum branch_mispredicts: u64,
+        /// Pause instructions committed (spin-energy accounting).
+        sum pauses: u64,
+        /// MonitorWait sleeps entered.
+        sum monitor_sleeps: u64,
+        /// Cycles the dispatch stage stalled because the Atomic Queue was full.
+        sum aq_full_stalls: u64,
+        /// Distribution of per-atomic SB-drain waits (the population whose sum
+        /// is `atomic_drain_cycles`; log₂ buckets, deterministic merge).
+        sum atomic_drain_hist: Hist,
+        /// Distribution of per-atomic load_lock-issue → store_unlock-perform
+        /// windows (the population whose sum is `atomic_exec_cycles`).
+        sum atomic_exec_hist: Hist,
+        /// Top-down cycle accounting: every powered cycle attributed to
+        /// exactly one taxonomy leaf. Invariant: `cpi.total() == cycles`.
+        sum cpi: CpiStack,
+        /// Σ cycles atomics spent acquiring the cache-line lock after the
+        /// fill arrived at the directory side (exec minus transfer, park and
+        /// local execute). Part of the atomic-lifetime split:
+        /// `atomic_exec_cycles == acquire + Σ xfer + park + local` for
+        /// cache-served atomics (forwarded atomics contribute only `local`).
+        sum atomic_lock_acquire_cycles: u64,
+        /// Σ remote-line transfer cycles per `LatClass` (NoC injection stamp →
+        /// delivery, from the fill response), indexed by `LatClass::index()`.
+        sum atomic_xfer_cycles: [u64; LAT_CLASSES],
+        /// Σ cycles atomics' fill requests sat parked behind a busy directory
+        /// entry before being granted.
+        sum atomic_dir_park_cycles: u64,
+        /// Σ cycles from lock acquisition to `store_unlock` perform (the local
+        /// execute portion of the atomic window).
+        sum atomic_local_cycles: u64,
+    }
 }
 
 impl CoreStats {
@@ -161,47 +163,12 @@ impl CoreStats {
         let local = self.atomics_local_wp as f64;
         ((fwd + local) / self.atomics as f64, fwd / self.atomics as f64)
     }
-
-    /// Merges another core's counters into this one (machine-level roll-up).
-    pub fn merge(&mut self, o: &CoreStats) {
-        self.cycles = self.cycles.max(o.cycles);
-        self.sleep_cycles += o.sleep_cycles;
-        self.instructions += o.instructions;
-        self.uops += o.uops;
-        self.atomics += o.atomics;
-        self.squashed_uops += o.squashed_uops;
-        self.squashes_branch += o.squashes_branch;
-        self.squashes_memorder += o.squashes_memorder;
-        self.squashes_inval += o.squashes_inval;
-        self.watchdog_fires += o.watchdog_fires;
-        self.fences_enforced += o.fences_enforced;
-        self.fences_omitted += o.fences_omitted;
-        self.atomic_drain_cycles += o.atomic_drain_cycles;
-        self.atomic_exec_cycles += o.atomic_exec_cycles;
-        self.atomics_fwd_from_atomic += o.atomics_fwd_from_atomic;
-        self.atomics_fwd_from_store += o.atomics_fwd_from_store;
-        self.atomics_local_wp += o.atomics_local_wp;
-        self.load_forwards += o.load_forwards;
-        self.branch_lookups += o.branch_lookups;
-        self.branch_mispredicts += o.branch_mispredicts;
-        self.pauses += o.pauses;
-        self.monitor_sleeps += o.monitor_sleeps;
-        self.aq_full_stalls += o.aq_full_stalls;
-        self.atomic_drain_hist.merge(&o.atomic_drain_hist);
-        self.atomic_exec_hist.merge(&o.atomic_exec_hist);
-        self.cpi.merge(&o.cpi);
-        self.atomic_lock_acquire_cycles += o.atomic_lock_acquire_cycles;
-        for (a, b) in self.atomic_xfer_cycles.iter_mut().zip(o.atomic_xfer_cycles.iter()) {
-            *a += *b;
-        }
-        self.atomic_dir_park_cycles += o.atomic_dir_park_cycles;
-        self.atomic_local_cycles += o.atomic_local_cycles;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fa_trace::Counter;
 
     #[test]
     fn apki_and_ratios() {

@@ -116,11 +116,13 @@ impl std::fmt::Display for AuditViolation {
 
 impl std::error::Error for AuditViolation {}
 
-/// Auditor counters surfaced through [`MemStats`](crate::stats::MemStats).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AuditStats {
-    /// Longest continuous lock hold observed (cycles).
-    pub max_lock_hold_seen: Cycle,
+fa_trace::counters! {
+    /// Auditor counters surfaced through [`MemStats`](crate::stats::MemStats).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct AuditStats {
+        /// Longest continuous lock hold observed (cycles).
+        max max_lock_hold_seen: Cycle,
+    }
 }
 
 #[cfg(test)]

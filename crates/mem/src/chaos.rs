@@ -113,18 +113,20 @@ impl ChaosConfig {
     }
 }
 
-/// Counters for the injected faults, surfaced through
-/// [`MemStats`](crate::stats::MemStats).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Total extra cycles injected into event schedules.
-    pub jitter_cycles: u64,
-    /// Events that received a nonzero delay.
-    pub delayed_events: u64,
-    /// Back-invalidation storms triggered.
-    pub storms: u64,
-    /// Directory entries force-evicted by storms.
-    pub storm_evictions: u64,
+fa_trace::counters! {
+    /// Counters for the injected faults, surfaced through
+    /// [`MemStats`](crate::stats::MemStats).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ChaosStats {
+        /// Total extra cycles injected into event schedules.
+        sum jitter_cycles: u64,
+        /// Events that received a nonzero delay.
+        sum delayed_events: u64,
+        /// Back-invalidation storms triggered.
+        sum storms: u64,
+        /// Directory entries force-evicted by storms.
+        sum storm_evictions: u64,
+    }
 }
 
 /// Live fault-injection state owned by the memory system.

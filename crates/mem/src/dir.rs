@@ -388,7 +388,6 @@ impl Directory {
         if self.alloc_guard.needs_rescue(polls) && self.alloc_rescue.is_none() {
             self.alloc_rescue = Some(key);
             self.rescue_absent = 0;
-            self.alloc_guard.note_rescue();
             self.stats.alloc_rescues += 1;
             self.trace.record(self.now, TraceEvent::DirRescue { line: req.line });
         }

@@ -53,7 +53,7 @@ pub use config::MemConfig;
 pub use msgs::{CoreNotice, CoreResp, LatClass};
 pub use noc::{LinkStats, NocConfig, NocStats, XbarPolicy};
 pub use progress::{ProgressConfig, ProgressGuard, ProgressPolicy, ProgressReport, ProgressStats};
-pub use stats::{HotLock, MemStats};
+pub use stats::{CoreMemStats, HotLock, MemStats};
 pub use system::{MemDiag, MemorySystem};
 
 use std::fmt;

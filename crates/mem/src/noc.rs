@@ -47,7 +47,8 @@ use crate::wheel::Wheel;
 use crate::{CoreId, Cycle, Line, MemConfig};
 use fa_isa::Addr;
 use fa_trace::{
-    Hist, Json, TraceBuf, TraceEvent, NOC_READ_DONE, NOC_STORE_READY, NOC_TO_DIR, NOC_TO_L1,
+    Counter, Hist, Json, TraceBuf, TraceEvent, NOC_READ_DONE, NOC_STORE_READY, NOC_TO_DIR,
+    NOC_TO_L1,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -232,7 +233,7 @@ impl NocStats {
             ("dir_out_util", util(&self.dir_egress)),
             ("max_queue", self.max_queue().into()),
             ("queue_hist", Json::arr(self.queue_hist())),
-            ("delivered_hist", self.delivered_hist.json()),
+            ("delivered_hist", self.delivered_hist.to_json()),
         ])
     }
 }

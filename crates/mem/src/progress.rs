@@ -60,14 +60,12 @@ pub struct ProgressGuard<K: Eq + Hash + Copy> {
     /// Largest attempt count ever reached by one resource (historical;
     /// survives `note_success`).
     pub attempts_max: u64,
-    /// Rescue actions fired.
-    pub rescues: u64,
 }
 
 impl<K: Eq + Hash + Copy> ProgressGuard<K> {
     /// Creates a guard with the given policy.
     pub fn new(policy: ProgressPolicy) -> ProgressGuard<K> {
-        ProgressGuard { policy, attempts: HashMap::new(), attempts_max: 0, rescues: 0 }
+        ProgressGuard { policy, attempts: HashMap::new(), attempts_max: 0 }
     }
 
     /// The guard's policy.
@@ -97,11 +95,6 @@ impl<K: Eq + Hash + Copy> ProgressGuard<K> {
     /// True once `attempts` has reached the rescue threshold.
     pub fn needs_rescue(&self, attempts: u64) -> bool {
         self.policy.rescue_after != 0 && attempts >= self.policy.rescue_after
-    }
-
-    /// Records that the site's rescue action fired.
-    pub fn note_rescue(&mut self) {
-        self.rescues += 1;
     }
 
     /// The worst consecutive attempt count currently outstanding (the
@@ -183,21 +176,23 @@ impl fmt::Display for ProgressReport {
     }
 }
 
-/// Per-site progress counters surfaced through
-/// [`MemStats`](crate::MemStats). Always-on and strictly observational:
-/// identical across trace modes, audit settings and thread counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProgressStats {
-    /// Worst consecutive directory-allocation poll count ever reached.
-    pub dir_alloc_attempts_max: u64,
-    /// Directory rescue reservations fired (mirrors `dir.alloc_rescues`).
-    pub dir_rescues: u64,
-    /// Worst consecutive failed fill retries on one line.
-    pub fill_attempts_max: u64,
-    /// Worst consecutive LSQ request retries on one core.
-    pub lsq_attempts_max: u64,
-    /// Largest in-flight interconnect event population observed.
-    pub noc_backlog_max: u64,
+fa_trace::counters! {
+    /// Per-site progress counters surfaced through
+    /// [`MemStats`](crate::MemStats). Always-on and strictly observational:
+    /// identical across trace modes, audit settings and thread counts.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ProgressStats {
+        /// Directory rescue reservations fired (`DirStats::alloc_rescues`).
+        sum dir_rescues: u64,
+        /// Worst consecutive directory-allocation poll count ever reached.
+        max dir_alloc_attempts_max: u64,
+        /// Worst consecutive failed fill retries on one line.
+        max fill_attempts_max: u64,
+        /// Worst consecutive LSQ request retries on one core.
+        max lsq_attempts_max: u64,
+        /// Largest in-flight interconnect event population observed.
+        max noc_backlog_max: u64,
+    }
 }
 
 #[cfg(test)]

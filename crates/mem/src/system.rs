@@ -711,8 +711,8 @@ impl MemorySystem {
             chaos: self.noc.chaos.stats.clone(),
             audit: self.audit_stats.clone(),
             progress: ProgressStats {
+                dir_rescues: self.dir.stats.alloc_rescues,
                 dir_alloc_attempts_max: self.dir.alloc_guard.attempts_max,
-                dir_rescues: self.dir.alloc_guard.rescues,
                 fill_attempts_max: self
                     .caches
                     .iter()

@@ -45,7 +45,7 @@ pub use sweep::{run_cells, run_cells_timed, supervise, CellQuarantine, SweepTimi
 // The trace layer's user-facing types, re-exported so binaries configure
 // tracing without a direct fa-trace dependency.
 pub use fa_trace::{
-    flight_json, validate_chrome_trace, write_id, write_id_parts, CheckMode, CpiLeaf, CpiStack,
-    DataEvent, FlightEntry, Hist, Json, MemModel, SerEvent, TraceConfig, TraceMode, CPI_LEAVES,
-    WRITE_ID_INIT,
+    flight_json, validate_chrome_trace, write_id, write_id_parts, CheckMode, Counter, CpiLeaf,
+    CpiStack, DataEvent, FlightEntry, Hist, Json, MemModel, SerEvent, TraceConfig, TraceMode,
+    CPI_LEAVES, WRITE_ID_INIT,
 };

@@ -6,7 +6,7 @@ use fa_core::{Core, CoreConfig, CoreDiag, CoreStats};
 use fa_isa::interp::GuestMem;
 use fa_isa::Program;
 use fa_mem::{CoreId, MemConfig, MemDiag, MemStats, MemorySystem};
-use fa_trace::{chrome_trace, CheckMode, FlightEntry, MemModel, TraceMode, TraceRecord};
+use fa_trace::{chrome_trace, CheckMode, Counter, FlightEntry, MemModel, TraceMode, TraceRecord};
 use std::cell::Cell;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -145,27 +145,12 @@ impl RunResult {
     /// Roll-up of the per-core statistics (cycles = max across cores; the
     /// rest summed).
     pub fn aggregate(&self) -> CoreStats {
-        let mut agg = CoreStats::default();
-        for c in &self.per_core {
-            agg.merge(c);
-        }
-        agg
+        CoreStats::merged(&self.per_core)
     }
 
     /// Total committed instructions.
     pub fn instructions(&self) -> u64 {
         self.per_core.iter().map(|c| c.instructions).sum()
-    }
-
-    /// Committed atomics per kilo-instruction across the machine
-    /// (Figure 12).
-    pub fn apki(&self) -> f64 {
-        let instrs = self.instructions();
-        if instrs == 0 {
-            return 0.0;
-        }
-        let atomics: u64 = self.per_core.iter().map(|c| c.atomics).sum();
-        atomics as f64 * 1000.0 / instrs as f64
     }
 }
 
@@ -568,7 +553,7 @@ mod tests {
         assert_eq!(m.guest_mem().load(0x100), 100);
         assert!(r.cycles > 0);
         assert_eq!(r.instructions(), r.per_core.iter().map(|c| c.instructions).sum::<u64>());
-        assert!(r.apki() > 0.0);
+        assert!(r.aggregate().apki() > 0.0);
     }
 
     #[test]

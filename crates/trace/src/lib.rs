@@ -1,6 +1,6 @@
 //! Structured cycle-level observability for the Free Atomics substrate.
 //!
-//! Three cooperating pieces, all deterministic:
+//! Cooperating pieces, all deterministic:
 //!
 //! * [`TraceEvent`] + [`TraceBuf`] — a compact structured event API.
 //!   Components (cores, private caches, directory, NoC) record events
@@ -17,6 +17,8 @@
 //!   dumping a crash flight-recorder tail.
 //! * [`Json`] — the one JSON value, writer and reader every row, report,
 //!   journal and trace of the simulator goes through.
+//! * [`counters!`] — the stats registry: each counter block declared once,
+//!   its merge, JSON writer and JSON reader ([`Counter`]) derived.
 //!
 //! The crate sits just above `fa-isa` (for the [`MemOrder`] annotations on
 //! data events) and below everything else: no simulator types, only plain
@@ -26,9 +28,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod json;
+pub mod registry;
 
 pub use fa_isa::MemOrder;
 pub use json::Json;
+pub use registry::Counter;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -443,19 +447,6 @@ impl Hist {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// `{"count":..,"sum":..,"max":..,"buckets":[..]}` with trailing zero
-    /// buckets trimmed (bucket edges are fixed, so the index alone
-    /// identifies the range).
-    pub fn json(&self) -> Json {
-        let last = self.buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-        Json::obj([
-            ("count", self.count.into()),
-            ("sum", self.sum.into()),
-            ("max", self.max.into()),
-            ("buckets", Json::arr(self.buckets[..last].iter().copied())),
-        ])
-    }
 }
 
 /// Number of leaves in the cycle-accounting taxonomy.
@@ -580,12 +571,6 @@ impl CpiStack {
     /// against the core's cycle count.
     pub fn total(&self) -> u64 {
         self.leaves.iter().sum()
-    }
-
-    /// An object keyed by leaf name, every leaf present (zero leaves
-    /// included so rows from different runs diff cleanly).
-    pub fn json(&self) -> Json {
-        Json::obj(CpiLeaf::ALL.iter().map(|l| (l.name(), self.get(*l).into())))
     }
 }
 
@@ -1072,8 +1057,8 @@ mod tests {
     fn hist_json_trims_trailing_zero_buckets() {
         let mut h = Hist::new();
         h.record(1);
-        assert_eq!(h.json().to_string(), "{\"count\":1,\"sum\":1,\"max\":1,\"buckets\":[0,1]}");
-        assert_eq!(Hist::new().json().to_string(), "{\"count\":0,\"sum\":0,\"max\":0,\"buckets\":[]}");
+        assert_eq!(h.to_json().to_string(), "{\"count\":1,\"sum\":1,\"max\":1,\"buckets\":[0,1]}");
+        assert_eq!(Hist::new().to_json().to_string(), "{\"count\":0,\"sum\":0,\"max\":0,\"buckets\":[]}");
     }
 
     #[test]
@@ -1097,7 +1082,7 @@ mod tests {
     fn cpi_stack_json_names_every_leaf() {
         let mut s = CpiStack::new();
         s.add(CpiLeaf::SbDrain, 7);
-        let j = s.json().to_string();
+        let j = s.to_json().to_string();
         for leaf in CpiLeaf::ALL {
             assert!(j.contains(&format!("\"{}\":", leaf.name())), "missing {}", leaf.name());
         }
