@@ -40,12 +40,16 @@ sed '/#\[cfg(test)\]/,$d' crates/workloads/src/suite.rs | grep -oE '"[A-Za-z_]+"
     > target/suite_names.txt
 test "$(wc -l < target/suite_names.txt)" -eq 26
 test -z "$(uniq -d target/suite_names.txt)"
-# One reference machine, no dependency that does nothing: the serde stubs,
-# the twin enumerators and `conformance`'s private grid loop stay deleted.
-test ! -e vendor/serde && test ! -e vendor/serde_derive
-! grep -rn 'serde' Cargo.toml crates src vendor --include='*.rs' --include='Cargo.toml' || exit 1
-! grep -rnE 'enumerate_(tso|weak)_outcomes|struct WeakState|fn conformance_config' crates tests \
-    || exit 1
+# One reference machine, no vendored code, no dependency that does nothing:
+# the serde and proptest stubs, the twin enumerators, the test-local
+# operational machines (`tsoref::walk` replaced them) and `conformance`'s
+# private grid loop stay deleted. Grep only paths that exist: a missing one
+# makes grep exit 2, which `!` would turn into a pass.
+test ! -e vendor
+! grep -rn 'serde' Cargo.toml crates src --include='*.rs' --include='Cargo.toml' || exit 1
+! grep -rn 'proptest' Cargo.toml Cargo.lock crates src tests || exit 1
+! grep -rnE 'enumerate_(tso|weak)_outcomes|struct WeakState|fn conformance_config|fn run_operational_' \
+    crates tests || exit 1
 # Host memory follows what a cell touches: no per-call action vectors, no
 # heap block per cache set or per ROB position, no per-sweep hash map (the
 # tag array's reference model spells its type through an alias).

@@ -168,7 +168,7 @@ impl fmt::Display for FuzzReport {
 /// [`MemOrder::ALL`] — inert under TSO, load-bearing under the weak model.
 /// Observation slots are assigned in generation order. A program with no
 /// observer gets one appended — an outcome vector is the whole point.
-fn gen_test(rng: &mut SplitMix64, cfg: &FuzzConfig) -> LitmusTest {
+pub fn gen_test(rng: &mut SplitMix64, cfg: &FuzzConfig) -> LitmusTest {
     let threads = 2 + rng.below(cfg.max_threads.max(2) as u64 - 1) as usize;
     let addrs = cfg.max_addrs.max(1) as u64;
     let mut out: u8 = 0;

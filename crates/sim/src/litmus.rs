@@ -23,8 +23,8 @@ pub struct LitmusTest {
 }
 
 /// Base guest address of abstract location `a` (one cache line apart).
-fn loc(a: u8) -> i64 {
-    0x1000 + (a as i64) * 64
+pub(crate) fn loc(a: u8) -> u64 {
+    0x1000 + (a as u64) * 64
 }
 
 /// Base guest address of observation slot `s`.
@@ -58,18 +58,18 @@ impl LitmusTest {
                 for op in ops {
                     match *op {
                         LOp::St { addr, val, ord } => {
-                            k.li(Reg::R1, loc(addr));
+                            k.li(Reg::R1, loc(addr) as i64);
                             k.li(Reg::R2, val as i64);
                             k.st_ord(Reg::R2, Reg::R1, 0, ord);
                         }
                         LOp::Ld { addr, out, ord } => {
-                            k.li(Reg::R1, loc(addr));
+                            k.li(Reg::R1, loc(addr) as i64);
                             k.ld_ord(Reg::R2, Reg::R1, 0, ord);
                             k.li(Reg::R3, out_slot(out));
                             k.st(Reg::R2, Reg::R3, 0);
                         }
                         LOp::FetchAdd { addr, val, out, ord } => {
-                            k.li(Reg::R1, loc(addr));
+                            k.li(Reg::R1, loc(addr) as i64);
                             k.li(Reg::R2, val as i64);
                             k.rmw_ord(RmwOp::FetchAdd, Reg::R3, Reg::R1, 0, Reg::R2, ord);
                             k.li(Reg::R4, out_slot(out));

@@ -1,9 +1,13 @@
 //! The bounded operational reference machine: x86-TSO and an ARM-like
-//! weak baseline from one transition system.
+//! weak baseline from one transition system, in two modes.
 //!
 //! [`enumerate`] returns *every* outcome a small concurrent program can
-//! produce on the operational machine of Sewell et al. ("x86-TSO: A
-//! Rigorous and Usable Programmer's Model"): one shared memory, per-thread
+//! produce; [`walk`] takes one schedule through the same transitions and
+//! records the history the way the detailed simulator logs it, for the
+//! axiomatic checker. Both step one rule (`Rules::steps`: each transition
+//! drains a thread's oldest buffered store or executes one ready op), so
+//! the two modes cannot drift apart. The machine is that of Sewell et al.
+//! ("x86-TSO: A Rigorous and Usable Programmer's Model"): one shared memory, per-thread
 //! FIFO store buffers, loads that forward from the local buffer, atomic
 //! RMWs that execute only with an empty local buffer and read-modify-write
 //! memory in one step, stores and fences that wait for every
@@ -24,8 +28,10 @@
 //! any outcome observed on the detailed simulator that the machine cannot
 //! produce under the run's model is a consistency bug.
 
+use crate::axiom::Execution;
+use crate::litmus::loc;
 use fa_isa::{MemOrder, Word};
-use fa_trace::MemModel;
+use fa_trace::{write_id, DataEvent, MemModel, SerEvent, WRITE_ID_INIT};
 use std::collections::HashSet;
 
 /// One litmus operation: what the reference machine steps and the litmus
@@ -87,6 +93,7 @@ impl LOp {
 struct Buffered {
     /// Index of the `St` in its thread.
     at: usize,
+    addr: u8,
     /// Compact index of the address's memory cell.
     cell: usize,
     val: Word,
@@ -94,28 +101,140 @@ struct Buffered {
     sc: bool,
 }
 
-/// The search over packed machine states. A state is one `[Word]` of
-/// fixed length: a memory cell per distinct address, then the observation
-/// slots, then one word per thread (low half: done-mask over its ops;
-/// high half: how many of its stores have drained). A successor is one
-/// copy of that slice and `seen` hashes it whole.
-struct Search {
-    seen: HashSet<Box<[Word]>>,
-    /// Stack of discovered, unexpanded states, `next.len()` words each.
-    work: Vec<Word>,
-    next: Box<[Word]>,
+/// One transition of a thread: drain its oldest buffered store, or
+/// execute its op `i` (a load carries the buffer entry it forwards from).
+#[derive(Clone, Copy)]
+enum Step<'a> {
+    Drain(&'a Buffered),
+    Exec(usize, Option<&'a Buffered>),
 }
 
-impl Search {
-    /// Files `edit` applied to `from` for expansion unless already seen.
-    fn push(&mut self, from: &[Word], edit: impl FnOnce(&mut [Word])) {
-        self.next.copy_from_slice(from);
-        edit(&mut self.next);
-        if !self.seen.contains(&self.next) {
-            self.seen.insert(self.next.clone());
-            assert!(self.seen.len() <= 1_000_000, "litmus state space too large");
-            self.work.extend_from_slice(&self.next);
+/// The transition rule over one program. A state is one `[Word]` of fixed
+/// length: a memory cell per distinct address, then the observation
+/// slots, then one word per thread (low half: done-mask over its ops;
+/// high half: how many of its stores have drained).
+struct Rules<'a> {
+    threads: &'a [Vec<LOp>],
+    weak: bool,
+    cell: [usize; 256],
+    stores: Vec<Vec<Buffered>>,
+    outs_at: usize,
+    threads_at: usize,
+}
+
+impl<'a> Rules<'a> {
+    fn new(threads: &'a [Vec<LOp>], num_outs: usize, model: MemModel) -> Rules<'a> {
+        assert!(
+            threads.iter().all(|t| t.len() <= 32),
+            "the reference machine supports at most 32 ops per thread"
+        );
+        let weak = model == MemModel::Weak;
+        let mut cell = [usize::MAX; 256];
+        let mut cells = 0;
+        for op in threads.iter().flatten() {
+            if let LOp::St { addr, .. } | LOp::Ld { addr, .. } | LOp::FetchAdd { addr, .. } = *op {
+                if cell[addr as usize] == usize::MAX {
+                    cell[addr as usize] = cells;
+                    cells += 1;
+                }
+            }
         }
+        let entry = |(at, op): (usize, &LOp)| match *op {
+            LOp::St { addr, val, ord } => {
+                Some(Buffered { at, addr, cell: cell[addr as usize], val, sc: weak && ord.is_sc() })
+            }
+            _ => None,
+        };
+        let stores =
+            threads.iter().map(|ops| ops.iter().enumerate().filter_map(entry).collect()).collect();
+        Rules { threads, weak, cell, stores, outs_at: cells, threads_at: cells + num_outs }
+    }
+
+    /// Calls `f(thread, step)` for every transition enabled in state `s`.
+    /// Only a terminal state (every op done, every buffer drained) has none.
+    fn steps<'s>(&'s self, s: &[Word], mut f: impl FnMut(usize, Step<'s>)) {
+        for (t, ops) in self.threads.iter().enumerate() {
+            let w = s[self.threads_at + t];
+            let (done, drained) = (w as u32, (w >> 32) as usize);
+            let is_done = |i: usize| done >> i & 1 == 1;
+            let executed = self.stores[t].iter().take_while(|b| is_done(b.at)).count();
+            let buffer = &self.stores[t][drained..executed];
+            // Drain the oldest buffered store (FIFO — W→W is preserved
+            // even for relaxed stores).
+            if let Some(b) = buffer.first() {
+                f(t, Step::Drain(b));
+            }
+            // Execute any ready op. An op that is ready but gated on the
+            // buffer (below) needs no transition of its own: draining is
+            // always possible.
+            let first = done.trailing_ones() as usize;
+            for (i, &op) in ops.iter().enumerate().skip(first) {
+                // Ready: every predecessor is done, or — weak only, the R→R
+                // relaxation — the op is a load and every undone
+                // predecessor is a non-acquire load to a different address
+                // (the same-address guard preserves per-location coherence).
+                let hoists = |addr: u8| {
+                    self.weak
+                        && (first..i).filter(|&j| !is_done(j)).all(|j| match ops[j] {
+                            LOp::Ld { addr: a, ord, .. } => !ord.is_acquire() && a != addr,
+                            _ => false,
+                        })
+                };
+                let ready = !is_done(i)
+                    && (i == first || matches!(op, LOp::Ld { addr, .. } if hoists(addr)));
+                if !ready {
+                    continue;
+                }
+                let fwd = match op {
+                    LOp::St { .. } => None,
+                    // A buffered `sc` store blocks every younger load (the
+                    // store-load half of its SC fence); acquire annotations
+                    // on the load itself need no gate — they only restrict
+                    // what *later* ops may hoist past it. Otherwise forward
+                    // from the youngest matching entry, else read memory.
+                    LOp::Ld { addr, .. } if !buffer.iter().any(|b| b.sc) => {
+                        let c = self.cell[addr as usize];
+                        buffer.iter().rev().find(|b| b.cell == c)
+                    }
+                    // Atomic RMW, SeqCst strength in both models: only with
+                    // an empty local buffer.
+                    LOp::FetchAdd { .. } if buffer.is_empty() => None,
+                    // Every fence pins program order around itself (the
+                    // readiness rule enforces that); whether it also drains
+                    // the buffer is the model's call.
+                    LOp::Fence { ord } if buffer.is_empty() || (self.weak && !ord.is_sc()) => None,
+                    LOp::Ld { .. } | LOp::FetchAdd { .. } | LOp::Fence { .. } => continue,
+                };
+                f(t, Step::Exec(i, fwd));
+            }
+        }
+    }
+
+    /// Applies thread `t`'s `step` to state `s`.
+    fn apply(&self, s: &mut [Word], t: usize, step: Step) {
+        let me = self.threads_at + t;
+        let (i, fwd) = match step {
+            Step::Drain(b) => {
+                s[b.cell] = b.val;
+                s[me] += 1 << 32;
+                return;
+            }
+            Step::Exec(i, fwd) => (i, fwd),
+        };
+        match self.threads[t][i] {
+            LOp::Ld { addr, out, .. } => {
+                let c = self.cell[addr as usize];
+                s[self.outs_at..self.threads_at][out as usize] = fwd.map_or(s[c], |b| b.val);
+            }
+            // The read-modify-write is one atomic step (cache locking).
+            LOp::FetchAdd { addr, val, out, .. } => {
+                let c = self.cell[addr as usize];
+                s[self.outs_at..self.threads_at][out as usize] = s[c];
+                s[c] = s[c].wrapping_add(val);
+            }
+            LOp::St { .. } | LOp::Fence { .. } => {}
+        }
+        s[me] |= 1 << i;
     }
 }
 
@@ -132,121 +251,100 @@ impl Search {
 /// Panics if any thread exceeds 32 ops or the state space exceeds an
 /// internal safety bound (1e6 states) — keep litmus tests small.
 pub fn enumerate(threads: &[Vec<LOp>], num_outs: usize, model: MemModel) -> HashSet<Vec<Word>> {
-    assert!(
-        threads.iter().all(|t| t.len() <= 32),
-        "the reference machine supports at most 32 ops per thread"
-    );
-    let weak = model == MemModel::Weak;
-    let mut cell = [usize::MAX; 256];
-    let mut cells = 0;
-    for op in threads.iter().flatten() {
-        if let LOp::St { addr, .. } | LOp::Ld { addr, .. } | LOp::FetchAdd { addr, .. } = *op {
-            if cell[addr as usize] == usize::MAX {
-                cell[addr as usize] = cells;
-                cells += 1;
-            }
-        }
-    }
-    let stores: Vec<Vec<Buffered>> = threads
-        .iter()
-        .map(|ops| {
-            let compiled = ops.iter().enumerate().filter_map(|(at, op)| match *op {
-                LOp::St { addr, val, ord } => {
-                    Some(Buffered { at, cell: cell[addr as usize], val, sc: weak && ord.is_sc() })
-                }
-                _ => None,
-            });
-            compiled.collect()
-        })
-        .collect();
-    let (outs_at, threads_at) = (cells, cells + num_outs);
-    let len = threads_at + threads.len();
-
-    let init = vec![0; len].into_boxed_slice();
-    let mut search = Search { seen: HashSet::from([init.clone()]), work: init.to_vec(), next: init };
+    let rules = Rules::new(threads, num_outs, model);
+    let len = rules.threads_at + threads.len();
+    // Depth-first over packed states: `work` stacks the discovered,
+    // unexpanded ones (`len` words each), and `seen` hashes each whole.
+    let mut next = vec![0; len].into_boxed_slice();
+    let (mut seen, mut work) = (HashSet::from([next.clone()]), next.to_vec());
     let mut cur = vec![0; len];
     let mut outcomes = HashSet::new();
-    while let Some(top) = search.work.len().checked_sub(len) {
-        cur.copy_from_slice(&search.work[top..]);
-        search.work.truncate(top);
+    while let Some(top) = work.len().checked_sub(len) {
+        cur.copy_from_slice(&work[top..]);
+        work.truncate(top);
         let mut terminal = true;
-        for (t, ops) in threads.iter().enumerate() {
-            let me = threads_at + t;
-            let (done, drained) = (cur[me] as u32, (cur[me] >> 32) as usize);
-            let is_done = |i: usize| done >> i & 1 == 1;
-            let executed = stores[t].iter().take_while(|b| is_done(b.at)).count();
-            let buffer = &stores[t][drained..executed];
-            // Drain the oldest buffered store (FIFO — W→W is preserved
-            // even for relaxed stores).
-            if let Some(b) = buffer.first() {
-                search.push(&cur, |s| {
-                    s[b.cell] = b.val;
-                    s[me] += 1 << 32;
-                });
+        rules.steps(&cur, |t, step| {
+            terminal = false;
+            next.copy_from_slice(&cur);
+            rules.apply(&mut next, t, step);
+            if !seen.contains(&next) {
+                seen.insert(next.clone());
+                assert!(seen.len() <= 1_000_000, "litmus state space too large");
+                work.extend_from_slice(&next);
             }
-            // Execute any ready op. An op that is ready but gated on the
-            // buffer (below) needs no transition of its own: draining is
-            // always possible.
-            let first = done.trailing_ones() as usize;
-            terminal &= first == ops.len() && buffer.is_empty();
-            for (i, &op) in ops.iter().enumerate().skip(first) {
-                // Ready: every predecessor is done, or — weak only, the R→R
-                // relaxation — the op is a load and every undone
-                // predecessor is a non-acquire load to a different address
-                // (the same-address guard preserves per-location coherence).
-                let hoists = |addr: u8| {
-                    weak && (first..i).filter(|&j| !is_done(j)).all(|j| match ops[j] {
-                        LOp::Ld { addr: a, ord, .. } => !ord.is_acquire() && a != addr,
-                        _ => false,
-                    })
-                };
-                let ready = !is_done(i)
-                    && (i == first || matches!(op, LOp::Ld { addr, .. } if hoists(addr)));
-                if !ready {
-                    continue;
-                }
-                let retire = |s: &mut [Word]| s[me] |= 1 << i;
-                match op {
-                    LOp::St { .. } => search.push(&cur, retire),
-                    // A buffered `sc` store blocks every younger load (the
-                    // store-load half of its SC fence); acquire annotations
-                    // on the load itself need no gate — they only restrict
-                    // what *later* ops may hoist past it. Otherwise forward
-                    // from the youngest matching entry, else read memory.
-                    LOp::Ld { addr, out, .. } if !buffer.iter().any(|b| b.sc) => {
-                        let c = cell[addr as usize];
-                        let v = buffer.iter().rev().find(|b| b.cell == c).map_or(cur[c], |b| b.val);
-                        search.push(&cur, |s| {
-                            s[outs_at..threads_at][out as usize] = v;
-                            retire(s);
-                        });
-                    }
-                    // Atomic RMW, SeqCst strength in both models: only with
-                    // an empty local buffer; read-modify-write is one
-                    // atomic step (cache locking).
-                    LOp::FetchAdd { addr, val, out, .. } if buffer.is_empty() => {
-                        let c = cell[addr as usize];
-                        search.push(&cur, |s| {
-                            s[outs_at..threads_at][out as usize] = s[c];
-                            s[c] = s[c].wrapping_add(val);
-                            retire(s);
-                        });
-                    }
-                    // Every fence pins program order around itself (the
-                    // readiness rule enforces that); whether it also drains
-                    // the buffer is the model's call.
-                    LOp::Fence { ord } if buffer.is_empty() || (weak && !ord.is_sc()) => {
-                        search.push(&cur, retire);
-                    }
-                    LOp::Ld { .. } | LOp::FetchAdd { .. } | LOp::Fence { .. } => {}
-                }
-            }
-        }
+        });
         if terminal {
-            outcomes.insert(cur[outs_at..threads_at].to_vec());
+            outcomes.insert(cur[rules.outs_at..rules.threads_at].to_vec());
         }
     }
     outcomes
+}
+
+/// Runs `threads` once under `model`, taking transition `pick(n)` of the
+/// `n` enabled at each step. Returns the observation vector and the history
+/// in the detailed machine's event shape: addresses from `litmus::loc`,
+/// writers `write_id(core, seq)` with seqs as a core numbers its µops, an
+/// RMW a `LoadLock` at `s` plus a `StoreUnlock` at `s+2`, and each core's
+/// events in program order. Panics as [`enumerate`] does, or if `pick(n)`
+/// is not below `n`.
+pub fn walk(
+    threads: &[Vec<LOp>],
+    num_outs: usize,
+    model: MemModel,
+    mut pick: impl FnMut(usize) -> usize,
+) -> (Vec<Word>, Execution) {
+    let rules = Rules::new(threads, num_outs, model);
+    let mut s = vec![0; rules.threads_at + threads.len()];
+    // The µop seq of thread `t`'s op `i`: an RMW is three µops.
+    let rmw = |op: &&LOp| matches!(op, LOp::FetchAdd { .. });
+    let seq_of =
+        |t: usize, i: usize| (1 + i + 2 * threads[t][..i].iter().filter(rmw).count()) as u64;
+    let mut last_writer = vec![WRITE_ID_INIT; rules.outs_at];
+    let mut x = Execution { cores: vec![Vec::new(); threads.len()], ser: Vec::new() };
+    let mut enabled = Vec::new();
+    loop {
+        enabled.clear();
+        rules.steps(&s, |t, step| enabled.push((t, step)));
+        if enabled.is_empty() {
+            break;
+        }
+        let (t, step) = enabled[pick(enabled.len())];
+        rules.apply(&mut s, t, step);
+        let id = |at: usize| write_id(t as u16, seq_of(t, at));
+        let (i, fwd) = match step {
+            Step::Drain(b) => {
+                let (addr, writer) = (loc(b.addr), id(b.at));
+                x.ser.push(SerEvent { addr, writer, value: b.val, epoch: 0, under_lock: false });
+                last_writer[b.cell] = writer;
+                continue;
+            }
+            Step::Exec(i, fwd) => (i, fwd),
+        };
+        let (seq, outs) = (seq_of(t, i), &s[rules.outs_at..rules.threads_at]);
+        let events = &mut x.cores[t];
+        match threads[t][i] {
+            LOp::St { addr, val, ord } => {
+                events.push(DataEvent::Store { seq, addr: loc(addr), value: val, ord });
+            }
+            LOp::Ld { addr, out, ord } => {
+                let writer = fwd.map_or(last_writer[rules.cell[addr as usize]], |b| id(b.at));
+                let (addr, value) = (loc(addr), outs[out as usize]);
+                events.push(DataEvent::Load { seq, addr, value, writer, ord });
+            }
+            LOp::FetchAdd { addr, out, .. } => {
+                let (c, addr) = (rules.cell[addr as usize], loc(addr));
+                let (value, writer) = (outs[out as usize], write_id(t as u16, seq + 2));
+                events.push(DataEvent::LoadLock { seq, addr, value, writer: last_writer[c] });
+                events.push(DataEvent::StoreUnlock { seq: seq + 2, addr, value: s[c] });
+                x.ser.push(SerEvent { addr, writer, value: s[c], epoch: 0, under_lock: true });
+                last_writer[c] = writer;
+            }
+            LOp::Fence { ord } => events.push(DataEvent::Fence { seq, ord }),
+        }
+    }
+    // A weak load may act before older ops; the core still commits in order.
+    x.cores.iter_mut().for_each(|events| events.sort_by_key(DataEvent::seq));
+    (s[rules.outs_at..rules.threads_at].to_vec(), x)
 }
 
 #[cfg(test)]
