@@ -56,6 +56,15 @@ test ! -e vendor
 ! grep -nE 'let mut (acts|dout) = Vec::new\(\)' crates/mem/src/system.rs || exit 1
 ! grep -nE 'Vec<Vec<' crates/mem/src/tagarray.rs crates/core/src/sched.rs || exit 1
 ! grep -rn 'HashMap<Line, (Vec' crates/mem/src || exit 1
+# The hot maps hash with the in-repo `FxHasher`, not SipHash: the map owners
+# of the memory system, the axiomatic checker and the enumerator's `seen` set
+# build no default-hasher map outside their tests.
+for f in crates/mem/src/privcache.rs crates/mem/src/dir.rs crates/mem/src/progress.rs \
+    crates/mem/src/system.rs crates/sim/src/axiom.rs crates/sim/src/tsoref.rs; do
+    ! sed '/#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'Hash(Map|Set)::new\(\)|Hash(Map|Set)::with_capacity\(|HashSet::from\(' \
+        || exit 1
+done
 # Nothing polls: rule (a) was rewritten, not appended to; the blocking
 # rules are written once (`load_blocker`, which the issue path and the
 # debug oracle both go through).

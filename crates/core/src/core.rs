@@ -1743,3 +1743,43 @@ impl Core {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fa_isa::interp::GuestMem;
+    use fa_isa::{Kasm, Reg};
+    use fa_mem::{MemConfig, MemorySystem};
+
+    /// Store buffering with an RMW: `x = 1; r = y; fetch_add(z)` against its
+    /// mirror. No conditional branch, and no load shares an address with an
+    /// older store, so nothing can mispredict or violate a dependence.
+    fn sb_with_rmw(mine: i64, theirs: i64) -> Program {
+        let mut k = Kasm::new();
+        let (a, b, z, one, r, old) = (Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6);
+        k.li(a, mine).li(b, theirs).li(z, 0x2000).li(one, 1);
+        k.st(one, a, 0).ld(r, b, 0).fetch_add(old, z, 0, one).halt();
+        k.finish().expect("a valid program")
+    }
+
+    #[test]
+    fn a_branch_free_litmus_run_never_builds_the_predictor_tables() {
+        let mut mem = MemorySystem::new(MemConfig::tiny(), 2, GuestMem::new(1 << 16));
+        let progs = [sb_with_rmw(0x1000, 0x1040), sb_with_rmw(0x1040, 0x1000)];
+        let mut cores: Vec<Core> = (0..2)
+            .map(|i| Core::new(CoreId(i as u16), CoreConfig::default(), progs[i].clone(), 1 << 16))
+            .collect();
+        for now in 1..=100_000 {
+            mem.tick();
+            cores.iter_mut().for_each(|c| c.tick(now, &mut mem));
+            if cores.iter().all(|c| c.halted() && c.sb_len() == 0) {
+                break;
+            }
+        }
+        assert_eq!(mem.backing().load(0x2000), 2, "both runs completed");
+        for c in &cores {
+            assert!(c.halted());
+            assert!(!c.bp.built() && !c.ss.built(), "core {} built a table", c.id().0);
+        }
+    }
+}

@@ -24,8 +24,10 @@ impl Ctr2 {
 }
 
 /// Tournament (bimodal + gshare) conditional-branch direction predictor.
+/// Its tables are built on the first [`predict`](Self::predict).
 #[derive(Clone, Debug)]
 pub struct BranchPredictor {
+    /// Empty until the first prediction.
     bimodal: Vec<Ctr2>,
     gshare: Vec<Ctr2>,
     choice: Vec<Ctr2>,
@@ -44,15 +46,20 @@ impl BranchPredictor {
     pub fn new(table_bits: u32, history_bits: u32) -> BranchPredictor {
         let n = 1usize << table_bits;
         BranchPredictor {
-            bimodal: vec![Ctr2(1); n],
-            gshare: vec![Ctr2(1); n],
-            choice: vec![Ctr2(2); n],
+            bimodal: Vec::new(),
+            gshare: Vec::new(),
+            choice: Vec::new(),
             history: 0,
             history_mask: (1u64 << history_bits) - 1,
             index_mask: n - 1,
             lookups: 0,
             mispredicts: 0,
         }
+    }
+
+    /// True once the tables exist.
+    pub(crate) fn built(&self) -> bool {
+        !self.bimodal.is_empty()
     }
 
     fn indices(&self, pc: u32) -> (usize, usize) {
@@ -64,6 +71,11 @@ impl BranchPredictor {
     /// Predicts the direction of the branch at `pc` and returns a snapshot
     /// of the history to pass back at resolve time.
     pub fn predict(&mut self, pc: u32) -> (bool, u64) {
+        if !self.built() {
+            let n = self.index_mask + 1;
+            (self.bimodal, self.gshare, self.choice) =
+                (vec![Ctr2(1); n], vec![Ctr2(1); n], vec![Ctr2(2); n]);
+        }
         self.lookups += 1;
         let (b, g) = self.indices(pc);
         let use_gshare = self.choice[b].taken();
@@ -97,10 +109,11 @@ impl BranchPredictor {
 ///
 /// Loads that have violated a dependence on a store in the past are steered
 /// into the store's set; while any store of that set has an unresolved
-/// address in flight, the load waits.
+/// address in flight, the load waits. Both tables are built on the first
+/// [`train_violation`](Self::train_violation); until then no pc has a set.
 #[derive(Clone, Debug)]
 pub struct StoreSets {
-    /// Store-Set Id Table: pc -> set id.
+    /// Store-Set Id Table: pc -> set id (empty until the first training).
     ssit: Vec<Option<u32>>,
     /// Last Fetched Store Table: set id -> sequence number of the youngest
     /// in-flight store of the set (cleared when it resolves or squashes).
@@ -114,21 +127,28 @@ pub struct StoreSets {
 impl StoreSets {
     /// Creates tables of `2^bits` entries.
     pub fn new(bits: u32) -> StoreSets {
-        let n = 1usize << bits;
-        StoreSets { ssit: vec![None; n], lfst: vec![None; n], next_set: 0, mask: n - 1, trainings: 0 }
+        let mask = (1usize << bits) - 1;
+        StoreSets { ssit: Vec::new(), lfst: Vec::new(), next_set: 0, mask, trainings: 0 }
     }
 
-    fn idx(&self, pc: u32) -> usize {
-        (pc as usize) & self.mask
+    /// True once the tables exist.
+    pub(crate) fn built(&self) -> bool {
+        !self.ssit.is_empty()
+    }
+
+    /// The set the pc belongs to, if any.
+    fn set_of(&self, pc: u32) -> Option<u32> {
+        self.ssit.get(pc as usize & self.mask).copied().flatten()
     }
 
     /// Trains on a violation between the load at `load_pc` and the store at
     /// `store_pc` (assigns both to one set).
     pub fn train_violation(&mut self, load_pc: u32, store_pc: u32) {
+        if !self.built() {
+            (self.ssit, self.lfst) = (vec![None; self.mask + 1], vec![None; self.mask + 1]);
+        }
         self.trainings += 1;
-        let li = self.idx(load_pc);
-        let si = self.idx(store_pc);
-        let set = match (self.ssit[li], self.ssit[si]) {
+        let set = match (self.set_of(load_pc), self.set_of(store_pc)) {
             (Some(a), _) => a,
             (None, Some(b)) => b,
             (None, None) => {
@@ -137,21 +157,21 @@ impl StoreSets {
                 s
             }
         };
-        self.ssit[li] = Some(set);
-        self.ssit[si] = Some(set);
+        self.ssit[load_pc as usize & self.mask] = Some(set);
+        self.ssit[store_pc as usize & self.mask] = Some(set);
     }
 
     /// A store at `pc` with sequence `seq` was dispatched: tracks it if it
     /// belongs to a set.
     pub fn store_dispatched(&mut self, pc: u32, seq: u64) {
-        if let Some(set) = self.ssit[self.idx(pc)] {
+        if let Some(set) = self.set_of(pc) {
             self.lfst[set as usize & self.mask] = Some(seq);
         }
     }
 
     /// The store `seq` at `pc` resolved its address (or was squashed).
     pub fn store_resolved(&mut self, pc: u32, seq: u64) {
-        if let Some(set) = self.ssit[self.idx(pc)] {
+        if let Some(set) = self.set_of(pc) {
             let slot = &mut self.lfst[set as usize & self.mask];
             if *slot == Some(seq) {
                 *slot = None;
@@ -162,7 +182,7 @@ impl StoreSets {
     /// Should the load at `pc` wait? Returns the store sequence it must wait
     /// for, if any.
     pub fn load_should_wait(&self, pc: u32) -> Option<u64> {
-        let set = self.ssit[self.idx(pc)]?;
+        let set = self.set_of(pc)?;
         self.lfst[set as usize & self.mask]
     }
 }

@@ -8,7 +8,10 @@
 //! delivered and no core steps, so only lock ages move, and
 //! [`MemorySystem::next_event_at`](crate::MemorySystem::next_event_at)
 //! ends the span before the cycle the oldest lock would trip its bound.
-//! The sweep at the landing cycle is the verdict of the whole span.
+//! The audit at the landing cycle is the verdict of the whole span. The
+//! same holds for a ticked cycle that changed no cache, directory or lock
+//! state: its audit only ages the locks, and the full sweep runs only
+//! after a cycle that changed something.
 //!
 //! Audited invariants:
 //!

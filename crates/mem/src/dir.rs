@@ -14,9 +14,9 @@ use crate::msgs::{DirMsg, DirReq, DirReqKind, L1Msg, LatClass};
 use crate::progress::{ProgressGuard, ProgressPolicy};
 use crate::stats::DirStats;
 use crate::tagarray::TagArray;
-use crate::{CoreId, Cycle, Line, MemConfig};
+use crate::{CoreId, Cycle, FxHashMap, Line, MemConfig};
 use fa_trace::{TraceBuf, TraceEvent};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Consecutive failed allocation polls after which a request is promoted to
 /// a *rescue reservation*: the next way freed in its set is held for it
@@ -136,7 +136,7 @@ pub struct Directory {
     /// outside the tag array so it survives entry eviction and keeps
     /// increasing for the line's whole lifetime. Empty while checking is
     /// off; never consulted by protocol logic.
-    write_epochs: HashMap<Line, u64>,
+    write_epochs: FxHashMap<Line, u64>,
 }
 
 impl Directory {
@@ -155,7 +155,7 @@ impl Directory {
             now: 0,
             trace: TraceBuf::new(&cfg.trace),
             epochs_on: cfg.check.on(),
-            write_epochs: HashMap::new(),
+            write_epochs: FxHashMap::default(),
         }
     }
 

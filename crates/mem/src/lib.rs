@@ -37,6 +37,7 @@ pub mod audit;
 pub mod chaos;
 pub mod config;
 pub mod dir;
+pub mod fxhash;
 pub mod msgs;
 pub mod noc;
 pub mod prefetch;
@@ -50,6 +51,7 @@ pub mod wheel;
 pub use audit::{AuditConfig, AuditViolation};
 pub use chaos::{ChaosConfig, SplitMix64};
 pub use config::MemConfig;
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use msgs::{CoreNotice, CoreResp, LatClass};
 pub use noc::{LinkStats, NocConfig, NocStats, XbarPolicy};
 pub use progress::{ProgressConfig, ProgressGuard, ProgressPolicy, ProgressReport, ProgressStats};

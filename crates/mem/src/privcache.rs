@@ -10,10 +10,10 @@ use crate::prefetch::StridePrefetcher;
 use crate::progress::{ProgressGuard, ProgressPolicy};
 use crate::stats::CoreMemStats;
 use crate::tagarray::TagArray;
-use crate::{CoreId, Cycle, Line, MemConfig};
+use crate::{CoreId, Cycle, FxHashMap, Line, MemConfig};
 use fa_isa::{line_of, Addr};
 use fa_trace::{TraceBuf, TraceEvent, MESI_NONE};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Stalled-fill retry policy (site `cache-fill`): count the retries an
 /// unlock wakes that still find every way locked.
@@ -132,11 +132,11 @@ pub struct PrivCache {
     l2: TagArray<Mesi>,
     /// Each locked line's lock count and the cycle its outermost
     /// acquisition opened (hold-duration accounting).
-    locks: HashMap<Line, (u32, Cycle)>,
-    mshrs: HashMap<Line, Mshr>,
+    locks: FxHashMap<Line, (u32, Cycle)>,
+    mshrs: FxHashMap<Line, Mshr>,
     /// Emptied `Mshr::pending` vectors, handed to the next MSHR.
     mshr_pool: Vec<Vec<Pending>>,
-    parked_ext: HashMap<Line, VecDeque<L1Msg>>,
+    parked_ext: FxHashMap<Line, VecDeque<L1Msg>>,
     stalled_fills: VecDeque<StalledFill>,
     /// The (empty) queue [`PrivCache::retry_stalled_fills`] collects the
     /// still-stalled fills into before it trades places with
@@ -158,7 +158,7 @@ pub struct PrivCache {
     now: Cycle,
     /// Per-line `(acquisitions, total hold cycles)` since reset, feeding
     /// the hottest-locked-line report.
-    pub(crate) lock_acct: HashMap<Line, (u64, u64)>,
+    pub(crate) lock_acct: FxHashMap<Line, (u64, u64)>,
     /// Structured event ring for this controller.
     pub(crate) trace: TraceBuf,
     /// This core's counters and histograms, as `MemStats` publishes them
@@ -174,10 +174,10 @@ impl PrivCache {
             id,
             l1: TagArray::new(cfg.l1_sets, cfg.l1_ways),
             l2: TagArray::new(cfg.l2_sets, cfg.l2_ways),
-            locks: HashMap::new(),
-            mshrs: HashMap::with_capacity(cfg.mshrs),
+            locks: FxHashMap::default(),
+            mshrs: FxHashMap::with_capacity_and_hasher(cfg.mshrs, Default::default()),
             mshr_pool: Vec::new(),
-            parked_ext: HashMap::new(),
+            parked_ext: FxHashMap::default(),
             stalled_fills: VecDeque::new(),
             still_stalled: VecDeque::new(),
             retry_due: false,
@@ -188,7 +188,7 @@ impl PrivCache {
             l1_lat: cfg.l1_lat,
             l2_lat: cfg.l2_lat,
             now: 0,
-            lock_acct: HashMap::new(),
+            lock_acct: FxHashMap::default(),
             trace: TraceBuf::new(&cfg.trace),
             stats: CoreMemStats::default(),
         }

@@ -20,7 +20,7 @@
 //! bit-identical with the framework enabled (pinned by the differential
 //! tests in `tests/progress_regressions.rs`).
 
-use std::collections::HashMap;
+use crate::FxHashMap;
 use std::fmt;
 use std::hash::Hash;
 
@@ -56,7 +56,7 @@ impl ProgressPolicy {
 #[derive(Clone, Debug)]
 pub struct ProgressGuard<K: Eq + Hash + Copy> {
     policy: ProgressPolicy,
-    attempts: HashMap<K, u64>,
+    attempts: FxHashMap<K, u64>,
     /// Largest attempt count ever reached by one resource (historical;
     /// survives `note_success`).
     pub attempts_max: u64,
@@ -65,7 +65,7 @@ pub struct ProgressGuard<K: Eq + Hash + Copy> {
 impl<K: Eq + Hash + Copy> ProgressGuard<K> {
     /// Creates a guard with the given policy.
     pub fn new(policy: ProgressPolicy) -> ProgressGuard<K> {
-        ProgressGuard { policy, attempts: HashMap::new(), attempts_max: 0 }
+        ProgressGuard { policy, attempts: FxHashMap::default(), attempts_max: 0 }
     }
 
     /// The guard's policy.

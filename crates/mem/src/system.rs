@@ -21,11 +21,10 @@ use crate::noc::{NocEv, Xbar};
 use crate::privcache::{Action, PrivCache, ReqOutcome};
 use crate::progress::{ProgressGuard, ProgressPolicy, ProgressReport, ProgressStats};
 use crate::stats::{HotLock, MemStats};
-use crate::{CoreId, Cycle, Line, MemConfig};
+use crate::{CoreId, Cycle, FxHashMap, Line, MemConfig};
 use fa_isa::interp::GuestMem;
 use fa_isa::{Addr, Word};
 use fa_trace::{write_id, SerEvent, TraceRecord};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A point-in-time snapshot of memory-system state, attached to timeout
@@ -105,6 +104,9 @@ pub struct MemorySystem {
     /// each with the first cycle a sweep saw it held (empty while auditing
     /// is off).
     lock_ages: Vec<LiveLock>,
+    /// Set by every path that can change what a sweep reads (`with_cache`,
+    /// `with_dir`, `lock_line`); a sweep clears it unless a fill retry is due.
+    changed_since_sweep: bool,
     /// Buffers every call reuses, so no access, cycle or sweep allocates:
     /// the actions a controller call emits (drained onto the interconnect
     /// before the call returns), the audit's `(line, core, writable)`
@@ -117,7 +119,7 @@ pub struct MemorySystem {
     check: bool,
     /// Last write-id per word address, sampled by read performs for the
     /// checker's rf edges. Empty while `check` is off.
-    last_writer: HashMap<Addr, u64>,
+    last_writer: FxHashMap<Addr, u64>,
     /// The global write-serialization order: one event per performed
     /// store, in perform order. Empty while `check` is off.
     ser: Vec<SerEvent>,
@@ -148,12 +150,13 @@ impl MemorySystem {
             now: 0,
             noc: Xbar::new(&cfg, n_cores, chaos),
             lock_ages: Vec::new(),
+            changed_since_sweep: true,
             acts: Vec::new(),
             dout: Vec::new(),
             audit_copies: Vec::new(),
             audit_locks: Vec::new(),
             check: cfg.check.on(),
-            last_writer: HashMap::new(),
+            last_writer: FxHashMap::default(),
             ser: Vec::new(),
             lsq_guard: ProgressGuard::new(ProgressPolicy::counting()),
             backlog_max: 0,
@@ -321,6 +324,7 @@ impl MemorySystem {
     /// Calls `f` on the directory with the (empty) action buffer and routes
     /// what it emitted.
     fn with_dir<R>(&mut self, f: impl FnOnce(&mut Directory, &mut Vec<DirAction>) -> R) -> R {
+        self.changed_since_sweep = true;
         let mut out = std::mem::take(&mut self.dout);
         let r = f(&mut self.dir, &mut out);
         self.apply_dir_actions(&mut out);
@@ -335,6 +339,7 @@ impl MemorySystem {
         core: usize,
         f: impl FnOnce(&mut PrivCache, &mut Vec<Action>) -> R,
     ) -> R {
+        self.changed_since_sweep = true;
         let mut out = std::mem::take(&mut self.acts);
         let r = f(&mut self.caches[core], &mut out);
         self.apply_cache_actions(core, &mut out);
@@ -424,6 +429,7 @@ impl MemorySystem {
     /// Adds a lock count on `line` (load_lock performed on an
     /// already-present writable line, or a lock transfer during forwarding).
     pub fn lock_line(&mut self, core: CoreId, line: Line) {
+        self.changed_since_sweep = true;
         self.caches[core.index()].lock(line);
     }
 
@@ -586,14 +592,46 @@ impl MemorySystem {
         None
     }
 
-    /// Runs one invariant-audit sweep. Free when `cfg.audit.enabled` is
-    /// false; otherwise checks SWMR, directory–L1 inclusion and the
-    /// lock-hold bound (see [`crate::audit`]), returning the first violation
-    /// in a deterministic order.
+    /// Audits the current cycle. Free when `cfg.audit.enabled` is false;
+    /// otherwise checks SWMR, directory–L1 inclusion and the lock-hold
+    /// bound (see [`crate::audit`]), returning the first violation in a
+    /// deterministic order.
+    ///
+    /// The full sweep runs only after a cycle that may have changed what it
+    /// reads; a clean cycle only ages the last sweep's locks, O(live locks).
+    /// Debug builds sweep it too and assert the same verdict and lock list.
     pub fn audit(&mut self) -> Result<(), AuditViolation> {
         if !self.cfg.audit.enabled {
             return Ok(());
         }
+        if self.changed_since_sweep {
+            self.sweep()?;
+        } else if cfg!(debug_assertions) {
+            // The sweep parks the lock list it replaces in `audit_locks`.
+            let (now, verdict) = (self.now, self.sweep());
+            assert_eq!(verdict, Ok(()), "a clean cycle broke an invariant at {now}");
+            assert_eq!(self.audit_locks, self.lock_ages, "a clean cycle moved a lock at {now}");
+        }
+        // Lock-pairing bound: flag any lock held continuously past it.
+        let now = self.now;
+        for l in &self.lock_ages {
+            let held_for = now - l.since;
+            self.audit_stats.max_lock_hold_seen =
+                self.audit_stats.max_lock_hold_seen.max(held_for);
+            if held_for > self.cfg.audit.max_lock_hold {
+                return Err(AuditViolation::LockLeak {
+                    line: l.line,
+                    core: l.core,
+                    held_for,
+                    count: l.count,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The full sweep: SWMR and inclusion, then the live locks rebuilt.
+    fn sweep(&mut self) -> Result<(), AuditViolation> {
         // Inclusion, while gathering every private copy in cache-then-set
         // order: each must be covered by a directory sharer bit (the
         // directory is a superset due to silent evictions, never a subset).
@@ -622,9 +660,8 @@ impl MemorySystem {
                 });
             }
         }
-        // Lock-pairing bound: a lock the last sweep saw keeps its age, a new
-        // one starts at zero, a released one drops out; flag any lock held
-        // continuously past the bound.
+        // The live locks: one the last sweep saw keeps its age, a new one
+        // starts at zero, a released one drops out.
         let now = self.now;
         let mut live = std::mem::take(&mut self.audit_locks);
         live.clear();
@@ -641,19 +678,8 @@ impl MemorySystem {
             }
         }
         self.audit_locks = std::mem::replace(&mut self.lock_ages, live);
-        for l in &self.lock_ages {
-            let held_for = now - l.since;
-            self.audit_stats.max_lock_hold_seen =
-                self.audit_stats.max_lock_hold_seen.max(held_for);
-            if held_for > self.cfg.audit.max_lock_hold {
-                return Err(AuditViolation::LockLeak {
-                    line: l.line,
-                    core: l.core,
-                    held_for,
-                    count: l.count,
-                });
-            }
-        }
+        // A fill retry an unlock made due changes a cache at the next tick.
+        self.changed_since_sweep = self.caches.iter().any(PrivCache::retry_due);
         Ok(())
     }
 
@@ -686,7 +712,7 @@ impl MemorySystem {
         // Hottest locked lines: merge per-cache lock accounting by line,
         // rank by total hold cycles (line address as the deterministic
         // tiebreak), keep the top entries.
-        let mut by_line: HashMap<Line, (u64, u64)> = HashMap::new();
+        let mut by_line: FxHashMap<Line, (u64, u64)> = FxHashMap::default();
         for c in &self.caches {
             for (&line, &(acqs, held)) in &c.lock_acct {
                 let e = by_line.entry(line).or_insert((0, 0));
@@ -761,6 +787,13 @@ mod tests {
         let mut n = Vec::new();
         m.drain_notices(core, &mut n);
         n
+    }
+
+    /// Corrupts state behind the protocol's back, marking it changed as
+    /// every real path does, to prove the auditor catches it.
+    fn corrupt(m: &mut MemorySystem, f: impl FnOnce(&mut [PrivCache], &mut Directory)) {
+        f(&mut m.caches, &mut m.dir);
+        m.changed_since_sweep = true;
     }
 
     /// Ticks until `core` receives a response, with a safety bound.
@@ -957,7 +990,7 @@ mod tests {
         m.audit().expect("legal sharing must pass the audit");
         // Corrupt the protocol: core 0 claims write permission while core 1
         // still holds a shared copy.
-        m.caches[0].force_state(0x100, crate::privcache::Mesi::M);
+        corrupt(&mut m, |caches, _| caches[0].force_state(0x100, crate::privcache::Mesi::M));
         match m.audit() {
             Err(AuditViolation::MultipleWriters { line: 0x100, writers, holders }) => {
                 assert_eq!(writers, vec![C0]);
@@ -975,7 +1008,7 @@ mod tests {
         m.read(C0, 1, 0x100, false, false);
         run_until_resp(&mut m, C0, 1000);
         m.audit().expect("covered copy must pass the audit");
-        m.dir.force_drop_entry(0x100);
+        corrupt(&mut m, |_, dir| dir.force_drop_entry(0x100));
         match m.audit() {
             Err(AuditViolation::InclusionHole { line: 0x100, core, entry_missing: true }) => {
                 assert_eq!(core, C0);
@@ -1009,6 +1042,86 @@ mod tests {
             other => panic!("expected LockLeak, got {other:?}"),
         }
         assert!(m.stats().audit.max_lock_hold_seen > 10);
+    }
+
+    /// An audited system with a lock-hold bound of `bound`.
+    fn audited(bound: Cycle, cfg: MemConfig) -> MemorySystem {
+        let cfg = MemConfig {
+            audit: crate::AuditConfig { max_lock_hold: bound, ..crate::AuditConfig::on() },
+            ..cfg
+        };
+        MemorySystem::new(cfg, 1, GuestMem::new(1 << 16))
+    }
+
+    /// Ticks and audits until the audit trips, returning the cycle and the
+    /// violation.
+    fn tick_until_violation(m: &mut MemorySystem, bound: u64) -> (Cycle, AuditViolation) {
+        for _ in 0..bound {
+            m.tick();
+            if let Err(v) = m.audit() {
+                return (m.now(), v);
+            }
+        }
+        panic!("no audit violation within {bound} cycles");
+    }
+
+    #[test]
+    fn clean_cycles_age_locks_one_cycle_a_tick_and_trip_at_the_bound() {
+        let bound = 20;
+        let mut m = audited(bound, MemConfig::tiny());
+        m.read(C0, 1, 0x100, true, false);
+        run_until_resp(&mut m, C0, 1000);
+        while m.pending_events() > 0 {
+            m.tick();
+        }
+        m.audit().expect("nothing is locked");
+        // A lock transfer onto the writable line: the only change.
+        m.lock_line(C0, 0x100);
+        m.audit().expect("a fresh lock is within the bound");
+        assert_eq!(m.stats().audit.max_lock_hold_seen, 0);
+        let since = m.now();
+        for held in 1..=bound {
+            m.tick();
+            assert!(!m.changed_since_sweep, "no traffic, so no state change");
+            m.audit().expect("within the bound");
+            assert_eq!(m.stats().audit.max_lock_hold_seen, held, "one cycle older a tick");
+        }
+        let (cycle, v) = tick_until_violation(&mut m, 1);
+        assert_eq!(cycle, since + bound + 1);
+        let leak = AuditViolation::LockLeak { line: 0x100, core: C0, held_for: bound + 1, count: 1 };
+        assert_eq!(v, leak);
+    }
+
+    #[test]
+    fn a_stalled_fill_that_locks_on_retry_is_aged_from_the_retry() {
+        // L2 of 2 sets x 2 ways, no prefetch: lines 0x0, 0x80 and 0x100
+        // share set 0. Lock the first two, then a load_lock of the third
+        // stalls until both unlock; its retry fills and locks the line on
+        // the next tick, with no other traffic in that cycle.
+        let bound = 2000;
+        let mut cfg = MemConfig::tiny();
+        (cfg.l1_sets, cfg.l1_ways, cfg.l2_sets, cfg.l2_ways) = (2, 2, 2, 2);
+        let mut m = audited(bound, cfg);
+        for (seq, line) in [(1, 0x0), (2, 0x80)] {
+            m.read(C0, seq, line, true, true);
+            run_until_resp(&mut m, C0, 1000);
+        }
+        m.read(C0, 3, 0x100, true, true);
+        while m.diag().stalled_fills.is_empty() {
+            assert!(m.now() < 1000, "the fill never stalled");
+            m.tick();
+            m.audit().expect("the two locks are within the bound");
+        }
+        assert_eq!(m.diag().stalled_fills, vec![(0, 0x100)]);
+        m.unlock_line(C0, 0x0);
+        m.unlock_line(C0, 0x80);
+        m.audit().expect("no lock left");
+        m.tick();
+        assert!(m.is_locked(C0, 0x100), "the retry filled and locked the line");
+        m.audit().expect("a fresh lock is within the bound");
+        let retried = m.now();
+        let (cycle, v) = tick_until_violation(&mut m, 2 * bound);
+        assert_eq!(cycle, retried + bound + 1, "aged from the retry, got {v:?}");
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //! simulation results, which `ci.sh` pins.
 
 use fa_isa::line_of;
+use fa_mem::{FxHashMap, FxHashSet};
 use fa_trace::{write_id, write_id_parts, DataEvent, MemModel, SerEvent, WRITE_ID_INIT};
-use std::collections::HashMap;
 use std::fmt;
 
 /// One complete execution's data events: per-core committed accesses in
@@ -111,8 +111,8 @@ struct WriteInfo {
 /// The coherence order: per-address write lists plus a write-id → (addr,
 /// 1-based position) index. Position 0 is reserved for initial memory.
 struct Co {
-    order: HashMap<u64, Vec<u64>>,
-    pos: HashMap<u64, usize>,
+    order: FxHashMap<u64, Vec<u64>>,
+    pos: FxHashMap<u64, usize>,
 }
 
 impl Co {
@@ -186,8 +186,8 @@ fn show_wid(w: u64) -> String {
     }
 }
 
-fn collect_writes(x: &Execution) -> Result<HashMap<u64, WriteInfo>, Violation> {
-    let mut writes = HashMap::new();
+fn collect_writes(x: &Execution) -> Result<FxHashMap<u64, WriteInfo>, Violation> {
+    let mut writes = FxHashMap::default();
     for (core, evs) in x.cores.iter().enumerate() {
         for ev in evs {
             let (addr, value, unlock) = match *ev {
@@ -209,11 +209,11 @@ fn collect_writes(x: &Execution) -> Result<HashMap<u64, WriteInfo>, Violation> {
 
 /// Validates the serialization log against the committed stores and
 /// builds the coherence order.
-fn check_co_wf(x: &Execution, writes: &HashMap<u64, WriteInfo>) -> Result<Co, Violation> {
+fn check_co_wf(x: &Execution, writes: &FxHashMap<u64, WriteInfo>) -> Result<Co, Violation> {
     let fail = |detail: String| Violation { axiom: "co-wf", detail };
-    let mut order: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut pos: HashMap<u64, usize> = HashMap::new();
-    let mut line_epoch: HashMap<u64, u64> = HashMap::new();
+    let mut order: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
+    let mut pos: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut line_epoch: FxHashMap<u64, u64> = FxHashMap::default();
     for ev in &x.ser {
         let Some(w) = writes.get(&ev.writer) else {
             return Err(fail(format!(
@@ -273,7 +273,7 @@ fn check_co_wf(x: &Execution, writes: &HashMap<u64, WriteInfo>) -> Result<Co, Vi
 /// value. Reads of initial memory (write-id 0) skip the value check —
 /// initial guest memory is mutated in place, so its original content is
 /// not recoverable at check time.
-fn check_rf_wf(x: &Execution, writes: &HashMap<u64, WriteInfo>) -> Result<(), Violation> {
+fn check_rf_wf(x: &Execution, writes: &FxHashMap<u64, WriteInfo>) -> Result<(), Violation> {
     let fail = |detail: String| Violation { axiom: "rf-wf", detail };
     for (core, evs) in x.cores.iter().enumerate() {
         for ev in evs {
@@ -325,7 +325,7 @@ fn check_sc_per_location(x: &Execution, co: &Co) -> Result<(), Violation> {
     for (core, evs) in x.cores.iter().enumerate() {
         // addr -> (max co-position of po-earlier writes, of observed
         // writers of po-earlier reads).
-        let mut maxima: HashMap<u64, (usize, usize)> = HashMap::new();
+        let mut maxima: FxHashMap<u64, (usize, usize)> = FxHashMap::default();
         for ev in evs {
             match *ev {
                 DataEvent::Store { addr, .. } | DataEvent::StoreUnlock { addr, .. } => {
@@ -403,7 +403,8 @@ fn check_rmw_atomicity(x: &Execution, co: &Co) -> Result<(), Violation> {
     for (core, evs) in x.cores.iter().enumerate() {
         // seq -> event index, for pairing a load_lock (seq s) with its
         // store_unlock (the µop triple is consecutive: s, s+1, s+2).
-        let by_seq: HashMap<u64, usize> = evs.iter().enumerate().map(|(i, e)| (e.seq(), i)).collect();
+        let by_seq: FxHashMap<u64, usize> =
+            evs.iter().enumerate().map(|(i, e)| (e.seq(), i)).collect();
         for ev in evs {
             let DataEvent::LoadLock { seq, addr, writer, .. } = *ev else { continue };
             let su = by_seq
@@ -470,7 +471,7 @@ const L_PO_RB: u8 = 6;
 ///   `load_lock`.
 fn check_ghb(
     x: &Execution,
-    writes: &HashMap<u64, WriteInfo>,
+    writes: &FxHashMap<u64, WriteInfo>,
     co: &Co,
     model: MemModel,
 ) -> Result<usize, Violation> {
@@ -490,7 +491,7 @@ fn check_ghb(
     };
 
     // Event index of each committed store, for rfe/co/fr endpoints.
-    let mut node_of_wid: HashMap<u64, usize> = HashMap::with_capacity(writes.len());
+    let mut node_of_wid = FxHashMap::with_capacity_and_hasher(writes.len(), Default::default());
     for (core, evs) in x.cores.iter().enumerate() {
         for (i, ev) in evs.iter().enumerate() {
             if ev.is_write() {
@@ -681,11 +682,11 @@ fn check_ghb(
 /// BFS from candidate start nodes back to themselves. Each node is
 /// annotated with the label of its outgoing edge in the cycle.
 fn shortest_cycle(adj: &[Vec<(u32, u8)>], remaining: &[usize]) -> Vec<(usize, u8)> {
-    let in_rem: std::collections::HashSet<usize> = remaining.iter().copied().collect();
+    let in_rem: FxHashSet<usize> = remaining.iter().copied().collect();
     let mut best: Vec<(usize, u8)> = Vec::new();
     for &start in remaining {
         // BFS over the remaining subgraph looking for a path back to start.
-        let mut prev: HashMap<usize, (usize, u8)> = HashMap::new();
+        let mut prev: FxHashMap<usize, (usize, u8)> = FxHashMap::default();
         let mut queue = std::collections::VecDeque::new();
         queue.push_back(start);
         let mut found = false;

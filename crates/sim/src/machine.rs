@@ -399,11 +399,13 @@ impl Machine {
 
     /// Runs until quiescence.
     ///
-    /// When `MemConfig::audit` is enabled, the invariant auditor sweeps the
+    /// When `MemConfig::audit` is enabled, the invariant auditor audits the
     /// machine after every tick and every jump. Nothing a sweep reads
     /// changes inside a jumped span but lock ages, and a jump ends before
-    /// the cycle a lock would trip the hold bound, so the landing sweep's
-    /// verdict is every jumped cycle's.
+    /// the cycle a lock would trip the hold bound, so the landing audit's
+    /// verdict is every jumped cycle's. An audit sweeps in full only after
+    /// a cycle that changed cache, directory or lock state; otherwise it
+    /// ages the last sweep's locks ([`MemorySystem::audit`]).
     ///
     /// # Errors
     ///

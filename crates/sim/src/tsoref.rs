@@ -31,6 +31,7 @@
 use crate::axiom::Execution;
 use crate::litmus::loc;
 use fa_isa::{MemOrder, Word};
+use fa_mem::FxHashSet;
 use fa_trace::{write_id, DataEvent, MemModel, SerEvent, WRITE_ID_INIT};
 use std::collections::HashSet;
 
@@ -256,9 +257,9 @@ pub fn enumerate(threads: &[Vec<LOp>], num_outs: usize, model: MemModel) -> Hash
     // Depth-first over packed states: `work` stacks the discovered,
     // unexpanded ones (`len` words each), and `seen` hashes each whole.
     let mut next = vec![0; len].into_boxed_slice();
-    let (mut seen, mut work) = (HashSet::from([next.clone()]), next.to_vec());
+    let (mut seen, mut work) = (FxHashSet::from_iter([next.clone()]), next.to_vec());
     let mut cur = vec![0; len];
-    let mut outcomes = HashSet::new();
+    let mut outcomes = FxHashSet::default();
     while let Some(top) = work.len().checked_sub(len) {
         cur.copy_from_slice(&work[top..]);
         work.truncate(top);
@@ -277,7 +278,7 @@ pub fn enumerate(threads: &[Vec<LOp>], num_outs: usize, model: MemModel) -> Hash
             outcomes.insert(cur[rules.outs_at..rules.threads_at].to_vec());
         }
     }
-    outcomes
+    outcomes.into_iter().collect()
 }
 
 /// Runs `threads` once under `model`, taking transition `pick(n)` of the
