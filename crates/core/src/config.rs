@@ -84,9 +84,6 @@ pub struct CoreConfig {
     pub watchdog_threshold: u64,
     /// Maximum consecutive atomic forwardings (§3.3.4: 32).
     pub fwd_chain_max: u32,
-    /// Issue the store's GetX when it commits rather than at the SB head
-    /// (Table 1: "at-commit store prefetch").
-    pub store_prefetch_at_commit: bool,
     /// Front-end refill penalty after a squash, in cycles.
     pub redirect_penalty: u64,
     /// Integer ALU latency.
@@ -132,7 +129,6 @@ impl Default for CoreConfig {
             policy: AtomicPolicy::FencedBaseline,
             watchdog_threshold: 10_000,
             fwd_chain_max: 32,
-            store_prefetch_at_commit: true,
             redirect_penalty: 10,
             alu_lat: 1,
             mul_lat: 3,

@@ -1415,12 +1415,12 @@ impl Core {
                         sc: !is_unlock && uop.ord.is_sc(),
                     };
                     self.sb.push_back(entry);
-                    if self.cfg.store_prefetch_at_commit {
-                        if let fa_mem::privcache::ReqOutcome::Accepted =
-                            mem.store_acquire(self.id, seq, addr)
-                        {
-                            self.sb.back_mut().unwrap().acquire_pending = true;
-                        }
+                    // At-commit store prefetch (Table 1): the GetX goes out
+                    // now, not when the store reaches the SB head.
+                    if let fa_mem::privcache::ReqOutcome::Accepted =
+                        mem.store_acquire(self.id, seq, addr)
+                    {
+                        self.sb.back_mut().unwrap().acquire_pending = true;
                     }
                 }
                 UopKind::Fence(kind) => {

@@ -9,9 +9,8 @@
 //! [`MemorySystem::next_event_at`](crate::MemorySystem::next_event_at)
 //! ends the span before the cycle the oldest lock would trip its bound.
 //! The audit at the landing cycle is the verdict of the whole span. The
-//! same holds for a ticked cycle that changed no cache, directory or lock
-//! state: its audit only ages the locks, and the full sweep runs only
-//! after a cycle that changed something.
+//! SWMR and inclusion sweep likewise runs only after a cycle that changed
+//! cache or directory state; a clean cycle's audit only ages the locks.
 //!
 //! Audited invariants:
 //!
@@ -27,9 +26,12 @@
 //!   eventually released by a `store_unlock` or a squash. An unpaired lock
 //!   cannot be observed structurally (the controller cannot know the
 //!   future), so it is audited as a *bound*: no line may stay continuously
-//!   locked longer than [`AuditConfig::max_lock_hold`] cycles. The core
-//!   watchdog breaks genuine deadlocks orders of magnitude sooner, so a
-//!   trip here means a lock leak (an AQ/controller desync).
+//!   locked longer than [`AuditConfig::max_lock_hold`] cycles. A hold is
+//!   measured from the cache's own record of the cycle it opened (its
+//!   outermost acquisition), so a line released and re-taken within one
+//!   cycle starts a new hold. The core watchdog breaks genuine deadlocks
+//!   orders of magnitude sooner, so a trip here means a lock leak (an
+//!   AQ/controller desync).
 //!
 //! A core that stops committing is not the auditor's to catch: the progress
 //! layer's `core-commit` site does that for audited and unaudited runs

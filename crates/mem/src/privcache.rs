@@ -643,10 +643,11 @@ impl PrivCache {
         self.l2.iter().map(|(l, s)| (l, *s))
     }
 
-    /// All currently locked lines with their counts (auditing/diagnostics;
-    /// order is unspecified — callers sort).
-    pub(crate) fn locks_iter(&self) -> impl Iterator<Item = (Line, u32)> + '_ {
-        self.locks.iter().map(|(l, c)| (*l, c.0))
+    /// All currently locked lines with their counts and the cycle each
+    /// hold opened (auditing/diagnostics; order is unspecified — callers
+    /// sort).
+    pub(crate) fn locks_iter(&self) -> impl Iterator<Item = (Line, u32, Cycle)> + '_ {
+        self.locks.iter().map(|(&l, &(count, opened))| (l, count, opened))
     }
 
     /// Lines whose fills are stalled on all-ways-locked sets (diagnostics).

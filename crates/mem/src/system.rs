@@ -74,16 +74,6 @@ impl fmt::Display for MemDiag {
     }
 }
 
-/// A held line lock as the audit sweep tracks it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct LiveLock {
-    core: CoreId,
-    line: Line,
-    count: u32,
-    /// First cycle a sweep saw the lock held.
-    since: Cycle,
-}
-
 /// The full memory hierarchy for `n` cores plus the global backing store.
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -100,21 +90,16 @@ pub struct MemorySystem {
     /// Audit-sweep counters (the other `MemStats` blocks live with the
     /// controller that counts them).
     audit_stats: AuditStats,
-    /// The locks live at the last audit sweep, sorted by `(core, line)`,
-    /// each with the first cycle a sweep saw it held (empty while auditing
-    /// is off).
-    lock_ages: Vec<LiveLock>,
     /// Set by every path that can change what a sweep reads (`with_cache`,
-    /// `with_dir`, `lock_line`); a sweep clears it unless a fill retry is due.
+    /// `with_dir`); a sweep clears it unless a fill retry is due.
     changed_since_sweep: bool,
     /// Buffers every call reuses, so no access, cycle or sweep allocates:
     /// the actions a controller call emits (drained onto the interconnect
-    /// before the call returns), the audit's `(line, core, writable)`
-    /// gather and the lock-age list it builds next.
+    /// before the call returns) and the audit's `(line, core, writable)`
+    /// gather.
     acts: Vec<Action>,
     dout: Vec<DirAction>,
     audit_copies: Vec<(Line, CoreId, bool)>,
-    audit_locks: Vec<LiveLock>,
     /// Conformance-check collection enabled (`cfg.check`).
     check: bool,
     /// Last write-id per word address, sampled by read performs for the
@@ -149,12 +134,10 @@ impl MemorySystem {
             audit_stats: AuditStats::default(),
             now: 0,
             noc: Xbar::new(&cfg, n_cores, chaos),
-            lock_ages: Vec::new(),
             changed_since_sweep: true,
             acts: Vec::new(),
             dout: Vec::new(),
             audit_copies: Vec::new(),
-            audit_locks: Vec::new(),
             check: cfg.check.on(),
             last_writer: FxHashMap::default(),
             ser: Vec::new(),
@@ -428,8 +411,9 @@ impl MemorySystem {
 
     /// Adds a lock count on `line` (load_lock performed on an
     /// already-present writable line, or a lock transfer during forwarding).
+    /// The cache's lock record is all it changes, and the audit reads that
+    /// every cycle, so it marks no sweep.
     pub fn lock_line(&mut self, core: CoreId, line: Line) {
-        self.changed_since_sweep = true;
         self.caches[core.index()].lock(line);
     }
 
@@ -486,13 +470,18 @@ impl MemorySystem {
     }
 
     /// The earliest cycle at which the memory system acts on its own: an
-    /// in-flight protocol event, the next back-invalidation storm, or the
-    /// cycle at which the oldest lock the last audit sweep saw would trip
-    /// the lock-hold bound. Between ticks nothing else changes what a tick
-    /// or a sweep would do.
+    /// in-flight protocol event, the next back-invalidation storm, or —
+    /// audited only — the cycle at which the longest-held lock would trip
+    /// the lock-hold bound, one past the bound from the earliest open
+    /// cycle the caches record. Between ticks nothing else changes what a
+    /// tick or an audit would do.
     pub fn next_event_at(&self) -> Option<Cycle> {
-        let trips_after = self.cfg.audit.max_lock_hold.saturating_add(1);
-        let leak = self.lock_ages.iter().map(|l| l.since.saturating_add(trips_after)).min();
+        let leak = if self.cfg.audit.enabled {
+            let opened = self.caches.iter().flat_map(|c| c.locks_iter().map(|(.., at)| at)).min();
+            opened.map(|at| at.saturating_add(self.cfg.audit.max_lock_hold).saturating_add(1))
+        } else {
+            None
+        };
         [self.noc.next_at(), self.noc.chaos.next_storm_after(self.now), leak]
             .into_iter()
             .flatten()
@@ -511,9 +500,9 @@ impl MemorySystem {
     /// (empty) cycles. Callers must have established that the skip is a
     /// no-op: `cycle` precedes [`next_event_at`](Self::next_event_at), the
     /// system is [`fast_forwardable`](Self::fast_forwardable), and no core
-    /// issues a request in the skipped span. With the auditor on, a sweep
+    /// issues a request in the skipped span. With the auditor on, an audit
     /// of a skipped cycle would find what the last one found, with younger
-    /// locks, so the caller's sweep at `cycle` stands for them.
+    /// locks, so the caller's audit at `cycle` stands for them.
     pub fn skip_to(&mut self, cycle: Cycle) {
         debug_assert!(cycle > self.now, "skip_to must move the clock forward");
         debug_assert!(
@@ -597,9 +586,11 @@ impl MemorySystem {
     /// bound (see [`crate::audit`]), returning the first violation in a
     /// deterministic order.
     ///
-    /// The full sweep runs only after a cycle that may have changed what it
-    /// reads; a clean cycle only ages the last sweep's locks, O(live locks).
-    /// Debug builds sweep it too and assert the same verdict and lock list.
+    /// The full SWMR/inclusion sweep runs only after a cycle that may have
+    /// changed what it reads (debug builds sweep a clean cycle too and
+    /// assert it passes). The lock-hold bound is checked every cycle
+    /// against each cache's own record of when every hold opened, so a
+    /// line released and re-taken within one cycle starts a new hold.
     pub fn audit(&mut self) -> Result<(), AuditViolation> {
         if !self.cfg.audit.enabled {
             return Ok(());
@@ -607,30 +598,33 @@ impl MemorySystem {
         if self.changed_since_sweep {
             self.sweep()?;
         } else if cfg!(debug_assertions) {
-            // The sweep parks the lock list it replaces in `audit_locks`.
             let (now, verdict) = (self.now, self.sweep());
             assert_eq!(verdict, Ok(()), "a clean cycle broke an invariant at {now}");
-            assert_eq!(self.audit_locks, self.lock_ages, "a clean cycle moved a lock at {now}");
         }
-        // Lock-pairing bound: flag any lock held continuously past it.
-        let now = self.now;
-        for l in &self.lock_ages {
-            let held_for = now - l.since;
-            self.audit_stats.max_lock_hold_seen =
-                self.audit_stats.max_lock_hold_seen.max(held_for);
-            if held_for > self.cfg.audit.max_lock_hold {
-                return Err(AuditViolation::LockLeak {
-                    line: l.line,
-                    core: l.core,
-                    held_for,
-                    count: l.count,
-                });
+        // Lock-pairing bound: the longest hold feeds the statistic, and
+        // the first violator in `(core, line)` order is reported.
+        let (now, bound) = (self.now, self.cfg.audit.max_lock_hold);
+        let mut leak: Option<(CoreId, Line, Cycle, u32)> = None;
+        for (i, c) in self.caches.iter().enumerate() {
+            let core = CoreId(i as u16);
+            for (line, count, opened) in c.locks_iter() {
+                let held_for = now - opened;
+                self.audit_stats.max_lock_hold_seen =
+                    self.audit_stats.max_lock_hold_seen.max(held_for);
+                if held_for > bound && leak.is_none_or(|(c, l, ..)| (core, line) < (c, l)) {
+                    leak = Some((core, line, held_for, count));
+                }
             }
         }
-        Ok(())
+        match leak {
+            Some((core, line, held_for, count)) => {
+                Err(AuditViolation::LockLeak { line, core, held_for, count })
+            }
+            None => Ok(()),
+        }
     }
 
-    /// The full sweep: SWMR and inclusion, then the live locks rebuilt.
+    /// The full sweep: inclusion, then SWMR.
     fn sweep(&mut self) -> Result<(), AuditViolation> {
         // Inclusion, while gathering every private copy in cache-then-set
         // order: each must be covered by a directory sharer bit (the
@@ -660,24 +654,6 @@ impl MemorySystem {
                 });
             }
         }
-        // The live locks: one the last sweep saw keeps its age, a new one
-        // starts at zero, a released one drops out.
-        let now = self.now;
-        let mut live = std::mem::take(&mut self.audit_locks);
-        live.clear();
-        for (i, c) in self.caches.iter().enumerate() {
-            let core = CoreId(i as u16);
-            let held = c.locks_iter();
-            live.extend(held.map(|(line, count)| LiveLock { core, line, count, since: now }));
-        }
-        live.sort_unstable();
-        for l in &mut live {
-            let seen = self.lock_ages.binary_search_by_key(&(l.core, l.line), |s| (s.core, s.line));
-            if let Ok(i) = seen {
-                l.since = self.lock_ages[i].since;
-            }
-        }
-        self.audit_locks = std::mem::replace(&mut self.lock_ages, live);
         // A fill retry an unlock made due changes a cache at the next tick.
         self.changed_since_sweep = self.caches.iter().any(PrivCache::retry_due);
         Ok(())
@@ -688,7 +664,7 @@ impl MemorySystem {
         let mut locked: Vec<(u16, Line, u32)> = Vec::new();
         let mut stalled: Vec<(u16, Line)> = Vec::new();
         for (i, c) in self.caches.iter().enumerate() {
-            for (line, count) in c.locks_iter() {
+            for (line, count, _) in c.locks_iter() {
                 locked.push((i as u16, line, count));
             }
             for line in c.stalled_fill_lines() {
@@ -1088,6 +1064,37 @@ mod tests {
         }
         let (cycle, v) = tick_until_violation(&mut m, 1);
         assert_eq!(cycle, since + bound + 1);
+        let leak = AuditViolation::LockLeak { line: 0x100, core: C0, held_for: bound + 1, count: 1 };
+        assert_eq!(v, leak);
+    }
+
+    #[test]
+    fn a_lock_released_and_retaken_in_one_cycle_is_aged_from_the_retake() {
+        let bound = 20;
+        let mut m = audited(bound, MemConfig::tiny());
+        m.read(C0, 1, 0x100, true, false);
+        run_until_resp(&mut m, C0, 1000);
+        while m.pending_events() > 0 {
+            m.tick();
+        }
+        m.lock_line(C0, 0x100);
+        for _ in 0..bound / 2 {
+            m.tick();
+            m.audit().expect("within the bound");
+        }
+        // A store_unlock drains and the next load_lock performs, no tick
+        // in between: a new hold opens.
+        m.unlock_line(C0, 0x100);
+        m.lock_line(C0, 0x100);
+        let retaken = m.now();
+        assert_eq!(m.next_event_at(), Some(retaken + bound + 1));
+        for _ in 0..bound {
+            m.tick();
+            m.audit().expect("the new hold is within the bound");
+        }
+        assert_eq!(m.stats().audit.max_lock_hold_seen, bound);
+        let (cycle, v) = tick_until_violation(&mut m, 1);
+        assert_eq!(cycle, retaken + bound + 1);
         let leak = AuditViolation::LockLeak { line: 0x100, core: C0, held_for: bound + 1, count: 1 };
         assert_eq!(v, leak);
     }

@@ -400,12 +400,13 @@ impl Machine {
     /// Runs until quiescence.
     ///
     /// When `MemConfig::audit` is enabled, the invariant auditor audits the
-    /// machine after every tick and every jump. Nothing a sweep reads
+    /// machine after every tick and every jump. Nothing an audit reads
     /// changes inside a jumped span but lock ages, and a jump ends before
     /// the cycle a lock would trip the hold bound, so the landing audit's
-    /// verdict is every jumped cycle's. An audit sweeps in full only after
-    /// a cycle that changed cache, directory or lock state; otherwise it
-    /// ages the last sweep's locks ([`MemorySystem::audit`]).
+    /// verdict is every jumped cycle's. An audit sweeps SWMR and inclusion
+    /// only after a cycle that changed cache or directory state, and
+    /// checks every lock against the hold bound from the cycle its cache
+    /// recorded it opening ([`MemorySystem::audit`]).
     ///
     /// # Errors
     ///
@@ -936,8 +937,36 @@ mod tests {
         let rb = b.run(2_000_000).expect("audited run must pass");
         assert_eq!(ra.cycles, rb.cycles);
         assert_eq!(a.guest_mem().load(0x100), b.guest_mem().load(0x100));
-        // Only sweeps measure lock holds: the audited run saw its fetch_adds'.
+        // Only audits measure lock holds: the audited run saw its
+        // fetch_adds', each short of its release cycle.
         assert_eq!(ra.mem.audit.max_lock_hold_seen, 0);
         assert!(rb.mem.audit.max_lock_hold_seen > 0);
+        let longest = fa_mem::CoreMemStats::merged(&rb.mem.cores).lock_hold_hist.max;
+        let seen = rb.mem.audit.max_lock_hold_seen;
+        assert!(seen < longest, "audit saw {seen}, longest hold {longest}");
+    }
+
+    #[test]
+    fn back_to_back_rmws_on_one_line_are_separate_holds() {
+        // Each store_unlock drains in the cycle the next load_lock
+        // performs: the line is released and re-taken within one cycle,
+        // which the lock-hold bound must see as two short holds. The
+        // bound clears the longest real hold: 6 cycles, or ~170 under
+        // FreeFwd, whose forwarding chains (up to `fwd_chain_max` RMWs)
+        // keep the count above zero.
+        for preset in [crate::presets::icelake_like(), crate::presets::tiny_machine()] {
+            for policy in AtomicPolicy::ALL {
+                let mut cfg = preset.clone();
+                cfg.core = cfg.core.with_policy(policy);
+                cfg.mem.audit =
+                    fa_mem::AuditConfig { max_lock_hold: 200, ..fa_mem::AuditConfig::on() };
+                let mut m = Machine::new(cfg, vec![counter_prog(2_000)], GuestMem::new(1 << 16));
+                let r = m.run(10_000_000).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+                assert_eq!(m.guest_mem().load(0x100), 2_000);
+                let longest = fa_mem::CoreMemStats::merged(&r.mem.cores).lock_hold_hist.max;
+                let seen = r.mem.audit.max_lock_hold_seen;
+                assert!(seen < longest, "{policy:?}: audit saw {seen}, longest hold {longest}");
+            }
+        }
     }
 }

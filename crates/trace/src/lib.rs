@@ -48,10 +48,10 @@ pub enum TraceMode {
     #[default]
     Off,
     /// Flight-recorder mode: each component keeps only the last
-    /// [`TraceConfig::ring`] events, drained into crash snapshots.
+    /// `FLIGHT_RING` (128) events, drained into crash snapshots.
     Flight,
-    /// Full mode: events retained (up to [`TraceConfig::full_cap`] per
-    /// component) for timeline export.
+    /// Full mode: events retained (up to `FULL_CAP`, 2^20, per component) for
+    /// timeline export.
     Full,
 }
 
@@ -98,30 +98,26 @@ pub fn parse_trace_setting(v: &str) -> Result<(TraceMode, Option<String>), Strin
     }
 }
 
-/// Per-component trace sizing. Lives inside `MemConfig`/`CoreConfig` so
-/// the mode is plumbed by configuration, never read from the environment
+/// Flight-recorder ring capacity per component.
+const FLIGHT_RING: usize = 128;
+
+/// Retention cap per component in [`TraceMode::Full`]; the oldest events
+/// are dropped (and counted) beyond this.
+const FULL_CAP: usize = 1 << 20;
+
+/// Per-component trace configuration. Lives inside `MemConfig`/`CoreConfig`
+/// so the mode is plumbed by configuration, never read from the environment
 /// inside the simulator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Recording mode.
     pub mode: TraceMode,
-    /// Flight-recorder ring capacity per component.
-    pub ring: usize,
-    /// Retention cap per component in [`TraceMode::Full`]; the oldest
-    /// events are dropped (and counted) beyond this.
-    pub full_cap: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> TraceConfig {
-        TraceConfig { mode: TraceMode::Off, ring: 128, full_cap: 1 << 20 }
-    }
 }
 
 impl TraceConfig {
-    /// A config with the given mode and default bounds.
+    /// A config with the given mode.
     pub fn with_mode(mode: TraceMode) -> TraceConfig {
-        TraceConfig { mode, ..TraceConfig::default() }
+        TraceConfig { mode }
     }
 }
 
@@ -852,8 +848,6 @@ pub struct TraceRecord {
 #[derive(Clone, Debug)]
 pub struct TraceBuf {
     mode: TraceMode,
-    ring: usize,
-    full_cap: usize,
     next_seq: u64,
     buf: VecDeque<TraceRecord>,
     dropped: u64,
@@ -864,8 +858,6 @@ impl TraceBuf {
     pub fn new(cfg: &TraceConfig) -> TraceBuf {
         TraceBuf {
             mode: cfg.mode,
-            ring: cfg.ring.max(1),
-            full_cap: cfg.full_cap.max(1),
             next_seq: 0,
             buf: VecDeque::new(),
             dropped: 0,
@@ -889,8 +881,8 @@ impl TraceBuf {
     pub fn record(&mut self, cycle: u64, ev: TraceEvent) {
         let cap = match self.mode {
             TraceMode::Off => return,
-            TraceMode::Flight => self.ring,
-            TraceMode::Full => self.full_cap,
+            TraceMode::Flight => FLIGHT_RING,
+            TraceMode::Full => FULL_CAP,
         };
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -1099,17 +1091,17 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_ordered() {
-        let cfg = TraceConfig { mode: TraceMode::Flight, ring: 3, ..Default::default() };
-        let mut t = TraceBuf::new(&cfg);
-        for i in 0..10u64 {
+        let mut t = TraceBuf::new(&TraceConfig::with_mode(TraceMode::Flight));
+        let n = FLIGHT_RING as u64 + 7;
+        for i in 0..n {
             t.record(i, TraceEvent::DirAlloc { line: i });
         }
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.len(), FLIGHT_RING);
         assert_eq!(t.dropped(), 7);
         let tail = t.tail(2);
         assert_eq!(tail.len(), 2);
-        assert_eq!((tail[0].cycle, tail[0].seq), (8, 8));
-        assert_eq!((tail[1].cycle, tail[1].seq), (9, 9));
+        assert_eq!((tail[0].cycle, tail[0].seq), (n - 2, n - 2));
+        assert_eq!((tail[1].cycle, tail[1].seq), (n - 1, n - 1));
     }
 
     #[test]

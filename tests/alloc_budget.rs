@@ -117,8 +117,9 @@ fn the_audit_sweep_reuses_its_buffers() {
     let (audited_out, audited) = run(true);
     eprintln!("litmus run: {plain} allocations unaudited, {audited} audited");
     assert_eq!(plain_out, audited_out, "the audit is passive");
-    // The sweep's three vectors grow by doubling to the resident-line and
-    // live-lock counts: 3 allocations here. Parent: 1 722, several per
-    // resident line per audited cycle.
+    // The sweep's one vector grows by doubling to the resident-line count,
+    // and the lock-hold bound reads the caches' own lock records: 3
+    // allocations here. A sweep that allocated per resident line would
+    // add over a thousand.
     assert!(audited <= plain + 16, "audit added {} allocations", audited - plain);
 }
