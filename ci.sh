@@ -71,6 +71,12 @@ done
 ! grep -n 're-attempted \*every' DESIGN.md || exit 1
 grep -q 'fn load_blocker' crates/core/src/core.rs
 test "$(grep -c 'blocked_by_fence(' crates/core/src/core.rs)" -eq 1
+# One load state (`order::LoadState`, the field `Entry::load`): the fields it
+# replaced stay deleted, and the repairs' victim searches live in `order.rs`,
+# not in hand-rolled scans of `core.rs`.
+! grep -rnE 'MemPhase|\.(mem|fwd_from|fwd_kind|local_wp|poisoned)\b' crates/core/src || exit 1
+! grep -nE 'fn (speculatively_bound|squash_performed_loads_on|weak_squash_required)\b' \
+    crates/core/src/core.rs || exit 1
 # One clock: the idle skip, the stall skip and fast-forward stay folded into
 # `Core::due`, `Core::skip` and the one jump, and `skip` credits the leaf
 # `account_cycle` takes (`cycle_leaf`), never one it builds itself.

@@ -15,8 +15,9 @@
 
 use crate::aq::{AqState, AtomicQueue};
 use crate::config::{AtomicPolicy, CoreConfig};
+use crate::order::{self, LoadState};
 use crate::predictor::{BranchPredictor, StoreSets};
-use crate::rob::{Entry, FwdSource, MemPhase, Rob, Seq, Slot, SrcVal};
+use crate::rob::{Entry, Rob, Seq, Slot, SrcVal};
 use crate::sched::{Blocker, Sched, Unblock};
 use crate::stats::{CoreStats, SquashCause};
 use fa_isa::reg::NUM_REGS;
@@ -97,6 +98,18 @@ fn occupies_lq(u: &Uop) -> bool {
     u.is_load_class() || matches!(u.kind, UopKind::MonitorWait { .. })
 }
 
+/// True for an address no access may reach — misaligned, or past the
+/// `mem_bytes` of guest memory: only a wrong-path access computes one.
+fn wild_addr(addr: Addr, mem_bytes: u64) -> bool {
+    !addr.is_multiple_of(8) || addr >= mem_bytes
+}
+
+/// Where a squash that refetches `e`'s instruction starts: the sequence
+/// number of its first micro-op, and its pc.
+fn refetch_point(e: &Entry) -> (Seq, u32) {
+    (e.seq - e.uop.slot as u64, e.uop.pc)
+}
+
 /// Why the front-end stopped fetching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FetchBarrier {
@@ -117,13 +130,13 @@ enum FetchLimit {
     Aq,
 }
 
-/// Where the value of an issuing load comes from.
+/// The older store an issuing load forwards `value` from (`unlock`: a
+/// store_unlock); a load with none in flight to its address reads the cache.
 #[derive(Clone, Copy, Debug)]
-enum LoadSource {
-    /// Forwarded from the older store `sseq` (`unlock`: a store_unlock).
-    Forward { sseq: Seq, value: Word, unlock: bool },
-    /// No older store to the address is in flight: the cache.
-    Cache,
+struct Forward {
+    store: Seq,
+    value: Word,
+    unlock: bool,
 }
 
 /// Execution state of the core.
@@ -487,7 +500,7 @@ impl Core {
         //    (the TSO load→load repair).
         for n in notices {
             let CoreNotice::LineLost { line, .. } = n;
-            self.squash_performed_loads_on(*line, now, mem);
+            self.squash_inval_victim(*line, now, mem);
         }
 
         // 2. Memory responses.
@@ -581,7 +594,7 @@ impl Core {
                 && !self.sb.is_empty()
             {
                 CpiLeaf::FenceDrain
-            } else if head.mem == MemPhase::WaitCache {
+            } else if head.load == LoadState::InFlight {
                 if mem.core_alloc_waiting(self.id) {
                     CpiLeaf::DirAllocWait
                 } else if mem.backpressure_ends(self.id) > mem.now() {
@@ -792,7 +805,7 @@ impl Core {
                     true
                 }
                 UopKind::Load { .. } | UopKind::LoadLock { .. } => match self.load_blocker(slot) {
-                    Ok(source) => self.issue_load(slot, source, now, mem),
+                    Ok(fwd) => self.issue_load(slot, fwd, now, mem),
                     Err(why) => {
                         blocked = Some(why).filter(|why| why.ended_by().is_some());
                         false
@@ -876,15 +889,14 @@ impl Core {
     fn issue_monitor(&mut self, slot: Slot, mem: &mut MemorySystem) -> bool {
         let e = self.rob.at_mut(slot).expect("entry exists");
         let addr = e.addr.expect("a ready monitor has its address");
-        if e.poisoned {
+        if e.load == LoadState::Wild {
             e.done = true;
-            e.mem = MemPhase::Performed;
             return true;
         }
         match mem.read(self.id, slot.seq, addr, false, false) {
             fa_mem::privcache::ReqOutcome::Accepted => {
                 e.issued = true;
-                e.mem = MemPhase::WaitCache;
+                e.load = LoadState::InFlight;
                 true
             }
             fa_mem::privcache::ReqOutcome::Retry => false,
@@ -907,23 +919,23 @@ impl Core {
                 e.uop.address_operands().expect("only memory micro-ops await an address");
             let bv = e.value_of(base).expect("base operand ready");
             let addr = bv.wrapping_add(offset as u64);
-            let poisoned = !addr.is_multiple_of(8) || addr >= self.mem_bytes;
+            let wild = wild_addr(addr, self.mem_bytes);
             e.addr = Some(addr);
-            e.poisoned = poisoned;
             if e.ready_since.is_none() {
                 e.ready_since = Some(now);
             }
-            if poisoned && e.uop.is_load_class() {
-                // Wrong-path wild load: never touches memory, pretends to
-                // perform. It can never commit (an older mispredicted branch
-                // must flush it). Its consumers wake next cycle.
+            if wild && occupies_lq(&e.uop) {
+                e.load = LoadState::Wild;
+            }
+            if wild && e.uop.is_load_class() {
+                // A wild load pretends to perform now (a wild monitor when
+                // it issues); its consumers wake next cycle.
                 e.done = true;
-                e.mem = MemPhase::Performed;
                 self.sched.complete(slot, e.result);
             } else if !e.uop.is_store_class() || e.srcs_ready() {
                 self.sched.insert_ready(slot);
             }
-            if e.uop.is_store_class() && !poisoned {
+            if e.uop.is_store_class() && !wild {
                 resolved_stores.push(slot);
                 // A younger load to this address forwards from here now.
                 self.sched.unblock(Unblock::StoreResolved);
@@ -939,50 +951,34 @@ impl Core {
         self.resolved_stores = resolved_stores;
     }
 
-    /// True for a load that has bound (or is about to bind) a value from
-    /// memory: performed, or with its cache response still in flight.
-    fn speculatively_bound(e: &Entry) -> bool {
-        e.uop.is_load_class() && !e.poisoned && (e.mem != MemPhase::Idle || e.done)
-    }
-
-    /// A store just resolved its address: any younger load that already
-    /// performed against the same address without forwarding from it (or
-    /// from a younger store) violated program order.
+    /// A store just resolved its address: squash from the younger load
+    /// that bound a value it should have supplied
+    /// ([`order::mem_order_victim`]), and train the StoreSets.
     fn check_mem_order_violation(&mut self, store: Slot, now: u64, mem: &mut MemorySystem) {
         let s = self.rob.at(store).expect("store exists");
         let saddr = s.addr.expect("resolved");
         let spc = s.uop.pc;
-        let victim = self
+        let younger = self
             .sched
             .loads_younger_than(store.seq)
-            .map(|l| self.rob.at(l).expect("the load queue holds live micro-ops"))
-            // In-flight loads (WaitCache) are victims too: their response
-            // samples memory at delivery, which may land before this store
-            // performs — the load would then commit a pre-store value with
-            // nothing left to repair it (a CoWR violation).
-            .filter(|e| Self::speculatively_bound(e) && e.addr == Some(saddr))
-            .find(|e| match e.fwd_from {
-                None => true,
-                Some(f) => f < store.seq,
-            })
-            .map(|e| (e.seq, e.uop.pc, e.uop.slot));
-        if let Some((lseq, lpc, lslot)) = victim {
+            .map(|l| self.rob.at(l).expect("the load queue holds live micro-ops"));
+        let victim = order::mem_order_victim(younger, store.seq, saddr).map(refetch_point);
+        if let Some((first, lpc)) = victim {
             self.ss.train_violation(lpc, spc);
-            let first = lseq - lslot as u64;
             self.squash_from(first, lpc, SquashCause::MemOrder, now, mem);
         }
     }
 
     /// The core-local half of issuing the load at `slot`, which has its
-    /// address: what stops it short of the cache, or else where its value
-    /// comes from. Read-only, so an attempt that ends here changed nothing.
-    /// The blockers that wait for an event come before the StoreSet hold,
-    /// so that no later training hides them while a load sits on the
-    /// blocked list.
-    fn load_blocker(&self, slot: Slot) -> Result<LoadSource, Blocker> {
+    /// address: what stops it short of the cache, or else the store it
+    /// forwards from (`None`: the cache). Read-only, so an attempt that
+    /// ends here changed nothing. The blockers that wait for an event come
+    /// before the StoreSet hold, so that no later training hides them while
+    /// a load sits on the blocked list.
+    fn load_blocker(&self, slot: Slot) -> Result<Option<Forward>, Blocker> {
         let seq = slot.seq;
         let e = self.rob.at(slot).expect("entry exists");
-        debug_assert!(e.mem == MemPhase::Idle && !e.poisoned);
+        debug_assert_eq!(e.load, LoadState::Unissued);
         let addr = e.addr.expect("a ready load has its address");
 
         // Fence ordering: younger loads wait on standalone fences always,
@@ -1004,7 +1000,7 @@ impl Core {
         // Search older stores, youngest first: store queue then SB. An
         // unknown older store address is speculated past (the StoreSet
         // check below holds back risky loads).
-        let mut source = LoadSource::Cache;
+        let mut source = None;
         for s in self.sched.stores_older_than(seq).rev() {
             let s = self.rob.at(s).expect("the store queue holds live micro-ops");
             if s.addr != Some(addr) {
@@ -1016,7 +1012,7 @@ impl Core {
             };
             let unlock = matches!(s.uop.kind, UopKind::StoreUnlock { .. });
             match s.value_of(src) {
-                Some(value) => source = LoadSource::Forward { sseq: s.seq, value, unlock },
+                Some(value) => source = Some(Forward { store: s.seq, value, unlock }),
                 // Conflict that cannot forward yet.
                 None => return Err(Blocker::StoreData(s.seq)),
             }
@@ -1028,22 +1024,20 @@ impl Core {
                 return Err(Blocker::StoreSet(wait_seq));
             }
         }
-        if matches!(source, LoadSource::Cache) {
-            // SB: committed but unperformed stores, youngest first.
-            if let Some(s) = self.sb.iter().rev().find(|s| s.addr == addr) {
-                source =
-                    LoadSource::Forward { sseq: s.seq, value: s.value, unlock: s.is_unlock };
-            }
-        }
-        Ok(source)
+        // SB: committed but unperformed stores, youngest first.
+        Ok(source.or_else(|| {
+            let s = self.sb.iter().rev().find(|s| s.addr == addr)?;
+            Some(Forward { store: s.seq, value: s.value, unlock: s.is_unlock })
+        }))
     }
 
-    /// Issues the load at `slot` from `source`; false when the cache asks
-    /// for a retry or forwarding to a `load_lock` is refused.
+    /// Issues the load at `slot`, forwarding from `fwd` or else reading the
+    /// cache; false when the cache asks for a retry or forwarding to a
+    /// `load_lock` is refused.
     fn issue_load(
         &mut self,
         slot: Slot,
-        source: LoadSource,
+        fwd: Option<Forward>,
         now: u64,
         mem: &mut MemorySystem,
     ) -> bool {
@@ -1051,54 +1045,48 @@ impl Core {
         let e = self.rob.at(slot).expect("entry exists");
         let addr = e.addr.expect("a ready load has its address");
         let is_ll = matches!(e.uop.kind, UopKind::LoadLock { .. });
-        match source {
-            LoadSource::Forward { sseq, value, unlock } => {
-                if is_ll {
-                    self.forward_to_load_lock(slot, sseq, value, unlock, now)
-                } else {
-                    self.bind_forwarded(slot, sseq, value, now);
+        match fwd {
+            Some(f) if is_ll => self.forward_to_load_lock(slot, f, now),
+            Some(f) => {
+                self.bind_forwarded(slot, f, now);
+                true
+            }
+            None => match mem.read(self.id, seq, addr, is_ll, is_ll) {
+                fa_mem::privcache::ReqOutcome::Accepted => {
+                    let drain = {
+                        let e = self.rob.at_mut(slot).expect("entry exists");
+                        e.issued = true;
+                        e.load = LoadState::InFlight;
+                        now.saturating_sub(e.ready_since.unwrap_or(now))
+                    };
+                    if is_ll {
+                        self.stats.atomic_drain_cycles += drain;
+                        self.stats.atomic_drain_hist.record(drain);
+                        if let Some(a) = self.aq.get_mut(seq) {
+                            a.issued_at = now;
+                        }
+                        self.trace.record(
+                            now,
+                            TraceEvent::AtomicLoadLock { seq, addr, drain, fwd: false },
+                        );
+                    }
                     true
                 }
-            }
-            LoadSource::Cache => {
-                match mem.read(self.id, seq, addr, is_ll, is_ll) {
-                    fa_mem::privcache::ReqOutcome::Accepted => {
-                        let drain = {
-                            let e = self.rob.at_mut(slot).expect("entry exists");
-                            e.issued = true;
-                            e.mem = MemPhase::WaitCache;
-                            now.saturating_sub(e.ready_since.unwrap_or(now))
-                        };
-                        if is_ll {
-                            self.stats.atomic_drain_cycles += drain;
-                            self.stats.atomic_drain_hist.record(drain);
-                            if let Some(a) = self.aq.get_mut(seq) {
-                                a.issued_at = now;
-                            }
-                            self.trace.record(
-                                now,
-                                TraceEvent::AtomicLoadLock { seq, addr, drain, fwd: false },
-                            );
-                        }
-                        true
-                    }
-                    fa_mem::privcache::ReqOutcome::Retry => false,
-                }
-            }
+                fa_mem::privcache::ReqOutcome::Retry => false,
+            },
         }
     }
 
-    /// Binds the load at `slot` to `value` forwarded from the older store
-    /// `sseq`; returns the entry for the caller's own bookkeeping.
-    fn bind_forwarded(&mut self, slot: Slot, sseq: Seq, value: Word, now: u64) -> &mut Entry {
+    /// Binds the load at `slot` to the value `f` forwards; returns the
+    /// entry for the caller's own bookkeeping.
+    fn bind_forwarded(&mut self, slot: Slot, f: Forward, now: u64) -> &mut Entry {
         let done_at = now + self.cfg.fwd_lat;
         self.sched.insert_inflight(slot, done_at);
         self.stats.load_forwards += 1;
         let e = self.rob.at_mut(slot).expect("entry exists");
-        e.result = value;
-        e.fwd_from = Some(sseq);
-        e.writer = write_id(self.id.0, sseq);
-        e.mem = MemPhase::Performed;
+        e.result = f.value;
+        e.load = LoadState::Forwarded { store: f.store, unlock: f.unlock };
+        e.writer = write_id(self.id.0, f.store);
         e.issued = true;
         e.done_at = Some(done_at);
         e
@@ -1107,20 +1095,13 @@ impl Core {
     /// Applies store-to-load forwarding to a load_lock (§3.3), or refuses
     /// when the policy forbids it / the chain limit is hit (the load_lock
     /// then waits for the store to drain — "re-scheduling").
-    fn forward_to_load_lock(
-        &mut self,
-        slot: Slot,
-        sseq: Seq,
-        value: Word,
-        from_unlock: bool,
-        now: u64,
-    ) -> bool {
+    fn forward_to_load_lock(&mut self, slot: Slot, f: Forward, now: u64) -> bool {
         if !self.cfg.policy.atomic_forwarding() {
             return false; // wait for the store to perform
         }
         // Chain length: forwarding from an atomic extends its chain.
-        let chain = if from_unlock {
-            let src_ll = sseq - 2;
+        let chain = if f.unlock {
+            let src_ll = f.store - 2;
             self.aq.get(src_ll).map(|a| a.chain + 1).unwrap_or(1)
         } else {
             1
@@ -1130,15 +1111,14 @@ impl Core {
         }
         let seq = slot.seq;
         let aqe = self.aq.get_mut(seq).expect("load_lock has an AQ entry");
-        aqe.state = AqState::Fwd { store_seq: sseq, from_atomic: from_unlock };
+        aqe.state = AqState::Fwd { store_seq: f.store, from_atomic: f.unlock };
         aqe.chain = chain;
         aqe.issued_at = now;
         // Forwarded load_locks perform immediately: the whole lifetime is
         // local execute (acquire/transfer/park contribute nothing).
         aqe.acquired_at = now;
         let (drain, addr) = {
-            let e = self.bind_forwarded(slot, sseq, value, now);
-            e.fwd_kind = Some(if from_unlock { FwdSource::Atomic } else { FwdSource::Store });
+            let e = self.bind_forwarded(slot, f, now);
             (now.saturating_sub(e.ready_since.unwrap_or(now)), e.addr.unwrap_or(0))
         };
         self.stats.atomic_drain_cycles += drain;
@@ -1156,7 +1136,9 @@ impl Core {
         self.sb.iter().any(|s| s.sc)
             || self.sched.stores_older_than(seq).any(|s| {
                 let e = self.rob.at(s).expect("the store queue holds live micro-ops");
-                matches!(e.uop.kind, UopKind::Store { .. }) && !e.poisoned && e.uop.ord.is_sc()
+                matches!(e.uop.kind, UopKind::Store { .. })
+                    && e.uop.ord.is_sc()
+                    && !e.addr.is_some_and(|a| wild_addr(a, self.mem_bytes))
             })
     }
 
@@ -1204,7 +1186,7 @@ impl Core {
                     // knows the requester by nothing else.
                     let requester = self.rob.find(seq).and_then(|slot| {
                         let e = self.rob.at_mut(slot)?;
-                        (e.mem == MemPhase::WaitCache).then_some((slot, e))
+                        (e.load == LoadState::InFlight).then_some((slot, e))
                     });
                     let Some((slot, e)) = requester else {
                         // Orphaned response (the requester was squashed).
@@ -1215,9 +1197,8 @@ impl Core {
                     };
                     e.result = value;
                     e.writer = writer;
-                    e.mem = MemPhase::Performed;
+                    e.load = LoadState::Cache { writable: had_write_perm };
                     e.done = true;
-                    e.local_wp = had_write_perm;
                     let is_ll = matches!(e.uop.kind, UopKind::LoadLock { .. });
                     self.sched.complete(slot, value);
                     if is_ll {
@@ -1300,7 +1281,7 @@ impl Core {
             let uop = head.uop;
             let seq = head.seq;
             assert!(
-                !head.poisoned,
+                !head.addr.is_some_and(|a| wild_addr(a, self.mem_bytes)),
                 "core {:?}: wrong-path access to invalid address {:?} reached commit at pc {} — \
                  workload bug",
                 self.id, head.addr, uop.pc
@@ -1325,8 +1306,7 @@ impl Core {
             }
             // Retire by reference: take what retirement reads and drop the
             // head where it lies.
-            let (result, addr, writer) = (head.result, head.addr, head.writer);
-            let (local_wp, fwd_kind) = (head.local_wp, head.fwd_kind);
+            let (result, addr, writer, load) = (head.result, head.addr, head.writer, head.load);
             let store_data = match uop.kind {
                 UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. } => head.value_of(src),
                 _ => None,
@@ -1346,21 +1326,21 @@ impl Core {
                     }
                 }
             }
+            if occupies_lq(&uop) {
+                let left = self.sched.lq.pop_front();
+                debug_assert_eq!(left.map(|l| l.seq), Some(seq));
+            }
             match uop.kind {
-                UopKind::Load { .. } => {
-                    self.retire_load(seq);
-                    if self.cfg.check.on() {
-                        self.dlog.push(DataEvent::Load {
-                            seq,
-                            addr: addr.expect("performed load has an address"),
-                            value: result,
-                            writer,
-                            ord: uop.ord,
-                        });
-                    }
+                UopKind::Load { .. } if self.cfg.check.on() => {
+                    self.dlog.push(DataEvent::Load {
+                        seq,
+                        addr: addr.expect("performed load has an address"),
+                        value: result,
+                        writer,
+                        ord: uop.ord,
+                    });
                 }
                 UopKind::LoadLock { .. } => {
-                    self.retire_load(seq);
                     if self.cfg.check.on() {
                         self.dlog.push(DataEvent::LoadLock {
                             seq,
@@ -1369,17 +1349,18 @@ impl Core {
                             writer,
                         });
                     }
-                    if local_wp {
-                        self.stats.atomics_local_wp += 1;
-                    }
-                    match fwd_kind {
-                        Some(FwdSource::Atomic) => self.stats.atomics_fwd_from_atomic += 1,
-                        Some(FwdSource::Store) => self.stats.atomics_fwd_from_store += 1,
-                        None => {}
+                    match load {
+                        LoadState::Cache { writable: true } => self.stats.atomics_local_wp += 1,
+                        LoadState::Forwarded { unlock: true, .. } => {
+                            self.stats.atomics_fwd_from_atomic += 1
+                        }
+                        LoadState::Forwarded { unlock: false, .. } => {
+                            self.stats.atomics_fwd_from_store += 1
+                        }
+                        _ => {}
                     }
                 }
                 UopKind::MonitorWait { .. } => {
-                    self.retire_load(seq);
                     let line = line_of(addr.expect("performed"));
                     self.state = CoreState::Sleeping {
                         line,
@@ -1468,12 +1449,6 @@ impl Core {
         }
     }
 
-    /// The oldest load-queue entry committed.
-    fn retire_load(&mut self, seq: Seq) {
-        let left = self.sched.lq.pop_front();
-        debug_assert_eq!(left.map(|l| l.seq), Some(seq));
-    }
-
     // ------------------------------------------------------------ SB drain
 
     /// True when a drain would do nothing: the store buffer is empty, or
@@ -1559,10 +1534,7 @@ impl Core {
             .find(|&ll| self.rob.get(ll).is_some());
         let Some(oldest) = victim else { return };
         self.wd_counter = 0;
-        let (first, pc) = {
-            let e = self.rob.get(oldest).expect("just found");
-            (e.seq - e.uop.slot as u64, e.uop.pc)
-        };
+        let (first, pc) = refetch_point(self.rob.get(oldest).expect("just found"));
         self.squash_from(first, pc, SquashCause::Watchdog, now, mem);
     }
 
@@ -1621,63 +1593,17 @@ impl Core {
         self.fetch_barrier = None;
     }
 
-    /// Invalidation (or eviction) of `line`: squash from the oldest
-    /// speculatively performed, uncommitted load on that line (TSO
-    /// load→load enforcement per Gharachorloo et al., which the paper's
-    /// §3.2.3 relies on). Forwarded loads are exempt (their value came from
-    /// a local store). Loads whose response is still in flight (WaitCache)
-    /// are victims as well: losing the line between fill and response
-    /// delivery means no later invalidation will snoop this load, yet its
-    /// delivered value may predate the write that took the line — an
-    /// unrepaired load→load reordering.
-    fn squash_performed_loads_on(&mut self, line: Line, now: u64, mem: &mut MemorySystem) {
-        let weak = self.cfg.model == MemModel::Weak;
-        let victim = self
-            .sched
-            .lq
-            .iter()
-            .map(|&l| self.rob.at(l).expect("the load queue holds live micro-ops"))
-            .filter(|e| Self::speculatively_bound(e) && e.fwd_from.is_none())
-            .filter(|e| e.addr.map(|a| line_of(a) == line).unwrap_or(false))
-            .find(|e| !weak || self.weak_squash_required(e))
-            .map(|e| (e.seq, e.uop.pc, e.uop.slot));
-        if let Some((seq, pc, slot)) = victim {
-            let first = seq - slot as u64;
+    /// Invalidation (or eviction) of `line`: squash from the oldest load
+    /// bound on it that the model requires repaired
+    /// ([`order::inval_victim`]).
+    fn squash_inval_victim(&mut self, line: Line, now: u64, mem: &mut MemorySystem) {
+        let rob = &self.rob;
+        let loads =
+            self.sched.lq.iter().map(|&l| rob.at(l).expect("the load queue holds live micro-ops"));
+        let victim = order::inval_victim(loads, line, self.cfg.model).map(refetch_point);
+        if let Some((first, pc)) = victim {
             self.squash_from(first, pc, SquashCause::Inval, now, mem);
         }
-    }
-
-    /// Weak-model filter for the invalidation squash: a performed load on
-    /// the invalidated line only *needs* repair if some older load it must
-    /// stay ordered after has not yet performed. That is the case when the
-    /// victim is a `load_lock` (it anchors the RMW's atomicity window), or
-    /// when an older unperformed load is acquire-class, targets the same
-    /// line (per-location coherence / CoRR holds in both models), or has an
-    /// unresolved address (conservatively treated as same-line). Relaxed
-    /// loads with only relaxed older loads keep their value — the R→R
-    /// reordering this exposes is exactly what the weak model permits.
-    fn weak_squash_required(&self, victim: &Entry) -> bool {
-        if matches!(victim.uop.kind, UopKind::LoadLock { .. }) {
-            return true;
-        }
-        let vline = victim.addr.map(line_of);
-        for l in self.sched.loads_older_than(victim.seq) {
-            let e = self.rob.at(l).expect("the load queue holds live micro-ops");
-            if !e.uop.is_load_class() || e.poisoned {
-                continue;
-            }
-            if e.mem == MemPhase::Performed || e.done {
-                continue;
-            }
-            if matches!(e.uop.kind, UopKind::LoadLock { .. })
-                || e.uop.ord.is_acquire()
-                || e.addr.is_none()
-                || e.addr.map(line_of) == vline
-            {
-                return true;
-            }
-        }
-        false
     }
 
     // ------------------------------------------------------------- queries
@@ -1727,15 +1653,13 @@ impl Core {
             }),
             head_blocked: self.rob.front_slot().and_then(|head| {
                 let e = self.rob.at(head)?;
-                let waits = matches!(e.uop.kind, UopKind::Load { .. } | UopKind::LoadLock { .. })
-                    && !e.issued
-                    && !e.done
-                    && e.addr.is_some();
+                let waits =
+                    e.uop.is_load_class() && e.load == LoadState::Unissued && e.addr.is_some();
                 waits.then(|| match self.load_blocker(head) {
                     Err(why) => why.to_string(),
                     // Only a load_lock refused forwarding waits on one.
-                    Ok(LoadSource::Forward { sseq, .. }) => format!("store #{sseq} to drain"),
-                    Ok(LoadSource::Cache) => "cache retry".to_string(),
+                    Ok(Some(f)) => format!("store #{} to drain", f.store),
+                    Ok(None) => "cache retry".to_string(),
                 })
             }),
             stalled_until: Some(self.stalled_until).filter(|&until| until > 0),

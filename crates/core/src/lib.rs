@@ -41,6 +41,7 @@ pub mod aq;
 pub mod config;
 #[allow(clippy::module_inception)]
 pub mod core;
+pub mod order;
 pub mod predictor;
 pub mod rob;
 mod sched;

@@ -2,6 +2,7 @@
 //! [`Slot`] handle and — for callers that only hold a sequence number, such
 //! as memory responses — by [`Rob::get`].
 
+use crate::order::LoadState;
 use fa_isa::{Addr, Reg, Uop, Word};
 use std::collections::VecDeque;
 
@@ -43,26 +44,6 @@ impl Slot {
     }
 }
 
-/// Progress of a memory micro-op through the LSU.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemPhase {
-    /// Not yet sent anywhere.
-    Idle,
-    /// A cache request is outstanding.
-    WaitCache,
-    /// Value bound (from cache or forwarding).
-    Performed,
-}
-
-/// Where a forwarded load got its data (Table 2 FbA/FbS classification).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FwdSource {
-    /// From a `store_unlock` (forwarded by an atomic).
-    Atomic,
-    /// From an ordinary store.
-    Store,
-}
-
 /// A reorder-buffer entry.
 #[derive(Clone, Debug)]
 pub struct Entry {
@@ -88,18 +69,8 @@ pub struct Entry {
     pub result: Word,
     /// Effective address once computed.
     pub addr: Option<Addr>,
-    /// Wrong-path access to an invalid address: never sent to memory and
-    /// must never commit.
-    pub poisoned: bool,
-    /// LSU progress for memory micro-ops.
-    pub mem: MemPhase,
-    /// For a forwarded load: the providing store's sequence number.
-    pub fwd_from: Option<Seq>,
-    /// For a forwarded load_lock: provider kind (FbA/FbS stats).
-    pub fwd_kind: Option<FwdSource>,
-    /// For a performing load_lock: the line it found locally writable
-    /// (Figure-13 locality).
-    pub local_wp: bool,
+    /// For a load-queue entry: how far it has bound its value.
+    pub load: LoadState,
     /// Branch: predicted direction.
     pub pred_taken: bool,
     /// Branch: history snapshot for predictor repair.
@@ -126,11 +97,7 @@ impl Entry {
             done_at: None,
             result: 0,
             addr: None,
-            poisoned: false,
-            mem: MemPhase::Idle,
-            fwd_from: None,
-            fwd_kind: None,
-            local_wp: false,
+            load: LoadState::Unissued,
             pred_taken: false,
             bp_snapshot: 0,
             ready_since: None,
@@ -372,6 +339,14 @@ mod tests {
         assert_eq!(r.find(20), Some(reused));
         assert_eq!(r.find(12), None);
         assert_eq!(r.find(21), None);
+    }
+
+    /// The entry is the hot struct of every ROB walk: it may shrink, not
+    /// grow (224 bytes on x86-64 before its load state became one field).
+    #[test]
+    fn an_entry_stays_within_224_bytes() {
+        let size = std::mem::size_of::<Entry>();
+        assert!(size <= 224, "Entry is {size} bytes");
     }
 
     #[test]

@@ -43,9 +43,9 @@
 //!   forwarding.
 //! * **(b)** A producer marked `done` by a memory response or a latency
 //!   expiry (tick stages 2–3) wakes its consumers in stage 7 of the same
-//!   tick; one marked `done` inside the address stage (a poisoned
-//!   wrong-path load) posts its completion after that drain and wakes them
-//!   the next tick. Dispatch reads `done` directly and never waits on a
+//!   tick; one marked `done` inside the address stage (a wrong-path load
+//!   whose address is wild, `LoadState::Wild`) posts its completion after
+//!   that drain and wakes them the next tick. Dispatch reads `done` directly and never waits on a
 //!   posted completion.
 //! * **(c)** Completions within a cycle resolve in ROB order: branch
 //!   resolution trains the predictor in that order, and a mispredict

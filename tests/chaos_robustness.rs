@@ -40,9 +40,10 @@ fn fuzz_campaign_500_cases_two_policies_clean() {
 /// fa fuzz` fails at case 0 under FreeAtomics and FreeAtomics+Fwd with the
 /// `rfe` cycle `Store@x [po-ww] → StoreUnlock@y [rfe] → Load@y [po] →
 /// Load@x [co/fr]` — a load exempt from the invalidation squash because it
-/// forwarded from its own core's store. Un-ignore with the fix.
+/// forwarded from its own core's store: the `LoadState::Forwarded` arm of
+/// `fa_core::order::inval_victim`. Un-ignore with the fix.
 #[test]
-#[ignore = "ROADMAP item 1"]
+#[ignore = "ROADMAP item 1: the Forwarded arm of order::inval_victim"]
 fn item_1_rfe_shape_is_clean_in_one_case() {
     let fcfg = FuzzConfig { cases: 1, seed: 0xF1A7_10CC, ..FuzzConfig::default() };
     let report = fuzz_litmus(&tiny_machine(), &fcfg);
