@@ -56,6 +56,12 @@ test ! -e vendor
 ! grep -nE 'let mut (acts|dout) = Vec::new\(\)' crates/mem/src/system.rs || exit 1
 ! grep -nE 'Vec<Vec<' crates/mem/src/tagarray.rs crates/core/src/sched.rs || exit 1
 ! grep -rn 'HashMap<Line, (Vec' crates/mem/src || exit 1
+# The guest image is paged on first store: no dense zeroed store, and no
+# derived equality, which would call an untouched page different from one
+# stored to 0.
+! grep -nE 'words: Vec<Word>|vec!\[0; bytes' crates/isa/src/interp.rs || exit 1
+! grep -B2 'pub struct GuestMem' crates/isa/src/interp.rs | grep 'PartialEq' || exit 1
+grep -q 'impl PartialEq for GuestMem' crates/isa/src/interp.rs
 # The hot maps hash with the in-repo `FxHasher`, not SipHash: the map owners
 # of the memory system, the axiomatic checker and the enumerator's `seen` set
 # build no default-hasher map outside their tests.

@@ -734,7 +734,7 @@ impl Core {
         }
         // Rename the destination.
         if let Some(d) = dst {
-            e.prev_map = Some((d, self.rename[d.index()]));
+            e.prev_map = self.rename[d.index()];
             self.rename[d.index()] = Some(slot);
         }
         // Scheduler and LSQ bookkeeping.
@@ -1568,8 +1568,9 @@ impl Core {
         let (rename, ss) = (&mut self.rename, &mut self.ss);
         let dropped = self.rob.squash_from(from, |e| {
             // Youngest-first restoration of the rename map.
-            if let Some((reg, prev)) = e.prev_map {
-                rename[reg.index()] = prev;
+            // Decode's filter: the micro-ops that renamed a register.
+            if let Some(d) = e.uop.dst().filter(|d| !d.is_zero()) {
+                rename[d.index()] = e.prev_map;
             }
             if e.uop.is_store_class() {
                 ss.store_resolved(e.uop.pc, e.seq);

@@ -18,30 +18,40 @@ use crate::reg::{Reg, NUM_REGS};
 use crate::{Addr, Word};
 use std::fmt;
 
-/// Flat, word-granular guest memory.
+/// Words per guest page (4 KiB).
+const PAGE_WORDS: usize = 512;
+
+type Page = [Word; PAGE_WORDS];
+
+/// Word-granular guest memory, paged on first store.
 ///
-/// All guest accesses are 8 bytes wide and 8-byte aligned; the backing store
-/// is a `Vec<u64>` indexed by `addr / 8`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// All guest accesses are 8 bytes wide and 8-byte aligned. The backing store
+/// is a table of 4 KiB pages indexed by `addr / 8 / 512`: a page nobody has
+/// stored to is absent and reads as zeros, so an image costs the pages its
+/// program writes, not the size it was asked for.
+#[derive(Clone, Debug)]
 pub struct GuestMem {
-    words: Vec<Word>,
+    pages: Vec<Option<Box<Page>>>,
+    words: usize,
 }
 
 impl GuestMem {
-    /// Allocates `bytes` of zeroed memory (rounded up to 8).
+    /// Reserves `bytes` of zeroed memory (rounded up to 8); no page is
+    /// allocated until a store touches it.
     pub fn new(bytes: u64) -> GuestMem {
-        GuestMem { words: vec![0; bytes.div_ceil(8) as usize] }
+        let words = bytes.div_ceil(8) as usize;
+        GuestMem { pages: vec![None; words.div_ceil(PAGE_WORDS)], words }
     }
 
     /// Size in bytes.
     pub fn size(&self) -> u64 {
-        self.words.len() as u64 * 8
+        self.words as u64 * 8
     }
 
     fn index(&self, addr: Addr) -> usize {
         assert!(addr.is_multiple_of(8), "misaligned guest access at {addr:#x}");
         let idx = (addr / 8) as usize;
-        assert!(idx < self.words.len(), "guest access out of bounds at {addr:#x}");
+        assert!(idx < self.words, "guest access out of bounds at {addr:#x}");
         idx
     }
 
@@ -53,10 +63,11 @@ impl GuestMem {
     /// a workload kernel, never a legal guest behaviour.
     #[inline]
     pub fn load(&self, addr: Addr) -> Word {
-        self.words[self.index(addr)]
+        let i = self.index(addr);
+        self.pages[i / PAGE_WORDS].as_ref().map_or(0, |p| p[i % PAGE_WORDS])
     }
 
-    /// Writes the 8-byte word at `addr`.
+    /// Writes the 8-byte word at `addr`, allocating its page on first touch.
     ///
     /// # Panics
     ///
@@ -64,14 +75,29 @@ impl GuestMem {
     #[inline]
     pub fn store(&mut self, addr: Addr, value: Word) {
         let i = self.index(addr);
-        self.words[i] = value;
+        let page = self.pages[i / PAGE_WORDS].get_or_insert_with(|| Box::new([0; PAGE_WORDS]));
+        page[i % PAGE_WORDS] = value;
     }
 
     /// True if `addr` names an in-bounds, aligned word.
     pub fn contains(&self, addr: Addr) -> bool {
-        addr.is_multiple_of(8) && ((addr / 8) as usize) < self.words.len()
+        addr.is_multiple_of(8) && ((addr / 8) as usize) < self.words
     }
 }
+
+/// Contents, not layout: a page nobody stored to equals one whose words
+/// were all stored as 0.
+impl PartialEq for GuestMem {
+    fn eq(&self, other: &GuestMem) -> bool {
+        const ZERO: &Page = &[0; PAGE_WORDS];
+        self.words == other.words
+            && self.pages.iter().zip(&other.pages).all(|(a, b)| {
+                a.as_deref().unwrap_or(ZERO) == b.as_deref().unwrap_or(ZERO)
+            })
+    }
+}
+
+impl Eq for GuestMem {}
 
 /// Why an interpreter stopped before `Halt`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -358,13 +384,68 @@ mod tests {
         assert!(m.contains(56));
         assert!(!m.contains(64));
         assert!(!m.contains(7));
+        // The size is the byte count asked for, not a whole number of pages.
+        let m = GuestMem::new((1 << 12) + 8);
+        assert_eq!(m.size(), (1 << 12) + 8);
+        assert!(m.contains(1 << 12));
+        assert!(!m.contains((1 << 12) + 8));
+        assert!(!m.contains((2 << 12) - 8));
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "misaligned guest access at 0x4")]
     fn guest_mem_rejects_misaligned() {
         let m = GuestMem::new(64);
         let _ = m.load(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "guest access out of bounds at 0x40")]
+    fn the_first_word_past_the_end_panics() {
+        let mut m = GuestMem::new(64);
+        m.store(56, 1);
+        m.store(64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "guest access out of bounds at 0x1008")]
+    fn an_access_past_the_end_panics_inside_a_page_never_stored_to() {
+        let _ = GuestMem::new((1 << 12) + 8).load((1 << 12) + 8);
+    }
+
+    #[test]
+    fn an_untouched_page_reads_zero() {
+        let mut m = GuestMem::new(3 << 12);
+        m.store((1 << 12) + 8, 7);
+        assert_eq!(m.load(0), 0);
+        assert_eq!(m.load(1 << 12), 0);
+        assert_eq!(m.load((1 << 12) + 8), 7);
+        assert_eq!(m.load((3 << 12) - 8), 0);
+    }
+
+    #[test]
+    fn an_untouched_page_equals_one_stored_to_zero() {
+        let untouched = GuestMem::new(2 << 12);
+        let mut zeroed = untouched.clone();
+        zeroed.store(1 << 12, 0);
+        assert_eq!(untouched, zeroed);
+        assert_eq!(zeroed, untouched);
+        zeroed.store((1 << 12) + 16, 1);
+        assert_ne!(untouched, zeroed);
+        assert_ne!(zeroed, untouched);
+        assert_ne!(GuestMem::new(64), GuestMem::new(128));
+    }
+
+    #[test]
+    fn a_clone_is_deep() {
+        let mut original = GuestMem::new(2 << 12);
+        original.store(8, 1);
+        let mut copy = original.clone();
+        copy.store(8, 2);
+        copy.store(1 << 12, 3);
+        assert_eq!(original.load(8), 1);
+        assert_eq!(original.load(1 << 12), 0);
+        assert_eq!(copy.load(8), 2);
     }
 
     #[test]
