@@ -29,6 +29,14 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 ! grep -rn 'std::env::var' crates/sim/src --exclude=env.rs || exit 1
 # One campaign engine, one row form: the deleted duplicates stay deleted.
 ! grep -rnE 'fn (run_grid|measure|measure_parallel|try_run_workload|run_workload|run_once|run_cells_supervised|json_full)\b|SweepReport::new' crates src || exit 1
+# Every table rides that engine: the single-run path and the serial
+# `smoke`/`diag` commands it fed stay deleted (`Core::diag` and
+# `MemorySystem::diag`, the machine snapshots, are another thing), and no
+# figure builds a machine of its own — `fa ablation`, whose axis is a machine
+# field a sweep cell cannot carry, is the one driver that does.
+! grep -rn 'run_once_checked' crates src || exit 1
+! grep -rnE 'fn (smoke|diag)\b|command\("(smoke|diag)"' crates/bench/src src || exit 1
+! grep -n 'Machine::new' crates/bench/src/figures.rs crates/bench/src/lib.rs || exit 1
 # One crossbar, every counter declared once, one trace walk per layer.
 ! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
 # The suite is one table and the litmus op one enum: the macro and the
@@ -162,8 +170,10 @@ mini() {
         FA_POLICIES=baseline,FreeAtomics+Fwd FA_PRESETS=tiny "$@"
 }
 # Timed mini-sweep on the campaign engine: 2 kernels x 2 policies, writing
-# the BENCH_sweep.json throughput report, then sanity-check its shape.
-mini FA_BENCH_JSON=target/BENCH_sweep.json $FA sweep
+# the BENCH_sweep.json throughput report, then sanity-check its shape. Each
+# cell prints its representative run's counters on stdout.
+mini FA_BENCH_JSON=target/BENCH_sweep.json $FA sweep > target/sweep.txt
+grep -c 'cycles=' target/sweep.txt | grep -qx 4
 grep -q '"schema": "fa-sweep-v1"' target/BENCH_sweep.json
 grep -c '"kernel":' target/BENCH_sweep.json | grep -qx 4
 # Every row must carry the latency-histogram block.
@@ -175,6 +185,12 @@ grep -c '"cpi":{"core_cycles":' target/BENCH_sweep.json | grep -qx 4
 mini FA_BENCH_JSON=target/BENCH_cpistack.json $FA fig cpistack > target/cpistack.txt
 grep -q '"cpi":{"core_cycles":' target/BENCH_cpistack.json
 grep -q 'atomic-lifetime attribution' target/cpistack.txt
+# The four characterization tables are campaigns too: each writes a report
+# with one row per cell (Fig. 1 runs two presets, Fig. 13 two policies).
+for f in fig01_atomic_cost:4 fig12_apki:2 table2_characterization:2 fig13_locality:4; do
+    mini FA_BENCH_JSON=target/BENCH_${f%:*}.json $FA fig "${f%:*}" > target/${f%:*}.txt
+    grep -c '"kernel":' target/BENCH_${f%:*}.json | grep -qx "${f#*:}"
+done
 # Differential bottleneck report smoke 1 — passivity: a report diffed
 # against itself is clean and exits 0.
 $FA report target/BENCH_sweep.json target/BENCH_sweep.json > target/report_self.txt

@@ -16,14 +16,14 @@ use fa_bench::sweep::{
     grid, policies_from_env, presets_from_env, run_grid_supervised, Preset, SupervisorOpts,
     SweepReport,
 };
-use fa_bench::{fmt, row, run_once_checked, workloads_from_env, BenchOpts, MAX_CYCLES};
+use fa_bench::{fmt, row, workloads_from_env, BenchOpts, MAX_CYCLES};
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, Reg};
 use fa_mem::{CoreMemStats, NocConfig};
 use fa_sim::error::CellFailure;
 use fa_sim::fuzz::{fuzz_litmus, FuzzConfig};
-use fa_sim::machine::MachineConfig;
+use fa_sim::machine::{MachineConfig, RunResult};
 use fa_sim::presets::{icelake_like, tiny_machine};
 use fa_sim::{
     env, flight_json, supervise, validate_chrome_trace, CheckMode, Counter, Machine, TraceMode,
@@ -93,10 +93,8 @@ const fn command(
     Command { name, help, cores, scale, check, run }
 }
 
-/// The paper's sizing scaled to a workstation, and the small sizing of the
-/// single-run tables.
+/// The paper's sizing scaled to a workstation.
 const FULL: (usize, f64, CheckMode) = (8, 0.25, CheckMode::Off);
-const SMALL: (usize, f64, CheckMode) = (4, 0.1, CheckMode::Off);
 
 const COMMANDS: &[Command] = &[
     command("sweep", FULL, sweep, "measure the FA_WORKLOADS x FA_POLICIES x FA_PRESETS grid under supervision and write the FA_BENCH_JSON report"),
@@ -105,8 +103,6 @@ const COMMANDS: &[Command] = &[
     command("conformance", (4, 0.1, CheckMode::Tso), conformance, "run every workload x all four policies x {ideal, contended} x {chaos off, on} with the axiomatic checker armed"),
     command("fuzz", (8, 0.25, CheckMode::Tso), fuzz, "differential litmus fuzzing under fault injection against the x86-TSO enumerator (FA_FUZZ_*)"),
     command("ablation", (4, 0.15, CheckMode::Off), ablation, "sweep AQ size, watchdog threshold and forwarding-chain limit under FreeAtomics+Fwd"),
-    command("smoke", SMALL, smoke, "every workload once under baseline and FreeAtomics+Fwd: cycles, instructions, APKI"),
-    command("diag", SMALL, diag, "per-policy counter dump for every workload"),
     command("trace", (2, 0.05, CheckMode::Off), trace, "trace [--flight-demo]: export the first workload's Perfetto timeline (FA_TRACE=full:<path>), or demo the crash flight recorder"),
     command("knobs", FULL, knobs, "print every FA_* variable: default, grammar, meaning"),
 ];
@@ -153,10 +149,33 @@ fn knobs(_: &Command, _: &[String]) -> Outcome {
     Ok(())
 }
 
+/// One line of counters from a cell's representative run.
+fn counters(r: &RunResult) -> String {
+    let a = r.aggregate();
+    format!(
+        "cycles={:<8} instrs={:<9} apki={:<6} atomics={:<6} wd={:<4} sq_br={:<5} sq_mdv={:<5} \
+         sq_inv={:<6} squop={:<8} fba={:<5} fbs={:<5} sleep={:<8} parked={}",
+        r.cycles,
+        r.instructions(),
+        fmt(a.apki(), 2),
+        a.atomics,
+        a.watchdog_fires,
+        a.squashes_branch,
+        a.squashes_memorder,
+        a.squashes_inval,
+        a.squashed_uops,
+        a.atomics_fwd_from_atomic,
+        a.atomics_fwd_from_store,
+        a.sleep_cycles,
+        CoreMemStats::merged(&r.mem.cores).parked_on_lock,
+    )
+}
+
 /// Rows are a pure function of the simulated cells, so re-running with a
 /// different `FA_THREADS` — or killing the campaign and resuming it from the
 /// `FA_CHECKPOINT` journal — reproduces them byte-for-byte; only the timing
-/// block changes.
+/// block changes. Each cell prints its representative run's counters, or
+/// `QUARANTINED`, or `resumed` when the journal already held it.
 fn sweep(cmd: &Command, _: &[String]) -> Outcome {
     let opts = cmd.opts();
     let sup = SupervisorOpts::from_env();
@@ -180,10 +199,14 @@ fn sweep(cmd: &Command, _: &[String]) -> Outcome {
     if outcome.resumed > 0 {
         println!("resumed {} completed cell(s) from the checkpoint journal", outcome.resumed);
     }
-    for cell in &cells {
+    for (cell, result) in cells.iter().zip(&outcome.results) {
         let name = cell.name();
-        let quarantined = outcome.quarantine.iter().any(|q| q.cell == name);
-        println!("{name}: {}", if quarantined { "QUARANTINED" } else { "ok" });
+        let status = match result {
+            Some(r) => counters(r.summary.representative()),
+            None if outcome.quarantine.iter().any(|q| q.cell == name) => "QUARANTINED".into(),
+            None => "resumed".into(),
+        };
+        println!("{name}: {status}");
     }
     let report = SweepReport::from_outcome("sweep", &opts, outcome, timing);
     println!("\n{}", report.timing_line());
@@ -372,8 +395,10 @@ fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
 }
 
 /// One ablation axis: every `(workload, value)` cell on the sweep workers,
-/// rows normalized to the leftmost value. Returns the number of failed
-/// cells.
+/// one run each, rows normalized to the leftmost value. Returns the number
+/// of failed cells. The axis is a machine field, which a campaign cell
+/// cannot carry, so this is the one driver that builds its own machines
+/// instead of riding `run_grid_supervised`.
 fn ablation_axis(
     title: &str,
     opts: &BenchOpts,
@@ -388,9 +413,12 @@ fn ablation_axis(
     let jobs: Vec<(WorkloadSpec, u64)> =
         specs.iter().flat_map(|&s| values.iter().map(move |&v| (s, v))).collect();
     let results = fa_sim::run_cells(&jobs, opts.threads, |_, &(spec, v)| {
-        let mut cfg = icelake_like();
-        apply(&mut cfg, v);
-        run_once_checked(&spec, AtomicPolicy::FreeFwd, &cfg, opts)
+        let mut base = icelake_like();
+        apply(&mut base, v);
+        let w = spec.build(&opts.params());
+        Machine::new(opts.config_for(&base, AtomicPolicy::FreeFwd), w.programs, w.mem)
+            .run(MAX_CYCLES)
+            .map_err(Box::new)
     });
     let mut failed = 0;
     for (spec, chunk) in specs.iter().zip(results.chunks(values.len())) {
@@ -443,74 +471,6 @@ fn ablation(cmd: &Command, _: &[String]) -> Outcome {
         );
     if failed > 0 {
         return Err(Failed(format!("ablation: {failed} cell(s) failed")));
-    }
-    Ok(())
-}
-
-fn smoke(cmd: &Command, _: &[String]) -> Outcome {
-    let opts = cmd.opts();
-    let base = icelake_like();
-    let header = ["workload", "policy", "cycles", "instrs", "APKI"];
-    println!("{}", row(&header.map(String::from)));
-    for spec in opts.workloads() {
-        for policy in [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd] {
-            let t0 = std::time::Instant::now();
-            let r = run_once_checked(&spec, policy, &base, &opts)
-                .map_err(|e| Failed(format!("{} under {}: {e}", spec.name, policy.label())))?;
-            println!(
-                "{}  ({:.2}s wall)",
-                row(&[
-                    spec.name.into(),
-                    policy.label().into(),
-                    r.cycles.to_string(),
-                    r.instructions().to_string(),
-                    fmt(r.aggregate().apki(), 2),
-                ]),
-                t0.elapsed().as_secs_f64()
-            );
-        }
-    }
-    Ok(())
-}
-
-fn diag(cmd: &Command, _: &[String]) -> Outcome {
-    let opts = cmd.opts();
-    let mut failed = 0;
-    for spec in opts.workloads() {
-        for policy in AtomicPolicy::ALL {
-            // A failed run prints its diagnostic snapshot (per-core ROB
-            // heads, locked lines, busy directory entries) and moves on, so
-            // one wedged configuration doesn't hide the rest of the table.
-            let r = match run_once_checked(&spec, policy, &icelake_like(), &opts) {
-                Ok(r) => r,
-                Err(e) => {
-                    failed += 1;
-                    eprintln!("{:<14} {:<16} FAILED: {e}", spec.name, policy.label());
-                    continue;
-                }
-            };
-            let a = r.aggregate();
-            println!(
-                "{:<14} {:<16} cycles={:<8} atomics={:<6} wd={:<4} sq_br={:<5} sq_mdv={:<5} \
-                 sq_inv={:<6} squop={:<8} fba={:<5} fbs={:<5} sleep={:<8} parked={}",
-                spec.name,
-                policy.label(),
-                r.cycles,
-                a.atomics,
-                a.watchdog_fires,
-                a.squashes_branch,
-                a.squashes_memorder,
-                a.squashes_inval,
-                a.squashed_uops,
-                a.atomics_fwd_from_atomic,
-                a.atomics_fwd_from_store,
-                a.sleep_cycles,
-                CoreMemStats::merged(&r.mem.cores).parked_on_lock,
-            );
-        }
-    }
-    if failed > 0 {
-        return Err(Failed(format!("diag: {failed} run(s) failed")));
     }
     Ok(())
 }

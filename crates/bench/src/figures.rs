@@ -5,15 +5,17 @@
 //! Every function returns `Result` — a failed measure (timeout,
 //! invariant-audit violation, invalid methodology) propagates so the `fig`
 //! bin can exit nonzero instead of printing a clean-looking partial table.
-//! The grid figures (14, 15, 16, weak baseline, CPI stacks) are table
-//! formatters over one [`run_grid_supervised`] campaign each and emit the
-//! `BENCH_sweep.json` throughput report; [`FIGURES`] names them all.
+//! Every measured figure is a table formatter over [`run_grid_supervised`]
+//! campaigns (one each, one per NoC point for figure 16, one per memory
+//! model for the weak baseline) and emits the `BENCH_sweep.json`
+//! throughput report; only Table 1, which measures nothing, runs no cell.
+//! [`FIGURES`] names them all.
 
 use crate::sweep::{
     grid, presets_from_env, run_grid_supervised, CellResult, Preset, SupervisorOpts, SweepCell,
     SweepReport,
 };
-use crate::{fmt, mean, row, run_once_checked, BenchOpts};
+use crate::{fmt, mean, row, BenchOpts};
 use fa_core::AtomicPolicy;
 use fa_mem::NocConfig;
 use fa_sim::energy::EnergyModel;
@@ -57,16 +59,17 @@ fn measured_grid(
     Ok((results, SweepReport::from_outcome(bin, opts, outcome, timing)))
 }
 
-/// [`measured_grid`] over the `(workload × every policy)` grid on the
-/// Icelake-like preset: each `AtomicPolicy::ALL.len()` chunk of the
-/// results is one workload, in policy order.
-fn policy_grid(
+/// [`measured_grid`] over `FA_WORKLOADS × policies × presets`, unsupervised:
+/// each `policies.len() * presets.len()` chunk of the results is one
+/// workload, in policy-then-preset order.
+fn suite_grid(
     bin: &str,
     opts: &BenchOpts,
-    sup: &SupervisorOpts,
+    policies: &[AtomicPolicy],
+    presets: &[Preset],
 ) -> Result<(Vec<CellResult>, SweepReport), Box<SimError>> {
-    let cells = grid(&opts.workloads(), &AtomicPolicy::ALL, &[Preset::Icelake]);
-    measured_grid(bin, opts, sup, &cells)
+    let cells = grid(&opts.workloads(), policies, presets);
+    measured_grid(bin, opts, &SupervisorOpts::none(), &cells)
 }
 
 fn emit_report(report: &SweepReport) {
@@ -79,11 +82,11 @@ fn emit_report(report: &SweepReport) {
 
 /// **Figure 1** — average cost (cycles) of a fenced atomic RMW, split into
 /// Drain_SB and Atomic, on Skylake-like (224 ROB) and Icelake-like
-/// (352 ROB) machines.
+/// (352 ROB) machines, from each cell's representative run.
 ///
 /// # Errors
 ///
-/// The first failed run.
+/// The first failed cell.
 pub fn fig01_atomic_cost(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 1 — cost of fenced atomic RMWs (cycles per atomic)\n");
     println!(
@@ -96,18 +99,22 @@ pub fn fig01_atomic_cost(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             "icelake Atomic".into(),
         ])
     );
+    let (results, report) = suite_grid(
+        "fig01_atomic_cost",
+        opts,
+        &[AtomicPolicy::FencedBaseline],
+        &[Preset::Skylake, Preset::Icelake],
+    )?;
     let mut sky_tot = Vec::new();
     let mut ice_tot = Vec::new();
-    for spec in opts.workloads() {
-        let sky = run_once_checked(&spec, AtomicPolicy::FencedBaseline, &skylake_like(), opts)?;
-        let ice = run_once_checked(&spec, AtomicPolicy::FencedBaseline, &icelake_like(), opts)?;
-        let (sd, sa) = sky.aggregate().atomic_cost();
-        let (id, ia) = ice.aggregate().atomic_cost();
+    for pair in results.chunks(2) {
+        let (sd, sa) = pair[0].summary.representative().aggregate().atomic_cost();
+        let (id, ia) = pair[1].summary.representative().aggregate().atomic_cost();
         sky_tot.push(sd + sa);
         ice_tot.push(id + ia);
         println!(
             "{}",
-            row(&[spec.name.into(), fmt(sd, 1), fmt(sa, 1), fmt(id, 1), fmt(ia, 1)])
+            row(&[pair[0].cell.workload.name.into(), fmt(sd, 1), fmt(sa, 1), fmt(id, 1), fmt(ia, 1)])
         );
     }
     println!(
@@ -116,6 +123,7 @@ pub fn fig01_atomic_cost(opts: &BenchOpts) -> Result<(), Box<SimError>> {
         mean(&sky_tot),
         mean(&ice_tot)
     );
+    emit_report(&report);
     Ok(())
 }
 
@@ -155,31 +163,36 @@ pub fn table1_config(_: &BenchOpts) -> Result<(), Box<SimError>> {
     Ok(())
 }
 
-/// **Figure 12** — committed atomics per kilo-instruction.
+/// **Figure 12** — committed atomics per kilo-instruction of each fenced
+/// baseline cell's representative run.
 ///
 /// # Errors
 ///
-/// The first failed run.
+/// The first failed cell.
 pub fn fig12_apki(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 12 — atomic RMWs per kilo-instruction (APKI)\n");
     println!("{}", row(&["workload".into(), "APKI".into(), "class".into()]));
-    for spec in opts.workloads() {
-        let r = run_once_checked(&spec, AtomicPolicy::FencedBaseline, &icelake_like(), opts)?;
+    let (results, report) =
+        suite_grid("fig12_apki", opts, &[AtomicPolicy::FencedBaseline], &[Preset::Icelake])?;
+    for r in &results {
+        let spec = r.cell.workload;
+        let apki = r.summary.representative().aggregate().apki();
         let cls = if spec.atomic_intensive { "atomic-intensive" } else { "non-atomic-intensive" };
-        println!("{}", row(&[spec.name.into(), fmt(r.aggregate().apki(), 2), cls.into()]));
+        println!("{}", row(&[spec.name.into(), fmt(apki, 2), cls.into()]));
     }
     println!("\n(the paper draws the atomic-intensive threshold at 0.75 APKI)");
+    emit_report(&report);
     Ok(())
 }
 
 /// **Table 2** — characterization of Free atomics (FreeAtomics+Fwd on the
 /// Icelake-like machine): omitted fences, watchdog timeouts, memory-
-/// dependence-violation squashes, forwarding sources. The per-workload
-/// runs are independent, so they fan across the sweep workers.
+/// dependence-violation squashes, forwarding sources, from each cell's
+/// representative run.
 ///
 /// # Errors
 ///
-/// The first failed run, in workload order.
+/// The first failed cell, in workload order.
 pub fn table2_characterization(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## Table 2 — characterization of Free atomics (FreeAtomics+Fwd)\n");
     println!(
@@ -193,14 +206,12 @@ pub fn table2_characterization(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             "FbS (% atomics)".into(),
         ])
     );
-    let specs = opts.workloads();
-    let runs = fa_sim::run_cells(&specs, opts.threads, |_, spec| {
-        run_once_checked(spec, AtomicPolicy::FreeFwd, &icelake_like(), opts)
-    });
+    let (results, report) =
+        suite_grid("table2_characterization", opts, &[AtomicPolicy::FreeFwd], &[Preset::Icelake])?;
     let (mut of, mut to, mut mdv, mut fba, mut fbs) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for (spec, r) in specs.iter().zip(runs) {
-        let a = r?.aggregate();
+    for r in &results {
+        let a = r.summary.representative().aggregate();
         let omitted = a.omitted_fence_ratio() * 100.0;
         let timeouts = a.watchdog_fires;
         let mdv_pct = if a.total_squashes() == 0 {
@@ -226,7 +237,7 @@ pub fn table2_characterization(opts: &BenchOpts) -> Result<(), Box<SimError>> {
         println!(
             "{}",
             row(&[
-                spec.name.into(),
+                r.cell.workload.name.into(),
                 fmt(omitted, 2),
                 timeouts.to_string(),
                 fmt(mdv_pct, 2),
@@ -244,16 +255,18 @@ pub fn table2_characterization(opts: &BenchOpts) -> Result<(), Box<SimError>> {
         mean(&fba),
         mean(&fbs)
     );
+    emit_report(&report);
     Ok(())
 }
 
 /// **Figure 13** — locality of atomics: fraction of load_locks whose data
 /// was found locally (SQ forward or write-permission hit), baseline vs
-/// FreeAtomics+Fwd, with the forwarded component split out.
+/// FreeAtomics+Fwd, with the forwarded component split out, from each
+/// cell's representative run.
 ///
 /// # Errors
 ///
-/// The first failed run.
+/// The first failed cell.
 pub fn fig13_locality(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 13 — locality of atomics (ratio of load_locks)\n");
     println!(
@@ -266,15 +279,19 @@ pub fn fig13_locality(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             "free total".into(),
         ])
     );
-    for spec in opts.workloads() {
-        let b = run_once_checked(&spec, AtomicPolicy::FencedBaseline, &icelake_like(), opts)?;
-        let f = run_once_checked(&spec, AtomicPolicy::FreeFwd, &icelake_like(), opts)?;
-        let (b_tot, _) = b.aggregate().atomic_locality();
-        let (f_tot, f_fwd) = f.aggregate().atomic_locality();
+    let (results, report) = suite_grid(
+        "fig13_locality",
+        opts,
+        &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd],
+        &[Preset::Icelake],
+    )?;
+    for pair in results.chunks(2) {
+        let (b_tot, _) = pair[0].summary.representative().aggregate().atomic_locality();
+        let (f_tot, f_fwd) = pair[1].summary.representative().aggregate().atomic_locality();
         println!(
             "{}",
             row(&[
-                spec.name.into(),
+                pair[0].cell.workload.name.into(),
                 fmt(b_tot, 3),
                 fmt(f_tot - f_fwd, 3),
                 fmt(f_fwd, 3),
@@ -282,6 +299,7 @@ pub fn fig13_locality(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             ])
         );
     }
+    emit_report(&report);
     Ok(())
 }
 
@@ -305,7 +323,8 @@ pub fn fig14_exec_time(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             "sleep frac (fwd)".into(),
         ])
     );
-    let (results, report) = policy_grid("fig14_exec_time", opts, &SupervisorOpts::none())?;
+    let (results, report) =
+        suite_grid("fig14_exec_time", opts, &AtomicPolicy::ALL, &[Preset::Icelake])?;
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut norm_ai: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for runs in results.chunks(AtomicPolicy::ALL.len()) {
@@ -365,7 +384,8 @@ pub fn cpi_stacks(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     let mut header = vec!["workload".to_string(), "policy".to_string()];
     header.extend(CpiLeaf::ALL.iter().map(|l| l.name().to_string()));
     println!("{}", row(&header));
-    let (results, report) = policy_grid("cpistack", opts, &SupervisorOpts::none())?;
+    let (results, report) =
+        suite_grid("cpistack", opts, &AtomicPolicy::ALL, &[Preset::Icelake])?;
     for r in &results {
         let cpi = r.summary.representative().aggregate().cpi;
         let total = cpi.total().max(1) as f64;
@@ -515,7 +535,8 @@ pub fn fig15_energy(opts: &BenchOpts) -> Result<(), Box<SimError>> {
         ])
     );
     let model = EnergyModel::default();
-    let (results, report) = policy_grid("fig15_energy", opts, &SupervisorOpts::none())?;
+    let (results, report) =
+        suite_grid("fig15_energy", opts, &AtomicPolicy::ALL, &[Preset::Icelake])?;
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut norm_ai: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for runs in results.chunks(AtomicPolicy::ALL.len()) {
@@ -632,7 +653,8 @@ mod tests {
             budget: CellBudget { max_cycles: Some(200), wall: None },
             ..SupervisorOpts::none()
         };
-        let err = policy_grid("test", &opts, &sup).expect_err("every cell times out");
+        let cells = grid(&opts.workloads(), &AtomicPolicy::ALL, &[Preset::Icelake]);
+        let err = measured_grid("test", &opts, &sup, &cells).expect_err("every cell times out");
         let first = opts.workloads()[0].name;
         assert!(
             matches!(&*err, SimError::CellFailed { cell, attempts: 1, .. }
@@ -640,5 +662,17 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("did not quiesce within 200 cycles"), "{err}");
+    }
+
+    #[test]
+    fn every_measured_figure_rides_the_engine() {
+        // A methodology retaining no runs is refused by the campaign engine
+        // before any cell runs: every figure that measures must say so, not
+        // print a table from some other run path.
+        let opts = BenchOpts { cores: 2, scale: 0.05, runs: 0, ..BenchOpts::default() };
+        for (name, figure) in FIGURES.iter().filter(|(name, _)| *name != "table1_config") {
+            let err = figure(&opts).expect_err(name);
+            assert!(matches!(*err, SimError::InvalidMethodology { runs: 0, .. }), "{name}: {err}");
+        }
     }
 }

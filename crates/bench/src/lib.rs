@@ -2,8 +2,12 @@
 //!
 //! Every experiment of the paper's evaluation section (§5) is a named
 //! entry of [`figures::FIGURES`], run by `fa fig <name>`; this module holds
-//! the common machinery: environment-controlled sizing, the single-run
-//! helper, and table formatting. Grid campaigns live in [`sweep`].
+//! the common machinery: environment-controlled sizing and table
+//! formatting. Every figure and table, `fa sweep` and `fa conformance` are
+//! campaigns on the one engine, [`sweep::run_grid_supervised`]: `FA_RUNS`
+//! runs a cell with random start offsets, the `FA_DROP` slowest dropped
+//! (§5.1). The one exception is `fa ablation`, whose axes are machine
+//! fields a [`sweep::SweepCell`] cannot name; it builds its machines itself.
 //!
 //! The `FA_*` variables are documented in one place, [`fa_sim::env::KNOBS`]
 //! — run `fa knobs` to print it. All parsing goes through
@@ -22,8 +26,7 @@ pub mod sweep;
 use fa_core::AtomicPolicy;
 use fa_mem::{ChaosConfig, NocConfig, ProgressConfig};
 use fa_sim::env;
-use fa_sim::error::SimError;
-use fa_sim::machine::{MachineConfig, RunResult};
+use fa_sim::machine::MachineConfig;
 use fa_sim::methodology::Methodology;
 use fa_sim::{CheckMode, MemModel, TraceMode};
 use fa_workloads::{suite, WorkloadParams, WorkloadSpec};
@@ -47,9 +50,9 @@ pub struct BenchOpts {
     /// Sweep worker threads (0 = host parallelism). Results are
     /// bit-identical at any value; this only trades wall clock.
     pub threads: usize,
-    /// Interconnect model (`FA_NOC`), applied to every driver run —
-    /// grid sweeps and single-run bins alike. The default ideal crossbar
-    /// reproduces the historical fixed-latency numbers bit-for-bit.
+    /// Interconnect model (`FA_NOC`), applied to every driver run. The
+    /// default ideal crossbar reproduces the historical fixed-latency
+    /// numbers bit-for-bit.
     pub noc: NocConfig,
     /// Event-trace mode (`FA_TRACE`), applied to every driver run. Off by
     /// default; any mode produces bit-identical simulation results —
@@ -180,27 +183,6 @@ impl BenchOpts {
 /// the sweep into a no-op.
 pub fn workloads_from_env() -> Option<Vec<WorkloadSpec>> {
     env::get("FA_WORKLOADS", |v| suite::select(&env::items(v).collect::<Vec<_>>()))
-}
-
-/// Runs `spec` once (single run, no offsets) — for characterization tables
-/// where per-counter detail matters more than timing noise — handing any
-/// failure (timeout or invariant-audit violation, each carrying a full
-/// machine snapshot) back to the caller.
-///
-/// # Errors
-///
-/// Any [`SimError`] raised by the run.
-pub fn run_once_checked(
-    spec: &WorkloadSpec,
-    policy: AtomicPolicy,
-    base: &MachineConfig,
-    opts: &BenchOpts,
-) -> Result<RunResult, Box<SimError>> {
-    let cfg = opts.config_for(base, policy);
-    let params = opts.params();
-    let w = spec.build(&params);
-    let mut m = fa_sim::Machine::new(cfg, w.programs, w.mem);
-    m.run(MAX_CYCLES).map_err(Box::new)
 }
 
 /// Geometric-mean helper (the paper reports averages over normalized

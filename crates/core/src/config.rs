@@ -60,6 +60,20 @@ impl AtomicPolicy {
     }
 }
 
+/// Front-end refill penalty after a squash, in cycles.
+pub(crate) const REDIRECT_PENALTY: u64 = 10;
+/// Integer ALU latency.
+pub(crate) const ALU_LAT: u64 = 1;
+/// Multiplier latency.
+pub(crate) const MUL_LAT: u64 = 3;
+/// Store-to-load forwarding latency.
+pub(crate) const FWD_LAT: u64 = 4;
+/// `Pause` spin-hint stall, in cycles.
+pub(crate) const PAUSE_LAT: u64 = 8;
+/// MonitorWait periodic re-check interval (models the timer interrupt
+/// that bounds MWAIT sleeps), in cycles.
+pub(crate) const MONITOR_TIMEOUT: u64 = 1024;
+
 /// Out-of-order core parameters. Defaults follow Table 1 (Icelake-like).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoreConfig {
@@ -84,19 +98,6 @@ pub struct CoreConfig {
     pub watchdog_threshold: u64,
     /// Maximum consecutive atomic forwardings (§3.3.4: 32).
     pub fwd_chain_max: u32,
-    /// Front-end refill penalty after a squash, in cycles.
-    pub redirect_penalty: u64,
-    /// Integer ALU latency.
-    pub alu_lat: u64,
-    /// Multiplier latency.
-    pub mul_lat: u64,
-    /// Store-to-load forwarding latency.
-    pub fwd_lat: u64,
-    /// `Pause` spin-hint stall, in cycles.
-    pub pause_lat: u64,
-    /// MonitorWait periodic re-check interval (models the timer interrupt
-    /// that bounds MWAIT sleeps), in cycles.
-    pub monitor_timeout: u64,
     /// Branch-predictor global-history bits.
     pub bp_history_bits: u32,
     /// log2 of branch-predictor table entries.
@@ -129,12 +130,6 @@ impl Default for CoreConfig {
             policy: AtomicPolicy::FencedBaseline,
             watchdog_threshold: 10_000,
             fwd_chain_max: 32,
-            redirect_penalty: 10,
-            alu_lat: 1,
-            mul_lat: 3,
-            fwd_lat: 4,
-            pause_lat: 8,
-            monitor_timeout: 1024,
             bp_history_bits: 12,
             bp_table_bits: 12,
             trace: TraceConfig::default(),

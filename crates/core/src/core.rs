@@ -14,7 +14,9 @@
 //! (§3.2.5 of the paper).
 
 use crate::aq::{AqState, AtomicQueue};
-use crate::config::{AtomicPolicy, CoreConfig};
+use crate::config::{
+    AtomicPolicy, CoreConfig, ALU_LAT, FWD_LAT, MONITOR_TIMEOUT, MUL_LAT, PAUSE_LAT, REDIRECT_PENALTY,
+};
 use crate::order::{self, LoadState};
 use crate::predictor::{BranchPredictor, StoreSets};
 use crate::rob::{Entry, Rob, Seq, Slot, SrcVal};
@@ -727,7 +729,7 @@ impl Core {
                 e.done = true;
             }
             UopKind::Pause => {
-                e.done_at = Some(now + self.cfg.pause_lat);
+                e.done_at = Some(now + PAUSE_LAT);
                 e.issued = true;
             }
             _ => {}
@@ -760,7 +762,7 @@ impl Core {
                 };
                 self.sched.push_fence(seq, orders_loads);
             }
-            UopKind::Pause => self.sched.insert_inflight(slot, now + self.cfg.pause_lat),
+            UopKind::Pause => self.sched.insert_inflight(slot, now + PAUSE_LAT),
             _ => self.sched.operands_changed(slot, e),
         }
         self.trace.record(now, TraceEvent::UopDispatch { seq, pc: uop.pc as u64 });
@@ -848,9 +850,9 @@ impl Core {
                     fa_isa::Operand::Imm(v) => v as u64,
                 };
                 let lat = if matches!(op, fa_isa::AluOp::Mul) {
-                    self.cfg.mul_lat
+                    MUL_LAT
                 } else {
-                    self.cfg.alu_lat
+                    ALU_LAT
                 };
                 (op.eval(av, bv), lat)
             }
@@ -858,7 +860,7 @@ impl Core {
                 let ov = e.value_of(old).expect("ready");
                 let sv = e.value_of(src).expect("ready");
                 let cv = e.value_of(cmp).expect("ready");
-                (op.store_value(ov, sv, cv), self.cfg.alu_lat)
+                (op.store_value(ov, sv, cv), ALU_LAT)
             }
             _ => unreachable!(),
         };
@@ -874,7 +876,7 @@ impl Core {
             fa_isa::Operand::Imm(v) => v as u64,
         };
         let taken = cond.eval(av, bv);
-        self.start_execution(slot, u64::from(taken), self.cfg.alu_lat, now);
+        self.start_execution(slot, u64::from(taken), ALU_LAT, now);
     }
 
     fn issue_store(&mut self, slot: Slot) {
@@ -893,7 +895,7 @@ impl Core {
             e.done = true;
             return true;
         }
-        match mem.read(self.id, slot.seq, addr, false, false) {
+        match mem.read(self.id, slot.seq, addr, false) {
             fa_mem::privcache::ReqOutcome::Accepted => {
                 e.issued = true;
                 e.load = LoadState::InFlight;
@@ -1051,7 +1053,7 @@ impl Core {
                 self.bind_forwarded(slot, f, now);
                 true
             }
-            None => match mem.read(self.id, seq, addr, is_ll, is_ll) {
+            None => match mem.read(self.id, seq, addr, is_ll) {
                 fa_mem::privcache::ReqOutcome::Accepted => {
                     let drain = {
                         let e = self.rob.at_mut(slot).expect("entry exists");
@@ -1080,7 +1082,7 @@ impl Core {
     /// Binds the load at `slot` to the value `f` forwards; returns the
     /// entry for the caller's own bookkeeping.
     fn bind_forwarded(&mut self, slot: Slot, f: Forward, now: u64) -> &mut Entry {
-        let done_at = now + self.cfg.fwd_lat;
+        let done_at = now + FWD_LAT;
         self.sched.insert_inflight(slot, done_at);
         self.stats.load_forwards += 1;
         let e = self.rob.at_mut(slot).expect("entry exists");
@@ -1364,7 +1366,7 @@ impl Core {
                     let line = line_of(addr.expect("performed"));
                     self.state = CoreState::Sleeping {
                         line,
-                        wake_at: now + self.cfg.monitor_timeout,
+                        wake_at: now + MONITOR_TIMEOUT,
                         resume_pc: uop.pc + 1,
                     };
                     self.stats.monitor_sleeps += 1;
@@ -1464,7 +1466,7 @@ impl Core {
         let Some(&head) = self.sb.front() else { return };
         let line = line_of(head.addr);
         if mem.writable(self.id, line) {
-            let ok = mem.try_store_perform(self.id, head.seq, head.addr, head.value, false, false);
+            let ok = mem.try_store_perform(self.id, head.seq, head.addr, head.value);
             assert!(ok, "writable line must accept the store");
             self.sb.pop_front();
             self.sched.unblock(Unblock::CommitOrDrain);
@@ -1590,7 +1592,7 @@ impl Core {
             // "responsibility" evaporates with the AQ entry (§3.3.3).
         });
         self.fetch_pc = redirect_pc;
-        self.fetch_stall_until = now + self.cfg.redirect_penalty;
+        self.fetch_stall_until = now + REDIRECT_PENALTY;
         self.fetch_barrier = None;
     }
 

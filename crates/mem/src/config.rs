@@ -6,6 +6,9 @@ use crate::noc::NocConfig;
 use crate::progress::ProgressConfig;
 use fa_trace::{CheckMode, TraceConfig};
 
+/// Prefetch degree: lines fetched ahead on a detected stride.
+pub(crate) const PREFETCH_DEGREE: usize = 2;
+
 /// Geometry and latency parameters for the memory system.
 ///
 /// Defaults mirror the paper's Table 1 (an Icelake-like part at ~2 GHz).
@@ -53,8 +56,6 @@ pub struct MemConfig {
     pub mshrs: usize,
     /// Enable the L1 stride prefetcher (Table 1; default true).
     pub stride_prefetch: bool,
-    /// Prefetch degree: lines fetched ahead on a detected stride (default 2).
-    pub prefetch_degree: usize,
     /// Deterministic fault injection (default: off).
     pub chaos: ChaosConfig,
     /// Cycle-level invariant auditing (default: off).
@@ -93,7 +94,6 @@ impl Default for MemConfig {
             noc: NocConfig::default(),
             mshrs: 16,
             stride_prefetch: true,
-            prefetch_degree: 2,
             chaos: ChaosConfig::default(),
             audit: AuditConfig::default(),
             trace: TraceConfig::default(),

@@ -5,6 +5,7 @@
 //! core's Atomic Queue, and the queue of external requests parked on locked
 //! lines.
 
+use crate::config::PREFETCH_DEGREE;
 use crate::msgs::{DirMsg, DirReq, DirReqKind, L1Msg, LatClass};
 use crate::prefetch::StridePrefetcher;
 use crate::progress::{ProgressGuard, ProgressPolicy};
@@ -55,9 +56,9 @@ pub(crate) fn mesi_code(s: Option<Mesi>) -> u8 {
 /// checker's serialization log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PerformInfo {
-    /// The line was lock-pinned at the instant of the write (after the
-    /// `lock_on_access` step, before any unlock) — true for every
-    /// store_unlock, i.e. inside an RMW's atomicity window.
+    /// The line was lock-pinned at the instant of the write. The core
+    /// releases a store_unlock's lock only after its perform, so this is
+    /// true for every store_unlock, i.e. inside an RMW's atomicity window.
     pub under_lock: bool,
 }
 
@@ -73,7 +74,7 @@ pub enum ReqOutcome {
 /// A demand access waiting on an MSHR.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Pending {
-    Read { seq: u64, addr: Addr, exclusive: bool, lock_intent: bool },
+    Read { seq: u64, addr: Addr, lock: bool },
     Store { seq: u64 },
     Prefetch,
 }
@@ -182,7 +183,7 @@ impl PrivCache {
             still_stalled: VecDeque::new(),
             retry_due: false,
             fill_guard: ProgressGuard::new(FILL_POLICY),
-            prefetcher: StridePrefetcher::new(cfg.prefetch_degree),
+            prefetcher: StridePrefetcher::new(PREFETCH_DEGREE),
             prefetch_enabled: cfg.stride_prefetch,
             mshr_cap: cfg.mshrs,
             l1_lat: cfg.l1_lat,
@@ -224,24 +225,22 @@ impl PrivCache {
 
     /// Handles a demand read from the core's LSU.
     ///
-    /// `exclusive` requests write permission (load_lock); `lock_intent`
-    /// additionally locks the line the moment permission is (or already is)
-    /// held. Responses are emitted as [`Action::ReadDone`].
+    /// `lock` (a load_lock) requests write permission and locks the line the
+    /// moment permission is (or already is) held. Responses are emitted as
+    /// [`Action::ReadDone`].
     pub(crate) fn read(
         &mut self,
         seq: u64,
         addr: Addr,
-        exclusive: bool,
-        lock_intent: bool,
+        lock: bool,
         out: &mut Vec<Action>,
     ) -> ReqOutcome {
         let line = line_of(addr);
         let state = self.l2.touch(line).copied();
-        let satisfied_locally =
-            matches!(state, Some(s) if !exclusive || s.writable());
+        let satisfied_locally = matches!(state, Some(s) if !lock || s.writable());
         if satisfied_locally {
             let had_wp = state.map(Mesi::writable).unwrap_or(false);
-            if lock_intent {
+            if lock {
                 self.lock(line);
             }
             let (delay, class) = if self.l1.touch(line).is_some() {
@@ -256,14 +255,13 @@ impl PrivCache {
                 addr,
                 class,
                 had_write_perm: had_wp,
-                locked: lock_intent,
+                locked: lock,
                 park: 0,
             });
             return ReqOutcome::Accepted;
         }
         // Miss (or upgrade): route through an MSHR.
-        let pending = Pending::Read { seq, addr, exclusive, lock_intent };
-        self.miss(line, exclusive, pending, out)
+        self.miss(line, lock, Pending::Read { seq, addr, lock }, out)
     }
 
     /// Handles a write-permission request for the store at the SB head (or
@@ -340,16 +338,11 @@ impl PrivCache {
 
     /// Attempts to perform a store: requires write permission. Transitions
     /// the line to M and reports perform-time facts on success; the caller
-    /// then writes the backing store. `lock` applies the `lock_on_access`
-    /// responsibility; `unlock` releases one lock count (store_unlock
-    /// draining).
-    pub(crate) fn try_store_perform(
-        &mut self,
-        addr: Addr,
-        lock: bool,
-        unlock: bool,
-        out: &mut Vec<Action>,
-    ) -> Option<PerformInfo> {
+    /// then writes the backing store. The core takes and releases the
+    /// line's locks itself ([`PrivCache::lock`], [`PrivCache::unlock`]), so
+    /// a draining store_unlock performs before its unlock, inside its
+    /// atomicity window.
+    pub(crate) fn try_store_perform(&mut self, addr: Addr) -> Option<PerformInfo> {
         let line = line_of(addr);
         match self.l2.touch(line) {
             Some(s) if s.writable() => {
@@ -361,17 +354,7 @@ impl PrivCache {
                         TraceEvent::Mesi { line, from: was.code(), to: Mesi::M.code() },
                     );
                 }
-                if lock {
-                    self.lock(line);
-                }
-                // Capture lock state at the write proper: after the
-                // lock_on_access responsibility, before the unlock step —
-                // a draining store_unlock is *inside* its atomicity window.
-                let under_lock = self.locks.contains_key(&line);
-                if unlock {
-                    self.unlock(line, out);
-                }
-                Some(PerformInfo { under_lock })
+                Some(PerformInfo { under_lock: self.locks.contains_key(&line) })
             }
             _ => None,
         }
@@ -574,12 +557,12 @@ impl PrivCache {
         let mut leftovers = self.mshr_pool.pop().unwrap_or_default();
         for p in mshr.pending.drain(..) {
             match p {
-                Pending::Read { seq, addr, exclusive, lock_intent } => {
-                    if exclusive && !excl {
-                        leftovers.push(Pending::Read { seq, addr, exclusive, lock_intent });
+                Pending::Read { seq, addr, lock } => {
+                    if lock && !excl {
+                        leftovers.push(Pending::Read { seq, addr, lock });
                         continue;
                     }
-                    if lock_intent {
+                    if lock {
                         self.lock(line);
                     }
                     out.push(Action::ReadDone {
@@ -588,7 +571,7 @@ impl PrivCache {
                         addr,
                         class,
                         had_write_perm: false,
-                        locked: lock_intent,
+                        locked: lock,
                         park,
                     });
                 }
@@ -694,7 +677,7 @@ mod tests {
     fn cold_read_misses_to_directory_then_hits() {
         let mut c = cache();
         let mut out = Vec::new();
-        assert_eq!(c.read(1, 0x100, false, false, &mut out), ReqOutcome::Accepted);
+        assert_eq!(c.read(1, 0x100, false, &mut out), ReqOutcome::Accepted);
         assert!(out.iter().any(|a| matches!(
             a,
             Action::ToDir(DirMsg::Req(DirReq { kind: DirReqKind::GetS, line: 0x100, .. }))
@@ -706,7 +689,7 @@ mod tests {
             .any(|a| matches!(a, Action::ReadDone { seq: 1, addr: 0x100, .. })));
         // Second read is an L1 hit.
         out.clear();
-        assert_eq!(c.read(2, 0x108, false, false, &mut out), ReqOutcome::Accepted);
+        assert_eq!(c.read(2, 0x108, false, &mut out), ReqOutcome::Accepted);
         assert!(out.iter().any(|a| matches!(
             a,
             Action::ReadDone { seq: 2, class: LatClass::L1, .. }
@@ -714,10 +697,10 @@ mod tests {
     }
 
     #[test]
-    fn lock_intent_read_locks_at_grant() {
+    fn locking_read_locks_at_grant() {
         let mut c = cache();
         let mut out = Vec::new();
-        c.read(1, 0x100, true, true, &mut out);
+        c.read(1, 0x100, true, &mut out);
         assert!(!c.is_locked(0x100));
         out.clear();
         grant(&mut c, 0x100, true, &mut out);
@@ -732,12 +715,12 @@ mod tests {
     fn exclusive_read_on_shared_line_upgrades() {
         let mut c = cache();
         let mut out = Vec::new();
-        c.read(1, 0x100, false, false, &mut out);
+        c.read(1, 0x100, false, &mut out);
         out.clear();
         grant(&mut c, 0x100, false, &mut out); // now S
         assert_eq!(c.state(0x100), Some(Mesi::S));
         out.clear();
-        c.read(2, 0x100, true, true, &mut out);
+        c.read(2, 0x100, true, &mut out);
         assert!(out.iter().any(|a| matches!(
             a,
             Action::ToDir(DirMsg::Req(DirReq { kind: DirReqKind::GetX, .. }))
@@ -752,7 +735,7 @@ mod tests {
     fn inv_on_locked_line_parks_until_unlock() {
         let mut c = cache();
         let mut out = Vec::new();
-        c.read(1, 0x100, true, true, &mut out);
+        c.read(1, 0x100, true, &mut out);
         out.clear();
         grant(&mut c, 0x100, true, &mut out);
         out.clear();
@@ -773,7 +756,7 @@ mod tests {
     fn multiple_locks_require_multiple_unlocks() {
         let mut c = cache();
         let mut out = Vec::new();
-        c.read(1, 0x100, true, true, &mut out);
+        c.read(1, 0x100, true, &mut out);
         grant(&mut c, 0x100, true, &mut out);
         c.lock(0x100);
         assert_eq!(c.lock_count(0x100), 2);
@@ -798,9 +781,9 @@ mod tests {
     fn downgrade_moves_m_to_s() {
         let mut c = cache();
         let mut out = Vec::new();
-        c.read(1, 0x100, true, false, &mut out);
+        c.store_acquire(1, 0x100, &mut out);
         grant(&mut c, 0x100, true, &mut out);
-        assert!(c.try_store_perform(0x100, false, false, &mut out).is_some());
+        assert!(c.try_store_perform(0x100).is_some());
         assert_eq!(c.state(0x100), Some(Mesi::M));
         out.clear();
         c.handle_ext(L1Msg::Downgrade { line: 0x100 }, &mut out);
@@ -815,13 +798,13 @@ mod tests {
     fn store_perform_requires_write_permission() {
         let mut c = cache();
         let mut out = Vec::new();
-        assert!(c.try_store_perform(0x100, false, false, &mut out).is_none());
-        c.read(1, 0x100, false, false, &mut out);
+        assert!(c.try_store_perform(0x100).is_none());
+        c.read(1, 0x100, false, &mut out);
         grant(&mut c, 0x100, false, &mut out); // S only
-        assert!(c.try_store_perform(0x100, false, false, &mut out).is_none());
-        c.read(2, 0x100, true, false, &mut out);
+        assert!(c.try_store_perform(0x100).is_none());
+        c.store_acquire(2, 0x100, &mut out);
         grant(&mut c, 0x100, true, &mut out);
-        let info = c.try_store_perform(0x100, false, false, &mut out).expect("M line performs");
+        let info = c.try_store_perform(0x100).expect("M line performs");
         assert!(!info.under_lock);
     }
 
@@ -829,17 +812,18 @@ mod tests {
     fn store_perform_with_lock_and_unlock_responsibilities() {
         let mut c = cache();
         let mut out = Vec::new();
-        c.read(1, 0x100, true, false, &mut out);
+        c.store_acquire(1, 0x100, &mut out);
         grant(&mut c, 0x100, true, &mut out);
-        // lock_on_access: an ordinary store locks on behalf of a forwarded
-        // load_lock.
-        let info = c.try_store_perform(0x100, true, false, &mut out).expect("performs");
+        // lock_on_access: an ordinary store performs, then the load_lock
+        // that forwarded from it captures the line's lock.
+        let info = c.try_store_perform(0x100).expect("performs");
+        assert!(!info.under_lock);
+        c.lock(0x100);
+        // Its store_unlock drains: the write performs inside the lock
+        // window, then the core unlocks.
+        let info = c.try_store_perform(0x100).expect("performs");
         assert!(info.under_lock);
-        assert!(c.is_locked(0x100));
-        // store_unlock drains: unlocks — but the write itself happens
-        // inside the lock window.
-        let info = c.try_store_perform(0x100, false, true, &mut out).expect("performs");
-        assert!(info.under_lock);
+        c.unlock(0x100, &mut out);
         assert!(!c.is_locked(0x100));
     }
 
@@ -851,12 +835,12 @@ mod tests {
         let mut out = Vec::new();
         let set_stride = 8 * 64; // lines mapping to the same L2 set
         let locked_line = 0x0;
-        c.read(0, locked_line, true, true, &mut out);
+        c.read(0, locked_line, true, &mut out);
         grant(&mut c, locked_line, true, &mut out);
         assert!(c.is_locked(locked_line));
         for i in 1..=8u64 {
             let line = i * set_stride;
-            c.read(i, line, false, false, &mut out);
+            c.read(i, line, false, &mut out);
             grant(&mut c, line, false, &mut out);
         }
         assert!(c.state(locked_line).is_some(), "locked line was evicted");
@@ -875,13 +859,13 @@ mod tests {
         // Lock both ways of set 0.
         for i in 0..2u64 {
             let line = i * stride;
-            c.read(i, line, true, true, &mut out);
+            c.read(i, line, true, &mut out);
             grant(&mut c, line, true, &mut out);
             assert!(c.is_locked(line));
         }
         // Third line in the same set cannot fill.
         out.clear();
-        c.read(9, 2 * stride, false, false, &mut out);
+        c.read(9, 2 * stride, false, &mut out);
         grant(&mut c, 2 * stride, false, &mut out);
         assert!(
             !out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })),
@@ -907,11 +891,11 @@ mod tests {
         let stride = 2 * 64;
         for i in 0..2u64 {
             let line = i * stride;
-            c.read(i, line, true, true, &mut out);
+            c.read(i, line, true, &mut out);
             grant(&mut c, line, true, &mut out);
         }
         out.clear();
-        c.read(9, 2 * stride, false, false, &mut out);
+        c.read(9, 2 * stride, false, &mut out);
         grant(&mut c, 2 * stride, false, &mut out);
         assert_eq!(c.stats.fill_stalled_all_locked, 1);
         // 1000 cycles with the set still fully locked: nothing can free a
@@ -941,19 +925,19 @@ mod tests {
         cfg.stride_prefetch = false;
         let mut c = PrivCache::new(CoreId(0), &cfg);
         let mut out = Vec::new();
-        assert_eq!(c.read(1, 0x1000, false, false, &mut out), ReqOutcome::Accepted);
-        assert_eq!(c.read(2, 0x2000, false, false, &mut out), ReqOutcome::Accepted);
-        assert_eq!(c.read(3, 0x3000, false, false, &mut out), ReqOutcome::Retry);
+        assert_eq!(c.read(1, 0x1000, false, &mut out), ReqOutcome::Accepted);
+        assert_eq!(c.read(2, 0x2000, false, &mut out), ReqOutcome::Accepted);
+        assert_eq!(c.read(3, 0x3000, false, &mut out), ReqOutcome::Retry);
         // Same-line requests merge instead.
-        assert_eq!(c.read(4, 0x1008, false, false, &mut out), ReqOutcome::Accepted);
+        assert_eq!(c.read(4, 0x1008, false, &mut out), ReqOutcome::Accepted);
     }
 
     #[test]
     fn merged_exclusive_read_reissues_getx_after_s_grant() {
         let mut c = cache();
         let mut out = Vec::new();
-        c.read(1, 0x100, false, false, &mut out); // GetS in flight
-        c.read(2, 0x100, true, true, &mut out); // merges; no second request yet
+        c.read(1, 0x100, false, &mut out); // GetS in flight
+        c.read(2, 0x100, true, &mut out); // merges; no second request yet
         assert_eq!(
             out.iter()
                 .filter(|a| matches!(a, Action::ToDir(DirMsg::Req(_))))

@@ -332,18 +332,10 @@ impl MemorySystem {
 
     // ---- Core-facing port (called during the core's tick) ----
 
-    /// Issues a demand read. `exclusive` requests write permission
-    /// (load_lock path); `lock_intent` locks the line at perform time.
-    pub fn read(
-        &mut self,
-        core: CoreId,
-        seq: u64,
-        addr: Addr,
-        exclusive: bool,
-        lock_intent: bool,
-    ) -> ReqOutcome {
-        let r =
-            self.with_cache(core.index(), |c, out| c.read(seq, addr, exclusive, lock_intent, out));
+    /// Issues a demand read. `lock` (the load_lock path) requests write
+    /// permission and locks the line at perform time.
+    pub fn read(&mut self, core: CoreId, seq: u64, addr: Addr, lock: bool) -> ReqOutcome {
+        let r = self.with_cache(core.index(), |c, out| c.read(seq, addr, lock, out));
         self.note_lsq_outcome(core, r);
         r
     }
@@ -370,20 +362,11 @@ impl MemorySystem {
     /// hold write permission. On success the backing store is written
     /// immediately (this *is* the store's perform, and — with checking on —
     /// the point logged into the global write-serialization order under
-    /// `write_id(core, seq)`). `lock` applies the `lock_on_access`
-    /// responsibility; `unlock` releases one lock count (a store_unlock
-    /// draining, §3.3).
-    pub fn try_store_perform(
-        &mut self,
-        core: CoreId,
-        seq: u64,
-        addr: Addr,
-        value: Word,
-        lock: bool,
-        unlock: bool,
-    ) -> bool {
-        let info =
-            self.with_cache(core.index(), |c, out| c.try_store_perform(addr, lock, unlock, out));
+    /// `write_id(core, seq)`). Locks are the core's business: it takes them
+    /// with [`MemorySystem::lock_line`] and a draining store_unlock releases
+    /// its lock with [`MemorySystem::unlock_line`] after this perform (§3.3).
+    pub fn try_store_perform(&mut self, core: CoreId, seq: u64, addr: Addr, value: Word) -> bool {
+        let info = self.with_cache(core.index(), |c, _| c.try_store_perform(addr));
         if let Some(info) = &info {
             self.backing.store(addr, value);
             self.caches[core.index()].stats.stores_performed += 1;
@@ -788,7 +771,7 @@ mod tests {
     fn cold_read_round_trip_returns_value() {
         let mut m = sys(1);
         m.backing_mut().store(0x100, 77);
-        assert_eq!(m.read(C0, 1, 0x100, false, false), ReqOutcome::Accepted);
+        assert_eq!(m.read(C0, 1, 0x100, false), ReqOutcome::Accepted);
         let resps = run_until_resp(&mut m, C0, 1000);
         match resps[0] {
             CoreResp::ReadResp { seq: 1, value, class, .. } => {
@@ -802,10 +785,10 @@ mod tests {
     #[test]
     fn second_read_hits_l1_fast() {
         let mut m = sys(1);
-        m.read(C0, 1, 0x100, false, false);
+        m.read(C0, 1, 0x100, false);
         run_until_resp(&mut m, C0, 1000);
         let t0 = m.now();
-        m.read(C0, 2, 0x108, false, false);
+        m.read(C0, 2, 0x108, false);
         let resps = run_until_resp(&mut m, C0, 100);
         assert!(m.now() - t0 <= m.config().l1_lat + 1);
         assert!(matches!(resps[0], CoreResp::ReadResp { class: LatClass::L1, .. }));
@@ -817,7 +800,7 @@ mod tests {
         assert_eq!(m.store_acquire(C0, 9, 0x200), ReqOutcome::Accepted);
         let resps = run_until_resp(&mut m, C0, 1000);
         assert!(matches!(resps[0], CoreResp::StoreReady { seq: 9, .. }));
-        assert!(m.try_store_perform(C0, 1, 0x200, 1234, false, false));
+        assert!(m.try_store_perform(C0, 1, 0x200, 1234));
         assert_eq!(m.backing().load(0x200), 1234);
     }
 
@@ -825,19 +808,19 @@ mod tests {
     fn remote_write_invalidates_reader_with_notice() {
         let mut m = sys(2);
         // Core 0 reads the line.
-        m.read(C0, 1, 0x100, false, false);
+        m.read(C0, 1, 0x100, false);
         run_until_resp(&mut m, C0, 1000);
         // Core 1 writes it.
         m.store_acquire(C1, 2, 0x100);
         run_until_resp(&mut m, C1, 2000);
-        assert!(m.try_store_perform(C1, 1, 0x100, 5, false, false));
+        assert!(m.try_store_perform(C1, 1, 0x100, 5));
         let notices = notices(&mut m, C0);
         assert!(
             notices.contains(&CoreNotice::LineLost { line: 0x100, remote_write: true }),
             "got {notices:?}"
         );
         // Core 0 re-reads and sees the new value.
-        m.read(C0, 3, 0x100, false, false);
+        m.read(C0, 3, 0x100, false);
         let resps = run_until_resp(&mut m, C0, 2000);
         assert!(matches!(resps[0], CoreResp::ReadResp { value: 5, .. }));
     }
@@ -846,7 +829,7 @@ mod tests {
     fn locked_line_blocks_remote_getx_until_unlock() {
         let mut m = sys(2);
         // Core 0 takes the line with lock intent (a performing load_lock).
-        m.read(C0, 1, 0x100, true, true);
+        m.read(C0, 1, 0x100, true);
         let r = run_until_resp(&mut m, C0, 1000);
         assert!(matches!(r[0], CoreResp::ReadResp { locked: true, .. }));
         assert!(m.is_locked(C0, 0x100));
@@ -875,10 +858,11 @@ mod tests {
         let mut m = sys(2);
         m.backing_mut().store(0x300, 10);
         // Atomic on core 0: load_lock reads 10, store_unlock writes 11.
-        m.read(C0, 1, 0x300, true, true);
+        m.read(C0, 1, 0x300, true);
         let r = run_until_resp(&mut m, C0, 1000);
         assert!(matches!(r[0], CoreResp::ReadResp { value: 10, locked: true, .. }));
-        assert!(m.try_store_perform(C0, 3, 0x300, 11, false, true));
+        assert!(m.try_store_perform(C0, 3, 0x300, 11));
+        m.unlock_line(C0, 0x300);
         assert!(!m.is_locked(C0, 0x300));
         assert_eq!(m.backing().load(0x300), 11);
     }
@@ -886,9 +870,9 @@ mod tests {
     #[test]
     fn two_cores_reading_share_the_line() {
         let mut m = sys(2);
-        m.read(C0, 1, 0x100, false, false);
+        m.read(C0, 1, 0x100, false);
         run_until_resp(&mut m, C0, 1000);
-        m.read(C1, 2, 0x100, false, false);
+        m.read(C1, 2, 0x100, false);
         let r = run_until_resp(&mut m, C1, 2000);
         // Remote transfer: core 0 held it exclusively.
         assert!(matches!(r[0], CoreResp::ReadResp { class: LatClass::Remote, .. }));
@@ -904,17 +888,17 @@ mod tests {
         // Core 1 steals the line.
         m.store_acquire(C1, 2, 0x100);
         run_until_resp(&mut m, C1, 2000);
-        assert!(!m.try_store_perform(C0, 1, 0x100, 1, false, false));
-        assert!(m.try_store_perform(C1, 2, 0x100, 2, false, false));
+        assert!(!m.try_store_perform(C0, 1, 0x100, 1));
+        assert!(m.try_store_perform(C1, 2, 0x100, 2));
         assert_eq!(m.backing().load(0x100), 2);
     }
 
     #[test]
     fn stats_track_hit_classes() {
         let mut m = sys(1);
-        m.read(C0, 1, 0x100, false, false);
+        m.read(C0, 1, 0x100, false);
         run_until_resp(&mut m, C0, 1000);
-        m.read(C0, 2, 0x100, false, false);
+        m.read(C0, 2, 0x100, false);
         run_until_resp(&mut m, C0, 100);
         let s = m.stats();
         assert_eq!(s.cores[0].mem_accesses, 1);
@@ -929,13 +913,13 @@ mod tests {
         // park. Progress requires an unlock — exactly what the core-level
         // watchdog provides.
         let mut m = sys(2);
-        m.read(C0, 1, 0x100, true, true);
+        m.read(C0, 1, 0x100, true);
         run_until_resp(&mut m, C0, 1000);
-        m.read(C1, 2, 0x200, true, true);
+        m.read(C1, 2, 0x200, true);
         run_until_resp(&mut m, C1, 1000);
         // Cross requests.
-        m.read(C0, 3, 0x200, true, true);
-        m.read(C1, 4, 0x100, true, true);
+        m.read(C0, 3, 0x200, true);
+        m.read(C1, 4, 0x100, true);
         for _ in 0..2000 {
             m.tick();
         }
@@ -946,8 +930,10 @@ mod tests {
         let r = run_until_resp(&mut m, C1, 2000);
         assert!(matches!(r[0], CoreResp::ReadResp { seq: 4, locked: true, .. }));
         // Core 1 finishes both atomics; core 0 then proceeds.
-        assert!(m.try_store_perform(C1, 3, 0x100, 1, false, true));
-        assert!(m.try_store_perform(C1, 5, 0x200, 1, false, true));
+        assert!(m.try_store_perform(C1, 3, 0x100, 1));
+        m.unlock_line(C1, 0x100);
+        assert!(m.try_store_perform(C1, 5, 0x200, 1));
+        m.unlock_line(C1, 0x200);
         let r = run_until_resp(&mut m, C0, 4000);
         assert!(matches!(r[0], CoreResp::ReadResp { seq: 3, locked: true, .. }));
     }
@@ -959,9 +945,9 @@ mod tests {
         let mut cfg = MemConfig::tiny();
         cfg.audit = crate::AuditConfig::on();
         let mut m = MemorySystem::new(cfg, 2, GuestMem::new(1 << 16));
-        m.read(C0, 1, 0x100, false, false);
+        m.read(C0, 1, 0x100, false);
         run_until_resp(&mut m, C0, 1000);
-        m.read(C1, 2, 0x100, false, false);
+        m.read(C1, 2, 0x100, false);
         run_until_resp(&mut m, C1, 2000);
         m.audit().expect("legal sharing must pass the audit");
         // Corrupt the protocol: core 0 claims write permission while core 1
@@ -981,7 +967,7 @@ mod tests {
         let mut cfg = MemConfig::tiny();
         cfg.audit = crate::AuditConfig::on();
         let mut m = MemorySystem::new(cfg, 1, GuestMem::new(1 << 16));
-        m.read(C0, 1, 0x100, false, false);
+        m.read(C0, 1, 0x100, false);
         run_until_resp(&mut m, C0, 1000);
         m.audit().expect("covered copy must pass the audit");
         corrupt(&mut m, |_, dir| dir.force_drop_entry(0x100));
@@ -1000,7 +986,7 @@ mod tests {
             crate::AuditConfig { max_lock_hold: 10, ..crate::AuditConfig::on() };
         let mut m = MemorySystem::new(cfg, 1, GuestMem::new(1 << 16));
         // A load_lock whose store_unlock never drains: the lock leaks.
-        m.read(C0, 1, 0x100, true, true);
+        m.read(C0, 1, 0x100, true);
         run_until_resp(&mut m, C0, 1000);
         let mut leaked = None;
         for _ in 0..50 {
@@ -1045,7 +1031,7 @@ mod tests {
     fn clean_cycles_age_locks_one_cycle_a_tick_and_trip_at_the_bound() {
         let bound = 20;
         let mut m = audited(bound, MemConfig::tiny());
-        m.read(C0, 1, 0x100, true, false);
+        m.store_acquire(C0, 1, 0x100);
         run_until_resp(&mut m, C0, 1000);
         while m.pending_events() > 0 {
             m.tick();
@@ -1072,7 +1058,7 @@ mod tests {
     fn a_lock_released_and_retaken_in_one_cycle_is_aged_from_the_retake() {
         let bound = 20;
         let mut m = audited(bound, MemConfig::tiny());
-        m.read(C0, 1, 0x100, true, false);
+        m.store_acquire(C0, 1, 0x100);
         run_until_resp(&mut m, C0, 1000);
         while m.pending_events() > 0 {
             m.tick();
@@ -1110,10 +1096,10 @@ mod tests {
         (cfg.l1_sets, cfg.l1_ways, cfg.l2_sets, cfg.l2_ways) = (2, 2, 2, 2);
         let mut m = audited(bound, cfg);
         for (seq, line) in [(1, 0x0), (2, 0x80)] {
-            m.read(C0, seq, line, true, true);
+            m.read(C0, seq, line, true);
             run_until_resp(&mut m, C0, 1000);
         }
-        m.read(C0, 3, 0x100, true, true);
+        m.read(C0, 3, 0x100, true);
         while m.diag().stalled_fills.is_empty() {
             assert!(m.now() < 1000, "the fill never stalled");
             m.tick();
@@ -1134,7 +1120,7 @@ mod tests {
     #[test]
     fn diag_reports_locked_lines_and_busy_state() {
         let mut m = sys(2);
-        m.read(C0, 1, 0x100, true, true);
+        m.read(C0, 1, 0x100, true);
         run_until_resp(&mut m, C0, 1000);
         // Remote GetX parks on the locked line; the dir entry stays busy.
         m.store_acquire(C1, 2, 0x100);
@@ -1164,14 +1150,15 @@ mod tests {
         let mut m = MemorySystem::new(cfg, 2, GuestMem::new(1 << 16));
         for round in 0..6u64 {
             let addr = 0x400 + round * 0x40;
-            m.read(C0, round * 10 + 1, addr, true, true);
+            m.read(C0, round * 10 + 1, addr, true);
             run_until_resp(&mut m, C0, 100_000);
-            m.read(C1, round * 10 + 2, 0x2000 + round * 0x40, false, false);
+            m.read(C1, round * 10 + 2, 0x2000 + round * 0x40, false);
             run_until_resp(&mut m, C1, 100_000);
             assert!(
-                m.try_store_perform(C0, round, addr, round, false, true),
+                m.try_store_perform(C0, round, addr, round),
                 "locked line must stay writable under chaos"
             );
+            m.unlock_line(C0, addr);
             m.audit().expect("invariants must hold under chaos");
         }
         for _ in 0..200_000 {
@@ -1216,13 +1203,13 @@ mod tests {
         cfg.noc = crate::NocConfig::contended(1);
         let mut m = MemorySystem::new(cfg, 2, GuestMem::new(1 << 16));
         m.backing_mut().store(0x100, 77);
-        m.read(C0, 1, 0x100, false, false);
+        m.read(C0, 1, 0x100, false);
         let r = run_until_resp(&mut m, C0, 5000);
         assert!(matches!(r[0], CoreResp::ReadResp { value: 77, .. }));
         // Remote ownership transfer still works under contention.
         m.store_acquire(C1, 2, 0x100);
         run_until_resp(&mut m, C1, 5000);
-        assert!(m.try_store_perform(C1, 1, 0x100, 5, false, false));
+        assert!(m.try_store_perform(C1, 1, 0x100, 5));
         let s = m.stats();
         assert_eq!(s.noc.policy, crate::XbarPolicy::Contended);
         assert_eq!(s.messages, s.noc.net_messages, "flat message count mirrors the NoC");
@@ -1238,7 +1225,7 @@ mod tests {
             let mut cfg = MemConfig::tiny();
             cfg.noc = noc;
             let mut m = MemorySystem::new(cfg, 1, GuestMem::new(1 << 16));
-            m.read(C0, 1, 0x100, false, false);
+            m.read(C0, 1, 0x100, false);
             run_until_resp(&mut m, C0, 5000);
             m.now()
         };
@@ -1259,10 +1246,10 @@ mod tests {
             ..crate::ChaosConfig::default()
         };
         let mut m = MemorySystem::new(cfg, 1, GuestMem::new(1 << 16));
-        assert_eq!(m.read(C0, 1, 0x1000, false, false), ReqOutcome::Accepted);
-        assert_eq!(m.read(C0, 2, 0x2000, false, false), ReqOutcome::Accepted);
+        assert_eq!(m.read(C0, 1, 0x1000, false), ReqOutcome::Accepted);
+        assert_eq!(m.read(C0, 2, 0x2000, false), ReqOutcome::Accepted);
         assert_eq!(
-            m.read(C0, 3, 0x3000, false, false),
+            m.read(C0, 3, 0x3000, false),
             ReqOutcome::Retry,
             "third miss must hit the clamped MSHR limit"
         );

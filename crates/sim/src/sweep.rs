@@ -11,10 +11,10 @@
 //! one.
 //!
 //! The engine is deliberately generic (`jobs: &[J]`, `f: Fn(usize, &J) ->
-//! R`) so the grid campaigns (`fa_bench::sweep`), the single-run tables
-//! and the fuzz campaign all ride the same worker pool. Workers pull the next cell from
-//! a shared atomic cursor (work stealing by index), so long cells do not
-//! convoy short ones.
+//! R`) so the grid campaigns (`fa_bench::sweep`), the ablation grid and
+//! the fuzz campaign all ride the same worker pool. Workers pull the next
+//! cell from a shared atomic cursor (work stealing by index), so long cells
+//! do not convoy short ones.
 //!
 //! Scoped threads come from `std::thread::scope` — the standard library's
 //! take on crossbeam's scoped threads — so borrowed jobs and closures need
