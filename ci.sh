@@ -92,13 +92,37 @@ test "$(grep -c 'blocked_by_fence(' crates/core/src/core.rs)" -eq 1
 ! grep -nE 'fn (speculatively_bound|squash_performed_loads_on|weak_squash_required)\b' \
     crates/core/src/core.rs || exit 1
 # One clock: the idle skip, the stall skip and fast-forward stay folded into
-# `Core::due`, `Core::skip` and the one jump, and `skip` credits the leaf
-# `account_cycle` takes (`cycle_leaf`), never one it builds itself.
+# `Core::due`, `Core::skip` and the one jump. Every credited cycle takes the
+# leaf `account_cycle` takes (`cycle_leaf`), read by `Core::stall_leaf`:
+# neither `skip` nor the machine's bulk credit names a leaf of its own, and
+# every leaf a lane records is a `stall_leaf`.
 ! grep -rnE 'fn (core_skippable|try_fast_forward|idle_skippable|credit_idle_cycles|stall_cycle)\b' crates || exit 1
 sed -n '/pub fn skip(/,/^    }$/p' crates/core/src/core.rs > target/skip_fn.txt
-grep -q 'self\.cycle_leaf(' target/skip_fn.txt
+grep -q 'self\.stats\.cpi\.add(leaf, n)' target/skip_fn.txt
 ! grep -n 'CpiLeaf::' target/skip_fn.txt || exit 1
+sed -n '/pub fn stall_leaf(/,/^    }$/p' crates/core/src/core.rs | grep -q 'self\.cycle_leaf(false, mem)'
 sed -n '/fn account_cycle(/,/^    }$/p' crates/core/src/core.rs | grep -q 'self\.cycle_leaf('
+sed '/#\[cfg(test)\]/,$d' crates/sim/src/machine.rs > target/machine_src.txt
+! grep -n 'CpiLeaf::' target/machine_src.txt || exit 1
+grep -q 'leaf = .*stall_leaf(' target/machine_src.txt
+test "$(grep -E '\.leaf = ' target/machine_src.txt | grep -vc 'stall_leaf(')" -eq 0
+# One retire rule (`Core::head_retires`): the store-buffer hold of an RMW or
+# an ordering fence is written once, in `held_by_sb`, which commit, the stall
+# horizon, the debug stall oracle and the cycle leaf all go through.
+sed '/#\[cfg(test)\]/,$d' crates/core/src/core.rs > target/core_src.txt
+test "$(grep -c 'Fence(FenceKind::Standalone)' target/core_src.txt)" -eq 1
+test "$(grep -c 'fn held_by_sb(' target/core_src.txt)" -eq 1
+test "$(grep -c 'head_retires()' target/core_src.txt)" -eq 3
+! grep -n 'head\.done)' target/core_src.txt || exit 1
+# The memory system calls into a cache only when something happened to it:
+# its tick retries exactly the caches an unlock made due (a mask, not a walk
+# of every cache), and no jump re-clocks every cache.
+sed -n '/    pub fn tick(&mut self) {/,/^    }$/p' crates/mem/src/system.rs > target/mem_tick_fn.txt
+grep -q 'self\.retry_due' target/mem_tick_fn.txt
+! grep -n 'caches' target/mem_tick_fn.txt || exit 1
+! grep -n 'any(PrivCache::retry_due)' crates/mem/src/system.rs || exit 1
+sed -n '/    pub fn skip_to(/,/^    }$/p' crates/mem/src/system.rs | grep -q 'self\.now = cycle'
+! sed -n '/    pub fn skip_to(/,/^    }$/p' crates/mem/src/system.rs | grep -n 'caches' || exit 1
 # Audited chaos runs jump too: storms and the lock-hold bound are clock
 # events, so the crossbar keeps no fast-forward test of its own and the jump
 # never asks whether the auditor is armed.

@@ -360,23 +360,33 @@ impl Core {
         }
     }
 
-    /// Credits the `n` cycles ending at `mem.now()`, each before
-    /// [`Core::due`] with no memory traffic for the core, exactly as `n`
-    /// ticks would: nothing for a halted core; cycles and sleep cycles for
-    /// a sleeper; cycles, the AQ-full fetch stall and the watchdog count
-    /// for a stalled core. Every cycle takes the leaf a tick would, so a
-    /// driver crediting a span in bulk must keep the leaf's memory-side
-    /// probes constant across it.
-    pub fn skip(&mut self, n: u64, mem: &MemorySystem) {
+    /// The leaf a cycle before [`Core::due`] with no memory traffic for the
+    /// core takes at `mem.now()`: the `cycle_leaf` of a cycle that commits
+    /// nothing, which [`Core::skip`] credits. Its only memory-side inputs
+    /// are the core's directory-allocation wait and its link backpressure,
+    /// so it holds until one of those moves. Debug builds re-derive from a
+    /// ROB scan that a running core's step would find nothing to do.
+    pub fn stall_leaf(&self, mem: &MemorySystem) -> CpiLeaf {
+        #[cfg(debug_assertions)]
+        if self.state == CoreState::Running {
+            let stalls = self.step_would_stall(mem.now(), mem);
+            assert!(stalls, "core {} skipped with work at {}", self.id.0, mem.now());
+        }
+        self.cycle_leaf(false, mem)
+    }
+
+    /// Credits `n` cycles, each before [`Core::due`] with no memory traffic
+    /// for the core and each taking `leaf` (its
+    /// [`stall_leaf`](Self::stall_leaf)), exactly as `n` ticks would:
+    /// nothing for a halted core; cycles and sleep cycles for a sleeper;
+    /// cycles, the AQ-full fetch stall and the watchdog count for a
+    /// stalled core. Nothing else the credit reads changes between steps,
+    /// so a driver may credit a span when it next steps the core.
+    pub fn skip(&mut self, n: u64, leaf: CpiLeaf) {
         match self.state {
             CoreState::Halted => return,
             CoreState::Sleeping { .. } => self.stats.sleep_cycles += n,
             CoreState::Running => {
-                #[cfg(debug_assertions)]
-                {
-                    let stalls = self.step_would_stall(mem.now(), mem);
-                    assert!(stalls, "core {} skipped with work", self.id.0);
-                }
                 if self.fetch_blocked == Some(FetchLimit::Aq) {
                     self.stats.aq_full_stalls += n;
                 }
@@ -385,7 +395,7 @@ impl Core {
             }
         }
         self.stats.cycles += n;
-        self.stats.cpi.add(self.cycle_leaf(false, mem), n);
+        self.stats.cpi.add(leaf, n);
     }
 
     /// The core's id.
@@ -453,7 +463,7 @@ impl Core {
             && !mem.has_core_traffic(self.id)
             && nothing_to_do
             && self.sb_waits_for_cache(mem)
-            && !self.rob.front().is_some_and(|head| head.done)
+            && !self.head_retires()
             && fetch_stopped
             && !watchdog_due
     }
@@ -481,7 +491,8 @@ impl Core {
         // Sleeping: an idle cycle that drains the SB and watches for the
         // wake condition.
         if let CoreState::Sleeping { line, wake_at, resume_pc } = self.state {
-            self.skip(1, mem);
+            let leaf = self.stall_leaf(mem);
+            self.skip(1, leaf);
             debug_assert!(self.rob.is_empty());
             self.handle_responses(responses, now, mem);
             self.drain_store_buffer(now, mem);
@@ -538,7 +549,7 @@ impl Core {
     /// differ from this one with no memory traffic in between, when this
     /// one left nothing to do — no list holds work (blocked loads wait for
     /// an event, which only such a step raises), the store buffer waits for
-    /// its cache, the ROB head cannot commit and fetch cannot dispatch.
+    /// its cache, the ROB head cannot retire and fetch cannot dispatch.
     /// Zero otherwise.
     fn stall_horizon(&self, now: u64, mem: &MemorySystem) -> u64 {
         let fetch_resumes = if self.fetch_barrier.is_some() || self.fetch_blocked.is_some() {
@@ -551,7 +562,7 @@ impl Core {
         if self.state != CoreState::Running
             || !self.sched.idle()
             || !self.sb_waits_for_cache(mem)
-            || self.rob.front().is_some_and(|head| head.done)
+            || self.head_retires()
         {
             return 0;
         }
@@ -588,14 +599,13 @@ impl Core {
         } else {
             let head = self.rob.front().expect("nonempty");
             let is_ll = matches!(head.uop.kind, UopKind::LoadLock { .. });
-            if head.done && is_ll && !self.sb.is_empty() {
-                // store→RMW commit order (§3.2.3): the atomic waits on the
-                // store buffer.
-                CpiLeaf::SbDrain
-            } else if matches!(head.uop.kind, UopKind::Fence(FenceKind::Standalone))
-                && !self.sb.is_empty()
-            {
-                CpiLeaf::FenceDrain
+            if head.done && self.held_by_sb(head) {
+                // store→RMW commit order (§3.2.3) or a draining fence.
+                if is_ll {
+                    CpiLeaf::SbDrain
+                } else {
+                    CpiLeaf::FenceDrain
+                }
             } else if head.load == LoadState::InFlight {
                 if mem.core_alloc_waiting(self.id) {
                     CpiLeaf::DirAllocWait
@@ -1273,13 +1283,33 @@ impl Core {
 
     // -------------------------------------------------------------- commit
 
+    /// True when `e` waits for the store buffer to drain before it may
+    /// retire: store→RMW order (§3.2.3) holds an atomic until every older
+    /// store has drained, and MFENCE orders store→load. Under the weak
+    /// model only an SC fence restores W→R; weaker fences are pipeline
+    /// reorder barriers that retire without waiting on the store buffer.
+    fn held_by_sb(&self, e: &Entry) -> bool {
+        !self.sb.is_empty()
+            && match e.uop.kind {
+                UopKind::LoadLock { .. } => true,
+                UopKind::Fence(FenceKind::Standalone) => {
+                    self.cfg.model == MemModel::Tso || e.uop.ord.is_sc()
+                }
+                _ => false,
+            }
+    }
+
+    /// The one retire rule, which commit, the stall horizon and the cycle
+    /// leaf all read: the ROB head can retire when it is done and not held
+    /// behind the store buffer.
+    fn head_retires(&self) -> bool {
+        self.rob.front().is_some_and(|head| head.done && !self.held_by_sb(head))
+    }
+
     fn commit(&mut self, now: u64, mem: &mut MemorySystem) {
         let mut budget = self.cfg.commit_width;
-        while budget > 0 {
-            let Some(head) = self.rob.front() else { break };
-            if !head.done {
-                break;
-            }
+        while budget > 0 && self.head_retires() {
+            let head = self.rob.front().expect("a retiring head");
             let uop = head.uop;
             let seq = head.seq;
             assert!(
@@ -1288,24 +1318,6 @@ impl Core {
                  workload bug",
                 self.id, head.addr, uop.pc
             );
-            match uop.kind {
-                UopKind::LoadLock { .. }
-                    // store→RMW order (§3.2.3): the atomic may only commit
-                    // once every older store has drained.
-                    if !self.sb.is_empty() => {
-                        break;
-                    }
-                UopKind::Fence(FenceKind::Standalone)
-                    // MFENCE orders store→load: drain first. Under the weak
-                    // model only an SC fence restores W→R; weaker fences
-                    // are pipeline reorder barriers that commit without
-                    // waiting on the store buffer.
-                    if !self.sb.is_empty()
-                        && (self.cfg.model == MemModel::Tso || uop.ord.is_sc()) => {
-                        break;
-                    }
-                _ => {}
-            }
             // Retire by reference: take what retirement reads and drop the
             // head where it lies.
             let (result, addr, writer, load) = (head.result, head.addr, head.writer, head.load);

@@ -119,6 +119,11 @@ pub struct Directory {
     /// when the rescue valve fires. Keyed lookups only, so the guard never
     /// affects event ordering.
     pub(crate) alloc_guard: ProgressGuard<(CoreId, Line)>,
+    /// Cores whose allocation wait ([`Directory::core_alloc_waiting`])
+    /// began since the system last took the mask. A wait ends only where
+    /// its request allocates, which grants to the requester in the same
+    /// call.
+    pub(crate) alloc_moved: u64,
     /// Active rescue reservation: the next way freed in this request's set
     /// is reserved for it alone. See [`ALLOC_RESCUE_THRESHOLD`].
     alloc_rescue: Option<(CoreId, Line)>,
@@ -150,6 +155,7 @@ impl Directory {
             mem_lat: cfg.mem_lat,
             stats: DirStats::default(),
             alloc_guard: ProgressGuard::new(ALLOC_POLICY),
+            alloc_moved: 0,
             alloc_rescue: None,
             rescue_absent: 0,
             now: 0,
@@ -385,6 +391,9 @@ impl Directory {
         }
         self.stats.alloc_waits += 1;
         let polls = self.alloc_guard.note_attempt(key);
+        if polls == 1 {
+            self.alloc_moved |= bit(req.from);
+        }
         if self.alloc_guard.needs_rescue(polls) && self.alloc_rescue.is_none() {
             self.alloc_rescue = Some(key);
             self.rescue_absent = 0;

@@ -154,9 +154,12 @@ pub struct PrivCache {
     mshr_cap: usize,
     l1_lat: Cycle,
     l2_lat: Cycle,
-    /// Current cycle, refreshed by [`PrivCache::retry_stalled_fills`] at the
-    /// top of every system tick (used for stall aging and hold windows).
+    /// Current cycle, set by the system each time it calls in (used for
+    /// stall aging and hold windows).
     now: Cycle,
+    /// A hold opened or closed since the system last took the flag: the
+    /// auditor's lock-hold horizon moves only then.
+    pub(crate) locks_moved: bool,
     /// Per-line `(acquisitions, total hold cycles)` since reset, feeding
     /// the hottest-locked-line report.
     pub(crate) lock_acct: FxHashMap<Line, (u64, u64)>,
@@ -189,16 +192,16 @@ impl PrivCache {
             l1_lat: cfg.l1_lat,
             l2_lat: cfg.l2_lat,
             now: 0,
+            locks_moved: false,
             lock_acct: FxHashMap::default(),
             trace: TraceBuf::new(&cfg.trace),
             stats: CoreMemStats::default(),
         }
     }
 
-    /// Sets the controller clock (the system calls this before dispatching
-    /// work outside the per-tick [`PrivCache::retry_stalled_fills`] refresh,
-    /// e.g. during fast-forward, so hold windows and event timestamps stay
-    /// accurate).
+    /// Sets the controller clock (the system calls this before every call
+    /// into the controller, so hold windows and event timestamps read the
+    /// cycle of the call).
     pub(crate) fn set_now(&mut self, now: Cycle) {
         self.now = now;
     }
@@ -368,6 +371,7 @@ impl PrivCache {
         *cnt += 1;
         let cnt = *cnt;
         if cnt == 1 {
+            self.locks_moved = true;
             self.lock_acct.entry(line).or_insert((0, 0)).0 += 1;
         }
         self.trace.record(self.now, TraceEvent::LockAcquire { line, count: cnt });
@@ -386,6 +390,7 @@ impl PrivCache {
         if *cnt == 0 {
             let held = self.now.saturating_sub(*since);
             self.locks.remove(&line);
+            self.locks_moved = true;
             self.stats.lock_hold_hist.record(held);
             self.lock_acct.entry(line).or_insert((0, 0)).1 += held;
             self.trace.record(self.now, TraceEvent::LockRelease { line, held });
@@ -464,16 +469,16 @@ impl PrivCache {
         }
     }
 
-    /// Sets the clock, then retries the fills stalled on all-ways-locked
-    /// sets if an unlock since the last call may have freed a way. Called
-    /// once per cycle by the system with the current time.
+    /// Retries the fills stalled on all-ways-locked sets if an unlock since
+    /// the last call may have freed a way. The system calls it on the tick
+    /// after such an unlock ([`PrivCache::retry_due`]).
     ///
     /// A way in an all-locked set frees only on an unlock, so a retry at
     /// any other time would fail. The queue is serviced strictly
     /// oldest-first; the longest observed stall is tracked in
     /// `stats.max_fill_stall`.
-    pub(crate) fn retry_stalled_fills(&mut self, now: Cycle, out: &mut Vec<Action>) {
-        self.now = now;
+    pub(crate) fn retry_stalled_fills(&mut self, out: &mut Vec<Action>) {
+        let now = self.now;
         if !std::mem::take(&mut self.retry_due) {
             return;
         }
@@ -875,7 +880,7 @@ mod tests {
         // Unlock one way; the retry succeeds.
         c.unlock(0, &mut out);
         out.clear();
-        c.retry_stalled_fills(0, &mut out);
+        c.retry_stalled_fills(&mut out);
         assert!(out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })));
     }
 
@@ -901,7 +906,8 @@ mod tests {
         // 1000 cycles with the set still fully locked: nothing can free a
         // way, so nothing retries.
         for now in 1..=1000u64 {
-            c.retry_stalled_fills(now, &mut out);
+            c.set_now(now);
+            c.retry_stalled_fills(&mut out);
         }
         assert_eq!(c.fill_guard.attempts_max, 0, "no retry while the set stays locked");
         assert!(!c.retry_due());
@@ -909,7 +915,8 @@ mod tests {
         c.unlock(0, &mut out);
         assert!(c.retry_due());
         out.clear();
-        c.retry_stalled_fills(1001, &mut out);
+        c.set_now(1001);
+        c.retry_stalled_fills(&mut out);
         assert!(
             out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })),
             "freed way must be claimed on the tick after the unlock"

@@ -93,6 +93,19 @@ pub struct MemorySystem {
     /// Set by every path that can change what a sweep reads (`with_cache`,
     /// `with_dir`); a sweep clears it unless a fill retry is due.
     changed_since_sweep: bool,
+    /// One bit per core: set whenever the system changes what that core
+    /// sees — a queued response or notice, a call into its cache, a send
+    /// on its links, or the start of a directory-allocation wait for its
+    /// request (the wait ends with a grant sent to it). The machine driver
+    /// clears a core's bit when it visits the core
+    /// ([`MemorySystem::untouch`]).
+    touched: u64,
+    /// One bit per cache whose stalled-fill retry an unlock made due
+    /// ([`PrivCache::retry_due`]); the next tick calls exactly these.
+    retry_due: u64,
+    /// The cycle the oldest live lock trips the auditor's hold bound
+    /// (audited only), recomputed when a hold opens or closes.
+    leak_at: Option<Cycle>,
     /// Buffers every call reuses, so no access, cycle or sweep allocates:
     /// the actions a controller call emits (drained onto the interconnect
     /// before the call returns) and the audit's `(line, core, writable)`
@@ -121,6 +134,7 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates a memory system for `n_cores` cores over `backing`.
     pub fn new(cfg: MemConfig, n_cores: usize, backing: GuestMem) -> MemorySystem {
+        assert!(n_cores <= 64, "core masks are 64 bits wide: {n_cores} cores");
         let chaos = ChaosEngine::new(cfg.chaos.clone());
         // Fault injection may clamp the effective MSHR count.
         let mut cache_cfg = cfg.clone();
@@ -135,6 +149,9 @@ impl MemorySystem {
             now: 0,
             noc: Xbar::new(&cfg, n_cores, chaos),
             changed_since_sweep: true,
+            touched: 0,
+            retry_due: 0,
+            leak_at: None,
             acts: Vec::new(),
             dout: Vec::new(),
             audit_copies: Vec::new(),
@@ -186,13 +203,14 @@ impl MemorySystem {
                 self.noc.chaos.stats.storm_evictions += evicted;
             }
         }
-        // Retry fills stalled on all-ways-locked sets.
-        let mut acts = std::mem::take(&mut self.acts);
-        for i in 0..self.caches.len() {
-            self.caches[i].retry_stalled_fills(self.now, &mut acts);
-            self.apply_cache_actions(i, &mut acts);
+        // Retry fills stalled on all-ways-locked sets, in cache order, where
+        // an unlock freed a way.
+        let mut due = std::mem::take(&mut self.retry_due);
+        while due != 0 {
+            let i = due.trailing_zeros() as usize;
+            due &= due - 1;
+            self.with_cache(i, PrivCache::retry_stalled_fills);
         }
-        self.acts = acts;
         while let Some((sent, ev)) = self.noc.pop_due(self.now) {
             self.process(sent, ev);
         }
@@ -227,6 +245,7 @@ impl MemorySystem {
                 } else {
                     0
                 };
+                self.touched |= 1 << core.index();
                 self.outbox[core.index()].push(CoreResp::ReadResp {
                     seq,
                     addr,
@@ -240,6 +259,7 @@ impl MemorySystem {
                 });
             }
             NocEv::StoreReady { core, seq, line } => {
+                self.touched |= 1 << core.index();
                 self.outbox[core.index()].push(CoreResp::StoreReady { seq, line });
             }
         }
@@ -256,6 +276,7 @@ impl MemorySystem {
         for a in actions.drain(..) {
             match a {
                 DirAction::ToL1 { core, msg, extra } => {
+                    self.touched |= 1 << core.index();
                     self.noc.send(self.now, extra, NocEv::ToL1(core, msg));
                 }
                 DirAction::Redispatch(req) => {
@@ -310,13 +331,14 @@ impl MemorySystem {
         self.changed_since_sweep = true;
         let mut out = std::mem::take(&mut self.dout);
         let r = f(&mut self.dir, &mut out);
+        self.touched |= std::mem::take(&mut self.dir.alloc_moved);
         self.apply_dir_actions(&mut out);
         self.dout = out;
         r
     }
 
-    /// Calls `f` on `core`'s cache controller with the (empty) action
-    /// buffer and routes what it emitted.
+    /// Calls `f` on `core`'s cache controller, clocked to now, with the
+    /// (empty) action buffer and routes what it emitted.
     fn with_cache<R>(
         &mut self,
         core: usize,
@@ -324,10 +346,35 @@ impl MemorySystem {
     ) -> R {
         self.changed_since_sweep = true;
         let mut out = std::mem::take(&mut self.acts);
-        let r = f(&mut self.caches[core], &mut out);
+        let r = f(self.cache(core), &mut out);
         self.apply_cache_actions(core, &mut out);
         self.acts = out;
+        self.called(core);
         r
+    }
+
+    /// `core`'s cache, clocked to now, for a call that may change it.
+    fn cache(&mut self, core: usize) -> &mut PrivCache {
+        self.touched |= 1 << core;
+        let c = &mut self.caches[core];
+        c.set_now(self.now);
+        c
+    }
+
+    /// After a call into `core`'s cache: notes a stalled-fill retry the
+    /// call made due, and recomputes the lock-hold horizon if a hold
+    /// opened or closed.
+    fn called(&mut self, core: usize) {
+        let c = &mut self.caches[core];
+        if c.retry_due() {
+            self.retry_due |= 1 << core;
+        }
+        if std::mem::take(&mut c.locks_moved) && self.cfg.audit.enabled {
+            let opened =
+                self.caches.iter().flat_map(|c| c.locks_iter().map(|(.., at)| at)).min();
+            let bound = self.cfg.audit.max_lock_hold;
+            self.leak_at = opened.map(|at| at.saturating_add(bound).saturating_add(1));
+        }
     }
 
     // ---- Core-facing port (called during the core's tick) ----
@@ -397,7 +444,8 @@ impl MemorySystem {
     /// The cache's lock record is all it changes, and the audit reads that
     /// every cycle, so it marks no sweep.
     pub fn lock_line(&mut self, core: CoreId, line: Line) {
-        self.caches[core.index()].lock(line);
+        self.cache(core.index()).lock(line);
+        self.called(core.index());
     }
 
     /// Releases one lock count on `line`; at zero, parked external requests
@@ -452,6 +500,20 @@ impl MemorySystem {
         !self.outbox[core.index()].is_empty() || !self.notices[core.index()].is_empty()
     }
 
+    /// The cores (bit `i` for core `i`) the system touched since the driver
+    /// last [`untouch`](Self::untouch)ed them. Between a core's steps only
+    /// a touch changes what the core reads of memory: its traffic, its
+    /// cache, its link backpressure horizon and its directory-allocation
+    /// wait.
+    pub fn touched(&self) -> u64 {
+        self.touched
+    }
+
+    /// Clears `core`'s touched bit (the driver has just visited it).
+    pub fn untouch(&mut self, core: CoreId) {
+        self.touched &= !(1 << core.index());
+    }
+
     /// The earliest cycle at which the memory system acts on its own: an
     /// in-flight protocol event, the next back-invalidation storm, or —
     /// audited only — the cycle at which the longest-held lock would trip
@@ -459,13 +521,7 @@ impl MemorySystem {
     /// cycle the caches record. Between ticks nothing else changes what a
     /// tick or an audit would do.
     pub fn next_event_at(&self) -> Option<Cycle> {
-        let leak = if self.cfg.audit.enabled {
-            let opened = self.caches.iter().flat_map(|c| c.locks_iter().map(|(.., at)| at)).min();
-            opened.map(|at| at.saturating_add(self.cfg.audit.max_lock_hold).saturating_add(1))
-        } else {
-            None
-        };
-        [self.noc.next_at(), self.noc.chaos.next_storm_after(self.now), leak]
+        [self.noc.next_at(), self.noc.chaos.next_storm_after(self.now), self.leak_at]
             .into_iter()
             .flatten()
             .min()
@@ -476,7 +532,7 @@ impl MemorySystem {
     /// unlock has made a stalled-fill retry due at the next tick. The
     /// machine driver jumps `now` only while this holds.
     pub fn fast_forwardable(&self) -> bool {
-        !self.caches.iter().any(PrivCache::retry_due)
+        self.retry_due == 0
     }
 
     /// Jumps the clock to `cycle` without processing the intervening
@@ -494,12 +550,9 @@ impl MemorySystem {
         );
         debug_assert!(self.fast_forwardable(), "skip_to requires a pure clock advance");
         self.now = cycle;
-        // Keep controller trace clocks in step across the skipped span so
-        // lock-hold and fill-stall attributions stay cycle-accurate.
+        // Caches are clocked when called; the directory's trace clock is
+        // kept in step.
         self.dir.set_now(cycle);
-        for c in &mut self.caches {
-            c.set_now(cycle);
-        }
     }
 
     /// The first cycle at which none of `core`'s interconnect links is
@@ -638,7 +691,7 @@ impl MemorySystem {
             }
         }
         // A fill retry an unlock made due changes a cache at the next tick.
-        self.changed_since_sweep = self.caches.iter().any(PrivCache::retry_due);
+        self.changed_since_sweep = self.retry_due != 0;
         Ok(())
     }
 

@@ -6,7 +6,9 @@ use fa_core::{Core, CoreConfig, CoreDiag, CoreStats};
 use fa_isa::interp::GuestMem;
 use fa_isa::Program;
 use fa_mem::{CoreId, MemConfig, MemDiag, MemStats, MemorySystem};
-use fa_trace::{chrome_trace, CheckMode, Counter, FlightEntry, MemModel, TraceMode, TraceRecord};
+use fa_trace::{
+    chrome_trace, CheckMode, Counter, CpiLeaf, FlightEntry, MemModel, TraceMode, TraceRecord,
+};
 use std::cell::Cell;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -154,6 +156,32 @@ impl RunResult {
     }
 }
 
+/// What the cycle loop keeps of one core between its visits.
+#[derive(Clone, Copy, Debug)]
+struct Lane {
+    /// The cycle the core must be visited at even if memory does not touch
+    /// it first: its first cycle, then the earlier of its [`Core::due`] and
+    /// the end of its link backpressure (the next cycle with traffic
+    /// queued, or with the fast paths off).
+    wake: u64,
+    /// The [`Core::stall_leaf`] read at the last visit, when the core was
+    /// left to wait: every cycle before `wake` takes it.
+    leaf: Option<CpiLeaf>,
+    /// The last cycle the core was stepped at or credited for.
+    settled: u64,
+    /// Site `core-commit`: `(instructions, cycle)` at the core's last
+    /// observed commit, or its first cycle, and the cycle it trips the
+    /// no-commit bound at (never while halted or asleep).
+    commit: (u64, u64),
+    trips: u64,
+}
+
+impl Lane {
+    fn new(offset: u64) -> Lane {
+        Lane { wake: offset + 1, leaf: None, settled: offset, commit: (0, 0), trips: u64::MAX }
+    }
+}
+
 /// A multicore machine ready to run one workload.
 pub struct Machine {
     mem: MemorySystem,
@@ -166,9 +194,16 @@ pub struct Machine {
     /// default; switched off only by differential tests proving it
     /// preserves results).
     fast_paths: bool,
-    /// Cycles of stalled running cores credited by [`Core::skip`] (tests;
-    /// not a statistic).
+    /// Cycles of stalled running cores credited by [`Core::skip`] so far
+    /// (tests; not a statistic).
     skipped_core_ticks: u64,
+    /// Per core, what the loop knows between visits.
+    lanes: Vec<Lane>,
+    /// Cores not yet halted with an empty store buffer.
+    live: usize,
+    /// A cycle no core trips `core-commit` before: the least `trips` when
+    /// last computed, lowered as cores start waiting again.
+    deadline: u64,
 }
 
 impl fmt::Debug for Machine {
@@ -208,6 +243,9 @@ impl Machine {
             model,
             fast_paths: true,
             skipped_core_ticks: 0,
+            lanes: vec![Lane::new(0); n],
+            live: n,
+            deadline: u64::MAX,
         }
     }
 
@@ -218,7 +256,11 @@ impl Machine {
     /// statistics); with them off every started core steps every cycle, the
     /// reference the differential tests compare against.
     pub fn set_fast_paths(&mut self, on: bool) {
+        self.settle();
         self.fast_paths = on;
+        for (lane, &offset) in self.lanes.iter_mut().zip(&self.start_offsets) {
+            lane.wake = offset.max(self.now) + 1;
+        }
     }
 
     /// Delays each core's first cycle by the given offset — the analogue of
@@ -226,6 +268,8 @@ impl Machine {
     /// state" (§5.1).
     pub fn set_start_offsets(&mut self, offsets: Vec<u64>) {
         assert_eq!(offsets.len(), self.cores.len());
+        assert_eq!(self.now, 0, "start offsets are set before the first cycle");
+        self.lanes = offsets.iter().map(|&offset| Lane::new(offset)).collect();
         self.start_offsets = offsets;
     }
 
@@ -241,79 +285,160 @@ impl Machine {
 
     /// Cycles of stalled running cores credited instead of stepped (tests;
     /// sleepers' cycles are not counted): zero with the fast paths off.
+    /// Counts the cycles of cores waiting to be credited too.
     pub fn skipped_core_ticks(&self) -> u64 {
-        self.skipped_core_ticks
+        let waiting = self.cores.iter().zip(&self.lanes).map(|(c, lane)| {
+            u64::from(!c.halted() && !c.sleeping()) * self.now.saturating_sub(lane.settled)
+        });
+        self.skipped_core_ticks + waiting.sum::<u64>()
     }
 
     /// True once every core has halted and every buffered store has
     /// performed.
     pub fn quiesced(&self) -> bool {
-        self.cores.iter().all(|c| c.halted() && c.sb_len() == 0)
+        self.live == 0
     }
 
     /// Advances exactly one cycle. With the fast paths on, a started core
-    /// with no memory traffic queued for it is credited by [`Core::skip`]
-    /// instead of stepped while the cycle is before its [`Core::due`], so
-    /// the statistics stay bit-identical to the always-tick loop.
+    /// is visited only when memory touched it ([`MemorySystem::touched`])
+    /// or its wake cycle came: then it is stepped, or credited one cycle by
+    /// [`Core::skip`] while the cycle is before its [`Core::due`] and no
+    /// memory traffic is queued for it. Every other core is left alone and
+    /// credited in bulk, with the leaf its last visit read, when it is
+    /// next visited or the machine settles, so the statistics stay
+    /// bit-identical to the always-tick loop.
     pub fn tick(&mut self) {
         self.now += 1;
         self.mem.tick();
-        for (c, &offset) in self.cores.iter_mut().zip(&self.start_offsets) {
-            if self.now <= offset {
+        for i in 0..self.cores.len() {
+            if self.now < self.lanes[i].wake && self.mem.touched() & (1 << i) == 0 {
+                #[cfg(debug_assertions)]
+                self.check_left_alone(i);
                 continue;
             }
-            if self.fast_paths
-                && self.now < c.due(&self.mem)
-                && !self.mem.has_core_traffic(c.id())
-            {
-                self.skipped_core_ticks += u64::from(!c.halted() && !c.sleeping());
-                c.skip(1, &self.mem);
+            self.visit(i);
+        }
+    }
+
+    /// Steps core `i` at `now`, or credits it the cycle when it can do
+    /// nothing in it, after crediting the cycles it was left alone; then
+    /// records its wake cycle and leaf, its part of the quiescence count
+    /// and its `core-commit` trip cycle.
+    fn visit(&mut self, i: usize) {
+        let now = self.now;
+        debug_assert!(now > self.start_offsets[i], "core {i} touched before its first cycle");
+        self.credit(i, now - 1);
+        let (c, lane) = (&mut self.cores[i], &mut self.lanes[i]);
+        let id = c.id();
+        let parked = c.halted() || c.sleeping();
+        let was_live = !(c.halted() && c.sb_len() == 0);
+        if self.fast_paths && now < c.due(&self.mem) && !self.mem.has_core_traffic(id) {
+            self.skipped_core_ticks += u64::from(!parked);
+            let leaf = c.stall_leaf(&self.mem);
+            c.skip(1, leaf);
+        } else {
+            c.tick(now, &mut self.mem);
+        }
+        self.mem.untouch(id);
+        lane.settled = now;
+        lane.wake = if !self.fast_paths || self.mem.has_core_traffic(id) {
+            now + 1
+        } else {
+            // The leaf reads `backpressure_ends > now`, which turns at the
+            // end of the backpressure.
+            let ends = self.mem.backpressure_ends(id);
+            c.due(&self.mem).min(if ends > now { ends } else { u64::MAX })
+        };
+        lane.leaf = (lane.wake > now + 1).then(|| c.stall_leaf(&self.mem));
+        self.live -= usize::from(was_live && c.halted() && c.sb_len() == 0);
+        let prog = self.mem.config().progress;
+        if prog.enabled {
+            let instructions = c.stats.instructions;
+            if c.halted() || c.sleeping() {
+                lane.commit = (instructions, now);
+                lane.trips = u64::MAX;
             } else {
-                c.tick(self.now, &mut self.mem);
+                // A core that woke this cycle has waited since the last.
+                if parked {
+                    lane.commit.1 = now - 1;
+                }
+                if instructions != lane.commit.0 {
+                    lane.commit = (instructions, now);
+                }
+                lane.trips = lane.commit.1.saturating_add(prog.stall_cycles).saturating_add(1);
+                self.deadline = self.deadline.min(lane.trips);
             }
         }
     }
 
+    /// Credits core `i` every cycle after its last visit up to `upto` with
+    /// the leaf that visit read.
+    fn credit(&mut self, i: usize, upto: u64) {
+        let lane = &mut self.lanes[i];
+        let n = upto.saturating_sub(lane.settled);
+        if n > 0 {
+            let c = &mut self.cores[i];
+            self.skipped_core_ticks += u64::from(!c.halted() && !c.sleeping()) * n;
+            c.skip(n, lane.leaf.expect("a core left alone has a recorded leaf"));
+            lane.settled = upto;
+        }
+    }
+
+    /// Credits every core up to `now`, before a snapshot is taken or the
+    /// loop changes.
+    fn settle(&mut self) {
+        for i in 0..self.cores.len() {
+            self.credit(i, self.now);
+        }
+    }
+
+    /// Debug builds: a core the loop leaves alone at `now` has no traffic
+    /// queued, is not due, and its recorded leaf is the one a fresh read
+    /// gives (which also re-derives, from a ROB scan, that a running core
+    /// has nothing to do).
+    #[cfg(debug_assertions)]
+    fn check_left_alone(&self, i: usize) {
+        let (c, now) = (&self.cores[i], self.now);
+        if now <= self.start_offsets[i] {
+            return;
+        }
+        assert!(!self.mem.has_core_traffic(c.id()), "core {i} left alone with traffic at {now}");
+        assert!(now < c.due(&self.mem), "core {i} left alone past its due cycle at {now}");
+        let fresh = c.stall_leaf(&self.mem);
+        assert_eq!(self.lanes[i].leaf, Some(fresh), "core {i} left alone on a stale leaf at {now}");
+    }
+
     /// Jumps over the cycles before the earliest at which anything can
-    /// happen, crediting every started core with [`Core::skip`], and says
-    /// whether it moved. `now` lands one cycle before the minimum of
-    /// `limit`, the next memory event (a delivery, a chaos storm, or the
-    /// cycle a held lock would trip the auditor's lock-hold bound), each
-    /// unstarted core's first cycle, each started core's `due` and the end
-    /// of its link backpressure — the one memory-side input of a cycle's
-    /// leaf that changes with no event, so each core's leaf holds across
-    /// the span. Only with the fast paths on, a memory system that is a
-    /// pure clock between events
-    /// ([`fast_forwardable`](MemorySystem::fast_forwardable)) and no memory
-    /// traffic queued for any core.
+    /// happen, and says whether it moved. `now` lands one cycle before the
+    /// minimum of `limit`, the next memory event (a delivery, a chaos
+    /// storm, or the cycle a held lock would trip the auditor's lock-hold
+    /// bound) and every core's wake cycle — its first cycle, or the
+    /// earlier of its `due` and the end of its link backpressure, the one
+    /// memory-side input of a cycle's leaf that changes with no event — so
+    /// each core's leaf holds across the span, and the cores are credited
+    /// for it when next visited. Only with the fast paths on, a memory
+    /// system that is a pure clock between events
+    /// ([`fast_forwardable`](MemorySystem::fast_forwardable)).
     fn jump(&mut self, limit: u64) -> bool {
+        // A core's step touches only the core itself, so a tick leaves no
+        // core touched.
+        debug_assert_eq!(self.mem.touched(), 0, "a core touched since its visit at {}", self.now);
         if !self.fast_paths || !self.mem.fast_forwardable() {
             return false;
         }
         let now = self.now;
         let mut target = limit.min(self.mem.next_event_at().unwrap_or(u64::MAX));
-        for (c, &offset) in self.cores.iter().zip(&self.start_offsets) {
-            let due = if now <= offset {
-                offset + 1
-            } else if self.mem.has_core_traffic(c.id()) {
-                return false;
-            } else {
-                let ends = self.mem.backpressure_ends(c.id());
-                c.due(&self.mem).min(if ends > now + 1 { ends } else { u64::MAX })
-            };
-            target = target.min(due);
+        for lane in &self.lanes {
+            target = target.min(lane.wake);
             if target <= now + 1 {
                 return false;
             }
         }
-        let span = target - 1 - now;
         self.now = target - 1;
         self.mem.skip_to(self.now);
-        for (c, &offset) in self.cores.iter_mut().zip(&self.start_offsets) {
-            if now > offset {
-                self.skipped_core_ticks += u64::from(!c.halted() && !c.sleeping()) * span;
-                c.skip(span, &self.mem);
-            }
+        #[cfg(debug_assertions)]
+        for i in 0..self.cores.len() {
+            self.check_left_alone(i);
         }
         true
     }
@@ -348,8 +473,9 @@ impl Machine {
         }
     }
 
-    /// Snapshot of the whole machine for diagnostics.
-    pub fn snapshot(&self) -> MachineSnapshot {
+    /// Snapshot of the whole machine for diagnostics, once every core is
+    /// settled.
+    fn snapshot(&self) -> MachineSnapshot {
         let mut tail: Vec<FlightEntry> = Vec::new();
         for (comp, records) in self.trace_tail(FLIGHT_TAIL) {
             tail.extend(records.into_iter().map(|r| FlightEntry {
@@ -426,29 +552,31 @@ impl Machine {
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
         let audit_on = self.mem.config().audit.enabled;
         let prog = self.mem.config().progress;
-        let threshold = prog.stall_cycles;
-        // (instructions, cycle) at each core's last observed commit, or
-        // its first cycle.
-        let mut progress: Vec<(u64, u64)> = self
-            .cores
-            .iter()
-            .zip(&self.start_offsets)
-            .map(|(c, &offset)| (c.stats.instructions, self.now.max(offset)))
-            .collect();
-        // The cycle at which the first running core trips `core-commit`
-        // if it commits nothing before, so no jump passes it; 0 until the
-        // first scan.
-        let mut deadline = 0;
+        // Site `core-commit`: every core waits from now, or its first
+        // cycle; the visits keep each core's trip cycle, and the scan below
+        // runs only when `now` reaches the least of them.
+        self.deadline = u64::MAX;
+        let cores = self.cores.iter().zip(&mut self.lanes).zip(&self.start_offsets);
+        for ((c, lane), &offset) in cores {
+            lane.commit = (c.stats.instructions, self.now.max(offset));
+            lane.trips = if prog.enabled && !c.halted() && !c.sleeping() {
+                lane.commit.1.saturating_add(prog.stall_cycles).saturating_add(1)
+            } else {
+                u64::MAX
+            };
+            self.deadline = self.deadline.min(lane.trips);
+        }
         let mut iters: u64 = 0;
         while self.now < max_cycles {
             // A jump ends where the always-tick loop would be after the
             // same cycle, so every check below sees the same machine.
-            if !self.jump(max_cycles.min(deadline)) {
+            if !self.jump(max_cycles.min(self.deadline)) {
                 self.tick();
             }
             iters += 1;
             if audit_on {
                 if let Err(violation) = self.mem.audit() {
+                    self.settle();
                     return Err(SimError::Audit {
                         cycle: self.now,
                         violation,
@@ -456,28 +584,17 @@ impl Machine {
                     });
                 }
             }
-            // Site `core-commit`: one per-core "no commit for N cycles"
-            // scan, audited or not.
-            deadline = u64::MAX;
-            if prog.enabled {
-                for (i, c) in self.cores.iter().enumerate() {
-                    if c.halted() || c.sleeping() {
-                        progress[i] = (c.stats.instructions, self.now);
-                        continue;
-                    }
-                    if c.stats.instructions != progress[i].0 {
-                        progress[i] = (c.stats.instructions, self.now);
-                    }
-                    let stalled_for = self.now.saturating_sub(progress[i].1);
-                    if stalled_for <= threshold {
-                        let trips = progress[i].1.saturating_add(threshold).saturating_add(1);
-                        deadline = deadline.min(trips);
-                        continue;
-                    }
+            if self.now >= self.deadline {
+                self.deadline = self.lanes.iter().map(|l| l.trips).min().unwrap_or(u64::MAX);
+                // The first core in index order that went `stall_cycles`
+                // without a commit.
+                if let Some(lane) = self.lanes.iter().find(|l| self.now >= l.trips) {
+                    let observed = self.now - lane.commit.1;
+                    self.settle();
                     return Err(SimError::NoProgress {
                         site: "core-commit",
-                        observed: stalled_for,
-                        threshold,
+                        observed,
+                        threshold: prog.stall_cycles,
                         snapshot: self.snapshot(),
                     });
                 }
@@ -487,6 +604,7 @@ impl Machine {
             // leave always-on without perturbing anything).
             if prog.enabled && iters.is_multiple_of(1024) {
                 if let Some(r) = self.mem.progress_report() {
+                    self.settle();
                     return Err(SimError::NoProgress {
                         site: r.site,
                         observed: r.observed,
@@ -497,12 +615,15 @@ impl Machine {
             }
             if iters.is_multiple_of(4096) {
                 if let Some(budget_ms) = wall_deadline_expired() {
+                    self.settle();
                     return Err(SimError::WallTimeout {
                         budget_ms,
                         snapshot: self.snapshot(),
                     });
                 }
             }
+            // Every core has halted, and a halted core is credited nothing,
+            // so the result needs no settling.
             if self.quiesced() {
                 for c in self.cores.iter_mut() {
                     c.finalize_stats();
@@ -520,6 +641,7 @@ impl Machine {
                 });
             }
         }
+        self.settle();
         Err(SimError::Timeout(RunTimeout {
             max_cycles,
             halted: self.cores.iter().filter(|c| c.halted()).count(),
@@ -679,6 +801,22 @@ mod tests {
             assert_eq!(slow.mem, fast.mem, "offsets {offsets:?}");
             assert_eq!(slow_flag, fast_flag);
             assert_eq!(fast_flag, 1);
+        }
+    }
+
+    #[test]
+    fn a_core_waking_from_sleep_has_waited_only_since_it_woke() {
+        // The waiter sleeps for a whole monitor timeout (1 024 cycles) at a
+        // time, over twice the no-commit bound: its wait restarts when it
+        // wakes, not when it fell asleep.
+        for fast in [false, true] {
+            let mut cfg = MachineConfig::default();
+            cfg.mem.progress.stall_cycles = 500;
+            let mut m = Machine::new(cfg, sleepy_pair(), GuestMem::new(1 << 12));
+            m.set_fast_paths(fast);
+            m.set_start_offsets(vec![0, 5_000]);
+            let r = m.run(2_000_000).unwrap_or_else(|e| panic!("fast={fast}: {e}"));
+            assert!(r.per_core[0].monitor_sleeps > 2, "fast={fast}: the waiter must sleep");
         }
     }
 

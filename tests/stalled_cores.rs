@@ -237,6 +237,36 @@ fn fills_stalled_on_locked_sets_wake_at_the_same_tick() {
     assert!(stalled > 0, "no fill stalled on a locked set");
 }
 
+/// One-way caches of two sets: a core's RMW on `A` locks set 0 while an
+/// older two-miss pointer chase holds up its commit, so its younger load of
+/// a second set-0 line finds the set locked and its fill stalls. The
+/// watchdog then squashes the RMW, which unlocks `A`, and the core waits
+/// out its redirect penalty with nothing else due and one delivery in
+/// flight, long after: only the stalled-fill retry the unlock made due
+/// (`MemorySystem::fast_forwardable`) keeps the machine from jumping.
+#[test]
+fn a_fill_retry_an_unlock_made_due_stops_a_jump() {
+    let (d, e, c) = (0x1040, 0x10C0, 0x1080);
+    let mut k = Kasm::new();
+    k.li(Reg::R1, d).li(Reg::R5, A).li(Reg::R6, c).li(Reg::R3, 1);
+    k.ld(Reg::R2, Reg::R1, 0).ld(Reg::R2, Reg::R2, 0);
+    k.fetch_add(Reg::R4, Reg::R5, 0, Reg::R3);
+    k.ld(Reg::R7, Reg::R6, 0);
+    k.halt();
+    let programs = vec![k.finish().unwrap()];
+    let mut mem = GuestMem::new(1 << 16);
+    mem.store(d as u64, e);
+    for policy in [AtomicPolicy::Free, AtomicPolicy::FreeFwd] {
+        let mut cfg = icelake_like();
+        cfg.core.policy = policy;
+        cfg.core.watchdog_threshold = 50;
+        (cfg.mem.l1_sets, cfg.mem.l1_ways, cfg.mem.l2_sets, cfg.mem.l2_ways) = (2, 1, 2, 1);
+        let (r, _) = assert_invisible(&format!("{policy:?}"), &cfg, &programs, &mem);
+        assert!(r.per_core[0].watchdog_fires > 0, "{policy:?}: the watchdog never fired");
+        assert!(r.mem.cores[0].fill_stalled_all_locked > 0, "{policy:?}: no fill stalled");
+    }
+}
+
 /// One load 50 000 cycles from memory: the core stalls with nothing due,
 /// so the jump's only bound is the `core-commit` deadline, and the report
 /// must come from the cycle, and the machine, the always-tick loop has —
@@ -284,6 +314,51 @@ fn core_commit_trips_at_the_same_cycle_from_inside_a_jump() {
         assert_eq!(fast.cores, slow.cores, "{what}");
         assert_eq!(fast.mem, slow.mem, "{what}");
     }
+}
+
+/// The `core-commit` report's snapshot settles the cores the loop left
+/// alone. Core 0's RMW on `A` performs and holds its lock behind a pointer
+/// chase whose second load waits on a line core 1 holds in M, a transfer
+/// twice as long as a fill from memory: the watchdog counts through the
+/// jumped span in which the core trips, and the snapshot's count must be
+/// the always-tick loop's.
+#[test]
+fn a_core_commit_snapshot_counts_the_watchdog_through_a_jump() {
+    let (d, e) = (0x5000, 0x6000);
+    let mut k = Kasm::new();
+    k.li(Reg::R1, d).li(Reg::R5, A).li(Reg::R3, 1);
+    k.ld(Reg::R2, Reg::R1, 0).ld(Reg::R2, Reg::R2, 0);
+    k.fetch_add(Reg::R4, Reg::R5, 0, Reg::R3);
+    k.halt();
+    let chase = k.finish().unwrap();
+    let mut k = Kasm::new();
+    k.li(Reg::R1, e).li(Reg::R2, 1).st(Reg::R2, Reg::R1, 0).halt();
+    let owner = k.finish().unwrap();
+    let mut mem = GuestMem::new(1 << 16);
+    mem.store(d as u64, e as u64);
+    let mut cfg = icelake_like();
+    cfg.core.policy = AtomicPolicy::Free;
+    (cfg.mem.net_lat, cfg.mem.mem_lat) = (400, 10);
+    cfg.mem.progress.stall_cycles = 1_000;
+    let trip = |fast_paths: bool| {
+        let mut m = Machine::new(cfg.clone(), vec![chase.clone(), owner.clone()], mem.clone());
+        m.set_start_offsets(vec![1_000, 0]);
+        m.set_fast_paths(fast_paths);
+        match m.run(1_000_000) {
+            Err(SimError::NoProgress { site: "core-commit", observed, snapshot, .. }) => {
+                (observed, snapshot, m.skipped_core_ticks())
+            }
+            other => panic!("fast_paths={fast_paths}: expected core-commit, got {other:?}"),
+        }
+    };
+    let (observed, fast, skipped) = trip(true);
+    let (slow_observed, slow, _) = trip(false);
+    assert_eq!(observed, slow_observed);
+    assert!(skipped >= 1_000, "the chase's cycles must be credited: {skipped}");
+    assert!(fast.cores[0].wd_counter >= 900, "the lock is held: {}", fast.cores[0]);
+    assert_eq!(fast.cycle, slow.cycle);
+    assert_eq!(fast.cores, slow.cores);
+    assert_eq!(fast.mem, slow.mem);
 }
 
 /// A lock held across a jumped span ages without a sweep seeing each cycle:
@@ -360,4 +435,103 @@ fn failed_issue_attempts_stay_below_issues() {
         "{} failed attempts for {issues} issues",
         attempts - issues
     );
+}
+
+/// Core 1 stores to `A` and halts; core 0 starts once the line sits in core
+/// 1's cache in M, stores to `A` and then runs `rest`: its store's GetX
+/// waits for the invalidation of core 1's copy, and the head behind it
+/// waits with it.
+fn parked_store_then(rest: impl FnOnce(&mut Kasm)) -> Vec<Program> {
+    let mut k = Kasm::new();
+    k.li(Reg::R1, A).li(Reg::R2, 1).st(Reg::R2, Reg::R1, 0).halt();
+    let owner = k.finish().unwrap();
+    let mut k = Kasm::new();
+    k.li(Reg::R1, A).li(Reg::R2, 2).st(Reg::R2, Reg::R1, 0);
+    rest(&mut k);
+    k.halt();
+    vec![k.finish().unwrap(), owner]
+}
+
+/// A done RMW (store→RMW order; here its `load_lock` took its value from
+/// the parked store) or an MFENCE at the ROB head, behind a store buffer
+/// whose head waits for its cache, cannot retire: the core is stalled, so
+/// those cycles are credited, not stepped, and charged to the drain leaf.
+#[test]
+fn a_head_held_behind_a_parked_store_buffer_is_credited() {
+    use free_atomics::sim::CpiLeaf;
+    let mem = GuestMem::new(1 << 16);
+    let rmw = parked_store_then(|k| {
+        k.li(Reg::R3, 1).fetch_add(Reg::R4, Reg::R1, 0, Reg::R3);
+    });
+    let fence = parked_store_then(|k| {
+        k.fence();
+    });
+    for (what, programs, leaf, policies) in [
+        ("RMW", rmw, CpiLeaf::SbDrain, &[AtomicPolicy::FreeFwd][..]),
+        ("MFENCE", fence, CpiLeaf::FenceDrain, &AtomicPolicy::ALL[..]),
+    ] {
+        for &policy in policies {
+            let mut cfg = icelake_like();
+            cfg.core.policy = policy;
+            cfg.mem.net_lat = 200;
+            let run = |fast_paths: bool| {
+                let mut m = Machine::new(cfg.clone(), programs.clone(), mem.clone());
+                m.set_start_offsets(vec![2_000, 0]);
+                m.set_fast_paths(fast_paths);
+                let r = m.run(1_000_000).unwrap_or_else(|e| panic!("{what} {policy:?}: {e}"));
+                (r, m.skipped_core_ticks())
+            };
+            let (fast, skipped) = run(true);
+            let (slow, _) = run(false);
+            assert_eq!(fast.cycles, slow.cycles, "{what} {policy:?}");
+            assert_eq!(fast.per_core, slow.per_core, "{what} {policy:?}");
+            assert_eq!(fast.mem, slow.mem, "{what} {policy:?}");
+            let drain = fast.per_core[0].cpi.get(leaf);
+            assert!(drain > 400, "{what} {policy:?}: {leaf:?} charged only {drain} cycles");
+            assert!(skipped >= drain, "{what} {policy:?}: {skipped} credited of {drain} waiting");
+        }
+    }
+}
+
+/// Ticks credit the cores they leave alone only when they next visit them
+/// or the machine settles: `tick()` a while, then `run()`, must give what
+/// `run()` alone gives, with the fast paths on and off. Bare ticks do not
+/// audit, so the auditor's own statistic counts only the run's cycles.
+#[test]
+fn ticks_then_a_run_match_a_run() {
+    let ticked_then_run = |cfg: &MachineConfig, programs: &[Program], mem: &GuestMem, ticks| {
+        let [fast, slow] = [true, false].map(|fast_paths| {
+            let mut m = Machine::new(cfg.clone(), programs.to_vec(), mem.clone());
+            m.set_fast_paths(fast_paths);
+            for _ in 0..ticks {
+                m.tick();
+            }
+            let r = m.run(300_000_000).unwrap_or_else(|e| panic!("fast_paths={fast_paths}: {e}"));
+            (r.cycles, r.per_core, r.mem, m.guest_mem().clone())
+        });
+        assert!(fast == slow, "{ticks} ticks: the fast paths moved a result");
+        fast
+    };
+    let litmus = LitmusTest::sb_rmw_mixed();
+    let chaos = audited_chaos(AtomicPolicy::FreeFwd, NocConfig::contended(2), MemModel::Tso);
+    let spec = suite::by_name("barnes").expect("a suite workload");
+    let w = spec.build(&WorkloadParams { cores: 8, scale: 0.01, seed: 7 });
+    let mut noc8 = icelake_like();
+    noc8.core.policy = AtomicPolicy::FreeFwd;
+    noc8.mem.noc = NocConfig::contended(1);
+    for (what, cfg, programs, mem) in [
+        ("SB+rmw+mfence", chaos, litmus.to_programs(), GuestMem::new(1 << 16)),
+        ("barnes", noc8, w.programs, w.mem),
+    ] {
+        let (cycles, per_core, mem_stats, guest) = ticked_then_run(&cfg, &programs, &mem, 0);
+        for ticks in [1, 37, 400] {
+            assert!(ticks < cycles, "{what}: quiesced within {ticks} ticks");
+            let (c, p, mut m, g) = ticked_then_run(&cfg, &programs, &mem, ticks);
+            assert_eq!(c, cycles, "{what}: {ticks} ticks");
+            assert_eq!(p, per_core, "{what}: {ticks} ticks");
+            m.audit = mem_stats.audit.clone();
+            assert_eq!(m, mem_stats, "{what}: {ticks} ticks");
+            assert!(g == guest, "{what}: {ticks} ticks: final guest memory differs");
+        }
+    }
 }
