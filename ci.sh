@@ -29,14 +29,22 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 ! grep -rn 'std::env::var' crates/sim/src --exclude=env.rs || exit 1
 # One campaign engine, one row form: the deleted duplicates stay deleted.
 ! grep -rnE 'fn (run_grid|measure|measure_parallel|try_run_workload|run_workload|run_once|run_cells_supervised|json_full)\b|SweepReport::new' crates src || exit 1
-# Every table rides that engine: the single-run path and the serial
-# `smoke`/`diag` commands it fed stay deleted (`Core::diag` and
-# `MemorySystem::diag`, the machine snapshots, are another thing), and no
-# figure builds a machine of its own — `fa ablation`, whose axis is a machine
-# field a sweep cell cannot carry, is the one driver that does.
+# Every table rides that engine, `fa ablation` included: the single-run
+# path and the serial `smoke`/`diag` commands it fed stay deleted
+# (`Core::diag` and `MemorySystem::diag`, the machine snapshots, are another
+# thing), and no figure builds a machine of its own. An ablation axis is a
+# machine field, which a sweep cell carries as its typed override
+# (`SweepCell::ablation`), so no driver fans cells out on the raw worker
+# pool (`run_cells`, private to `fa_sim`) and the per-axis closure is gone.
 ! grep -rn 'run_once_checked' crates src || exit 1
 ! grep -rnE 'fn (smoke|diag)\b|command\("(smoke|diag)"' crates/bench/src src || exit 1
 ! grep -n 'Machine::new' crates/bench/src/figures.rs crates/bench/src/lib.rs || exit 1
+! grep -rnw 'run_cells\|ablation_axis' crates/bench src || exit 1
+# No public surface that nothing calls: the disassembler, the instruction
+# classes and their histogram, and the predicates and accessors no
+# production code read stay deleted.
+! grep -rnwE 'disasm|disasm_program|disasm_instr|InstrClass|class_histogram|is_release|is_control|accesses_overlap|is_atomic_part|next_line|is_busy|backing_mut|has_parked|speculative_atomics' \
+    crates src tests examples || exit 1
 # One crossbar, every counter declared once, one trace walk per layer.
 ! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
 # The suite is one table and the litmus op one enum: the macro and the
@@ -215,6 +223,13 @@ for f in fig01_atomic_cost:4 fig12_apki:2 table2_characterization:2 fig13_locali
     mini FA_BENCH_JSON=target/BENCH_${f%:*}.json $FA fig "${f%:*}" > target/${f%:*}.txt
     grep -c '"kernel":' target/BENCH_${f%:*}.json | grep -qx "${f#*:}"
 done
+# The ablation tables are one campaign too: 3 axes x 4 values x 2 kernels,
+# every row tagged with its override and keyed apart by `report`.
+mini FA_BENCH_JSON=target/BENCH_ablation.json $FA ablation > target/ablation.txt
+test "$(grep -c '^## Ablation' target/ablation.txt)" -eq 3
+grep -c '"ablation":"' target/BENCH_ablation.json | grep -qx 24
+$FA report target/BENCH_ablation.json target/BENCH_ablation.json > target/report_ablation.txt
+grep -q 'verdict: OK — 24 cell(s) compared' target/report_ablation.txt
 # Differential bottleneck report smoke 1 — passivity: a report diffed
 # against itself is clean and exits 0.
 $FA report target/BENCH_sweep.json target/BENCH_sweep.json > target/report_self.txt

@@ -10,13 +10,13 @@
 // Non-test code must justify every panic site.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use fa_bench::figures::FIGURES;
+use fa_bench::figures::{self, FIGURES};
 use fa_bench::report::{diff, parse_rows, CpiRow};
 use fa_bench::sweep::{
     grid, policies_from_env, presets_from_env, run_grid_supervised, Preset, SupervisorOpts,
     SweepReport,
 };
-use fa_bench::{fmt, row, workloads_from_env, BenchOpts, MAX_CYCLES};
+use fa_bench::{fmt, row, BenchOpts, MAX_CYCLES};
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, Reg};
@@ -28,7 +28,6 @@ use fa_sim::presets::{icelake_like, tiny_machine};
 use fa_sim::{
     env, flight_json, supervise, validate_chrome_trace, CheckMode, Counter, Machine, TraceMode,
 };
-use fa_workloads::{suite, WorkloadSpec};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -394,85 +393,11 @@ fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
     Ok(())
 }
 
-/// One ablation axis: every `(workload, value)` cell on the sweep workers,
-/// one run each, rows normalized to the leftmost value. Returns the number
-/// of failed cells. The axis is a machine field, which a campaign cell
-/// cannot carry, so this is the one driver that builds its own machines
-/// instead of riding `run_grid_supervised`.
-fn ablation_axis(
-    title: &str,
-    opts: &BenchOpts,
-    specs: &[WorkloadSpec],
-    values: &[u64],
-    apply: impl Fn(&mut MachineConfig, u64) + Sync,
-) -> usize {
-    println!("\n## Ablation — {title}\n");
-    let mut header = vec!["workload".to_string()];
-    header.extend(values.iter().map(|v| v.to_string()));
-    println!("{}", row(&header));
-    let jobs: Vec<(WorkloadSpec, u64)> =
-        specs.iter().flat_map(|&s| values.iter().map(move |&v| (s, v))).collect();
-    let results = fa_sim::run_cells(&jobs, opts.threads, |_, &(spec, v)| {
-        let mut base = icelake_like();
-        apply(&mut base, v);
-        let w = spec.build(&opts.params());
-        Machine::new(opts.config_for(&base, AtomicPolicy::FreeFwd), w.programs, w.mem)
-            .run(MAX_CYCLES)
-            .map_err(Box::new)
-    });
-    let mut failed = 0;
-    for (spec, chunk) in specs.iter().zip(results.chunks(values.len())) {
-        let mut cells = vec![spec.name.to_string()];
-        let mut base = None;
-        for (r, &v) in chunk.iter().zip(values) {
-            match r {
-                Ok(r) => {
-                    let b = *base.get_or_insert(r.cycles as f64);
-                    cells.push(fmt(r.cycles as f64 / b, 3));
-                }
-                Err(e) => {
-                    failed += 1;
-                    eprintln!("{} at {title}={v}: {e}", spec.name);
-                    cells.push("FAIL".to_string());
-                }
-            }
-        }
-        println!("{}", row(&cells));
-    }
-    failed
-}
-
-/// The design parameters DESIGN.md calls out: AQ size (the paper's §4.3
-/// concludes 4 entries suffice), watchdog threshold (§3.2.5 picks 10 000
-/// cycles to avoid unnecessary squashes) and forwarding-chain limit (§3.3.4
-/// caps chains at 32 against livelock), on a representative
-/// atomic-intensive subset unless `FA_WORKLOADS` names another.
+/// The ablation tables ([`figures::ablation`]): one campaign on the grid
+/// engine, so `FA_RUNS`/`FA_DROP` and the start offsets apply and a failed
+/// cell is an error naming it.
 fn ablation(cmd: &Command, _: &[String]) -> Outcome {
-    let opts = cmd.opts();
-    let specs = workloads_from_env().unwrap_or_else(|| {
-        suite::select(&["TATP", "AS", "barnes", "canneal"]).expect("suite names")
-    });
-    println!("(cycles normalized to the leftmost configuration; lower is better)");
-    let failed =
-        ablation_axis("Atomic Queue entries (paper: 4)", &opts, &specs, &[1, 2, 4, 8], |c, v| {
-            c.core.aq_size = v as usize;
-        }) + ablation_axis(
-            "watchdog threshold in cycles (paper: 10000)",
-            &opts,
-            &specs,
-            &[300, 1_000, 10_000, 100_000],
-            |c, v| c.core.watchdog_threshold = v,
-        ) + ablation_axis(
-            "forwarding chain limit (paper: 32; 0 disables forwarding)",
-            &opts,
-            &specs,
-            &[0, 1, 4, 32],
-            |c, v| c.core.fwd_chain_max = v as u32,
-        );
-    if failed > 0 {
-        return Err(Failed(format!("ablation: {failed} cell(s) failed")));
-    }
-    Ok(())
+    figures::ablation(&cmd.opts()).map_err(|e| Failed(format!("ablation failed: {e}")))
 }
 
 fn trace(cmd: &Command, args: &[String]) -> Outcome {

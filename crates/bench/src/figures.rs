@@ -9,19 +9,21 @@
 //! campaigns (one each, one per NoC point for figure 16, one per memory
 //! model for the weak baseline) and emits the `BENCH_sweep.json`
 //! throughput report; only Table 1, which measures nothing, runs no cell.
-//! [`FIGURES`] names them all.
+//! [`FIGURES`] names them all; `fa ablation`'s tables, [`ablation`], are
+//! one more such campaign.
 
 use crate::sweep::{
-    grid, presets_from_env, run_grid_supervised, CellResult, Preset, SupervisorOpts, SweepCell,
-    SweepReport,
+    grid, presets_from_env, run_grid_supervised, Ablation, CellResult, Preset, SupervisorOpts,
+    SweepCell, SweepReport,
 };
-use crate::{fmt, mean, row, BenchOpts};
+use crate::{fmt, mean, row, workloads_from_env, BenchOpts};
 use fa_core::AtomicPolicy;
 use fa_mem::NocConfig;
 use fa_sim::energy::EnergyModel;
 use fa_sim::error::SimError;
 use fa_sim::presets::{icelake_like, skylake_like};
 use fa_sim::{CpiLeaf, MemModel};
+use fa_workloads::suite;
 
 /// One regenerated table or figure.
 pub type Figure = fn(&BenchOpts) -> Result<(), Box<SimError>>;
@@ -638,6 +640,69 @@ pub fn fig_weak_baseline(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     Ok(())
 }
 
+/// The ablation axes: a title and the four values of one design
+/// parameter, leftmost first.
+const ABLATION_AXES: [(&str, [Ablation; 4]); 3] = {
+    use Ablation::{AqEntries, FwdChainMax, WatchdogCycles};
+    [
+        ("Atomic Queue entries (paper: 4)", [AqEntries(1), AqEntries(2), AqEntries(4), AqEntries(8)]),
+        (
+            "watchdog threshold in cycles (paper: 10000)",
+            [WatchdogCycles(300), WatchdogCycles(1_000), WatchdogCycles(10_000), WatchdogCycles(100_000)],
+        ),
+        (
+            "forwarding chain limit (paper: 32; 0 disables forwarding)",
+            [FwdChainMax(0), FwdChainMax(1), FwdChainMax(4), FwdChainMax(32)],
+        ),
+    ]
+};
+
+/// **Ablation** — the design parameters DESIGN.md calls out, each swept
+/// over four values under FreeAtomics+Fwd on the Icelake-like machine:
+/// Atomic Queue size (§4.3 concludes 4 entries suffice), watchdog threshold
+/// (§3.2.5 picks 10 000 cycles to avoid unnecessary squashes) and
+/// forwarding-chain limit (§3.3.4 caps chains at 32 against livelock). One
+/// campaign over every `(axis, workload, value)` cell, on a representative
+/// atomic-intensive subset unless `FA_WORKLOADS` names another; each row's
+/// mean cycles are normalized to its axis's leftmost value.
+///
+/// # Errors
+///
+/// The first failed cell.
+pub fn ablation(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+    let specs = workloads_from_env().unwrap_or_else(|| {
+        suite::select(&["TATP", "AS", "barnes", "canneal"]).expect("suite names")
+    });
+    let mut cells = Vec::new();
+    for (_, values) in &ABLATION_AXES {
+        for &workload in &specs {
+            cells.extend(values.iter().map(|&a| SweepCell {
+                workload,
+                policy: AtomicPolicy::FreeFwd,
+                preset: Preset::Icelake,
+                ablation: Some(a),
+            }));
+        }
+    }
+    let (results, report) = measured_grid("ablation", opts, &SupervisorOpts::none(), &cells)?;
+    println!("(cycles normalized to the leftmost configuration; lower is better)");
+    let per_axis = results.chunks(results.len() / ABLATION_AXES.len());
+    for ((title, values), axis) in ABLATION_AXES.iter().zip(per_axis) {
+        println!("\n## Ablation — {title}\n");
+        let mut header = vec!["workload".to_string()];
+        header.extend(values.iter().map(Ablation::to_string));
+        println!("{}", row(&header));
+        for runs in axis.chunks(values.len()) {
+            let base = runs[0].summary.mean_cycles;
+            let mut line = vec![runs[0].cell.workload.name.to_string()];
+            line.extend(runs.iter().map(|r| fmt(r.summary.mean_cycles / base, 3)));
+            println!("{}", row(&line));
+        }
+    }
+    emit_report(&report);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,10 +732,11 @@ mod tests {
     #[test]
     fn every_measured_figure_rides_the_engine() {
         // A methodology retaining no runs is refused by the campaign engine
-        // before any cell runs: every figure that measures must say so, not
-        // print a table from some other run path.
+        // before any cell runs: every figure that measures, and the ablation
+        // tables, must say so, not print a table from some other run path.
         let opts = BenchOpts { cores: 2, scale: 0.05, runs: 0, ..BenchOpts::default() };
-        for (name, figure) in FIGURES.iter().filter(|(name, _)| *name != "table1_config") {
+        let measured = FIGURES.iter().filter(|(name, _)| *name != "table1_config");
+        for (name, figure) in measured.chain([&("ablation", ablation as Figure)]) {
             let err = figure(&opts).expect_err(name);
             assert!(matches!(*err, SimError::InvalidMethodology { runs: 0, .. }), "{name}: {err}");
         }

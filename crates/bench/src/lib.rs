@@ -3,11 +3,11 @@
 //! Every experiment of the paper's evaluation section (§5) is a named
 //! entry of [`figures::FIGURES`], run by `fa fig <name>`; this module holds
 //! the common machinery: environment-controlled sizing and table
-//! formatting. Every figure and table, `fa sweep` and `fa conformance` are
-//! campaigns on the one engine, [`sweep::run_grid_supervised`]: `FA_RUNS`
-//! runs a cell with random start offsets, the `FA_DROP` slowest dropped
-//! (§5.1). The one exception is `fa ablation`, whose axes are machine
-//! fields a [`sweep::SweepCell`] cannot name; it builds its machines itself.
+//! formatting. Every figure and table, `fa sweep`, `fa ablation` and `fa
+//! conformance` are campaigns on the one engine,
+//! [`sweep::run_grid_supervised`]: `FA_RUNS` runs a cell with random start
+//! offsets, the `FA_DROP` slowest dropped (§5.1). An ablation cell names its
+//! machine field as a typed override, [`sweep::Ablation`].
 //!
 //! The `FA_*` variables are documented in one place, [`fa_sim::env::KNOBS`]
 //! — run `fa knobs` to print it. All parsing goes through

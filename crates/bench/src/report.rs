@@ -3,9 +3,10 @@
 //! per-leaf deltas with a loud regression verdict.
 //!
 //! The comparison is keyed on cell identity — `kernel/policy/preset`, plus
-//! the contended-crossbar point and the weak-model tag where the row
-//! carries them, so the merged reports of `fig16_network_sensitivity` and
-//! `fig_weak_baseline` key every row apart — and the two reports may come
+//! the ablation override, the contended-crossbar point and the weak-model
+//! tag where the row carries them, so the merged reports of
+//! `fig16_network_sensitivity` and `fig_weak_baseline` and the rows of
+//! `fa ablation` key every row apart — and the two reports may come
 //! from different drivers or row orders; cells present in only one file are
 //! listed, not diffed, and a key that occurs twice in one file is an error.
 //! A **row regression**
@@ -39,8 +40,10 @@ pub const ABS_FLOOR: u64 = 100;
 /// identity plus its cycle-accounting block.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CpiRow {
-    /// Cell identity: `kernel/policy/preset`, then ` net=<policy>:<bw>`
-    /// for a contended-crossbar row and ` model=<name>` for a tagged one.
+    /// Cell identity: `kernel/policy/preset` (plus `/<ablation>` for an
+    /// overridden cell, as [`SweepCell::name`](crate::sweep::SweepCell::name)
+    /// writes it), then ` net=<policy>:<bw>` for a contended-crossbar row and
+    /// ` model=<name>` for a tagged one.
     pub key: String,
     /// Total core cycles of the representative run (`cpi.core_cycles`).
     pub core_cycles: u64,
@@ -64,6 +67,9 @@ fn cpi_row(row: &Json) -> Option<CpiRow> {
     let leaves = CpiStack::from_json(cpi.get("stack")?)?.leaves;
     let name = |k| row.get(k).and_then(Json::as_str);
     let mut key = format!("{}/{}/{}", name("kernel")?, name("policy")?, name("preset")?);
+    if let Some(ablation) = row.get("ablation") {
+        let _ = write!(key, "/{}", ablation.as_str()?);
+    }
     if let Some(net) = row.get("net") {
         let (xbar, bw) = (net.get("policy")?.as_str()?, net.get("bw")?.as_u64()?);
         let _ = write!(key, " net={xbar}:{bw}");

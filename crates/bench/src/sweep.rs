@@ -95,8 +95,45 @@ pub fn presets_from_env() -> Vec<Preset> {
         .unwrap_or_else(|| vec![Preset::Icelake])
 }
 
-/// One independent sweep cell: a kernel under a policy on a preset. The
-/// run-seed axis lives inside the cell (its methodology runs).
+/// One design parameter of the paper set on a cell's preset: the axes of
+/// `fa ablation`. §4.3 concludes 4 Atomic Queue entries suffice, §3.2.5
+/// picks a 10 000-cycle watchdog, §3.3.4 caps forwarding chains at 32.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Ablation {
+    /// [`CoreConfig::aq_size`](fa_core::CoreConfig::aq_size).
+    AqEntries(usize),
+    /// [`CoreConfig::watchdog_threshold`](fa_core::CoreConfig::watchdog_threshold).
+    WatchdogCycles(u64),
+    /// [`CoreConfig::fwd_chain_max`](fa_core::CoreConfig::fwd_chain_max)
+    /// (0 disables forwarding).
+    FwdChainMax(u32),
+}
+
+impl Ablation {
+    fn apply(self, cfg: &mut MachineConfig) {
+        match self {
+            Ablation::AqEntries(n) => cfg.core.aq_size = n,
+            Ablation::WatchdogCycles(n) => cfg.core.watchdog_threshold = n,
+            Ablation::FwdChainMax(n) => cfg.core.fwd_chain_max = n,
+        }
+    }
+}
+
+/// `aq=4`, `watchdog=10000`, `fwd_chain=32`: the last part of the cell's
+/// name and its row's `ablation` field.
+impl std::fmt::Display for Ablation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Ablation::AqEntries(n) => write!(f, "aq={n}"),
+            Ablation::WatchdogCycles(n) => write!(f, "watchdog={n}"),
+            Ablation::FwdChainMax(n) => write!(f, "fwd_chain={n}"),
+        }
+    }
+}
+
+/// One independent sweep cell: a kernel under a policy on a preset,
+/// optionally with one design parameter overridden. The run-seed axis lives
+/// inside the cell (its methodology runs).
 #[derive(Clone, Copy, Debug)]
 pub struct SweepCell {
     /// The workload (kernel) to run.
@@ -105,13 +142,21 @@ pub struct SweepCell {
     pub policy: AtomicPolicy,
     /// The machine preset.
     pub preset: Preset,
+    /// The preset's value of one design parameter replaced; `None` in
+    /// every [`grid`] cell.
+    pub ablation: Option<Ablation>,
 }
 
 impl SweepCell {
-    /// The cell's stable identity, `kernel/policy/preset` — used by
-    /// quarantine reports and the campaign fingerprint.
+    /// The cell's stable identity, `kernel/policy/preset`, then
+    /// `/<ablation>` for an overridden cell — used by quarantine reports
+    /// and the campaign fingerprint.
     pub fn name(&self) -> String {
-        format!("{}/{}/{}", self.workload.name, self.policy.label(), self.preset.name())
+        let name = format!("{}/{}/{}", self.workload.name, self.policy.label(), self.preset.name());
+        match self.ablation {
+            Some(a) => format!("{name}/{a}"),
+            None => name,
+        }
     }
 }
 
@@ -127,7 +172,7 @@ pub fn grid(
     for &workload in workloads {
         for &policy in policies {
             for &preset in presets {
-                cells.push(SweepCell { workload, policy, preset });
+                cells.push(SweepCell { workload, policy, preset, ablation: None });
             }
         }
     }
@@ -274,7 +319,11 @@ fn run_one_cell(
     params: &WorkloadParams,
     cell: &SweepCell,
 ) -> Result<(CellRecord, CellResult), SimError> {
-    let cfg = opts.config_for(&cell.preset.config(), cell.policy);
+    let mut base = cell.preset.config();
+    if let Some(a) = cell.ablation {
+        a.apply(&mut base);
+    }
+    let cfg = opts.config_for(&base, cell.policy);
     let mut runs = Vec::with_capacity(meth.runs);
     let (mut cycles, mut instructions) = (0u64, 0u64);
     let mut health = ProgressStats::default();
@@ -422,7 +471,8 @@ fn stat_blocks(r: &RunResult) -> [(&'static str, Json); 2] {
 /// The emitted `BENCH_sweep.json` row of a cell measured under `opts`, in
 /// a stable field order: the identity and cycle fields the
 /// pre-interconnect goldens pin as the row's prefix (`mean_cycles` over the
-/// retained runs, the rest from the representative, fastest retained, run);
+/// retained runs, the rest from the representative, fastest retained, run),
+/// with an `ablation` field after the preset only for an overridden cell;
 /// a `net` block only for contended-crossbar rows, so ideal rows keep the
 /// goldens' bytes; the `hists` and `cpi` blocks (`report` reads the latter
 /// back); then `"checked":true` when every run passed the axiomatic checker
@@ -435,11 +485,16 @@ pub(crate) fn sweep_row(opts: &BenchOpts, r: &CellResult) -> Json {
         ("kernel", r.cell.workload.name.into()),
         ("policy", r.cell.policy.label().into()),
         ("preset", r.cell.preset.name().into()),
+    ];
+    if let Some(a) = r.cell.ablation {
+        row.push(("ablation", a.to_string().into()));
+    }
+    row.extend([
         ("runs", opts.runs.into()),
         ("mean_cycles", Json::fixed(r.summary.mean_cycles, 6)),
         ("rep_cycles", rep.cycles.into()),
         ("instructions", rep.instructions().into()),
-    ];
+    ]);
     if rep.mem.noc.policy == XbarPolicy::Contended {
         row.push(("net", rep.mem.noc.json()));
     }
@@ -759,6 +814,53 @@ mod tests {
             assert!(b.ends_with(",\"checked\":true}"), "{b}");
             assert_eq!(*a, b.replace(",\"checked\":true", ""));
         }
+    }
+
+    #[test]
+    fn an_ablated_cell_is_a_cell_of_its_own_and_leaves_the_rest_alone() {
+        // Each override sets exactly its machine field.
+        let tiny = Preset::Tiny.config();
+        let set = |a: Ablation| {
+            let mut cfg = tiny.clone();
+            a.apply(&mut cfg);
+            cfg
+        };
+        let mut want = tiny.clone();
+        want.core.aq_size = 7;
+        assert_eq!(set(Ablation::AqEntries(7)), want);
+        let mut want = tiny.clone();
+        want.core.watchdog_threshold = 1234;
+        assert_eq!(set(Ablation::WatchdogCycles(1234)), want);
+        let mut want = tiny.clone();
+        want.core.fwd_chain_max = 3;
+        assert_eq!(set(Ablation::FwdChainMax(3)), want);
+        // The override is part of the cell's identity: its name, its
+        // report key and the campaign fingerprint tell it apart.
+        let plain = small_grid()[1];
+        let same = SweepCell { ablation: Some(Ablation::AqEntries(tiny.core.aq_size)), ..plain };
+        let one = SweepCell { ablation: Some(Ablation::AqEntries(1)), ..plain };
+        assert_eq!(plain.name(), "TATP/FreeAtomics+Fwd/tiny");
+        assert_eq!(one.name(), "TATP/FreeAtomics+Fwd/tiny/aq=1");
+        let opts = small_opts(1);
+        assert_ne!(
+            campaign_fingerprint(&opts, None, &[plain]),
+            campaign_fingerprint(&opts, None, &[same])
+        );
+        let (_, alone, _) = run(&opts, &[plain]);
+        let (_, mixed, _) = run(&opts, &[plain, same, one]);
+        // The cell without an override keeps its row bytes and carries no
+        // `ablation` field; an override at the preset's own value is the
+        // same machine, so its row differs by that field alone.
+        assert_eq!(mixed.row_lines[0], alone.row_lines[0]);
+        assert!(!alone.row_lines[0].contains("ablation"), "{}", alone.row_lines[0]);
+        let field = format!(",\"ablation\":\"aq={}\"", tiny.core.aq_size);
+        assert!(mixed.row_lines[1].contains(&field), "{}", mixed.row_lines[1]);
+        assert_eq!(mixed.row_lines[1].replace(&field, ""), alone.row_lines[0]);
+        let keys: Vec<String> = crate::report::parse_rows(&mixed.row_lines.join("\n"))
+            .into_iter()
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(keys, [plain.name(), same.name(), one.name()]);
     }
 
     #[test]

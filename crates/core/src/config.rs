@@ -31,11 +31,6 @@ impl AtomicPolicy {
         matches!(self, AtomicPolicy::FencedBaseline | AtomicPolicy::FencedSpec)
     }
 
-    /// True when `load_lock` may issue speculatively (not at ROB head).
-    pub fn speculative_atomics(self) -> bool {
-        !matches!(self, AtomicPolicy::FencedBaseline)
-    }
-
     /// True when store-to-load forwarding to/from atomics is allowed.
     pub fn atomic_forwarding(self) -> bool {
         matches!(self, AtomicPolicy::FreeFwd)
@@ -156,8 +151,6 @@ mod tests {
         use AtomicPolicy::*;
         assert!(FencedBaseline.fenced() && FencedSpec.fenced());
         assert!(!Free.fenced() && !FreeFwd.fenced());
-        assert!(!FencedBaseline.speculative_atomics());
-        assert!(FencedSpec.speculative_atomics());
         assert!(FreeFwd.atomic_forwarding());
         assert!(!Free.atomic_forwarding());
         assert_eq!(AtomicPolicy::ALL.len(), 4);

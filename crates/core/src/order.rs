@@ -74,9 +74,11 @@ where
                 // In flight too (DESIGN.md note 4): nothing snoops it later,
                 // yet its value may predate the write that took the line.
                 LoadState::InFlight | LoadState::Cache { .. } => true,
-                // ROADMAP item 1's known hole, kept because its fix moves
-                // three pinned rows: once the store drained and another
-                // core overwrote it, this load holds a stale value.
+                // ROADMAP item 1's known hole: once the store drained and
+                // another core overwrote it, this load holds a stale value.
+                // Kept because either fix moves pinned benchmark rows, the
+                // blunt one (`true` here) and the narrow one (exempt only
+                // while the feeding store is still in the SQ or SB) alike.
                 LoadState::Forwarded { .. } => false,
             }
             && (model == MemModel::Tso || weak_needs_repair(e, loads.clone().take(older)))

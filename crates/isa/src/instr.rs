@@ -219,11 +219,6 @@ impl Instr {
     pub fn is_rmw(&self) -> bool {
         matches!(self, Instr::Rmw { .. })
     }
-
-    /// True for control-flow instructions.
-    pub fn is_control(&self) -> bool {
-        matches!(self, Instr::Branch { .. } | Instr::Jump { .. })
-    }
 }
 
 #[cfg(test)]
@@ -274,8 +269,6 @@ mod tests {
         };
         assert!(rmw.is_mem());
         assert!(rmw.is_rmw());
-        assert!(!rmw.is_control());
-        assert!(Instr::Jump { target: 0 }.is_control());
         assert!(!Instr::Fence { ord: MemOrder::SeqCst }.is_mem());
     }
 }

@@ -46,7 +46,6 @@
 //! ```
 
 pub mod asm;
-pub mod disasm;
 pub mod instr;
 pub mod interp;
 pub mod order;
@@ -57,7 +56,7 @@ pub mod uop;
 pub use asm::{AsmError, Kasm, Label};
 pub use instr::{AluOp, Cond, Instr, Operand, RmwOp};
 pub use order::MemOrder;
-pub use program::{InstrClass, Program};
+pub use program::Program;
 pub use reg::Reg;
 pub use uop::{decode, decode_into, FenceKind, Uop, UopKind};
 
@@ -79,15 +78,6 @@ pub fn line_of(addr: Addr) -> Addr {
     addr & !(LINE_BYTES - 1)
 }
 
-/// Returns true if two 8-byte accesses at `a` and `b` overlap.
-///
-/// All guest accesses are 8 bytes and 8-byte aligned, so overlap reduces to
-/// equality; the helper exists so call sites state intent.
-#[inline]
-pub fn accesses_overlap(a: Addr, b: Addr) -> bool {
-    a == b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,11 +88,5 @@ mod tests {
         assert_eq!(line_of(63), 0);
         assert_eq!(line_of(64), 64);
         assert_eq!(line_of(0x12345), 0x12340);
-    }
-
-    #[test]
-    fn overlap_is_equality_for_aligned_words() {
-        assert!(accesses_overlap(8, 8));
-        assert!(!accesses_overlap(8, 16));
     }
 }

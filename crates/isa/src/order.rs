@@ -39,11 +39,6 @@ impl MemOrder {
         matches!(self, MemOrder::Acquire | MemOrder::AcqRel | MemOrder::SeqCst)
     }
 
-    /// True for orderings with release strength (`Release`/`AcqRel`/`SeqCst`).
-    pub fn is_release(self) -> bool {
-        matches!(self, MemOrder::Release | MemOrder::AcqRel | MemOrder::SeqCst)
-    }
-
     /// True for `SeqCst`.
     pub fn is_sc(self) -> bool {
         matches!(self, MemOrder::SeqCst)
@@ -82,11 +77,9 @@ mod tests {
 
     #[test]
     fn lattice_classes() {
-        assert!(!MemOrder::Relaxed.is_acquire() && !MemOrder::Relaxed.is_release());
-        assert!(MemOrder::Acquire.is_acquire() && !MemOrder::Acquire.is_release());
-        assert!(!MemOrder::Release.is_acquire() && MemOrder::Release.is_release());
-        assert!(MemOrder::AcqRel.is_acquire() && MemOrder::AcqRel.is_release());
-        assert!(MemOrder::SeqCst.is_acquire() && MemOrder::SeqCst.is_release());
+        assert!(!MemOrder::Relaxed.is_acquire() && MemOrder::Acquire.is_acquire());
+        assert!(!MemOrder::Release.is_acquire() && MemOrder::AcqRel.is_acquire());
+        assert!(MemOrder::SeqCst.is_acquire());
         assert!(MemOrder::SeqCst.is_sc() && !MemOrder::AcqRel.is_sc());
     }
 

@@ -3,37 +3,6 @@
 use crate::instr::Instr;
 use std::fmt;
 
-/// Coarse instruction classes used by statistics and the energy model.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum InstrClass {
-    /// Integer ALU.
-    Alu,
-    /// Ordinary load.
-    Load,
-    /// Ordinary store.
-    Store,
-    /// Atomic read-modify-write.
-    Rmw,
-    /// Branch or jump.
-    Control,
-    /// Fence, pause, monitor-wait, halt, nop.
-    Other,
-}
-
-impl InstrClass {
-    /// Classifies an instruction.
-    pub fn of(instr: &Instr) -> InstrClass {
-        match instr {
-            Instr::Alu { .. } => InstrClass::Alu,
-            Instr::Load { .. } => InstrClass::Load,
-            Instr::Store { .. } => InstrClass::Store,
-            Instr::Rmw { .. } => InstrClass::Rmw,
-            Instr::Branch { .. } | Instr::Jump { .. } => InstrClass::Control,
-            _ => InstrClass::Other,
-        }
-    }
-}
-
 /// Error found while validating a program.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValidateProgramError {
@@ -147,22 +116,6 @@ impl Program {
     pub fn iter(&self) -> std::slice::Iter<'_, Instr> {
         self.instrs.iter()
     }
-
-    /// Counts static instructions per class.
-    pub fn class_histogram(&self) -> Vec<(InstrClass, usize)> {
-        let classes = [
-            InstrClass::Alu,
-            InstrClass::Load,
-            InstrClass::Store,
-            InstrClass::Rmw,
-            InstrClass::Control,
-            InstrClass::Other,
-        ];
-        classes
-            .iter()
-            .map(|&c| (c, self.instrs.iter().filter(|i| InstrClass::of(i) == c).count()))
-            .collect()
-    }
 }
 
 impl AsRef<[Instr]> for Program {
@@ -212,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn accepts_valid_program_and_classifies() {
+    fn accepts_valid_program() {
         let p = Program::new(vec![
             Instr::Alu { op: AluOp::Add, dst: Reg::R1, a: Reg::R0, b: Operand::Imm(1) },
             Instr::Store { src: Reg::R1, base: Reg::R0, offset: 0, ord: crate::MemOrder::Relaxed },
@@ -220,9 +173,5 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(p.len(), 3);
-        let hist = p.class_histogram();
-        assert!(hist.contains(&(InstrClass::Alu, 1)));
-        assert!(hist.contains(&(InstrClass::Store, 1)));
-        assert!(hist.contains(&(InstrClass::Other, 1)));
     }
 }

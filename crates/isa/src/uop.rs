@@ -203,18 +203,6 @@ impl Uop {
     pub fn is_store_class(&self) -> bool {
         matches!(self.kind, UopKind::Store { .. } | UopKind::StoreUnlock { .. })
     }
-
-    /// True if this micro-op belongs to an atomic RMW instruction.
-    pub fn is_atomic_part(&self) -> bool {
-        matches!(
-            self.kind,
-            UopKind::LoadLock { .. }
-                | UopKind::RmwAlu { .. }
-                | UopKind::StoreUnlock { .. }
-                | UopKind::Fence(FenceKind::AtomicPre)
-                | UopKind::Fence(FenceKind::AtomicPost)
-        )
-    }
 }
 
 /// Decodes one instruction into its micro-op sequence.
@@ -345,12 +333,11 @@ mod tests {
         let uops = decode(rmw(), 0);
         assert!(uops[1].is_mem() && uops[1].is_load_class());
         assert!(uops[3].is_mem() && uops[3].is_store_class());
-        assert!(uops.iter().all(|u| u.is_atomic_part()));
         let ld = decode(
             Instr::Load { dst: Reg::R1, base: Reg::R2, offset: 0, ord: MemOrder::Relaxed },
             0,
         );
-        assert!(ld[0].is_load_class() && !ld[0].is_atomic_part());
+        assert!(ld[0].is_load_class());
     }
 
     #[test]

@@ -507,11 +507,6 @@ impl Directory {
         self.entries.peek(line).and_then(|e| e.excl)
     }
 
-    /// True if the entry for `line` has a transaction in flight.
-    pub fn is_busy(&self, line: Line) -> bool {
-        self.entries.peek(line).map(|e| e.busy.is_some()).unwrap_or(false)
-    }
-
     /// True if the directory tracks `line` at all.
     pub fn has_entry(&self, line: Line) -> bool {
         self.entries.peek(line).is_some()
@@ -552,6 +547,11 @@ mod tests {
         Directory::new(&MemConfig::tiny())
     }
 
+    /// True if the entry for `line` has a transaction in flight.
+    fn busy(d: &Directory, line: Line) -> bool {
+        d.entries.peek(line).is_some_and(|e| e.busy.is_some())
+    }
+
     fn gets(c: u16, line: Line) -> DirMsg {
         DirMsg::Req(DirReq { from: CoreId(c), line, kind: DirReqKind::GetS })
     }
@@ -590,7 +590,7 @@ mod tests {
         assert!(grants_x(&out, 0, 0x100));
         assert_eq!(d.owner(0x100), Some(CoreId(0)));
         // A second request parks until the grantee unblocks.
-        assert!(d.is_busy(0x100));
+        assert!(busy(&d, 0x100));
         out.clear();
         d.handle(gets(1, 0x100), &mut out);
         assert!(out.is_empty());
@@ -614,17 +614,17 @@ mod tests {
             a,
             DirAction::ToL1 { core: CoreId(0), msg: L1Msg::Downgrade { .. }, .. }
         )));
-        assert!(d.is_busy(0x100));
+        assert!(busy(&d, 0x100));
         out.clear();
         d.handle(down_ack(0, 0x100, true), &mut out);
         assert!(grants_s(&out, 1, 0x100));
         assert_eq!(d.owner(0x100), None);
         assert_eq!(d.sharers(0x100).count_ones(), 2);
         // Still busy until core 1 unblocks.
-        assert!(d.is_busy(0x100));
+        assert!(busy(&d, 0x100));
         out.clear();
         unblock(&mut d, 1, 0x100, &mut out);
-        assert!(!d.is_busy(0x100));
+        assert!(!busy(&d, 0x100));
     }
 
     #[test]

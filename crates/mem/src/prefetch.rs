@@ -1,7 +1,6 @@
 //! L1D stride prefetcher (Table 1: "stride prefetcher" after Baer).
 
 use crate::Line;
-use fa_isa::LINE_BYTES;
 
 const TABLE_SIZE: usize = 16;
 
@@ -56,11 +55,6 @@ impl StridePrefetcher {
     }
 }
 
-/// Helper: the `n`-th next sequential line.
-pub fn next_line(line: Line, n: u64) -> Line {
-    line + n * LINE_BYTES
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,10 +84,5 @@ mod tests {
         let _ = p.on_miss(64);
         let _ = p.on_miss(320);
         assert_eq!(p.on_miss(128).count(), 0); // stride broken, retraining
-    }
-
-    #[test]
-    fn next_line_steps_by_line_bytes() {
-        assert_eq!(next_line(0, 3), 192);
     }
 }

@@ -620,11 +620,6 @@ impl PrivCache {
         }
     }
 
-    /// True if an external request is parked on `line`.
-    pub fn has_parked(&self, line: Line) -> bool {
-        self.parked_ext.contains_key(&line)
-    }
-
     /// All resident L2 lines with their MESI state, in deterministic set
     /// order (invariant auditing).
     pub(crate) fn resident_lines(&self) -> impl Iterator<Item = (Line, Mesi)> + '_ {
@@ -746,7 +741,7 @@ mod tests {
         out.clear();
         c.handle_ext(L1Msg::Inv { line: 0x100 }, &mut out);
         assert!(out.is_empty(), "Inv must be parked, got {out:?}");
-        assert!(c.has_parked(0x100));
+        assert!(c.parked_ext.contains_key(&0x100));
         // Unlock replays the Inv: line leaves, ack goes out.
         c.unlock(0x100, &mut out);
         assert!(out.iter().any(|a| matches!(a, Action::ToDir(DirMsg::InvAck { .. }))));

@@ -179,12 +179,6 @@ impl MemorySystem {
         &self.backing
     }
 
-    /// Write access to guest memory (workload initialization only — writing
-    /// mid-simulation would bypass coherence).
-    pub fn backing_mut(&mut self) -> &mut GuestMem {
-        &mut self.backing
-    }
-
     /// Advances one cycle and processes all protocol events now due.
     pub fn tick(&mut self) {
         self.now += 1;
@@ -823,7 +817,7 @@ mod tests {
     #[test]
     fn cold_read_round_trip_returns_value() {
         let mut m = sys(1);
-        m.backing_mut().store(0x100, 77);
+        m.backing.store(0x100, 77);
         assert_eq!(m.read(C0, 1, 0x100, false), ReqOutcome::Accepted);
         let resps = run_until_resp(&mut m, C0, 1000);
         match resps[0] {
@@ -909,7 +903,7 @@ mod tests {
     #[test]
     fn read_lock_then_store_unlock_round_trip() {
         let mut m = sys(2);
-        m.backing_mut().store(0x300, 10);
+        m.backing.store(0x300, 10);
         // Atomic on core 0: load_lock reads 10, store_unlock writes 11.
         m.read(C0, 1, 0x300, true);
         let r = run_until_resp(&mut m, C0, 1000);
@@ -1255,7 +1249,7 @@ mod tests {
         let mut cfg = MemConfig::tiny();
         cfg.noc = crate::NocConfig::contended(1);
         let mut m = MemorySystem::new(cfg, 2, GuestMem::new(1 << 16));
-        m.backing_mut().store(0x100, 77);
+        m.backing.store(0x100, 77);
         m.read(C0, 1, 0x100, false);
         let r = run_until_resp(&mut m, C0, 5000);
         assert!(matches!(r[0], CoreResp::ReadResp { value: 77, .. }));

@@ -40,7 +40,7 @@ pub use machine::{
 };
 pub use methodology::{Methodology, MultiRun};
 pub use presets::{icelake_like, skylake_like, tiny_machine};
-pub use sweep::{run_cells, run_cells_timed, supervise, CellQuarantine, SweepTiming};
+pub use sweep::{run_cells_timed, supervise, CellQuarantine, SweepTiming};
 
 // The trace layer's user-facing types, re-exported so binaries configure
 // tracing without a direct fa-trace dependency.

@@ -11,8 +11,9 @@
 //! one.
 //!
 //! The engine is deliberately generic (`jobs: &[J]`, `f: Fn(usize, &J) ->
-//! R`) so the grid campaigns (`fa_bench::sweep`), the ablation grid and
-//! the fuzz campaign all ride the same worker pool. Workers pull the next
+//! R`) so the grid campaigns (`fa_bench::sweep`, through
+//! [`run_cells_timed`], which every table and `fa ablation` ride) and the
+//! fuzz campaign share the same worker pool. Workers pull the next
 //! cell from a shared atomic cursor (work stealing by index), so long cells
 //! do not convoy short ones.
 //!
@@ -29,7 +30,7 @@ use std::time::{Duration, Instant};
 
 /// Worker threads to use when the caller passes `threads == 0`: the host's
 /// available parallelism, or 1 if that cannot be determined.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -49,7 +50,7 @@ fn resolve_threads(requested: usize, jobs: usize) -> usize {
 /// # Panics
 ///
 /// Propagates the first worker panic (by job order at merge time).
-pub fn run_cells<J, R>(jobs: &[J], threads: usize, f: impl Fn(usize, &J) -> R + Sync) -> Vec<R>
+pub(crate) fn run_cells<J, R>(jobs: &[J], threads: usize, f: impl Fn(usize, &J) -> R + Sync) -> Vec<R>
 where
     J: Sync,
     R: Send,
@@ -158,9 +159,10 @@ impl SweepTiming {
     }
 }
 
-/// [`run_cells`], timed: also returns a [`SweepTiming`] whose simulated
-/// totals are accumulated from each result via `account(&R) -> (cycles,
-/// instructions)`.
+/// Runs `f` over every job on `threads` workers (0 = host parallelism),
+/// results in job order and bit-identical to the serial loop, and returns
+/// a [`SweepTiming`] whose simulated totals `account(&R) -> (cycles,
+/// instructions)` accumulates from each result.
 pub fn run_cells_timed<J, R>(
     jobs: &[J],
     threads: usize,

@@ -24,7 +24,7 @@
 
 use free_atomics::prelude::*;
 use free_atomics::sim::{
-    axiom, run_cells, write_id, DataEvent, Execution, SerEvent, WRITE_ID_INIT,
+    axiom, run_cells_timed, write_id, DataEvent, Execution, SerEvent, WRITE_ID_INIT,
 };
 
 fn offsets() -> [&'static [u64]; 6] {
@@ -176,7 +176,7 @@ fn memlog_hardware_outcomes_are_bit_identical_across_worker_threads() {
         }
     }
     let run_all = |threads: usize| -> Vec<Vec<u64>> {
-        run_cells(&jobs, threads, |_, &(ci, variant, pi, oi)| {
+        let run = |_, &(ci, variant, pi, oi): &(usize, usize, usize, usize)| {
             let c = &suite[ci];
             let t = if variant == 0 { &c.fenced } else { &c.stripped };
             let policy = [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd][pi];
@@ -184,7 +184,8 @@ fn memlog_hardware_outcomes_are_bit_identical_across_worker_threads() {
             cfg.core.policy = policy;
             cfg.core.model = MemModel::Weak;
             t.run_detailed(&cfg, offsets()[oi])
-        })
+        };
+        run_cells_timed(&jobs, threads, run, |_| (0, 0)).0
     };
     let serial = run_all(1);
     let parallel = run_all(8);
