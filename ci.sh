@@ -72,6 +72,19 @@ test ! -e vendor
 ! grep -nE 'let mut (acts|dout) = Vec::new\(\)' crates/mem/src/system.rs || exit 1
 ! grep -nE 'Vec<Vec<' crates/mem/src/tagarray.rs crates/core/src/sched.rs || exit 1
 ! grep -rn 'HashMap<Line, (Vec' crates/mem/src || exit 1
+# A campaign run stops paying the allocator: each fuzz worker keeps one
+# machine and resets it in place, so the non-test part of fuzz.rs builds
+# none per run (no `Machine::new`, no `run_checked`); a run's conformance
+# check reads the cores' data logs and the memory system's serialization
+# log where they are, not the copy `execution()` makes; and `Machine::new`
+# is a reset of empty storage, so the machine has one initialiser.
+sed '/#\[cfg(test)\]/,$d' crates/sim/src/fuzz.rs > target/fuzz_src.txt
+! grep -nE 'Machine::new|run_checked' target/fuzz_src.txt || exit 1
+sed -n '/    pub fn run(&mut self/,/^    }$/p;/    pub(crate) fn run_to_quiescence(/,/^    }$/p' \
+    crates/sim/src/machine.rs > target/run_fn.txt
+grep -q 'self\.checker\.check(' target/run_fn.txt
+! grep -n 'execution()' target/run_fn.txt || exit 1
+sed -n '/    pub fn new(cfg: MachineConfig/,/^    }$/p' crates/sim/src/machine.rs | grep -q '\.reset('
 # The guest image is paged on first store: no dense zeroed store, and no
 # derived equality, which would call an untouched page different from one
 # stored to 0.

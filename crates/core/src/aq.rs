@@ -57,7 +57,7 @@ pub struct AqEntry {
 }
 
 /// The Atomic Queue, managed as a FIFO in program order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AtomicQueue {
     entries: VecDeque<AqEntry>,
     cap: usize,
@@ -66,7 +66,18 @@ pub struct AtomicQueue {
 impl AtomicQueue {
     /// Creates an AQ with `cap` entries (the paper evaluates 4).
     pub fn new(cap: usize) -> AtomicQueue {
-        AtomicQueue { entries: VecDeque::with_capacity(cap), cap }
+        let mut aq = AtomicQueue::default();
+        aq.reset(cap);
+        aq
+    }
+
+    /// Empties the AQ, keeping its storage, and resizes it to `cap`
+    /// entries.
+    pub fn reset(&mut self, cap: usize) {
+        let AtomicQueue { entries, cap: c } = self;
+        entries.clear();
+        entries.reserve(cap);
+        *c = cap;
     }
 
     /// True when no atomic can dispatch (front-end stall condition).

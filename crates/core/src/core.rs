@@ -170,10 +170,11 @@ struct SbEntry {
     sc: bool,
 }
 
-/// One instruction of the decoded program: its micro-ops' place in the
-/// table and the queue entries they need.
+/// One instruction of the decoded program: the instruction itself, its
+/// micro-ops' place in the table and the queue entries they need.
 #[derive(Clone, Copy, Debug)]
 struct DecodedInstr {
+    instr: Instr,
     /// Index of the first micro-op in [`Core::uops`].
     first: u32,
     /// Number of micro-ops.
@@ -182,8 +183,6 @@ struct DecodedInstr {
     loads: u8,
     /// Store-queue entries needed.
     stores: u8,
-    /// An RMW: needs an Atomic Queue entry.
-    rmw: bool,
 }
 
 /// One micro-op of the decoded program, its operands read off once.
@@ -204,9 +203,8 @@ struct DecodedUop {
 pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
-    prog: Program,
-    /// `prog` decoded once: per instruction, then the micro-ops back to
-    /// back.
+    /// The program decoded once: per instruction, then the micro-ops back
+    /// to back.
     decoded: Vec<DecodedInstr>,
     uops: Vec<DecodedUop>,
     mem_bytes: u64,
@@ -244,11 +242,14 @@ pub struct Core {
 
     /// Buffers reused every tick, so the steady state allocates nothing:
     /// this cycle's memory notices and responses (swapped with the memory
-    /// system's outboxes), and the scheduler's per-stage work lists.
+    /// system's outboxes), and the scheduler's per-stage work lists; and
+    /// one reused by every reset, the micro-ops of the instruction being
+    /// decoded.
     notices: Vec<CoreNotice>,
     responses: Vec<CoreResp>,
     work: Vec<Slot>,
     resolved_stores: Vec<Slot>,
+    decoding: Vec<Uop>,
 
     /// Statistics, live during the run.
     pub stats: CoreStats,
@@ -261,53 +262,28 @@ pub struct Core {
     dlog: Vec<DataEvent>,
 }
 
-impl Core {
-    /// Creates a core executing `prog` against a guest memory of
-    /// `mem_bytes` (used to detect wrong-path wild addresses).
-    pub fn new(id: CoreId, cfg: CoreConfig, prog: Program, mem_bytes: u64) -> Core {
-        let bp = BranchPredictor::new(cfg.bp_table_bits, cfg.bp_history_bits);
-        let ss = StoreSets::new(10);
-        let aq = AtomicQueue::new(cfg.aq_size);
-        let trace = TraceBuf::new(&cfg.trace);
-        let mut decoded = Vec::with_capacity(prog.len());
-        let mut uops = Vec::with_capacity(prog.len());
-        let mut of = Vec::new();
-        for (pc, instr) in prog.iter().enumerate() {
-            of.clear();
-            fa_isa::decode_into(*instr, pc as u32, &mut of);
-            let count = |pred: fn(&Uop) -> bool| of.iter().filter(|u| pred(u)).count() as u8;
-            decoded.push(DecodedInstr {
-                first: uops.len() as u32,
-                len: of.len() as u8,
-                loads: count(occupies_lq),
-                stores: count(Uop::is_store_class),
-                rmw: instr.is_rmw(),
-            });
-            uops.extend(of.iter().map(|&uop| DecodedUop {
-                uop,
-                srcs: uop.srcs(),
-                dst: uop.dst().filter(|d| !d.is_zero()),
-            }));
-        }
+/// Empty storage: a core with no program, which [`Core::reset`] makes a
+/// core.
+impl Default for Core {
+    fn default() -> Core {
         Core {
-            id,
-            rob: Rob::with_capacity(cfg.rob_size),
-            sched: Sched::new(&cfg),
-            sb: VecDeque::with_capacity(cfg.sq_size),
-            cfg,
-            prog,
-            decoded,
-            uops,
-            mem_bytes,
+            id: CoreId(0),
+            cfg: CoreConfig::default(),
+            decoded: Vec::new(),
+            uops: Vec::new(),
+            mem_bytes: 0,
             fetch_pc: 0,
             fetch_stall_until: 0,
             fetch_barrier: None,
-            next_seq: 1,
+            next_seq: 0,
             rename: [None; NUM_REGS],
             arch_regs: [0; NUM_REGS],
-            aq,
-            bp,
-            ss,
+            rob: Rob::default(),
+            sched: Sched::default(),
+            aq: AtomicQueue::default(),
+            sb: VecDeque::new(),
+            bp: BranchPredictor::default(),
+            ss: StoreSets::default(),
             state: CoreState::Running,
             wd_counter: 0,
             fetch_blocked: None,
@@ -317,10 +293,76 @@ impl Core {
             responses: Vec::new(),
             work: Vec::new(),
             resolved_stores: Vec::new(),
+            decoding: Vec::new(),
             stats: CoreStats::default(),
-            trace,
+            trace: TraceBuf::default(),
             dlog: Vec::new(),
         }
+    }
+}
+
+impl Core {
+    /// Creates a core executing `prog` against a guest memory of
+    /// `mem_bytes` (used to detect wrong-path wild addresses): a
+    /// [`reset`](Self::reset) of empty storage.
+    pub fn new(id: CoreId, cfg: CoreConfig, prog: Program, mem_bytes: u64) -> Core {
+        let mut core = Core::default();
+        core.reset(id, &cfg, &prog, mem_bytes);
+        core
+    }
+
+    /// Puts the core in exactly the state [`new`](Self::new) builds for
+    /// these arguments, keeping the storage of every buffer and table: the
+    /// decode tables, the ROB ring, the scheduler lists, the AQ, the store
+    /// buffer, the predictor tables, the trace ring and the data log.
+    pub fn reset(&mut self, id: CoreId, cfg: &CoreConfig, prog: &Program, mem_bytes: u64) {
+        let Core {
+            id: my_id, cfg: my_cfg, decoded, uops, mem_bytes: my_mem_bytes, fetch_pc,
+            fetch_stall_until, fetch_barrier, next_seq, rename, arch_regs, rob, sched, aq, sb, bp,
+            ss, state, wd_counter, fetch_blocked, stalled_until, issue_attempts, notices, responses,
+            work, resolved_stores, decoding: of, stats, trace, dlog,
+        } = self;
+        (*my_id, *my_mem_bytes) = (id, mem_bytes);
+        my_cfg.clone_from(cfg);
+        decoded.clear();
+        uops.clear();
+        decoded.reserve(prog.len());
+        uops.reserve(prog.len());
+        for (pc, &instr) in prog.iter().enumerate() {
+            of.clear();
+            fa_isa::decode_into(instr, pc as u32, of);
+            let count = |pred: fn(&Uop) -> bool| of.iter().filter(|u| pred(u)).count() as u8;
+            decoded.push(DecodedInstr {
+                instr,
+                first: uops.len() as u32,
+                len: of.len() as u8,
+                loads: count(occupies_lq),
+                stores: count(Uop::is_store_class),
+            });
+            uops.extend(of.iter().map(|&uop| DecodedUop {
+                uop,
+                srcs: uop.srcs(),
+                dst: uop.dst().filter(|d| !d.is_zero()),
+            }));
+        }
+        (*fetch_pc, *fetch_stall_until, *fetch_barrier, *next_seq) = (0, 0, None, 1);
+        (*rename, *arch_regs) = ([None; NUM_REGS], [0; NUM_REGS]);
+        rob.reset(cfg.rob_size);
+        sched.reset(cfg);
+        aq.reset(cfg.aq_size);
+        sb.clear();
+        sb.reserve(cfg.sq_size);
+        bp.reset(cfg.bp_table_bits, cfg.bp_history_bits);
+        ss.reset(10);
+        (*state, *wd_counter, *fetch_blocked) = (CoreState::Running, 0, None);
+        (*stalled_until, *issue_attempts) = (0, (0, 0));
+        notices.clear();
+        responses.clear();
+        work.clear();
+        resolved_stores.clear();
+        *stats = CoreStats::default();
+        trace.reset(&cfg.trace);
+        dlog.clear();
     }
 
     /// Committed data accesses in program order (empty unless
@@ -653,13 +695,12 @@ impl Core {
                 }
                 break;
             }
-            let instr = *self.prog.get(pc as usize).expect("fetch past program end");
             let d = self.decoded[pc as usize];
             for i in d.first..d.first + u32::from(d.len) {
                 self.dispatch_uop(self.uops[i as usize], now);
             }
             fetched += 1;
-            match instr {
+            match d.instr {
                 Instr::Branch { .. } => {
                     // Direction was predicted inside dispatch_uop; it set
                     // fetch_pc already.
@@ -687,7 +728,7 @@ impl Core {
             || self.sched.sq.len() + self.sb.len() + d.stores as usize > self.cfg.sq_size
         {
             Some(FetchLimit::Lsq)
-        } else if d.rmw && self.aq.is_full() {
+        } else if d.instr.is_rmw() && self.aq.is_full() {
             Some(FetchLimit::Aq)
         } else {
             None
@@ -1449,12 +1490,7 @@ impl Core {
             }
             if uop.last {
                 self.stats.instructions += 1;
-                if self
-                    .prog
-                    .get(uop.pc as usize)
-                    .map(Instr::is_rmw)
-                    .unwrap_or(false)
-                {
+                if self.decoded[uop.pc as usize].instr.is_rmw() {
                     self.stats.atomics += 1;
                     // §3.2.5: reset the watchdog when an atomic commits.
                     self.wd_counter = 0;

@@ -25,7 +25,7 @@ impl Ctr2 {
 
 /// Tournament (bimodal + gshare) conditional-branch direction predictor.
 /// Its tables are built on the first [`predict`](Self::predict).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BranchPredictor {
     /// Empty until the first prediction.
     bimodal: Vec<Ctr2>,
@@ -44,17 +44,24 @@ impl BranchPredictor {
     /// Creates a predictor with `2^table_bits` entries per table and
     /// `history_bits` of global history.
     pub fn new(table_bits: u32, history_bits: u32) -> BranchPredictor {
-        let n = 1usize << table_bits;
-        BranchPredictor {
-            bimodal: Vec::new(),
-            gshare: Vec::new(),
-            choice: Vec::new(),
-            history: 0,
-            history_mask: (1u64 << history_bits) - 1,
-            index_mask: n - 1,
-            lookups: 0,
-            mispredicts: 0,
-        }
+        let mut bp = BranchPredictor::default();
+        bp.reset(table_bits, history_bits);
+        bp
+    }
+
+    /// Forgets everything learned, as [`new`](Self::new) with the same
+    /// sizes would. The tables keep their storage and are rebuilt on the
+    /// next prediction.
+    pub fn reset(&mut self, table_bits: u32, history_bits: u32) {
+        let BranchPredictor {
+            bimodal, gshare, choice, history, history_mask, index_mask, lookups, mispredicts,
+        } = self;
+        bimodal.clear();
+        gshare.clear();
+        choice.clear();
+        (*history, *lookups, *mispredicts) = (0, 0, 0);
+        *history_mask = (1u64 << history_bits) - 1;
+        *index_mask = (1usize << table_bits) - 1;
     }
 
     /// True once the tables exist.
@@ -73,8 +80,9 @@ impl BranchPredictor {
     pub fn predict(&mut self, pc: u32) -> (bool, u64) {
         if !self.built() {
             let n = self.index_mask + 1;
-            (self.bimodal, self.gshare, self.choice) =
-                (vec![Ctr2(1); n], vec![Ctr2(1); n], vec![Ctr2(2); n]);
+            self.bimodal.resize(n, Ctr2(1));
+            self.gshare.resize(n, Ctr2(1));
+            self.choice.resize(n, Ctr2(2));
         }
         self.lookups += 1;
         let (b, g) = self.indices(pc);
@@ -111,7 +119,7 @@ impl BranchPredictor {
 /// into the store's set; while any store of that set has an unresolved
 /// address in flight, the load waits. Both tables are built on the first
 /// [`train_violation`](Self::train_violation); until then no pc has a set.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StoreSets {
     /// Store-Set Id Table: pc -> set id (empty until the first training).
     ssit: Vec<Option<u32>>,
@@ -127,8 +135,19 @@ pub struct StoreSets {
 impl StoreSets {
     /// Creates tables of `2^bits` entries.
     pub fn new(bits: u32) -> StoreSets {
-        let mask = (1usize << bits) - 1;
-        StoreSets { ssit: Vec::new(), lfst: Vec::new(), next_set: 0, mask, trainings: 0 }
+        let mut ss = StoreSets::default();
+        ss.reset(bits);
+        ss
+    }
+
+    /// Forgets every set, as [`new`](Self::new) with the same size would.
+    /// The tables keep their storage and are rebuilt on the next training.
+    pub fn reset(&mut self, bits: u32) {
+        let StoreSets { ssit, lfst, next_set, mask, trainings } = self;
+        ssit.clear();
+        lfst.clear();
+        (*next_set, *trainings) = (0, 0);
+        *mask = (1usize << bits) - 1;
     }
 
     /// True once the tables exist.
@@ -145,7 +164,8 @@ impl StoreSets {
     /// `store_pc` (assigns both to one set).
     pub fn train_violation(&mut self, load_pc: u32, store_pc: u32) {
         if !self.built() {
-            (self.ssit, self.lfst) = (vec![None; self.mask + 1], vec![None; self.mask + 1]);
+            self.ssit.resize(self.mask + 1, None);
+            self.lfst.resize(self.mask + 1, None);
         }
         self.trainings += 1;
         let set = match (self.set_of(load_pc), self.set_of(store_pc)) {

@@ -147,9 +147,13 @@ impl Rob {
         Rob::default()
     }
 
-    /// Creates an empty ROB with room for `cap` micro-ops.
-    pub fn with_capacity(cap: usize) -> Rob {
-        Rob { entries: VecDeque::with_capacity(cap), retired: 0 }
+    /// Empties the ROB, keeping its ring, and makes room for `cap`
+    /// micro-ops.
+    pub fn reset(&mut self, cap: usize) {
+        let Rob { entries, retired } = self;
+        entries.clear();
+        entries.reserve(cap);
+        *retired = 0;
     }
 
     /// Number of in-flight micro-ops.

@@ -200,7 +200,7 @@ fn insert_by_age<T>(list: &mut Vec<T>, item: T, seq_of: impl Fn(&T) -> Seq) {
 }
 
 /// The scheduler indices of one core (see the module documentation).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Sched {
     /// Issue walks this oldest first and removes what it issues.
     pub ready: Vec<Slot>,
@@ -228,25 +228,35 @@ pub(crate) struct Sched {
 }
 
 impl Sched {
-    /// Empty indices with room for the queue sizes of `cfg`, so that the
-    /// lists never grow (a squash storm aside, see `deps`).
-    pub fn new(cfg: &CoreConfig) -> Sched {
+    /// Empties every index, keeping its storage, and makes room for the
+    /// queue sizes of `cfg`, so that the lists never grow (a squash storm
+    /// aside, see `deps`). `Default` is the indices with no room at all.
+    pub fn reset(&mut self, cfg: &CoreConfig) {
+        let Sched {
+            ready, blocked, events, agen, inflight, next_expiry, completed, heads, deps, free, lq,
+            sq, fences,
+        } = self;
         let rob = cfg.rob_size;
-        Sched {
-            ready: Vec::with_capacity(rob),
-            blocked: Vec::with_capacity(cfg.lq_size),
-            events: 0,
-            agen: Vec::with_capacity(rob),
-            inflight: Vec::with_capacity(rob),
-            next_expiry: u64::MAX,
-            completed: Vec::with_capacity(rob),
-            heads: vec![NIL; rob.next_power_of_two()],
-            deps: Vec::with_capacity(rob),
-            free: NIL,
-            lq: VecDeque::with_capacity(cfg.lq_size),
-            sq: VecDeque::with_capacity(cfg.sq_size),
-            fences: VecDeque::new(),
-        }
+        (*events, *next_expiry, *free) = (0, u64::MAX, NIL);
+        ready.clear();
+        ready.reserve(rob);
+        blocked.clear();
+        blocked.reserve(cfg.lq_size);
+        agen.clear();
+        agen.reserve(rob);
+        inflight.clear();
+        inflight.reserve(rob);
+        completed.clear();
+        completed.reserve(rob);
+        heads.clear();
+        heads.resize(rob.next_power_of_two(), NIL);
+        deps.clear();
+        deps.reserve(rob);
+        lq.clear();
+        lq.reserve(cfg.lq_size);
+        sq.clear();
+        sq.reserve(cfg.sq_size);
+        fences.clear();
     }
 
     fn deps_index(&self, producer: Slot) -> usize {
@@ -628,7 +638,8 @@ mod tests {
         let mut rob = Rob::new();
         let slots: Vec<Slot> =
             (10..15).map(|seq| rob.push(Entry::new(seq, decode(Instr::Nop, 0)[0]))).collect();
-        let mut s = Sched::new(&CoreConfig::default());
+        let mut s = Sched::default();
+        s.reset(&CoreConfig::default());
         for &slot in &slots[1..4] {
             s.insert_ready(slot);
         }

@@ -28,8 +28,9 @@ type Page = [Word; PAGE_WORDS];
 /// All guest accesses are 8 bytes wide and 8-byte aligned. The backing store
 /// is a table of 4 KiB pages indexed by `addr / 8 / 512`: a page nobody has
 /// stored to is absent and reads as zeros, so an image costs the pages its
-/// program writes, not the size it was asked for.
-#[derive(Clone, Debug)]
+/// program writes, not the size it was asked for. `Default` is an image of
+/// no bytes.
+#[derive(Debug, Default)]
 pub struct GuestMem {
     pages: Vec<Option<Box<Page>>>,
     words: usize,
@@ -82,6 +83,30 @@ impl GuestMem {
     /// True if `addr` names an in-bounds, aligned word.
     pub fn contains(&self, addr: Addr) -> bool {
         addr.is_multiple_of(8) && ((addr / 8) as usize) < self.words
+    }
+}
+
+/// `clone_from` copies an image into the pages `self` already has: a page
+/// the source lacks is zeroed in place rather than freed, so a machine
+/// reset to the same image over and over allocates nothing.
+impl Clone for GuestMem {
+    fn clone(&self) -> GuestMem {
+        let mut g = GuestMem::default();
+        g.clone_from(self);
+        g
+    }
+
+    fn clone_from(&mut self, src: &GuestMem) {
+        self.words = src.words;
+        self.pages.resize_with(src.pages.len(), || None);
+        for (dst, src) in self.pages.iter_mut().zip(&src.pages) {
+            match (dst.as_deref_mut(), src) {
+                (Some(d), Some(s)) => *d = **s,
+                (Some(d), None) => d.fill(0),
+                (None, Some(s)) => *dst = Some(s.clone()),
+                (None, None) => {}
+            }
+        }
     }
 }
 

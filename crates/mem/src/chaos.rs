@@ -42,7 +42,7 @@
 /// SplitMix64 — the deterministic pseudo-random stream behind every chaos
 /// decision (and the `sim` crate's litmus fuzzer). Tiny, fast and stable
 /// across platforms.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -130,7 +130,7 @@ fa_trace::counters! {
 }
 
 /// Live fault-injection state owned by the memory system.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChaosEngine {
     cfg: ChaosConfig,
     rng: SplitMix64,

@@ -104,8 +104,9 @@ fn bit(c: CoreId) -> u64 {
     1u64 << c.index()
 }
 
-/// The directory controller.
-#[derive(Debug)]
+/// The directory controller. `Default` is empty storage, which
+/// [`Directory::reset`] makes a directory.
+#[derive(Debug, Default)]
 pub struct Directory {
     entries: TagArray<DirEntry>,
     llc: TagArray<()>,
@@ -147,22 +148,27 @@ pub struct Directory {
 impl Directory {
     /// Creates a directory per `cfg`.
     pub fn new(cfg: &MemConfig) -> Directory {
-        Directory {
-            entries: TagArray::new(cfg.dir_sets, cfg.dir_ways),
-            llc: TagArray::new(cfg.llc_sets, cfg.llc_ways),
-            dir_lat: cfg.dir_lat,
-            llc_lat: cfg.llc_lat,
-            mem_lat: cfg.mem_lat,
-            stats: DirStats::default(),
-            alloc_guard: ProgressGuard::new(ALLOC_POLICY),
-            alloc_moved: 0,
-            alloc_rescue: None,
-            rescue_absent: 0,
-            now: 0,
-            trace: TraceBuf::new(&cfg.trace),
-            epochs_on: cfg.check.on(),
-            write_epochs: FxHashMap::default(),
-        }
+        let mut d = Directory::default();
+        d.reset(cfg);
+        d
+    }
+
+    /// Puts the directory in exactly the state [`new`](Self::new) builds,
+    /// keeping the storage of its tag arrays, epoch map and trace ring.
+    pub fn reset(&mut self, cfg: &MemConfig) {
+        let Directory {
+            entries, llc, dir_lat, llc_lat, mem_lat, stats, alloc_guard, alloc_moved, alloc_rescue,
+            rescue_absent, now, trace, epochs_on, write_epochs,
+        } = self;
+        entries.reset(cfg.dir_sets, cfg.dir_ways);
+        llc.reset(cfg.llc_sets, cfg.llc_ways);
+        (*dir_lat, *llc_lat, *mem_lat) = (cfg.dir_lat, cfg.llc_lat, cfg.mem_lat);
+        *stats = DirStats::default();
+        alloc_guard.reset(ALLOC_POLICY);
+        (*alloc_moved, *alloc_rescue, *rescue_absent, *now) = (0, None, 0, 0);
+        trace.reset(&cfg.trace);
+        *epochs_on = cfg.check.on();
+        write_epochs.clear();
     }
 
     /// Bumps the line's write-epoch (called at every exclusive grant).
@@ -531,6 +537,12 @@ impl Directory {
     #[cfg(test)]
     pub(crate) fn force_drop_entry(&mut self, line: Line) {
         self.entries.remove(line);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn force_sharers(&mut self, line: Line, sharers: u64) {
+        let entry = DirEntry { sharers, ..DirEntry::default() };
+        self.entries.insert(line, entry, |_| false).expect("a free way");
     }
 }
 

@@ -61,7 +61,7 @@ pub use system::{MemDiag, MemorySystem};
 use std::fmt;
 
 /// A core (hardware thread) identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u16);
 
 impl CoreId {
@@ -82,6 +82,17 @@ impl fmt::Display for CoreId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
     }
+}
+
+/// Resizes `live` to `n` elements, moving the surplus to `spare` and
+/// taking from it before building new ones: a run on fewer cores, then one
+/// on more, finds the per-core storage of the first still there. The caller
+/// resets every live element.
+pub fn fit<T: Default>(live: &mut Vec<T>, spare: &mut Vec<T>, n: usize) {
+    spare.extend(live.drain(n.min(live.len())..));
+    let reused = spare.len().saturating_sub(n - live.len());
+    live.extend(spare.drain(reused..));
+    live.resize_with(n, T::default);
 }
 
 /// A line-aligned physical address.

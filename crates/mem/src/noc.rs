@@ -335,6 +335,13 @@ struct Link {
 }
 
 impl Link {
+    fn reset(&mut self) {
+        let Link { busy_until, inflight, stats } = self;
+        *busy_until = 0;
+        inflight.clear();
+        *stats = LinkStats::default();
+    }
+
     /// Serializes a `flits`-flit message through the link no earlier than
     /// `ready`, at `bw` flits/cycle. Returns the cycle the last flit
     /// clears.
@@ -363,7 +370,7 @@ const CTRL_FLITS: u64 = 1;
 /// the directory and a response ingress link from it; the directory owns a
 /// shared ingress port and a shared egress port, as in a GARNET-style
 /// crossbar.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Links {
     bw: u64,
     data_flits: u64,
@@ -371,6 +378,18 @@ struct Links {
     resp: Vec<Link>,
     dir_in: Link,
     dir_out: Link,
+    /// Per-core links of an earlier run on more cores.
+    spare: Vec<Link>,
+}
+
+impl Links {
+    fn reset(&mut self, cfg: &MemConfig, n_cores: usize) {
+        let Links { bw, data_flits, req, resp, dir_in, dir_out, spare } = self;
+        (*bw, *data_flits) = (cfg.noc.link_bw, cfg.noc.data_flits.max(1));
+        crate::fit(req, spare, n_cores);
+        crate::fit(resp, spare, n_cores);
+        req.iter_mut().chain(resp.iter_mut()).chain([dir_in, dir_out]).for_each(Link::reset);
+    }
 }
 
 /// The crossbar. The memory system pushes every outbound event through
@@ -387,12 +406,15 @@ struct Links {
 /// delivers at `now + extra + jitter + net_lat` — the fixed-latency
 /// crossbar is the contended one in its uncontended limit, not a second
 /// implementation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Xbar {
     net_lat: Cycle,
     wheel: Wheel<(Cycle, NocEv)>,
     pub(crate) chaos: ChaosEngine,
     links: Option<Links>,
+    /// The links of an earlier contended run, kept while the crossbar is
+    /// ideal.
+    unused_links: Option<Links>,
     /// Message and grant-latency tallies (`policy` and `link_bw` are set
     /// once here; the link vectors and `elapsed` are filled per snapshot).
     tally: NocStats,
@@ -401,30 +423,28 @@ pub(crate) struct Xbar {
 }
 
 impl Xbar {
-    /// Builds the crossbar `cfg` selects for `n_cores` cores, seeding it
-    /// with `chaos`.
-    pub(crate) fn new(cfg: &MemConfig, n_cores: usize, chaos: ChaosEngine) -> Xbar {
-        let mk = || (0..n_cores).map(|_| Link::default()).collect();
-        let links = (cfg.noc.policy == XbarPolicy::Contended).then(|| Links {
-            bw: cfg.noc.link_bw,
-            data_flits: cfg.noc.data_flits.max(1),
-            req: mk(),
-            resp: mk(),
-            dir_in: Link::default(),
-            dir_out: Link::default(),
-        });
-        Xbar {
-            net_lat: cfg.net_lat,
-            wheel: Wheel::new(),
-            chaos,
-            tally: NocStats {
-                policy: cfg.noc.policy,
-                link_bw: links.as_ref().map_or(0, |l| l.bw),
-                ..NocStats::default()
-            },
-            links,
-            trace: TraceBuf::new(&cfg.trace),
+    /// Makes the crossbar `cfg` selects for `n_cores` cores, seeded with
+    /// `chaos`, keeping the storage of its event heap, links and trace
+    /// ring. `Default` is empty storage.
+    pub(crate) fn reset(&mut self, cfg: &MemConfig, n_cores: usize, chaos: ChaosEngine) {
+        let Xbar { net_lat, wheel, chaos: my_chaos, links, unused_links, tally, trace } = self;
+        *net_lat = cfg.net_lat;
+        wheel.reset();
+        *my_chaos = chaos;
+        let kept = links.take().or_else(|| unused_links.take());
+        let contended = cfg.noc.policy == XbarPolicy::Contended;
+        if contended {
+            let l = links.insert(kept.unwrap_or_default());
+            l.reset(cfg, n_cores);
+        } else {
+            *unused_links = kept;
         }
+        *tally = NocStats {
+            policy: cfg.noc.policy,
+            link_bw: links.as_ref().map_or(0, |l| l.bw),
+            ..NocStats::default()
+        };
+        trace.reset(&cfg.trace);
     }
 
     /// Routes `ev`. `extra` is the sender-side delay already accrued before
@@ -540,7 +560,13 @@ mod tests {
 
     fn xbar(noc: NocConfig, n_cores: usize) -> Xbar {
         let cfg = MemConfig { noc, ..MemConfig::default() };
-        Xbar::new(&cfg, n_cores, ChaosEngine::new(ChaosConfig::default()))
+        built(&cfg, n_cores, ChaosEngine::new(ChaosConfig::default()))
+    }
+
+    fn built(cfg: &MemConfig, n_cores: usize, chaos: ChaosEngine) -> Xbar {
+        let mut x = Xbar::default();
+        x.reset(cfg, n_cores, chaos);
+        x
     }
 
     fn ideal() -> Xbar {
@@ -638,7 +664,7 @@ mod tests {
 
     fn stressed(noc: NocConfig) -> Xbar {
         let cfg = MemConfig { noc, ..MemConfig::default() };
-        Xbar::new(&cfg, 2, ChaosEngine::new(ChaosConfig::stress(77)))
+        built(&cfg, 2, ChaosEngine::new(ChaosConfig::stress(77)))
     }
 
     #[test]
@@ -686,7 +712,7 @@ mod tests {
                 trace: TraceConfig::with_mode(TraceMode::Full),
                 ..MemConfig::default()
             };
-            let mut x = Xbar::new(&cfg, 2, ChaosEngine::new(ChaosConfig::default()));
+            let mut x = built(&cfg, 2, ChaosEngine::new(ChaosConfig::default()));
             let mut sends = Vec::new();
             mixed_sends(&mut x, |x| {
                 let ring = x.trace.tail(usize::MAX);

@@ -17,7 +17,7 @@ struct Stream {
 ///
 /// Streams are tracked per 64-line region; two consecutive identical deltas
 /// arm the stream, after which each access proposes `degree` lines ahead.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StridePrefetcher {
     table: [Stream; TABLE_SIZE],
     degree: usize,

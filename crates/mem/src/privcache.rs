@@ -125,8 +125,9 @@ pub(crate) enum Action {
     LineLost { line: Line, remote_write: bool },
 }
 
-/// The private cache controller for one core.
-#[derive(Debug)]
+/// The private cache controller for one core. `Default` is empty storage,
+/// which [`PrivCache::reset`] makes a controller.
+#[derive(Debug, Default)]
 pub struct PrivCache {
     id: CoreId,
     l1: TagArray<()>,
@@ -174,29 +175,40 @@ pub struct PrivCache {
 impl PrivCache {
     /// Creates the controller for core `id`.
     pub fn new(id: CoreId, cfg: &MemConfig) -> PrivCache {
-        PrivCache {
-            id,
-            l1: TagArray::new(cfg.l1_sets, cfg.l1_ways),
-            l2: TagArray::new(cfg.l2_sets, cfg.l2_ways),
-            locks: FxHashMap::default(),
-            mshrs: FxHashMap::with_capacity_and_hasher(cfg.mshrs, Default::default()),
-            mshr_pool: Vec::new(),
-            parked_ext: FxHashMap::default(),
-            stalled_fills: VecDeque::new(),
-            still_stalled: VecDeque::new(),
-            retry_due: false,
-            fill_guard: ProgressGuard::new(FILL_POLICY),
-            prefetcher: StridePrefetcher::new(PREFETCH_DEGREE),
-            prefetch_enabled: cfg.stride_prefetch,
-            mshr_cap: cfg.mshrs,
-            l1_lat: cfg.l1_lat,
-            l2_lat: cfg.l2_lat,
-            now: 0,
-            locks_moved: false,
-            lock_acct: FxHashMap::default(),
-            trace: TraceBuf::new(&cfg.trace),
-            stats: CoreMemStats::default(),
-        }
+        let mut c = PrivCache::default();
+        c.reset(id, cfg);
+        c
+    }
+
+    /// Puts the controller in exactly the state [`new`](Self::new) builds,
+    /// keeping the storage of its tag arrays, maps, queues and trace ring
+    /// (an MSHR's pending list goes back to the pool).
+    pub fn reset(&mut self, id: CoreId, cfg: &MemConfig) {
+        let PrivCache {
+            id: my_id, l1, l2, locks, mshrs, mshr_pool, parked_ext, stalled_fills, still_stalled,
+            retry_due, fill_guard, prefetcher, prefetch_enabled, mshr_cap, l1_lat, l2_lat, now,
+            locks_moved, lock_acct, trace, stats,
+        } = self;
+        *my_id = id;
+        l1.reset(cfg.l1_sets, cfg.l1_ways);
+        l2.reset(cfg.l2_sets, cfg.l2_ways);
+        locks.clear();
+        mshr_pool.extend(mshrs.drain().map(|(_, mut m)| {
+            m.pending.clear();
+            m.pending
+        }));
+        mshrs.reserve(cfg.mshrs);
+        parked_ext.clear();
+        stalled_fills.clear();
+        still_stalled.clear();
+        fill_guard.reset(FILL_POLICY);
+        *prefetcher = StridePrefetcher::new(PREFETCH_DEGREE);
+        (*prefetch_enabled, *mshr_cap) = (cfg.stride_prefetch, cfg.mshrs);
+        (*l1_lat, *l2_lat, *now) = (cfg.l1_lat, cfg.l2_lat, 0);
+        (*retry_due, *locks_moved) = (false, false);
+        lock_acct.clear();
+        trace.reset(&cfg.trace);
+        *stats = CoreMemStats::default();
     }
 
     /// Sets the controller clock (the system calls this before every call

@@ -25,7 +25,7 @@ use std::fmt;
 use std::hash::Hash;
 
 /// Per-site progress policy: when to rescue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProgressPolicy {
     /// Attempts after which the site's rescue action fires (0 = the site
     /// has no rescue action).
@@ -53,7 +53,7 @@ impl ProgressPolicy {
 /// Per-site stall bookkeeping: consecutive failed attempts per stuck
 /// resource (keyed by whatever identifies the resource at that site) and
 /// historical maxima for stats.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ProgressGuard<K: Eq + Hash + Copy> {
     policy: ProgressPolicy,
     attempts: FxHashMap<K, u64>,
@@ -65,7 +65,18 @@ pub struct ProgressGuard<K: Eq + Hash + Copy> {
 impl<K: Eq + Hash + Copy> ProgressGuard<K> {
     /// Creates a guard with the given policy.
     pub fn new(policy: ProgressPolicy) -> ProgressGuard<K> {
-        ProgressGuard { policy, attempts: FxHashMap::default(), attempts_max: 0 }
+        let mut g = ProgressGuard { policy, attempts: FxHashMap::default(), attempts_max: 0 };
+        g.reset(policy);
+        g
+    }
+
+    /// Forgets every count, as [`new`](Self::new) would, keeping the map's
+    /// storage.
+    pub fn reset(&mut self, policy: ProgressPolicy) {
+        let ProgressGuard { policy: p, attempts, attempts_max } = self;
+        *p = policy;
+        attempts.clear();
+        *attempts_max = 0;
     }
 
     /// The guard's policy.

@@ -25,6 +25,7 @@ use crate::{CoreId, Cycle, FxHashMap, Line, MemConfig};
 use fa_isa::interp::GuestMem;
 use fa_isa::{Addr, Word};
 use fa_trace::{write_id, SerEvent, TraceRecord};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A point-in-time snapshot of memory-system state, attached to timeout
@@ -75,7 +76,9 @@ impl fmt::Display for MemDiag {
 }
 
 /// The full memory hierarchy for `n` cores plus the global backing store.
-#[derive(Debug)]
+/// `Default` is empty storage, which [`MemorySystem::reset`] makes a
+/// hierarchy.
+#[derive(Debug, Default)]
 pub struct MemorySystem {
     cfg: MemConfig,
     now: Cycle,
@@ -83,6 +86,8 @@ pub struct MemorySystem {
     /// `noc` trace ring.
     noc: Xbar,
     caches: Vec<PrivCache>,
+    /// The caches of an earlier run on more cores.
+    spare_caches: Vec<PrivCache>,
     dir: Directory,
     backing: GuestMem,
     outbox: Vec<Vec<CoreResp>>,
@@ -134,34 +139,54 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates a memory system for `n_cores` cores over `backing`.
     pub fn new(cfg: MemConfig, n_cores: usize, backing: GuestMem) -> MemorySystem {
+        let mut m = MemorySystem::default();
+        m.reset(&cfg, n_cores, Cow::Owned(backing));
+        m
+    }
+
+    /// Puts the system in exactly the state [`new`](Self::new) builds for
+    /// `cfg` and `n_cores` over `backing`, keeping the storage of every
+    /// controller (tag arrays, maps, queues, MSHR lists, trace rings), of
+    /// the crossbar's heap and links, of the reused buffers, the check logs
+    /// and the guest pages. An owned image moves in; a borrowed one is
+    /// copied into the pages the system already has.
+    pub fn reset(&mut self, cfg: &MemConfig, n_cores: usize, backing: Cow<'_, GuestMem>) {
         assert!(n_cores <= 64, "core masks are 64 bits wide: {n_cores} cores");
-        let chaos = ChaosEngine::new(cfg.chaos.clone());
+        let MemorySystem {
+            cfg: my_cfg, now, noc, caches, spare_caches, dir, backing: my_backing, outbox, notices,
+            audit_stats, changed_since_sweep, touched, retry_due, leak_at, acts, dout, audit_copies,
+            check, last_writer, ser, lsq_guard, backlog_max,
+        } = self;
+        my_cfg.clone_from(cfg);
+        *now = 0;
+        noc.reset(cfg, n_cores, ChaosEngine::new(cfg.chaos.clone()));
         // Fault injection may clamp the effective MSHR count.
-        let mut cache_cfg = cfg.clone();
-        cache_cfg.mshrs = chaos.effective_mshrs(cfg.mshrs);
-        MemorySystem {
-            caches: (0..n_cores).map(|i| PrivCache::new(CoreId(i as u16), &cache_cfg)).collect(),
-            dir: Directory::new(&cfg),
-            backing,
-            outbox: vec![Vec::new(); n_cores],
-            notices: vec![Vec::new(); n_cores],
-            audit_stats: AuditStats::default(),
-            now: 0,
-            noc: Xbar::new(&cfg, n_cores, chaos),
-            changed_since_sweep: true,
-            touched: 0,
-            retry_due: 0,
-            leak_at: None,
-            acts: Vec::new(),
-            dout: Vec::new(),
-            audit_copies: Vec::new(),
-            check: cfg.check.on(),
-            last_writer: FxHashMap::default(),
-            ser: Vec::new(),
-            lsq_guard: ProgressGuard::new(ProgressPolicy::counting()),
-            backlog_max: 0,
-            cfg,
+        let cache_cfg = MemConfig { mshrs: noc.chaos.effective_mshrs(cfg.mshrs), ..cfg.clone() };
+        crate::fit(caches, spare_caches, n_cores);
+        for (i, c) in caches.iter_mut().enumerate() {
+            c.reset(CoreId(i as u16), &cache_cfg);
         }
+        dir.reset(cfg);
+        match backing {
+            Cow::Owned(image) => *my_backing = image,
+            Cow::Borrowed(image) => my_backing.clone_from(image),
+        }
+        // Indexed by core only: the queues of cores beyond `n_cores` stay,
+        // empty, for a later run on more cores.
+        outbox.iter_mut().for_each(Vec::clear);
+        outbox.resize_with(n_cores.max(outbox.len()), Vec::new);
+        notices.iter_mut().for_each(Vec::clear);
+        notices.resize_with(n_cores.max(notices.len()), Vec::new);
+        *audit_stats = AuditStats::default();
+        (*changed_since_sweep, *touched, *retry_due, *leak_at) = (true, 0, 0, None);
+        acts.clear();
+        dout.clear();
+        audit_copies.clear();
+        *check = cfg.check.on();
+        last_writer.clear();
+        ser.clear();
+        lsq_guard.reset(ProgressPolicy::counting());
+        *backlog_max = 0;
     }
 
     /// Current cycle.
@@ -1051,6 +1076,44 @@ mod tests {
             other => panic!("expected LockLeak, got {other:?}"),
         }
         assert!(m.stats().audit.max_lock_hold_seen > 10);
+    }
+
+    #[test]
+    fn a_reset_re_arms_the_audit_sweep() {
+        // A reset that kept the last sweep's verdict would skip the first
+        // sweep of the next run: every violation below is planted behind
+        // the protocol's back without marking the sweep, so only the mark
+        // the reset sets makes the audit look.
+        let mut cfg = MemConfig::tiny();
+        cfg.audit = crate::AuditConfig::on();
+        let blank = GuestMem::new(1 << 16);
+        let mut m = MemorySystem::new(cfg.clone(), 2, blank.clone());
+        let swmr = |m: &mut MemorySystem| {
+            m.caches[0].force_state(0x200, crate::privcache::Mesi::M);
+            m.caches[1].force_state(0x200, crate::privcache::Mesi::S);
+            m.dir.force_sharers(0x200, 0b11);
+        };
+        let inclusion = |m: &mut MemorySystem| {
+            m.caches[1].force_state(0x300, crate::privcache::Mesi::S);
+        };
+        let plants = [
+            (swmr as fn(&mut MemorySystem), AuditViolation::MultipleWriters { line: 0x200, writers: vec![C0], holders: vec![C0, C1] }),
+            (inclusion, AuditViolation::InclusionHole { line: 0x300, core: C1, entry_missing: true }),
+        ];
+        for (plant, violation) in plants {
+            m.reset(&cfg, 2, Cow::Borrowed(&blank));
+            m.read(C0, 1, 0x100, false);
+            run_until_resp(&mut m, C0, 1000);
+            while m.pending_events() > 0 {
+                m.tick();
+            }
+            m.audit().expect("legal traffic passes the audit");
+            assert!(!m.changed_since_sweep, "the clean sweep consumed the mark");
+            m.reset(&cfg, 2, Cow::Borrowed(&blank));
+            assert!(m.changed_since_sweep, "a reset arms the first sweep, as `new` does");
+            plant(&mut m);
+            assert_eq!(m.audit(), Err(violation));
+        }
     }
 
     /// An audited system with a lock-hold bound of `bound`.

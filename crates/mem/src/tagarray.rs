@@ -44,6 +44,13 @@ pub struct TagArray<S> {
 /// one zeroed allocation whatever the geometry.
 type SetRef = [u32; 2];
 
+/// Empty storage: an array of no sets, which [`TagArray::reset`] sizes.
+impl<S> Default for TagArray<S> {
+    fn default() -> TagArray<S> {
+        TagArray { sets: Vec::new(), touched: Vec::new(), slab: Vec::new(), ways: 0, len: 0, tick: 0 }
+    }
+}
+
 impl<S> TagArray<S> {
     /// Creates an array with `sets` sets of `ways` ways.
     ///
@@ -52,18 +59,39 @@ impl<S> TagArray<S> {
     /// Panics unless `sets` is a nonzero power of two, `ways > 0` and
     /// `sets * ways` fits 32 bits.
     pub fn new(sets: usize, ways: usize) -> TagArray<S> {
+        let mut t = TagArray::default();
+        t.reset(sets, ways);
+        t
+    }
+
+    /// Empties the array and gives it `sets` sets of `ways` ways, as
+    /// [`new`](Self::new) would, keeping the slab's storage.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn reset(&mut self, sets: usize, ways: usize) {
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
         assert!(ways > 0, "ways must be nonzero");
         let fits = sets.checked_mul(ways).is_some_and(|slots| u32::try_from(slots).is_ok());
         assert!(fits, "sets * ways must fit a SetRef");
-        TagArray {
-            sets: vec![[0; 2]; sets],
-            touched: vec![0; sets.div_ceil(64)],
-            slab: Vec::new(),
-            ways,
-            len: 0,
-            tick: 0,
+        let TagArray { sets: refs, touched, slab, ways: w, len, tick } = self;
+        if refs.len() == sets {
+            // Only a touched set's reference is not zero.
+            for (word, bits) in touched.iter_mut().enumerate() {
+                while *bits != 0 {
+                    refs[word * 64 + bits.trailing_zeros() as usize] = [0; 2];
+                    *bits &= *bits - 1;
+                }
+            }
+        } else {
+            // Zeroed allocations: the pages of sets never touched stay
+            // untouched.
+            *refs = vec![[0; 2]; sets];
+            *touched = vec![0; sets.div_ceil(64)];
         }
+        slab.clear();
+        (*w, *len, *tick) = (ways, 0, 0);
     }
 
     #[inline]
@@ -236,6 +264,27 @@ mod tests {
 
     fn line(set: u64, tag: u64, sets: u64) -> Line {
         (tag * sets + set) << LINE_SHIFT
+    }
+
+    #[test]
+    fn a_reset_array_behaves_as_a_new_one() {
+        // Refilled after a reset to the same geometry (which clears only
+        // the touched sets) and to another: every insert, eviction and
+        // walk as on a new array.
+        let mut t: TagArray<u64> = TagArray::new(8, 2);
+        for l in 0..40 {
+            let _ = t.insert(l << LINE_SHIFT, l, |_| false);
+        }
+        for (sets, ways) in [(8, 2), (4, 3), (4, 3)] {
+            t.reset(sets, ways);
+            let mut fresh = TagArray::new(sets, ways);
+            assert!(t.is_empty() && t.iter().next().is_none());
+            for l in (0..30).rev().map(|l| l * 3) {
+                let pinned = |line: Line| line.is_multiple_of(5);
+                assert_eq!(t.insert(l << LINE_SHIFT, l, pinned), fresh.insert(l << LINE_SHIFT, l, pinned));
+            }
+            assert!(t.iter().eq(fresh.iter()), "{sets} x {ways}");
+        }
     }
 
     #[test]

@@ -52,6 +52,14 @@ impl<E> Wheel<E> {
         Wheel::default()
     }
 
+    /// Drops every scheduled event and restarts the same-cycle order, as
+    /// [`new`](Self::new) would, keeping the heap's storage.
+    pub fn reset(&mut self) {
+        let Wheel { heap, next_seq } = self;
+        heap.clear();
+        *next_seq = 0;
+    }
+
     /// Schedules `event` at absolute cycle `at`.
     pub fn schedule(&mut self, at: Cycle, event: E) {
         let seq = self.next_seq;

@@ -110,12 +110,51 @@ struct WriteInfo {
 
 /// The coherence order: per-address write lists plus a write-id → (addr,
 /// 1-based position) index. Position 0 is reserved for initial memory.
+#[derive(Default)]
 struct Co {
-    order: FxHashMap<u64, Vec<u64>>,
+    /// Each address's write list, by its slot in `lists`.
+    slot: FxHashMap<u64, usize>,
+    /// The write lists, in the order their addresses were first
+    /// serialized. The first `used` are this execution's; the rest are
+    /// empty storage from earlier ones.
+    lists: Vec<Vec<u64>>,
+    used: usize,
     pos: FxHashMap<u64, usize>,
 }
 
 impl Co {
+    fn clear(&mut self) {
+        self.slot.clear();
+        self.lists[..self.used].iter_mut().for_each(Vec::clear);
+        self.used = 0;
+        self.pos.clear();
+    }
+
+    /// Appends `writer` to `addr`'s write list; returns its 1-based
+    /// position.
+    fn push(&mut self, addr: u64, writer: u64) -> usize {
+        let slot = *self.slot.entry(addr).or_insert(self.used);
+        if slot == self.used {
+            self.used += 1;
+            if self.lists.len() < self.used {
+                self.lists.push(Vec::new());
+            }
+        }
+        let list = &mut self.lists[slot];
+        list.push(writer);
+        list.len()
+    }
+
+    /// `addr`'s writes in coherence order (empty when it has none).
+    fn order(&self, addr: u64) -> &[u64] {
+        self.slot.get(&addr).map_or(&[], |&s| &self.lists[s])
+    }
+
+    /// Every address's write list, in first-serialization order.
+    fn orders(&self) -> &[Vec<u64>] {
+        &self.lists[..self.used]
+    }
+
     /// 1-based coherence position of the write a read observed
     /// (0 = initial memory). `None` for an unknown write-id.
     fn read_pos(&self, writer: u64) -> Option<usize> {
@@ -124,6 +163,73 @@ impl Co {
         } else {
             self.pos.get(&writer).copied()
         }
+    }
+}
+
+/// The checker's working storage: the maps and tables one check fills. A
+/// machine keeps one across its runs, so that checking run after run
+/// allocates only while they still grow. No map is iterated where the
+/// order could reach a verdict or its text: lookups only, and the write
+/// lists in first-serialization order.
+#[derive(Default)]
+pub(crate) struct Checker {
+    writes: FxHashMap<u64, WriteInfo>,
+    co: Co,
+    /// Per line, the last write-epoch serialized.
+    line_epoch: FxHashMap<u64, u64>,
+    /// Per address, one core's running coherence maxima.
+    maxima: FxHashMap<u64, (usize, usize)>,
+    /// One core's event index by µop seq.
+    by_seq: FxHashMap<u64, usize>,
+    ghb: Ghb,
+}
+
+/// The global-happens-before graph's storage (see [`check_ghb`]).
+#[derive(Default)]
+struct Ghb {
+    /// Each core's first node.
+    base: Vec<usize>,
+    /// Out-edges per node; the first `n` are this execution's.
+    adj: Vec<Vec<(u32, u8)>>,
+    indeg: Vec<u32>,
+    node_of_wid: FxHashMap<u64, usize>,
+    /// One core's next-index tables, built backwards, and its previous
+    /// out-ordering node per event.
+    next_out: Vec<usize>,
+    next_store: Vec<usize>,
+    next_barrier_r: Vec<usize>,
+    next_barrier_w: Vec<usize>,
+    prev_out: Vec<usize>,
+    stack: Vec<usize>,
+}
+
+/// Refills `v` with `n` copies of `x`, keeping its storage.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
+impl Checker {
+    /// Checks one execution — each core's committed data events, in
+    /// program order, and the serialization log — against the axioms of
+    /// `model` (see [`check_model`]).
+    pub(crate) fn check<'a, C>(
+        &mut self,
+        cores: C,
+        ser: &[SerEvent],
+        model: MemModel,
+    ) -> Result<CheckReport, Violation>
+    where
+        C: Iterator<Item = &'a [DataEvent]> + Clone,
+    {
+        collect_writes(cores.clone(), &mut self.writes)?;
+        check_co_wf(cores.clone(), ser, &self.writes, &mut self.co, &mut self.line_epoch)?;
+        check_rf_wf(cores.clone(), &self.writes)?;
+        check_sc_per_location(cores.clone(), &self.co, &mut self.maxima)?;
+        check_rmw_atomicity(cores.clone(), &self.co, &mut self.by_seq)?;
+        let ghb_edges = check_ghb(cores.clone(), &self.writes, &self.co, model, &mut self.ghb)?;
+        let events = cores.map(<[DataEvent]>::len).sum();
+        Ok(CheckReport { events, writes: self.writes.len(), ghb_edges })
     }
 }
 
@@ -154,13 +260,7 @@ pub fn check(x: &Execution) -> Result<CheckReport, Violation> {
 /// The first refuted axiom, with detail naming the offending events (or,
 /// for the ghb axiom, a shortest violating cycle).
 pub fn check_model(x: &Execution, model: MemModel) -> Result<CheckReport, Violation> {
-    let writes = collect_writes(x)?;
-    let co = check_co_wf(x, &writes)?;
-    check_rf_wf(x, &writes)?;
-    check_sc_per_location(x, &co)?;
-    check_rmw_atomicity(x, &co)?;
-    let ghb_edges = check_ghb(x, &writes, &co, model)?;
-    Ok(CheckReport { events: x.events(), writes: writes.len(), ghb_edges })
+    Checker::default().check(x.cores.iter().map(Vec::as_slice), &x.ser, model)
 }
 
 /// Renders an event for violation messages.
@@ -186,35 +286,49 @@ fn show_wid(w: u64) -> String {
     }
 }
 
-fn collect_writes(x: &Execution) -> Result<FxHashMap<u64, WriteInfo>, Violation> {
-    let mut writes = FxHashMap::default();
-    for (core, evs) in x.cores.iter().enumerate() {
-        for ev in evs {
-            let (addr, value, unlock) = match *ev {
-                DataEvent::Store { addr, value, .. } => (addr, value, false),
-                DataEvent::StoreUnlock { addr, value, .. } => (addr, value, true),
-                _ => continue,
-            };
-            let wid = write_id(core as u16, ev.seq());
-            if writes.insert(wid, WriteInfo { core, addr, value, unlock }).is_some() {
-                return Err(Violation {
-                    axiom: "co-wf",
-                    detail: format!("duplicate committed store {}", show(core, ev)),
-                });
-            }
+/// The write-id of every committed store, in core then program order.
+fn committed_writes<'a>(
+    cores: impl Iterator<Item = &'a [DataEvent]>,
+) -> impl Iterator<Item = (usize, &'a DataEvent, u64)> {
+    cores.enumerate().flat_map(|(core, evs)| {
+        evs.iter().filter(|ev| ev.is_write()).map(move |ev| (core, ev, write_id(core as u16, ev.seq())))
+    })
+}
+
+fn collect_writes<'a>(
+    cores: impl Iterator<Item = &'a [DataEvent]>,
+    writes: &mut FxHashMap<u64, WriteInfo>,
+) -> Result<(), Violation> {
+    writes.clear();
+    for (core, ev, wid) in committed_writes(cores) {
+        let (addr, value, unlock) = match *ev {
+            DataEvent::Store { addr, value, .. } => (addr, value, false),
+            DataEvent::StoreUnlock { addr, value, .. } => (addr, value, true),
+            _ => continue,
+        };
+        if writes.insert(wid, WriteInfo { core, addr, value, unlock }).is_some() {
+            return Err(Violation {
+                axiom: "co-wf",
+                detail: format!("duplicate committed store {}", show(core, ev)),
+            });
         }
     }
-    Ok(writes)
+    Ok(())
 }
 
 /// Validates the serialization log against the committed stores and
 /// builds the coherence order.
-fn check_co_wf(x: &Execution, writes: &FxHashMap<u64, WriteInfo>) -> Result<Co, Violation> {
+fn check_co_wf<'a>(
+    cores: impl Iterator<Item = &'a [DataEvent]>,
+    ser: &[SerEvent],
+    writes: &FxHashMap<u64, WriteInfo>,
+    co: &mut Co,
+    line_epoch: &mut FxHashMap<u64, u64>,
+) -> Result<(), Violation> {
     let fail = |detail: String| Violation { axiom: "co-wf", detail };
-    let mut order: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
-    let mut pos: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut line_epoch: FxHashMap<u64, u64> = FxHashMap::default();
-    for ev in &x.ser {
+    co.clear();
+    line_epoch.clear();
+    for ev in ser {
         let Some(w) = writes.get(&ev.writer) else {
             return Err(fail(format!(
                 "serialized write {} to {:#x} does not match any committed store",
@@ -252,30 +366,32 @@ fn check_co_wf(x: &Execution, writes: &FxHashMap<u64, WriteInfo>) -> Result<Co, 
             )));
         }
         *last = ev.epoch;
-        let per_addr = order.entry(ev.addr).or_default();
-        per_addr.push(ev.writer);
-        if pos.insert(ev.writer, per_addr.len()).is_some() {
+        let at = co.push(ev.addr, ev.writer);
+        if co.pos.insert(ev.writer, at).is_some() {
             return Err(fail(format!("write {} serialized twice", show_wid(ev.writer))));
         }
     }
-    if pos.len() != writes.len() {
-        let missing = writes
-            .keys()
-            .find(|w| !pos.contains_key(*w))
-            .copied()
+    if co.pos.len() != writes.len() {
+        // The first in core then program order.
+        let missing = committed_writes(cores)
+            .map(|(.., wid)| wid)
+            .find(|w| !co.pos.contains_key(w))
             .unwrap_or(WRITE_ID_INIT);
         return Err(fail(format!("committed store {} never performed", show_wid(missing))));
     }
-    Ok(Co { order, pos })
+    Ok(())
 }
 
 /// Every load reads a committed store to the same address with the same
 /// value. Reads of initial memory (write-id 0) skip the value check —
 /// initial guest memory is mutated in place, so its original content is
 /// not recoverable at check time.
-fn check_rf_wf(x: &Execution, writes: &FxHashMap<u64, WriteInfo>) -> Result<(), Violation> {
+fn check_rf_wf<'a>(
+    cores: impl Iterator<Item = &'a [DataEvent]>,
+    writes: &FxHashMap<u64, WriteInfo>,
+) -> Result<(), Violation> {
     let fail = |detail: String| Violation { axiom: "rf-wf", detail };
-    for (core, evs) in x.cores.iter().enumerate() {
+    for (core, evs) in cores.enumerate() {
         for ev in evs {
             let (addr, value, writer) = match *ev {
                 DataEvent::Load { addr, value, writer, .. }
@@ -317,15 +433,19 @@ fn check_rf_wf(x: &Execution, writes: &FxHashMap<u64, WriteInfo>) -> Result<(), 
 /// The uniproc condition: per core and address, coherence positions of
 /// writes and of observed writers never move backwards. One linear pass
 /// with running maxima detects all five classic shapes.
-fn check_sc_per_location(x: &Execution, co: &Co) -> Result<(), Violation> {
+fn check_sc_per_location<'a>(
+    cores: impl Iterator<Item = &'a [DataEvent]>,
+    co: &Co,
+    maxima: &mut FxHashMap<u64, (usize, usize)>,
+) -> Result<(), Violation> {
     let fail = |shape: &str, detail: String| Violation {
         axiom: "sc-per-location",
         detail: format!("{shape}: {detail}"),
     };
-    for (core, evs) in x.cores.iter().enumerate() {
+    for (core, evs) in cores.enumerate() {
         // addr -> (max co-position of po-earlier writes, of observed
         // writers of po-earlier reads).
-        let mut maxima: FxHashMap<u64, (usize, usize)> = FxHashMap::default();
+        maxima.clear();
         for ev in evs {
             match *ev {
                 DataEvent::Store { addr, .. } | DataEvent::StoreUnlock { addr, .. } => {
@@ -398,13 +518,17 @@ fn check_sc_per_location(x: &Execution, co: &Co) -> Result<(), Violation> {
 /// RMW atomicity: the `store_unlock` must be the immediate co-successor
 /// of the write its `load_lock` read — no foreign write inside the
 /// window.
-fn check_rmw_atomicity(x: &Execution, co: &Co) -> Result<(), Violation> {
+fn check_rmw_atomicity<'a>(
+    cores: impl Iterator<Item = &'a [DataEvent]>,
+    co: &Co,
+    by_seq: &mut FxHashMap<u64, usize>,
+) -> Result<(), Violation> {
     let fail = |detail: String| Violation { axiom: "rmw-atomicity", detail };
-    for (core, evs) in x.cores.iter().enumerate() {
+    for (core, evs) in cores.enumerate() {
         // seq -> event index, for pairing a load_lock (seq s) with its
         // store_unlock (the µop triple is consecutive: s, s+1, s+2).
-        let by_seq: FxHashMap<u64, usize> =
-            evs.iter().enumerate().map(|(i, e)| (e.seq(), i)).collect();
+        by_seq.clear();
+        by_seq.extend(evs.iter().enumerate().map(|(i, e)| (e.seq(), i)));
         for ev in evs {
             let DataEvent::LoadLock { seq, addr, writer, .. } = *ev else { continue };
             let su = by_seq
@@ -425,12 +549,8 @@ fn check_rmw_atomicity(x: &Execution, co: &Co) -> Result<(), Violation> {
             let su_wid = write_id(core as u16, su.seq());
             let q = co.pos.get(&su_wid).copied().unwrap_or(0);
             if q != p + 1 {
-                let interloper = co
-                    .order
-                    .get(&addr)
-                    .and_then(|o| o.get(p))
-                    .map(|&w| show_wid(w))
-                    .unwrap_or_else(|| "<missing>".to_string());
+                let interloper =
+                    co.order(addr).get(p).map(|&w| show_wid(w)).unwrap_or_else(|| "<missing>".to_string());
                 return Err(fail(format!(
                     "{} read {} (co position {p}) but its store_unlock serialized at \
                      position {q}; intervening write: {interloper}",
@@ -469,30 +589,42 @@ const L_PO_RB: u8 = 6;
 ///   barriers that drain the store buffer); a `store_unlock` is not
 ///   out-ordering under weak — the RMW's acquire side lives on its
 ///   `load_lock`.
-fn check_ghb(
-    x: &Execution,
+fn check_ghb<'a, C>(
+    cores: C,
     writes: &FxHashMap<u64, WriteInfo>,
     co: &Co,
     model: MemModel,
-) -> Result<usize, Violation> {
+    g: &mut Ghb,
+) -> Result<usize, Violation>
+where
+    C: Iterator<Item = &'a [DataEvent]> + Clone,
+{
     // Global node numbering: per-core blocks.
-    let mut base = Vec::with_capacity(x.cores.len());
+    g.base.clear();
     let mut n = 0usize;
-    for evs in &x.cores {
-        base.push(n);
+    for evs in cores.clone() {
+        g.base.push(n);
         n += evs.len();
     }
-    let mut adj: Vec<Vec<(u32, u8)>> = vec![Vec::new(); n];
-    let mut indeg = vec![0u32; n];
+    g.adj.iter_mut().take(n).for_each(Vec::clear);
+    if g.adj.len() < n {
+        g.adj.resize_with(n, Vec::new);
+    }
+    let (base, adj) = (&g.base, &mut g.adj[..n]);
+    refill(&mut g.indeg, n, 0);
+    let indeg = &mut g.indeg;
     let mut edges = 0usize;
-    let push = |adj: &mut Vec<Vec<(u32, u8)>>, indeg: &mut Vec<u32>, from: usize, to: usize, label: u8| {
+    let mut push = |from: usize, to: usize, label: u8| {
         adj[from].push((to as u32, label));
         indeg[to] += 1;
+        edges += 1;
     };
 
     // Event index of each committed store, for rfe/co/fr endpoints.
-    let mut node_of_wid = FxHashMap::with_capacity_and_hasher(writes.len(), Default::default());
-    for (core, evs) in x.cores.iter().enumerate() {
+    let node_of_wid = &mut g.node_of_wid;
+    node_of_wid.clear();
+    node_of_wid.reserve(writes.len());
+    for (core, evs) in cores.clone().enumerate() {
         for (i, ev) in evs.iter().enumerate() {
             if ev.is_write() {
                 node_of_wid.insert(write_id(core as u16, ev.seq()), base[core] + i);
@@ -518,13 +650,14 @@ fn check_ghb(
         DataEvent::Fence { ord, .. } => !weak || ord.is_sc(),
         _ => false,
     };
-    for (core, evs) in x.cores.iter().enumerate() {
+    for (core, evs) in cores.clone().enumerate() {
         let m = evs.len();
         // Next-index tables, built backwards.
-        let mut next_out = vec![usize::MAX; m];
-        let mut next_store = vec![usize::MAX; m];
-        let mut next_barrier_r = vec![usize::MAX; m];
-        let mut next_barrier_w = vec![usize::MAX; m];
+        for table in [&mut g.next_out, &mut g.next_store, &mut g.next_barrier_r, &mut g.next_barrier_w] {
+            refill(table, m, usize::MAX);
+        }
+        let (next_out, next_store) = (&mut g.next_out, &mut g.next_store);
+        let (next_barrier_r, next_barrier_w) = (&mut g.next_barrier_r, &mut g.next_barrier_w);
         let (mut o, mut s, mut br, mut bw) =
             (usize::MAX, usize::MAX, usize::MAX, usize::MAX);
         for i in (0..m).rev() {
@@ -552,7 +685,8 @@ fn check_ghb(
         // neither, so a write run can strand them: give each non-out
         // event an explicit edge from its preceding out-ordering node
         // (one incoming edge per event — still linear).
-        let mut prev_out = vec![usize::MAX; m];
+        refill(&mut g.prev_out, m, usize::MAX);
+        let prev_out = &mut g.prev_out;
         if weak {
             let mut p = usize::MAX;
             for i in 0..m {
@@ -566,12 +700,10 @@ fn check_ghb(
             let from = base[core] + i;
             if is_out_ordering(e) {
                 if i + 1 < m {
-                    push(&mut adj, &mut indeg, from, from + 1, L_PO);
-                    edges += 1;
+                    push(from, from + 1, L_PO);
                 }
                 if next_out[i] != usize::MAX && next_out[i] != i + 1 {
-                    push(&mut adj, &mut indeg, from, base[core] + next_out[i], L_PO);
-                    edges += 1;
+                    push(from, base[core] + next_out[i], L_PO);
                 }
             } else {
                 // Store-like residue: plain/`store_unlock` writes under
@@ -581,23 +713,20 @@ fn check_ghb(
                 let (ww, wb) = if is_read { (L_PO_RW, L_PO_RB) } else { (L_PO_WW, L_PO_WB) };
                 let nb = if is_read { next_barrier_r[i] } else { next_barrier_w[i] };
                 if next_store[i] != usize::MAX {
-                    push(&mut adj, &mut indeg, from, base[core] + next_store[i], ww);
-                    edges += 1;
+                    push(from, base[core] + next_store[i], ww);
                 }
                 if nb != usize::MAX {
-                    push(&mut adj, &mut indeg, from, base[core] + nb, wb);
-                    edges += 1;
+                    push(from, base[core] + nb, wb);
                 }
                 if prev_out[i] != usize::MAX && prev_out[i] + 1 != i {
-                    push(&mut adj, &mut indeg, base[core] + prev_out[i], from, L_PO);
-                    edges += 1;
+                    push(base[core] + prev_out[i], from, L_PO);
                 }
             }
         }
     }
 
     // Cross-core edges: rfe, co adjacency, fr.
-    for (core, evs) in x.cores.iter().enumerate() {
+    for (core, evs) in cores.clone().enumerate() {
         for (i, ev) in evs.iter().enumerate() {
             let (addr, writer) = match *ev {
                 DataEvent::Load { addr, writer, .. }
@@ -609,35 +738,36 @@ fn check_ghb(
                 writes.get(&writer).map(|w| w.core != core).unwrap_or(false);
             if external {
                 if let Some(&wn) = node_of_wid.get(&writer) {
-                    push(&mut adj, &mut indeg, wn, to, L_RFE);
-                    edges += 1;
+                    push(wn, to, L_RFE);
                 }
             }
             // fr: the read happens-before the co-successor of its writer
             // (includes fri — sound, since a forwarded read's writer is
             // the forwarding store itself).
             let p = co.read_pos(writer).unwrap_or(0);
-            if let Some(succ) = co.order.get(&addr).and_then(|o| o.get(p)) {
+            if let Some(succ) = co.order(addr).get(p) {
                 if let Some(&sn) = node_of_wid.get(succ) {
-                    push(&mut adj, &mut indeg, to, sn, L_COFR);
-                    edges += 1;
+                    push(to, sn, L_COFR);
                 }
             }
         }
     }
-    for order in co.order.values() {
+    // Each write gains at most one co edge, so the order the lists are
+    // walked in reaches no node's edge order.
+    for order in co.orders() {
         for w in order.windows(2) {
             if let (Some(&a), Some(&b)) = (node_of_wid.get(&w[0]), node_of_wid.get(&w[1])) {
-                push(&mut adj, &mut indeg, a, b, L_COFR);
-                edges += 1;
+                push(a, b, L_COFR);
             }
         }
     }
 
     // Kahn topological sort; leftovers contain a cycle.
-    let mut stack: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    let stack = &mut g.stack;
+    stack.clear();
+    stack.extend((0..n).filter(|&v| indeg[v] == 0));
     let mut seen = 0usize;
-    let mut indeg_left = indeg;
+    let indeg_left = indeg;
     while let Some(v) = stack.pop() {
         seen += 1;
         for &(w, _) in &adj[v] {
@@ -651,11 +781,11 @@ fn check_ghb(
         return Ok(edges);
     }
     let remaining: Vec<usize> = (0..n).filter(|&v| indeg_left[v] > 0).collect();
-    let cycle = shortest_cycle(&adj, &remaining);
+    let cycle = shortest_cycle(adj, &remaining);
     let describe = |v: usize| {
         // Failure path only: linear scan for the owning core (robust to
         // empty cores sharing a base offset).
-        for (core, evs) in x.cores.iter().enumerate() {
+        for (core, evs) in cores.clone().enumerate() {
             if v >= base[core] && v < base[core] + evs.len() {
                 return show(core, &evs[v - base[core]]);
             }

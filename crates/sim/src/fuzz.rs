@@ -21,12 +21,15 @@
 //! the same campaign bit-for-bit, so a reported case is a repro.
 
 use crate::error::SimError;
-use crate::litmus::{LOp, LitmusTest};
-use crate::machine::MachineConfig;
+use crate::litmus::{blank_image, LOp, LitmusTest};
+use crate::machine::{Machine, MachineConfig};
+use crate::tsoref::Explorer;
 use fa_core::AtomicPolicy;
-use fa_isa::{MemOrder, Word};
-use fa_mem::{AuditConfig, ChaosConfig, NocConfig, SplitMix64};
+use fa_isa::interp::GuestMem;
+use fa_isa::{MemOrder, Program, Word};
+use fa_mem::{AuditConfig, ChaosConfig, FxHashSet, NocConfig, SplitMix64};
 use fa_trace::{CheckMode, MemModel};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Campaign settings. Everything derives from `seed`, so a config is a
@@ -235,21 +238,60 @@ fn gen_cases(fcfg: &FuzzConfig) -> Vec<FuzzCase> {
         .collect()
 }
 
+/// What a campaign worker keeps from case to case: one machine, reset for
+/// every run, the enumerator's storage, the current case's allowed
+/// outcomes and the last run's observation vector.
+#[derive(Default)]
+struct Worker {
+    machine: Machine,
+    explorer: Explorer,
+    allowed: FxHashSet<Vec<Word>>,
+    outs: Vec<Word>,
+}
+
+impl Worker {
+    /// Runs case `fc` on the machine, reset to `cfg` and the case's
+    /// compiled `programs` over `blank` (a blank litmus image), and reads
+    /// its observation vector into `outs`.
+    fn run(
+        &mut self,
+        fc: &FuzzCase,
+        cfg: &MachineConfig,
+        programs: &[Program],
+        blank: &GuestMem,
+        max_cycles: u64,
+    ) -> Result<(), Box<SimError>> {
+        let m = &mut self.machine;
+        m.reset(cfg, programs, Cow::Borrowed(blank));
+        m.set_start_offsets(&fc.offsets);
+        m.run_to_quiescence(max_cycles).map_err(Box::new)?;
+        self.outs.clear();
+        self.outs.extend(fc.test.observations(m.guest_mem()));
+        Ok(())
+    }
+}
+
 /// Runs a differential fuzzing campaign: random programs × policies ×
 /// fault injection × sampled interconnects, outcomes checked against the
 /// TSO enumerator, the invariant auditor armed throughout. Never panics on a finding — every
 /// failure is collected into the report with a replayable identity.
 ///
 /// The case runs fan out across [`FuzzConfig::threads`] workers on the
-/// [`crate::sweep`] engine. Each `(case, policy)` run is deterministic and
-/// independent, and results merge in case order, so the report —
-/// failures, run counts and the distinct-outcome coverage set — is
-/// bit-identical to the serial campaign at any thread count.
+/// [`crate::sweep`] engine. Each worker compiles a case once and runs all
+/// its policies, and every later case, on one machine that
+/// [`Machine::reset`] returns to the state a new one would have, so each
+/// `(case, policy)` run is deterministic and independent; results merge
+/// in case order, so the report — failures, run counts and the
+/// distinct-outcome coverage set — is bit-identical to the serial
+/// campaign at any thread count.
 pub fn fuzz_litmus(base: &MachineConfig, fcfg: &FuzzConfig) -> FuzzReport {
     let cases = gen_cases(fcfg);
-    let per_case = crate::sweep::run_cells(&cases, fcfg.threads, |_, fc| {
-        let allowed = fc.test.allowed_outcomes_under(fcfg.model);
-        let mut outcomes = Vec::new();
+    let blank = blank_image();
+    let per_case = crate::sweep::run_cells(&cases, fcfg.threads, Worker::default, |w, _, fc| {
+        let test = &fc.test;
+        w.explorer.outcomes(&test.threads, test.num_outs(), fcfg.model, &mut w.allowed);
+        let programs = test.to_programs();
+        let mut outcomes: Vec<Vec<Word>> = Vec::new();
         let mut failures = Vec::new();
         for &policy in &fcfg.policies {
             let mut cfg = base.clone().with_check(fcfg.check);
@@ -258,23 +300,22 @@ pub fn fuzz_litmus(base: &MachineConfig, fcfg: &FuzzConfig) -> FuzzReport {
             cfg.mem.chaos = ChaosConfig { seed: fc.chaos_seed, ..fcfg.chaos.clone() };
             cfg.mem.noc = fc.noc;
             cfg.mem.audit = AuditConfig::on();
-            match fc.test.run_checked(&cfg, &fc.offsets, fcfg.max_cycles) {
-                Ok(got) => {
-                    if allowed.contains(&got) {
-                        outcomes.push(got);
-                    } else {
-                        failures.push(FuzzFailure {
-                            case: fc.case,
-                            policy,
-                            test: fc.test.clone(),
-                            kind: FailureKind::TsoViolation { observed: got },
-                        });
+            match w.run(fc, &cfg, &programs, &blank, fcfg.max_cycles) {
+                Ok(()) if !w.allowed.contains(&w.outs) => failures.push(FuzzFailure {
+                    case: fc.case,
+                    policy,
+                    test: test.clone(),
+                    kind: FailureKind::TsoViolation { observed: w.outs.clone() },
+                }),
+                Ok(()) => {
+                    if !outcomes.contains(&w.outs) {
+                        outcomes.push(w.outs.clone());
                     }
                 }
                 Err(e) => failures.push(FuzzFailure {
                     case: fc.case,
                     policy,
-                    test: fc.test.clone(),
+                    test: test.clone(),
                     kind: FailureKind::Run(e),
                 }),
             }

@@ -34,6 +34,11 @@ fn out_slot(s: u8) -> i64 {
 
 const LITMUS_MEM: u64 = 1 << 16;
 
+/// The guest image every litmus run starts from: zeroed, unpaged.
+pub(crate) fn blank_image() -> GuestMem {
+    GuestMem::new(LITMUS_MEM)
+}
+
 impl LitmusTest {
     /// Number of observation slots used.
     pub fn num_outs(&self) -> usize {
@@ -124,16 +129,19 @@ impl LitmusTest {
         offsets: &[u64],
         max_cycles: u64,
     ) -> Result<Vec<Word>, Box<SimError>> {
-        let mut m = Machine::new(cfg.clone(), self.to_programs(), GuestMem::new(LITMUS_MEM));
+        let mut m = Machine::new(cfg.clone(), self.to_programs(), blank_image());
         if !offsets.is_empty() {
             let mut o = offsets.to_vec();
             o.resize(self.threads.len(), 0);
             m.set_start_offsets(o);
         }
         m.run(max_cycles).map_err(Box::new)?;
-        Ok((0..self.num_outs())
-            .map(|s| m.guest_mem().load(out_slot(s as u8) as u64))
-            .collect())
+        Ok(self.observations(m.guest_mem()).collect())
+    }
+
+    /// The observation slots' values in `mem`, in slot order.
+    pub(crate) fn observations<'a>(&self, mem: &'a GuestMem) -> impl Iterator<Item = Word> + 'a {
+        (0..self.num_outs()).map(|s| mem.load(out_slot(s as u8) as u64))
     }
 
     /// Runs under `policy` with a spread of start offsets and asserts every

@@ -9,6 +9,7 @@ use fa_mem::{CoreId, MemConfig, MemDiag, MemStats, MemorySystem};
 use fa_trace::{
     chrome_trace, CheckMode, Counter, CpiLeaf, FlightEntry, MemModel, TraceMode, TraceRecord,
 };
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -182,10 +183,14 @@ impl Lane {
     }
 }
 
-/// A multicore machine ready to run one workload.
+/// A multicore machine ready to run one workload. `Default` is a machine
+/// of no cores, which [`Machine::reset`] gives some.
+#[derive(Default)]
 pub struct Machine {
     mem: MemorySystem,
     cores: Vec<Core>,
+    /// The cores of an earlier run on more cores.
+    spare_cores: Vec<Core>,
     start_offsets: Vec<u64>,
     now: u64,
     /// Memory model the cores run under — the axiomatic checker follows it.
@@ -204,6 +209,8 @@ pub struct Machine {
     /// A cycle no core trips `core-commit` before: the least `trips` when
     /// last computed, lowered as cores start waiting again.
     deadline: u64,
+    /// The conformance checker's scratch, kept across runs.
+    checker: axiom::Checker,
 }
 
 impl fmt::Debug for Machine {
@@ -216,37 +223,48 @@ impl fmt::Debug for Machine {
 }
 
 impl Machine {
-    /// Builds a machine with one core per program over `guest_mem`.
-    pub fn new(mut cfg: MachineConfig, programs: Vec<Program>, guest_mem: GuestMem) -> Machine {
+    /// Builds a machine with one core per program over `guest_mem`: a
+    /// [`reset`](Self::reset) of empty storage.
+    pub fn new(cfg: MachineConfig, programs: Vec<Program>, guest_mem: GuestMem) -> Machine {
+        let mut m = Machine::default();
+        m.reset(&cfg, &programs, Cow::Owned(guest_mem));
+        m
+    }
+
+    /// Puts the machine in exactly the state [`new`](Self::new) builds for
+    /// `cfg`, one core per program and `guest_mem` — whatever it ran
+    /// before, on however many cores — while keeping every buffer's
+    /// storage: the cores' (and those of cores beyond `programs.len()`,
+    /// for a later run on more), the memory system's, the checker's and
+    /// the guest pages. An owned image moves in; a borrowed one is copied
+    /// into the pages the machine already has.
+    pub fn reset(&mut self, cfg: &MachineConfig, programs: &[Program], guest_mem: Cow<'_, GuestMem>) {
         let n = programs.len();
         assert!(n > 0, "at least one program required");
+        let Machine {
+            mem, cores, spare_cores, start_offsets, now, model, fast_paths, skipped_core_ticks,
+            lanes, live, deadline, checker: _,
+        } = self;
         // The conformance checker needs *both* the per-core data events
         // and the memory system's serialization log; if a caller set only
         // one side, enable both (a half-collected execution would raise
         // false co-wf violations).
+        let mut cfg = cfg.clone();
         if cfg.core.check.on() || cfg.mem.check.on() {
             cfg = cfg.with_check(CheckMode::Tso);
         }
         let mem_bytes = guest_mem.size();
-        let mem = MemorySystem::new(cfg.mem.clone(), n, guest_mem);
-        let cores = programs
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| Core::new(CoreId(i as u16), cfg.core.clone(), p, mem_bytes))
-            .collect();
-        let model = cfg.core.model;
-        Machine {
-            mem,
-            cores,
-            start_offsets: vec![0; n],
-            now: 0,
-            model,
-            fast_paths: true,
-            skipped_core_ticks: 0,
-            lanes: vec![Lane::new(0); n],
-            live: n,
-            deadline: u64::MAX,
+        mem.reset(&cfg.mem, n, guest_mem);
+        fa_mem::fit(cores, spare_cores, n);
+        for (i, (c, p)) in cores.iter_mut().zip(programs).enumerate() {
+            c.reset(CoreId(i as u16), &cfg.core, p, mem_bytes);
         }
+        start_offsets.clear();
+        start_offsets.resize(n, 0);
+        (*now, *model, *fast_paths, *skipped_core_ticks) = (0, cfg.core.model, true, 0);
+        lanes.clear();
+        lanes.resize(n, Lane::new(0));
+        (*live, *deadline) = (n, u64::MAX);
     }
 
     /// Disables (or re-enables) the cycle-loop fast paths — crediting a
@@ -266,11 +284,14 @@ impl Machine {
     /// Delays each core's first cycle by the given offset — the analogue of
     /// the paper's "randomized sleep timer to alter the architectural
     /// state" (§5.1).
-    pub fn set_start_offsets(&mut self, offsets: Vec<u64>) {
+    pub fn set_start_offsets(&mut self, offsets: impl AsRef<[u64]>) {
+        let offsets = offsets.as_ref();
         assert_eq!(offsets.len(), self.cores.len());
         assert_eq!(self.now, 0, "start offsets are set before the first cycle");
-        self.lanes = offsets.iter().map(|&offset| Lane::new(offset)).collect();
-        self.start_offsets = offsets;
+        self.lanes.clear();
+        self.lanes.extend(offsets.iter().map(|&offset| Lane::new(offset)));
+        self.start_offsets.clear();
+        self.start_offsets.extend_from_slice(offsets);
     }
 
     /// Guest memory (to inspect results).
@@ -443,10 +464,10 @@ impl Machine {
         true
     }
 
-    /// The collected execution — per-core committed data events plus the
-    /// coherence layer's write-serialization log — for the axiomatic
-    /// checker. Empty unless the machine was built with
-    /// [`CheckMode::Tso`].
+    /// A copy of the collected execution — per-core committed data events
+    /// plus the coherence layer's write-serialization log — for the
+    /// axiomatic checker. Empty unless the machine was built with
+    /// [`CheckMode::Tso`]. [`Machine::run`] checks the logs in place.
     pub fn execution(&self) -> Execution {
         Execution {
             cores: self.cores.iter().map(|c| c.data_events().to_vec()).collect(),
@@ -463,14 +484,12 @@ impl Machine {
     // built once on the cold failure path.
     #[allow(clippy::result_large_err)]
     pub fn check_execution(&self, x: &Execution) -> Result<(), SimError> {
-        match axiom::check_model(x, self.model) {
-            Ok(_) => Ok(()),
-            Err(v) => Err(SimError::Tso {
-                axiom: v.axiom,
-                detail: v.detail,
-                snapshot: self.snapshot(),
-            }),
-        }
+        axiom::check_model(x, self.model).map(drop).map_err(|v| self.refuted(v))
+    }
+
+    /// A refuted axiom as the run's error, with the machine snapshot.
+    fn refuted(&self, v: axiom::Violation) -> SimError {
+        SimError::Tso { axiom: v.axiom, detail: v.detail, snapshot: self.snapshot() }
     }
 
     /// Snapshot of the whole machine for diagnostics, once every core is
@@ -550,6 +569,18 @@ impl Machine {
     // built once on the cold failure path, never per cycle.
     #[allow(clippy::result_large_err)]
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
+        self.run_to_quiescence(max_cycles)?;
+        Ok(RunResult {
+            cycles: self.now,
+            per_core: self.cores.iter().map(|c| c.stats.clone()).collect(),
+            mem: self.mem.stats(),
+        })
+    }
+
+    /// [`run`](Self::run) without assembling the result, for a campaign
+    /// that reads only guest memory.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn run_to_quiescence(&mut self, max_cycles: u64) -> Result<(), SimError> {
         let audit_on = self.mem.config().audit.enabled;
         let prog = self.mem.config().progress;
         // Site `core-commit`: every core waits from now, or its first
@@ -628,17 +659,16 @@ impl Machine {
                 for c in self.cores.iter_mut() {
                     c.finalize_stats();
                 }
-                // Conformance check on the completed execution. Gated on
-                // the collected events being non-empty rather than on the
+                // Conformance check on the completed execution, read where
+                // the cores and the memory system logged it. Gated on the
+                // collected events being non-empty rather than on the
                 // config so the gate and the collection can never disagree.
                 if self.cores.iter().any(|c| !c.data_events().is_empty()) {
-                    self.check_execution(&self.execution())?;
+                    let cores = self.cores.iter().map(Core::data_events);
+                    let verdict = self.checker.check(cores, self.mem.ser_events(), self.model);
+                    verdict.map_err(|v| self.refuted(v))?;
                 }
-                return Ok(RunResult {
-                    cycles: self.now,
-                    per_core: self.cores.iter().map(|c| c.stats.clone()).collect(),
-                    mem: self.mem.stats(),
-                });
+                return Ok(());
             }
         }
         self.settle();

@@ -10,8 +10,8 @@
 //! unit of work makes throughput a scheduling problem, not a correctness
 //! one.
 //!
-//! The engine is deliberately generic (`jobs: &[J]`, `f: Fn(usize, &J) ->
-//! R`) so the grid campaigns (`fa_bench::sweep`, through
+//! The engine is deliberately generic (`jobs: &[J]`, `f: Fn(&mut S, usize,
+//! &J) -> R` over a per-worker state `S`) so the grid campaigns (`fa_bench::sweep`, through
 //! [`run_cells_timed`], which every table and `fa ablation` ride) and the
 //! fuzz campaign share the same worker pool. Workers pull the next
 //! cell from a shared atomic cursor (work stealing by index), so long cells
@@ -42,32 +42,44 @@ fn resolve_threads(requested: usize, jobs: usize) -> usize {
 /// Runs `f` over every job on `threads` worker threads and returns the
 /// results in job order. `threads == 0` selects [`default_threads`];
 /// `threads == 1` (or a single job) runs inline with no thread spawned.
+/// Each worker builds its state once with `worker` and hands it to every
+/// `f` it runs (the fuzz campaign's worker keeps one machine).
 ///
-/// Each `f(index, job)` must be independent of every other cell; under that
-/// contract the returned vector is bit-identical to the serial
+/// Each `f(state, index, job)` must be independent of every other cell and
+/// of what earlier cells left in the state; under that contract the
+/// returned vector is bit-identical to the serial
 /// `jobs.iter().enumerate().map(..)` loop regardless of scheduling.
 ///
 /// # Panics
 ///
 /// Propagates the first worker panic (by job order at merge time).
-pub(crate) fn run_cells<J, R>(jobs: &[J], threads: usize, f: impl Fn(usize, &J) -> R + Sync) -> Vec<R>
+pub(crate) fn run_cells<J, S, R>(
+    jobs: &[J],
+    threads: usize,
+    worker: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &J) -> R + Sync,
+) -> Vec<R>
 where
     J: Sync,
     R: Send,
 {
     let threads = resolve_threads(threads, jobs.len());
     if threads == 1 {
-        return jobs.iter().enumerate().map(|(i, j)| f(i, j)).collect();
+        let mut state = worker();
+        return jobs.iter().enumerate().map(|(i, j)| f(&mut state, i, j)).collect();
     }
     let cursor = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let r = f(i, job);
-                done.lock().expect("a worker panicked while merging").push((i, r));
+            scope.spawn(|| {
+                let mut state = worker();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    let r = f(&mut state, i, job);
+                    done.lock().expect("a worker panicked while merging").push((i, r));
+                }
             });
         }
     });
@@ -174,7 +186,7 @@ where
     R: Send,
 {
     let start = Instant::now();
-    let results = run_cells(jobs, threads, f);
+    let results = run_cells(jobs, threads, || (), |(), i, j| f(i, j));
     let wall = start.elapsed();
     let (mut sim_cycles, mut sim_instructions) = (0u64, 0u64);
     for r in &results {
@@ -209,8 +221,8 @@ mod tests {
             }
             (i as u64, j, acc)
         };
-        let serial = run_cells(&jobs, 1, f);
-        let parallel = run_cells(&jobs, 4, f);
+        let serial = run_cells(&jobs, 1, || (), |(), i, j| f(i, j));
+        let parallel = run_cells(&jobs, 4, || (), |(), i, j| f(i, j));
         assert_eq!(serial, parallel);
         assert_eq!(parallel.len(), 57);
         assert!(parallel.iter().enumerate().all(|(i, r)| r.0 == i as u64));
@@ -219,10 +231,11 @@ mod tests {
     #[test]
     fn zero_threads_means_auto_and_oversubscription_is_clamped() {
         let jobs = [1, 2, 3];
-        assert_eq!(run_cells(&jobs, 0, |_, &j| j * 2), vec![2, 4, 6]);
+        let double = |(): &mut (), _, &j: &u64| j * 2;
+        assert_eq!(run_cells(&jobs, 0, || (), double), vec![2, 4, 6]);
         // 64 threads over 3 jobs must not spawn idle workers or lose cells.
-        assert_eq!(run_cells(&jobs, 64, |_, &j| j * 2), vec![2, 4, 6]);
-        assert_eq!(run_cells::<u64, u64>(&[], 8, |_, &j| j), Vec::<u64>::new());
+        assert_eq!(run_cells(&jobs, 64, || (), double), vec![2, 4, 6]);
+        assert_eq!(run_cells(&[], 8, || (), double), Vec::<u64>::new());
     }
 
     #[test]
@@ -275,7 +288,7 @@ mod tests {
             Ok(j * 10)
         };
         for threads in [1, 4] {
-            let rs = run_cells(&jobs, threads, |i, j| supervise(1, None, || f(i, j)));
+            let rs = run_cells(&jobs, threads, || (), |(), i, j| supervise(1, None, || f(i, j)));
             assert_eq!(rs.len(), 20);
             for (i, r) in rs.iter().enumerate() {
                 if i == 13 {

@@ -31,9 +31,11 @@
 use crate::axiom::Execution;
 use crate::litmus::loc;
 use fa_isa::{MemOrder, Word};
+use fa_mem::fxhash::FxHasher;
 use fa_mem::FxHashSet;
 use fa_trace::{write_id, DataEvent, MemModel, SerEvent, WRITE_ID_INIT};
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 
 /// One litmus operation: what the reference machine steps and the litmus
 /// harness compiles to guest code. Addresses and values are small integers; `out`
@@ -239,6 +241,118 @@ impl<'a> Rules<'a> {
     }
 }
 
+/// Every state an enumeration has seen, packed back to back in one arena
+/// and numbered in discovery order, with an open-addressed index over them:
+/// a state costs its words, not an allocation.
+#[derive(Default)]
+struct States {
+    /// Words per state.
+    len: usize,
+    arena: Vec<Word>,
+    /// State number + 1 per slot, 0 for a free one; a power-of-two length,
+    /// never more than half full.
+    index: Vec<u32>,
+}
+
+impl States {
+    fn clear(&mut self, len: usize) {
+        self.len = len;
+        self.arena.clear();
+        self.index.clear();
+    }
+
+    fn get(&self, id: u32) -> &[Word] {
+        &self.arena[id as usize * self.len..][..self.len]
+    }
+
+    fn count(&self) -> usize {
+        self.arena.len() / self.len
+    }
+
+    /// The number of state `s` if seen, else the free slot it would take.
+    fn find(&self, s: &[Word]) -> Result<u32, usize> {
+        let mut h = FxHasher::default();
+        s.hash(&mut h);
+        let mask = self.index.len() - 1;
+        let mut slot = h.finish() as usize & mask;
+        loop {
+            match self.index[slot] {
+                0 => return Err(slot),
+                id if self.get(id - 1) == s => return Ok(id - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds `s` unless it was seen; returns its number when it is new.
+    fn insert(&mut self, s: &[Word]) -> Option<u32> {
+        let id = self.count() as u32;
+        assert!(id < 1_000_000, "litmus state space too large");
+        if 2 * (id as usize + 1) > self.index.len() {
+            let slots = (2 * self.index.len()).max(64);
+            self.index.clear();
+            self.index.resize(slots, 0);
+            for old in 0..id {
+                let Err(slot) = self.find(self.get(old)) else { unreachable!("states are distinct") };
+                self.index[slot] = old + 1;
+            }
+        }
+        let slot = self.find(s).err()?;
+        self.index[slot] = id + 1;
+        self.arena.extend_from_slice(s);
+        Some(id)
+    }
+}
+
+/// The enumerator's storage. A campaign worker keeps one across its
+/// programs, so that exploring one allocates only for its outcomes and
+/// while the storage still grows.
+#[derive(Default)]
+pub(crate) struct Explorer {
+    states: States,
+    /// Discovered, unexpanded states, depth-first.
+    work: Vec<u32>,
+    cur: Vec<Word>,
+    next: Vec<Word>,
+}
+
+impl Explorer {
+    /// Fills `outcomes` with the set of reachable observation vectors for
+    /// `threads` under `model`, as [`enumerate`] returns it.
+    pub(crate) fn outcomes(
+        &mut self,
+        threads: &[Vec<LOp>],
+        num_outs: usize,
+        model: MemModel,
+        outcomes: &mut FxHashSet<Vec<Word>>,
+    ) {
+        let rules = Rules::new(threads, num_outs, model);
+        let len = rules.threads_at + threads.len();
+        let Explorer { states, work, cur, next } = self;
+        outcomes.clear();
+        states.clear(len);
+        work.clear();
+        next.clear();
+        next.resize(len, 0);
+        cur.clone_from(next);
+        work.extend(states.insert(next));
+        while let Some(top) = work.pop() {
+            cur.copy_from_slice(states.get(top));
+            let mut terminal = true;
+            rules.steps(cur, |t, step| {
+                terminal = false;
+                next.copy_from_slice(cur);
+                rules.apply(next, t, step);
+                work.extend(states.insert(next));
+            });
+            let outs = &cur[rules.outs_at..rules.threads_at];
+            if terminal && !outcomes.contains(outs) {
+                outcomes.insert(outs.to_vec());
+            }
+        }
+    }
+}
+
 /// Enumerates the set of reachable observation vectors for `threads`
 /// under `model` (see the module docs for the machine and the three rules
 /// the model switches).
@@ -252,32 +366,8 @@ impl<'a> Rules<'a> {
 /// Panics if any thread exceeds 32 ops or the state space exceeds an
 /// internal safety bound (1e6 states) — keep litmus tests small.
 pub fn enumerate(threads: &[Vec<LOp>], num_outs: usize, model: MemModel) -> HashSet<Vec<Word>> {
-    let rules = Rules::new(threads, num_outs, model);
-    let len = rules.threads_at + threads.len();
-    // Depth-first over packed states: `work` stacks the discovered,
-    // unexpanded ones (`len` words each), and `seen` hashes each whole.
-    let mut next = vec![0; len].into_boxed_slice();
-    let (mut seen, mut work) = (FxHashSet::from_iter([next.clone()]), next.to_vec());
-    let mut cur = vec![0; len];
     let mut outcomes = FxHashSet::default();
-    while let Some(top) = work.len().checked_sub(len) {
-        cur.copy_from_slice(&work[top..]);
-        work.truncate(top);
-        let mut terminal = true;
-        rules.steps(&cur, |t, step| {
-            terminal = false;
-            next.copy_from_slice(&cur);
-            rules.apply(&mut next, t, step);
-            if !seen.contains(&next) {
-                seen.insert(next.clone());
-                assert!(seen.len() <= 1_000_000, "litmus state space too large");
-                work.extend_from_slice(&next);
-            }
-        });
-        if terminal {
-            outcomes.insert(cur[rules.outs_at..rules.threads_at].to_vec());
-        }
-    }
+    Explorer::default().outcomes(threads, num_outs, model, &mut outcomes);
     outcomes.into_iter().collect()
 }
 

@@ -844,8 +844,9 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// A bounded per-component event ring.
-#[derive(Clone, Debug)]
+/// A bounded per-component event ring. `Default` is an empty ring that
+/// records nothing.
+#[derive(Clone, Debug, Default)]
 pub struct TraceBuf {
     mode: TraceMode,
     next_seq: u64,
@@ -856,12 +857,16 @@ pub struct TraceBuf {
 impl TraceBuf {
     /// A buffer sized by `cfg`.
     pub fn new(cfg: &TraceConfig) -> TraceBuf {
-        TraceBuf {
-            mode: cfg.mode,
-            next_seq: 0,
-            buf: VecDeque::new(),
-            dropped: 0,
-        }
+        let mut t = TraceBuf::default();
+        t.reset(cfg);
+        t
+    }
+
+    /// Empties the ring and re-arms it for `cfg`, keeping its storage.
+    pub fn reset(&mut self, cfg: &TraceConfig) {
+        let TraceBuf { mode, next_seq, buf, dropped } = self;
+        (*mode, *next_seq, *dropped) = (cfg.mode, 0, 0);
+        buf.clear();
     }
 
     /// True when events are being recorded at all. Callers may use this

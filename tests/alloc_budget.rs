@@ -1,11 +1,13 @@
 //! Host-allocation budgets: building a machine costs O(cores) allocations,
-//! and the cycle loop and the audit sweep allocate only while their pools
-//! and slabs are still growing.
+//! the cycle loop and the audit sweep allocate only while their pools and
+//! slabs are still growing, a fuzz campaign's warm worker barely allocates
+//! per run, and the litmus enumerator pays per outcome, not per state.
 //!
 //! Counts are per thread, so the tests of this file run in parallel without
 //! seeing each other.
 
 use free_atomics::prelude::*;
+use free_atomics::sim::{fuzz_litmus, FuzzConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -146,4 +148,41 @@ fn a_workload_image_costs_the_pages_it_touches() {
         }
     }
     eprintln!("workload builds: at most {most} bytes requested");
+}
+
+#[test]
+fn a_warm_campaign_worker_allocates_almost_nothing_per_run() {
+    // One worker (`threads: 1`, inline on this thread) runs every case on
+    // one machine. A 100-case campaign less a 1-case one of the same seed
+    // leaves what cases 2..=100 cost once the first has warmed the worker
+    // up: compiling each case, its allowed outcomes, and the runs. The
+    // parent, a machine per run: about 211 allocations per run.
+    let base = tiny_machine();
+    let campaign = |cases| FuzzConfig { cases, threads: 1, seed: 7, ..FuzzConfig::default() };
+    let (first, warm_up, _) = counted(|| fuzz_litmus(&base, &campaign(1)));
+    let (report, total, _) = counted(|| fuzz_litmus(&base, &campaign(100)));
+    assert!(first.ok() && report.ok(), "{report}");
+    let runs = report.runs - first.runs;
+    let per_run = (total - warm_up) as f64 / runs as f64;
+    eprintln!("campaign: {warm_up} allocations for the first case, {per_run:.1} per later run");
+    assert!(per_run <= 16.0, "{per_run:.1} allocations per warm run");
+}
+
+#[test]
+fn the_enumerator_allocates_per_outcome_not_per_state() {
+    // The explored states live in one arena: what is left is one vector
+    // per outcome, the outcome sets and the arena's growth. The parent
+    // boxed every state: 2+2W under the weak model made 391 allocations
+    // for 9 outcomes.
+    let mut gallery = LitmusTest::all();
+    gallery.extend(LitmusTest::weak_gallery());
+    assert_eq!(gallery.len(), 23);
+    for test in &gallery {
+        for model in [MemModel::Tso, MemModel::Weak] {
+            let (outcomes, allocs, _) = counted(|| test.allowed_outcomes_under(model));
+            let bound = 2 * outcomes.len() as u64 + 64;
+            eprintln!("{} / {}: {allocs} allocations, {} outcomes", test.name, model.name(), outcomes.len());
+            assert!(allocs <= bound, "{} / {}: {allocs} allocations", test.name, model.name());
+        }
+    }
 }
