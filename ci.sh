@@ -72,6 +72,13 @@ test ! -e vendor
 ! grep -nE 'let mut (acts|dout) = Vec::new\(\)' crates/mem/src/system.rs || exit 1
 ! grep -nE 'Vec<Vec<' crates/mem/src/tagarray.rs crates/core/src/sched.rs || exit 1
 ! grep -rn 'HashMap<Line, (Vec' crates/mem/src || exit 1
+# A resident directory line costs its stable state only: a transaction and
+# the requests parked behind it live in the directory's transaction table,
+# so the non-test body of `struct DirEntry` names neither `Txn` nor
+# `VecDeque`.
+sed '/#\[cfg(test)\]/,$d' crates/mem/src/dir.rs | sed -n '/^struct DirEntry {/,/^}/p' > target/dir_entry.txt
+test -s target/dir_entry.txt || exit 1
+! grep -nE 'Txn|VecDeque' target/dir_entry.txt || exit 1
 # A campaign run stops paying the allocator: each fuzz worker keeps one
 # machine and resets it in place, so the non-test part of fuzz.rs builds
 # none per run (no `Machine::new`, no `run_checked`); a run's conformance

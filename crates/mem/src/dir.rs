@@ -17,6 +17,7 @@ use crate::tagarray::TagArray;
 use crate::{CoreId, Cycle, FxHashMap, Line, MemConfig};
 use fa_trace::{TraceBuf, TraceEvent};
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 /// Consecutive failed allocation polls after which a request is promoted to
 /// a *rescue reservation*: the next way freed in its set is held for it
@@ -64,13 +65,33 @@ impl Txn {
     }
 }
 
-/// Directory entry for one line.
-#[derive(Clone, Debug, Default)]
+/// Directory entry for one line: its stable state. A transaction in
+/// flight, and the requests parked behind it, live in the directory's
+/// [`TxnTable`], which the entry names while it has one.
+#[derive(Clone, Copy, Debug, Default)]
 struct DirEntry {
     /// Bitmask of (possibly stale) sharers.
     sharers: u64,
     /// Exclusive owner, if any (also set in `sharers`).
     excl: Option<CoreId>,
+    /// The line's record in the transaction table; `None` while the line
+    /// has no transaction in flight and no request parked.
+    rec: Option<RecId>,
+}
+
+impl DirEntry {
+    fn idle_unused(&self) -> bool {
+        self.sharers == 0 && self.excl.is_none() && self.rec.is_none()
+    }
+}
+
+/// A slot of the [`TxnTable`], plus one (so that `Option<RecId>` is
+/// four bytes).
+type RecId = NonZeroU32;
+
+/// The transient state of one line.
+#[derive(Debug, Default)]
+struct TxnRecord {
     /// Serializing transaction.
     busy: Option<Txn>,
     /// Requests parked behind `busy`, each stamped with its arrival cycle
@@ -79,9 +100,59 @@ struct DirEntry {
     parked: VecDeque<(DirReq, Cycle)>,
 }
 
-impl DirEntry {
-    fn idle_unused(&self) -> bool {
-        self.sharers == 0 && self.excl.is_none() && self.busy.is_none() && self.parked.is_empty()
+/// The directory's transaction records (gem5 Ruby's TBE table): a record
+/// per line with a transaction in flight or requests parked, so a
+/// resident line costs only its [`DirEntry`]. Records and their park
+/// queues keep their storage when released, and across a reset.
+#[derive(Debug, Default)]
+struct TxnTable {
+    recs: Vec<TxnRecord>,
+    /// Released slots; the next record takes the last.
+    free: Vec<u32>,
+}
+
+impl TxnTable {
+    /// Releases every record, keeping their storage.
+    fn reset(&mut self) {
+        for r in &mut self.recs {
+            r.busy = None;
+            r.parked.clear();
+        }
+        self.free.clear();
+        self.free.extend((0..self.recs.len() as u32).rev());
+    }
+
+    fn get(&self, e: &DirEntry) -> Option<&TxnRecord> {
+        e.rec.map(|id| &self.recs[id.get() as usize - 1])
+    }
+
+    fn get_mut(&mut self, e: &DirEntry) -> Option<&mut TxnRecord> {
+        e.rec.map(|id| &mut self.recs[id.get() as usize - 1])
+    }
+
+    /// The transaction in flight on `e`'s line.
+    fn busy(&self, e: &DirEntry) -> Option<Txn> {
+        self.get(e).and_then(|r| r.busy)
+    }
+
+    /// `e`'s record, taking a free one if the line has none.
+    fn open(&mut self, e: &mut DirEntry) -> &mut TxnRecord {
+        let id = *e.rec.get_or_insert_with(|| {
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.recs.push(TxnRecord::default());
+                self.recs.len() as u32 - 1
+            });
+            RecId::MIN.saturating_add(slot)
+        });
+        &mut self.recs[id.get() as usize - 1]
+    }
+
+    /// Releases `e`'s record once it holds no transaction and no parked
+    /// request.
+    fn close_if_idle(&mut self, e: &mut DirEntry) {
+        if self.get(e).is_some_and(|r| r.busy.is_none() && r.parked.is_empty()) {
+            self.free.extend(e.rec.take().map(|id| id.get() - 1));
+        }
     }
 }
 
@@ -109,6 +180,8 @@ fn bit(c: CoreId) -> u64 {
 #[derive(Debug, Default)]
 pub struct Directory {
     entries: TagArray<DirEntry>,
+    /// Transaction records of the lines in `entries` that have one.
+    txns: TxnTable,
     llc: TagArray<()>,
     dir_lat: Cycle,
     llc_lat: Cycle,
@@ -154,13 +227,15 @@ impl Directory {
     }
 
     /// Puts the directory in exactly the state [`new`](Self::new) builds,
-    /// keeping the storage of its tag arrays, epoch map and trace ring.
+    /// keeping the storage of its tag arrays, transaction table, epoch map
+    /// and trace ring.
     pub fn reset(&mut self, cfg: &MemConfig) {
         let Directory {
-            entries, llc, dir_lat, llc_lat, mem_lat, stats, alloc_guard, alloc_moved, alloc_rescue,
+            entries, txns, llc, dir_lat, llc_lat, mem_lat, stats, alloc_guard, alloc_moved, alloc_rescue,
             rescue_absent, now, trace, epochs_on, write_epochs,
         } = self;
         entries.reset(cfg.dir_sets, cfg.dir_ways);
+        txns.reset();
         llc.reset(cfg.llc_sets, cfg.llc_ways);
         (*dir_lat, *llc_lat, *mem_lat) = (cfg.dir_lat, cfg.llc_lat, cfg.mem_lat);
         *stats = DirStats::default();
@@ -203,7 +278,8 @@ impl Directory {
                 if e.excl == Some(from) {
                     e.excl = None;
                 }
-                let txn = e.busy.as_mut().expect("InvAck with no transaction");
+                let rec = self.txns.get_mut(e);
+                let txn = rec.and_then(|r| r.busy.as_mut()).expect("InvAck with no transaction");
                 txn.awaiting &= !bit(from);
                 if txn.awaiting == 0 {
                     self.complete_txn(line, out);
@@ -220,7 +296,8 @@ impl Directory {
                 if e.excl == Some(from) {
                     e.excl = None;
                 }
-                let txn = e.busy.as_mut().expect("DownAck with no transaction");
+                let rec = self.txns.get_mut(e);
+                let txn = rec.and_then(|r| r.busy.as_mut()).expect("DownAck with no transaction");
                 txn.awaiting &= !bit(from);
                 if txn.awaiting == 0 {
                     self.complete_txn(line, out);
@@ -228,22 +305,28 @@ impl Directory {
             }
             DirMsg::Unblock { from, line } => {
                 let e = self.entries.peek_mut(line).expect("Unblock for absent entry");
-                let txn = e.busy.take().expect("Unblock with no transaction");
+                let rec = self.txns.get_mut(e);
+                let txn = rec.and_then(|r| r.busy.take()).expect("Unblock with no transaction");
                 debug_assert_eq!(txn.awaiting_unblock, Some(from), "unexpected unblocker");
                 self.pump_parked(line, out);
             }
         }
     }
 
-    /// Processes parked requests until the entry blocks again.
+    /// Processes parked requests until the entry blocks again, and
+    /// releases its record if it drains.
     #[allow(clippy::while_let_loop)] // three distinct exit conditions
     fn pump_parked(&mut self, line: Line, out: &mut Vec<DirAction>) {
         loop {
             let Some(e) = self.entries.peek_mut(line) else { break };
-            if e.busy.is_some() {
+            if self.txns.busy(e).is_some() {
                 break;
             }
-            let Some((req, since)) = e.parked.pop_front() else { break };
+            let next = self.txns.get_mut(e).and_then(|r| r.parked.pop_front());
+            let Some((req, since)) = next else {
+                self.txns.close_if_idle(e);
+                break;
+            };
             let waited = self.now.saturating_sub(since);
             self.process_on_idle_entry(req, waited, out);
         }
@@ -259,9 +342,9 @@ impl Directory {
         }
         let now = self.now;
         let e = self.entries.peek_mut(req.line).expect("peeked non-absent above");
-        if e.busy.is_some() {
+        if self.txns.busy(e).is_some() {
             self.stats.parked_busy += 1;
-            e.parked.push_back((req, now));
+            self.txns.open(e).parked.push_back((req, now));
             self.trace.record(self.now, TraceEvent::DirPark { line: req.line });
             return;
         }
@@ -275,12 +358,13 @@ impl Directory {
         let dir_lat = self.dir_lat;
         // Callers guarantee the entry exists and is idle.
         let e = self.entries.peek_mut(req.line).expect("idle entry exists");
-        debug_assert!(e.busy.is_none());
+        debug_assert!(self.txns.busy(e).is_none());
         let others = e.sharers & !bit(req.from);
         match (req.kind, e.excl) {
             // Another core owns the line: downgrade it first.
             (DirReqKind::GetS, Some(owner)) if owner != req.from => {
-                e.busy = Some(Txn::acks(bit(owner), Some((req, LatClass::Remote, park)), false));
+                let grant = Some((req, LatClass::Remote, park));
+                self.txns.open(e).busy = Some(Txn::acks(bit(owner), grant, false));
                 self.stats.downgrades_sent += 1;
                 out.push(DirAction::ToL1 {
                     core: owner,
@@ -291,7 +375,7 @@ impl Directory {
             // Other copies must go before the write: invalidate them first.
             (DirReqKind::GetX, excl) if others != 0 => {
                 let class = if excl.is_some() { LatClass::Remote } else { LatClass::Llc };
-                e.busy = Some(Txn::acks(others, Some((req, class, park)), false));
+                self.txns.open(e).busy = Some(Txn::acks(others, Some((req, class, park)), false));
                 for c in cores_in(others) {
                     self.stats.invals_sent += 1;
                     out.push(DirAction::ToL1 {
@@ -315,7 +399,7 @@ impl Directory {
         let e = self.entries.peek_mut(req.line).expect("granted entry resident");
         let exclusive = e.sharers & !bit(req.from) == 0;
         debug_assert!(exclusive || req.kind == DirReqKind::GetS, "GetX granted over sharers");
-        e.busy = Some(Txn::unblock_of(req.from));
+        self.txns.open(e).busy = Some(Txn::unblock_of(req.from));
         let line = req.line;
         let msg = if exclusive {
             e.excl = Some(req.from);
@@ -382,12 +466,12 @@ impl Directory {
         let evicting = self
             .entries
             .set_lines(req.line)
-            .any(|(_, e)| e.busy.map(|t| t.free_after).unwrap_or(false));
+            .any(|(_, e)| self.txns.busy(e).map(|t| t.free_after).unwrap_or(false));
         if !evicting {
             let victim = self
                 .entries
                 .set_lines(req.line)
-                .find(|(_, e)| e.busy.is_none())
+                .find(|(_, e)| self.txns.busy(e).is_none())
                 .map(|(l, _)| l);
             if let Some(vline) = victim {
                 self.begin_back_inval(vline, out);
@@ -428,7 +512,7 @@ impl Directory {
         let dir_lat = self.dir_lat;
         let e = self.entries.peek_mut(vline).expect("eviction victim resident");
         let targets = e.sharers;
-        e.busy = Some(Txn::acks(targets, None, true));
+        self.txns.open(e).busy = Some(Txn::acks(targets, None, true));
         for c in cores_in(targets) {
             self.stats.invals_sent += 1;
             out.push(DirAction::ToL1 {
@@ -449,7 +533,7 @@ impl Directory {
         let victims: Vec<Line> = self
             .entries
             .iter()
-            .filter(|(_, e)| e.busy.is_none() && e.sharers != 0)
+            .filter(|(_, e)| self.txns.busy(e).is_none() && e.sharers != 0)
             .map(|(l, _)| l)
             .take(n as usize)
             .collect();
@@ -480,17 +564,17 @@ impl Directory {
 
     fn complete_txn(&mut self, line: Line, out: &mut Vec<DirAction>) {
         let e = self.entries.peek_mut(line).expect("txn on absent entry");
-        let txn = e.busy.take().expect("complete without txn");
+        let txn = self.txns.get_mut(e).and_then(|r| r.busy.take()).expect("complete without txn");
         debug_assert_eq!(txn.awaiting, 0);
         if txn.free_after {
             // Parked requests restart from scratch via Redispatch; their
             // park stamps are dropped, so park attribution undercounts
             // across inclusion evictions (rare, and an undercount only).
-            let parked = std::mem::take(&mut e.parked);
-            self.entries.remove(line);
-            for (req, _) in parked {
+            for (req, _) in self.txns.open(e).parked.drain(..) {
                 out.push(DirAction::Redispatch(req));
             }
+            self.txns.close_if_idle(e);
+            self.entries.remove(line);
             return;
         }
         if let Some((req, class, park)) = txn.grant {
@@ -529,7 +613,12 @@ impl Directory {
     /// Lines whose entries have a transaction in flight, in deterministic
     /// set order (diagnostics).
     pub(crate) fn busy_lines(&self) -> impl Iterator<Item = Line> + '_ {
-        self.entries.iter().filter(|(_, e)| e.busy.is_some()).map(|(l, _)| l)
+        self.entries.iter().filter(|(_, e)| self.txns.busy(e).is_some()).map(|(l, _)| l)
+    }
+
+    /// Requests parked behind transactions in flight (diagnostics).
+    pub(crate) fn parked_requests(&self) -> usize {
+        self.txns.recs.iter().map(|r| r.parked.len()).sum()
     }
 
     /// Test-only: forcibly drops the entry for `line`, bypassing the
@@ -561,7 +650,7 @@ mod tests {
 
     /// True if the entry for `line` has a transaction in flight.
     fn busy(d: &Directory, line: Line) -> bool {
-        d.entries.peek(line).is_some_and(|e| e.busy.is_some())
+        d.entries.peek(line).is_some_and(|e| d.txns.busy(e).is_some())
     }
 
     fn gets(c: u16, line: Line) -> DirMsg {
@@ -756,6 +845,33 @@ mod tests {
             _ => None,
         });
         assert_eq!(first_class, Some(LatClass::Mem));
+    }
+
+    #[test]
+    fn a_directory_way_stays_within_40_bytes() {
+        // A resident line costs its stable state; a transaction and its
+        // park queue live in the table only while the line has one.
+        let size = std::mem::size_of::<crate::tagarray::Way<DirEntry>>();
+        assert!(size <= 40, "a directory way is {size} bytes");
+    }
+
+    #[test]
+    fn a_reset_releases_every_transaction_record() {
+        let mut d = dir();
+        let mut out = Vec::new();
+        d.handle(gets(0, 0x100), &mut out);
+        d.handle(getx(1, 0x100), &mut out);
+        d.handle(gets(2, 0x140), &mut out);
+        assert_eq!((d.txns.recs.len(), d.parked_requests()), (2, 1));
+        d.reset(&MemConfig::tiny());
+        assert_eq!((d.txns.recs.len(), d.txns.free.len()), (2, 2));
+        assert!(d.txns.recs.iter().all(|r| r.busy.is_none() && r.parked.is_empty()));
+        // A record released by a drained queue is taken again.
+        d.handle(gets(0, 0x100), &mut out);
+        unblock(&mut d, 0, 0x100, &mut out);
+        assert_eq!(d.txns.free.len(), 2);
+        d.handle(gets(3, 0x180), &mut out);
+        assert_eq!((d.txns.recs.len(), d.txns.free.len()), (2, 1));
     }
 
     #[test]

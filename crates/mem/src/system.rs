@@ -37,6 +37,8 @@ pub struct MemDiag {
     pub locked: Vec<(u16, Line, u32)>,
     /// Lines whose directory entry has a transaction in flight.
     pub busy_lines: Vec<Line>,
+    /// Requests parked at the directory behind those transactions.
+    pub parked: usize,
     /// `(core, line)` for fills stalled on all-ways-locked sets.
     pub stalled_fills: Vec<(u16, Line)>,
     /// Protocol events still in flight on the wheel.
@@ -63,6 +65,9 @@ impl fmt::Display for MemDiag {
             write!(f, "\n  busy directory lines:")?;
             for line in &self.busy_lines {
                 write!(f, " {line:#x}")?;
+            }
+            if self.parked > 0 {
+                write!(f, " ({} requests parked)", self.parked)?;
             }
         }
         if !self.stalled_fills.is_empty() {
@@ -731,6 +736,7 @@ impl MemorySystem {
         MemDiag {
             locked,
             busy_lines: self.dir.busy_lines().collect(),
+            parked: self.dir.parked_requests(),
             stalled_fills: stalled,
             pending_events: self.noc.pending(),
             next_event_at: self.noc.next_at(),

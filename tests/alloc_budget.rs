@@ -1,7 +1,8 @@
 //! Host-allocation budgets: building a machine costs O(cores) allocations,
 //! the cycle loop and the audit sweep allocate only while their pools and
 //! slabs are still growing, a fuzz campaign's warm worker barely allocates
-//! per run, and the litmus enumerator pays per outcome, not per state.
+//! per run, the litmus enumerator pays per outcome, not per state, and a
+//! run's live heap follows the lines it holds.
 //!
 //! Counts are per thread, so the tests of this file run in parallel without
 //! seeing each other.
@@ -14,11 +15,14 @@ use std::cell::Cell;
 thread_local! {
     /// `(allocations, bytes requested)` by this thread so far.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// `(live, peak)`: bytes this thread allocated less those it freed,
+    /// and the most that has been since [`peak_live`] last started.
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
 
-/// Forwards to the system allocator, counting each request. `realloc` and
-/// `alloc_zeroed` keep their default bodies, which call `alloc`: growing a
-/// `Vec` counts as an allocation.
+/// Forwards to the system allocator, counting each request and the live
+/// bytes. `realloc` and `alloc_zeroed` keep their default bodies, which
+/// call `alloc` and `dealloc`: growing a `Vec` counts as an allocation.
 struct Counting;
 
 // SAFETY: every request is passed unchanged to `System`, which upholds the
@@ -31,10 +35,19 @@ unsafe impl GlobalAlloc for Counting {
             let (n, bytes) = c.get();
             c.set((n + 1, bytes + layout.size() as u64));
         });
+        let _ = LIVE.try_with(|c| {
+            let (live, peak) = c.get();
+            let live = live + layout.size() as i64;
+            c.set((live, peak.max(live)));
+        });
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|c| {
+            let (live, peak) = c.get();
+            c.set((live - layout.size() as i64, peak));
+        });
         System.dealloc(ptr, layout);
     }
 }
@@ -48,6 +61,19 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let out = f();
     let (n1, b1) = COUNTS.with(Cell::get);
     (out, n1 - n0, b1 - b0)
+}
+
+/// The most bytes this thread held live while `f` ran, beyond what it
+/// held when `f` started.
+fn peak_live<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let start = LIVE.with(|c| {
+        let (live, _) = c.get();
+        c.set((live, live));
+        live
+    });
+    let out = f();
+    let (_, peak) = LIVE.with(Cell::get);
+    (out, (peak - start) as u64)
 }
 
 /// A 4-core cell of the benchmark's `compute_grid` (its scale and policy
@@ -66,9 +92,9 @@ fn machine_new_allocates_per_core_not_per_set() {
     let (m, allocs, bytes) = counted(|| Machine::new(cfg, programs, guest));
     eprintln!("Machine::new: {allocs} allocations, {bytes} bytes");
     drop(m);
-    // The guest image is moved in, not copied. Here: 113 allocations
-    // requesting 1.1 MB. Parent: 51 515 requesting 65.2 MB, one `Vec` per
-    // configured cache set.
+    // The guest image is moved in, not copied. Here: 98 allocations
+    // requesting 0.99 MB. Before the tag arrays became slabs: 51 515
+    // requesting 65.2 MB, one `Vec` per configured cache set.
     assert!(allocs <= 256, "Machine::new made {allocs} allocations");
     assert!(bytes <= 4 << 20, "Machine::new requested {bytes} bytes");
 }
@@ -80,12 +106,14 @@ fn the_cycle_loop_stops_allocating_once_warm() {
     // per-tick lists; here both profiles count the same):
     //
     //   kernel   parent   here   bound (twice the value first measured)
-    //   fft      11 483     70   140
-    //   radix    10 812     33    62
+    //   fft      11 483     60   140
+    //   radix    10 812     37    62
     //
-    // What is left is growth by doubling: directory park queues on lines
-    // contended for the first time, lock tables, merged-miss lists; and
-    // the guest pages first stored to in the window (fft 2, radix 1).
+    // What is left is growth by doubling: the tag-array slabs as sets
+    // grow their blocks, the directory's transaction table and park
+    // queues while more lines are contended at once than ever before, lock
+    // tables, merged-miss lists; and the guest pages first stored to in
+    // the window (fft 2, radix 1).
     for (kernel, parent, bound) in [("fft", 11_483, 140), ("radix", 10_812, 62)] {
         assert!(bound * 20 <= parent, "the bound must stay under 5 % of the parent's count");
         let (cfg, programs, guest) = compute_cell(kernel);
@@ -184,5 +212,23 @@ fn the_enumerator_allocates_per_outcome_not_per_state() {
             eprintln!("{} / {}: {allocs} allocations, {} outcomes", test.name, model.name(), outcomes.len());
             assert!(allocs <= bound, "{} / {}: {allocs} allocations", test.name, model.name());
         }
+    }
+}
+
+#[test]
+fn a_cell_holds_memory_per_resident_line() {
+    // Each of `compute_grid`'s kernels, built and run to completion. A
+    // directory or LLC line costs one way in a block sized to its set,
+    // and a transaction costs a record only while it is in flight. Here:
+    // at most 1.36 MB (fft); 4.4 MB when every touched set held all its
+    // ways and every directory way a transaction and a park queue.
+    for kernel in ["watersp", "ocean_cp", "lu_cb", "radix", "fft"] {
+        let (result, peak) = peak_live(|| {
+            let (cfg, programs, guest) = compute_cell(kernel);
+            Machine::new(cfg, programs, guest).run(50_000_000).map(|r| r.cycles).map_err(|e| e.to_string())
+        });
+        let cycles = result.unwrap_or_else(|e| panic!("{kernel}: {e}"));
+        eprintln!("{kernel}: peak {peak} live bytes over {cycles} cycles");
+        assert!(peak <= 2 << 20, "{kernel}: {peak} bytes live at the peak");
     }
 }

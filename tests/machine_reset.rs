@@ -3,9 +3,10 @@
 //! through a mixed sequence of configurations, programs and guest images,
 //! and every step must give the run result, guest memory, collected
 //! execution and trace of a fresh machine, with the fast paths on and off.
-//! The fuzz campaign runs every case on one reset machine; its known TSO
-//! findings (ROADMAP item 1) must come out of it exactly as a fresh
-//! machine per run reports them.
+//! A machine stopped with directory transactions in flight and requests
+//! parked behind them resets as cleanly. The fuzz campaign runs every case
+//! on one reset machine; its known TSO findings (ROADMAP item 1) must come
+//! out of it exactly as a fresh machine per run reports them.
 
 use fa_mem::{AuditConfig, ChaosConfig, NocConfig, SplitMix64};
 use free_atomics::prelude::*;
@@ -40,6 +41,15 @@ fn observe(m: &mut Machine, offsets: &[u64], fast: bool) -> (Seen, u64) {
     let trace = format!("{:?}", m.trace_events());
     let seen = (format!("{result:?}"), m.guest_mem().clone(), m.execution(), trace, m.skipped_core_ticks());
     (seen, squashes)
+}
+
+/// Asserts a reused machine left what a fresh one did.
+fn assert_seen(got: &Seen, want: &Seen, what: &str) {
+    assert_eq!(got.0, want.0, "{what}: run result");
+    assert!(got.1 == want.1, "{what}: guest memory");
+    assert_eq!(got.2, want.2, "{what}: execution");
+    assert_eq!(got.3, want.3, "{what}: trace");
+    assert_eq!(got.4, want.4, "{what}: ticks the fast paths skipped");
 }
 
 fn counter(iters: i64) -> Program {
@@ -179,17 +189,50 @@ fn a_reset_machine_runs_as_a_new_one() {
             }
             memorder_squashes += squashes;
             skipped += u64::from(fast) * want.4;
-            assert_eq!(got.0, want.0, "{what}: run result");
-            assert!(got.1 == want.1, "{what}: guest memory");
-            assert_eq!(got.2, want.2, "{what}: execution");
-            assert_eq!(got.3, want.3, "{what}: trace");
-            assert_eq!(got.4, want.4, "{what}: ticks the fast paths skipped");
+            assert_seen(&got, &want, &what);
         }
     }
     // The sequence exercised what a reset must forget, and a new machine
     // starts with the fast paths on.
     assert!(skipped > 0, "the fast paths skip ticks by default");
     assert!(memorder_squashes > 0, "a step trains the StoreSets");
+}
+
+/// Runs `m` one cycle further at a time until it stops with a directory
+/// transaction in flight and requests parked behind it; returns that
+/// cycle.
+fn stop_mid_transaction(m: &mut Machine) -> u64 {
+    for budget in 1..10_000 {
+        let err = m.run(budget).expect_err("the run ends with no transaction caught");
+        let diag = &err.snapshot().expect("a timeout carries a snapshot").mem;
+        if !diag.busy_lines.is_empty() && diag.parked > 0 {
+            return budget;
+        }
+    }
+    panic!("no cycle with requests parked");
+}
+
+#[test]
+fn a_reset_mid_transaction_runs_as_a_new_machine() {
+    // Four cores increment one counter: every RMW's GetX serialises at the
+    // directory and the others park. A reset that kept a transaction
+    // record, a parked request or a stale free slot shows in the next
+    // run's snapshot (busy lines, parked requests) or in its protocol.
+    let mut cfg = tiny_machine().with_check(CheckMode::Tso).with_trace(TraceMode::Flight);
+    cfg.core.policy = AtomicPolicy::FreeFwd;
+    let (programs, mem) = (vec![counter(40); 4], GuestMem::new(1 << 16));
+    let new = || Machine::new(cfg.clone(), programs.clone(), mem.clone());
+    let mut reused = new();
+    let stop = stop_mid_transaction(&mut reused);
+    reused.reset(&cfg, &programs, Cow::Borrowed(&mem));
+    let stopped = |m: &mut Machine| format!("{:?}", m.run(stop).expect_err("stopped"));
+    assert_eq!(stopped(&mut reused), stopped(&mut new()), "stopped at cycle {stop}");
+    reused.reset(&cfg, &programs, Cow::Borrowed(&mem));
+    let offsets = [0; 4];
+    let (want, _) = observe(&mut new(), &offsets, true);
+    let (got, _) = observe(&mut reused, &offsets, true);
+    assert!(want.0.starts_with("Ok("), "{}", want.0);
+    assert_seen(&got, &want, "after the reset");
 }
 
 #[test]
