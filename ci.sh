@@ -108,11 +108,22 @@ for f in crates/mem/src/privcache.rs crates/mem/src/dir.rs crates/mem/src/progre
         || exit 1
 done
 # Nothing polls: rule (a) was rewritten, not appended to; the blocking
-# rules are written once (`load_blocker`, which the issue path and the
+# rules are written once (`Lsq::load_blocker`, which the issue path and the
 # debug oracle both go through).
 ! grep -n 're-attempted \*every' DESIGN.md || exit 1
-grep -q 'fn load_blocker' crates/core/src/core.rs
-test "$(grep -c 'blocked_by_fence(' crates/core/src/core.rs)" -eq 1
+sed '/#\[cfg(test)\]/,$d' crates/core/src/lsq.rs > target/lsq_src.txt
+grep -q 'fn load_blocker' target/lsq_src.txt
+test "$(grep -c 'blocked_by_fence(' target/lsq_src.txt)" -eq 1
+# The load/store queue has one owner, `lsq.rs`: no other non-test code of
+# the core reaches its load queue, store queue or store buffer, and the
+# scheduler's struct names neither queue.
+for f in crates/core/src/*.rs; do
+    case "$f" in */lsq.rs) continue ;; esac
+    ! sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\.(lq|sq|sb)\b' || exit 1
+done
+sed -n '/^pub(crate) struct Sched {/,/^}/p' crates/core/src/sched.rs > target/sched_struct.txt
+test -s target/sched_struct.txt || exit 1
+! grep -nwE 'lq|sq' target/sched_struct.txt || exit 1
 # One load state (`order::LoadState`, the field `Entry::load`): the fields it
 # replaced stay deleted, and the repairs' victim searches live in `order.rs`,
 # not in hand-rolled scans of `core.rs`.
@@ -135,11 +146,11 @@ sed '/#\[cfg(test)\]/,$d' crates/sim/src/machine.rs > target/machine_src.txt
 grep -q 'leaf = .*stall_leaf(' target/machine_src.txt
 test "$(grep -E '\.leaf = ' target/machine_src.txt | grep -vc 'stall_leaf(')" -eq 0
 # One retire rule (`Core::head_retires`): the store-buffer hold of an RMW or
-# an ordering fence is written once, in `held_by_sb`, which commit, the stall
-# horizon, the debug stall oracle and the cycle leaf all go through.
+# an ordering fence is written once, in `Lsq::held_by_sb`, which commit, the
+# stall horizon, the debug stall oracle and the cycle leaf all go through.
 sed '/#\[cfg(test)\]/,$d' crates/core/src/core.rs > target/core_src.txt
-test "$(grep -c 'Fence(FenceKind::Standalone)' target/core_src.txt)" -eq 1
-test "$(grep -c 'fn held_by_sb(' target/core_src.txt)" -eq 1
+test "$(grep -c 'Fence(FenceKind::Standalone)' target/lsq_src.txt)" -eq 1
+test "$(grep -c 'fn held_by_sb(' target/lsq_src.txt)" -eq 1
 test "$(grep -c 'head_retires()' target/core_src.txt)" -eq 3
 ! grep -n 'head\.done)' target/core_src.txt || exit 1
 # The memory system calls into a cache only when something happened to it:

@@ -11,6 +11,13 @@ use crate::rob::Seq;
 use fa_mem::Line;
 use std::collections::VecDeque;
 
+/// The `load_lock` of the store_unlock `seq`, whose AQ entry is keyed by
+/// it: an RMW decodes to `AtomicPre, load_lock, rmw_alu, store_unlock,
+/// AtomicPost`, so the two are two micro-ops apart.
+pub(crate) fn load_lock_of(store_unlock: Seq) -> Seq {
+    store_unlock - 2
+}
+
 /// Lock state of one atomic's AQ entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AqState {

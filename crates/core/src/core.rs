@@ -4,19 +4,20 @@
 //! fetch/rename dispatch micro-ops from it into the ROB; an event-driven
 //! scheduler (the `sched` module) wakes exactly the consumers of each
 //! completing producer and issues from an age-ordered ready list, so no
-//! stage walks the window; loads and stores go through LSQ disambiguation
-//! (load-queue, store-queue and fence lists) with StoreSet prediction and
-//! store-to-load forwarding; commit retires in order, moving stores into
-//! the store buffer, which drains to the memory system under TSO. Atomic
+//! stage walks the window; loads and stores go through the load/store queue
+//! (the `lsq` module: disambiguation, StoreSet prediction and store-to-load
+//! forwarding); commit retires in order, moving stores into the store
+//! buffer, which drains to the memory system under TSO. Atomic
 //! RMWs follow one of the four [`AtomicPolicy`] flavours; the Atomic Queue
 //! tracks their cache-line locks and forwarding responsibilities, and the
 //! watchdog breaks the deadlocks that fence-free execution can create
 //! (§3.2.5 of the paper).
 
-use crate::aq::{AqState, AtomicQueue};
+use crate::aq::{load_lock_of, AqState, AtomicQueue};
 use crate::config::{
     AtomicPolicy, CoreConfig, ALU_LAT, FWD_LAT, MONITOR_TIMEOUT, MUL_LAT, PAUSE_LAT, REDIRECT_PENALTY,
 };
+use crate::lsq::{occupies_lq, wild_addr, Forward, Lsq, SbEntry};
 use crate::order::{self, LoadState};
 use crate::predictor::{BranchPredictor, StoreSets};
 use crate::rob::{Entry, Rob, Seq, Slot, SrcVal};
@@ -24,10 +25,10 @@ use crate::sched::{Blocker, Sched, Unblock};
 use crate::stats::{CoreStats, SquashCause};
 use fa_isa::reg::NUM_REGS;
 use fa_isa::uop::SrcRegs;
-use fa_isa::{line_of, Addr, FenceKind, Instr, Program, Reg, Uop, UopKind, Word};
+use fa_isa::{line_of, Instr, Program, Reg, Uop, UopKind, Word};
+use fa_mem::privcache::ReqOutcome;
 use fa_mem::{CoreId, CoreNotice, CoreResp, Line, MemorySystem};
-use fa_trace::{write_id, CpiLeaf, DataEvent, MemModel, MemOrder, TraceBuf, TraceEvent, TraceRecord};
-use std::collections::VecDeque;
+use fa_trace::{write_id, CpiLeaf, DataEvent, MemOrder, TraceBuf, TraceEvent, TraceRecord};
 use std::fmt;
 
 /// A point-in-time snapshot of a core's hang-relevant pipeline state,
@@ -95,17 +96,6 @@ impl fmt::Display for CoreDiag {
     }
 }
 
-/// True for the micro-ops that occupy a load-queue entry.
-fn occupies_lq(u: &Uop) -> bool {
-    u.is_load_class() || matches!(u.kind, UopKind::MonitorWait { .. })
-}
-
-/// True for an address no access may reach — misaligned, or past the
-/// `mem_bytes` of guest memory: only a wrong-path access computes one.
-fn wild_addr(addr: Addr, mem_bytes: u64) -> bool {
-    !addr.is_multiple_of(8) || addr >= mem_bytes
-}
-
 /// Where a squash that refetches `e`'s instruction starts: the sequence
 /// number of its first micro-op, and its pc.
 fn refetch_point(e: &Entry) -> (Seq, u32) {
@@ -132,15 +122,6 @@ enum FetchLimit {
     Aq,
 }
 
-/// The older store an issuing load forwards `value` from (`unlock`: a
-/// store_unlock); a load with none in flight to its address reads the cache.
-#[derive(Clone, Copy, Debug)]
-struct Forward {
-    store: Seq,
-    value: Word,
-    unlock: bool,
-}
-
 /// Execution state of the core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CoreState {
@@ -150,24 +131,6 @@ enum CoreState {
     Sleeping { line: Line, wake_at: u64, resume_pc: u32 },
     /// Halted (terminal).
     Halted,
-}
-
-/// A committed store waiting to perform, in program order.
-#[derive(Clone, Copy, Debug)]
-struct SbEntry {
-    seq: Seq,
-    addr: Addr,
-    value: Word,
-    /// This is a store_unlock draining (releases its atomic's lock unless
-    /// forwarding transferred it).
-    is_unlock: bool,
-    /// For a store_unlock: its load_lock's sequence number (AQ release key).
-    ll_seq: Option<Seq>,
-    /// A GetX for this entry is outstanding.
-    acquire_pending: bool,
-    /// The store carries a `SeqCst` annotation (plain stores only): under
-    /// the weak model younger loads may not issue while it waits here.
-    sc: bool,
 }
 
 /// One instruction of the decoded program: the instruction itself, its
@@ -222,8 +185,8 @@ pub struct Core {
     // Back end.
     rob: Rob,
     sched: Sched,
+    lsq: Lsq,
     aq: AtomicQueue,
-    sb: VecDeque<SbEntry>,
     bp: BranchPredictor,
     ss: StoreSets,
 
@@ -280,8 +243,8 @@ impl Default for Core {
             arch_regs: [0; NUM_REGS],
             rob: Rob::default(),
             sched: Sched::default(),
+            lsq: Lsq::default(),
             aq: AtomicQueue::default(),
-            sb: VecDeque::new(),
             bp: BranchPredictor::default(),
             ss: StoreSets::default(),
             state: CoreState::Running,
@@ -313,12 +276,12 @@ impl Core {
 
     /// Puts the core in exactly the state [`new`](Self::new) builds for
     /// these arguments, keeping the storage of every buffer and table: the
-    /// decode tables, the ROB ring, the scheduler lists, the AQ, the store
-    /// buffer, the predictor tables, the trace ring and the data log.
+    /// decode tables, the ROB ring, the scheduler lists, the load/store
+    /// queue, the AQ, the predictor tables, the trace ring and the data log.
     pub fn reset(&mut self, id: CoreId, cfg: &CoreConfig, prog: &Program, mem_bytes: u64) {
         let Core {
             id: my_id, cfg: my_cfg, decoded, uops, mem_bytes: my_mem_bytes, fetch_pc,
-            fetch_stall_until, fetch_barrier, next_seq, rename, arch_regs, rob, sched, aq, sb, bp,
+            fetch_stall_until, fetch_barrier, next_seq, rename, arch_regs, rob, sched, lsq, aq, bp,
             ss, state, wd_counter, fetch_blocked, stalled_until, issue_attempts, notices, responses,
             work, resolved_stores, decoding: of, stats, trace, dlog,
         } = self;
@@ -349,9 +312,8 @@ impl Core {
         (*rename, *arch_regs) = ([None; NUM_REGS], [0; NUM_REGS]);
         rob.reset(cfg.rob_size);
         sched.reset(cfg);
+        lsq.reset(cfg);
         aq.reset(cfg.aq_size);
-        sb.clear();
-        sb.reserve(cfg.sq_size);
         bp.reset(cfg.bp_table_bits, cfg.bp_history_bits);
         ss.reset(10);
         (*state, *wd_counter, *fetch_blocked) = (CoreState::Running, 0, None);
@@ -395,7 +357,7 @@ impl Core {
     /// core, so the drain test comes first and reads the cache.
     pub fn due(&self, mem: &MemorySystem) -> u64 {
         match self.state {
-            _ if !self.sb_waits_for_cache(mem) => 0,
+            _ if !self.lsq.sb_waits_for_cache(self.id, mem) => 0,
             CoreState::Halted => u64::MAX,
             CoreState::Sleeping { wake_at, .. } => wake_at,
             CoreState::Running => self.stalled_until,
@@ -464,6 +426,7 @@ impl Core {
         #[cfg(debug_assertions)]
         {
             self.sched.check_scheduler_indices(&self.rob, self.cfg.policy.fenced());
+            self.lsq.check_indices(&self.rob);
             // Every event ran before the issue walk, so a load still on the
             // blocked list would fail a fresh attempt for the same reason.
             for &(slot, why) in &self.sched.blocked {
@@ -504,7 +467,7 @@ impl Core {
         self.state == CoreState::Running
             && !mem.has_core_traffic(self.id)
             && nothing_to_do
-            && self.sb_waits_for_cache(mem)
+            && self.lsq.sb_waits_for_cache(self.id, mem)
             && !self.head_retires()
             && fetch_stopped
             && !watchdog_due
@@ -603,7 +566,7 @@ impl Core {
         };
         if self.state != CoreState::Running
             || !self.sched.idle()
-            || !self.sb_waits_for_cache(mem)
+            || !self.lsq.sb_waits_for_cache(self.id, mem)
             || self.head_retires()
         {
             return 0;
@@ -639,9 +602,9 @@ impl Core {
         } else if self.rob.is_empty() {
             CpiLeaf::FetchStarved
         } else {
-            let head = self.rob.front().expect("nonempty");
+            let (slot, head) = self.rob.iter().next().expect("nonempty");
             let is_ll = matches!(head.uop.kind, UopKind::LoadLock { .. });
-            if head.done && self.held_by_sb(head) {
+            if head.done && self.lsq.held_by_sb(head, self.cfg.model) {
                 // store→RMW commit order (§3.2.3) or a draining fence.
                 if is_ll {
                     CpiLeaf::SbDrain
@@ -661,7 +624,7 @@ impl Core {
             } else if is_ll
                 && !head.issued
                 && head.addr.is_some()
-                && !self.load_lock_may_issue(self.rob.front_slot().expect("nonempty"))
+                && !self.lsq.load_lock_may_issue(slot, &self.rob, &self.sched, self.cfg.policy)
             {
                 // Fenced-policy issue gate: the head atomic may not issue
                 // until the store buffer drains.
@@ -724,9 +687,7 @@ impl Core {
         let d = self.decoded.get(pc as usize).expect("fetch past program end");
         if self.rob.len() + d.len as usize > self.cfg.rob_size {
             Some(FetchLimit::Rob)
-        } else if self.sched.lq.len() + d.loads as usize > self.cfg.lq_size
-            || self.sched.sq.len() + self.sb.len() + d.stores as usize > self.cfg.sq_size
-        {
+        } else if !self.lsq.has_room(d.loads as usize, d.stores as usize, &self.cfg) {
             Some(FetchLimit::Lsq)
         } else if d.instr.is_rmw() && self.aq.is_full() {
             Some(FetchLimit::Aq)
@@ -797,22 +758,12 @@ impl Core {
                 self.sched.watch(p, slot, i);
             }
         }
-        if occupies_lq(&uop) {
-            self.sched.lq.push_back(slot);
-        }
+        self.lsq.dispatch(slot, &uop);
         if uop.is_store_class() {
-            self.sched.sq.push_back(slot);
             self.ss.store_dispatched(uop.pc, seq);
         }
         match uop.kind {
-            UopKind::Fence(kind) => {
-                let orders_loads = match kind {
-                    FenceKind::Standalone => true,
-                    FenceKind::AtomicPost => self.cfg.policy.fenced(),
-                    FenceKind::AtomicPre => false,
-                };
-                self.sched.push_fence(seq, orders_loads);
-            }
+            UopKind::Fence(kind) => self.sched.push_fence(seq, kind, self.cfg.policy.fenced()),
             UopKind::Pause => self.sched.insert_inflight(slot, now + PAUSE_LAT),
             _ => self.sched.operands_changed(slot, e),
         }
@@ -941,19 +892,11 @@ impl Core {
 
     fn issue_monitor(&mut self, slot: Slot, mem: &mut MemorySystem) -> bool {
         let e = self.rob.at_mut(slot).expect("entry exists");
-        let addr = e.addr.expect("a ready monitor has its address");
         if e.load == LoadState::Wild {
             e.done = true;
             return true;
         }
-        match mem.read(self.id, slot.seq, addr, false) {
-            fa_mem::privcache::ReqOutcome::Accepted => {
-                e.issued = true;
-                e.load = LoadState::InFlight;
-                true
-            }
-            fa_mem::privcache::ReqOutcome::Retry => false,
-        }
+        self.read_cache(slot, false, mem)
     }
 
     /// Computes effective addresses for the memory micro-ops whose base
@@ -1011,10 +954,7 @@ impl Core {
         let s = self.rob.at(store).expect("store exists");
         let saddr = s.addr.expect("resolved");
         let spc = s.uop.pc;
-        let younger = self
-            .sched
-            .loads_younger_than(store.seq)
-            .map(|l| self.rob.at(l).expect("the load queue holds live micro-ops"));
+        let younger = self.lsq.loads_younger_than(store.seq, &self.rob);
         let victim = order::mem_order_victim(younger, store.seq, saddr).map(refetch_point);
         if let Some((first, lpc)) = victim {
             self.ss.train_violation(lpc, spc);
@@ -1022,66 +962,11 @@ impl Core {
         }
     }
 
-    /// The core-local half of issuing the load at `slot`, which has its
-    /// address: what stops it short of the cache, or else the store it
-    /// forwards from (`None`: the cache). Read-only, so an attempt that
-    /// ends here changed nothing. The blockers that wait for an event come
-    /// before the StoreSet hold, so that no later training hides them while
-    /// a load sits on the blocked list.
+    /// [`Lsq::load_blocker`] for the load at `slot`: the one issue rule,
+    /// which the issue walk and the debug oracles all go through.
     fn load_blocker(&self, slot: Slot) -> Result<Option<Forward>, Blocker> {
-        let seq = slot.seq;
-        let e = self.rob.at(slot).expect("entry exists");
-        debug_assert_eq!(e.load, LoadState::Unissued);
-        let addr = e.addr.expect("a ready load has its address");
-
-        // Fence ordering: younger loads wait on standalone fences always,
-        // and on atomic-post fences under the fenced policies.
-        if let Some(fence) = self.sched.blocked_by_fence(seq) {
-            return Err(Blocker::Fence(fence));
-        }
-        // Weak model: an SC store orders younger loads after its perform
-        // (the W→R restoration that makes SC stores Dekker-safe); loads
-        // wait while an older SC store is in flight or buffered.
-        if self.cfg.model == MemModel::Weak && self.blocked_by_sc_store(seq) {
-            return Err(Blocker::ScStore);
-        }
-        // Policy-specific load_lock issue conditions.
-        if matches!(e.uop.kind, UopKind::LoadLock { .. }) && !self.load_lock_may_issue(slot) {
-            return Err(Blocker::LoadLockGate);
-        }
-
-        // Search older stores, youngest first: store queue then SB. An
-        // unknown older store address is speculated past (the StoreSet
-        // check below holds back risky loads).
-        let mut source = None;
-        for s in self.sched.stores_older_than(seq).rev() {
-            let s = self.rob.at(s).expect("the store queue holds live micro-ops");
-            if s.addr != Some(addr) {
-                continue;
-            }
-            let (UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. }) = s.uop.kind
-            else {
-                unreachable!("the store queue holds store-class micro-ops")
-            };
-            let unlock = matches!(s.uop.kind, UopKind::StoreUnlock { .. });
-            match s.value_of(src) {
-                Some(value) => source = Some(Forward { store: s.seq, value, unlock }),
-                // Conflict that cannot forward yet.
-                None => return Err(Blocker::StoreData(s.seq)),
-            }
-            break;
-        }
-        // Memory-dependence prediction: wait on trained store sets.
-        if let Some(wait_seq) = self.ss.load_should_wait(e.uop.pc) {
-            if wait_seq < seq && self.rob.get(wait_seq).is_some_and(|s| s.addr.is_none()) {
-                return Err(Blocker::StoreSet(wait_seq));
-            }
-        }
-        // SB: committed but unperformed stores, youngest first.
-        Ok(source.or_else(|| {
-            let s = self.sb.iter().rev().find(|s| s.addr == addr)?;
-            Some(Forward { store: s.seq, value: s.value, unlock: s.is_unlock })
-        }))
+        let (rob, sched, ss) = (&self.rob, &self.sched, &self.ss);
+        self.lsq.load_blocker(slot, rob, sched, ss, &self.cfg, self.mem_bytes)
     }
 
     /// Issues the load at `slot`, forwarding from `fwd` or else reading the
@@ -1094,9 +979,7 @@ impl Core {
         now: u64,
         mem: &mut MemorySystem,
     ) -> bool {
-        let seq = slot.seq;
         let e = self.rob.at(slot).expect("entry exists");
-        let addr = e.addr.expect("a ready load has its address");
         let is_ll = matches!(e.uop.kind, UopKind::LoadLock { .. });
         match fwd {
             Some(f) if is_ll => self.forward_to_load_lock(slot, f, now),
@@ -1104,35 +987,45 @@ impl Core {
                 self.bind_forwarded(slot, f, now);
                 true
             }
-            None => match mem.read(self.id, seq, addr, is_ll) {
-                fa_mem::privcache::ReqOutcome::Accepted => {
-                    let drain = {
-                        let e = self.rob.at_mut(slot).expect("entry exists");
-                        e.issued = true;
-                        e.load = LoadState::InFlight;
-                        now.saturating_sub(e.ready_since.unwrap_or(now))
-                    };
-                    if is_ll {
-                        self.stats.atomic_drain_cycles += drain;
-                        self.stats.atomic_drain_hist.record(drain);
-                        if let Some(a) = self.aq.get_mut(seq) {
-                            a.issued_at = now;
-                        }
-                        self.trace.record(
-                            now,
-                            TraceEvent::AtomicLoadLock { seq, addr, drain, fwd: false },
-                        );
-                    }
-                    true
+            None => {
+                let issued = self.read_cache(slot, is_ll, mem);
+                if issued && is_ll {
+                    self.load_lock_issued(slot, false, now);
                 }
-                fa_mem::privcache::ReqOutcome::Retry => false,
-            },
+                issued
+            }
         }
     }
 
-    /// Binds the load at `slot` to the value `f` forwards; returns the
-    /// entry for the caller's own bookkeeping.
-    fn bind_forwarded(&mut self, slot: Slot, f: Forward, now: u64) -> &mut Entry {
+    /// Sends the load-queue entry at `slot` to the cache (`lock`: a
+    /// `load_lock`); false when the cache asks for a retry.
+    fn read_cache(&mut self, slot: Slot, lock: bool, mem: &mut MemorySystem) -> bool {
+        let e = self.rob.at_mut(slot).expect("entry exists");
+        let addr = e.addr.expect("a ready load has its address");
+        let accepted = mem.read(self.id, slot.seq, addr, lock) == ReqOutcome::Accepted;
+        if accepted {
+            e.issued = true;
+            e.load = LoadState::InFlight;
+        }
+        accepted
+    }
+
+    /// The `load_lock` at `slot` issued (`fwd`: bound by forwarding), which
+    /// ends its Figure-1 drain time.
+    fn load_lock_issued(&mut self, slot: Slot, fwd: bool, now: u64) {
+        let e = self.rob.at(slot).expect("entry exists");
+        let (seq, addr) = (slot.seq, e.addr.expect("an issued load_lock has its address"));
+        let drain = now.saturating_sub(e.ready_since.unwrap_or(now));
+        self.stats.atomic_drain_cycles += drain;
+        self.stats.atomic_drain_hist.record(drain);
+        if let Some(a) = self.aq.get_mut(seq) {
+            a.issued_at = now;
+        }
+        self.trace.record(now, TraceEvent::AtomicLoadLock { seq, addr, drain, fwd });
+    }
+
+    /// Binds the load at `slot` to the value `f` forwards.
+    fn bind_forwarded(&mut self, slot: Slot, f: Forward, now: u64) {
         let done_at = now + FWD_LAT;
         self.sched.insert_inflight(slot, done_at);
         self.stats.load_forwards += 1;
@@ -1142,7 +1035,6 @@ impl Core {
         e.writer = write_id(self.id.0, f.store);
         e.issued = true;
         e.done_at = Some(done_at);
-        e
     }
 
     /// Applies store-to-load forwarding to a load_lock (§3.3), or refuses
@@ -1154,69 +1046,24 @@ impl Core {
         }
         // Chain length: forwarding from an atomic extends its chain.
         let chain = if f.unlock {
-            let src_ll = f.store - 2;
-            self.aq.get(src_ll).map(|a| a.chain + 1).unwrap_or(1)
+            self.aq.get(load_lock_of(f.store)).map(|a| a.chain + 1).unwrap_or(1)
         } else {
             1
         };
         if chain > self.cfg.fwd_chain_max {
             return false;
         }
-        let seq = slot.seq;
-        let aqe = self.aq.get_mut(seq).expect("load_lock has an AQ entry");
+        let aqe = self.aq.get_mut(slot.seq).expect("load_lock has an AQ entry");
         aqe.state = AqState::Fwd { store_seq: f.store, from_atomic: f.unlock };
         aqe.chain = chain;
-        aqe.issued_at = now;
         // Forwarded load_locks perform immediately: the whole lifetime is
         // local execute (acquire/transfer/park contribute nothing).
         aqe.acquired_at = now;
-        let (drain, addr) = {
-            let e = self.bind_forwarded(slot, f, now);
-            (now.saturating_sub(e.ready_since.unwrap_or(now)), e.addr.unwrap_or(0))
-        };
-        self.stats.atomic_drain_cycles += drain;
-        self.stats.atomic_drain_hist.record(drain);
-        self.trace.record(now, TraceEvent::AtomicLoadLock { seq, addr, drain, fwd: true });
+        self.bind_forwarded(slot, f, now);
+        self.load_lock_issued(slot, true, now);
         // A forwarded load_lock performs immediately: reset the watchdog.
         self.wd_counter = 0;
         true
-    }
-
-    /// True when an older plain `SeqCst` store is still in the ROB or the
-    /// store buffer (weak model only; store_unlocks are governed by the
-    /// atomic policy's fences instead).
-    fn blocked_by_sc_store(&self, seq: Seq) -> bool {
-        self.sb.iter().any(|s| s.sc)
-            || self.sched.stores_older_than(seq).any(|s| {
-                let e = self.rob.at(s).expect("the store queue holds live micro-ops");
-                matches!(e.uop.kind, UopKind::Store { .. })
-                    && e.uop.ord.is_sc()
-                    && !e.addr.is_some_and(|a| wild_addr(a, self.mem_bytes))
-            })
-    }
-
-    /// Policy gate for issuing the load_lock at `slot`.
-    fn load_lock_may_issue(&self, slot: Slot) -> bool {
-        match self.cfg.policy {
-            AtomicPolicy::FencedBaseline => {
-                // Only at the ROB head-of-instruction (everything older
-                // committed — the AtomicPre fence commits as a nop ahead of
-                // us, so every older entry must be a fence) and with the SB
-                // drained.
-                self.sb.is_empty()
-                    && self.rob.rank(slot) == self.sched.fences_older_than(slot.seq)
-            }
-            AtomicPolicy::FencedSpec => {
-                // All older memory operations must have committed and the SB
-                // drained — only *control* speculation is allowed (§3.1).
-                self.sb.is_empty()
-                    && self.sched.stores_older_than(slot.seq).next().is_none()
-                    && !self.sched.loads_older_than(slot.seq).any(|l| {
-                        self.rob.at(l).expect("the load queue holds live micro-ops").uop.is_mem()
-                    })
-            }
-            AtomicPolicy::Free | AtomicPolicy::FreeFwd => true,
-        }
     }
 
     // ----------------------------------------------------------- responses
@@ -1286,11 +1133,7 @@ impl Core {
                         self.wd_counter = 0;
                     }
                 }
-                CoreResp::StoreReady { seq, .. } => {
-                    if let Some(s) = self.sb.iter_mut().find(|s| s.seq == seq) {
-                        s.acquire_pending = false;
-                    }
-                }
+                CoreResp::StoreReady { seq, .. } => self.lsq.store_ready(seq),
             }
         }
     }
@@ -1324,27 +1167,11 @@ impl Core {
 
     // -------------------------------------------------------------- commit
 
-    /// True when `e` waits for the store buffer to drain before it may
-    /// retire: store→RMW order (§3.2.3) holds an atomic until every older
-    /// store has drained, and MFENCE orders store→load. Under the weak
-    /// model only an SC fence restores W→R; weaker fences are pipeline
-    /// reorder barriers that retire without waiting on the store buffer.
-    fn held_by_sb(&self, e: &Entry) -> bool {
-        !self.sb.is_empty()
-            && match e.uop.kind {
-                UopKind::LoadLock { .. } => true,
-                UopKind::Fence(FenceKind::Standalone) => {
-                    self.cfg.model == MemModel::Tso || e.uop.ord.is_sc()
-                }
-                _ => false,
-            }
-    }
-
     /// The one retire rule, which commit, the stall horizon and the cycle
     /// leaf all read: the ROB head can retire when it is done and not held
     /// behind the store buffer.
     fn head_retires(&self) -> bool {
-        self.rob.front().is_some_and(|head| head.done && !self.held_by_sb(head))
+        self.rob.front().is_some_and(|head| head.done && !self.lsq.held_by_sb(head, self.cfg.model))
     }
 
     fn commit(&mut self, now: u64, mem: &mut MemorySystem) {
@@ -1360,12 +1187,11 @@ impl Core {
                 self.id, head.addr, uop.pc
             );
             // Retire by reference: take what retirement reads and drop the
-            // head where it lies.
+            // head where it lies. A store moves into the store buffer, and
+            // its GetX goes out now, not when it reaches the SB head (Table
+            // 1's at-commit store prefetch).
             let (result, addr, writer, load) = (head.result, head.addr, head.writer, head.load);
-            let store_data = match uop.kind {
-                UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. } => head.value_of(src),
-                _ => None,
-            };
+            let sb = self.lsq.commit(head, self.id, mem);
             self.rob.retire_front();
             // The load_lock gate reads the ROB rank and the queue fronts.
             self.sched.unblock(Unblock::CommitOrDrain);
@@ -1380,10 +1206,6 @@ impl Core {
                         self.rename[d.index()] = None;
                     }
                 }
-            }
-            if occupies_lq(&uop) {
-                let left = self.sched.lq.pop_front();
-                debug_assert_eq!(left.map(|l| l.seq), Some(seq));
             }
             match uop.kind {
                 UopKind::Load { .. } if self.cfg.check.on() => {
@@ -1426,38 +1248,13 @@ impl Core {
                     self.stats.instructions += 1;
                     return; // sleep starts immediately
                 }
-                UopKind::Store { .. } | UopKind::StoreUnlock { .. } => {
-                    // The store moves from the ROB half of the store queue
-                    // to the store buffer.
-                    let left = self.sched.sq.pop_front();
-                    debug_assert_eq!(left.map(|s| s.seq), Some(seq));
-                    let is_unlock = matches!(uop.kind, UopKind::StoreUnlock { .. });
-                    let value = store_data.expect("store data ready at commit");
-                    let addr = addr.expect("store address ready at commit");
-                    if self.cfg.check.on() {
-                        self.dlog.push(if is_unlock {
-                            DataEvent::StoreUnlock { seq, addr, value }
-                        } else {
-                            DataEvent::Store { seq, addr, value, ord: uop.ord }
-                        });
-                    }
-                    let entry = SbEntry {
-                        seq,
-                        addr,
-                        value,
-                        is_unlock,
-                        ll_seq: if is_unlock { Some(seq - 2) } else { None },
-                        acquire_pending: false,
-                        sc: !is_unlock && uop.ord.is_sc(),
-                    };
-                    self.sb.push_back(entry);
-                    // At-commit store prefetch (Table 1): the GetX goes out
-                    // now, not when the store reaches the SB head.
-                    if let fa_mem::privcache::ReqOutcome::Accepted =
-                        mem.store_acquire(self.id, seq, addr)
-                    {
-                        self.sb.back_mut().unwrap().acquire_pending = true;
-                    }
+                UopKind::Store { .. } | UopKind::StoreUnlock { .. } if self.cfg.check.on() => {
+                    let SbEntry { addr, value, is_unlock, .. } = sb.expect("a store commits");
+                    self.dlog.push(if is_unlock {
+                        DataEvent::StoreUnlock { seq, addr, value }
+                    } else {
+                        DataEvent::Store { seq, addr, value, ord: uop.ord }
+                    });
                 }
                 UopKind::Fence(kind) => {
                     self.sched.pop_fence(seq);
@@ -1501,65 +1298,47 @@ impl Core {
 
     // ------------------------------------------------------------ SB drain
 
-    /// True when a drain would do nothing: the store buffer is empty, or
-    /// its head is parked — its write-permission request is out and its
-    /// line is not writable yet. Only the memory system ticking can make
-    /// the line writable, so [`Core::due`] reads this afresh each cycle and
-    /// the drain performs the store on the tick the line turns writable.
-    fn sb_waits_for_cache(&self, mem: &MemorySystem) -> bool {
-        self.sb.front().is_none_or(|h| h.acquire_pending && !mem.writable(self.id, line_of(h.addr)))
-    }
-
+    /// Performs the store-buffer head once its line is writable
+    /// ([`Lsq::drain`]), with the Atomic Queue's part: the locks it hands to
+    /// the `load_lock`s it fed and, for a store_unlock, its atomic's release.
     fn drain_store_buffer(&mut self, now: u64, mem: &mut MemorySystem) {
-        let Some(&head) = self.sb.front() else { return };
+        let Some(head) = self.lsq.drain(self.id, mem) else { return };
         let line = line_of(head.addr);
-        if mem.writable(self.id, line) {
-            let ok = mem.try_store_perform(self.id, head.seq, head.addr, head.value);
-            assert!(ok, "writable line must accept the store");
-            self.sb.pop_front();
-            self.sched.unblock(Unblock::CommitOrDrain);
-            // Lock transfer: forwarded load_locks capture the line now
-            // (§4.2: the SQ broadcasts its SQid on perform).
-            let captured = self.aq.capture_from_store(head.seq, line);
-            for _ in 0..captured {
-                mem.lock_line(self.id, line);
-            }
-            if head.is_unlock {
-                let ll_seq = head.ll_seq.expect("store_unlock has its load_lock seq");
-                let aqe = self.aq.release(ll_seq);
-                match aqe.state {
-                    AqState::Locked(l) => {
-                        debug_assert_eq!(l, line);
-                        mem.unlock_line(self.id, l);
-                    }
-                    other => panic!(
-                        "store_unlock performing while its AQ entry is {other:?}; \
-                         the lock must be held by perform time"
-                    ),
+        self.sched.unblock(Unblock::CommitOrDrain);
+        // Lock transfer: forwarded load_locks capture the line now
+        // (§4.2: the SQ broadcasts its SQid on perform).
+        let captured = self.aq.capture_from_store(head.seq, line);
+        for _ in 0..captured {
+            mem.lock_line(self.id, line);
+        }
+        if head.is_unlock {
+            let aqe = self.aq.release(load_lock_of(head.seq));
+            match aqe.state {
+                AqState::Locked(l) => {
+                    debug_assert_eq!(l, line);
+                    mem.unlock_line(self.id, l);
                 }
-                let exec = now.saturating_sub(aqe.issued_at);
-                self.stats.atomic_exec_cycles += exec;
-                self.stats.atomic_exec_hist.record(exec);
-                // Fold the staged acquire-side split plus the local-execute
-                // remainder into stats, exactly once per committed atomic:
-                // acquire + xfer + park + local == exec by construction.
-                self.stats.atomic_lock_acquire_cycles += aqe.acquire;
-                self.stats.atomic_xfer_cycles[aqe.xfer_class] += aqe.xfer;
-                self.stats.atomic_dir_park_cycles += aqe.park;
-                let local_since =
-                    if aqe.acquired_at > 0 { aqe.acquired_at } else { aqe.issued_at };
-                self.stats.atomic_local_cycles += now.saturating_sub(local_since);
-                self.trace.record(
-                    now,
-                    TraceEvent::AtomicStoreUnlock { seq: head.seq, addr: head.addr, exec },
-                );
+                other => panic!(
+                    "store_unlock performing while its AQ entry is {other:?}; \
+                     the lock must be held by perform time"
+                ),
             }
-        } else if !head.acquire_pending {
-            if let fa_mem::privcache::ReqOutcome::Accepted =
-                mem.store_acquire(self.id, head.seq, head.addr)
-            {
-                self.sb.front_mut().unwrap().acquire_pending = true;
-            }
+            let exec = now.saturating_sub(aqe.issued_at);
+            self.stats.atomic_exec_cycles += exec;
+            self.stats.atomic_exec_hist.record(exec);
+            // Fold the staged acquire-side split plus the local-execute
+            // remainder into stats, exactly once per committed atomic:
+            // acquire + xfer + park + local == exec by construction.
+            self.stats.atomic_lock_acquire_cycles += aqe.acquire;
+            self.stats.atomic_xfer_cycles[aqe.xfer_class] += aqe.xfer;
+            self.stats.atomic_dir_park_cycles += aqe.park;
+            let local_since =
+                if aqe.acquired_at > 0 { aqe.acquired_at } else { aqe.issued_at };
+            self.stats.atomic_local_cycles += now.saturating_sub(local_since);
+            self.trace.record(
+                now,
+                TraceEvent::AtomicStoreUnlock { seq: head.seq, addr: head.addr, exec },
+            );
         }
     }
 
@@ -1627,6 +1406,7 @@ impl Core {
             }
         }) as u64;
         self.sched.squash(from);
+        self.lsq.squash(from);
         self.stats.record_squash(cause, dropped);
         self.trace.record(now, TraceEvent::Squash { from_seq: from, uops: dropped });
         let id = self.id;
@@ -1648,9 +1428,7 @@ impl Core {
     /// bound on it that the model requires repaired
     /// ([`order::inval_victim`]).
     fn squash_inval_victim(&mut self, line: Line, now: u64, mem: &mut MemorySystem) {
-        let rob = &self.rob;
-        let loads =
-            self.sched.lq.iter().map(|&l| rob.at(l).expect("the load queue holds live micro-ops"));
+        let loads = self.lsq.loads(&self.rob);
         let victim = order::inval_victim(loads, line, self.cfg.model).map(refetch_point);
         if let Some((first, pc)) = victim {
             self.squash_from(first, pc, SquashCause::Inval, now, mem);
@@ -1661,7 +1439,7 @@ impl Core {
 
     /// Store-buffer occupancy (tests).
     pub fn sb_len(&self) -> usize {
-        self.sb.len()
+        self.lsq.sb_len()
     }
 
     /// In-flight micro-ops (tests).
@@ -1669,10 +1447,10 @@ impl Core {
         self.rob.len()
     }
 
-    /// Entries across the scheduler's index lists (tests): zero whenever
-    /// the ROB is empty.
+    /// Entries across the scheduler's index lists and the load/store queue
+    /// (tests): zero whenever the ROB is empty.
     pub fn scheduler_len(&self) -> usize {
-        self.sched.len()
+        self.sched.len() + self.lsq.len()
     }
 
     /// `(attempts, issues)` of the issue walk so far (tests): an attempt is
@@ -1697,7 +1475,7 @@ impl Core {
             sleeping: self.sleeping(),
             committed: self.stats.instructions,
             rob_len: self.rob.len(),
-            sb_len: self.sb.len(),
+            sb_len: self.lsq.sb_len(),
             wd_counter: self.wd_counter,
             rob_head: self.rob.front().map(|e| {
                 (e.seq, e.uop.pc, format!("{:?}", e.uop.kind), e.issued, e.done)

@@ -1,9 +1,10 @@
 //! Out-of-order core model for the Free Atomics simulator.
 //!
 //! Implements the processor of the paper's Table 1: a wide out-of-order
-//! pipeline with a unified ROB, load/store queues with store-to-load
-//! forwarding and StoreSet memory-dependence prediction, a tournament branch
-//! predictor, a committed-store buffer draining under TSO — and, on top, the
+//! pipeline with a unified ROB; a load/store queue that owns the load queue,
+//! the store queue and the committed-store buffer draining under TSO, with
+//! store-to-load forwarding and StoreSet memory-dependence prediction (the
+//! private `lsq` module); a tournament branch predictor — and, on top, the
 //! paper's contribution: the **Atomic Queue** and the four atomic-RMW
 //! execution policies ([`AtomicPolicy`]), from the fully fenced x86 baseline
 //! to Free Atomics with store-to-load forwarding to/from atomics.
@@ -41,6 +42,7 @@ pub mod aq;
 pub mod config;
 #[allow(clippy::module_inception)]
 pub mod core;
+mod lsq;
 pub mod order;
 pub mod predictor;
 pub mod rob;

@@ -21,9 +21,8 @@
 //!   address is generated at the next address stage.
 //! * **inflight** — in age order, issued micro-ops whose latency has not
 //!   expired, with their completion cycle; `next_expiry` is the earliest.
-//! * **lq / sq / fences** — the load queue, store queue and fence list in
-//!   age order: the LSQ views behind fence blocking, store-to-load
-//!   forwarding, memory-order-violation checks and invalidation squashes.
+//! * **fences** — the fence list in age order, behind fence blocking. The
+//!   load and store queues are the `lsq` module's.
 //!
 //! # Ordering rules
 //!
@@ -61,13 +60,14 @@
 //! In debug builds [`Sched::check_scheduler_indices`] recomputes every list
 //! from a full ROB scan, using the scan-era definitions, at the end of every
 //! tick (`ready` and `blocked` merged by age are the scan's issuable set;
-//! the core re-derives each blocker beside it).
+//! the core re-derives each blocker beside it, and `Lsq::check_indices`
+//! the load and store queues).
 //!
 //! [`Core::tick`]: crate::Core::tick
 
 use crate::config::CoreConfig;
 use crate::rob::{Entry, Rob, Seq, Slot, SrcVal};
-use fa_isa::{UopKind, Word};
+use fa_isa::{FenceKind, UopKind, Word};
 use std::collections::VecDeque;
 
 /// End of a dependents chain, and of the free chain.
@@ -105,8 +105,18 @@ struct FenceRef {
     orders_loads: bool,
 }
 
+/// True when a fence of `kind` orders younger loads: standalone fences
+/// always, atomic-post fences under the fenced policies (`fenced`).
+fn orders_loads(kind: FenceKind, fenced: bool) -> bool {
+    match kind {
+        FenceKind::Standalone => true,
+        FenceKind::AtomicPost => fenced,
+        FenceKind::AtomicPre => false,
+    }
+}
+
 /// Why an unissued load that has its address cannot issue, as far as the
-/// core's own state says (`Core::load_blocker` reads it off).
+/// core's own state says (`Lsq::load_blocker` reads it off).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Blocker {
     /// The youngest older fence that orders loads has not committed.
@@ -222,8 +232,6 @@ pub(crate) struct Sched {
     deps: Vec<Dep>,
     /// First unused node.
     free: u32,
-    pub lq: VecDeque<Slot>,
-    pub sq: VecDeque<Slot>,
     fences: VecDeque<FenceRef>,
 }
 
@@ -233,8 +241,8 @@ impl Sched {
     /// aside, see `deps`). `Default` is the indices with no room at all.
     pub fn reset(&mut self, cfg: &CoreConfig) {
         let Sched {
-            ready, blocked, events, agen, inflight, next_expiry, completed, heads, deps, free, lq,
-            sq, fences,
+            ready, blocked, events, agen, inflight, next_expiry, completed, heads, deps, free,
+            fences,
         } = self;
         let rob = cfg.rob_size;
         (*events, *next_expiry, *free) = (0, u64::MAX, NIL);
@@ -252,10 +260,6 @@ impl Sched {
         heads.resize(rob.next_power_of_two(), NIL);
         deps.clear();
         deps.reserve(rob);
-        lq.clear();
-        lq.reserve(cfg.lq_size);
-        sq.clear();
-        sq.reserve(cfg.sq_size);
         fences.clear();
     }
 
@@ -302,9 +306,9 @@ impl Sched {
         };
     }
 
-    /// The fence `seq` entered the ROB.
-    pub fn push_fence(&mut self, seq: Seq, orders_loads: bool) {
-        self.fences.push_back(FenceRef { seq, orders_loads });
+    /// The fence `seq` of `kind` entered the ROB.
+    pub fn push_fence(&mut self, seq: Seq, kind: FenceKind, fenced: bool) {
+        self.fences.push_back(FenceRef { seq, orders_loads: orders_loads(kind, fenced) });
     }
 
     /// The oldest fence committed.
@@ -470,7 +474,7 @@ impl Sched {
         self.next_expiry = next;
     }
 
-    // ----------------------------------------------------------- LSQ views
+    // ------------------------------------------------------------- fences
 
     /// Number of fences older than `seq`.
     pub fn fences_older_than(&self, seq: Seq) -> usize {
@@ -484,23 +488,6 @@ impl Sched {
         self.fences.range(..older).rev().find(|f| f.orders_loads).map(|f| f.seq)
     }
 
-    /// The store-queue entries older than `seq`, oldest first.
-    pub fn stores_older_than(&self, seq: Seq) -> impl DoubleEndedIterator<Item = Slot> + '_ {
-        let n = self.sq.partition_point(|s| s.seq < seq);
-        self.sq.range(..n).copied()
-    }
-
-    /// The load-queue entries older than `seq`, oldest first.
-    pub fn loads_older_than(&self, seq: Seq) -> impl Iterator<Item = Slot> + '_ {
-        self.lq.iter().copied().take_while(move |l| l.seq < seq)
-    }
-
-    /// The load-queue entries younger than `seq`, oldest first.
-    pub fn loads_younger_than(&self, seq: Seq) -> impl Iterator<Item = Slot> + '_ {
-        let n = self.lq.partition_point(|l| l.seq <= seq);
-        self.lq.range(n..).copied()
-    }
-
     // -------------------------------------------------------------- squash
 
     /// Drops every reference to a micro-op with `seq >= from`.
@@ -512,11 +499,6 @@ impl Sched {
         // A dropped producer's position goes to the next dispatch: its
         // completion must not reach the newcomer's dependents.
         self.completed.retain(|c| c.producer.seq < from);
-        for q in [&mut self.lq, &mut self.sq] {
-            while q.back().is_some_and(|s| s.seq >= from) {
-                q.pop_back();
-            }
-        }
         while self.fences.back().is_some_and(|f| f.seq >= from) {
             self.fences.pop_back();
         }
@@ -530,8 +512,6 @@ impl Sched {
             + self.agen.len()
             + self.inflight.len()
             + self.completed.len()
-            + self.lq.len()
-            + self.sq.len()
             + self.fences.len()
     }
 
@@ -543,9 +523,7 @@ impl Sched {
     /// them up. `fenced` is the atomic policy's `fenced()`.
     #[cfg(debug_assertions)]
     pub fn check_scheduler_indices(&self, rob: &Rob, fenced: bool) {
-        use fa_isa::FenceKind;
-        let mut inflight = self.inflight.iter();
-        let (mut lq, mut sq, mut fences) = (self.lq.iter(), self.sq.iter(), self.fences.iter());
+        let (mut inflight, mut fences) = (self.inflight.iter(), self.fences.iter());
         // The issue candidates are `ready` and `blocked` merged by age.
         let mut ready = self.ready.iter().peekable();
         let mut blocked = self.blocked.iter().map(|(slot, _)| slot).peekable();
@@ -566,20 +544,9 @@ impl Sched {
                 let polled = InFlight { slot, done_at };
                 assert_eq!(inflight.next(), Some(&polled), "in-flight executions");
             }
-            // Class membership.
-            if e.uop.is_load_class() || matches!(e.uop.kind, UopKind::MonitorWait { .. }) {
-                assert_eq!(lq.next(), Some(&slot), "load queue");
-            }
-            if e.uop.is_store_class() {
-                assert_eq!(sq.next(), Some(&slot), "store queue");
-            }
             if let UopKind::Fence(kind) = e.uop.kind {
-                let orders_loads = match kind {
-                    FenceKind::Standalone => true,
-                    FenceKind::AtomicPost => fenced,
-                    FenceKind::AtomicPre => false,
-                };
-                assert_eq!(fences.next(), Some(&FenceRef { seq: e.seq, orders_loads }), "fences");
+                let fence = FenceRef { seq: e.seq, orders_loads: orders_loads(kind, fenced) };
+                assert_eq!(fences.next(), Some(&fence), "fences");
             }
             // Every waiting operand is registered with a live producer that
             // has yet to wake it.
@@ -610,8 +577,6 @@ impl Sched {
         let soonest = self.inflight.iter().map(|x| x.done_at).min().unwrap_or(u64::MAX);
         assert!(self.next_expiry <= soonest, "next expiry is later than #{soonest}'s");
         assert_eq!(self.events, 0, "an unblock event outlived the issue walk");
-        assert_eq!(lq.next(), None, "load queue");
-        assert_eq!(sq.next(), None, "store queue");
         assert_eq!(fences.next(), None, "fences");
         for s in &self.agen {
             let live = rob.at(*s).is_some_and(awaits_agen);
@@ -679,9 +644,9 @@ mod tests {
     #[test]
     fn a_load_behind_a_fence_waits_for_that_fence() {
         let (mut s, slots) = three_ready();
-        s.push_fence(5, true);
-        s.push_fence(7, false);
-        s.push_fence(9, true);
+        s.push_fence(5, FenceKind::Standalone, false);
+        s.push_fence(7, FenceKind::AtomicPost, false);
+        s.push_fence(9, FenceKind::AtomicPost, true);
         assert_eq!(s.blocked_by_fence(8), Some(5));
         assert_eq!(s.blocked_by_fence(12), Some(9));
         block(&mut s, slots[1], Blocker::Fence(9));
