@@ -109,24 +109,36 @@ for f in crates/mem/src/privcache.rs crates/mem/src/dir.rs crates/mem/src/progre
 done
 # Nothing polls: rule (a) was rewritten, not appended to; the blocking
 # rules are written once (`Lsq::load_blocker`, which the issue path and the
-# debug oracle both go through).
+# debug oracle both go through), and the fence block is one definition and
+# its one call, both in `lsq.rs`, which owns the fence list.
 ! grep -n 're-attempted \*every' DESIGN.md || exit 1
 sed '/#\[cfg(test)\]/,$d' crates/core/src/lsq.rs > target/lsq_src.txt
 grep -q 'fn load_blocker' target/lsq_src.txt
-test "$(grep -c 'blocked_by_fence(' target/lsq_src.txt)" -eq 1
+test "$(grep -c 'blocked_by_fence(' target/lsq_src.txt)" -eq 2
+test "$(grep -c 'fn blocked_by_fence(' target/lsq_src.txt)" -eq 1
+! grep -rn --exclude=lsq.rs 'blocked_by_fence(' crates/core/src || exit 1
 # The load/store queue has one owner, `lsq.rs`: no other non-test code of
 # the core reaches its load queue, store queue or store buffer, and the
-# scheduler's struct names neither queue.
+# scheduler's struct names neither queue nor the fence list.
 for f in crates/core/src/*.rs; do
     case "$f" in */lsq.rs) continue ;; esac
     ! sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\.(lq|sq|sb)\b' || exit 1
 done
 sed -n '/^pub(crate) struct Sched {/,/^}/p' crates/core/src/sched.rs > target/sched_struct.txt
 test -s target/sched_struct.txt || exit 1
-! grep -nwE 'lq|sq' target/sched_struct.txt || exit 1
-# One load state (`order::LoadState`, the field `Entry::load`): the fields it
-# replaced stay deleted, and the repairs' victim searches live in `order.rs`,
-# not in hand-rolled scans of `core.rs`.
+! grep -nwE 'lq|sq|fences' target/sched_struct.txt || exit 1
+# Every memory-ordering rule has one owner: `order.rs` stays folded into
+# `lsq.rs`, and a fence commit raises no event of its own (every retire
+# raises `CommitOrDrain`).
+test ! -e crates/core/src/order.rs
+! grep -rn 'FenceCommit' crates || exit 1
+# One load state (`lsq::LoadState`, the field `Entry::load`): the fields it
+# replaced stay deleted; the repairs' victim searches are `Lsq` methods, not
+# hand-rolled scans of `core.rs`; and both read one per-state table, so
+# `LoadState::Forwarded` appears once in the non-test part of `lsq.rs`.
+test "$(grep -cE 'fn (mem_order_victim|inval_victim)\b' target/lsq_src.txt)" -eq 2
+! grep -rnE --exclude=lsq.rs 'fn (mem_order_victim|inval_victim)\b' crates || exit 1
+test "$(grep -c 'LoadState::Forwarded' target/lsq_src.txt)" -eq 1
 ! grep -rnE 'MemPhase|\.(mem|fwd_from|fwd_kind|local_wp|poisoned)\b' crates/core/src || exit 1
 ! grep -nE 'fn (speculatively_bound|squash_performed_loads_on|weak_squash_required)\b' \
     crates/core/src/core.rs || exit 1
@@ -153,6 +165,10 @@ test "$(grep -c 'Fence(FenceKind::Standalone)' target/lsq_src.txt)" -eq 1
 test "$(grep -c 'fn held_by_sb(' target/lsq_src.txt)" -eq 1
 test "$(grep -c 'head_retires()' target/core_src.txt)" -eq 3
 ! grep -n 'head\.done)' target/core_src.txt || exit 1
+# One watchdog arming rule (`Core::watchdog_armed`), which the counter, the
+# stall horizon and the debug stall oracle all read.
+test "$(grep -c 'any_locked()' target/core_src.txt)" -eq 1
+test "$(grep -c 'watchdog_armed()' target/core_src.txt)" -eq 3
 # The memory system calls into a cache only when something happened to it:
 # its tick retries exactly the caches an unlock made due (a mask, not a walk
 # of every cache), and no jump re-clocks every cache.

@@ -17,8 +17,7 @@ use crate::aq::{load_lock_of, AqState, AtomicQueue};
 use crate::config::{
     AtomicPolicy, CoreConfig, ALU_LAT, FWD_LAT, MONITOR_TIMEOUT, MUL_LAT, PAUSE_LAT, REDIRECT_PENALTY,
 };
-use crate::lsq::{occupies_lq, wild_addr, Forward, Lsq, SbEntry};
-use crate::order::{self, LoadState};
+use crate::lsq::{occupies_lq, wild_addr, Forward, LoadState, Lsq, SbEntry};
 use crate::predictor::{BranchPredictor, StoreSets};
 use crate::rob::{Entry, Rob, Seq, Slot, SrcVal};
 use crate::sched::{Blocker, Sched, Unblock};
@@ -425,8 +424,8 @@ impl Core {
         self.responses = responses;
         #[cfg(debug_assertions)]
         {
-            self.sched.check_scheduler_indices(&self.rob, self.cfg.policy.fenced());
-            self.lsq.check_indices(&self.rob);
+            self.sched.check_scheduler_indices(&self.rob);
+            self.lsq.check_indices(&self.rob, self.cfg.policy.fenced());
             // Every event ran before the issue walk, so a load still on the
             // blocked list would fail a fresh attempt for the same reason.
             for &(slot, why) in &self.sched.blocked {
@@ -461,9 +460,7 @@ impl Core {
         let fetch_stopped = self.fetch_barrier.is_some()
             || now < self.fetch_stall_until
             || self.fetch_limit(self.fetch_pc).is_some();
-        let watchdog_due = self.cfg.policy != AtomicPolicy::FencedBaseline
-            && self.aq.any_locked()
-            && self.wd_counter >= self.cfg.watchdog_threshold;
+        let watchdog_due = self.watchdog_armed() && self.wd_counter >= self.cfg.watchdog_threshold;
         self.state == CoreState::Running
             && !mem.has_core_traffic(self.id)
             && nothing_to_do
@@ -571,13 +568,9 @@ impl Core {
         {
             return 0;
         }
+        let left = self.cfg.watchdog_threshold.saturating_sub(self.wd_counter);
         let watchdog_fires =
-            if self.cfg.policy != AtomicPolicy::FencedBaseline && self.aq.any_locked() {
-                let left = self.cfg.watchdog_threshold.saturating_sub(self.wd_counter);
-                now.saturating_add(left).saturating_add(1)
-            } else {
-                u64::MAX
-            };
+            if self.watchdog_armed() { (now + 1).saturating_add(left) } else { u64::MAX };
         fetch_resumes.min(self.sched.next_expiry()).min(watchdog_fires)
     }
 
@@ -624,7 +617,7 @@ impl Core {
             } else if is_ll
                 && !head.issued
                 && head.addr.is_some()
-                && !self.lsq.load_lock_may_issue(slot, &self.rob, &self.sched, self.cfg.policy)
+                && !self.lsq.load_lock_may_issue(slot, &self.rob, self.cfg.policy)
             {
                 // Fenced-policy issue gate: the head atomic may not issue
                 // until the store buffer drains.
@@ -758,12 +751,11 @@ impl Core {
                 self.sched.watch(p, slot, i);
             }
         }
-        self.lsq.dispatch(slot, &uop);
+        self.lsq.dispatch(slot, &uop, self.cfg.policy.fenced());
         if uop.is_store_class() {
             self.ss.store_dispatched(uop.pc, seq);
         }
         match uop.kind {
-            UopKind::Fence(kind) => self.sched.push_fence(seq, kind, self.cfg.policy.fenced()),
             UopKind::Pause => self.sched.insert_inflight(slot, now + PAUSE_LAT),
             _ => self.sched.operands_changed(slot, e),
         }
@@ -778,7 +770,7 @@ impl Core {
         self.compute_addresses(now, mem);
 
         // Every event that can end a block is in by now.
-        self.sched.refile_unblocked();
+        self.sched.refile_unblocked(self.lsq.oldest_fence());
 
         // Oldest first; budget is spent only on success. A load that a
         // core-local blocker stops waits on the blocked list for the event
@@ -949,13 +941,12 @@ impl Core {
 
     /// A store just resolved its address: squash from the younger load
     /// that bound a value it should have supplied
-    /// ([`order::mem_order_victim`]), and train the StoreSets.
+    /// ([`Lsq::mem_order_victim`]), and train the StoreSets.
     fn check_mem_order_violation(&mut self, store: Slot, now: u64, mem: &mut MemorySystem) {
         let s = self.rob.at(store).expect("store exists");
         let saddr = s.addr.expect("resolved");
         let spc = s.uop.pc;
-        let younger = self.lsq.loads_younger_than(store.seq, &self.rob);
-        let victim = order::mem_order_victim(younger, store.seq, saddr).map(refetch_point);
+        let victim = self.lsq.mem_order_victim(store.seq, saddr, &self.rob).map(refetch_point);
         if let Some((first, lpc)) = victim {
             self.ss.train_violation(lpc, spc);
             self.squash_from(first, lpc, SquashCause::MemOrder, now, mem);
@@ -965,8 +956,7 @@ impl Core {
     /// [`Lsq::load_blocker`] for the load at `slot`: the one issue rule,
     /// which the issue walk and the debug oracles all go through.
     fn load_blocker(&self, slot: Slot) -> Result<Option<Forward>, Blocker> {
-        let (rob, sched, ss) = (&self.rob, &self.sched, &self.ss);
-        self.lsq.load_blocker(slot, rob, sched, ss, &self.cfg, self.mem_bytes)
+        self.lsq.load_blocker(slot, &self.rob, &self.ss, &self.cfg, self.mem_bytes)
     }
 
     /// Issues the load at `slot`, forwarding from `fwd` or else reading the
@@ -1193,7 +1183,8 @@ impl Core {
             let (result, addr, writer, load) = (head.result, head.addr, head.writer, head.load);
             let sb = self.lsq.commit(head, self.id, mem);
             self.rob.retire_front();
-            // The load_lock gate reads the ROB rank and the queue fronts.
+            // The load_lock gate reads the ROB rank and the queue fronts,
+            // the fence block the fence list's front.
             self.sched.unblock(Unblock::CommitOrDrain);
             budget -= 1;
             self.stats.uops += 1;
@@ -1257,7 +1248,6 @@ impl Core {
                     });
                 }
                 UopKind::Fence(kind) => {
-                    self.sched.pop_fence(seq);
                     if kind.is_atomic_fence() && !self.cfg.policy.fenced() {
                         // Omitted fences carry no ordering: not logged —
                         // the RMW events themselves encode the obligation.
@@ -1370,15 +1360,18 @@ impl Core {
     /// `n` cycles of the watchdog counter; true when it passed the
     /// threshold.
     fn watchdog_counts(&mut self, n: u64) -> bool {
-        if self.cfg.policy == AtomicPolicy::FencedBaseline {
-            return false;
-        }
-        if !self.aq.any_locked() {
+        if !self.watchdog_armed() {
             self.wd_counter = 0;
             return false;
         }
         self.wd_counter += n;
         self.wd_counter > self.cfg.watchdog_threshold
+    }
+
+    /// True while the watchdog counts: an atomic holds a line lock, under
+    /// any policy but the non-speculative baseline.
+    fn watchdog_armed(&self) -> bool {
+        self.cfg.policy != AtomicPolicy::FencedBaseline && self.aq.any_locked()
     }
 
     // -------------------------------------------------------------- squash
@@ -1426,10 +1419,9 @@ impl Core {
 
     /// Invalidation (or eviction) of `line`: squash from the oldest load
     /// bound on it that the model requires repaired
-    /// ([`order::inval_victim`]).
+    /// ([`Lsq::inval_victim`]).
     fn squash_inval_victim(&mut self, line: Line, now: u64, mem: &mut MemorySystem) {
-        let loads = self.lsq.loads(&self.rob);
-        let victim = order::inval_victim(loads, line, self.cfg.model).map(refetch_point);
+        let victim = self.lsq.inval_victim(line, self.cfg.model, &self.rob).map(refetch_point);
         if let Some((first, pc)) = victim {
             self.squash_from(first, pc, SquashCause::Inval, now, mem);
         }

@@ -1,9 +1,11 @@
-//! The load/store queue: the load queue, the store queue and the store
-//! buffer, and every rule that reads them — the load-issue decision
-//! ([`Lsq::load_blocker`]), the store-buffer hold on retirement
-//! ([`Lsq::held_by_sb`]), the fetch-time room check and the load-queue views
-//! the repairs of `order.rs` search. Dispatch pushes, commit moves a store
-//! into the store buffer, the drain pops its head and a squash truncates.
+//! The load/store queue: the load queue, the store queue, the store buffer
+//! and the fence list, and every memory-ordering rule that reads them — the
+//! load-issue decision ([`Lsq::load_blocker`]), the store-buffer hold on
+//! retirement ([`Lsq::held_by_sb`]), the fetch-time room check and the two
+//! repairs ([`Lsq::mem_order_victim`], [`Lsq::inval_victim`]), which read
+//! one per-state table ([`LoadState::stale_for`]). Dispatch pushes, commit
+//! moves a store into the store buffer and pops a fence, the drain pops the
+//! store buffer's head and a squash truncates.
 //!
 //! The store side is one age-ordered queue: its older, committed part is
 //! the store buffer ([`SbEntry`]), its younger part ROB handles. So
@@ -11,15 +13,101 @@
 //! the SC-store block one scan; a squash never reaches the store buffer.
 
 use crate::config::{AtomicPolicy, CoreConfig};
-use crate::order::LoadState;
 use crate::predictor::StoreSets;
 use crate::rob::{Entry, Rob, Seq, Slot};
-use crate::sched::{Blocker, Sched};
+use crate::sched::Blocker;
 use fa_isa::{line_of, Addr, FenceKind, Uop, UopKind, Word};
 use fa_mem::privcache::ReqOutcome;
-use fa_mem::{CoreId, MemorySystem};
+use fa_mem::{CoreId, Line, MemorySystem};
 use fa_trace::MemModel;
 use std::collections::VecDeque;
+
+/// How far a load-queue entry (load, `load_lock`, monitor) has bound its
+/// value; other micro-ops stay `Unissued`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LoadState {
+    /// Not sent anywhere yet.
+    Unissued,
+    /// Wrong-path access to an invalid address: never sent, never commits.
+    Wild,
+    /// The cache request is out; the value is sampled at delivery.
+    InFlight,
+    /// Bound from the cache (`writable`: Figure-13 locality).
+    Cache { writable: bool },
+    /// Forwarded from the older store `store` (`unlock`: Table 2's FbA).
+    Forwarded { store: Seq, unlock: bool },
+}
+
+/// A repair that squashes a load an older store or another core made stale
+/// before it commits.
+#[derive(Clone, Copy, Debug)]
+enum Repair {
+    /// The memory-order check: the older store `0` took the load's address.
+    MemOrder(Seq),
+    /// §3.2.3's invalidation (load→load) squash: the core lost the line.
+    Inval,
+}
+
+impl LoadState {
+    /// DESIGN.md's load-ordering table: true when `repair` squashes a load in
+    /// this state at the repaired address or line; each exemption is an arm.
+    fn stale_for(self, repair: Repair) -> bool {
+        match self {
+            // No value yet: it searches the store queue when it issues.
+            LoadState::Unissued => false,
+            // It never commits.
+            LoadState::Wild => false,
+            // In flight too (DESIGN.md note 4): nothing snoops it later, yet
+            // the value delivery samples may predate the resolving store's
+            // perform (CoWR) or the write that took the line.
+            LoadState::InFlight | LoadState::Cache { .. } => true,
+            LoadState::Forwarded { store: from, .. } => match repair {
+                // A store younger than the resolving one gave it its value.
+                Repair::MemOrder(store) => from < store,
+                // ROADMAP item 1's known hole: once the store drained and
+                // another core overwrote it, this load holds a stale value.
+                // Kept because either fix moves pinned benchmark rows, the
+                // blunt one (`true` here) and the narrow one (exempt only
+                // while the feeding store is still in the SQ or SB) alike.
+                Repair::Inval => false,
+            },
+        }
+    }
+}
+
+/// The weak model's filter on the invalidation repair: a load keeps its
+/// value (R→R may reorder) unless it is a `load_lock`, which anchors its
+/// RMW's window, or an older one of `loads` (the load queue) without a value
+/// is a `load_lock`, acquire-class, on its line (CoRR) or without an address.
+fn weak_needs_repair<'a>(victim: &Entry, loads: impl Iterator<Item = &'a Entry>) -> bool {
+    matches!(victim.uop.kind, UopKind::LoadLock { .. })
+        || loads.take_while(|e| e.seq < victim.seq).any(|e| {
+            e.uop.is_load_class()
+                && matches!(e.load, LoadState::Unissued | LoadState::InFlight)
+                && (matches!(e.uop.kind, UopKind::LoadLock { .. })
+                    || e.uop.ord.is_acquire()
+                    || e.addr.is_none()
+                    || e.addr.map(line_of) == victim.addr.map(line_of))
+        })
+}
+
+/// A fence micro-op in the ROB.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct FenceRef {
+    seq: Seq,
+    /// Younger loads wait for it to commit ([`orders_loads`]).
+    orders_loads: bool,
+}
+
+/// True when a fence of `kind` orders younger loads: standalone fences
+/// always, atomic-post fences under the fenced policies (`fenced`).
+fn orders_loads(kind: FenceKind, fenced: bool) -> bool {
+    match kind {
+        FenceKind::Standalone => true,
+        FenceKind::AtomicPost => fenced,
+        FenceKind::AtomicPre => false,
+    }
+}
 
 /// True for the micro-ops that occupy a load-queue entry.
 pub(crate) fn occupies_lq(u: &Uop) -> bool {
@@ -103,17 +191,20 @@ pub(crate) struct Lsq {
     /// The store queue in age order: the store buffer, then the ROB's
     /// stores.
     sq: VecDeque<Store>,
+    /// The ROB's fences in age order, behind the fence block.
+    fences: VecDeque<FenceRef>,
 }
 
 impl Lsq {
-    /// Empties both queues, keeping their storage, with room for the queue
+    /// Empties the queues, keeping their storage, with room for the queue
     /// sizes of `cfg`.
     pub fn reset(&mut self, cfg: &CoreConfig) {
-        let Lsq { lq, sq } = self;
+        let Lsq { lq, sq, fences } = self;
         lq.clear();
         lq.reserve(cfg.lq_size);
         sq.clear();
         sq.reserve(cfg.sq_size);
+        fences.clear();
     }
 
     /// True when the queues have room for `loads` more load-queue entries
@@ -122,14 +213,35 @@ impl Lsq {
         self.lq.len() + loads <= cfg.lq_size && self.sq.len() + stores <= cfg.sq_size
     }
 
-    /// The micro-op `uop` dispatched at `slot`.
-    pub fn dispatch(&mut self, slot: Slot, uop: &Uop) {
+    /// The micro-op `uop` dispatched at `slot`; `fenced` is the atomic
+    /// policy's `fenced()`.
+    pub fn dispatch(&mut self, slot: Slot, uop: &Uop, fenced: bool) {
         if occupies_lq(uop) {
             self.lq.push_back(slot);
         }
         if uop.is_store_class() {
             self.sq.push_back(Store::Rob(slot));
         }
+        if let UopKind::Fence(kind) = uop.kind {
+            let orders_loads = orders_loads(kind, fenced);
+            self.fences.push_back(FenceRef { seq: slot.seq, orders_loads });
+        }
+    }
+
+    /// The oldest fence in the ROB.
+    pub fn oldest_fence(&self) -> Option<Seq> {
+        self.fences.front().map(|f| f.seq)
+    }
+
+    /// Number of fences older than `seq`.
+    fn fences_older_than(&self, seq: Seq) -> usize {
+        self.fences.partition_point(|f| f.seq < seq)
+    }
+
+    /// The youngest fence older than `seq` that orders loads, if any.
+    fn blocked_by_fence(&self, seq: Seq) -> Option<Seq> {
+        let older = self.fences_older_than(seq);
+        self.fences.range(..older).rev().find(|f| f.orders_loads).map(|f| f.seq)
     }
 
     /// The store-queue entries older than `seq`, oldest first.
@@ -147,7 +259,6 @@ impl Lsq {
         &self,
         slot: Slot,
         rob: &Rob,
-        sched: &Sched,
         ss: &StoreSets,
         cfg: &CoreConfig,
         mem_bytes: u64,
@@ -159,7 +270,7 @@ impl Lsq {
 
         // Fence ordering: younger loads wait on standalone fences always,
         // and on atomic-post fences under the fenced policies.
-        if let Some(fence) = sched.blocked_by_fence(seq) {
+        if let Some(fence) = self.blocked_by_fence(seq) {
             return Err(Blocker::Fence(fence));
         }
         // Weak model: an SC store orders younger loads after its perform
@@ -170,7 +281,7 @@ impl Lsq {
         }
         // Policy-specific load_lock issue conditions.
         if matches!(e.uop.kind, UopKind::LoadLock { .. })
-            && !self.load_lock_may_issue(slot, rob, sched, cfg.policy)
+            && !self.load_lock_may_issue(slot, rob, cfg.policy)
         {
             return Err(Blocker::LoadLockGate);
         }
@@ -226,20 +337,14 @@ impl Lsq {
     }
 
     /// Policy gate for issuing the load_lock at `slot`.
-    pub fn load_lock_may_issue(
-        &self,
-        slot: Slot,
-        rob: &Rob,
-        sched: &Sched,
-        policy: AtomicPolicy,
-    ) -> bool {
+    pub fn load_lock_may_issue(&self, slot: Slot, rob: &Rob, policy: AtomicPolicy) -> bool {
         match policy {
             AtomicPolicy::FencedBaseline => {
                 // Only at the ROB head-of-instruction (everything older
                 // committed — the AtomicPre fence commits as a nop ahead of
                 // us, so every older entry must be a fence) and with the SB
                 // drained.
-                self.sb_head().is_none() && rob.rank(slot) == sched.fences_older_than(slot.seq)
+                self.sb_head().is_none() && rob.rank(slot) == self.fences_older_than(slot.seq)
             }
             AtomicPolicy::FencedSpec => {
                 // All older memory operations must have committed and the SB
@@ -252,20 +357,29 @@ impl Lsq {
         }
     }
 
-    /// The load queue, oldest first (the invalidation repair's view).
-    pub fn loads<'a>(&'a self, rob: &'a Rob) -> impl Iterator<Item = &'a Entry> + Clone + 'a {
-        self.lq.iter().map(move |&l| live(rob, l))
+    /// The memory-order repair: store `store` resolved its address to
+    /// `addr`. The victim is the oldest younger load bound to a value the
+    /// store should supply.
+    pub fn mem_order_victim<'a>(&self, store: Seq, addr: Addr, rob: &'a Rob) -> Option<&'a Entry> {
+        let younger = self.lq.partition_point(|l| l.seq <= store);
+        self.lq.range(younger..).map(|&l| live(rob, l)).find(|e| {
+            e.uop.is_load_class()
+                && e.addr == Some(addr)
+                && e.load.stale_for(Repair::MemOrder(store))
+        })
     }
 
-    /// The load-queue entries younger than `seq`, oldest first (the
-    /// memory-order repair's view).
-    pub fn loads_younger_than<'a>(
-        &'a self,
-        seq: Seq,
-        rob: &'a Rob,
-    ) -> impl Iterator<Item = &'a Entry> + 'a {
-        let n = self.lq.partition_point(|l| l.seq <= seq);
-        self.lq.range(n..).map(move |&l| live(rob, l))
+    /// The invalidation repair: the core lost `line`. The victim is the
+    /// oldest load bound to a value from the line that `model` needs
+    /// repaired.
+    pub fn inval_victim<'a>(&self, line: Line, model: MemModel, rob: &'a Rob) -> Option<&'a Entry> {
+        let loads = self.lq.iter().map(|&l| live(rob, l));
+        loads.clone().find(|e| {
+            e.uop.is_load_class()
+                && e.addr.is_some_and(|a| line_of(a) == line)
+                && e.load.stale_for(Repair::Inval)
+                && (model == MemModel::Tso || weak_needs_repair(e, loads.clone()))
+        })
     }
 
     /// True when `e` waits for the store buffer to drain before it may
@@ -284,13 +398,18 @@ impl Lsq {
             }
     }
 
-    /// The ROB head `e` commits: it leaves the load queue, or, as a store,
-    /// turns into the youngest store-buffer entry, whose write-permission
-    /// request goes out at once; that entry is returned.
+    /// The ROB head `e` commits: it leaves the load queue or the fence
+    /// list, or, as a store, turns into the youngest store-buffer entry,
+    /// whose write-permission request goes out at once; that entry is
+    /// returned.
     pub fn commit(&mut self, e: &Entry, id: CoreId, mem: &mut MemorySystem) -> Option<SbEntry> {
         if occupies_lq(&e.uop) {
             let left = self.lq.pop_front();
             debug_assert_eq!(left.map(|l| l.seq), Some(e.seq));
+        }
+        if let UopKind::Fence(_) = e.uop.kind {
+            let left = self.fences.pop_front();
+            debug_assert_eq!(left.map(|f| f.seq), Some(e.seq));
         }
         let (UopKind::Store { src, .. } | UopKind::StoreUnlock { src, .. }) = e.uop.kind else {
             return None;
@@ -365,21 +484,23 @@ impl Lsq {
         while matches!(self.sq.back(), Some(Store::Rob(s)) if s.seq >= from) {
             self.sq.pop_back();
         }
+        self.fences.truncate(self.fences_older_than(from));
     }
 
-    /// Load- and store-queue entries of ROB micro-ops: zero once the ROB
-    /// has drained.
+    /// Queue entries of ROB micro-ops: zero once the ROB has drained.
     pub fn len(&self) -> usize {
-        self.lq.len() + self.sq.len() - self.sb_len()
+        self.lq.len() + self.sq.len() - self.sb_len() + self.fences.len()
     }
 
-    /// Re-derives both queues from a full ROB scan and asserts they match:
-    /// every load-queue micro-op in the load queue and every store behind
-    /// the store buffer in the store queue, in age order.
+    /// Re-derives the queues from a full ROB scan and asserts they match:
+    /// every load-queue micro-op in the load queue, every store behind the
+    /// store buffer in the store queue and every fence in the fence list, in
+    /// age order. `fenced` is the atomic policy's `fenced()`.
     #[cfg(debug_assertions)]
-    pub fn check_indices(&self, rob: &Rob) {
+    pub fn check_indices(&self, rob: &Rob, fenced: bool) {
         let mut lq = self.lq.iter();
         let mut sq = self.sq.iter().skip(self.sb_len());
+        let mut fences = self.fences.iter();
         for (slot, e) in rob.iter() {
             if occupies_lq(&e.uop) {
                 assert_eq!(lq.next(), Some(&slot), "load queue");
@@ -387,9 +508,14 @@ impl Lsq {
             if e.uop.is_store_class() {
                 assert_eq!(sq.next(), Some(&Store::Rob(slot)), "store queue");
             }
+            if let UopKind::Fence(kind) = e.uop.kind {
+                let fence = FenceRef { seq: e.seq, orders_loads: orders_loads(kind, fenced) };
+                assert_eq!(fences.next(), Some(&fence), "fences");
+            }
         }
         assert_eq!(lq.next(), None, "load queue");
         assert_eq!(sq.next(), None, "store queue");
+        assert_eq!(fences.next(), None, "fences");
     }
 }
 
@@ -398,18 +524,19 @@ mod tests {
     use super::*;
     use crate::rob::SrcVal;
     use fa_isa::interp::GuestMem;
-    use fa_isa::{decode, Instr, MemOrder, Reg};
+    use fa_isa::{decode, Instr, MemOrder, Reg, RmwOp};
     use fa_mem::MemConfig;
 
     const MEM: u64 = 0x10000;
     const X: Addr = 0x1000;
+    /// On another line.
+    const Y: Addr = 0x2000;
 
     /// A ROB and the load/store queue beside it, with nothing else in the
-    /// core (no fences, no StoreSet training), on a one-core memory system.
+    /// core (no StoreSet training), on a one-core memory system.
     struct Queues {
         rob: Rob,
         lsq: Lsq,
-        sched: Sched,
         ss: StoreSets,
         cfg: CoreConfig,
         memory: MemorySystem,
@@ -417,19 +544,27 @@ mod tests {
 
     impl Queues {
         fn new(cfg: CoreConfig) -> Queues {
-            let (mut lsq, mut sched) = (Lsq::default(), Sched::default());
+            let mut lsq = Lsq::default();
             lsq.reset(&cfg);
-            sched.reset(&cfg);
             let memory = MemorySystem::new(MemConfig::tiny(), 1, GuestMem::new(MEM));
-            Queues { rob: Rob::new(), lsq, sched, ss: StoreSets::default(), cfg, memory }
+            Queues { rob: Rob::new(), lsq, ss: StoreSets::default(), cfg, memory }
         }
 
         /// Dispatches `e`.
         fn push(&mut self, e: Entry) -> Slot {
             let uop = e.uop;
             let slot = self.rob.push(e);
-            self.lsq.dispatch(slot, &uop);
+            self.lsq.dispatch(slot, &uop, self.cfg.policy.fenced());
             slot
+        }
+
+        /// Dispatches the first micro-op `i` decodes to, at `addr`
+        /// (if any) and in `state`.
+        fn push_uop(&mut self, seq: Seq, i: Instr, addr: Option<Addr>, state: LoadState) -> Slot {
+            let mut e = Entry::new(seq, decode(i, 0)[0]);
+            e.addr = addr;
+            e.load = state;
+            self.push(e)
         }
 
         /// Dispatches a store of `data` (`None`: not ready) to `addr`.
@@ -445,11 +580,7 @@ mod tests {
 
         /// Dispatches a load of `addr`.
         fn load(&mut self, seq: Seq, addr: Addr) -> Slot {
-            let instr =
-                Instr::Load { dst: Reg::R3, base: Reg::R2, offset: 0, ord: MemOrder::Relaxed };
-            let mut e = Entry::new(seq, decode(instr, 0)[0]);
-            e.addr = Some(addr);
-            self.push(e)
+            self.push_uop(seq, load_instr(MemOrder::Relaxed), Some(addr), LoadState::Unissued)
         }
 
         /// Commits the ROB head, a store, into the store buffer.
@@ -461,10 +592,28 @@ mod tests {
 
         /// The load at `slot`'s blocker, or `(store, value)` it forwards.
         fn issue(&self, slot: Slot) -> Result<Option<(Seq, Word)>, Blocker> {
-            let (rob, sched, ss) = (&self.rob, &self.sched, &self.ss);
-            let fwd = self.lsq.load_blocker(slot, rob, sched, ss, &self.cfg, MEM)?;
+            let fwd = self.lsq.load_blocker(slot, &self.rob, &self.ss, &self.cfg, MEM)?;
             Ok(fwd.map(|f| (f.store, f.value)))
         }
+
+        /// `Lsq::check_indices` under the queues' policy.
+        fn check(&self) {
+            self.lsq.check_indices(&self.rob, self.cfg.policy.fenced());
+        }
+
+        /// The memory-order repair's victim when store `store` resolves to
+        /// `X`, and the invalidation repair's under `model` when the core
+        /// loses `X`'s line.
+        fn victims(&self, store: Seq, model: MemModel) -> (Option<Seq>, Option<Seq>) {
+            let mem_order = self.lsq.mem_order_victim(store, X, &self.rob);
+            let inval = self.lsq.inval_victim(line_of(X), model, &self.rob);
+            (mem_order.map(|e| e.seq), inval.map(|e| e.seq))
+        }
+    }
+
+    /// A load with the annotation `ord`.
+    fn load_instr(ord: MemOrder) -> Instr {
+        Instr::Load { dst: Reg::R3, base: Reg::R2, offset: 0, ord }
     }
 
     #[test]
@@ -477,7 +626,7 @@ mod tests {
         assert_eq!((q.lsq.sb_len(), q.lsq.len()), (1, 1));
         assert!(!q.lsq.has_room(0, 1, &q.cfg), "the store buffer is part of the store queue");
         assert!(q.lsq.has_room(1, 0, &q.cfg));
-        q.lsq.check_indices(&q.rob);
+        q.check();
         // Only the drain frees room, once the head's line is writable.
         while q.lsq.drain(CoreId(0), &mut q.memory).is_none() {
             q.memory.tick();
@@ -502,7 +651,7 @@ mod tests {
         assert_eq!(q.issue(ld), Ok(Some((1, 7))));
         let other = q.load(4, X + 16);
         assert_eq!(q.issue(other), Ok(None), "no store to its address: the cache");
-        q.lsq.check_indices(&q.rob);
+        q.check();
     }
 
     #[test]
@@ -564,11 +713,125 @@ mod tests {
         q.rob.squash_from(4, |_| {});
         q.lsq.squash(4);
         assert_eq!((q.lsq.len(), q.lsq.sb_len()), (2, 1));
-        assert_eq!(q.lsq.loads(&q.rob).map(|e| e.seq).collect::<Vec<_>>(), [2]);
-        q.lsq.check_indices(&q.rob);
+        assert_eq!(q.lsq.lq.iter().map(|l| l.seq).collect::<Vec<_>>(), [2]);
+        q.check();
         q.rob.squash_from(0, |_| {});
         q.lsq.squash(0);
         assert_eq!((q.lsq.len(), q.lsq.sb_len()), (0, 1));
-        q.lsq.check_indices(&q.rob);
+        q.check();
+    }
+
+    #[test]
+    fn the_fence_list_orders_loads_until_each_fence_commits() {
+        let fence = |kind| Uop {
+            kind: UopKind::Fence(kind),
+            ..decode(Instr::Fence { ord: MemOrder::SeqCst }, 0)[0]
+        };
+        for fenced in [false, true] {
+            let policy = if fenced { AtomicPolicy::FencedSpec } else { AtomicPolicy::Free };
+            let mut q = Queues::new(CoreConfig::default().with_policy(policy));
+            q.push(Entry::new(1, fence(FenceKind::Standalone)));
+            q.push(Entry::new(2, fence(FenceKind::AtomicPre)));
+            q.push(Entry::new(3, fence(FenceKind::AtomicPost)));
+            let ld = q.load(4, X);
+            // The blocker is the youngest older fence that orders loads: an
+            // atomic-post fence only under the fenced policies.
+            let youngest = if fenced { 3 } else { 1 };
+            assert_eq!(q.issue(ld), Err(Blocker::Fence(youngest)), "fenced: {fenced}");
+            assert_eq!((q.lsq.oldest_fence(), q.lsq.len()), (Some(1), 4));
+            q.check();
+            // Commit pops the fence list's front.
+            let head = q.rob.pop_front().expect("the standalone fence");
+            assert_eq!(q.lsq.commit(&head, CoreId(0), &mut q.memory), None);
+            assert_eq!(q.lsq.oldest_fence(), Some(2));
+            let blocker = if fenced { Err(Blocker::Fence(3)) } else { Ok(None) };
+            assert_eq!(q.issue(ld), blocker);
+            // A squash truncates it.
+            q.rob.squash_from(3, |_| {});
+            q.lsq.squash(3);
+            assert_eq!(q.lsq.fences.iter().map(|f| f.seq).collect::<Vec<_>>(), [2]);
+            q.check();
+            let head = q.rob.pop_front().expect("the atomic-pre fence");
+            q.lsq.commit(&head, CoreId(0), &mut q.memory);
+            assert_eq!((q.rob.len(), q.lsq.len(), q.lsq.oldest_fence()), (0, 0, None));
+        }
+    }
+
+    /// The resolving store's sequence number: the loads are younger.
+    const STORE: Seq = 10;
+
+    #[test]
+    fn each_repair_selects_its_victims_by_load_state() {
+        use LoadState::*;
+        // (state, memory-order victim, invalidation victim) for a load at
+        // the store's address; at another address neither repair selects.
+        let (older, younger) = (STORE - 1, STORE + 1);
+        let table = [
+            (Unissued, false, false),
+            (Wild, false, false),
+            (InFlight, true, true),
+            (Cache { writable: false }, true, true),
+            (Cache { writable: true }, true, true),
+            (Forwarded { store: older, unlock: false }, true, false),
+            (Forwarded { store: older, unlock: true }, true, false),
+            (Forwarded { store: younger, unlock: false }, false, false),
+            (Forwarded { store: younger, unlock: true }, false, false),
+        ];
+        let selected = |addr, state| {
+            let mut q = Queues::new(CoreConfig::default());
+            q.push_uop(20, load_instr(MemOrder::Relaxed), Some(addr), state);
+            let (mem_order, inval) = q.victims(STORE, MemModel::Tso);
+            (mem_order.is_some(), inval.is_some())
+        };
+        for (state, mem_order, inval) in table {
+            assert_eq!(selected(X, state), (mem_order, inval), "{state:?} at the store's address");
+            assert_eq!(selected(Y, state), (false, false), "{state:?} at another address");
+        }
+        // A monitor in the load queue is never a victim.
+        let mut q = Queues::new(CoreConfig::default());
+        q.push_uop(20, Instr::MonitorWait { base: Reg::R2, offset: 0 }, Some(X), InFlight);
+        assert_eq!(q.victims(STORE, MemModel::Tso), (None, None));
+    }
+
+    #[test]
+    fn the_weak_model_repairs_only_loads_an_unbound_older_load_orders() {
+        // The invalidation victim among `loads`, each `(seq, instr, addr,
+        // state)` and dispatched oldest first.
+        let weak = |loads: &[(Seq, Instr, Option<Addr>, LoadState)]| {
+            let mut q = Queues::new(CoreConfig::default());
+            for &(seq, instr, addr, state) in loads {
+                q.push_uop(seq, instr, addr, state);
+            }
+            q.victims(STORE, MemModel::Weak).1
+        };
+        let relaxed = load_instr(MemOrder::Relaxed);
+        let bound = (20, relaxed, Some(X), LoadState::Cache { writable: false });
+        // A relaxed bound load alone keeps its value; behind an unbound
+        // older load to its line, or one without an address, it does not.
+        assert_eq!(weak(&[bound]), None);
+        assert_eq!(weak(&[(19, relaxed, Some(Y), LoadState::InFlight), bound]), None);
+        assert_eq!(weak(&[(19, relaxed, Some(X + 8), LoadState::InFlight), bound]), Some(20));
+        assert_eq!(weak(&[(19, relaxed, None, LoadState::Unissued), bound]), Some(20));
+        // An older acquire without its value orders it; a wild one does not.
+        let acquire = load_instr(MemOrder::Acquire);
+        assert_eq!(weak(&[(19, acquire, Some(Y), LoadState::Unissued), bound]), Some(20));
+        assert_eq!(weak(&[(19, acquire, Some(Y), LoadState::Wild), bound]), None);
+        // A load_lock anchors its RMW's window: always repaired.
+        let rmw = Instr::Rmw {
+            op: RmwOp::FetchAdd,
+            dst: Reg::R1,
+            base: Reg::R2,
+            offset: 0,
+            src: Reg::R3,
+            cmp: Reg::R0,
+            ord: MemOrder::SeqCst,
+        };
+        let uop = decode(rmw, 0).into_iter().find(|u| matches!(u.kind, UopKind::LoadLock { .. }));
+        let mut q = Queues::new(CoreConfig::default());
+        let mut e = Entry::new(20, uop.expect("an RMW decodes a load_lock"));
+        e.addr = Some(X);
+        e.load = LoadState::Cache { writable: false };
+        q.push(e);
+        assert_eq!(q.victims(STORE, MemModel::Weak).1, Some(20));
     }
 }

@@ -2,7 +2,7 @@
 //! [`Slot`] handle and — for callers that only hold a sequence number, such
 //! as memory responses — by [`Rob::get`].
 
-use crate::order::LoadState;
+use crate::lsq::LoadState;
 use fa_isa::{Addr, Reg, Uop, Word};
 use std::collections::VecDeque;
 

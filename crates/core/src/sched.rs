@@ -21,8 +21,9 @@
 //!   address is generated at the next address stage.
 //! * **inflight** — in age order, issued micro-ops whose latency has not
 //!   expired, with their completion cycle; `next_expiry` is the earliest.
-//! * **fences** — the fence list in age order, behind fence blocking. The
-//!   load and store queues are the `lsq` module's.
+//!
+//! The load queue, the store queue and the fence list are the `lsq`
+//! module's, which owns every memory-ordering rule.
 //!
 //! # Ordering rules
 //!
@@ -61,14 +62,13 @@
 //! from a full ROB scan, using the scan-era definitions, at the end of every
 //! tick (`ready` and `blocked` merged by age are the scan's issuable set;
 //! the core re-derives each blocker beside it, and `Lsq::check_indices`
-//! the load and store queues).
+//! the load and store queues and the fence list).
 //!
 //! [`Core::tick`]: crate::Core::tick
 
 use crate::config::CoreConfig;
 use crate::rob::{Entry, Rob, Seq, Slot, SrcVal};
-use fa_isa::{FenceKind, UopKind, Word};
-use std::collections::VecDeque;
+use fa_isa::{UopKind, Word};
 
 /// End of a dependents chain, and of the free chain.
 const NIL: u32 = u32::MAX;
@@ -96,25 +96,6 @@ struct InFlight {
     done_at: u64,
 }
 
-/// A fence micro-op in the ROB.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct FenceRef {
-    seq: Seq,
-    /// Younger loads wait for it to commit: standalone fences always,
-    /// atomic-post fences under the fenced policies.
-    orders_loads: bool,
-}
-
-/// True when a fence of `kind` orders younger loads: standalone fences
-/// always, atomic-post fences under the fenced policies (`fenced`).
-fn orders_loads(kind: FenceKind, fenced: bool) -> bool {
-    match kind {
-        FenceKind::Standalone => true,
-        FenceKind::AtomicPost => fenced,
-        FenceKind::AtomicPre => false,
-    }
-}
-
 /// Why an unissued load that has its address cannot issue, as far as the
 /// core's own state says (`Lsq::load_blocker` reads it off).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,8 +117,8 @@ impl Blocker {
     /// have one; a load stopped by another is attempted every cycle.
     pub fn ended_by(self) -> Option<Unblock> {
         match self {
-            Blocker::Fence(_) => Some(Unblock::FenceCommit),
-            Blocker::LoadLockGate => Some(Unblock::CommitOrDrain),
+            // Every fence commit is a retire.
+            Blocker::Fence(_) | Blocker::LoadLockGate => Some(Unblock::CommitOrDrain),
             Blocker::StoreData(_) => Some(Unblock::StoreResolved),
             // A younger store's dispatch overwrites the StoreSet's entry;
             // the SC-store block (weak model only) is simply left polled.
@@ -162,12 +143,10 @@ impl std::fmt::Display for Blocker {
 /// [`Blocker`]; a bit of `Sched::events` each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Unblock {
-    /// A fence that orders loads committed.
-    FenceCommit = 1,
     /// A micro-op committed or a store left the store buffer.
-    CommitOrDrain = 2,
+    CommitOrDrain = 1,
     /// A store-class micro-op took an operand or its address.
-    StoreResolved = 4,
+    StoreResolved = 2,
 }
 
 /// Scan-era issue candidate: an unissued micro-op the issue scan could act
@@ -232,7 +211,6 @@ pub(crate) struct Sched {
     deps: Vec<Dep>,
     /// First unused node.
     free: u32,
-    fences: VecDeque<FenceRef>,
 }
 
 impl Sched {
@@ -242,7 +220,6 @@ impl Sched {
     pub fn reset(&mut self, cfg: &CoreConfig) {
         let Sched {
             ready, blocked, events, agen, inflight, next_expiry, completed, heads, deps, free,
-            fences,
         } = self;
         let rob = cfg.rob_size;
         (*events, *next_expiry, *free) = (0, u64::MAX, NIL);
@@ -260,7 +237,6 @@ impl Sched {
         heads.resize(rob.next_power_of_two(), NIL);
         deps.clear();
         deps.reserve(rob);
-        fences.clear();
     }
 
     fn deps_index(&self, producer: Slot) -> usize {
@@ -304,20 +280,6 @@ impl Sched {
                 n
             }
         };
-    }
-
-    /// The fence `seq` of `kind` entered the ROB.
-    pub fn push_fence(&mut self, seq: Seq, kind: FenceKind, fenced: bool) {
-        self.fences.push_back(FenceRef { seq, orders_loads: orders_loads(kind, fenced) });
-    }
-
-    /// The oldest fence committed.
-    pub fn pop_fence(&mut self, seq: Seq) {
-        let f = self.fences.pop_front().expect("a committing fence is on the fence list");
-        debug_assert_eq!(f.seq, seq);
-        if f.orders_loads {
-            self.unblock(Unblock::FenceCommit);
-        }
     }
 
     /// Files `e` (at `slot`) on the list its operand state puts it on.
@@ -408,9 +370,10 @@ impl Sched {
     }
 
     /// Files the blocked loads an event since the last call can have freed
-    /// on `ready` again, at their age positions. Runs before every issue
-    /// walk, after the last stage that raises an event.
-    pub fn refile_unblocked(&mut self) {
+    /// on `ready` again, at their age positions; `oldest_fence` is the
+    /// oldest fence in the ROB. Runs before every issue walk, after the
+    /// last stage that raises an event.
+    pub fn refile_unblocked(&mut self, oldest_fence: Option<Seq>) {
         let events = std::mem::take(&mut self.events);
         if events == 0 {
             return;
@@ -422,7 +385,7 @@ impl Sched {
             let freed = match why {
                 // Fences commit in order: the load's own is gone once the
                 // oldest left is younger.
-                Blocker::Fence(seq) => self.fences.front().is_none_or(|f| f.seq > seq),
+                Blocker::Fence(seq) => oldest_fence.is_none_or(|f| f > seq),
                 _ => true,
             };
             if came && freed {
@@ -474,20 +437,6 @@ impl Sched {
         self.next_expiry = next;
     }
 
-    // ------------------------------------------------------------- fences
-
-    /// Number of fences older than `seq`.
-    pub fn fences_older_than(&self, seq: Seq) -> usize {
-        self.fences.iter().take_while(|f| f.seq < seq).count()
-    }
-
-    /// The youngest older fence a load with sequence `seq` must wait
-    /// behind, if any.
-    pub fn blocked_by_fence(&self, seq: Seq) -> Option<Seq> {
-        let older = self.fences.partition_point(|f| f.seq < seq);
-        self.fences.range(..older).rev().find(|f| f.orders_loads).map(|f| f.seq)
-    }
-
     // -------------------------------------------------------------- squash
 
     /// Drops every reference to a micro-op with `seq >= from`.
@@ -499,9 +448,6 @@ impl Sched {
         // A dropped producer's position goes to the next dispatch: its
         // completion must not reach the newcomer's dependents.
         self.completed.retain(|c| c.producer.seq < from);
-        while self.fences.back().is_some_and(|f| f.seq >= from) {
-            self.fences.pop_back();
-        }
     }
 
     /// Entries across all lists (dependents aside); zero once the ROB has
@@ -512,7 +458,6 @@ impl Sched {
             + self.agen.len()
             + self.inflight.len()
             + self.completed.len()
-            + self.fences.len()
     }
 
     // -------------------------------------------------------------- oracle
@@ -520,10 +465,10 @@ impl Sched {
     /// Re-derives every list from a full ROB scan with the definitions the
     /// scan-based scheduler used, and asserts the indices match: the scan
     /// must meet the entries of each age-ordered list in order and use
-    /// them up. `fenced` is the atomic policy's `fenced()`.
+    /// them up.
     #[cfg(debug_assertions)]
-    pub fn check_scheduler_indices(&self, rob: &Rob, fenced: bool) {
-        let (mut inflight, mut fences) = (self.inflight.iter(), self.fences.iter());
+    pub fn check_scheduler_indices(&self, rob: &Rob) {
+        let mut inflight = self.inflight.iter();
         // The issue candidates are `ready` and `blocked` merged by age.
         let mut ready = self.ready.iter().peekable();
         let mut blocked = self.blocked.iter().map(|(slot, _)| slot).peekable();
@@ -543,10 +488,6 @@ impl Sched {
             if let (Some(done_at), false) = (e.done_at, e.done) {
                 let polled = InFlight { slot, done_at };
                 assert_eq!(inflight.next(), Some(&polled), "in-flight executions");
-            }
-            if let UopKind::Fence(kind) = e.uop.kind {
-                let fence = FenceRef { seq: e.seq, orders_loads: orders_loads(kind, fenced) };
-                assert_eq!(fences.next(), Some(&fence), "fences");
             }
             // Every waiting operand is registered with a live producer that
             // has yet to wake it.
@@ -577,7 +518,6 @@ impl Sched {
         let soonest = self.inflight.iter().map(|x| x.done_at).min().unwrap_or(u64::MAX);
         assert!(self.next_expiry <= soonest, "next expiry is later than #{soonest}'s");
         assert_eq!(self.events, 0, "an unblock event outlived the issue walk");
-        assert_eq!(fences.next(), None, "fences");
         for s in &self.agen {
             let live = rob.at(*s).is_some_and(awaits_agen);
             assert!(live, "address-generation list holds #{}, which awaits no address", s.seq);
@@ -626,39 +566,41 @@ mod tests {
         assert_eq!(s.len(), 3, "len() counts the blocked list");
         // Another blocker's event leaves it where it is.
         s.unblock(Unblock::CommitOrDrain);
-        s.unblock(Unblock::FenceCommit);
-        s.refile_unblocked();
+        s.refile_unblocked(None);
         assert_eq!(s.ready, [slots[1], slots[3]]);
         assert_eq!(s.blocked.len(), 1);
         // Its own files it between the older and the younger ready µop,
         // and is used up.
         s.unblock(Unblock::StoreResolved);
-        s.refile_unblocked();
+        s.refile_unblocked(None);
         assert_eq!(s.ready, slots[1..4]);
         assert!(s.blocked.is_empty());
         block(&mut s, slots[2], Blocker::StoreData(10));
-        s.refile_unblocked();
+        s.refile_unblocked(None);
         assert_eq!(s.blocked.len(), 1, "an event frees only what was blocked when it came");
     }
 
     #[test]
     fn a_load_behind_a_fence_waits_for_that_fence() {
         let (mut s, slots) = three_ready();
-        s.push_fence(5, FenceKind::Standalone, false);
-        s.push_fence(7, FenceKind::AtomicPost, false);
-        s.push_fence(9, FenceKind::AtomicPost, true);
-        assert_eq!(s.blocked_by_fence(8), Some(5));
-        assert_eq!(s.blocked_by_fence(12), Some(9));
         block(&mut s, slots[1], Blocker::Fence(9));
-        // The older fences commit: the load's own is still there.
-        s.pop_fence(5);
-        s.pop_fence(7);
-        s.refile_unblocked();
+        // Older fences commit: the load's own is still the oldest.
+        s.unblock(Unblock::CommitOrDrain);
+        s.refile_unblocked(Some(9));
         assert_eq!(s.blocked, [(slots[1], Blocker::Fence(9))]);
-        s.pop_fence(9);
-        s.refile_unblocked();
+        // No commit, no re-filing, whatever the fence list says.
+        s.refile_unblocked(None);
+        assert_eq!(s.blocked.len(), 1);
+        // Its own commits: the oldest fence left is younger.
+        s.unblock(Unblock::CommitOrDrain);
+        s.refile_unblocked(Some(12));
         assert_eq!(s.ready, slots[1..4]);
-        assert_eq!(s.blocked_by_fence(12), None);
+        assert!(s.blocked.is_empty());
+        // Or none is left.
+        block(&mut s, slots[1], Blocker::Fence(9));
+        s.unblock(Unblock::CommitOrDrain);
+        s.refile_unblocked(None);
+        assert_eq!(s.ready, slots[1..4]);
     }
 
     #[test]
