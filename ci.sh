@@ -45,6 +45,12 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 # production code read stay deleted.
 ! grep -rnwE 'disasm|disasm_program|disasm_instr|InstrClass|class_histogram|is_release|is_control|accesses_overlap|is_atomic_part|next_line|is_busy|backing_mut|has_parked|speculative_atomics' \
     crates src tests examples || exit 1
+# Nothing computed that nothing reads: the hot-lock report, the write-only
+# counters, the AQ entry's forward-source flag and the progress policy
+# object stay deleted (the directory's two rescue constants are the only
+# rescue).
+! grep -rnwE 'HotLock|hot_locks|HOT_LOCKS|lock_acct|ProgressPolicy|needs_rescue|from_atomic|load_forwards|aq_full_stalls|invals_received|parked_busy|invals_sent|downgrades_sent|alloc_waits' crates src tests examples || exit 1
+! grep -rnE 'sum (pauses|prefetches|evictions|requests):' crates || exit 1
 # One crossbar, every counter declared once, one trace walk per layer.
 ! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
 # The suite is one table and the litmus op one enum: the macro and the

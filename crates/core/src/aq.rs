@@ -27,9 +27,8 @@ pub enum AqState {
     /// count at the private cache).
     Locked(Line),
     /// load_lock forwarded from the store with sequence `store_seq`
-    /// (the paper's SQid field); `from_atomic` distinguishes store_unlock
-    /// (do_not_unlock) from ordinary stores (lock_on_access).
-    Fwd { store_seq: Seq, from_atomic: bool },
+    /// (the paper's SQid field).
+    Fwd { store_seq: Seq },
 }
 
 /// One AQ entry.
@@ -167,7 +166,7 @@ impl AtomicQueue {
     pub fn capture_from_store(&mut self, store_seq: Seq, line: Line) -> u32 {
         let mut n = 0;
         for e in self.entries.iter_mut() {
-            if let AqState::Fwd { store_seq: s, .. } = e.state {
+            if let AqState::Fwd { store_seq: s } = e.state {
                 if s == store_seq {
                     e.state = AqState::Locked(line);
                     n += 1;
@@ -238,12 +237,12 @@ mod tests {
         aq.alloc(1);
         aq.alloc(2);
         aq.alloc(3);
-        aq.get_mut(2).unwrap().state = AqState::Fwd { store_seq: 77, from_atomic: true };
-        aq.get_mut(3).unwrap().state = AqState::Fwd { store_seq: 88, from_atomic: false };
+        aq.get_mut(2).unwrap().state = AqState::Fwd { store_seq: 77 };
+        aq.get_mut(3).unwrap().state = AqState::Fwd { store_seq: 88 };
         let n = aq.capture_from_store(77, 0x100);
         assert_eq!(n, 1);
         assert_eq!(aq.get(2).unwrap().state, AqState::Locked(0x100));
-        assert!(matches!(aq.get(3).unwrap().state, AqState::Fwd { store_seq: 88, .. }));
+        assert!(matches!(aq.get(3).unwrap().state, AqState::Fwd { store_seq: 88 }));
     }
 
     #[test]

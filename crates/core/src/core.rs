@@ -382,17 +382,14 @@ impl Core {
     /// for the core and each taking `leaf` (its
     /// [`stall_leaf`](Self::stall_leaf)), exactly as `n` ticks would:
     /// nothing for a halted core; cycles and sleep cycles for a sleeper;
-    /// cycles, the AQ-full fetch stall and the watchdog count for a
-    /// stalled core. Nothing else the credit reads changes between steps,
-    /// so a driver may credit a span when it next steps the core.
+    /// cycles and the watchdog count for a stalled core. Nothing else the
+    /// credit reads changes between steps, so a driver may credit a span
+    /// when it next steps the core.
     pub fn skip(&mut self, n: u64, leaf: CpiLeaf) {
         match self.state {
             CoreState::Halted => return,
             CoreState::Sleeping { .. } => self.stats.sleep_cycles += n,
             CoreState::Running => {
-                if self.fetch_blocked == Some(FetchLimit::Aq) {
-                    self.stats.aq_full_stalls += n;
-                }
                 let fires = self.watchdog_counts(n);
                 debug_assert!(!fires, "the stall horizon stops short of the watchdog");
             }
@@ -645,10 +642,7 @@ impl Core {
         while fetched < self.cfg.fetch_width {
             let pc = self.fetch_pc;
             self.fetch_blocked = self.fetch_limit(pc);
-            if let Some(limit) = self.fetch_blocked {
-                if limit == FetchLimit::Aq {
-                    self.stats.aq_full_stalls += 1;
-                }
+            if self.fetch_blocked.is_some() {
                 break;
             }
             let d = self.decoded[pc as usize];
@@ -1018,7 +1012,6 @@ impl Core {
     fn bind_forwarded(&mut self, slot: Slot, f: Forward, now: u64) {
         let done_at = now + FWD_LAT;
         self.sched.insert_inflight(slot, done_at);
-        self.stats.load_forwards += 1;
         let e = self.rob.at_mut(slot).expect("entry exists");
         e.result = f.value;
         e.load = LoadState::Forwarded { store: f.store, unlock: f.unlock };
@@ -1044,7 +1037,7 @@ impl Core {
             return false;
         }
         let aqe = self.aq.get_mut(slot.seq).expect("load_lock has an AQ entry");
-        aqe.state = AqState::Fwd { store_seq: f.store, from_atomic: f.unlock };
+        aqe.state = AqState::Fwd { store_seq: f.store };
         aqe.chain = chain;
         // Forwarded load_locks perform immediately: the whole lifetime is
         // local execute (acquire/transfer/park contribute nothing).
@@ -1267,7 +1260,6 @@ impl Core {
                         }
                     }
                 }
-                UopKind::Pause => self.stats.pauses += 1,
                 UopKind::Halt => {
                     self.stats.instructions += 1;
                     self.state = CoreState::Halted;

@@ -66,18 +66,12 @@ fa_trace::counters! {
         /// load_locks that found their line in the private cache with write
         /// permission (Figure 13 locality, L1/L2 component).
         sum atomics_local_wp: u64,
-        /// Loads that forwarded from the store queue (any kind).
-        sum load_forwards: u64,
         /// Branch lookups/mispredicts (copied from the predictor at the end).
         sum branch_lookups: u64,
         /// Mispredicted branches.
         sum branch_mispredicts: u64,
-        /// Pause instructions committed (spin-energy accounting).
-        sum pauses: u64,
         /// MonitorWait sleeps entered.
         sum monitor_sleeps: u64,
-        /// Cycles the dispatch stage stalled because the Atomic Queue was full.
-        sum aq_full_stalls: u64,
         /// Distribution of per-atomic SB-drain waits (the population whose sum
         /// is `atomic_drain_cycles`; log₂ buckets, deterministic merge).
         sum atomic_drain_hist: Hist,

@@ -11,7 +11,7 @@
 //! pays the main-memory latency, otherwise the LLC latency.
 
 use crate::msgs::{DirMsg, DirReq, DirReqKind, L1Msg, LatClass};
-use crate::progress::{ProgressGuard, ProgressPolicy};
+use crate::progress::ProgressGuard;
 use crate::stats::DirStats;
 use crate::tagarray::TagArray;
 use crate::{CoreId, Cycle, FxHashMap, Line, MemConfig};
@@ -33,10 +33,6 @@ const ALLOC_RESCUE_THRESHOLD: u64 = 10_000;
 /// is absent before the reservation is dropped. Guards against wedging a
 /// set on a reservation whose owner stopped retrying.
 const ALLOC_RESCUE_ABANDON: u64 = 4_096;
-
-/// The allocation valve as a [`ProgressGuard`] policy (site `dir-alloc`).
-const ALLOC_POLICY: ProgressPolicy =
-    ProgressPolicy::polling(ALLOC_RESCUE_THRESHOLD, ALLOC_RESCUE_ABANDON);
 
 /// An in-flight per-line transaction.
 #[derive(Clone, Copy, Debug)]
@@ -189,9 +185,9 @@ pub struct Directory {
     /// The directory's counters, as `MemStats` publishes them.
     pub(crate) stats: DirStats,
     /// Forward-progress guard for allocation polling (site `dir-alloc`):
-    /// counts consecutive failed polls per starving request and decides
-    /// when the rescue valve fires. Keyed lookups only, so the guard never
-    /// affects event ordering.
+    /// counts consecutive failed polls per starving request; the rescue
+    /// valve fires at [`ALLOC_RESCUE_THRESHOLD`]. Keyed lookups only, so
+    /// the guard never affects event ordering.
     pub(crate) alloc_guard: ProgressGuard<(CoreId, Line)>,
     /// Cores whose allocation wait ([`Directory::core_alloc_waiting`])
     /// began since the system last took the mask. A wait ends only where
@@ -239,7 +235,7 @@ impl Directory {
         llc.reset(cfg.llc_sets, cfg.llc_ways);
         (*dir_lat, *llc_lat, *mem_lat) = (cfg.dir_lat, cfg.llc_lat, cfg.mem_lat);
         *stats = DirStats::default();
-        alloc_guard.reset(ALLOC_POLICY);
+        alloc_guard.reset();
         (*alloc_moved, *alloc_rescue, *rescue_absent, *now) = (0, None, 0, 0);
         trace.reset(&cfg.trace);
         *epochs_on = cfg.check.on();
@@ -268,10 +264,7 @@ impl Directory {
     /// Handles a message addressed to the directory.
     pub(crate) fn handle(&mut self, msg: DirMsg, out: &mut Vec<DirAction>) {
         match msg {
-            DirMsg::Req(req) => {
-                self.stats.requests += 1;
-                self.process_req(req, out);
-            }
+            DirMsg::Req(req) => self.process_req(req, out),
             DirMsg::InvAck { from, line } => {
                 let e = self.entries.peek_mut(line).expect("InvAck for absent entry");
                 e.sharers &= !bit(from);
@@ -343,7 +336,6 @@ impl Directory {
         let now = self.now;
         let e = self.entries.peek_mut(req.line).expect("peeked non-absent above");
         if self.txns.busy(e).is_some() {
-            self.stats.parked_busy += 1;
             self.txns.open(e).parked.push_back((req, now));
             self.trace.record(self.now, TraceEvent::DirPark { line: req.line });
             return;
@@ -365,7 +357,6 @@ impl Directory {
             (DirReqKind::GetS, Some(owner)) if owner != req.from => {
                 let grant = Some((req, LatClass::Remote, park));
                 self.txns.open(e).busy = Some(Txn::acks(bit(owner), grant, false));
-                self.stats.downgrades_sent += 1;
                 out.push(DirAction::ToL1 {
                     core: owner,
                     msg: L1Msg::Downgrade { line: req.line },
@@ -377,7 +368,6 @@ impl Directory {
                 let class = if excl.is_some() { LatClass::Remote } else { LatClass::Llc };
                 self.txns.open(e).busy = Some(Txn::acks(others, Some((req, class, park)), false));
                 for c in cores_in(others) {
-                    self.stats.invals_sent += 1;
                     out.push(DirAction::ToL1 {
                         core: c,
                         msg: L1Msg::Inv { line: req.line },
@@ -426,14 +416,13 @@ impl Directory {
                 self.rescue_absent = 0;
             } else if same_set {
                 self.rescue_absent += 1;
-                if self.rescue_absent > self.alloc_guard.policy().abandon_after {
+                if self.rescue_absent > ALLOC_RESCUE_ABANDON {
                     // The reservation owner stopped retrying; drop the
                     // reservation rather than wedging the set.
                     self.alloc_rescue = None;
                 } else {
                     // A starved request holds a reservation on this set's
                     // next freed way — don't compete for it.
-                    self.stats.alloc_waits += 1;
                     out.push(DirAction::Redispatch(req));
                     return None;
                 }
@@ -479,12 +468,11 @@ impl Directory {
             // If every entry is mid-transaction, simply wait for one to
             // finish — the poll below retries.
         }
-        self.stats.alloc_waits += 1;
         let polls = self.alloc_guard.note_attempt(key);
         if polls == 1 {
             self.alloc_moved |= bit(req.from);
         }
-        if self.alloc_guard.needs_rescue(polls) && self.alloc_rescue.is_none() {
+        if polls >= ALLOC_RESCUE_THRESHOLD && self.alloc_rescue.is_none() {
             self.alloc_rescue = Some(key);
             self.rescue_absent = 0;
             self.stats.alloc_rescues += 1;
@@ -514,7 +502,6 @@ impl Directory {
         let targets = e.sharers;
         self.txns.open(e).busy = Some(Txn::acks(targets, None, true));
         for c in cores_in(targets) {
-            self.stats.invals_sent += 1;
             out.push(DirAction::ToL1 {
                 core: c,
                 msg: L1Msg::Inv { line: vline },

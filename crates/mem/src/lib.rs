@@ -54,8 +54,8 @@ pub use config::MemConfig;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use msgs::{CoreNotice, CoreResp, LatClass};
 pub use noc::{LinkStats, NocConfig, NocStats, XbarPolicy};
-pub use progress::{ProgressConfig, ProgressGuard, ProgressPolicy, ProgressReport, ProgressStats};
-pub use stats::{CoreMemStats, HotLock, MemStats};
+pub use progress::{ProgressConfig, ProgressGuard, ProgressReport, ProgressStats};
+pub use stats::{CoreMemStats, MemStats};
 pub use system::{MemDiag, MemorySystem};
 
 use std::fmt;

@@ -8,17 +8,13 @@
 use crate::config::PREFETCH_DEGREE;
 use crate::msgs::{DirMsg, DirReq, DirReqKind, L1Msg, LatClass};
 use crate::prefetch::StridePrefetcher;
-use crate::progress::{ProgressGuard, ProgressPolicy};
+use crate::progress::ProgressGuard;
 use crate::stats::CoreMemStats;
 use crate::tagarray::TagArray;
 use crate::{CoreId, Cycle, FxHashMap, Line, MemConfig};
 use fa_isa::{line_of, Addr};
 use fa_trace::{TraceBuf, TraceEvent, MESI_NONE};
 use std::collections::VecDeque;
-
-/// Stalled-fill retry policy (site `cache-fill`): count the retries an
-/// unlock wakes that still find every way locked.
-const FILL_POLICY: ProgressPolicy = ProgressPolicy::counting();
 
 /// MESI state of a privately cached line (`I` = not present).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -161,9 +157,6 @@ pub struct PrivCache {
     /// A hold opened or closed since the system last took the flag: the
     /// auditor's lock-hold horizon moves only then.
     pub(crate) locks_moved: bool,
-    /// Per-line `(acquisitions, total hold cycles)` since reset, feeding
-    /// the hottest-locked-line report.
-    pub(crate) lock_acct: FxHashMap<Line, (u64, u64)>,
     /// Structured event ring for this controller.
     pub(crate) trace: TraceBuf,
     /// This core's counters and histograms, as `MemStats` publishes them
@@ -187,7 +180,7 @@ impl PrivCache {
         let PrivCache {
             id: my_id, l1, l2, locks, mshrs, mshr_pool, parked_ext, stalled_fills, still_stalled,
             retry_due, fill_guard, prefetcher, prefetch_enabled, mshr_cap, l1_lat, l2_lat, now,
-            locks_moved, lock_acct, trace, stats,
+            locks_moved, trace, stats,
         } = self;
         *my_id = id;
         l1.reset(cfg.l1_sets, cfg.l1_ways);
@@ -201,12 +194,11 @@ impl PrivCache {
         parked_ext.clear();
         stalled_fills.clear();
         still_stalled.clear();
-        fill_guard.reset(FILL_POLICY);
+        fill_guard.reset();
         *prefetcher = StridePrefetcher::new(PREFETCH_DEGREE);
         (*prefetch_enabled, *mshr_cap) = (cfg.stride_prefetch, cfg.mshrs);
         (*l1_lat, *l2_lat, *now) = (cfg.l1_lat, cfg.l2_lat, 0);
         (*retry_due, *locks_moved) = (false, false);
-        lock_acct.clear();
         trace.reset(&cfg.trace);
         *stats = CoreMemStats::default();
     }
@@ -342,7 +334,6 @@ impl PrivCache {
                 break;
             }
             self.open_mshr(target, Pending::Prefetch);
-            self.stats.prefetches += 1;
             out.push(Action::ToDir(DirMsg::Req(DirReq {
                 from: self.id,
                 line: target,
@@ -384,7 +375,6 @@ impl PrivCache {
         let cnt = *cnt;
         if cnt == 1 {
             self.locks_moved = true;
-            self.lock_acct.entry(line).or_insert((0, 0)).0 += 1;
         }
         self.trace.record(self.now, TraceEvent::LockAcquire { line, count: cnt });
     }
@@ -404,7 +394,6 @@ impl PrivCache {
             self.locks.remove(&line);
             self.locks_moved = true;
             self.stats.lock_hold_hist.record(held);
-            self.lock_acct.entry(line).or_insert((0, 0)).1 += held;
             self.trace.record(self.now, TraceEvent::LockRelease { line, held });
             // The freed way may be the one a stalled fill waits for.
             self.retry_due |= !self.stalled_fills.is_empty();
@@ -437,7 +426,6 @@ impl PrivCache {
                         TraceEvent::Mesi { line, from: mesi_code(was), to: fa_trace::MESI_I },
                     );
                     self.l1.remove(line);
-                    self.stats.invals_received += 1;
                     out.push(Action::LineLost { line, remote_write: true });
                 }
                 out.push(Action::ToDir(DirMsg::InvAck { from: self.id, line }));
@@ -536,7 +524,6 @@ impl PrivCache {
             match self.l2.insert(line, filled, |l| locks.contains_key(&l)) {
                 Ok(Some((victim, state))) => {
                     self.l1.remove(victim);
-                    self.stats.evictions += 1;
                     self.trace.record(
                         self.now,
                         TraceEvent::Mesi {

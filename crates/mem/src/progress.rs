@@ -2,60 +2,28 @@
 //!
 //! Every retry loop in the memory system — directory allocation polling,
 //! all-ways-locked fill retries, LSQ request retries — is a place where a
-//! protocol bug (or injected fault) can turn into a silent hang.
-//! [`ProgressGuard`] gives every site one escalation ladder:
+//! protocol bug (or injected fault) can turn into a silent hang. Each site
+//! keeps a [`ProgressGuard`], which counts every failed attempt per stuck
+//! resource (`note_attempt`) and clears it on success (`note_success`).
+//! When a count passes the machine-wide [`ProgressConfig`] threshold the
+//! run is aborted with a structured `NoProgress` error naming the site,
+//! instead of burning the rest of its cycle budget on a wedged resource.
 //!
-//! 1. **count** — every failed attempt per stuck resource is counted
-//!    (`note_attempt`), cleared on success (`note_success`);
-//! 2. **rescue** — sites with a site-specific recovery action (the
-//!    directory's reserved-way valve) trigger it at
-//!    [`ProgressPolicy::rescue_after`] attempts;
-//! 3. **escalate** — when a counter passes the machine-wide
-//!    [`ProgressConfig`] threshold the run is aborted with a structured
-//!    `NoProgress` error naming the site, instead of burning the rest of
-//!    its cycle budget on a wedged resource.
-//!
-//! The guards are strictly observational below the rescue threshold: the
-//! attempt counters never influence protocol timing, so golden runs are
-//! bit-identical with the framework enabled (pinned by the differential
-//! tests in `tests/progress_regressions.rs`).
+//! The guards only count: the one rescue, the directory's reserved-way
+//! valve, compares the `dir-alloc` count against the directory's own two
+//! constants. The counters never influence protocol timing otherwise, so
+//! golden runs are bit-identical with escalation enabled (pinned by the
+//! differential tests in `tests/progress_regressions.rs`).
 
 use crate::FxHashMap;
 use std::fmt;
 use std::hash::Hash;
-
-/// Per-site progress policy: when to rescue.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProgressPolicy {
-    /// Attempts after which the site's rescue action fires (0 = the site
-    /// has no rescue action).
-    pub rescue_after: u64,
-    /// Attempts by *competitors* tolerated while a rescue's owner is
-    /// absent before the rescue is abandoned (0 = never abandoned).
-    pub abandon_after: u64,
-}
-
-impl ProgressPolicy {
-    /// A polling site with a rescue: rescue at `rescue_after` attempts,
-    /// abandon a stale rescue after `abandon_after` competitor attempts.
-    /// The directory allocation valve.
-    pub const fn polling(rescue_after: u64, abandon_after: u64) -> ProgressPolicy {
-        ProgressPolicy { rescue_after, abandon_after }
-    }
-
-    /// A counting-only site (no rescue). The stalled-fill retries and the
-    /// LSQ retry path.
-    pub const fn counting() -> ProgressPolicy {
-        ProgressPolicy { rescue_after: 0, abandon_after: 0 }
-    }
-}
 
 /// Per-site stall bookkeeping: consecutive failed attempts per stuck
 /// resource (keyed by whatever identifies the resource at that site) and
 /// historical maxima for stats.
 #[derive(Clone, Debug, Default)]
 pub struct ProgressGuard<K: Eq + Hash + Copy> {
-    policy: ProgressPolicy,
     attempts: FxHashMap<K, u64>,
     /// Largest attempt count ever reached by one resource (historical;
     /// survives `note_success`).
@@ -63,25 +31,12 @@ pub struct ProgressGuard<K: Eq + Hash + Copy> {
 }
 
 impl<K: Eq + Hash + Copy> ProgressGuard<K> {
-    /// Creates a guard with the given policy.
-    pub fn new(policy: ProgressPolicy) -> ProgressGuard<K> {
-        let mut g = ProgressGuard { policy, attempts: FxHashMap::default(), attempts_max: 0 };
-        g.reset(policy);
-        g
-    }
-
-    /// Forgets every count, as [`new`](Self::new) would, keeping the map's
+    /// Forgets every count, as [`Default`] would, keeping the map's
     /// storage.
-    pub fn reset(&mut self, policy: ProgressPolicy) {
-        let ProgressGuard { policy: p, attempts, attempts_max } = self;
-        *p = policy;
+    pub fn reset(&mut self) {
+        let ProgressGuard { attempts, attempts_max } = self;
         attempts.clear();
         *attempts_max = 0;
-    }
-
-    /// The guard's policy.
-    pub fn policy(&self) -> &ProgressPolicy {
-        &self.policy
     }
 
     /// Records one failed attempt for `key`; returns the consecutive
@@ -96,16 +51,6 @@ impl<K: Eq + Hash + Copy> ProgressGuard<K> {
     /// Clears `key`'s counter after it made progress.
     pub fn note_success(&mut self, key: K) {
         self.attempts.remove(&key);
-    }
-
-    /// Current consecutive attempt count for `key`.
-    pub fn attempts(&self, key: K) -> u64 {
-        self.attempts.get(&key).copied().unwrap_or(0)
-    }
-
-    /// True once `attempts` has reached the rescue threshold.
-    pub fn needs_rescue(&self, attempts: u64) -> bool {
-        self.policy.rescue_after != 0 && attempts >= self.policy.rescue_after
     }
 
     /// The worst consecutive attempt count currently outstanding (the
@@ -212,25 +157,16 @@ mod tests {
 
     #[test]
     fn attempts_count_clear_and_track_maxima() {
-        let mut g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::counting());
+        let mut g: ProgressGuard<u64> = ProgressGuard::default();
         assert_eq!(g.note_attempt(1), 1);
         assert_eq!(g.note_attempt(1), 2);
         assert_eq!(g.note_attempt(2), 1);
         assert_eq!(g.worst_outstanding(), 2);
         g.note_success(1);
-        assert_eq!(g.attempts(1), 0);
         assert_eq!(g.worst_outstanding(), 1);
-        // Historical max survives the clear.
+        // Historical max survives the clear, and key 1 counts afresh.
         assert_eq!(g.attempts_max, 2);
-    }
-
-    #[test]
-    fn rescue_threshold_matches_policy() {
-        let g: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::polling(10, 4));
-        assert!(!g.needs_rescue(9));
-        assert!(g.needs_rescue(10));
-        let none: ProgressGuard<u64> = ProgressGuard::new(ProgressPolicy::counting());
-        assert!(!none.needs_rescue(u64::MAX), "rescue_after == 0 means no rescue");
+        assert_eq!(g.note_attempt(1), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::audit::AuditStats;
 use crate::chaos::ChaosStats;
 use crate::noc::NocStats;
 use crate::progress::ProgressStats;
-use crate::{Cycle, Line};
+use crate::Cycle;
 use fa_trace::Hist;
 
 fa_trace::counters! {
@@ -21,19 +21,13 @@ fa_trace::counters! {
         sum mem_accesses: u64,
         /// Demand reads served by a remote private cache (dirty transfer).
         sum remote_transfers: u64,
-        /// Invalidations received (external writes to cached lines).
-        sum invals_received: u64,
         /// External requests parked because the target line was locked.
         sum parked_on_lock: u64,
-        /// Capacity evictions from the private hierarchy.
-        sum evictions: u64,
         /// Fills that had to retry because every way in the set was locked.
         sum fill_stalled_all_locked: u64,
         /// Longest cycles any single fill spent stalled on an all-ways-locked
         /// set before completing (starvation metric).
         max max_fill_stall: Cycle,
-        /// Prefetch requests issued.
-        sum prefetches: u64,
         /// Stores performed (backing store writes).
         sum stores_performed: u64,
         /// Σ interconnect transfer cycles of demand-read fills, per
@@ -53,18 +47,8 @@ fa_trace::counters! {
     /// Directory / shared-level counters.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct DirStats {
-        /// Requests processed.
-        sum requests: u64,
-        /// Requests parked behind a busy line.
-        sum parked_busy: u64,
-        /// Invalidations sent on behalf of GetX.
-        sum invals_sent: u64,
-        /// Downgrades sent on behalf of GetS.
-        sum downgrades_sent: u64,
         /// Directory entries evicted (inclusion back-invalidations).
         sum entry_evictions: u64,
-        /// Requests that waited for a directory way to free up.
-        sum alloc_waits: u64,
         /// Starved requests promoted to a rescue reservation (anti-livelock
         /// valve; nonzero only under pathological allocation thrashing).
         sum alloc_rescues: u64,
@@ -92,32 +76,13 @@ pub struct MemStats {
     /// Forward-progress counters per retry site (always collected; zero
     /// on runs that never retried anything).
     pub progress: ProgressStats,
-    /// The hottest locked lines across all cores, ordered by total hold
-    /// cycles (descending, line address as the deterministic tiebreak),
-    /// truncated to [`MemStats::HOT_LOCKS`] entries.
-    pub hot_locks: Vec<HotLock>,
-}
-
-/// Contention summary for one cache line that was lock-held.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HotLock {
-    /// Line address.
-    pub line: Line,
-    /// Outermost lock acquisitions.
-    pub acquisitions: u64,
-    /// Total cycles held locked.
-    pub hold_cycles: u64,
 }
 
 impl MemStats {
-    /// Entries kept in [`MemStats::hot_locks`].
-    pub const HOT_LOCKS: usize = 8;
-
     /// Creates zeroed statistics for `n` cores.
     pub fn new(n: usize) -> MemStats {
         MemStats { cores: vec![CoreMemStats::default(); n], ..MemStats::default() }
     }
-
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use crate::dir::{DirAction, Directory};
 use crate::msgs::{CoreNotice, CoreResp, DirMsg, LatClass};
 use crate::noc::{NocEv, Xbar};
 use crate::privcache::{Action, PrivCache, ReqOutcome};
-use crate::progress::{ProgressGuard, ProgressPolicy, ProgressReport, ProgressStats};
-use crate::stats::{HotLock, MemStats};
+use crate::progress::{ProgressGuard, ProgressReport, ProgressStats};
+use crate::stats::MemStats;
 use crate::{CoreId, Cycle, FxHashMap, Line, MemConfig};
 use fa_isa::interp::GuestMem;
 use fa_isa::{Addr, Word};
@@ -190,7 +190,7 @@ impl MemorySystem {
         *check = cfg.check.on();
         last_writer.clear();
         ser.clear();
-        lsq_guard.reset(ProgressPolicy::counting());
+        lsq_guard.reset();
         *backlog_max = 0;
     }
 
@@ -606,39 +606,17 @@ impl MemorySystem {
         if !p.enabled {
             return None;
         }
-        let dir = self.dir.alloc_guard.worst_outstanding();
-        if dir > p.max_attempts {
-            return Some(ProgressReport {
-                site: "dir-alloc",
-                observed: dir,
-                threshold: p.max_attempts,
-            });
-        }
         let fill =
             self.caches.iter().map(|c| c.fill_guard.worst_outstanding()).max().unwrap_or(0);
-        if fill > p.max_attempts {
-            return Some(ProgressReport {
-                site: "cache-fill",
-                observed: fill,
-                threshold: p.max_attempts,
-            });
-        }
-        let lsq = self.lsq_guard.worst_outstanding();
-        if lsq > p.max_attempts {
-            return Some(ProgressReport {
-                site: "lsq-retry",
-                observed: lsq,
-                threshold: p.max_attempts,
-            });
-        }
-        if self.backlog_max > p.max_backlog {
-            return Some(ProgressReport {
-                site: "noc-backlog",
-                observed: self.backlog_max,
-                threshold: p.max_backlog,
-            });
-        }
-        None
+        [
+            ("dir-alloc", self.dir.alloc_guard.worst_outstanding(), p.max_attempts),
+            ("cache-fill", fill, p.max_attempts),
+            ("lsq-retry", self.lsq_guard.worst_outstanding(), p.max_attempts),
+            ("noc-backlog", self.backlog_max, p.max_backlog),
+        ]
+        .into_iter()
+        .find(|&(_, observed, threshold)| observed > threshold)
+        .map(|(site, observed, threshold)| ProgressReport { site, observed, threshold })
     }
 
     /// Audits the current cycle. Free when `cfg.audit.enabled` is false;
@@ -746,25 +724,6 @@ impl MemorySystem {
     /// Snapshot of the statistics: each controller owns its block, this
     /// assembles them.
     pub fn stats(&self) -> MemStats {
-        // Hottest locked lines: merge per-cache lock accounting by line,
-        // rank by total hold cycles (line address as the deterministic
-        // tiebreak), keep the top entries.
-        let mut by_line: FxHashMap<Line, (u64, u64)> = FxHashMap::default();
-        for c in &self.caches {
-            for (&line, &(acqs, held)) in &c.lock_acct {
-                let e = by_line.entry(line).or_insert((0, 0));
-                e.0 += acqs;
-                e.1 += held;
-            }
-        }
-        let mut hot_locks: Vec<HotLock> = by_line
-            .into_iter()
-            .map(|(line, (acquisitions, hold_cycles))| HotLock { line, acquisitions, hold_cycles })
-            .collect();
-        hot_locks.sort_unstable_by(|a, b| {
-            b.hold_cycles.cmp(&a.hold_cycles).then(a.line.cmp(&b.line))
-        });
-        hot_locks.truncate(MemStats::HOT_LOCKS);
         let noc = self.noc.stats(self.now);
         MemStats {
             cores: self.caches.iter().map(|c| c.stats.clone()).collect(),
@@ -785,7 +744,6 @@ impl MemorySystem {
                 lsq_attempts_max: self.lsq_guard.attempts_max,
                 noc_backlog_max: self.backlog_max,
             },
-            hot_locks,
         }
     }
 
@@ -1350,6 +1308,27 @@ mod tests {
         let narrow = cold_read_cycles(crate::NocConfig::contended(1));
         assert!(wide >= ideal, "serialization cannot beat the ideal xbar");
         assert!(narrow > wide, "bw=1 must pay more serialization than bw=4");
+    }
+
+    #[test]
+    fn progress_report_names_the_first_tripped_site_in_escalation_order() {
+        let mut cfg = MemConfig::tiny();
+        cfg.progress.max_attempts = 2;
+        let mut m = MemorySystem::new(cfg, 1, GuestMem::new(1 << 16));
+        let tripped = |m: &MemorySystem| m.progress_report().map(|r| (r.site, r.observed));
+        assert_eq!(tripped(&m), None, "no site is over its threshold");
+        for _ in 0..3 {
+            m.dir.alloc_guard.note_attempt((C0, 0x100));
+            m.caches[0].fill_guard.note_attempt(0x100);
+            m.lsq_guard.note_attempt(C0);
+        }
+        assert_eq!(tripped(&m), Some(("dir-alloc", 3)));
+        m.dir.alloc_guard.note_success((C0, 0x100));
+        assert_eq!(tripped(&m), Some(("cache-fill", 3)));
+        m.caches[0].fill_guard.note_success(0x100);
+        assert_eq!(tripped(&m), Some(("lsq-retry", 3)));
+        m.cfg.progress = crate::ProgressConfig { max_attempts: 2, ..crate::ProgressConfig::off() };
+        assert_eq!(tripped(&m), None, "escalation off reports nothing");
     }
 
     #[test]
