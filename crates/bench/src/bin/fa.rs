@@ -177,7 +177,8 @@ fn counters(r: &RunResult) -> String {
 /// `QUARANTINED`, or `resumed` when the journal already held it.
 fn sweep(cmd: &Command, _: &[String]) -> Outcome {
     let opts = cmd.opts();
-    let sup = SupervisorOpts::from_env();
+    let checkpoint = env::path("FA_CHECKPOINT");
+    let sup = SupervisorOpts { checkpoint, ..SupervisorOpts::from_env() };
     let cells = grid(&opts.workloads(), &policies_from_env(), &presets_from_env());
     println!(
         "# sweep: {} cells (cores={}, scale={}, runs={}, drop={}, threads={}, noc={}, \
@@ -234,9 +235,9 @@ fn fig(cmd: &Command, args: &[String]) -> Outcome {
         let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
         return Err(Failed(format!("usage: fa fig <name|all>\nvalid names: {}", names.join(", "))));
     }
-    let opts = cmd.opts();
+    let (opts, sup) = (cmd.opts(), SupervisorOpts::from_env());
     for (name, figure) in selected {
-        figure(&opts).map_err(|e| Failed(format!("{name} failed: {e}")))?;
+        figure(&opts, &sup).map_err(|e| Failed(format!("{name} failed: {e}")))?;
     }
     Ok(())
 }
@@ -282,7 +283,7 @@ fn report(_: &Command, args: &[String]) -> Outcome {
 /// checkpoint journal: each is a campaign of its own.
 fn conformance(cmd: &Command, _: &[String]) -> Outcome {
     let opts = BenchOpts { runs: 1, drop_slowest: 0, ..cmd.opts() };
-    let sup = SupervisorOpts { checkpoint: None, ..SupervisorOpts::from_env() };
+    let sup = SupervisorOpts::from_env();
     let cells = grid(&opts.workloads(), &AtomicPolicy::ALL, &[Preset::Icelake]);
     let nocs = [("ideal", NocConfig::default()), ("contended", NocConfig::contended(2))];
     let chaos = [("chaos=off", None), ("chaos=on", Some(opts.seed))];
@@ -397,7 +398,8 @@ fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
 /// engine, so `FA_RUNS`/`FA_DROP` and the start offsets apply and a failed
 /// cell is an error naming it.
 fn ablation(cmd: &Command, _: &[String]) -> Outcome {
-    figures::ablation(&cmd.opts()).map_err(|e| Failed(format!("ablation failed: {e}")))
+    let sup = SupervisorOpts::from_env();
+    figures::ablation(&cmd.opts(), &sup).map_err(|e| Failed(format!("ablation failed: {e}")))
 }
 
 fn trace(cmd: &Command, args: &[String]) -> Outcome {

@@ -26,7 +26,7 @@ use fa_sim::{CpiLeaf, MemModel};
 use fa_workloads::suite;
 
 /// One regenerated table or figure.
-pub type Figure = fn(&BenchOpts) -> Result<(), Box<SimError>>;
+pub type Figure = fn(&BenchOpts, &SupervisorOpts) -> Result<(), Box<SimError>>;
 
 /// Every table and figure by name, in the paper's order — what `fig <name>`
 /// selects from and the `figures` bench target runs end to end.
@@ -61,17 +61,18 @@ fn measured_grid(
     Ok((results, SweepReport::from_outcome(bin, opts, outcome, timing)))
 }
 
-/// [`measured_grid`] over `FA_WORKLOADS × policies × presets`, unsupervised:
-/// each `policies.len() * presets.len()` chunk of the results is one
-/// workload, in policy-then-preset order.
+/// [`measured_grid`] over `FA_WORKLOADS × policies × presets`: each
+/// `policies.len() * presets.len()` chunk of the results is one workload,
+/// in policy-then-preset order.
 fn suite_grid(
     bin: &str,
     opts: &BenchOpts,
+    sup: &SupervisorOpts,
     policies: &[AtomicPolicy],
     presets: &[Preset],
 ) -> Result<(Vec<CellResult>, SweepReport), Box<SimError>> {
     let cells = grid(&opts.workloads(), policies, presets);
-    measured_grid(bin, opts, &SupervisorOpts::none(), &cells)
+    measured_grid(bin, opts, sup, &cells)
 }
 
 fn emit_report(report: &SweepReport) {
@@ -89,7 +90,7 @@ fn emit_report(report: &SweepReport) {
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig01_atomic_cost(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn fig01_atomic_cost(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 1 — cost of fenced atomic RMWs (cycles per atomic)\n");
     println!(
         "{}",
@@ -104,6 +105,7 @@ pub fn fig01_atomic_cost(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     let (results, report) = suite_grid(
         "fig01_atomic_cost",
         opts,
+        sup,
         &[AtomicPolicy::FencedBaseline],
         &[Preset::Skylake, Preset::Icelake],
     )?;
@@ -134,7 +136,7 @@ pub fn fig01_atomic_cost(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 /// # Errors
 ///
 /// None; the signature is [`Figure`]'s.
-pub fn table1_config(_: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn table1_config(_: &BenchOpts, _: &SupervisorOpts) -> Result<(), Box<SimError>> {
     let m = icelake_like();
     println!("\n## Table 1 — system configuration (Icelake-like preset)\n");
     println!("Processor:");
@@ -171,11 +173,11 @@ pub fn table1_config(_: &BenchOpts) -> Result<(), Box<SimError>> {
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig12_apki(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn fig12_apki(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 12 — atomic RMWs per kilo-instruction (APKI)\n");
     println!("{}", row(&["workload".into(), "APKI".into(), "class".into()]));
     let (results, report) =
-        suite_grid("fig12_apki", opts, &[AtomicPolicy::FencedBaseline], &[Preset::Icelake])?;
+        suite_grid("fig12_apki", opts, sup, &[AtomicPolicy::FencedBaseline], &[Preset::Icelake])?;
     for r in &results {
         let spec = r.cell.workload;
         let apki = r.summary.representative().aggregate().apki();
@@ -195,7 +197,10 @@ pub fn fig12_apki(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 /// # Errors
 ///
 /// The first failed cell, in workload order.
-pub fn table2_characterization(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn table2_characterization(
+    opts: &BenchOpts,
+    sup: &SupervisorOpts,
+) -> Result<(), Box<SimError>> {
     println!("\n## Table 2 — characterization of Free atomics (FreeAtomics+Fwd)\n");
     println!(
         "{}",
@@ -208,8 +213,13 @@ pub fn table2_characterization(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             "FbS (% atomics)".into(),
         ])
     );
-    let (results, report) =
-        suite_grid("table2_characterization", opts, &[AtomicPolicy::FreeFwd], &[Preset::Icelake])?;
+    let (results, report) = suite_grid(
+        "table2_characterization",
+        opts,
+        sup,
+        &[AtomicPolicy::FreeFwd],
+        &[Preset::Icelake],
+    )?;
     let (mut of, mut to, mut mdv, mut fba, mut fbs) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for r in &results {
@@ -269,7 +279,7 @@ pub fn table2_characterization(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig13_locality(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn fig13_locality(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 13 — locality of atomics (ratio of load_locks)\n");
     println!(
         "{}",
@@ -284,6 +294,7 @@ pub fn fig13_locality(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     let (results, report) = suite_grid(
         "fig13_locality",
         opts,
+        sup,
         &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd],
         &[Preset::Icelake],
     )?;
@@ -312,7 +323,7 @@ pub fn fig13_locality(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig14_exec_time(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn fig14_exec_time(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 14 — normalized execution time (lower is better)\n");
     println!(
         "{}",
@@ -326,7 +337,7 @@ pub fn fig14_exec_time(opts: &BenchOpts) -> Result<(), Box<SimError>> {
         ])
     );
     let (results, report) =
-        suite_grid("fig14_exec_time", opts, &AtomicPolicy::ALL, &[Preset::Icelake])?;
+        suite_grid("fig14_exec_time", opts, sup, &AtomicPolicy::ALL, &[Preset::Icelake])?;
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut norm_ai: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for runs in results.chunks(AtomicPolicy::ALL.len()) {
@@ -381,13 +392,13 @@ pub fn fig14_exec_time(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 /// # Errors
 ///
 /// The first failed cell.
-pub fn cpi_stacks(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn cpi_stacks(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
     println!("\n## CPI stacks — top-down cycle accounting (% of core cycles)\n");
     let mut header = vec!["workload".to_string(), "policy".to_string()];
     header.extend(CpiLeaf::ALL.iter().map(|l| l.name().to_string()));
     println!("{}", row(&header));
     let (results, report) =
-        suite_grid("cpistack", opts, &AtomicPolicy::ALL, &[Preset::Icelake])?;
+        suite_grid("cpistack", opts, sup, &AtomicPolicy::ALL, &[Preset::Icelake])?;
     for r in &results {
         let cpi = r.summary.representative().aggregate().cpi;
         let total = cpi.total().max(1) as f64;
@@ -442,7 +453,10 @@ pub fn cpi_stacks(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 /// # Errors
 ///
 /// The first failed cell of any grid point.
-pub fn fig16_network_sensitivity(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn fig16_network_sensitivity(
+    opts: &BenchOpts,
+    sup: &SupervisorOpts,
+) -> Result<(), Box<SimError>> {
     println!("\n## Figure 16 — network sensitivity (speedup of FreeAtomics+Fwd)\n");
     let points: [(&str, NocConfig); 4] = [
         ("ideal", NocConfig::default()),
@@ -473,7 +487,7 @@ pub fn fig16_network_sensitivity(opts: &BenchOpts) -> Result<(), Box<SimError>> 
     for (label, noc) in points {
         let p_opts = BenchOpts { noc, ..*opts };
         let (results, part) =
-            measured_grid("fig16_network_sensitivity", &p_opts, &SupervisorOpts::none(), &cells)?;
+            measured_grid("fig16_network_sensitivity", &p_opts, sup, &cells)?;
         reports.push(part);
         // Grid order is (workload, policy, preset) row-major: within one
         // workload chunk, cell `policy * presets + preset`.
@@ -523,7 +537,7 @@ pub fn fig16_network_sensitivity(opts: &BenchOpts) -> Result<(), Box<SimError>> 
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig15_energy(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn fig15_energy(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
     println!("\n## Figure 15 — normalized energy (lower is better)\n");
     println!(
         "{}",
@@ -538,7 +552,7 @@ pub fn fig15_energy(opts: &BenchOpts) -> Result<(), Box<SimError>> {
     );
     let model = EnergyModel::default();
     let (results, report) =
-        suite_grid("fig15_energy", opts, &AtomicPolicy::ALL, &[Preset::Icelake])?;
+        suite_grid("fig15_energy", opts, sup, &AtomicPolicy::ALL, &[Preset::Icelake])?;
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut norm_ai: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for runs in results.chunks(AtomicPolicy::ALL.len()) {
@@ -592,16 +606,15 @@ pub fn fig15_energy(opts: &BenchOpts) -> Result<(), Box<SimError>> {
 /// # Errors
 ///
 /// The first failed cell of either grid.
-pub fn fig_weak_baseline(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn fig_weak_baseline(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
     println!("\n## Weak baseline — FreeFwd residual speedup on acquire/release-native hardware\n");
     let workloads = opts.workloads();
     let policies = [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd];
     let cells = grid(&workloads, &policies, &[Preset::Icelake]);
     let tso_opts = BenchOpts { model: MemModel::Tso, ..*opts };
     let weak_opts = BenchOpts { model: MemModel::Weak, ..*opts };
-    let sup = SupervisorOpts::none();
-    let (tso, tso_report) = measured_grid("fig_weak_baseline", &tso_opts, &sup, &cells)?;
-    let (weak, weak_report) = measured_grid("fig_weak_baseline", &weak_opts, &sup, &cells)?;
+    let (tso, tso_report) = measured_grid("fig_weak_baseline", &tso_opts, sup, &cells)?;
+    let (weak, weak_report) = measured_grid("fig_weak_baseline", &weak_opts, sup, &cells)?;
     println!(
         "{}",
         row(&[
@@ -669,7 +682,7 @@ const ABLATION_AXES: [(&str, [Ablation; 4]); 3] = {
 /// # Errors
 ///
 /// The first failed cell.
-pub fn ablation(opts: &BenchOpts) -> Result<(), Box<SimError>> {
+pub fn ablation(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
     let specs = workloads_from_env().unwrap_or_else(|| {
         suite::select(&["TATP", "AS", "barnes", "canneal"]).expect("suite names")
     });
@@ -684,7 +697,7 @@ pub fn ablation(opts: &BenchOpts) -> Result<(), Box<SimError>> {
             }));
         }
     }
-    let (results, report) = measured_grid("ablation", opts, &SupervisorOpts::none(), &cells)?;
+    let (results, report) = measured_grid("ablation", opts, sup, &cells)?;
     println!("(cycles normalized to the leftmost configuration; lower is better)");
     let per_axis = results.chunks(results.len() / ABLATION_AXES.len());
     for ((title, values), axis) in ABLATION_AXES.iter().zip(per_axis) {
@@ -710,23 +723,22 @@ mod tests {
 
     #[test]
     fn a_failed_cell_fails_the_figure_naming_the_cell() {
-        // 200 cycles is too few for any cell: the grid behind figures 14/15
-        // and the CPI stacks must come back as an error naming
-        // kernel/policy/preset, never as a partial result set.
+        // One cycle is too few for any cell: figure 14 runs its grid under
+        // the supervisor it is given, and must come back as an error naming
+        // kernel/policy/preset, never as a partial table.
         let opts = BenchOpts { cores: 2, scale: 0.05, runs: 1, drop_slowest: 0, ..BenchOpts::default() };
         let sup = SupervisorOpts {
-            budget: CellBudget { max_cycles: Some(200), wall: None },
+            budget: CellBudget { max_cycles: Some(1), wall: None },
             ..SupervisorOpts::none()
         };
-        let cells = grid(&opts.workloads(), &AtomicPolicy::ALL, &[Preset::Icelake]);
-        let err = measured_grid("test", &opts, &sup, &cells).expect_err("every cell times out");
+        let err = fig14_exec_time(&opts, &sup).expect_err("every cell times out");
         let first = opts.workloads()[0].name;
         assert!(
             matches!(&*err, SimError::CellFailed { cell, attempts: 1, .. }
                 if *cell == format!("{first}/baseline/icelake")),
             "{err}"
         );
-        assert!(err.to_string().contains("did not quiesce within 200 cycles"), "{err}");
+        assert!(err.to_string().contains("did not quiesce within 1 cycles"), "{err}");
     }
 
     #[test]
@@ -737,7 +749,7 @@ mod tests {
         let opts = BenchOpts { cores: 2, scale: 0.05, runs: 0, ..BenchOpts::default() };
         let measured = FIGURES.iter().filter(|(name, _)| *name != "table1_config");
         for (name, figure) in measured.chain([&("ablation", ablation as Figure)]) {
-            let err = figure(&opts).expect_err(name);
+            let err = figure(&opts, &SupervisorOpts::none()).expect_err(name);
             assert!(matches!(*err, SimError::InvalidMethodology { runs: 0, .. }), "{name}: {err}");
         }
     }

@@ -205,7 +205,9 @@ pub struct SupervisorOpts {
 }
 
 impl SupervisorOpts {
-    /// Reads supervision settings from the environment.
+    /// Reads the retries and the cell budget from the environment. The
+    /// checkpoint journal stays off: only `fa sweep` journals, as a figure
+    /// needs every cell's run statistics, which a journal does not keep.
     ///
     /// # Panics
     ///
@@ -215,14 +217,14 @@ impl SupervisorOpts {
             retries: env::get("FA_RETRIES", str::parse).unwrap_or(1),
             budget: env::get("FA_CELL_BUDGET", |v| env::parse_cell_budget(v).ok_or("no such budget"))
                 .unwrap_or_default(),
-            checkpoint: env::path("FA_CHECKPOINT"),
+            checkpoint: None,
         }
     }
 
     /// No retries, no budget override, no checkpointing — supervision is
-    /// pure isolation (panics still quarantine instead of unwinding). What
-    /// the figure drivers pass: with [`SweepOutcome::take_results`] a
-    /// failed cell becomes the driver's error.
+    /// pure isolation (panics still quarantine instead of unwinding). With
+    /// [`SweepOutcome::take_results`] a failed cell becomes the caller's
+    /// error.
     pub fn none() -> SupervisorOpts {
         SupervisorOpts::default()
     }

@@ -26,7 +26,7 @@ use fa_isa::reg::NUM_REGS;
 use fa_isa::uop::SrcRegs;
 use fa_isa::{line_of, Instr, Program, Reg, Uop, UopKind, Word};
 use fa_mem::privcache::ReqOutcome;
-use fa_mem::{CoreId, CoreNotice, CoreResp, Line, MemorySystem};
+use fa_mem::{CoreId, CoreMsg, Line, MemorySystem, ReadDone};
 use fa_trace::{write_id, CpiLeaf, DataEvent, MemOrder, TraceBuf, TraceEvent, TraceRecord};
 use std::fmt;
 
@@ -203,12 +203,11 @@ pub struct Core {
     issue_attempts: (u64, u64),
 
     /// Buffers reused every tick, so the steady state allocates nothing:
-    /// this cycle's memory notices and responses (swapped with the memory
-    /// system's outboxes), and the scheduler's per-stage work lists; and
+    /// this cycle's memory messages (swapped with the memory system's
+    /// inbox for this core), and the scheduler's per-stage work lists; and
     /// one reused by every reset, the micro-ops of the instruction being
     /// decoded.
-    notices: Vec<CoreNotice>,
-    responses: Vec<CoreResp>,
+    inbox: Vec<CoreMsg>,
     work: Vec<Slot>,
     resolved_stores: Vec<Slot>,
     decoding: Vec<Uop>,
@@ -251,8 +250,7 @@ impl Default for Core {
             fetch_blocked: None,
             stalled_until: 0,
             issue_attempts: (0, 0),
-            notices: Vec::new(),
-            responses: Vec::new(),
+            inbox: Vec::new(),
             work: Vec::new(),
             resolved_stores: Vec::new(),
             decoding: Vec::new(),
@@ -281,7 +279,7 @@ impl Core {
         let Core {
             id: my_id, cfg: my_cfg, decoded, uops, mem_bytes: my_mem_bytes, fetch_pc,
             fetch_stall_until, fetch_barrier, next_seq, rename, arch_regs, rob, sched, lsq, aq, bp,
-            ss, state, wd_counter, fetch_blocked, stalled_until, issue_attempts, notices, responses,
+            ss, state, wd_counter, fetch_blocked, stalled_until, issue_attempts, inbox,
             work, resolved_stores, decoding: of, stats, trace, dlog,
         } = self;
         (*my_id, *my_mem_bytes) = (id, mem_bytes);
@@ -317,8 +315,7 @@ impl Core {
         ss.reset(10);
         (*state, *wd_counter, *fetch_blocked) = (CoreState::Running, 0, None);
         (*stalled_until, *issue_attempts) = (0, (0, 0));
-        notices.clear();
-        responses.clear();
+        inbox.clear();
         work.clear();
         resolved_stores.clear();
         *stats = CoreStats::default();
@@ -412,13 +409,10 @@ impl Core {
 
     /// Advances the core one cycle.
     pub fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
-        let mut notices = std::mem::take(&mut self.notices);
-        let mut responses = std::mem::take(&mut self.responses);
-        mem.drain_notices(self.id, &mut notices);
-        mem.drain_responses(self.id, &mut responses);
-        self.step(now, mem, &notices, &responses);
-        self.notices = notices;
-        self.responses = responses;
+        let mut inbox = std::mem::take(&mut self.inbox);
+        mem.drain_inbox(self.id, &mut inbox);
+        self.step(now, mem, &inbox);
+        self.inbox = inbox;
         #[cfg(debug_assertions)]
         {
             self.sched.check_scheduler_indices(&self.rob);
@@ -467,20 +461,16 @@ impl Core {
             && !watchdog_due
     }
 
-    /// One cycle, given the notices and responses the memory system
-    /// delivered for it.
-    fn step(
-        &mut self,
-        now: u64,
-        mem: &mut MemorySystem,
-        notices: &[CoreNotice],
-        responses: &[CoreResp],
-    ) {
+    /// One cycle, given the messages the memory system delivered for it.
+    /// The inbox is read in two passes: every lost line first (stage 1),
+    /// then every response (stage 2), so a loss squashes the loads bound
+    /// before this cycle whatever its place among the responses.
+    fn step(&mut self, now: u64, mem: &mut MemorySystem, inbox: &[CoreMsg]) {
         if self.state == CoreState::Halted {
             // The pipeline is dead but committed stores must still drain;
             // with the ROB empty every read response is an orphan.
             debug_assert!(self.rob.is_empty());
-            self.handle_responses(responses, now, mem);
+            self.handle_responses(inbox, now, mem);
             self.drain_store_buffer(now, mem);
             return;
         }
@@ -493,11 +483,10 @@ impl Core {
             let leaf = self.stall_leaf(mem);
             self.skip(1, leaf);
             debug_assert!(self.rob.is_empty());
-            self.handle_responses(responses, now, mem);
+            self.handle_responses(inbox, now, mem);
             self.drain_store_buffer(now, mem);
-            let line_written = notices
-                .iter()
-                .any(|n| matches!(n, CoreNotice::LineLost { line: l, .. } if *l == line));
+            let line_written =
+                inbox.iter().any(|m| matches!(m, CoreMsg::LineLost { line: l } if *l == line));
             if line_written || now >= wake_at {
                 self.state = CoreState::Running;
                 self.fetch_barrier = None;
@@ -510,13 +499,14 @@ impl Core {
 
         // 1. Invalidation-driven squash of speculatively performed loads
         //    (the TSO load→load repair).
-        for n in notices {
-            let CoreNotice::LineLost { line, .. } = n;
-            self.squash_inval_victim(*line, now, mem);
+        for m in inbox {
+            if let CoreMsg::LineLost { line } = *m {
+                self.squash_inval_victim(line, now, mem);
+            }
         }
 
         // 2. Memory responses.
-        self.handle_responses(responses, now, mem);
+        self.handle_responses(inbox, now, mem);
 
         // 3. Finish executions whose latency expired (branches may squash).
         self.finalize_executions(now, mem);
@@ -1051,20 +1041,13 @@ impl Core {
 
     // ----------------------------------------------------------- responses
 
-    fn handle_responses(&mut self, responses: &[CoreResp], now: u64, mem: &mut MemorySystem) {
-        for r in responses {
-            match *r {
-                CoreResp::ReadResp {
-                    seq,
-                    addr,
-                    value,
-                    writer,
-                    class,
-                    had_write_perm,
-                    locked,
-                    xfer,
-                    park,
-                } => {
+    /// Stage 2 of a step: the reads and store permissions in `inbox`, in
+    /// delivery order (its lost lines were stage 1's).
+    fn handle_responses(&mut self, inbox: &[CoreMsg], now: u64, mem: &mut MemorySystem) {
+        for m in inbox {
+            match *m {
+                CoreMsg::Read { done, value, writer, xfer } => {
+                    let ReadDone { seq, addr, class, had_write_perm, locked, park } = done;
                     // The one lookup by sequence number: the memory system
                     // knows the requester by nothing else.
                     let requester = self.rob.find(seq).and_then(|slot| {
@@ -1116,7 +1099,8 @@ impl Core {
                         self.wd_counter = 0;
                     }
                 }
-                CoreResp::StoreReady { seq, .. } => self.lsq.store_ready(seq),
+                CoreMsg::StoreReady { seq } => self.lsq.store_ready(seq),
+                CoreMsg::LineLost { .. } => {}
             }
         }
     }
@@ -1486,7 +1470,8 @@ mod tests {
     use super::*;
     use fa_isa::interp::GuestMem;
     use fa_isa::{Kasm, Reg};
-    use fa_mem::{MemConfig, MemorySystem};
+    use fa_mem::{LatClass, MemConfig, MemorySystem};
+    use fa_trace::MemModel;
 
     /// Store buffering with an RMW: `x = 1; r = y; fetch_add(z)` against its
     /// mirror. No conditional branch, and no load shares an address with an
@@ -1518,5 +1503,45 @@ mod tests {
             assert!(c.halted());
             assert!(!c.bp.built() && !c.ss.built(), "core {} built a table", c.id().0);
         }
+    }
+
+    /// The read response for the load `seq` of `addr`.
+    fn read(seq: Seq, addr: u64) -> CoreMsg {
+        let (class, had_write_perm, locked, park) = (LatClass::Mem, false, false, 0);
+        let done = ReadDone { seq, addr, class, had_write_perm, locked, park };
+        CoreMsg::Read { done, value: 0, writer: 0, xfer: 0 }
+    }
+
+    #[test]
+    fn a_step_squashes_for_lost_lines_before_it_binds_responses() {
+        // Two loads of one line under the weak model, both sent to a cache
+        // that is never ticked, so only the messages below reach the core.
+        let a = 0x1000;
+        let mut k = Kasm::new();
+        k.li(Reg::R2, a as i64).ld(Reg::R1, Reg::R2, 0).ld(Reg::R3, Reg::R2, 8).halt();
+        let cfg = CoreConfig { model: MemModel::Weak, ..CoreConfig::default() };
+        let mut mem = MemorySystem::new(MemConfig::tiny(), 1, GuestMem::new(1 << 16));
+        let mut core = Core::new(CoreId(0), cfg, k.finish().expect("a valid program"), 1 << 16);
+        let in_flight = |core: &Core| -> Vec<Seq> {
+            let loads = core.rob.iter().filter(|(_, e)| e.load == LoadState::InFlight);
+            loads.map(|(slot, _)| slot.seq).collect()
+        };
+        let mut now = 0;
+        while in_flight(&core).len() < 2 {
+            now += 1;
+            assert!(now < 100, "both loads reach the cache");
+            core.tick(now, &mut mem);
+        }
+        let [older, younger] = in_flight(&core)[..] else { unreachable!() };
+        // The younger load binds from the cache first.
+        core.step(now + 1, &mut mem, &[read(younger, a + 8)]);
+        assert!(matches!(core.rob.get(younger).map(|e| e.load), Some(LoadState::Cache { .. })));
+        // Then one cycle delivers the older load's value before the loss of
+        // the line. Bound while an older load of its line was still without
+        // a value, the younger one must go; binding the older load first
+        // would leave the weak model nothing to repair.
+        core.step(now + 2, &mut mem, &[read(older, a), CoreMsg::LineLost { line: line_of(a) }]);
+        assert_eq!(core.stats.squashes_inval, 1);
+        assert!(core.rob.get(younger).is_none(), "the younger load was squashed");
     }
 }

@@ -52,7 +52,7 @@ pub use audit::{AuditConfig, AuditViolation};
 pub use chaos::{ChaosConfig, SplitMix64};
 pub use config::MemConfig;
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use msgs::{CoreNotice, CoreResp, LatClass};
+pub use msgs::{CoreMsg, LatClass, ReadDone};
 pub use noc::{LinkStats, NocConfig, NocStats, XbarPolicy};
 pub use progress::{ProgressConfig, ProgressGuard, ProgressReport, ProgressStats};
 pub use stats::{CoreMemStats, MemStats};

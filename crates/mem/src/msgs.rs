@@ -1,5 +1,5 @@
-//! Message types: core-facing responses/notices and internal protocol
-//! messages.
+//! Message types: what the memory system delivers to a core, and the
+//! internal protocol messages.
 
 use crate::{CoreId, Line};
 use fa_isa::{Addr, Word};
@@ -50,53 +50,55 @@ impl LatClass {
     }
 }
 
-/// Response delivered to a core's LSU.
+/// A read the cache controller performed: made once by the controller and
+/// carried unchanged through the interconnect to the core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreResp {
+pub struct ReadDone {
+    /// The request tag the core supplied.
+    pub seq: u64,
+    /// Word address read.
+    pub addr: Addr,
+    /// Where the line was found.
+    pub class: LatClass,
+    /// True if the private cache already held write permission when the
+    /// request arrived (Figure-13 locality numerator, together with SQ
+    /// forwarding which the core tracks itself).
+    pub had_write_perm: bool,
+    /// True if the controller locked the line on behalf of this request
+    /// (lock-intent reads). If the requesting micro-op was squashed
+    /// meanwhile, the core must release the lock immediately.
+    pub locked: bool,
+    /// Cycles the underlying directory request spent parked behind a busy
+    /// entry before being granted (0 when served without parking). Passive
+    /// attribution metadata.
+    pub park: u64,
+}
+
+/// A message the memory system delivers to a core, queued in the core's
+/// inbox in delivery order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CoreMsg {
     /// A read (load or load_lock) performed.
-    ReadResp {
-        /// The request tag the core supplied.
-        seq: u64,
-        /// Word address read.
-        addr: Addr,
+    Read {
+        /// The controller's record of the read.
+        done: ReadDone,
         /// Value at perform time.
         value: Word,
         /// Write-id of the store that produced `value` (0 = initial
         /// memory). Only populated under `CheckMode::Tso`, for the
         /// axiomatic checker's rf edges.
         writer: u64,
-        /// Where the line was found.
-        class: LatClass,
-        /// True if the private cache already held write permission when the
-        /// request arrived (Figure-13 locality numerator, together with SQ
-        /// forwarding which the core tracks itself).
-        had_write_perm: bool,
-        /// True if the controller locked the line on behalf of this request
-        /// (lock-intent reads). If the requesting micro-op was squashed
-        /// meanwhile, the core must release the lock immediately.
-        locked: bool,
         /// Interconnect transfer cycles of the final fill leg (NoC
         /// injection stamp → delivery; 0 for local hits). Passive
         /// attribution metadata — never consulted by protocol logic.
         xfer: u64,
-        /// Cycles the underlying directory request spent parked behind a
-        /// busy entry before being granted (0 when served without
-        /// parking). Passive attribution metadata.
-        park: u64,
     },
-    /// Write permission is held for this line; the store at the buffer head
-    /// may perform.
+    /// Write permission is held for the line of the store at the buffer
+    /// head tagged `seq`; it may perform.
     StoreReady {
         /// The request tag the core supplied.
         seq: u64,
-        /// Line now writable.
-        line: Line,
     },
-}
-
-/// Asynchronous notification to a core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreNotice {
     /// The private cache lost `line` (invalidation or downgrade from a
     /// remote write, or a capacity eviction). Drives (a) the squash of
     /// speculatively performed loads — the TSO load→load repair of
@@ -105,9 +107,6 @@ pub enum CoreNotice {
     LineLost {
         /// The departed line.
         line: Line,
-        /// True when caused by a remote writer (invalidation), false for a
-        /// local capacity eviction or a downgrade to shared.
-        remote_write: bool,
     },
 }
 
@@ -175,17 +174,6 @@ mod tests {
         for (i, c) in LatClass::ALL.into_iter().enumerate() {
             assert_eq!(c.index(), i);
             assert!(!c.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn notices_carry_remote_write_flag() {
-        let n = CoreNotice::LineLost { line: 64, remote_write: true };
-        match n {
-            CoreNotice::LineLost { line, remote_write } => {
-                assert_eq!(line, 64);
-                assert!(remote_write);
-            }
         }
     }
 }

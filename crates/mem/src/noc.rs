@@ -42,10 +42,9 @@
 //! same stream under either policy.
 
 use crate::chaos::ChaosEngine;
-use crate::msgs::{DirMsg, L1Msg, LatClass};
+use crate::msgs::{DirMsg, L1Msg, LatClass, ReadDone};
 use crate::wheel::Wheel;
-use crate::{CoreId, Cycle, Line, MemConfig};
-use fa_isa::Addr;
+use crate::{CoreId, Cycle, MemConfig};
 use fa_trace::{
     Counter, Hist, Json, TraceBuf, TraceEvent, NOC_READ_DONE, NOC_STORE_READY, NOC_TO_DIR,
     NOC_TO_L1,
@@ -275,19 +274,10 @@ pub(crate) enum NocEv {
     /// A protocol message to a private cache controller.
     ToL1(CoreId, L1Msg),
     /// A read performed; deliver the response to the core.
-    ReadDone {
-        core: CoreId,
-        seq: u64,
-        addr: Addr,
-        class: LatClass,
-        had_write_perm: bool,
-        locked: bool,
-        /// Directory park cycles carried through from the grant
-        /// (attribution metadata for the core's atomic-latency split).
-        park: u64,
-    },
-    /// Write permission obtained; deliver StoreReady to the core.
-    StoreReady { core: CoreId, seq: u64, line: Line },
+    Read(CoreId, ReadDone),
+    /// Write permission obtained for the store tagged `seq`; deliver
+    /// StoreReady to the core.
+    StoreReady { core: CoreId, seq: u64 },
 }
 
 /// The source core of a directory-bound message (its request egress port).
@@ -318,7 +308,7 @@ fn route(ev: &NocEv) -> (u8, u16, u16) {
     match *ev {
         NocEv::ToDir(ref m) => (NOC_TO_DIR, dir_msg_src(m).0, DIR_NODE),
         NocEv::ToL1(core, _) => (NOC_TO_L1, DIR_NODE, core.0),
-        NocEv::ReadDone { core, .. } => (NOC_READ_DONE, core.0, core.0),
+        NocEv::Read(core, _) => (NOC_READ_DONE, core.0, core.0),
         NocEv::StoreReady { core, .. } => (NOC_STORE_READY, core.0, core.0),
     }
 }
@@ -489,7 +479,7 @@ impl Xbar {
                 }
                 at
             }
-            NocEv::ReadDone { .. } | NocEv::StoreReady { .. } => {
+            NocEv::Read(..) | NocEv::StoreReady { .. } => {
                 self.tally.local_deliveries += 1;
                 inject + self.chaos.event_jitter()
             }
@@ -658,7 +648,7 @@ mod tests {
             x.send(i as u64, 2, grant(i % 2, LatClass::Remote));
             after_each(x);
         }
-        x.send(20, 4, NocEv::StoreReady { core: CoreId(1), seq: 7, line: 0x100 });
+        x.send(20, 4, NocEv::StoreReady { core: CoreId(1), seq: 7 });
         after_each(x);
     }
 

@@ -6,7 +6,7 @@
 //! lines.
 
 use crate::config::PREFETCH_DEGREE;
-use crate::msgs::{DirMsg, DirReq, DirReqKind, L1Msg, LatClass};
+use crate::msgs::{DirMsg, DirReq, DirReqKind, L1Msg, LatClass, ReadDone};
 use crate::prefetch::StridePrefetcher;
 use crate::progress::ProgressGuard;
 use crate::stats::CoreMemStats;
@@ -87,7 +87,7 @@ pub(crate) struct StalledFill {
     pub excl: bool,
     pub class: LatClass,
     /// Directory park time carried on the grant (attribution metadata,
-    /// threaded through to the eventual `ReadDone`).
+    /// threaded through to the eventual [`ReadDone`]).
     pub park: u64,
     /// Cycle the fill first stalled (starvation accounting).
     pub since: Cycle,
@@ -101,24 +101,14 @@ pub(crate) struct StalledFill {
 /// network-agnostic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Action {
-    /// Deliver a read response to the core after `delay` cycles. `park` is
-    /// the directory park time the underlying request accumulated
-    /// (attribution metadata; 0 for local hits).
-    ReadDone {
-        delay: Cycle,
-        seq: u64,
-        addr: Addr,
-        class: LatClass,
-        had_write_perm: bool,
-        locked: bool,
-        park: u64,
-    },
+    /// Deliver a read response to the core after `delay` cycles.
+    Read { delay: Cycle, done: ReadDone },
     /// Deliver a store-ready response after `delay` cycles.
-    StoreReady { delay: Cycle, seq: u64, line: Line },
+    StoreReady { delay: Cycle, seq: u64 },
     /// Send a message to the directory after the network latency.
     ToDir(DirMsg),
     /// Notify the core that `line` left the private cache.
-    LineLost { line: Line, remote_write: bool },
+    LineLost { line: Line },
 }
 
 /// The private cache controller for one core. `Default` is empty storage,
@@ -234,7 +224,7 @@ impl PrivCache {
     ///
     /// `lock` (a load_lock) requests write permission and locks the line the
     /// moment permission is (or already is) held. Responses are emitted as
-    /// [`Action::ReadDone`].
+    /// [`Action::Read`].
     pub(crate) fn read(
         &mut self,
         seq: u64,
@@ -256,15 +246,9 @@ impl PrivCache {
                 self.fill_l1(line);
                 (self.l2_lat, LatClass::L2)
             };
-            out.push(Action::ReadDone {
-                delay,
-                seq,
-                addr,
-                class,
-                had_write_perm: had_wp,
-                locked: lock,
-                park: 0,
-            });
+            let done =
+                ReadDone { seq, addr, class, had_write_perm: had_wp, locked: lock, park: 0 };
+            out.push(Action::Read { delay, done });
             return ReqOutcome::Accepted;
         }
         // Miss (or upgrade): route through an MSHR.
@@ -281,7 +265,7 @@ impl PrivCache {
     ) -> ReqOutcome {
         let line = line_of(addr);
         if self.l2.touch(line).map(|s| s.writable()).unwrap_or(false) {
-            out.push(Action::StoreReady { delay: 1, seq, line });
+            out.push(Action::StoreReady { delay: 1, seq });
             return ReqOutcome::Accepted;
         }
         self.miss(line, true, Pending::Store { seq }, out)
@@ -426,7 +410,7 @@ impl PrivCache {
                         TraceEvent::Mesi { line, from: mesi_code(was), to: fa_trace::MESI_I },
                     );
                     self.l1.remove(line);
-                    out.push(Action::LineLost { line, remote_write: true });
+                    out.push(Action::LineLost { line });
                 }
                 out.push(Action::ToDir(DirMsg::InvAck { from: self.id, line }));
             }
@@ -532,7 +516,7 @@ impl PrivCache {
                             to: fa_trace::MESI_I,
                         },
                     );
-                    out.push(Action::LineLost { line: victim, remote_write: false });
+                    out.push(Action::LineLost { line: victim });
                 }
                 Ok(None) => {}
                 Err(_) => return false,
@@ -569,19 +553,13 @@ impl PrivCache {
                     if lock {
                         self.lock(line);
                     }
-                    out.push(Action::ReadDone {
-                        delay: self.l1_lat,
-                        seq,
-                        addr,
-                        class,
-                        had_write_perm: false,
-                        locked: lock,
-                        park,
-                    });
+                    let done =
+                        ReadDone { seq, addr, class, had_write_perm: false, locked: lock, park };
+                    out.push(Action::Read { delay: self.l1_lat, done });
                 }
                 Pending::Store { seq } => {
                     if excl {
-                        out.push(Action::StoreReady { delay: 1, seq, line });
+                        out.push(Action::StoreReady { delay: 1, seq });
                     } else {
                         leftovers.push(Pending::Store { seq });
                     }
@@ -683,15 +661,16 @@ mod tests {
         )));
         out.clear();
         grant(&mut c, 0x100, false, &mut out);
-        assert!(out
-            .iter()
-            .any(|a| matches!(a, Action::ReadDone { seq: 1, addr: 0x100, .. })));
+        assert!(out.iter().any(|a| matches!(
+            a,
+            Action::Read { done: ReadDone { seq: 1, addr: 0x100, .. }, .. }
+        )));
         // Second read is an L1 hit.
         out.clear();
         assert_eq!(c.read(2, 0x108, false, &mut out), ReqOutcome::Accepted);
         assert!(out.iter().any(|a| matches!(
             a,
-            Action::ReadDone { seq: 2, class: LatClass::L1, .. }
+            Action::Read { done: ReadDone { seq: 2, class: LatClass::L1, .. }, .. }
         )));
     }
 
@@ -706,7 +685,7 @@ mod tests {
         assert!(c.is_locked(0x100));
         assert!(out.iter().any(|a| matches!(
             a,
-            Action::ReadDone { locked: true, .. }
+            Action::Read { done: ReadDone { locked: true, .. }, .. }
         )));
     }
 
@@ -746,7 +725,7 @@ mod tests {
         assert!(out.iter().any(|a| matches!(a, Action::ToDir(DirMsg::InvAck { .. }))));
         assert!(out.iter().any(|a| matches!(
             a,
-            Action::LineLost { line: 0x100, remote_write: true }
+            Action::LineLost { line: 0x100 }
         )));
         assert_eq!(c.state(0x100), None);
     }
@@ -867,7 +846,7 @@ mod tests {
         c.read(9, 2 * stride, false, &mut out);
         grant(&mut c, 2 * stride, false, &mut out);
         assert!(
-            !out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })),
+            !out.iter().any(|a| matches!(a, Action::Read { done: ReadDone { seq: 9, .. }, .. })),
             "fill should have stalled"
         );
         assert!(c.stats.fill_stalled_all_locked > 0);
@@ -875,7 +854,10 @@ mod tests {
         c.unlock(0, &mut out);
         out.clear();
         c.retry_stalled_fills(&mut out);
-        assert!(out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })));
+        assert!(out.iter().any(|a| matches!(
+            a,
+            Action::Read { done: ReadDone { seq: 9, .. }, .. }
+        )));
     }
 
     #[test]
@@ -912,7 +894,7 @@ mod tests {
         c.set_now(1001);
         c.retry_stalled_fills(&mut out);
         assert!(
-            out.iter().any(|a| matches!(a, Action::ReadDone { seq: 9, .. })),
+            out.iter().any(|a| matches!(a, Action::Read { done: ReadDone { seq: 9, .. }, .. })),
             "freed way must be claimed on the tick after the unlock"
         );
         assert_eq!(c.fill_guard.attempts_max, 0, "the woken retry succeeded");
@@ -948,8 +930,14 @@ mod tests {
         );
         out.clear();
         grant(&mut c, 0x100, false, &mut out); // S grant satisfies read 1 only
-        assert!(out.iter().any(|a| matches!(a, Action::ReadDone { seq: 1, .. })));
-        assert!(!out.iter().any(|a| matches!(a, Action::ReadDone { seq: 2, .. })));
+        assert!(out.iter().any(|a| matches!(
+            a,
+            Action::Read { done: ReadDone { seq: 1, .. }, .. }
+        )));
+        assert!(!out.iter().any(|a| matches!(
+            a,
+            Action::Read { done: ReadDone { seq: 2, .. }, .. }
+        )));
         // The leftover exclusive read re-requests GetX now.
         assert!(out.iter().any(|a| matches!(
             a,
@@ -957,7 +945,10 @@ mod tests {
         )));
         out.clear();
         grant(&mut c, 0x100, true, &mut out);
-        assert!(out.iter().any(|a| matches!(a, Action::ReadDone { seq: 2, locked: true, .. })));
+        assert!(out.iter().any(|a| matches!(
+            a,
+            Action::Read { done: ReadDone { seq: 2, locked: true, .. }, .. }
+        )));
         assert!(c.is_locked(0x100));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Per simulated cycle the machine driver calls [`MemorySystem::tick`] first
 //! (advancing time and processing due protocol events into per-core
-//! outboxes), then ticks each core, which drains its outbox/notices and
-//! issues new requests. Same-cycle core commands (store performs, lock and
+//! inboxes), then ticks each core, which drains its inbox and issues new
+//! requests. Same-cycle core commands (store performs, lock and
 //! unlock transfers) apply to controller state immediately, which closes the
 //! read-then-lock race window without transient protocol states.
 //!
@@ -16,7 +16,7 @@
 use crate::audit::{AuditStats, AuditViolation};
 use crate::chaos::ChaosEngine;
 use crate::dir::{DirAction, Directory};
-use crate::msgs::{CoreNotice, CoreResp, DirMsg, LatClass};
+use crate::msgs::{CoreMsg, DirMsg, LatClass};
 use crate::noc::{NocEv, Xbar};
 use crate::privcache::{Action, PrivCache, ReqOutcome};
 use crate::progress::{ProgressGuard, ProgressReport, ProgressStats};
@@ -95,8 +95,9 @@ pub struct MemorySystem {
     spare_caches: Vec<PrivCache>,
     dir: Directory,
     backing: GuestMem,
-    outbox: Vec<Vec<CoreResp>>,
-    notices: Vec<Vec<CoreNotice>>,
+    /// What each core has been delivered and not yet drained, in delivery
+    /// order.
+    inbox: Vec<Vec<CoreMsg>>,
     /// Audit-sweep counters (the other `MemStats` blocks live with the
     /// controller that counts them).
     audit_stats: AuditStats,
@@ -104,7 +105,7 @@ pub struct MemorySystem {
     /// `with_dir`); a sweep clears it unless a fill retry is due.
     changed_since_sweep: bool,
     /// One bit per core: set whenever the system changes what that core
-    /// sees — a queued response or notice, a call into its cache, a send
+    /// sees — a message queued in its inbox, a call into its cache, a send
     /// on its links, or the start of a directory-allocation wait for its
     /// request (the wait ends with a grant sent to it). The machine driver
     /// clears a core's bit when it visits the core
@@ -158,7 +159,7 @@ impl MemorySystem {
     pub fn reset(&mut self, cfg: &MemConfig, n_cores: usize, backing: Cow<'_, GuestMem>) {
         assert!(n_cores <= 64, "core masks are 64 bits wide: {n_cores} cores");
         let MemorySystem {
-            cfg: my_cfg, now, noc, caches, spare_caches, dir, backing: my_backing, outbox, notices,
+            cfg: my_cfg, now, noc, caches, spare_caches, dir, backing: my_backing, inbox,
             audit_stats, changed_since_sweep, touched, retry_due, leak_at, acts, dout, audit_copies,
             check, last_writer, ser, lsq_guard, backlog_max,
         } = self;
@@ -178,10 +179,8 @@ impl MemorySystem {
         }
         // Indexed by core only: the queues of cores beyond `n_cores` stay,
         // empty, for a later run on more cores.
-        outbox.iter_mut().for_each(Vec::clear);
-        outbox.resize_with(n_cores.max(outbox.len()), Vec::new);
-        notices.iter_mut().for_each(Vec::clear);
-        notices.resize_with(n_cores.max(notices.len()), Vec::new);
+        inbox.iter_mut().for_each(Vec::clear);
+        inbox.resize_with(n_cores.max(inbox.len()), Vec::new);
         *audit_stats = AuditStats::default();
         (*changed_since_sweep, *touched, *retry_due, *leak_at) = (true, 0, 0, None);
         acts.clear();
@@ -246,45 +245,35 @@ impl MemorySystem {
             NocEv::ToL1(core, msg) => {
                 self.with_cache(core.index(), |c, out| c.handle_ext(msg, out));
             }
-            NocEv::ReadDone { core, seq, addr, class, had_write_perm, locked, park } => {
+            NocEv::Read(core, done) => {
                 // Interconnect transfer cycles of the final fill leg:
                 // injection stamp → delivery. Zero for local hits under a
                 // quiet network (the stamp excludes the sender-side cache
                 // pipeline delay).
                 let xfer = self.now.saturating_sub(sent);
                 let c = &mut self.caches[core.index()].stats;
-                match class {
+                match done.class {
                     LatClass::L1 => c.l1_hits += 1,
                     LatClass::L2 => c.l2_hits += 1,
                     LatClass::Llc => c.llc_hits += 1,
                     LatClass::Mem => c.mem_accesses += 1,
                     LatClass::Remote => c.remote_transfers += 1,
                 }
-                c.fill_cycles_by_class[class.index()] += xfer;
-                let value = self.backing.load(addr);
+                c.fill_cycles_by_class[done.class.index()] += xfer;
+                let value = self.backing.load(done.addr);
                 // Value and rf writer are sampled at the same instant —
                 // the read's perform point — so they always agree.
                 let writer = if self.check {
-                    self.last_writer.get(&addr).copied().unwrap_or(0)
+                    self.last_writer.get(&done.addr).copied().unwrap_or(0)
                 } else {
                     0
                 };
                 self.touched |= 1 << core.index();
-                self.outbox[core.index()].push(CoreResp::ReadResp {
-                    seq,
-                    addr,
-                    value,
-                    writer,
-                    class,
-                    had_write_perm,
-                    locked,
-                    xfer,
-                    park,
-                });
+                self.inbox[core.index()].push(CoreMsg::Read { done, value, writer, xfer });
             }
-            NocEv::StoreReady { core, seq, line } => {
+            NocEv::StoreReady { core, seq } => {
                 self.touched |= 1 << core.index();
-                self.outbox[core.index()].push(CoreResp::StoreReady { seq, line });
+                self.inbox[core.index()].push(CoreMsg::StoreReady { seq });
             }
         }
     }
@@ -317,33 +306,18 @@ impl MemorySystem {
     fn apply_cache_actions(&mut self, core: usize, actions: &mut Vec<Action>) {
         for a in actions.drain(..) {
             match a {
-                Action::ReadDone { delay, seq, addr, class, had_write_perm, locked, park } => {
-                    self.noc.send(
-                        self.now,
-                        delay,
-                        NocEv::ReadDone {
-                            core: CoreId(core as u16),
-                            seq,
-                            addr,
-                            class,
-                            had_write_perm,
-                            locked,
-                            park,
-                        },
-                    );
+                Action::Read { delay, done } => {
+                    self.noc.send(self.now, delay, NocEv::Read(CoreId(core as u16), done));
                 }
-                Action::StoreReady { delay, seq, line } => {
-                    self.noc.send(
-                        self.now,
-                        delay,
-                        NocEv::StoreReady { core: CoreId(core as u16), seq, line },
-                    );
+                Action::StoreReady { delay, seq } => {
+                    let ev = NocEv::StoreReady { core: CoreId(core as u16), seq };
+                    self.noc.send(self.now, delay, ev);
                 }
                 Action::ToDir(msg) => {
                     self.noc.send(self.now, 0, NocEv::ToDir(msg));
                 }
-                Action::LineLost { line, remote_write } => {
-                    self.notices[core].push(CoreNotice::LineLost { line, remote_write });
+                Action::LineLost { line } => {
+                    self.inbox[core].push(CoreMsg::LineLost { line });
                 }
             }
         }
@@ -482,19 +456,12 @@ impl MemorySystem {
         self.with_cache(core.index(), |c, out| c.unlock(line, out));
     }
 
-    /// Moves this cycle's responses for `core` into `into`, replacing
-    /// what it held. The two buffers trade places, so a caller that passes
-    /// the same one every cycle never makes either reallocate.
-    pub fn drain_responses(&mut self, core: CoreId, into: &mut Vec<CoreResp>) {
+    /// Moves `core`'s inbox into `into`, replacing what it held. The two
+    /// buffers trade places, so a caller that passes the same one every
+    /// cycle never makes either reallocate.
+    pub fn drain_inbox(&mut self, core: CoreId, into: &mut Vec<CoreMsg>) {
         into.clear();
-        std::mem::swap(into, &mut self.outbox[core.index()]);
-    }
-
-    /// Moves this cycle's notices for `core` into `into`, as
-    /// [`MemorySystem::drain_responses`] does.
-    pub fn drain_notices(&mut self, core: CoreId, into: &mut Vec<CoreNotice>) {
-        into.clear();
-        std::mem::swap(into, &mut self.notices[core.index()]);
+        std::mem::swap(into, &mut self.inbox[core.index()]);
     }
 
     /// True if `core`'s private cache currently holds write permission.
@@ -517,11 +484,11 @@ impl MemorySystem {
         self.noc.pending()
     }
 
-    /// True when `core` has undelivered responses or notices queued — a
-    /// halted or sleeping core with traffic pending must still be ticked so
-    /// it can drain them (and, for a sleeper, observe its wake condition).
+    /// True when `core`'s inbox holds undelivered messages — a halted or
+    /// sleeping core with traffic pending must still be ticked so it can
+    /// drain them (and, for a sleeper, observe its wake condition).
     pub fn has_core_traffic(&self, core: CoreId) -> bool {
-        !self.outbox[core.index()].is_empty() || !self.notices[core.index()].is_empty()
+        !self.inbox[core.index()].is_empty()
     }
 
     /// The cores (bit `i` for core `i`) the system touched since the driver
@@ -764,6 +731,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msgs::ReadDone;
 
     const C0: CoreId = CoreId(0);
     const C1: CoreId = CoreId(1);
@@ -772,16 +740,24 @@ mod tests {
         MemorySystem::new(MemConfig::tiny(), n, GuestMem::new(1 << 16))
     }
 
-    fn responses(m: &mut MemorySystem, core: CoreId) -> Vec<CoreResp> {
+    /// Drains `core`'s inbox, keeping the responses (reads and store
+    /// permissions).
+    fn responses(m: &mut MemorySystem, core: CoreId) -> Vec<CoreMsg> {
         let mut r = Vec::new();
-        m.drain_responses(core, &mut r);
+        m.drain_inbox(core, &mut r);
+        r.retain(|msg| !matches!(msg, CoreMsg::LineLost { .. }));
         r
     }
 
-    fn notices(m: &mut MemorySystem, core: CoreId) -> Vec<CoreNotice> {
-        let mut n = Vec::new();
-        m.drain_notices(core, &mut n);
-        n
+    /// Drains `core`'s inbox, keeping the lines it lost.
+    fn lost_lines(m: &mut MemorySystem, core: CoreId) -> Vec<Line> {
+        let mut r = Vec::new();
+        m.drain_inbox(core, &mut r);
+        let lost = |msg: &CoreMsg| match *msg {
+            CoreMsg::LineLost { line } => Some(line),
+            _ => None,
+        };
+        r.iter().filter_map(lost).collect()
     }
 
     /// Corrupts state behind the protocol's back, marking it changed as
@@ -792,7 +768,7 @@ mod tests {
     }
 
     /// Ticks until `core` receives a response, with a safety bound.
-    fn run_until_resp(m: &mut MemorySystem, core: CoreId, bound: u64) -> Vec<CoreResp> {
+    fn run_until_resp(m: &mut MemorySystem, core: CoreId, bound: u64) -> Vec<CoreMsg> {
         for _ in 0..bound {
             m.tick();
             let r = responses(m, core);
@@ -810,7 +786,7 @@ mod tests {
         assert_eq!(m.read(C0, 1, 0x100, false), ReqOutcome::Accepted);
         let resps = run_until_resp(&mut m, C0, 1000);
         match resps[0] {
-            CoreResp::ReadResp { seq: 1, value, class, .. } => {
+            CoreMsg::Read { done: ReadDone { seq: 1, class, .. }, value, .. } => {
                 assert_eq!(value, 77);
                 assert_eq!(class, LatClass::Mem);
             }
@@ -827,7 +803,10 @@ mod tests {
         m.read(C0, 2, 0x108, false);
         let resps = run_until_resp(&mut m, C0, 100);
         assert!(m.now() - t0 <= m.config().l1_lat + 1);
-        assert!(matches!(resps[0], CoreResp::ReadResp { class: LatClass::L1, .. }));
+        assert!(matches!(
+            resps[0],
+            CoreMsg::Read { done: ReadDone { class: LatClass::L1, .. }, .. }
+        ));
     }
 
     #[test]
@@ -835,7 +814,7 @@ mod tests {
         let mut m = sys(1);
         assert_eq!(m.store_acquire(C0, 9, 0x200), ReqOutcome::Accepted);
         let resps = run_until_resp(&mut m, C0, 1000);
-        assert!(matches!(resps[0], CoreResp::StoreReady { seq: 9, .. }));
+        assert!(matches!(resps[0], CoreMsg::StoreReady { seq: 9 }));
         assert!(m.try_store_perform(C0, 1, 0x200, 1234));
         assert_eq!(m.backing().load(0x200), 1234);
     }
@@ -850,15 +829,12 @@ mod tests {
         m.store_acquire(C1, 2, 0x100);
         run_until_resp(&mut m, C1, 2000);
         assert!(m.try_store_perform(C1, 1, 0x100, 5));
-        let notices = notices(&mut m, C0);
-        assert!(
-            notices.contains(&CoreNotice::LineLost { line: 0x100, remote_write: true }),
-            "got {notices:?}"
-        );
+        let lost = lost_lines(&mut m, C0);
+        assert!(lost.contains(&0x100), "got {lost:?}");
         // Core 0 re-reads and sees the new value.
         m.read(C0, 3, 0x100, false);
         let resps = run_until_resp(&mut m, C0, 2000);
-        assert!(matches!(resps[0], CoreResp::ReadResp { value: 5, .. }));
+        assert!(matches!(resps[0], CoreMsg::Read { value: 5, .. }));
     }
 
     #[test]
@@ -867,7 +843,7 @@ mod tests {
         // Core 0 takes the line with lock intent (a performing load_lock).
         m.read(C0, 1, 0x100, true);
         let r = run_until_resp(&mut m, C0, 1000);
-        assert!(matches!(r[0], CoreResp::ReadResp { locked: true, .. }));
+        assert!(matches!(r[0], CoreMsg::Read { done: ReadDone { locked: true, .. }, .. }));
         assert!(m.is_locked(C0, 0x100));
         // Core 1 wants to write: its GetX parks at core 0.
         m.store_acquire(C1, 2, 0x100);
@@ -881,12 +857,9 @@ mod tests {
         // Unlock: parked Inv replays, core 1 gets permission.
         m.unlock_line(C0, 0x100);
         let r = run_until_resp(&mut m, C1, 1000);
-        assert!(matches!(r[0], CoreResp::StoreReady { seq: 2, .. }));
+        assert!(matches!(r[0], CoreMsg::StoreReady { seq: 2 }));
         // Core 0 lost the line.
-        let notices = notices(&mut m, C0);
-        assert!(notices
-            .iter()
-            .any(|n| matches!(n, CoreNotice::LineLost { line: 0x100, remote_write: true })));
+        assert!(lost_lines(&mut m, C0).contains(&0x100));
     }
 
     #[test]
@@ -896,7 +869,10 @@ mod tests {
         // Atomic on core 0: load_lock reads 10, store_unlock writes 11.
         m.read(C0, 1, 0x300, true);
         let r = run_until_resp(&mut m, C0, 1000);
-        assert!(matches!(r[0], CoreResp::ReadResp { value: 10, locked: true, .. }));
+        assert!(matches!(
+            r[0],
+            CoreMsg::Read { done: ReadDone { locked: true, .. }, value: 10, .. }
+        ));
         assert!(m.try_store_perform(C0, 3, 0x300, 11));
         m.unlock_line(C0, 0x300);
         assert!(!m.is_locked(C0, 0x300));
@@ -911,7 +887,10 @@ mod tests {
         m.read(C1, 2, 0x100, false);
         let r = run_until_resp(&mut m, C1, 2000);
         // Remote transfer: core 0 held it exclusively.
-        assert!(matches!(r[0], CoreResp::ReadResp { class: LatClass::Remote, .. }));
+        assert!(matches!(
+            r[0],
+            CoreMsg::Read { done: ReadDone { class: LatClass::Remote, .. }, .. }
+        ));
         // Neither core may now write without a request.
         assert!(!m.writable(C0, 0x100) || !m.writable(C1, 0x100));
     }
@@ -964,14 +943,14 @@ mod tests {
         // Core 0 squashes its atomic (watchdog): unlock line 0x100.
         m.unlock_line(C0, 0x100);
         let r = run_until_resp(&mut m, C1, 2000);
-        assert!(matches!(r[0], CoreResp::ReadResp { seq: 4, locked: true, .. }));
+        assert!(matches!(r[0], CoreMsg::Read { done: ReadDone { seq: 4, locked: true, .. }, .. }));
         // Core 1 finishes both atomics; core 0 then proceeds.
         assert!(m.try_store_perform(C1, 3, 0x100, 1));
         m.unlock_line(C1, 0x100);
         assert!(m.try_store_perform(C1, 5, 0x200, 1));
         m.unlock_line(C1, 0x200);
         let r = run_until_resp(&mut m, C0, 4000);
-        assert!(matches!(r[0], CoreResp::ReadResp { seq: 3, locked: true, .. }));
+        assert!(matches!(r[0], CoreMsg::Read { done: ReadDone { seq: 3, locked: true, .. }, .. }));
     }
 
     // ---- Invariant auditor: clean runs pass, corruption is caught ----
@@ -1279,7 +1258,7 @@ mod tests {
         m.backing.store(0x100, 77);
         m.read(C0, 1, 0x100, false);
         let r = run_until_resp(&mut m, C0, 5000);
-        assert!(matches!(r[0], CoreResp::ReadResp { value: 77, .. }));
+        assert!(matches!(r[0], CoreMsg::Read { value: 77, .. }));
         // Remote ownership transfer still works under contention.
         m.store_acquire(C1, 2, 0x100);
         run_until_resp(&mut m, C1, 5000);

@@ -56,8 +56,8 @@ pub const KNOBS: &[Knob] = &[
     knob("FA_CHECK", "off", "`off` or `tso`", "axiomatic conformance checking of every run (`fuzz`, `conformance`: `tso`)"),
     knob("FA_MODEL", "tso", "`tso` or `weak`", "hardware memory model"),
     knob("FA_PROGRESS", "on", "`off`, `on` or `on:<stall_cycles>` with a positive integer", "forward-progress escalation"),
-    knob("FA_RETRIES", "1", "a non-negative integer", "supervised-cell retries before quarantine (`sweep`, `conformance`, `fuzz`; `fig` and `ablation` never retry)"),
-    knob("FA_CELL_BUDGET", "unset", "`<cycles>` or `<cycles>:<wall_secs>`, both positive integers", "per-cell simulated-cycle cap and wall-clock watchdog (`sweep`, `conformance`; `fuzz` arms only the wall clock; `fig` and `ablation` ignore it)"),
+    knob("FA_RETRIES", "1", "a non-negative integer", "supervised-cell retries before quarantine (`sweep`, `conformance`, `fuzz`) or failure (`fig`, `ablation`)"),
+    knob("FA_CELL_BUDGET", "unset", "`<cycles>` or `<cycles>:<wall_secs>`, both positive integers", "per-cell simulated-cycle cap and wall-clock watchdog (`sweep`, `conformance`, `fig`, `ablation`; `fuzz` arms only the wall clock)"),
     knob("FA_CHECKPOINT", "unset", "a path", "append-only sweep journal for kill/resume (`sweep` only)"),
     knob("FA_BENCH_JSON", "BENCH_sweep.json", "a path", "sweep-report destination, and `report`'s default current file"),
     knob("FA_FUZZ_CASES", "100", "an integer", "generated programs per fuzz campaign"),
