@@ -61,6 +61,9 @@ trap - EXIT
 # One message type on one inbox per core (`CoreMsg`): the response/notice
 # split, its second drain and the two fields nothing read stay deleted.
 ! grep -rnwE 'CoreNotice|CoreResp|drain_notices|drain_responses|remote_write' crates src tests examples || exit 1
+# A failed run is one `SimError::Run` with its snapshot boxed once: no
+# outer box, no size allow, no separate timeout type.
+! grep -rnE 'result_large_err|RunTimeout|Box<SimError>|map_err\(Box::new\)' crates src tests examples || exit 1
 # One crossbar, every counter declared once, one trace walk per layer.
 ! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
 # The suite is one table and the litmus op one enum: the macro and the

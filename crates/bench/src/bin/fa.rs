@@ -21,7 +21,7 @@ use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, Reg};
 use fa_mem::{CoreMemStats, NocConfig};
-use fa_sim::error::CellFailure;
+use fa_sim::error::{CellFailure, RunFailure, SimError};
 use fa_sim::fuzz::{fuzz_litmus, FuzzConfig};
 use fa_sim::machine::{MachineConfig, RunResult};
 use fa_sim::presets::{icelake_like, tiny_machine};
@@ -313,8 +313,8 @@ fn conformance(cmd: &Command, _: &[String]) -> Outcome {
                     continue;
                 }
                 let q = quarantined.next().expect("without a journal, no result means quarantined");
-                let status = match &*q.failure {
-                    CellFailure::Sim(e @ fa_sim::SimError::Tso { .. }) => {
+                let status = match &q.failure {
+                    CellFailure::Sim(e @ SimError::Run { cause: RunFailure::Tso(_), .. }) => {
                         violations += 1;
                         format!("VIOLATION: {e}")
                     }
@@ -377,9 +377,6 @@ fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
         fcfg.check.name(),
         opts.trace.name(),
     );
-    // The supervised closure's Err type carries a machine snapshot; this
-    // cold-path size is fine.
-    #[allow(clippy::result_large_err)]
     let report = supervise(sup.retries, sup.budget.wall, || Ok(fuzz_litmus(&base, &fcfg)))
         .map_err(|q| {
             Quarantined(format!(

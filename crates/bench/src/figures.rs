@@ -26,7 +26,7 @@ use fa_sim::{CpiLeaf, MemModel};
 use fa_workloads::suite;
 
 /// One regenerated table or figure.
-pub type Figure = fn(&BenchOpts, &SupervisorOpts) -> Result<(), Box<SimError>>;
+pub type Figure = fn(&BenchOpts, &SupervisorOpts) -> Result<(), SimError>;
 
 /// Every table and figure by name, in the paper's order — what `fig <name>`
 /// selects from and the `figures` bench target runs end to end.
@@ -55,7 +55,7 @@ fn measured_grid(
     opts: &BenchOpts,
     sup: &SupervisorOpts,
     cells: &[SweepCell],
-) -> Result<(Vec<CellResult>, SweepReport), Box<SimError>> {
+) -> Result<(Vec<CellResult>, SweepReport), SimError> {
     let (mut outcome, timing) = run_grid_supervised(opts, sup, cells)?;
     let results = outcome.take_results(cells)?;
     Ok((results, SweepReport::from_outcome(bin, opts, outcome, timing)))
@@ -70,7 +70,7 @@ fn suite_grid(
     sup: &SupervisorOpts,
     policies: &[AtomicPolicy],
     presets: &[Preset],
-) -> Result<(Vec<CellResult>, SweepReport), Box<SimError>> {
+) -> Result<(Vec<CellResult>, SweepReport), SimError> {
     let cells = grid(&opts.workloads(), policies, presets);
     measured_grid(bin, opts, sup, &cells)
 }
@@ -90,7 +90,7 @@ fn emit_report(report: &SweepReport) {
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig01_atomic_cost(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn fig01_atomic_cost(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## Figure 1 — cost of fenced atomic RMWs (cycles per atomic)\n");
     println!(
         "{}",
@@ -136,7 +136,7 @@ pub fn fig01_atomic_cost(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), B
 /// # Errors
 ///
 /// None; the signature is [`Figure`]'s.
-pub fn table1_config(_: &BenchOpts, _: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn table1_config(_: &BenchOpts, _: &SupervisorOpts) -> Result<(), SimError> {
     let m = icelake_like();
     println!("\n## Table 1 — system configuration (Icelake-like preset)\n");
     println!("Processor:");
@@ -173,7 +173,7 @@ pub fn table1_config(_: &BenchOpts, _: &SupervisorOpts) -> Result<(), Box<SimErr
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig12_apki(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn fig12_apki(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## Figure 12 — atomic RMWs per kilo-instruction (APKI)\n");
     println!("{}", row(&["workload".into(), "APKI".into(), "class".into()]));
     let (results, report) =
@@ -197,10 +197,7 @@ pub fn fig12_apki(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimE
 /// # Errors
 ///
 /// The first failed cell, in workload order.
-pub fn table2_characterization(
-    opts: &BenchOpts,
-    sup: &SupervisorOpts,
-) -> Result<(), Box<SimError>> {
+pub fn table2_characterization(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## Table 2 — characterization of Free atomics (FreeAtomics+Fwd)\n");
     println!(
         "{}",
@@ -279,7 +276,7 @@ pub fn table2_characterization(
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig13_locality(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn fig13_locality(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## Figure 13 — locality of atomics (ratio of load_locks)\n");
     println!(
         "{}",
@@ -323,7 +320,7 @@ pub fn fig13_locality(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig14_exec_time(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn fig14_exec_time(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## Figure 14 — normalized execution time (lower is better)\n");
     println!(
         "{}",
@@ -392,7 +389,7 @@ pub fn fig14_exec_time(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box
 /// # Errors
 ///
 /// The first failed cell.
-pub fn cpi_stacks(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn cpi_stacks(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## CPI stacks — top-down cycle accounting (% of core cycles)\n");
     let mut header = vec!["workload".to_string(), "policy".to_string()];
     header.extend(CpiLeaf::ALL.iter().map(|l| l.name().to_string()));
@@ -453,10 +450,7 @@ pub fn cpi_stacks(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimE
 /// # Errors
 ///
 /// The first failed cell of any grid point.
-pub fn fig16_network_sensitivity(
-    opts: &BenchOpts,
-    sup: &SupervisorOpts,
-) -> Result<(), Box<SimError>> {
+pub fn fig16_network_sensitivity(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## Figure 16 — network sensitivity (speedup of FreeAtomics+Fwd)\n");
     let points: [(&str, NocConfig); 4] = [
         ("ideal", NocConfig::default()),
@@ -537,7 +531,7 @@ pub fn fig16_network_sensitivity(
 /// # Errors
 ///
 /// The first failed cell.
-pub fn fig15_energy(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn fig15_energy(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## Figure 15 — normalized energy (lower is better)\n");
     println!(
         "{}",
@@ -606,7 +600,7 @@ pub fn fig15_energy(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<Si
 /// # Errors
 ///
 /// The first failed cell of either grid.
-pub fn fig_weak_baseline(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn fig_weak_baseline(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     println!("\n## Weak baseline — FreeFwd residual speedup on acquire/release-native hardware\n");
     let workloads = opts.workloads();
     let policies = [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd];
@@ -682,7 +676,7 @@ const ABLATION_AXES: [(&str, [Ablation; 4]); 3] = {
 /// # Errors
 ///
 /// The first failed cell.
-pub fn ablation(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Box<SimError>> {
+pub fn ablation(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
     let specs = workloads_from_env().unwrap_or_else(|| {
         suite::select(&["TATP", "AS", "barnes", "canneal"]).expect("suite names")
     });
@@ -734,7 +728,7 @@ mod tests {
         let err = fig14_exec_time(&opts, &sup).expect_err("every cell times out");
         let first = opts.workloads()[0].name;
         assert!(
-            matches!(&*err, SimError::CellFailed { cell, attempts: 1, .. }
+            matches!(&err, SimError::CellFailed { cell, attempts: 1, .. }
                 if *cell == format!("{first}/baseline/icelake")),
             "{err}"
         );
@@ -750,7 +744,7 @@ mod tests {
         let measured = FIGURES.iter().filter(|(name, _)| *name != "table1_config");
         for (name, figure) in measured.chain([&("ablation", ablation as Figure)]) {
             let err = figure(&opts, &SupervisorOpts::none()).expect_err(name);
-            assert!(matches!(*err, SimError::InvalidMethodology { runs: 0, .. }), "{name}: {err}");
+            assert!(matches!(err, SimError::InvalidMethodology { runs: 0, .. }), "{name}: {err}");
         }
     }
 }

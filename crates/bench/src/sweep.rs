@@ -193,7 +193,8 @@ pub struct CellResult {
 /// journal for kill/resume.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorOpts {
-    /// Failed-cell retries before quarantine (`FA_RETRIES`).
+    /// Retries of a cell the wall-clock watchdog stopped (`FA_RETRIES`);
+    /// every other failure repeats, so it is quarantined at once.
     pub retries: u32,
     /// Per-cell budget (`FA_CELL_BUDGET`): an optional simulated-cycle cap
     /// overriding the methodology's `max_cycles`, and an optional
@@ -231,16 +232,17 @@ impl SupervisorOpts {
 }
 
 /// One quarantined cell, as recorded in the report's `quarantine` block:
-/// the campaign completed without it after every attempt failed.
+/// the campaign completed without it after its attempts failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QuarantinedCell {
     /// Cell identity (`kernel/policy/preset`).
     pub cell: String,
-    /// Attempts made (1 + retries).
+    /// Attempts made: 1, or up to 1 + retries when the wall-clock
+    /// watchdog stopped the cell.
     pub attempts: u32,
     /// The last attempt's failure — for simulation errors this carries
     /// the machine snapshot with the flight-recorder tail.
-    pub failure: Box<CellFailure>,
+    pub failure: CellFailure,
 }
 
 /// The outcome of a campaign: rows for every completed cell (in grid
@@ -277,14 +279,14 @@ impl SweepOutcome {
     /// [`SimError::CellFailed`] naming the first cell (in grid order)
     /// without a result — quarantined, with its last failure, or replayed
     /// from the checkpoint journal — so no driver renders a partial table.
-    pub fn take_results(&mut self, cells: &[SweepCell]) -> Result<Vec<CellResult>, Box<SimError>> {
+    pub fn take_results(&mut self, cells: &[SweepCell]) -> Result<Vec<CellResult>, SimError> {
         if let Some(i) = self.results.iter().position(Option::is_none) {
             let cell = cells[i].name();
             let (attempts, cause) = match self.quarantine.iter().find(|q| q.cell == cell) {
                 Some(q) => (q.attempts, q.failure.clone()),
-                None => (0, Box::new(CellFailure::Resumed)),
+                None => (0, CellFailure::Resumed),
             };
-            return Err(Box::new(SimError::CellFailed { cell, attempts, cause }));
+            return Err(SimError::CellFailed { cell, attempts, cause: Box::new(cause) });
         }
         Ok(std::mem::take(&mut self.results).into_iter().flatten().collect())
     }
@@ -313,8 +315,6 @@ pub fn campaign_fingerprint(opts: &BenchOpts, budget_cycles: Option<u64>, cells:
 /// journal record (simulated totals and health over **all** runs, dropped
 /// ones included, plus the emitted row line) with the measured result the
 /// row was built from.
-// Cold failure path; the error's diagnostic snapshot dominates.
-#[allow(clippy::result_large_err)]
 fn run_one_cell(
     opts: &BenchOpts,
     meth: &Methodology,
@@ -343,11 +343,11 @@ fn run_one_cell(
 }
 
 /// Runs the grid across `opts.threads` workers, each cell one isolated job
-/// — panics caught, the `FA_CELL_BUDGET` watchdogs armed, failures retried
-/// `sup.retries` times, survivors quarantined into the outcome instead of
-/// aborting the campaign — and, when `sup.checkpoint` is set, every
-/// completed cell is journaled as it finishes so a killed campaign resumes
-/// exactly where it stopped.
+/// — panics caught, the `FA_CELL_BUDGET` watchdogs armed, a cell the
+/// wall-clock watchdog stopped retried `sup.retries` times, failed cells
+/// quarantined into the outcome instead of aborting the campaign — and,
+/// when `sup.checkpoint` is set, every completed cell is journaled as it
+/// finishes so a killed campaign resumes exactly where it stopped.
 ///
 /// Completed rows are byte-identical at any worker-thread count, with or
 /// without an intervening kill/resume.
@@ -361,19 +361,16 @@ fn run_one_cell(
 ///
 /// Panics when the checkpoint journal cannot be opened or appended to, or
 /// belongs to a different campaign (fingerprint mismatch).
-// The supervised closure's Err carries a full machine snapshot by design;
-// it is built once on the cold failure path, never per cycle.
-#[allow(clippy::result_large_err)]
 pub fn run_grid_supervised(
     opts: &BenchOpts,
     sup: &SupervisorOpts,
     cells: &[SweepCell],
-) -> Result<(SweepOutcome, SweepTiming), Box<SimError>> {
+) -> Result<(SweepOutcome, SweepTiming), SimError> {
     let mut meth = opts.methodology();
     if let Some(c) = sup.budget.max_cycles {
         meth.max_cycles = c;
     }
-    meth.validate().map_err(Box::new)?;
+    meth.validate()?;
     let params = opts.params();
     let journal = sup.checkpoint.as_deref().map(|p| {
         let fp = campaign_fingerprint(opts, sup.budget.max_cycles, cells);
@@ -1036,7 +1033,7 @@ mod tests {
         let opts = BenchOpts { runs: 2, drop_slowest: 2, ..small_opts(1) };
         let err = run_grid_supervised(&opts, &SupervisorOpts::none(), &cells)
             .expect_err("must reject");
-        assert_eq!(*err, SimError::InvalidMethodology { runs: 2, drop_slowest: 2 });
+        assert_eq!(err, SimError::InvalidMethodology { runs: 2, drop_slowest: 2 });
     }
 
     #[test]
@@ -1127,7 +1124,7 @@ mod tests {
                     let err = resumed.take_results(&cells).expect_err("replayed cells");
                     let want = cells[resumed.results.iter().position(Option::is_none).expect("one")];
                     assert!(
-                        matches!(&*err, SimError::CellFailed { cell, attempts: 0, cause }
+                        matches!(&err, SimError::CellFailed { cell, attempts: 0, cause }
                             if *cell == want.name() && **cause == CellFailure::Resumed),
                         "{err}"
                     );
@@ -1167,9 +1164,10 @@ mod tests {
     #[test]
     fn exhausted_cell_budget_quarantines_and_the_campaign_completes() {
         let cells = small_grid();
-        // 200 cycles is far too few for any cell: every attempt times out,
-        // is retried once, then the cell is quarantined — but the campaign
-        // still returns Ok with a structured report per lost cell.
+        // 200 cycles is far too few for any cell: it times out, and since
+        // a cycle budget repeats on every attempt the cell is quarantined
+        // without a retry — but the campaign still returns Ok with a
+        // structured report per lost cell.
         let sup = SupervisorOpts {
             retries: 1,
             budget: env::CellBudget { max_cycles: Some(200), wall: None },
@@ -1181,14 +1179,14 @@ mod tests {
         assert_eq!(out.quarantine.len(), cells.len());
         let q = &out.quarantine[0];
         assert_eq!(q.cell, "TATP/baseline/tiny");
-        assert_eq!(q.attempts, 2, "one initial attempt + FA_RETRIES=1 retry");
+        assert_eq!(q.attempts, 1, "a cycle-budget timeout is not retried under FA_RETRIES=1");
         assert!(q.failure.to_string().contains("did not quiesce within 200 cycles"), "{}", q.failure);
 
         // A table driver gets an error naming the first lost cell and its
         // failure — never a partial result set.
         let err = out.take_results(&cells).expect_err("no cell has a result");
         assert!(
-            matches!(&*err, SimError::CellFailed { cell, attempts: 2, .. }
+            matches!(&err, SimError::CellFailed { cell, attempts: 1, .. }
                 if cell == "TATP/baseline/tiny"),
             "{err}"
         );
@@ -1200,7 +1198,7 @@ mod tests {
         let rep = SweepReport::from_outcome("qtest", &opts, out, sweep_timing_stub());
         let j = rep.json();
         assert!(j.contains("\"quarantine\": [\n"), "{j}");
-        assert!(j.contains("{\"cell\":\"TATP/baseline/tiny\",\"attempts\":2,\"failure\":\""));
+        assert!(j.contains("{\"cell\":\"TATP/baseline/tiny\",\"attempts\":1,\"failure\":\""));
         assert!(j.contains("did not quiesce"), "failure text is carried, escaped");
         assert!(!j.contains("\nsnapshot"), "newlines in failures must be escaped");
         assert!(j.ends_with("  ]\n}\n"));

@@ -109,8 +109,9 @@ impl ProgressConfig {
 
 /// The minimal stuck-resource report an escalation produces: which site
 /// tripped, what it observed, and the threshold it crossed. The machine
-/// driver wraps this in a `SimError::NoProgress` together with a full
-/// machine snapshot (locked lines, busy directory entries, flight tail).
+/// driver wraps this in a `RunFailure::NoProgress`, whose `SimError::Run`
+/// carries a full machine snapshot (locked lines, busy directory entries,
+/// flight tail).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProgressReport {
     /// Site name: `dir-alloc`, `cache-fill`, `lsq-retry`, `noc-backlog`
@@ -126,7 +127,7 @@ impl fmt::Display for ProgressReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "site {} observed {} (threshold {})",
+            "site {}: observed {} (threshold {})",
             self.site, self.observed, self.threshold
         )
     }
@@ -176,7 +177,6 @@ mod tests {
         assert!(p.stall_cycles >= 1_000_000);
         assert!(!ProgressConfig::off().enabled);
         let r = ProgressReport { site: "dir-alloc", observed: 12, threshold: 10 };
-        let s = r.to_string();
-        assert!(s.contains("dir-alloc") && s.contains("12") && s.contains("10"), "got: {s}");
+        assert_eq!(r.to_string(), "site dir-alloc: observed 12 (threshold 10)");
     }
 }

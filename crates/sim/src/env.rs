@@ -56,7 +56,7 @@ pub const KNOBS: &[Knob] = &[
     knob("FA_CHECK", "off", "`off` or `tso`", "axiomatic conformance checking of every run (`fuzz`, `conformance`: `tso`)"),
     knob("FA_MODEL", "tso", "`tso` or `weak`", "hardware memory model"),
     knob("FA_PROGRESS", "on", "`off`, `on` or `on:<stall_cycles>` with a positive integer", "forward-progress escalation"),
-    knob("FA_RETRIES", "1", "a non-negative integer", "supervised-cell retries before quarantine (`sweep`, `conformance`, `fuzz`) or failure (`fig`, `ablation`)"),
+    knob("FA_RETRIES", "1", "a non-negative integer", "retries of a cell (or the fuzz campaign) the wall-clock watchdog stopped"),
     knob("FA_CELL_BUDGET", "unset", "`<cycles>` or `<cycles>:<wall_secs>`, both positive integers", "per-cell simulated-cycle cap and wall-clock watchdog (`sweep`, `conformance`, `fig`, `ablation`; `fuzz` arms only the wall clock)"),
     knob("FA_CHECKPOINT", "unset", "a path", "append-only sweep journal for kill/resume (`sweep` only)"),
     knob("FA_BENCH_JSON", "BENCH_sweep.json", "a path", "sweep-report destination, and `report`'s default current file"),

@@ -5,36 +5,23 @@
 //! micro-ops, locked lines, in-flight directory transactions — instead of a
 //! bare "did not quiesce" string or a panic deep inside the hierarchy.
 
-use crate::machine::{MachineSnapshot, RunTimeout};
-use fa_mem::AuditViolation;
+use crate::axiom::Violation;
+use crate::machine::MachineSnapshot;
+use fa_mem::{AuditViolation, ProgressReport};
 use std::fmt;
 
 /// Why a simulation run failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// The machine did not quiesce within its cycle budget.
-    Timeout(RunTimeout),
-    /// The invariant auditor caught a violated coherence/locking/progress
-    /// invariant (only possible when `MemConfig::audit` is enabled).
-    Audit {
-        /// Cycle at which the violation was detected.
-        cycle: u64,
-        /// The violated invariant.
-        violation: AuditViolation,
-        /// Machine state at detection time.
-        snapshot: MachineSnapshot,
-    },
-    /// The axiomatic conformance checker refuted a TSO/RMW-atomicity
-    /// axiom on the completed execution (only possible when
-    /// `FA_CHECK=tso` / `CheckMode::Tso` is enabled).
-    Tso {
-        /// Name of the violated axiom (`rf-wf`, `co-wf`,
-        /// `sc-per-location`, `rmw-atomicity`, or `tso-ghb`).
-        axiom: &'static str,
-        /// Offending events, or the shortest violating cycle.
-        detail: String,
-        /// Machine state at quiescence, with the flight-recorder tail.
-        snapshot: MachineSnapshot,
+    /// A run stopped before it quiesced cleanly: what stopped it, and the
+    /// machine as it stood then (boxed once here, so the error stays small
+    /// on every healthy path that returns a `Result`).
+    Run {
+        /// What stopped the run.
+        cause: RunFailure,
+        /// Machine state when the run stopped, with the flight-recorder
+        /// tail when tracing is on.
+        snapshot: Box<MachineSnapshot>,
     },
     /// A measurement methodology that cannot produce a mean: zero runs, or
     /// `drop_slowest` discarding every run. Returned by
@@ -47,32 +34,6 @@ pub enum SimError {
         /// Configured number of slowest runs to discard.
         drop_slowest: usize,
     },
-    /// The forward-progress framework detected a wedged resource: some
-    /// retry site's stall counter crossed its
-    /// [`ProgressConfig`](fa_mem::ProgressConfig) threshold. Raised instead
-    /// of burning the rest of the cycle budget on a hang.
-    NoProgress {
-        /// The tripped site (`core-commit`, `dir-alloc`, `cache-fill`,
-        /// `lsq-retry` or `noc-backlog`).
-        site: &'static str,
-        /// The counter value that tripped.
-        observed: u64,
-        /// The configured threshold it crossed.
-        threshold: u64,
-        /// Machine state at detection time — the minimal stuck-resource
-        /// report (locked lines, busy directory entries, stalled fills,
-        /// flight-recorder tail).
-        snapshot: MachineSnapshot,
-    },
-    /// The per-cell wall-clock watchdog expired
-    /// (armed by [`set_wall_deadline`](crate::machine::set_wall_deadline);
-    /// the supervised sweep runner sets it from `FA_CELL_BUDGET`).
-    WallTimeout {
-        /// The wall-clock budget that expired, in milliseconds.
-        budget_ms: u64,
-        /// Machine state when the deadline was observed.
-        snapshot: MachineSnapshot,
-    },
     /// A sweep cell has no measured result: it failed every attempt and
     /// was quarantined (the cause is the last attempt's failure, including
     /// the flight-recorder snapshot for simulation errors), or it was
@@ -82,10 +43,44 @@ pub enum SimError {
     CellFailed {
         /// Identity of the cell, `kernel/policy/preset`.
         cell: String,
-        /// Attempts made (1 + retries; 0 for a journal-resumed cell).
+        /// Attempts made (0 for a journal-resumed cell).
         attempts: u32,
         /// Why the cell has no result.
         cause: Box<CellFailure>,
+    },
+}
+
+/// What stopped a run; the [`SimError::Run`] that carries it holds the
+/// machine snapshot, so no cause repeats what the snapshot says.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RunFailure {
+    /// The machine did not quiesce within its cycle budget.
+    Timeout {
+        /// Budget that was exhausted.
+        max_cycles: u64,
+    },
+    /// The invariant auditor caught a violated coherence/locking/progress
+    /// invariant (only possible when `MemConfig::audit` is enabled), at
+    /// the snapshot's cycle.
+    Audit(AuditViolation),
+    /// The axiomatic conformance checker refuted a TSO/RMW-atomicity
+    /// axiom on the completed execution (only possible when
+    /// `FA_CHECK=tso` / `CheckMode::Tso` is enabled).
+    Tso(Violation),
+    /// The forward-progress framework detected a wedged resource: some
+    /// retry site's stall counter crossed its
+    /// [`ProgressConfig`](fa_mem::ProgressConfig) threshold. Raised instead
+    /// of burning the rest of the cycle budget on a hang; the snapshot is
+    /// the minimal stuck-resource report (locked lines, busy directory
+    /// entries, stalled fills, flight-recorder tail).
+    NoProgress(ProgressReport),
+    /// The per-cell wall-clock watchdog expired
+    /// (armed by [`set_wall_deadline`](crate::machine::set_wall_deadline);
+    /// the supervised sweep runner sets it from `FA_CELL_BUDGET`). The
+    /// only cause that depends on the host rather than on the run's inputs.
+    WallTimeout {
+        /// The wall-clock budget that expired, in milliseconds.
+        budget_ms: u64,
     },
 }
 
@@ -128,26 +123,35 @@ impl CellFailure {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Timeout(t) => t.fmt(f),
-            SimError::Audit { cycle, violation, snapshot } => {
-                write!(f, "invariant audit failed at cycle {cycle}: {violation}\n{snapshot}")
-            }
-            SimError::Tso { axiom, detail, snapshot } => {
-                write!(f, "TSO conformance violation (axiom {axiom}): {detail}\n{snapshot}")
+            SimError::Run { cause, snapshot } => {
+                match cause {
+                    RunFailure::Timeout { max_cycles } => {
+                        let halted = snapshot.cores.iter().filter(|c| c.halted).count();
+                        let cores = snapshot.cores.len();
+                        write!(
+                            f,
+                            "machine did not quiesce within {max_cycles} cycles \
+                             ({halted}/{cores} cores halted)"
+                        )?;
+                    }
+                    RunFailure::Audit(v) => {
+                        write!(f, "invariant audit failed at cycle {}: {v}", snapshot.cycle)?;
+                    }
+                    RunFailure::Tso(v) => {
+                        write!(f, "TSO conformance violation (axiom {}): {}", v.axiom, v.detail)?;
+                    }
+                    RunFailure::NoProgress(r) => write!(f, "no forward progress at {r}")?,
+                    RunFailure::WallTimeout { budget_ms } => {
+                        write!(f, "wall-clock watchdog expired after {budget_ms} ms")?;
+                    }
+                }
+                write!(f, "\n{snapshot}")
             }
             SimError::InvalidMethodology { runs, drop_slowest } => write!(
                 f,
                 "invalid methodology: {runs} runs with {drop_slowest} dropped leaves no \
                  retained run to average"
             ),
-            SimError::NoProgress { site, observed, threshold, snapshot } => write!(
-                f,
-                "no forward progress at site {site}: observed {observed} \
-                 (threshold {threshold})\n{snapshot}"
-            ),
-            SimError::WallTimeout { budget_ms, snapshot } => {
-                write!(f, "wall-clock watchdog expired after {budget_ms} ms\n{snapshot}")
-            }
             SimError::CellFailed { cell, attempts, cause } => {
                 write!(f, "cell {cell} failed after {attempts} attempt(s): {cause}")
             }
@@ -157,23 +161,13 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-impl From<RunTimeout> for SimError {
-    fn from(t: RunTimeout) -> SimError {
-        SimError::Timeout(t)
-    }
-}
-
 impl SimError {
     /// The machine snapshot attached to this error, when one exists
     /// (configuration errors are raised before any machine is built).
     pub fn snapshot(&self) -> Option<&MachineSnapshot> {
         match self {
-            SimError::Timeout(t) => Some(&t.snapshot),
-            SimError::Audit { snapshot, .. } => Some(snapshot),
-            SimError::Tso { snapshot, .. } => Some(snapshot),
+            SimError::Run { snapshot, .. } => Some(snapshot),
             SimError::InvalidMethodology { .. } => None,
-            SimError::NoProgress { snapshot, .. } => Some(snapshot),
-            SimError::WallTimeout { snapshot, .. } => Some(snapshot),
             SimError::CellFailed { cause, .. } => cause.snapshot(),
         }
     }
@@ -184,17 +178,27 @@ mod tests {
     use super::*;
     use fa_mem::CoreId;
 
+    fn run(cause: RunFailure) -> SimError {
+        SimError::Run { cause, snapshot: Box::default() }
+    }
+
+    #[test]
+    fn a_failed_run_boxes_its_snapshot_below_the_large_error_bound() {
+        // clippy's large-error threshold: the snapshot is boxed once so no
+        // `Result<_, SimError>` needs another box or a size allow.
+        assert!(std::mem::size_of::<SimError>() <= 128, "{}", std::mem::size_of::<SimError>());
+    }
+
     #[test]
     fn display_includes_violation_and_snapshot() {
-        let e = SimError::Audit {
-            cycle: 42,
-            violation: AuditViolation::LockLeak {
+        let e = SimError::Run {
+            cause: RunFailure::Audit(AuditViolation::LockLeak {
                 line: 0x100,
                 core: CoreId(1),
                 held_for: 99,
                 count: 1,
-            },
-            snapshot: MachineSnapshot::default(),
+            }),
+            snapshot: Box::new(MachineSnapshot { cycle: 42, ..MachineSnapshot::default() }),
         };
         let s = e.to_string();
         assert!(s.contains("cycle 42") && s.contains("lock leak"));
@@ -203,11 +207,10 @@ mod tests {
 
     #[test]
     fn tso_display_names_axiom_and_carries_snapshot() {
-        let e = SimError::Tso {
+        let e = run(RunFailure::Tso(Violation {
             axiom: "rmw-atomicity",
             detail: "intervening write c1/seq 4".into(),
-            snapshot: MachineSnapshot::default(),
-        };
+        }));
         let s = e.to_string();
         assert!(s.contains("TSO conformance violation"), "got: {s}");
         assert!(s.contains("axiom rmw-atomicity"), "got: {s}");
@@ -225,12 +228,11 @@ mod tests {
 
     #[test]
     fn no_progress_display_names_site_and_thresholds() {
-        let e = SimError::NoProgress {
+        let e = run(RunFailure::NoProgress(ProgressReport {
             site: "dir-alloc",
             observed: 5_000_123,
             threshold: 5_000_000,
-            snapshot: MachineSnapshot::default(),
-        };
+        }));
         let s = e.to_string();
         assert!(s.contains("no forward progress"), "got: {s}");
         assert!(s.contains("site dir-alloc"), "got: {s}");
@@ -240,7 +242,7 @@ mod tests {
 
     #[test]
     fn wall_timeout_display_carries_budget_and_snapshot() {
-        let e = SimError::WallTimeout { budget_ms: 1500, snapshot: MachineSnapshot::default() };
+        let e = run(RunFailure::WallTimeout { budget_ms: 1500 });
         let s = e.to_string();
         assert!(s.contains("wall-clock watchdog") && s.contains("1500 ms"), "got: {s}");
         assert!(e.snapshot().is_some());
@@ -251,12 +253,11 @@ mod tests {
         let sim = SimError::CellFailed {
             cell: "TATP/FreeFwd/Tiny".into(),
             attempts: 3,
-            cause: Box::new(CellFailure::Sim(SimError::NoProgress {
+            cause: Box::new(CellFailure::Sim(run(RunFailure::NoProgress(ProgressReport {
                 site: "lsq-retry",
                 observed: 9,
                 threshold: 8,
-                snapshot: MachineSnapshot::default(),
-            })),
+            })))),
         };
         let s = sim.to_string();
         assert!(s.contains("cell TATP/FreeFwd/Tiny"), "got: {s}");

@@ -110,7 +110,7 @@ pub enum FailureKind {
         observed: Vec<Word>,
     },
     /// Audit violation or timeout, with full machine snapshot.
-    Run(Box<SimError>),
+    Run(SimError),
 }
 
 impl fmt::Display for FuzzFailure {
@@ -260,11 +260,11 @@ impl Worker {
         programs: &[Program],
         blank: &GuestMem,
         max_cycles: u64,
-    ) -> Result<(), Box<SimError>> {
+    ) -> Result<(), SimError> {
         let m = &mut self.machine;
         m.reset(cfg, programs, Cow::Borrowed(blank));
         m.set_start_offsets(&fc.offsets);
-        m.run_to_quiescence(max_cycles).map_err(Box::new)?;
+        m.run_to_quiescence(max_cycles)?;
         self.outs.clear();
         self.outs.extend(fc.test.observations(m.guest_mem()));
         Ok(())

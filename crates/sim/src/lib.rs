@@ -32,12 +32,10 @@ pub mod tsoref;
 
 pub use axiom::{CheckReport, Execution, Violation};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use error::{CellFailure, SimError};
+pub use error::{CellFailure, RunFailure, SimError};
 pub use fuzz::{fuzz_litmus, FuzzConfig, FuzzReport};
 pub use litmus::{LOp, LitmusTest};
-pub use machine::{
-    set_wall_deadline, Machine, MachineConfig, MachineSnapshot, RunResult, RunTimeout,
-};
+pub use machine::{set_wall_deadline, Machine, MachineConfig, MachineSnapshot, RunResult};
 pub use methodology::{Methodology, MultiRun};
 pub use presets::{icelake_like, skylake_like, tiny_machine};
 pub use sweep::{run_cells_timed, supervise, CellQuarantine, SweepTiming};

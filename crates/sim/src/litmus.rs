@@ -128,14 +128,14 @@ impl LitmusTest {
         cfg: &MachineConfig,
         offsets: &[u64],
         max_cycles: u64,
-    ) -> Result<Vec<Word>, Box<SimError>> {
+    ) -> Result<Vec<Word>, SimError> {
         let mut m = Machine::new(cfg.clone(), self.to_programs(), blank_image());
         if !offsets.is_empty() {
             let mut o = offsets.to_vec();
             o.resize(self.threads.len(), 0);
             m.set_start_offsets(o);
         }
-        m.run(max_cycles).map_err(Box::new)?;
+        m.run(max_cycles)?;
         Ok(self.observations(m.guest_mem()).collect())
     }
 

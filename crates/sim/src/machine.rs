@@ -1,11 +1,11 @@
 //! The multicore machine: N cores + one memory system, one cycle loop.
 
 use crate::axiom::{self, Execution};
-use crate::error::SimError;
+use crate::error::{RunFailure, SimError};
 use fa_core::{Core, CoreConfig, CoreDiag, CoreStats};
 use fa_isa::interp::GuestMem;
 use fa_isa::Program;
-use fa_mem::{CoreId, MemConfig, MemDiag, MemStats, MemorySystem};
+use fa_mem::{CoreId, MemConfig, MemDiag, MemStats, MemorySystem, ProgressReport};
 use fa_trace::{
     chrome_trace, CheckMode, Counter, CpiLeaf, FlightEntry, MemModel, TraceMode, TraceRecord,
 };
@@ -26,7 +26,7 @@ thread_local! {
 
 /// Arms (or with `None`, disarms) a wall-clock watchdog for subsequent
 /// [`Machine::run`] calls on *this thread*. When the deadline passes
-/// mid-run, the run aborts with [`SimError::WallTimeout`] carrying a full
+/// mid-run, the run aborts with [`RunFailure::WallTimeout`] carrying a full
 /// machine snapshot. The supervised sweep runner arms this per cell
 /// attempt from `FA_CELL_BUDGET`; it is sampled every few thousand loop
 /// iterations, so enforcement granularity is microseconds, not cycles.
@@ -107,31 +107,6 @@ impl fmt::Display for MachineSnapshot {
         Ok(())
     }
 }
-
-/// The run exceeded its cycle budget without quiescing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RunTimeout {
-    /// Budget that was exhausted.
-    pub max_cycles: u64,
-    /// Cores that had halted by then.
-    pub halted: usize,
-    /// Total cores.
-    pub cores: usize,
-    /// Machine state at the moment the budget ran out.
-    pub snapshot: MachineSnapshot,
-}
-
-impl fmt::Display for RunTimeout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "machine did not quiesce within {} cycles ({}/{} cores halted)\n{}",
-            self.max_cycles, self.halted, self.cores, self.snapshot
-        )
-    }
-}
-
-impl std::error::Error for RunTimeout {}
 
 /// Results of a completed run.
 #[derive(Clone, Debug)]
@@ -476,25 +451,17 @@ impl Machine {
     }
 
     /// Runs the axiomatic TSO + RMW-atomicity checker over an execution,
-    /// wrapping any violation in a [`SimError::Tso`] that carries the
-    /// machine snapshot (with the flight-recorder tail when tracing is
+    /// wrapping any violation in a [`RunFailure::Tso`] whose error carries
+    /// the machine snapshot (with the flight-recorder tail when tracing is
     /// on). Public so injection tests can corrupt an execution and prove
     /// the checker is not vacuous.
-    // The Err variant carries a full diagnostic snapshot by design; it is
-    // built once on the cold failure path.
-    #[allow(clippy::result_large_err)]
     pub fn check_execution(&self, x: &Execution) -> Result<(), SimError> {
-        axiom::check_model(x, self.model).map(drop).map_err(|v| self.refuted(v))
+        axiom::check_model(x, self.model).map(drop).map_err(|v| self.failed(RunFailure::Tso(v)))
     }
 
-    /// A refuted axiom as the run's error, with the machine snapshot.
-    fn refuted(&self, v: axiom::Violation) -> SimError {
-        SimError::Tso { axiom: v.axiom, detail: v.detail, snapshot: self.snapshot() }
-    }
-
-    /// Snapshot of the whole machine for diagnostics, once every core is
-    /// settled.
-    fn snapshot(&self) -> MachineSnapshot {
+    /// The run's error: `cause`, with a snapshot of the whole machine for
+    /// diagnostics, taken once every core is settled.
+    fn failed(&self, cause: RunFailure) -> SimError {
         let mut tail: Vec<FlightEntry> = Vec::new();
         for (comp, records) in self.trace_tail(FLIGHT_TAIL) {
             tail.extend(records.into_iter().map(|r| FlightEntry {
@@ -509,12 +476,13 @@ impl Machine {
         tail.sort_by(|a, b| {
             (a.cycle, a.seq, &a.comp).cmp(&(b.cycle, b.seq, &b.comp))
         });
-        MachineSnapshot {
+        let snapshot = Box::new(MachineSnapshot {
             cycle: self.now,
             cores: self.cores.iter().map(|c| c.diag()).collect(),
             mem: self.mem.diag(),
             trace_tail: tail,
-        }
+        });
+        SimError::Run { cause, snapshot }
     }
 
     /// Every non-empty trace ring in a stable component order: cores
@@ -555,19 +523,16 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Timeout`] if the machine does not quiesce within
-    /// `max_cycles` — with the deadlock-avoidance watchdog active this
-    /// indicates either an undersized budget or a genuine forward-progress
-    /// bug, which is exactly what the deadlock test suite looks for — and
-    /// [`SimError::Audit`] on an invariant violation. With
-    /// `MemConfig::progress` escalation enabled (the default), a wedged
-    /// retry site or a core that stops committing raises
-    /// [`SimError::NoProgress`] long before the cycle budget burns down,
-    /// and an armed [`set_wall_deadline`] raises [`SimError::WallTimeout`].
-    /// All carry a [`MachineSnapshot`].
-    // The Err variant carries a full diagnostic snapshot by design; it is
-    // built once on the cold failure path, never per cycle.
-    #[allow(clippy::result_large_err)]
+    /// Returns [`SimError::Run`], with a [`MachineSnapshot`], for every
+    /// failure: [`RunFailure::Timeout`] if the machine does not quiesce
+    /// within `max_cycles` — with the deadlock-avoidance watchdog active
+    /// this indicates either an undersized budget or a genuine
+    /// forward-progress bug, which is exactly what the deadlock test suite
+    /// looks for — and [`RunFailure::Audit`] on an invariant violation.
+    /// With `MemConfig::progress` escalation enabled (the default), a
+    /// wedged retry site or a core that stops committing raises
+    /// [`RunFailure::NoProgress`] long before the cycle budget burns down,
+    /// and an armed [`set_wall_deadline`] raises [`RunFailure::WallTimeout`].
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
         self.run_to_quiescence(max_cycles)?;
         Ok(RunResult {
@@ -579,7 +544,6 @@ impl Machine {
 
     /// [`run`](Self::run) without assembling the result, for a campaign
     /// that reads only guest memory.
-    #[allow(clippy::result_large_err)]
     pub(crate) fn run_to_quiescence(&mut self, max_cycles: u64) -> Result<(), SimError> {
         let audit_on = self.mem.config().audit.enabled;
         let prog = self.mem.config().progress;
@@ -608,11 +572,7 @@ impl Machine {
             if audit_on {
                 if let Err(violation) = self.mem.audit() {
                     self.settle();
-                    return Err(SimError::Audit {
-                        cycle: self.now,
-                        violation,
-                        snapshot: self.snapshot(),
-                    });
+                    return Err(self.failed(RunFailure::Audit(violation)));
                 }
             }
             if self.now >= self.deadline {
@@ -621,13 +581,10 @@ impl Machine {
                 // without a commit.
                 if let Some(lane) = self.lanes.iter().find(|l| self.now >= l.trips) {
                     let observed = self.now - lane.commit.1;
+                    let threshold = prog.stall_cycles;
+                    let r = ProgressReport { site: "core-commit", observed, threshold };
                     self.settle();
-                    return Err(SimError::NoProgress {
-                        site: "core-commit",
-                        observed,
-                        threshold: prog.stall_cycles,
-                        snapshot: self.snapshot(),
-                    });
+                    return Err(self.failed(RunFailure::NoProgress(r)));
                 }
             }
             // Memory-side progress sites and the wall-clock watchdog are
@@ -636,21 +593,13 @@ impl Machine {
             if prog.enabled && iters.is_multiple_of(1024) {
                 if let Some(r) = self.mem.progress_report() {
                     self.settle();
-                    return Err(SimError::NoProgress {
-                        site: r.site,
-                        observed: r.observed,
-                        threshold: r.threshold,
-                        snapshot: self.snapshot(),
-                    });
+                    return Err(self.failed(RunFailure::NoProgress(r)));
                 }
             }
             if iters.is_multiple_of(4096) {
                 if let Some(budget_ms) = wall_deadline_expired() {
                     self.settle();
-                    return Err(SimError::WallTimeout {
-                        budget_ms,
-                        snapshot: self.snapshot(),
-                    });
+                    return Err(self.failed(RunFailure::WallTimeout { budget_ms }));
                 }
             }
             // Every core has halted, and a halted core is credited nothing,
@@ -666,18 +615,13 @@ impl Machine {
                 if self.cores.iter().any(|c| !c.data_events().is_empty()) {
                     let cores = self.cores.iter().map(Core::data_events);
                     let verdict = self.checker.check(cores, self.mem.ser_events(), self.model);
-                    verdict.map_err(|v| self.refuted(v))?;
+                    verdict.map_err(|v| self.failed(RunFailure::Tso(v)))?;
                 }
                 return Ok(());
             }
         }
         self.settle();
-        Err(SimError::Timeout(RunTimeout {
-            max_cycles,
-            halted: self.cores.iter().filter(|c| c.halted()).count(),
-            cores: self.cores.len(),
-            snapshot: self.snapshot(),
-        }))
+        Err(self.failed(RunFailure::Timeout { max_cycles }))
     }
 }
 
@@ -757,16 +701,22 @@ mod tests {
         let mut m =
             Machine::new(MachineConfig::default(), vec![spin_prog()], GuestMem::new(1 << 12));
         let err = m.run(10_000).unwrap_err();
-        let SimError::Timeout(t) = err else { panic!("expected timeout, got {err:?}") };
-        assert_eq!(t.halted, 0);
-        assert_eq!(t.cores, 1);
-        assert!(t.to_string().contains("did not quiesce"));
+        let SimError::Run { cause: RunFailure::Timeout { max_cycles: 10_000 }, snapshot } = &err
+        else {
+            panic!("expected timeout, got {err:?}")
+        };
+        // The halted count is derived from the snapshot's cores.
+        let text = err.to_string();
+        assert_eq!(
+            text.lines().next(),
+            Some("machine did not quiesce within 10000 cycles (0/1 cores halted)")
+        );
         // The diagnostic snapshot names the spinning core's state.
-        assert_eq!(t.snapshot.cycle, 10_000);
-        assert_eq!(t.snapshot.cores.len(), 1);
-        assert!(!t.snapshot.cores[0].halted);
-        assert!(t.snapshot.cores[0].committed > 0, "the spin commits instructions");
-        assert!(t.to_string().contains("machine state at cycle"));
+        assert_eq!(snapshot.cycle, 10_000);
+        assert_eq!(snapshot.cores.len(), 1);
+        assert!(!snapshot.cores[0].halted);
+        assert!(snapshot.cores[0].committed > 0, "the spin commits instructions");
+        assert!(text.contains("machine state at cycle"));
     }
 
     #[test]
@@ -781,9 +731,15 @@ mod tests {
         let mut m = Machine::new(cfg, vec![spin_prog()], GuestMem::new(1 << 12));
         let err = m.run(100_000).unwrap_err();
         match err {
-            SimError::NoProgress { site: "core-commit", observed, threshold: 2, .. } => {
-                assert!(observed > 2)
-            }
+            SimError::Run {
+                cause:
+                    RunFailure::NoProgress(ProgressReport {
+                        site: "core-commit",
+                        observed,
+                        threshold: 2,
+                    }),
+                ..
+            } => assert!(observed > 2),
             other => panic!("expected NoProgress, got {other:?}"),
         }
     }
@@ -1020,7 +976,7 @@ mod tests {
     fn checked_run_rejects_corrupted_execution() {
         // Machine::check_execution is the injection surface: corrupt one
         // committed store's value and the co-wf axiom must fire, wrapped in
-        // a SimError::Tso carrying a snapshot.
+        // a RunFailure::Tso carrying a snapshot.
         let cfg = MachineConfig::default().with_check(CheckMode::Tso);
         let mut m = Machine::new(cfg, vec![counter_prog(10); 2], GuestMem::new(1 << 16));
         m.run(2_000_000).expect("clean run");
@@ -1032,9 +988,12 @@ mod tests {
             }
         }
         let err = m.check_execution(&x).unwrap_err();
-        let SimError::Tso { axiom, .. } = &err else { panic!("expected Tso, got {err:?}") };
+        let SimError::Run { cause: RunFailure::Tso(v), .. } = &err else {
+            panic!("expected Tso, got {err:?}")
+        };
+        let axiom = v.axiom;
         assert!(
-            *axiom == "co-wf" || *axiom == "rf-wf",
+            axiom == "co-wf" || axiom == "rf-wf",
             "value corruption must trip a well-formedness axiom, got {axiom}"
         );
         assert!(err.snapshot().is_some());

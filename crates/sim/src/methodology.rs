@@ -45,8 +45,6 @@ impl Methodology {
     ///
     /// [`SimError::InvalidMethodology`] when `runs == 0` (the mean would
     /// divide by zero) or `drop_slowest >= runs` (every run discarded).
-    // Cold validation path; SimError's large variants dominate its size.
-    #[allow(clippy::result_large_err)]
     pub fn validate(&self) -> Result<(), SimError> {
         if self.runs == 0 || self.drop_slowest >= self.runs {
             return Err(SimError::InvalidMethodology {
@@ -72,8 +70,6 @@ impl Methodology {
     /// # Errors
     ///
     /// Any [`SimError`] the run raises.
-    // Cold failure path; the error's diagnostic snapshot dominates its size.
-    #[allow(clippy::result_large_err)]
     pub fn run_single(
         &self,
         cfg: &MachineConfig,
@@ -96,8 +92,6 @@ impl Methodology {
     ///
     /// [`SimError::InvalidMethodology`] as [`Methodology::validate`], or if
     /// `results` does not hold exactly `runs` entries.
-    // Cold validation path; SimError's large variants dominate its size.
-    #[allow(clippy::result_large_err)]
     pub fn summarize(&self, mut results: Vec<RunResult>) -> Result<MultiRun, SimError> {
         self.validate()?;
         if results.len() != self.runs {

@@ -21,7 +21,7 @@
 //! take on crossbeam's scoped threads — so borrowed jobs and closures need
 //! no `'static` bound and no external dependency.
 
-use crate::error::{CellFailure, SimError};
+use crate::error::{CellFailure, RunFailure, SimError};
 use crate::machine::set_wall_deadline;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -91,16 +91,16 @@ where
     merged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A supervised cell that failed every attempt: how many attempts were
-/// made and the last attempt's failure. The campaign quarantines the cell
-/// and continues.
+/// A supervised cell that failed: how many attempts were made and the
+/// last attempt's failure. The campaign quarantines the cell and
+/// continues.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellQuarantine {
-    /// Attempts made (1 + retries).
+    /// Attempts made: 1, or up to 1 + retries for a cell the wall-clock
+    /// watchdog stopped.
     pub attempts: u32,
-    /// The last attempt's failure (boxed: a `SimError` carries a full
-    /// machine snapshot, and the healthy path should stay thin).
-    pub failure: Box<CellFailure>,
+    /// The last attempt's failure.
+    pub failure: CellFailure,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -115,8 +115,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs `f` under per-cell isolation: panics are caught at this boundary,
 /// the thread's wall-clock watchdog ([`set_wall_deadline`]) is armed for
-/// each attempt, and failed attempts are retried up to `retries` times
-/// before the cell is quarantined with its last failure.
+/// each attempt, and the cell is quarantined with its last failure. A cell
+/// is a pure function of its inputs, so a failure repeats on every attempt
+/// — a panic and every [`SimError`] alike — and is quarantined at once;
+/// only [`RunFailure::WallTimeout`], which depends on the host's load, is
+/// retried, up to `retries` times.
 ///
 /// The default panic hook still prints each caught panic to stderr; that
 /// noise is deliberate (the campaign log should show what happened), and
@@ -137,8 +140,12 @@ pub fn supervise<R>(
             Ok(Err(e)) => CellFailure::Sim(e),
             Err(payload) => CellFailure::Panic(panic_message(payload)),
         };
-        if attempts > retries {
-            return Err(CellQuarantine { attempts, failure: Box::new(failure) });
+        let host_bound = matches!(
+            failure,
+            CellFailure::Sim(SimError::Run { cause: RunFailure::WallTimeout { .. }, .. })
+        );
+        if !host_bound || attempts > retries {
+            return Err(CellQuarantine { attempts, failure });
         }
     }
 }
@@ -205,10 +212,12 @@ where
 }
 
 #[cfg(test)]
-// Test closures return SimError directly; the cold-path size is fine.
-#[allow(clippy::result_large_err)]
 mod tests {
     use super::*;
+
+    fn wall_timeout(budget_ms: u64) -> SimError {
+        SimError::Run { cause: RunFailure::WallTimeout { budget_ms }, snapshot: Box::default() }
+    }
 
     #[test]
     fn merges_in_cell_index_order() {
@@ -244,7 +253,7 @@ mod tests {
         let r: Result<u64, CellQuarantine> = supervise(2, None, || {
             calls += 1;
             if calls < 3 {
-                Err(SimError::InvalidMethodology { runs: 0, drop_slowest: 0 })
+                Err(wall_timeout(calls))
             } else {
                 Ok(7)
             }
@@ -258,15 +267,36 @@ mod tests {
         let mut calls = 0u32;
         let r: Result<u64, CellQuarantine> = supervise(1, None, || {
             calls += 1;
-            Err(SimError::InvalidMethodology { runs: calls as usize, drop_slowest: 0 })
+            Err(wall_timeout(u64::from(calls)))
         });
         let q = r.expect_err("every attempt failed");
         assert_eq!(q.attempts, 2, "one initial attempt + one retry");
         assert_eq!(
-            *q.failure,
-            CellFailure::Sim(SimError::InvalidMethodology { runs: 2, drop_slowest: 0 }),
+            q.failure,
+            CellFailure::Sim(wall_timeout(2)),
             "the quarantine carries the LAST attempt's failure"
         );
+    }
+
+    #[test]
+    fn supervise_does_not_retry_a_failure_that_must_repeat() {
+        let mut calls = 0u32;
+        let r: Result<u64, CellQuarantine> = supervise(3, None, || {
+            calls += 1;
+            Err(SimError::InvalidMethodology { runs: 0, drop_slowest: 0 })
+        });
+        let q = r.expect_err("the cell fails");
+        assert_eq!((q.attempts, calls), (1, 1), "a deterministic error is not retried");
+        let invalid = SimError::InvalidMethodology { runs: 0, drop_slowest: 0 };
+        assert_eq!(q.failure, CellFailure::Sim(invalid));
+
+        let mut calls = 0u32;
+        let r: Result<(), CellQuarantine> = supervise(3, None, || {
+            calls += 1;
+            panic!("deterministic")
+        });
+        let q = r.expect_err("the cell panics");
+        assert_eq!((q.attempts, calls), (1, 1), "a panic is not retried");
     }
 
     #[test]
@@ -275,7 +305,7 @@ mod tests {
             supervise(0, None, || panic!("wedged at cycle {}", 42));
         let q = r.expect_err("panics must not unwind past supervise");
         assert_eq!(q.attempts, 1);
-        assert_eq!(*q.failure, CellFailure::Panic("wedged at cycle 42".to_string()));
+        assert_eq!(q.failure, CellFailure::Panic("wedged at cycle 42".to_string()));
     }
 
     #[test]
@@ -292,9 +322,9 @@ mod tests {
             assert_eq!(rs.len(), 20);
             for (i, r) in rs.iter().enumerate() {
                 if i == 13 {
-                    let q = r.as_ref().expect_err("cell 13 panics every attempt");
-                    assert_eq!(q.attempts, 2);
-                    assert_eq!(*q.failure, CellFailure::Panic("unlucky cell".to_string()));
+                    let q = r.as_ref().expect_err("cell 13 panics");
+                    assert_eq!(q.attempts, 1, "a panic repeats, so it is not retried");
+                    assert_eq!(q.failure, CellFailure::Panic("unlucky cell".to_string()));
                 } else {
                     assert_eq!(*r, Ok(i as u64 * 10), "threads={threads}");
                 }

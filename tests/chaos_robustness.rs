@@ -14,7 +14,7 @@ use fa_isa::{Kasm, Program, Reg};
 use fa_mem::{AuditConfig, ChaosConfig, NocConfig};
 use fa_sim::fuzz::{fuzz_litmus, FuzzConfig};
 use fa_sim::presets::tiny_machine;
-use fa_sim::{CheckMode, DataEvent, Machine, SimError, WRITE_ID_INIT};
+use fa_sim::{CheckMode, DataEvent, Machine, RunFailure, SimError, WRITE_ID_INIT};
 
 /// The issue's acceptance bar: ≥500 seeded cases across ≥2 atomic
 /// policies with fault injection enabled, zero TSO violations and zero
@@ -150,11 +150,12 @@ fn injected_store_value_swap_is_caught_and_names_the_axiom() {
     put(idx[0], vb);
     put(idx[1], va);
     let err = m.check_execution(&x).expect_err("swapped store values must be rejected");
-    let SimError::Tso { axiom, .. } = &err else {
+    let SimError::Run { cause: RunFailure::Tso(v), .. } = &err else {
         panic!("expected a TSO violation, got {err}");
     };
+    let axiom = v.axiom;
     assert!(
-        *axiom == "rf-wf" || *axiom == "co-wf",
+        axiom == "rf-wf" || axiom == "co-wf",
         "store-value swap must fail well-formedness, got {axiom}"
     );
     assert!(err.to_string().contains(axiom), "error must name the axiom: {err}");
@@ -206,10 +207,10 @@ fn injected_rmw_window_drop_is_caught_and_names_rmw_atomicity() {
     *writer = pw;
     *value = pv;
     let err = m.check_execution(&x).expect_err("a non-adjacent RMW pair must be rejected");
-    let SimError::Tso { axiom, .. } = &err else {
+    let SimError::Run { cause: RunFailure::Tso(v), .. } = &err else {
         panic!("expected a TSO violation, got {err}");
     };
-    assert_eq!(*axiom, "rmw-atomicity", "window drop must be attributed precisely");
+    assert_eq!(v.axiom, "rmw-atomicity", "window drop must be attributed precisely");
     assert!(err.to_string().contains("rmw-atomicity"), "error must name the axiom: {err}");
 }
 

@@ -3,7 +3,7 @@
 //! The deadlock gallery (`tests/deadlock_gallery.rs`) proves the §3.2.5
 //! rescue valves *resolve* every wedge; this suite welds those valves shut
 //! and proves the progress layer *detects* each wedge instead — promptly,
-//! at the right site, and with the structured `SimError::NoProgress`
+//! at the right site, and with the structured `RunFailure::NoProgress`
 //! stuck-resource report. One scenario per site:
 //!
 //! * `core-commit` — the crossed-RMW deadlock of Figure 5, tipped into a
@@ -23,9 +23,9 @@
 //! runs the escalation thresholds never trip, no rescue fires, and
 //! results are bit-identical with the progress config on or off.
 
-use free_atomics::mem::{ChaosConfig, NocConfig, ProgressConfig};
+use free_atomics::mem::{ChaosConfig, NocConfig, ProgressConfig, ProgressReport};
 use free_atomics::prelude::*;
-use free_atomics::sim::SimError;
+use free_atomics::sim::{RunFailure, SimError};
 
 const A: i64 = 0x1000;
 const B: i64 = 0x2000;
@@ -55,9 +55,10 @@ fn rmw_pair(first: i64, second: i64, iters: i64) -> Program {
 /// Unwraps the expected escalation, or panics with whatever else happened.
 fn expect_no_progress(r: Result<RunResult, SimError>) -> (&'static str, u64, u64) {
     match r {
-        Err(SimError::NoProgress { site, observed, threshold, .. }) => {
-            (site, observed, threshold)
-        }
+        Err(SimError::Run {
+            cause: RunFailure::NoProgress(ProgressReport { site, observed, threshold }),
+            ..
+        }) => (site, observed, threshold),
         Ok(r) => panic!("wedge resolved itself in {} cycles; nothing detected", r.cycles),
         Err(other) => panic!("expected NoProgress, got: {other}"),
     }

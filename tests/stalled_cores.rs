@@ -10,7 +10,7 @@
 
 use fa_mem::{AuditConfig, ChaosConfig, NocConfig};
 use free_atomics::prelude::*;
-use free_atomics::sim::SimError;
+use free_atomics::sim::{RunFailure, SimError};
 
 /// Runs the machine to quiescence; returns the result, the final guest
 /// memory and the number of core ticks skipped as stalled.
@@ -182,7 +182,9 @@ fn a_welded_watchdog_does_not_overflow_the_stall_horizon() {
         let mut m = Machine::new(cfg.clone(), programs.clone(), GuestMem::new(1 << 20));
         m.set_fast_paths(fast_paths);
         match m.run(30_000) {
-            Err(SimError::Timeout(t)) => (t.snapshot, m.skipped_core_ticks()),
+            Err(SimError::Run { cause: RunFailure::Timeout { .. }, snapshot }) => {
+                (snapshot, m.skipped_core_ticks())
+            }
             other => panic!("fast_paths={fast_paths}: expected a timeout, got {other:?}"),
         }
     };
@@ -297,8 +299,10 @@ fn core_commit_trips_at_the_same_cycle_from_inside_a_jump() {
             let mut m = Machine::new(cfg.clone(), vec![program.clone()], GuestMem::new(1 << 16));
             m.set_fast_paths(fast_paths);
             match m.run(1_000_000) {
-                Err(SimError::NoProgress { site: "core-commit", observed, snapshot, .. }) => {
-                    (observed, snapshot, m.skipped_core_ticks())
+                Err(SimError::Run { cause: RunFailure::NoProgress(r), snapshot })
+                    if r.site == "core-commit" =>
+                {
+                    (r.observed, snapshot, m.skipped_core_ticks())
                 }
                 other => {
                     panic!("{what}, fast_paths={fast_paths}: expected core-commit, got {other:?}")
@@ -345,8 +349,10 @@ fn a_core_commit_snapshot_counts_the_watchdog_through_a_jump() {
         m.set_start_offsets(vec![1_000, 0]);
         m.set_fast_paths(fast_paths);
         match m.run(1_000_000) {
-            Err(SimError::NoProgress { site: "core-commit", observed, snapshot, .. }) => {
-                (observed, snapshot, m.skipped_core_ticks())
+            Err(SimError::Run { cause: RunFailure::NoProgress(r), snapshot })
+                if r.site == "core-commit" =>
+            {
+                (r.observed, snapshot, m.skipped_core_ticks())
             }
             other => panic!("fast_paths={fast_paths}: expected core-commit, got {other:?}"),
         }
@@ -381,7 +387,7 @@ fn lock_leak_trips_at_the_same_cycle_from_inside_a_jump() {
                     m.set_fast_paths(fast_paths);
                     match m.run(1_000_000) {
                         Ok(r) => Ok((r.cycles, r.per_core, r.mem)),
-                        Err(e @ SimError::Audit { .. }) => Err(Box::new(e)),
+                        Err(e @ SimError::Run { cause: RunFailure::Audit(_), .. }) => Err(e),
                         Err(e) => panic!("{what}, fast_paths={fast_paths}: {e}"),
                     }
                 };
