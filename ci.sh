@@ -64,6 +64,9 @@ trap - EXIT
 # A failed run is one `SimError::Run` with its snapshot boxed once: no
 # outer box, no size allow, no separate timeout type.
 ! grep -rnE 'result_large_err|RunTimeout|Box<SimError>|map_err\(Box::new\)' crates src tests examples || exit 1
+# A campaign is a pure function of its inputs: no wall-clock watchdog, no
+# thread-local deadline, no retries — a failed cell is quarantined once.
+! grep -rnwE 'set_wall_deadline|wall_deadline_expired|WALL_DEADLINE|WallTimeout|CellQuarantine|CellBudget|FA_RETRIES' crates src tests examples README.md || exit 1
 # One crossbar, every counter declared once, one trace walk per layer.
 ! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
 # The suite is one table and the litmus op one enum: the macro and the
@@ -374,7 +377,7 @@ grep -q 'verdict: OK — 8 cell(s) compared' target/report_fig16.txt
 # quarantine every cell (structured failure in the report's quarantine
 # block) while the campaign itself completes and exits 2, not 1, not 0.
 rc=0
-mini FA_CELL_BUDGET=200 FA_RETRIES=0 FA_BENCH_JSON=target/BENCH_sweep_wedged.json \
+mini FA_CELL_BUDGET=200 FA_BENCH_JSON=target/BENCH_sweep_wedged.json \
     $FA sweep || rc=$?
 test "$rc" -eq 2
 grep -q '"quarantine"' target/BENCH_sweep_wedged.json

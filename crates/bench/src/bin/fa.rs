@@ -182,7 +182,7 @@ fn sweep(cmd: &Command, _: &[String]) -> Outcome {
     let cells = grid(&opts.workloads(), &policies_from_env(), &presets_from_env());
     println!(
         "# sweep: {} cells (cores={}, scale={}, runs={}, drop={}, threads={}, noc={}, \
-         retries={}, budget={:?}, checkpoint={:?})",
+         budget={:?}, checkpoint={:?})",
         cells.len(),
         opts.cores,
         opts.scale,
@@ -190,8 +190,7 @@ fn sweep(cmd: &Command, _: &[String]) -> Outcome {
         opts.drop_slowest,
         opts.threads,
         opts.noc.policy.name(),
-        sup.retries,
-        sup.budget,
+        sup.max_cycles,
         sup.checkpoint,
     );
     let (outcome, timing) = run_grid_supervised(&opts, &sup, &cells)
@@ -220,7 +219,7 @@ fn sweep(cmd: &Command, _: &[String]) -> Outcome {
     for q in &report.quarantine {
         let failure = q.failure.to_string();
         let first = failure.lines().next().unwrap_or("(no detail)");
-        let _ = write!(text, "\n  {} after {} attempt(s): {first}", q.cell, q.attempts);
+        let _ = write!(text, "\n  {}: {first}", q.cell);
     }
     Err(Quarantined(text))
 }
@@ -320,7 +319,7 @@ fn conformance(cmd: &Command, _: &[String]) -> Outcome {
                     }
                     f => {
                         failures += 1;
-                        format!("FAILED (after {} attempt(s)): {f}", q.attempts)
+                        format!("FAILED: {f}")
                     }
                 };
                 println!("{} {status}", line("-".into()));
@@ -360,13 +359,12 @@ fn fuzz_base(opts: &BenchOpts) -> MachineConfig {
 /// Case generation is serial and seeded, so the report is bit-identical at
 /// any `FA_THREADS`; each failure prints with its replay identity (seed,
 /// case index, policy). The whole campaign runs under [`supervise`]: a panic
-/// anywhere in the fuzzer (or an expired `FA_CELL_BUDGET` wall-clock
-/// watchdog) is caught and reported instead of unwinding or hanging CI.
+/// anywhere in the fuzzer is caught and reported (exit 2) instead of
+/// unwinding.
 fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
     let opts = cmd.opts();
     let fcfg = fuzz_config(&opts);
     let base = fuzz_base(&opts);
-    let sup = SupervisorOpts::from_env();
     println!(
         "# fuzz: {} cases (seed={}, shape={}x{}, model={}, check={}, trace={})",
         fcfg.cases,
@@ -377,13 +375,8 @@ fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
         fcfg.check.name(),
         opts.trace.name(),
     );
-    let report = supervise(sup.retries, sup.budget.wall, || Ok(fuzz_litmus(&base, &fcfg)))
-        .map_err(|q| {
-            Quarantined(format!(
-                "fuzz campaign quarantined after {} attempt(s): {}",
-                q.attempts, q.failure
-            ))
-        })?;
+    let report = supervise(|| Ok(fuzz_litmus(&base, &fcfg)))
+        .map_err(|f| Quarantined(format!("fuzz campaign quarantined: {f}")))?;
     print!("{report}");
     if !report.ok() {
         return Err(Failed(format!("fuzz: {} finding(s)", report.failures.len())));
@@ -612,7 +605,6 @@ mod tests {
                 "FA_CHECK" => env::parse_check_setting(d) == Ok(o.check) && o.check == FULL.2,
                 "FA_MODEL" => env::parse_model_setting(d) == Ok(o.model) && o.model == f.model,
                 "FA_PROGRESS" => env::parse_progress(d) == Some(o.progress),
-                "FA_RETRIES" => !unset(k.name) || d == SupervisorOpts::from_env().retries.to_string(),
                 "FA_FUZZ_CASES" => !unset(k.name) || d == fuzz_config(&o).cases.to_string(),
                 "FA_BENCH_JSON" => !unset(k.name) || SweepReport::default_path().as_os_str() == d,
                 "FA_FUZZ_SEED" => d == f.seed.to_string(),

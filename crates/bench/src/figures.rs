@@ -713,7 +713,6 @@ pub fn ablation(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fa_sim::env::CellBudget;
 
     #[test]
     fn a_failed_cell_fails_the_figure_naming_the_cell() {
@@ -721,14 +720,11 @@ mod tests {
         // the supervisor it is given, and must come back as an error naming
         // kernel/policy/preset, never as a partial table.
         let opts = BenchOpts { cores: 2, scale: 0.05, runs: 1, drop_slowest: 0, ..BenchOpts::default() };
-        let sup = SupervisorOpts {
-            budget: CellBudget { max_cycles: Some(1), wall: None },
-            ..SupervisorOpts::none()
-        };
+        let sup = SupervisorOpts { max_cycles: Some(1), ..SupervisorOpts::none() };
         let err = fig14_exec_time(&opts, &sup).expect_err("every cell times out");
         let first = opts.workloads()[0].name;
         assert!(
-            matches!(&err, SimError::CellFailed { cell, attempts: 1, .. }
+            matches!(&err, SimError::CellFailed { cell, .. }
                 if *cell == format!("{first}/baseline/icelake")),
             "{err}"
         );

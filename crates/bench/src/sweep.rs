@@ -3,9 +3,9 @@
 //! with wall-clock / simulated-MIPS accounting emitted as
 //! `BENCH_sweep.json`.
 //!
-//! The cell is the unit of parallelism, retry, budget and journaling: one
-//! job on [`fa_sim::sweep::run_cells_timed`] runs every methodology run of
-//! its cell serially and summarizes them with [`Methodology::summarize`].
+//! The cell is the unit of parallelism, budget, quarantine and journaling:
+//! one job on [`fa_sim::sweep::run_cells_timed`] runs every methodology run
+//! of its cell serially and summarizes them with [`Methodology::summarize`].
 //! Each run derives its perturbations from its own `seed + run` stream, so
 //! the per-cell summaries (and therefore the emitted rows) are
 //! bit-identical at any worker-thread count; only the timing block
@@ -188,42 +188,37 @@ pub struct CellResult {
     pub summary: MultiRun,
 }
 
-/// Supervision settings for a sweep campaign: per-cell retries, the
-/// simulated-cycle / wall-clock cell budget, and the optional checkpoint
-/// journal for kill/resume.
+/// Supervision settings for a sweep campaign: the per-run simulated-cycle
+/// cap of a cell and the optional checkpoint journal for kill/resume.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorOpts {
-    /// Retries of a cell the wall-clock watchdog stopped (`FA_RETRIES`);
-    /// every other failure repeats, so it is quarantined at once.
-    pub retries: u32,
-    /// Per-cell budget (`FA_CELL_BUDGET`): an optional simulated-cycle cap
-    /// overriding the methodology's `max_cycles`, and an optional
-    /// wall-clock watchdog armed for each attempt.
-    pub budget: env::CellBudget,
+    /// Per-run simulated-cycle cap of a cell (`FA_CELL_BUDGET`),
+    /// overriding the methodology's `max_cycles` when set.
+    pub max_cycles: Option<u64>,
     /// Checkpoint journal path (`FA_CHECKPOINT`); `None` disables
     /// checkpointing.
     pub checkpoint: Option<PathBuf>,
 }
 
 impl SupervisorOpts {
-    /// Reads the retries and the cell budget from the environment. The
-    /// checkpoint journal stays off: only `fa sweep` journals, as a figure
-    /// needs every cell's run statistics, which a journal does not keep.
+    /// Reads the cell budget from the environment. The checkpoint journal
+    /// stays off: only `fa sweep` journals, as a figure needs every cell's
+    /// run statistics, which a journal does not keep.
     ///
     /// # Panics
     ///
     /// Panics on any set-but-malformed variable, naming the grammar.
     pub fn from_env() -> SupervisorOpts {
         SupervisorOpts {
-            retries: env::get("FA_RETRIES", str::parse).unwrap_or(1),
-            budget: env::get("FA_CELL_BUDGET", |v| env::parse_cell_budget(v).ok_or("no such budget"))
-                .unwrap_or_default(),
+            max_cycles: env::get("FA_CELL_BUDGET", |v| {
+                env::parse_cell_budget(v).ok_or("not a positive cycle count")
+            }),
             checkpoint: None,
         }
     }
 
-    /// No retries, no budget override, no checkpointing — supervision is
-    /// pure isolation (panics still quarantine instead of unwinding). With
+    /// No budget override, no checkpointing — supervision is pure isolation
+    /// (panics still quarantine instead of unwinding). With
     /// [`SweepOutcome::take_results`] a failed cell becomes the caller's
     /// error.
     pub fn none() -> SupervisorOpts {
@@ -232,16 +227,17 @@ impl SupervisorOpts {
 }
 
 /// One quarantined cell, as recorded in the report's `quarantine` block:
-/// the campaign completed without it after its attempts failed.
+/// the campaign completed without it after it failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QuarantinedCell {
     /// Cell identity (`kernel/policy/preset`).
     pub cell: String,
-    /// Attempts made: 1, or up to 1 + retries when the wall-clock
-    /// watchdog stopped the cell.
+    /// Attempts made: always 1, as a cell is a pure function of its inputs
+    /// and its failure would repeat. Kept for readers of the report's
+    /// `quarantine` block; a later report-format change can delete it.
     pub attempts: u32,
-    /// The last attempt's failure — for simulation errors this carries
-    /// the machine snapshot with the flight-recorder tail.
+    /// The cell's failure — for simulation errors this carries the
+    /// machine snapshot with the flight-recorder tail.
     pub failure: CellFailure,
 }
 
@@ -258,7 +254,7 @@ pub struct SweepOutcome {
     /// One entry per grid cell: the measured result of a cell run in this
     /// process, `None` for a journal-resumed or quarantined one.
     pub results: Vec<Option<CellResult>>,
-    /// Cells that failed every attempt, in grid order.
+    /// Cells that failed, in grid order.
     pub quarantine: Vec<QuarantinedCell>,
     /// Cells replayed from the checkpoint journal instead of re-run.
     pub resumed: usize,
@@ -277,16 +273,16 @@ impl SweepOutcome {
     /// # Errors
     ///
     /// [`SimError::CellFailed`] naming the first cell (in grid order)
-    /// without a result — quarantined, with its last failure, or replayed
+    /// without a result — quarantined, with its failure, or replayed
     /// from the checkpoint journal — so no driver renders a partial table.
     pub fn take_results(&mut self, cells: &[SweepCell]) -> Result<Vec<CellResult>, SimError> {
         if let Some(i) = self.results.iter().position(Option::is_none) {
             let cell = cells[i].name();
-            let (attempts, cause) = match self.quarantine.iter().find(|q| q.cell == cell) {
-                Some(q) => (q.attempts, q.failure.clone()),
-                None => (0, CellFailure::Resumed),
+            let cause = match self.quarantine.iter().find(|q| q.cell == cell) {
+                Some(q) => q.failure.clone(),
+                None => CellFailure::Resumed,
             };
-            return Err(SimError::CellFailed { cell, attempts, cause: Box::new(cause) });
+            return Err(SimError::CellFailed { cell, cause: Box::new(cause) });
         }
         Ok(std::mem::take(&mut self.results).into_iter().flatten().collect())
     }
@@ -296,7 +292,7 @@ impl SweepOutcome {
 /// over everything that affects simulated rows — sizing, methodology,
 /// seed, NoC, check mode, memory model, progress thresholds, the chaos
 /// seed, the cycle budget, and the cell identities — and nothing that does
-/// not (worker-thread count, trace mode, wall-clock budget).
+/// not (worker-thread count, trace mode).
 pub fn campaign_fingerprint(opts: &BenchOpts, budget_cycles: Option<u64>, cells: &[SweepCell]) -> u64 {
     let mut s = format!(
         "cores={} scale={:?} runs={} drop={} seed={} noc={:?} check={:?} model={:?} \
@@ -343,11 +339,10 @@ fn run_one_cell(
 }
 
 /// Runs the grid across `opts.threads` workers, each cell one isolated job
-/// — panics caught, the `FA_CELL_BUDGET` watchdogs armed, a cell the
-/// wall-clock watchdog stopped retried `sup.retries` times, failed cells
-/// quarantined into the outcome instead of aborting the campaign — and,
-/// when `sup.checkpoint` is set, every completed cell is journaled as it
-/// finishes so a killed campaign resumes exactly where it stopped.
+/// — panics caught, failed cells quarantined into the outcome after one
+/// attempt instead of aborting the campaign — and, when `sup.checkpoint` is
+/// set, every completed cell is journaled as it finishes so a killed
+/// campaign resumes exactly where it stopped.
 ///
 /// Completed rows are byte-identical at any worker-thread count, with or
 /// without an intervening kill/resume.
@@ -367,13 +362,13 @@ pub fn run_grid_supervised(
     cells: &[SweepCell],
 ) -> Result<(SweepOutcome, SweepTiming), SimError> {
     let mut meth = opts.methodology();
-    if let Some(c) = sup.budget.max_cycles {
+    if let Some(c) = sup.max_cycles {
         meth.max_cycles = c;
     }
     meth.validate()?;
     let params = opts.params();
     let journal = sup.checkpoint.as_deref().map(|p| {
-        let fp = campaign_fingerprint(opts, sup.budget.max_cycles, cells);
+        let fp = campaign_fingerprint(opts, sup.max_cycles, cells);
         Journal::open(p, fp, cells.len())
             .unwrap_or_else(|e| panic!("FA_CHECKPOINT {}: {e}", p.display()))
     });
@@ -384,9 +379,7 @@ pub fn run_grid_supervised(
         &pending,
         opts.threads,
         |_, &ci| {
-            let r = supervise(sup.retries, sup.budget.wall, || {
-                run_one_cell(opts, &meth, &params, &cells[ci])
-            });
+            let r = supervise(|| run_one_cell(opts, &meth, &params, &cells[ci]));
             if let (Ok((rec, _)), Some(j)) = (&r, &journal) {
                 // Journal the success before the worker moves on: a kill
                 // after this point cannot lose the cell.
@@ -418,12 +411,8 @@ pub fn run_grid_supervised(
                 row_lines.push(rec.row.to_string());
                 measured.push(Some(result));
             }
-            Err(q) => {
-                quarantine.push(QuarantinedCell {
-                    cell: cell.name(),
-                    attempts: q.attempts,
-                    failure: q.failure,
-                });
+            Err(failure) => {
+                quarantine.push(QuarantinedCell { cell: cell.name(), attempts: 1, failure });
                 measured.push(None);
             }
         }
@@ -1124,7 +1113,7 @@ mod tests {
                     let err = resumed.take_results(&cells).expect_err("replayed cells");
                     let want = cells[resumed.results.iter().position(Option::is_none).expect("one")];
                     assert!(
-                        matches!(&err, SimError::CellFailed { cell, attempts: 0, cause }
+                        matches!(&err, SimError::CellFailed { cell, cause }
                             if *cell == want.name() && **cause == CellFailure::Resumed),
                         "{err}"
                     );
@@ -1165,44 +1154,48 @@ mod tests {
     fn exhausted_cell_budget_quarantines_and_the_campaign_completes() {
         let cells = small_grid();
         // 200 cycles is far too few for any cell: it times out, and since
-        // a cycle budget repeats on every attempt the cell is quarantined
-        // without a retry — but the campaign still returns Ok with a
-        // structured report per lost cell.
-        let sup = SupervisorOpts {
-            retries: 1,
-            budget: env::CellBudget { max_cycles: Some(200), wall: None },
-            checkpoint: None,
-        };
-        let (mut out, _) = run_grid_supervised(&small_opts(1), &sup, &cells).expect("campaign");
-        assert!(out.row_lines.is_empty());
-        assert!(out.results.iter().all(Option::is_none));
-        assert_eq!(out.quarantine.len(), cells.len());
-        let q = &out.quarantine[0];
-        assert_eq!(q.cell, "TATP/baseline/tiny");
-        assert_eq!(q.attempts, 1, "a cycle-budget timeout is not retried under FA_RETRIES=1");
-        assert!(q.failure.to_string().contains("did not quiesce within 200 cycles"), "{}", q.failure);
+        // a cell is a pure function of its inputs it is quarantined after
+        // one attempt — but the campaign still returns Ok with a
+        // structured report per lost cell, the same at any thread count.
+        let sup = SupervisorOpts { max_cycles: Some(200), checkpoint: None };
+        let mut quarantine_json = Vec::new();
+        for threads in [1, 4] {
+            let opts = small_opts(threads);
+            let (mut out, _) = run_grid_supervised(&opts, &sup, &cells).expect("campaign");
+            assert!(out.row_lines.is_empty());
+            assert!(out.results.iter().all(Option::is_none));
+            assert_eq!(out.quarantine.len(), cells.len());
+            let q = &out.quarantine[0];
+            assert_eq!(q.cell, "TATP/baseline/tiny");
+            assert_eq!(q.attempts, 1, "a cycle-budget timeout is not re-run");
+            let failure = q.failure.to_string();
+            assert!(failure.contains("did not quiesce within 200 cycles"), "{failure}");
 
-        // A table driver gets an error naming the first lost cell and its
-        // failure — never a partial result set.
-        let err = out.take_results(&cells).expect_err("no cell has a result");
-        assert!(
-            matches!(&err, SimError::CellFailed { cell, attempts: 1, .. }
-                if cell == "TATP/baseline/tiny"),
-            "{err}"
-        );
-        assert!(err.to_string().contains("did not quiesce within 200 cycles"), "{err}");
+            // A table driver gets an error naming the first lost cell and
+            // its failure — never a partial result set.
+            let err = out.take_results(&cells).expect_err("no cell has a result");
+            assert!(
+                matches!(&err, SimError::CellFailed { cell, .. } if cell == "TATP/baseline/tiny"),
+                "{err}"
+            );
+            let text = err.to_string();
+            assert!(text.starts_with("cell TATP/baseline/tiny failed: machine did not quiesce"));
+            assert!(text.contains("did not quiesce within 200 cycles"), "{err}");
 
-        // The report renders the quarantine block, flags the summary line,
-        // and the JSON stays well-shaped.
-        let opts = small_opts(1);
-        let rep = SweepReport::from_outcome("qtest", &opts, out, sweep_timing_stub());
-        let j = rep.json();
-        assert!(j.contains("\"quarantine\": [\n"), "{j}");
-        assert!(j.contains("{\"cell\":\"TATP/baseline/tiny\",\"attempts\":1,\"failure\":\""));
-        assert!(j.contains("did not quiesce"), "failure text is carried, escaped");
-        assert!(!j.contains("\nsnapshot"), "newlines in failures must be escaped");
-        assert!(j.ends_with("  ]\n}\n"));
-        assert!(rep.timing_line().ends_with("4 cell(s) QUARANTINED"), "{}", rep.timing_line());
+            // The report renders the quarantine block, flags the summary
+            // line, and the JSON stays well-shaped.
+            let rep = SweepReport::from_outcome("qtest", &opts, out, sweep_timing_stub());
+            let j = rep.json();
+            assert!(j.contains("\"quarantine\": [\n"), "{j}");
+            assert!(j.contains("{\"cell\":\"TATP/baseline/tiny\",\"attempts\":1,\"failure\":\""));
+            assert!(j.contains("did not quiesce"), "failure text is carried, escaped");
+            assert!(!j.contains("\nsnapshot"), "newlines in failures must be escaped");
+            assert!(j.ends_with("  ]\n}\n"));
+            assert!(rep.timing_line().ends_with("4 cell(s) QUARANTINED"), "{}", rep.timing_line());
+            let at = j.find("\"quarantine\"").expect("quarantine block");
+            quarantine_json.push(j[at..].to_string());
+        }
+        assert_eq!(quarantine_json[0], quarantine_json[1], "quarantine differs between 1 and 4 threads");
     }
 
     #[test]

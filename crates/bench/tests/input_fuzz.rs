@@ -32,10 +32,7 @@ fn cells() -> Vec<SweepCell> {
 /// from a cell whose cycle budget is far too small.
 fn real_report() -> String {
     let o = opts();
-    let wedged = SupervisorOpts {
-        budget: env::CellBudget { max_cycles: Some(200), wall: None },
-        ..SupervisorOpts::none()
-    };
+    let wedged = SupervisorOpts { max_cycles: Some(200), ..SupervisorOpts::none() };
     let campaigns = [
         (o, SupervisorOpts::none()),
         (BenchOpts { noc: NocConfig::contended(2), ..o }, SupervisorOpts::none()),
@@ -147,7 +144,7 @@ fn damaged_knob_values_are_refused_and_never_panic() {
     let legal = [
         ("ideal", 0),
         ("contended:4", 0),
-        ("1000:30", 1),
+        ("1000", 1),
         ("on:50000", 2),
         ("full:fa_trace.json", 3),
         ("flight", 3),

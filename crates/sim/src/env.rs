@@ -13,7 +13,6 @@
 //! behaves like omitting the variable.
 
 use std::fmt::Display;
-use std::time::Duration;
 
 pub use fa_trace::{parse_check_setting, parse_model_setting, parse_trace_setting};
 
@@ -56,8 +55,7 @@ pub const KNOBS: &[Knob] = &[
     knob("FA_CHECK", "off", "`off` or `tso`", "axiomatic conformance checking of every run (`fuzz`, `conformance`: `tso`)"),
     knob("FA_MODEL", "tso", "`tso` or `weak`", "hardware memory model"),
     knob("FA_PROGRESS", "on", "`off`, `on` or `on:<stall_cycles>` with a positive integer", "forward-progress escalation"),
-    knob("FA_RETRIES", "1", "a non-negative integer", "retries of a cell (or the fuzz campaign) the wall-clock watchdog stopped"),
-    knob("FA_CELL_BUDGET", "unset", "`<cycles>` or `<cycles>:<wall_secs>`, both positive integers", "per-cell simulated-cycle cap and wall-clock watchdog (`sweep`, `conformance`, `fig`, `ablation`; `fuzz` arms only the wall clock)"),
+    knob("FA_CELL_BUDGET", "unset", "a positive integer", "per-run simulated-cycle cap of a cell (`sweep`, `conformance`, `fig`, `ablation`)"),
     knob("FA_CHECKPOINT", "unset", "a path", "append-only sweep journal for kill/resume (`sweep` only)"),
     knob("FA_BENCH_JSON", "BENCH_sweep.json", "a path", "sweep-report destination, and `report`'s default current file"),
     knob("FA_FUZZ_CASES", "100", "an integer", "generated programs per fuzz campaign"),
@@ -109,40 +107,10 @@ pub fn parse_noc(v: &str) -> Option<fa_mem::NocConfig> {
     }
 }
 
-/// Per-cell budget parsed from `FA_CELL_BUDGET`: a simulated-cycle cap and
-/// an optional wall-clock watchdog. Both default to "no override".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CellBudget {
-    /// Simulated-cycle cap per run (overrides the methodology's
-    /// `max_cycles` when set).
-    pub max_cycles: Option<u64>,
-    /// Wall-clock watchdog per cell attempt
-    /// (armed via [`crate::machine::set_wall_deadline`]).
-    pub wall: Option<Duration>,
-}
-
-/// Parses one `FA_CELL_BUDGET` spec: `<cycles>` or `<cycles>:<wall_secs>`,
-/// both strictly positive.
-pub fn parse_cell_budget(v: &str) -> Option<CellBudget> {
-    let (cycles, wall) = match v.split_once(':') {
-        Some((c, w)) => (c, Some(w)),
-        None => (v, None),
-    };
-    let max_cycles: u64 = cycles.parse().ok()?;
-    if max_cycles == 0 {
-        return None;
-    }
-    let wall = match wall {
-        Some(w) => {
-            let secs: u64 = w.parse().ok()?;
-            if secs == 0 {
-                return None;
-            }
-            Some(Duration::from_secs(secs))
-        }
-        None => None,
-    };
-    Some(CellBudget { max_cycles: Some(max_cycles), wall })
+/// Parses one `FA_CELL_BUDGET` spec: a positive simulated-cycle cap per
+/// run, overriding the methodology's `max_cycles`.
+pub fn parse_cell_budget(v: &str) -> Option<u64> {
+    v.parse().ok().filter(|&c| c > 0)
 }
 
 /// Parses one `FA_PROGRESS` spec: `off`, `on` (default thresholds), or
@@ -236,16 +204,10 @@ mod tests {
 
     #[test]
     fn cell_budget_grammar() {
-        assert_eq!(
-            parse_cell_budget("5000000"),
-            Some(CellBudget { max_cycles: Some(5_000_000), wall: None })
-        );
-        assert_eq!(
-            parse_cell_budget("1000:30"),
-            Some(CellBudget { max_cycles: Some(1000), wall: Some(Duration::from_secs(30)) })
-        );
+        assert_eq!(parse_cell_budget("5000000"), Some(5_000_000));
         assert_eq!(parse_cell_budget("0"), None, "zero-cycle budget is malformed");
-        assert_eq!(parse_cell_budget("1000:0"), None, "zero-second watchdog is malformed");
+        assert_eq!(parse_cell_budget("1000:30"), None, "a `<cycles>:<secs>` budget is refused");
+        assert_eq!(parse_cell_budget("1000:0"), None);
         assert_eq!(parse_cell_budget("fast"), None);
         assert_eq!(parse_cell_budget("1000:30:9"), None);
     }

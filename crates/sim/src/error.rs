@@ -34,17 +34,14 @@ pub enum SimError {
         /// Configured number of slowest runs to discard.
         drop_slowest: usize,
     },
-    /// A sweep cell has no measured result: it failed every attempt and
-    /// was quarantined (the cause is the last attempt's failure, including
-    /// the flight-recorder snapshot for simulation errors), or it was
-    /// replayed from a checkpoint journal. Raised by
+    /// A sweep cell has no measured result: it failed and was quarantined
+    /// (the cause carries the flight-recorder snapshot for simulation
+    /// errors), or it was replayed from a checkpoint journal. Raised by
     /// `fa_bench::sweep::SweepOutcome::take_results`, so a driver that needs
     /// every cell's statistics never renders a partial table.
     CellFailed {
         /// Identity of the cell, `kernel/policy/preset`.
         cell: String,
-        /// Attempts made (0 for a journal-resumed cell).
-        attempts: u32,
         /// Why the cell has no result.
         cause: Box<CellFailure>,
     },
@@ -74,17 +71,9 @@ pub enum RunFailure {
     /// the minimal stuck-resource report (locked lines, busy directory
     /// entries, stalled fills, flight-recorder tail).
     NoProgress(ProgressReport),
-    /// The per-cell wall-clock watchdog expired
-    /// (armed by [`set_wall_deadline`](crate::machine::set_wall_deadline);
-    /// the supervised sweep runner sets it from `FA_CELL_BUDGET`). The
-    /// only cause that depends on the host rather than on the run's inputs.
-    WallTimeout {
-        /// The wall-clock budget that expired, in milliseconds.
-        budget_ms: u64,
-    },
 }
 
-/// Why one supervised cell attempt failed: a structured simulation error,
+/// Why one supervised cell failed: a structured simulation error,
 /// or a panic caught at the cell isolation boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CellFailure {
@@ -141,9 +130,6 @@ impl fmt::Display for SimError {
                         write!(f, "TSO conformance violation (axiom {}): {}", v.axiom, v.detail)?;
                     }
                     RunFailure::NoProgress(r) => write!(f, "no forward progress at {r}")?,
-                    RunFailure::WallTimeout { budget_ms } => {
-                        write!(f, "wall-clock watchdog expired after {budget_ms} ms")?;
-                    }
                 }
                 write!(f, "\n{snapshot}")
             }
@@ -152,9 +138,7 @@ impl fmt::Display for SimError {
                 "invalid methodology: {runs} runs with {drop_slowest} dropped leaves no \
                  retained run to average"
             ),
-            SimError::CellFailed { cell, attempts, cause } => {
-                write!(f, "cell {cell} failed after {attempts} attempt(s): {cause}")
-            }
+            SimError::CellFailed { cell, cause } => write!(f, "cell {cell} failed: {cause}"),
         }
     }
 }
@@ -241,18 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn wall_timeout_display_carries_budget_and_snapshot() {
-        let e = run(RunFailure::WallTimeout { budget_ms: 1500 });
-        let s = e.to_string();
-        assert!(s.contains("wall-clock watchdog") && s.contains("1500 ms"), "got: {s}");
-        assert!(e.snapshot().is_some());
-    }
-
-    #[test]
     fn cell_failed_delegates_snapshot_through_cause() {
         let sim = SimError::CellFailed {
             cell: "TATP/FreeFwd/Tiny".into(),
-            attempts: 3,
             cause: Box::new(CellFailure::Sim(run(RunFailure::NoProgress(ProgressReport {
                 site: "lsq-retry",
                 observed: 9,
@@ -260,13 +235,12 @@ mod tests {
             })))),
         };
         let s = sim.to_string();
-        assert!(s.contains("cell TATP/FreeFwd/Tiny"), "got: {s}");
-        assert!(s.contains("3 attempt(s)") && s.contains("lsq-retry"), "got: {s}");
+        assert!(s.starts_with("cell TATP/FreeFwd/Tiny failed: no forward progress"), "got: {s}");
+        assert!(s.contains("lsq-retry"), "got: {s}");
         assert!(sim.snapshot().is_some(), "sim causes surface their snapshot");
 
         let panicked = SimError::CellFailed {
             cell: "PC/Free/Icelake".into(),
-            attempts: 1,
             cause: Box::new(CellFailure::Panic("index out of bounds".into())),
         };
         assert!(panicked.to_string().contains("panic: index out of bounds"));

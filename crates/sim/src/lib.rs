@@ -35,10 +35,10 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::{CellFailure, RunFailure, SimError};
 pub use fuzz::{fuzz_litmus, FuzzConfig, FuzzReport};
 pub use litmus::{LOp, LitmusTest};
-pub use machine::{set_wall_deadline, Machine, MachineConfig, MachineSnapshot, RunResult};
+pub use machine::{Machine, MachineConfig, MachineSnapshot, RunResult};
 pub use methodology::{Methodology, MultiRun};
 pub use presets::{icelake_like, skylake_like, tiny_machine};
-pub use sweep::{run_cells_timed, supervise, CellQuarantine, SweepTiming};
+pub use sweep::{run_cells_timed, supervise, SweepTiming};
 
 // The trace layer's user-facing types, re-exported so binaries configure
 // tracing without a direct fa-trace dependency.

@@ -10,38 +10,10 @@ use fa_trace::{
     chrome_trace, CheckMode, Counter, CpiLeaf, FlightEntry, MemModel, TraceMode, TraceRecord,
 };
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Events per component kept in a snapshot's flight-recorder tail.
 const FLIGHT_TAIL: usize = 8;
-
-thread_local! {
-    /// The wall-clock deadline armed for [`Machine::run`] calls on this
-    /// thread: `(deadline, budget_ms)`. Thread-local so concurrent sweep
-    /// workers each carry their own cell budget.
-    static WALL_DEADLINE: Cell<Option<(Instant, u64)>> = const { Cell::new(None) };
-}
-
-/// Arms (or with `None`, disarms) a wall-clock watchdog for subsequent
-/// [`Machine::run`] calls on *this thread*. When the deadline passes
-/// mid-run, the run aborts with [`RunFailure::WallTimeout`] carrying a full
-/// machine snapshot. The supervised sweep runner arms this per cell
-/// attempt from `FA_CELL_BUDGET`; it is sampled every few thousand loop
-/// iterations, so enforcement granularity is microseconds, not cycles.
-pub fn set_wall_deadline(budget: Option<Duration>) {
-    WALL_DEADLINE.with(|d| {
-        d.set(budget.map(|b| (Instant::now() + b, b.as_millis() as u64)));
-    });
-}
-
-/// The armed budget in milliseconds, when the deadline has passed.
-fn wall_deadline_expired() -> Option<u64> {
-    WALL_DEADLINE
-        .with(Cell::get)
-        .and_then(|(at, ms)| (Instant::now() >= at).then_some(ms))
-}
 
 /// Machine-level configuration: one core config (homogeneous) + the memory
 /// hierarchy.
@@ -531,8 +503,7 @@ impl Machine {
     /// looks for — and [`RunFailure::Audit`] on an invariant violation.
     /// With `MemConfig::progress` escalation enabled (the default), a
     /// wedged retry site or a core that stops committing raises
-    /// [`RunFailure::NoProgress`] long before the cycle budget burns down,
-    /// and an armed [`set_wall_deadline`] raises [`RunFailure::WallTimeout`].
+    /// [`RunFailure::NoProgress`] long before the cycle budget burns down.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
         self.run_to_quiescence(max_cycles)?;
         Ok(RunResult {
@@ -587,19 +558,13 @@ impl Machine {
                     return Err(self.failed(RunFailure::NoProgress(r)));
                 }
             }
-            // Memory-side progress sites and the wall-clock watchdog are
-            // polled on iteration cadences (pure reads — cheap enough to
-            // leave always-on without perturbing anything).
+            // Memory-side progress sites are polled on an iteration cadence
+            // (a pure read — cheap enough to leave always-on without
+            // perturbing anything).
             if prog.enabled && iters.is_multiple_of(1024) {
                 if let Some(r) = self.mem.progress_report() {
                     self.settle();
                     return Err(self.failed(RunFailure::NoProgress(r)));
-                }
-            }
-            if iters.is_multiple_of(4096) {
-                if let Some(budget_ms) = wall_deadline_expired() {
-                    self.settle();
-                    return Err(self.failed(RunFailure::WallTimeout { budget_ms }));
                 }
             }
             // Every core has halted, and a halted core is credited nothing,

@@ -21,8 +21,7 @@
 //! take on crossbeam's scoped threads — so borrowed jobs and closures need
 //! no `'static` bound and no external dependency.
 
-use crate::error::{CellFailure, RunFailure, SimError};
-use crate::machine::set_wall_deadline;
+use crate::error::{CellFailure, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -91,18 +90,6 @@ where
     merged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A supervised cell that failed: how many attempts were made and the
-/// last attempt's failure. The campaign quarantines the cell and
-/// continues.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CellQuarantine {
-    /// Attempts made: 1, or up to 1 + retries for a cell the wall-clock
-    /// watchdog stopped.
-    pub attempts: u32,
-    /// The last attempt's failure.
-    pub failure: CellFailure,
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -113,40 +100,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `f` under per-cell isolation: panics are caught at this boundary,
-/// the thread's wall-clock watchdog ([`set_wall_deadline`]) is armed for
-/// each attempt, and the cell is quarantined with its last failure. A cell
-/// is a pure function of its inputs, so a failure repeats on every attempt
-/// — a panic and every [`SimError`] alike — and is quarantined at once;
-/// only [`RunFailure::WallTimeout`], which depends on the host's load, is
-/// retried, up to `retries` times.
+/// Runs `f` once under per-cell isolation: a [`SimError`] it returns, or a
+/// panic caught at this boundary, comes back as the cell's
+/// [`CellFailure`]. A cell is a pure function of its inputs, so its failure
+/// would repeat on every attempt; the caller quarantines it after this one.
 ///
 /// The default panic hook still prints each caught panic to stderr; that
 /// noise is deliberate (the campaign log should show what happened), and
 /// replacing the global hook from concurrent sweep workers would race.
-pub fn supervise<R>(
-    retries: u32,
-    wall: Option<Duration>,
-    mut f: impl FnMut() -> Result<R, SimError>,
-) -> Result<R, CellQuarantine> {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        set_wall_deadline(wall);
-        let outcome = catch_unwind(AssertUnwindSafe(&mut f));
-        set_wall_deadline(None);
-        let failure = match outcome {
-            Ok(Ok(v)) => return Ok(v),
-            Ok(Err(e)) => CellFailure::Sim(e),
-            Err(payload) => CellFailure::Panic(panic_message(payload)),
-        };
-        let host_bound = matches!(
-            failure,
-            CellFailure::Sim(SimError::Run { cause: RunFailure::WallTimeout { .. }, .. })
-        );
-        if !host_bound || attempts > retries {
-            return Err(CellQuarantine { attempts, failure });
-        }
+pub fn supervise<R>(f: impl FnOnce() -> Result<R, SimError>) -> Result<R, CellFailure> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(r) => r.map_err(CellFailure::Sim),
+        Err(payload) => Err(CellFailure::Panic(panic_message(payload))),
     }
 }
 
@@ -215,10 +180,6 @@ where
 mod tests {
     use super::*;
 
-    fn wall_timeout(budget_ms: u64) -> SimError {
-        SimError::Run { cause: RunFailure::WallTimeout { budget_ms }, snapshot: Box::default() }
-    }
-
     #[test]
     fn merges_in_cell_index_order() {
         let jobs: Vec<u64> = (0..57).collect();
@@ -248,64 +209,23 @@ mod tests {
     }
 
     #[test]
-    fn supervise_retries_then_succeeds() {
-        let mut calls = 0;
-        let r: Result<u64, CellQuarantine> = supervise(2, None, || {
-            calls += 1;
-            if calls < 3 {
-                Err(wall_timeout(calls))
-            } else {
-                Ok(7)
-            }
-        });
-        assert_eq!(r, Ok(7));
-        assert_eq!(calls, 3, "two retries were allowed and consumed");
-    }
-
-    #[test]
-    fn supervise_quarantines_with_last_failure_after_retries() {
+    fn supervise_returns_a_sim_error_after_one_call() {
         let mut calls = 0u32;
-        let r: Result<u64, CellQuarantine> = supervise(1, None, || {
-            calls += 1;
-            Err(wall_timeout(u64::from(calls)))
-        });
-        let q = r.expect_err("every attempt failed");
-        assert_eq!(q.attempts, 2, "one initial attempt + one retry");
-        assert_eq!(
-            q.failure,
-            CellFailure::Sim(wall_timeout(2)),
-            "the quarantine carries the LAST attempt's failure"
-        );
-    }
-
-    #[test]
-    fn supervise_does_not_retry_a_failure_that_must_repeat() {
-        let mut calls = 0u32;
-        let r: Result<u64, CellQuarantine> = supervise(3, None, || {
+        let r: Result<u64, CellFailure> = supervise(|| {
             calls += 1;
             Err(SimError::InvalidMethodology { runs: 0, drop_slowest: 0 })
         });
-        let q = r.expect_err("the cell fails");
-        assert_eq!((q.attempts, calls), (1, 1), "a deterministic error is not retried");
         let invalid = SimError::InvalidMethodology { runs: 0, drop_slowest: 0 };
-        assert_eq!(q.failure, CellFailure::Sim(invalid));
-
-        let mut calls = 0u32;
-        let r: Result<(), CellQuarantine> = supervise(3, None, || {
-            calls += 1;
-            panic!("deterministic")
-        });
-        let q = r.expect_err("the cell panics");
-        assert_eq!((q.attempts, calls), (1, 1), "a panic is not retried");
+        assert_eq!(r, Err(CellFailure::Sim(invalid)));
+        assert_eq!(calls, 1, "a failure that must repeat is not re-run");
+        assert_eq!(supervise(|| Ok(7)), Ok(7));
     }
 
     #[test]
     fn supervise_catches_panics_and_preserves_the_message() {
-        let r: Result<(), CellQuarantine> =
-            supervise(0, None, || panic!("wedged at cycle {}", 42));
-        let q = r.expect_err("panics must not unwind past supervise");
-        assert_eq!(q.attempts, 1);
-        assert_eq!(q.failure, CellFailure::Panic("wedged at cycle 42".to_string()));
+        let r: Result<(), CellFailure> = supervise(|| panic!("wedged at cycle {}", 42));
+        let failure = r.expect_err("panics must not unwind past supervise");
+        assert_eq!(failure, CellFailure::Panic("wedged at cycle 42".to_string()));
     }
 
     #[test]
@@ -318,13 +238,12 @@ mod tests {
             Ok(j * 10)
         };
         for threads in [1, 4] {
-            let rs = run_cells(&jobs, threads, || (), |(), i, j| supervise(1, None, || f(i, j)));
+            let rs = run_cells(&jobs, threads, || (), |(), i, j| supervise(|| f(i, j)));
             assert_eq!(rs.len(), 20);
             for (i, r) in rs.iter().enumerate() {
                 if i == 13 {
-                    let q = r.as_ref().expect_err("cell 13 panics");
-                    assert_eq!(q.attempts, 1, "a panic repeats, so it is not retried");
-                    assert_eq!(q.failure, CellFailure::Panic("unlucky cell".to_string()));
+                    let failure = r.as_ref().expect_err("cell 13 panics");
+                    assert_eq!(*failure, CellFailure::Panic("unlucky cell".to_string()));
                 } else {
                     assert_eq!(*r, Ok(i as u64 * 10), "threads={threads}");
                 }
