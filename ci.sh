@@ -47,6 +47,14 @@ trap - EXIT
 ! grep -rnE 'fn (smoke|diag)\b|command\("(smoke|diag)"' crates/bench/src src || exit 1
 ! grep -n 'Machine::new' crates/bench/src/figures.rs crates/bench/src/lib.rs || exit 1
 ! grep -rnw 'run_cells\|ablation_axis' crates/bench src || exit 1
+# One campaign per command: a figure is data, so `fa fig` measures every
+# selected figure's distinct cells in the one `run_grid_supervised` call of
+# `figures::run` and merges no per-point reports; a cell carries its own
+# fault-injection seed, so the options have none.
+sed '/^#\[cfg(test)\]/,$d' crates/bench/src/figures.rs > target/figures_src.txt
+test "$(grep -c 'run_grid_supervised(' target/figures_src.txt)" -eq 1
+! grep -n '\.merge(' target/figures_src.txt || exit 1
+! sed -n '/^pub struct BenchOpts/,/^}/p' crates/bench/src/lib.rs | grep -n 'chaos' || exit 1
 # No public surface that nothing calls: the disassembler, the instruction
 # classes and their histogram, and the predicates and accessors no
 # production code read stay deleted.
@@ -292,6 +300,12 @@ for f in fig01_atomic_cost:4 fig12_apki:2 table2_characterization:2 fig13_locali
     mini FA_BENCH_JSON=target/BENCH_${f%:*}.json $FA fig "${f%:*}" > target/${f%:*}.txt
     grep -c '"kernel":' target/BENCH_${f%:*}.json | grep -qx "${f#*:}"
 done
+# Every table at once is one campaign over the distinct cells the tables
+# read: one timing line, and one report with each of the 30 distinct rows
+# once (the nine per-figure reports would hold 60).
+mini FA_BENCH_JSON=target/BENCH_fig_all.json $FA fig all > target/fig_all.txt
+test "$(grep -c '^sweep:' target/fig_all.txt)" -eq 1
+grep -c '"kernel":' target/BENCH_fig_all.json | grep -qx 30
 # The ablation tables are one campaign too: 3 axes x 4 values x 2 kernels,
 # every row tagged with its override and keyed apart by `report`.
 mini FA_BENCH_JSON=target/BENCH_ablation.json $FA ablation > target/ablation.txt
@@ -369,7 +383,7 @@ grep -q '"schema": "fa-sweep-v1"' target/BENCH_fig16.json
 grep -q '"net":{"policy":"contended"' target/BENCH_fig16.json
 grep -q '"queue_hist":\[' target/BENCH_fig16.json
 grep -q '"req_util":\[' target/BENCH_fig16.json
-# The merged report keys its four NoC points apart: a self-diff compares
+# The report keys its four NoC points apart: a self-diff compares
 # each of the 8 rows with itself.
 $FA report target/BENCH_fig16.json target/BENCH_fig16.json > target/report_fig16.txt
 grep -q 'verdict: OK — 8 cell(s) compared' target/report_fig16.txt

@@ -10,11 +10,11 @@
 // Non-test code must justify every panic site.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use fa_bench::figures::{self, FIGURES};
+use fa_bench::figures::{self, Figure, ABLATION, FIGURES};
 use fa_bench::report::{diff, parse_rows, CpiRow};
 use fa_bench::sweep::{
     grid, policies_from_env, presets_from_env, run_grid_supervised, Preset, SupervisorOpts,
-    SweepReport,
+    SweepCell, SweepReport,
 };
 use fa_bench::{fmt, row, BenchOpts, MAX_CYCLES};
 use fa_core::AtomicPolicy;
@@ -224,19 +224,34 @@ fn sweep(cmd: &Command, _: &[String]) -> Outcome {
     Err(Quarantined(text))
 }
 
-/// The grid figures run on the sweep engine and write the `FA_BENCH_JSON`
-/// report; a failed cell is an error naming it, never a partial table.
+/// The selected figures' distinct cells are one campaign on the sweep
+/// engine, whose report goes to `FA_BENCH_JSON`; a failed cell is an error
+/// naming the first selected figure that reads it, never a partial table.
 fn fig(cmd: &Command, args: &[String]) -> Outcome {
     let wanted = args.first().map(String::as_str);
-    let selected: Vec<_> =
-        FIGURES.iter().filter(|(name, _)| wanted == Some("all") || wanted == Some(name)).collect();
+    let selected: Vec<&Figure> =
+        FIGURES.iter().filter(|f| wanted == Some("all") || wanted == Some(f.name)).collect();
     if selected.is_empty() {
-        let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
         return Err(Failed(format!("usage: fa fig <name|all>\nvalid names: {}", names.join(", "))));
     }
-    let (opts, sup) = (cmd.opts(), SupervisorOpts::from_env());
-    for (name, figure) in selected {
-        figure(&opts, &sup).map_err(|e| Failed(format!("{name} failed: {e}")))?;
+    let opts = cmd.opts();
+    figures(&opts, &selected).map_err(|e| {
+        let name = selected.iter().find(|f| f.fails_with(&opts, &e)).map_or("fig", |f| f.name);
+        Failed(format!("{name} failed: {e}"))
+    })
+}
+
+/// Runs `selected` ([`figures::run`]) under the environment's supervisor,
+/// then prints the campaign's timing line and writes its report, if it ran
+/// one.
+fn figures(opts: &BenchOpts, selected: &[&Figure]) -> Result<(), SimError> {
+    if let Some(report) = figures::run(opts, &SupervisorOpts::from_env(), selected)? {
+        println!("\n{}", report.timing_line());
+        match report.write() {
+            Ok(path) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("warning: could not write sweep report: {e}"),
+        }
     }
     Ok(())
 }
@@ -272,60 +287,64 @@ fn report(_: &Command, args: &[String]) -> Outcome {
     Ok(())
 }
 
+/// The cells of `fa conformance`: `FA_WORKLOADS` × all four policies on the
+/// Icelake-like machine, on the ideal and the contended crossbar whatever
+/// `FA_NOC` says, without and with fault injection seeded by the options'.
+fn conformance_cells(opts: &BenchOpts) -> Vec<SweepCell> {
+    let cells = grid(&opts.workloads(), &AtomicPolicy::ALL, &[Preset::Icelake]);
+    let mut points = Vec::with_capacity(4 * cells.len());
+    for noc in [NocConfig::default(), NocConfig::contended(2)] {
+        for chaos in [None, Some(opts.seed)] {
+            points.extend(cells.iter().map(|c| SweepCell { chaos, ..c.on_noc(opts, noc) }));
+        }
+    }
+    points
+}
+
 /// Every completed execution's data events and write-serialization log are
 /// validated against the full axioms of `FA_MODEL`, not just its outputs.
 /// `FA_CHECK=off` reduces this to a plain smoke run, which is only useful
-/// for measuring checker overhead. Four campaigns on the grid engine — its
-/// own interconnect and chaos points, whatever `FA_NOC` says — of one run a
-/// cell, so a panicking or wedged cell is quarantined by the engine and
-/// counted here instead of killing or hanging the grid. The points share no
-/// checkpoint journal: each is a campaign of its own.
+/// for measuring checker overhead. One campaign on the grid engine of one
+/// run a cell, so a panicking or wedged cell is quarantined by the engine
+/// and counted here instead of killing or hanging the grid.
 fn conformance(cmd: &Command, _: &[String]) -> Outcome {
     let opts = BenchOpts { runs: 1, drop_slowest: 0, ..cmd.opts() };
-    let sup = SupervisorOpts::from_env();
-    let cells = grid(&opts.workloads(), &AtomicPolicy::ALL, &[Preset::Icelake]);
-    let nocs = [("ideal", NocConfig::default()), ("contended", NocConfig::contended(2))];
-    let chaos = [("chaos=off", None), ("chaos=on", Some(opts.seed))];
+    let cells = conformance_cells(&opts);
     let header = ["workload", "policy", "noc", "chaos", "cycles", "check"];
     println!("{}", row(&header.map(String::from)));
-    let (mut runs, mut violations, mut failures) = (0u64, 0u64, 0u64);
-    for (noc_name, noc) in nocs {
-        for (chaos_name, chaos) in chaos {
-            let point = BenchOpts { noc, chaos, ..opts };
-            let (outcome, _) = run_grid_supervised(&point, &sup, &cells)
-                .map_err(|e| Failed(format!("conformance failed: {e}")))?;
-            let mut quarantined = outcome.quarantine.iter();
-            for (cell, result) in cells.iter().zip(&outcome.results) {
-                runs += 1;
-                let line = |cycles: String| {
-                    row(&[
-                        cell.workload.name.into(),
-                        cell.policy.label().into(),
-                        noc_name.into(),
-                        chaos_name.into(),
-                        cycles,
-                        opts.check.name().into(),
-                    ])
-                };
-                if let Some(r) = result {
-                    println!("{}", line(r.summary.representative().cycles.to_string()));
-                    continue;
-                }
-                let q = quarantined.next().expect("without a journal, no result means quarantined");
-                let status = match &q.failure {
-                    CellFailure::Sim(e @ SimError::Run { cause: RunFailure::Tso(_), .. }) => {
-                        violations += 1;
-                        format!("VIOLATION: {e}")
-                    }
-                    f => {
-                        failures += 1;
-                        format!("FAILED: {f}")
-                    }
-                };
-                println!("{} {status}", line("-".into()));
-            }
+    let (outcome, _) = run_grid_supervised(&opts, &SupervisorOpts::from_env(), &cells)
+        .map_err(|e| Failed(format!("conformance failed: {e}")))?;
+    let (mut violations, mut failures) = (0u64, 0u64);
+    let mut quarantined = outcome.quarantine.iter();
+    for (cell, result) in cells.iter().zip(&outcome.results) {
+        let line = |cycles: String| {
+            row(&[
+                cell.workload.name.into(),
+                cell.policy.label().into(),
+                cell.noc.unwrap_or(opts.noc).policy.name().into(),
+                if cell.chaos.is_some() { "chaos=on" } else { "chaos=off" }.into(),
+                cycles,
+                opts.check.name().into(),
+            ])
+        };
+        if let Some(r) = result {
+            println!("{}", line(r.summary.representative().cycles.to_string()));
+            continue;
         }
+        let q = quarantined.next().expect("without a journal, no result means quarantined");
+        let status = match &q.failure {
+            CellFailure::Sim(e @ SimError::Run { cause: RunFailure::Tso(_), .. }) => {
+                violations += 1;
+                format!("VIOLATION: {e}")
+            }
+            f => {
+                failures += 1;
+                format!("FAILED: {f}")
+            }
+        };
+        println!("{} {status}", line("-".into()));
     }
+    let runs = cells.len();
     let summary =
         format!("conformance: {runs} runs, violations: {violations}, other failures: {failures}");
     println!("{summary}");
@@ -384,12 +403,11 @@ fn fuzz(cmd: &Command, _: &[String]) -> Outcome {
     Ok(())
 }
 
-/// The ablation tables ([`figures::ablation`]): one campaign on the grid
-/// engine, so `FA_RUNS`/`FA_DROP` and the start offsets apply and a failed
-/// cell is an error naming it.
+/// The ablation tables ([`ABLATION`]): one campaign on the grid engine, so
+/// `FA_RUNS`/`FA_DROP` and the start offsets apply and a failed cell is an
+/// error naming it.
 fn ablation(cmd: &Command, _: &[String]) -> Outcome {
-    let sup = SupervisorOpts::from_env();
-    figures::ablation(&cmd.opts(), &sup).map_err(|e| Failed(format!("ablation failed: {e}")))
+    figures(&cmd.opts(), &[&ABLATION]).map_err(|e| Failed(format!("ablation failed: {e}")))
 }
 
 fn trace(cmd: &Command, args: &[String]) -> Outcome {
@@ -495,8 +513,8 @@ mod tests {
             let outcome = dispatch(&bad);
             assert_eq!(status(&outcome), 1);
             let Err(Failed(text)) = outcome else { panic!("{outcome:?}") };
-            for (name, _) in FIGURES {
-                assert!(text.contains(name), "{name} missing from:\n{text}");
+            for f in FIGURES {
+                assert!(text.contains(f.name), "{} missing from:\n{text}", f.name);
             }
         }
     }
@@ -571,11 +589,11 @@ mod tests {
             ..BenchOpts::default()
         };
         assert_eq!(fuzz_config(&opts).model, MemModel::Weak);
-        // A conformance grid point: the options at its interconnect and seed.
-        let point = BenchOpts { noc: NocConfig::contended(2), chaos: Some(1), ..opts }
-            .config_for(&icelake_like(), AtomicPolicy::FreeFwd);
+        // A conformance cell: on the contended crossbar, under chaos.
+        let cell = *conformance_cells(&opts).last().expect("cells");
+        let point = cell.config(&opts);
         assert_eq!(point.mem.noc, NocConfig::contended(2));
-        assert_eq!(point.mem.chaos, ChaosConfig::stress(1));
+        assert_eq!(point.mem.chaos, ChaosConfig::stress(opts.seed));
         for cfg in [fuzz_base(&opts), point] {
             assert_eq!(cfg.core.model, MemModel::Weak);
             assert_eq!(cfg.core.trace.mode, TraceMode::Flight);

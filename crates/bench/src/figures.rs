@@ -1,96 +1,120 @@
 //! Regeneration of every table and figure in the paper's evaluation
-//! section. Each function prints the same rows/series the paper reports;
+//! section. Each table prints the same rows/series the paper reports;
 //! EXPERIMENTS.md records the measured-vs-paper comparison.
 //!
-//! Every function returns `Result` — a failed measure (timeout,
-//! invariant-audit violation, invalid methodology) propagates so the `fig`
-//! bin can exit nonzero instead of printing a clean-looking partial table.
-//! Every measured figure is a table formatter over [`run_grid_supervised`]
-//! campaigns (one each, one per NoC point for figure 16, one per memory
-//! model for the weak baseline) and emits the `BENCH_sweep.json`
-//! throughput report; only Table 1, which measures nothing, runs no cell.
-//! [`FIGURES`] names them all; `fa ablation`'s tables, [`ablation`], are
-//! one more such campaign.
+//! A figure is data, a [`Figure`]: the cells its table reads and the
+//! function that prints the table from their results. [`run`] measures the
+//! distinct cells of every selected figure as one [`run_grid_supervised`]
+//! campaign — a cell several tables read (Figs. 14 and 15 and the CPI
+//! stacks share one grid) runs once — and prints each table from its own
+//! cells. A failed cell, an invariant-audit violation or an invalid
+//! methodology is an error before any table prints, never a clean-looking
+//! partial table. [`FIGURES`] names them all; `fa ablation`'s tables,
+//! [`ABLATION`], are one more figure; only Table 1 reads no cell.
 
 use crate::sweep::{
     grid, presets_from_env, run_grid_supervised, Ablation, CellResult, Preset, SupervisorOpts,
     SweepCell, SweepReport,
 };
 use crate::{fmt, mean, row, workloads_from_env, BenchOpts};
-use fa_core::AtomicPolicy;
+use fa_core::AtomicPolicy::{self, FencedBaseline, FreeFwd};
 use fa_mem::NocConfig;
 use fa_sim::energy::EnergyModel;
 use fa_sim::error::SimError;
 use fa_sim::presets::{icelake_like, skylake_like};
 use fa_sim::{CpiLeaf, MemModel};
 use fa_workloads::suite;
+use std::collections::HashMap;
+use Preset::{Icelake, Skylake};
 
-/// One regenerated table or figure.
-pub type Figure = fn(&BenchOpts, &SupervisorOpts) -> Result<(), SimError>;
+/// One regenerated table or figure: the cells its table reads, and the
+/// function that prints the table from their results, given in the same
+/// order.
+pub struct Figure {
+    /// The name `fa fig` selects it by.
+    pub name: &'static str,
+    cells: fn(&BenchOpts) -> Vec<SweepCell>,
+    print: fn(&BenchOpts, &[&CellResult]),
+}
+
+impl Figure {
+    /// Whether this figure's table fails with `e`: it reads the cell `e`
+    /// names, or, for an error that names no cell, any cell at all.
+    pub fn fails_with(&self, opts: &BenchOpts, e: &SimError) -> bool {
+        let cells = (self.cells)(opts);
+        match e {
+            SimError::CellFailed { cell, .. } => cells.iter().any(|c| c.name() == *cell),
+            _ => !cells.is_empty(),
+        }
+    }
+}
 
 /// Every table and figure by name, in the paper's order — what `fig <name>`
-/// selects from and the `figures` bench target runs end to end.
-pub const FIGURES: &[(&str, Figure)] = &[
-    ("table1_config", table1_config),
-    ("fig01_atomic_cost", fig01_atomic_cost),
-    ("fig12_apki", fig12_apki),
-    ("table2_characterization", table2_characterization),
-    ("fig13_locality", fig13_locality),
-    ("fig14_exec_time", fig14_exec_time),
-    ("fig15_energy", fig15_energy),
-    ("fig16_network_sensitivity", fig16_network_sensitivity),
-    ("fig_weak_baseline", fig_weak_baseline),
-    ("cpistack", cpi_stacks),
+/// selects from. A figure's cells are in grid order: each
+/// `policies.len() * presets.len()` chunk is one workload.
+pub const FIGURES: &[Figure] = &[
+    Figure { name: "table1_config", cells: |_| Vec::new(), print: table1_config },
+    Figure { name: "fig01_atomic_cost", cells: |o| grid(&o.workloads(), &[FencedBaseline], &[Skylake, Icelake]), print: fig01_atomic_cost },
+    Figure { name: "fig12_apki", cells: |o| grid(&o.workloads(), &[FencedBaseline], &[Icelake]), print: fig12_apki },
+    Figure { name: "table2_characterization", cells: |o| grid(&o.workloads(), &[FreeFwd], &[Icelake]), print: table2_characterization },
+    Figure { name: "fig13_locality", cells: |o| grid(&o.workloads(), &PAIR, &[Icelake]), print: fig13_locality },
+    Figure { name: "fig14_exec_time", cells: every_policy, print: fig14_exec_time },
+    Figure { name: "fig15_energy", cells: every_policy, print: fig15_energy },
+    Figure { name: "fig16_network_sensitivity", cells: fig16_cells, print: fig16_network_sensitivity },
+    Figure { name: "fig_weak_baseline", cells: weak_baseline_cells, print: fig_weak_baseline },
+    Figure { name: "cpistack", cells: every_policy, print: cpi_stacks },
 ];
 
-/// Measures `cells` as one campaign and returns every cell's result (in
-/// grid order) plus the emitted sweep report.
+/// `FA_WORKLOADS` × all four policies on the Icelake-like machine: the
+/// grid of Figs. 14 and 15 and the CPI stacks.
+fn every_policy(opts: &BenchOpts) -> Vec<SweepCell> {
+    grid(&opts.workloads(), &AtomicPolicy::ALL, &[Icelake])
+}
+
+/// `fa ablation`'s tables.
+pub const ABLATION: Figure = Figure { name: "ablation", cells: ablation_cells, print: ablation };
+
+/// The fenced baseline and FreeAtomics+Fwd: the policies of Figs. 13 and
+/// 16 and of the weak baseline.
+const PAIR: [AtomicPolicy; 2] = [FencedBaseline, FreeFwd];
+
+/// Measures the distinct cells of `figures` — deduplicated by
+/// [`SweepCell::name`], in first-seen order — as one campaign, prints each
+/// figure's table from its own cells, and returns the campaign's report:
+/// one row per distinct cell. `None` when no figure reads a cell (Table 1
+/// alone), as then no campaign runs.
 ///
 /// # Errors
 ///
 /// An invalid methodology, or [`SimError::CellFailed`] naming the first
-/// cell without a result — a figure is never a partial table.
-fn measured_grid(
-    bin: &str,
-    opts: &BenchOpts,
-    sup: &SupervisorOpts,
-    cells: &[SweepCell],
-) -> Result<(Vec<CellResult>, SweepReport), SimError> {
-    let (mut outcome, timing) = run_grid_supervised(opts, sup, cells)?;
-    let results = outcome.take_results(cells)?;
-    Ok((results, SweepReport::from_outcome(bin, opts, outcome, timing)))
-}
-
-/// [`measured_grid`] over `FA_WORKLOADS × policies × presets`: each
-/// `policies.len() * presets.len()` chunk of the results is one workload,
-/// in policy-then-preset order.
-fn suite_grid(
-    bin: &str,
-    opts: &BenchOpts,
-    sup: &SupervisorOpts,
-    policies: &[AtomicPolicy],
-    presets: &[Preset],
-) -> Result<(Vec<CellResult>, SweepReport), SimError> {
-    let cells = grid(&opts.workloads(), policies, presets);
-    measured_grid(bin, opts, sup, &cells)
-}
-
-fn emit_report(report: &SweepReport) {
-    println!("\n{}", report.timing_line());
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write sweep report: {e}"),
+/// cell without a result; either way no table has printed.
+pub fn run(opts: &BenchOpts, sup: &SupervisorOpts, figures: &[&Figure]) -> Result<Option<SweepReport>, SimError> {
+    let reads: Vec<Vec<SweepCell>> = figures.iter().map(|f| (f.cells)(opts)).collect();
+    let (mut cells, mut index) = (Vec::new(), HashMap::new());
+    for c in reads.iter().flatten() {
+        index.entry(c.name()).or_insert_with(|| {
+            cells.push(*c);
+            cells.len() - 1
+        });
     }
+    let mut results = Vec::new();
+    let mut report = None;
+    if !cells.is_empty() {
+        let (mut outcome, timing) = run_grid_supervised(opts, sup, &cells)?;
+        results = outcome.take_results(&cells)?;
+        let bin = figures.iter().map(|f| f.name).collect::<Vec<_>>().join("+");
+        report = Some(SweepReport::from_outcome(&bin, opts, outcome, timing));
+    }
+    for (f, read) in figures.iter().zip(&reads) {
+        (f.print)(opts, &read.iter().map(|c| &results[index[&c.name()]]).collect::<Vec<_>>());
+    }
+    Ok(report)
 }
 
 /// **Figure 1** — average cost (cycles) of a fenced atomic RMW, split into
 /// Drain_SB and Atomic, on Skylake-like (224 ROB) and Icelake-like
 /// (352 ROB) machines, from each cell's representative run.
-///
-/// # Errors
-///
-/// The first failed cell.
-pub fn fig01_atomic_cost(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+fn fig01_atomic_cost(_: &BenchOpts, results: &[&CellResult]) {
     println!("\n## Figure 1 — cost of fenced atomic RMWs (cycles per atomic)\n");
     println!(
         "{}",
@@ -102,13 +126,6 @@ pub fn fig01_atomic_cost(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), S
             "icelake Atomic".into(),
         ])
     );
-    let (results, report) = suite_grid(
-        "fig01_atomic_cost",
-        opts,
-        sup,
-        &[AtomicPolicy::FencedBaseline],
-        &[Preset::Skylake, Preset::Icelake],
-    )?;
     let mut sky_tot = Vec::new();
     let mut ice_tot = Vec::new();
     for pair in results.chunks(2) {
@@ -127,16 +144,10 @@ pub fn fig01_atomic_cost(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), S
         mean(&sky_tot),
         mean(&ice_tot)
     );
-    emit_report(&report);
-    Ok(())
 }
 
 /// **Table 1** — the simulated system configuration.
-///
-/// # Errors
-///
-/// None; the signature is [`Figure`]'s.
-pub fn table1_config(_: &BenchOpts, _: &SupervisorOpts) -> Result<(), SimError> {
+fn table1_config(_: &BenchOpts, _: &[&CellResult]) {
     let m = icelake_like();
     println!("\n## Table 1 — system configuration (Icelake-like preset)\n");
     println!("Processor:");
@@ -164,40 +175,27 @@ pub fn table1_config(_: &BenchOpts, _: &SupervisorOpts) -> Result<(), SimError> 
     );
     let s = skylake_like();
     println!("Skylake-like variant: ROB {}, LQ {}, SQ {}, L1D {} KB 8-way", s.core.rob_size, s.core.lq_size, s.core.sq_size, s.mem.l1_sets * s.mem.l1_ways * 64 / 1024);
-    Ok(())
 }
 
 /// **Figure 12** — committed atomics per kilo-instruction of each fenced
 /// baseline cell's representative run.
-///
-/// # Errors
-///
-/// The first failed cell.
-pub fn fig12_apki(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+fn fig12_apki(_: &BenchOpts, results: &[&CellResult]) {
     println!("\n## Figure 12 — atomic RMWs per kilo-instruction (APKI)\n");
     println!("{}", row(&["workload".into(), "APKI".into(), "class".into()]));
-    let (results, report) =
-        suite_grid("fig12_apki", opts, sup, &[AtomicPolicy::FencedBaseline], &[Preset::Icelake])?;
-    for r in &results {
+    for r in results {
         let spec = r.cell.workload;
         let apki = r.summary.representative().aggregate().apki();
         let cls = if spec.atomic_intensive { "atomic-intensive" } else { "non-atomic-intensive" };
         println!("{}", row(&[spec.name.into(), fmt(apki, 2), cls.into()]));
     }
     println!("\n(the paper draws the atomic-intensive threshold at 0.75 APKI)");
-    emit_report(&report);
-    Ok(())
 }
 
 /// **Table 2** — characterization of Free atomics (FreeAtomics+Fwd on the
 /// Icelake-like machine): omitted fences, watchdog timeouts, memory-
 /// dependence-violation squashes, forwarding sources, from each cell's
 /// representative run.
-///
-/// # Errors
-///
-/// The first failed cell, in workload order.
-pub fn table2_characterization(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+fn table2_characterization(_: &BenchOpts, results: &[&CellResult]) {
     println!("\n## Table 2 — characterization of Free atomics (FreeAtomics+Fwd)\n");
     println!(
         "{}",
@@ -210,16 +208,9 @@ pub fn table2_characterization(opts: &BenchOpts, sup: &SupervisorOpts) -> Result
             "FbS (% atomics)".into(),
         ])
     );
-    let (results, report) = suite_grid(
-        "table2_characterization",
-        opts,
-        sup,
-        &[AtomicPolicy::FreeFwd],
-        &[Preset::Icelake],
-    )?;
     let (mut of, mut to, mut mdv, mut fba, mut fbs) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for r in &results {
+    for r in results {
         let a = r.summary.representative().aggregate();
         let omitted = a.omitted_fence_ratio() * 100.0;
         let timeouts = a.watchdog_fires;
@@ -264,19 +255,13 @@ pub fn table2_characterization(opts: &BenchOpts, sup: &SupervisorOpts) -> Result
         mean(&fba),
         mean(&fbs)
     );
-    emit_report(&report);
-    Ok(())
 }
 
 /// **Figure 13** — locality of atomics: fraction of load_locks whose data
 /// was found locally (SQ forward or write-permission hit), baseline vs
 /// FreeAtomics+Fwd, with the forwarded component split out, from each
 /// cell's representative run.
-///
-/// # Errors
-///
-/// The first failed cell.
-pub fn fig13_locality(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+fn fig13_locality(_: &BenchOpts, results: &[&CellResult]) {
     println!("\n## Figure 13 — locality of atomics (ratio of load_locks)\n");
     println!(
         "{}",
@@ -288,13 +273,6 @@ pub fn fig13_locality(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimE
             "free total".into(),
         ])
     );
-    let (results, report) = suite_grid(
-        "fig13_locality",
-        opts,
-        sup,
-        &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd],
-        &[Preset::Icelake],
-    )?;
     for pair in results.chunks(2) {
         let (b_tot, _) = pair[0].summary.representative().aggregate().atomic_locality();
         let (f_tot, f_fwd) = pair[1].summary.representative().aggregate().atomic_locality();
@@ -309,18 +287,11 @@ pub fn fig13_locality(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimE
             ])
         );
     }
-    emit_report(&report);
-    Ok(())
 }
 
 /// **Figure 14** — execution time of each policy normalized to the fenced
 /// baseline, with the active/sleep split, plus the §5.5 headline averages.
-/// Runs on the sweep engine and emits `BENCH_sweep.json`.
-///
-/// # Errors
-///
-/// The first failed cell.
-pub fn fig14_exec_time(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+fn fig14_exec_time(_: &BenchOpts, results: &[&CellResult]) {
     println!("\n## Figure 14 — normalized execution time (lower is better)\n");
     println!(
         "{}",
@@ -333,8 +304,6 @@ pub fn fig14_exec_time(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Sim
             "sleep frac (fwd)".into(),
         ])
     );
-    let (results, report) =
-        suite_grid("fig14_exec_time", opts, sup, &AtomicPolicy::ALL, &[Preset::Icelake])?;
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut norm_ai: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for runs in results.chunks(AtomicPolicy::ALL.len()) {
@@ -372,8 +341,6 @@ pub fn fig14_exec_time(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Sim
         full * 100.0,
         ai * 100.0
     );
-    emit_report(&report);
-    Ok(())
 }
 
 /// **CPI stacks** — the figure-14 grid re-rendered as top-down cycle
@@ -382,21 +349,14 @@ pub fn fig14_exec_time(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), Sim
 /// cores of the representative run; the leaves sum to 100% by the
 /// conservation invariant), followed by the atomic-lifetime attribution
 /// table splitting each policy's mean RMW exec latency into cache-lock
-/// acquire, remote transfer, directory park and local execute. Runs on
-/// the sweep engine and emits `BENCH_sweep.json` with the `cpi` blocks
-/// the `report` bin diffs.
-///
-/// # Errors
-///
-/// The first failed cell.
-pub fn cpi_stacks(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+/// acquire, remote transfer, directory park and local execute. The rows of
+/// its cells carry the `cpi` blocks the `report` bin diffs.
+fn cpi_stacks(_: &BenchOpts, results: &[&CellResult]) {
     println!("\n## CPI stacks — top-down cycle accounting (% of core cycles)\n");
     let mut header = vec!["workload".to_string(), "policy".to_string()];
     header.extend(CpiLeaf::ALL.iter().map(|l| l.name().to_string()));
     println!("{}", row(&header));
-    let (results, report) =
-        suite_grid("cpistack", opts, sup, &AtomicPolicy::ALL, &[Preset::Icelake])?;
-    for r in &results {
+    for r in results {
         let cpi = r.summary.representative().aggregate().cpi;
         let total = cpi.total().max(1) as f64;
         let mut cells = vec![r.cell.workload.name.to_string(), r.cell.policy.label().to_string()];
@@ -416,7 +376,7 @@ pub fn cpi_stacks(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError
             "exec total".into(),
         ])
     );
-    for r in &results {
+    for r in results {
         let a = r.summary.representative().aggregate();
         let per = |v: u64| if a.atomics == 0 { 0.0 } else { v as f64 / a.atomics as f64 };
         println!(
@@ -432,8 +392,25 @@ pub fn cpi_stacks(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError
             ])
         );
     }
-    emit_report(&report);
-    Ok(())
+}
+
+/// Figure 16's interconnect points, in table order: the ideal crossbar,
+/// then the contended one at link bandwidth 1, 2 and 4 flits/cycle.
+fn fig16_points() -> [(&'static str, NocConfig); 4] {
+    [
+        ("ideal", NocConfig::default()),
+        ("bw=1", NocConfig::contended(1)),
+        ("bw=2", NocConfig::contended(2)),
+        ("bw=4", NocConfig::contended(4)),
+    ]
+}
+
+/// `FA_WORKLOADS × PAIR × FA_PRESETS` at each Figure 16 point, point by
+/// point.
+fn fig16_cells(opts: &BenchOpts) -> Vec<SweepCell> {
+    let cells = grid(&opts.workloads(), &PAIR, &presets_from_env());
+    let at = |(_, noc): (&str, NocConfig)| cells.iter().map(move |c| c.on_noc(opts, noc));
+    fig16_points().into_iter().flat_map(at).collect()
 }
 
 /// **Figure 16** — network sensitivity: fenced baseline vs FreeAtomics+Fwd
@@ -443,25 +420,11 @@ pub fn cpi_stacks(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError
 /// speedup survives (and how it shifts) when coherence traffic has to queue
 /// for links. Per-point network detail (link utilization, queue depth,
 /// grant latency) comes straight from the NoC stats of the representative
-/// FreeAtomics+Fwd run. Emits every `(noc, kernel, policy, preset)` row
-/// into one merged `BENCH_sweep.json` report; contended rows carry the
-/// `net` block.
-///
-/// # Errors
-///
-/// The first failed cell of any grid point.
-pub fn fig16_network_sensitivity(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+/// FreeAtomics+Fwd run. Every `(noc, kernel, policy, preset)` cell is a row
+/// of the report; contended rows carry the `net` block.
+fn fig16_network_sensitivity(_: &BenchOpts, results: &[&CellResult]) {
     println!("\n## Figure 16 — network sensitivity (speedup of FreeAtomics+Fwd)\n");
-    let points: [(&str, NocConfig); 4] = [
-        ("ideal", NocConfig::default()),
-        ("bw=1", NocConfig::contended(1)),
-        ("bw=2", NocConfig::contended(2)),
-        ("bw=4", NocConfig::contended(4)),
-    ];
-    let policies = [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd];
-    let workloads = opts.workloads();
     let presets = presets_from_env();
-    let cells = grid(&workloads, &policies, &presets);
     println!(
         "{}",
         row(&[
@@ -476,19 +439,16 @@ pub fn fig16_network_sensitivity(opts: &BenchOpts, sup: &SupervisorOpts) -> Resu
             "grant lat".into(),
         ])
     );
-    let mut reports = Vec::new();
     let mut detail = Vec::new();
-    for (label, noc) in points {
-        let p_opts = BenchOpts { noc, ..*opts };
-        let (results, part) =
-            measured_grid("fig16_network_sensitivity", &p_opts, sup, &cells)?;
-        reports.push(part);
+    let per_point = results.len() / fig16_points().len();
+    for (pi, (label, _)) in fig16_points().into_iter().enumerate() {
+        let point = &results[pi * per_point..(pi + 1) * per_point];
         // Grid order is (workload, policy, preset) row-major: within one
         // workload chunk, cell `policy * presets + preset`.
-        for wchunk in results.chunks(policies.len() * presets.len()) {
+        for wchunk in point.chunks(PAIR.len() * presets.len()) {
             for (pi, preset) in presets.iter().enumerate() {
-                let base = &wchunk[pi];
-                let free = &wchunk[presets.len() + pi];
+                let base = wchunk[pi];
+                let free = wchunk[presets.len() + pi];
                 let ns = &free.summary.representative().mem.noc;
                 let contended = ns.policy == fa_mem::XbarPolicy::Contended;
                 println!(
@@ -519,19 +479,11 @@ pub fn fig16_network_sensitivity(opts: &BenchOpts, sup: &SupervisorOpts) -> Resu
     for line in &detail {
         println!("  {line}");
     }
-    let report = reports.into_iter().reduce(SweepReport::merge).expect("four grid points");
-    emit_report(&report);
-    Ok(())
 }
 
 /// **Figure 15** — processor energy of each policy normalized to the
-/// fenced baseline, split dynamic/static. Runs on the sweep engine and
-/// emits `BENCH_sweep.json`.
-///
-/// # Errors
-///
-/// The first failed cell.
-pub fn fig15_energy(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+/// fenced baseline, split dynamic/static.
+fn fig15_energy(_: &BenchOpts, results: &[&CellResult]) {
     println!("\n## Figure 15 — normalized energy (lower is better)\n");
     println!(
         "{}",
@@ -545,8 +497,6 @@ pub fn fig15_energy(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimErr
         ])
     );
     let model = EnergyModel::default();
-    let (results, report) =
-        suite_grid("fig15_energy", opts, sup, &AtomicPolicy::ALL, &[Preset::Icelake])?;
     let mut norm: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let mut norm_ai: Vec<Vec<f64>> = vec![Vec::new(); 4];
     for runs in results.chunks(AtomicPolicy::ALL.len()) {
@@ -576,8 +526,6 @@ pub fn fig15_energy(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimErr
         (1.0 - mean(&norm[3])) * 100.0,
         (1.0 - mean(&norm_ai[3])) * 100.0
     );
-    emit_report(&report);
-    Ok(())
 }
 
 /// **Weak-baseline experiment** — FreeFwd's residual speedup over an
@@ -594,21 +542,10 @@ pub fn fig15_energy(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimErr
 /// residual benefit attributable to the atomic-fence elision itself rather
 /// than to TSO's globally conservative ordering.
 ///
-/// Emits a combined `BENCH_sweep.json`: TSO rows untagged (golden shape),
-/// weak rows tagged `"model":"weak"`.
-///
-/// # Errors
-///
-/// The first failed cell of either grid.
-pub fn fig_weak_baseline(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
+/// TSO rows are untagged (golden shape), weak rows tagged `"model":"weak"`.
+fn fig_weak_baseline(opts: &BenchOpts, results: &[&CellResult]) {
     println!("\n## Weak baseline — FreeFwd residual speedup on acquire/release-native hardware\n");
-    let workloads = opts.workloads();
-    let policies = [AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd];
-    let cells = grid(&workloads, &policies, &[Preset::Icelake]);
-    let tso_opts = BenchOpts { model: MemModel::Tso, ..*opts };
-    let weak_opts = BenchOpts { model: MemModel::Weak, ..*opts };
-    let (tso, tso_report) = measured_grid("fig_weak_baseline", &tso_opts, sup, &cells)?;
-    let (weak, weak_report) = measured_grid("fig_weak_baseline", &weak_opts, sup, &cells)?;
+    let (tso, weak) = results.split_at(results.len() / 2);
     println!(
         "{}",
         row(&[
@@ -620,7 +557,7 @@ pub fn fig_weak_baseline(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), S
     );
     let mut sp_tso = Vec::new();
     let mut sp_weak = Vec::new();
-    for (i, spec) in workloads.iter().enumerate() {
+    for (i, spec) in opts.workloads().iter().enumerate() {
         let base_tso = tso[2 * i].summary.mean_cycles;
         let fwd_tso = tso[2 * i + 1].summary.mean_cycles;
         let base_weak = weak[2 * i].summary.mean_cycles;
@@ -643,8 +580,14 @@ pub fn fig_weak_baseline(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), S
         mean(&sp_tso),
         mean(&sp_weak)
     );
-    emit_report(&tso_report.merge(weak_report));
-    Ok(())
+}
+
+/// `FA_WORKLOADS × PAIR` on the Icelake-like machine under TSO, then under
+/// the weak model.
+fn weak_baseline_cells(opts: &BenchOpts) -> Vec<SweepCell> {
+    let cells = grid(&opts.workloads(), &PAIR, &[Icelake]);
+    let under = |model| cells.iter().map(move |c| c.under_model(opts, model));
+    [MemModel::Tso, MemModel::Weak].into_iter().flat_map(under).collect()
 }
 
 /// The ablation axes: a title and the four values of one design
@@ -664,34 +607,30 @@ const ABLATION_AXES: [(&str, [Ablation; 4]); 3] = {
     ]
 };
 
+/// Every `(axis, workload, value)` cell of the ablation under FreeAtomics+Fwd
+/// on the Icelake-like machine, on a representative atomic-intensive subset
+/// unless `FA_WORKLOADS` names another.
+fn ablation_cells(_: &BenchOpts) -> Vec<SweepCell> {
+    let specs = workloads_from_env().unwrap_or_else(|| {
+        suite::select(&["TATP", "AS", "barnes", "canneal"]).expect("suite names")
+    });
+    let plain = grid(&specs, &[FreeFwd], &[Icelake]);
+    let mut cells = Vec::new();
+    for (_, values) in &ABLATION_AXES {
+        for c in &plain {
+            cells.extend(values.iter().map(|&a| SweepCell { ablation: Some(a), ..*c }));
+        }
+    }
+    cells
+}
+
 /// **Ablation** — the design parameters DESIGN.md calls out, each swept
 /// over four values under FreeAtomics+Fwd on the Icelake-like machine:
 /// Atomic Queue size (§4.3 concludes 4 entries suffice), watchdog threshold
 /// (§3.2.5 picks 10 000 cycles to avoid unnecessary squashes) and
-/// forwarding-chain limit (§3.3.4 caps chains at 32 against livelock). One
-/// campaign over every `(axis, workload, value)` cell, on a representative
-/// atomic-intensive subset unless `FA_WORKLOADS` names another; each row's
-/// mean cycles are normalized to its axis's leftmost value.
-///
-/// # Errors
-///
-/// The first failed cell.
-pub fn ablation(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> {
-    let specs = workloads_from_env().unwrap_or_else(|| {
-        suite::select(&["TATP", "AS", "barnes", "canneal"]).expect("suite names")
-    });
-    let mut cells = Vec::new();
-    for (_, values) in &ABLATION_AXES {
-        for &workload in &specs {
-            cells.extend(values.iter().map(|&a| SweepCell {
-                workload,
-                policy: AtomicPolicy::FreeFwd,
-                preset: Preset::Icelake,
-                ablation: Some(a),
-            }));
-        }
-    }
-    let (results, report) = measured_grid("ablation", opts, sup, &cells)?;
+/// forwarding-chain limit (§3.3.4 caps chains at 32 against livelock); each
+/// row's mean cycles are normalized to its axis's leftmost value.
+fn ablation(_: &BenchOpts, results: &[&CellResult]) {
     println!("(cycles normalized to the leftmost configuration; lower is better)");
     let per_axis = results.chunks(results.len() / ABLATION_AXES.len());
     for ((title, values), axis) in ABLATION_AXES.iter().zip(per_axis) {
@@ -706,22 +645,29 @@ pub fn ablation(opts: &BenchOpts, sup: &SupervisorOpts) -> Result<(), SimError> 
             println!("{}", row(&line));
         }
     }
-    emit_report(&report);
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn figure(name: &str) -> &'static Figure {
+        FIGURES.iter().find(|f| f.name == name).expect("a figure of that name")
+    }
+
+    fn tiny() -> BenchOpts {
+        BenchOpts { cores: 2, scale: 0.05, runs: 1, drop_slowest: 0, ..BenchOpts::default() }
+    }
+
     #[test]
     fn a_failed_cell_fails_the_figure_naming_the_cell() {
         // One cycle is too few for any cell: figure 14 runs its grid under
         // the supervisor it is given, and must come back as an error naming
         // kernel/policy/preset, never as a partial table.
-        let opts = BenchOpts { cores: 2, scale: 0.05, runs: 1, drop_slowest: 0, ..BenchOpts::default() };
+        let opts = tiny();
         let sup = SupervisorOpts { max_cycles: Some(1), ..SupervisorOpts::none() };
-        let err = fig14_exec_time(&opts, &sup).expect_err("every cell times out");
+        let fig14 = figure("fig14_exec_time");
+        let err = run(&opts, &sup, &[fig14]).expect_err("every cell times out");
         let first = opts.workloads()[0].name;
         assert!(
             matches!(&err, SimError::CellFailed { cell, .. }
@@ -729,6 +675,9 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("did not quiesce within 1 cycles"), "{err}");
+        // `fa fig all` names the first figure that reads the failed cell.
+        let reader = FIGURES.iter().find(|f| f.fails_with(&opts, &err)).expect("a reader");
+        assert_eq!(reader.name, "fig01_atomic_cost");
     }
 
     #[test]
@@ -736,11 +685,67 @@ mod tests {
         // A methodology retaining no runs is refused by the campaign engine
         // before any cell runs: every figure that measures, and the ablation
         // tables, must say so, not print a table from some other run path.
-        let opts = BenchOpts { cores: 2, scale: 0.05, runs: 0, ..BenchOpts::default() };
-        let measured = FIGURES.iter().filter(|(name, _)| *name != "table1_config");
-        for (name, figure) in measured.chain([&("ablation", ablation as Figure)]) {
-            let err = figure(&opts, &SupervisorOpts::none()).expect_err(name);
-            assert!(matches!(err, SimError::InvalidMethodology { runs: 0, .. }), "{name}: {err}");
+        let opts = BenchOpts { runs: 0, ..tiny() };
+        let measured = FIGURES.iter().filter(|f| f.name != "table1_config");
+        for f in measured.chain([&ABLATION]) {
+            let err = run(&opts, &SupervisorOpts::none(), &[f]).expect_err(f.name);
+            assert!(matches!(err, SimError::InvalidMethodology { runs: 0, .. }), "{}: {err}", f.name);
         }
+        // Table 1 reads no cell, so it runs no campaign and has no report.
+        let table1 = figure("table1_config");
+        assert!(run(&opts, &SupervisorOpts::none(), &[table1]).expect("no campaign").is_none());
+    }
+
+    #[test]
+    fn a_cell_read_by_several_tables_runs_once() {
+        let opts = tiny();
+        let sup = SupervisorOpts::none();
+        let w = opts.workloads().len();
+        let fig14 = figure("fig14_exec_time");
+        let shared = [fig14, figure("fig15_energy"), figure("cpistack")];
+        let all = run(&opts, &sup, &shared).expect("campaign").expect("a report");
+        assert_eq!(all.row_lines.len(), 4 * w);
+        assert_eq!(all.timing.cells, 4 * w);
+        let alone = run(&opts, &sup, &[fig14]).expect("campaign").expect("a report");
+        assert_eq!(all.row_lines, alone.row_lines);
+    }
+
+    /// The rows of one campaign over `cells`.
+    fn rows(opts: &BenchOpts, cells: &[SweepCell]) -> Vec<String> {
+        let (outcome, _) = run_grid_supervised(opts, &SupervisorOpts::none(), cells).expect("grid");
+        assert!(outcome.quarantine.is_empty());
+        outcome.row_lines
+    }
+
+    #[test]
+    fn one_campaign_over_overridden_cells_rows_as_the_per_point_campaigns() {
+        // Figure 16 and the weak baseline used to run one campaign per
+        // interconnect point or memory model, with the options set to it;
+        // their cells, restricted to one kernel, must row the same in point
+        // order, whatever the options' own interconnect and model are.
+        let on_pc = |cells: Vec<SweepCell>| -> Vec<SweepCell> {
+            cells.into_iter().filter(|c| c.workload.name == "PC").collect()
+        };
+        let pc = suite::select(&["PC"]).expect("suite names");
+        for opts in [tiny(), BenchOpts { noc: NocConfig::contended(2), model: MemModel::Weak, ..tiny() }] {
+            let mut reference = Vec::new();
+            for (_, noc) in fig16_points() {
+                let cells = grid(&pc, &PAIR, &presets_from_env());
+                reference.extend(rows(&BenchOpts { noc, ..opts }, &cells));
+            }
+            assert_eq!(rows(&opts, &on_pc(fig16_cells(&opts))), reference);
+            let mut reference = Vec::new();
+            for model in [MemModel::Tso, MemModel::Weak] {
+                let cells = grid(&pc, &PAIR, &[Icelake]);
+                reference.extend(rows(&BenchOpts { model, ..opts }, &cells));
+            }
+            assert_eq!(rows(&opts, &on_pc(weak_baseline_cells(&opts))), reference);
+        }
+        // Under the default options the ideal point and the TSO half are
+        // plain cells: the very cells Figs. 13 and 14 read.
+        let opts = tiny();
+        let names = |cells: Vec<SweepCell>| cells.iter().map(SweepCell::name).collect::<Vec<_>>();
+        let fig13 = names((figure("fig13_locality").cells)(&opts));
+        assert_eq!(names(weak_baseline_cells(&opts))[..fig13.len()], fig13[..]);
     }
 }

@@ -3,11 +3,12 @@
 //! Every experiment of the paper's evaluation section (§5) is a named
 //! entry of [`figures::FIGURES`], run by `fa fig <name>`; this module holds
 //! the common machinery: environment-controlled sizing and table
-//! formatting. Every figure and table, `fa sweep`, `fa ablation` and `fa
-//! conformance` are campaigns on the one engine,
-//! [`sweep::run_grid_supervised`]: `FA_RUNS` runs a cell with random start
-//! offsets, the `FA_DROP` slowest dropped (§5.1). An ablation cell names its
-//! machine field as a typed override, [`sweep::Ablation`].
+//! formatting. `fa sweep`, `fa fig`, `fa ablation` and `fa conformance`
+//! each make one campaign on the one engine, [`sweep::run_grid_supervised`]:
+//! `FA_RUNS` runs a cell with random start offsets, the `FA_DROP` slowest
+//! dropped (§5.1). A cell names its whole machine: on top of its preset, an
+//! ablation override ([`sweep::Ablation`]) and its own interconnect, memory
+//! model and fault-injection seed where they differ from the options.
 //!
 //! The `FA_*` variables are documented in one place, [`fa_sim::env::KNOBS`]
 //! — run `fa knobs` to print it. All parsing goes through
@@ -24,7 +25,7 @@ pub mod report;
 pub mod sweep;
 
 use fa_core::AtomicPolicy;
-use fa_mem::{ChaosConfig, NocConfig, ProgressConfig};
+use fa_mem::{NocConfig, ProgressConfig};
 use fa_sim::env;
 use fa_sim::machine::MachineConfig;
 use fa_sim::methodology::Methodology;
@@ -75,11 +76,6 @@ pub struct BenchOpts {
     /// fires on healthy runs, so golden results are bit-identical with the
     /// framework on or off.
     pub progress: ProgressConfig,
-    /// Fault-injection seed: `Some(seed)` runs every cell under
-    /// [`ChaosConfig::stress`]. Not an environment knob — `fa conformance`
-    /// sets it in code for the chaos half of its grid; `None` (everything
-    /// else) leaves the preset's chaos configuration alone.
-    pub chaos: Option<u64>,
 }
 
 impl Default for BenchOpts {
@@ -96,7 +92,6 @@ impl Default for BenchOpts {
             check: CheckMode::Off,
             model: MemModel::Tso,
             progress: ProgressConfig::default(),
-            chaos: None,
         }
     }
 }
@@ -129,7 +124,6 @@ impl BenchOpts {
             model: env::get("FA_MODEL", env::parse_model_setting).unwrap_or(d.model),
             progress: env::get("FA_PROGRESS", |v| env::parse_progress(v).ok_or("no such setting"))
                 .unwrap_or(d.progress),
-            chaos: d.chaos,
         }
     }
 
@@ -159,17 +153,15 @@ impl BenchOpts {
     }
 
     /// `base` specialized for one run under these options: policy, NoC
-    /// model, trace mode, conformance-check mode, memory model,
-    /// forward-progress escalation and fault injection applied.
+    /// model, trace mode, conformance-check mode, memory model and
+    /// forward-progress escalation applied; the base's fault injection is
+    /// left as it is.
     pub fn config_for(&self, base: &MachineConfig, policy: AtomicPolicy) -> MachineConfig {
         let mut cfg = base.clone().with_trace(self.trace).with_check(self.check);
         cfg.core.policy = policy;
         cfg.core.model = self.model;
         cfg.mem.noc = self.noc;
         cfg.mem.progress = self.progress;
-        if let Some(seed) = self.chaos {
-            cfg.mem.chaos = ChaosConfig::stress(seed);
-        }
         cfg
     }
 }
@@ -224,11 +216,9 @@ mod tests {
             trace: TraceMode::Flight,
             check: CheckMode::Tso,
             model: MemModel::Weak,
-            chaos: Some(7),
             ..BenchOpts::default()
         };
         let cfg = opts.config_for(&MachineConfig::default(), AtomicPolicy::FreeFwd);
-        assert_eq!(cfg.mem.chaos, ChaosConfig::stress(7));
         assert_eq!(cfg.core.policy, AtomicPolicy::FreeFwd);
         assert_eq!(cfg.core.model, MemModel::Weak);
         assert_eq!(cfg.mem.noc, NocConfig::contended(4));
@@ -242,10 +232,10 @@ mod tests {
         let off = BenchOpts::default().config_for(&MachineConfig::default(), AtomicPolicy::Free);
         assert_eq!(off.core.check, CheckMode::Off);
         assert_eq!(off.core.model, MemModel::Tso);
-        // `chaos: None` leaves the base's fault injection as it found it.
+        // The base's fault injection is left as it was found.
         let mut base = MachineConfig::default();
         assert_eq!(BenchOpts::default().config_for(&base, AtomicPolicy::Free).mem.chaos, base.mem.chaos);
-        base.mem.chaos = ChaosConfig::stress(3);
+        base.mem.chaos = fa_mem::ChaosConfig::stress(3);
         assert_eq!(BenchOpts::default().config_for(&base, AtomicPolicy::Free).mem.chaos, base.mem.chaos);
     }
 

@@ -4,8 +4,8 @@
 //!
 //! The comparison is keyed on cell identity — `kernel/policy/preset`, plus
 //! the ablation override, the contended-crossbar point and the weak-model
-//! tag where the row carries them, so the merged reports of
-//! `fig16_network_sensitivity` and `fig_weak_baseline` and the rows of
+//! tag where the row carries them, so the reports of
+//! `fig16_network_sensitivity`, `fig_weak_baseline`, `fa fig all` and
 //! `fa ablation` key every row apart — and the two reports may come
 //! from different drivers or row orders; cells present in only one file are
 //! listed, not diffed, and a key that occurs twice in one file is an error.
@@ -348,7 +348,7 @@ mod tests {
         // conservation invariant survives serialization; a self-diff of
         // real rows is clean and its rendered rows are bit-identical
         // across renders (passivity).
-        let rows = parse_rows(&merged_report("TATP", &[small_opts()]));
+        let rows = parse_rows(&report_of(&pair("TATP")));
         assert_eq!(rows.len(), 2, "every emitted row parses back");
         for r in &rows {
             assert_eq!(
@@ -363,24 +363,20 @@ mod tests {
         assert_eq!(d.render(), diff(&rows, &rows).render(), "rendering is pure");
     }
 
-    /// `kernel` x {baseline, FreeAtomics+Fwd} on the tiny preset under each
-    /// of `variants`, merged into one report the way the multi-grid figures
-    /// merge theirs.
-    fn merged_report(kernel: &str, variants: &[crate::BenchOpts]) -> String {
-        use crate::sweep::{grid, run_grid_supervised, Preset, SupervisorOpts, SweepReport};
+    /// `kernel` x {baseline, FreeAtomics+Fwd} on the tiny preset.
+    fn pair(kernel: &str) -> Vec<crate::sweep::SweepCell> {
+        use crate::sweep::{grid, Preset};
         use fa_core::AtomicPolicy;
         let ws = fa_workloads::suite::select(&[kernel]).expect("suite names");
-        let cells = grid(&ws, &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd], &[Preset::Tiny]);
-        variants
-            .iter()
-            .map(|opts| {
-                let (outcome, timing) =
-                    run_grid_supervised(opts, &SupervisorOpts::none(), &cells).expect("grid");
-                SweepReport::from_outcome("report-test", opts, outcome, timing)
-            })
-            .reduce(SweepReport::merge)
-            .expect("at least one variant")
-            .json()
+        grid(&ws, &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd], &[Preset::Tiny])
+    }
+
+    /// The report of one campaign over `cells`.
+    fn report_of(cells: &[crate::sweep::SweepCell]) -> String {
+        use crate::sweep::{run_grid_supervised, SupervisorOpts, SweepReport};
+        let opts = small_opts();
+        let (outcome, timing) = run_grid_supervised(&opts, &SupervisorOpts::none(), cells).expect("grid");
+        SweepReport::from_outcome("report-test", &opts, outcome, timing).json()
     }
 
     #[test]
@@ -388,13 +384,15 @@ mod tests {
         use fa_mem::NocConfig;
         let opts = small_opts();
         // fig16_network_sensitivity's four NoC points; fig_weak_baseline's
-        // two memory models.
+        // two memory models: the cells overridden where they differ from
+        // the options, all points one campaign, as the figures run them.
+        let pc = pair("PC");
         let fig16 = [NocConfig::default(), NocConfig::contended(1), NocConfig::contended(2), NocConfig::contended(4)]
-            .map(|noc| crate::BenchOpts { noc, ..opts });
+            .map(|noc| pc.iter().map(|c| c.on_noc(&opts, noc)).collect::<Vec<_>>());
         let weak = [fa_sim::MemModel::Tso, fa_sim::MemModel::Weak]
-            .map(|model| crate::BenchOpts { model, ..opts });
+            .map(|model| pc.iter().map(|c| c.under_model(&opts, model)).collect::<Vec<_>>());
         for variants in [&fig16[..], &weak[..]] {
-            let rows = parse_rows(&merged_report("PC", variants));
+            let rows = parse_rows(&report_of(&variants.concat()));
             assert_eq!(rows.len(), 2 * variants.len());
             let d = super::diff(&rows, &rows).expect("every row has its own key");
             assert_eq!(d.rows.len(), rows.len());
@@ -402,7 +400,7 @@ mod tests {
             assert!(!d.regressed(), "{}", d.render());
         }
         let keys: Vec<String> =
-            parse_rows(&merged_report("PC", &fig16[..2])).into_iter().map(|r| r.key).collect();
+            parse_rows(&report_of(&fig16[..2].concat())).into_iter().map(|r| r.key).collect();
         assert_eq!(
             keys,
             [
@@ -412,7 +410,7 @@ mod tests {
                 "PC/FreeAtomics+Fwd/tiny net=contended:1",
             ]
         );
-        assert!(parse_rows(&merged_report("PC", &weak[1..]))[0].key.ends_with("/tiny model=weak"));
+        assert!(parse_rows(&report_of(&weak[1..].concat()))[0].key.ends_with("/tiny model=weak"));
     }
 
     #[test]

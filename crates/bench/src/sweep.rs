@@ -15,13 +15,13 @@
 use crate::checkpoint::{fnv1a64, CellRecord, Journal};
 use crate::BenchOpts;
 use fa_core::AtomicPolicy;
-use fa_mem::{CoreMemStats, ProgressStats, XbarPolicy};
+use fa_mem::{ChaosConfig, CoreMemStats, NocConfig, ProgressStats, XbarPolicy};
 use fa_sim::env;
 use fa_sim::error::{CellFailure, SimError};
 use fa_sim::machine::{MachineConfig, RunResult};
 use fa_sim::methodology::{Methodology, MultiRun};
 use fa_sim::sweep::{run_cells_timed, supervise, SweepTiming};
-use fa_sim::{Counter, Json};
+use fa_sim::{Counter, Json, MemModel};
 use fa_workloads::{WorkloadParams, WorkloadSpec};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -132,8 +132,11 @@ impl std::fmt::Display for Ablation {
 }
 
 /// One independent sweep cell: a kernel under a policy on a preset,
-/// optionally with one design parameter overridden. The run-seed axis lives
-/// inside the cell (its methodology runs).
+/// optionally with one design parameter overridden and with its own
+/// interconnect, memory model or fault injection. The run-seed axis lives
+/// inside the cell (its methodology runs). Every override is `None` in
+/// every [`grid`] cell; a command sets one only where it differs from the
+/// options, so two equal machines share one name.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepCell {
     /// The workload (kernel) to run.
@@ -142,21 +145,60 @@ pub struct SweepCell {
     pub policy: AtomicPolicy,
     /// The machine preset.
     pub preset: Preset,
-    /// The preset's value of one design parameter replaced; `None` in
-    /// every [`grid`] cell.
+    /// The preset's value of one design parameter replaced.
     pub ablation: Option<Ablation>,
+    /// The interconnect, in place of [`BenchOpts::noc`].
+    pub noc: Option<NocConfig>,
+    /// The memory model, in place of [`BenchOpts::model`].
+    pub model: Option<MemModel>,
+    /// Fault-injection seed: `Some(seed)` runs the cell under
+    /// [`ChaosConfig::stress`]; `None` leaves the preset's chaos alone.
+    pub chaos: Option<u64>,
 }
 
 impl SweepCell {
     /// The cell's stable identity, `kernel/policy/preset`, then
-    /// `/<ablation>` for an overridden cell — used by quarantine reports
-    /// and the campaign fingerprint.
+    /// `/<ablation>`, ` net=<xbar>:<bw>`, ` model=<name>` and
+    /// ` chaos=<seed>` for each override it carries — used by quarantine
+    /// reports, the campaign fingerprint and to measure a cell several
+    /// tables read once. The `net` and `model` suffixes are the ones
+    /// [`report`](crate::report) keys rows by.
     pub fn name(&self) -> String {
-        let name = format!("{}/{}/{}", self.workload.name, self.policy.label(), self.preset.name());
-        match self.ablation {
-            Some(a) => format!("{name}/{a}"),
-            None => name,
+        let (w, p, s) = (self.workload.name, self.policy.label(), self.preset.name());
+        let ablation = self.ablation.map_or(String::new(), |a| format!("/{a}"));
+        let net = self.noc.map_or(String::new(), |n| format!(" net={}:{}", n.policy.name(), n.link_bw));
+        let model = self.model.map_or(String::new(), |m| format!(" model={}", m.name()));
+        let chaos = self.chaos.map_or(String::new(), |seed| format!(" chaos={seed}"));
+        format!("{w}/{p}/{s}{ablation}{net}{model}{chaos}")
+    }
+
+    /// This cell on the interconnect `noc`, overridden only where `noc`
+    /// differs from the options'.
+    pub fn on_noc(self, opts: &BenchOpts, noc: NocConfig) -> SweepCell {
+        SweepCell { noc: (noc != opts.noc).then_some(noc), ..self }
+    }
+
+    /// This cell under the memory model `model`, overridden only where
+    /// `model` differs from the options'.
+    pub fn under_model(self, opts: &BenchOpts, model: MemModel) -> SweepCell {
+        SweepCell { model: (model != opts.model).then_some(model), ..self }
+    }
+
+    /// The machine one run of this cell simulates under `opts`: the preset,
+    /// then the ablation, then [`BenchOpts::config_for`] under `opts` with
+    /// the cell's interconnect and memory model in place, then the cell's
+    /// fault injection.
+    pub fn config(&self, opts: &BenchOpts) -> MachineConfig {
+        let mut base = self.preset.config();
+        if let Some(a) = self.ablation {
+            a.apply(&mut base);
         }
+        let (noc, model) = (self.noc.unwrap_or(opts.noc), self.model.unwrap_or(opts.model));
+        let mut cfg = BenchOpts { noc, model, ..*opts }.config_for(&base, self.policy);
+        if let Some(seed) = self.chaos {
+            cfg.mem.chaos = ChaosConfig::stress(seed);
+        }
+        cfg
     }
 }
 
@@ -172,7 +214,8 @@ pub fn grid(
     for &workload in workloads {
         for &policy in policies {
             for &preset in presets {
-                cells.push(SweepCell { workload, policy, preset, ablation: None });
+                let (ablation, noc, model, chaos) = (None, None, None, None);
+                cells.push(SweepCell { workload, policy, preset, ablation, noc, model, chaos });
             }
         }
     }
@@ -184,7 +227,8 @@ pub fn grid(
 pub struct CellResult {
     /// The cell that was measured.
     pub cell: SweepCell,
-    /// Multi-run summary (mean over retained runs, fastest first).
+    /// Multi-run summary (mean over retained runs, fastest first); a
+    /// campaign's result keeps only the fastest run, its representative.
     pub summary: MultiRun,
 }
 
@@ -290,15 +334,15 @@ impl SweepOutcome {
 
 /// The campaign fingerprint for the checkpoint journal: an FNV-1a 64 hash
 /// over everything that affects simulated rows — sizing, methodology,
-/// seed, NoC, check mode, memory model, progress thresholds, the chaos
-/// seed, the cycle budget, and the cell identities — and nothing that does
-/// not (worker-thread count, trace mode).
+/// seed, NoC, check mode, memory model, progress thresholds, the cycle
+/// budget, and the cell identities with their overrides — and nothing that
+/// does not (worker-thread count, trace mode).
 pub fn campaign_fingerprint(opts: &BenchOpts, budget_cycles: Option<u64>, cells: &[SweepCell]) -> u64 {
     let mut s = format!(
         "cores={} scale={:?} runs={} drop={} seed={} noc={:?} check={:?} model={:?} \
-         progress={:?} chaos={:?} budget_cycles={budget_cycles:?};cells:",
+         progress={:?} budget_cycles={budget_cycles:?};cells:",
         opts.cores, opts.scale, opts.runs, opts.drop_slowest, opts.seed, opts.noc, opts.check,
-        opts.model, opts.progress, opts.chaos
+        opts.model, opts.progress
     );
     for c in cells {
         s.push_str(&c.name());
@@ -317,11 +361,7 @@ fn run_one_cell(
     params: &WorkloadParams,
     cell: &SweepCell,
 ) -> Result<(CellRecord, CellResult), SimError> {
-    let mut base = cell.preset.config();
-    if let Some(a) = cell.ablation {
-        a.apply(&mut base);
-    }
-    let cfg = opts.config_for(&base, cell.policy);
+    let cfg = cell.config(opts);
     let mut runs = Vec::with_capacity(meth.runs);
     let (mut cycles, mut instructions) = (0u64, 0u64);
     let mut health = ProgressStats::default();
@@ -379,7 +419,14 @@ pub fn run_grid_supervised(
         &pending,
         opts.threads,
         |_, &ci| {
-            let r = supervise(|| run_one_cell(opts, &meth, &params, &cells[ci]));
+            let r = supervise(|| {
+                // The row is rendered: keep the mean and the representative
+                // run, all a table reads, so a campaign holds one run a cell.
+                run_one_cell(opts, &meth, &params, &cells[ci]).map(|(rec, mut result)| {
+                    result.summary.runs.truncate(1);
+                    (rec, result)
+                })
+            });
             if let (Ok((rec, _)), Some(j)) = (&r, &journal) {
                 // Journal the success before the worker moves on: a kill
                 // after this point cannot lose the cell.
@@ -464,8 +511,8 @@ fn stat_blocks(r: &RunResult) -> [(&'static str, Json); 2] {
 /// a `net` block only for contended-crossbar rows, so ideal rows keep the
 /// goldens' bytes; the `hists` and `cpi` blocks (`report` reads the latter
 /// back); then `"checked":true` when every run passed the axiomatic checker
-/// (`FA_CHECK=tso`) and `"model":"weak"` for weak-model rows, so TSO rows
-/// stay untagged. No wall-clock quantity: serial and parallel sweeps emit
+/// (`FA_CHECK=tso`) and `"model":"weak"` for rows whose cell runs the weak
+/// model, so TSO rows stay untagged. No wall-clock quantity: serial and parallel sweeps emit
 /// byte-identical rows.
 pub(crate) fn sweep_row(opts: &BenchOpts, r: &CellResult) -> Json {
     let rep = r.summary.representative();
@@ -490,8 +537,9 @@ pub(crate) fn sweep_row(opts: &BenchOpts, r: &CellResult) -> Json {
     if opts.check.on() {
         row.push(("checked", true.into()));
     }
-    if opts.model != fa_sim::MemModel::Tso {
-        row.push(("model", opts.model.name().into()));
+    let model = r.cell.model.unwrap_or(opts.model);
+    if model != MemModel::Tso {
+        row.push(("model", model.name().into()));
     }
     Json::obj(row)
 }
@@ -536,8 +584,8 @@ impl SweepReport {
 
     /// Appends `other`'s campaign to this report — rows and quarantine in
     /// order, health and simulated totals folded, wall clocks summed — for
-    /// figures whose table spans several grids (one per NoC point or
-    /// memory model).
+    /// campaigns that differ in what no cell carries (the check mode, the
+    /// supervisor).
     pub fn merge(mut self, other: SweepReport) -> SweepReport {
         self.row_lines.extend(other.row_lines);
         self.quarantine.extend(other.quarantine);
@@ -659,7 +707,6 @@ mod tests {
             check: fa_sim::CheckMode::Off,
             model: fa_sim::MemModel::Tso,
             progress: fa_mem::ProgressConfig::default(),
-            chaos: None,
         }
     }
 
@@ -848,6 +895,41 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_config_is_its_preset_and_ablation_under_the_options_then_its_overrides() {
+        use fa_sim::{CheckMode, TraceMode};
+        let opts = BenchOpts { trace: TraceMode::Flight, check: CheckMode::Tso, ..small_opts(1) };
+        let plain = SweepCell { ablation: Some(Ablation::AqEntries(3)), ..small_grid()[1] };
+        let mut want = Preset::Tiny.config();
+        want.core.aq_size = 3;
+        let want = opts.config_for(&want, AtomicPolicy::FreeFwd);
+        assert_eq!(plain.config(&opts), want, "no override: the options' machine");
+        // `chaos: None` leaves the preset's fault injection as it found it.
+        assert_eq!(plain.config(&opts).mem.chaos, Preset::Tiny.config().mem.chaos);
+        let cell = SweepCell {
+            noc: Some(fa_mem::NocConfig::contended(4)),
+            model: Some(MemModel::Weak),
+            chaos: Some(7),
+            ..plain
+        };
+        let cfg = cell.config(&opts);
+        assert_eq!(cfg.mem.noc, fa_mem::NocConfig::contended(4));
+        assert_eq!(cfg.core.model, MemModel::Weak);
+        assert_eq!(cfg.mem.chaos, ChaosConfig::stress(7));
+        // The rest is the options' machine, the overrides undone.
+        let mut undone = cfg.clone();
+        (undone.mem.noc, undone.core.model, undone.mem.chaos) =
+            (want.mem.noc, want.core.model, want.mem.chaos.clone());
+        assert_eq!(undone, want);
+        assert_eq!(
+            cell.name(),
+            "TATP/FreeAtomics+Fwd/tiny/aq=3 net=contended:4 model=weak chaos=7"
+        );
+        // A cell's row is tagged with its own memory model.
+        let (results, _, _) = run(&small_opts(1), &[SweepCell { model: Some(MemModel::Weak), ..small_grid()[0] }]);
+        assert!(sweep_row(&small_opts(1), &results[0]).to_string().ends_with(",\"model\":\"weak\"}"));
+    }
+
+    #[test]
     fn weak_sweep_tags_rows_and_tso_rows_stay_untagged() {
         // FA_MODEL=weak rows carry `"model":"weak"`; TSO rows (the
         // default) never grow a model field, so the goldens and the ci
@@ -953,8 +1035,15 @@ mod tests {
             grid(&ws, &[AtomicPolicy::FencedBaseline, AtomicPolicy::FreeFwd], &[Preset::Tiny]);
         let mut opts = small_opts(2);
         opts.cores = 4;
-        let (results, _, _) = run(&opts, &cells);
-        for r in &results {
+        let (meth, params) = (opts.methodology(), opts.params());
+        let (campaign, _, _) = run(&opts, &cells);
+        for (cell, kept) in cells.iter().zip(&campaign) {
+            let r = run_one_cell(&opts, &meth, &params, cell).expect("cell").1;
+            assert_eq!(r.summary.runs.len(), 2, "every retained run is checked");
+            // The campaign keeps the mean and only the representative run.
+            assert_eq!(kept.summary.mean_cycles, r.summary.mean_cycles);
+            assert_eq!(kept.summary.runs.len(), 1);
+            assert_eq!(kept.summary.representative().cycles, r.summary.representative().cycles);
             for run in &r.summary.runs {
                 for (i, c) in run.per_core.iter().enumerate() {
                     let split = c.atomic_lock_acquire_cycles
@@ -1210,7 +1299,18 @@ mod tests {
             "trace mode never perturbs rows, so it is not part of the campaign identity"
         );
         assert_ne!(fp, campaign_fingerprint(&BenchOpts { seed: 1, ..opts }, None, &cells));
-        assert_ne!(fp, campaign_fingerprint(&BenchOpts { chaos: Some(1), ..opts }, None, &cells));
+        // A cell's own interconnect, memory model and fault injection are
+        // part of its identity.
+        let overridden = [
+            SweepCell { chaos: Some(1), ..cells[0] },
+            SweepCell { noc: Some(fa_mem::NocConfig::contended(2)), ..cells[0] },
+            SweepCell { model: Some(MemModel::Weak), ..cells[0] },
+        ];
+        for cell in overridden {
+            let mut other = cells.clone();
+            other[0] = cell;
+            assert_ne!(fp, campaign_fingerprint(&opts, None, &other), "{}", cell.name());
+        }
         assert_ne!(fp, campaign_fingerprint(&opts, Some(1000), &cells));
         assert_ne!(fp, campaign_fingerprint(&opts, None, &cells[..3]));
     }
