@@ -75,6 +75,10 @@ test "$(grep -c 'run_grid_supervised(' target/figures_src.txt)" -eq 1
 # A campaign is a pure function of its inputs: no wall-clock watchdog, no
 # thread-local deadline, no retries — a failed cell is quarantined once.
 ! grep -rnwE 'set_wall_deadline|wall_deadline_expired|WALL_DEADLINE|WallTimeout|CellQuarantine|CellBudget|FA_RETRIES' crates src tests examples README.md || exit 1
+# One reader for a run's options: the cell budget is a `BenchOpts` field,
+# and escalation is its thresholds — no on/off switch, no knob for it.
+! grep -rnwE 'FA_PROGRESS|parse_progress|budget_cycles' crates src tests examples README.md || exit 1
+! grep -rnE 'progress\.enabled|SupervisorOpts::from_env' crates src tests examples || exit 1
 # One crossbar, every counter declared once, one trace walk per layer.
 ! grep -rnE 'dyn Interconnect|trait Interconnect|IdealXbar|ContendedXbar|stat_(l1_hits|l2_hits|stores)\b|fn (trace_tails|trace_events_tail|trace_records)\b' crates src || exit 1
 # The suite is one table and the litmus op one enum: the macro and the
@@ -282,7 +286,7 @@ mini() {
 # the BENCH_sweep.json throughput report, then sanity-check its shape. Each
 # cell prints its representative run's counters on stdout.
 mini FA_BENCH_JSON=target/BENCH_sweep.json $FA sweep > target/sweep.txt
-grep -c 'cycles=' target/sweep.txt | grep -qx 4
+grep -c ': cycles=' target/sweep.txt | grep -qx 4
 grep -q '"schema": "fa-sweep-v1"' target/BENCH_sweep.json
 grep -c '"kernel":' target/BENCH_sweep.json | grep -qx 4
 # Every row must carry the latency-histogram block.
@@ -396,6 +400,13 @@ mini FA_CELL_BUDGET=200 FA_BENCH_JSON=target/BENCH_sweep_wedged.json \
 test "$rc" -eq 2
 grep -q '"quarantine"' target/BENCH_sweep_wedged.json
 grep -q 'did not quiesce within 200 cycles' target/BENCH_sweep_wedged.json
+# Supervision smoke 1b — the budget reaches the figures: a one-cycle
+# budget fails the figure's first cell, naming it, exit 1.
+rc=0
+mini FA_CELL_BUDGET=1 FA_BENCH_JSON=target/BENCH_fig_budget.json $FA fig fig12_apki \
+    > /dev/null 2> target/fig_budget.txt || rc=$?
+test "$rc" -eq 1
+grep -q 'fig12_apki failed: cell TATP/baseline/icelake failed' target/fig_budget.txt
 # Supervision smoke 2 — kill/resume: SIGKILL a checkpointed campaign,
 # resume it from the journal, and require the resumed report's rows to be
 # byte-identical to the uninterrupted golden (wherever the kill landed).

@@ -16,7 +16,7 @@ use fa_bench::sweep::{
     grid, policies_from_env, presets_from_env, run_grid_supervised, Preset, SupervisorOpts,
     SweepCell, SweepReport,
 };
-use fa_bench::{fmt, row, BenchOpts, MAX_CYCLES};
+use fa_bench::{fmt, row, BenchOpts};
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{Kasm, Reg};
@@ -177,12 +177,11 @@ fn counters(r: &RunResult) -> String {
 /// `QUARANTINED`, or `resumed` when the journal already held it.
 fn sweep(cmd: &Command, _: &[String]) -> Outcome {
     let opts = cmd.opts();
-    let checkpoint = env::path("FA_CHECKPOINT");
-    let sup = SupervisorOpts { checkpoint, ..SupervisorOpts::from_env() };
+    let sup = SupervisorOpts { checkpoint: env::path("FA_CHECKPOINT") };
     let cells = grid(&opts.workloads(), &policies_from_env(), &presets_from_env());
     println!(
         "# sweep: {} cells (cores={}, scale={}, runs={}, drop={}, threads={}, noc={}, \
-         budget={:?}, checkpoint={:?})",
+         max_cycles={}, checkpoint={:?})",
         cells.len(),
         opts.cores,
         opts.scale,
@@ -190,7 +189,7 @@ fn sweep(cmd: &Command, _: &[String]) -> Outcome {
         opts.drop_slowest,
         opts.threads,
         opts.noc.policy.name(),
-        sup.max_cycles,
+        opts.max_cycles,
         sup.checkpoint,
     );
     let (outcome, timing) = run_grid_supervised(&opts, &sup, &cells)
@@ -242,11 +241,10 @@ fn fig(cmd: &Command, args: &[String]) -> Outcome {
     })
 }
 
-/// Runs `selected` ([`figures::run`]) under the environment's supervisor,
-/// then prints the campaign's timing line and writes its report, if it ran
-/// one.
+/// Runs `selected` ([`figures::run`]), then prints the campaign's timing
+/// line and writes its report, if it ran one.
 fn figures(opts: &BenchOpts, selected: &[&Figure]) -> Result<(), SimError> {
-    if let Some(report) = figures::run(opts, &SupervisorOpts::from_env(), selected)? {
+    if let Some(report) = figures::run(opts, selected)? {
         println!("\n{}", report.timing_line());
         match report.write() {
             Ok(path) => println!("wrote {}", path.display()),
@@ -312,7 +310,7 @@ fn conformance(cmd: &Command, _: &[String]) -> Outcome {
     let cells = conformance_cells(&opts);
     let header = ["workload", "policy", "noc", "chaos", "cycles", "check"];
     println!("{}", row(&header.map(String::from)));
-    let (outcome, _) = run_grid_supervised(&opts, &SupervisorOpts::from_env(), &cells)
+    let (outcome, _) = run_grid_supervised(&opts, &SupervisorOpts::none(), &cells)
         .map_err(|e| Failed(format!("conformance failed: {e}")))?;
     let (mut violations, mut failures) = (0u64, 0u64);
     let mut quarantined = outcome.quarantine.iter();
@@ -370,7 +368,7 @@ fn fuzz_config(opts: &BenchOpts) -> FuzzConfig {
 
 /// The machine every fuzz case starts from. The campaign sets policy,
 /// interconnect, fault injection and audit per case, so what the options
-/// contribute is the trace mode and the forward-progress thresholds.
+/// contribute is the trace mode.
 fn fuzz_base(opts: &BenchOpts) -> MachineConfig {
     opts.config_for(&tiny_machine(), AtomicPolicy::FencedBaseline)
 }
@@ -423,7 +421,9 @@ fn trace(cmd: &Command, args: &[String]) -> Outcome {
     let cfg = opts.config_for(&icelake_like(), AtomicPolicy::FreeFwd);
     let w = spec.build(&opts.params());
     let mut m = Machine::new(cfg, w.programs, w.mem);
-    let r = m.run(MAX_CYCLES).map_err(|e| Failed(format!("trace: {} failed: {e}", spec.name)))?;
+    let r = m
+        .run(opts.max_cycles)
+        .map_err(|e| Failed(format!("trace: {} failed: {e}", spec.name)))?;
     // Self-validated structurally before it is written, so a malformed
     // file fails the run instead of failing in the viewer.
     let json = m.perfetto_trace();
@@ -580,14 +580,9 @@ mod tests {
     }
 
     #[test]
-    fn model_trace_and_progress_reach_the_fuzz_and_conformance_configs() {
-        let progress = env::parse_progress("on:777").expect("the FA_PROGRESS grammar");
-        let opts = BenchOpts {
-            model: MemModel::Weak,
-            trace: TraceMode::Flight,
-            progress,
-            ..BenchOpts::default()
-        };
+    fn model_and_trace_reach_the_fuzz_and_conformance_configs() {
+        let opts =
+            BenchOpts { model: MemModel::Weak, trace: TraceMode::Flight, ..BenchOpts::default() };
         assert_eq!(fuzz_config(&opts).model, MemModel::Weak);
         // A conformance cell: on the contended crossbar, under chaos.
         let cell = *conformance_cells(&opts).last().expect("cells");
@@ -598,7 +593,6 @@ mod tests {
             assert_eq!(cfg.core.model, MemModel::Weak);
             assert_eq!(cfg.core.trace.mode, TraceMode::Flight);
             assert_eq!(cfg.mem.trace.mode, TraceMode::Flight);
-            assert_eq!(cfg.mem.progress, progress);
         }
     }
 
@@ -613,7 +607,7 @@ mod tests {
         for k in env::KNOBS {
             let d = k.default;
             let agrees = match k.name {
-                "FA_CORES" => d == FULL.0.to_string() && FULL.0 == o.cores,
+                "FA_CORES" => env::parse_cores(d) == Some(FULL.0) && FULL.0 == o.cores,
                 "FA_SCALE" => d == FULL.1.to_string() && FULL.1 == o.scale,
                 "FA_RUNS" => d == o.runs.to_string(),
                 "FA_DROP" => d == o.drop_slowest.to_string(),
@@ -622,7 +616,6 @@ mod tests {
                 "FA_TRACE" => env::parse_trace_setting(d) == Ok((o.trace, None)),
                 "FA_CHECK" => env::parse_check_setting(d) == Ok(o.check) && o.check == FULL.2,
                 "FA_MODEL" => env::parse_model_setting(d) == Ok(o.model) && o.model == f.model,
-                "FA_PROGRESS" => env::parse_progress(d) == Some(o.progress),
                 "FA_FUZZ_CASES" => !unset(k.name) || d == fuzz_config(&o).cases.to_string(),
                 "FA_BENCH_JSON" => !unset(k.name) || SweepReport::default_path().as_os_str() == d,
                 "FA_FUZZ_SEED" => d == f.seed.to_string(),
@@ -630,7 +623,8 @@ mod tests {
                 "FA_FUZZ_MAX_OPS" => d == f.max_ops.to_string(),
                 "FA_WORKLOADS" | "FA_POLICIES" => d == "all",
                 "FA_PRESETS" => d == fa_bench::sweep::Preset::Icelake.name(),
-                "FA_CELL_BUDGET" | "FA_CHECKPOINT" => d == "unset",
+                "FA_CELL_BUDGET" => env::parse_cell_budget(d) == Some(o.max_cycles),
+                "FA_CHECKPOINT" => d == "unset",
                 other => panic!("{other}: no default to check the table against"),
             };
             assert!(agrees, "{}: the table says {d:?}", k.name);

@@ -88,7 +88,7 @@ const PAIR: [AtomicPolicy; 2] = [FencedBaseline, FreeFwd];
 ///
 /// An invalid methodology, or [`SimError::CellFailed`] naming the first
 /// cell without a result; either way no table has printed.
-pub fn run(opts: &BenchOpts, sup: &SupervisorOpts, figures: &[&Figure]) -> Result<Option<SweepReport>, SimError> {
+pub fn run(opts: &BenchOpts, figures: &[&Figure]) -> Result<Option<SweepReport>, SimError> {
     let reads: Vec<Vec<SweepCell>> = figures.iter().map(|f| (f.cells)(opts)).collect();
     let (mut cells, mut index) = (Vec::new(), HashMap::new());
     for c in reads.iter().flatten() {
@@ -100,7 +100,7 @@ pub fn run(opts: &BenchOpts, sup: &SupervisorOpts, figures: &[&Figure]) -> Resul
     let mut results = Vec::new();
     let mut report = None;
     if !cells.is_empty() {
-        let (mut outcome, timing) = run_grid_supervised(opts, sup, &cells)?;
+        let (mut outcome, timing) = run_grid_supervised(opts, &SupervisorOpts::none(), &cells)?;
         results = outcome.take_results(&cells)?;
         let bin = figures.iter().map(|f| f.name).collect::<Vec<_>>().join("+");
         report = Some(SweepReport::from_outcome(&bin, opts, outcome, timing));
@@ -662,12 +662,11 @@ mod tests {
     #[test]
     fn a_failed_cell_fails_the_figure_naming_the_cell() {
         // One cycle is too few for any cell: figure 14 runs its grid under
-        // the supervisor it is given, and must come back as an error naming
+        // the options' cycle budget, and must come back as an error naming
         // kernel/policy/preset, never as a partial table.
-        let opts = tiny();
-        let sup = SupervisorOpts { max_cycles: Some(1), ..SupervisorOpts::none() };
+        let opts = BenchOpts { max_cycles: 1, ..tiny() };
         let fig14 = figure("fig14_exec_time");
-        let err = run(&opts, &sup, &[fig14]).expect_err("every cell times out");
+        let err = run(&opts, &[fig14]).expect_err("every cell times out");
         let first = opts.workloads()[0].name;
         assert!(
             matches!(&err, SimError::CellFailed { cell, .. }
@@ -688,25 +687,24 @@ mod tests {
         let opts = BenchOpts { runs: 0, ..tiny() };
         let measured = FIGURES.iter().filter(|f| f.name != "table1_config");
         for f in measured.chain([&ABLATION]) {
-            let err = run(&opts, &SupervisorOpts::none(), &[f]).expect_err(f.name);
+            let err = run(&opts, &[f]).expect_err(f.name);
             assert!(matches!(err, SimError::InvalidMethodology { runs: 0, .. }), "{}: {err}", f.name);
         }
         // Table 1 reads no cell, so it runs no campaign and has no report.
         let table1 = figure("table1_config");
-        assert!(run(&opts, &SupervisorOpts::none(), &[table1]).expect("no campaign").is_none());
+        assert!(run(&opts, &[table1]).expect("no campaign").is_none());
     }
 
     #[test]
     fn a_cell_read_by_several_tables_runs_once() {
         let opts = tiny();
-        let sup = SupervisorOpts::none();
         let w = opts.workloads().len();
         let fig14 = figure("fig14_exec_time");
         let shared = [fig14, figure("fig15_energy"), figure("cpistack")];
-        let all = run(&opts, &sup, &shared).expect("campaign").expect("a report");
+        let all = run(&opts, &shared).expect("campaign").expect("a report");
         assert_eq!(all.row_lines.len(), 4 * w);
         assert_eq!(all.timing.cells, 4 * w);
-        let alone = run(&opts, &sup, &[fig14]).expect("campaign").expect("a report");
+        let alone = run(&opts, &[fig14]).expect("campaign").expect("a report");
         assert_eq!(all.row_lines, alone.row_lines);
     }
 

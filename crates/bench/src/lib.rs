@@ -25,14 +25,14 @@ pub mod report;
 pub mod sweep;
 
 use fa_core::AtomicPolicy;
-use fa_mem::{NocConfig, ProgressConfig};
+use fa_mem::NocConfig;
 use fa_sim::env;
 use fa_sim::machine::MachineConfig;
 use fa_sim::methodology::Methodology;
 use fa_sim::{CheckMode, MemModel, TraceMode};
 use fa_workloads::{suite, WorkloadParams, WorkloadSpec};
 
-/// Simulated-cycle budget of one run, unless `FA_CELL_BUDGET` caps it lower.
+/// Simulated-cycle budget of one run when `FA_CELL_BUDGET` is unset.
 pub const MAX_CYCLES: u64 = 400_000_000;
 
 /// Experiment sizing, read from the environment.
@@ -70,12 +70,9 @@ pub struct BenchOpts {
     /// (ordering annotations are architecturally inert under TSO); `weak`
     /// selects the ARM-like acquire/release-native baseline.
     pub model: MemModel,
-    /// Forward-progress escalation (`FA_PROGRESS`), applied to every
-    /// driver run. On by default with wedge-sized thresholds: stall
-    /// counters are unconditional passive statistics, and escalation never
-    /// fires on healthy runs, so golden results are bit-identical with the
-    /// framework on or off.
-    pub progress: ProgressConfig,
+    /// Simulated-cycle budget of one run (`FA_CELL_BUDGET`); a run that
+    /// has not quiesced by then fails its cell.
+    pub max_cycles: u64,
 }
 
 impl Default for BenchOpts {
@@ -91,7 +88,7 @@ impl Default for BenchOpts {
             trace: TraceMode::Off,
             check: CheckMode::Off,
             model: MemModel::Tso,
-            progress: ProgressConfig::default(),
+            max_cycles: MAX_CYCLES,
         }
     }
 }
@@ -111,7 +108,8 @@ impl BenchOpts {
     /// supplies the value of every unset variable, and the seed.
     pub fn from_env_or(d: BenchOpts) -> BenchOpts {
         BenchOpts {
-            cores: env::get("FA_CORES", str::parse).unwrap_or(d.cores),
+            cores: env::get("FA_CORES", |v| env::parse_cores(v).ok_or("not a core count"))
+                .unwrap_or(d.cores),
             scale: env::get("FA_SCALE", str::parse).unwrap_or(d.scale),
             runs: env::get("FA_RUNS", str::parse).unwrap_or(d.runs),
             drop_slowest: env::get("FA_DROP", str::parse).unwrap_or(d.drop_slowest),
@@ -122,8 +120,10 @@ impl BenchOpts {
             trace: env::get("FA_TRACE", env::parse_trace_setting).map_or(d.trace, |(mode, _)| mode),
             check: env::get("FA_CHECK", env::parse_check_setting).unwrap_or(d.check),
             model: env::get("FA_MODEL", env::parse_model_setting).unwrap_or(d.model),
-            progress: env::get("FA_PROGRESS", |v| env::parse_progress(v).ok_or("no such setting"))
-                .unwrap_or(d.progress),
+            max_cycles: env::get("FA_CELL_BUDGET", |v| {
+                env::parse_cell_budget(v).ok_or("not a positive cycle count")
+            })
+            .unwrap_or(d.max_cycles),
         }
     }
 
@@ -139,7 +139,7 @@ impl BenchOpts {
             drop_slowest: self.drop_slowest,
             max_offset: 1500,
             seed: self.seed ^ 0xDEAD_BEEF,
-            max_cycles: MAX_CYCLES,
+            max_cycles: self.max_cycles,
         }
     }
 
@@ -153,15 +153,14 @@ impl BenchOpts {
     }
 
     /// `base` specialized for one run under these options: policy, NoC
-    /// model, trace mode, conformance-check mode, memory model and
-    /// forward-progress escalation applied; the base's fault injection is
-    /// left as it is.
+    /// model, trace mode, conformance-check mode and memory model applied;
+    /// the base's fault injection and progress thresholds are left as they
+    /// are.
     pub fn config_for(&self, base: &MachineConfig, policy: AtomicPolicy) -> MachineConfig {
         let mut cfg = base.clone().with_trace(self.trace).with_check(self.check);
         cfg.core.policy = policy;
         cfg.core.model = self.model;
         cfg.mem.noc = self.noc;
-        cfg.mem.progress = self.progress;
         cfg
     }
 }
@@ -205,12 +204,15 @@ mod tests {
         let o = BenchOpts::default();
         assert_eq!(o.params().cores, 8);
         assert_eq!(o.methodology().runs, 3);
+        assert_eq!(o.methodology().max_cycles, MAX_CYCLES);
+        assert_eq!(BenchOpts { max_cycles: 200, ..o }.methodology().max_cycles, 200);
         assert_eq!(o.noc, NocConfig::default());
         assert_eq!(o.trace, TraceMode::Off);
     }
 
     #[test]
     fn config_for_applies_policy_noc_trace_and_check() {
+        use fa_mem::ProgressConfig;
         let opts = BenchOpts {
             noc: NocConfig::contended(4),
             trace: TraceMode::Flight,
@@ -222,7 +224,6 @@ mod tests {
         assert_eq!(cfg.core.policy, AtomicPolicy::FreeFwd);
         assert_eq!(cfg.core.model, MemModel::Weak);
         assert_eq!(cfg.mem.noc, NocConfig::contended(4));
-        assert!(cfg.mem.progress.enabled, "progress escalation rides along by default");
         assert_eq!(cfg.core.trace.mode, TraceMode::Flight);
         assert_eq!(cfg.mem.trace.mode, TraceMode::Flight);
         assert_eq!(cfg.core.check, CheckMode::Tso);
@@ -237,6 +238,11 @@ mod tests {
         assert_eq!(BenchOpts::default().config_for(&base, AtomicPolicy::Free).mem.chaos, base.mem.chaos);
         base.mem.chaos = fa_mem::ChaosConfig::stress(3);
         assert_eq!(BenchOpts::default().config_for(&base, AtomicPolicy::Free).mem.chaos, base.mem.chaos);
+        // So are the base's progress thresholds, default or not.
+        let progress = |b: &MachineConfig| opts.config_for(b, AtomicPolicy::Free).mem.progress;
+        assert_eq!(progress(&base), ProgressConfig::default());
+        base.mem.progress = ProgressConfig { stall_cycles: 777, ..ProgressConfig::off() };
+        assert_eq!(progress(&base), base.mem.progress);
     }
 
     #[test]

@@ -232,39 +232,19 @@ pub struct CellResult {
     pub summary: MultiRun,
 }
 
-/// Supervision settings for a sweep campaign: the per-run simulated-cycle
-/// cap of a cell and the optional checkpoint journal for kill/resume.
+/// Supervision settings for a sweep campaign: the optional checkpoint
+/// journal for kill/resume.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorOpts {
-    /// Per-run simulated-cycle cap of a cell (`FA_CELL_BUDGET`),
-    /// overriding the methodology's `max_cycles` when set.
-    pub max_cycles: Option<u64>,
     /// Checkpoint journal path (`FA_CHECKPOINT`); `None` disables
     /// checkpointing.
     pub checkpoint: Option<PathBuf>,
 }
 
 impl SupervisorOpts {
-    /// Reads the cell budget from the environment. The checkpoint journal
-    /// stays off: only `fa sweep` journals, as a figure needs every cell's
-    /// run statistics, which a journal does not keep.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any set-but-malformed variable, naming the grammar.
-    pub fn from_env() -> SupervisorOpts {
-        SupervisorOpts {
-            max_cycles: env::get("FA_CELL_BUDGET", |v| {
-                env::parse_cell_budget(v).ok_or("not a positive cycle count")
-            }),
-            checkpoint: None,
-        }
-    }
-
-    /// No budget override, no checkpointing — supervision is pure isolation
-    /// (panics still quarantine instead of unwinding). With
-    /// [`SweepOutcome::take_results`] a failed cell becomes the caller's
-    /// error.
+    /// No checkpointing — supervision is pure isolation (panics still
+    /// quarantine instead of unwinding). With [`SweepOutcome::take_results`]
+    /// a failed cell becomes the caller's error.
     pub fn none() -> SupervisorOpts {
         SupervisorOpts::default()
     }
@@ -334,15 +314,15 @@ impl SweepOutcome {
 
 /// The campaign fingerprint for the checkpoint journal: an FNV-1a 64 hash
 /// over everything that affects simulated rows — sizing, methodology,
-/// seed, NoC, check mode, memory model, progress thresholds, the cycle
-/// budget, and the cell identities with their overrides — and nothing that
-/// does not (worker-thread count, trace mode).
-pub fn campaign_fingerprint(opts: &BenchOpts, budget_cycles: Option<u64>, cells: &[SweepCell]) -> u64 {
+/// seed, NoC, check mode, memory model, the cycle budget, and the cell
+/// identities with their overrides — and nothing that does not
+/// (worker-thread count, trace mode).
+pub fn campaign_fingerprint(opts: &BenchOpts, cells: &[SweepCell]) -> u64 {
     let mut s = format!(
         "cores={} scale={:?} runs={} drop={} seed={} noc={:?} check={:?} model={:?} \
-         progress={:?} budget_cycles={budget_cycles:?};cells:",
+         max_cycles={};cells:",
         opts.cores, opts.scale, opts.runs, opts.drop_slowest, opts.seed, opts.noc, opts.check,
-        opts.model, opts.progress
+        opts.model, opts.max_cycles
     );
     for c in cells {
         s.push_str(&c.name());
@@ -401,14 +381,11 @@ pub fn run_grid_supervised(
     sup: &SupervisorOpts,
     cells: &[SweepCell],
 ) -> Result<(SweepOutcome, SweepTiming), SimError> {
-    let mut meth = opts.methodology();
-    if let Some(c) = sup.max_cycles {
-        meth.max_cycles = c;
-    }
+    let meth = opts.methodology();
     meth.validate()?;
     let params = opts.params();
     let journal = sup.checkpoint.as_deref().map(|p| {
-        let fp = campaign_fingerprint(opts, sup.max_cycles, cells);
+        let fp = campaign_fingerprint(opts, cells);
         Journal::open(p, fp, cells.len())
             .unwrap_or_else(|e| panic!("FA_CHECKPOINT {}: {e}", p.display()))
     });
@@ -706,7 +683,7 @@ mod tests {
             trace: fa_sim::TraceMode::Off,
             check: fa_sim::CheckMode::Off,
             model: fa_sim::MemModel::Tso,
-            progress: fa_mem::ProgressConfig::default(),
+            max_cycles: crate::MAX_CYCLES,
         }
     }
 
@@ -874,8 +851,8 @@ mod tests {
         assert_eq!(one.name(), "TATP/FreeAtomics+Fwd/tiny/aq=1");
         let opts = small_opts(1);
         assert_ne!(
-            campaign_fingerprint(&opts, None, &[plain]),
-            campaign_fingerprint(&opts, None, &[same])
+            campaign_fingerprint(&opts, &[plain]),
+            campaign_fingerprint(&opts, &[same])
         );
         let (_, alone, _) = run(&opts, &[plain]);
         let (_, mixed, _) = run(&opts, &[plain, same, one]);
@@ -947,8 +924,8 @@ mod tests {
         // The weak machine is a different campaign: resuming a TSO journal
         // under FA_MODEL=weak must be refused by the fingerprint.
         assert_ne!(
-            campaign_fingerprint(&tso_opts, None, &cells),
-            campaign_fingerprint(&weak_opts, None, &cells)
+            campaign_fingerprint(&tso_opts, &cells),
+            campaign_fingerprint(&weak_opts, &cells)
         );
         // Both models conserve every core cycle in the CPI stack.
         for r in &weak {
@@ -1153,7 +1130,7 @@ mod tests {
         let sup = |threads: usize| {
             (
                 BenchOpts { threads, ..small_opts(1) },
-                SupervisorOpts { checkpoint: Some(jpath.clone()), ..SupervisorOpts::none() },
+                SupervisorOpts { checkpoint: Some(jpath.clone()) },
             )
         };
         let (o, s) = sup(1);
@@ -1225,7 +1202,7 @@ mod tests {
         let cells = small_grid();
         let jpath = tmp_journal("mismatch");
         let _ = std::fs::remove_file(&jpath);
-        let sup = SupervisorOpts { checkpoint: Some(jpath.clone()), ..SupervisorOpts::none() };
+        let sup = SupervisorOpts { checkpoint: Some(jpath.clone()) };
         run_grid_supervised(&small_opts(1), &sup, &cells).expect("first campaign");
         // A different seed is a different campaign; replaying its rows
         // would corrupt the sweep, so the journal must refuse loudly.
@@ -1246,11 +1223,11 @@ mod tests {
         // a cell is a pure function of its inputs it is quarantined after
         // one attempt — but the campaign still returns Ok with a
         // structured report per lost cell, the same at any thread count.
-        let sup = SupervisorOpts { max_cycles: Some(200), checkpoint: None };
         let mut quarantine_json = Vec::new();
         for threads in [1, 4] {
-            let opts = small_opts(threads);
-            let (mut out, _) = run_grid_supervised(&opts, &sup, &cells).expect("campaign");
+            let opts = BenchOpts { max_cycles: 200, ..small_opts(threads) };
+            let (mut out, _) =
+                run_grid_supervised(&opts, &SupervisorOpts::none(), &cells).expect("campaign");
             assert!(out.row_lines.is_empty());
             assert!(out.results.iter().all(Option::is_none));
             assert_eq!(out.quarantine.len(), cells.len());
@@ -1291,14 +1268,14 @@ mod tests {
     fn campaign_fingerprint_tracks_results_affecting_knobs_only() {
         let cells = small_grid();
         let opts = small_opts(1);
-        let fp = campaign_fingerprint(&opts, None, &cells);
-        assert_eq!(fp, campaign_fingerprint(&BenchOpts { threads: 8, ..opts }, None, &cells));
+        let fp = campaign_fingerprint(&opts, &cells);
+        assert_eq!(fp, campaign_fingerprint(&BenchOpts { threads: 8, ..opts }, &cells));
         assert_eq!(
             fp,
-            campaign_fingerprint(&BenchOpts { trace: fa_sim::TraceMode::Flight, ..opts }, None, &cells),
+            campaign_fingerprint(&BenchOpts { trace: fa_sim::TraceMode::Flight, ..opts }, &cells),
             "trace mode never perturbs rows, so it is not part of the campaign identity"
         );
-        assert_ne!(fp, campaign_fingerprint(&BenchOpts { seed: 1, ..opts }, None, &cells));
+        assert_ne!(fp, campaign_fingerprint(&BenchOpts { seed: 1, ..opts }, &cells));
         // A cell's own interconnect, memory model and fault injection are
         // part of its identity.
         let overridden = [
@@ -1309,9 +1286,9 @@ mod tests {
         for cell in overridden {
             let mut other = cells.clone();
             other[0] = cell;
-            assert_ne!(fp, campaign_fingerprint(&opts, None, &other), "{}", cell.name());
+            assert_ne!(fp, campaign_fingerprint(&opts, &other), "{}", cell.name());
         }
-        assert_ne!(fp, campaign_fingerprint(&opts, Some(1000), &cells));
-        assert_ne!(fp, campaign_fingerprint(&opts, None, &cells[..3]));
+        assert_ne!(fp, campaign_fingerprint(&BenchOpts { max_cycles: 1000, ..opts }, &cells));
+        assert_ne!(fp, campaign_fingerprint(&opts, &cells[..3]));
     }
 }

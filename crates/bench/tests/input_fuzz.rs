@@ -32,16 +32,16 @@ fn cells() -> Vec<SweepCell> {
 /// from a cell whose cycle budget is far too small.
 fn real_report() -> String {
     let o = opts();
-    let wedged = SupervisorOpts { max_cycles: Some(200), ..SupervisorOpts::none() };
     let campaigns = [
-        (o, SupervisorOpts::none()),
-        (BenchOpts { noc: NocConfig::contended(2), ..o }, SupervisorOpts::none()),
-        (BenchOpts { model: MemModel::Weak, ..o }, SupervisorOpts::none()),
-        (BenchOpts { check: CheckMode::Tso, ..o }, SupervisorOpts::none()),
-        (o, wedged),
+        o,
+        BenchOpts { noc: NocConfig::contended(2), ..o },
+        BenchOpts { model: MemModel::Weak, ..o },
+        BenchOpts { check: CheckMode::Tso, ..o },
+        BenchOpts { max_cycles: 200, ..o },
     ];
-    let reports = campaigns.iter().map(|(opts, sup)| {
-        let (outcome, timing) = run_grid_supervised(opts, sup, &cells()).expect("grid");
+    let reports = campaigns.iter().map(|opts| {
+        let (outcome, timing) =
+            run_grid_supervised(opts, &SupervisorOpts::none(), &cells()).expect("grid");
         SweepReport::from_outcome("fuzz", opts, outcome, timing)
     });
     reports.reduce(SweepReport::merge).expect("five campaigns").json()
@@ -50,7 +50,7 @@ fn real_report() -> String {
 fn real_journal() -> String {
     let path = std::env::temp_dir().join(format!("fa-input-fuzz-{}", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let sup = SupervisorOpts { checkpoint: Some(path.clone()), ..SupervisorOpts::none() };
+    let sup = SupervisorOpts { checkpoint: Some(path.clone()) };
     run_grid_supervised(&opts(), &sup, &cells()).expect("checkpointed grid");
     let text = std::fs::read_to_string(&path).expect("journal written");
     std::fs::remove_file(&path).expect("cleanup");
@@ -102,7 +102,7 @@ fn damaged_reports_journals_and_traces_error_and_never_panic() {
     for line in objects.filter(|l| l.starts_with('{')) {
         assert_eq!(Json::parse(line).expect(line).to_string(), line);
     }
-    let fingerprint = campaign_fingerprint(&opts(), None, &cells());
+    let fingerprint = campaign_fingerprint(&opts(), &cells());
     let journal = real_journal();
     let replayed = replay(&journal, fingerprint, 1).expect("its own campaign").expect("a header");
     assert_eq!(replayed.len(), 1);
@@ -122,14 +122,14 @@ fn damaged_reports_journals_and_traces_error_and_never_panic() {
 }
 
 /// Which of the knob parsers accept `v`: `FA_NOC`, `FA_CELL_BUDGET`,
-/// `FA_PROGRESS`, `FA_TRACE`, `FA_CHECK`, `FA_MODEL`, `FA_WORKLOADS` and
+/// `FA_CORES`, `FA_TRACE`, `FA_CHECK`, `FA_MODEL`, `FA_WORKLOADS` and
 /// `FA_PRESETS`, in that order.
 fn knob_parsers(v: &str) -> [bool; 8] {
     let items: Vec<&str> = env::items(v).collect();
     [
         env::parse_noc(v).is_some(),
         env::parse_cell_budget(v).is_some(),
-        env::parse_progress(v).is_some(),
+        env::parse_cores(v).is_some(),
         env::parse_trace_setting(v).is_ok(),
         env::parse_check_setting(v).is_ok(),
         env::parse_model_setting(v).is_ok(),
@@ -145,7 +145,7 @@ fn damaged_knob_values_are_refused_and_never_panic() {
         ("ideal", 0),
         ("contended:4", 0),
         ("1000", 1),
-        ("on:50000", 2),
+        ("32", 2),
         ("full:fa_trace.json", 3),
         ("flight", 3),
         ("tso", 4),

@@ -13,7 +13,7 @@
 //!    `net` stats block.
 
 use fa_bench::sweep::{grid, run_grid_supervised, Preset, SupervisorOpts};
-use fa_bench::BenchOpts;
+use fa_bench::{BenchOpts, MAX_CYCLES};
 use fa_core::AtomicPolicy;
 use fa_mem::NocConfig;
 use fa_workloads::suite;
@@ -31,9 +31,7 @@ fn golden_opts(threads: usize, noc: NocConfig) -> BenchOpts {
         trace: fa_sim::TraceMode::Off,
         check: fa_sim::CheckMode::Off,
         model: fa_sim::MemModel::Tso,
-        // Escalation armed even for the goldens: stall counters are passive
-        // and thresholds are wedge-sized, so rows must not move.
-        progress: fa_mem::ProgressConfig::default(),
+        max_cycles: MAX_CYCLES,
     }
 }
 

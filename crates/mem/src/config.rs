@@ -67,10 +67,10 @@ pub struct MemConfig {
     /// `Tso`, the memory system logs the global write-serialization order
     /// and per-line directory write-epochs for the `sim::axiom` checker.
     pub check: CheckMode,
-    /// Forward-progress escalation thresholds (default: on, with
-    /// wedge-sized thresholds no forward-progressing run reaches). The
-    /// underlying counters are collected unconditionally; `progress`
-    /// only gates escalation, so it never perturbs results.
+    /// Forward-progress escalation thresholds (default: wedge-sized, so
+    /// no forward-progressing run reaches them). The underlying counters
+    /// are collected unconditionally; the thresholds only decide when a
+    /// run escalates, so they never perturb results.
     pub progress: ProgressConfig,
 }
 
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn progress_escalation_defaults_on_with_wedge_sized_thresholds() {
         let c = MemConfig::default();
-        assert!(c.progress.enabled);
+        assert!(c.progress.stall_cycles >= 1_000_000);
         assert!(c.progress.max_attempts >= 1_000_000);
         assert!(c.progress.max_backlog >= 1_000_000);
     }

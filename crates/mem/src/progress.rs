@@ -12,7 +12,7 @@
 //! The guards only count: the one rescue, the directory's reserved-way
 //! valve, compares the `dir-alloc` count against the directory's own two
 //! constants. The counters never influence protocol timing otherwise, so
-//! golden runs are bit-identical with escalation enabled (pinned by the
+//! golden runs are bit-identical at any thresholds (pinned by the
 //! differential tests in `tests/progress_regressions.rs`).
 
 use crate::FxHashMap;
@@ -69,15 +69,13 @@ impl<K: Eq + Hash + Copy> ProgressGuard<K> {
 
 /// Machine-wide escalation thresholds, carried in
 /// [`MemConfig`](crate::MemConfig). The counters behind them are always
-/// collected (they are a handful of compares on existing retry paths);
-/// `enabled` gates only the escalation checks, so switching it off cannot
-/// perturb results. Defaults sit far beyond anything a forward-progressing
-/// run produces — golden runs never escalate.
+/// collected (they are a handful of compares on existing retry paths) and
+/// a site escalates to a structured `NoProgress` error only when it passes
+/// its threshold, so thresholds cannot perturb results. Defaults sit far
+/// beyond anything a forward-progressing run produces — golden runs never
+/// escalate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProgressConfig {
-    /// Escalate to a structured `NoProgress` error when any site trips
-    /// its threshold (default on; thresholds are wedge-sized).
-    pub enabled: bool,
     /// Cycles an awake, unhalted core may go without committing before
     /// the machine driver escalates (site `core-commit`).
     pub stall_cycles: u64,
@@ -92,7 +90,6 @@ pub struct ProgressConfig {
 impl Default for ProgressConfig {
     fn default() -> ProgressConfig {
         ProgressConfig {
-            enabled: true,
             stall_cycles: 10_000_000,
             max_attempts: 5_000_000,
             max_backlog: 10_000_000,
@@ -101,9 +98,10 @@ impl Default for ProgressConfig {
 }
 
 impl ProgressConfig {
-    /// Escalation disabled (counters still collected).
+    /// Thresholds no run can pass: escalation never fires (counters still
+    /// collected).
     pub fn off() -> ProgressConfig {
-        ProgressConfig { enabled: false, ..ProgressConfig::default() }
+        ProgressConfig { stall_cycles: u64::MAX, max_attempts: u64::MAX, max_backlog: u64::MAX }
     }
 }
 
@@ -173,9 +171,9 @@ mod tests {
     #[test]
     fn config_defaults_are_wedge_sized_and_report_renders() {
         let p = ProgressConfig::default();
-        assert!(p.enabled);
         assert!(p.stall_cycles >= 1_000_000);
-        assert!(!ProgressConfig::off().enabled);
+        let off = ProgressConfig::off();
+        assert_eq!([off.stall_cycles, off.max_attempts, off.max_backlog], [u64::MAX; 3]);
         let r = ProgressReport { site: "dir-alloc", observed: 12, threshold: 10 };
         assert_eq!(r.to_string(), "site dir-alloc: observed 12 (threshold 10)");
     }

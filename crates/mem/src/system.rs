@@ -566,13 +566,11 @@ impl MemorySystem {
     /// Checks every memory-side forward-progress site against the
     /// configured [`ProgressConfig`](crate::ProgressConfig) thresholds and
     /// returns the first tripped site's minimal stuck-resource report, or
-    /// `None` while everything is within bounds (always, when escalation
-    /// is disabled). Pure reads — polling this never perturbs the run.
+    /// `None` while everything is within bounds (always, under
+    /// [`ProgressConfig::off`](crate::ProgressConfig::off)). Pure reads —
+    /// polling this never perturbs the run.
     pub fn progress_report(&self) -> Option<ProgressReport> {
         let p = &self.cfg.progress;
-        if !p.enabled {
-            return None;
-        }
         let fill =
             self.caches.iter().map(|c| c.fill_guard.worst_outstanding()).max().unwrap_or(0);
         [
@@ -1306,7 +1304,7 @@ mod tests {
         assert_eq!(tripped(&m), Some(("cache-fill", 3)));
         m.caches[0].fill_guard.note_success(0x100);
         assert_eq!(tripped(&m), Some(("lsq-retry", 3)));
-        m.cfg.progress = crate::ProgressConfig { max_attempts: 2, ..crate::ProgressConfig::off() };
+        m.cfg.progress = crate::ProgressConfig::off();
         assert_eq!(tripped(&m), None, "escalation off reports nothing");
     }
 

@@ -42,7 +42,7 @@ const fn knob(
 /// `FA_CORES`, `FA_SCALE` and `FA_CHECK` live in the `fa` binary's command
 /// table; `fa` without arguments prints them.
 pub const KNOBS: &[Knob] = &[
-    knob("FA_CORES", "8", "an integer", "simulated cores (the paper uses 32); `fa` lists each command's own default"),
+    knob("FA_CORES", "8", "an integer from 1 to 64", "simulated cores (the paper uses 32); `fa` lists each command's own default"),
     knob("FA_SCALE", "0.25", "a number", "workload size multiplier; per-command default as for `FA_CORES`"),
     knob("FA_RUNS", "3", "an integer", "runs per configuration (paper: 10, drop 3)"),
     knob("FA_DROP", "1", "an integer", "slowest runs dropped"),
@@ -54,8 +54,7 @@ pub const KNOBS: &[Knob] = &[
     knob("FA_TRACE", "off", "`off`, `flight`, `full` or `full:<path>`", "event tracing; the path is where `trace` writes its timeline (default `fa_trace.json`)"),
     knob("FA_CHECK", "off", "`off` or `tso`", "axiomatic conformance checking of every run (`fuzz`, `conformance`: `tso`)"),
     knob("FA_MODEL", "tso", "`tso` or `weak`", "hardware memory model"),
-    knob("FA_PROGRESS", "on", "`off`, `on` or `on:<stall_cycles>` with a positive integer", "forward-progress escalation"),
-    knob("FA_CELL_BUDGET", "unset", "a positive integer", "per-run simulated-cycle cap of a cell (`sweep`, `conformance`, `fig`, `ablation`)"),
+    knob("FA_CELL_BUDGET", "400000000", "a positive integer", "per-run simulated-cycle cap of a cell (`sweep`, `conformance`, `fig`, `ablation`, `trace`)"),
     knob("FA_CHECKPOINT", "unset", "a path", "append-only sweep journal for kill/resume (`sweep` only)"),
     knob("FA_BENCH_JSON", "BENCH_sweep.json", "a path", "sweep-report destination, and `report`'s default current file"),
     knob("FA_FUZZ_CASES", "100", "an integer", "generated programs per fuzz campaign"),
@@ -107,33 +106,16 @@ pub fn parse_noc(v: &str) -> Option<fa_mem::NocConfig> {
     }
 }
 
-/// Parses one `FA_CELL_BUDGET` spec: a positive simulated-cycle cap per
-/// run, overriding the methodology's `max_cycles`.
-pub fn parse_cell_budget(v: &str) -> Option<u64> {
-    v.parse().ok().filter(|&c| c > 0)
+/// Parses one `FA_CORES` spec: a core count a machine can be built with,
+/// 1 to 64 (a core mask is 64 bits wide).
+pub fn parse_cores(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|c| (1..=64).contains(c))
 }
 
-/// Parses one `FA_PROGRESS` spec: `off`, `on` (default thresholds), or
-/// `on:<n>` — escalation on with both the core-commit stall threshold and
-/// the per-site retry threshold tightened to `n` cycles/attempts (the NoC
-/// backlog threshold keeps its default: it counts events, not cycles).
-pub fn parse_progress(v: &str) -> Option<fa_mem::ProgressConfig> {
-    match v {
-        "off" => Some(fa_mem::ProgressConfig::off()),
-        "on" => Some(fa_mem::ProgressConfig::default()),
-        other => {
-            let n: u64 = other.strip_prefix("on:")?.parse().ok()?;
-            if n == 0 {
-                return None;
-            }
-            Some(fa_mem::ProgressConfig {
-                enabled: true,
-                stall_cycles: n,
-                max_attempts: n,
-                ..fa_mem::ProgressConfig::default()
-            })
-        }
-    }
+/// Parses one `FA_CELL_BUDGET` spec: a positive simulated-cycle cap per
+/// run.
+pub fn parse_cell_budget(v: &str) -> Option<u64> {
+    v.parse().ok().filter(|&c| c > 0)
 }
 
 #[cfg(test)]
@@ -203,6 +185,17 @@ mod tests {
     }
 
     #[test]
+    fn cores_grammar() {
+        assert_eq!(parse_cores("1"), Some(1));
+        assert_eq!(parse_cores("64"), Some(64));
+        assert_eq!(parse_cores("0"), None, "a machine needs a core");
+        assert_eq!(parse_cores("65"), None, "a core mask is 64 bits wide");
+        assert_eq!(parse_cores("-1"), None);
+        assert_eq!(parse_cores("0x8"), None);
+        assert_eq!(parse_cores("eight"), None);
+    }
+
+    #[test]
     fn cell_budget_grammar() {
         assert_eq!(parse_cell_budget("5000000"), Some(5_000_000));
         assert_eq!(parse_cell_budget("0"), None, "zero-cycle budget is malformed");
@@ -210,23 +203,6 @@ mod tests {
         assert_eq!(parse_cell_budget("1000:0"), None);
         assert_eq!(parse_cell_budget("fast"), None);
         assert_eq!(parse_cell_budget("1000:30:9"), None);
-    }
-
-    #[test]
-    fn progress_grammar() {
-        assert_eq!(parse_progress("off"), Some(fa_mem::ProgressConfig::off()));
-        assert_eq!(parse_progress("on"), Some(fa_mem::ProgressConfig::default()));
-        let tight = parse_progress("on:50000").unwrap();
-        assert!(tight.enabled);
-        assert_eq!(tight.stall_cycles, 50_000);
-        assert_eq!(tight.max_attempts, 50_000);
-        assert_eq!(
-            tight.max_backlog,
-            fa_mem::ProgressConfig::default().max_backlog,
-            "backlog threshold counts events, not cycles — untouched by on:<n>"
-        );
-        assert_eq!(parse_progress("on:0"), None);
-        assert_eq!(parse_progress("always"), None);
     }
 
     #[test]

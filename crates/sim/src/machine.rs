@@ -319,23 +319,21 @@ impl Machine {
         };
         lane.leaf = (lane.wake > now + 1).then(|| c.stall_leaf(&self.mem));
         self.live -= usize::from(was_live && c.halted() && c.sb_len() == 0);
-        let prog = self.mem.config().progress;
-        if prog.enabled {
-            let instructions = c.stats.instructions;
-            if c.halted() || c.sleeping() {
-                lane.commit = (instructions, now);
-                lane.trips = u64::MAX;
-            } else {
-                // A core that woke this cycle has waited since the last.
-                if parked {
-                    lane.commit.1 = now - 1;
-                }
-                if instructions != lane.commit.0 {
-                    lane.commit = (instructions, now);
-                }
-                lane.trips = lane.commit.1.saturating_add(prog.stall_cycles).saturating_add(1);
-                self.deadline = self.deadline.min(lane.trips);
+        let instructions = c.stats.instructions;
+        if c.halted() || c.sleeping() {
+            lane.commit = (instructions, now);
+            lane.trips = u64::MAX;
+        } else {
+            // A core that woke this cycle has waited since the last.
+            if parked {
+                lane.commit.1 = now - 1;
             }
+            if instructions != lane.commit.0 {
+                lane.commit = (instructions, now);
+            }
+            let stall_cycles = self.mem.config().progress.stall_cycles;
+            lane.trips = lane.commit.1.saturating_add(stall_cycles).saturating_add(1);
+            self.deadline = self.deadline.min(lane.trips);
         }
     }
 
@@ -501,9 +499,9 @@ impl Machine {
     /// this indicates either an undersized budget or a genuine
     /// forward-progress bug, which is exactly what the deadlock test suite
     /// looks for — and [`RunFailure::Audit`] on an invariant violation.
-    /// With `MemConfig::progress` escalation enabled (the default), a
-    /// wedged retry site or a core that stops committing raises
-    /// [`RunFailure::NoProgress`] long before the cycle budget burns down.
+    /// Under the `MemConfig::progress` thresholds, a wedged retry site or a
+    /// core that stops committing raises [`RunFailure::NoProgress`] long
+    /// before the cycle budget burns down.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
         self.run_to_quiescence(max_cycles)?;
         Ok(RunResult {
@@ -525,7 +523,7 @@ impl Machine {
         let cores = self.cores.iter().zip(&mut self.lanes).zip(&self.start_offsets);
         for ((c, lane), &offset) in cores {
             lane.commit = (c.stats.instructions, self.now.max(offset));
-            lane.trips = if prog.enabled && !c.halted() && !c.sleeping() {
+            lane.trips = if !c.halted() && !c.sleeping() {
                 lane.commit.1.saturating_add(prog.stall_cycles).saturating_add(1)
             } else {
                 u64::MAX
@@ -561,7 +559,7 @@ impl Machine {
             // Memory-side progress sites are polled on an iteration cadence
             // (a pure read — cheap enough to leave always-on without
             // perturbing anything).
-            if prog.enabled && iters.is_multiple_of(1024) {
+            if iters.is_multiple_of(1024) {
                 if let Some(r) = self.mem.progress_report() {
                     self.settle();
                     return Err(self.failed(RunFailure::NoProgress(r)));

@@ -95,7 +95,6 @@ fn wedge_cfg() -> MachineConfig {
 fn crossed_rmw_wedge_is_detected_at_the_core_commit_site() {
     let mut cfg = wedge_cfg();
     cfg.mem.progress = ProgressConfig {
-        enabled: true,
         stall_cycles: 20_000,
         max_attempts: HUGE,
         max_backlog: HUGE,
@@ -132,7 +131,6 @@ fn locked_out_directory_set_is_detected_at_the_dir_alloc_site() {
         // Escalate well below the §3.2.5 rescue threshold (10 000 polls),
         // so this trips before the directory's own valve would fire.
         cfg.mem.progress = ProgressConfig {
-            enabled: true,
             stall_cycles: HUGE,
             max_attempts: 2_000,
             max_backlog: HUGE,
@@ -162,7 +160,6 @@ fn locked_out_directory_set_is_detected_at_the_dir_alloc_site() {
 fn mshr_clamp_starvation_is_detected_at_the_lsq_retry_site() {
     let mut cfg = wedge_cfg();
     cfg.mem.progress = ProgressConfig {
-        enabled: true,
         stall_cycles: HUGE,
         max_attempts: 500,
         max_backlog: HUGE,
@@ -191,7 +188,6 @@ fn contended_interconnect_pressure_trips_the_noc_backlog_bound() {
     let mut cfg = icelake_like();
     cfg.mem.noc = NocConfig::contended(1);
     cfg.mem.progress = ProgressConfig {
-        enabled: true,
         stall_cycles: HUGE,
         max_attempts: HUGE,
         max_backlog: 8,

@@ -8,7 +8,7 @@
 //! builds also re-derive each credited stall from a ROB scan and each
 //! blocked load's blocker.
 
-use fa_mem::{AuditConfig, ChaosConfig, NocConfig};
+use fa_mem::{AuditConfig, ChaosConfig, NocConfig, ProgressConfig};
 use free_atomics::prelude::*;
 use free_atomics::sim::{RunFailure, SimError};
 
@@ -177,7 +177,7 @@ fn the_watchdog_fires_at_the_same_cycle_from_inside_a_stall() {
 #[test]
 fn a_welded_watchdog_does_not_overflow_the_stall_horizon() {
     let (mut cfg, programs) = wedge(u64::MAX);
-    cfg.mem.progress.enabled = false;
+    cfg.mem.progress = ProgressConfig::off();
     let timeout = |fast_paths: bool| {
         let mut m = Machine::new(cfg.clone(), programs.clone(), GuestMem::new(1 << 20));
         m.set_fast_paths(fast_paths);
