@@ -121,6 +121,14 @@ test -s target/dir_entry.txt || exit 1
 # is a reset of empty storage, so the machine has one initialiser.
 sed '/#\[cfg(test)\]/,$d' crates/sim/src/fuzz.rs > target/fuzz_src.txt
 ! grep -nE 'Machine::new|run_checked' target/fuzz_src.txt || exit 1
+# A fuzz case pays for its verdict: it asks the reference machine whether
+# each distinct observed vector is allowed (`Explorer::allows`, a search
+# for that one vector), so the non-test part of fuzz.rs enumerates no
+# outcome set and holds no allowed-outcome set.
+! grep -nE '\.outcomes\(|allowed_outcomes|FxHashSet' target/fuzz_src.txt || exit 1
+# The chaos storm clock is a kept cycle (`ChaosEngine::next_storm`), not a
+# division per loop iteration.
+! sed '/#\[cfg(test)\]/,$d' crates/mem/src/system.rs | grep -n 'next_storm_after' || exit 1
 sed -n '/    pub fn run(&mut self/,/^    }$/p;/    pub(crate) fn run_to_quiescence(/,/^    }$/p' \
     crates/sim/src/machine.rs > target/run_fn.txt
 grep -q 'self\.checker\.check(' target/run_fn.txt

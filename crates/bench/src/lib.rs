@@ -110,7 +110,8 @@ impl BenchOpts {
         BenchOpts {
             cores: env::get("FA_CORES", |v| env::parse_cores(v).ok_or("not a core count"))
                 .unwrap_or(d.cores),
-            scale: env::get("FA_SCALE", str::parse).unwrap_or(d.scale),
+            scale: env::get("FA_SCALE", |v| env::parse_scale(v).ok_or("not a positive scale"))
+                .unwrap_or(d.scale),
             runs: env::get("FA_RUNS", str::parse).unwrap_or(d.runs),
             drop_slowest: env::get("FA_DROP", str::parse).unwrap_or(d.drop_slowest),
             seed: d.seed,

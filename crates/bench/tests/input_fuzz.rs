@@ -122,9 +122,9 @@ fn damaged_reports_journals_and_traces_error_and_never_panic() {
 }
 
 /// Which of the knob parsers accept `v`: `FA_NOC`, `FA_CELL_BUDGET`,
-/// `FA_CORES`, `FA_TRACE`, `FA_CHECK`, `FA_MODEL`, `FA_WORKLOADS` and
-/// `FA_PRESETS`, in that order.
-fn knob_parsers(v: &str) -> [bool; 8] {
+/// `FA_CORES`, `FA_TRACE`, `FA_CHECK`, `FA_MODEL`, `FA_WORKLOADS`,
+/// `FA_PRESETS` and `FA_SCALE`, in that order.
+fn knob_parsers(v: &str) -> [bool; 9] {
     let items: Vec<&str> = env::items(v).collect();
     [
         env::parse_noc(v).is_some(),
@@ -135,6 +135,7 @@ fn knob_parsers(v: &str) -> [bool; 8] {
         env::parse_model_setting(v).is_ok(),
         fa_workloads::suite::select(&items).is_ok(),
         items.iter().all(|p| Preset::by_name(p).is_some()),
+        env::parse_scale(v).is_some(),
     ]
 }
 
@@ -152,6 +153,7 @@ fn damaged_knob_values_are_refused_and_never_panic() {
         ("weak", 5),
         ("TATP,PC,barnes", 6),
         ("icelake,skylake,tiny", 7),
+        ("0.25", 8),
     ];
     let mut refused = 0;
     let mut rng = SplitMix64::new(0x4B0B5);

@@ -134,6 +134,9 @@ fa_trace::counters! {
 pub struct ChaosEngine {
     cfg: ChaosConfig,
     rng: SplitMix64,
+    /// The next storm cycle, a multiple of `storm_interval` (`None` while
+    /// storms are off): a scheduled event, so the clock may jump to it.
+    next_storm: Option<u64>,
     pub(crate) stats: ChaosStats,
 }
 
@@ -141,7 +144,9 @@ impl ChaosEngine {
     /// Builds the engine for `cfg` (inert when `cfg.enabled` is false).
     pub fn new(cfg: ChaosConfig) -> ChaosEngine {
         let rng = SplitMix64::new(cfg.seed ^ 0xC4A0_5C4A_05C4_A05C);
-        ChaosEngine { cfg, rng, stats: ChaosStats::default() }
+        let storms = cfg.enabled && cfg.storm_interval > 0 && cfg.storm_burst > 0;
+        let next_storm = storms.then_some(cfg.storm_interval);
+        ChaosEngine { cfg, rng, next_storm, stats: ChaosStats::default() }
     }
 
     /// The active configuration.
@@ -188,21 +193,18 @@ impl ChaosEngine {
         }
     }
 
-    /// The first storm cycle after `now`, the next multiple of
-    /// `storm_interval` (`None` while storms are off): a scheduled event,
-    /// so the clock may jump to it. Its burst is drawn on that tick, by
-    /// [`ChaosEngine::storm_due`].
-    pub(crate) fn next_storm_after(&self, now: u64) -> Option<u64> {
-        let c = &self.cfg;
-        (c.enabled && c.storm_interval > 0 && c.storm_burst > 0)
-            .then(|| (now / c.storm_interval + 1).saturating_mul(c.storm_interval))
+    /// The next storm cycle (`None` while storms are off). Its burst is
+    /// drawn on that tick, by [`ChaosEngine::storm_due`].
+    pub(crate) fn next_storm(&self) -> Option<u64> {
+        self.next_storm
     }
 
     /// Number of directory entries to storm-evict this cycle (usually 0).
+    /// The memory system calls it on every tick, and the clock never jumps
+    /// past [`ChaosEngine::next_storm`], so `now` never passes it.
     pub(crate) fn storm_due(&mut self, now: u64) -> u32 {
-        if now == 0 || self.next_storm_after(now - 1) != Some(now) {
-            return 0;
-        }
+        let Some(at) = self.next_storm.filter(|&at| at == now) else { return 0 };
+        self.next_storm = Some(at.saturating_add(self.cfg.storm_interval));
         self.stats.storms += 1;
         // Vary the burst size so storms do not resonate with workload loops.
         1 + self.rng.below(self.cfg.storm_burst as u64) as u32
@@ -272,15 +274,34 @@ mod tests {
 
     #[test]
     fn the_next_storm_is_the_next_cycle_one_fires_on() {
-        let mut e = ChaosEngine::new(ChaosConfig::stress(3));
-        let fires: Vec<u64> = (1..1000).filter(|&now| e.storm_due(now) > 0).collect();
-        for now in 0..900 {
-            let next = fires.iter().copied().find(|&at| at > now);
-            assert_eq!(e.next_storm_after(now), next, "after cycle {now}");
+        // The closed form the kept cycle replaces: the next multiple of the
+        // interval after `now`.
+        let closed = |cfg: &ChaosConfig, now: u64| {
+            (cfg.enabled && cfg.storm_interval > 0 && cfg.storm_burst > 0)
+                .then(|| (now / cfg.storm_interval + 1).saturating_mul(cfg.storm_interval))
+        };
+        let cfg = ChaosConfig::stress(3);
+        let mut e = ChaosEngine::new(cfg.clone());
+        for run in 0..2 {
+            assert_eq!(e.next_storm(), closed(&cfg, 0), "run {run}, before the first tick");
+            let mut fires = Vec::new();
+            for now in 1..10_000 {
+                if e.storm_due(now) > 0 {
+                    fires.push(now);
+                }
+                assert_eq!(e.next_storm(), closed(&cfg, now), "run {run}, after cycle {now}");
+            }
+            let multiples: Vec<u64> = (1..10_000).filter(|now| now % cfg.storm_interval == 0).collect();
+            assert_eq!(fires, multiples);
+            // A reset builds the engine afresh, as the memory system's does.
+            e = ChaosEngine::new(cfg.clone());
         }
-        let off = ChaosEngine::new(ChaosConfig { storm_burst: 0, ..ChaosConfig::stress(3) });
-        assert_eq!(off.next_storm_after(5), None);
-        assert_eq!(ChaosEngine::new(ChaosConfig::default()).next_storm_after(5), None);
+        for off in [ChaosConfig { storm_burst: 0, ..cfg.clone() }, ChaosConfig::default()] {
+            let mut e = ChaosEngine::new(off.clone());
+            assert_eq!(e.next_storm(), None);
+            assert_eq!(e.storm_due(off.storm_interval.max(1)), 0);
+            assert_eq!(e.next_storm(), closed(&off, 5));
+        }
     }
 
     #[test]

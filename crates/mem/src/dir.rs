@@ -194,6 +194,10 @@ pub struct Directory {
     /// its request allocates, which grants to the requester in the same
     /// call.
     pub(crate) alloc_moved: u64,
+    /// A line's sharers or owner changed, or an entry with sharers left,
+    /// since the system last took the flag: what the auditor's sweep reads
+    /// of the directory moves only then.
+    pub(crate) lines_moved: bool,
     /// Active rescue reservation: the next way freed in this request's set
     /// is reserved for it alone. See [`ALLOC_RESCUE_THRESHOLD`].
     alloc_rescue: Option<(CoreId, Line)>,
@@ -227,8 +231,8 @@ impl Directory {
     /// and trace ring.
     pub fn reset(&mut self, cfg: &MemConfig) {
         let Directory {
-            entries, txns, llc, dir_lat, llc_lat, mem_lat, stats, alloc_guard, alloc_moved, alloc_rescue,
-            rescue_absent, now, trace, epochs_on, write_epochs,
+            entries, txns, llc, dir_lat, llc_lat, mem_lat, stats, alloc_guard, alloc_moved, lines_moved,
+            alloc_rescue, rescue_absent, now, trace, epochs_on, write_epochs,
         } = self;
         entries.reset(cfg.dir_sets, cfg.dir_ways);
         txns.reset();
@@ -236,7 +240,7 @@ impl Directory {
         (*dir_lat, *llc_lat, *mem_lat) = (cfg.dir_lat, cfg.llc_lat, cfg.mem_lat);
         *stats = DirStats::default();
         alloc_guard.reset();
-        (*alloc_moved, *alloc_rescue, *rescue_absent, *now) = (0, None, 0, 0);
+        (*alloc_moved, *lines_moved, *alloc_rescue, *rescue_absent, *now) = (0, false, None, 0, 0);
         trace.reset(&cfg.trace);
         *epochs_on = cfg.check.on();
         write_epochs.clear();
@@ -267,6 +271,7 @@ impl Directory {
             DirMsg::Req(req) => self.process_req(req, out),
             DirMsg::InvAck { from, line } => {
                 let e = self.entries.peek_mut(line).expect("InvAck for absent entry");
+                self.lines_moved = true;
                 e.sharers &= !bit(from);
                 if e.excl == Some(from) {
                     e.excl = None;
@@ -280,6 +285,7 @@ impl Directory {
             }
             DirMsg::DownAck { from, line, had_line } => {
                 let e = self.entries.peek_mut(line).expect("DownAck for absent entry");
+                self.lines_moved = true;
                 if had_line {
                     // Owner keeps a shared copy.
                     e.sharers |= bit(from);
@@ -390,6 +396,7 @@ impl Directory {
         let exclusive = e.sharers & !bit(req.from) == 0;
         debug_assert!(exclusive || req.kind == DirReqKind::GetS, "GetX granted over sharers");
         self.txns.open(e).busy = Some(Txn::unblock_of(req.from));
+        self.lines_moved = true;
         let line = req.line;
         let msg = if exclusive {
             e.excl = Some(req.from);
@@ -561,6 +568,7 @@ impl Directory {
                 out.push(DirAction::Redispatch(req));
             }
             self.txns.close_if_idle(e);
+            self.lines_moved |= e.sharers != 0;
             self.entries.remove(line);
             return;
         }
@@ -609,14 +617,19 @@ impl Directory {
     }
 
     /// Test-only: forcibly drops the entry for `line`, bypassing the
-    /// protocol. Exists solely to prove the inclusion audit fires.
+    /// protocol but marking the move as every real path does. Exists
+    /// solely to prove the inclusion audit fires.
     #[cfg(test)]
     pub(crate) fn force_drop_entry(&mut self, line: Line) {
+        self.lines_moved |= self.sharers(line) != 0;
         self.entries.remove(line);
     }
 
+    /// Test-only: forcibly installs an idle entry for `line` with
+    /// `sharers`, marking the move.
     #[cfg(test)]
     pub(crate) fn force_sharers(&mut self, line: Line, sharers: u64) {
+        self.lines_moved = true;
         let entry = DirEntry { sharers, ..DirEntry::default() };
         self.entries.insert(line, entry, |_| false).expect("a free way");
     }

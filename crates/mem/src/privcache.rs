@@ -147,6 +147,11 @@ pub struct PrivCache {
     /// A hold opened or closed since the system last took the flag: the
     /// auditor's lock-hold horizon moves only then.
     pub(crate) locks_moved: bool,
+    /// A line's MESI state changed (the line came, went or changed state)
+    /// since the system last took the flag: what the auditor's sweep reads
+    /// of this cache moves only then. Set wherever a `TraceEvent::Mesi` is
+    /// recorded.
+    pub(crate) lines_moved: bool,
     /// Structured event ring for this controller.
     pub(crate) trace: TraceBuf,
     /// This core's counters and histograms, as `MemStats` publishes them
@@ -170,7 +175,7 @@ impl PrivCache {
         let PrivCache {
             id: my_id, l1, l2, locks, mshrs, mshr_pool, parked_ext, stalled_fills, still_stalled,
             retry_due, fill_guard, prefetcher, prefetch_enabled, mshr_cap, l1_lat, l2_lat, now,
-            locks_moved, trace, stats,
+            locks_moved, lines_moved, trace, stats,
         } = self;
         *my_id = id;
         l1.reset(cfg.l1_sets, cfg.l1_ways);
@@ -188,7 +193,7 @@ impl PrivCache {
         *prefetcher = StridePrefetcher::new(PREFETCH_DEGREE);
         (*prefetch_enabled, *mshr_cap) = (cfg.stride_prefetch, cfg.mshrs);
         (*l1_lat, *l2_lat, *now) = (cfg.l1_lat, cfg.l2_lat, 0);
-        (*retry_due, *locks_moved) = (false, false);
+        (*retry_due, *locks_moved, *lines_moved) = (false, false, false);
         trace.reset(&cfg.trace);
         *stats = CoreMemStats::default();
     }
@@ -339,6 +344,7 @@ impl PrivCache {
                 let was = *s;
                 *s = Mesi::M;
                 if was != Mesi::M {
+                    self.lines_moved = true;
                     self.trace.record(
                         self.now,
                         TraceEvent::Mesi { line, from: was.code(), to: Mesi::M.code() },
@@ -405,6 +411,7 @@ impl PrivCache {
                 let was = self.l2.remove(line);
                 let had = was.is_some();
                 if had {
+                    self.lines_moved = true;
                     self.trace.record(
                         self.now,
                         TraceEvent::Mesi { line, from: mesi_code(was), to: fa_trace::MESI_I },
@@ -420,6 +427,7 @@ impl PrivCache {
                         let was = s.code();
                         *s = Mesi::S;
                         if was != Mesi::S.code() {
+                            self.lines_moved = true;
                             self.trace.record(
                                 self.now,
                                 TraceEvent::Mesi { line, from: was, to: Mesi::S.code() },
@@ -508,6 +516,7 @@ impl PrivCache {
             match self.l2.insert(line, filled, |l| locks.contains_key(&l)) {
                 Ok(Some((victim, state))) => {
                     self.l1.remove(victim);
+                    self.lines_moved = true;
                     self.trace.record(
                         self.now,
                         TraceEvent::Mesi {
@@ -521,6 +530,7 @@ impl PrivCache {
                 Ok(None) => {}
                 Err(_) => return false,
             }
+            self.lines_moved = true;
             self.trace.record(
                 self.now,
                 TraceEvent::Mesi { line, from: MESI_NONE, to: filled.code() },
@@ -529,6 +539,7 @@ impl PrivCache {
             // Upgrade grant for a line we still hold in S. The `contains`
             // check above guarantees presence.
             *self.l2.peek_mut(line).expect("upgrade target resident") = Mesi::E;
+            self.lines_moved = true;
             self.trace.record(
                 self.now,
                 TraceEvent::Mesi { line, from: Mesi::S.code(), to: Mesi::E.code() },
@@ -621,10 +632,12 @@ impl PrivCache {
         self.retry_due
     }
 
-    /// Test-only: forcibly sets a line's MESI state, bypassing the protocol.
-    /// Exists solely to prove the invariant auditor detects corruption.
+    /// Test-only: forcibly sets a line's MESI state, bypassing the protocol
+    /// but marking the move as every real path does. Exists solely to prove
+    /// the invariant auditor detects corruption.
     #[cfg(test)]
     pub(crate) fn force_state(&mut self, line: Line, st: Mesi) {
+        self.lines_moved = true;
         if let Some(s) = self.l2.peek_mut(line) {
             *s = st;
         } else {

@@ -101,8 +101,11 @@ pub struct MemorySystem {
     /// Audit-sweep counters (the other `MemStats` blocks live with the
     /// controller that counts them).
     audit_stats: AuditStats,
-    /// Set by every path that can change what a sweep reads (`with_cache`,
-    /// `with_dir`); a sweep clears it unless a fill retry is due.
+    /// Set when a call changed what a sweep reads — a cache's MESI state
+    /// or a directory line's sharers ([`PrivCache::lines_moved`],
+    /// [`Directory::lines_moved`], folded in by `with_cache` and
+    /// `with_dir`) — and by a reset; a sweep clears it unless a fill retry
+    /// is due.
     changed_since_sweep: bool,
     /// One bit per core: set whenever the system changes what that core
     /// sees — a message queued in its inbox, a call into its cache, a send
@@ -326,9 +329,9 @@ impl MemorySystem {
     /// Calls `f` on the directory with the (empty) action buffer and routes
     /// what it emitted.
     fn with_dir<R>(&mut self, f: impl FnOnce(&mut Directory, &mut Vec<DirAction>) -> R) -> R {
-        self.changed_since_sweep = true;
         let mut out = std::mem::take(&mut self.dout);
         let r = f(&mut self.dir, &mut out);
+        self.changed_since_sweep |= std::mem::take(&mut self.dir.lines_moved);
         self.touched |= std::mem::take(&mut self.dir.alloc_moved);
         self.apply_dir_actions(&mut out);
         self.dout = out;
@@ -342,7 +345,6 @@ impl MemorySystem {
         core: usize,
         f: impl FnOnce(&mut PrivCache, &mut Vec<Action>) -> R,
     ) -> R {
-        self.changed_since_sweep = true;
         let mut out = std::mem::take(&mut self.acts);
         let r = f(self.cache(core), &mut out);
         self.apply_cache_actions(core, &mut out);
@@ -359,11 +361,12 @@ impl MemorySystem {
         c
     }
 
-    /// After a call into `core`'s cache: notes a stalled-fill retry the
-    /// call made due, and recomputes the lock-hold horizon if a hold
-    /// opened or closed.
+    /// After a call into `core`'s cache: marks the sweep if a line's state
+    /// moved, notes a stalled-fill retry the call made due, and recomputes
+    /// the lock-hold horizon if a hold opened or closed.
     fn called(&mut self, core: usize) {
         let c = &mut self.caches[core];
+        self.changed_since_sweep |= std::mem::take(&mut c.lines_moved);
         if c.retry_due() {
             self.retry_due |= 1 << core;
         }
@@ -440,7 +443,7 @@ impl MemorySystem {
     /// Adds a lock count on `line` (load_lock performed on an
     /// already-present writable line, or a lock transfer during forwarding).
     /// The cache's lock record is all it changes, and the audit reads that
-    /// every cycle, so it marks no sweep.
+    /// every cycle, so it moves no line a sweep reads.
     pub fn lock_line(&mut self, core: CoreId, line: Line) {
         self.cache(core.index()).lock(line);
         self.called(core.index());
@@ -512,7 +515,7 @@ impl MemorySystem {
     /// cycle the caches record. Between ticks nothing else changes what a
     /// tick or an audit would do.
     pub fn next_event_at(&self) -> Option<Cycle> {
-        [self.noc.next_at(), self.noc.chaos.next_storm_after(self.now), self.leak_at]
+        [self.noc.next_at(), self.noc.chaos.next_storm(), self.leak_at]
             .into_iter()
             .flatten()
             .min()
@@ -589,9 +592,11 @@ impl MemorySystem {
     /// bound (see [`crate::audit`]), returning the first violation in a
     /// deterministic order.
     ///
-    /// The full SWMR/inclusion sweep runs only after a cycle that may have
-    /// changed what it reads (debug builds sweep a clean cycle too and
-    /// assert it passes). The lock-hold bound is checked every cycle
+    /// The full SWMR/inclusion sweep runs only after a cycle that changed
+    /// what it reads: a MESI state or a directory sharer bit. Debug builds
+    /// sweep a clean cycle too and assert that it passes and gathers the
+    /// copy set the last sweep did, so a change that missed its mark
+    /// fails there. The lock-hold bound is checked every cycle
     /// against each cache's own record of when every hold opened, so a
     /// line released and re-taken within one cycle starts a new hold.
     pub fn audit(&mut self) -> Result<(), AuditViolation> {
@@ -601,8 +606,19 @@ impl MemorySystem {
         if self.changed_since_sweep {
             self.sweep()?;
         } else if cfg!(debug_assertions) {
-            let (now, verdict) = (self.now, self.sweep());
-            assert_eq!(verdict, Ok(()), "a clean cycle broke an invariant at {now}");
+            // The last sweep's gather is sorted and holds each copy once.
+            let now = self.now;
+            let mut copies = 0;
+            for (i, c) in self.caches.iter().enumerate() {
+                for (line, st) in c.resident_lines() {
+                    let copy = (line, CoreId(i as u16), st.writable());
+                    let swept = self.audit_copies.binary_search(&copy).is_ok();
+                    assert!(swept, "a clean cycle moved {copy:x?} unmarked at {now}");
+                    copies += 1;
+                }
+            }
+            assert_eq!(copies, self.audit_copies.len(), "a clean cycle dropped a copy at {now}");
+            assert_eq!(self.sweep(), Ok(()), "a clean cycle broke an invariant at {now}");
         }
         // Lock-pairing bound: the longest hold feeds the statistic, and
         // the first violator in `(core, line)` order is reported.
@@ -756,13 +772,6 @@ mod tests {
             _ => None,
         };
         r.iter().filter_map(lost).collect()
-    }
-
-    /// Corrupts state behind the protocol's back, marking it changed as
-    /// every real path does, to prove the auditor catches it.
-    fn corrupt(m: &mut MemorySystem, f: impl FnOnce(&mut [PrivCache], &mut Directory)) {
-        f(&mut m.caches, &mut m.dir);
-        m.changed_since_sweep = true;
     }
 
     /// Ticks until `core` receives a response, with a safety bound.
@@ -965,7 +974,7 @@ mod tests {
         m.audit().expect("legal sharing must pass the audit");
         // Corrupt the protocol: core 0 claims write permission while core 1
         // still holds a shared copy.
-        corrupt(&mut m, |caches, _| caches[0].force_state(0x100, crate::privcache::Mesi::M));
+        m.with_cache(0, |c, _| c.force_state(0x100, crate::privcache::Mesi::M));
         match m.audit() {
             Err(AuditViolation::MultipleWriters { line: 0x100, writers, holders }) => {
                 assert_eq!(writers, vec![C0]);
@@ -983,13 +992,69 @@ mod tests {
         m.read(C0, 1, 0x100, false);
         run_until_resp(&mut m, C0, 1000);
         m.audit().expect("covered copy must pass the audit");
-        corrupt(&mut m, |_, dir| dir.force_drop_entry(0x100));
+        m.with_dir(|dir, _| dir.force_drop_entry(0x100));
         match m.audit() {
             Err(AuditViolation::InclusionHole { line: 0x100, core, entry_missing: true }) => {
                 assert_eq!(core, C0);
             }
             other => panic!("expected InclusionHole, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_cycle_that_moves_no_line_leaves_the_sweep_clear() {
+        let mut cfg = MemConfig::tiny();
+        cfg.audit = crate::AuditConfig::on();
+        let mut m = MemorySystem::new(cfg, 1, GuestMem::new(1 << 16));
+        let settle = |m: &mut MemorySystem| {
+            while m.pending_events() > 0 {
+                m.tick();
+            }
+            m.audit().expect("legal traffic passes the audit");
+            assert!(!m.changed_since_sweep, "the sweep consumed the mark");
+        };
+        m.read(C0, 1, 0x100, false);
+        m.store_acquire(C0, 2, 0x200);
+        settle(&mut m);
+        // The first store to the E line moves it to M: one mark.
+        assert!(m.try_store_perform(C0, 2, 0x200, 7));
+        assert!(m.changed_since_sweep, "E -> M marks the sweep");
+        settle(&mut m);
+        // A read hit, a store to the M line and a lock on it, ticked to
+        // completion: no MESI state or sharer bit moves.
+        assert_eq!(m.read(C0, 3, 0x100, false), ReqOutcome::Accepted);
+        assert!(m.try_store_perform(C0, 4, 0x200, 8));
+        m.read(C0, 5, 0x200, true);
+        assert_eq!(m.store_acquire(C0, 6, 0x200), ReqOutcome::Accepted);
+        while m.pending_events() > 0 {
+            m.tick();
+            assert!(!m.changed_since_sweep, "a hit moved no line at {}", m.now());
+            m.audit().expect("hits pass the audit");
+        }
+        assert!(m.is_locked(C0, 0x200));
+        m.unlock_line(C0, 0x200);
+        assert!(!m.changed_since_sweep, "an unlock with nothing parked moves no line");
+    }
+
+    #[test]
+    fn forced_states_and_sharers_mark_the_sweep() {
+        let mut cfg = MemConfig::tiny();
+        cfg.audit = crate::AuditConfig::on();
+        let mut m = MemorySystem::new(cfg, 2, GuestMem::new(1 << 16));
+        m.audit().expect("an empty system is clean");
+        assert!(!m.changed_since_sweep);
+        m.with_cache(1, |c, _| c.force_state(0x100, crate::privcache::Mesi::S));
+        assert!(m.changed_since_sweep, "force_state marks the sweep");
+        let hole = AuditViolation::InclusionHole { line: 0x100, core: C1, entry_missing: true };
+        assert_eq!(m.audit(), Err(hole));
+        m.with_dir(|dir, _| dir.force_sharers(0x100, 0b10));
+        assert!(m.changed_since_sweep, "force_sharers marks the sweep");
+        m.audit().expect("the copy is covered again");
+        assert!(!m.changed_since_sweep);
+        m.with_dir(|dir, _| dir.force_drop_entry(0x100));
+        assert!(m.changed_since_sweep, "dropping an entry with sharers marks the sweep");
+        let hole = AuditViolation::InclusionHole { line: 0x100, core: C1, entry_missing: true };
+        assert_eq!(m.audit(), Err(hole));
     }
 
     #[test]
@@ -1232,6 +1297,22 @@ mod tests {
         assert!(s1.chaos.delayed_events > 0, "jitter must actually fire");
         assert!(s1.chaos.storms > 0, "storms must actually fire");
         assert!(s1.chaos.storm_evictions > 0, "storms must evict entries");
+    }
+
+    #[test]
+    fn a_reset_restarts_the_storm_clock() {
+        let mut cfg = MemConfig::tiny();
+        cfg.chaos = crate::ChaosConfig::stress(5);
+        let interval = cfg.chaos.storm_interval;
+        let mut m = MemorySystem::new(cfg.clone(), 1, GuestMem::new(1 << 16));
+        assert_eq!(m.next_event_at(), Some(interval));
+        for _ in 0..3 * interval {
+            m.tick();
+        }
+        assert_eq!(m.stats().chaos.storms, 3);
+        assert_eq!(m.next_event_at(), Some(4 * interval));
+        m.reset(&cfg, 1, Cow::Owned(GuestMem::new(1 << 16)));
+        assert_eq!(m.next_event_at(), Some(interval));
     }
 
     #[test]

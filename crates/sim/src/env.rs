@@ -43,7 +43,7 @@ const fn knob(
 /// table; `fa` without arguments prints them.
 pub const KNOBS: &[Knob] = &[
     knob("FA_CORES", "8", "an integer from 1 to 64", "simulated cores (the paper uses 32); `fa` lists each command's own default"),
-    knob("FA_SCALE", "0.25", "a number", "workload size multiplier; per-command default as for `FA_CORES`"),
+    knob("FA_SCALE", "0.25", "a finite number greater than 0", "workload size multiplier; per-command default as for `FA_CORES`"),
     knob("FA_RUNS", "3", "an integer", "runs per configuration (paper: 10, drop 3)"),
     knob("FA_DROP", "1", "an integer", "slowest runs dropped"),
     knob("FA_THREADS", "0", "an integer", "campaign worker threads (0 = host parallelism); results are bit-identical at any value"),
@@ -110,6 +110,12 @@ pub fn parse_noc(v: &str) -> Option<fa_mem::NocConfig> {
 /// 1 to 64 (a core mask is 64 bits wide).
 pub fn parse_cores(v: &str) -> Option<usize> {
     v.parse().ok().filter(|c| (1..=64).contains(c))
+}
+
+/// Parses one `FA_SCALE` spec: a finite workload size multiplier greater
+/// than 0 (`0`, a negative, `nan` or `inf` sizes no workload as asked).
+pub fn parse_scale(v: &str) -> Option<f64> {
+    v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
 }
 
 /// Parses one `FA_CELL_BUDGET` spec: a positive simulated-cycle cap per
@@ -193,6 +199,21 @@ mod tests {
         assert_eq!(parse_cores("-1"), None);
         assert_eq!(parse_cores("0x8"), None);
         assert_eq!(parse_cores("eight"), None);
+    }
+
+    #[test]
+    fn scale_grammar() {
+        assert_eq!(parse_scale("0.25"), Some(0.25));
+        assert_eq!(parse_scale("1"), Some(1.0));
+        assert_eq!(parse_scale("2e-3"), Some(0.002));
+        assert_eq!(parse_scale("0"), None, "a zero scale sizes no workload");
+        assert_eq!(parse_scale("-1"), None);
+        assert_eq!(parse_scale("-0"), None);
+        assert_eq!(parse_scale("nan"), None);
+        assert_eq!(parse_scale("inf"), None, "an infinite scale never finishes a cell");
+        assert_eq!(parse_scale("1e400"), None, "overflows to infinity");
+        assert_eq!(parse_scale("0x1"), None);
+        assert_eq!(parse_scale("quarter"), None);
     }
 
     #[test]

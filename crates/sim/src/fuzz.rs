@@ -3,7 +3,8 @@
 //! Generates small random concurrent programs, runs each under fault
 //! injection ([`ChaosConfig`]) crossed with every requested
 //! [`AtomicPolicy`], and checks every observed outcome against the
-//! operational x86-TSO enumerator ([`crate::tsoref`]). The invariant
+//! operational x86-TSO reference machine ([`crate::tsoref`]), which
+//! searches for that one outcome rather than enumerating them all. The invariant
 //! auditor runs on every cycle of every case, so a fuzzing campaign
 //! simultaneously checks consistency (outcomes) and coherence/locking/
 //! progress invariants (audit) — the empirical analogue of the paper's
@@ -27,7 +28,7 @@ use crate::tsoref::Explorer;
 use fa_core::AtomicPolicy;
 use fa_isa::interp::GuestMem;
 use fa_isa::{MemOrder, Program, Word};
-use fa_mem::{AuditConfig, ChaosConfig, FxHashSet, NocConfig, SplitMix64};
+use fa_mem::{AuditConfig, ChaosConfig, NocConfig, SplitMix64};
 use fa_trace::{CheckMode, MemModel};
 use std::borrow::Cow;
 use std::fmt;
@@ -58,7 +59,7 @@ pub struct FuzzConfig {
     /// validated against the full TSO + RMW-atomicity axioms, not just
     /// its final observation vector).
     pub check: CheckMode,
-    /// Memory model the frontend runs under and the enumerator oracle
+    /// Memory model the frontend runs under and the reference machine
     /// checks against (default: TSO). Generated programs carry ordering
     /// annotations either way — under TSO they are inert.
     pub model: MemModel,
@@ -103,7 +104,7 @@ pub struct FuzzFailure {
 #[derive(Clone, Debug)]
 pub enum FailureKind {
     /// The simulator produced an outcome the campaign model's reference
-    /// enumerator cannot (named for the original TSO-only campaigns; the
+    /// machine cannot produce (named for the original TSO-only campaigns; the
     /// oracle follows [`FuzzConfig::model`]).
     TsoViolation {
         /// The forbidden observation vector.
@@ -239,13 +240,12 @@ fn gen_cases(fcfg: &FuzzConfig) -> Vec<FuzzCase> {
 }
 
 /// What a campaign worker keeps from case to case: one machine, reset for
-/// every run, the enumerator's storage, the current case's allowed
-/// outcomes and the last run's observation vector.
+/// every run, the reference machine's search storage and the last run's
+/// observation vector.
 #[derive(Default)]
 struct Worker {
     machine: Machine,
     explorer: Explorer,
-    allowed: FxHashSet<Vec<Word>>,
     outs: Vec<Word>,
 }
 
@@ -272,27 +272,30 @@ impl Worker {
 }
 
 /// Runs a differential fuzzing campaign: random programs × policies ×
-/// fault injection × sampled interconnects, outcomes checked against the
-/// TSO enumerator, the invariant auditor armed throughout. Never panics on a finding — every
+/// fault injection × sampled interconnects, every observed outcome checked
+/// for membership in what the reference machine allows, the invariant
+/// auditor armed throughout. Never panics on a finding — every
 /// failure is collected into the report with a replayable identity.
 ///
 /// The case runs fan out across [`FuzzConfig::threads`] workers on the
 /// [`crate::sweep`] engine. Each worker compiles a case once and runs all
 /// its policies, and every later case, on one machine that
 /// [`Machine::reset`] returns to the state a new one would have, so each
-/// `(case, policy)` run is deterministic and independent; results merge
-/// in case order, so the report — failures, run counts and the
-/// distinct-outcome coverage set — is bit-identical to the serial
+/// `(case, policy)` run is deterministic and independent. A case then asks
+/// the reference machine once per distinct vector its runs observed.
+/// Results merge in case order, so the report — failures, run counts and
+/// the distinct-outcome coverage set — is bit-identical to the serial
 /// campaign at any thread count.
 pub fn fuzz_litmus(base: &MachineConfig, fcfg: &FuzzConfig) -> FuzzReport {
     let cases = gen_cases(fcfg);
     let blank = blank_image();
     let per_case = crate::sweep::run_cells(&cases, fcfg.threads, Worker::default, |w, _, fc| {
         let test = &fc.test;
-        w.explorer.outcomes(&test.threads, test.num_outs(), fcfg.model, &mut w.allowed);
         let programs = test.to_programs();
-        let mut outcomes: Vec<Vec<Word>> = Vec::new();
-        let mut failures = Vec::new();
+        // Each distinct observed vector with its verdict, and each run's
+        // index into them.
+        let mut seen: Vec<(Vec<Word>, bool)> = Vec::new();
+        let mut runs = Vec::with_capacity(fcfg.policies.len());
         for &policy in &fcfg.policies {
             let mut cfg = base.clone().with_check(fcfg.check);
             cfg.core.policy = policy;
@@ -300,27 +303,31 @@ pub fn fuzz_litmus(base: &MachineConfig, fcfg: &FuzzConfig) -> FuzzReport {
             cfg.mem.chaos = ChaosConfig { seed: fc.chaos_seed, ..fcfg.chaos.clone() };
             cfg.mem.noc = fc.noc;
             cfg.mem.audit = AuditConfig::on();
-            match w.run(fc, &cfg, &programs, &blank, fcfg.max_cycles) {
-                Ok(()) if !w.allowed.contains(&w.outs) => failures.push(FuzzFailure {
-                    case: fc.case,
-                    policy,
-                    test: test.clone(),
-                    kind: FailureKind::TsoViolation { observed: w.outs.clone() },
-                }),
-                Ok(()) => {
-                    if !outcomes.contains(&w.outs) {
-                        outcomes.push(w.outs.clone());
-                    }
-                }
-                Err(e) => failures.push(FuzzFailure {
-                    case: fc.case,
-                    policy,
-                    test: test.clone(),
-                    kind: FailureKind::Run(e),
-                }),
-            }
+            let run = w.run(fc, &cfg, &programs, &blank, fcfg.max_cycles).map(|()| {
+                seen.iter().position(|(o, _)| *o == w.outs).unwrap_or_else(|| {
+                    seen.push((w.outs.clone(), false));
+                    seen.len() - 1
+                })
+            });
+            runs.push((policy, run));
         }
-        (outcomes, failures)
+        for (observed, allowed) in &mut seen {
+            *allowed = w.explorer.allows(&test.threads, test.num_outs(), fcfg.model, observed);
+        }
+        let failures: Vec<FuzzFailure> = runs
+            .into_iter()
+            .filter_map(|(policy, run)| {
+                let kind = match run {
+                    Ok(k) if seen[k].1 => return None,
+                    Ok(k) => FailureKind::TsoViolation { observed: seen[k].0.clone() },
+                    Err(e) => FailureKind::Run(e),
+                };
+                Some(FuzzFailure { case: fc.case, policy, test: test.clone(), kind })
+            })
+            .collect();
+        let legal: Vec<Vec<Word>> =
+            seen.into_iter().filter_map(|(o, allowed)| allowed.then_some(o)).collect();
+        (legal, failures)
     });
     let mut report = FuzzReport::default();
     let mut outcomes = std::collections::HashSet::new();
@@ -332,6 +339,32 @@ pub fn fuzz_litmus(base: &MachineConfig, fcfg: &FuzzConfig) -> FuzzReport {
     }
     report.distinct_outcomes = outcomes.len() as u64;
     report
+}
+
+/// The programs `reference_outcome_sets_are_pinned` pins: the 35
+/// hand-written tests, then 4 400 generated ones (3×3 at two seeds, 4×4 at
+/// one).
+#[cfg(test)]
+pub(crate) fn reference_corpus() -> [Vec<LitmusTest>; 2] {
+    let mut gallery = LitmusTest::all();
+    gallery.extend(LitmusTest::weak_gallery());
+    for stripped in [false, true] {
+        gallery.extend([
+            LitmusTest::memlog_fence_atomic_acq_op(stripped),
+            LitmusTest::memlog_atomic_fence_acq_fence(stripped),
+            LitmusTest::memlog_fence_atomic_chain(stripped),
+            LitmusTest::memlog_sb_sc_fence(stripped),
+            LitmusTest::memlog_sb_sc_store(stripped),
+            LitmusTest::memlog_mp_release_store(stripped),
+        ]);
+    }
+    let mut generated = Vec::new();
+    for (seed, cases, shape) in [(1, 2000, 3), (103, 2000, 3), (7, 400, 4)] {
+        let fcfg =
+            FuzzConfig { cases, seed, max_threads: shape, max_ops: shape, ..FuzzConfig::default() };
+        generated.extend(gen_cases(&fcfg).into_iter().map(|fc| fc.test));
+    }
+    [gallery, generated]
 }
 
 #[cfg(test)]
@@ -462,30 +495,8 @@ mod tests {
         // crate had before `tsoref::enumerate` replaced them: the merged
         // machine is held to their answers on the 35 hand-written tests
         // and on 4 400 generated programs (3×3 at two seeds, 4×4 at one).
-        let mut gallery = LitmusTest::all();
-        gallery.extend(LitmusTest::weak_gallery());
-        for stripped in [false, true] {
-            gallery.extend([
-                LitmusTest::memlog_fence_atomic_acq_op(stripped),
-                LitmusTest::memlog_atomic_fence_acq_fence(stripped),
-                LitmusTest::memlog_fence_atomic_chain(stripped),
-                LitmusTest::memlog_sb_sc_fence(stripped),
-                LitmusTest::memlog_sb_sc_store(stripped),
-                LitmusTest::memlog_mp_release_store(stripped),
-            ]);
-        }
-        assert_eq!(gallery.len(), 35);
-        let mut generated = Vec::new();
-        for (seed, cases, shape) in [(1, 2000, 3), (103, 2000, 3), (7, 400, 4)] {
-            let fcfg = FuzzConfig {
-                cases,
-                seed,
-                max_threads: shape,
-                max_ops: shape,
-                ..FuzzConfig::default()
-            };
-            generated.extend(gen_cases(&fcfg).into_iter().map(|fc| fc.test));
-        }
+        let [gallery, generated] = reference_corpus();
+        assert_eq!((gallery.len(), generated.len()), (35, 4400));
         let got = [&gallery, &generated]
             .map(|tests| [MemModel::Tso, MemModel::Weak].map(|m| outcome_digest(tests, m)));
         let pinned: [[u64; 2]; 2] = [

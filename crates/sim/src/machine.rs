@@ -392,13 +392,19 @@ impl Machine {
         if !self.fast_paths || !self.mem.fast_forwardable() {
             return false;
         }
+        // The lanes first: in most cycles one is due next cycle, and then
+        // memory's next event does not matter.
         let now = self.now;
-        let mut target = limit.min(self.mem.next_event_at().unwrap_or(u64::MAX));
+        let mut target = limit;
         for lane in &self.lanes {
             target = target.min(lane.wake);
             if target <= now + 1 {
                 return false;
             }
+        }
+        target = target.min(self.mem.next_event_at().unwrap_or(u64::MAX));
+        if target <= now + 1 {
+            return false;
         }
         self.now = target - 1;
         self.mem.skip_to(self.now);

@@ -26,7 +26,11 @@
 //!
 //! The litmus harness uses the resulting outcome sets as ground truth:
 //! any outcome observed on the detailed simulator that the machine cannot
-//! produce under the run's model is a consistency bug.
+//! produce under the run's model is a consistency bug. The fuzzer asks
+//! only that membership question, so it runs the same search with the
+//! observed vector as a target (`Explorer::allows`): a step whose
+//! observation contradicts the target is not taken, and the search stops
+//! at the first terminal state that shows the target.
 
 use crate::axiom::Execution;
 use crate::litmus::loc;
@@ -120,6 +124,8 @@ struct Rules<'a> {
     threads: &'a [Vec<LOp>],
     weak: bool,
     cell: [usize; 256],
+    /// How many ops write each observation slot (saturating).
+    writers: [u8; 256],
     stores: Vec<Vec<Buffered>>,
     outs_at: usize,
     threads_at: usize,
@@ -133,6 +139,7 @@ impl<'a> Rules<'a> {
         );
         let weak = model == MemModel::Weak;
         let mut cell = [usize::MAX; 256];
+        let mut writers = [0u8; 256];
         let mut cells = 0;
         for op in threads.iter().flatten() {
             if let LOp::St { addr, .. } | LOp::Ld { addr, .. } | LOp::FetchAdd { addr, .. } = *op {
@@ -140,6 +147,9 @@ impl<'a> Rules<'a> {
                     cell[addr as usize] = cells;
                     cells += 1;
                 }
+            }
+            if let LOp::Ld { out, .. } | LOp::FetchAdd { out, .. } = *op {
+                writers[out as usize] = writers[out as usize].saturating_add(1);
             }
         }
         let entry = |(at, op): (usize, &LOp)| match *op {
@@ -150,7 +160,7 @@ impl<'a> Rules<'a> {
         };
         let stores =
             threads.iter().map(|ops| ops.iter().enumerate().filter_map(entry).collect()).collect();
-        Rules { threads, weak, cell, stores, outs_at: cells, threads_at: cells + num_outs }
+        Rules { threads, weak, cell, writers, stores, outs_at: cells, threads_at: cells + num_outs }
     }
 
     /// Calls `f(thread, step)` for every transition enabled in state `s`.
@@ -213,29 +223,37 @@ impl<'a> Rules<'a> {
         }
     }
 
+    /// The observation slot thread `t`'s `step` writes in state `s`, and
+    /// the value it writes there (`None` for a step that observes nothing).
+    fn observes(&self, s: &[Word], t: usize, step: Step) -> Option<(usize, Word)> {
+        let Step::Exec(i, fwd) = step else { return None };
+        match self.threads[t][i] {
+            LOp::Ld { addr, out, .. } => {
+                Some((out as usize, fwd.map_or(s[self.cell[addr as usize]], |b| b.val)))
+            }
+            LOp::FetchAdd { addr, out, .. } => Some((out as usize, s[self.cell[addr as usize]])),
+            LOp::St { .. } | LOp::Fence { .. } => None,
+        }
+    }
+
     /// Applies thread `t`'s `step` to state `s`.
     fn apply(&self, s: &mut [Word], t: usize, step: Step) {
         let me = self.threads_at + t;
-        let (i, fwd) = match step {
+        let i = match step {
             Step::Drain(b) => {
                 s[b.cell] = b.val;
                 s[me] += 1 << 32;
                 return;
             }
-            Step::Exec(i, fwd) => (i, fwd),
+            Step::Exec(i, _) => i,
         };
-        match self.threads[t][i] {
-            LOp::Ld { addr, out, .. } => {
-                let c = self.cell[addr as usize];
-                s[self.outs_at..self.threads_at][out as usize] = fwd.map_or(s[c], |b| b.val);
-            }
-            // The read-modify-write is one atomic step (cache locking).
-            LOp::FetchAdd { addr, val, out, .. } => {
-                let c = self.cell[addr as usize];
-                s[self.outs_at..self.threads_at][out as usize] = s[c];
-                s[c] = s[c].wrapping_add(val);
-            }
-            LOp::St { .. } | LOp::Fence { .. } => {}
+        if let Some((out, v)) = self.observes(s, t, step) {
+            s[self.outs_at..self.threads_at][out] = v;
+        }
+        // The read-modify-write is one atomic step (cache locking).
+        if let LOp::FetchAdd { addr, val, .. } = self.threads[t][i] {
+            let c = self.cell[addr as usize];
+            s[c] = s[c].wrapping_add(val);
         }
         s[me] |= 1 << i;
     }
@@ -304,9 +322,9 @@ impl States {
     }
 }
 
-/// The enumerator's storage. A campaign worker keeps one across its
-/// programs, so that exploring one allocates only for its outcomes and
-/// while the storage still grows.
+/// The reference machine's search storage. A campaign worker keeps one
+/// across its programs, so that exploring one allocates only for its
+/// outcomes and while the storage still grows.
 #[derive(Default)]
 pub(crate) struct Explorer {
     states: States,
@@ -326,10 +344,48 @@ impl Explorer {
         model: MemModel,
         outcomes: &mut FxHashSet<Vec<Word>>,
     ) {
+        outcomes.clear();
+        self.search(threads, num_outs, model, None, |outs| {
+            if !outcomes.contains(outs) {
+                outcomes.insert(outs.to_vec());
+            }
+            false
+        });
+    }
+
+    /// True when `threads` under `model` can end with observation vector
+    /// `target`: membership in the set [`outcomes`](Self::outcomes)
+    /// fills, without enumerating it.
+    pub(crate) fn allows(
+        &mut self,
+        threads: &[Vec<LOp>],
+        num_outs: usize,
+        model: MemModel,
+        target: &[Word],
+    ) -> bool {
+        self.search(threads, num_outs, model, Some(target), |outs| outs == target)
+    }
+
+    /// Depth-first search over the states reachable from the initial one,
+    /// each visited once, calling `found` on every terminal state's
+    /// observation vector until it returns true (then so does the search).
+    ///
+    /// With a `target`, a step that writes an observation slot no other op
+    /// writes, with a value other than the target's, is not taken: every
+    /// terminal state past it differs from the target in that slot. The
+    /// search then visits only states consistent with the target so far, a
+    /// subset of what the full enumeration visits.
+    fn search(
+        &mut self,
+        threads: &[Vec<LOp>],
+        num_outs: usize,
+        model: MemModel,
+        target: Option<&[Word]>,
+        mut found: impl FnMut(&[Word]) -> bool,
+    ) -> bool {
         let rules = Rules::new(threads, num_outs, model);
         let len = rules.threads_at + threads.len();
         let Explorer { states, work, cur, next } = self;
-        outcomes.clear();
         states.clear(len);
         work.clear();
         next.clear();
@@ -341,15 +397,20 @@ impl Explorer {
             let mut terminal = true;
             rules.steps(cur, |t, step| {
                 terminal = false;
+                if let (Some(target), Some((out, v))) = (target, rules.observes(cur, t, step)) {
+                    if rules.writers[out] == 1 && target.get(out) != Some(&v) {
+                        return;
+                    }
+                }
                 next.copy_from_slice(cur);
                 rules.apply(next, t, step);
                 work.extend(states.insert(next));
             });
-            let outs = &cur[rules.outs_at..rules.threads_at];
-            if terminal && !outcomes.contains(outs) {
-                outcomes.insert(outs.to_vec());
+            if terminal && found(&cur[rules.outs_at..rules.threads_at]) {
+                return true;
             }
         }
+        false
     }
 }
 
@@ -617,6 +678,41 @@ mod tests {
         for threads in shapes {
             let n = 4;
             assert!(tso(&threads, n).is_subset(&weak(&threads, n)), "tso ⊄ weak for {threads:?}");
+        }
+    }
+
+    #[test]
+    fn the_target_search_is_the_enumerations_membership() {
+        // Every enumerated outcome of the pinned corpus is found. On every
+        // program with at most 4 slots, of the hand-written ones and of
+        // every fourth generated one (all of them take about 8 s), every
+        // vector over 0..8 gets the enumeration's answer.
+        let [gallery, generated] = crate::fuzz::reference_corpus();
+        let mut explorer = Explorer::default();
+        let mut allowed = FxHashSet::default();
+        let mut target = Vec::new();
+        let every_fourth = generated.iter().enumerate().map(|(i, test)| (test, i % 4 == 0));
+        for (test, every_vector) in gallery.iter().map(|test| (test, true)).chain(every_fourth) {
+            let (threads, n) = (&test.threads, test.num_outs());
+            for model in [MemModel::Tso, MemModel::Weak] {
+                explorer.outcomes(threads, n, model, &mut allowed);
+                for o in &allowed {
+                    assert!(explorer.allows(threads, n, model, o), "{o:?} for {threads:?}");
+                }
+                if n > 4 || !every_vector {
+                    continue;
+                }
+                for code in 0..1u64 << (3 * n) {
+                    target.clear();
+                    target.extend((0..n).map(|k| code >> (3 * k) & 7));
+                    assert_eq!(
+                        explorer.allows(threads, n, model, &target),
+                        allowed.contains(&target),
+                        "{target:?} under {} for {threads:?}",
+                        model.name()
+                    );
+                }
+            }
         }
     }
 
